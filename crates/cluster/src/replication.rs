@@ -33,7 +33,7 @@
 //! [`Router`]: crate::Router
 //! [`ServingBackend::take_committed_kv`]: pensieve_core::ServingBackend::take_committed_kv
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pensieve_kvcache::SessionId;
 use pensieve_model::SimTime;
@@ -104,6 +104,12 @@ pub(crate) struct Replicator {
     /// chatty replica cannot serialize everyone else's flushes.
     links: Vec<NodeLink>,
     sessions: BTreeMap<SessionId, SessionRepl>,
+    /// Per primary, the sessions whose pending delta has reached the
+    /// flush threshold: what [`Replicator::due_flushes`] returns without
+    /// scanning `sessions`. Maintained wherever `committed`, `replicated`
+    /// or a binding moves, so a lost flush and a standby-loss reset stay
+    /// due with no new commit.
+    due: Vec<BTreeSet<SessionId>>,
     replicated_tokens: u64,
     standby_bytes: u64,
     lost_flushes: u64,
@@ -128,6 +134,7 @@ impl Replicator {
             cfg,
             links,
             sessions: BTreeMap::new(),
+            due: vec![BTreeSet::new(); replicas],
             replicated_tokens: 0,
             standby_bytes: 0,
             lost_flushes: 0,
@@ -136,6 +143,33 @@ impl Replicator {
 
     pub(crate) fn mode(&self) -> ReplicationMode {
         self.cfg.mode
+    }
+
+    /// Pending tokens at which a session is due a flush: every pending
+    /// delta in sync mode, the configured lag bound otherwise.
+    fn threshold(&self) -> usize {
+        match self.cfg.mode {
+            ReplicationMode::Sync => 1,
+            _ => self.cfg.flush_threshold_tokens.max(1),
+        }
+    }
+
+    /// Re-derives `conv`'s membership of its primary's due set from its
+    /// state `s`; called after every change to that state.
+    fn refresh_due(
+        due: &mut [BTreeSet<SessionId>],
+        threshold: usize,
+        conv: SessionId,
+        s: &SessionRepl,
+    ) {
+        let Some(due) = due.get_mut(s.primary) else {
+            return;
+        };
+        if s.committed.saturating_sub(s.replicated) >= threshold {
+            due.insert(conv);
+        } else {
+            due.remove(&conv);
+        }
     }
 
     /// Records a commit-log observation: `committed` is the session's new
@@ -152,6 +186,7 @@ impl Replicator {
         standby: usize,
         committed: usize,
     ) {
+        let threshold = self.threshold();
         let e = self.sessions.entry(conv).or_insert(SessionRepl {
             primary,
             standby,
@@ -160,17 +195,35 @@ impl Replicator {
             committed: 0,
         });
         if e.primary != primary || e.standby != standby {
+            if let Some(due) = self.due.get_mut(e.primary) {
+                due.remove(&conv);
+            }
             e.primary = primary;
             e.standby = standby;
             e.chunks.clear();
             e.replicated = 0;
         }
         e.committed = e.committed.max(committed);
+        Self::refresh_due(&mut self.due, threshold, conv, e);
     }
 
-    /// Sessions bound to `primary` whose pending delta has reached
-    /// `threshold` tokens, in deterministic (session id) order.
-    pub(crate) fn due_flushes(&self, primary: usize, threshold: usize) -> Vec<SessionId> {
+    /// Sessions bound to `primary` whose pending delta has reached the
+    /// flush threshold, in deterministic (session id) order.
+    pub(crate) fn due_flushes(&self, primary: usize) -> Vec<SessionId> {
+        let due: Vec<SessionId> = self
+            .due
+            .get(primary)
+            .map_or_else(Vec::new, |d| d.iter().copied().collect());
+        #[cfg(test)]
+        assert_eq!(due, self.due_flushes_scan(primary), "due set drifted");
+        due
+    }
+
+    /// The walk-everything definition of [`Replicator::due_flushes`],
+    /// kept as the reference the maintained set is checked against.
+    #[cfg(test)]
+    fn due_flushes_scan(&self, primary: usize) -> Vec<SessionId> {
+        let threshold = self.threshold();
         self.sessions
             .iter()
             .filter(|(_, s)| {
@@ -193,6 +246,7 @@ impl Replicator {
         attempts: usize,
         rec: &Option<SharedRecorder>,
     ) -> Option<SimTime> {
+        let threshold = self.threshold();
         let s = self.sessions.get_mut(&conv)?;
         let pending = s.committed.saturating_sub(s.replicated);
         if pending == 0 {
@@ -205,6 +259,7 @@ impl Replicator {
                 Ok((_start, end)) => {
                     s.chunks.push((pending, end));
                     s.replicated += pending;
+                    Self::refresh_due(&mut self.due, threshold, conv, s);
                     self.replicated_tokens += pending as u64;
                     self.standby_bytes += bytes as u64;
                     rec.record(TraceEvent::ReplicationFlush {
@@ -255,10 +310,15 @@ impl Replicator {
                 out.push((conv, s));
             }
         }
-        for s in self.sessions.values_mut() {
+        if let Some(due) = self.due.get_mut(failed) {
+            due.clear();
+        }
+        let threshold = self.threshold();
+        for (&conv, s) in &mut self.sessions {
             if s.standby == failed {
                 s.chunks.clear();
                 s.replicated = 0;
+                Self::refresh_due(&mut self.due, threshold, conv, s);
             }
         }
         out
@@ -332,8 +392,8 @@ mod tests {
         let conv = SessionId(7);
         r.observe(conv, 0, 1, 48);
         assert_eq!(r.max_pending_tokens(), 48);
-        assert_eq!(r.due_flushes(0, 32), vec![conv]);
-        assert!(r.due_flushes(0, 64).is_empty(), "below threshold");
+        assert_eq!(r.due_flushes(0), vec![conv]);
+        assert!(r.due_flushes(1).is_empty(), "due at its own primary only");
         let end = r.flush(conv, SimTime::ZERO, 1024, 1, &None);
         assert!(end.is_some());
         assert_eq!(r.max_pending_tokens(), 0);
@@ -369,6 +429,41 @@ mod tests {
         assert_eq!(promoted[0].1.replicated, 64);
         // Session 2 survives but lost its copy: full lag again.
         assert_eq!(r.max_pending_tokens(), 64);
+    }
+
+    /// The maintained due set equals the walk-everything scan (asserted
+    /// inside `due_flushes` in test builds) across every transition that
+    /// moves it without a new commit.
+    #[test]
+    fn due_set_tracks_threshold_rebinds_lost_flushes_and_standby_loss() {
+        let lossy = ReplicationConfig {
+            link: NodeLinkSpec::lossy_25g(1.0, 3), // every flush is lost
+            ..cfg(ReplicationMode::Async)
+        };
+        let mut r = Replicator::new(lossy, 3);
+        let conv = SessionId(4);
+        r.observe(conv, 0, 1, 31);
+        assert!(r.due_flushes(0).is_empty(), "below the 32-token threshold");
+        r.observe(conv, 0, 1, 40);
+        assert_eq!(r.due_flushes(0), vec![conv]);
+        // A lost flush leaves the delta pending: still due, no new commit.
+        assert!(r.flush(conv, SimTime::ZERO, 8, 1, &None).is_none());
+        assert_eq!(r.due_flushes(0), vec![conv]);
+        // Migration to replica 2: due moves with the binding.
+        r.observe(conv, 2, 0, 40);
+        assert!(r.due_flushes(0).is_empty());
+        assert_eq!(r.due_flushes(2), vec![conv]);
+
+        // Standby loss resets a fully replicated session back to due.
+        let mut r = Replicator::new(cfg(ReplicationMode::Async), 3);
+        r.observe(conv, 0, 1, 40);
+        assert!(r.flush(conv, SimTime::ZERO, 8, 1, &None).is_some());
+        assert!(r.due_flushes(0).is_empty());
+        assert!(r.take_failover(1).is_empty());
+        assert_eq!(r.due_flushes(0), vec![conv]);
+        // Primary loss: the promoted session leaves the due set with it.
+        assert_eq!(r.take_failover(0).len(), 1);
+        assert!(r.due_flushes(0).is_empty());
     }
 
     #[test]

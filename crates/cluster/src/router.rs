@@ -28,8 +28,10 @@
 //!   partitions for chaos testing.
 //! * **Cold-store manifest persistence.** With
 //!   [`RouterConfig::manifest_persistence`] on, every replication
-//!   barrier also serializes each session's chunk manifest to a
-//!   simulated cold object store that survives replica fail-stops. A
+//!   barrier also serializes the chunk manifest of each session whose
+//!   layout *changed* to a simulated cold object store that survives
+//!   replica fail-stops — one record per session, its owner's (see
+//!   [`Router::persist_manifests`]). A
 //!   turn whose session has no cached KV anywhere rehydrates its chunk
 //!   layout from the manifest on a survivor — chunks re-admitted at the
 //!   cold tier, read back through that replica's own cold device at
@@ -59,7 +61,8 @@
 //! them into its own recorder in replica-index order, so the merged
 //! event stream — and its hash — is identical at every pool width.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use crossbeam::pool::Pool;
 use pensieve_core::{Request, RequestId, Response, ServingBackend};
@@ -93,9 +96,10 @@ pub struct RouterConfig {
     /// cluster configurations and their pinned traces are unchanged).
     pub replication: ReplicationConfig,
     /// Persist each session's chunk manifest to a simulated cold object
-    /// store at every replication barrier, so sessions orphaned by a
-    /// fail-stopped replica rehydrate their KV layout from the cold tier
-    /// instead of recomputing everything (see `docs/STORAGE.md`).
+    /// store at the replication barrier after its layout changes, so
+    /// sessions orphaned by a fail-stopped replica rehydrate their KV
+    /// layout from the cold tier instead of recomputing everything (see
+    /// `docs/STORAGE.md`).
     /// Default: off, so existing cluster traces are unchanged.
     pub manifest_persistence: bool,
     /// Seeded fault stream for manifest writes: each write rolls
@@ -122,6 +126,10 @@ impl Default for RouterConfig {
 struct Replica<B> {
     backend: B,
     alive: bool,
+    /// Driven (stepped, or handed session state) since the last barrier:
+    /// the only replicas whose manifests can have moved, so the only
+    /// ones the barrier asks for changes.
+    touched: bool,
 }
 
 /// N replicas behind a placement policy; itself a [`ServingBackend`].
@@ -146,8 +154,12 @@ pub struct Router<B> {
     /// Future effective arrivals the router itself created (migration
     /// transfer completions, failure re-dispatch times). `poll(None)`
     /// treats them as due work: without this a delayed submission on an
-    /// otherwise idle replica would never be reached.
-    wakeups: Vec<SimTime>,
+    /// otherwise idle replica would never be reached. A min-heap: `poll`
+    /// only ever needs the earliest one still ahead of the frontier.
+    wakeups: BinaryHeap<Reverse<OrdTime>>,
+    /// Scratch for `poll`'s laggard-first replica order, kept so the
+    /// loop allocates nothing per iteration.
+    poll_order: Vec<(OrdTime, usize)>,
     /// Responses salvaged from replicas that have since died.
     buffered: Vec<Response>,
     /// Requests that could not be placed because no replica is alive.
@@ -166,6 +178,18 @@ pub struct Router<B> {
     cold_store: ColdObjectStore,
     /// Seeded torn-write roll source for manifest persistence.
     manifest_faults: Option<FaultInjector>,
+    /// Sessions the next barrier must re-evaluate although no replica
+    /// reports them changed: their last write tore, their record was
+    /// removed, or the router itself exported them from a replica.
+    manifest_recheck: BTreeSet<SessionId>,
+    /// A replica fail-stopped since the last barrier: owners may have
+    /// changed with no manifest moving, so the next barrier re-evaluates
+    /// every tracked session once.
+    manifest_resync: bool,
+    /// Test switch: persist with the parent's walk-everything algorithm
+    /// instead, for old-versus-new differential runs.
+    #[cfg(test)]
+    reference_walk_only: bool,
     routed: u64,
     migrations: u64,
     migrated_tokens: u64,
@@ -201,6 +225,7 @@ impl<B: ServingBackend> Router<B> {
                 .map(|backend| Replica {
                     backend,
                     alive: true,
+                    touched: false,
                 })
                 .collect(),
             policy,
@@ -210,7 +235,8 @@ impl<B: ServingBackend> Router<B> {
             link,
             origin_arrivals: BTreeMap::new(),
             scheduled_failures: Vec::new(),
-            wakeups: Vec::new(),
+            wakeups: BinaryHeap::new(),
+            poll_order: Vec::new(),
             buffered: Vec::new(),
             parked: Vec::new(),
             recorder: None,
@@ -219,6 +245,10 @@ impl<B: ServingBackend> Router<B> {
             replication,
             cold_store: ColdObjectStore::new(),
             manifest_faults: None,
+            manifest_recheck: BTreeSet::new(),
+            manifest_resync: false,
+            #[cfg(test)]
+            reference_walk_only: false,
             routed: 0,
             migrations: 0,
             migrated_tokens: 0,
@@ -460,6 +490,23 @@ impl<B: ServingBackend> Router<B> {
             .map(|(i, r)| (i, &r.backend))
     }
 
+    /// Replica `idx`'s backend for a call that may move session layouts
+    /// (stepping, state handoff); marks it for the next barrier's
+    /// manifest pass.
+    fn drive(&mut self, idx: usize) -> Option<&mut B> {
+        let r = self.replicas.get_mut(idx)?;
+        r.touched = true;
+        Some(&mut r.backend)
+    }
+
+    /// Queues `session` for the next barrier's manifest pass although no
+    /// replica may report it changed.
+    fn recheck_manifest(&mut self, session: SessionId) {
+        if self.cfg.manifest_persistence {
+            self.manifest_recheck.insert(session);
+        }
+    }
+
     fn min_alive_depth(&self) -> usize {
         self.alive_backends()
             .map(|(_, b)| b.queue_depth())
@@ -496,6 +543,7 @@ impl<B: ServingBackend> Router<B> {
         self.buffered.extend(victim.backend.drain_responses());
         let orphans = victim.backend.fail_stop();
         victim.alive = false;
+        self.manifest_resync = true;
         self.affinity.retain(|_, r| *r != idx);
         self.replica_failures += 1;
         self.recorder.record(TraceEvent::ReplicaFailed {
@@ -588,10 +636,7 @@ impl<B: ServingBackend> Router<B> {
                     chunks,
                     shared: Vec::new(),
                 };
-                let admitted = self
-                    .replicas
-                    .get_mut(standby)
-                    .map_or(0, |r| r.backend.import_session(export));
+                let admitted = self.drive(standby).map_or(0, |b| b.import_session(export));
                 if admitted > 0 {
                     self.affinity.insert(conv, standby);
                 }
@@ -684,11 +729,7 @@ impl<B: ServingBackend> Router<B> {
             for (conv, committed) in commits {
                 rep.observe(conv, i, standby, committed);
             }
-            let threshold = match rep.mode() {
-                ReplicationMode::Sync => 1,
-                _ => self.cfg.replication.flush_threshold_tokens.max(1),
-            };
-            for conv in rep.due_flushes(i, threshold) {
+            for conv in rep.due_flushes(i) {
                 rep.flush(conv, now, bytes_per_token, 1, &self.recorder);
             }
         }
@@ -741,8 +782,7 @@ impl<B: ServingBackend> Router<B> {
             return;
         };
         if req.arrival > rep.backend.now() {
-            self.wakeups.push(req.arrival);
-            self.wakeups.sort_by_key(|&t| OrdTime(t));
+            self.wakeups.push(Reverse(OrdTime(req.arrival)));
         }
         let cached = rep.backend.cached_tokens(req.conv);
         self.affinity.insert(req.conv, target);
@@ -847,9 +887,12 @@ impl<B: ServingBackend> Router<B> {
         to: usize,
         at: SimTime,
     ) -> Option<SimTime> {
-        let source = self.replicas.get_mut(from)?;
-        let mut export = source.backend.export_session(session)?;
-        let bytes_per_token = source.backend.kv_bytes_per_token() as u64;
+        let source = self.drive(from)?;
+        let mut export = source.export_session(session)?;
+        let bytes_per_token = source.kv_bytes_per_token() as u64;
+        // A lower-index copy may now speak for the session; a backend
+        // without change tracking cannot report what left it.
+        self.recheck_manifest(session);
         let total_bytes: u64 = export
             .chunks
             .iter()
@@ -895,33 +938,121 @@ impl<B: ServingBackend> Router<B> {
         self.migrations += 1;
         self.migrated_tokens += streamed as u64;
         self.migration_lost_tokens += lost_tokens as u64;
-        let _admitted = self
-            .replicas
-            .get_mut(to)
-            .map_or(0, |r| r.backend.import_session(export));
+        let _admitted = self.drive(to).map_or(0, |b| b.import_session(export));
         self.affinity.insert(session, to);
         Some(transfer_end)
     }
 
-    /// Serializes every alive replica's *changed* session manifests to
-    /// the cold object store — a pure bookkeeping step on the barrier
-    /// path (it never advances a replica clock). Each actual write rolls
-    /// [`FaultKind::TornManifestWrite`] once; a torn record fails its
-    /// checksum at rehydration time, and because unchanged manifests are
-    /// skipped by value comparison a torn record is rewritten (healed) at
-    /// the next barrier.
+    /// Brings the cold object store up to date with the session layouts
+    /// that changed since the last barrier — a pure bookkeeping step on
+    /// the barrier path (it never advances a replica clock), doing work
+    /// proportional to what changed rather than to what exists.
+    ///
+    /// Only replicas driven since the last barrier are asked
+    /// ([`ServingBackend::take_manifest_dirty`]); to their answers the
+    /// barrier adds the sessions whose last write tore or whose record
+    /// was removed, and, once after a fail-stop, everything tracked
+    /// anywhere. Each such session gets at most one write, in session-id
+    /// order: the manifest of its **owner** — the highest-index alive
+    /// replica tracking it with a non-empty manifest, which is whose
+    /// record a walk over every replica in index order leaves behind —
+    /// and only if the encoded bytes differ from the stored ones. Each
+    /// write rolls [`FaultKind::TornManifestWrite`] once; a torn record
+    /// is a strict prefix of the clean one, so it differs, and is
+    /// rewritten (healed) at the next barrier.
     fn persist_manifests(&mut self) {
         if !self.cfg.manifest_persistence {
             return;
         }
-        for i in 0..self.replicas.len() {
-            let Some(rep) = self.replicas.get(i) else {
-                break;
-            };
-            if !rep.alive {
+        #[cfg(test)]
+        if self.reference_walk_only {
+            let faults = &mut self.manifest_faults;
+            let (writes, torn) =
+                Self::reference_walk(&self.replicas, &mut self.cold_store, |_| roll_torn(faults));
+            self.manifests_persisted += writes;
+            self.torn_manifests += torn;
+            return;
+        }
+        #[cfg(test)]
+        let mut shadow = self.cold_store.clone();
+
+        let mut changed = std::mem::take(&mut self.manifest_recheck);
+        let resync = std::mem::take(&mut self.manifest_resync);
+        for r in &mut self.replicas {
+            let touched = std::mem::take(&mut r.touched);
+            if !r.alive {
                 continue;
             }
-            let now = rep.backend.now();
+            if resync {
+                changed.extend(r.backend.manifest_sessions());
+            }
+            if touched {
+                changed.extend(r.backend.take_manifest_dirty());
+            }
+        }
+        for conv in changed {
+            let owner = self
+                .replicas
+                .iter()
+                .rev()
+                .filter(|r| r.alive)
+                .find_map(|r| {
+                    let manifest = r.backend.session_manifest(conv)?;
+                    (manifest.total_tokens() > 0).then(|| (r.backend.now(), manifest))
+                });
+            let Some((now, manifest)) = owner else {
+                continue; // tracked nowhere: the stored record stands
+            };
+            let encoded = manifest.to_bytes();
+            if self.cold_store.bytes(conv) == Some(encoded.as_slice()) {
+                continue;
+            }
+            let torn = roll_torn(&mut self.manifest_faults);
+            let bytes = self.cold_store.put_bytes(conv, encoded, torn);
+            self.manifests_persisted += 1;
+            if torn {
+                self.torn_manifests += 1;
+                self.manifest_recheck.insert(conv);
+            }
+            self.recorder.record(TraceEvent::ManifestPersisted {
+                at: now,
+                conv: conv.0,
+                tokens: manifest.total_tokens(),
+                bytes: bytes as u64,
+                torn,
+            });
+        }
+
+        // Differential check, every barrier of every in-crate test: the
+        // parent's walk over the pre-barrier store, tearing exactly the
+        // sessions this barrier tore, must leave the same bytes.
+        #[cfg(test)]
+        {
+            let torn_now = &self.manifest_recheck;
+            Self::reference_walk(&self.replicas, &mut shadow, |c| torn_now.contains(&c));
+            assert_eq!(
+                shadow, self.cold_store,
+                "change-driven barrier diverged from the walk-everything reference"
+            );
+        }
+    }
+
+    /// The parent commit's `persist_manifests`, kept as the reference
+    /// the change-driven barrier is checked against: walk every alive
+    /// replica in index order and every session it tracks, *decode* the
+    /// stored record to compare, and rewrite on any difference — so a
+    /// session tracked by two replicas with diverging layouts is
+    /// rewritten by both at every barrier, the last (highest-index)
+    /// writer winning. `tear` decides each write's fate. Returns
+    /// `(writes, torn writes)`.
+    #[cfg(test)]
+    fn reference_walk(
+        replicas: &[Replica<B>],
+        store: &mut ColdObjectStore,
+        mut tear: impl FnMut(SessionId) -> bool,
+    ) -> (u64, u64) {
+        let (mut writes, mut torn_writes) = (0, 0);
+        for rep in replicas.iter().filter(|r| r.alive) {
             for conv in rep.backend.manifest_sessions() {
                 let Some(manifest) = rep.backend.session_manifest(conv) else {
                     continue;
@@ -929,27 +1060,16 @@ impl<B: ServingBackend> Router<B> {
                 if manifest.total_tokens() == 0 {
                     continue;
                 }
-                if self.cold_store.get(conv).is_ok_and(|m| m == manifest) {
+                if store.get(conv).is_ok_and(|m| m == manifest) {
                     continue; // unchanged since the last barrier
                 }
-                let torn = self
-                    .manifest_faults
-                    .as_mut()
-                    .is_some_and(|f| f.roll(FaultKind::TornManifestWrite));
-                let bytes = self.cold_store.put(&manifest, torn);
-                self.manifests_persisted += 1;
-                if torn {
-                    self.torn_manifests += 1;
-                }
-                self.recorder.record(TraceEvent::ManifestPersisted {
-                    at: now,
-                    conv: conv.0,
-                    tokens: manifest.total_tokens(),
-                    bytes: bytes as u64,
-                    torn,
-                });
+                let torn = tear(conv);
+                store.put(&manifest, torn);
+                writes += 1;
+                torn_writes += u64::from(torn);
             }
         }
+        (writes, torn_writes)
     }
 
     /// Attempts to rebuild an orphaned session from its cold-store
@@ -969,6 +1089,7 @@ impl<B: ServingBackend> Router<B> {
                 // The record failed its checksum: drop it so the next
                 // barrier re-persists a clean one, and recompute now.
                 self.cold_store.remove(conv);
+                self.recheck_manifest(conv);
                 self.recorder.record(TraceEvent::FaultRecovery {
                     at: t,
                     conv: Some(conv.0),
@@ -1007,9 +1128,8 @@ impl<B: ServingBackend> Router<B> {
             .min_by_key(|&(i, b)| (b.queue_depth(), i))
             .map(|(i, _)| i)?;
         let admitted = self
-            .replicas
-            .get_mut(target)
-            .map_or(0, |r| r.backend.rehydrate_session(&capped));
+            .drive(target)
+            .map_or(0, |b| b.rehydrate_session(&capped));
         if admitted == 0 {
             return None;
         }
@@ -1099,12 +1219,14 @@ impl<B: ServingBackend + Send> Router<B> {
         if self.pool.threads() > 1 && self.replica_recorders.is_some() {
             let _durs = self.pool.for_each_mut(&mut self.replicas, |_, r| {
                 if r.alive {
+                    r.touched = true;
                     r.backend.run_until(horizon);
                 }
             });
         } else {
             for r in &mut self.replicas {
                 if r.alive {
+                    r.touched = true;
                     r.backend.run_until(horizon);
                 }
             }
@@ -1129,10 +1251,12 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
             // Pending failures and router-created future arrivals count
             // as due work, so they may pull idle clocks forward even
             // under `deadline: None`.
-            let frontier = self.now();
-            self.wakeups.retain(|&w| w > frontier);
+            let frontier = OrdTime(self.now());
+            while self.wakeups.peek().is_some_and(|w| w.0 <= frontier) {
+                self.wakeups.pop();
+            }
             let next_fail = self.scheduled_failures.first().map(|&(at, _)| at);
-            let next_wake = match (next_fail, self.wakeups.first().copied()) {
+            let next_wake = match (next_fail, self.wakeups.peek().map(|w| w.0 .0)) {
                 (Some(f), Some(w)) => Some(if w < f { w } else { f }),
                 (f, w) => f.or(w),
             };
@@ -1143,22 +1267,22 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
             };
             // Poll the laggard replica first: deterministic order, and the
             // cluster clock (the minimum) advances as fast as possible.
-            let mut order: Vec<(OrdTime, usize)> = self
-                .alive_backends()
-                .map(|(i, b)| (OrdTime(b.now()), i))
-                .collect();
-            order.sort();
+            let mut order = std::mem::take(&mut self.poll_order);
+            order.clear();
+            order.extend(self.alive_backends().map(|(i, b)| (OrdTime(b.now()), i)));
+            order.sort_unstable();
             let mut progressed = false;
-            for (before, i) in order {
-                let Some(rep) = self.replicas.get_mut(i) else {
+            for &(before, i) in &order {
+                let Some(backend) = self.drive(i) else {
                     continue;
                 };
-                let ready = rep.backend.poll(eff);
-                if ready || OrdTime(rep.backend.now()) > before {
+                let ready = backend.poll(eff);
+                if ready || OrdTime(backend.now()) > before {
                     progressed = true;
                     break;
                 }
             }
+            self.poll_order = order;
             if !progressed {
                 // Nothing due anywhere (and any due failures were applied
                 // at the top of the loop): with a deadline every alive
@@ -1313,8 +1437,11 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
 
     fn export_session(&mut self, session: SessionId) -> Option<SessionExport> {
         let &i = self.affinity.get(&session)?;
-        let rep = self.replicas.get_mut(i).filter(|r| r.alive)?;
-        let export = rep.backend.export_session(session)?;
+        if !self.replicas.get(i).is_some_and(|r| r.alive) {
+            return None;
+        }
+        let export = self.drive(i)?.export_session(session)?;
+        self.recheck_manifest(session);
         self.affinity.remove(&session);
         Some(export)
     }
@@ -1328,10 +1455,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
             return 0;
         };
         let session = export.session;
-        let admitted = self
-            .replicas
-            .get_mut(target)
-            .map_or(0, |r| r.backend.import_session(export));
+        let admitted = self.drive(target).map_or(0, |b| b.import_session(export));
         self.affinity.insert(session, target);
         admitted
     }
@@ -1356,6 +1480,12 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
         orphans
     }
 }
+
+// Under `tests/` so the workspace linter scopes it as test code; a
+// child of this module so it can read the router's private state.
+#[cfg(test)]
+#[path = "tests/barrier.rs"]
+mod barrier_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1587,6 +1717,13 @@ mod tests {
         );
         assert_eq!(r.parked_requests(), 0);
     }
+}
+
+/// One manifest write's torn-write roll; never torn without an injector.
+fn roll_torn(faults: &mut Option<FaultInjector>) -> bool {
+    faults
+        .as_mut()
+        .is_some_and(|f| f.roll(FaultKind::TornManifestWrite))
 }
 
 /// Total order over [`SimTime`] for sort keys (simulated times are always

@@ -130,6 +130,23 @@ pub trait ServingBackend {
         Vec::new()
     }
 
+    /// Drains the sessions whose [`session_manifest`] may have changed
+    /// since the last drain — grown, imported, rehydrated, forked, or
+    /// gone from this backend — in ascending id order. A superset is
+    /// always legal, so the default reports everything: a backend (or a
+    /// decorator written before this method existed) that does not track
+    /// changes stays correct and merely costs its caller a full walk.
+    /// The default cannot name sessions that *left*; a caller that
+    /// removes one itself ([`export_session`]) must account for that.
+    /// Layouts move only inside `poll`, `run_until` and the state-handoff
+    /// calls, so a caller need only drain backends it just drove.
+    ///
+    /// [`session_manifest`]: ServingBackend::session_manifest
+    /// [`export_session`]: ServingBackend::export_session
+    fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
+        self.manifest_sessions()
+    }
+
     /// Builds a cold-tier manifest of `session`'s chunk layout for
     /// persistence, or `None` when the backend does not track the
     /// session (or does not support manifests).

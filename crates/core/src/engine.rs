@@ -574,6 +574,13 @@ impl SimServingEngine {
         self.cache.sessions()
     }
 
+    /// Drains the sessions whose manifest layout may have changed since
+    /// the last drain (removed sessions included), in ascending id
+    /// order; see [`pensieve_kvcache::TieredKvCache::take_manifest_dirty`].
+    pub fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
+        self.cache.take_manifest_dirty()
+    }
+
     /// Rebuilds a session from a persisted manifest after this replica
     /// took over for a failed one: shared chain ids this replica still
     /// pools (the global preamble always, fork chains when warm)
@@ -1727,6 +1734,10 @@ impl crate::backend::ServingBackend for SimServingEngine {
 
     fn manifest_sessions(&self) -> Vec<SessionId> {
         SimServingEngine::manifest_sessions(self)
+    }
+
+    fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
+        SimServingEngine::take_manifest_dirty(self)
     }
 
     fn session_manifest(&self, session: SessionId) -> Option<SessionManifest> {

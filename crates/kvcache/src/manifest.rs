@@ -177,7 +177,7 @@ impl SessionManifest {
 /// byte-level on purpose: a torn write really does truncate the record,
 /// and the damage is only discovered at read time, like a real object
 /// store with a partial PUT.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColdObjectStore {
     objects: BTreeMap<SessionId, Vec<u8>>,
 }
@@ -194,13 +194,28 @@ impl ColdObjectStore {
     /// record decodes as [`ManifestError::Torn`] until overwritten by a
     /// later clean write. Returns the bytes stored.
     pub fn put(&mut self, manifest: &SessionManifest, torn: bool) -> usize {
-        let mut bytes = manifest.to_bytes();
+        self.put_bytes(manifest.session, manifest.to_bytes(), torn)
+    }
+
+    /// [`ColdObjectStore::put`] for a record the caller already encoded
+    /// with [`SessionManifest::to_bytes`] (to compare it against
+    /// [`ColdObjectStore::bytes`] first, say).
+    pub fn put_bytes(&mut self, session: SessionId, mut bytes: Vec<u8>, torn: bool) -> usize {
         if torn {
             bytes.truncate(bytes.len() / 2);
         }
         let stored = bytes.len();
-        self.objects.insert(manifest.session, bytes);
+        self.objects.insert(session, bytes);
         stored
+    }
+
+    /// The raw stored record, torn or not; `None` if nothing is stored.
+    /// Encoding is canonical, so a clean record equals
+    /// [`SessionManifest::to_bytes`] of the manifest it decodes to, and a
+    /// torn one is a strict prefix of what was meant to be written.
+    #[must_use]
+    pub fn bytes(&self, session: SessionId) -> Option<&[u8]> {
+        self.objects.get(&session).map(Vec::as_slice)
     }
 
     /// Reads back a session's manifest.
@@ -330,6 +345,14 @@ mod tests {
         assert_eq!(store.get(m.session), Err(ManifestError::Torn));
         store.put(&m, false);
         assert_eq!(store.get(m.session).unwrap(), m);
+
+        // The raw view: a clean record is the canonical encoding, a torn
+        // one a strict prefix of it.
+        assert_eq!(store.bytes(m.session), Some(&m.to_bytes()[..]));
+        store.put_bytes(m.session, m.to_bytes(), true);
+        let torn = store.bytes(m.session).unwrap();
+        assert!(torn.len() < clean_len && m.to_bytes().starts_with(torn));
+        store.put(&m, false);
 
         assert_eq!(store.sessions(), vec![m.session]);
         assert_eq!(store.len(), 1);

@@ -31,7 +31,7 @@
 //! the simulator's job (`pensieve_sim::storage` models the deep-tier
 //! devices), physical KV bytes the functional engine's.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -380,6 +380,9 @@ struct ConvEntry {
     chunks: Vec<ChunkState>,
     last_active: SimTime,
     pinned: bool,
+    /// Already reported in the cache's `manifest_dirty` set: the hot
+    /// append path checks this flag instead of touching the tree.
+    manifest_dirty: bool,
 }
 
 impl ConvEntry {
@@ -439,6 +442,12 @@ pub struct TieredKvCache {
     /// the session count (one entry per session, overwritten on every
     /// append).
     commit_log: BTreeMap<SessionId, usize>,
+    /// Sessions whose manifest layout (chunk boundaries, shared chain,
+    /// existence) may have changed since the last
+    /// [`TieredKvCache::take_manifest_dirty`] drain. Tier moves never
+    /// enter: a manifest records layout, not placement. Bounded by the
+    /// distinct sessions touched since the last drain.
+    manifest_dirty: BTreeSet<SessionId>,
     /// Pool of content-addressed shared chunks, keyed by id.
     shared: BTreeMap<ChunkId, SharedChunk>,
     /// Radix index from token prefixes to shared chunk chains.
@@ -540,6 +549,7 @@ impl TieredKvCache {
             cold_resident: 0,
             copied_fifo: std::collections::VecDeque::new(),
             commit_log: BTreeMap::new(),
+            manifest_dirty: BTreeSet::new(),
             shared: BTreeMap::new(),
             index: PrefixIndex::new(chunk_tokens),
             stats: CacheStats::default(),
@@ -948,7 +958,12 @@ impl TieredKvCache {
             chunks: Vec::new(),
             last_active: now,
             pinned: true,
+            manifest_dirty: false,
         });
+        if !e.manifest_dirty {
+            e.manifest_dirty = true;
+            self.manifest_dirty.insert(conv);
+        }
         let mut remaining = n;
         let mut pos = e.total_tokens();
         while remaining > 0 {
@@ -992,6 +1007,26 @@ impl TieredKvCache {
     pub fn take_commits(&mut self) -> Vec<(SessionId, usize)> {
         let log = std::mem::take(&mut self.commit_log);
         log.into_iter().collect()
+    }
+
+    /// Drains the manifest change set: every session whose
+    /// [`TieredKvCache::manifest_chunks`] layout may have changed since
+    /// the previous drain — appended to, imported, rehydrated, attached,
+    /// forked, or removed (exported sessions included, so a consumer can
+    /// notice that another copy now speaks for the session) — in
+    /// `SessionId` order. A superset of the real changes: a session may
+    /// be reported with an unchanged layout, never the reverse. Tier
+    /// moves are not changes. Manifest persistence consumes this to
+    /// re-encode only what moved; without a consumer the set stays
+    /// bounded at one entry per distinct session.
+    pub fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
+        let dirty = std::mem::take(&mut self.manifest_dirty);
+        for conv in &dirty {
+            if let Some(e) = self.convs.get_mut(conv) {
+                e.manifest_dirty = false;
+            }
+        }
+        dirty.into_iter().collect()
     }
 
     /// Ahead-of-time swap-out (§4.3.2): if strictly-free GPU slots are
@@ -1219,6 +1254,7 @@ impl TieredKvCache {
         self.set_pinned(conv, false);
         self.commit_log.remove(&conv);
         if let Some(e) = self.convs.remove(&conv) {
+            self.manifest_dirty.insert(conv);
             for id in &e.shared {
                 if let Some(s) = self.shared.get_mut(id) {
                     s.refs = s.refs.saturating_sub(1);
@@ -1253,6 +1289,7 @@ impl TieredKvCache {
         }
         self.commit_log.remove(&session);
         let e = self.convs.remove(&session)?;
+        self.manifest_dirty.insert(session);
         // Shared chunks travel by reference, never by bytes: the export
         // names their ids so the target can re-attach any it already
         // holds. The local references are released here; a chunk whose
@@ -1424,6 +1461,7 @@ impl TieredKvCache {
                 }
             }
         }
+        self.manifest_dirty.insert(export.session);
         self.convs.insert(
             export.session,
             ConvEntry {
@@ -1432,6 +1470,7 @@ impl TieredKvCache {
                 chunks,
                 last_active: now,
                 pinned: false,
+                manifest_dirty: true,
             },
         );
         debug_assert!(self.check_invariants());
@@ -1649,6 +1688,7 @@ impl TieredKvCache {
                 chunks: shared_ids.len(),
             });
         }
+        self.manifest_dirty.insert(session);
         self.convs.insert(
             session,
             ConvEntry {
@@ -1657,6 +1697,7 @@ impl TieredKvCache {
                 chunks,
                 last_active: now,
                 pinned: false,
+                manifest_dirty: true,
             },
         );
         self.stats.rehydrated_tokens += admitted as u64;
@@ -2135,6 +2176,7 @@ impl TieredKvCache {
                 s.last_active = now;
             }
         }
+        self.manifest_dirty.insert(conv);
         self.convs.insert(
             conv,
             ConvEntry {
@@ -2143,6 +2185,7 @@ impl TieredKvCache {
                 chunks: Vec::new(),
                 last_active: now,
                 pinned: false,
+                manifest_dirty: true,
             },
         );
         if !chain.is_empty() {
@@ -2438,7 +2481,9 @@ impl TieredKvCache {
             e.shared.clone_from(&chain);
             e.shared_tokens = context_end;
             e.last_active = now;
+            e.manifest_dirty = true;
         }
+        self.manifest_dirty.extend([parent, child]);
         // The parent's committed private context is now shared; the
         // replication stream ships shared state by id, not bytes.
         self.commit_log.remove(&parent);
@@ -2450,6 +2495,7 @@ impl TieredKvCache {
                 chunks: Vec::new(),
                 last_active: now,
                 pinned: false,
+                manifest_dirty: true,
             },
         );
         self.recorder.record(TraceEvent::SharedAttached {
@@ -2528,6 +2574,12 @@ impl TieredKvCache {
         assert!(self.cpu_used() <= self.cfg.cpu_capacity_tokens);
         assert!(self.ssd_resident <= self.cfg.ssd_capacity_tokens);
         assert!(self.cold_resident <= self.cfg.cold_capacity_tokens);
+        for (conv, e) in &self.convs {
+            assert!(
+                !e.manifest_dirty || self.manifest_dirty.contains(conv),
+                "flagged session missing from the manifest change set"
+            );
+        }
         true
     }
 }
@@ -3386,6 +3438,103 @@ mod tests {
         assert_eq!(cache.shared_refs(chain[0]), 1);
         assert_eq!(cache.conversation_tokens(a), 96);
         assert_eq!(cache.plan_restore(a).recompute_tokens, 0);
+    }
+
+    /// Every operation that can change a session's manifest layout
+    /// reports the session through `take_manifest_dirty`; tier moves
+    /// (suspend, swap-out, drops, restores) report nothing.
+    #[test]
+    fn manifest_dirty_covers_every_layout_change_and_no_tier_move() {
+        let mut cache = deep_cache(4096, 64, 64, 256);
+        let chain = cache.register_shared(&synthetic_preamble(8, 64), t(0.0));
+        let ids: Vec<SessionId> = (1..=6).map(SessionId).collect();
+        let layouts = |c: &TieredKvCache| -> Vec<Vec<ManifestChunk>> {
+            ids.iter().map(|&s| c.manifest_chunks(s)).collect()
+        };
+        // Runs `op`, then checks that every session whose layout moved
+        // was reported, and returns the reported set.
+        let step = |cache: &mut TieredKvCache, op: &dyn Fn(&mut TieredKvCache)| -> Vec<SessionId> {
+            let before = layouts(cache);
+            op(cache);
+            let dirty = cache.take_manifest_dirty();
+            for (i, s) in ids.iter().enumerate() {
+                if before[i] != cache.manifest_chunks(*s) {
+                    assert!(dirty.contains(s), "{s:?} changed layout unreported");
+                }
+            }
+            dirty
+        };
+        let [a, b, c, d, e, _] = ids[..] else {
+            unreachable!()
+        };
+        assert_eq!(
+            step(&mut cache, &|k| k.append_tokens(a, 40, t(0.1)).unwrap()),
+            vec![a]
+        );
+        // A second append before the drain is one report, not two.
+        assert_eq!(
+            step(&mut cache, &|k| {
+                k.append_tokens(a, 1, t(0.2)).unwrap();
+                k.append_tokens(a, 1, t(0.3)).unwrap();
+            }),
+            vec![a]
+        );
+        assert_eq!(
+            step(&mut cache, &|k| {
+                k.attach_shared(b, &chain, t(0.4)).unwrap();
+            }),
+            vec![b]
+        );
+        // Tier moves: placement changes, layout does not.
+        cache.unpin(a);
+        assert!(step(&mut cache, &|k| {
+            k.suspend(a, t(0.5));
+            k.drop_cpu_chunks(a, t(0.6));
+            k.drop_deep_chunks(a, t(0.7));
+            k.commit_restore(a, t(0.8)).unwrap();
+            k.unpin(a);
+        })
+        .is_empty());
+        assert_eq!(
+            step(&mut cache, &|k| {
+                k.fork_session(a, c, t(0.9)).unwrap();
+            }),
+            vec![a, c]
+        );
+        let manifest = cache.manifest_chunks(a);
+        assert_eq!(
+            step(&mut cache, &|k| {
+                k.rehydrate_session(d, &manifest, t(1.0)).unwrap();
+            }),
+            vec![d]
+        );
+        // An export reports the departed session; so does a removal.
+        let export = std::cell::RefCell::new(None);
+        assert_eq!(
+            step(&mut cache, &|k| {
+                *export.borrow_mut() = k.export_session(d);
+            }),
+            vec![d]
+        );
+        assert_eq!(
+            step(&mut cache, &|k| {
+                let mut ex = export.borrow_mut().take().unwrap();
+                ex.session = e;
+                k.import_session(ex, t(1.1)).unwrap();
+            }),
+            vec![e]
+        );
+        assert_eq!(step(&mut cache, &|k| k.remove_conversation(b)), vec![b]);
+        // Remove-then-recreate between drains stays one sorted entry each.
+        assert_eq!(
+            step(&mut cache, &|k| {
+                k.remove_conversation(e);
+                k.append_tokens(e, 8, t(1.2)).unwrap();
+                k.remove_conversation(a);
+            }),
+            vec![a, e]
+        );
+        assert!(cache.take_manifest_dirty().is_empty());
     }
 
     #[test]
