@@ -11,8 +11,8 @@ use std::hint::black_box;
 /// A cache populated with `n` conversations of 256 tokens each.
 fn populated(n: usize) -> TieredKvCache {
     let mut cache = TieredKvCache::builder(CacheConfig::for_test(32, n * 512, n * 512))
-            .policy(Box::new(LruPolicy))
-            .build();
+        .policy(Box::new(LruPolicy))
+        .build();
     for i in 0..n {
         let conv = SessionId(i as u64);
         cache
@@ -28,9 +28,10 @@ fn bench_cache(c: &mut Criterion) {
     c.bench_function("append_decode_token", |b| {
         // Effectively unbounded capacity: criterion's warmup performs
         // millions of appends and must never exhaust the pool.
-        let mut cache = TieredKvCache::builder(CacheConfig::for_test(32, usize::MAX / 2, usize::MAX / 2))
-            .policy(Box::new(LruPolicy))
-            .build();
+        let mut cache =
+            TieredKvCache::builder(CacheConfig::for_test(32, usize::MAX / 2, usize::MAX / 2))
+                .policy(Box::new(LruPolicy))
+                .build();
         let conv = SessionId(0);
         cache
             .append_tokens(conv, 256, SimTime::from_secs(0.0))
@@ -50,9 +51,10 @@ fn bench_cache(c: &mut Criterion) {
     c.bench_function("swap_out_pass_256_convs", |b| {
         b.iter_with_setup(
             || {
-                let mut cache = TieredKvCache::builder(CacheConfig::for_test(32, 256 * 260, 256 * 512))
-            .policy(Box::new(LruPolicy))
-            .build();
+                let mut cache =
+                    TieredKvCache::builder(CacheConfig::for_test(32, 256 * 260, 256 * 512))
+                        .policy(Box::new(LruPolicy))
+                        .build();
                 for i in 0..256usize {
                     let conv = SessionId(i as u64);
                     cache

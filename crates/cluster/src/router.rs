@@ -67,8 +67,8 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use crossbeam::pool::Pool;
 use pensieve_core::{Request, RequestId, Response, ServingBackend};
 use pensieve_kvcache::{
-    CacheStats, ChunkId, ChunkState, ColdObjectStore, ManifestChunk, ManifestError,
-    SessionExport, SessionId, SessionManifest, Tier,
+    CacheStats, ChunkId, ChunkState, ColdObjectStore, ManifestChunk, ManifestError, SessionExport,
+    SessionId, SessionManifest, Tier,
 };
 use pensieve_model::{SimDuration, SimTime};
 use pensieve_obs::{metrics, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent};
@@ -1113,7 +1113,11 @@ impl<B: ServingBackend> Router<B> {
             // A truncated shared chunk cannot re-attach by id (attaching
             // would bring the whole chunk back); demote it to a private
             // cold entry of the capped size instead.
-            let id = if take == m.tokens { m.id } else { ChunkId::NONE };
+            let id = if take == m.tokens {
+                m.id
+            } else {
+                ChunkId::NONE
+            };
             chunks.push(ManifestChunk { id, tokens: take });
         }
         let capped = SessionManifest {

@@ -194,7 +194,11 @@ impl FunctionalEngine {
     ///
     /// [`CacheError::UnknownConversation`] if `parent` was never served;
     /// [`CacheError::SessionExists`] if `child` already has history.
-    pub fn fork_conversation(&mut self, parent: SessionId, child: SessionId) -> Result<(), CacheError> {
+    pub fn fork_conversation(
+        &mut self,
+        parent: SessionId,
+        child: SessionId,
+    ) -> Result<(), CacheError> {
         self.store.fork(parent, child)
     }
 

@@ -105,9 +105,9 @@ impl TokenChunkStore {
     /// Total stored tokens for a conversation (0 if unknown).
     #[must_use]
     pub fn len(&self, conv: SessionId) -> usize {
-        self.convs.get(&conv).map_or(0, |c| {
-            c.chain.len() * self.chunk_tokens + c.tail.len()
-        })
+        self.convs
+            .get(&conv)
+            .map_or(0, |c| c.chain.len() * self.chunk_tokens + c.tail.len())
     }
 
     /// True if the conversation has no stored tokens.

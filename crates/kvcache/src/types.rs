@@ -212,7 +212,10 @@ mod tests {
         let c = ChunkId::derive(ChunkId::ROOT, &[1, 2, 4]);
         assert_ne!(a, c, "different content must not collide");
         let d = ChunkId::derive(a, &[1, 2, 3]);
-        assert_ne!(a, d, "same content under a different prefix must not collide");
+        assert_ne!(
+            a, d,
+            "same content under a different prefix must not collide"
+        );
         assert_ne!(a, ChunkId::NONE);
         assert_ne!(
             ChunkId::derive_words(ChunkId::ROOT, &[7, 0, 32]),
