@@ -27,11 +27,35 @@
 //!    [`crate::manifest`]) via [`TieredKvCache::rehydrate_session`],
 //!    turning a full recompute into cold reads.
 //!
+//! # Shape
+//!
+//! One retention-value policy moves one kind of chunk record down one
+//! hierarchy, so the mechanisms are single:
+//!
+//! * **One chunk record.** A private chunk *is* a [`ChunkState`]; a
+//!   pooled shared chunk embeds one beside its reference counts. An
+//!   eviction victim of either species resolves to `&mut ChunkState` in
+//!   `TieredKvCache::retier`, and the places the species really differ
+//!   are each decided once: how a candidate is scored
+//!   (`collect_candidates`), who is hurt if it is dropped (`evictable`),
+//!   whether a GPU eviction leaves a lazy copy (`swap_out_until_for`),
+//!   and which trace event names the move (`record_move`).
+//! * **One occupancy table, one transition.** Resident tokens per
+//!   [`Tier`] live in `Occupancy`; every tier change of every chunk goes
+//!   through `Occupancy::retier`, and only `admit` (a chunk starts being
+//!   tracked) and `release` (it stops) write the table otherwise.
+//! * **One ladder.** The host side is `[Cpu, Ssd, Cold]`, each rung with
+//!   a capacity and a lazily-collected candidate queue:
+//!   `ensure_space(rung, ..)` makes room on a rung by handing its
+//!   lowest-value residents to `demote`, which places each on the first
+//!   rung below that has or can make room — recursing downward — and
+//!   otherwise drops it, or leaves it put when sharers still need it.
+//!
 //! All quantities are in tokens; byte conversion and transfer timing are
 //! the simulator's job (`pensieve_sim::storage` models the deep-tier
 //! devices), physical KV bytes the functional engine's.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,16 +327,87 @@ enum Victim {
     Shared(ChunkId),
 }
 
-/// Caller-held eviction-candidate snapshots, one per host-side tier.
-/// Each is collected lazily and at most once per eviction pass, then
-/// consumed from the front with entries re-validated at use — the same
-/// O(n log n)-per-pass discipline the two-tier drop queue used.
-#[derive(Default)]
-struct EvictQueues {
-    cpu: Option<std::collections::VecDeque<Victim>>,
-    ssd: Option<std::collections::VecDeque<Victim>>,
-    cold: Option<std::collections::VecDeque<Victim>>,
+/// Resident tokens per [`Tier`] — the cache's one occupancy table.
+/// [`Tier::Dropped`] has a row too (tokens tracked but held nowhere), so
+/// every tier change is the same two-row move with no special case.
+/// Written only by [`Occupancy::retier`], [`Occupancy::admit`] and
+/// [`Occupancy::release`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Occupancy {
+    gpu: usize,
+    gpu_copied: usize,
+    cpu: usize,
+    ssd: usize,
+    cold: usize,
+    dropped: usize,
 }
+
+impl Occupancy {
+    fn get(&self, tier: Tier) -> usize {
+        match tier {
+            Tier::Gpu => self.gpu,
+            Tier::GpuCopied => self.gpu_copied,
+            Tier::Cpu => self.cpu,
+            Tier::Ssd => self.ssd,
+            Tier::Cold => self.cold,
+            Tier::Dropped => self.dropped,
+        }
+    }
+
+    fn get_mut(&mut self, tier: Tier) -> &mut usize {
+        match tier {
+            Tier::Gpu => &mut self.gpu,
+            Tier::GpuCopied => &mut self.gpu_copied,
+            Tier::Cpu => &mut self.cpu,
+            Tier::Ssd => &mut self.ssd,
+            Tier::Cold => &mut self.cold,
+            Tier::Dropped => &mut self.dropped,
+        }
+    }
+
+    /// The one tier transition: moves `chunk`'s tokens from its current
+    /// row to `to`'s and sets its tier. Returns the tier it left.
+    fn retier(&mut self, chunk: &mut ChunkState, to: Tier) -> Tier {
+        let from = chunk.tier;
+        *self.get_mut(from) -= chunk.tokens;
+        *self.get_mut(to) += chunk.tokens;
+        chunk.tier = to;
+        from
+    }
+
+    /// Accounts for `tokens` newly tracked in `tier`.
+    fn admit(&mut self, tier: Tier, tokens: usize) {
+        *self.get_mut(tier) += tokens;
+    }
+
+    /// Forgets `tokens` that were tracked in `tier`.
+    fn release(&mut self, tier: Tier, tokens: usize) {
+        *self.get_mut(tier) -= tokens;
+    }
+}
+
+/// One rung of the host-side demotion ladder `[Cpu, Ssd, Cold]`.
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    tier: Tier,
+    /// The tier's name in trace events.
+    obs: StorageTier,
+    /// Capacity in tokens; `0` disables the rung.
+    capacity: usize,
+    /// Why a private chunk evicted from this rung with no room below is
+    /// dropped.
+    drop_reason: DropReason,
+}
+
+/// Position of the CPU rung — the only one a GPU eviction can land on
+/// (KV leaves the device over PCIe into host memory, nowhere else).
+const CPU_RUNG: usize = 0;
+
+/// Caller-held eviction-candidate snapshots, one per ladder rung. Each
+/// is collected lazily and at most once per eviction pass, then consumed
+/// from the front with entries re-validated at use — the same
+/// O(n log n)-per-pass discipline the two-tier drop queue used.
+type RungQueues = [Option<VecDeque<Victim>>; 3];
 
 /// One physical, content-addressed, reference-counted chunk shared
 /// across conversations. Shared chunks never enter [`Tier::GpuCopied`]:
@@ -321,12 +416,9 @@ struct EvictQueues {
 /// tier.
 #[derive(Debug, Clone)]
 struct SharedChunk {
-    /// Tokens in the chunk.
-    tokens: usize,
-    /// Context length at the chunk's end within its chain.
-    context_end: usize,
-    /// Current tier (never [`Tier::GpuCopied`]).
-    tier: Tier,
+    /// Tier, tokens and context offset — the same record a private
+    /// chunk is (`context_end` is the position within its chain).
+    chunk: ChunkState,
     /// Total references: chain memberships across conversations plus
     /// outstanding [`ChunkHandle`]s.
     refs: usize,
@@ -389,6 +481,23 @@ struct ConvEntry {
 }
 
 impl ConvEntry {
+    /// An unpinned entry not yet reported as manifest-dirty.
+    fn new(
+        shared: Vec<ChunkId>,
+        shared_tokens: usize,
+        chunks: Vec<ChunkState>,
+        now: SimTime,
+    ) -> Self {
+        ConvEntry {
+            shared,
+            shared_tokens,
+            chunks,
+            last_active: now,
+            pinned: false,
+            manifest_dirty: false,
+        }
+    }
+
     /// Private (non-shared) tokens.
     fn private_tokens(&self) -> usize {
         self.chunks.iter().map(|c| c.tokens).sum()
@@ -424,20 +533,16 @@ pub struct TieredKvCache {
     cfg: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
     convs: BTreeMap<SessionId, ConvEntry>,
-    /// Tokens in `Tier::Gpu`.
-    gpu_resident: usize,
-    /// Tokens in `Tier::GpuCopied` (occupy a GPU slot *and* CPU space).
-    gpu_copied: usize,
-    /// Tokens in `Tier::Cpu`.
-    cpu_resident: usize,
-    /// Tokens in `Tier::Ssd` (the tier-2 simulated NVMe).
-    ssd_resident: usize,
-    /// Tokens in `Tier::Cold` (the tier-3 simulated NFS/object store).
-    cold_resident: usize,
+    /// Resident tokens per tier. A [`Tier::GpuCopied`] token occupies a
+    /// GPU slot *and* CPU space.
+    occ: Occupancy,
+    /// The host-side demotion ladder, top to bottom, with the
+    /// capacities of `cfg`.
+    ladder: [Rung; 3],
     /// Lazily-copied chunks in copy order, for O(1) slot reclamation.
     /// Entries are validated at pop (a chunk may have been revalidated or
     /// suspended since).
-    copied_fifo: std::collections::VecDeque<(SessionId, usize)>,
+    copied_fifo: VecDeque<(SessionId, usize)>,
     /// Commit log for KV replication: sessions whose committed *private*
     /// context grew since the last [`TieredKvCache::take_commits`] drain,
     /// mapped to their new private token count (shared chunks are
@@ -515,11 +620,7 @@ impl fmt::Debug for TieredKvCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TieredKvCache")
             .field("conversations", &self.convs.len())
-            .field("gpu_resident", &self.gpu_resident)
-            .field("gpu_copied", &self.gpu_copied)
-            .field("cpu_resident", &self.cpu_resident)
-            .field("ssd_resident", &self.ssd_resident)
-            .field("cold_resident", &self.cold_resident)
+            .field("occupancy", &self.occ)
             .field("policy", &self.policy.name())
             .finish()
     }
@@ -540,21 +641,42 @@ impl TieredKvCache {
     /// (crate-internal; public construction goes through
     /// [`TieredKvCache::builder`]).
     fn new(cfg: CacheConfig, policy: Box<dyn EvictionPolicy>) -> Self {
-        let chunk_tokens = cfg.chunk_tokens;
+        let rung = |tier, obs, capacity, drop_reason| Rung {
+            tier,
+            obs,
+            capacity,
+            drop_reason,
+        };
         TieredKvCache {
+            ladder: [
+                rung(
+                    Tier::Cpu,
+                    StorageTier::Cpu,
+                    cfg.cpu_capacity_tokens,
+                    DropReason::CpuPressure,
+                ),
+                rung(
+                    Tier::Ssd,
+                    StorageTier::Ssd,
+                    cfg.ssd_capacity_tokens,
+                    DropReason::ColdPressure,
+                ),
+                rung(
+                    Tier::Cold,
+                    StorageTier::Cold,
+                    cfg.cold_capacity_tokens,
+                    DropReason::ColdPressure,
+                ),
+            ],
+            index: PrefixIndex::new(cfg.chunk_tokens),
             cfg,
             policy,
             convs: BTreeMap::new(),
-            gpu_resident: 0,
-            gpu_copied: 0,
-            cpu_resident: 0,
-            ssd_resident: 0,
-            cold_resident: 0,
-            copied_fifo: std::collections::VecDeque::new(),
+            occ: Occupancy::default(),
+            copied_fifo: VecDeque::new(),
             commit_log: BTreeMap::new(),
             manifest_dirty: BTreeSet::new(),
             shared: BTreeMap::new(),
-            index: PrefixIndex::new(chunk_tokens),
             stats: CacheStats::default(),
             recorder: None,
         }
@@ -581,7 +703,7 @@ impl TieredKvCache {
     /// GPU slots in use (resident + lazily-copied).
     #[must_use]
     pub fn gpu_slots_used(&self) -> usize {
-        self.gpu_resident + self.gpu_copied
+        self.occ.gpu + self.occ.gpu_copied
     }
 
     /// Strictly free GPU slots (no reclamation needed).
@@ -594,25 +716,43 @@ impl TieredKvCache {
     /// copies.
     #[must_use]
     pub fn gpu_free_effective(&self) -> usize {
-        self.cfg.gpu_capacity_tokens - self.gpu_resident
+        self.cfg.gpu_capacity_tokens - self.occ.gpu
     }
 
     /// CPU tokens in use (CPU-resident + lazy copies).
     #[must_use]
     pub fn cpu_used(&self) -> usize {
-        self.cpu_resident + self.gpu_copied
+        self.occ.cpu + self.occ.gpu_copied
     }
 
     /// SSD (tier-2) tokens in use.
     #[must_use]
     pub fn ssd_used(&self) -> usize {
-        self.ssd_resident
+        self.occ.ssd
     }
 
     /// Cold-store (tier-3) tokens in use.
     #[must_use]
     pub fn cold_used(&self) -> usize {
-        self.cold_resident
+        self.occ.cold
+    }
+
+    /// Tokens occupying `tier`'s device. Lazy GPU copies count against
+    /// the CPU tier as well as the GPU.
+    fn used(&self, tier: Tier) -> usize {
+        if tier == Tier::Cpu {
+            self.cpu_used()
+        } else {
+            self.occ.get(tier)
+        }
+    }
+
+    /// True if the ladder rung holding `tier` can take `tokens` more
+    /// without evicting anything. Non-ladder tiers never have room.
+    fn has_room(&self, tier: Tier, tokens: usize) -> bool {
+        self.ladder
+            .iter()
+            .any(|r| r.tier == tier && self.used(tier) + tokens <= r.capacity)
     }
 
     /// Lazily-copied tokens belonging to `conv`.
@@ -660,7 +800,7 @@ impl TieredKvCache {
         };
         let mut out = Vec::with_capacity(e.shared.len() + e.chunks.len());
         for id in &e.shared {
-            let tokens = self.shared.get(id).map_or(0, |s| s.tokens);
+            let tokens = self.shared.get(id).map_or(0, |s| s.chunk.tokens);
             out.push(ManifestChunk { id: *id, tokens });
         }
         for c in &e.chunks {
@@ -699,8 +839,8 @@ impl TieredKvCache {
             return;
         }
         e.pinned = pinned;
-        for id in e.shared.clone() {
-            if let Some(s) = self.shared.get_mut(&id) {
+        for id in &e.shared {
+            if let Some(s) = self.shared.get_mut(id) {
                 if pinned {
                     s.pinned_refs += 1;
                 } else {
@@ -714,8 +854,8 @@ impl TieredKvCache {
     pub fn touch(&mut self, conv: SessionId, now: SimTime) {
         if let Some(e) = self.convs.get_mut(&conv) {
             e.last_active = now;
-            for id in e.shared.clone() {
-                if let Some(s) = self.shared.get_mut(&id) {
+            for id in &e.shared {
+                if let Some(s) = self.shared.get_mut(id) {
                     s.last_active = now;
                 }
             }
@@ -732,19 +872,11 @@ impl TieredKvCache {
         };
         let mut plan = RequestPlan::default();
         let mut pos = 0;
-        let shared_states = e.shared.iter().filter_map(|id| {
-            self.shared.get(id).map(|s| {
-                (
-                    ChunkState {
-                        tier: s.tier,
-                        tokens: s.tokens,
-                        context_end: s.context_end,
-                    },
-                    true,
-                )
-            })
-        });
-        for (c, is_shared) in shared_states.chain(e.chunks.iter().map(|c| (*c, false))) {
+        let chain = e.shared.iter().filter_map(|id| self.shared.get(id));
+        let chunks = chain
+            .map(|s| (s.chunk, true))
+            .chain(e.chunks.iter().map(|c| (*c, false)));
+        for (c, is_shared) in chunks {
             let range = pos..pos + c.tokens;
             match c.tier {
                 Tier::Gpu => plan.gpu_hit_tokens += c.tokens,
@@ -772,6 +904,17 @@ impl TieredKvCache {
         plan
     }
 
+    /// Brings one chunk onto the GPU, whichever tier it was in, counting
+    /// the two promotions that have their own statistic: a lazy copy
+    /// revalidated in place and a CPU chunk swapped in.
+    fn promote(occ: &mut Occupancy, stats: &mut CacheStats, chunk: &mut ChunkState) {
+        match occ.retier(chunk, Tier::Gpu) {
+            Tier::GpuCopied => stats.revalidated_tokens += chunk.tokens as u64,
+            Tier::Cpu => stats.swapped_in_tokens += chunk.tokens as u64,
+            _ => {}
+        }
+    }
+
     /// Commits a restore: revalidates lazy copies, swaps CPU chunks in,
     /// marks dropped chunks as recomputed-on-GPU, pins and touches the
     /// conversation, and updates statistics.
@@ -794,75 +937,18 @@ impl TieredKvCache {
             });
         }
         self.reclaim_gpu_slots(needed, Some(conv));
-        // Promote the shared chain first: one physical promotion serves
-        // every sharer, and later sharers restore it as a free GPU hit.
-        let chain = self
-            .convs
-            .get(&conv)
-            .map_or_else(Vec::new, |e| e.shared.clone());
-        for id in chain {
-            let Some(s) = self.shared.get_mut(&id) else {
-                continue;
-            };
-            match s.tier {
-                Tier::Gpu => {}
-                Tier::Cpu => {
-                    self.cpu_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    self.stats.swapped_in_tokens += s.tokens as u64;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Ssd => {
-                    self.ssd_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                Tier::Dropped => {
-                    self.gpu_resident += s.tokens;
-                    s.tier = Tier::Gpu;
-                }
-                // Shared chunks never hold lazy GPU copies.
-                Tier::GpuCopied => {}
-            }
-            s.last_active = now;
-        }
         if let Some(e) = self.convs.get_mut(&conv) {
-            for c in e.chunks.iter_mut() {
-                match c.tier {
-                    Tier::Gpu => {}
-                    Tier::GpuCopied => {
-                        // Revalidate: discard the CPU copy, keep the slot.
-                        self.gpu_copied -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        self.stats.revalidated_tokens += c.tokens as u64;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Cpu => {
-                        self.cpu_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        self.stats.swapped_in_tokens += c.tokens as u64;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Ssd => {
-                        self.ssd_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Cold => {
-                        self.cold_resident -= c.tokens;
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
-                    Tier::Dropped => {
-                        self.gpu_resident += c.tokens;
-                        c.tier = Tier::Gpu;
-                    }
+            // The shared chain first: one physical promotion serves
+            // every sharer, and later sharers restore it as a free GPU
+            // hit.
+            for id in &e.shared {
+                if let Some(s) = self.shared.get_mut(id) {
+                    Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
+                    s.last_active = now;
                 }
+            }
+            for c in &mut e.chunks {
+                Self::promote(&mut self.occ, &mut self.stats, c);
             }
             e.last_active = now;
         }
@@ -956,12 +1042,8 @@ impl TieredKvCache {
         self.reclaim_gpu_slots(n, Some(conv));
         let chunk_tokens = self.cfg.chunk_tokens;
         let e = self.convs.entry(conv).or_insert_with(|| ConvEntry {
-            shared: Vec::new(),
-            shared_tokens: 0,
-            chunks: Vec::new(),
-            last_active: now,
             pinned: true,
-            manifest_dirty: false,
+            ..ConvEntry::new(Vec::new(), 0, Vec::new(), now)
         });
         if !e.manifest_dirty {
             e.manifest_dirty = true;
@@ -997,7 +1079,7 @@ impl TieredKvCache {
         e.last_active = now;
         let committed = e.private_tokens();
         self.commit_log.insert(conv, committed);
-        self.gpu_resident += n;
+        self.occ.admit(Tier::Gpu, n);
         debug_assert!(self.check_invariants());
         Ok(())
     }
@@ -1030,6 +1112,28 @@ impl TieredKvCache {
             }
         }
         dirty.into_iter().collect()
+    }
+
+    /// Starts tracking `entry` as `conv` and reports the new session in
+    /// the manifest change set.
+    fn track(&mut self, conv: SessionId, mut entry: ConvEntry) {
+        entry.manifest_dirty = true;
+        self.manifest_dirty.insert(conv);
+        self.convs.insert(conv, entry);
+    }
+
+    /// Stops counting a departed conversation: its chain references and
+    /// its private chunks' occupancy. A shared chunk whose last sharer
+    /// departs stays pooled but becomes fully evictable.
+    fn forget(&mut self, entry: &ConvEntry) {
+        for id in &entry.shared {
+            if let Some(s) = self.shared.get_mut(id) {
+                s.refs = s.refs.saturating_sub(1);
+            }
+        }
+        for c in &entry.chunks {
+            self.occ.release(c.tier, c.tokens);
+        }
     }
 
     /// Ahead-of-time swap-out (§4.3.2): if strictly-free GPU slots are
@@ -1074,14 +1178,14 @@ impl TieredKvCache {
             return ops;
         }
         // One candidate collection per pass: the GPU eviction order and
-        // (lazily) each lower tier's demotion order are snapshots walked
+        // (lazily) each ladder rung's demotion order are snapshots walked
         // in sorted order, which keeps the pass O(n log n) instead of
         // O(n^2).
-        let mut candidates = self.collect_candidates(Tier::Gpu, now, false);
+        let mut candidates = self.collect_candidates(Tier::Gpu, now);
         if let Some(c) = for_conv {
             candidates.retain(|&(v, _)| !matches!(v, Victim::Conv(conv, _) if conv == c));
         }
-        let mut queues = EvictQueues::default();
+        let mut queues = RungQueues::default();
         let conversation_granularity = self.policy.granularity() == Granularity::Conversation;
         let mut active_conv: Option<SessionId> = None;
         for (victim, _) in candidates {
@@ -1092,101 +1196,52 @@ impl TieredKvCache {
             if free(self) >= trigger && !finishing {
                 break;
             }
-            let (conv, idx) = match victim {
-                Victim::Conv(conv, idx) => (conv, idx),
-                Victim::Shared(id) => {
-                    // A shared GPU chunk is either moved to the CPU tier
-                    // (a real transfer — every sharer still references
-                    // it) or, when only unreferenced, dropped outright.
-                    let Some(tokens) = self
-                        .shared
-                        .get(&id)
-                        .filter(|s| s.tier == Tier::Gpu && s.pinned_refs == 0 && !s.global)
-                        .map(|s| s.tokens)
-                    else {
-                        continue;
-                    };
-                    let copied = self.ensure_cpu_space_with(tokens, now, &mut queues);
-                    let Some(s) = self.shared.get_mut(&id) else {
-                        continue;
-                    };
-                    let refs = s.refs;
-                    if copied {
-                        s.tier = Tier::Cpu;
-                        self.gpu_resident -= tokens;
-                        self.cpu_resident += tokens;
-                        self.stats.swapped_out_tokens += tokens as u64;
-                    } else if refs == 0 {
-                        s.tier = Tier::Dropped;
-                        self.gpu_resident -= tokens;
-                        self.stats.dropped_tokens += tokens as u64;
-                    } else {
-                        // Referenced but nowhere to put it: keep it
-                        // resident rather than burn every sharer.
-                        continue;
-                    }
-                    self.recorder.record(TraceEvent::SharedChunkEvicted {
-                        at: now,
-                        chunk: id.0,
-                        tokens,
-                        refs,
-                        dropped: !copied,
-                    });
-                    ops.push(SwapOutOp {
-                        conv: SessionId(0),
-                        chunk: 0,
-                        tokens,
-                        dropped: !copied,
-                        shared: Some(id),
-                    });
-                    continue;
-                }
-            };
-            active_conv = Some(conv);
-            // Candidates were collected from `convs` this pass, but the
-            // walk is total anyway: a missing entry is skipped, not a
-            // panic on the eviction path.
-            let Some(tokens) = self
-                .convs
-                .get(&conv)
-                .and_then(|e| e.chunks.get(idx))
-                .map(|c| c.tokens)
-            else {
-                continue;
-            };
-            // Make CPU room; if impossible, drop the chunk instead.
-            let copied = self.ensure_cpu_space_with(tokens, now, &mut queues);
-            let Some(c) = self
-                .convs
-                .get_mut(&conv)
-                .and_then(|e| e.chunks.get_mut(idx))
-            else {
-                continue;
-            };
-            debug_assert_eq!(c.tier, Tier::Gpu);
-            self.gpu_resident -= tokens;
-            if copied {
-                c.tier = Tier::GpuCopied;
-                self.gpu_copied += tokens;
-                self.copied_fifo.push_back((conv, idx));
-                self.stats.swapped_out_tokens += tokens as u64;
-            } else {
-                c.tier = Tier::Dropped;
-                self.stats.dropped_tokens += tokens as u64;
+            if let Victim::Conv(conv, _) = victim {
+                active_conv = Some(conv);
             }
-            self.recorder.record(TraceEvent::ChunkEvicted {
-                at: now,
-                conv: conv.0,
-                chunk: idx,
-                tokens,
-                dropped: !copied,
-            });
+            // Candidates were collected this pass, but the walk is total
+            // anyway: a stale entry is skipped, not a panic on the
+            // eviction path.
+            let Some((tokens, sharers)) = self.evictable(victim, Tier::Gpu) else {
+                continue;
+            };
+            // Make CPU room and copy; if impossible, drop the chunk —
+            // unless sharers still need it, in which case it stays
+            // resident rather than burn them all.
+            let copied = self.ensure_space(CPU_RUNG, tokens, now, &mut queues);
+            if !copied && sharers > 0 {
+                continue;
+            }
+            // The species' lazy-copy rule: a private chunk keeps its GPU
+            // slot until someone needs it (its conversation may be back
+            // first); a shared chunk has no owner to bet on and moves.
+            let to = match victim {
+                _ if !copied => Tier::Dropped,
+                Victim::Conv(conv, chunk) => {
+                    self.copied_fifo.push_back((conv, chunk));
+                    Tier::GpuCopied
+                }
+                Victim::Shared(_) => Tier::Cpu,
+            };
+            self.retier(victim, to);
+            let landed = if copied {
+                self.stats.swapped_out_tokens += tokens as u64;
+                self.ladder.first().copied()
+            } else {
+                self.stats.dropped_tokens += tokens as u64;
+                None
+            };
+            self.record_move(victim, tokens, sharers, None, landed, now);
+            let (conv, chunk, shared) = match victim {
+                Victim::Conv(conv, chunk) => (conv, chunk, None),
+                Victim::Shared(id) => (SessionId(0), 0, Some(id)),
+            };
             ops.push(SwapOutOp {
                 conv,
-                chunk: idx,
+                chunk,
                 tokens,
                 dropped: !copied,
-                shared: None,
+                shared,
             });
         }
         debug_assert!(self.check_invariants());
@@ -1198,45 +1253,29 @@ impl TieredKvCache {
     /// number of tokens that must be transferred.
     pub fn suspend(&mut self, conv: SessionId, now: SimTime) -> usize {
         self.set_pinned(conv, false);
-        let Some(e) = self.convs.get_mut(&conv) else {
+        let Some(chunks) = self.convs.get(&conv).map(|e| e.chunks.len()) else {
             return 0;
         };
-        let mut to_move = Vec::new();
-        for (i, c) in e.chunks.iter().enumerate() {
-            match c.tier {
-                Tier::Gpu => to_move.push((i, c.tokens, false)),
-                Tier::GpuCopied => to_move.push((i, c.tokens, true)),
-                _ => {}
-            }
-        }
         let mut transferred = 0;
-        for (i, tokens, already_copied) in to_move {
-            if already_copied {
-                // The CPU already holds a copy; just release the GPU slot.
-                let Some(c) = self.convs.get_mut(&conv).and_then(|e| e.chunks.get_mut(i)) else {
-                    continue;
-                };
-                c.tier = Tier::Cpu;
-                self.gpu_copied -= tokens;
-                self.cpu_resident += tokens;
-                continue;
-            }
-            let copied = self.ensure_cpu_space(tokens, now);
-            // ensure_cpu_space only demotes or drops host-tier chunks
-            // and never removes a conversation entry, but the walk stays
-            // total.
-            let Some(c) = self.convs.get_mut(&conv).and_then(|e| e.chunks.get_mut(i)) else {
+        for i in 0..chunks {
+            let Some(c) = self.convs.get(&conv).and_then(|e| e.chunks.get(i)) else {
                 continue;
             };
-            self.gpu_resident -= tokens;
-            if copied {
-                c.tier = Tier::Cpu;
-                self.cpu_resident += tokens;
-                self.stats.swapped_out_tokens += tokens as u64;
-                transferred += tokens;
-            } else {
-                c.tier = Tier::Dropped;
-                self.stats.dropped_tokens += tokens as u64;
+            let tokens = c.tokens;
+            if c.tier == Tier::GpuCopied {
+                // The CPU already holds a copy; just release the GPU slot.
+                self.retier(Victim::Conv(conv, i), Tier::Cpu);
+            } else if c.tier == Tier::Gpu {
+                // Each chunk evicts against a fresh snapshot, so this
+                // conversation's own just-moved chunks are candidates.
+                if self.ensure_space(CPU_RUNG, tokens, now, &mut RungQueues::default()) {
+                    self.retier(Victim::Conv(conv, i), Tier::Cpu);
+                    self.stats.swapped_out_tokens += tokens as u64;
+                    transferred += tokens;
+                } else {
+                    self.retier(Victim::Conv(conv, i), Tier::Dropped);
+                    self.stats.dropped_tokens += tokens as u64;
+                }
             }
         }
         self.recorder.record(TraceEvent::Suspended {
@@ -1258,21 +1297,7 @@ impl TieredKvCache {
         self.commit_log.remove(&conv);
         if let Some(e) = self.convs.remove(&conv) {
             self.manifest_dirty.insert(conv);
-            for id in &e.shared {
-                if let Some(s) = self.shared.get_mut(id) {
-                    s.refs = s.refs.saturating_sub(1);
-                }
-            }
-            for c in &e.chunks {
-                match c.tier {
-                    Tier::Gpu => self.gpu_resident -= c.tokens,
-                    Tier::GpuCopied => self.gpu_copied -= c.tokens,
-                    Tier::Cpu => self.cpu_resident -= c.tokens,
-                    Tier::Ssd => self.ssd_resident -= c.tokens,
-                    Tier::Cold => self.cold_resident -= c.tokens,
-                    Tier::Dropped => {}
-                }
-            }
+            self.forget(&e);
         }
         debug_assert!(self.check_invariants());
     }
@@ -1295,37 +1320,20 @@ impl TieredKvCache {
         self.manifest_dirty.insert(session);
         // Shared chunks travel by reference, never by bytes: the export
         // names their ids so the target can re-attach any it already
-        // holds. The local references are released here; a chunk whose
-        // last sharer departs stays pooled but becomes fully evictable.
-        let mut shared = Vec::with_capacity(e.shared.len());
-        for id in &e.shared {
-            let tokens = self.shared.get(id).map_or(0, |s| s.tokens);
-            shared.push(SharedChunkRef { id: *id, tokens });
-            if let Some(s) = self.shared.get_mut(id) {
-                s.refs = s.refs.saturating_sub(1);
-            }
-        }
+        // holds, and the local references are released.
+        self.forget(&e);
+        let shared = e
+            .shared
+            .iter()
+            .map(|&id| SharedChunkRef {
+                id,
+                tokens: self.shared.get(&id).map_or(0, |s| s.chunk.tokens),
+            })
+            .collect();
         let mut chunks = e.chunks;
         for c in &mut chunks {
-            match c.tier {
-                Tier::Gpu => {
-                    self.gpu_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::GpuCopied => {
-                    self.gpu_copied -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Cpu => self.cpu_resident -= c.tokens,
-                Tier::Ssd => {
-                    self.ssd_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= c.tokens;
-                    c.tier = Tier::Cpu;
-                }
-                Tier::Dropped => {}
+            if c.tier != Tier::Dropped {
+                c.tier = Tier::Cpu;
             }
         }
         debug_assert!(self.check_invariants());
@@ -1336,6 +1344,34 @@ impl TieredKvCache {
         })
     }
 
+    /// Adds `conv` as one more sharer of every chunk of `chain` (ids this
+    /// cache pools) — the one way a conversation gains a shared prefix,
+    /// whether by attach, import or rehydration. No bytes move. Returns
+    /// the tokens the chain covers and how many of them are resident,
+    /// both by the pool's own counts.
+    fn attach_chain(&mut self, conv: SessionId, chain: &[ChunkId], now: SimTime) -> (usize, usize) {
+        let (mut tokens, mut resident) = (0, 0);
+        for id in chain {
+            if let Some(s) = self.shared.get_mut(id) {
+                s.refs += 1;
+                s.last_active = now;
+                tokens += s.chunk.tokens;
+                if s.chunk.tier != Tier::Dropped {
+                    resident += s.chunk.tokens;
+                }
+            }
+        }
+        if !chain.is_empty() {
+            self.recorder.record(TraceEvent::SharedAttached {
+                at: now,
+                conv: conv.0,
+                tokens,
+                chunks: chain.len(),
+            });
+        }
+        (tokens, resident)
+    }
+
     /// Installs a handed-off session snapshot into this cache's host
     /// tiers. Chunks are admitted in context order at the tier the
     /// snapshot names (peer exports stage everything as [`Tier::Cpu`];
@@ -1344,8 +1380,11 @@ impl TieredKvCache {
     /// demoted to [`Tier::Dropped`] (counted in
     /// [`CacheStats::dropped_tokens`]) and recomputed on the next
     /// restore. Imports never evict existing residents — a migrated-in
-    /// conversation has no claim over the target's warm cache. Returns
-    /// the tokens admitted to resident tiers.
+    /// conversation has no claim over the target's warm cache. Only the
+    /// snapshot's tiers and token counts are trusted: every context
+    /// offset is re-derived from the running position, and re-attached
+    /// shared chunks are sized by this cache's pool, not by the sender.
+    /// Returns the tokens admitted to resident tiers.
     ///
     /// # Errors
     ///
@@ -1356,126 +1395,57 @@ impl TieredKvCache {
         export: SessionExport,
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        if self.convs.contains_key(&export.session) {
-            return Err(CacheError::SessionExists(export.session));
+        let session = export.session;
+        if self.convs.contains_key(&session) {
+            return Err(CacheError::SessionExists(session));
         }
         // Re-attach the leading run of shared chunks this cache already
         // pools (bytes never travel for shared state — only ids do). The
         // first unknown id breaks prefix continuity, so it and everything
-        // after it become private recompute obligations.
-        let mut shared_ids: Vec<ChunkId> = Vec::new();
-        let mut shared_tokens = 0usize;
-        let mut unknown: Vec<SharedChunkRef> = Vec::new();
-        for r in &export.shared {
-            if r.tokens == 0 {
-                continue;
-            }
-            if unknown.is_empty() && self.shared.contains_key(&r.id) {
-                shared_ids.push(r.id);
-                shared_tokens += r.tokens;
-            } else {
-                unknown.push(*r);
-            }
-        }
-        let mut admitted = 0usize;
-        for id in &shared_ids {
-            if let Some(s) = self.shared.get_mut(id) {
-                s.refs += 1;
-                s.last_active = now;
-                if s.tier != Tier::Dropped {
-                    admitted += s.tokens;
-                }
-            }
-        }
-        if !shared_ids.is_empty() {
-            self.recorder.record(TraceEvent::SharedAttached {
-                at: now,
-                conv: export.session.0,
-                tokens: shared_tokens,
-                chunks: shared_ids.len(),
-            });
-        }
+        // after it lead the private chain as dropped spans.
+        let refs = export.shared.iter().filter(|r| r.tokens > 0);
+        let chain: Vec<ChunkId> = refs
+            .clone()
+            .map(|r| r.id)
+            .take_while(|id| self.shared.contains_key(id))
+            .collect();
+        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
+        let unattached = refs.skip(chain.len()).map(|r| r.tokens);
+        self.stats.dropped_tokens += unattached.clone().sum::<usize>() as u64;
+        let spans = unattached
+            .map(|tokens| (Tier::Dropped, tokens))
+            .chain(export.chunks.iter().map(|c| (c.tier, c.tokens)));
         // Normalize to local chunk granularity: exports from a peer cache
         // are already chunk-sized (this is a no-op), but replication
         // deltas arrive as one chunk per flush and must be split to keep
-        // the eviction policy's unit of work intact. Unattached shared
-        // spans lead the private chain as dropped chunks so the context
-        // offsets stay contiguous.
-        let mut chunks: Vec<ChunkState> = Vec::with_capacity(export.chunks.len() + unknown.len());
-        let mut unknown_end = shared_tokens;
-        for r in &unknown {
-            unknown_end += r.tokens;
-            chunks.push(ChunkState {
-                tier: Tier::Dropped,
-                tokens: r.tokens,
-                context_end: unknown_end,
-            });
-            self.stats.dropped_tokens += r.tokens as u64;
-        }
-        for c in export.chunks {
-            let mut remaining = c.tokens;
-            let mut end = c.context_end - c.tokens;
+        // the eviction policy's unit of work intact.
+        let mut chunks = Vec::with_capacity(export.shared.len() + export.chunks.len());
+        let mut end = shared_tokens;
+        for (named, mut remaining) in spans {
             while remaining > 0 {
-                let take = remaining.min(self.cfg.chunk_tokens);
-                end += take;
+                let tokens = remaining.min(self.cfg.chunk_tokens);
+                remaining -= tokens;
+                end += tokens;
+                // No room in the named tier — or no host tier at all:
+                // exports are CPU-staged, so a stray GPU-tier chunk
+                // carries no transferable bytes — means dropped.
+                let mut tier = named;
+                if tier != Tier::Dropped && !self.has_room(tier, tokens) {
+                    tier = Tier::Dropped;
+                    self.stats.dropped_tokens += tokens as u64;
+                }
+                if tier != Tier::Dropped {
+                    admitted += tokens;
+                }
+                self.occ.admit(tier, tokens);
                 chunks.push(ChunkState {
-                    tier: c.tier,
-                    tokens: take,
+                    tier,
+                    tokens,
                     context_end: end,
                 });
-                remaining -= take;
             }
         }
-        for c in &mut chunks {
-            match c.tier {
-                Tier::Cpu => {
-                    if self.cpu_used() + c.tokens <= self.cfg.cpu_capacity_tokens {
-                        self.cpu_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Ssd => {
-                    if self.ssd_resident + c.tokens <= self.cfg.ssd_capacity_tokens {
-                        self.ssd_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Cold => {
-                    if self.cold_resident + c.tokens <= self.cfg.cold_capacity_tokens {
-                        self.cold_resident += c.tokens;
-                        admitted += c.tokens;
-                    } else {
-                        c.tier = Tier::Dropped;
-                        self.stats.dropped_tokens += c.tokens as u64;
-                    }
-                }
-                Tier::Dropped => {}
-                Tier::Gpu | Tier::GpuCopied => {
-                    // Exports are CPU-staged by construction; a stray
-                    // GPU-tier chunk carries no transferable bytes here.
-                    c.tier = Tier::Dropped;
-                    self.stats.dropped_tokens += c.tokens as u64;
-                }
-            }
-        }
-        self.manifest_dirty.insert(export.session);
-        self.convs.insert(
-            export.session,
-            ConvEntry {
-                shared: shared_ids,
-                shared_tokens,
-                chunks,
-                last_active: now,
-                pinned: false,
-                manifest_dirty: true,
-            },
-        );
+        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
         debug_assert!(self.check_invariants());
         Ok(admitted)
     }
@@ -1543,24 +1513,16 @@ impl TieredKvCache {
         let Some(c) = e.chunks.get_mut(chunk) else {
             return Err(CacheError::ChunkNotInCpuTier { conv, chunk });
         };
+        let without_copy = match c.tier {
+            Tier::Cpu => Tier::Dropped,
+            // The GPU still holds the bytes; only the copy is gone. The
+            // chunk's copied_fifo entry goes stale and is skipped at
+            // reclamation (tier check at pop).
+            Tier::GpuCopied => Tier::Gpu,
+            _ => return Err(CacheError::ChunkNotInCpuTier { conv, chunk }),
+        };
+        self.occ.retier(c, without_copy);
         let tokens = c.tokens;
-        match c.tier {
-            Tier::Cpu => {
-                c.tier = Tier::Dropped;
-                self.cpu_resident -= tokens;
-            }
-            Tier::GpuCopied => {
-                // The GPU still holds the bytes; only the copy is gone.
-                // The chunk's copied_fifo entry goes stale and is skipped
-                // at reclamation (tier check at pop).
-                c.tier = Tier::Gpu;
-                self.gpu_copied -= tokens;
-                self.gpu_resident += tokens;
-            }
-            Tier::Gpu | Tier::Ssd | Tier::Cold | Tier::Dropped => {
-                return Err(CacheError::ChunkNotInCpuTier { conv, chunk });
-            }
-        }
         debug_assert!(self.check_invariants());
         Ok(tokens)
     }
@@ -1570,26 +1532,8 @@ impl TieredKvCache {
     /// recomputes them from raw tokens instead of retrying the transfer.
     /// Returns the tokens dropped (0 for unknown conversations).
     pub fn drop_cpu_chunks(&mut self, conv: SessionId, now: SimTime) -> usize {
-        let Some(e) = self.convs.get_mut(&conv) else {
-            return 0;
-        };
-        let mut dropped = 0;
-        for (i, c) in e.chunks.iter_mut().enumerate() {
-            if c.tier == Tier::Cpu {
-                c.tier = Tier::Dropped;
-                dropped += c.tokens;
-                self.recorder.record(TraceEvent::ChunkDropped {
-                    at: now,
-                    conv: conv.0,
-                    chunk: i,
-                    tokens: c.tokens,
-                    reason: DropReason::SwapInFault,
-                });
-            }
-        }
-        self.cpu_resident -= dropped;
+        let dropped = self.drop_private(conv, &[Tier::Cpu], DropReason::SwapInFault, now);
         self.stats.swap_in_fault_tokens += dropped as u64;
-        debug_assert!(self.check_invariants());
         dropped
     }
 
@@ -1599,27 +1543,39 @@ impl TieredKvCache {
     /// the device. Returns the tokens dropped (0 for unknown
     /// conversations).
     pub fn drop_deep_chunks(&mut self, conv: SessionId, now: SimTime) -> usize {
+        let deep = [Tier::Ssd, Tier::Cold];
+        let dropped = self.drop_private(conv, &deep, DropReason::ColdReadFault, now);
+        self.stats.cold_read_fault_tokens += dropped as u64;
+        dropped
+    }
+
+    /// Drops every private chunk of `conv` held in one of `tiers`,
+    /// recording `reason`. Returns the tokens dropped.
+    fn drop_private(
+        &mut self,
+        conv: SessionId,
+        tiers: &[Tier],
+        reason: DropReason,
+        now: SimTime,
+    ) -> usize {
         let Some(e) = self.convs.get_mut(&conv) else {
             return 0;
         };
         let mut dropped = 0;
         for (i, c) in e.chunks.iter_mut().enumerate() {
-            match c.tier {
-                Tier::Ssd => self.ssd_resident -= c.tokens,
-                Tier::Cold => self.cold_resident -= c.tokens,
-                _ => continue,
+            if !tiers.contains(&c.tier) {
+                continue;
             }
-            c.tier = Tier::Dropped;
+            self.occ.retier(c, Tier::Dropped);
             dropped += c.tokens;
             self.recorder.record(TraceEvent::ChunkDropped {
                 at: now,
                 conv: conv.0,
                 chunk: i,
                 tokens: c.tokens,
-                reason: DropReason::ColdReadFault,
+                reason,
             });
         }
-        self.stats.cold_read_fault_tokens += dropped as u64;
         debug_assert!(self.check_invariants());
         dropped
     }
@@ -1647,354 +1603,190 @@ impl TieredKvCache {
         if self.convs.contains_key(&session) {
             return Err(CacheError::SessionExists(session));
         }
-        let mut shared_ids: Vec<ChunkId> = Vec::new();
-        let mut shared_tokens = 0usize;
-        let mut chunks = Vec::with_capacity(manifest.len());
-        let mut end = 0usize;
-        let mut admitted = 0usize;
-        for m in manifest {
-            if m.tokens == 0 {
-                continue; // Defensive: a manifest never records empty chunks.
-            }
-            if chunks.is_empty() && m.id != ChunkId::NONE {
-                if let Some(s) = self.shared.get_mut(&m.id) {
-                    s.refs += 1;
-                    s.last_active = now;
-                    shared_ids.push(m.id);
-                    shared_tokens += m.tokens;
-                    end += m.tokens;
-                    if s.tier != Tier::Dropped {
-                        admitted += m.tokens;
-                    }
-                    continue;
-                }
-            }
+        // Defensive: a manifest never records empty chunks.
+        let entries = manifest.iter().filter(|m| m.tokens > 0);
+        let chain: Vec<ChunkId> = entries
+            .clone()
+            .map(|m| m.id)
+            .take_while(|id| *id != ChunkId::NONE && self.shared.contains_key(id))
+            .collect();
+        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
+        let mut chunks = Vec::with_capacity(manifest.len() - chain.len());
+        let mut end = shared_tokens;
+        for m in entries.skip(chain.len()) {
             end += m.tokens;
-            let tier = if self.cold_resident + m.tokens <= self.cfg.cold_capacity_tokens {
-                self.cold_resident += m.tokens;
+            let tier = if self.has_room(Tier::Cold, m.tokens) {
                 admitted += m.tokens;
                 Tier::Cold
             } else {
                 Tier::Dropped
             };
+            self.occ.admit(tier, m.tokens);
             chunks.push(ChunkState {
                 tier,
                 tokens: m.tokens,
                 context_end: end,
             });
         }
-        if !shared_ids.is_empty() {
-            self.recorder.record(TraceEvent::SharedAttached {
-                at: now,
-                conv: session.0,
-                tokens: shared_tokens,
-                chunks: shared_ids.len(),
-            });
-        }
-        self.manifest_dirty.insert(session);
-        self.convs.insert(
-            session,
-            ConvEntry {
-                shared: shared_ids,
-                shared_tokens,
-                chunks,
-                last_active: now,
-                pinned: false,
-                manifest_dirty: true,
-            },
-        );
+        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
         self.stats.rehydrated_tokens += admitted as u64;
         debug_assert!(self.check_invariants());
         Ok(admitted)
     }
 
-    /// Frees CPU space for `tokens` by demoting policy-chosen CPU-tier
-    /// chunks down the storage hierarchy (dropping them when the deep
-    /// tiers are disabled or full). Returns false if space could not be
-    /// found (caller should drop instead of copy).
-    fn ensure_cpu_space(&mut self, tokens: usize, now: SimTime) -> bool {
-        self.ensure_cpu_space_with(tokens, now, &mut EvictQueues::default())
+    /// Moves `victim`'s chunk to tier `to` through the one transition
+    /// ([`Occupancy::retier`]) — also the one place a victim of either
+    /// species resolves to its chunk record. A victim that no longer
+    /// resolves is left alone.
+    fn retier(&mut self, victim: Victim, to: Tier) {
+        let chunk = match victim {
+            Victim::Conv(conv, idx) => self
+                .convs
+                .get_mut(&conv)
+                .and_then(|e| e.chunks.get_mut(idx)),
+            Victim::Shared(id) => self.shared.get_mut(&id).map(|s| &mut s.chunk),
+        };
+        if let Some(c) = chunk {
+            self.occ.retier(c, to);
+        }
     }
 
-    /// [`TieredKvCache::ensure_cpu_space`] with caller-held eviction
-    /// queues: each tier's candidate snapshot is collected at most once
-    /// per pass and consumed from the front, entries being re-validated
-    /// at use.
-    fn ensure_cpu_space_with(
-        &mut self,
+    /// Re-validates a candidate at use: `Some((tokens, sharers))` if
+    /// `victim` is still in `tier` and still evictable — its
+    /// conversation unpinned, or for a shared chunk no pinned sharer and
+    /// not global. `sharers` is who would lose the chunk if it were
+    /// dropped: a shared chunk's reference count, and nobody for a
+    /// private chunk (its owner is idle by definition). `None` means the
+    /// snapshot outlived the entry and it is skipped.
+    fn evictable(&self, victim: Victim, tier: Tier) -> Option<(usize, usize)> {
+        match victim {
+            Victim::Conv(conv, idx) => {
+                let e = self.convs.get(&conv)?;
+                let c = e.chunks.get(idx)?;
+                (!e.pinned && c.tier == tier).then_some((c.tokens, 0))
+            }
+            Victim::Shared(id) => {
+                let s = self.shared.get(&id)?;
+                (s.chunk.tier == tier && s.pinned_refs == 0 && !s.global)
+                    .then_some((s.chunk.tokens, s.refs))
+            }
+        }
+    }
+
+    /// Names one eviction move in the trace — the one place the event
+    /// kind is chosen. `from` is the ladder rung left (`None`: the GPU),
+    /// `to` the rung landed on (`None`: dropped).
+    fn record_move(
+        &self,
+        victim: Victim,
         tokens: usize,
+        sharers: usize,
+        from: Option<Rung>,
+        to: Option<Rung>,
         now: SimTime,
-        queues: &mut EvictQueues,
-    ) -> bool {
-        if tokens > self.cfg.cpu_capacity_tokens {
-            return false;
-        }
-        while self.cpu_used() + tokens > self.cfg.cpu_capacity_tokens {
-            let q = queues.cpu.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Cpu, now, false)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = q.pop_front() else {
-                return false;
-            };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    self.demote_shared_chunk(id, Tier::Cpu, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get(&conv) else {
-                continue; // Conversation removed since the snapshot.
-            };
-            if e.pinned {
-                continue; // Re-pinned since the snapshot.
-            }
-            let Some(c) = e.chunks.get(idx) else {
-                continue; // Chunk index stale; snapshot outlived it.
-            };
-            if c.tier != Tier::Cpu {
-                continue; // Tier changed since the snapshot.
-            }
-            let victim_tokens = c.tokens;
-            self.cpu_resident -= victim_tokens;
-            self.demote_chunk(conv, idx, victim_tokens, Tier::Cpu, now, queues);
-        }
-        true
-    }
-
-    /// Refcount-aware demotion of a *shared* chunk one tier down: a
-    /// still-referenced chunk is only moved when the next tier has room
-    /// (its sharers keep it; dropping would burn them all), while an
-    /// unreferenced chunk falls through the hierarchy and off the bottom
-    /// exactly like a private one. No-op if the chunk is not where the
-    /// snapshot said (stale queue entry), pinned, or global.
-    fn demote_shared_chunk(
-        &mut self,
-        id: ChunkId,
-        from: Tier,
-        now: SimTime,
-        queues: &mut EvictQueues,
     ) {
-        let Some((tokens, refs)) = self
-            .shared
-            .get(&id)
-            .filter(|s| s.tier == from && s.pinned_refs == 0 && !s.global)
-            .map(|s| (s.tokens, s.refs))
-        else {
-            return;
-        };
-        // Find space *before* touching source accounting, so a failed
-        // placement leaves the chunk exactly where it was.
-        let to = if from == Tier::Cpu && self.ensure_ssd_space(tokens, now, queues) {
-            Some(Tier::Ssd)
-        } else if from != Tier::Cold && self.ensure_cold_space(tokens, now, queues) {
-            Some(Tier::Cold)
-        } else {
-            None
-        };
-        if to.is_none() && refs > 0 {
-            return; // Referenced and nowhere to go: keep it resident.
-        }
-        let Some(s) = self.shared.get_mut(&id) else {
-            return;
-        };
-        match from {
-            Tier::Cpu => self.cpu_resident -= tokens,
-            Tier::Ssd => self.ssd_resident -= tokens,
-            Tier::Cold => self.cold_resident -= tokens,
-            Tier::Gpu | Tier::GpuCopied | Tier::Dropped => return,
-        }
-        match to {
-            Some(Tier::Ssd) => {
-                s.tier = Tier::Ssd;
-                self.ssd_resident += tokens;
-                self.stats.demoted_tokens += tokens as u64;
-            }
-            Some(_) => {
-                s.tier = Tier::Cold;
-                self.cold_resident += tokens;
-                self.stats.demoted_tokens += tokens as u64;
-            }
-            None => {
-                s.tier = Tier::Dropped;
-                self.stats.dropped_tokens += tokens as u64;
-            }
-        }
-        self.recorder.record(TraceEvent::SharedChunkEvicted {
-            at: now,
-            chunk: id.0,
-            tokens,
-            refs,
-            dropped: to.is_none(),
+        let dropped = to.is_none();
+        self.recorder.record(match (victim, from, to) {
+            (Victim::Shared(id), _, _) => TraceEvent::SharedChunkEvicted {
+                at: now,
+                chunk: id.0,
+                tokens,
+                refs: sharers,
+                dropped,
+            },
+            (Victim::Conv(conv, chunk), None, _) => TraceEvent::ChunkEvicted {
+                at: now,
+                conv: conv.0,
+                chunk,
+                tokens,
+                dropped,
+            },
+            (Victim::Conv(conv, chunk), Some(from), Some(to)) => TraceEvent::ChunkDemoted {
+                at: now,
+                conv: conv.0,
+                chunk,
+                tokens,
+                from: from.obs,
+                to: to.obs,
+            },
+            (Victim::Conv(conv, chunk), Some(from), None) => TraceEvent::ChunkDropped {
+                at: now,
+                conv: conv.0,
+                chunk,
+                tokens,
+                reason: from.drop_reason,
+            },
         });
     }
 
-    /// Moves an evicted chunk one tier down the hierarchy: a CPU victim
-    /// lands in the SSD tier (or the cold store when the SSD tier is
-    /// disabled), an SSD victim lands in the cold store, and a chunk the
-    /// whole hierarchy cannot hold is dropped. The caller has already
-    /// removed the chunk from its source tier's accounting.
-    fn demote_chunk(
+    /// Frees room for `tokens` on ladder rung `rung` by demoting
+    /// policy-chosen residents further down (dropping them off the
+    /// bottom). The rung's candidate snapshot is taken at first need and
+    /// kept in `queues` for the rest of the pass. Returns false if the
+    /// rung does not exist, is disabled or smaller than the chunk, or
+    /// runs out of candidates — the caller then looks further down, or
+    /// drops instead.
+    fn ensure_space(
         &mut self,
-        conv: SessionId,
-        idx: usize,
+        rung: usize,
         tokens: usize,
-        from: Tier,
         now: SimTime,
-        queues: &mut EvictQueues,
-    ) {
-        let to = if from == Tier::Cpu && self.ensure_ssd_space(tokens, now, queues) {
-            Some((Tier::Ssd, StorageTier::Ssd))
-        } else if self.ensure_cold_space(tokens, now, queues) {
-            Some((Tier::Cold, StorageTier::Cold))
-        } else {
-            None
+        queues: &mut RungQueues,
+    ) -> bool {
+        let Some(Rung { tier, capacity, .. }) = self.ladder.get(rung).copied() else {
+            return false;
         };
-        let Some(c) = self
-            .convs
-            .get_mut(&conv)
-            .and_then(|e| e.chunks.get_mut(idx))
-        else {
-            return; // Validated by the caller; the walk stays total.
+        if tokens > capacity {
+            return false;
+        }
+        while self.used(tier) + tokens > capacity {
+            let Some(queue) = queues.get_mut(rung) else {
+                return false;
+            };
+            let queue = queue.get_or_insert_with(|| {
+                self.collect_candidates(tier, now)
+                    .into_iter()
+                    .map(|(v, _)| v)
+                    .collect()
+            });
+            let Some(victim) = queue.pop_front() else {
+                return false;
+            };
+            self.demote(victim, rung, now, queues);
+        }
+        true
+    }
+
+    /// Moves one candidate off ladder rung `from`: onto the first rung
+    /// below that has (or can make) room, else — with nowhere to go —
+    /// dropped if nobody shares it and left in place if somebody does
+    /// (dropping would burn every sharer). Deeper victims are displaced,
+    /// and their events recorded, before this one moves. A stale
+    /// candidate is a no-op.
+    fn demote(&mut self, victim: Victim, from: usize, now: SimTime, queues: &mut RungQueues) {
+        let Some(source) = self.ladder.get(from).copied() else {
+            return;
         };
-        match to {
-            Some((tier, obs_to)) => {
-                c.tier = tier;
-                match tier {
-                    Tier::Ssd => self.ssd_resident += tokens,
-                    _ => self.cold_resident += tokens,
-                }
+        let Some((tokens, sharers)) = self.evictable(victim, source.tier) else {
+            return;
+        };
+        // Find room *before* touching the victim, so a failed placement
+        // leaves it exactly where it was.
+        let landing = (from + 1..self.ladder.len())
+            .find(|&rung| self.ensure_space(rung, tokens, now, queues))
+            .and_then(|rung| self.ladder.get(rung).copied());
+        match landing {
+            Some(rung) => {
+                self.retier(victim, rung.tier);
                 self.stats.demoted_tokens += tokens as u64;
-                self.recorder.record(TraceEvent::ChunkDemoted {
-                    at: now,
-                    conv: conv.0,
-                    chunk: idx,
-                    tokens,
-                    from: if from == Tier::Cpu {
-                        StorageTier::Cpu
-                    } else {
-                        StorageTier::Ssd
-                    },
-                    to: obs_to,
-                });
             }
+            None if sharers > 0 => return,
             None => {
-                c.tier = Tier::Dropped;
+                self.retier(victim, Tier::Dropped);
                 self.stats.dropped_tokens += tokens as u64;
-                self.recorder.record(TraceEvent::ChunkDropped {
-                    at: now,
-                    conv: conv.0,
-                    chunk: idx,
-                    tokens,
-                    reason: if from == Tier::Cpu {
-                        DropReason::CpuPressure
-                    } else {
-                        DropReason::ColdPressure
-                    },
-                });
             }
         }
-    }
-
-    /// Frees SSD space for `tokens` by demoting policy-chosen SSD chunks
-    /// to the cold store (or dropping them when it is full). Returns
-    /// false when the SSD tier is disabled or cannot fit the chunk.
-    fn ensure_ssd_space(&mut self, tokens: usize, now: SimTime, queues: &mut EvictQueues) -> bool {
-        if tokens > self.cfg.ssd_capacity_tokens {
-            return false;
-        }
-        while self.ssd_resident + tokens > self.cfg.ssd_capacity_tokens {
-            let q = queues.ssd.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Ssd, now, false)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = q.pop_front() else {
-                return false;
-            };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    self.demote_shared_chunk(id, Tier::Ssd, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get(&conv) else {
-                continue;
-            };
-            if e.pinned {
-                continue;
-            }
-            let Some(c) = e.chunks.get(idx) else {
-                continue;
-            };
-            if c.tier != Tier::Ssd {
-                continue;
-            }
-            let victim_tokens = c.tokens;
-            self.ssd_resident -= victim_tokens;
-            self.demote_chunk(conv, idx, victim_tokens, Tier::Ssd, now, queues);
-        }
-        true
-    }
-
-    /// Frees cold-store space for `tokens` by dropping policy-chosen
-    /// cold chunks — the bottom of the hierarchy has nowhere further to
-    /// demote. Returns false when the cold tier is disabled or cannot
-    /// fit the chunk.
-    fn ensure_cold_space(&mut self, tokens: usize, now: SimTime, queues: &mut EvictQueues) -> bool {
-        if tokens > self.cfg.cold_capacity_tokens {
-            return false;
-        }
-        while self.cold_resident + tokens > self.cfg.cold_capacity_tokens {
-            let q = queues.cold.get_or_insert_with(|| {
-                self.collect_candidates(Tier::Cold, now, false)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = q.pop_front() else {
-                return false;
-            };
-            let (conv, idx) = match victim {
-                Victim::Shared(id) => {
-                    // Bottom of the hierarchy: a still-referenced shared
-                    // chunk is kept (its sharers outweigh the incomer),
-                    // an unreferenced one is dropped.
-                    self.demote_shared_chunk(id, Tier::Cold, now, queues);
-                    continue;
-                }
-                Victim::Conv(conv, idx) => (conv, idx),
-            };
-            let Some(e) = self.convs.get_mut(&conv) else {
-                continue;
-            };
-            if e.pinned {
-                continue;
-            }
-            let Some(c) = e.chunks.get_mut(idx) else {
-                continue;
-            };
-            if c.tier != Tier::Cold {
-                continue;
-            }
-            let victim_tokens = c.tokens;
-            c.tier = Tier::Dropped;
-            self.cold_resident -= victim_tokens;
-            self.stats.dropped_tokens += victim_tokens as u64;
-            self.recorder.record(TraceEvent::ChunkDropped {
-                at: now,
-                conv: conv.0,
-                chunk: idx,
-                tokens: victim_tokens,
-                reason: DropReason::ColdPressure,
-            });
-        }
-        true
+        self.record_move(victim, tokens, sharers, Some(source), landing, now);
     }
 
     /// Converts lazily-copied chunks back to CPU-only until at least
@@ -2005,7 +1797,7 @@ impl TieredKvCache {
     /// copy order (which follows the eviction policy's order) and stale
     /// entries are skipped on pop.
     fn reclaim_gpu_slots(&mut self, needed: usize, favored: Option<SessionId>) {
-        if self.gpu_free_strict() >= needed || self.gpu_copied == 0 {
+        if self.gpu_free_strict() >= needed || self.occ.gpu_copied == 0 {
             return;
         }
         let mut kept = Vec::new();
@@ -2027,9 +1819,7 @@ impl TieredKvCache {
             if c.tier != Tier::GpuCopied {
                 continue; // Revalidated/suspended since copying; stale.
             }
-            c.tier = Tier::Cpu;
-            self.gpu_copied -= c.tokens;
-            self.cpu_resident += c.tokens;
+            self.occ.retier(c, Tier::Cpu);
         }
         // Favored entries stay queued for future reclamation.
         for entry in kept.into_iter().rev() {
@@ -2042,20 +1832,17 @@ impl TieredKvCache {
     /// ascending by (score, victim identity), with the policy's
     /// within-conversation order applied to private chunk indices.
     ///
-    /// A shared chunk's score is the policy score *multiplied by its
-    /// sharer count*: evicting it burns every sharer's restore, so its
+    /// This is the one place the two species are *scored* differently: a
+    /// private chunk by its conversation's idle time, a shared chunk by
+    /// its own, and a shared chunk's score is *multiplied by its sharer
+    /// count* — evicting it burns every sharer's restore, so its
     /// retention value `V = Cost(s, l)/T` scales with the number of
     /// conversations it serves.
-    fn collect_candidates(
-        &self,
-        tier: Tier,
-        now: SimTime,
-        include_pinned: bool,
-    ) -> Vec<(Victim, f64)> {
+    fn collect_candidates(&self, tier: Tier, now: SimTime) -> Vec<(Victim, f64)> {
         let trailing = self.policy.within_order() == WithinOrder::TrailingFirst;
         let mut out: Vec<(Victim, f64)> = Vec::new();
         for (&cid, e) in &self.convs {
-            if e.pinned && !include_pinned {
+            if e.pinned {
                 continue;
             }
             for (i, c) in e.chunks.iter().enumerate() {
@@ -2066,15 +1853,10 @@ impl TieredKvCache {
             }
         }
         for (&id, s) in &self.shared {
-            if s.tier != tier || s.global || (s.pinned_refs > 0 && !include_pinned) {
+            if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
                 continue;
             }
-            let state = ChunkState {
-                tier: s.tier,
-                tokens: s.tokens,
-                context_end: s.context_end,
-            };
-            let score = self.policy.score(&state, s.last_active, now) * s.refs.max(1) as f64;
+            let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
             out.push((Victim::Shared(id), score));
         }
         // total_cmp gives a total order even if a policy ever returned a
@@ -2114,12 +1896,15 @@ impl TieredKvCache {
             if let Some(s) = self.shared.get_mut(id) {
                 s.last_active = now;
             } else {
+                self.occ.admit(Tier::Dropped, chunk_tokens);
                 self.shared.insert(
                     *id,
                     SharedChunk {
-                        tokens: chunk_tokens,
-                        context_end: end,
-                        tier: Tier::Dropped,
+                        chunk: ChunkState {
+                            tier: Tier::Dropped,
+                            tokens: chunk_tokens,
+                            context_end: end,
+                        },
                         refs: 0,
                         external_refs: 0,
                         pinned_refs: 0,
@@ -2168,37 +1953,13 @@ impl TieredKvCache {
         let mut total = 0usize;
         for id in chain {
             let s = self.shared.get(id).ok_or(CacheError::UnknownChunk(*id))?;
-            if s.context_end != total + s.tokens {
+            if s.chunk.context_end != total + s.chunk.tokens {
                 return Err(CacheError::BrokenSharedChain(*id));
             }
-            total += s.tokens;
+            total += s.chunk.tokens;
         }
-        for id in chain {
-            if let Some(s) = self.shared.get_mut(id) {
-                s.refs += 1;
-                s.last_active = now;
-            }
-        }
-        self.manifest_dirty.insert(conv);
-        self.convs.insert(
-            conv,
-            ConvEntry {
-                shared: chain.to_vec(),
-                shared_tokens: total,
-                chunks: Vec::new(),
-                last_active: now,
-                pinned: false,
-                manifest_dirty: true,
-            },
-        );
-        if !chain.is_empty() {
-            self.recorder.record(TraceEvent::SharedAttached {
-                at: now,
-                conv: conv.0,
-                tokens: total,
-                chunks: chain.len(),
-            });
-        }
+        self.attach_chain(conv, chain, now);
+        self.track(conv, ConvEntry::new(chain.to_vec(), total, Vec::new(), now));
         debug_assert!(self.check_invariants());
         Ok(total)
     }
@@ -2228,8 +1989,8 @@ impl TieredKvCache {
             if s.refs.checked_add(1).is_none() || s.external_refs.checked_add(1).is_none() {
                 return Err(CacheError::RefCountOverflow(*id));
             }
-            if s.tier != Tier::Gpu {
-                needed += s.tokens;
+            if s.chunk.tier != Tier::Gpu {
+                needed += s.chunk.tokens;
             }
         }
         if needed > self.gpu_free_effective() {
@@ -2244,28 +2005,8 @@ impl TieredKvCache {
             let Some(s) = self.shared.get_mut(id) else {
                 continue; // Validated above; the walk stays total.
             };
-            match s.tier {
-                Tier::Gpu => {}
-                Tier::Cpu => {
-                    self.cpu_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                    self.stats.swapped_in_tokens += s.tokens as u64;
-                }
-                Tier::Ssd => {
-                    self.ssd_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                }
-                Tier::Cold => {
-                    self.cold_resident -= s.tokens;
-                    self.gpu_resident += s.tokens;
-                }
-                // Dropped = computed once here; shared chunks never hold
-                // lazy GPU copies.
-                Tier::Dropped | Tier::GpuCopied => {
-                    self.gpu_resident += s.tokens;
-                }
-            }
-            s.tier = Tier::Gpu;
+            // A dropped chunk is computed once, here.
+            Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
             s.global = true;
             s.refs += 1;
             s.external_refs += 1;
@@ -2349,7 +2090,7 @@ impl TieredKvCache {
                 .iter()
                 .filter_map(|id| self.shared.get(id))
                 .filter(|s| s.global)
-                .map(|s| s.tokens)
+                .map(|s| s.chunk.tokens)
                 .sum()
         })
     }
@@ -2360,23 +2101,15 @@ impl TieredKvCache {
     /// *per sharer*. The denominator of the dedup ratio.
     #[must_use]
     pub fn logical_resident_tokens(&self) -> usize {
-        let mut total = 0usize;
-        for e in self.convs.values() {
-            for id in &e.shared {
-                if let Some(s) = self.shared.get(id) {
-                    if s.tier != Tier::Dropped {
-                        total += s.tokens;
-                    }
-                }
-            }
-            total += e
-                .chunks
-                .iter()
-                .filter(|c| c.tier != Tier::Dropped)
-                .map(|c| c.tokens)
-                .sum::<usize>();
-        }
-        total
+        self.convs
+            .values()
+            .flat_map(|e| {
+                let chain = e.shared.iter().filter_map(|id| self.shared.get(id));
+                chain.map(|s| &s.chunk).chain(&e.chunks)
+            })
+            .filter(|c| c.tier != Tier::Dropped)
+            .map(|c| c.tokens)
+            .sum()
     }
 
     /// Physical resident KV tokens actually held: non-dropped private
@@ -2385,20 +2118,13 @@ impl TieredKvCache {
     /// dedup ratio.
     #[must_use]
     pub fn physical_resident_tokens(&self) -> usize {
-        let shared: usize = self
-            .shared
-            .values()
-            .filter(|s| s.tier != Tier::Dropped)
-            .map(|s| s.tokens)
-            .sum();
-        let private: usize = self
-            .convs
-            .values()
-            .flat_map(|e| e.chunks.iter())
+        let private = self.convs.values().flat_map(|e| &e.chunks);
+        let pooled = self.shared.values().map(|s| &s.chunk);
+        private
+            .chain(pooled)
             .filter(|c| c.tier != Tier::Dropped)
             .map(|c| c.tokens)
-            .sum();
-        shared + private
+            .sum()
     }
 
     /// Forks `child` from `parent`, sharing the parent's entire current
@@ -2432,39 +2158,28 @@ impl TieredKvCache {
         let parent_pinned = e.pinned;
         let mut chain = std::mem::take(&mut e.shared);
         let private = std::mem::take(&mut e.chunks);
+        let inherited = chain.len();
         let mut context_end = e.shared_tokens;
         let mut prev = chain.last().copied().unwrap_or(ChunkId::ROOT);
         // Promote each private chunk under a lineage-derived id: the
         // timing model tracks token *counts*, so identity chains over
         // (parent, position, length) exactly as content ids chain over
         // token bytes — deterministic across replicas and reruns.
-        let mut promoted = Vec::with_capacity(private.len());
-        for (i, c) in private.iter().enumerate() {
-            let id =
-                ChunkId::derive_words(prev, &[parent.0, (chain.len() + i) as u64, c.tokens as u64]);
-            context_end += c.tokens;
-            promoted.push((id, *c));
+        for (i, mut chunk) in private.into_iter().enumerate() {
+            let words = [parent.0, (inherited + i) as u64, chunk.tokens as u64];
+            let id = ChunkId::derive_words(prev, &words);
+            context_end += chunk.tokens;
             prev = id;
-        }
-        for (id, c) in &promoted {
-            let tier = match c.tier {
+            if chunk.tier == Tier::GpuCopied {
                 // Revalidate the lazy copy: keep the GPU slot, drop the
                 // CPU-side copy. The chunk's copied_fifo entry goes
                 // stale and is skipped at reclamation.
-                Tier::GpuCopied => {
-                    self.gpu_copied -= c.tokens;
-                    self.gpu_resident += c.tokens;
-                    self.stats.revalidated_tokens += c.tokens as u64;
-                    Tier::Gpu
-                }
-                t => t,
-            };
+                Self::promote(&mut self.occ, &mut self.stats, &mut chunk);
+            }
             self.shared.insert(
-                *id,
+                id,
                 SharedChunk {
-                    tokens: c.tokens,
-                    context_end: c.context_end,
-                    tier,
+                    chunk,
                     refs: 2,
                     external_refs: 0,
                     pinned_refs: usize::from(parent_pinned),
@@ -2472,10 +2187,10 @@ impl TieredKvCache {
                     last_active: now,
                 },
             );
-            chain.push(*id);
+            chain.push(id);
         }
         // Pre-existing chain chunks gain the child as one more sharer.
-        for id in chain.iter().take(chain.len() - promoted.len()) {
+        for id in chain.iter().take(inherited) {
             if let Some(s) = self.shared.get_mut(id) {
                 s.refs += 1;
                 s.last_active = now;
@@ -2487,45 +2202,31 @@ impl TieredKvCache {
             e.last_active = now;
             e.manifest_dirty = true;
         }
-        self.manifest_dirty.extend([parent, child]);
+        self.manifest_dirty.insert(parent);
         // The parent's committed private context is now shared; the
         // replication stream ships shared state by id, not bytes.
         self.commit_log.remove(&parent);
-        self.convs.insert(
-            child,
-            ConvEntry {
-                shared: chain.clone(),
-                shared_tokens: context_end,
-                chunks: Vec::new(),
-                last_active: now,
-                pinned: false,
-                manifest_dirty: true,
-            },
-        );
         self.recorder.record(TraceEvent::SharedAttached {
             at: now,
             conv: child.0,
             tokens: context_end,
             chunks: chain.len(),
         });
+        self.track(child, ConvEntry::new(chain, context_end, Vec::new(), now));
         debug_assert!(self.check_invariants());
         Ok(context_end)
     }
 
     /// Verifies internal accounting; used in debug assertions.
     fn check_invariants(&self) -> bool {
-        let mut gpu = 0;
-        let mut copied = 0;
-        let mut cpu = 0;
-        let mut ssd = 0;
-        let mut cold = 0;
+        let mut occ = Occupancy::default();
         let mut chain_refs: BTreeMap<ChunkId, usize> = BTreeMap::new();
         let mut chain_pins: BTreeMap<ChunkId, usize> = BTreeMap::new();
         for e in self.convs.values() {
             let mut chain_tokens = 0usize;
             for id in &e.shared {
                 assert!(self.shared.contains_key(id), "chain id missing from pool");
-                chain_tokens += self.shared.get(id).map_or(0, |s| s.tokens);
+                chain_tokens += self.shared.get(id).map_or(0, |s| s.chunk.tokens);
                 *chain_refs.entry(*id).or_insert(0) += 1;
                 if e.pinned {
                     *chain_pins.entry(*id).or_insert(0) += 1;
@@ -2537,26 +2238,17 @@ impl TieredKvCache {
                 assert!(c.tokens > 0 && c.tokens <= self.cfg.chunk_tokens);
                 assert_eq!(c.context_end, pos + c.tokens, "context_end drift");
                 pos += c.tokens;
-                match c.tier {
-                    Tier::Gpu => gpu += c.tokens,
-                    Tier::GpuCopied => copied += c.tokens,
-                    Tier::Cpu => cpu += c.tokens,
-                    Tier::Ssd => ssd += c.tokens,
-                    Tier::Cold => cold += c.tokens,
-                    Tier::Dropped => {}
-                }
+                occ.admit(c.tier, c.tokens);
             }
         }
         for (id, s) in &self.shared {
-            assert!(s.tokens > 0 && s.tokens <= self.cfg.chunk_tokens);
-            assert_ne!(s.tier, Tier::GpuCopied, "shared chunk holds a lazy copy");
-            match s.tier {
-                Tier::Gpu => gpu += s.tokens,
-                Tier::Cpu => cpu += s.tokens,
-                Tier::Ssd => ssd += s.tokens,
-                Tier::Cold => cold += s.tokens,
-                Tier::GpuCopied | Tier::Dropped => {}
-            }
+            assert!(s.chunk.tokens > 0 && s.chunk.tokens <= self.cfg.chunk_tokens);
+            assert_ne!(
+                s.chunk.tier,
+                Tier::GpuCopied,
+                "shared chunk holds a lazy copy"
+            );
+            occ.admit(s.chunk.tier, s.chunk.tokens);
             let from_chains = chain_refs.get(id).copied().unwrap_or(0);
             assert_eq!(
                 s.refs,
@@ -2569,15 +2261,14 @@ impl TieredKvCache {
                 "shared pinned-ref drift"
             );
         }
-        assert_eq!(gpu, self.gpu_resident, "gpu_resident drift");
-        assert_eq!(copied, self.gpu_copied, "gpu_copied drift");
-        assert_eq!(cpu, self.cpu_resident, "cpu_resident drift");
-        assert_eq!(ssd, self.ssd_resident, "ssd_resident drift");
-        assert_eq!(cold, self.cold_resident, "cold_resident drift");
+        assert_eq!(occ, self.occ, "occupancy drift");
         assert!(self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens);
-        assert!(self.cpu_used() <= self.cfg.cpu_capacity_tokens);
-        assert!(self.ssd_resident <= self.cfg.ssd_capacity_tokens);
-        assert!(self.cold_resident <= self.cfg.cold_capacity_tokens);
+        for rung in &self.ladder {
+            assert!(
+                self.used(rung.tier) <= rung.capacity,
+                "{rung:?} over capacity"
+            );
+        }
         for (conv, e) in &self.convs {
             assert!(
                 !e.manifest_dirty || self.manifest_dirty.contains(conv),
@@ -3143,6 +2834,255 @@ mod tests {
         // a: cpu->ssd, ssd->cold; b: cpu->ssd, ssd->cold; c: cpu->ssd.
         assert_eq!(cache.stats().demoted_tokens, 160);
         assert_eq!(cache.stats().dropped_tokens, 32);
+    }
+
+    /// Eviction-family events in recording order, rendered compactly:
+    /// `E` GPU eviction of a private chunk, `D` demotion, `X` drop,
+    /// `S` any move of a shared chunk (labelled by `names`).
+    fn moves(rec: &SharedRecorder, names: &[(ChunkId, &str)]) -> Vec<String> {
+        let name = |id: u64| {
+            names
+                .iter()
+                .find(|(c, _)| c.0 == id)
+                .map_or("?", |(_, n)| *n)
+        };
+        rec.events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::ChunkEvicted {
+                    conv,
+                    chunk,
+                    dropped,
+                    ..
+                } => Some(format!(
+                    "E {conv}.{chunk} {}",
+                    if dropped { "dropped" } else { "copied" }
+                )),
+                TraceEvent::ChunkDemoted {
+                    conv,
+                    chunk,
+                    from,
+                    to,
+                    ..
+                } => Some(format!(
+                    "D {conv}.{chunk} {}>{}",
+                    from.as_str(),
+                    to.as_str()
+                )),
+                TraceEvent::ChunkDropped {
+                    conv,
+                    chunk,
+                    reason,
+                    ..
+                } => Some(format!("X {conv}.{chunk} {}", reason.as_str())),
+                TraceEvent::SharedChunkEvicted {
+                    chunk,
+                    refs,
+                    dropped,
+                    ..
+                } => Some(format!(
+                    "S {} refs={refs} {}",
+                    name(chunk),
+                    if dropped { "dropped" } else { "moved" }
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Shared chunks ride the same ladder as private ones: pressure
+    /// pushes a *referenced* chunk `Cpu → Ssd → Cold` and keeps it at
+    /// the bottom (its sharer outweighs the incomer), while an
+    /// *unreferenced* one beside it falls off. Deeper victims' events
+    /// precede the victim that displaced them.
+    #[test]
+    fn shared_chunks_ride_the_ladder_and_only_unreferenced_ones_fall_off() {
+        let mut cache = deep_cache(128, 32, 32, 64);
+        let rec = SharedRecorder::new();
+        cache.set_recorder(Some(rec.clone()));
+        let kept = cache.register_shared(&synthetic_preamble(1, 32), t(0.0))[0];
+        let orphan = cache.register_shared(&synthetic_preamble(2, 32), t(0.0))[0];
+        let names = [(kept, "kept"), (orphan, "orphan")];
+        let (a, x) = (SessionId(1), SessionId(9));
+        cache.attach_shared(a, &[kept], t(1.0)).unwrap();
+        cache.commit_restore(a, t(1.0)).unwrap();
+        cache.unpin(a);
+        cache.attach_shared(x, &[orphan], t(2.0)).unwrap();
+        cache.commit_restore(x, t(2.0)).unwrap();
+        cache.remove_conversation(x);
+        assert_eq!(cache.shared_refs(kept), 1);
+        assert_eq!(cache.shared_refs(orphan), 0);
+
+        // Emptying the GPU moves both to the one-chunk CPU tier: the
+        // older `kept` first, then pushed on to SSD by `orphan`.
+        let ops = cache.swap_out_until(128, t(3.0));
+        assert_eq!(ops.len(), 2);
+        assert!(ops.iter().all(|op| op.shared.is_some() && !op.dropped));
+        // Three private chunks arrive one by one and push the rest down.
+        for (i, s) in [SessionId(2), SessionId(3), SessionId(4)]
+            .into_iter()
+            .enumerate()
+        {
+            cache.append_tokens(s, 32, t(4.0 + 2.0 * i as f64)).unwrap();
+            cache.suspend(s, t(5.0 + 2.0 * i as f64));
+        }
+        assert_eq!(
+            moves(&rec, &names),
+            [
+                // swap_out_until: kept GPU→CPU, then CPU→SSD for orphan.
+                "S kept refs=1 moved",
+                "S kept refs=1 moved",
+                "S orphan refs=0 moved",
+                // Session 2 suspends: kept SSD→cold, orphan CPU→SSD.
+                "S kept refs=1 moved",
+                "S orphan refs=0 moved",
+                // Session 3 suspends: orphan SSD→cold beside kept.
+                "S orphan refs=0 moved",
+                "D 2.0 cpu>ssd",
+                // Session 4 suspends with the cold tier full: `kept`
+                // sorts first but is referenced, so it stays; `orphan`
+                // is dropped to admit session 2's chunk.
+                "S orphan refs=0 dropped",
+                "D 2.0 ssd>cold",
+                "D 3.0 cpu>ssd",
+            ]
+        );
+        assert_eq!(
+            cache.plan_restore(a).cold_read_tokens,
+            32,
+            "kept at the bottom"
+        );
+        assert_eq!(cache.plan_restore(a).shared_hit_tokens, 32);
+        assert_eq!(cache.cold_used(), 64);
+        assert_eq!(cache.stats().dropped_tokens, 32);
+        // kept ×2, orphan ×2, and the three private demotions.
+        assert_eq!(cache.stats().demoted_tokens, 7 * 32);
+    }
+
+    /// Equal scores tie-break private before shared.
+    #[test]
+    fn equal_scores_evict_the_private_chunk_before_the_shared_one() {
+        let mut cache = lru_cache(128, 128);
+        let rec = SharedRecorder::new();
+        cache.set_recorder(Some(rec.clone()));
+        let shared = cache.register_shared(&synthetic_preamble(1, 32), t(0.0))[0];
+        let a = SessionId(1);
+        cache.attach_shared(a, &[shared], t(5.0)).unwrap();
+        cache.commit_restore(a, t(5.0)).unwrap();
+        cache.append_tokens(a, 32, t(5.0)).unwrap();
+        cache.unpin(a);
+        // LRU scores: the private chunk 5.0, the shared one 5.0 × 1 ref.
+        let ops = cache.swap_out_until(96, t(6.0));
+        assert_eq!(ops.len(), 1);
+        assert_eq!((ops[0].conv, ops[0].chunk, ops[0].shared), (a, 0, None));
+        cache.swap_out_until(128, t(6.0));
+        assert_eq!(
+            moves(&rec, &[(shared, "shared")]),
+            ["E 1.0 copied", "S shared refs=1 moved"]
+        );
+    }
+
+    /// A rung's candidate snapshot is taken once per pass and entries
+    /// are re-validated at use: a session pinned since the snapshot is
+    /// skipped, not evicted.
+    #[test]
+    fn a_session_re_pinned_after_the_snapshot_is_skipped() {
+        let mut cache = lru_cache(256, 64);
+        let rec = SharedRecorder::new();
+        cache.set_recorder(Some(rec.clone()));
+        let (a, b) = (SessionId(1), SessionId(2));
+        for (i, s) in [a, b].into_iter().enumerate() {
+            cache.append_tokens(s, 32, t(2.0 * i as f64)).unwrap();
+            cache.suspend(s, t(2.0 * i as f64 + 1.0));
+        }
+        assert_eq!(cache.cpu_used(), 64);
+        let mut queues = RungQueues::default();
+        // First need: the snapshot is [a.0, b.0]; the older a.0 goes.
+        assert!(cache.ensure_space(CPU_RUNG, 32, t(4.0), &mut queues));
+        cache.pin(b);
+        // Same pass: b.0 is still queued but now pinned, so it is passed
+        // over and the rung runs out of candidates.
+        assert!(!cache.ensure_space(CPU_RUNG, 64, t(4.0), &mut queues));
+        assert_eq!(moves(&rec, &[]), ["X 1.0 cpu-pressure"]);
+        assert_eq!(cache.plan_restore(b).swap_in_tokens, 32);
+        // Unpinned again, a fresh pass may take it.
+        cache.unpin(b);
+        assert!(cache.ensure_space(CPU_RUNG, 64, t(5.0), &mut RungQueues::default()));
+        assert_eq!(
+            moves(&rec, &[]),
+            ["X 1.0 cpu-pressure", "X 2.0 cpu-pressure"]
+        );
+    }
+
+    /// A hand-built export is outside input. Offsets that do not add up
+    /// and shared-ref sizes that disagree with this cache's pool must
+    /// import to a consistent layout — debug builds check the accounting
+    /// invariants inside `import_session` — and never panic or wrap.
+    #[test]
+    fn hostile_export_imports_to_a_consistent_layout() {
+        let mut cache = lru_cache(1024, 1024);
+        let chain = cache.register_shared(&synthetic_preamble(1, 64), t(0.0));
+        let s = SessionId(1);
+        let export = SessionExport {
+            session: s,
+            shared: vec![
+                // Pooled here (32 tokens), but the sender says 7.
+                SharedChunkRef {
+                    id: chain[0],
+                    tokens: 7,
+                },
+                // Unknown here, and larger than a chunk.
+                SharedChunkRef {
+                    id: ChunkId(42),
+                    tokens: 40,
+                },
+                // Pooled, but behind the break: not re-attachable.
+                SharedChunkRef {
+                    id: chain[1],
+                    tokens: 32,
+                },
+            ],
+            chunks: vec![
+                // `context_end < tokens` used to underflow.
+                ChunkState {
+                    tier: Tier::Cpu,
+                    tokens: 48,
+                    context_end: 3,
+                },
+                ChunkState {
+                    tier: Tier::Gpu,
+                    tokens: 8,
+                    context_end: usize::MAX,
+                },
+                ChunkState {
+                    tier: Tier::Cpu,
+                    tokens: 0,
+                    context_end: 0,
+                },
+            ],
+        };
+        assert_eq!(cache.import_session(export, t(1.0)).unwrap(), 48);
+        assert_eq!(cache.shared_refs(chain[0]), 1);
+        assert_eq!(cache.shared_refs(chain[1]), 0);
+        // The re-attached chunk by the pool's size (never materialized,
+        // so it recomputes), the unattached spans split to chunk size
+        // and dropped, the CPU bytes admitted, the stray GPU chunk
+        // dropped — positions running with no gap.
+        assert_eq!(cache.conversation_tokens(s), 32 + 72 + 48 + 8);
+        assert_eq!(
+            cache.plan_restore(s).segments,
+            vec![
+                (0..104, Tier::Dropped),
+                (104..152, Tier::Cpu),
+                (152..160, Tier::Dropped)
+            ]
+        );
+        assert_eq!(cache.cpu_used(), 48);
+        assert_eq!(cache.stats().dropped_tokens, 72 + 8);
+        // The session is servable: restore, then grow.
+        cache.commit_restore(s, t(2.0)).unwrap();
+        cache.append_tokens(s, 5, t(2.0)).unwrap();
+        assert_eq!(cache.conversation_tokens(s), 165);
     }
 
     #[test]

@@ -354,6 +354,8 @@ struct Tape {
     /// Sessions the current op addressed, folded after it.
     touched: Vec<(usize, SessionId)>,
     turns_ok: usize,
+    /// The last op's dice roll (which op ran), for the trace.
+    last_roll: u64,
 }
 
 impl Tape {
@@ -376,6 +378,7 @@ impl Tape {
             sides: [side(), side()],
             touched: Vec::new(),
             turns_ok: 0,
+            last_roll: 0,
         };
         // Both caches know the first two preambles, so migrations can
         // re-attach by id; later registrations are one-sided, so some
@@ -511,6 +514,7 @@ impl Tape {
         self.touched.push((k, conv));
         let roll = self.rng.below(100);
         self.d.word(roll);
+        self.last_roll = roll;
         match roll {
             0..=21 => self.turn(k, conv),
             22..=31 => {
@@ -759,8 +763,15 @@ struct Coverage {
 fn run(policy: Policy, ssd: usize, cold: usize, seed: u64) -> (u64, Coverage) {
     let rec = SharedRecorder::new();
     let mut tape = Tape::new(policy, ssd, cold, seed, &rec);
-    for _ in 0..OPS {
+    // `PENSIEVE_TAPE_TRACE=1` prints the running digest after every op,
+    // so two builds can be diffed down to the first op that diverges.
+    let trace = std::env::var_os("PENSIEVE_TAPE_TRACE").is_some();
+    for op in 0..OPS {
         tape.step();
+        if trace {
+            let (roll, digest) = (tape.last_roll, tape.d.0);
+            println!("seed {seed} ssd {ssd} cold {cold} op {op} roll {roll}: {digest:#018x}");
+        }
     }
     tape.finish();
     let events = rec.events();
@@ -796,6 +807,9 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64) -> (u64, Coverage) {
             TraceEvent::SharedAttached { .. } => cov.shared_attaches += 1,
             _ => {}
         }
+    }
+    if trace {
+        print!("{}", to_jsonl(&events));
     }
     let mut d = tape.d;
     d.n(events.len());
