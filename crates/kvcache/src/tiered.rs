@@ -1685,6 +1685,9 @@ impl TieredKvCache {
         to: Option<Rung>,
         now: SimTime,
     ) {
+        if !self.recorder.enabled() {
+            return;
+        }
         let dropped = to.is_none();
         self.recorder.record(match (victim, from, to) {
             (Victim::Shared(id), _, _) => TraceEvent::SharedChunkEvicted {

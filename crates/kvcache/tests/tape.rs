@@ -14,9 +14,10 @@
 //! cache's own accounting invariants after every mutation, so the tape
 //! doubles as an accounting soak.
 //!
-//! Only the crate's public API is used. To re-capture after an
-//! *intended* behaviour change: `PENSIEVE_TAPE_PRINT=1 cargo test -p
-//! pensieve-kvcache --test tape -- --nocapture` prints the table.
+//! Only the crate's public API is used. A failing run prints the table
+//! that would replace `GOLDEN` — paste it only for an *intended*
+//! behaviour change; otherwise `print_per_op_digests` (an ignored test)
+//! locates the first op at which two builds part ways.
 
 use std::collections::BTreeSet;
 
@@ -760,17 +761,17 @@ struct Coverage {
     shared_attaches: usize,
 }
 
-fn run(policy: Policy, ssd: usize, cold: usize, seed: u64) -> (u64, Coverage) {
+/// Runs one tape. With `trace`, prints the running digest after every op
+/// and the event stream at the end, so that two builds can be diffed
+/// down to the first op — or the first event — that diverges.
+fn run(policy: Policy, ssd: usize, cold: usize, seed: u64, trace: bool) -> (u64, Coverage) {
     let rec = SharedRecorder::new();
     let mut tape = Tape::new(policy, ssd, cold, seed, &rec);
-    // `PENSIEVE_TAPE_TRACE=1` prints the running digest after every op,
-    // so two builds can be diffed down to the first op that diverges.
-    let trace = std::env::var_os("PENSIEVE_TAPE_TRACE").is_some();
     for op in 0..OPS {
         tape.step();
         if trace {
             let (roll, digest) = (tape.last_roll, tape.d.0);
-            println!("seed {seed} ssd {ssd} cold {cold} op {op} roll {roll}: {digest:#018x}");
+            println!("op {op} roll {roll}: {digest:#018x}");
         }
     }
     tape.finish();
@@ -808,12 +809,13 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64) -> (u64, Coverage) {
             _ => {}
         }
     }
+    let jsonl = to_jsonl(&events);
     if trace {
-        print!("{}", to_jsonl(&events));
+        print!("{jsonl}");
     }
     let mut d = tape.d;
     d.n(events.len());
-    for b in to_jsonl(&events).bytes() {
+    for b in jsonl.bytes() {
         d.0 ^= u64::from(b);
         d.0 = d.0.wrapping_mul(0x0100_0000_01b3);
     }
@@ -822,49 +824,41 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64) -> (u64, Coverage) {
 
 #[test]
 fn golden_digests_hold_and_the_tape_reaches_every_rung() {
-    let print = std::env::var_os("PENSIEVE_TAPE_PRINT").is_some();
-    let mut mismatches = Vec::new();
-    for (ci, &(name, policy, ssd, cold)) in CONFIGS.iter().enumerate() {
-        let mut row = [0u64; 4];
-        for (si, &seed) in SEEDS.iter().enumerate() {
-            let (digest, cov) = run(policy, ssd, cold, seed);
-            row[si] = digest;
-            if digest != GOLDEN[ci][si] {
-                mismatches.push(format!("{name} seed {seed}: {digest:#018x}"));
-            }
-            let at = format!("{name} seed {seed}");
-            if print {
-                println!("// {at}: {cov:?}");
-            }
-            assert!(cov.turns_ok > OPS / 8, "{at}: the tape wedged");
+    let mut table = String::new();
+    let mut drifted = false;
+    for (&(name, policy, ssd, cold), golden) in CONFIGS.iter().zip(&GOLDEN) {
+        let mut cells = Vec::new();
+        for (&seed, &expected) in SEEDS.iter().zip(golden) {
+            let (digest, cov) = run(policy, ssd, cold, seed, false);
+            drifted |= digest != expected;
+            cells.push(format!("{digest:#018x}"));
+            let at = format!("{name} seed {seed}: {cov:?}");
+            assert!(cov.turns_ok > OPS / 8, "the tape wedged — {at}");
             assert!(cov.private_copied > 0 && cov.revalidations > 0, "{at}");
             assert!(
                 cov.private_dropped_at_gpu > 0,
-                "{at}: CPU tier never wedged"
+                "CPU tier never wedged — {at}"
             );
             assert!(cov.shared_attaches > 0, "{at}");
-            assert!(cov.shared_moved > 0, "{at}: no shared chunk was moved");
-            assert!(cov.shared_dropped > 0, "{at}: no shared chunk dropped");
+            assert!(cov.shared_moved > 0, "no shared chunk was moved — {at}");
+            assert!(cov.shared_dropped > 0, "no shared chunk was dropped — {at}");
             if ssd >= CHUNK || cold >= CHUNK {
                 assert!(cov.private_demotions > 0 && cov.deep_reads > 0, "{at}");
                 assert!(
                     cov.demoted_tokens > cov.private_demoted_tokens,
-                    "{at}: no shared chunk was demoted down the ladder"
+                    "no shared chunk was demoted down the ladder — {at}"
                 );
-                assert!(cov.cold_pressure_drops > 0, "{at}: bottom never full");
+                assert!(cov.cold_pressure_drops > 0, "bottom never full — {at}");
             } else {
-                assert!(cov.cpu_pressure_drops > 0, "{at}: CPU tier never full");
+                assert!(cov.cpu_pressure_drops > 0, "CPU tier never full — {at}");
             }
         }
-        if print {
-            let cells: Vec<String> = row.iter().map(|d| format!("{d:#018x}")).collect();
-            println!("    [{}], // {name}", cells.join(", "));
-        }
+        table += &format!("    [{}], // {name}\n", cells.join(", "));
     }
     assert!(
-        mismatches.is_empty(),
-        "digest drift (re-capture only for an intended behaviour change):\n{}",
-        mismatches.join("\n")
+        !drifted,
+        "digest drift. `print_per_op_digests` finds the first divergent op; if the \
+         change in behaviour is intended, GOLDEN becomes:\n{table}"
     );
     assert_eq!(leaked_chunk_handles(), 0);
 }
@@ -872,9 +866,23 @@ fn golden_digests_hold_and_the_tape_reaches_every_rung() {
 /// The same seed must reproduce itself, and a different one must not.
 #[test]
 fn the_tape_is_deterministic_and_seed_sensitive() {
-    let (a, _) = run(Policy::Lru, 128, 96, 9);
-    let (b, _) = run(Policy::Lru, 128, 96, 9);
-    let (c, _) = run(Policy::Lru, 128, 96, 10);
+    let (a, _) = run(Policy::Lru, 128, 96, 9, false);
+    let (b, _) = run(Policy::Lru, 128, 96, 9, false);
+    let (c, _) = run(Policy::Lru, 128, 96, 10, false);
     assert_eq!(a, b);
     assert_ne!(a, c);
+}
+
+/// Diagnostic, not a check: prints every config's per-op digests and
+/// event stream. Run it on two builds and diff the output —
+/// `cargo test -p pensieve-kvcache --test tape -- --ignored --nocapture`.
+#[test]
+#[ignore = "diagnostic output for diffing two builds"]
+fn print_per_op_digests() {
+    for &(name, policy, ssd, cold) in &CONFIGS {
+        for seed in SEEDS {
+            println!("== {name} seed {seed}");
+            run(policy, ssd, cold, seed, true);
+        }
+    }
 }
