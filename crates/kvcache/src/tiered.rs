@@ -908,6 +908,9 @@ impl TieredKvCache {
     /// the two promotions that have their own statistic: a lazy copy
     /// revalidated in place and a CPU chunk swapped in.
     fn promote(occ: &mut Occupancy, stats: &mut CacheStats, chunk: &mut ChunkState) {
+        if chunk.tier == Tier::Gpu {
+            return; // The common case on the restore path: already there.
+        }
         match occ.retier(chunk, Tier::Gpu) {
             Tier::GpuCopied => stats.revalidated_tokens += chunk.tokens as u64,
             Tier::Cpu => stats.swapped_in_tokens += chunk.tokens as u64,
@@ -1258,25 +1261,30 @@ impl TieredKvCache {
         };
         let mut transferred = 0;
         for i in 0..chunks {
-            let Some(c) = self.convs.get(&conv).and_then(|e| e.chunks.get(i)) else {
+            let Some(&ChunkState { tier, tokens, .. }) =
+                self.convs.get(&conv).and_then(|e| e.chunks.get(i))
+            else {
                 continue;
             };
-            let tokens = c.tokens;
-            if c.tier == Tier::GpuCopied {
+            let to = match tier {
                 // The CPU already holds a copy; just release the GPU slot.
-                self.retier(Victim::Conv(conv, i), Tier::Cpu);
-            } else if c.tier == Tier::Gpu {
+                Tier::GpuCopied => Tier::Cpu,
                 // Each chunk evicts against a fresh snapshot, so this
                 // conversation's own just-moved chunks are candidates.
-                if self.ensure_space(CPU_RUNG, tokens, now, &mut RungQueues::default()) {
-                    self.retier(Victim::Conv(conv, i), Tier::Cpu);
+                Tier::Gpu
+                    if self.ensure_space(CPU_RUNG, tokens, now, &mut RungQueues::default()) =>
+                {
                     self.stats.swapped_out_tokens += tokens as u64;
                     transferred += tokens;
-                } else {
-                    self.retier(Victim::Conv(conv, i), Tier::Dropped);
-                    self.stats.dropped_tokens += tokens as u64;
+                    Tier::Cpu
                 }
-            }
+                Tier::Gpu => {
+                    self.stats.dropped_tokens += tokens as u64;
+                    Tier::Dropped
+                }
+                _ => continue,
+            };
+            self.retier(Victim::Conv(conv, i), to);
         }
         self.recorder.record(TraceEvent::Suspended {
             at: now,
