@@ -10,14 +10,33 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A span of simulated time, in seconds.
 ///
 /// Durations are always finite and non-negative; constructors debug-assert
-/// this invariant.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+/// this invariant and deserialization rejects anything else.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimDuration(f64);
+
+/// Reads a seconds count from untrusted input, enforcing the invariant the
+/// constructors only debug-assert: finite and non-negative.
+fn checked_secs(v: &Value) -> Result<f64, DeError> {
+    let secs = f64::from_value(v)?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(DeError::custom(format!(
+            "expected finite non-negative seconds, got {secs}"
+        )))
+    }
+}
+
+impl Deserialize for SimDuration {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        checked_secs(v).map(SimDuration)
+    }
+}
 
 impl SimDuration {
     /// The zero duration.
@@ -153,8 +172,14 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant on the simulated clock, in seconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimTime(f64);
+
+impl Deserialize for SimTime {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        checked_secs(v).map(SimTime)
+    }
+}
 
 impl SimTime {
     /// The simulation epoch (t = 0).
@@ -269,6 +294,26 @@ mod tests {
             SimTime::ZERO.saturating_duration_since(t),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn deserialization_rejects_negative_and_non_finite_seconds() {
+        assert_eq!(
+            SimTime::from_value(&Value::Number(1.5)),
+            Ok(SimTime::from_secs(1.5))
+        );
+        assert_eq!(
+            SimDuration::from_value(&Value::Number(0.0)),
+            Ok(SimDuration::ZERO)
+        );
+        for bad in [-1.0, -0.001, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(SimTime::from_value(&Value::Number(bad)).is_err(), "{bad}");
+            assert!(
+                SimDuration::from_value(&Value::Number(bad)).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(SimTime::from_value(&Value::String("1".into())).is_err());
     }
 
     #[test]

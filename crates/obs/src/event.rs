@@ -6,1374 +6,622 @@
 //! *below* the runtime crates in the dependency graph: the hot path
 //! depends on `obs`, never the other way around.
 //!
-//! Serialization is hand-written (the vendored `serde_derive` shim only
-//! supports named-field structs and unit enums): each event becomes a
-//! JSON object whose `"ev"` field is the variant name and whose remaining
-//! fields are the variant's payload. [`TraceEvent::from_value`] is strict
-//! — an unknown `"ev"` or a missing/mistyped field is an error — which is
-//! what `trace_report` uses to validate a JSONL log against the schema.
+//! The schema is stated once, in the two tables of this file. The
+//! `wire_enums!` table pairs each payload enum's variants with their wire
+//! names; the `trace_events!` table lists every event variant with its
+//! fields, their types and their rustdoc. The enums themselves,
+//! [`VARIANTS`], [`TraceEvent::variant_name`], [`TraceEvent::at`] and both
+//! JSON directions are expanded from those tables, so adding an event is
+//! one table entry (`docs/OBSERVABILITY.md` has the whole recipe).
+//!
+//! On the wire an event is a JSON object whose `"ev"` key is the variant
+//! name and whose other keys are the variant's fields, each written and
+//! read by its own type's `Serialize`/`Deserialize` impl.
+//! [`TraceEvent::from_value`] is strict — an unknown `"ev"`, a missing or
+//! mistyped field, or a negative or non-finite time is an error naming the
+//! offender; only unknown extra keys are ignored — which is what
+//! `trace_report` uses to validate a JSONL log against the schema.
 
 use pensieve_model::{SimDuration, SimTime};
 use serde::{DeError, Deserialize, Map, Serialize, Value};
 
-/// Transfer direction of a swap DMA over the PCIe link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwapDir {
-    /// CPU → GPU (swap-in / retrieval).
-    In,
-    /// GPU → CPU (swap-out / eviction or suspension).
-    Out,
+/// Expands the wire-enum table: each enum, its `ALL` slice, `as_str`, and
+/// `Serialize`/`Deserialize` as the wire-name string.
+macro_rules! wire_enums {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, )*
+        }
+    )*) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: &[$name] = &[$( $name::$variant ),*];
+
+            /// Stable wire name.
+            #[must_use]
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $wire, )*
+                }
+            }
+        }
+
+        impl Serialize for $name {
+            fn to_value(&self) -> Value {
+                self.as_str().to_value()
+            }
+        }
+
+        impl Deserialize for $name {
+            fn from_value(v: &Value) -> Result<Self, DeError> {
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| DeError::custom("expected a string"))?;
+                let known = Self::ALL.iter().copied().find(|x| x.as_str() == s);
+                known.ok_or_else(|| {
+                    DeError::custom(format!("unknown {} {s:?}", stringify!($name)))
+                })
+            }
+        }
+    )*};
 }
 
-impl SwapDir {
-    /// Stable wire name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SwapDir::In => "in",
-            SwapDir::Out => "out",
-        }
+wire_enums! {
+    /// Transfer direction of a swap DMA over the PCIe link.
+    pub enum SwapDir {
+        /// CPU → GPU (swap-in / retrieval).
+        In = "in",
+        /// GPU → CPU (swap-out / eviction or suspension).
+        Out = "out",
     }
 
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "in" => Ok(SwapDir::In),
-            "out" => Ok(SwapDir::Out),
-            other => Err(DeError::custom(format!("unknown swap dir {other:?}"))),
-        }
-    }
-}
-
-/// Why a chunk's CPU-tier copy (or the chunk itself) was discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// The CPU tier was full and the policy chose this chunk.
-    CpuPressure,
-    /// An injected host-memory fault lost the copy.
-    HostLoss,
-    /// A checksum mismatch invalidated the copy.
-    HostCorruption,
-    /// Persistent swap-in DMA failures forced a recompute fallback.
-    SwapInFault,
-    /// The whole storage hierarchy below the CPU was full: the chunk fell
-    /// off the bottom (cold) tier.
-    ColdPressure,
-    /// A deep-tier read failed and the chunk's storage copy was discarded
-    /// in favour of recomputation.
-    ColdReadFault,
-}
-
-impl DropReason {
-    /// Stable wire name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::CpuPressure => "cpu-pressure",
-            DropReason::HostLoss => "host-loss",
-            DropReason::HostCorruption => "host-corruption",
-            DropReason::SwapInFault => "swap-in-fault",
-            DropReason::ColdPressure => "cold-pressure",
-            DropReason::ColdReadFault => "cold-read-fault",
-        }
+    /// Why a chunk's CPU-tier copy (or the chunk itself) was discarded.
+    pub enum DropReason {
+        /// The CPU tier was full and the policy chose this chunk.
+        CpuPressure = "cpu-pressure",
+        /// An injected host-memory fault lost the copy.
+        HostLoss = "host-loss",
+        /// A checksum mismatch invalidated the copy.
+        HostCorruption = "host-corruption",
+        /// Persistent swap-in DMA failures forced a recompute fallback.
+        SwapInFault = "swap-in-fault",
+        /// The whole storage hierarchy below the CPU was full: the chunk fell
+        /// off the bottom (cold) tier.
+        ColdPressure = "cold-pressure",
+        /// A deep-tier read failed and the chunk's storage copy was discarded
+        /// in favour of recomputation.
+        ColdReadFault = "cold-read-fault",
     }
 
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "cpu-pressure" => Ok(DropReason::CpuPressure),
-            "host-loss" => Ok(DropReason::HostLoss),
-            "host-corruption" => Ok(DropReason::HostCorruption),
-            "swap-in-fault" => Ok(DropReason::SwapInFault),
-            "cold-pressure" => Ok(DropReason::ColdPressure),
-            "cold-read-fault" => Ok(DropReason::ColdReadFault),
-            other => Err(DeError::custom(format!("unknown drop reason {other:?}"))),
-        }
-    }
-}
-
-/// A host-side storage tier of the deep cache hierarchy (the GPU tier is
-/// never a demotion source or target, so it does not appear here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageTier {
-    /// Tier 1: host DRAM (the paper's CPU cache).
-    Cpu,
-    /// Tier 2: simulated NVMe SSD.
-    Ssd,
-    /// Tier 3: simulated NFS/object cold store (restart-durable).
-    Cold,
-}
-
-impl StorageTier {
-    /// Stable wire name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StorageTier::Cpu => "cpu",
-            StorageTier::Ssd => "ssd",
-            StorageTier::Cold => "cold",
-        }
+    /// A host-side storage tier of the deep cache hierarchy (the GPU tier is
+    /// never a demotion source or target, so it does not appear here).
+    pub enum StorageTier {
+        /// Tier 1: host DRAM (the paper's CPU cache).
+        Cpu = "cpu",
+        /// Tier 2: simulated NVMe SSD.
+        Ssd = "ssd",
+        /// Tier 3: simulated NFS/object cold store (restart-durable).
+        Cold = "cold",
     }
 
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "cpu" => Ok(StorageTier::Cpu),
-            "ssd" => Ok(StorageTier::Ssd),
-            "cold" => Ok(StorageTier::Cold),
-            other => Err(DeError::custom(format!("unknown storage tier {other:?}"))),
-        }
-    }
-}
-
-/// Which fault-recovery path the engine exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryKind {
-    /// A swap-in DMA failed or timed out and was retried after backoff.
-    SwapInRetry,
-    /// Swap-in retries were exhausted; the CPU chunks were dropped and
-    /// will be recomputed from raw tokens.
-    RecomputeFallback,
-    /// A transient GPU slot-allocation failure was absorbed by the
-    /// eviction backpressure pass.
-    GpuAllocFault,
-    /// An injected worker stall lengthened the iteration.
-    WorkerStall,
-    /// A deep-tier (SSD/cold) read failed; the affected chunks were
-    /// dropped and recomputed from raw tokens.
-    ColdReadFallback,
-    /// A session manifest read back from the cold store was torn (partial
-    /// write); rehydration was abandoned in favour of recomputation.
-    TornManifest,
-}
-
-impl RecoveryKind {
-    /// Stable wire name.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RecoveryKind::SwapInRetry => "swap-in-retry",
-            RecoveryKind::RecomputeFallback => "recompute-fallback",
-            RecoveryKind::GpuAllocFault => "gpu-alloc-fault",
-            RecoveryKind::WorkerStall => "worker-stall",
-            RecoveryKind::ColdReadFallback => "cold-read-fallback",
-            RecoveryKind::TornManifest => "torn-manifest",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, DeError> {
-        match s {
-            "swap-in-retry" => Ok(RecoveryKind::SwapInRetry),
-            "recompute-fallback" => Ok(RecoveryKind::RecomputeFallback),
-            "gpu-alloc-fault" => Ok(RecoveryKind::GpuAllocFault),
-            "worker-stall" => Ok(RecoveryKind::WorkerStall),
-            "cold-read-fallback" => Ok(RecoveryKind::ColdReadFallback),
-            "torn-manifest" => Ok(RecoveryKind::TornManifest),
-            other => Err(DeError::custom(format!("unknown recovery kind {other:?}"))),
-        }
+    /// Which fault-recovery path the engine exercised.
+    pub enum RecoveryKind {
+        /// A swap-in DMA failed or timed out and was retried after backoff.
+        SwapInRetry = "swap-in-retry",
+        /// Swap-in retries were exhausted; the CPU chunks were dropped and
+        /// will be recomputed from raw tokens.
+        RecomputeFallback = "recompute-fallback",
+        /// A transient GPU slot-allocation failure was absorbed by the
+        /// eviction backpressure pass.
+        GpuAllocFault = "gpu-alloc-fault",
+        /// An injected worker stall lengthened the iteration.
+        WorkerStall = "worker-stall",
+        /// A deep-tier (SSD/cold) read failed; the affected chunks were
+        /// dropped and recomputed from raw tokens.
+        ColdReadFallback = "cold-read-fallback",
+        /// A session manifest read back from the cold store was torn (partial
+        /// write); rehydration was abandoned in favour of recomputation.
+        TornManifest = "torn-manifest",
     }
 }
 
-/// One structured event recorded by the serving stack.
-///
-/// See `docs/OBSERVABILITY.md` for the full reference of every variant's
-/// meaning and wire format.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A scheduler iteration began (before admission).
-    IterationStart {
-        /// Simulated time at the start of the tick.
-        at: SimTime,
-        /// Zero-based iteration index.
-        iteration: u64,
-        /// Requests in the running batch at tick start.
-        running: usize,
-        /// Requests waiting for admission at tick start.
-        waiting: usize,
-    },
-    /// The iteration's batch was composed (after admission), with its
-    /// prefill/generation split.
-    BatchComposed {
-        /// Simulated time (still the tick start; compute has not run).
-        at: SimTime,
-        /// Zero-based iteration index.
-        iteration: u64,
-        /// Sequences doing prefill work this iteration.
-        prefill_seqs: usize,
-        /// Sequences doing single-token decode this iteration.
-        decode_seqs: usize,
-        /// Query tokens of prefill work in this iteration's invocation.
-        prefill_tokens: usize,
-        /// Query tokens of decode work (one per decode sequence).
-        decode_tokens: usize,
-    },
-    /// The iteration's model invocation completed and the clock advanced.
-    IterationEnd {
-        /// Simulated time after the clock advanced (= end of the tick).
-        at: SimTime,
-        /// Zero-based iteration index.
-        iteration: u64,
-        /// Link queueing delay that preceded compute.
-        queue_delay: SimDuration,
-        /// Model compute time, including any pipelined swap-in stall.
-        compute: SimDuration,
-        /// Injected worker-stall time (fault injection only).
-        stall: SimDuration,
-    },
-    /// A request was admitted and its Figure-5 restore plan committed.
-    /// The token fields are the per-turn cache-hit attribution.
-    Admitted {
-        /// Admission time.
-        at: SimTime,
-        /// Iteration that admitted the request.
-        iteration: u64,
-        /// Request id.
-        request: u64,
-        /// Conversation id.
-        conv: u64,
-        /// True when this resumes a suspended request rather than
-        /// starting a fresh turn.
-        resumed: bool,
-        /// New prompt tokens (0 for resumed requests).
-        prompt_tokens: usize,
-        /// History-tail tokens recomputed with the prompt (history the
-        /// cache never held, e.g. the previous turn's final token).
-        tail_tokens: usize,
-        /// History tokens served by the globally shared prefix.
-        shared_tokens: usize,
-        /// History tokens still GPU-resident (free hits).
-        gpu_hit_tokens: usize,
-        /// Lazily-copied tokens revalidated in place (free hits).
-        revalidate_tokens: usize,
-        /// History tokens swapped in from the CPU tier.
-        swap_in_tokens: usize,
-        /// Dropped history tokens recomputed from raw text.
-        recompute_tokens: usize,
-    },
-    /// A swap DMA was placed on the PCIe link (chunk swap-in/out start).
-    /// Under fault injection a failed DMA still records its start/end
-    /// pair: the aborted transfer occupied the link for its full duration.
-    SwapStart {
-        /// When the transfer starts moving bytes (after FIFO queueing).
-        at: SimTime,
-        /// Transfer direction.
-        dir: SwapDir,
-        /// Bytes transferred.
-        bytes: u64,
-    },
-    /// A swap DMA completed (chunk swap-in/out end).
-    SwapEnd {
-        /// Completion time.
-        at: SimTime,
-        /// Transfer direction.
-        dir: SwapDir,
-        /// Bytes transferred.
-        bytes: u64,
-    },
-    /// The eviction pass demoted a GPU-resident chunk: copied to the CPU
-    /// tier (ahead-of-time swap-out, `dropped = false`) or dropped
-    /// outright because the CPU tier could not hold it (`dropped = true`).
-    ChunkEvicted {
-        /// Eviction time.
-        at: SimTime,
-        /// Owning conversation.
-        conv: u64,
-        /// Chunk index within the conversation.
-        chunk: usize,
-        /// Tokens in the chunk.
-        tokens: usize,
-        /// True if dropped instead of copied.
-        dropped: bool,
-    },
-    /// A chunk's CPU-tier copy was discarded (the chunk must be
-    /// recomputed on its next restore unless the GPU still holds it).
-    ChunkDropped {
-        /// Drop time.
-        at: SimTime,
-        /// Owning conversation.
-        conv: u64,
-        /// Chunk index within the conversation.
-        chunk: usize,
-        /// Tokens in the chunk.
-        tokens: usize,
-        /// Why the copy was discarded.
-        reason: DropReason,
-    },
-    /// Memory pressure demoted a chunk one storage tier down (CPU→SSD,
-    /// SSD→cold, or CPU→cold when the SSD tier is disabled) instead of
-    /// dropping it.
-    ChunkDemoted {
-        /// Demotion time.
-        at: SimTime,
-        /// Owning conversation.
-        conv: u64,
-        /// Chunk index within the conversation.
-        chunk: usize,
-        /// Tokens in the chunk.
-        tokens: usize,
-        /// Tier the chunk left.
-        from: StorageTier,
-        /// Tier the chunk landed in.
-        to: StorageTier,
-    },
-    /// A restore revalidated lazily-copied tokens in place — their GPU
-    /// slots were never reclaimed, so the "swap-in" was free.
-    Revalidated {
-        /// Restore commit time.
-        at: SimTime,
-        /// Conversation restored.
-        conv: u64,
-        /// Tokens revalidated.
-        tokens: usize,
-    },
-    /// A restore committed a CPU→GPU swap-in of this many tokens.
-    SwapInCommitted {
-        /// Restore commit time.
-        at: SimTime,
-        /// Conversation restored.
-        conv: u64,
-        /// Tokens to transfer.
-        tokens: usize,
-    },
-    /// A restore committed recomputation of dropped tokens from raw text
-    /// (they run as extra prefill work in the admitting iteration).
-    RecomputeCommitted {
-        /// Restore commit time.
-        at: SimTime,
-        /// Conversation restored.
-        conv: u64,
-        /// Tokens to recompute.
-        tokens: usize,
-    },
-    /// A restore committed a deep-tier (SSD or cold) read of this many
-    /// tokens; they travel through the CPU staging path to the GPU.
-    TierReadCommitted {
-        /// Restore commit time.
-        at: SimTime,
-        /// Conversation restored.
-        conv: u64,
-        /// Tokens read back.
-        tokens: usize,
-        /// The tier the tokens were read from.
-        tier: StorageTier,
-    },
-    /// A running request was suspended (§4.3.5) and its GPU-resident
-    /// context moved to the CPU tier.
-    Suspended {
-        /// Suspension time.
-        at: SimTime,
-        /// Conversation suspended.
-        conv: u64,
-        /// Tokens that must be transferred GPU→CPU.
-        tokens: usize,
-    },
-    /// The engine exercised a fault-recovery path.
-    FaultRecovery {
-        /// When the recovery action was taken.
-        at: SimTime,
-        /// Affected conversation, when one is attributable.
-        conv: Option<u64>,
-        /// Which recovery path ran.
-        kind: RecoveryKind,
-        /// Tokens involved (e.g. the swap-in size being retried).
-        tokens: usize,
-    },
-    /// A request finished and its response was emitted.
-    RequestCompleted {
-        /// Finish time.
-        at: SimTime,
-        /// Request id.
-        request: u64,
-        /// Conversation id.
-        conv: u64,
-        /// Request arrival time.
-        arrival: SimTime,
-        /// When the first output token was emitted.
-        first_token: SimTime,
-        /// Output tokens generated.
-        output_tokens: usize,
-        /// Query tokens processed in prefill.
-        prefill_tokens: usize,
-        /// History tokens served from cache (incl. the shared prefix).
-        cached_tokens: usize,
-    },
-    /// `sim::gpu` timed an iteration whose swap-in was pipelined
-    /// layer-by-layer with compute (§4.3.3); `total - compute` is the
-    /// stall the transfer could not hide.
-    PipelinedSwapIn {
-        /// Start of the timed invocation.
-        at: SimTime,
-        /// Swap-in bytes overlapped with the invocation.
-        bytes: u64,
-        /// Pure compute time of the batch.
-        compute: SimDuration,
-        /// Total time including the transfer stall.
-        total: SimDuration,
-    },
-    /// One forward pass of the threaded tensor-parallel engine. The
-    /// threaded engine has no simulated clock, so `at` is always zero and
-    /// `pass` provides the logical ordering.
-    TpPass {
-        /// Always [`SimTime::ZERO`] (no simulated clock in real-thread
-        /// execution).
-        at: SimTime,
-        /// Monotonic pass counter.
-        pass: u64,
-        /// Conversation served.
-        conv: u64,
-        /// Query tokens in the pass.
-        query_tokens: usize,
-        /// Worker shards that participated.
-        shards: usize,
-    },
-    /// A cluster router placed a request on a replica.
-    Routed {
-        /// Routing decision time (the request's arrival at the router).
-        at: SimTime,
-        /// Request id.
-        request: u64,
-        /// Conversation id.
-        conv: u64,
-        /// Chosen replica index.
-        replica: usize,
-        /// KV-tokens of the conversation already cached at that replica.
-        cached_tokens: usize,
-    },
-    /// A conversation migration began: its KV chunks stream from the
-    /// source replica to the target over the inter-node link.
-    MigrationStart {
-        /// When the handoff was initiated.
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Source replica index.
-        from: usize,
-        /// Target replica index.
-        to: usize,
-        /// Chunks to stream.
-        chunks: usize,
-        /// Total KV bytes to stream.
-        bytes: u64,
-    },
-    /// A conversation migration finished; lost tokens fall back to
-    /// Pensieve's dropped-token recomputation at the target.
-    MigrationEnd {
-        /// When the last chunk landed (or was detected lost).
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Target replica index.
-        to: usize,
-        /// Tokens delivered to the target's CPU tier.
-        streamed_tokens: usize,
-        /// Tokens lost in transit (recomputed at the target).
-        lost_tokens: usize,
-    },
-    /// A replica was fault-injected dead; its in-flight and queued
-    /// requests are re-routed and its KV state is gone.
-    ReplicaFailed {
-        /// Failure time.
-        at: SimTime,
-        /// The dead replica's index.
-        replica: usize,
-        /// Requests re-queued onto surviving replicas.
-        requeued: usize,
-    },
-    /// A replication flush streamed a session's pending KV delta from its
-    /// primary replica to the designated standby.
-    ReplicationFlush {
-        /// When the delta was put on the wire.
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Primary (source) replica index.
-        from: usize,
-        /// Standby (target) replica index.
-        to: usize,
-        /// Delta tokens streamed in this flush.
-        tokens: usize,
-        /// KV bytes of the delta.
-        bytes: u64,
-        /// True if the delta was lost in transit (it stays pending and
-        /// is re-streamed by a later flush).
-        lost: bool,
-    },
-    /// A standby was promoted after its primary fail-stopped: replicated
-    /// chunks were imported at the standby and only the unreplicated
-    /// suffix falls back to dropped-chunk recompute.
-    StandbyPromoted {
-        /// When the promotion completed (replicated state usable at the
-        /// standby; in-flight replication deltas have landed).
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// The dead primary's index.
-        from: usize,
-        /// The promoted standby's index.
-        to: usize,
-        /// Tokens restored from replicated state.
-        replicated_tokens: usize,
-        /// Unreplicated suffix tokens (replication lag at crash) that
-        /// must be recomputed from raw text.
-        lag_tokens: usize,
-        /// Crash-to-promotion latency.
-        latency: SimDuration,
-    },
-    /// The inter-node fabric partitioned: transfers cannot start inside
-    /// the window (in-flight transfers complete).
-    LinkPartitioned {
-        /// Window start.
-        at: SimTime,
-        /// Window end.
-        until: SimTime,
-    },
-    /// A session's chunk manifest was serialized to the cold store,
-    /// making the conversation rehydratable across a restart.
-    ManifestPersisted {
-        /// When the manifest write was issued.
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Context tokens covered by the manifest.
-        tokens: usize,
-        /// Serialized manifest bytes written.
-        bytes: u64,
-        /// True when an injected torn-write fault truncated the manifest
-        /// (detected by checksum at rehydration time).
-        torn: bool,
-    },
-    /// A restarted or failed-over replica rebuilt a conversation's cache
-    /// state from its cold-store manifest instead of recomputing it.
-    SessionRehydrated {
-        /// When the rehydrated state became usable at the replica.
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Tokens admitted back into the cache's cold tier.
-        tokens: usize,
-        /// The rehydrating replica's index.
-        replica: usize,
-    },
-    /// A conversation attached to a content-addressed shared chunk chain
-    /// (tool preamble, RAG document, or forked history): its leading
-    /// context is now served by refcounted chunks shared with every other
-    /// sharer instead of a private copy.
-    SharedAttached {
-        /// Attach time (first admission of the conversation).
-        at: SimTime,
-        /// Conversation id.
-        conv: u64,
-        /// Context tokens covered by the shared chain.
-        tokens: usize,
-        /// Chunks in the attached chain.
-        chunks: usize,
-    },
-    /// The eviction pass moved a content-addressed shared chunk down the
-    /// hierarchy (`dropped = false`) or discarded it because its last
-    /// reference had been released (`dropped = true`). Shared chunks are
-    /// identified by their content hash, not an owning conversation.
-    SharedChunkEvicted {
-        /// Eviction time.
-        at: SimTime,
-        /// The chunk's content-addressed id.
-        chunk: u64,
-        /// Tokens in the chunk.
-        tokens: usize,
-        /// Conversations still referencing the chunk at eviction time.
-        refs: usize,
-        /// True if dropped instead of demoted one tier down.
-        dropped: bool,
-    },
+/// Reads key `key` of the event object `v` as a `T`; the key is named in
+/// the error when it is absent or its value is not a valid `T`.
+fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, DeError> {
+    let raw = v
+        .get(key)
+        .ok_or_else(|| DeError::custom(format!("missing field {key:?}")))?;
+    T::from_value(raw).map_err(|e| DeError::custom(format!("field {key:?}: {e}")))
 }
 
-/// Every variant name, in declaration order. The docs-coverage test
-/// asserts each appears in `docs/OBSERVABILITY.md`.
-pub const VARIANTS: &[&str] = &[
-    "IterationStart",
-    "BatchComposed",
-    "IterationEnd",
-    "Admitted",
-    "SwapStart",
-    "SwapEnd",
-    "ChunkEvicted",
-    "ChunkDropped",
-    "ChunkDemoted",
-    "Revalidated",
-    "SwapInCommitted",
-    "RecomputeCommitted",
-    "TierReadCommitted",
-    "Suspended",
-    "FaultRecovery",
-    "RequestCompleted",
-    "PipelinedSwapIn",
-    "TpPass",
-    "Routed",
-    "MigrationStart",
-    "MigrationEnd",
-    "ReplicaFailed",
-    "ReplicationFlush",
-    "StandbyPromoted",
-    "LinkPartitioned",
-    "ManifestPersisted",
-    "SessionRehydrated",
-    "SharedAttached",
-    "SharedChunkEvicted",
-];
+/// Expands the event table: the enum, [`VARIANTS`], the name and timestamp
+/// accessors, and both JSON directions. Every variant must have an
+/// `at: SimTime` field (the generated [`TraceEvent::at`] does not compile
+/// otherwise), and every field type must be `Serialize + Deserialize`.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {$(
+            $(#[$vmeta:meta])*
+            $variant:ident {
+                $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+            },
+        )*}
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $name {$(
+            $(#[$vmeta])*
+            $variant {
+                $( $(#[$fmeta])* $field: $ty, )*
+            },
+        )*}
 
-impl TraceEvent {
-    /// The variant's wire name (the JSON `"ev"` field).
-    #[must_use]
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            TraceEvent::IterationStart { .. } => "IterationStart",
-            TraceEvent::BatchComposed { .. } => "BatchComposed",
-            TraceEvent::IterationEnd { .. } => "IterationEnd",
-            TraceEvent::Admitted { .. } => "Admitted",
-            TraceEvent::SwapStart { .. } => "SwapStart",
-            TraceEvent::SwapEnd { .. } => "SwapEnd",
-            TraceEvent::ChunkEvicted { .. } => "ChunkEvicted",
-            TraceEvent::ChunkDropped { .. } => "ChunkDropped",
-            TraceEvent::ChunkDemoted { .. } => "ChunkDemoted",
-            TraceEvent::Revalidated { .. } => "Revalidated",
-            TraceEvent::SwapInCommitted { .. } => "SwapInCommitted",
-            TraceEvent::RecomputeCommitted { .. } => "RecomputeCommitted",
-            TraceEvent::TierReadCommitted { .. } => "TierReadCommitted",
-            TraceEvent::Suspended { .. } => "Suspended",
-            TraceEvent::FaultRecovery { .. } => "FaultRecovery",
-            TraceEvent::RequestCompleted { .. } => "RequestCompleted",
-            TraceEvent::PipelinedSwapIn { .. } => "PipelinedSwapIn",
-            TraceEvent::TpPass { .. } => "TpPass",
-            TraceEvent::Routed { .. } => "Routed",
-            TraceEvent::MigrationStart { .. } => "MigrationStart",
-            TraceEvent::MigrationEnd { .. } => "MigrationEnd",
-            TraceEvent::ReplicaFailed { .. } => "ReplicaFailed",
-            TraceEvent::ReplicationFlush { .. } => "ReplicationFlush",
-            TraceEvent::StandbyPromoted { .. } => "StandbyPromoted",
-            TraceEvent::LinkPartitioned { .. } => "LinkPartitioned",
-            TraceEvent::ManifestPersisted { .. } => "ManifestPersisted",
-            TraceEvent::SessionRehydrated { .. } => "SessionRehydrated",
-            TraceEvent::SharedAttached { .. } => "SharedAttached",
-            TraceEvent::SharedChunkEvicted { .. } => "SharedChunkEvicted",
+        /// Every variant name, in declaration order. The docs-coverage test
+        /// asserts each appears in `docs/OBSERVABILITY.md`.
+        pub const VARIANTS: &[&str] = &[$( stringify!($variant) ),*];
+
+        impl $name {
+            /// The variant's wire name (the JSON `"ev"` field).
+            #[must_use]
+            pub fn variant_name(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => stringify!($variant), )*
+                }
+            }
+
+            /// The event's timestamp.
+            #[must_use]
+            pub fn at(&self) -> SimTime {
+                match self {
+                    $( $name::$variant { at, .. } )|* => *at,
+                }
+            }
         }
-    }
 
-    /// The event's timestamp.
-    #[must_use]
-    pub fn at(&self) -> SimTime {
-        match self {
-            TraceEvent::IterationStart { at, .. }
-            | TraceEvent::BatchComposed { at, .. }
-            | TraceEvent::IterationEnd { at, .. }
-            | TraceEvent::Admitted { at, .. }
-            | TraceEvent::SwapStart { at, .. }
-            | TraceEvent::SwapEnd { at, .. }
-            | TraceEvent::ChunkEvicted { at, .. }
-            | TraceEvent::ChunkDropped { at, .. }
-            | TraceEvent::ChunkDemoted { at, .. }
-            | TraceEvent::Revalidated { at, .. }
-            | TraceEvent::SwapInCommitted { at, .. }
-            | TraceEvent::RecomputeCommitted { at, .. }
-            | TraceEvent::TierReadCommitted { at, .. }
-            | TraceEvent::Suspended { at, .. }
-            | TraceEvent::FaultRecovery { at, .. }
-            | TraceEvent::RequestCompleted { at, .. }
-            | TraceEvent::PipelinedSwapIn { at, .. }
-            | TraceEvent::TpPass { at, .. }
-            | TraceEvent::Routed { at, .. }
-            | TraceEvent::MigrationStart { at, .. }
-            | TraceEvent::MigrationEnd { at, .. }
-            | TraceEvent::ReplicaFailed { at, .. }
-            | TraceEvent::ReplicationFlush { at, .. }
-            | TraceEvent::StandbyPromoted { at, .. }
-            | TraceEvent::LinkPartitioned { at, .. }
-            | TraceEvent::ManifestPersisted { at, .. }
-            | TraceEvent::SessionRehydrated { at, .. }
-            | TraceEvent::SharedAttached { at, .. }
-            | TraceEvent::SharedChunkEvicted { at, .. } => *at,
+        impl Serialize for $name {
+            fn to_value(&self) -> Value {
+                let mut m = Map::new();
+                m.insert("ev".to_owned(), self.variant_name().to_value());
+                match self {$(
+                    $name::$variant { $( $field ),* } => {
+                        $( m.insert(stringify!($field).to_owned(), $field.to_value()); )*
+                    }
+                )*}
+                Value::Object(m)
+            }
         }
-    }
-}
 
-/// Builds the `"ev"`-tagged object for one event.
-fn obj(ev: &str, fields: &[(&str, Value)]) -> Value {
-    let mut m = Map::new();
-    m.insert("ev".to_owned(), Value::String(ev.to_owned()));
-    for (k, v) in fields {
-        m.insert((*k).to_owned(), v.clone());
-    }
-    Value::Object(m)
-}
-
-fn num(x: f64) -> Value {
-    Value::Number(x)
-}
-
-fn time(t: SimTime) -> Value {
-    num(t.as_secs())
-}
-
-fn dur(d: SimDuration) -> Value {
-    num(d.as_secs())
-}
-
-fn get<'v>(v: &'v Value, key: &str) -> Result<&'v Value, DeError> {
-    v.get(key)
-        .ok_or_else(|| DeError::custom(format!("missing field {key:?}")))
-}
-
-fn f_time(v: &Value, key: &str) -> Result<SimTime, DeError> {
-    Ok(SimTime::from_secs(f64::from_value(get(v, key)?)?))
-}
-
-fn f_dur(v: &Value, key: &str) -> Result<SimDuration, DeError> {
-    Ok(SimDuration::from_secs(f64::from_value(get(v, key)?)?))
-}
-
-fn f_u64(v: &Value, key: &str) -> Result<u64, DeError> {
-    u64::from_value(get(v, key)?)
-}
-
-fn f_usize(v: &Value, key: &str) -> Result<usize, DeError> {
-    usize::from_value(get(v, key)?)
-}
-
-fn f_bool(v: &Value, key: &str) -> Result<bool, DeError> {
-    bool::from_value(get(v, key)?)
-}
-
-fn f_str(v: &Value, key: &str) -> Result<String, DeError> {
-    String::from_value(get(v, key)?)
-}
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        match self {
-            TraceEvent::IterationStart {
-                at,
-                iteration,
-                running,
-                waiting,
-            } => obj(
-                "IterationStart",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("running", num(*running as f64)),
-                    ("waiting", num(*waiting as f64)),
-                ],
-            ),
-            TraceEvent::BatchComposed {
-                at,
-                iteration,
-                prefill_seqs,
-                decode_seqs,
-                prefill_tokens,
-                decode_tokens,
-            } => obj(
-                "BatchComposed",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("prefill_seqs", num(*prefill_seqs as f64)),
-                    ("decode_seqs", num(*decode_seqs as f64)),
-                    ("prefill_tokens", num(*prefill_tokens as f64)),
-                    ("decode_tokens", num(*decode_tokens as f64)),
-                ],
-            ),
-            TraceEvent::IterationEnd {
-                at,
-                iteration,
-                queue_delay,
-                compute,
-                stall,
-            } => obj(
-                "IterationEnd",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("queue_delay", dur(*queue_delay)),
-                    ("compute", dur(*compute)),
-                    ("stall", dur(*stall)),
-                ],
-            ),
-            TraceEvent::Admitted {
-                at,
-                iteration,
-                request,
-                conv,
-                resumed,
-                prompt_tokens,
-                tail_tokens,
-                shared_tokens,
-                gpu_hit_tokens,
-                revalidate_tokens,
-                swap_in_tokens,
-                recompute_tokens,
-            } => obj(
-                "Admitted",
-                &[
-                    ("at", time(*at)),
-                    ("iteration", num(*iteration as f64)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("resumed", Value::Bool(*resumed)),
-                    ("prompt_tokens", num(*prompt_tokens as f64)),
-                    ("tail_tokens", num(*tail_tokens as f64)),
-                    ("shared_tokens", num(*shared_tokens as f64)),
-                    ("gpu_hit_tokens", num(*gpu_hit_tokens as f64)),
-                    ("revalidate_tokens", num(*revalidate_tokens as f64)),
-                    ("swap_in_tokens", num(*swap_in_tokens as f64)),
-                    ("recompute_tokens", num(*recompute_tokens as f64)),
-                ],
-            ),
-            TraceEvent::SwapStart { at, dir, bytes } => obj(
-                "SwapStart",
-                &[
-                    ("at", time(*at)),
-                    ("dir", Value::String(dir.as_str().to_owned())),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::SwapEnd { at, dir, bytes } => obj(
-                "SwapEnd",
-                &[
-                    ("at", time(*at)),
-                    ("dir", Value::String(dir.as_str().to_owned())),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::ChunkEvicted {
-                at,
-                conv,
-                chunk,
-                tokens,
-                dropped,
-            } => obj(
-                "ChunkEvicted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("dropped", Value::Bool(*dropped)),
-                ],
-            ),
-            TraceEvent::ChunkDropped {
-                at,
-                conv,
-                chunk,
-                tokens,
-                reason,
-            } => obj(
-                "ChunkDropped",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("reason", Value::String(reason.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::ChunkDemoted {
-                at,
-                conv,
-                chunk,
-                tokens,
-                from,
-                to,
-            } => obj(
-                "ChunkDemoted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("from", Value::String(from.as_str().to_owned())),
-                    ("to", Value::String(to.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::Revalidated { at, conv, tokens } => obj(
-                "Revalidated",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::SwapInCommitted { at, conv, tokens } => obj(
-                "SwapInCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::RecomputeCommitted { at, conv, tokens } => obj(
-                "RecomputeCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::TierReadCommitted {
-                at,
-                conv,
-                tokens,
-                tier,
-            } => obj(
-                "TierReadCommitted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("tier", Value::String(tier.as_str().to_owned())),
-                ],
-            ),
-            TraceEvent::Suspended { at, conv, tokens } => obj(
-                "Suspended",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::FaultRecovery {
-                at,
-                conv,
-                kind,
-                tokens,
-            } => obj(
-                "FaultRecovery",
-                &[
-                    ("at", time(*at)),
-                    ("conv", conv.map_or(Value::Null, |c| num(c as f64))),
-                    ("kind", Value::String(kind.as_str().to_owned())),
-                    ("tokens", num(*tokens as f64)),
-                ],
-            ),
-            TraceEvent::RequestCompleted {
-                at,
-                request,
-                conv,
-                arrival,
-                first_token,
-                output_tokens,
-                prefill_tokens,
-                cached_tokens,
-            } => obj(
-                "RequestCompleted",
-                &[
-                    ("at", time(*at)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("arrival", time(*arrival)),
-                    ("first_token", time(*first_token)),
-                    ("output_tokens", num(*output_tokens as f64)),
-                    ("prefill_tokens", num(*prefill_tokens as f64)),
-                    ("cached_tokens", num(*cached_tokens as f64)),
-                ],
-            ),
-            TraceEvent::PipelinedSwapIn {
-                at,
-                bytes,
-                compute,
-                total,
-            } => obj(
-                "PipelinedSwapIn",
-                &[
-                    ("at", time(*at)),
-                    ("bytes", num(*bytes as f64)),
-                    ("compute", dur(*compute)),
-                    ("total", dur(*total)),
-                ],
-            ),
-            TraceEvent::TpPass {
-                at,
-                pass,
-                conv,
-                query_tokens,
-                shards,
-            } => obj(
-                "TpPass",
-                &[
-                    ("at", time(*at)),
-                    ("pass", num(*pass as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("query_tokens", num(*query_tokens as f64)),
-                    ("shards", num(*shards as f64)),
-                ],
-            ),
-            TraceEvent::Routed {
-                at,
-                request,
-                conv,
-                replica,
-                cached_tokens,
-            } => obj(
-                "Routed",
-                &[
-                    ("at", time(*at)),
-                    ("request", num(*request as f64)),
-                    ("conv", num(*conv as f64)),
-                    ("replica", num(*replica as f64)),
-                    ("cached_tokens", num(*cached_tokens as f64)),
-                ],
-            ),
-            TraceEvent::MigrationStart {
-                at,
-                conv,
-                from,
-                to,
-                chunks,
-                bytes,
-            } => obj(
-                "MigrationStart",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("chunks", num(*chunks as f64)),
-                    ("bytes", num(*bytes as f64)),
-                ],
-            ),
-            TraceEvent::MigrationEnd {
-                at,
-                conv,
-                to,
-                streamed_tokens,
-                lost_tokens,
-            } => obj(
-                "MigrationEnd",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("to", num(*to as f64)),
-                    ("streamed_tokens", num(*streamed_tokens as f64)),
-                    ("lost_tokens", num(*lost_tokens as f64)),
-                ],
-            ),
-            TraceEvent::ReplicaFailed {
-                at,
-                replica,
-                requeued,
-            } => obj(
-                "ReplicaFailed",
-                &[
-                    ("at", time(*at)),
-                    ("replica", num(*replica as f64)),
-                    ("requeued", num(*requeued as f64)),
-                ],
-            ),
-            TraceEvent::ReplicationFlush {
-                at,
-                conv,
-                from,
-                to,
-                tokens,
-                bytes,
-                lost,
-            } => obj(
-                "ReplicationFlush",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("bytes", num(*bytes as f64)),
-                    ("lost", Value::Bool(*lost)),
-                ],
-            ),
-            TraceEvent::StandbyPromoted {
-                at,
-                conv,
-                from,
-                to,
-                replicated_tokens,
-                lag_tokens,
-                latency,
-            } => obj(
-                "StandbyPromoted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("from", num(*from as f64)),
-                    ("to", num(*to as f64)),
-                    ("replicated_tokens", num(*replicated_tokens as f64)),
-                    ("lag_tokens", num(*lag_tokens as f64)),
-                    ("latency", dur(*latency)),
-                ],
-            ),
-            TraceEvent::LinkPartitioned { at, until } => obj(
-                "LinkPartitioned",
-                &[("at", time(*at)), ("until", time(*until))],
-            ),
-            TraceEvent::ManifestPersisted {
-                at,
-                conv,
-                tokens,
-                bytes,
-                torn,
-            } => obj(
-                "ManifestPersisted",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("bytes", num(*bytes as f64)),
-                    ("torn", Value::Bool(*torn)),
-                ],
-            ),
-            TraceEvent::SessionRehydrated {
-                at,
-                conv,
-                tokens,
-                replica,
-            } => obj(
-                "SessionRehydrated",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("replica", num(*replica as f64)),
-                ],
-            ),
-            TraceEvent::SharedAttached {
-                at,
-                conv,
-                tokens,
-                chunks,
-            } => obj(
-                "SharedAttached",
-                &[
-                    ("at", time(*at)),
-                    ("conv", num(*conv as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("chunks", num(*chunks as f64)),
-                ],
-            ),
-            TraceEvent::SharedChunkEvicted {
-                at,
-                chunk,
-                tokens,
-                refs,
-                dropped,
-            } => obj(
-                "SharedChunkEvicted",
-                &[
-                    ("at", time(*at)),
-                    ("chunk", num(*chunk as f64)),
-                    ("tokens", num(*tokens as f64)),
-                    ("refs", num(*refs as f64)),
-                    ("dropped", Value::Bool(*dropped)),
-                ],
-            ),
+        impl Deserialize for $name {
+            fn from_value(v: &Value) -> Result<Self, DeError> {
+                match field::<String>(v, "ev")?.as_str() {
+                    $( stringify!($variant) => Ok($name::$variant {
+                        $( $field: field(v, stringify!($field))?, )*
+                    }), )*
+                    other => Err(DeError::custom(format!("unknown event variant {other:?}"))),
+                }
+            }
         }
-    }
+    };
 }
 
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let ev = f_str(v, "ev")?;
-        match ev.as_str() {
-            "IterationStart" => Ok(TraceEvent::IterationStart {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                running: f_usize(v, "running")?,
-                waiting: f_usize(v, "waiting")?,
-            }),
-            "BatchComposed" => Ok(TraceEvent::BatchComposed {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                prefill_seqs: f_usize(v, "prefill_seqs")?,
-                decode_seqs: f_usize(v, "decode_seqs")?,
-                prefill_tokens: f_usize(v, "prefill_tokens")?,
-                decode_tokens: f_usize(v, "decode_tokens")?,
-            }),
-            "IterationEnd" => Ok(TraceEvent::IterationEnd {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                queue_delay: f_dur(v, "queue_delay")?,
-                compute: f_dur(v, "compute")?,
-                stall: f_dur(v, "stall")?,
-            }),
-            "Admitted" => Ok(TraceEvent::Admitted {
-                at: f_time(v, "at")?,
-                iteration: f_u64(v, "iteration")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                resumed: f_bool(v, "resumed")?,
-                prompt_tokens: f_usize(v, "prompt_tokens")?,
-                tail_tokens: f_usize(v, "tail_tokens")?,
-                shared_tokens: f_usize(v, "shared_tokens")?,
-                gpu_hit_tokens: f_usize(v, "gpu_hit_tokens")?,
-                revalidate_tokens: f_usize(v, "revalidate_tokens")?,
-                swap_in_tokens: f_usize(v, "swap_in_tokens")?,
-                recompute_tokens: f_usize(v, "recompute_tokens")?,
-            }),
-            "SwapStart" => Ok(TraceEvent::SwapStart {
-                at: f_time(v, "at")?,
-                dir: SwapDir::parse(&f_str(v, "dir")?)?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "SwapEnd" => Ok(TraceEvent::SwapEnd {
-                at: f_time(v, "at")?,
-                dir: SwapDir::parse(&f_str(v, "dir")?)?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "ChunkEvicted" => Ok(TraceEvent::ChunkEvicted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                dropped: f_bool(v, "dropped")?,
-            }),
-            "ChunkDropped" => Ok(TraceEvent::ChunkDropped {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                reason: DropReason::parse(&f_str(v, "reason")?)?,
-            }),
-            "ChunkDemoted" => Ok(TraceEvent::ChunkDemoted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                chunk: f_usize(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                from: StorageTier::parse(&f_str(v, "from")?)?,
-                to: StorageTier::parse(&f_str(v, "to")?)?,
-            }),
-            "Revalidated" => Ok(TraceEvent::Revalidated {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "SwapInCommitted" => Ok(TraceEvent::SwapInCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "RecomputeCommitted" => Ok(TraceEvent::RecomputeCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "TierReadCommitted" => Ok(TraceEvent::TierReadCommitted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                tier: StorageTier::parse(&f_str(v, "tier")?)?,
-            }),
-            "Suspended" => Ok(TraceEvent::Suspended {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "FaultRecovery" => Ok(TraceEvent::FaultRecovery {
-                at: f_time(v, "at")?,
-                conv: Option::<u64>::from_value(get(v, "conv")?)?,
-                kind: RecoveryKind::parse(&f_str(v, "kind")?)?,
-                tokens: f_usize(v, "tokens")?,
-            }),
-            "RequestCompleted" => Ok(TraceEvent::RequestCompleted {
-                at: f_time(v, "at")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                arrival: f_time(v, "arrival")?,
-                first_token: f_time(v, "first_token")?,
-                output_tokens: f_usize(v, "output_tokens")?,
-                prefill_tokens: f_usize(v, "prefill_tokens")?,
-                cached_tokens: f_usize(v, "cached_tokens")?,
-            }),
-            "PipelinedSwapIn" => Ok(TraceEvent::PipelinedSwapIn {
-                at: f_time(v, "at")?,
-                bytes: f_u64(v, "bytes")?,
-                compute: f_dur(v, "compute")?,
-                total: f_dur(v, "total")?,
-            }),
-            "TpPass" => Ok(TraceEvent::TpPass {
-                at: f_time(v, "at")?,
-                pass: f_u64(v, "pass")?,
-                conv: f_u64(v, "conv")?,
-                query_tokens: f_usize(v, "query_tokens")?,
-                shards: f_usize(v, "shards")?,
-            }),
-            "Routed" => Ok(TraceEvent::Routed {
-                at: f_time(v, "at")?,
-                request: f_u64(v, "request")?,
-                conv: f_u64(v, "conv")?,
-                replica: f_usize(v, "replica")?,
-                cached_tokens: f_usize(v, "cached_tokens")?,
-            }),
-            "MigrationStart" => Ok(TraceEvent::MigrationStart {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                chunks: f_usize(v, "chunks")?,
-                bytes: f_u64(v, "bytes")?,
-            }),
-            "MigrationEnd" => Ok(TraceEvent::MigrationEnd {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                to: f_usize(v, "to")?,
-                streamed_tokens: f_usize(v, "streamed_tokens")?,
-                lost_tokens: f_usize(v, "lost_tokens")?,
-            }),
-            "ReplicaFailed" => Ok(TraceEvent::ReplicaFailed {
-                at: f_time(v, "at")?,
-                replica: f_usize(v, "replica")?,
-                requeued: f_usize(v, "requeued")?,
-            }),
-            "ReplicationFlush" => Ok(TraceEvent::ReplicationFlush {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                tokens: f_usize(v, "tokens")?,
-                bytes: f_u64(v, "bytes")?,
-                lost: f_bool(v, "lost")?,
-            }),
-            "StandbyPromoted" => Ok(TraceEvent::StandbyPromoted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                from: f_usize(v, "from")?,
-                to: f_usize(v, "to")?,
-                replicated_tokens: f_usize(v, "replicated_tokens")?,
-                lag_tokens: f_usize(v, "lag_tokens")?,
-                latency: f_dur(v, "latency")?,
-            }),
-            "LinkPartitioned" => Ok(TraceEvent::LinkPartitioned {
-                at: f_time(v, "at")?,
-                until: f_time(v, "until")?,
-            }),
-            "ManifestPersisted" => Ok(TraceEvent::ManifestPersisted {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                bytes: f_u64(v, "bytes")?,
-                torn: f_bool(v, "torn")?,
-            }),
-            "SessionRehydrated" => Ok(TraceEvent::SessionRehydrated {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                replica: f_usize(v, "replica")?,
-            }),
-            "SharedAttached" => Ok(TraceEvent::SharedAttached {
-                at: f_time(v, "at")?,
-                conv: f_u64(v, "conv")?,
-                tokens: f_usize(v, "tokens")?,
-                chunks: f_usize(v, "chunks")?,
-            }),
-            "SharedChunkEvicted" => Ok(TraceEvent::SharedChunkEvicted {
-                at: f_time(v, "at")?,
-                chunk: f_u64(v, "chunk")?,
-                tokens: f_usize(v, "tokens")?,
-                refs: f_usize(v, "refs")?,
-                dropped: f_bool(v, "dropped")?,
-            }),
-            other => Err(DeError::custom(format!("unknown event variant {other:?}"))),
-        }
+trace_events! {
+    /// One structured event recorded by the serving stack.
+    ///
+    /// See `docs/OBSERVABILITY.md` for the full reference of every variant's
+    /// meaning and wire format.
+    pub enum TraceEvent {
+        /// A scheduler iteration began (before admission).
+        IterationStart {
+            /// Simulated time at the start of the tick.
+            at: SimTime,
+            /// Zero-based iteration index.
+            iteration: u64,
+            /// Requests in the running batch at tick start.
+            running: usize,
+            /// Requests waiting for admission at tick start.
+            waiting: usize,
+        },
+        /// The iteration's batch was composed (after admission), with its
+        /// prefill/generation split.
+        BatchComposed {
+            /// Simulated time (still the tick start; compute has not run).
+            at: SimTime,
+            /// Zero-based iteration index.
+            iteration: u64,
+            /// Sequences doing prefill work this iteration.
+            prefill_seqs: usize,
+            /// Sequences doing single-token decode this iteration.
+            decode_seqs: usize,
+            /// Query tokens of prefill work in this iteration's invocation.
+            prefill_tokens: usize,
+            /// Query tokens of decode work (one per decode sequence).
+            decode_tokens: usize,
+        },
+        /// The iteration's model invocation completed and the clock advanced.
+        IterationEnd {
+            /// Simulated time after the clock advanced (= end of the tick).
+            at: SimTime,
+            /// Zero-based iteration index.
+            iteration: u64,
+            /// Link queueing delay that preceded compute.
+            queue_delay: SimDuration,
+            /// Model compute time, including any pipelined swap-in stall.
+            compute: SimDuration,
+            /// Injected worker-stall time (fault injection only).
+            stall: SimDuration,
+        },
+        /// A request was admitted and its Figure-5 restore plan committed.
+        /// The token fields are the per-turn cache-hit attribution.
+        Admitted {
+            /// Admission time.
+            at: SimTime,
+            /// Iteration that admitted the request.
+            iteration: u64,
+            /// Request id.
+            request: u64,
+            /// Conversation id.
+            conv: u64,
+            /// True when this resumes a suspended request rather than
+            /// starting a fresh turn.
+            resumed: bool,
+            /// New prompt tokens (0 for resumed requests).
+            prompt_tokens: usize,
+            /// History-tail tokens recomputed with the prompt (history the
+            /// cache never held, e.g. the previous turn's final token).
+            tail_tokens: usize,
+            /// History tokens served by the globally shared prefix.
+            shared_tokens: usize,
+            /// History tokens still GPU-resident (free hits).
+            gpu_hit_tokens: usize,
+            /// Lazily-copied tokens revalidated in place (free hits).
+            revalidate_tokens: usize,
+            /// History tokens swapped in from the CPU tier.
+            swap_in_tokens: usize,
+            /// Dropped history tokens recomputed from raw text.
+            recompute_tokens: usize,
+        },
+        /// A swap DMA was placed on the PCIe link (chunk swap-in/out start).
+        /// Under fault injection a failed DMA still records its start/end
+        /// pair: the aborted transfer occupied the link for its full duration.
+        SwapStart {
+            /// When the transfer starts moving bytes (after FIFO queueing).
+            at: SimTime,
+            /// Transfer direction.
+            dir: SwapDir,
+            /// Bytes transferred.
+            bytes: u64,
+        },
+        /// A swap DMA completed (chunk swap-in/out end).
+        SwapEnd {
+            /// Completion time.
+            at: SimTime,
+            /// Transfer direction.
+            dir: SwapDir,
+            /// Bytes transferred.
+            bytes: u64,
+        },
+        /// The eviction pass demoted a GPU-resident chunk: copied to the CPU
+        /// tier (ahead-of-time swap-out, `dropped = false`) or dropped
+        /// outright because the CPU tier could not hold it (`dropped = true`).
+        ChunkEvicted {
+            /// Eviction time.
+            at: SimTime,
+            /// Owning conversation.
+            conv: u64,
+            /// Chunk index within the conversation.
+            chunk: usize,
+            /// Tokens in the chunk.
+            tokens: usize,
+            /// True if dropped instead of copied.
+            dropped: bool,
+        },
+        /// A chunk's CPU-tier copy was discarded (the chunk must be
+        /// recomputed on its next restore unless the GPU still holds it).
+        ChunkDropped {
+            /// Drop time.
+            at: SimTime,
+            /// Owning conversation.
+            conv: u64,
+            /// Chunk index within the conversation.
+            chunk: usize,
+            /// Tokens in the chunk.
+            tokens: usize,
+            /// Why the copy was discarded.
+            reason: DropReason,
+        },
+        /// Memory pressure demoted a chunk one storage tier down (CPU→SSD,
+        /// SSD→cold, or CPU→cold when the SSD tier is disabled) instead of
+        /// dropping it.
+        ChunkDemoted {
+            /// Demotion time.
+            at: SimTime,
+            /// Owning conversation.
+            conv: u64,
+            /// Chunk index within the conversation.
+            chunk: usize,
+            /// Tokens in the chunk.
+            tokens: usize,
+            /// Tier the chunk left.
+            from: StorageTier,
+            /// Tier the chunk landed in.
+            to: StorageTier,
+        },
+        /// A restore revalidated lazily-copied tokens in place — their GPU
+        /// slots were never reclaimed, so the "swap-in" was free.
+        Revalidated {
+            /// Restore commit time.
+            at: SimTime,
+            /// Conversation restored.
+            conv: u64,
+            /// Tokens revalidated.
+            tokens: usize,
+        },
+        /// A restore committed a CPU→GPU swap-in of this many tokens.
+        SwapInCommitted {
+            /// Restore commit time.
+            at: SimTime,
+            /// Conversation restored.
+            conv: u64,
+            /// Tokens to transfer.
+            tokens: usize,
+        },
+        /// A restore committed recomputation of dropped tokens from raw text
+        /// (they run as extra prefill work in the admitting iteration).
+        RecomputeCommitted {
+            /// Restore commit time.
+            at: SimTime,
+            /// Conversation restored.
+            conv: u64,
+            /// Tokens to recompute.
+            tokens: usize,
+        },
+        /// A restore committed a deep-tier (SSD or cold) read of this many
+        /// tokens; they travel through the CPU staging path to the GPU.
+        TierReadCommitted {
+            /// Restore commit time.
+            at: SimTime,
+            /// Conversation restored.
+            conv: u64,
+            /// Tokens read back.
+            tokens: usize,
+            /// The tier the tokens were read from.
+            tier: StorageTier,
+        },
+        /// A running request was suspended (§4.3.5) and its GPU-resident
+        /// context moved to the CPU tier.
+        Suspended {
+            /// Suspension time.
+            at: SimTime,
+            /// Conversation suspended.
+            conv: u64,
+            /// Tokens that must be transferred GPU→CPU.
+            tokens: usize,
+        },
+        /// The engine exercised a fault-recovery path.
+        FaultRecovery {
+            /// When the recovery action was taken.
+            at: SimTime,
+            /// Affected conversation, when one is attributable.
+            conv: Option<u64>,
+            /// Which recovery path ran.
+            kind: RecoveryKind,
+            /// Tokens involved (e.g. the swap-in size being retried).
+            tokens: usize,
+        },
+        /// A request finished and its response was emitted.
+        RequestCompleted {
+            /// Finish time.
+            at: SimTime,
+            /// Request id.
+            request: u64,
+            /// Conversation id.
+            conv: u64,
+            /// Request arrival time.
+            arrival: SimTime,
+            /// When the first output token was emitted.
+            first_token: SimTime,
+            /// Output tokens generated.
+            output_tokens: usize,
+            /// Query tokens processed in prefill.
+            prefill_tokens: usize,
+            /// History tokens served from cache (incl. the shared prefix).
+            cached_tokens: usize,
+        },
+        /// `sim::gpu` timed an iteration whose swap-in was pipelined
+        /// layer-by-layer with compute (§4.3.3); `total - compute` is the
+        /// stall the transfer could not hide.
+        PipelinedSwapIn {
+            /// Start of the timed invocation.
+            at: SimTime,
+            /// Swap-in bytes overlapped with the invocation.
+            bytes: u64,
+            /// Pure compute time of the batch.
+            compute: SimDuration,
+            /// Total time including the transfer stall.
+            total: SimDuration,
+        },
+        /// One forward pass of the threaded tensor-parallel engine. The
+        /// threaded engine has no simulated clock, so `at` is always zero and
+        /// `pass` provides the logical ordering.
+        TpPass {
+            /// Always [`SimTime::ZERO`] (no simulated clock in real-thread
+            /// execution).
+            at: SimTime,
+            /// Monotonic pass counter.
+            pass: u64,
+            /// Conversation served.
+            conv: u64,
+            /// Query tokens in the pass.
+            query_tokens: usize,
+            /// Worker shards that participated.
+            shards: usize,
+        },
+        /// A cluster router placed a request on a replica.
+        Routed {
+            /// Routing decision time (the request's arrival at the router).
+            at: SimTime,
+            /// Request id.
+            request: u64,
+            /// Conversation id.
+            conv: u64,
+            /// Chosen replica index.
+            replica: usize,
+            /// KV-tokens of the conversation already cached at that replica.
+            cached_tokens: usize,
+        },
+        /// A conversation migration began: its KV chunks stream from the
+        /// source replica to the target over the inter-node link.
+        MigrationStart {
+            /// When the handoff was initiated.
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Source replica index.
+            from: usize,
+            /// Target replica index.
+            to: usize,
+            /// Chunks to stream.
+            chunks: usize,
+            /// Total KV bytes to stream.
+            bytes: u64,
+        },
+        /// A conversation migration finished; lost tokens fall back to
+        /// Pensieve's dropped-token recomputation at the target.
+        MigrationEnd {
+            /// When the last chunk landed (or was detected lost).
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Target replica index.
+            to: usize,
+            /// Tokens delivered to the target's CPU tier.
+            streamed_tokens: usize,
+            /// Tokens lost in transit (recomputed at the target).
+            lost_tokens: usize,
+        },
+        /// A replica was fault-injected dead; its in-flight and queued
+        /// requests are re-routed and its KV state is gone.
+        ReplicaFailed {
+            /// Failure time.
+            at: SimTime,
+            /// The dead replica's index.
+            replica: usize,
+            /// Requests re-queued onto surviving replicas.
+            requeued: usize,
+        },
+        /// A replication flush streamed a session's pending KV delta from its
+        /// primary replica to the designated standby.
+        ReplicationFlush {
+            /// When the delta was put on the wire.
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Primary (source) replica index.
+            from: usize,
+            /// Standby (target) replica index.
+            to: usize,
+            /// Delta tokens streamed in this flush.
+            tokens: usize,
+            /// KV bytes of the delta.
+            bytes: u64,
+            /// True if the delta was lost in transit (it stays pending and
+            /// is re-streamed by a later flush).
+            lost: bool,
+        },
+        /// A standby was promoted after its primary fail-stopped: replicated
+        /// chunks were imported at the standby and only the unreplicated
+        /// suffix falls back to dropped-chunk recompute.
+        StandbyPromoted {
+            /// When the promotion completed (replicated state usable at the
+            /// standby; in-flight replication deltas have landed).
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// The dead primary's index.
+            from: usize,
+            /// The promoted standby's index.
+            to: usize,
+            /// Tokens restored from replicated state.
+            replicated_tokens: usize,
+            /// Unreplicated suffix tokens (replication lag at crash) that
+            /// must be recomputed from raw text.
+            lag_tokens: usize,
+            /// Crash-to-promotion latency.
+            latency: SimDuration,
+        },
+        /// The inter-node fabric partitioned: transfers cannot start inside
+        /// the window (in-flight transfers complete).
+        LinkPartitioned {
+            /// Window start.
+            at: SimTime,
+            /// Window end.
+            until: SimTime,
+        },
+        /// A session's chunk manifest was serialized to the cold store,
+        /// making the conversation rehydratable across a restart.
+        ManifestPersisted {
+            /// When the manifest write was issued.
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Context tokens covered by the manifest.
+            tokens: usize,
+            /// Serialized manifest bytes written.
+            bytes: u64,
+            /// True when an injected torn-write fault truncated the manifest
+            /// (detected by checksum at rehydration time).
+            torn: bool,
+        },
+        /// A restarted or failed-over replica rebuilt a conversation's cache
+        /// state from its cold-store manifest instead of recomputing it.
+        SessionRehydrated {
+            /// When the rehydrated state became usable at the replica.
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Tokens admitted back into the cache's cold tier.
+            tokens: usize,
+            /// The rehydrating replica's index.
+            replica: usize,
+        },
+        /// A conversation attached to a content-addressed shared chunk chain
+        /// (tool preamble, RAG document, or forked history): its leading
+        /// context is now served by refcounted chunks shared with every other
+        /// sharer instead of a private copy.
+        SharedAttached {
+            /// Attach time (first admission of the conversation).
+            at: SimTime,
+            /// Conversation id.
+            conv: u64,
+            /// Context tokens covered by the shared chain.
+            tokens: usize,
+            /// Chunks in the attached chain.
+            chunks: usize,
+        },
+        /// The eviction pass moved a content-addressed shared chunk down the
+        /// hierarchy (`dropped = false`) or discarded it because its last
+        /// reference had been released (`dropped = true`). Shared chunks are
+        /// identified by their content hash, not an owning conversation.
+        SharedChunkEvicted {
+            /// Eviction time.
+            at: SimTime,
+            /// The chunk's content-addressed id.
+            chunk: u64,
+            /// Tokens in the chunk.
+            tokens: usize,
+            /// Conversations still referencing the chunk at eviction time.
+            refs: usize,
+            /// True if dropped instead of demoted one tier down.
+            dropped: bool,
+        },
     }
 }
 
@@ -1608,14 +856,38 @@ mod tests {
     }
 
     #[test]
-    fn unknown_variant_is_an_error() {
-        let v = obj("NotAnEvent", &[("at", num(0.0))]);
-        assert!(TraceEvent::from_value(&v).is_err());
+    fn wire_enums_round_trip_and_reject_unknown_names() {
+        for dir in SwapDir::ALL {
+            assert_eq!(SwapDir::from_value(&dir.to_value()), Ok(*dir));
+        }
+        assert_eq!(DropReason::ALL.len(), 6);
+        assert_eq!(StorageTier::ALL.len(), 3);
+        assert_eq!(RecoveryKind::ALL.len(), 6);
+        let err = DropReason::from_value(&"gpu-pressure".to_value()).expect_err("unknown name");
+        assert!(err.to_string().contains("gpu-pressure"), "{err}");
+        assert!(StorageTier::from_value(&Value::Number(1.0)).is_err());
+    }
+
+    fn with_ev(ev: &str, fields: &[(&str, f64)]) -> Value {
+        let mut m = Map::new();
+        m.insert("ev".to_owned(), ev.to_value());
+        for (k, x) in fields {
+            m.insert((*k).to_owned(), x.to_value());
+        }
+        Value::Object(m)
     }
 
     #[test]
-    fn missing_field_is_an_error() {
-        let v = obj("Suspended", &[("at", num(0.0)), ("conv", num(1.0))]);
-        assert!(TraceEvent::from_value(&v).is_err());
+    fn unknown_variant_is_an_error_naming_it() {
+        let err = TraceEvent::from_value(&with_ev("NotAnEvent", &[("at", 0.0)]))
+            .expect_err("unknown variant");
+        assert!(err.to_string().contains("NotAnEvent"), "{err}");
+    }
+
+    #[test]
+    fn missing_field_is_an_error_naming_it() {
+        let v = with_ev("Suspended", &[("at", 0.0), ("conv", 1.0)]);
+        let err = TraceEvent::from_value(&v).expect_err("missing field");
+        assert!(err.to_string().contains("\"tokens\""), "{err}");
     }
 }
