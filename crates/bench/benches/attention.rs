@@ -8,10 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::copyout::copyout_attention;
-use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_par};
+use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_pool};
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -187,7 +187,8 @@ fn bench_ragged(c: &mut Criterion) {
             BenchmarkId::new("pensieve_par", threads),
             &threads,
             |b, &t| {
-                b.iter(|| black_box(paged_multi_token_par(&cfg, &q, &layer, &sq, t)));
+                let workers = Pool::global(t);
+                b.iter(|| black_box(paged_multi_token_pool(&cfg, &q, &layer, &sq, &workers)));
             },
         );
     }

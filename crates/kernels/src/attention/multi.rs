@@ -106,34 +106,6 @@ pub fn paged_multi_token_ref(
     out
 }
 
-/// [`paged_multi_token`] with its per-sequence partitions fanned out over
-/// `threads` scoped workers.
-///
-/// Each partition is one (sub-)request: a disjoint band of output rows,
-/// computed independently into a partition-local buffer by the same
-/// blocked kernel, then merged back **sequentially in sequence order** —
-/// so the result is bit-identical to the serial kernel (and to
-/// [`paged_multi_token_ref`]) at every thread count, including when two
-/// sub-requests name overlapping query rows (last writer wins in both).
-///
-/// # Panics
-///
-/// Same conditions as [`paged_multi_token`].
-#[must_use]
-pub fn paged_multi_token_par(
-    cfg: &AttnConfig,
-    q: &Matrix,
-    layer: &KvLayerView<'_>,
-    seqs: &[AttnSeq<'_>],
-    threads: usize,
-) -> Matrix {
-    if threads <= 1 {
-        check_batch(cfg, q, seqs);
-        return paged_multi_token(cfg, q, layer, seqs);
-    }
-    paged_multi_token_pool(cfg, q, layer, seqs, &crossbeam::pool::Pool::global(threads))
-}
-
 /// Minimum per-partition work (in score-accumulate units, see
 /// [`attn_work_units`]) below which [`paged_multi_token_pool`] stays
 /// serial. Calibrated on the committed bench shapes: a 32-way generation
@@ -156,9 +128,16 @@ pub fn attn_work_units(cfg: &AttnConfig, seqs: &[AttnSeq<'_>]) -> u64 {
         .sum()
 }
 
-/// [`paged_multi_token_par`] against an explicit persistent [`Pool`]
-/// handle — the form the model layers use so every kernel call in an
-/// engine shares one set of parked workers.
+/// [`paged_multi_token`] with its per-sequence partitions fanned out over
+/// a persistent [`Pool`] — the model layers pass one handle so every
+/// kernel call in an engine shares one set of parked workers.
+///
+/// Each partition is one (sub-)request: a disjoint band of output rows,
+/// computed independently into a partition-local buffer by the same
+/// blocked kernel, then merged back **sequentially in sequence order** —
+/// so the result is bit-identical to the serial kernel (and to
+/// [`paged_multi_token_ref`]) at every pool width, including when two
+/// sub-requests name overlapping query rows (last writer wins in both).
 ///
 /// Serial fallback: when the per-partition share of the batch's
 /// estimated work ([`attn_work_units`]` / threads`) falls below
@@ -782,7 +761,8 @@ mod tests {
             let blocked = paged_multi_token(&cfg, &q, &pool.layer(0), &seqs);
             assert_eq!(blocked, reference, "blocked != ref h={heads}/{kv_heads}");
             for threads in [1usize, 2, 3, 4] {
-                let par = paged_multi_token_par(&cfg, &q, &pool.layer(0), &seqs, threads);
+                let workers = crossbeam::pool::Pool::global(threads);
+                let par = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &seqs, &workers);
                 assert_eq!(par, reference, "par({threads}) != ref h={heads}/{kv_heads}");
             }
         }

@@ -3,9 +3,9 @@
 //! The hot operator is [`matmul`]: a cache-blocked GEMM whose output is
 //! **bit-identical** to the scalar reference [`matmul_ref`] (same
 //! per-element accumulation order, only the iteration schedule and memory
-//! layout change). [`matmul_par`] additionally fans the row dimension out
-//! over a scoped worker pool; rows are disjoint output partitions, so it
-//! too is bit-identical. The remaining operators are straightforward
+//! layout change). [`matmul_pool`] additionally fans the row dimension out
+//! over a persistent worker pool; rows are disjoint output partitions, so
+//! it too is bit-identical. The remaining operators are straightforward
 //! scalar implementations — they are not on the critical path.
 
 use crate::tensor::Matrix;
@@ -145,7 +145,7 @@ pub fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// `B` is packed into `[GEMM_KC, GEMM_NC]` column-tiles that stay L1
 /// resident while all rows of `A` stream against them, and the inner
-/// dimension is unrolled [`GEMM_PU`]-wide so each `C` element stays in a
+/// dimension is unrolled `GEMM_PU`-wide so each `C` element stays in a
 /// register across the unrolled accumulations. For every output element
 /// the additions happen in the same ascending-`p` order as the reference,
 /// so the result is exactly equal, not merely close.
@@ -162,32 +162,18 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     matmul_rows(a, b, 0, a.rows())
 }
 
-/// `C = A * B` with the row dimension fanned out over `threads` workers.
+/// `C = A * B` with the row dimension fanned out over a persistent
+/// [`Pool`] — the model layers pass one handle so every kernel call in an
+/// engine shares one set of parked workers.
 ///
 /// Rows of `C` are disjoint output partitions computed independently by
 /// the blocked kernel and copied back in partition order, so the result is
 /// bit-identical to [`matmul`] (and therefore to [`matmul_ref`]) at every
-/// thread count.
-///
-/// # Panics
-///
-/// Panics if the inner dimensions disagree.
-#[must_use]
-pub fn matmul_par(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    if threads <= 1 {
-        assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-        return matmul(a, b);
-    }
-    matmul_pool(a, b, &crossbeam::pool::Pool::global(threads))
-}
-
-/// [`matmul_par`] against an explicit persistent [`Pool`] handle — the
-/// form the model layers use so every kernel call in an engine shares one
-/// set of parked workers.
+/// pool width.
 ///
 /// Serial fallback: the product stays on the calling thread when any
 /// per-partition share of the multiply-accumulate volume
-/// (`m * k * n / parts`) would fall below [`GEMM_MIN_VOLUME`], or when
+/// (`m * k * n / parts`) would fall below `GEMM_MIN_VOLUME`, or when
 /// there are too few rows to split — partition dispatch costs more than
 /// it saves on small generation-step products.
 ///
@@ -213,7 +199,7 @@ pub fn matmul_pool(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool) -> Matr
 /// [`matmul_pool`] without the work-size gate: always fans the row
 /// dimension out over the pool (inline when the pool is serial). The
 /// cross-width bit-identity property tests drive this directly so shapes
-/// below [`GEMM_MIN_VOLUME`] still exercise the partitioned merge;
+/// below `GEMM_MIN_VOLUME` still exercise the partitioned merge;
 /// production callers want the gated entry.
 ///
 /// # Panics
@@ -252,7 +238,7 @@ pub fn matmul_pool_ungated(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool)
 
 /// Blocked GEMM over rows `lo..hi` of `A`, returning a `[hi - lo, n]`
 /// matrix. Shared by [`matmul`] and the per-thread partitions of
-/// [`matmul_par`].
+/// [`matmul_pool`].
 fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
     let (m, k, n) = (hi - lo, a.cols(), b.cols());
     let mut c = Matrix::zeros(m, n);
@@ -492,7 +478,8 @@ mod tests {
         let b = lcg_matrix(11, 96, 140);
         let want = matmul_ref(&a, &b);
         for threads in [1usize, 2, 3, 4, 8] {
-            assert_eq!(matmul_par(&a, &b, threads), want, "threads={threads}");
+            let pool = crossbeam::pool::Pool::global(threads);
+            assert_eq!(matmul_pool(&a, &b, &pool), want, "threads={threads}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! [`ManifestError::Torn`], which callers treat as "no manifest" and
 //! fall back to recompute — never as corrupted state.
 //!
-//! Wire format **v2** (all fields little-endian `u64`):
+//! Wire format (all fields little-endian `u64`):
 //!
 //! ```text
 //! [magic "PNSVMAN2"] [session id] [chunk count n]
@@ -25,14 +25,13 @@
 //! [fnv1a checksum of all preceding bytes]
 //! ```
 //!
-//! v2 replaces the v1 format (magic `"PNSVMAN1"`, token counts only):
-//! each entry now persists the chunk's content-addressed
+//! Each entry persists the chunk's content-addressed
 //! [`ChunkId`](crate::ChunkId) so rehydration can re-*attach* shared
 //! chunks by reference instead of re-admitting an owned copy —
 //! [`ChunkId::NONE`](crate::ChunkId::NONE) marks a conversation-private
-//! chunk. v1 records fail the magic check and decode as
-//! [`ManifestError::Torn`], i.e. a restarted v2 replica safely
-//! recomputes pre-upgrade sessions.
+//! chunk. A record with any other magic decodes as
+//! [`ManifestError::Torn`]: nothing persisted outlives a run, so there is
+//! no older format to read.
 
 use std::collections::BTreeMap;
 
@@ -127,8 +126,7 @@ impl SessionManifest {
     /// # Errors
     ///
     /// Returns [`ManifestError::Torn`] if the record is truncated,
-    /// carries the wrong magic (including the pre-sharing `"PNSVMAN1"`
-    /// format), or fails its checksum.
+    /// carries the wrong magic, or fails its checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ManifestError> {
         let read_u64 = |at: usize| -> Option<u64> {
             bytes
@@ -287,17 +285,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_decode_as_torn() {
-        // A well-formed v1 record: old magic, counts-only entries.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&u64::from_le_bytes(*b"PNSVMAN1").to_le_bytes());
-        v1.extend_from_slice(&9u64.to_le_bytes());
-        v1.extend_from_slice(&2u64.to_le_bytes());
-        v1.extend_from_slice(&32u64.to_le_bytes());
-        v1.extend_from_slice(&32u64.to_le_bytes());
-        let sum = fnv1a(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(SessionManifest::from_bytes(&v1), Err(ManifestError::Torn));
+    fn unknown_magic_decodes_as_torn() {
+        // Well-formed in every other respect: right length, valid checksum.
+        let mut bytes = manifest(9, &[32, 32]).to_bytes();
+        let body = bytes.len() - 8;
+        bytes[..8].copy_from_slice(b"NOTAMAN9");
+        let sum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            SessionManifest::from_bytes(&bytes),
+            Err(ManifestError::Torn)
+        );
     }
 
     #[test]

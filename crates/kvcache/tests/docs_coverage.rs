@@ -61,10 +61,6 @@ fn manifest_identifiers_are_documented() {
         "docs/STORAGE.md must state the manifest magic"
     );
     assert!(
-        doc.contains("PNSVMAN1"),
-        "docs/STORAGE.md must note the legacy v1 magic decodes as Torn"
-    );
-    assert!(
         doc.to_lowercase().contains("fnv"),
         "docs/STORAGE.md must name the checksum"
     );

@@ -3,14 +3,14 @@
 use pensieve_core::{FunctionalConfig, FunctionalEngine};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::multi::{
-    paged_multi_token, paged_multi_token_par, paged_multi_token_ref,
+    paged_multi_token, paged_multi_token_pool, paged_multi_token_ref,
 };
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::naive::naive_attention;
 use pensieve_kernels::attention::single::paged_single_token_batch;
-use pensieve_kernels::ops::{matmul, matmul_par, matmul_ref};
+use pensieve_kernels::ops::{matmul, matmul_pool, matmul_ref};
 use pensieve_kernels::paged::gather_contiguous;
-use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
+use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
 use pensieve_kvcache::{CacheConfig, LruPolicy, SessionId, TieredKvCache};
 use pensieve_model::{CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimTime};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
             k, n, (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect());
         let reference = matmul_ref(&a, &b);
         prop_assert_eq!(&matmul(&a, &b), &reference);
-        prop_assert_eq!(&matmul_par(&a, &b, threads), &reference);
+        prop_assert_eq!(&matmul_pool(&a, &b, &Pool::global(threads)), &reference);
     }
 
     /// The blocked and data-parallel attention kernels reproduce the
@@ -126,7 +126,8 @@ proptest! {
 
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &[seq]);
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &[seq]), &reference);
-        prop_assert_eq!(&paged_multi_token_par(&cfg, &q, &layer, &[seq], threads), &reference);
+        let workers = Pool::global(threads);
+        prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &[seq], &workers), &reference);
         if q_len == 1 {
             prop_assert_eq!(&paged_single_token_batch(&cfg, &q, &layer, &[seq]), &reference);
         }
@@ -155,7 +156,8 @@ proptest! {
         ];
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &seqs);
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &seqs), &reference);
-        prop_assert_eq!(&paged_multi_token_par(&cfg, &q, &layer, &seqs, threads), &reference);
+        let workers = Pool::global(threads);
+        prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &seqs, &workers), &reference);
     }
 
     /// Causality: perturbing KV beyond a query row's visible range never
