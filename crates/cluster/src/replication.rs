@@ -13,7 +13,7 @@
 //!
 //! * After every scheduling step the router drains each replica's commit
 //!   log ([`ServingBackend::take_committed_kv`]) and hands the deltas to
-//!   [`Replicator::observe`]. Deltas beyond the flush threshold stream
+//!   `Replicator::observe`. Deltas beyond the flush threshold stream
 //!   to the session's standby over a per-source [`NodeLink`].
 //! * [`ReplicationMode::Async`] bounds the replication lag: at most
 //!   `flush_threshold_tokens` committed-but-unflushed tokens per session
@@ -21,7 +21,7 @@
 //! * [`ReplicationMode::Sync`] adds a turn-commit barrier: a response is
 //!   not reported finished until its turn's KV delta is durable on the
 //!   standby, trading tail latency for a zero-loss failover.
-//! * On fail-stop the router calls [`Replicator::take_failover`]: the
+//! * On fail-stop the router calls `Replicator::take_failover`: the
 //!   delivered chunks materialize on the standby via `import_session`,
 //!   and only the unreplicated suffix flows through dropped-chunk
 //!   recomputation — failover and migration share one code path.

@@ -31,7 +31,7 @@
 //!   barrier also serializes the chunk manifest of each session whose
 //!   layout *changed* to a simulated cold object store that survives
 //!   replica fail-stops — one record per session, its owner's (see
-//!   [`Router::persist_manifests`]). A
+//!   `Router::persist_manifests`). A
 //!   turn whose session has no cached KV anywhere rehydrates its chunk
 //!   layout from the manifest on a survivor — chunks re-admitted at the
 //!   cold tier, read back through that replica's own cold device at

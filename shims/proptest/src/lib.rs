@@ -166,7 +166,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// A strategy producing vectors (see [`vec`]).
+    /// A strategy producing vectors (see [`vec()`]).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
