@@ -48,7 +48,7 @@ pub fn partition_local_state_is_fine(pool: &Pool, parts: usize) {
 }
 
 pub fn param_mutation_is_fine(pool: &Pool, replicas: &mut [Replica], horizon: u64) {
-    let _ = pool.for_each_mut(replicas, |_, r| {
+    pool.for_each_mut(replicas, |_, r| {
         r.clock = horizon; // ok: `r` is the partition's own item
         r.ticks += 1; // ok: same
     });

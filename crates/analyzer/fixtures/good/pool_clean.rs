@@ -16,7 +16,7 @@ pub fn guard_released_before_dispatch(pool: &Pool, stats: &Mutex<u64>, parts: us
 }
 
 pub fn per_item_mutation(pool: &Pool, replicas: &mut [Replica], horizon: SimTime) {
-    let _durs = pool.for_each_mut(replicas, |_, r| {
+    pool.for_each_mut(replicas, |_, r| {
         if r.alive {
             r.backend.run_until(horizon);
             r.windows += 1;

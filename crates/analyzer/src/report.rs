@@ -65,8 +65,8 @@ pub fn to_json(report: &Report) -> String {
 ///
 /// ```json
 /// {
-///   "total": 21,
-///   "by_rule": { "r1-panic": 18, "r2-wall-clock": 2 },
+///   "total": 19,
+///   "by_rule": { "r1-index": 1, "r1-panic": 18 },
 ///   "suppressions": [
 ///     {"rule": "...", "path": "...", "line": 7, "reason": "...",
 ///      "file_level": false, "fired": 1}

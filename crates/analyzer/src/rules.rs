@@ -956,7 +956,7 @@ fn rule_raw_spawn(toks: &[Tok], test_mask: &[bool], out: &mut Vec<Violation>) {
 
 /// r3-adhoc-scope: `thread::scope` fork/join outside the sanctioned
 /// layers. Scoped spawns re-pay thread startup per call and dodge the
-/// persistent pool's task/utilization accounting.
+/// persistent pool's task count.
 fn rule_adhoc_scope(toks: &[Tok], test_mask: &[bool], out: &mut Vec<Violation>) {
     let code = code_indices(toks);
     for (w, &i) in code.iter().enumerate() {

@@ -10,25 +10,17 @@
 //!   the scalar reference kernel so this baseline never silently speeds up);
 //! * wall time and tokens/s of the blocked kernel, plus its speedup over
 //!   the straw-man;
-//! * thread-scaling points for the pool-partitioned kernel against
-//!   persistent [`Pool`] handles of width 1/2/4, each reporting wall time
-//!   **and** the pool's modeled critical-path speedup;
-//! * an in-run **bit-identity check** of every fast path against the scalar
+//! * an in-run **bit-identity check** of the fast path against the scalar
 //!   reference (the run aborts if any output differs).
 //!
-//! **Modeled speedup.** CI containers expose a single core, so
-//! wall-clock cannot show thread scaling. The pool times every
-//! partition of every batch; `sum(partition time) / max(partition
-//! time)` — serial cost over critical-path cost — is the speedup an
-//! unconstrained machine would see, measured (not extrapolated) from
-//! the real partition split. A batch the work-size gate kept serial
-//! never touches the pool and reports exactly 1.0 with
-//! `serial_fallback: true`.
+//! Everything here runs on one thread. The pool-partitioned kernels are
+//! pinned bit-identical to these by `crates/kernels/tests/pool_bit_identity.rs`,
+//! and thread scaling is measured in one place only, `benchmark/`'s
+//! `kernels.speedup_2t`.
 //!
 //! The JSON snapshot is the trajectory later PRs must beat. Timings are
 //! machine-dependent; the committed CI gate therefore compares only
-//! *ratios* (speedups, modeled scaling) and the bit-identity flags,
-//! never wall-clock.
+//! *ratios* (speedups) and the bit-identity flags, never wall-clock.
 //!
 //! Usage: `bench_kernels [--smoke] [--out PATH] [--check BASELINE]`
 //!
@@ -38,21 +30,15 @@
 //! * `--out PATH` writes the report there (default `BENCH_kernels.json`).
 //! * `--check BASELINE` re-reads the emitted report, validates it, and
 //!   fails (exit 1) if any kernel lost more than 2x of the speedup
-//!   recorded in `BASELINE`, any bit-identity flag is false, the
-//!   prefill workload models below 2.5x at 4 threads, or any generation
-//!   thread point models below 1.0x (the serial-fallback gate must keep
-//!   small batches serial, never slower).
-//!
-//! [`Pool`]: crossbeam::pool::Pool
+//!   recorded in `BASELINE` or any bit-identity flag is false.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use crossbeam::pool::Pool;
-use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_pool};
+use pensieve_kernels::attention::multi::{paged_multi_token, paged_multi_token_ref};
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::single::paged_single_token_batch;
-use pensieve_kernels::ops::{matmul, matmul_pool, matmul_ref};
+use pensieve_kernels::ops::{matmul, matmul_ref};
 use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +47,6 @@ use serde::{Deserialize, Serialize};
 const HEADS: usize = 8;
 const HEAD_DIM: usize = 64;
 const BLOCK: usize = 16;
-const THREAD_POINTS: [usize; 3] = [1, 2, 4];
 
 /// Top-level report written to `BENCH_kernels.json`.
 #[derive(Serialize, Deserialize)]
@@ -70,9 +55,6 @@ struct Report {
     schema_version: u64,
     /// True when produced by `--smoke` (shrunken workloads).
     smoke: bool,
-    /// Cores visible to the producing machine (context for the thread
-    /// scaling numbers; a 1-core container cannot scale).
-    available_cores: usize,
     /// Attention workloads.
     attention: Vec<AttnRow>,
     /// GEMM workloads.
@@ -92,36 +74,14 @@ struct AttnRow {
     query_tokens: usize,
     /// Multi-round single-token straw-man wall time.
     multiround_ms: f64,
-    /// Blocked kernel wall time (single thread).
+    /// Blocked kernel wall time.
     blocked_ms: f64,
     /// Query tokens per second through the blocked kernel.
     tokens_per_s: f64,
     /// `multiround_ms / blocked_ms` — the headline ratio CI gates on.
     speedup_vs_multiround: f64,
-    /// Pool-partitioned kernel at pool widths 1/2/4.
-    threads_ms: Vec<ThreadPoint>,
-    /// All fast paths matched the scalar reference bit-for-bit.
+    /// The blocked kernel matched the scalar reference bit-for-bit.
     bit_identical: bool,
-}
-
-/// One thread-scaling measurement against a persistent pool.
-#[derive(Serialize, Deserialize)]
-struct ThreadPoint {
-    /// Width of the pool the kernel ran against.
-    threads: usize,
-    /// Wall time at that width (machine-dependent; not gated).
-    ms: f64,
-    /// Serial blocked time divided by this time (meaningless on a
-    /// 1-core container; kept for context only).
-    speedup_vs_serial: f64,
-    /// Critical-path speedup measured by the pool: summed partition
-    /// time over max partition time, from the pool's own per-batch
-    /// accounting. 1.0 when the batch stayed serial. Machine-portable —
-    /// this is what CI gates on.
-    modeled_speedup: f64,
-    /// True when the work-size gate kept every timed call off the pool
-    /// (the pool's task counter never moved).
-    serial_fallback: bool,
 }
 
 /// One GEMM workload measurement.
@@ -141,8 +101,6 @@ struct GemmRow {
     blocked_ms: f64,
     /// `ref_ms / blocked_ms` — gated by CI like the attention speedups.
     speedup_vs_ref: f64,
-    /// Pool-partitioned GEMM at pool widths 1/2/4.
-    threads_ms: Vec<ThreadPoint>,
     /// Blocked output matched the reference bit-for-bit.
     bit_identical: bool,
 }
@@ -157,31 +115,6 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
             t0.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-/// Times a pooled kernel at one pool width and reads the pool's own
-/// per-batch partition accounting to derive the modeled critical-path
-/// speedup for exactly the calls made inside the timing loop.
-fn pool_point(threads: usize, serial_ms: f64, f: impl FnMut(&Pool)) -> ThreadPoint {
-    let mut f = f;
-    let pool = Pool::new(threads);
-    let before = pool.stats();
-    let ms = time_ms(|| f(&pool));
-    let after = pool.stats();
-    let serial_fallback = after.tasks_total == before.tasks_total;
-    let critical = (after.modeled_critical - before.modeled_critical).as_secs_f64();
-    let modeled_speedup = if serial_fallback || critical <= 0.0 {
-        1.0
-    } else {
-        (after.modeled_serial - before.modeled_serial).as_secs_f64() / critical
-    };
-    ThreadPoint {
-        threads,
-        ms,
-        speedup_vs_serial: serial_ms / ms,
-        modeled_speedup,
-        serial_fallback,
-    }
 }
 
 /// A unified batch: paged KV pool plus per-sequence query spans.
@@ -261,20 +194,13 @@ impl Workload {
         let seqs = self.seqs();
         let decode_only = self.q_lens.iter().all(|&l| l == 1);
 
-        let reference = pensieve_kernels::attention::multi::paged_multi_token_ref(
-            &self.cfg, &self.q, &layer, &seqs,
-        );
+        let reference = paged_multi_token_ref(&self.cfg, &self.q, &layer, &seqs);
         let blocked_out = if decode_only {
             paged_single_token_batch(&self.cfg, &self.q, &layer, &seqs)
         } else {
             paged_multi_token(&self.cfg, &self.q, &layer, &seqs)
         };
-        let mut bit_identical = blocked_out == reference;
-        for &t in &THREAD_POINTS {
-            let pool = Pool::new(t);
-            bit_identical &=
-                paged_multi_token_pool(&self.cfg, &self.q, &layer, &seqs, &pool) == reference;
-        }
+        let bit_identical = blocked_out == reference;
         assert!(
             bit_identical,
             "{}: fast path diverged from scalar reference",
@@ -293,16 +219,6 @@ impl Workload {
                 std::hint::black_box(paged_multi_token(&self.cfg, &self.q, &layer, &seqs));
             })
         };
-        let threads_ms = THREAD_POINTS
-            .iter()
-            .map(|&t| {
-                pool_point(t, blocked_ms, |pool| {
-                    std::hint::black_box(paged_multi_token_pool(
-                        &self.cfg, &self.q, &layer, &seqs, pool,
-                    ));
-                })
-            })
-            .collect();
         let query_tokens: usize = self.q_lens.iter().sum();
         AttnRow {
             name: self.name.to_owned(),
@@ -313,7 +229,6 @@ impl Workload {
             blocked_ms,
             tokens_per_s: query_tokens as f64 / (blocked_ms / 1e3),
             speedup_vs_multiround: multiround_ms / blocked_ms,
-            threads_ms,
             bit_identical,
         }
     }
@@ -332,11 +247,7 @@ fn run_gemm(name: &'static str, m: usize, k: usize, n: usize, rng: &mut StdRng) 
         (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect(),
     );
     let reference = matmul_ref(&a, &b);
-    let mut bit_identical = matmul(&a, &b) == reference;
-    for &t in &THREAD_POINTS {
-        let pool = Pool::new(t);
-        bit_identical &= matmul_pool(&a, &b, &pool) == reference;
-    }
+    let bit_identical = matmul(&a, &b) == reference;
     assert!(
         bit_identical,
         "{name}: blocked GEMM diverged from reference"
@@ -347,14 +258,6 @@ fn run_gemm(name: &'static str, m: usize, k: usize, n: usize, rng: &mut StdRng) 
     let blocked_ms = time_ms(|| {
         std::hint::black_box(matmul(&a, &b));
     });
-    let threads_ms = THREAD_POINTS
-        .iter()
-        .map(|&t| {
-            pool_point(t, blocked_ms, |pool| {
-                std::hint::black_box(matmul_pool(&a, &b, pool));
-            })
-        })
-        .collect();
     GemmRow {
         name: name.to_owned(),
         m,
@@ -363,7 +266,6 @@ fn run_gemm(name: &'static str, m: usize, k: usize, n: usize, rng: &mut StdRng) 
         ref_ms,
         blocked_ms,
         speedup_vs_ref: ref_ms / blocked_ms,
-        threads_ms,
         bit_identical,
     }
 }
@@ -375,29 +277,6 @@ fn check_against(report: &Report, baseline: &Report) -> Vec<String> {
     for row in &report.attention {
         if !row.bit_identical {
             bad.push(format!("attention/{}: not bit-identical", row.name));
-        }
-        // Absolute thread-scaling gates, machine-portable because the
-        // modeled speedup comes from the pool's partition accounting.
-        if row.name.starts_with("prefill") {
-            for p in row.threads_ms.iter().filter(|p| p.threads >= 4) {
-                if p.modeled_speedup < 2.5 {
-                    bad.push(format!(
-                        "attention/{}: modeled speedup {:.2}x at {} threads is below the 2.5x floor",
-                        row.name, p.modeled_speedup, p.threads
-                    ));
-                }
-            }
-        }
-        if row.name == "generation" {
-            for p in &row.threads_ms {
-                if p.modeled_speedup < 1.0 {
-                    bad.push(format!(
-                        "attention/{}: modeled speedup {:.2}x at {} threads regresses below \
-                         serial — the work-size gate must keep generation batches serial",
-                        row.name, p.modeled_speedup, p.threads
-                    ));
-                }
-            }
         }
         if let Some(base) = baseline.attention.iter().find(|b| b.name == row.name) {
             let floor = base.speedup_vs_multiround / 2.0;
@@ -448,11 +327,6 @@ fn main() -> ExitCode {
     }
 
     let mut rng = StdRng::seed_from_u64(42);
-    // The prefill workload must clear the attention work-size gate at
-    // every thread point (so the modeled-scaling floor is exercised even
-    // in smoke mode): 20 x 8 x 1024 x 512 = 84M units, 21M per partition
-    // at 4 threads, above ATTN_MIN_PART_UNITS. The other smoke shapes
-    // stay tiny — generation is *supposed* to fall back to serial.
     let (prefill_ctx, prefill_batch, gen_ctx, ragged_ctx, batch) = if smoke {
         (1024, 20, 128, 96, 4)
     } else {
@@ -489,28 +363,12 @@ fn main() -> ExitCode {
     };
 
     let report = Report {
-        schema_version: 2,
+        schema_version: 3,
         smoke,
-        available_cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         attention: vec![prefill, generation, ragged],
         gemm,
     };
 
-    let print_points = |points: &[ThreadPoint]| {
-        for p in points {
-            println!(
-                "                pool w={}: {:>8.2} ms  modeled {:.2}x{}",
-                p.threads,
-                p.ms,
-                p.modeled_speedup,
-                if p.serial_fallback {
-                    "  (serial fallback)"
-                } else {
-                    ""
-                }
-            );
-        }
-    };
     for row in &report.attention {
         println!(
             "{:>14}: {:>9.2} tok/s  {:.2}x vs multi-round  (blocked {:.2} ms, straw-man {:.2} ms)",
@@ -520,14 +378,12 @@ fn main() -> ExitCode {
             row.blocked_ms,
             row.multiround_ms
         );
-        print_points(&row.threads_ms);
     }
     for row in &report.gemm {
         println!(
             "{:>14}: {:.2}x vs scalar GEMM  (blocked {:.2} ms, ref {:.2} ms)",
             row.name, row.speedup_vs_ref, row.blocked_ms, row.ref_ms
         );
-        print_points(&row.threads_ms);
     }
 
     let data = serde_json::to_string_pretty(&report).expect("serialize report");

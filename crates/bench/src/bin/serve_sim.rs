@@ -133,8 +133,8 @@ fn main() {
     };
     // The flag means a *shared* system prompt: pair the workload's extra
     // history with the engine-side pinned shared prefix, the same wiring
-    // the `shared_prefix` bench uses. Stateless baselines have no cache
-    // to share it from.
+    // `bench_sharing` uses. Stateless baselines have no cache to share
+    // it from.
     if system_prompt > 0 && engine.stateful {
         engine.shared_prefix_tokens = system_prompt;
     }

@@ -1221,7 +1221,7 @@ impl<B: ServingBackend + Send> Router<B> {
     /// barrier keeps the event stream identical too).
     fn step_replicas_to(&mut self, horizon: SimTime) {
         if self.pool.threads() > 1 && self.replica_recorders.is_some() {
-            let _durs = self.pool.for_each_mut(&mut self.replicas, |_, r| {
+            self.pool.for_each_mut(&mut self.replicas, |_, r| {
                 if r.alive {
                     r.touched = true;
                     r.backend.run_until(horizon);

@@ -19,11 +19,9 @@
 //!    configs keep their KV-tokens cached, stateless configs free them.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
-use crossbeam::pool::Pool;
 use pensieve_kvcache::{
-    CacheConfig, CacheStats, CachedAttentionPolicy, EvictionPolicy, LruPolicy,
+    CacheConfig, CacheStats, CachedAttentionPolicy, EvictionPolicy, LruPolicy, RequestPlan,
     RetentionValuePolicy, SessionId, SessionManifest, TieredKvCache, TrailingEndPolicy,
 };
 use pensieve_model::{
@@ -97,6 +95,16 @@ impl WorkItem {
             WorkItem::Resumed(r) => r.req.arrival,
         }
     }
+}
+
+/// What admitting the queue front costs, as of the cache state
+/// `admission_cost` saw.
+struct AdmissionCost {
+    conv: SessionId,
+    query_tokens: usize,
+    new_slots: usize,
+    /// The session's restore plan the two counts were derived from.
+    plan: RequestPlan,
 }
 
 /// Aggregate engine counters beyond per-request responses.
@@ -180,17 +188,6 @@ pub struct SimServingEngine {
     /// Passive trace/metrics sink shared with the cache, link and GPU
     /// timer; `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
-    /// Persistent worker pool owned by the engine (serial by default).
-    /// The timing-model engine does no arithmetic itself, so the handle
-    /// exists for ownership — a router or functional layer borrows it
-    /// for batched kernels and parallel stepping — and for the
-    /// per-iteration pool health metrics sampled below.
-    pool: Pool,
-    /// Pool busy-time at the previous metrics sample, for the
-    /// worker-utilization gauge.
-    pool_busy_prev: Duration,
-    /// Wall-clock instant of the previous metrics sample.
-    pool_wall_prev: Instant,
     /// Content-addressed chain of the globally shared system preamble;
     /// empty when stateless or `shared_prefix_tokens == 0`.
     shared_chain: Vec<pensieve_kvcache::ChunkId>,
@@ -227,7 +224,6 @@ pub struct EngineBuilder {
     faults: Option<FaultInjector>,
     recovery: RecoveryPolicy,
     recorder: Option<SharedRecorder>,
-    pool: Option<Pool>,
 }
 
 impl EngineBuilder {
@@ -257,25 +253,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Installs a persistent worker [`Pool`] the engine owns for its
-    /// lifetime (default: [`Pool::serial`]). Handles are cheap clones
-    /// sharing the same parked workers, so a fleet of replicas may be
-    /// built over one pool. Pool width is purely a latency knob:
-    /// simulated clocks and served results are bit-identical at every
-    /// setting.
-    #[must_use]
-    pub fn pool(mut self, pool: Pool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Constructs the engine.
     #[must_use]
     pub fn build(self) -> SimServingEngine {
         let mut engine = SimServingEngine::new(self.cfg, self.model, self.hardware);
         engine.faults = self.faults;
         engine.recovery = self.recovery;
-        engine.pool = self.pool.unwrap_or_default();
         if let Some(recorder) = self.recorder {
             engine.attach_recorder(recorder);
         }
@@ -295,7 +278,6 @@ impl SimServingEngine {
             faults: None,
             recovery: RecoveryPolicy::default(),
             recorder: None,
-            pool: None,
         }
     }
 
@@ -349,12 +331,6 @@ impl SimServingEngine {
             cold_dev: StorageDevice::new(StorageDeviceSpec::nfs()),
             empty_ticks: 0,
             recorder: None,
-            pool: Pool::serial(),
-            pool_busy_prev: Duration::ZERO,
-            // lint:allow(r2-wall-clock): pool-utilization epoch for the
-            // metrics gauge only — real execution time of real threads,
-            // never read by scheduling, eviction, or token generation.
-            pool_wall_prev: Instant::now(),
             shared_chain: Vec::new(),
             shared_tokens: 0,
             shared_handles: Vec::new(),
@@ -392,12 +368,6 @@ impl SimServingEngine {
         self.link.set_recorder(recorder.clone());
         self.gpu.set_recorder(recorder.clone());
         self.recorder = recorder;
-    }
-
-    /// The engine's worker-pool handle (clone it to share the workers).
-    #[must_use]
-    pub fn pool(&self) -> &Pool {
-        &self.pool
     }
 
     /// Counters of injected faults, if an injector is attached.
@@ -789,7 +759,7 @@ impl SimServingEngine {
     /// Mirrors the engine's counters and gauges into the recorder's
     /// metrics registry and takes one time-series sample, timestamped at
     /// the end of the just-finished iteration. No-op without a recorder.
-    fn sample_metrics(&mut self) {
+    fn sample_metrics(&self) {
         let Some(rec) = self.recorder.clone() else {
             return;
         };
@@ -801,23 +771,6 @@ impl SimServingEngine {
         let cache_stats = self.cache.stats().clone();
         let running = self.running.len();
         let waiting = self.wait_queue.len();
-        // Pool health: tasks, backlog, and what fraction of the parked
-        // workers this iteration kept busy (wall-clock, not simulated
-        // time — the pool does real work; a serial pool reads 0).
-        let stats = self.pool.stats();
-        let workers = stats.threads.saturating_sub(1);
-        // lint:allow(r2-wall-clock): measures how busy the real worker
-        // pool was between metric samples; feeds a gauge, never a result.
-        let wall_now = Instant::now();
-        let wall = wall_now.duration_since(self.pool_wall_prev);
-        let busy = stats.busy.saturating_sub(self.pool_busy_prev);
-        let utilization = if workers == 0 || wall.is_zero() {
-            0.0
-        } else {
-            (busy.as_secs_f64() / (wall.as_secs_f64() * workers as f64)).min(1.0)
-        };
-        self.pool_busy_prev = stats.busy;
-        self.pool_wall_prev = wall_now;
         let _ = rec.with_metrics(|m| {
             m.counter_set(metrics::names::ITERATIONS_TOTAL, c.iterations);
             m.counter_set(metrics::names::PREFILL_TOKENS_TOTAL, c.prefill_tokens);
@@ -858,9 +811,6 @@ impl SimServingEngine {
             m.gauge_set(metrics::names::CPU_TOKENS_USED, cpu_tokens as f64);
             m.gauge_set(metrics::names::SSD_TOKENS_USED, ssd_tokens as f64);
             m.gauge_set(metrics::names::COLD_TOKENS_USED, cold_tokens as f64);
-            m.counter_set(metrics::names::POOL_TASKS_TOTAL, stats.tasks_total);
-            m.gauge_set(metrics::names::POOL_QUEUE_DEPTH, stats.queue_depth as f64);
-            m.gauge_set(metrics::names::POOL_WORKER_UTILIZATION, utilization);
             m.sample(self.now);
         });
     }
@@ -1046,10 +996,11 @@ impl SimServingEngine {
             let Some(item) = self.wait_queue.front() else {
                 return;
             };
-            let (conv, query_tokens, new_slots) = self.admission_cost(item);
+            let mut cost = self.admission_cost(item);
+            let conv = cost.conv;
             // Budget: allow one oversized prefill per iteration when no
             // other prefill was admitted.
-            if batch_tokens + query_tokens > self.cfg.max_batch_tokens
+            if batch_tokens + cost.query_tokens > self.cfg.max_batch_tokens
                 && (has_prefill || batch_tokens > self.running.len())
             {
                 return;
@@ -1069,23 +1020,24 @@ impl SimServingEngine {
                     at: self.now,
                     conv: Some(conv.0),
                     kind: RecoveryKind::GpuAllocFault,
-                    tokens: new_slots,
+                    tokens: cost.new_slots,
                 });
             }
-            let mut query_tokens = query_tokens;
-            let mut new_slots = new_slots;
-            if alloc_fault || self.cache.gpu_free_effective_for(conv) < new_slots + reserve_needed {
-                self.cache
-                    .swap_out_until_for(new_slots + reserve_needed, Some(conv), self.now);
+            if alloc_fault
+                || self.cache.gpu_free_effective_for(conv) < cost.new_slots + reserve_needed
+            {
+                self.cache.swap_out_until_for(
+                    cost.new_slots + reserve_needed,
+                    Some(conv),
+                    self.now,
+                );
                 // Eviction may have demoted this conversation's own
                 // chunks; recompute the admission cost before committing.
                 let Some(item) = self.wait_queue.front() else {
                     return;
                 };
-                let (_, q2, s2) = self.admission_cost(item);
-                query_tokens = q2;
-                new_slots = s2;
-                if self.cache.gpu_free_effective_for(conv) < new_slots + reserve_needed {
+                cost = self.admission_cost(item);
+                if self.cache.gpu_free_effective_for(conv) < cost.new_slots + reserve_needed {
                     return;
                 }
             }
@@ -1095,7 +1047,7 @@ impl SimServingEngine {
             // cache half-restored.
             let mut reserved_delay = None;
             if self.faults.is_some() {
-                let swap_in_tokens = self.cache.plan_restore(conv).swap_in_tokens;
+                let swap_in_tokens = cost.plan.swap_in_tokens;
                 if swap_in_tokens > 0 {
                     match self.swap_in_with_retries(swap_in_tokens) {
                         Ok(delay) => reserved_delay = Some(delay),
@@ -1124,27 +1076,25 @@ impl SimServingEngine {
             // completion time past `now` is charged as queueing delay. A
             // failed read drops the deep chunks and re-plans the
             // admission as recomputation.
-            {
-                let plan = self.cache.plan_restore(conv);
-                if plan.ssd_read_tokens + plan.cold_read_tokens > 0 {
-                    match self.deep_reads_with_fallback(
-                        conv,
-                        plan.ssd_read_tokens,
-                        plan.cold_read_tokens,
-                    ) {
-                        Ok(delay) => {
-                            reserved_delay =
-                                Some(reserved_delay.unwrap_or(SimDuration::ZERO).max(delay));
-                        }
-                        Err(()) => continue,
+            let plan = &cost.plan;
+            if plan.ssd_read_tokens + plan.cold_read_tokens > 0 {
+                match self.deep_reads_with_fallback(
+                    conv,
+                    plan.ssd_read_tokens,
+                    plan.cold_read_tokens,
+                ) {
+                    Ok(delay) => {
+                        reserved_delay =
+                            Some(reserved_delay.unwrap_or(SimDuration::ZERO).max(delay));
                     }
+                    Err(()) => continue,
                 }
             }
             let Some(item) = self.wait_queue.pop_front() else {
                 return;
             };
             if self
-                .commit_admission(item, conv, query_tokens, reserved_delay)
+                .commit_admission(item, conv, cost.query_tokens, reserved_delay)
                 .is_err()
             {
                 // The item was re-queued at the front; stop admitting
@@ -1262,8 +1212,8 @@ impl SimServingEngine {
     }
 
     /// Computes what admitting `item` costs: query tokens and new GPU
-    /// slots.
-    fn admission_cost(&self, item: &WorkItem) -> (pensieve_kvcache::SessionId, usize, usize) {
+    /// slots, together with the restore plan they were derived from.
+    fn admission_cost(&self, item: &WorkItem) -> AdmissionCost {
         match item {
             WorkItem::New(req) => {
                 // A conversation's tracked tokens include its shared
@@ -1292,7 +1242,12 @@ impl SimServingEngine {
                     // ORCA-style: hold slots for the whole decode up front.
                     slots += req.output_tokens;
                 }
-                (req.conv, query, slots)
+                AdmissionCost {
+                    conv: req.conv,
+                    query_tokens: query,
+                    new_slots: slots,
+                    plan,
+                }
             }
             WorkItem::Resumed(r) => {
                 let plan = self.cache.plan_restore(r.req.conv);
@@ -1301,7 +1256,12 @@ impl SimServingEngine {
                     .saturating_sub(self.cache.conversation_tokens(r.req.conv));
                 let query = (plan.recompute_tokens + tail).max(1);
                 let slots = plan.new_gpu_slots() + tail;
-                (r.req.conv, query, slots)
+                AdmissionCost {
+                    conv: r.req.conv,
+                    query_tokens: query,
+                    new_slots: slots,
+                    plan,
+                }
             }
         }
     }

@@ -380,11 +380,11 @@ mod tests {
         )
     }
 
-    /// Pins the serial-fallback decision on the committed bench shapes
-    /// (`bench_kernels`: 32 sequences, 1 k context, 8 heads x 64 dim):
-    /// the one-query-per-sequence generation batch must stay serial at
-    /// every bench thread count — parallel dispatch used to *regress*
-    /// it — while the 8-query prefill batch must fan out.
+    /// Pins the serial-fallback decision on `bench_kernels`' full-run
+    /// shapes (32 sequences, 1 k context, 8 heads x 64 dim): the
+    /// one-query-per-sequence generation batch must stay serial at pool
+    /// widths 2/4/8 — parallel dispatch used to *regress* it — while the
+    /// 8-query prefill batch must fan out.
     #[test]
     fn generation_shape_stays_serial() {
         let cfg = AttnConfig::new(8, 8, 64); // q_width 512, as benched

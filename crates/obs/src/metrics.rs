@@ -80,13 +80,6 @@ pub mod names {
     /// Counter: bytes put on the wire by the inter-node links
     /// (migration and replication combined, including lost chunks).
     pub const LINK_STREAMED_BYTES_TOTAL: &str = "pensieve_link_streamed_bytes_total";
-    /// Counter: partition tasks executed by the engine's worker pool.
-    pub const POOL_TASKS_TOTAL: &str = "pensieve_pool_tasks_total";
-    /// Gauge: jobs queued in the worker pool and not yet picked up.
-    pub const POOL_QUEUE_DEPTH: &str = "pensieve_pool_queue_depth";
-    /// Gauge: fraction of the pool's parked workers kept busy since the
-    /// previous sample (0.0 for a serial pool).
-    pub const POOL_WORKER_UTILIZATION: &str = "pensieve_pool_worker_utilization";
     /// Counter: history tokens served by reading back from the SSD tier.
     pub const SSD_HIT_TOKENS_TOTAL: &str = "pensieve_ssd_hit_tokens_total";
     /// Counter: history tokens served by reading back from the cold tier.
@@ -149,9 +142,6 @@ pub mod names {
         PROMOTION_LATENCY_SECONDS,
         LINK_LOST_CHUNKS_TOTAL,
         LINK_STREAMED_BYTES_TOTAL,
-        POOL_TASKS_TOTAL,
-        POOL_QUEUE_DEPTH,
-        POOL_WORKER_UTILIZATION,
         SSD_HIT_TOKENS_TOTAL,
         COLD_HIT_TOKENS_TOTAL,
         DEMOTED_TOKENS_TOTAL,

@@ -50,7 +50,6 @@ pub mod pool {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
     use std::thread::JoinHandle;
-    use std::time::{Duration, Instant};
 
     /// A lifetime-erased unit of work: one partition of one batch.
     type Job = Box<dyn FnOnce() + Send>;
@@ -75,21 +74,9 @@ pub mod pool {
         /// Partition tasks executed over the pool's lifetime (inline
         /// serial runs count as one task).
         tasks_total: AtomicU64,
-        /// Cumulative nanoseconds workers spent executing jobs (excludes
-        /// the caller's own inline partition and queue-draining help).
-        busy_ns: AtomicU64,
-        /// Per batch, the *sum* of partition durations: what the batch
-        /// would have cost on one thread.
-        modeled_serial_ns: AtomicU64,
-        /// Per batch, the *max* of partition durations: the critical
-        /// path a machine with >= `threads` cores would observe. The
-        /// ratio serial/critical is the modeled speedup, meaningful even
-        /// on boxes with fewer cores than partitions (where wall-clock
-        /// cannot show scaling because partitions time-share one core).
-        modeled_critical_ns: AtomicU64,
     }
 
-    /// Counters sampled by observability ([`Pool::stats`]).
+    /// Counter snapshot returned by [`Pool::stats`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct PoolStats {
         /// Partition width of the pool (1 = serial).
@@ -98,15 +85,6 @@ pub mod pool {
         pub tasks_total: u64,
         /// Jobs currently queued and not yet picked up.
         pub queue_depth: usize,
-        /// Cumulative time parked workers spent executing jobs.
-        pub busy: Duration,
-        /// Summed per-partition durations across every batch: the
-        /// modeled one-thread cost of all dispatched work.
-        pub modeled_serial: Duration,
-        /// Summed per-batch critical paths (max partition duration):
-        /// the modeled elapsed cost with one core per partition.
-        /// `modeled_serial / modeled_critical` is the modeled speedup.
-        pub modeled_critical: Duration,
     }
 
     /// Completion latch for one batch: counts outstanding enqueued
@@ -115,9 +93,6 @@ pub mod pool {
         remaining: Mutex<usize>,
         done: Condvar,
         panic: Mutex<Option<Box<dyn Any + Send>>>,
-        /// Wall-clock duration of each partition, for the modeled
-        /// serial/critical-path accounting.
-        durs: Mutex<Vec<Duration>>,
     }
 
     impl Batch {
@@ -180,12 +155,6 @@ pub mod pool {
         }
     }
 
-    impl Default for Pool {
-        fn default() -> Self {
-            Pool::serial()
-        }
-    }
-
     /// Trampoline that recovers the concrete partition closure from its
     /// erased pointer. Monomorphized per closure type so the erased
     /// pointer is a thin `*const ()`.
@@ -241,9 +210,6 @@ pub mod pool {
                 }),
                 ready: Condvar::new(),
                 tasks_total: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
-                modeled_serial_ns: AtomicU64::new(0),
-                modeled_critical_ns: AtomicU64::new(0),
             });
             let workers = (1..threads)
                 .map(|i| {
@@ -264,7 +230,7 @@ pub mod pool {
         }
 
         /// The inline pool: partition width 1, no workers, zero dispatch
-        /// cost. The default for engines until a wider pool is installed.
+        /// cost. What every owner holds until a wider pool is installed.
         #[must_use]
         pub fn serial() -> Self {
             Pool::new(1)
@@ -290,23 +256,13 @@ pub mod pool {
             self.inner.threads
         }
 
-        /// Counter snapshot for observability.
+        /// Counter snapshot.
         #[must_use]
         pub fn stats(&self) -> PoolStats {
             PoolStats {
                 threads: self.inner.threads,
                 tasks_total: self.inner.shared.tasks_total.load(Ordering::Relaxed),
                 queue_depth: lock(&self.inner.shared.queue).jobs.len(),
-                busy: Duration::from_nanos(self.inner.shared.busy_ns.load(Ordering::Relaxed)),
-                modeled_serial: Duration::from_nanos(
-                    self.inner.shared.modeled_serial_ns.load(Ordering::Relaxed),
-                ),
-                modeled_critical: Duration::from_nanos(
-                    self.inner
-                        .shared
-                        .modeled_critical_ns
-                        .load(Ordering::Relaxed),
-                ),
             }
         }
 
@@ -329,10 +285,8 @@ pub mod pool {
                 if n == 0 {
                     return Vec::new();
                 }
-                let t0 = Instant::now();
-                let out: Vec<T> = (0..n).map(f).collect();
-                self.record_inline(t0.elapsed());
-                return out;
+                self.count_tasks(1);
+                return (0..n).map(f).collect();
             }
             let per = n.div_ceil(parts);
             let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -358,12 +312,7 @@ pub mod pool {
         }
 
         /// Runs `f(i, &mut items[i])` for every item, split into at most
-        /// [`Pool::threads`] contiguous partitions, and returns each
-        /// partition's wall-clock duration (empty partitions report
-        /// zero). The durations let callers compute a critical-path
-        /// (modeled) speedup — `sum(durations) / max(durations)` — that
-        /// is meaningful even on machines with fewer cores than
-        /// partitions.
+        /// [`Pool::threads`] contiguous partitions.
         ///
         /// Items are disjoint, so this is deterministic for any `f` whose
         /// effect on item `i` depends only on item `i`.
@@ -372,59 +321,45 @@ pub mod pool {
         ///
         /// Propagates a panic from any partition (after the batch
         /// barrier).
-        pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F) -> Vec<Duration>
+        pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
         where
             T: Send,
             F: Fn(usize, &mut T) + Sync,
         {
             let n = items.len();
-            let parts = self.inner.threads.min(n).max(1);
-            let mut durs = vec![Duration::ZERO; parts];
+            let parts = self.inner.threads.min(n);
             if parts <= 1 {
-                let t0 = Instant::now();
+                if n > 0 {
+                    self.count_tasks(1);
+                }
                 for (i, item) in items.iter_mut().enumerate() {
                     f(i, item);
                 }
-                if n > 0 {
-                    let took = t0.elapsed();
-                    if let Some(slot) = durs.first_mut() {
-                        *slot = took;
-                    }
-                    self.record_inline(took);
-                }
-                return durs;
+                return;
             }
             let per = n.div_ceil(parts);
             let base = SendPtr(items.as_mut_ptr().cast_const());
-            let dptr = SendPtr(durs.as_mut_ptr().cast_const());
             let f = &f;
             let task = move |t: usize| {
                 let lo = t * per;
                 let hi = n.min(lo + per);
-                let t0 = Instant::now();
                 for i in lo..hi {
                     // SAFETY: partitions cover disjoint index ranges of a
                     // slice that outlives the batch barrier.
                     let item = unsafe { &mut *base.get().cast_mut().add(i) };
                     f(i, item);
                 }
-                // SAFETY: slot `t` is written only by partition `t`.
-                unsafe {
-                    dptr.get().cast_mut().add(t).write(t0.elapsed());
-                }
             };
             self.run_batch(parts, &task);
-            durs
         }
 
-        /// Accounts a one-partition inline run: one task, and a batch
-        /// whose serial and critical-path costs coincide.
-        fn record_inline(&self, elapsed: Duration) {
-            let shared = &self.inner.shared;
-            shared.tasks_total.fetch_add(1, Ordering::Relaxed);
-            let ns = elapsed.as_nanos() as u64;
-            shared.modeled_serial_ns.fetch_add(ns, Ordering::Relaxed);
-            shared.modeled_critical_ns.fetch_add(ns, Ordering::Relaxed);
+        /// Adds `n` to the lifetime task counter (an inline run counts
+        /// as one task, a dispatched batch as one per partition).
+        fn count_tasks(&self, n: usize) {
+            self.inner
+                .shared
+                .tasks_total
+                .fetch_add(n as u64, Ordering::Relaxed);
         }
 
         /// Dispatches one batch of `parts >= 2` partition tasks:
@@ -440,7 +375,6 @@ pub mod pool {
                 remaining: Mutex::new(parts - 1),
                 done: Condvar::new(),
                 panic: Mutex::new(None),
-                durs: Mutex::new(vec![Duration::ZERO; parts]),
             });
             let data = SendPtr(std::ptr::from_ref(task).cast::<()>());
             let call: unsafe fn(*const (), usize) = call_task::<F>;
@@ -449,29 +383,19 @@ pub mod pool {
                 for t in 1..parts {
                     let b = Arc::clone(&batch);
                     q.jobs.push_back(Box::new(move || {
-                        let t0 = Instant::now();
                         // SAFETY: `data` points at `task` on the
                         // dispatching frame, which blocks until this
                         // batch's latch reaches zero — the borrow is
                         // live for the whole call.
                         let r = catch_unwind(AssertUnwindSafe(|| unsafe { call(data.get(), t) }));
-                        if let Some(slot) = lock(&b.durs).get_mut(t) {
-                            *slot = t0.elapsed();
-                        }
                         b.complete(r.err());
                     }));
                 }
             }
             shared.ready.notify_all();
-            shared
-                .tasks_total
-                .fetch_add(parts as u64, Ordering::Relaxed);
+            self.count_tasks(parts);
             // The caller is worker 0.
-            let t0 = Instant::now();
             let mine = catch_unwind(AssertUnwindSafe(|| task(0)));
-            if let Some(slot) = lock(&batch.durs).first_mut() {
-                *slot = t0.elapsed();
-            }
             // Help drain the queue instead of blocking: on machines with
             // fewer cores than partitions the caller does most of the
             // work itself, and nested dispatch from inside a worker can
@@ -490,17 +414,6 @@ pub mod pool {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
             drop(rem);
-            {
-                let durs = lock(&batch.durs);
-                let sum: Duration = durs.iter().sum();
-                let max = durs.iter().copied().max().unwrap_or(Duration::ZERO);
-                shared
-                    .modeled_serial_ns
-                    .fetch_add(sum.as_nanos() as u64, Ordering::Relaxed);
-                shared
-                    .modeled_critical_ns
-                    .fetch_add(max.as_nanos() as u64, Ordering::Relaxed);
-            }
             if let Some(payload) = lock(&batch.panic).take() {
                 resume_unwind(payload);
             }
@@ -527,11 +440,7 @@ pub mod pool {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            let t0 = Instant::now();
             job();
-            shared
-                .busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 }
@@ -846,47 +755,61 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_updates_disjoint_items_in_order() {
-        let pool = Pool::new(4);
-        let mut items: Vec<u64> = (0..10).collect();
-        let durs = pool.for_each_mut(&mut items, |i, v| *v += i as u64);
-        assert_eq!(items, (0..10).map(|i| 2 * i).collect::<Vec<_>>());
-        assert_eq!(durs.len(), 4, "one duration per partition");
-        // Serial pool: one partition, same results.
+    fn for_each_mut_visits_each_item_exactly_once() {
+        for width in [1usize, 2, 4] {
+            let pool = Pool::new(width);
+            for n in [0usize, 1, 3, 10] {
+                // (visit count, index the closure was handed)
+                let mut items = vec![(0u32, usize::MAX); n];
+                pool.for_each_mut(&mut items, |i, item| {
+                    item.0 += 1;
+                    item.1 = i;
+                });
+                let want: Vec<_> = (0..n).map(|i| (1, i)).collect();
+                assert_eq!(items, want, "width={width} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn stats_count_tasks_and_queue_depth() {
         let serial = Pool::serial();
-        let mut again: Vec<u64> = (0..10).collect();
-        let durs = serial.for_each_mut(&mut again, |i, v| *v += i as u64);
-        assert_eq!(again, items);
-        assert_eq!(durs.len(), 1);
-    }
+        assert_eq!(serial.stats().threads, 1);
+        let _ = serial.map_partitions(4, |i| i * i);
+        assert_eq!(serial.stats().tasks_total, 1, "an inline run is one task");
+        serial.for_each_mut(&mut [0u8; 4], |_, v| *v += 1);
+        assert_eq!(serial.stats().tasks_total, 2);
+        serial.for_each_mut(&mut [0u8; 0], |_, v| *v += 1);
+        let _ = serial.map_partitions(0, |i| i);
+        assert_eq!(serial.stats().tasks_total, 2, "empty input runs nothing");
 
-    #[test]
-    fn stats_report_queue_and_busy() {
-        let pool = Pool::new(2);
-        let before = pool.stats();
-        assert_eq!(before.threads, 2);
-        let _ = pool.map_partitions(4, |i| i * i);
-        let after = pool.stats();
-        assert!(after.tasks_total > before.tasks_total);
-        assert_eq!(after.queue_depth, 0, "queue drains at the batch barrier");
-    }
-
-    #[test]
-    fn stats_model_serial_and_critical_path() {
         let pool = Pool::new(4);
-        let _ = pool.map_partitions(8, |i| {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            i
-        });
-        let s = pool.stats();
-        assert!(s.modeled_critical > std::time::Duration::ZERO);
-        assert!(
-            s.modeled_serial >= s.modeled_critical,
-            "sum of partitions bounds the critical path from above"
-        );
-        // Four partitions sleeping ~2 ms each: the serial model must see
-        // roughly the whole 8 ms even though this box may have one core.
-        assert!(s.modeled_serial >= std::time::Duration::from_millis(6));
+        assert_eq!(pool.stats().threads, 4);
+        let _ = pool.map_partitions(8, |i| i * i);
+        assert_eq!(pool.stats().tasks_total, 4, "one task per partition");
+        pool.for_each_mut(&mut [0u8; 3], |_, v| *v += 1);
+        assert_eq!(pool.stats().tasks_total, 7, "partitions are capped by n");
+        let _ = pool.map_partitions(1, |i| i);
+        assert_eq!(pool.stats().tasks_total, 8, "n = 1 runs inline");
+        assert_eq!(pool.stats().queue_depth, 0, "queue drains at the barrier");
+    }
+
+    #[test]
+    fn for_each_mut_panic_resumes_after_the_barrier() {
+        let pool = Pool::new(4);
+        // Partitions are [0,1] [2,3] [4,5] [6,7]; item 2 panics.
+        let mut visits = [0u32; 8];
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_mut(&mut visits, |i, v| {
+                assert!(i != 2, "boom");
+                *v += 1;
+            });
+        }));
+        assert!(r.is_err(), "partition panic must propagate to the caller");
+        // Every other partition ran to completion before the panic was
+        // re-raised, so no borrow of `visits` outlived the call.
+        assert_eq!(visits, [1, 1, 0, 0, 1, 1, 1, 1]);
+        assert_eq!(pool.stats().queue_depth, 0);
     }
 
     #[test]
