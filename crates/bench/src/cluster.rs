@@ -12,28 +12,28 @@
 //! KV replication at several lag settings (async thresholds and the
 //! sync turn-commit barrier), each run twice to pin determinism.
 //!
-//! ```text
-//! cargo run --release -p pensieve-bench --bin bench_cluster
-//! ```
-//!
-//! Writes `results/BENCH_cluster.json` and `results/BENCH_failover.json`.
+//! Writes `results/BENCH_cluster.json` and `results/BENCH_failover.json`;
+//! both are committed, and a rerun must reproduce them byte for byte.
 
-use pensieve_bench::{
-    cluster_for, driver_for, engine_builder_for, print_table, workload_for, write_json, PointSpec,
-};
 use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig, RouterPolicy};
 use pensieve_core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
-use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
+use pensieve_model::{ModelConfig, SimDuration, SimTime};
 use pensieve_obs::{to_jsonl, SharedRecorder};
 use pensieve_workload::dataset::DatasetSpec;
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::metrics::LatencySummary;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+
+use crate::cli::{emit, Args, Report};
+use crate::harness::{
+    cluster_for, driver_for, engine_builder_for, horizon, print_table, workload_for, PointSpec,
+    DEFAULT_HORIZON,
+};
 
 const REPLICAS: usize = 4;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct ClusterRow {
     policy: String,
     replicas: usize,
@@ -55,7 +55,7 @@ struct ClusterRow {
     trace_hash: String,
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct ClusterResults {
     replicas: usize,
     rows: Vec<ClusterRow>,
@@ -74,24 +74,29 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
+/// Drains `recorder`: the event count and the FNV-1a hash of the JSONL
+/// trace, the pin both committed reports carry.
+fn trace_pin(recorder: &SharedRecorder) -> (usize, String) {
+    let events = recorder.take_events();
+    let hash = fnv1a(to_jsonl(&events).as_bytes());
+    (events.len(), format!("{hash:016x}"))
+}
+
 fn spec() -> PointSpec {
-    PointSpec {
-        engine: EngineConfig::pensieve(),
-        model: ModelConfig::llama2_13b(),
-        hardware: HardwareSpec::azure_nc_a100(ModelConfig::llama2_13b().default_num_gpus),
-        dataset: DatasetSpec::sharegpt(),
-        request_rate: 12.0,
-        think_time: 60.0,
-        seed: 42,
-        system_prompt_tokens: 0,
-    }
+    PointSpec::paper(
+        EngineConfig::pensieve(),
+        ModelConfig::llama2_13b(),
+        DatasetSpec::sharegpt(),
+        12.0,
+        42,
+    )
 }
 
 fn run_policy(policy: RouterPolicy) -> ClusterRow {
     let spec = spec();
     let recorder = SharedRecorder::new();
     let mut cluster = cluster_for(&spec, REPLICAS, policy, Some(recorder.clone()));
-    let convs = workload_for(&spec);
+    let convs = workload_for(&spec, horizon(DEFAULT_HORIZON));
     let result = run_closed_loop(&mut cluster, &convs, &driver_for(&spec));
     let hits: u64 = result
         .responses
@@ -104,8 +109,7 @@ fn run_policy(policy: RouterPolicy) -> ClusterRow {
             .iter()
             .map(|r| r.prefill_tokens as u64)
             .sum::<u64>();
-    let events = recorder.take_events();
-    let trace = to_jsonl(&events);
+    let (trace_events, trace_hash) = trace_pin(&recorder);
     ClusterRow {
         policy: policy.name().to_owned(),
         replicas: REPLICAS,
@@ -120,12 +124,34 @@ fn run_policy(policy: RouterPolicy) -> ClusterRow {
         migrations: cluster.migrations(),
         migrated_tokens: cluster.migrated_tokens(),
         migration_lost_tokens: cluster.migration_lost_tokens(),
-        trace_events: events.len(),
-        trace_hash: format!("{:016x}", fnv1a(trace.as_bytes())),
+        trace_events,
+        trace_hash,
     }
 }
 
-fn main() {
+impl Report for ClusterResults {
+    const NAME: &'static str = "BENCH_cluster";
+
+    fn violations(&self, label: &str) -> Vec<String> {
+        let rate = |policy: &str| {
+            let row = self.rows.iter().find(|r| r.policy == policy);
+            row.map(|r| r.hit_token_rate)
+        };
+        let mut bad = Vec::new();
+        match (rate("cache_aware"), rate("round_robin")) {
+            (Some(cache_aware), Some(round_robin)) if cache_aware > round_robin => {}
+            (cache_aware, round_robin) => bad.push(format!(
+                "{label}: cache-aware ({cache_aware:.3?}) must beat round-robin ({round_robin:.3?}) on hit-token rate"
+            )),
+        }
+        if !self.deterministic {
+            bad.push(format!("{label}: cluster trace must be bit-deterministic"));
+        }
+        bad
+    }
+}
+
+pub(crate) fn bench_cluster(_: &Args) -> Result<(), String> {
     let policies = [
         RouterPolicy::RoundRobin,
         RouterPolicy::LeastLoaded,
@@ -133,15 +159,9 @@ fn main() {
     ];
     let rows: Vec<ClusterRow> = policies.into_iter().map(run_policy).collect();
     let rerun = run_policy(RouterPolicy::CacheAware);
-    let cache_aware = rows
+    let deterministic = rows
         .iter()
-        .find(|r| r.policy == "cache_aware")
-        .expect("cache_aware row");
-    let round_robin = rows
-        .iter()
-        .find(|r| r.policy == "round_robin")
-        .expect("round_robin row");
-    let deterministic = rerun.trace_hash == cache_aware.trace_hash;
+        .any(|r| r.policy == "cache_aware" && r.trace_hash == rerun.trace_hash);
 
     println!(
         "{REPLICAS}-replica cluster, {} on {}:",
@@ -177,26 +197,18 @@ fn main() {
         "\ncache-aware rerun hash {} -> deterministic: {deterministic}",
         rerun.trace_hash
     );
-    assert!(
-        cache_aware.hit_token_rate > round_robin.hit_token_rate,
-        "cache-aware ({:.3}) must beat round-robin ({:.3}) on hit-token rate",
-        cache_aware.hit_token_rate,
-        round_robin.hit_token_rate
-    );
-    assert!(deterministic, "cluster trace must be bit-deterministic");
-
     let results = ClusterResults {
         replicas: REPLICAS,
-        cache_aware_rerun_hash: rerun.trace_hash.clone(),
+        cache_aware_rerun_hash: rerun.trace_hash,
         deterministic,
         rows,
     };
-    write_json("BENCH_cluster", &results);
-
-    run_failover_suite();
+    println!();
+    emit(&results, None, None)?;
+    run_failover_suite()
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct FailoverRow {
     mode: String,
     flush_threshold_tokens: usize,
@@ -294,8 +306,7 @@ fn run_failover(mode: ReplicationMode, threshold: usize) -> FailoverRow {
         "latency must span the failover (original arrival preserved)"
     );
 
-    let events = recorder.take_events();
-    let trace = to_jsonl(&events);
+    let (trace_events, trace_hash) = trace_pin(&recorder);
     let mode_name = match mode {
         ReplicationMode::Disabled => "disabled",
         ReplicationMode::Async => "async",
@@ -312,12 +323,12 @@ fn run_failover(mode: ReplicationMode, threshold: usize) -> FailoverRow {
         failover_latency_seconds: resp.finish.as_secs() - resp.arrival.as_secs(),
         cached_history_tokens: resp.cached_history_tokens,
         prefill_tokens: resp.prefill_tokens,
-        trace_events: events.len(),
-        trace_hash: format!("{:016x}", fnv1a(trace.as_bytes())),
+        trace_events,
+        trace_hash,
     }
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct FailoverResults {
     replicas: usize,
     scenario: String,
@@ -328,7 +339,35 @@ struct FailoverResults {
     deterministic: bool,
 }
 
-fn run_failover_suite() {
+impl Report for FailoverResults {
+    const NAME: &'static str = "BENCH_failover";
+
+    fn violations(&self, label: &str) -> Vec<String> {
+        let scratch = self.rows.iter().find(|row| row.mode == "disabled");
+        let Some(scratch) = scratch.map(|row| row.failover_ttft_seconds) else {
+            return vec![format!("{label}: no recompute-from-scratch row")];
+        };
+        let mut bad: Vec<String> = self
+            .rows
+            .iter()
+            .filter(|row| row.mode != "disabled" && row.failover_ttft_seconds >= scratch)
+            .map(|row| {
+                format!(
+                    "{label}: {} (lag {}) TTFT {:.3}s must beat recompute-from-scratch {scratch:.3}s",
+                    row.mode, row.flush_threshold_tokens, row.failover_ttft_seconds
+                )
+            })
+            .collect();
+        if !self.deterministic {
+            bad.push(format!(
+                "{label}: failover traces must be bit-deterministic"
+            ));
+        }
+        bad
+    }
+}
+
+fn run_failover_suite() -> Result<(), String> {
     let settings = [
         (ReplicationMode::Disabled, 0usize),
         (ReplicationMode::Async, 256),
@@ -372,22 +411,6 @@ fn run_failover_suite() {
             .collect::<Vec<_>>(),
     );
 
-    let scratch = rows
-        .iter()
-        .find(|row| row.mode == "disabled")
-        .expect("disabled row");
-    for row in rows.iter().filter(|row| row.mode != "disabled") {
-        assert!(
-            row.failover_ttft_seconds < scratch.failover_ttft_seconds,
-            "{} (lag {}) TTFT {:.3}s must beat recompute-from-scratch {:.3}s",
-            row.mode,
-            row.flush_threshold_tokens,
-            row.failover_ttft_seconds,
-            scratch.failover_ttft_seconds
-        );
-    }
-    assert!(deterministic, "failover traces must be bit-deterministic");
-
     let results = FailoverResults {
         replicas: 2,
         scenario: "3072+128-token warm turn, replica crash 200ms into the 256-token follow-up"
@@ -396,5 +419,6 @@ fn run_failover_suite() {
         rerun_hashes,
         deterministic,
     };
-    write_json("BENCH_failover", &results);
+    println!();
+    emit(&results, None, None)
 }

@@ -1,288 +1,172 @@
-//! Shared experiment harness for the paper's tables and figures.
+//! Experiment harness for the paper's tables and figures.
 //!
-//! Each figure/table has a binary under `src/bin/` (run with
-//! `cargo run --release -p pensieve-bench --bin <id>`); this library holds
-//! the sweep machinery they share. Every binary prints a human-readable
-//! table and writes machine-readable rows to `results/<id>.json`.
+//! One binary, one table: every experiment is a row of [`COMMANDS`] and
+//! runs as
+//!
+//! ```text
+//! cargo run --release -p pensieve-bench -- <name> [flags]
+//! cargo run --release -p pensieve-bench -- list
+//! ```
+//!
+//! Each command prints a human-readable table and writes machine-readable
+//! rows to `results/<name>.json` (the gated benches to
+//! `results/BENCH_<name>.json`). This library holds the table, the flag
+//! parser and report gate every command shares ([`cli`]), and the sweep
+//! machinery (`harness`, `sweeps`).
 //!
 //! Scale knobs (environment variables):
 //!
 //! * `PENSIEVE_DURATION` — seconds of simulated conversation arrivals per
-//!   sweep point (default 400; larger = closer to steady state).
+//!   sweep point (default 400, `fig15` 1200; larger = closer to steady
+//!   state).
 //! * `PENSIEVE_THREADS` — sweep-point parallelism (default: available
 //!   cores).
 
-use crossbeam::pool::Pool;
-use pensieve_cluster::{Router, RouterConfig, RouterPolicy};
-use pensieve_core::{EngineBuilder, EngineConfig, ServingBackend, SimServingEngine};
-use pensieve_kvcache::CacheStats;
-use pensieve_model::{HardwareSpec, ModelConfig};
-use pensieve_obs::SharedRecorder;
-use pensieve_workload::dataset::{Conversation, DatasetSpec};
-use pensieve_workload::driver::{run_closed_loop, DriverConfig};
-use pensieve_workload::metrics::LatencySummary;
-use serde::Serialize;
+use std::process::ExitCode;
 
-/// One serving-sweep measurement point.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepPoint {
-    /// Engine name.
-    pub system: String,
-    /// Model name.
-    pub model: String,
-    /// Dataset name.
-    pub dataset: String,
-    /// Offered request rate (requests/s).
-    pub request_rate: f64,
-    /// Mean user think time (s).
-    pub think_time: f64,
-    /// Steady-state summary.
-    pub summary: LatencySummary,
-    /// Cache hit statistics at the end of the run.
-    pub cache: CacheRow,
+pub mod cli;
+mod cluster;
+mod harness;
+mod kernels;
+mod serve_sim;
+mod sharing;
+mod studies;
+mod sweeps;
+mod tiers;
+
+use cli::{Args, Flag};
+use Action::{Run, Sweep};
+
+/// What a command does once its flags have parsed.
+enum Action {
+    /// A serving sweep: a row of the sweep table, rendered by
+    /// [`sweeps::run`].
+    Sweep(sweeps::Sweep),
+    /// Anything else.
+    Run(fn(&Args) -> Result<(), String>),
 }
 
-/// Serializable extract of [`CacheStats`].
-#[derive(Debug, Clone, Serialize)]
-pub struct CacheRow {
-    /// Overall history hit rate.
-    pub hit_rate: f64,
-    /// CPU-tier hit rate over non-GPU-resident tokens.
-    pub cpu_hit_rate: f64,
-    /// Tokens recomputed due to drops.
-    pub recomputed_tokens: u64,
-    /// Tokens swapped GPU->CPU.
-    pub swapped_out_tokens: u64,
-    /// Tokens swapped CPU->GPU.
-    pub swapped_in_tokens: u64,
+/// One experiment: a row of [`COMMANDS`].
+pub struct Command {
+    /// Subcommand name (also the stem of `results/<name>.json`).
+    pub name: &'static str,
+    /// Where in the paper (or which extension) the experiment comes from.
+    pub anchor: &'static str,
+    /// One-line description, shown by `list` and in README.
+    pub summary: &'static str,
+    /// Every flag the command accepts; anything else is a usage error.
+    pub flags: &'static [Flag],
+    /// Placeholder of the one positional operand, if the command takes one.
+    pub operand: Option<&'static str>,
+    /// The experiment itself.
+    action: Action,
 }
 
-impl From<&CacheStats> for CacheRow {
-    fn from(s: &CacheStats) -> Self {
-        CacheRow {
-            hit_rate: s.hit_rate(),
-            cpu_hit_rate: s.cpu_hit_rate(),
-            recomputed_tokens: s.recomputed_tokens,
-            swapped_out_tokens: s.swapped_out_tokens,
-            swapped_in_tokens: s.swapped_in_tokens,
+impl Command {
+    const fn new(
+        name: &'static str,
+        anchor: &'static str,
+        summary: &'static str,
+        flags: &'static [Flag],
+        action: Action,
+    ) -> Self {
+        Command {
+            name,
+            anchor,
+            summary,
+            flags,
+            operand: None,
+            action,
         }
     }
-}
 
-/// Parameters for one serving sweep point.
-#[derive(Debug, Clone)]
-pub struct PointSpec {
-    /// Engine behaviour.
-    pub engine: EngineConfig,
-    /// Served model.
-    pub model: ModelConfig,
-    /// Hardware (GPU count etc.).
-    pub hardware: HardwareSpec,
-    /// Workload dataset.
-    pub dataset: DatasetSpec,
-    /// Offered request rate.
-    pub request_rate: f64,
-    /// Mean think time seconds.
-    pub think_time: f64,
-    /// Seed for workload + arrivals.
-    pub seed: u64,
-    /// System prompt length shared by every conversation (0 = none).
-    pub system_prompt_tokens: usize,
-}
-
-/// Seconds of conversation arrivals simulated per point
-/// (`PENSIEVE_DURATION`, default 400).
-#[must_use]
-pub fn sim_duration() -> f64 {
-    std::env::var("PENSIEVE_DURATION")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400.0)
-}
-
-/// Number of worker threads for sweeps (`PENSIEVE_THREADS`).
-#[must_use]
-pub fn sweep_threads() -> usize {
-    std::env::var("PENSIEVE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, std::num::NonZero::get))
-}
-
-/// Generates the workload for a point: enough conversations to sustain the
-/// offered rate for [`sim_duration`] seconds.
-#[must_use]
-pub fn workload_for(spec: &PointSpec) -> Vec<Conversation> {
-    let conv_rate = spec.request_rate / spec.dataset.mean_turns;
-    let n = (conv_rate * sim_duration()).ceil() as usize;
-    spec.dataset.generate(n.max(50), spec.seed)
-}
-
-/// Builds the engine a sweep point runs on. Callers that need to attach
-/// a trace recorder (`serve_sim --trace-out`) use [`engine_builder_for`]
-/// instead and hand the result to [`run_point_on`].
-#[must_use]
-pub fn engine_for(spec: &PointSpec) -> SimServingEngine {
-    engine_builder_for(spec).build()
-}
-
-/// The [`EngineBuilder`] for a sweep point, for callers that decorate
-/// the engine (recorder, fault injector) before building.
-#[must_use]
-pub fn engine_builder_for(spec: &PointSpec) -> EngineBuilder {
-    SimServingEngine::builder(
-        spec.engine.clone(),
-        spec.model.clone(),
-        spec.hardware.clone(),
-    )
-}
-
-/// Runs one sweep point to completion.
-#[must_use]
-pub fn run_point(spec: &PointSpec) -> SweepPoint {
-    let mut engine = engine_for(spec);
-    run_point_on(spec, &mut engine)
-}
-
-/// Builds an N-replica cluster router for a sweep point. When a recorder
-/// is given, the router and every replica share it, producing one merged
-/// event trace for the whole cluster.
-#[must_use]
-pub fn cluster_for(
-    spec: &PointSpec,
-    replicas: usize,
-    policy: RouterPolicy,
-    recorder: Option<SharedRecorder>,
-) -> Router<SimServingEngine> {
-    let fleet: Vec<SimServingEngine> = (0..replicas)
-        .map(|_| {
-            let mut b = engine_builder_for(spec);
-            if let Some(rec) = recorder.clone() {
-                b = b.recorder(rec);
-            }
-            b.build()
-        })
-        .collect();
-    let mut router = Router::new(fleet, policy, RouterConfig::default());
-    if let Some(rec) = recorder {
-        router = router.recorder(rec);
-    }
-    router
-}
-
-/// The closed-loop driver configuration a sweep point runs under (the
-/// arrival seed is decorrelated from the workload-generation seed).
-#[must_use]
-pub fn driver_for(spec: &PointSpec) -> DriverConfig {
-    DriverConfig {
-        request_rate: spec.request_rate,
-        mean_think_time: spec.think_time,
-        seed: spec.seed.wrapping_mul(2654435761).wrapping_add(1),
-        system_prompt_tokens: spec.system_prompt_tokens,
+    /// `usage: pensieve-bench <name> [--flag OPERAND]... [<operand>]`.
+    #[must_use]
+    pub fn usage(&self) -> String {
+        let mut line = format!("usage: pensieve-bench {}", self.name);
+        for flag in self.flags {
+            line.push_str(&match flag.operand {
+                Some(op) => format!(" [{} {op}]", flag.name),
+                None => format!(" [{}]", flag.name),
+            });
+        }
+        if let Some(op) = self.operand {
+            line.push_str(&format!(" <{op}>"));
+        }
+        line
     }
 }
 
-/// Runs one sweep point on a caller-provided backend (which must have
-/// been built from the same spec for the labels to be honest) — a single
-/// engine or a whole cluster router.
+/// Every experiment, in the order README lists them.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command::new("table1", "Table 1", "model hyper-parameters", &[], Run(studies::table1)),
+    Command::new("table2", "Table 2", "dataset statistics, paper vs synthetic generators", &[], Run(studies::table2)),
+    Command::new("fig3", "Fig. 3", "prefill vs generation cost as history grows", &[], Run(studies::fig3)),
+    Command::new("fig4", "Fig. 4", "attention cost of a 32-token chunk vs context size", &[], Run(studies::fig4)),
+    Command::new("fig10", "Fig. 10", "1-GPU serving sweeps, four systems, two models, two datasets", &[], Sweep(sweeps::FIG10)),
+    Command::new("fig11", "Fig. 11", "4-GPU serving sweeps, OPT-66B and Llama 2-70B", &[], Sweep(sweeps::FIG11)),
+    Command::new("fig12", "Fig. 12", "multi-token attention kernel microbenchmark (wall clock)", &[], Run(kernels::fig12)),
+    Command::new("fig13", "Fig. 13", "unified vs separate prefill/generation scheduling", &[], Sweep(sweeps::FIG13)),
+    Command::new("fig14", "Fig. 14", "retention-value eviction vs LRU", &[], Sweep(sweeps::FIG14)),
+    Command::new("fig15", "Fig. 15", "think-time sweep, incl. vLLM at 600 s", &[], Sweep(sweeps::FIG15)),
+    Command::new("pcie_duplex", "§5", "retrieval-priority vs naive full-duplex PCIe", &[], Run(studies::pcie_duplex)),
+    Command::new("ablate_chunk", "§4.3.1", "eviction chunk size, 8-256 tokens", &[], Sweep(sweeps::ABLATE_CHUNK)),
+    Command::new("ablate_watermark", "§4.3.2", "swap watermark x decode reserve", &[], Sweep(sweeps::ABLATE_WATERMARK)),
+    Command::new("ablate_eviction", "Table 3", "eviction shapes: retention-value, LRU, whole-conversation, trailing-end", &[], Sweep(sweeps::ABLATE_EVICTION)),
+    Command::new("ablate_reservation", "§2.2", "ORCA max-length reservation vs paged growth vs stateful", &[], Sweep(sweeps::ABLATE_RESERVATION)),
+    Command::new("ablate_suspension", "§4.3.5", "suspension victim choice under GPU memory pressure", &[], Run(studies::ablate_suspension)),
+    Command::new("ablate_chunked_prefill", "ext.", "Sarathi-style chunked prefill on top of Pensieve", &[], Sweep(sweeps::ABLATE_CHUNKED_PREFILL)),
+    Command::new("memory_timeline", "§4.3.2", "GPU/CPU tier occupancy over time", &[], Run(studies::memory_timeline)),
+    Command::new("bench_cluster", "ext.", "4-replica routing policies + replica-failover suite (DESIGN §10)", &[], Run(cluster::bench_cluster)),
+    Command::new("bench_tiers", "ext.", "deep-tier (SSD/cold) idle-time sweep, hit-token-rate gate (docs/STORAGE.md)", cli::GATE_FLAGS, Run(tiers::bench_tiers)),
+    Command::new("bench_sharing", "ext.", "cross-conversation KV sharing, dedup-ratio gate (DESIGN §14)", cli::GATE_FLAGS, Run(sharing::bench_sharing)),
+    Command::new("bench_kernels", "§4.4", "blocked attention/GEMM kernels vs straw-men, ratio-regression gate (wall clock)", cli::GATE_FLAGS, Run(kernels::bench_kernels)),
+    Command::new("serve_sim", "§6", "serve one configuration; --trace-out / --metrics-out (docs/OBSERVABILITY.md)", serve_sim::FLAGS, Run(serve_sim::serve_sim)),
+    Command { operand: Some("trace.jsonl"), ..Command::new("trace_report", "ext.", "validate a serve_sim trace and attribute cache hits per turn", cli::HELP_FLAGS, Run(serve_sim::trace_report)) },
+];
+
+/// The text `pensieve-bench list` prints: one `name # anchor: summary`
+/// line per row of [`COMMANDS`]. README's command block is each of these
+/// lines behind `cargo run --release -p pensieve-bench -- `.
 #[must_use]
-pub fn run_point_on<B: ServingBackend>(spec: &PointSpec, engine: &mut B) -> SweepPoint {
-    let convs = workload_for(spec);
-    let result = run_closed_loop(engine, &convs, &driver_for(spec));
-    SweepPoint {
-        system: spec.engine.name.clone(),
-        model: spec.model.name.clone(),
-        dataset: spec.dataset.name.clone(),
-        request_rate: spec.request_rate,
-        think_time: spec.think_time,
-        summary: result.summary(),
-        cache: CacheRow::from(&engine.cache_stats()),
-    }
+pub fn list() -> String {
+    COMMANDS
+        .iter()
+        .map(|c| format!("{:<22} # {}: {}\n", c.name, c.anchor, c.summary))
+        .collect()
 }
 
-/// Runs many points in parallel (deterministic per point) on the
-/// process-wide persistent pool, preserving input order in the output.
+/// Runs `pensieve-bench <argv...>`: `list`, or a row of [`COMMANDS`]
+/// with its flags. Every failure — unknown subcommand, unknown flag,
+/// missing operand, failed gate, unreadable input — prints its reason
+/// to stderr and exits 1.
 #[must_use]
-pub fn run_sweep(specs: Vec<PointSpec>) -> Vec<SweepPoint> {
-    let threads = sweep_threads().min(specs.len().max(1));
-    let pool = Pool::global(threads);
-    pool.map_partitions(specs.len(), |idx| {
-        let point = run_point(&specs[idx]);
-        eprintln!(
-            "  [{}] {} {} {} rate={:.1}: p90={:.1}ms tp={:.2} req/s",
-            idx,
-            point.system,
-            point.model,
-            point.dataset,
-            point.request_rate,
-            point.summary.p90_normalized * 1e3,
-            point.summary.throughput_rps
+pub fn run(argv: &[String]) -> ExitCode {
+    let name = argv.first().map_or("", String::as_str);
+    if name == "list" && argv.len() == 1 {
+        print!("{}", list());
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprint!(
+            "unknown subcommand {name:?}; usage: pensieve-bench <name> [flags], where <name> is `list` or one of\n{}",
+            list()
         );
-        point
-    })
-}
-
-/// Writes experiment rows as pretty JSON to `results/<name>.json`.
-///
-/// # Panics
-///
-/// Panics if the results directory cannot be created or written.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    std::fs::create_dir_all("results").expect("create results dir");
-    let path = format!("results/{name}.json");
-    let data = serde_json::to_string_pretty(value).expect("serialize results");
-    std::fs::write(&path, data).expect("write results file");
-    println!("\nwrote {path}");
-}
-
-/// Prints a simple fixed-width table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        let padded: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect();
-        println!("  {}", padded.join("  "));
+        return ExitCode::FAILURE;
     };
-    line(&headers.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_preserves_order_and_is_deterministic() {
-        let spec = |rate: f64| PointSpec {
-            engine: EngineConfig::pensieve(),
-            model: ModelConfig::opt_13b(),
-            hardware: HardwareSpec::azure_nc_a100(1),
-            dataset: DatasetSpec::sharegpt(),
-            request_rate: rate,
-            think_time: 10.0,
-            seed: 1,
-            system_prompt_tokens: 0,
-        };
-        // Tiny duration for test speed.
-        std::env::set_var("PENSIEVE_DURATION", "30");
-        let a = run_sweep(vec![spec(0.5), spec(1.0)]);
-        let b = run_sweep(vec![spec(0.5), spec(1.0)]);
-        std::env::remove_var("PENSIEVE_DURATION");
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].request_rate, 0.5);
-        assert_eq!(a[1].request_rate, 1.0);
-        assert_eq!(a[0].summary, b[0].summary);
-        assert_eq!(a[1].summary, b[1].summary);
+    let outcome = Args::parse(cmd, &argv[1..]).and_then(|args| match &cmd.action {
+        Action::Sweep(sweep) => {
+            sweeps::run(cmd.name, sweep);
+            Ok(())
+        }
+        Action::Run(run) => run(&args),
+    });
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(reason) => {
+            eprintln!("{reason}");
+            ExitCode::FAILURE
+        }
     }
 }

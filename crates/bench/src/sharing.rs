@@ -20,25 +20,27 @@
 //! section forks one real-math conversation into 8 branches to prove
 //! the shared storage is *bit-identical* to unshared serving.
 //!
-//! CLI: `--smoke` (short run for CI), `--out <path>` (default
-//! `results/BENCH_sharing.json`), `--check` (exit non-zero unless the
-//! 8-sharer dedup ratio is ≤ 0.35, every point is deterministic, and
-//! the functional fork outputs are bit-identical).
+//! The gate: the 8-sharer dedup ratio is ≤ 0.35, every point is
+//! deterministic, and the functional fork outputs are bit-identical.
+//! `--smoke` is the short run for CI; `--check BASELINE` holds the
+//! committed `results/BENCH_sharing.json` to the same gate.
 
-use pensieve_bench::print_table;
-use pensieve_core::{EngineConfig, FunctionalConfig, FunctionalEngine, SimServingEngine};
+use pensieve_core::{EngineConfig, FunctionalConfig, FunctionalEngine};
 use pensieve_kvcache::SessionId;
-use pensieve_model::{HardwareSpec, ModelConfig};
+use pensieve_model::ModelConfig;
 use pensieve_workload::dataset::DatasetSpec;
-use pensieve_workload::driver::{run_closed_loop, DriverConfig};
-use serde::Serialize;
+use pensieve_workload::driver::run_closed_loop;
+use serde::{Deserialize, Serialize};
+
+use crate::cli::{emit, Args, Report};
+use crate::harness::{engine_for, print_table, raw_seed_driver, PointSpec};
 
 /// Tokens of the shared tool preamble (a whole number of 32-token
 /// chunks, so the full preamble is shareable).
 const PREAMBLE_TOKENS: usize = 2048;
 
 /// Measurements at one sharer count.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SharingRow {
     /// Conversations sharing the preamble.
     sharers: usize,
@@ -61,7 +63,7 @@ struct SharingRow {
 }
 
 /// Functional (real-math) fork section of the report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct FunctionalRow {
     /// Conversations sharing the forked history (parent + children).
     sharers: usize,
@@ -76,7 +78,7 @@ struct FunctionalRow {
 }
 
 /// The whole report, written to `results/BENCH_sharing.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct SharingReport {
     /// Shared preamble length in tokens.
     preamble_tokens: usize,
@@ -89,27 +91,24 @@ struct SharingReport {
 /// Serves K agents sharing the preamble once and extracts the row
 /// (without the determinism flag — the caller compares reruns).
 fn run_sharers(sharers: usize, turns_per_agent: usize) -> SharingRow {
-    let spec = DatasetSpec::agentic(PREAMBLE_TOKENS);
-    let mut convs = spec.generate(sharers, 101 + sharers as u64);
+    let dataset = DatasetSpec::agentic(PREAMBLE_TOKENS);
+    let mut convs = dataset.generate(sharers, 101 + sharers as u64);
     for c in &mut convs {
         c.turns.truncate(turns_per_agent);
     }
-    let mut engine = SimServingEngine::builder(
-        EngineConfig::pensieve_shared_prefix(PREAMBLE_TOKENS),
-        ModelConfig::opt_13b(),
-        HardwareSpec::azure_nc_a100(1),
-    )
-    .build();
-    let result = run_closed_loop(
-        &mut engine,
-        &convs,
-        &DriverConfig {
-            request_rate: (sharers as f64).max(1.0),
-            mean_think_time: 5.0,
-            seed: 77,
-            system_prompt_tokens: spec.preamble_tokens,
-        },
-    );
+    let spec = PointSpec {
+        think_time: 5.0,
+        system_prompt_tokens: dataset.preamble_tokens,
+        ..PointSpec::paper(
+            EngineConfig::pensieve_shared_prefix(PREAMBLE_TOKENS),
+            ModelConfig::opt_13b(),
+            dataset,
+            (sharers as f64).max(1.0),
+            77,
+        )
+    };
+    let mut engine = engine_for(&spec);
+    let result = run_closed_loop(&mut engine, &convs, &raw_seed_driver(&spec));
     let summary = result.summary();
     let stats = engine.cache_stats();
     let logical = engine.logical_resident_tokens();
@@ -164,17 +163,33 @@ fn functional_fork(forks: usize) -> FunctionalRow {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_sharing.json".to_owned());
+impl Report for SharingReport {
+    const NAME: &'static str = "BENCH_sharing";
 
+    fn violations(&self, label: &str) -> Vec<String> {
+        let mut bad = Vec::new();
+        match self.rows.iter().find(|r| r.sharers == 8) {
+            Some(r) if r.dedup_ratio <= 0.35 => {}
+            Some(r) => bad.push(format!(
+                "{label}: dedup ratio at 8 sharers is {:.3}, gate is 0.35",
+                r.dedup_ratio
+            )),
+            None => bad.push(format!("{label}: no 8-sharer row to gate on")),
+        }
+        if let Some(r) = self.rows.iter().find(|r| !r.deterministic) {
+            bad.push(format!("{label}: rerun at {} sharers diverged", r.sharers));
+        }
+        if !self.functional.bit_identical {
+            bad.push(format!(
+                "{label}: functional fork outputs are not bit-identical"
+            ));
+        }
+        bad
+    }
+}
+
+pub(crate) fn bench_sharing(args: &Args) -> Result<(), String> {
+    let smoke = args.has("--smoke");
     let turns = if smoke { 2 } else { 3 };
     let sharer_counts: &[usize] = if smoke { &[1, 8] } else { &[1, 8, 64] };
     println!(
@@ -227,36 +242,5 @@ fn main() {
         rows,
         functional,
     };
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    let data = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out, data).expect("write results file");
-    println!("wrote {out}");
-
-    if check {
-        let mut failures = Vec::new();
-        let at8 = report.rows.iter().find(|r| r.sharers == 8);
-        match at8 {
-            Some(r) if r.dedup_ratio <= 0.35 => {}
-            Some(r) => failures.push(format!(
-                "dedup ratio at 8 sharers is {:.3}, gate is 0.35",
-                r.dedup_ratio
-            )),
-            None => failures.push("no 8-sharer row to gate on".to_owned()),
-        }
-        if let Some(r) = report.rows.iter().find(|r| !r.deterministic) {
-            failures.push(format!("rerun at {} sharers diverged", r.sharers));
-        }
-        if !report.functional.bit_identical {
-            failures.push("functional fork outputs are not bit-identical".to_owned());
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("CHECK FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("all sharing gates passed");
-    }
+    emit(&report, args.get("--out"), args.get("--check"))
 }

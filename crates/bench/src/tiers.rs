@@ -1,4 +1,4 @@
-//! Deep-storage-tier benchmark: emits `BENCH_tiers.json`.
+//! Deep-storage-tier benchmark: emits `results/BENCH_tiers.json`.
 //!
 //! Sweeps the session idle-time distribution (the closed-loop driver's
 //! mean think time) on a memory-starved single replica and compares
@@ -23,26 +23,24 @@
 //! recomputation, not about the cold tier being fast (`docs/STORAGE.md`,
 //! "Failure modes and honesty notes").
 //!
-//! The run is pure simulation, so rows are deterministic; the binary
+//! The run is pure simulation, so rows are deterministic; the command
 //! re-runs the idle-heaviest deep point and aborts if the rows differ.
-//!
-//! Usage: `bench_tiers [--smoke] [--out PATH] [--check BASELINE]`
 //!
 //! * `--smoke` shortens the simulated arrival window so CI finishes in
 //!   seconds (the committed full-length report is `results/BENCH_tiers.json`).
-//! * `--out PATH` writes the report there (default `BENCH_tiers.json`).
-//! * `--check BASELINE` re-reads the emitted report, validates its
-//!   schema, and fails (exit 1) unless the deep-tier gate holds in both
-//!   the fresh report and the committed `BASELINE`.
+//! * `--check BASELINE` additionally requires the committed `BASELINE` to
+//!   parse and to satisfy the same gate.
 
-use std::process::ExitCode;
-
-use pensieve_bench::{driver_for, engine_for, print_table, sim_duration, sweep_threads, PointSpec};
 use pensieve_core::{EngineConfig, SimServingEngine};
 use pensieve_model::{HardwareSpec, ModelConfig};
 use pensieve_workload::dataset::DatasetSpec;
 use pensieve_workload::driver::run_closed_loop;
 use serde::{Deserialize, Serialize};
+
+use crate::cli::{emit, Args, Report};
+use crate::harness::{
+    driver_for, engine_for, horizon, par_map, print_records, PointSpec, DEFAULT_HORIZON,
+};
 
 /// Mean think times swept, seconds: active chat -> mixed -> idle-heavy.
 const THINK_TIMES: [f64; 3] = [5.0, 60.0, 180.0];
@@ -63,9 +61,9 @@ const COLD_TOKENS: usize = 1 << 20;
 /// idle-heaviest point — the headline gate.
 const GATE_MARGIN: f64 = 0.05;
 
-/// Top-level report written to `BENCH_tiers.json`.
+/// Top-level report written to `results/BENCH_tiers.json`.
 #[derive(Serialize, Deserialize)]
-struct Report {
+struct TierReport {
     /// Bumped when the layout of this file changes.
     schema_version: u64,
     /// True when produced by `--smoke` (shortened arrival window).
@@ -143,14 +141,15 @@ fn specs(hw: &HardwareSpec) -> Vec<PointSpec> {
             EngineConfig::pensieve_deep_tiers(SSD_TOKENS, COLD_TOKENS),
         ] {
             out.push(PointSpec {
-                engine,
-                model: ModelConfig::opt_13b(),
                 hardware: hw.clone(),
-                dataset: DatasetSpec::sharegpt(),
-                request_rate: REQUEST_RATE,
                 think_time,
-                seed: SEED,
-                system_prompt_tokens: 0,
+                ..PointSpec::paper(
+                    engine,
+                    ModelConfig::opt_13b(),
+                    DatasetSpec::sharegpt(),
+                    REQUEST_RATE,
+                    SEED,
+                )
             });
         }
     }
@@ -194,97 +193,83 @@ fn row(rows: &[TierRow], deep: bool, think: f64) -> Option<&TierRow> {
 /// Machine-portable gates over one report (fresh or baseline). The run
 /// is deterministic simulation, so these hold identically on every
 /// machine; only the arrival-window length (smoke vs full) varies.
-fn check_report(report: &Report, label: &str) -> Vec<String> {
-    let mut bad = Vec::new();
-    if report.schema_version != 1 {
-        bad.push(format!(
-            "{label}: schema_version {} != 1",
-            report.schema_version
-        ));
-        return bad;
-    }
-    for &think in &THINK_TIMES {
-        let (Some(two), Some(deep)) = (
-            row(&report.rows, false, think),
-            row(&report.rows, true, think),
-        ) else {
-            bad.push(format!("{label}: missing rows at think={think}"));
-            continue;
-        };
-        if two.requests == 0 || deep.requests == 0 {
-            bad.push(format!(
-                "{label}: empty steady-state window at think={think}"
-            ));
-        }
-        // Deep tiers may never lose to the two-tier baseline: they only
-        // add places for evicted chunks to go.
-        if deep.hit_token_rate < two.hit_token_rate - 1e-9 {
-            bad.push(format!(
-                "{label}: deep hit-token rate {:.3} below two-tier {:.3} at think={think}",
-                deep.hit_token_rate, two.hit_token_rate
-            ));
-        }
-        if two.ssd_hit_tokens + two.cold_hit_tokens > 0 {
-            bad.push(format!(
-                "{label}: two-tier baseline reported deep-tier hits at think={think}"
-            ));
-        }
-    }
-    let idle = THINK_TIMES[THINK_TIMES.len() - 1];
-    if let (Some(two), Some(deep)) = (
-        row(&report.rows, false, idle),
-        row(&report.rows, true, idle),
-    ) {
-        if deep.hit_token_rate < two.hit_token_rate + GATE_MARGIN {
-            bad.push(format!(
-                "{label}: idle-heavy gate failed — deep {:.3} vs two-tier {:.3} (need +{GATE_MARGIN})",
-                deep.hit_token_rate, two.hit_token_rate
-            ));
-        }
-        if deep.ssd_hit_tokens + deep.cold_hit_tokens == 0 {
-            bad.push(format!(
-                "{label}: idle-heavy deep point never read from the deep tiers"
-            ));
-        }
-        if deep.demoted_tokens == 0 {
-            bad.push(format!(
-                "{label}: idle-heavy deep point never demoted a chunk"
-            ));
-        }
-    }
-    bad
-}
+impl Report for TierReport {
+    const NAME: &'static str = "BENCH_tiers";
 
-fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_tiers.json");
-    let mut check_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--check" => check_path = Some(args.next().expect("--check needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; usage: bench_tiers [--smoke] [--out PATH] [--check BASELINE]"
-                );
-                return ExitCode::FAILURE;
+    fn violations(&self, label: &str) -> Vec<String> {
+        let mut bad = Vec::new();
+        if self.schema_version != 1 {
+            bad.push(format!(
+                "{label}: schema_version {} != 1",
+                self.schema_version
+            ));
+            return bad;
+        }
+        for &think in &THINK_TIMES {
+            let (Some(two), Some(deep)) =
+                (row(&self.rows, false, think), row(&self.rows, true, think))
+            else {
+                bad.push(format!("{label}: missing rows at think={think}"));
+                continue;
+            };
+            if two.requests == 0 || deep.requests == 0 {
+                bad.push(format!(
+                    "{label}: empty steady-state window at think={think}"
+                ));
+            }
+            // Deep tiers may never lose to the two-tier baseline: they only
+            // add places for evicted chunks to go.
+            if deep.hit_token_rate < two.hit_token_rate - 1e-9 {
+                bad.push(format!(
+                    "{label}: deep hit-token rate {:.3} below two-tier {:.3} at think={think}",
+                    deep.hit_token_rate, two.hit_token_rate
+                ));
+            }
+            if two.ssd_hit_tokens + two.cold_hit_tokens > 0 {
+                bad.push(format!(
+                    "{label}: two-tier baseline reported deep-tier hits at think={think}"
+                ));
             }
         }
+        let idle = THINK_TIMES[THINK_TIMES.len() - 1];
+        if let (Some(two), Some(deep)) = (row(&self.rows, false, idle), row(&self.rows, true, idle))
+        {
+            if deep.hit_token_rate < two.hit_token_rate + GATE_MARGIN {
+                bad.push(format!(
+                    "{label}: idle-heavy gate failed — deep {:.3} vs two-tier {:.3} (need +{GATE_MARGIN})",
+                    deep.hit_token_rate, two.hit_token_rate
+                ));
+            }
+            if deep.ssd_hit_tokens + deep.cold_hit_tokens == 0 {
+                bad.push(format!(
+                    "{label}: idle-heavy deep point never read from the deep tiers"
+                ));
+            }
+            if deep.demoted_tokens == 0 {
+                bad.push(format!(
+                    "{label}: idle-heavy deep point never demoted a chunk"
+                ));
+            }
+        }
+        bad
     }
-    let duration = if smoke { 120.0 } else { sim_duration() };
+}
 
-    let hw = shrunken_hardware();
-    let specs = specs(&hw);
+pub(crate) fn bench_tiers(args: &Args) -> Result<(), String> {
+    let smoke = args.has("--smoke");
+    let duration = if smoke {
+        120.0
+    } else {
+        horizon(DEFAULT_HORIZON)
+    };
+
+    let specs = specs(&shrunken_hardware());
     eprintln!(
         "bench_tiers: {} points, {duration}s arrivals each (gpu={GPU_TOKENS} cpu={CPU_TOKENS} \
          ssd={SSD_TOKENS} cold={COLD_TOKENS} tokens)",
         specs.len()
     );
-    let threads = sweep_threads().min(specs.len());
-    let pool = crossbeam::pool::Pool::global(threads);
-    let rows: Vec<TierRow> = pool.map_partitions(specs.len(), |idx| {
+    let rows: Vec<TierRow> = par_map(specs.len(), |idx| {
         let r = run_tier_point(&specs[idx], duration);
         eprintln!(
             "  [{idx}] {} think={}s: hit={:.3} ssd+cold={} demoted={}",
@@ -309,7 +294,7 @@ fn main() -> ExitCode {
         "bench_tiers: idle-heavy deep point is not deterministic across reruns"
     );
 
-    let report = Report {
+    let report = TierReport {
         schema_version: 1,
         smoke,
         duration_s: duration,
@@ -320,62 +305,22 @@ fn main() -> ExitCode {
         rows,
     };
 
-    print_table(
+    print_records(
+        &report.rows,
         &[
-            "system", "think", "hit", "gpu", "cpu", "ssd", "cold", "recomp", "demoted", "dropped",
-            "ttft_ms", "p90_ms",
+            ("system", "system", 0),
+            ("think", "think_time", 0),
+            ("hit", "hit_token_rate", 3),
+            ("gpu", "gpu_hit_tokens", 0),
+            ("cpu", "cpu_hit_tokens", 0),
+            ("ssd", "ssd_hit_tokens", 0),
+            ("cold", "cold_hit_tokens", 0),
+            ("recomp", "recomputed_tokens", 0),
+            ("demoted", "demoted_tokens", 0),
+            ("dropped", "dropped_tokens", 0),
+            ("ttft_ms", "mean_ttft_ms", 1),
+            ("p90_ms", "p90_normalized_ms", 2),
         ],
-        &report
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.system.clone(),
-                    format!("{:.0}", r.think_time),
-                    format!("{:.3}", r.hit_token_rate),
-                    r.gpu_hit_tokens.to_string(),
-                    r.cpu_hit_tokens.to_string(),
-                    r.ssd_hit_tokens.to_string(),
-                    r.cold_hit_tokens.to_string(),
-                    r.recomputed_tokens.to_string(),
-                    r.demoted_tokens.to_string(),
-                    r.dropped_tokens.to_string(),
-                    format!("{:.1}", r.mean_ttft_ms),
-                    format!("{:.2}", r.p90_normalized_ms),
-                ]
-            })
-            .collect::<Vec<_>>(),
     );
-
-    let data = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, &data).expect("write report");
-    println!("wrote {out_path}");
-
-    let fresh_violations = check_report(&report, "report");
-    if let Some(path) = check_path {
-        let mut violations = fresh_violations;
-        // Round-trip the emitted report (malformed-JSON gate).
-        if let Err(e) = serde_json::from_str::<Report>(&data) {
-            violations.push(format!("emitted report is malformed: {e:?}"));
-        }
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match serde_json::from_str::<Report>(&text) {
-                Ok(baseline) => violations.extend(check_report(&baseline, "baseline")),
-                Err(e) => violations.push(format!("baseline {path} is malformed: {e:?}")),
-            },
-            Err(e) => violations.push(format!("cannot read baseline {path}: {e}")),
-        }
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("check failed: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("check passed against {path}");
-    } else if !fresh_violations.is_empty() {
-        for v in &fresh_violations {
-            eprintln!("warning: {v}");
-        }
-    }
-    ExitCode::SUCCESS
+    emit(&report, args.get("--out"), args.get("--check"))
 }

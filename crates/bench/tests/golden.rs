@@ -24,7 +24,9 @@ use serde_json::Value;
 /// How the test reaches a command: the one thing a change to the
 /// harness's packaging may edit in this file.
 fn command(name: &str) -> Command {
-    Command::new(Path::new(env!("CARGO_BIN_EXE_fig4")).with_file_name(name))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pensieve-bench"));
+    cmd.arg(name);
+    cmd
 }
 
 struct Pin {

@@ -9,7 +9,7 @@
 //!
 //! The straw-man is deliberately pinned to the *scalar reference*
 //! single-token kernel ([`paged_single_token_ref`]) so the Figure-12
-//! baseline stays fixed as the fast paths evolve; `BENCH_kernels.json`
+//! baseline stays fixed as the fast paths evolve; `results/BENCH_kernels.json`
 //! speedups are measured against this implementation.
 
 use super::single::paged_single_token_ref;

@@ -3,10 +3,14 @@
 //! in the checkout and be exempted from `.gitignore`'s `/results/*`
 //! (a baseline that exists only on the machine that generated it passes
 //! locally and fails every CI run), and every `--bin` / `--example` /
-//! `--test` target that `ci.yml` or `README.md` hands to cargo must be a
-//! source file of the package the command names.
+//! `--test` target that `ci.yml` or a document hands to cargo must be a
+//! source file of the package the command names — for `pensieve-bench`,
+//! which is one binary, the subcommand after the bare `--` must be a row
+//! of its `COMMANDS` table.
 
 use std::path::Path;
+
+use pensieve_bench::COMMANDS;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -51,34 +55,82 @@ fn package_dir(pkg: Option<&str>) -> String {
     }
 }
 
+/// `word` without the markdown and sentence punctuation around it.
+fn bare(word: &str) -> &str {
+    word.trim_matches(|c: char| "`|,.;:()".contains(c))
+}
+
+/// `ci.yml` and every document that shows a cargo command line.
+fn documents() -> Vec<String> {
+    let mut docs: Vec<String> = [
+        ".github/workflows/ci.yml",
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+    ]
+    .map(str::to_owned)
+    .into();
+    let dir = std::fs::read_dir(root().join("docs")).expect("read docs/");
+    for entry in dir {
+        let name = entry.expect("docs/ entry").file_name();
+        let name = name.to_str().expect("utf-8 file name");
+        if name.ends_with(".md") {
+            docs.push(format!("docs/{name}"));
+        }
+    }
+    docs
+}
+
 #[test]
-fn every_cargo_target_ci_and_readme_name_is_in_the_tree() {
+fn every_cargo_target_ci_and_the_documents_name_is_in_the_tree() {
     let root = root();
+    let is_command = |word: &str| COMMANDS.iter().any(|c| c.name == word);
     let mut checked = 0;
-    for doc in [".github/workflows/ci.yml", "README.md"] {
-        let text = read(doc).replace("\\\n", " ");
+    for doc in documents() {
+        let text = read(&doc).replace("\\\n", " ");
         for line in text.lines() {
+            // The experiments are subcommands of one binary now; a `--bin
+            // fig4` anywhere (a table cell, a sentence) is a stale recipe.
+            let words: Vec<&str> = line.split_whitespace().map(bare).collect();
+            for pair in words.windows(2) {
+                assert!(
+                    !(pair[0] == "--bin" && is_command(pair[1])),
+                    "{doc} says `--bin {0}`; it is `pensieve-bench -- {0}` now: {line}",
+                    pair[1]
+                );
+            }
             let Some(at) = line.find("cargo ") else {
                 continue;
             };
             // Cargo's own arguments end at a bare `--`; the rest belongs
             // to the program being run.
-            let args: Vec<&str> = line[at..]
+            let mut rest = line[at..]
                 .split_whitespace()
-                .take_while(|w| *w != "--" && !w.starts_with('#'))
-                .collect();
+                .take_while(|w| !w.starts_with('#'));
+            let args: Vec<&str> = rest.by_ref().take_while(|w| *w != "--").collect();
             let value_of = |flag: &str| {
                 args.iter()
                     .position(|w| *w == flag)
                     .and_then(|i| args.get(i + 1).copied())
             };
-            let dir = package_dir(value_of("-p"));
+            let pkg = value_of("-p").map(bare);
+            if pkg == Some("pensieve-bench") && args.contains(&"run") {
+                let sub = rest.next().map_or("", bare);
+                assert!(
+                    sub == "list" || sub.starts_with('<') || is_command(sub),
+                    "{doc} runs `pensieve-bench -- {sub}`, which is not in COMMANDS: {line}"
+                );
+                checked += 1;
+            }
+            let dir = package_dir(pkg);
             for (flag, sub) in [
                 ("--bin", "src/bin"),
                 ("--example", "examples"),
                 ("--test", "tests"),
             ] {
-                let Some(name) = value_of(flag) else {
+                // `<name>` is a placeholder in a recipe, not a target.
+                let Some(name) = value_of(flag).map(bare).filter(|n| !n.starts_with('<')) else {
                     continue;
                 };
                 let path = format!("{dir}{sub}/{name}.rs");
@@ -91,5 +143,5 @@ fn every_cargo_target_ci_and_readme_name_is_in_the_tree() {
             }
         }
     }
-    assert!(checked > 0, "no cargo target found in ci.yml or README.md");
+    assert!(checked >= 50, "only {checked} cargo targets found");
 }
