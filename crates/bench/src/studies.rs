@@ -6,7 +6,7 @@
 use std::cell::RefCell;
 
 use pensieve_core::config::SuspendPolicy;
-use pensieve_core::EngineConfig;
+use pensieve_core::{EngineConfig, ServingBackend};
 use pensieve_model::{
     BatchShape, CostModel, HardwareSpec, ModelConfig, PcieSpec, SeqShape, SimDuration, SimTime,
 };

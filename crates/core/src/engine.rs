@@ -22,7 +22,8 @@ use std::collections::VecDeque;
 
 use pensieve_kvcache::{
     CacheConfig, CacheStats, CachedAttentionPolicy, EvictionPolicy, LruPolicy, RequestPlan,
-    RetentionValuePolicy, SessionId, SessionManifest, TieredKvCache, TrailingEndPolicy,
+    RetentionValuePolicy, SessionExport, SessionId, SessionManifest, TieredKvCache,
+    TrailingEndPolicy,
 };
 use pensieve_model::{
     BatchShape, CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimDuration,
@@ -34,6 +35,7 @@ use pensieve_sim::{
     StorageDevice, StorageDeviceSpec,
 };
 
+use crate::backend::ServingBackend;
 use crate::config::{EngineConfig, PolicyKind, SuspendPolicy};
 use crate::request::{Request, Response};
 
@@ -44,13 +46,20 @@ use crate::request::{Request, Response};
 /// it by id.
 const SHARED_PREAMBLE_SEED: u64 = 0x50_45_4e_53; // "PENS"
 
-/// Internal per-request execution state.
+/// One request's lifecycle state — the record both the wait queue and the
+/// running batch hold. A suspended request (§4.3.5) is this record back
+/// at the queue front: it waits and is re-admitted like any other, with
+/// its context restored through the same Figure-5 plan as a returning
+/// conversation's. In the queue, `generated == 0` marks a request that
+/// has never been admitted: only decoding requests are suspended, and a
+/// request decodes once its prefill has produced its first token.
 #[derive(Debug, Clone)]
-struct RunningRequest {
+struct RequestState {
     req: Request,
     /// Output tokens produced so far.
     generated: usize,
-    /// Current context length in the KV cache (tokens with slots).
+    /// Context the request has built up: the turn's history while it
+    /// waits for its first admission, tokens with KV slots from then on.
     context_len: usize,
     /// Prefill work to perform in the next invocation, if any.
     prefill: Option<PrefillWork>,
@@ -59,17 +68,12 @@ struct RunningRequest {
     prefill_tokens: usize,
     /// History tokens served from cache (for reporting).
     cached_tokens: usize,
-    /// KV slots for the whole decode were reserved at admission
-    /// (ORCA-style); decode growth is a no-op.
-    preallocated: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct PrefillWork {
     /// Query tokens to process (recomputed history tail + new prompt).
     query_tokens: usize,
-    /// Context length after the prefill.
-    context_len: usize,
     /// Bytes to swap in from the CPU tier (per GPU shard).
     swap_in_bytes: usize,
     /// Query tokens already processed by earlier chunked iterations.
@@ -81,30 +85,26 @@ struct PrefillWork {
     reserved_delay: Option<SimDuration>,
 }
 
-/// A waiting-queue entry: a fresh request or a suspended one.
-#[derive(Debug, Clone)]
-enum WorkItem {
-    New(Request),
-    Resumed(RunningRequest),
-}
-
-impl WorkItem {
-    fn arrival(&self) -> SimTime {
-        match self {
-            WorkItem::New(r) => r.arrival,
-            WorkItem::Resumed(r) => r.req.arrival,
-        }
-    }
-}
-
 /// What admitting the queue front costs, as of the cache state
 /// `admission_cost` saw.
 struct AdmissionCost {
-    conv: SessionId,
     query_tokens: usize,
     new_slots: usize,
     /// The session's restore plan the two counts were derived from.
     plan: RequestPlan,
+}
+
+/// How far [`SimServingEngine::advance`] may move the clock to reach
+/// queued work while the batch is empty.
+#[derive(Debug, Clone, Copy)]
+enum Limit {
+    /// Not at all: only work already due runs.
+    Present,
+    /// Up to a deadline, which the clock lands on when nothing is due
+    /// before it.
+    Until(SimTime),
+    /// As far as the queue goes.
+    Drained,
 }
 
 /// Aggregate engine counters beyond per-request responses.
@@ -170,8 +170,8 @@ pub struct SimServingEngine {
     link: PcieLink,
     cache: TieredKvCache,
     now: SimTime,
-    wait_queue: VecDeque<WorkItem>,
-    running: Vec<RunningRequest>,
+    wait_queue: VecDeque<RequestState>,
+    running: Vec<RequestState>,
     responses: Vec<Response>,
     counters: EngineCounters,
     kv_bytes_per_token_per_gpu: usize,
@@ -398,13 +398,8 @@ impl SimServingEngine {
         &self.model
     }
 
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Cache effectiveness statistics.
+    /// Cache effectiveness statistics, by reference (the
+    /// [`ServingBackend`] method of the same name returns a snapshot).
     #[must_use]
     pub fn cache_stats(&self) -> &CacheStats {
         self.cache.stats()
@@ -414,67 +409,6 @@ impl SimServingEngine {
     #[must_use]
     pub fn counters(&self) -> &EngineCounters {
         &self.counters
-    }
-
-    /// GPU KV slots currently in use (resident + lazily-copied tokens).
-    #[must_use]
-    pub fn gpu_slots_used(&self) -> usize {
-        self.cache.gpu_slots_used()
-    }
-
-    /// CPU cache tokens currently in use.
-    #[must_use]
-    pub fn cpu_tokens_used(&self) -> usize {
-        self.cache.cpu_used()
-    }
-
-    /// Requests currently in the running batch.
-    #[must_use]
-    pub fn running_requests(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Requests currently waiting for admission.
-    #[must_use]
-    pub fn waiting_requests(&self) -> usize {
-        self.wait_queue.len()
-    }
-
-    /// True if no request is running or waiting.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.running.is_empty() && self.wait_queue.is_empty()
-    }
-
-    /// True if at least one completed response is waiting to be drained.
-    #[must_use]
-    pub fn responses_ready(&self) -> bool {
-        !self.responses.is_empty()
-    }
-
-    /// Total GPU KV slot capacity in tokens.
-    #[must_use]
-    pub fn gpu_capacity_tokens(&self) -> usize {
-        self.cache.config().gpu_capacity_tokens
-    }
-
-    /// KV bytes per cached token (per GPU shard) — what a migration must
-    /// move per token of context.
-    #[must_use]
-    pub fn kv_bytes_per_token(&self) -> usize {
-        self.kv_bytes_per_token_per_gpu
-    }
-
-    /// History tokens of `session` this engine could serve from its KV
-    /// cache right now (GPU hits, in-place revalidations and CPU
-    /// swap-ins; dropped chunks need recomputation and do not count).
-    /// The globally shared system preamble is excluded — every replica
-    /// of a cluster holds it, so it never differentiates placement.
-    #[must_use]
-    pub fn cached_tokens(&self, session: SessionId) -> usize {
-        let plan = self.cache.plan_restore(session);
-        (plan.gpu_hit_tokens + plan.revalidate_tokens + plan.swap_in_tokens)
-            .saturating_sub(self.cache.global_shared_tokens(session))
     }
 
     /// Tokens resident (any non-dropped tier) summed *per sharer*: a
@@ -491,86 +425,6 @@ impl SimServingEngine {
     #[must_use]
     pub fn physical_resident_tokens(&self) -> usize {
         self.cache.physical_resident_tokens()
-    }
-
-    /// Removes `session`'s KV state for handoff to another engine.
-    /// Returns `None` when the session is unknown here or still has
-    /// in-flight work (queued or running requests) — migrating state out
-    /// from under an active request would corrupt it.
-    pub fn export_session(
-        &mut self,
-        session: SessionId,
-    ) -> Option<pensieve_kvcache::SessionExport> {
-        let in_flight = self.running.iter().any(|r| r.req.conv == session)
-            || self.wait_queue.iter().any(|w| match w {
-                WorkItem::New(r) => r.conv == session,
-                WorkItem::Resumed(r) => r.req.conv == session,
-            });
-        if in_flight {
-            return None;
-        }
-        self.cache.export_session(session)
-    }
-
-    /// Installs a handed-off session snapshot into this engine's CPU
-    /// cache tier (see [`pensieve_kvcache::TieredKvCache::import_session`]).
-    /// Returns the tokens admitted; a session already present here (the
-    /// cache refuses the import) or a zero-sized CPU tier yields 0 and
-    /// the conversation recomputes instead.
-    pub fn import_session(&mut self, export: pensieve_kvcache::SessionExport) -> usize {
-        self.cache.import_session(export, self.now).unwrap_or(0)
-    }
-
-    /// Builds a cold-tier manifest of `session`'s chunk layout — the
-    /// shared chain's content-addressed ids followed by private chunks
-    /// (see [`pensieve_kvcache::SessionManifest`]) — or `None` when this
-    /// engine does not track the session. Read-only — persisting the
-    /// manifest to the cold object store is the router's job.
-    #[must_use]
-    pub fn session_manifest(&self, session: SessionId) -> Option<SessionManifest> {
-        if !self.cache.contains(session) {
-            return None;
-        }
-        Some(SessionManifest {
-            session,
-            chunks: self.cache.manifest_chunks(session),
-        })
-    }
-
-    /// Sessions whose cache state is eligible for manifest persistence
-    /// (all tracked conversations), in ascending id order.
-    #[must_use]
-    pub fn manifest_sessions(&self) -> Vec<SessionId> {
-        self.cache.sessions()
-    }
-
-    /// Drains the sessions whose manifest layout may have changed since
-    /// the last drain (removed sessions included), in ascending id
-    /// order; see [`pensieve_kvcache::TieredKvCache::take_manifest_dirty`].
-    pub fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
-        self.cache.take_manifest_dirty()
-    }
-
-    /// Rebuilds a session from a persisted manifest after this replica
-    /// took over for a failed one: shared chain ids this replica still
-    /// pools (the global preamble always, fork chains when warm)
-    /// re-attach for free, and the rest is re-admitted at the cold tier
-    /// (up to capacity; the remainder recomputes) and served as cold
-    /// reads on the session's next restore. Returns the tokens recovered
-    /// without recomputation; a session already tracked here yields 0
-    /// unchanged.
-    pub fn rehydrate_session(&mut self, manifest: &SessionManifest) -> usize {
-        self.cache
-            .rehydrate_session(manifest.session, &manifest.chunks, self.now)
-            .unwrap_or(0)
-    }
-
-    /// Drains the KV commit log: sessions whose cache-resident *private*
-    /// context grew since the last drain, with their new committed token
-    /// totals, in `SessionId` order. Shared chunks never appear — they
-    /// travel by content-addressed id, not bytes.
-    pub fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)> {
-        self.cache.take_commits()
     }
 
     /// Forks `child` from `parent` (agentic tree-of-thought branching):
@@ -591,100 +445,41 @@ impl SimServingEngine {
         self.cache.fork_session(parent, child, self.now)
     }
 
-    /// Fail-stop: the replica dies, its in-memory KV state is
-    /// unrecoverable, and every queued or running request is orphaned.
-    /// Returns the orphaned requests (queued first, then running, both
-    /// in order) so a router can re-route them; partially generated
-    /// output is discarded and regenerated from scratch at the new
-    /// replica. Session manifests already persisted to the cold object
-    /// store survive the replica — the router may use them to rehydrate
-    /// orphaned sessions instead of recomputing (see
-    /// [`SimServingEngine::rehydrate_session`]). Already-completed
-    /// responses remain drainable.
-    pub fn fail_stop(&mut self) -> Vec<Request> {
-        let mut orphans: Vec<Request> = Vec::new();
-        for item in std::mem::take(&mut self.wait_queue) {
-            orphans.push(match item {
-                WorkItem::New(r) => r,
-                WorkItem::Resumed(r) => r.req,
-            });
-        }
-        for r in std::mem::take(&mut self.running) {
-            orphans.push(r.req);
-        }
-        orphans
+    /// Runs until every submitted request has completed.
+    pub fn run_until_idle(&mut self) {
+        self.advance(Limit::Drained, false);
     }
 
-    /// Enqueues a request. Admission is FCFS in *submission* order;
-    /// drivers submit in arrival order, and a request whose arrival lies
-    /// in the engine's past (the clock overshot while it was in flight)
-    /// is simply admissible immediately.
-    pub fn submit(&mut self, req: Request) {
-        self.wait_queue.push_back(WorkItem::New(req));
-    }
-
-    /// Drains completed responses.
-    pub fn drain_responses(&mut self) -> Vec<Response> {
-        std::mem::take(&mut self.responses)
-    }
-
-    /// Runs iterations until the clock reaches `t` (an iteration in flight
-    /// at `t` finishes; the clock may overshoot) or all work completes.
-    pub fn run_until(&mut self, t: SimTime) {
+    /// The clock loop behind [`ServingBackend::poll`],
+    /// [`ServingBackend::run_until`] and
+    /// [`SimServingEngine::run_until_idle`]: runs iterations while the
+    /// batch has work, and while it is empty moves the clock to the
+    /// queue front's arrival as far as `limit` allows. Stops at a ready
+    /// response if `stop_on_response` (returning true), once the clock
+    /// reaches an [`Limit::Until`] deadline (an iteration in flight at
+    /// the deadline finishes; the clock may overshoot), or when nothing
+    /// is left inside the limit.
+    fn advance(&mut self, limit: Limit, stop_on_response: bool) -> bool {
         loop {
-            if self.now >= t {
-                return;
-            }
-            if self.running.is_empty() {
-                // Jump to the next arrival that is due, or to t.
-                match self.next_due_arrival() {
-                    Some(a) if a <= t => self.now = self.now.max(a),
-                    _ => {
-                        self.now = t;
-                        return;
-                    }
-                }
-            }
-            self.iteration();
-        }
-    }
-
-    /// Runs until the clock reaches `t` (if given), at least one response
-    /// is ready to drain, or no more work is due — whichever comes first.
-    /// Returns true if a response is ready.
-    ///
-    /// Closed-loop drivers use this instead of [`SimServingEngine::run_until`]
-    /// so that follow-up turns that causally depend on a response can be
-    /// injected before the engine simulates past their arrival.
-    ///
-    /// With `t: None` the engine never advances its clock past the
-    /// present: it returns `false` immediately when idle, and also when
-    /// its only pending work is a future-dated arrival. A fair polling
-    /// loop (the cluster router's) relies on this — busy-advancing one
-    /// replica's clock to its next arrival would let it leap past its
-    /// siblings.
-    pub fn run_until_or_response(&mut self, t: Option<SimTime>) -> bool {
-        loop {
-            if !self.responses.is_empty() {
+            if stop_on_response && !self.responses.is_empty() {
                 return true;
             }
-            if let Some(t) = t {
-                if self.now >= t {
-                    return false;
-                }
+            if matches!(limit, Limit::Until(t) if self.now >= t) {
+                return false;
             }
             if self.running.is_empty() {
-                match self.next_due_arrival() {
-                    // Work is already due: seat it without moving the
-                    // clock.
-                    Some(a) if a <= self.now => {}
-                    // A future arrival inside the deadline: jump to it.
-                    Some(a) if t.is_some_and(|t| a <= t) => self.now = a,
-                    // Nothing due before the deadline (or no deadline):
-                    // advance to the deadline if one was given and yield.
+                let within = |a: SimTime| match limit {
+                    Limit::Present => a <= self.now,
+                    Limit::Until(t) => a <= t,
+                    Limit::Drained => true,
+                };
+                match self.wait_queue.front().map(|r| r.req.arrival) {
+                    // Seat the front, jumping to its arrival if that is
+                    // still ahead.
+                    Some(a) if within(a) => self.now = self.now.max(a),
                     _ => {
-                        if let Some(t) = t {
-                            self.now = self.now.max(t);
+                        if let Limit::Until(t) = limit {
+                            self.now = t;
                         }
                         return false;
                     }
@@ -692,26 +487,6 @@ impl SimServingEngine {
             }
             self.iteration();
         }
-    }
-
-    /// Runs until every submitted request has completed.
-    pub fn run_until_idle(&mut self) {
-        while !self.is_idle() {
-            if self.running.is_empty() {
-                // Not idle with an empty batch means the wait queue holds
-                // at least one item; if that invariant ever breaks,
-                // stopping is strictly safer than spinning forever.
-                let Some(a) = self.next_due_arrival() else {
-                    break;
-                };
-                self.now = self.now.max(a);
-            }
-            self.iteration();
-        }
-    }
-
-    fn next_due_arrival(&self) -> Option<SimTime> {
-        self.wait_queue.front().map(WorkItem::arrival)
     }
 
     /// One scheduler clock tick: grow decodes, swap, admit, execute.
@@ -757,8 +532,8 @@ impl SimServingEngine {
     }
 
     /// Mirrors the engine's counters and gauges into the recorder's
-    /// metrics registry and takes one time-series sample, timestamped at
-    /// the end of the just-finished iteration. No-op without a recorder.
+    /// metrics registry, as of the end of the just-finished iteration.
+    /// No-op without a recorder.
     fn sample_metrics(&self) {
         let Some(rec) = self.recorder.clone() else {
             return;
@@ -811,7 +586,6 @@ impl SimServingEngine {
             m.gauge_set(metrics::names::CPU_TOKENS_USED, cpu_tokens as f64);
             m.gauge_set(metrics::names::SSD_TOKENS_USED, ssd_tokens as f64);
             m.gauge_set(metrics::names::COLD_TOKENS_USED, cold_tokens as f64);
-            m.sample(self.now);
         });
     }
 
@@ -859,72 +633,76 @@ impl SimServingEngine {
         }
     }
 
+    /// Records a [`TraceEvent::FaultRecovery`] at the current clock.
+    fn record_recovery(&self, conv: Option<SessionId>, kind: RecoveryKind, tokens: usize) {
+        self.recorder.record(TraceEvent::FaultRecovery {
+            at: self.now,
+            conv: conv.map(|c| c.0),
+            kind,
+            tokens,
+        });
+    }
+
+    /// Rolls for an injected failure of a `tokens`-slot GPU allocation on
+    /// behalf of `conv`. A fired fault behaves exactly like an
+    /// out-of-space allocation: the caller routes it into the eviction
+    /// backpressure it already has for real pressure, whose retry
+    /// succeeds once the transient condition has been absorbed.
+    fn roll_alloc_fault(&mut self, conv: SessionId, tokens: usize) -> bool {
+        let fired = self
+            .faults
+            .as_mut()
+            .is_some_and(|f| f.roll(FaultKind::GpuAllocFailure));
+        if fired {
+            self.counters.gpu_alloc_faults += 1;
+            self.record_recovery(Some(conv), RecoveryKind::GpuAllocFault, tokens);
+        }
+        fired
+    }
+
     /// Appends one KV slot per decoding request, suspending
     /// newest-arrival requests if the GPU cannot hold the growth (§4.3.5).
     fn grow_decode_slots(&mut self) {
         let mut i = 0;
         while i < self.running.len() {
-            if self.running[i].prefill.is_some() || self.running[i].preallocated {
+            let r = &mut self.running[i];
+            if r.prefill.is_some() || self.cfg.reserve_max_decode {
                 // Admitted this tick (prefill appends its own slots), or
-                // ORCA-style reservation already holds the slot.
-                self.running[i].context_len +=
-                    usize::from(self.running[i].preallocated && self.running[i].prefill.is_none());
+                // ORCA-style reservation at admission already holds the
+                // slot.
+                r.context_len += usize::from(r.prefill.is_none());
                 i += 1;
                 continue;
             }
-            let conv = self.running[i].req.conv;
-            // An injected allocation fault behaves exactly like an
-            // out-of-space allocation: it routes into the eviction /
-            // suspension backpressure branch below, whose retry succeeds
-            // once the transient condition has been absorbed.
-            let alloc_fault = self
-                .faults
-                .as_mut()
-                .is_some_and(|f| f.roll(FaultKind::GpuAllocFailure));
-            if alloc_fault {
-                self.counters.gpu_alloc_faults += 1;
-                self.recorder.record(TraceEvent::FaultRecovery {
-                    at: self.now,
-                    conv: Some(conv.0),
-                    kind: RecoveryKind::GpuAllocFault,
-                    tokens: 1,
-                });
+            let conv = r.req.conv;
+            let mut grown = !self.roll_alloc_fault(conv, 1)
+                && self.cache.append_tokens(conv, 1, self.now).is_ok();
+            if !grown {
+                // Reclaim lazily-copied slots via the eviction pass, then
+                // retry.
+                self.cache.swap_out_until(1, self.now);
+                grown = self.cache.append_tokens(conv, 1, self.now).is_ok();
             }
-            let grown = if alloc_fault {
-                Err(())
-            } else {
-                self.cache.append_tokens(conv, 1, self.now).map_err(|_| ())
-            };
-            match grown {
-                Ok(()) => {
-                    self.running[i].context_len += 1;
-                    i += 1;
-                }
-                Err(()) => {
-                    // Reclaim lazily-copied slots via the eviction pass,
-                    // then retry; if that fails, suspend the newest.
-                    self.cache.swap_out_until(1, self.now);
-                    if self.cache.append_tokens(conv, 1, self.now).is_ok() {
-                        self.running[i].context_len += 1;
-                        i += 1;
-                    } else if !self.suspend_newest(Some(i)) {
-                        // Nothing left to suspend; drop the token growth
-                        // this tick (the request retries next tick).
-                        i += 1;
-                    } else if i < self.running.len() && self.running[i].req.conv != conv {
-                        // The suspended request was this one; do not
-                        // advance (a new request now occupies index i).
-                    }
-                }
+            if grown {
+                self.running[i].context_len += 1;
+                i += 1;
+            } else if !self.suspend_newest(Some(i)) {
+                // Nothing left to suspend; drop the token growth this
+                // tick (the request retries next tick).
+                i += 1;
             }
+            // After a suspension index `i` is looked at again: the batch
+            // shifted under it, or this request retries with the freed
+            // space.
         }
     }
 
     /// Suspends one running request chosen by the configured policy
     /// (paper default: newest arrival first), optionally protecting
-    /// `except`. Returns false if no candidate exists.
+    /// `except`, and puts it back at the front of the wait queue. Returns
+    /// false if no candidate exists.
     fn suspend_newest(&mut self, except: Option<usize>) -> bool {
-        let better = |cand: &RunningRequest, best: &RunningRequest| match self.cfg.suspend_policy {
+        let better = |cand: &RequestState, best: &RequestState| match self.cfg.suspend_policy {
             SuspendPolicy::NewestFirst => cand.req.arrival > best.req.arrival,
             SuspendPolicy::OldestFirst => cand.req.arrival < best.req.arrival,
             SuspendPolicy::LargestContext => cand.context_len > best.context_len,
@@ -943,18 +721,16 @@ impl SimServingEngine {
         let Some(j) = victim else {
             return false;
         };
-        let mut r = self.running.remove(j);
-        let conv = r.req.conv;
-        let moved_tokens = self.cache.suspend(conv, self.now);
+        let r = self.running.remove(j);
+        let moved_tokens = self.cache.suspend(r.req.conv, self.now);
         let bytes = moved_tokens * self.kv_bytes_per_token_per_gpu;
         // The freed slots are only usable once the copy-out completes; we
         // charge the wait by pushing the engine clock (§4.3.5: suspension
         // waits for the swap-out).
         let (_, end) = self.link.schedule(self.now, Direction::DeviceToHost, bytes);
         self.now = self.now.max(end);
-        r.prefill = None;
         self.counters.suspensions += 1;
-        self.wait_queue.push_front(WorkItem::Resumed(r));
+        self.wait_queue.push_front(r);
         true
     }
 
@@ -986,18 +762,13 @@ impl SimServingEngine {
             let Some(front) = self.wait_queue.front() else {
                 return;
             };
-            if front.arrival() > self.now {
+            if front.req.arrival > self.now {
                 return;
             }
+            let conv = front.req.conv;
+            let mut cost = self.admission_cost(front);
             let batch_tokens = self.current_iteration_query_tokens();
             let has_prefill = self.running.iter().any(|r| r.prefill.is_some());
-            // The front was observed non-empty above and nothing in
-            // between pops, but the walk stays total regardless.
-            let Some(item) = self.wait_queue.front() else {
-                return;
-            };
-            let mut cost = self.admission_cost(item);
-            let conv = cost.conv;
             // Budget: allow one oversized prefill per iteration when no
             // other prefill was admitted.
             if batch_tokens + cost.query_tokens > self.cfg.max_batch_tokens
@@ -1010,20 +781,7 @@ impl SimServingEngine {
             // pressure: force the eviction backpressure pass, then
             // re-check.
             let reserve_needed = if self.running.is_empty() { 0 } else { reserve };
-            let alloc_fault = self
-                .faults
-                .as_mut()
-                .is_some_and(|f| f.roll(FaultKind::GpuAllocFailure));
-            if alloc_fault {
-                self.counters.gpu_alloc_faults += 1;
-                self.recorder.record(TraceEvent::FaultRecovery {
-                    at: self.now,
-                    conv: Some(conv.0),
-                    kind: RecoveryKind::GpuAllocFault,
-                    tokens: cost.new_slots,
-                });
-            }
-            if alloc_fault
+            if self.roll_alloc_fault(conv, cost.new_slots)
                 || self.cache.gpu_free_effective_for(conv) < cost.new_slots + reserve_needed
             {
                 self.cache.swap_out_until_for(
@@ -1033,10 +791,10 @@ impl SimServingEngine {
                 );
                 // Eviction may have demoted this conversation's own
                 // chunks; recompute the admission cost before committing.
-                let Some(item) = self.wait_queue.front() else {
+                let Some(front) = self.wait_queue.front() else {
                     return;
                 };
-                cost = self.admission_cost(item);
+                cost = self.admission_cost(front);
                 if self.cache.gpu_free_effective_for(conv) < cost.new_slots + reserve_needed {
                     return;
                 }
@@ -1046,27 +804,20 @@ impl SimServingEngine {
             // transfer can fall back to recomputation without leaving the
             // cache half-restored.
             let mut reserved_delay = None;
-            if self.faults.is_some() {
-                let swap_in_tokens = cost.plan.swap_in_tokens;
-                if swap_in_tokens > 0 {
-                    match self.swap_in_with_retries(swap_in_tokens) {
-                        Ok(delay) => reserved_delay = Some(delay),
-                        Err(()) => {
-                            // Retries exhausted: drop the CPU chunks so
-                            // the restore plan recomputes them from raw
-                            // tokens, and re-run the admission check with
-                            // the new (swap-in-free) plan. Dropped chunks
-                            // cannot fail again, so this converges.
-                            let dropped = self.cache.drop_cpu_chunks(conv, self.now);
-                            self.counters.recompute_fallbacks += 1;
-                            self.recorder.record(TraceEvent::FaultRecovery {
-                                at: self.now,
-                                conv: Some(conv.0),
-                                kind: RecoveryKind::RecomputeFallback,
-                                tokens: dropped,
-                            });
-                            continue;
-                        }
+            let swap_in_tokens = cost.plan.swap_in_tokens;
+            if self.faults.is_some() && swap_in_tokens > 0 {
+                match self.swap_in_with_retries(swap_in_tokens) {
+                    Ok(delay) => reserved_delay = Some(delay),
+                    Err(()) => {
+                        // Retries exhausted: drop the CPU chunks so the
+                        // restore plan recomputes them from raw tokens,
+                        // and re-run the admission check with the new
+                        // (swap-in-free) plan. Dropped chunks cannot fail
+                        // again, so this converges.
+                        let dropped = self.cache.drop_cpu_chunks(conv, self.now);
+                        self.counters.recompute_fallbacks += 1;
+                        self.record_recovery(Some(conv), RecoveryKind::RecomputeFallback, dropped);
+                        continue;
                     }
                 }
             }
@@ -1090,14 +841,14 @@ impl SimServingEngine {
                     Err(()) => continue,
                 }
             }
-            let Some(item) = self.wait_queue.pop_front() else {
+            let Some(front) = self.wait_queue.pop_front() else {
                 return;
             };
             if self
-                .commit_admission(item, conv, cost.query_tokens, reserved_delay)
+                .commit_admission(front, cost.query_tokens, reserved_delay)
                 .is_err()
             {
-                // The item was re-queued at the front; stop admitting
+                // The request was re-queued at the front; stop admitting
                 // this tick and retry after the next eviction pass.
                 return;
             }
@@ -1147,12 +898,7 @@ impl SimServingEngine {
                 self.now = detected;
                 let dropped = self.cache.drop_deep_chunks(conv, self.now);
                 self.counters.cold_read_faults += 1;
-                self.recorder.record(TraceEvent::FaultRecovery {
-                    at: self.now,
-                    conv: Some(conv.0),
-                    kind: RecoveryKind::ColdReadFallback,
-                    tokens: dropped,
-                });
+                self.record_recovery(Some(conv), RecoveryKind::ColdReadFallback, dropped);
                 Err(())
             }
         }
@@ -1187,12 +933,7 @@ impl SimServingEngine {
                     // detected; the retry is issued after backoff.
                     self.now = self.now.max(e.completes()) + backoff;
                     backoff = backoff * self.recovery.retry_backoff_factor;
-                    self.recorder.record(TraceEvent::FaultRecovery {
-                        at: self.now,
-                        conv: None,
-                        kind: RecoveryKind::SwapInRetry,
-                        tokens: swap_in_tokens,
-                    });
+                    self.record_recovery(None, RecoveryKind::SwapInRetry, swap_in_tokens);
                 }
             }
         }
@@ -1211,205 +952,149 @@ impl SimServingEngine {
             .sum()
     }
 
-    /// Computes what admitting `item` costs: query tokens and new GPU
+    /// Computes what admitting `r` costs: query tokens and new GPU
     /// slots, together with the restore plan they were derived from.
-    fn admission_cost(&self, item: &WorkItem) -> AdmissionCost {
-        match item {
-            WorkItem::New(req) => {
-                // A conversation's tracked tokens include its shared
-                // chain; a first admission that will attach the global
-                // preamble chain (see `commit_admission`) gets the same
-                // credit up front. The chain is globally GPU-resident,
-                // so it adds neither query tokens nor new slots.
-                let cached = if self.cfg.stateful {
-                    self.cache.conversation_tokens(req.conv)
-                } else {
-                    0
-                };
-                let attach = if self.should_attach_shared(req.conv, req.history_tokens) {
-                    self.shared_tokens
-                } else {
-                    0
-                };
-                let plan = self.cache.plan_restore(req.conv);
-                // History beyond what the cache tracks (e.g. the final
-                // token of the previous turn) is recomputed with the
-                // prompt.
-                let tail = req.history_tokens.saturating_sub(cached + attach);
-                let query = plan.recompute_tokens + tail + req.prompt_tokens;
-                let mut slots = plan.new_gpu_slots() + tail + req.prompt_tokens;
-                if self.cfg.reserve_max_decode {
-                    // ORCA-style: hold slots for the whole decode up front.
-                    slots += req.output_tokens;
-                }
-                AdmissionCost {
-                    conv: req.conv,
-                    query_tokens: query,
-                    new_slots: slots,
-                    plan,
-                }
-            }
-            WorkItem::Resumed(r) => {
-                let plan = self.cache.plan_restore(r.req.conv);
-                let tail = r
-                    .context_len
-                    .saturating_sub(self.cache.conversation_tokens(r.req.conv));
-                let query = (plan.recompute_tokens + tail).max(1);
-                let slots = plan.new_gpu_slots() + tail;
-                AdmissionCost {
-                    conv: r.req.conv,
-                    query_tokens: query,
-                    new_slots: slots,
-                    plan,
-                }
-            }
+    fn admission_cost(&self, r: &RequestState) -> AdmissionCost {
+        let conv = r.req.conv;
+        let plan = self.cache.plan_restore(conv);
+        let fresh = r.generated == 0;
+        // A conversation's tracked tokens include its shared chain; a
+        // first admission that will attach the global preamble chain
+        // (see `commit_admission`) gets the same credit up front. The
+        // chain is globally GPU-resident, so it adds neither query
+        // tokens nor new slots. A stateless engine credits a new turn
+        // with nothing.
+        let mut tracked = self.cache.conversation_tokens(conv);
+        if fresh && !self.cfg.stateful {
+            tracked = 0;
+        } else if fresh && self.should_attach_shared(conv, r.req.history_tokens) {
+            tracked += self.shared_tokens;
+        }
+        // Context beyond what the cache tracks (e.g. the final token of
+        // the previous turn) is recomputed, with the prompt if this is
+        // the turn's first admission.
+        let tail = r.context_len.saturating_sub(tracked);
+        let mut query_tokens = plan.recompute_tokens + tail;
+        let mut new_slots = plan.new_gpu_slots() + tail;
+        if fresh {
+            query_tokens += r.req.prompt_tokens;
+            new_slots += r.req.prompt_tokens + self.reserved_decode(&r.req);
+        } else {
+            // Fully resident, a resumed request still feeds one token to
+            // produce its next.
+            query_tokens = query_tokens.max(1);
+        }
+        AdmissionCost {
+            query_tokens,
+            new_slots,
+            plan,
         }
     }
 
-    /// Commits an admission's restore plan and moves the item into the
-    /// running batch.
+    /// Slots held for `req`'s whole decode from its first admission on
+    /// (ORCA-style reservation); 0 when slots grow with each token.
+    fn reserved_decode(&self, req: &Request) -> usize {
+        if self.cfg.reserve_max_decode {
+            req.output_tokens
+        } else {
+            0
+        }
+    }
+
+    /// Commits an admission's restore plan and moves the request into
+    /// the running batch.
     ///
     /// # Errors
     ///
-    /// If the restore cannot be committed (the space the admission check
-    /// saw has vanished — possible only under injected faults that demote
-    /// chunks between check and commit), the item is pushed back to the
-    /// queue front untouched and the error returned; `commit_restore`
-    /// itself is atomic, so no cache state is left half-restored.
+    /// If the restore cannot be committed, or the slots for what it does
+    /// not cover cannot be appended (the space the admission check saw
+    /// has vanished — possible only under injected faults that demote
+    /// chunks between check and commit), the request is pushed back to
+    /// the queue front untouched and the error returned. `commit_restore`
+    /// itself is atomic, and a restore committed before a failed append
+    /// stays consistent: the re-queued request sees those chunks as GPU
+    /// hits on the next attempt.
     fn commit_admission(
         &mut self,
-        item: WorkItem,
-        conv: pensieve_kvcache::SessionId,
+        mut r: RequestState,
         query_tokens: usize,
         reserved_delay: Option<SimDuration>,
     ) -> Result<(), pensieve_kvcache::CacheError> {
+        let conv = r.req.conv;
+        let fresh = r.generated == 0;
         // A conversation new to the cache whose history begins with the
         // global preamble attaches the shared chain before its restore is
         // committed, so the chain's chunks restore as shared hits instead
         // of being recomputed into private slots.
-        if let WorkItem::New(req) = &item {
-            if self.should_attach_shared(req.conv, req.history_tokens) {
-                let chain = self.shared_chain.clone();
-                // Cannot fail: the chain was validated at construction
-                // and the conversation is untracked; if it somehow does,
-                // the request simply recomputes its preamble privately.
-                let _ = self.cache.attach_shared(req.conv, &chain, self.now);
-            }
+        if fresh && self.should_attach_shared(conv, r.req.history_tokens) {
+            let chain = self.shared_chain.clone();
+            // Cannot fail: the chain was validated at construction and
+            // the conversation is untracked; if it somehow does, the
+            // request simply recomputes its preamble privately.
+            let _ = self.cache.attach_shared(conv, &chain, self.now);
         }
         let plan = match self.cache.commit_restore(conv, self.now) {
             Ok(plan) => plan,
             Err(e) => {
-                self.wait_queue.push_front(item);
+                self.wait_queue.push_front(r);
                 return Err(e);
             }
         };
-        let swap_in_bytes = plan.swap_in_tokens * self.kv_bytes_per_token_per_gpu;
-        match item {
-            WorkItem::New(req) => {
-                let shared = plan.shared_hit_tokens;
-                self.counters.shared_prefix_hits += shared as u64;
-                // Shared-chain hits are already inside the plan's
-                // per-tier counts, so the tail is history minus the plan.
-                let cached_before = plan.gpu_hit_tokens
-                    + plan.revalidate_tokens
-                    + plan.swap_in_tokens
-                    + plan.deep_read_tokens()
-                    + plan.recompute_tokens;
-                let tail = req.history_tokens.saturating_sub(cached_before);
-                let reserved = if self.cfg.reserve_max_decode {
-                    req.output_tokens
-                } else {
-                    0
-                };
-                if let Err(e) = self.cache.append_tokens(
-                    req.conv,
-                    tail + req.prompt_tokens + reserved,
-                    self.now,
-                ) {
-                    // admit() verified effective free space, but under
-                    // injected faults it can vanish before the commit.
-                    // The committed restore stays consistent — the
-                    // re-queued item sees those chunks as GPU hits on the
-                    // next attempt.
-                    self.wait_queue.push_front(WorkItem::New(req));
-                    return Err(e);
-                }
-                if self.recorder.enabled() {
-                    self.recorder.record(TraceEvent::Admitted {
-                        at: self.now,
-                        iteration: self.counters.iterations,
-                        request: req.id.0,
-                        conv: conv.0,
-                        resumed: false,
-                        prompt_tokens: req.prompt_tokens,
-                        tail_tokens: tail,
-                        shared_tokens: shared,
-                        gpu_hit_tokens: plan.gpu_hit_tokens,
-                        revalidate_tokens: plan.revalidate_tokens,
-                        swap_in_tokens: plan.swap_in_tokens,
-                        recompute_tokens: plan.recompute_tokens,
-                    });
-                }
-                let context_len = req.history_tokens + req.prompt_tokens;
-                self.running.push(RunningRequest {
-                    prefill: Some(PrefillWork {
-                        query_tokens,
-                        context_len,
-                        swap_in_bytes,
-                        done_tokens: 0,
-                        reserved_delay,
-                    }),
-                    generated: 0,
-                    context_len,
-                    first_token: None,
-                    prefill_tokens: query_tokens,
-                    cached_tokens: plan.gpu_hit_tokens
-                        + plan.revalidate_tokens
-                        + plan.swap_in_tokens
-                        + plan.deep_read_tokens(),
-                    preallocated: self.cfg.reserve_max_decode,
-                    req,
-                });
-            }
-            WorkItem::Resumed(mut r) => {
-                let shared = plan.shared_hit_tokens;
-                let cached_now = self.cache.conversation_tokens(r.req.conv);
-                let tail = r.context_len.saturating_sub(cached_now);
-                if tail > 0 {
-                    if let Err(e) = self.cache.append_tokens(r.req.conv, tail, self.now) {
-                        // Same recovery as the New arm: re-queue and let
-                        // the next admission pass retry against the
-                        // committed (consistent) restore state.
-                        self.wait_queue.push_front(WorkItem::Resumed(r));
-                        return Err(e);
-                    }
-                }
-                if self.recorder.enabled() {
-                    self.recorder.record(TraceEvent::Admitted {
-                        at: self.now,
-                        iteration: self.counters.iterations,
-                        request: r.req.id.0,
-                        conv: conv.0,
-                        resumed: true,
-                        prompt_tokens: 0,
-                        tail_tokens: tail,
-                        shared_tokens: shared,
-                        gpu_hit_tokens: plan.gpu_hit_tokens,
-                        revalidate_tokens: plan.revalidate_tokens,
-                        swap_in_tokens: plan.swap_in_tokens,
-                        recompute_tokens: plan.recompute_tokens,
-                    });
-                }
-                r.prefill = Some(PrefillWork {
-                    query_tokens,
-                    context_len: r.context_len,
-                    swap_in_bytes,
-                    done_tokens: 0,
-                    reserved_delay,
-                });
-                self.running.push(r);
+        if fresh {
+            self.counters.shared_prefix_hits += plan.shared_hit_tokens as u64;
+        }
+        // Everything tracked, shared chain included, is inside the plan,
+        // so what is left of the context gets fresh slots — together with
+        // the prompt and any decode reservation on a first admission. A
+        // resume whose whole context came back appends nothing.
+        let tail = r
+            .context_len
+            .saturating_sub(self.cache.conversation_tokens(conv));
+        let (prompt_tokens, reserved) = if fresh {
+            (r.req.prompt_tokens, self.reserved_decode(&r.req))
+        } else {
+            (0, 0)
+        };
+        if fresh || tail > 0 {
+            let grow = tail + prompt_tokens + reserved;
+            if let Err(e) = self.cache.append_tokens(conv, grow, self.now) {
+                self.wait_queue.push_front(r);
+                return Err(e);
             }
         }
+        if self.recorder.enabled() {
+            self.recorder.record(TraceEvent::Admitted {
+                at: self.now,
+                iteration: self.counters.iterations,
+                request: r.req.id.0,
+                conv: conv.0,
+                resumed: !fresh,
+                prompt_tokens,
+                tail_tokens: tail,
+                shared_tokens: plan.shared_hit_tokens,
+                gpu_hit_tokens: plan.gpu_hit_tokens,
+                revalidate_tokens: plan.revalidate_tokens,
+                swap_in_tokens: plan.swap_in_tokens,
+                recompute_tokens: plan.recompute_tokens,
+            });
+        }
+        if fresh {
+            // What the response reports is fixed by the first admission;
+            // a resume keeps it, along with its first-token time.
+            r.context_len += prompt_tokens;
+            r.prefill_tokens = query_tokens;
+            r.cached_tokens = plan.gpu_hit_tokens
+                + plan.revalidate_tokens
+                + plan.swap_in_tokens
+                + plan.deep_read_tokens();
+        }
+        r.prefill = Some(PrefillWork {
+            query_tokens,
+            swap_in_bytes: plan.swap_in_tokens * self.kv_bytes_per_token_per_gpu,
+            done_tokens: 0,
+            reserved_delay,
+        });
+        self.running.push(r);
         Ok(())
     }
 
@@ -1433,7 +1118,7 @@ impl SimServingEngine {
                     // context up to its own end.
                     let remaining = w.query_tokens - w.done_tokens;
                     let slice = remaining.min(chunk_cap);
-                    let ctx_end = w.context_len - (remaining - slice);
+                    let ctx_end = r.context_len - (remaining - slice);
                     prefill_shapes.push(SeqShape {
                         query_len: slice,
                         context_len: ctx_end,
@@ -1503,12 +1188,7 @@ impl SimServingEngine {
             if f.roll(FaultKind::WorkerStall) {
                 self.counters.worker_stalls += 1;
                 stall = f.config().stall_duration;
-                self.recorder.record(TraceEvent::FaultRecovery {
-                    at: self.now,
-                    conv: None,
-                    kind: RecoveryKind::WorkerStall,
-                    tokens: 0,
-                });
+                self.record_recovery(None, RecoveryKind::WorkerStall, 0);
             }
         }
         let iteration = self.counters.iterations;
@@ -1615,97 +1295,189 @@ impl SimServingEngine {
     }
 }
 
-impl crate::backend::ServingBackend for SimServingEngine {
+impl ServingBackend for SimServingEngine {
+    /// Enqueues a request. Admission is FCFS in *submission* order;
+    /// drivers submit in arrival order, and a request whose arrival lies
+    /// in the engine's past (the clock overshot while it was in flight)
+    /// is simply admissible immediately.
     fn submit(&mut self, req: Request) {
-        SimServingEngine::submit(self, req);
+        self.wait_queue.push_back(RequestState {
+            generated: 0,
+            context_len: req.history_tokens,
+            prefill: None,
+            first_token: None,
+            prefill_tokens: 0,
+            cached_tokens: 0,
+            req,
+        });
     }
 
+    /// Runs until the clock reaches `deadline` (if given), at least one
+    /// response is ready to drain, or no more work is due — whichever
+    /// comes first. Returns true if a response is ready.
+    ///
+    /// Closed-loop drivers use this instead of
+    /// [`run_until`](ServingBackend::run_until) so that follow-up turns
+    /// that causally depend on a response can be injected before the
+    /// engine simulates past their arrival.
+    ///
+    /// With `deadline: None` the engine never advances its clock past
+    /// the present: it returns `false` immediately when idle, and also
+    /// when its only pending work is a future-dated arrival. A fair
+    /// polling loop (the cluster router's) relies on this —
+    /// busy-advancing one replica's clock to its next arrival would let
+    /// it leap past its siblings.
     fn poll(&mut self, deadline: Option<SimTime>) -> bool {
-        self.run_until_or_response(deadline)
+        self.advance(deadline.map_or(Limit::Present, Limit::Until), true)
     }
 
     fn responses_ready(&self) -> bool {
-        SimServingEngine::responses_ready(self)
+        !self.responses.is_empty()
     }
 
     fn drain_responses(&mut self) -> Vec<Response> {
-        SimServingEngine::drain_responses(self)
+        std::mem::take(&mut self.responses)
     }
 
     fn now(&self) -> SimTime {
-        SimServingEngine::now(self)
+        self.now
     }
 
+    /// Runs iterations until the clock reaches `t` (an iteration in flight
+    /// at `t` finishes; the clock may overshoot) or all work completes;
+    /// an engine with nothing due before `t` lands exactly on `t`.
     fn run_until(&mut self, t: SimTime) {
-        SimServingEngine::run_until(self, t);
+        self.advance(Limit::Until(t), false);
     }
 
     fn is_idle(&self) -> bool {
-        SimServingEngine::is_idle(self)
+        self.running.is_empty() && self.wait_queue.is_empty()
     }
 
     fn running_requests(&self) -> usize {
-        SimServingEngine::running_requests(self)
+        self.running.len()
     }
 
     fn waiting_requests(&self) -> usize {
-        SimServingEngine::waiting_requests(self)
+        self.wait_queue.len()
     }
 
+    /// GPU KV slots currently in use (resident + lazily-copied tokens).
     fn gpu_slots_used(&self) -> usize {
-        SimServingEngine::gpu_slots_used(self)
+        self.cache.gpu_slots_used()
     }
 
     fn gpu_capacity_tokens(&self) -> usize {
-        SimServingEngine::gpu_capacity_tokens(self)
+        self.cache.config().gpu_capacity_tokens
     }
 
     fn cpu_tokens_used(&self) -> usize {
-        SimServingEngine::cpu_tokens_used(self)
+        self.cache.cpu_used()
     }
 
+    /// KV bytes per cached token (per GPU shard) — what a migration must
+    /// move per token of context.
     fn kv_bytes_per_token(&self) -> usize {
-        SimServingEngine::kv_bytes_per_token(self)
+        self.kv_bytes_per_token_per_gpu
     }
 
+    /// History tokens of `session` this engine could serve from its KV
+    /// cache right now (GPU hits, in-place revalidations and CPU
+    /// swap-ins; dropped chunks need recomputation and do not count).
+    /// The globally shared system preamble is excluded — every replica
+    /// of a cluster holds it, so it never differentiates placement.
     fn cached_tokens(&self, session: SessionId) -> usize {
-        SimServingEngine::cached_tokens(self, session)
+        let plan = self.cache.plan_restore(session);
+        (plan.gpu_hit_tokens + plan.revalidate_tokens + plan.swap_in_tokens)
+            .saturating_sub(self.cache.global_shared_tokens(session))
     }
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats().clone()
     }
 
-    fn export_session(&mut self, session: SessionId) -> Option<pensieve_kvcache::SessionExport> {
-        SimServingEngine::export_session(self, session)
+    /// Removes `session`'s KV state for handoff to another engine.
+    /// Returns `None` when the session is unknown here or still has
+    /// in-flight work (queued or running requests) — migrating state out
+    /// from under an active request would corrupt it.
+    fn export_session(&mut self, session: SessionId) -> Option<SessionExport> {
+        let mut in_flight = self.running.iter().chain(&self.wait_queue);
+        if in_flight.any(|r| r.req.conv == session) {
+            return None;
+        }
+        self.cache.export_session(session)
     }
 
-    fn import_session(&mut self, export: pensieve_kvcache::SessionExport) -> usize {
-        SimServingEngine::import_session(self, export)
+    /// Installs a handed-off session snapshot into this engine's CPU
+    /// cache tier (see [`pensieve_kvcache::TieredKvCache::import_session`]).
+    /// Returns the tokens admitted; a session already present here (the
+    /// cache refuses the import) or a zero-sized CPU tier yields 0 and
+    /// the conversation recomputes instead.
+    fn import_session(&mut self, export: SessionExport) -> usize {
+        self.cache.import_session(export, self.now).unwrap_or(0)
     }
 
+    /// Fail-stop: the replica dies, its in-memory KV state is
+    /// unrecoverable, and every queued or running request is orphaned.
+    /// Returns the orphaned requests (queued first, then running, both
+    /// in order) so a router can re-route them; partially generated
+    /// output is discarded and regenerated from scratch at the new
+    /// replica. Session manifests already persisted to the cold object
+    /// store survive the replica — the router may use them to rehydrate
+    /// orphaned sessions instead of recomputing (see
+    /// [`rehydrate_session`](ServingBackend::rehydrate_session)).
+    /// Already-completed responses remain drainable.
     fn fail_stop(&mut self) -> Vec<Request> {
-        SimServingEngine::fail_stop(self)
+        let queued = std::mem::take(&mut self.wait_queue).into_iter();
+        let orphans = queued.chain(std::mem::take(&mut self.running));
+        orphans.map(|r| r.req).collect()
     }
 
+    /// Drains the KV commit log: sessions whose cache-resident *private*
+    /// context grew since the last drain, with their new committed token
+    /// totals, in `SessionId` order. Shared chunks never appear — they
+    /// travel by content-addressed id, not bytes.
     fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)> {
-        SimServingEngine::take_committed_kv(self)
+        self.cache.take_commits()
     }
 
+    /// Sessions whose cache state is eligible for manifest persistence
+    /// (all tracked conversations), in ascending id order.
     fn manifest_sessions(&self) -> Vec<SessionId> {
-        SimServingEngine::manifest_sessions(self)
+        self.cache.sessions()
     }
 
+    /// Drains the sessions whose manifest layout may have changed since
+    /// the last drain (removed sessions included), in ascending id
+    /// order; see [`pensieve_kvcache::TieredKvCache::take_manifest_dirty`].
     fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
-        SimServingEngine::take_manifest_dirty(self)
+        self.cache.take_manifest_dirty()
     }
 
+    /// Builds a cold-tier manifest of `session`'s chunk layout — the
+    /// shared chain's content-addressed ids followed by private chunks
+    /// (see [`pensieve_kvcache::SessionManifest`]) — or `None` when this
+    /// engine does not track the session. Read-only — persisting the
+    /// manifest to the cold object store is the router's job.
     fn session_manifest(&self, session: SessionId) -> Option<SessionManifest> {
-        SimServingEngine::session_manifest(self, session)
+        self.cache.contains(session).then(|| SessionManifest {
+            session,
+            chunks: self.cache.manifest_chunks(session),
+        })
     }
 
+    /// Rebuilds a session from a persisted manifest after this replica
+    /// took over for a failed one: shared chain ids this replica still
+    /// pools (the global preamble always, fork chains when warm)
+    /// re-attach for free, and the rest is re-admitted at the cold tier
+    /// (up to capacity; the remainder recomputes) and served as cold
+    /// reads on the session's next restore. Returns the tokens recovered
+    /// without recomputation; a session already tracked here yields 0
+    /// unchanged.
     fn rehydrate_session(&mut self, manifest: &SessionManifest) -> usize {
-        SimServingEngine::rehydrate_session(self, manifest)
+        self.cache
+            .rehydrate_session(manifest.session, &manifest.chunks, self.now)
+            .unwrap_or(0)
     }
 }
 
@@ -2194,20 +1966,20 @@ mod tests {
         );
     }
 
-    /// `run_until_or_response(None)` must not busy-advance the clock to
+    /// `poll(None)` must not busy-advance the clock to
     /// a future arrival: a fair multi-replica polling loop would
     /// otherwise let one replica's clock leap past its siblings.
     #[test]
     fn poll_without_deadline_never_advances_past_present() {
         let mut e = engine(EngineConfig::pensieve());
-        assert!(!e.run_until_or_response(None), "idle engine yields false");
+        assert!(!e.poll(None), "idle engine yields false");
         assert_eq!(e.now(), SimTime::ZERO);
         // A future-dated arrival is pending work, but not *due* work.
         e.submit(req(1, 1, 5.0, 100, 10, 0));
-        assert!(!e.run_until_or_response(None));
+        assert!(!e.poll(None));
         assert_eq!(e.now(), SimTime::ZERO, "clock must not jump to t=5");
         // With a deadline past the arrival the request is served.
-        assert!(e.run_until_or_response(Some(SimTime::from_secs(100.0))));
+        assert!(e.poll(Some(SimTime::from_secs(100.0))));
         assert_eq!(e.drain_responses().len(), 1);
     }
 
@@ -2246,7 +2018,7 @@ mod tests {
         let mut e = engine(EngineConfig::pensieve());
         e.submit(req(1, 3, 0.0, 100, 50, 0));
         assert!(e.export_session(SessionId(3)).is_none(), "queued");
-        e.run_until_or_response(Some(SimTime::ZERO + SimDuration::from_micros(1.0)));
+        e.poll(Some(SimTime::ZERO + SimDuration::from_micros(1.0)));
         if e.running_requests() > 0 {
             assert!(e.export_session(SessionId(3)).is_none(), "running");
         }
@@ -2261,7 +2033,7 @@ mod tests {
         let mut e = engine(EngineConfig::pensieve());
         e.submit(req(1, 1, 0.0, 100, 400, 0));
         e.submit(req(2, 2, 0.0, 100, 400, 0));
-        e.run_until_or_response(Some(SimTime::ZERO + SimDuration::from_millis(50.0)));
+        e.poll(Some(SimTime::ZERO + SimDuration::from_millis(50.0)));
         e.submit(req(3, 3, 0.0, 100, 10, 0));
         let before = e.running_requests() + e.waiting_requests();
         assert!(before > 0);

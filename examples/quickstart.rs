@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use pensieve_core::{EngineConfig, Request, RequestId, SimServingEngine};
+use pensieve_core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
 

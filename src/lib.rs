@@ -22,7 +22,7 @@
 //! # Examples
 //!
 //! ```
-//! use pensieve::core::{EngineConfig, Request, RequestId, SimServingEngine};
+//! use pensieve::core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
 //! use pensieve::kvcache::SessionId;
 //! use pensieve::model::{HardwareSpec, ModelConfig, SimTime};
 //!

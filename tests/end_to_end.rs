@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the full serving stack, end to end.
 
-use pensieve_core::{EngineConfig, Request, RequestId, SimServingEngine};
+use pensieve_core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
 use pensieve_workload::dataset::DatasetSpec;
