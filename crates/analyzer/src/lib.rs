@@ -2,7 +2,7 @@
 //!
 //! The serving stack's correctness arguments lean on conventions the
 //! Rust compiler cannot enforce: panic-free swap-in/eviction paths
-//! (typed `PensieveError` everywhere), deterministic iteration order in
+//! (each layer's typed error instead), deterministic iteration order in
 //! the cache and scheduler (bit-identical replay and eviction-victim
 //! selection), a fixed lock-acquisition order, and threading routed
 //! through the sanctioned concurrency layers. This crate checks those

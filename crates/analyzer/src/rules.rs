@@ -5,9 +5,10 @@
 //!
 //! - **r1-panic** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
 //!   `todo!`/`unimplemented!` in non-test code of the hot-path crates
-//!   (`core`, `kvcache`, `kernels`, `sim`). Fallible paths must use the
-//!   typed `PensieveError` hierarchy; deliberate documented panics carry
-//!   a reasoned suppression.
+//!   (`core`, `kvcache`, `kernels`, `sim`). Fallible paths must return
+//!   their layer's typed error (`CacheError`, `TransferError`,
+//!   `WorkerError`, …); deliberate documented panics carry a reasoned
+//!   suppression.
 //! - **r1-index** — no unchecked `x[i]` indexing/slicing in the cache
 //!   crate (all of `kvcache/src/`, scoped by prefix) and the other
 //!   hot-path files listed in `in_index_scope`: the swap-in/eviction
@@ -709,7 +710,7 @@ fn rule_panic(toks: &[Tok], test_mask: &[bool], out: &mut Vec<Violation>) {
                     path: String::new(),
                     line: toks[i].line,
                     msg: format!(
-                        "`.{name}()` on a hot path: convert to a typed `PensieveError` \
+                        "`.{name}()` on a hot path: return the layer's typed error \
                          or annotate the documented invariant"
                     ),
                 });

@@ -17,7 +17,7 @@
 
 use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig, RouterPolicy};
 use pensieve_core::{EngineConfig, Request, RequestId, ServingBackend, SimServingEngine};
-use pensieve_kvcache::SessionId;
+use pensieve_kvcache::{fnv1a, SessionId};
 use pensieve_model::{ModelConfig, SimDuration, SimTime};
 use pensieve_obs::{to_jsonl, SharedRecorder};
 use pensieve_workload::dataset::DatasetSpec;
@@ -65,20 +65,11 @@ struct ClusterResults {
     deterministic: bool,
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Drains `recorder`: the event count and the FNV-1a hash of the JSONL
 /// trace, the pin both committed reports carry.
 fn trace_pin(recorder: &SharedRecorder) -> (usize, String) {
     let events = recorder.take_events();
-    let hash = fnv1a(to_jsonl(&events).as_bytes());
+    let hash = fnv1a(to_jsonl(&events).bytes());
     (events.len(), format!("{hash:016x}"))
 }
 

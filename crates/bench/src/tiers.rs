@@ -31,7 +31,7 @@
 //! * `--check BASELINE` additionally requires the committed `BASELINE` to
 //!   parse and to satisfy the same gate.
 
-use pensieve_core::{EngineConfig, ServingBackend, SimServingEngine};
+use pensieve_core::{EngineConfig, SimServingEngine};
 use pensieve_model::{HardwareSpec, ModelConfig};
 use pensieve_workload::dataset::DatasetSpec;
 use pensieve_workload::driver::run_closed_loop;

@@ -571,7 +571,7 @@ impl<B: ServingBackend> Router<B> {
                 }
             }
         }
-        self.publish_metrics(t);
+        self.publish_metrics();
     }
 
     /// Promotes the standby of every session whose primary just failed:
@@ -794,7 +794,7 @@ impl<B: ServingBackend> Router<B> {
             replica: target,
             cached_tokens: cached,
         });
-        self.publish_metrics(req.arrival);
+        self.publish_metrics();
         if let Some(rep) = self.replicas.get_mut(target) {
             rep.backend.submit(req);
         }
@@ -1149,7 +1149,7 @@ impl<B: ServingBackend> Router<B> {
         Some(target)
     }
 
-    fn publish_metrics(&self, now: SimTime) {
+    fn publish_metrics(&self) {
         let Some(rec) = self.recorder.clone() else {
             return;
         };
@@ -1197,7 +1197,6 @@ impl<B: ServingBackend> Router<B> {
                     self.rehydrations,
                 );
             }
-            m.sample(now);
         });
     }
 

@@ -23,6 +23,16 @@
 //!   [`fail_stop`](ServingBackend::fail_stop): the migration and
 //!   fault-recovery primitives (DéjàVu-style KV streaming, with
 //!   Pensieve's dropped-token recomputation as the fallback).
+//!
+//! The trait states the contract; each implementation's bodies, and the
+//! documentation of what is particular to it, live in its
+//! `impl ServingBackend for …` block and nowhere else. The engine has no
+//! inherent method of the same name as a trait method, so calling the
+//! engine directly means importing this trait. The two exceptions are
+//! `SimServingEngine::cache_stats`, which returns a reference where the
+//! trait returns a snapshot, and the field getter
+//! `SimServingEngine::kv_bytes_per_token`, which harness code calls on a
+//! throwaway engine to size a hardware spec.
 
 use pensieve_kvcache::{CacheStats, SessionExport, SessionId, SessionManifest};
 use pensieve_model::SimTime;

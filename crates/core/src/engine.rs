@@ -411,6 +411,14 @@ impl SimServingEngine {
         &self.counters
     }
 
+    /// KV bytes per cached token (per GPU shard). Also a
+    /// [`ServingBackend`] method; this one needs no trait import to size
+    /// a hardware spec off a throwaway engine.
+    #[must_use]
+    pub fn kv_bytes_per_token(&self) -> usize {
+        self.kv_bytes_per_token_per_gpu
+    }
+
     /// Tokens resident (any non-dropped tier) summed *per sharer*: a
     /// shared chunk counts once for every conversation whose chain holds
     /// it. The baseline an unshared cache would need.
@@ -686,22 +694,21 @@ impl SimServingEngine {
             if grown {
                 self.running[i].context_len += 1;
                 i += 1;
-            } else if !self.suspend_newest(Some(i)) {
-                // Nothing left to suspend; drop the token growth this
-                // tick (the request retries next tick).
-                i += 1;
+            } else {
+                // Index `i` is looked at again afterwards: the batch
+                // shifted under it, or this request retries with the
+                // freed space.
+                self.suspend_for(i);
             }
-            // After a suspension index `i` is looked at again: the batch
-            // shifted under it, or this request retries with the freed
-            // space.
         }
     }
 
-    /// Suspends one running request chosen by the configured policy
-    /// (paper default: newest arrival first), optionally protecting
-    /// `except`, and puts it back at the front of the wait queue. Returns
-    /// false if no candidate exists.
-    fn suspend_newest(&mut self, except: Option<usize>) -> bool {
+    /// Suspends one running request to make room for the decode growth
+    /// of `running[growing]`: the configured policy's choice among the
+    /// other decoding requests (paper default: newest arrival first), or
+    /// the growing request itself when it is the only one. The victim
+    /// goes back to the front of the wait queue.
+    fn suspend_for(&mut self, growing: usize) {
         let better = |cand: &RequestState, best: &RequestState| match self.cfg.suspend_policy {
             SuspendPolicy::NewestFirst => cand.req.arrival > best.req.arrival,
             SuspendPolicy::OldestFirst => cand.req.arrival < best.req.arrival,
@@ -709,19 +716,14 @@ impl SimServingEngine {
         };
         let mut chosen: Option<usize> = None;
         for (j, r) in self.running.iter().enumerate() {
-            if Some(j) == except || r.prefill.is_some() {
+            if j == growing || r.prefill.is_some() {
                 continue;
             }
             if chosen.is_none_or(|n| better(r, &self.running[n])) {
                 chosen = Some(j);
             }
         }
-        // Fall back to suspending `except` itself if it is the only one.
-        let victim = chosen.or(except);
-        let Some(j) = victim else {
-            return false;
-        };
-        let r = self.running.remove(j);
+        let r = self.running.remove(chosen.unwrap_or(growing));
         let moved_tokens = self.cache.suspend(r.req.conv, self.now);
         let bytes = moved_tokens * self.kv_bytes_per_token_per_gpu;
         // The freed slots are only usable once the copy-out completes; we
@@ -731,7 +733,6 @@ impl SimServingEngine {
         self.now = self.now.max(end);
         self.counters.suspensions += 1;
         self.wait_queue.push_front(r);
-        true
     }
 
     /// Watermark-triggered eviction; transfers are queued on the link but

@@ -1,11 +1,9 @@
-//! Typed errors for the serving stack.
+//! The worker fleet's typed error.
 //!
 //! Every fallible layer has its own error enum close to its code
 //! ([`pensieve_kvcache::CacheError`], [`pensieve_sim::TransferError`],
-//! [`pensieve_sim::ScheduleError`], [`WorkerError`] here); this module
-//! adds the worker-fleet error and the top-level [`PensieveError`] that
-//! embedding applications can match on without knowing which layer
-//! failed.
+//! [`pensieve_sim::StorageReadError`], [`WorkerError`] here), and each
+//! caller matches on the one its callee can return.
 
 use std::fmt;
 
@@ -51,66 +49,14 @@ impl From<OutOfBlocks> for WorkerError {
     }
 }
 
-/// Top-level error uniting every layer's typed failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PensieveError {
-    /// KV cache management failed.
-    Cache(pensieve_kvcache::CacheError),
-    /// A simulated PCIe transfer failed or timed out.
-    Transfer(pensieve_sim::TransferError),
-    /// An event was scheduled into the simulator's past.
-    Schedule(pensieve_sim::ScheduleError),
-    /// The tensor-parallel worker fleet failed.
-    Worker(WorkerError),
-}
-
-impl fmt::Display for PensieveError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PensieveError::Cache(e) => write!(f, "cache: {e}"),
-            PensieveError::Transfer(e) => write!(f, "transfer: {e}"),
-            PensieveError::Schedule(e) => write!(f, "schedule: {e}"),
-            PensieveError::Worker(e) => write!(f, "worker: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PensieveError {}
-
-impl From<pensieve_kvcache::CacheError> for PensieveError {
-    fn from(e: pensieve_kvcache::CacheError) -> Self {
-        PensieveError::Cache(e)
-    }
-}
-
-impl From<pensieve_sim::TransferError> for PensieveError {
-    fn from(e: pensieve_sim::TransferError) -> Self {
-        PensieveError::Transfer(e)
-    }
-}
-
-impl From<pensieve_sim::ScheduleError> for PensieveError {
-    fn from(e: pensieve_sim::ScheduleError) -> Self {
-        PensieveError::Schedule(e)
-    }
-}
-
-impl From<WorkerError> for PensieveError {
-    fn from(e: WorkerError) -> Self {
-        PensieveError::Worker(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn conversions_and_display() {
-        let w: PensieveError = WorkerError::ShardDisconnected { shard: Some(2) }.into();
-        assert_eq!(w.to_string(), "worker: worker shard 2 disconnected");
-        let c: PensieveError = pensieve_kvcache::CacheError::OutOfGpu { needed: 8, free: 4 }.into();
-        assert!(c.to_string().contains("out of GPU KV slots"));
+        let w = WorkerError::ShardDisconnected { shard: Some(2) };
+        assert_eq!(w.to_string(), "worker shard 2 disconnected");
         let p: WorkerError = OutOfBlocks.into();
         assert!(matches!(p, WorkerError::OutOfBlocks(_)));
     }

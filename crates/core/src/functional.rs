@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::argmax;
 use pensieve_kernels::paged::{BlockId, BlockTable, PagedKvCache};
-use pensieve_kvcache::{CacheError, SessionId, TokenChunkStore};
+use pensieve_kvcache::{fnv1a, CacheError, SessionId, TokenChunkStore};
 use pensieve_model::ModelConfig;
 use pensieve_sim::{FaultCounters, FaultInjector, FaultKind};
 
@@ -34,20 +34,8 @@ struct HostBlock {
 
 /// FNV-1a over the bit patterns of every float in the block.
 fn kv_checksum(layers: &[(Vec<f32>, Vec<f32>)]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |xs: &[f32]| {
-        for x in xs {
-            for b in x.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-    };
-    for (k, v) in layers {
-        eat(k);
-        eat(v);
-    }
-    h
+    let floats = layers.iter().flat_map(|(k, v)| k.iter().chain(v));
+    fnv1a(floats.flat_map(|x| x.to_bits().to_le_bytes()))
 }
 
 struct ConvState {

@@ -27,7 +27,7 @@ pub mod workers;
 pub use backend::ServingBackend;
 pub use config::EngineConfig;
 pub use engine::{EngineBuilder, EngineCounters, RecoveryPolicy, SimServingEngine};
-pub use error::{PensieveError, WorkerError};
+pub use error::WorkerError;
 pub use functional::{FunctionalConfig, FunctionalEngine};
 pub use request::{Request, RequestBuildError, RequestBuilder, RequestId, Response};
 pub use workers::ThreadedTpEngine;

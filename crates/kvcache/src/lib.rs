@@ -56,7 +56,7 @@ mod store;
 mod tiered;
 mod types;
 
-pub use manifest::{ColdObjectStore, ManifestChunk, ManifestError, SessionManifest};
+pub use manifest::{fnv1a, ColdObjectStore, ManifestChunk, ManifestError, SessionManifest};
 pub use policy::{
     CachedAttentionPolicy, EvictionPolicy, Granularity, LruPolicy, RetentionValuePolicy,
     TrailingEndPolicy, WithinOrder,

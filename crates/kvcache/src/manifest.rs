@@ -41,14 +41,14 @@ use crate::types::{ChunkId, SessionId};
 /// little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"PNSVMAN2");
 
-/// FNV-1a over a byte slice — the repo-standard determinism pin.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+/// FNV-1a over a byte stream — the repo-standard checksum and
+/// determinism pin (manifest trailers, chunk ids, host-block checksums,
+/// trace hashes).
+#[must_use]
+pub fn fnv1a(data: impl IntoIterator<Item = u8>) -> u64 {
+    data.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// One chunk entry in a persisted manifest: its shared identity (or
@@ -116,7 +116,7 @@ impl SessionManifest {
             out.extend_from_slice(&chunk.id.0.to_le_bytes());
             out.extend_from_slice(&(chunk.tokens as u64).to_le_bytes());
         }
-        let sum = fnv1a(&out);
+        let sum = fnv1a(out.iter().copied());
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -150,7 +150,7 @@ impl SessionManifest {
         }
         let stored_sum = read_u64(body_len).ok_or(ManifestError::Torn)?;
         let body = bytes.get(..body_len).ok_or(ManifestError::Torn)?;
-        if fnv1a(body) != stored_sum {
+        if fnv1a(body.iter().copied()) != stored_sum {
             return Err(ManifestError::Torn);
         }
         let session = SessionId(read_u64(8).ok_or(ManifestError::Torn)?);
@@ -290,7 +290,7 @@ mod tests {
         let mut bytes = manifest(9, &[32, 32]).to_bytes();
         let body = bytes.len() - 8;
         bytes[..8].copy_from_slice(b"NOTAMAN9");
-        let sum = fnv1a(&bytes[..body]);
+        let sum = fnv1a(bytes[..body].iter().copied());
         bytes[body..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(
             SessionManifest::from_bytes(&bytes),

@@ -1,11 +1,11 @@
 //! Cache effectiveness counters — the data behind the paper's Figure-14
 //! cache-hit analysis.
 //!
-//! Reproduced by `cargo run --release -p pensieve-bench --bin fig14`
+//! Reproduced by `cargo run --release -p pensieve-bench -- fig14`
 //! (measured numbers in `EXPERIMENTS.md`). For a finer-grained,
 //! per-turn view of the same split, record a trace with
 //! `serve_sim --trace-out` and post-process it with the `trace_report`
-//! binary — `docs/OBSERVABILITY.md` documents the event stream these
+//! subcommand — `docs/OBSERVABILITY.md` documents the event stream these
 //! counters aggregate.
 
 /// Running counters of cache behaviour, all in tokens unless noted.

@@ -2,6 +2,8 @@
 
 use pensieve_model::{CostModel, ModelConfig};
 
+use crate::manifest::fnv1a;
+
 /// Identifier of a conversation whose context the cache tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
@@ -33,11 +35,8 @@ impl ChunkId {
     /// each token id's little-endian bytes.
     #[must_use]
     pub fn derive(parent: ChunkId, tokens: &[u32]) -> ChunkId {
-        let mut h = fnv1a_words(Self::ROOT.0, &[parent.0]);
-        for &t in tokens {
-            h = fnv1a_words(h, &[u64::from(t)]);
-        }
-        ChunkId(h)
+        let words = std::iter::once(parent.0).chain(tokens.iter().map(|&t| u64::from(t)));
+        ChunkId(fnv1a(words.flat_map(u64::to_le_bytes)))
     }
 
     /// Derives an id from arbitrary `u64` words instead of token ids —
@@ -45,19 +44,9 @@ impl ChunkId {
     /// timing-model cache stores counts, not contents).
     #[must_use]
     pub fn derive_words(parent: ChunkId, words: &[u64]) -> ChunkId {
-        ChunkId(fnv1a_words(fnv1a_words(Self::ROOT.0, &[parent.0]), words))
+        let words = std::iter::once(parent.0).chain(words.iter().copied());
+        ChunkId(fnv1a(words.flat_map(u64::to_le_bytes)))
     }
-}
-
-/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
-fn fnv1a_words(mut h: u64, words: &[u64]) -> u64 {
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Where a chunk's KV-tokens currently live.

@@ -1,5 +1,5 @@
 //! Deterministic metrics registry: counters, gauges, fixed-bucket
-//! histograms, per-iteration time series, Prometheus-style text dump.
+//! histograms, Prometheus-style text dump.
 //!
 //! Nothing here reads a wall clock or iterates hash-ordered containers —
 //! every map is a `BTreeMap`, so registration order never changes the
@@ -7,8 +7,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use pensieve_model::SimTime;
 
 /// Canonical metric names recorded by the serving stack. The
 /// docs-coverage test asserts each appears in `docs/OBSERVABILITY.md`.
@@ -246,18 +244,13 @@ impl Histogram {
     }
 }
 
-/// The metrics registry: monotonic counters, gauges, histograms, and a
-/// per-iteration time series of every counter/gauge.
+/// The metrics registry: monotonic counters, gauges and histograms, each
+/// holding its current value only.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Sample timestamps, one per [`MetricsRegistry::sample`] call.
-    sample_times: Vec<f64>,
-    /// Column-oriented series: metric name → one value per sample. A
-    /// metric first seen after sampling began is backfilled with zeros.
-    series: BTreeMap<String, Vec<f64>>,
 }
 
 impl MetricsRegistry {
@@ -312,45 +305,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Appends one time-series sample: the current value of every counter
-    /// and gauge, stamped `at`. Metrics that appear later are backfilled
-    /// with zeros so all columns stay aligned with
-    /// [`MetricsRegistry::sample_times`].
-    pub fn sample(&mut self, at: SimTime) {
-        let n = self.sample_times.len();
-        self.sample_times.push(at.as_secs());
-        for (name, v) in &self.counters {
-            let col = self
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| vec![0.0; n]);
-            col.resize(n, 0.0);
-            col.push(*v as f64);
-        }
-        for (name, v) in &self.gauges {
-            let col = self
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| vec![0.0; n]);
-            col.resize(n, 0.0);
-            col.push(*v);
-        }
-    }
-
-    /// Timestamps (seconds) of the recorded samples.
-    #[must_use]
-    pub fn sample_times(&self) -> &[f64] {
-        &self.sample_times
-    }
-
-    /// The sampled column for one metric, aligned with
-    /// [`MetricsRegistry::sample_times`] (shorter if the metric appeared
-    /// after the final sample).
-    #[must_use]
-    pub fn series(&self, name: &str) -> Option<&[f64]> {
-        self.series.get(name).map(Vec::as_slice)
-    }
-
     /// Renders the registry in the Prometheus text exposition format.
     /// Deterministic: metrics are emitted in lexicographic name order.
     #[must_use]
@@ -402,18 +356,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert!((h.sum() - 11.0).abs() < 1e-12);
         assert_eq!(h.cumulative(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn sampling_backfills_late_metrics() {
-        let mut r = MetricsRegistry::new();
-        r.counter_set("a", 1);
-        r.sample(SimTime::from_secs(0.0));
-        r.gauge_set("g", 2.5);
-        r.sample(SimTime::from_secs(1.0));
-        assert_eq!(r.sample_times(), &[0.0, 1.0]);
-        assert_eq!(r.series("a"), Some([1.0, 1.0].as_slice()));
-        assert_eq!(r.series("g"), Some([0.0, 2.5].as_slice()));
     }
 
     #[test]

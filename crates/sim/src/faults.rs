@@ -20,6 +20,8 @@ use std::fmt;
 
 use pensieve_model::{SimDuration, SimTime};
 
+use crate::rng::SplitMix64;
+
 /// The kinds of fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -199,7 +201,7 @@ impl FaultCounters {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     cfg: FaultConfig,
-    state: u64,
+    rng: SplitMix64,
     counters: FaultCounters,
 }
 
@@ -207,11 +209,10 @@ impl FaultInjector {
     /// Creates an injector from a fault configuration.
     #[must_use]
     pub fn new(cfg: FaultConfig) -> Self {
-        // Pre-mix the seed so that seeds 0 and 1 diverge immediately.
-        let state = cfg.seed ^ 0x6A09_E667_F3BC_C909;
+        let rng = SplitMix64::new(cfg.seed ^ 0x6A09_E667_F3BC_C909);
         FaultInjector {
             cfg,
-            state,
+            rng,
             counters: FaultCounters::default(),
         }
     }
@@ -226,20 +227,6 @@ impl FaultInjector {
     #[must_use]
     pub fn counters(&self) -> &FaultCounters {
         &self.counters
-    }
-
-    /// SplitMix64 step.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Rolls for one fault opportunity of `kind`; true means the fault
@@ -257,7 +244,7 @@ impl FaultInjector {
             FaultKind::ColdReadFailure => self.cfg.cold_read_failure,
             FaultKind::TornManifestWrite => self.cfg.torn_manifest_write,
         };
-        let fired = self.next_f64() < p;
+        let fired = self.rng.next_f64() < p;
         if fired {
             let c = &mut self.counters;
             match kind {
@@ -284,7 +271,7 @@ impl FaultInjector {
     /// Panics if `n` is zero.
     pub fn pick(&mut self, n: usize) -> usize {
         assert!(n > 0, "pick from an empty set");
-        ((u128::from(self.next_u64()) * n as u128) >> 64) as usize
+        self.rng.below(n)
     }
 }
 
@@ -348,36 +335,23 @@ impl FaultSchedule {
         partitions: usize,
         mean_outage: SimDuration,
     ) -> Self {
-        // A dedicated SplitMix64 stream with its own pre-mix constant, so
-        // schedules are decorrelated from `FaultInjector` rolls on the
-        // same seed.
-        fn next_u64(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        fn next_f64(state: &mut u64) -> f64 {
-            (next_u64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-        }
-        let mut state = seed ^ 0x3C6E_F372_FE94_F82B;
+        // A dedicated stream with its own pre-mix constant, so schedules
+        // are decorrelated from `FaultInjector` rolls on the same seed.
+        let mut rng = SplitMix64::new(seed ^ 0x3C6E_F372_FE94_F82B);
 
         let mut events = Vec::new();
         let mut survivors: Vec<usize> = (0..replicas).collect();
         for _ in 0..crashes.min(replicas.saturating_sub(1)) {
-            let at = SimTime::ZERO + window * next_f64(&mut state);
-            let pick =
-                ((u128::from(next_u64(&mut state)) * survivors.len() as u128) >> 64) as usize;
-            let replica = survivors.remove(pick);
+            let at = SimTime::ZERO + window * rng.next_f64();
+            let replica = survivors.remove(rng.below(survivors.len()));
             events.push(ScheduledFault {
                 at,
                 kind: ClusterFaultKind::ReplicaCrash { replica },
             });
         }
         for _ in 0..partitions {
-            let at = SimTime::ZERO + window * next_f64(&mut state);
-            let duration = mean_outage * (0.5 + next_f64(&mut state));
+            let at = SimTime::ZERO + window * rng.next_f64();
+            let duration = mean_outage * (0.5 + rng.next_f64());
             events.push(ScheduledFault {
                 at,
                 kind: ClusterFaultKind::LinkPartition { duration },

@@ -4,7 +4,6 @@
 //! paper's scheduler and cache manager; only device speed is simulated.
 //! This crate provides the device models they consume:
 //!
-//! * [`events::EventQueue`] — a deterministic time-ordered event queue.
 //! * [`pcie::PcieLink`] — the GPU<->CPU host link, including the paper's
 //!   measured full-duplex contention (§5) and the "prioritize retrieval
 //!   over eviction" waiting mechanism.
@@ -23,14 +22,13 @@
 //!   and cold NFS/object store) below the CPU cache, with per-direction
 //!   FIFO busy horizons and seeded cold-read stall/failure faults.
 
-pub mod events;
 pub mod faults;
 pub mod gpu;
 pub mod node_link;
 pub mod pcie;
+mod rng;
 pub mod storage;
 
-pub use events::{EventQueue, ScheduleError};
 pub use faults::{
     ClusterFaultKind, FaultConfig, FaultCounters, FaultInjector, FaultKind, FaultSchedule,
     ScheduledFault,

@@ -19,6 +19,8 @@ use std::fmt;
 
 use pensieve_model::{SimDuration, SimTime};
 
+use crate::rng::SplitMix64;
+
 /// Seeded link-partition model: the fabric alternates between available
 /// stretches and outage windows, both drawn from a SplitMix64 stream
 /// dedicated to partitions (distinct from the loss stream, so enabling
@@ -110,10 +112,10 @@ impl std::error::Error for ChunkLost {}
 pub struct NodeLink {
     spec: NodeLinkSpec,
     busy_until: SimTime,
-    /// SplitMix64 state for loss rolls.
-    state: u64,
-    /// SplitMix64 state for partition windows (independent of losses).
-    pstate: u64,
+    /// Stream of loss rolls.
+    loss_rng: SplitMix64,
+    /// Stream of partition windows (independent of losses).
+    partition_rng: SplitMix64,
     /// End of the last seeded partition window generated so far; windows
     /// are generated lazily, forward-only — sound because transfer starts
     /// are monotonic (the busy horizon never moves backward).
@@ -130,19 +132,18 @@ impl NodeLink {
     /// Creates a link from a spec.
     #[must_use]
     pub fn new(spec: NodeLinkSpec) -> Self {
-        // Pre-mix the seeds so that seeds 0 and 1 diverge immediately.
-        // The partition stream uses its own constant so the same seed
-        // value drives decorrelated loss and partition schedules.
-        let state = spec.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let pstate = spec
+        // The partition stream uses its own pre-mix constant so the same
+        // seed value drives decorrelated loss and partition schedules.
+        let loss_rng = SplitMix64::new(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
+        let partition_seed = spec
             .partition
             .as_ref()
             .map_or(0, |p| p.seed ^ 0xC2B2_AE3D_27D4_EB4F);
         NodeLink {
             spec,
             busy_until: SimTime::ZERO,
-            state,
-            pstate,
+            loss_rng,
+            partition_rng: SplitMix64::new(partition_seed),
             window_frontier: SimTime::ZERO,
             next_window: None,
             forced_outages: Vec::new(),
@@ -157,32 +158,9 @@ impl NodeLink {
         &self.spec
     }
 
-    /// SplitMix64 step.
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// SplitMix64 step on the partition stream.
-    fn next_pu64(&mut self) -> u64 {
-        self.pstate = self.pstate.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.pstate;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Uniform factor in `[0.5, 1.5)` from the partition stream.
     fn next_pfactor(&mut self) -> f64 {
-        0.5 + (self.next_pu64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        0.5 + self.partition_rng.next_f64()
     }
 
     /// Schedules a forced outage window `[start, end)` — a chaos-injected
@@ -272,7 +250,7 @@ impl NodeLink {
         self.streamed_bytes += bytes as u64;
         // One roll per chunk, fired or not, so the loss schedule is a pure
         // function of the seed and the chunk count.
-        let lost = self.next_f64() < self.spec.loss_per_chunk;
+        let lost = self.loss_rng.next_f64() < self.spec.loss_per_chunk;
         if lost {
             self.lost_chunks += 1;
             return Err(ChunkLost {

@@ -4,8 +4,8 @@
 //!
 //! These summaries are what the serving sweeps print and persist: the
 //! `fig10`/`fig11` rate sweeps, the `fig15` think-time sweep, and the
-//! interactive `serve_sim` binary (all under
-//! `cargo run --release -p pensieve-bench --bin <id>`; measured results
+//! interactive `serve_sim` subcommand (all under
+//! `cargo run --release -p pensieve-bench -- <name>`; measured results
 //! in `EXPERIMENTS.md`). Distribution-level TTFT lives in the
 //! `pensieve_ttft_seconds` histogram recorded alongside a trace — see
 //! `docs/OBSERVABILITY.md`.
