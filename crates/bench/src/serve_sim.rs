@@ -158,20 +158,23 @@ pub(crate) fn serve_sim(args: &Args) -> Result<(), String> {
     };
 
     // No recorder unless an output was requested, keeping the run
-    // allocation-free on the trace path.
+    // allocation-free on the trace path. The metrics dump needs one too:
+    // the histograms are collected only while tracing.
     let (trace_out, metrics_out) = (args.get("--trace-out"), args.get("--metrics-out"));
     let recorder = (trace_out.is_some() || metrics_out.is_some()).then(SharedRecorder::new);
-    let ((summary, hit_rate), label) = if replicas > 1 {
+    let ((summary, hit_rate), label, metrics) = if replicas > 1 {
         let mut cluster = cluster_for(&spec, replicas, router, recorder.clone());
         let label = format!("{} x{replicas} ({router})", spec.engine.name);
-        (serve(&mut cluster, &convs, &driver), label)
+        let served = serve(&mut cluster, &convs, &driver);
+        (served, label, cluster.fleet_metrics())
     } else {
         let mut builder = engine_builder_for(&spec);
         if let Some(rec) = recorder.clone() {
             builder = builder.recorder(rec);
         }
-        let served = serve(&mut builder.build(), &convs, &driver);
-        (served, spec.engine.name.clone())
+        let mut engine = builder.build();
+        let served = serve(&mut engine, &convs, &driver);
+        (served, spec.engine.name.clone(), engine.metrics())
     };
 
     if let (Some(rec), Some(path)) = (&recorder, trace_out) {
@@ -180,8 +183,8 @@ pub(crate) fn serve_sim(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write trace {path}: {e}"))?;
         println!("wrote {} trace events to {path}", events.len());
     }
-    if let (Some(rec), Some(path)) = (&recorder, metrics_out) {
-        std::fs::write(path, rec.metrics().prometheus())
+    if let Some(path) = metrics_out {
+        std::fs::write(path, metrics.prometheus())
             .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
         println!("wrote metrics dump to {path}");
     }

@@ -65,13 +65,15 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use crossbeam::pool::Pool;
-use pensieve_core::{Request, RequestId, Response, ServingBackend};
+use pensieve_core::{Request, RequestId, Response, ServingBackend, SimServingEngine};
 use pensieve_kvcache::{
     CacheStats, ChunkId, ChunkState, ColdObjectStore, ManifestChunk, ManifestError, SessionExport,
     SessionId, SessionManifest, Tier,
 };
 use pensieve_model::{SimDuration, SimTime};
-use pensieve_obs::{metrics, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent};
+use pensieve_obs::{
+    metrics, Histogram, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent,
+};
 use pensieve_sim::{
     ClusterFaultKind, FaultConfig, FaultInjector, FaultKind, FaultSchedule, NodeLink, NodeLinkSpec,
 };
@@ -201,9 +203,12 @@ pub struct Router<B> {
     torn_manifests: u64,
     rehydrations: u64,
     rehydrated_tokens: u64,
+    /// Crash-to-promotion latencies, observed where `StandbyPromoted` is
+    /// recorded (so only with a recorder attached).
+    promotion_latency: Histogram,
 }
 
-impl<B: ServingBackend> Router<B> {
+impl<B: ServingBackend + Send> Router<B> {
     /// Builds a router over `replicas` (index order is placement order).
     ///
     /// # Panics
@@ -260,13 +265,14 @@ impl<B: ServingBackend> Router<B> {
             torn_manifests: 0,
             rehydrations: 0,
             rehydrated_tokens: 0,
+            promotion_latency: Histogram::new(metrics::PROMOTION_LATENCY_SECONDS_BUCKETS),
         };
         router.manifest_faults = router.cfg.manifest_faults.clone().map(FaultInjector::new);
         router
     }
 
-    /// Attaches a recorder for router-level events and metrics. The
-    /// replicas keep whatever recorder they were built with — share one
+    /// Attaches a recorder for router-level events. The replicas keep
+    /// whatever recorder they were built with — share one
     /// [`SharedRecorder`] across the fleet for a merged trace.
     #[must_use]
     pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
@@ -426,12 +432,6 @@ impl<B: ServingBackend> Router<B> {
         self.rehydrated_tokens
     }
 
-    /// Sessions with a manifest currently in the cold store.
-    #[must_use]
-    pub fn persisted_manifest_count(&self) -> usize {
-        self.cold_store.len()
-    }
-
     /// Largest per-session committed-but-unreplicated delta right now.
     #[must_use]
     pub fn replication_lag_tokens(&self) -> usize {
@@ -507,11 +507,17 @@ impl<B: ServingBackend> Router<B> {
         }
     }
 
-    fn min_alive_depth(&self) -> usize {
+    /// The shallowest alive replica other than `except`, as
+    /// `(queue depth, index)`; ties go to the lowest index.
+    fn least_loaded(&self, except: Option<usize>) -> Option<(usize, usize)> {
         self.alive_backends()
-            .map(|(_, b)| b.queue_depth())
+            .filter(|&(i, _)| Some(i) != except)
+            .map(|(i, b)| (b.queue_depth(), i))
             .min()
-            .unwrap_or(0)
+    }
+
+    fn min_alive_depth(&self) -> usize {
+        self.least_loaded(None).map_or(0, |(depth, _)| depth)
     }
 
     /// Applies every scheduled failure that is due: the victim's own
@@ -571,7 +577,6 @@ impl<B: ServingBackend> Router<B> {
                 }
             }
         }
-        self.publish_metrics();
     }
 
     /// Promotes the standby of every session whose primary just failed:
@@ -653,14 +658,8 @@ impl<B: ServingBackend> Router<B> {
                 lag_tokens: lag,
                 latency,
             });
-            if let Some(rec) = self.recorder.clone() {
-                let _ = rec.with_metrics(|m| {
-                    m.observe(
-                        metrics::names::PROMOTION_LATENCY_SECONDS,
-                        metrics::PROMOTION_LATENCY_SECONDS_BUCKETS,
-                        latency.as_secs(),
-                    );
-                });
+            if self.recorder.enabled() {
+                self.promotion_latency.observe(latency.as_secs());
             }
             promoted.insert(conv, (standby, ready));
         }
@@ -745,13 +744,7 @@ impl<B: ServingBackend> Router<B> {
         // manifest instead of recomputing. The chunk *reads* are charged
         // by the target replica's own cold device at admission; only
         // placement happens here.
-        let affine_cached = self
-            .affinity
-            .get(&req.conv)
-            .and_then(|&i| self.replicas.get(i))
-            .filter(|r| r.alive)
-            .map_or(0, |r| r.backend.cached_tokens(req.conv));
-        if req.history_tokens > 0 && affine_cached == 0 {
+        if req.history_tokens > 0 && self.cached_tokens(req.conv) == 0 {
             if let Some(target) = self.try_rehydrate(req.conv, req.history_tokens, req.arrival) {
                 self.dispatch_to(req, target);
                 return;
@@ -794,7 +787,6 @@ impl<B: ServingBackend> Router<B> {
             replica: target,
             cached_tokens: cached,
         });
-        self.publish_metrics();
         if let Some(rep) = self.replicas.get_mut(target) {
             rep.backend.submit(req);
         }
@@ -815,10 +807,7 @@ impl<B: ServingBackend> Router<B> {
                 }
                 None
             }
-            RouterPolicy::LeastLoaded => self
-                .alive_backends()
-                .min_by_key(|&(i, b)| (b.queue_depth(), i))
-                .map(|(i, _)| i),
+            RouterPolicy::LeastLoaded => self.least_loaded(None).map(|(_, i)| i),
             RouterPolicy::CacheAware => {
                 let min_depth = self.min_alive_depth();
                 // Highest score wins: cached hit-tokens minus the load
@@ -858,12 +847,7 @@ impl<B: ServingBackend> Router<B> {
         // Hysteresis: only move when the alternative is at least two
         // requests lighter, so a borderline depth difference cannot
         // bounce a session back and forth.
-        let alt = self
-            .alive_backends()
-            .filter(|&(i, _)| i != target)
-            .map(|(i, b)| (b.queue_depth(), i))
-            .min();
-        let Some((alt_depth, alt)) = alt else {
+        let Some((alt_depth, alt)) = self.least_loaded(Some(target)) else {
             return (req, target);
         };
         if alt_depth + 2 > depth {
@@ -1127,10 +1111,7 @@ impl<B: ServingBackend> Router<B> {
         if capped.total_tokens() == 0 {
             return None;
         }
-        let target = self
-            .alive_backends()
-            .min_by_key(|&(i, b)| (b.queue_depth(), i))
-            .map(|(i, _)| i)?;
+        let (_, target) = self.least_loaded(None)?;
         let admitted = self
             .drive(target)
             .map_or(0, |b| b.rehydrate_session(&capped));
@@ -1149,55 +1130,54 @@ impl<B: ServingBackend> Router<B> {
         Some(target)
     }
 
-    fn publish_metrics(&self) {
-        let Some(rec) = self.recorder.clone() else {
-            return;
-        };
-        let _ = rec.with_metrics(|m| {
-            m.counter_set(metrics::names::ROUTED_REQUESTS_TOTAL, self.routed);
-            m.counter_set(metrics::names::MIGRATIONS_TOTAL, self.migrations);
-            m.counter_set(metrics::names::MIGRATED_TOKENS_TOTAL, self.migrated_tokens);
+    /// Every counter, gauge and histogram the router itself owns, under
+    /// its canonical name, as of this call; the replicas' own metrics are
+    /// not included (see [`Router::fleet_metrics`]). Replication and
+    /// manifest metrics appear only when that mechanism is configured,
+    /// and the promotion-latency histogram only with a recorder attached
+    /// (it is collected where `StandbyPromoted` is recorded).
+    #[must_use]
+    pub fn metrics(&self) -> MetricsRegistry {
+        use metrics::names;
+        let mut m = MetricsRegistry::new();
+        m.counter_set(names::ROUTED_REQUESTS_TOTAL, self.routed);
+        m.counter_set(names::MIGRATIONS_TOTAL, self.migrations);
+        m.counter_set(names::MIGRATED_TOKENS_TOTAL, self.migrated_tokens);
+        m.counter_set(
+            names::MIGRATION_LOST_TOKENS_TOTAL,
+            self.migration_lost_tokens,
+        );
+        m.counter_set(names::REPLICA_FAILURES_TOTAL, self.replica_failures);
+        let mut lost_chunks = self.link.lost_chunks();
+        let mut streamed_bytes = self.link.streamed_bytes();
+        if let Some(rep) = &self.replication {
+            lost_chunks += rep.link_lost_chunks();
+            streamed_bytes += rep.link_streamed_bytes();
+            m.counter_set(names::REPLICATED_TOKENS_TOTAL, rep.replicated_tokens());
+            m.counter_set(names::STANDBY_BYTES_TOTAL, rep.standby_bytes());
+            m.counter_set(names::STANDBY_PROMOTIONS_TOTAL, self.promotions);
             m.counter_set(
-                metrics::names::MIGRATION_LOST_TOKENS_TOTAL,
-                self.migration_lost_tokens,
+                names::RECOMPUTED_SUFFIX_TOKENS_TOTAL,
+                self.recomputed_suffix_tokens,
             );
-            m.counter_set(
-                metrics::names::REPLICA_FAILURES_TOTAL,
-                self.replica_failures,
+            m.gauge_set(
+                names::REPLICATION_LAG_TOKENS,
+                rep.max_pending_tokens() as f64,
             );
-            let mut lost_chunks = self.link.lost_chunks();
-            let mut streamed_bytes = self.link.streamed_bytes();
-            if let Some(rep) = &self.replication {
-                lost_chunks += rep.link_lost_chunks();
-                streamed_bytes += rep.link_streamed_bytes();
-                m.counter_set(
-                    metrics::names::REPLICATED_TOKENS_TOTAL,
-                    rep.replicated_tokens(),
-                );
-                m.counter_set(metrics::names::STANDBY_BYTES_TOTAL, rep.standby_bytes());
-                m.counter_set(metrics::names::STANDBY_PROMOTIONS_TOTAL, self.promotions);
-                m.counter_set(
-                    metrics::names::RECOMPUTED_SUFFIX_TOKENS_TOTAL,
-                    self.recomputed_suffix_tokens,
-                );
-                m.gauge_set(
-                    metrics::names::REPLICATION_LAG_TOKENS,
-                    rep.max_pending_tokens() as f64,
+            if self.recorder.enabled() {
+                m.histogram_set(
+                    names::PROMOTION_LATENCY_SECONDS,
+                    self.promotion_latency.clone(),
                 );
             }
-            m.counter_set(metrics::names::LINK_LOST_CHUNKS_TOTAL, lost_chunks);
-            m.counter_set(metrics::names::LINK_STREAMED_BYTES_TOTAL, streamed_bytes);
-            if self.cfg.manifest_persistence {
-                m.counter_set(
-                    metrics::names::MANIFESTS_PERSISTED_TOTAL,
-                    self.manifests_persisted,
-                );
-                m.counter_set(
-                    metrics::names::SESSION_REHYDRATIONS_TOTAL,
-                    self.rehydrations,
-                );
-            }
-        });
+        }
+        m.counter_set(names::LINK_LOST_CHUNKS_TOTAL, lost_chunks);
+        m.counter_set(names::LINK_STREAMED_BYTES_TOTAL, streamed_bytes);
+        if self.cfg.manifest_persistence {
+            m.counter_set(names::MANIFESTS_PERSISTED_TOTAL, self.manifests_persisted);
+            m.counter_set(names::SESSION_REHYDRATIONS_TOTAL, self.rehydrations);
+        }
+        m
     }
 
     /// Patches a drained response's arrival back to its original
@@ -1208,9 +1188,7 @@ impl<B: ServingBackend> Router<B> {
         }
         resp
     }
-}
 
-impl<B: ServingBackend + Send> Router<B> {
     /// Advances every alive replica to `horizon` — one conservative
     /// time window. Replicas are partitioned across the worker pool
     /// when one is installed alongside per-replica recorders; otherwise
@@ -1234,6 +1212,21 @@ impl<B: ServingBackend + Send> Router<B> {
                 }
             }
         }
+    }
+}
+
+impl Router<SimServingEngine> {
+    /// The fleet's metrics: the router's own plus every replica's,
+    /// summed name by name. Dead replicas still contribute, as in
+    /// [`ServingBackend::cache_stats`]: their counters describe work
+    /// that really happened before the failure.
+    #[must_use]
+    pub fn fleet_metrics(&self) -> MetricsRegistry {
+        let mut total = self.metrics();
+        for r in &self.replicas {
+            total.merge(&r.backend.metrics());
+        }
+        total
     }
 }
 
@@ -1450,11 +1443,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
     }
 
     fn import_session(&mut self, export: SessionExport) -> usize {
-        let Some(target) = self
-            .alive_backends()
-            .min_by_key(|&(i, b)| (b.queue_depth(), i))
-            .map(|(i, _)| i)
-        else {
+        let Some((_, target)) = self.least_loaded(None) else {
             return 0;
         };
         let session = export.session;

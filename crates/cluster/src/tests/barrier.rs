@@ -163,7 +163,7 @@ fn drain_all<B: ServingBackend + Send>(r: &mut Router<B>) -> Vec<Response> {
 
 /// Alive replicas tracking `conv` with a non-empty manifest, and their
 /// distinct layouts.
-fn copies<B: ServingBackend>(r: &Router<B>, conv: u64) -> (usize, usize) {
+fn copies<B: ServingBackend + Send>(r: &Router<B>, conv: u64) -> (usize, usize) {
     let manifests: Vec<SessionManifest> = r
         .alive_backends()
         .filter_map(|(_, b)| b.session_manifest(SessionId(conv)))

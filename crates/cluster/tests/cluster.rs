@@ -4,21 +4,27 @@
 use std::collections::BTreeMap;
 
 use pensieve_cluster::{Router, RouterConfig, RouterPolicy};
-use pensieve_core::{EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine};
+use pensieve_core::{
+    EngineBuilder, EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine,
+};
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
+use pensieve_obs::SharedRecorder;
 use pensieve_sim::NodeLinkSpec;
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::{DatasetSpec, DriverConfig};
 use proptest::prelude::*;
 
-fn engine() -> SimServingEngine {
+fn engine_builder() -> EngineBuilder {
     SimServingEngine::builder(
         EngineConfig::pensieve(),
         ModelConfig::opt_13b(),
         HardwareSpec::azure_nc_a100(1),
     )
-    .build()
+}
+
+fn engine() -> SimServingEngine {
+    engine_builder().build()
 }
 
 fn cluster(n: usize, policy: RouterPolicy, cfg: RouterConfig) -> Router<SimServingEngine> {
@@ -177,5 +183,50 @@ fn driver_survives_replica_failure() {
         result.responses.len(),
         total_turns,
         "every turn completes despite the failure"
+    );
+}
+
+/// One recorder shared by the whole fleet, as `serve_sim --replicas`
+/// wires it. The fleet dump sums what each replica owns — a dead one's
+/// work included — and adds the router's own counters; a registry the
+/// replicas all wrote into kept only the largest.
+#[test]
+fn fleet_metrics_sum_the_replicas() {
+    let rec = SharedRecorder::new();
+    let fleet = (0..2)
+        .map(|_| engine_builder().recorder(rec.clone()).build())
+        .collect();
+    let mut r = Router::new(fleet, RouterPolicy::RoundRobin, RouterConfig::default()).recorder(rec);
+    r.fail_replica_at(1, SimTime::from_secs(20.0));
+    let convs = DatasetSpec::sharegpt().generate(8, 6);
+    let result = run_closed_loop(
+        &mut r,
+        &convs,
+        &DriverConfig {
+            request_rate: 4.0,
+            mean_think_time: 5.0,
+            seed: 29,
+            system_prompt_tokens: 0,
+        },
+    );
+    assert_eq!(r.alive_replicas(), vec![0]);
+    let iterations: Vec<u64> = (0..2).map(|i| r.replica(i).counters().iterations).collect();
+    assert!(iterations.iter().all(|&n| n > 0), "both replicas worked");
+
+    let m = r.fleet_metrics();
+    assert_eq!(
+        m.counter("pensieve_iterations_total"),
+        iterations.iter().sum::<u64>()
+    );
+    assert_eq!(
+        m.counter("pensieve_requests_completed_total"),
+        result.responses.len() as u64
+    );
+    let ttft = m.histogram("pensieve_ttft_seconds").expect("traced fleet");
+    assert_eq!(ttft.count(), result.responses.len() as u64);
+    assert_eq!(m.counter("pensieve_replica_failures_total"), 1);
+    assert_eq!(
+        m.counter("pensieve_routed_requests_total"),
+        r.metrics().counter("pensieve_routed_requests_total")
     );
 }

@@ -29,7 +29,10 @@ use pensieve_model::{
     BatchShape, CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SeqShape, SimDuration,
     SimTime,
 };
-use pensieve_obs::{metrics, DropReason, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent};
+use pensieve_obs::{
+    metrics, DropReason, Histogram, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder,
+    TraceEvent,
+};
 use pensieve_sim::{
     Direction, DuplexMode, FaultCounters, FaultInjector, FaultKind, GpuTimer, PcieLink,
     StorageDevice, StorageDeviceSpec,
@@ -185,9 +188,15 @@ pub struct SimServingEngine {
     /// Consecutive fault-induced ticks that admitted nothing; bounds the
     /// empty-tick retry loop in `iteration`.
     empty_ticks: u32,
-    /// Passive trace/metrics sink shared with the cache, link and GPU
-    /// timer; `None` (the default) records nothing.
+    /// Passive trace sink shared with the cache, link and GPU timer;
+    /// `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
+    /// Distributions of a traced run, observed where the matching trace
+    /// event is recorded (so an engine without a recorder does no work
+    /// for them) and reported by [`SimServingEngine::metrics`].
+    iteration_seconds: Histogram,
+    batch_query_tokens: Histogram,
+    ttft_seconds: Histogram,
     /// Content-addressed chain of the globally shared system preamble;
     /// empty when stateless or `shared_prefix_tokens == 0`.
     shared_chain: Vec<pensieve_kvcache::ChunkId>,
@@ -243,10 +252,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches a trace/metrics recorder, cloned into the cache, the
-    /// PCIe link and the GPU timer so every layer records into one
-    /// buffer. Recording is strictly passive: simulated clocks,
-    /// schedules and responses are bit-identical with or without it.
+    /// Attaches a trace recorder, cloned into the cache, the PCIe link
+    /// and the GPU timer so every layer records into one buffer; a
+    /// traced engine also collects the histograms
+    /// [`SimServingEngine::metrics`] reports. Recording is strictly
+    /// passive: simulated clocks, schedules and responses are
+    /// bit-identical with or without it.
     #[must_use]
     pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
         self.recorder = Some(recorder);
@@ -331,6 +342,9 @@ impl SimServingEngine {
             cold_dev: StorageDevice::new(StorageDeviceSpec::nfs()),
             empty_ticks: 0,
             recorder: None,
+            iteration_seconds: Histogram::new(metrics::ITERATION_SECONDS_BUCKETS),
+            batch_query_tokens: Histogram::new(metrics::BATCH_QUERY_TOKENS_BUCKETS),
+            ttft_seconds: Histogram::new(metrics::TTFT_SECONDS_BUCKETS),
             shared_chain: Vec::new(),
             shared_tokens: 0,
             shared_handles: Vec::new(),
@@ -409,6 +423,47 @@ impl SimServingEngine {
     #[must_use]
     pub fn counters(&self) -> &EngineCounters {
         &self.counters
+    }
+
+    /// Every counter, gauge and histogram this engine owns, under its
+    /// canonical name, as of this call. The three histograms and the
+    /// completed-request count are collected only while a recorder is
+    /// attached and are left out otherwise.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsRegistry {
+        use metrics::names;
+        let c = &self.counters;
+        let stats = self.cache.stats();
+        let mut m = MetricsRegistry::new();
+        m.counter_set(names::ITERATIONS_TOTAL, c.iterations);
+        m.counter_set(names::PREFILL_TOKENS_TOTAL, c.prefill_tokens);
+        m.counter_set(names::DECODE_TOKENS_TOTAL, c.decode_tokens);
+        m.counter_set(names::SUSPENSIONS_TOTAL, c.suspensions);
+        m.counter_set(names::SHARED_PREFIX_HIT_TOKENS_TOTAL, c.shared_prefix_hits);
+        m.counter_set(names::SWAP_IN_RETRIES_TOTAL, c.swap_in_retries);
+        m.counter_set(names::RECOMPUTE_FALLBACKS_TOTAL, c.recompute_fallbacks);
+        m.counter_set(names::GPU_ALLOC_FAULTS_TOTAL, c.gpu_alloc_faults);
+        m.counter_set(names::WORKER_STALLS_TOTAL, c.worker_stalls);
+        m.counter_set(names::CHUNK_FAULTS_TOTAL, c.chunk_faults);
+        m.counter_set(names::COLD_READ_FAULTS_TOTAL, c.cold_read_faults);
+        m.counter_set(names::SSD_HIT_TOKENS_TOTAL, stats.ssd_hit_tokens);
+        m.counter_set(names::COLD_HIT_TOKENS_TOTAL, stats.cold_hit_tokens);
+        m.counter_set(names::DEMOTED_TOKENS_TOTAL, stats.demoted_tokens);
+        m.counter_set(names::REHYDRATED_TOKENS_TOTAL, stats.rehydrated_tokens);
+        m.gauge_set(names::RUNNING_REQUESTS, self.running.len() as f64);
+        m.gauge_set(names::WAITING_REQUESTS, self.wait_queue.len() as f64);
+        m.gauge_set(names::GPU_SLOTS_USED, self.cache.gpu_slots_used() as f64);
+        m.gauge_set(names::CPU_TOKENS_USED, self.cache.cpu_used() as f64);
+        m.gauge_set(names::SSD_TOKENS_USED, self.cache.ssd_used() as f64);
+        m.gauge_set(names::COLD_TOKENS_USED, self.cache.cold_used() as f64);
+        if self.recorder.enabled() {
+            // One TTFT observation per completed request.
+            m.counter_set(names::REQUESTS_COMPLETED_TOTAL, self.ttft_seconds.count());
+            m.histogram_set(names::ITERATION_SECONDS, self.iteration_seconds.clone());
+            m.histogram_set(names::BATCH_QUERY_TOKENS, self.batch_query_tokens.clone());
+            m.histogram_set(names::TTFT_SECONDS, self.ttft_seconds.clone());
+        }
+        m
     }
 
     /// KV bytes per cached token (per GPU shard). Also a
@@ -536,65 +591,6 @@ impl SimServingEngine {
         self.empty_ticks = 0;
         self.execute();
         self.complete();
-        self.sample_metrics();
-    }
-
-    /// Mirrors the engine's counters and gauges into the recorder's
-    /// metrics registry, as of the end of the just-finished iteration.
-    /// No-op without a recorder.
-    fn sample_metrics(&self) {
-        let Some(rec) = self.recorder.clone() else {
-            return;
-        };
-        let c = &self.counters;
-        let gpu_slots = self.cache.gpu_slots_used();
-        let cpu_tokens = self.cache.cpu_used();
-        let ssd_tokens = self.cache.ssd_used();
-        let cold_tokens = self.cache.cold_used();
-        let cache_stats = self.cache.stats().clone();
-        let running = self.running.len();
-        let waiting = self.wait_queue.len();
-        let _ = rec.with_metrics(|m| {
-            m.counter_set(metrics::names::ITERATIONS_TOTAL, c.iterations);
-            m.counter_set(metrics::names::PREFILL_TOKENS_TOTAL, c.prefill_tokens);
-            m.counter_set(metrics::names::DECODE_TOKENS_TOTAL, c.decode_tokens);
-            m.counter_set(metrics::names::SUSPENSIONS_TOTAL, c.suspensions);
-            m.counter_set(
-                metrics::names::SHARED_PREFIX_HIT_TOKENS_TOTAL,
-                c.shared_prefix_hits,
-            );
-            m.counter_set(metrics::names::SWAP_IN_RETRIES_TOTAL, c.swap_in_retries);
-            m.counter_set(
-                metrics::names::RECOMPUTE_FALLBACKS_TOTAL,
-                c.recompute_fallbacks,
-            );
-            m.counter_set(metrics::names::GPU_ALLOC_FAULTS_TOTAL, c.gpu_alloc_faults);
-            m.counter_set(metrics::names::WORKER_STALLS_TOTAL, c.worker_stalls);
-            m.counter_set(metrics::names::CHUNK_FAULTS_TOTAL, c.chunk_faults);
-            m.counter_set(
-                metrics::names::SSD_HIT_TOKENS_TOTAL,
-                cache_stats.ssd_hit_tokens,
-            );
-            m.counter_set(
-                metrics::names::COLD_HIT_TOKENS_TOTAL,
-                cache_stats.cold_hit_tokens,
-            );
-            m.counter_set(
-                metrics::names::DEMOTED_TOKENS_TOTAL,
-                cache_stats.demoted_tokens,
-            );
-            m.counter_set(
-                metrics::names::REHYDRATED_TOKENS_TOTAL,
-                cache_stats.rehydrated_tokens,
-            );
-            m.counter_set(metrics::names::COLD_READ_FAULTS_TOTAL, c.cold_read_faults);
-            m.gauge_set(metrics::names::RUNNING_REQUESTS, running as f64);
-            m.gauge_set(metrics::names::WAITING_REQUESTS, waiting as f64);
-            m.gauge_set(metrics::names::GPU_SLOTS_USED, gpu_slots as f64);
-            m.gauge_set(metrics::names::CPU_TOKENS_USED, cpu_tokens as f64);
-            m.gauge_set(metrics::names::SSD_TOKENS_USED, ssd_tokens as f64);
-            m.gauge_set(metrics::names::COLD_TOKENS_USED, cold_tokens as f64);
-        });
     }
 
     /// Draws this tick's CPU-tier faults: loss or corruption of a chunk
@@ -1196,7 +1192,7 @@ impl SimServingEngine {
         self.counters.iterations += 1;
         self.counters.busy_time += duration + queue_delay + stall;
         self.now += queue_delay + duration + stall;
-        if let Some(rec) = self.recorder.clone() {
+        if let Some(rec) = &self.recorder {
             rec.record(TraceEvent::IterationEnd {
                 at: self.now,
                 iteration,
@@ -1204,19 +1200,9 @@ impl SimServingEngine {
                 compute: duration,
                 stall,
             });
-            let total = queue_delay + duration + stall;
-            let _ = rec.with_metrics(|m| {
-                m.observe(
-                    metrics::names::ITERATION_SECONDS,
-                    metrics::ITERATION_SECONDS_BUCKETS,
-                    total.as_secs(),
-                );
-                m.observe(
-                    metrics::names::BATCH_QUERY_TOKENS,
-                    metrics::BATCH_QUERY_TOKENS_BUCKETS,
-                    batch_query_tokens as f64,
-                );
-            });
+            self.iteration_seconds
+                .observe((queue_delay + duration + stall).as_secs());
+            self.batch_query_tokens.observe(batch_query_tokens as f64);
         }
     }
 
@@ -1260,7 +1246,7 @@ impl SimServingEngine {
                 self.cache.remove_conversation(conv);
             }
             let first_token = r.first_token.unwrap_or(now);
-            if let Some(rec) = self.recorder.clone() {
+            if let Some(rec) = &self.recorder {
                 rec.record(TraceEvent::RequestCompleted {
                     at: now,
                     request: r.req.id.0,
@@ -1271,16 +1257,11 @@ impl SimServingEngine {
                     prefill_tokens: r.prefill_tokens,
                     cached_tokens: r.cached_tokens,
                 });
-                let _ = rec.with_metrics(|m| {
-                    m.counter_add(metrics::names::REQUESTS_COMPLETED_TOTAL, 1);
-                    m.observe(
-                        metrics::names::TTFT_SECONDS,
-                        metrics::TTFT_SECONDS_BUCKETS,
-                        first_token
-                            .saturating_duration_since(r.req.arrival)
-                            .as_secs(),
-                    );
-                });
+                self.ttft_seconds.observe(
+                    first_token
+                        .saturating_duration_since(r.req.arrival)
+                        .as_secs(),
+                );
             }
             self.responses.push(Response {
                 id: r.req.id,

@@ -220,28 +220,27 @@ impl FunctionalEngine {
         assert!(!prompt.is_empty() && max_new > 0);
         self.clock += 1;
         self.fault_tick();
-        let clock = self.clock;
-        let block_size = self.cfg.block_size;
-        self.convs.entry(conv).or_insert_with(|| ConvState {
-            table: BlockTable::new(block_size),
-            last_active: clock,
+        // The turn holds its conversation's state by value: taken out of
+        // `convs` here and put back at the end, so eviction in between
+        // only ever sees other conversations.
+        let mut state = self.convs.remove(&conv).unwrap_or_else(|| ConvState {
+            table: BlockTable::new(self.cfg.block_size),
+            last_active: self.clock,
         });
 
         // --- Restore phase: swap in or schedule recompute for holes. ---
-        let cached_len = self.convs[&conv].table.len();
+        let cached_len = state.table.len();
         let nb = cached_len.div_ceil(self.cfg.block_size);
         let mut recompute_blocks = Vec::new();
         for bi in 0..nb {
-            if self.convs[&conv].table.get_block(bi).is_none() {
+            if state.table.get_block(bi).is_none() {
                 recompute_blocks.push(bi);
             }
         }
         // Allocate backing for every hole (evicting others if needed).
-        self.make_room(conv, recompute_blocks.len() + 2);
+        self.make_room(recompute_blocks.len() + 2);
         let mut recompute_ranges: Vec<std::ops::Range<usize>> = Vec::new();
         for bi in recompute_blocks {
-            // lint:allow(r1-panic): entry inserted at turn start.
-            let state = self.convs.get_mut(&conv).expect("created above");
             let filled = state
                 .table
                 .refill(&mut self.pool, bi..bi + 1)
@@ -313,10 +312,8 @@ impl FunctionalEngine {
         // Blocks for the tokens the prefill will append (tail + prompt);
         // decode growth makes room incrementally per step.
         let needed_blocks = (hist_len + prompt.len() - cached_len) / self.cfg.block_size + 2;
-        self.make_room(conv, needed_blocks.min(self.cfg.pool_blocks / 2));
+        self.make_room(needed_blocks.min(self.cfg.pool_blocks / 2));
         let mut next = {
-            // lint:allow(r1-panic): entry inserted at turn start.
-            let state = self.convs.get_mut(&conv).expect("exists");
             let mut batch = [SeqInput {
                 segments,
                 table: &mut state.table,
@@ -333,9 +330,7 @@ impl FunctionalEngine {
         // --- Greedy decode. ---
         let mut generated = vec![next];
         for _ in 1..max_new {
-            self.make_room(conv, 2);
-            // lint:allow(r1-panic): entry inserted at turn start.
-            let state = self.convs.get_mut(&conv).expect("exists");
+            self.make_room(2);
             let pos = state.table.len();
             let mut batch = [SeqInput {
                 segments: vec![SegmentInput {
@@ -354,8 +349,8 @@ impl FunctionalEngine {
             generated.push(next);
         }
         self.store.append(conv, &generated);
-        // lint:allow(r1-panic): entry inserted at turn start.
-        self.convs.get_mut(&conv).expect("exists").last_active = self.clock;
+        state.last_active = self.clock;
+        self.convs.insert(conv, state);
         generated
     }
 
@@ -375,15 +370,16 @@ impl FunctionalEngine {
     }
 
     /// Ensures at least `blocks` free pool blocks, evicting fully-filled
-    /// blocks of inactive conversations (leading end first, least recently
-    /// active conversation first).
-    fn make_room(&mut self, active: SessionId, blocks: usize) {
+    /// blocks of the conversations in `convs` — every one but the turn
+    /// being served — leading end first, least recently active
+    /// conversation first.
+    fn make_room(&mut self, blocks: usize) {
         let target = blocks.max(self.cfg.free_watermark.min(self.cfg.pool_blocks / 4));
         while self.pool.num_free() < target {
-            let Some((victim, bi)) = self.pick_victim(active) else {
+            let Some((victim, bi, phys)) = self.pick_victim() else {
                 break;
             };
-            self.evict_block(victim, bi);
+            self.evict_block(victim, bi, phys);
         }
         assert!(
             self.pool.num_free() >= blocks,
@@ -393,40 +389,25 @@ impl FunctionalEngine {
     }
 
     /// The leading resident, fully-filled block of the least recently
-    /// active conversation other than `active`.
-    fn pick_victim(&self, active: SessionId) -> Option<(SessionId, usize)> {
-        let mut best: Option<(u64, SessionId)> = None;
-        for (&cid, st) in &self.convs {
-            if cid == active {
-                continue;
-            }
-            // Only fully-filled blocks are evictable.
-            let full_blocks = st.table.len() / self.cfg.block_size;
-            let has_resident = (0..full_blocks).any(|bi| st.table.get_block(bi).is_some());
-            if !has_resident {
-                continue;
-            }
-            if best.is_none_or(|(t, c)| (st.last_active, cid.0) < (t, c.0)) {
-                best = Some((st.last_active, cid));
-            }
-        }
-        let (_, cid) = best?;
-        let st = &self.convs[&cid];
-        let full_blocks = st.table.len() / self.cfg.block_size;
-        (0..full_blocks)
-            .find(|&bi| st.table.get_block(bi).is_some())
-            .map(|bi| (cid, bi))
+    /// active conversation that has one, with its physical block.
+    fn pick_victim(&self) -> Option<(SessionId, usize, BlockId)> {
+        self.convs
+            .iter()
+            .filter_map(|(&cid, st)| {
+                // Only fully-filled blocks are evictable.
+                let full_blocks = st.table.len() / self.cfg.block_size;
+                let (bi, phys) =
+                    (0..full_blocks).find_map(|bi| Some((bi, st.table.get_block(bi)?)))?;
+                Some((st.last_active, cid, bi, phys))
+            })
+            .min_by_key(|&(last_active, cid, ..)| (last_active, cid))
+            .map(|(_, cid, bi, phys)| (cid, bi, phys))
     }
 
-    /// Copies one block to the stash (or drops it if the stash is full or
-    /// disabled) and frees its pool backing.
-    fn evict_block(&mut self, conv: SessionId, bi: usize) {
-        let phys = self.convs[&conv]
-            .table
-            .get_block(bi)
-            // lint:allow(r1-panic): pick_victim returned this (conv, bi)
-            // precisely because the block is resident.
-            .expect("victim is resident");
+    /// Copies resident block `bi` of `conv` (physical block `phys`) to
+    /// the stash, or drops it if the stash is full or disabled, and frees
+    /// its pool backing.
+    fn evict_block(&mut self, conv: SessionId, bi: usize, phys: BlockId) {
         if self.cfg.stash_blocks > 0 {
             if self.stash.len() >= self.cfg.stash_blocks {
                 // Drop the oldest stashed block entirely.
@@ -441,9 +422,9 @@ impl FunctionalEngine {
         } else {
             self.dropped_blocks += 1;
         }
-        // lint:allow(r1-panic): pick_victim only returns live entries.
-        let state = self.convs.get_mut(&conv).expect("exists");
-        state.table.free_blocks(&mut self.pool, bi..bi + 1);
+        if let Some(state) = self.convs.get_mut(&conv) {
+            state.table.free_blocks(&mut self.pool, bi..bi + 1);
+        }
     }
 
     fn read_host_block(&self, phys: BlockId) -> HostBlock {

@@ -7,7 +7,7 @@
 //! structure with real threads: each worker owns a
 //! [`ShardRunner`] (weight slices +
 //! paged KV pool + block tables) and communicates with the scheduler over
-//! crossbeam channels; the scheduler performs the replicated work
+//! `std::sync::mpsc` channels; the scheduler performs the replicated work
 //! (embeddings, norms, residuals) and the all-reduce summations between
 //! the column- and row-parallel halves of every layer.
 //!
@@ -16,10 +16,10 @@
 //! [`TpModel`].
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pensieve_kernels::model::{SegmentInput, TinyModel};
 use pensieve_kernels::ops::argmax;
 use pensieve_kernels::paged::OutOfBlocks;
@@ -125,11 +125,11 @@ impl ThreadedTpEngine {
         for shard in &mut shards {
             shard.set_threads(intra_threads);
         }
-        let (res_tx, res_rx) = unbounded();
+        let (res_tx, res_rx) = channel();
         let mut cmd_txs = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for (idx, mut shard) in shards.into_iter().enumerate() {
-            let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = unbounded();
+            let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = channel();
             let res_tx = res_tx.clone();
             cmd_txs.push(tx);
             handles.push(std::thread::spawn(move || {

@@ -609,7 +609,7 @@ fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<Tra
     d.n(e.physical_resident_tokens());
     let events = rec.events();
     d.bytes(to_jsonl(&events).as_bytes());
-    d.bytes(rec.metrics().prometheus().as_bytes());
+    d.bytes(e.metrics().prometheus().as_bytes());
     (d.0, counters, stats, events)
 }
 

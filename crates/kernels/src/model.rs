@@ -186,12 +186,6 @@ impl TinyModel {
         };
     }
 
-    /// Installs an explicit worker-pool handle (e.g. one owned by the
-    /// engine builder) instead of the process-wide pool.
-    pub fn set_pool(&mut self, pool: Pool) {
-        self.pool = pool;
-    }
-
     /// Current worker-thread setting (see [`TinyModel::set_threads`]).
     #[must_use]
     pub fn threads(&self) -> usize {

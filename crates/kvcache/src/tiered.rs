@@ -1014,7 +1014,7 @@ impl TieredKvCache {
                 });
             }
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(plan)
     }
 
@@ -1083,7 +1083,7 @@ impl TieredKvCache {
         let committed = e.private_tokens();
         self.commit_log.insert(conv, committed);
         self.occ.admit(Tier::Gpu, n);
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())
     }
 
@@ -1247,7 +1247,7 @@ impl TieredKvCache {
                 shared,
             });
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         ops
     }
 
@@ -1291,7 +1291,7 @@ impl TieredKvCache {
             conv: conv.0,
             tokens: transferred,
         });
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         transferred
     }
 
@@ -1307,7 +1307,7 @@ impl TieredKvCache {
             self.manifest_dirty.insert(conv);
             self.forget(&e);
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Removes `session` from this cache and returns a portable snapshot
@@ -1344,7 +1344,7 @@ impl TieredKvCache {
                 c.tier = Tier::Cpu;
             }
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Some(SessionExport {
             session,
             chunks,
@@ -1454,7 +1454,7 @@ impl TieredKvCache {
             }
         }
         self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(admitted)
     }
 
@@ -1531,7 +1531,7 @@ impl TieredKvCache {
         };
         self.occ.retier(c, without_copy);
         let tokens = c.tokens;
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(tokens)
     }
 
@@ -1584,7 +1584,7 @@ impl TieredKvCache {
                 reason,
             });
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         dropped
     }
 
@@ -1638,7 +1638,7 @@ impl TieredKvCache {
         }
         self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
         self.stats.rehydrated_tokens += admitted as u64;
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(admitted)
     }
 
@@ -1971,7 +1971,7 @@ impl TieredKvCache {
         }
         self.attach_chain(conv, chain, now);
         self.track(conv, ConvEntry::new(chain.to_vec(), total, Vec::new(), now));
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(total)
     }
 
@@ -2027,7 +2027,7 @@ impl TieredKvCache {
                 armed: true,
             });
         }
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(handles)
     }
 
@@ -2224,69 +2224,112 @@ impl TieredKvCache {
             chunks: chain.len(),
         });
         self.track(child, ConvEntry::new(chain, context_end, Vec::new(), now));
-        debug_assert!(self.check_invariants());
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(context_end)
     }
 
-    /// Verifies internal accounting; used in debug assertions.
-    fn check_invariants(&self) -> bool {
+    /// Recounts the cache's accounting from its chunk records and
+    /// compares: chunk positions, per-tier occupancy, shared refcounts
+    /// and pins, tier capacities, the manifest change set. Every mutating
+    /// method debug-asserts it; tests call it in release builds too.
+    ///
+    /// # Errors
+    ///
+    /// The first violated invariant, in words. Any error is a bug in this
+    /// crate, not a condition a caller can cause.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        macro_rules! ensure {
+            ($cond:expr, $($msg:tt)+) => {
+                if !$cond {
+                    return Err(format!($($msg)+));
+                }
+            };
+        }
         let mut occ = Occupancy::default();
         let mut chain_refs: BTreeMap<ChunkId, usize> = BTreeMap::new();
         let mut chain_pins: BTreeMap<ChunkId, usize> = BTreeMap::new();
-        for e in self.convs.values() {
+        for (conv, e) in &self.convs {
             let mut chain_tokens = 0usize;
             for id in &e.shared {
-                assert!(self.shared.contains_key(id), "chain id missing from pool");
-                chain_tokens += self.shared.get(id).map_or(0, |s| s.chunk.tokens);
+                let Some(s) = self.shared.get(id) else {
+                    return Err(format!("{conv:?}: chain id {id:?} missing from pool"));
+                };
+                chain_tokens += s.chunk.tokens;
                 *chain_refs.entry(*id).or_insert(0) += 1;
                 if e.pinned {
                     *chain_pins.entry(*id).or_insert(0) += 1;
                 }
             }
-            assert_eq!(chain_tokens, e.shared_tokens, "shared_tokens drift");
+            ensure!(
+                chain_tokens == e.shared_tokens,
+                "{conv:?}: shared_tokens drift: chain holds {chain_tokens}, entry says {}",
+                e.shared_tokens
+            );
             let mut pos = e.shared_tokens;
             for c in &e.chunks {
-                assert!(c.tokens > 0 && c.tokens <= self.cfg.chunk_tokens);
-                assert_eq!(c.context_end, pos + c.tokens, "context_end drift");
+                ensure!(
+                    c.tokens > 0 && c.tokens <= self.cfg.chunk_tokens,
+                    "{conv:?}: chunk of {} tokens",
+                    c.tokens
+                );
+                ensure!(
+                    c.context_end == pos + c.tokens,
+                    "{conv:?}: context_end drift: {} after {pos} + {}",
+                    c.context_end,
+                    c.tokens
+                );
                 pos += c.tokens;
                 occ.admit(c.tier, c.tokens);
             }
+            ensure!(
+                !e.manifest_dirty || self.manifest_dirty.contains(conv),
+                "{conv:?}: flagged session missing from the manifest change set"
+            );
         }
         for (id, s) in &self.shared {
-            assert!(s.chunk.tokens > 0 && s.chunk.tokens <= self.cfg.chunk_tokens);
-            assert_ne!(
-                s.chunk.tier,
-                Tier::GpuCopied,
-                "shared chunk holds a lazy copy"
+            ensure!(
+                s.chunk.tokens > 0 && s.chunk.tokens <= self.cfg.chunk_tokens,
+                "{id:?}: shared chunk of {} tokens",
+                s.chunk.tokens
+            );
+            ensure!(
+                s.chunk.tier != Tier::GpuCopied,
+                "{id:?}: shared chunk holds a lazy copy"
             );
             occ.admit(s.chunk.tier, s.chunk.tokens);
             let from_chains = chain_refs.get(id).copied().unwrap_or(0);
-            assert_eq!(
+            ensure!(
+                s.refs == from_chains + s.external_refs,
+                "{id:?}: shared refcount drift: {} refs, {from_chains} chains + {} handles",
                 s.refs,
-                from_chains + s.external_refs,
-                "shared refcount drift"
+                s.external_refs
             );
-            assert_eq!(
-                s.pinned_refs,
-                chain_pins.get(id).copied().unwrap_or(0),
-                "shared pinned-ref drift"
+            let pins = chain_pins.get(id).copied().unwrap_or(0);
+            ensure!(
+                s.pinned_refs == pins,
+                "{id:?}: shared pinned-ref drift: {} held, {pins} pinned chains",
+                s.pinned_refs
             );
         }
-        assert_eq!(occ, self.occ, "occupancy drift");
-        assert!(self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens);
+        ensure!(
+            occ == self.occ,
+            "occupancy drift: recounted {occ:?}, held {:?}",
+            self.occ
+        );
+        ensure!(
+            self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens,
+            "GPU over capacity: {} of {}",
+            self.gpu_slots_used(),
+            self.cfg.gpu_capacity_tokens
+        );
         for rung in &self.ladder {
-            assert!(
+            ensure!(
                 self.used(rung.tier) <= rung.capacity,
-                "{rung:?} over capacity"
+                "{rung:?} over capacity: {}",
+                self.used(rung.tier)
             );
         }
-        for (conv, e) in &self.convs {
-            assert!(
-                !e.manifest_dirty || self.manifest_dirty.contains(conv),
-                "flagged session missing from the manifest change set"
-            );
-        }
-        true
+        Ok(())
     }
 }
 

@@ -10,9 +10,9 @@
 //! Capacities are a few chunks per tier, so every rung overflows, and
 //! the shared pool is under the same pressure — non-global shared chunks
 //! are moved GPU→CPU, demoted down the ladder and dropped once
-//! unreferenced, which no benchmark workload does. Debug builds run the
-//! cache's own accounting invariants after every mutation, so the tape
-//! doubles as an accounting soak.
+//! unreferenced, which no benchmark workload does. Both caches'
+//! accounting invariants (`check_invariants`) are checked after every
+//! op, in release builds too, so the tape doubles as an accounting soak.
 //!
 //! Only the crate's public API is used. A failing run prints the table
 //! that would replace `GOLDEN` — paste it only for an *intended*
@@ -725,6 +725,11 @@ impl Tape {
         }
         for (k, s) in std::mem::take(&mut self.touched) {
             self.d.session(&self.sides[k].cache, s);
+        }
+        for (k, side) in self.sides.iter().enumerate() {
+            if let Err(why) = side.cache.check_invariants() {
+                panic!("side {k} after roll {roll}: {why}");
+            }
         }
     }
 

@@ -286,12 +286,6 @@ impl ModelConfig {
         self.num_layers * per_layer + embeddings
     }
 
-    /// Bytes of model weights in the configured precision.
-    #[must_use]
-    pub fn param_bytes(&self) -> usize {
-        self.param_count() * self.dtype_bytes
-    }
-
     /// Validates internal consistency (head split, GQA divisibility).
     ///
     /// # Errors

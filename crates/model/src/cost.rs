@@ -80,12 +80,6 @@ impl BatchShape {
         self.seqs.iter().map(|s| s.query_len).sum()
     }
 
-    /// Total KV context touched by attention across the batch.
-    #[must_use]
-    pub fn total_context_tokens(&self) -> usize {
-        self.seqs.iter().map(|s| s.context_len).sum()
-    }
-
     /// True if no request contributes any token.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -100,12 +100,6 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration((self.0 - other.0).max(0.0))
     }
-
-    /// Returns true if this is the zero duration.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
 }
 
 impl Add for SimDuration {

@@ -210,6 +210,19 @@ impl Histogram {
         self.total += 1;
     }
 
+    /// Adds `other`'s observations to this histogram's. Does nothing
+    /// unless both have the same bounds.
+    pub fn merge(&mut self, other: &Histogram) {
+        if self.bounds != other.bounds {
+            return;
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.sum += other.sum;
+        self.total += other.total;
+    }
+
     /// Total observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -244,8 +257,9 @@ impl Histogram {
     }
 }
 
-/// The metrics registry: monotonic counters, gauges and histograms, each
-/// holding its current value only.
+/// A metrics snapshot: counters, gauges and histograms by name, as their
+/// owner read them at one instant (`SimServingEngine::metrics`,
+/// `Router::metrics`). Nothing holds a registry across a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -260,17 +274,9 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Sets a monotonic counter to `v`. Values below the current one are
-    /// ignored (counters never regress), which lets callers mirror an
-    /// externally-maintained total without delta bookkeeping.
+    /// Sets a counter to its owner's current total.
     pub fn counter_set(&mut self, name: &str, v: u64) {
-        let c = self.counters.entry(name.to_owned()).or_insert(0);
-        *c = (*c).max(v);
-    }
-
-    /// Adds `delta` to a monotonic counter.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        self.counters.insert(name.to_owned(), v);
     }
 
     /// Current value of a counter (0 if never written).
@@ -290,19 +296,37 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records an observation into the named histogram, creating it with
-    /// `bounds` on first use.
-    pub fn observe(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
+    /// Sets the named histogram to its owner's current one.
+    pub fn histogram_set(&mut self, name: &str, h: Histogram) {
+        self.histograms.insert(name.to_owned(), h);
     }
 
-    /// The named histogram, if any observation was recorded.
+    /// The named histogram, if one was written.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
+    }
+
+    /// Adds `other` into `self`, name by name: counters, gauges and
+    /// histograms all sum, which is what a fleet total over replicas
+    /// that each own their metrics means. A histogram whose bounds
+    /// differ from the one already held under its name cannot be summed
+    /// and is left out.
+    pub fn merge(&mut self, other: &MetricsRegistry) {
+        for (name, v) in &other.counters {
+            *self.counters.entry(name.clone()).or_insert(0) += v;
+        }
+        for (name, v) in &other.gauges {
+            *self.gauges.entry(name.clone()).or_insert(0.0) += v;
+        }
+        for (name, h) in &other.histograms {
+            match self.histograms.get_mut(name) {
+                Some(mine) => mine.merge(h),
+                None => {
+                    self.histograms.insert(name.clone(), h.clone());
+                }
+            }
+        }
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -338,13 +362,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_are_monotonic() {
-        let mut r = MetricsRegistry::new();
-        r.counter_set("c", 5);
-        r.counter_set("c", 3);
-        assert_eq!(r.counter("c"), 5);
-        r.counter_add("c", 2);
-        assert_eq!(r.counter("c"), 7);
+    fn merge_sums_counters_gauges_and_same_bounds_histograms() {
+        let replica = |iterations, running, ttft| {
+            let mut r = MetricsRegistry::new();
+            r.counter_set("c", iterations);
+            r.gauge_set("g", running);
+            let mut h = Histogram::new(&[1.0, 2.0]);
+            h.observe(ttft);
+            r.histogram_set("h", h);
+            r
+        };
+        let mut fleet = MetricsRegistry::new();
+        fleet.counter_set("router_only", 7);
+        fleet.merge(&replica(5, 2.0, 0.5));
+        fleet.merge(&replica(3, 1.0, 9.0));
+        assert_eq!(fleet.counter("c"), 8);
+        assert_eq!(fleet.counter("router_only"), 7);
+        assert_eq!(fleet.gauge("g"), Some(3.0));
+        let h = fleet.histogram("h").unwrap();
+        assert_eq!(h.cumulative(), vec![1, 1, 2]);
+        assert!((h.sum() - 9.5).abs() < 1e-12);
+
+        // Different bounds cannot be summed: the held histogram stands.
+        let mut odd = MetricsRegistry::new();
+        odd.histogram_set("h", Histogram::new(&[4.0]));
+        fleet.merge(&odd);
+        assert_eq!(fleet.histogram("h").unwrap().cumulative(), vec![1, 1, 2]);
     }
 
     #[test]
@@ -363,7 +406,9 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter_set(names::ITERATIONS_TOTAL, 4);
         r.gauge_set(names::RUNNING_REQUESTS, 2.0);
-        r.observe(names::ITERATION_SECONDS, ITERATION_SECONDS_BUCKETS, 0.03);
+        let mut h = Histogram::new(ITERATION_SECONDS_BUCKETS);
+        h.observe(0.03);
+        r.histogram_set(names::ITERATION_SECONDS, h);
         let a = r.prometheus();
         let b = r.clone().prometheus();
         assert_eq!(a, b);

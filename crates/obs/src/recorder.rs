@@ -12,7 +12,6 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::TraceEvent;
-use crate::metrics::MetricsRegistry;
 
 /// Sink for trace events.
 pub trait Recorder {
@@ -36,16 +35,9 @@ impl Recorder for NullRecorder {
     fn record(&self, _ev: TraceEvent) {}
 }
 
-/// Everything one recording session accumulates.
-#[derive(Debug, Default)]
-struct Observations {
-    events: Vec<TraceEvent>,
-    metrics: MetricsRegistry,
-}
-
-/// A cloneable recorder sharing one event buffer and metrics registry.
+/// A cloneable recorder sharing one event buffer.
 ///
-/// The shared state is an `Arc<Mutex<..>>` so a recorder can cross into
+/// The buffer is an `Arc<Mutex<..>>` so a recorder can cross into
 /// pool workers (parallel replica stepping hands each replica its own
 /// recorder, and the engines those replicas wrap must be `Send`).
 /// Recording calls never nest, so the lock is uncontended and held only
@@ -54,7 +46,7 @@ struct Observations {
 /// contained fault into a second panic.
 #[derive(Debug, Clone, Default)]
 pub struct SharedRecorder {
-    inner: Arc<Mutex<Observations>>,
+    events: Arc<Mutex<Vec<TraceEvent>>>,
 }
 
 impl SharedRecorder {
@@ -64,8 +56,8 @@ impl SharedRecorder {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Observations> {
-        self.inner
+    fn lock(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -73,32 +65,19 @@ impl SharedRecorder {
     /// Number of events recorded so far.
     #[must_use]
     pub fn event_count(&self) -> usize {
-        self.lock().events.len()
+        self.lock().len()
     }
 
     /// A copy of the recorded events, in recording order.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.clone()
+        self.lock().clone()
     }
 
     /// Drains the recorded events, leaving the buffer empty.
     #[must_use]
     pub fn take_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.lock().events)
-    }
-
-    /// Runs `f` with mutable access to the metrics registry. Kept as an
-    /// `Option` for call-site compatibility; it is always `Some` now that
-    /// the shared state is lock- rather than borrow-guarded.
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> Option<R> {
-        Some(f(&mut self.lock().metrics))
-    }
-
-    /// A snapshot of the metrics registry.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.lock().metrics.clone()
+        std::mem::take(&mut *self.lock())
     }
 }
 
@@ -108,7 +87,7 @@ impl Recorder for SharedRecorder {
     }
 
     fn record(&self, ev: TraceEvent) {
-        self.lock().events.push(ev);
+        self.lock().push(ev);
     }
 }
 
@@ -166,13 +145,5 @@ mod tests {
         assert!(some.enabled());
         some.record(ev(0.0));
         assert_eq!(some.as_ref().map(SharedRecorder::event_count), Some(1));
-    }
-
-    #[test]
-    fn metrics_are_shared_too() {
-        let a = SharedRecorder::new();
-        let b = a.clone();
-        a.with_metrics(|m| m.counter_add("c", 3));
-        assert_eq!(b.metrics().counter("c"), 3);
     }
 }

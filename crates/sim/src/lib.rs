@@ -24,6 +24,7 @@
 
 pub mod faults;
 pub mod gpu;
+mod lane;
 pub mod node_link;
 pub mod pcie;
 mod rng;

@@ -19,6 +19,7 @@ use std::fmt;
 
 use pensieve_model::{SimDuration, SimTime};
 
+use crate::lane::Lane;
 use crate::rng::SplitMix64;
 
 /// Seeded link-partition model: the fabric alternates between available
@@ -107,11 +108,11 @@ impl fmt::Display for ChunkLost {
 
 impl std::error::Error for ChunkLost {}
 
-/// The inter-node link: one FIFO busy horizon shared by all migrations.
+/// The inter-node link: one FIFO lane shared by all migrations.
 #[derive(Debug, Clone)]
 pub struct NodeLink {
     spec: NodeLinkSpec,
-    busy_until: SimTime,
+    lane: Lane,
     /// Stream of loss rolls.
     loss_rng: SplitMix64,
     /// Stream of partition windows (independent of losses).
@@ -124,7 +125,6 @@ pub struct NodeLink {
     next_window: Option<(SimTime, SimTime)>,
     /// Externally scheduled outages (chaos faults), sorted by start.
     forced_outages: Vec<(SimTime, SimTime)>,
-    streamed_bytes: u64,
     lost_chunks: u64,
 }
 
@@ -141,13 +141,12 @@ impl NodeLink {
             .map_or(0, |p| p.seed ^ 0xC2B2_AE3D_27D4_EB4F);
         NodeLink {
             spec,
-            busy_until: SimTime::ZERO,
+            lane: Lane::default(),
             loss_rng,
             partition_rng: SplitMix64::new(partition_seed),
             window_frontier: SimTime::ZERO,
             next_window: None,
             forced_outages: Vec::new(),
-            streamed_bytes: 0,
             lost_chunks: 0,
         }
     }
@@ -243,11 +242,10 @@ impl NodeLink {
         if bytes == 0 {
             return Ok((now, now));
         }
-        let start = self.defer_past_outages(now.max(self.busy_until));
-        let dur = self.spec.latency + SimDuration::from_secs(bytes as f64 / self.spec.bandwidth);
-        let end = start + dur;
-        self.busy_until = end;
-        self.streamed_bytes += bytes as u64;
+        let earliest = self.defer_past_outages(self.lane.free_from(now));
+        let (start, end) =
+            self.lane
+                .schedule(earliest, bytes, self.spec.latency, self.spec.bandwidth);
         // One roll per chunk, fired or not, so the loss schedule is a pure
         // function of the seed and the chunk count.
         let lost = self.loss_rng.next_f64() < self.spec.loss_per_chunk;
@@ -264,13 +262,13 @@ impl NodeLink {
     /// When the link becomes idle.
     #[must_use]
     pub fn busy_until(&self) -> SimTime {
-        self.busy_until
+        self.lane.busy_until()
     }
 
     /// Total bytes put on the wire (including lost chunks).
     #[must_use]
     pub fn streamed_bytes(&self) -> u64 {
-        self.streamed_bytes
+        self.lane.bytes()
     }
 
     /// Chunks lost in transit so far.

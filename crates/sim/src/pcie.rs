@@ -20,10 +20,11 @@
 
 use std::fmt;
 
-use pensieve_model::{PcieSpec, SimDuration, SimTime};
+use pensieve_model::{PcieSpec, SimTime};
 use pensieve_obs::{Recorder as _, SharedRecorder, SwapDir, TraceEvent};
 
 use crate::faults::{FaultInjector, FaultKind};
+use crate::lane::Lane;
 
 /// Typed failure of a scheduled transfer.
 ///
@@ -98,16 +99,13 @@ pub enum DuplexMode {
     Naive,
 }
 
-/// The host link; tracks per-direction busy horizons.
+/// The host link: one FIFO lane per direction.
 #[derive(Debug, Clone)]
 pub struct PcieLink {
     spec: PcieSpec,
     mode: DuplexMode,
-    h2d_busy_until: SimTime,
-    d2h_busy_until: SimTime,
-    /// Total bytes moved, per direction, for reporting.
-    h2d_bytes: u64,
-    d2h_bytes: u64,
+    h2d: Lane,
+    d2h: Lane,
     /// Passive trace sink; `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
 }
@@ -119,10 +117,8 @@ impl PcieLink {
         PcieLink {
             spec,
             mode,
-            h2d_busy_until: SimTime::ZERO,
-            d2h_busy_until: SimTime::ZERO,
-            h2d_bytes: 0,
-            d2h_bytes: 0,
+            h2d: Lane::default(),
+            d2h: Lane::default(),
             recorder: None,
         }
     }
@@ -139,47 +135,56 @@ impl PcieLink {
         self.mode
     }
 
+    fn lane(&self, dir: Direction) -> &Lane {
+        match dir {
+            Direction::HostToDevice => &self.h2d,
+            Direction::DeviceToHost => &self.d2h,
+        }
+    }
+
+    fn lane_mut(&mut self, dir: Direction) -> &mut Lane {
+        match dir {
+            Direction::HostToDevice => &mut self.h2d,
+            Direction::DeviceToHost => &mut self.d2h,
+        }
+    }
+
     /// Enqueues a transfer of `bytes` in `dir` at time `now`; returns the
     /// `(start, completion)` instants.
     ///
     /// Zero-byte transfers complete immediately without occupying the link.
     pub fn schedule(&mut self, now: SimTime, dir: Direction, bytes: usize) -> (SimTime, SimTime) {
         if bytes == 0 {
+            // Not even the eviction wait below, and no trace events.
             return (now, now);
         }
-        match dir {
-            Direction::HostToDevice => self.h2d_bytes += bytes as u64,
-            Direction::DeviceToHost => self.d2h_bytes += bytes as u64,
-        }
-        let (own_busy, other_busy) = match dir {
-            Direction::HostToDevice => (self.h2d_busy_until, self.d2h_busy_until),
-            Direction::DeviceToHost => (self.d2h_busy_until, self.h2d_busy_until),
+        let other_busy = match dir {
+            Direction::HostToDevice => self.d2h.busy_until(),
+            Direction::DeviceToHost => self.h2d.busy_until(),
         };
-        let mut start = now.max(own_busy);
+        let mut earliest = now;
         let bandwidth = match self.mode {
             DuplexMode::PrioritizeRetrieval => {
                 if dir == Direction::DeviceToHost {
                     // Evictions wait for in-flight retrievals to drain.
-                    start = start.max(other_busy);
+                    earliest = earliest.max(other_busy);
                 }
                 // Retrievals never wait, and with eviction held back each
                 // direction sees full bandwidth.
                 self.spec.bandwidth
             }
             DuplexMode::Naive => {
-                if other_busy > start {
+                if other_busy > self.lane(dir).free_from(now) {
                     self.spec.duplex_bandwidth()
                 } else {
                     self.spec.bandwidth
                 }
             }
         };
-        let dur = self.spec.latency + SimDuration::from_secs(bytes as f64 / bandwidth);
-        let end = start + dur;
-        match dir {
-            Direction::HostToDevice => self.h2d_busy_until = end,
-            Direction::DeviceToHost => self.d2h_busy_until = end,
-        }
+        let latency = self.spec.latency;
+        let (start, end) = self
+            .lane_mut(dir)
+            .schedule(earliest, bytes, latency, bandwidth);
         if self.recorder.enabled() {
             // Failed/timed-out DMAs (see `try_schedule`) also pass through
             // here and are recorded: they occupied the bus either way, so
@@ -236,10 +241,7 @@ impl PcieLink {
             // The hung DMA holds its direction busy until the watchdog
             // kills it.
             let completes = end + penalty;
-            match dir {
-                Direction::HostToDevice => self.h2d_busy_until = completes,
-                Direction::DeviceToHost => self.d2h_busy_until = completes,
-            }
+            self.lane_mut(dir).hold_until(completes);
             return Err(TransferError::TimedOut {
                 dir,
                 bytes,
@@ -259,28 +261,26 @@ impl PcieLink {
     /// When the given direction becomes idle.
     #[must_use]
     pub fn busy_until(&self, dir: Direction) -> SimTime {
-        match dir {
-            Direction::HostToDevice => self.h2d_busy_until,
-            Direction::DeviceToHost => self.d2h_busy_until,
-        }
+        self.lane(dir).busy_until()
     }
 
     /// Total bytes transferred host-to-device so far.
     #[must_use]
     pub fn h2d_total_bytes(&self) -> u64 {
-        self.h2d_bytes
+        self.h2d.bytes()
     }
 
     /// Total bytes transferred device-to-host so far.
     #[must_use]
     pub fn d2h_total_bytes(&self) -> u64 {
-        self.d2h_bytes
+        self.d2h.bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pensieve_model::SimDuration;
 
     fn link(mode: DuplexMode) -> PcieLink {
         PcieLink::new(PcieSpec::gen4_x16(), mode)

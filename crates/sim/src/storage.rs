@@ -21,6 +21,7 @@ use std::fmt;
 use pensieve_model::{SimDuration, SimTime};
 
 use crate::faults::{FaultInjector, FaultKind};
+use crate::lane::Lane;
 
 /// Shape of one storage tier: access latencies and sustained bandwidths.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,14 +86,12 @@ impl fmt::Display for StorageReadError {
 
 impl std::error::Error for StorageReadError {}
 
-/// One storage tier; tracks per-direction busy horizons and byte totals.
+/// One storage tier: a FIFO lane of reads and one of writes.
 #[derive(Debug, Clone)]
 pub struct StorageDevice {
     spec: StorageDeviceSpec,
-    read_busy_until: SimTime,
-    write_busy_until: SimTime,
-    read_bytes: u64,
-    write_bytes: u64,
+    reads: Lane,
+    writes: Lane,
 }
 
 impl StorageDevice {
@@ -101,10 +100,8 @@ impl StorageDevice {
     pub fn new(spec: StorageDeviceSpec) -> Self {
         StorageDevice {
             spec,
-            read_busy_until: SimTime::ZERO,
-            write_busy_until: SimTime::ZERO,
-            read_bytes: 0,
-            write_bytes: 0,
+            reads: Lane::default(),
+            writes: Lane::default(),
         }
     }
 
@@ -117,31 +114,19 @@ impl StorageDevice {
     /// Enqueues a read of `bytes` at `now`; returns `(start, completion)`.
     /// Zero-byte reads complete immediately without occupying the device.
     pub fn schedule_read(&mut self, now: SimTime, bytes: usize) -> (SimTime, SimTime) {
-        if bytes == 0 {
-            return (now, now);
-        }
-        self.read_bytes += bytes as u64;
-        let start = now.max(self.read_busy_until);
-        let dur = self.spec.read_latency
-            + SimDuration::from_secs(bytes as f64 / self.spec.read_bandwidth);
-        let end = start + dur;
-        self.read_busy_until = end;
-        (start, end)
+        self.reads
+            .schedule(now, bytes, self.spec.read_latency, self.spec.read_bandwidth)
     }
 
     /// Enqueues a write of `bytes` at `now`; returns `(start, completion)`.
     /// Zero-byte writes complete immediately without occupying the device.
     pub fn schedule_write(&mut self, now: SimTime, bytes: usize) -> (SimTime, SimTime) {
-        if bytes == 0 {
-            return (now, now);
-        }
-        self.write_bytes += bytes as u64;
-        let start = now.max(self.write_busy_until);
-        let dur = self.spec.write_latency
-            + SimDuration::from_secs(bytes as f64 / self.spec.write_bandwidth);
-        let end = start + dur;
-        self.write_busy_until = end;
-        (start, end)
+        self.writes.schedule(
+            now,
+            bytes,
+            self.spec.write_latency,
+            self.spec.write_bandwidth,
+        )
     }
 
     /// Fault-aware [`StorageDevice::schedule_read`]: rolls `faults` for a
@@ -173,7 +158,7 @@ impl StorageDevice {
             // A degraded device (GC pause, congested NFS server) delivers
             // late; the tail holds the read queue busy too.
             end += penalty;
-            self.read_busy_until = self.read_busy_until.max(end);
+            self.reads.hold_until(end);
         }
         if failed {
             return Err(StorageReadError {
@@ -187,25 +172,25 @@ impl StorageDevice {
     /// When the read queue becomes idle.
     #[must_use]
     pub fn read_busy_until(&self) -> SimTime {
-        self.read_busy_until
+        self.reads.busy_until()
     }
 
     /// When the write queue becomes idle.
     #[must_use]
     pub fn write_busy_until(&self) -> SimTime {
-        self.write_busy_until
+        self.writes.busy_until()
     }
 
     /// Total bytes read so far.
     #[must_use]
     pub fn read_total_bytes(&self) -> u64 {
-        self.read_bytes
+        self.reads.bytes()
     }
 
     /// Total bytes written so far.
     #[must_use]
     pub fn write_total_bytes(&self) -> u64 {
-        self.write_bytes
+        self.writes.bytes()
     }
 }
 

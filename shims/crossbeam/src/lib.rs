@@ -1,19 +1,10 @@
 //! Offline drop-in replacement for the subset of `crossbeam` used by this
-//! workspace: a persistent worker pool for data-parallel kernels and
-//! multi-producer multi-consumer unbounded channels with disconnect
-//! detection.
+//! workspace: a persistent worker pool for data-parallel kernels, and
+//! the interleaving model that checks its protocol ([`model`]).
 //!
 //! The build environment cannot reach a crates.io registry, so the
 //! workspace vendors an equivalent built on [`std::sync::Mutex`] +
-//! [`std::sync::Condvar`]. Semantics match `crossbeam-channel` where this
-//! repository relies on them:
-//!
-//! * [`channel::Sender::send`] fails with [`channel::SendError`] once every
-//!   receiver is gone.
-//! * [`channel::Receiver::recv`] blocks until a message arrives and fails
-//!   with [`channel::RecvError`] once every sender is gone **and** the
-//!   queue is drained — the disconnect signal the engine uses to detect
-//!   dead tensor-parallel workers.
+//! [`std::sync::Condvar`].
 
 pub mod model;
 
@@ -445,206 +436,8 @@ pub mod pool {
     }
 }
 
-/// Unbounded MPMC channels with disconnect semantics.
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Inner<T> {
-        state: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    /// The sending half of an unbounded channel. Cloneable.
-    pub struct Sender<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// The receiving half of an unbounded channel. Cloneable.
-    pub struct Receiver<T> {
-        inner: Arc<Inner<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver has been
-    /// dropped; carries the unsent message.
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender has been dropped.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// The channel is currently empty but senders remain.
-        Empty,
-        /// The channel is empty and every sender has been dropped.
-        Disconnected,
-    }
-
-    impl fmt::Display for TryRecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TryRecvError::Empty => f.write_str("receiving on an empty channel"),
-                TryRecvError::Disconnected => {
-                    f.write_str("receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
-    impl std::error::Error for TryRecvError {}
-
-    /// Creates an unbounded channel.
-    #[must_use]
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                inner: Arc::clone(&inner),
-            },
-            Receiver { inner },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `msg`, waking one blocked receiver.
-        ///
-        /// # Errors
-        ///
-        /// Returns the message if every receiver has been dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.receivers == 0 {
-                return Err(SendError(msg));
-            }
-            st.queue.push_back(msg);
-            drop(st);
-            self.inner.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.senders += 1;
-            drop(st);
-            Sender {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.senders -= 1;
-            let disconnected = st.senders == 0;
-            drop(st);
-            if disconnected {
-                // Wake every blocked receiver so it can observe disconnect.
-                self.inner.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`RecvError`] if the channel is empty and every sender
-        /// has been dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(msg) = st.queue.pop_front() {
-                    return Ok(msg);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.inner.ready.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        /// Dequeues a message if one is immediately available.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] if no message is queued;
-        /// [`TryRecvError::Disconnected`] if additionally every sender is
-        /// gone.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(msg) = st.queue.pop_front() {
-                return Ok(msg);
-            }
-            if st.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.receivers += 1;
-            drop(st);
-            Receiver {
-                inner: Arc::clone(&self.inner),
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.receivers -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel::{unbounded, RecvError, TryRecvError};
     use super::pool::Pool;
 
     #[test]
@@ -819,58 +612,5 @@ mod tests {
         let t0 = a.stats().tasks_total;
         let _ = b.map_partitions(6, |i| i);
         assert!(a.stats().tasks_total > t0, "handles share one pool");
-    }
-
-    #[test]
-    fn send_recv_fifo() {
-        let (tx, rx) = unbounded();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn recv_detects_disconnect_after_drain() {
-        let (tx, rx) = unbounded();
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(7));
-        assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn send_fails_without_receivers() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn blocking_recv_wakes_on_sender_drop() {
-        let (tx, rx) = unbounded::<u32>();
-        let h = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(tx);
-        assert_eq!(h.join().unwrap(), Err(RecvError));
-    }
-
-    #[test]
-    fn cross_thread_delivery() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        let h = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx2.send(i).unwrap();
-            }
-        });
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(rx.recv().unwrap());
-        }
-        h.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
     }
 }
