@@ -13,11 +13,11 @@
 //! engine's output tokens are identical to stateless recomputation from
 //! scratch**, no matter how the cache shuffled the data in between.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::argmax;
-use pensieve_kernels::paged::{BlockId, BlockTable, PagedKvCache};
+use pensieve_kernels::paged::{BlockId, BlockTable, OutOfBlocks, PagedKvCache};
 use pensieve_kvcache::{fnv1a, CacheError, SessionId, TokenChunkStore};
 use pensieve_model::ModelConfig;
 use pensieve_sim::{FaultCounters, FaultInjector, FaultKind};
@@ -68,16 +68,42 @@ impl Default for FunctionalConfig {
     }
 }
 
+/// Greedy decoding of one turn, shared by every engine that serves one:
+/// a pass over `prefill` (whose last segment ends at the turn's context
+/// length), then one single-token pass per further token, each fed the
+/// previous pass's argmax at the next position. `forward` returns the
+/// logits of the pass's last token.
+pub(crate) fn greedy_turn<E>(
+    prefill: Vec<SegmentInput>,
+    max_new: usize,
+    mut forward: impl FnMut(Vec<SegmentInput>) -> Result<Vec<f32>, E>,
+) -> Result<Vec<u32>, E> {
+    let mut pos = prefill.last().map_or(0, |s| s.start_pos + s.tokens.len());
+    let mut segments = prefill;
+    let mut generated = Vec::with_capacity(max_new);
+    loop {
+        let next = argmax(&forward(segments)?) as u32;
+        generated.push(next);
+        if generated.len() >= max_new {
+            return Ok(generated);
+        }
+        segments = vec![SegmentInput {
+            tokens: vec![next],
+            start_pos: pos,
+        }];
+        pos += 1;
+    }
+}
+
 /// The functional serving engine.
 pub struct FunctionalEngine {
     model: TinyModel,
     pool: PagedKvCache,
     cfg: FunctionalConfig,
     convs: BTreeMap<SessionId, ConvState>,
-    /// Evicted block data keyed by (conversation, logical block index).
-    stash: BTreeMap<(SessionId, usize), HostBlock>,
-    /// Insertion order of stash entries, for drop-from-front decisions.
-    stash_order: Vec<(SessionId, usize)>,
+    /// Evicted block data keyed by (conversation, logical block index),
+    /// oldest first: overflow drops from the front.
+    stash: VecDeque<((SessionId, usize), HostBlock)>,
     store: TokenChunkStore,
     clock: u64,
     /// Counters: (swapped_out, swapped_in, dropped, recomputed) blocks.
@@ -114,8 +140,7 @@ impl FunctionalEngine {
             pool,
             cfg,
             convs: BTreeMap::new(),
-            stash: BTreeMap::new(),
-            stash_order: Vec::new(),
+            stash: VecDeque::new(),
             store,
             clock: 0,
             swap_out_blocks: 0,
@@ -248,8 +273,8 @@ impl FunctionalEngine {
                 // hole plus slack; serve_turn documents panic semantics.
                 .expect("make_room reserved space");
             let (_, phys) = filled[0];
-            let stashed = self.stash.remove(&(conv, bi)).and_then(|hb| {
-                self.stash_order.retain(|k| *k != (conv, bi));
+            let at = self.stash.iter().position(|(key, _)| *key == (conv, bi));
+            let stashed = at.and_then(|i| self.stash.remove(i)).and_then(|(_, hb)| {
                 if kv_checksum(&hb.layers) == hb.checksum {
                     Some(hb)
                 } else {
@@ -309,45 +334,23 @@ impl FunctionalEngine {
             start_pos: cached_len,
         });
 
-        // Blocks for the tokens the prefill will append (tail + prompt);
-        // decode growth makes room incrementally per step.
+        // --- Greedy decode. ---
+        // Room for the tokens the prefill will append (tail + prompt);
+        // decode growth makes room incrementally, two blocks per step.
         let needed_blocks = (hist_len + prompt.len() - cached_len) / self.cfg.block_size + 2;
-        self.make_room(needed_blocks.min(self.cfg.pool_blocks / 2));
-        let mut next = {
+        let mut room = needed_blocks.min(self.cfg.pool_blocks / 2);
+        let generated = greedy_turn(segments, max_new, |segments| {
+            self.make_room(std::mem::replace(&mut room, 2));
             let mut batch = [SeqInput {
                 segments,
                 table: &mut state.table,
             }];
-            let logits = self
-                .model
-                .forward(&mut self.pool, &mut batch)
-                // lint:allow(r1-panic): make_room reserved the prefill
-                // working set; serve_turn documents panic semantics.
-                .expect("make_room reserved space");
-            argmax(logits.row(0)) as u32
-        };
-
-        // --- Greedy decode. ---
-        let mut generated = vec![next];
-        for _ in 1..max_new {
-            self.make_room(2);
-            let pos = state.table.len();
-            let mut batch = [SeqInput {
-                segments: vec![SegmentInput {
-                    tokens: vec![next],
-                    start_pos: pos,
-                }],
-                table: &mut state.table,
-            }];
-            let logits = self
-                .model
-                .forward(&mut self.pool, &mut batch)
-                // lint:allow(r1-panic): make_room reserved two blocks for
-                // this decode step; serve_turn documents panic semantics.
-                .expect("make_room reserved space");
-            next = argmax(logits.row(0)) as u32;
-            generated.push(next);
-        }
+            let logits = self.model.forward(&mut self.pool, &mut batch)?;
+            Ok::<_, OutOfBlocks>(logits.row(0).to_vec())
+        })
+        // lint:allow(r1-panic): make_room reserved each pass's working
+        // set; serve_turn documents panic semantics.
+        .expect("make_room reserved space");
         self.store.append(conv, &generated);
         state.last_active = self.clock;
         self.convs.insert(conv, state);
@@ -411,13 +414,11 @@ impl FunctionalEngine {
         if self.cfg.stash_blocks > 0 {
             if self.stash.len() >= self.cfg.stash_blocks {
                 // Drop the oldest stashed block entirely.
-                let oldest = self.stash_order.remove(0);
-                self.stash.remove(&oldest);
+                self.stash.pop_front();
                 self.dropped_blocks += 1;
             }
             let hb = self.read_host_block(phys);
-            self.stash.insert((conv, bi), hb);
-            self.stash_order.push((conv, bi));
+            self.stash.push_back(((conv, bi), hb));
             self.swap_out_blocks += 1;
         } else {
             self.dropped_blocks += 1;
@@ -454,22 +455,21 @@ impl FunctionalEngine {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
-        if self.stash_order.is_empty() {
+        if self.stash.is_empty() {
             return;
         }
         if f.roll(FaultKind::CpuChunkLoss) {
-            let key = self.stash_order.remove(f.pick(self.stash_order.len()));
-            self.stash.remove(&key);
+            self.stash.remove(f.pick(self.stash.len()));
             self.lost_blocks += 1;
         }
-        if !self.stash_order.is_empty() && f.roll(FaultKind::CpuChunkCorruption) {
-            let key = self.stash_order[f.pick(self.stash_order.len())];
-            // lint:allow(r1-panic): stash_order and stash are mutated in
-            // lockstep everywhere; a miss would be accounting corruption.
-            let hb = self.stash.get_mut(&key).expect("order tracks stash keys");
+        if !self.stash.is_empty() && f.roll(FaultKind::CpuChunkCorruption) {
+            let victim = self.stash.get_mut(f.pick(self.stash.len()));
+            let first_k = victim
+                .and_then(|(_, hb)| hb.layers.first_mut())
+                .and_then(|(k, _)| k.first_mut());
             // Flip a mantissa bit in the first stored K value; the stale
             // checksum now disagrees with the data.
-            if let Some(x) = hb.layers.first_mut().and_then(|(k, _)| k.first_mut()) {
+            if let Some(x) = first_k {
                 *x = f32::from_bits(x.to_bits() ^ 0x0000_0400);
             }
         }

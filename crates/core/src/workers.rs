@@ -4,30 +4,31 @@
 //! Pensieve's architecture is a single scheduler plus one worker per GPU;
 //! each worker owns its model partition and its slice of the KV cache and
 //! executes the scheduler's plan. [`ThreadedTpEngine`] reproduces that
-//! structure with real threads: each worker owns a
-//! [`ShardRunner`] (weight slices +
-//! paged KV pool + block tables) and communicates with the scheduler over
-//! `std::sync::mpsc` channels; the scheduler performs the replicated work
-//! (embeddings, norms, residuals) and the all-reduce summations between
-//! the column- and row-parallel halves of every layer.
+//! structure with real threads. Each worker thread owns a [`ShardRunner`]
+//! — a weight shard, the paged KV pool and the block tables only it
+//! fills — and answers commands over `std::sync::mpsc` channels. The
+//! scheduler owns the conversations' bookkeeping and a pointer to the
+//! [`ReplicatedWeights`] the shards share, and drives the same layer
+//! loop as the unsharded model, [`ReplicatedWeights::forward`]: per
+//! [`Stage`] it broadcasts the stage's input, collects one tagged partial
+//! per worker into shard order, and the loop reduces them there.
 //!
-//! Partial sums are accumulated in fixed shard order, so results are
-//! deterministic and bit-identical to the single-threaded
-//! [`TpModel`].
+//! Shard order is fixed, so results are deterministic and bit-identical
+//! to the single-threaded [`TpModel`].
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pensieve_kernels::model::{SegmentInput, TinyModel};
-use pensieve_kernels::ops::argmax;
+use pensieve_kernels::model::{ReplicatedWeights, SegmentInput, Stage, TinyModel};
 use pensieve_kernels::paged::OutOfBlocks;
-use pensieve_kernels::tp::{ReplicatedWeights, ShardRunner, TpModel};
+use pensieve_kernels::tp::{ShardRunner, TpModel};
 use pensieve_kernels::Matrix;
 use pensieve_model::ModelConfig;
 
 use crate::error::WorkerError;
+use crate::functional::greedy_turn;
 
 /// Scheduler-to-worker commands.
 enum Cmd {
@@ -35,38 +36,30 @@ enum Cmd {
         conv: u64,
         segments: Vec<(usize, usize)>,
     },
-    AttnPartial {
-        layer: usize,
-        xn: Arc<Matrix>,
-    },
-    MlpPartial {
-        layer: usize,
-        xn: Arc<Matrix>,
-    },
-    LmHead {
-        hidden: Arc<Vec<f32>>,
+    Partial {
+        stage: Stage,
+        input: Arc<Matrix>,
     },
     Shutdown,
 }
 
-/// Worker-to-scheduler responses, tagged with the worker's shard index.
+/// Worker-to-scheduler responses.
 enum Res {
     Began(Result<(), OutOfBlocks>),
+    /// Tagged with the worker's shard index.
     Partial(usize, Matrix),
-    Logits(usize, Vec<f32>),
 }
 
 /// A multi-worker tensor-parallel serving engine over real threads.
 pub struct ThreadedTpEngine {
-    replicated: ReplicatedWeights,
+    replicated: Arc<ReplicatedWeights>,
     cmd_txs: Vec<Sender<Cmd>>,
     res_rx: Receiver<Res>,
-    handles: Vec<JoinHandle<()>>,
-    /// Context length per conversation (scheduler-side bookkeeping).
-    contexts: HashMap<u64, usize>,
-    /// Each conversation's not-yet-processed final token from its
-    /// previous turn.
-    tails: HashMap<u64, Vec<u32>>,
+    /// `None` once joined ([`ThreadedTpEngine::kill_shard`]).
+    handles: Vec<Option<JoinHandle<()>>>,
+    /// Per conversation: its context length and its not-yet-processed
+    /// final token from the previous turn (scheduler-side bookkeeping).
+    convs: HashMap<u64, (usize, u32)>,
     /// Fail-stop flag: set on the first detected shard failure. A fleet
     /// with a dead shard can never complete an all-reduce, and replies
     /// from the surviving shards may still sit in `res_rx`; poisoning
@@ -120,29 +113,26 @@ impl ThreadedTpEngine {
         blocks_per_shard: usize,
         intra_threads: usize,
     ) -> Self {
-        let (replicated, mut shards) =
+        let (replicated, shards) =
             TpModel::new(model, num_shards, block_size, blocks_per_shard).into_parts();
-        for shard in &mut shards {
-            shard.set_threads(intra_threads);
-        }
         let (res_tx, res_rx) = channel();
         let mut cmd_txs = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for (idx, mut shard) in shards.into_iter().enumerate() {
+            shard.set_threads(intra_threads);
             let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = channel();
             let res_tx = res_tx.clone();
             cmd_txs.push(tx);
-            handles.push(std::thread::spawn(move || {
+            handles.push(Some(std::thread::spawn(move || {
                 worker_loop(idx, &mut shard, &rx, &res_tx)
-            }));
+            })));
         }
         ThreadedTpEngine {
             replicated,
             cmd_txs,
             res_rx,
             handles,
-            contexts: HashMap::new(),
-            tails: HashMap::new(),
+            convs: HashMap::new(),
             poisoned: false,
             recorder: None,
             pass_count: 0,
@@ -185,11 +175,9 @@ impl ThreadedTpEngine {
         // A send error here means the shard is already gone — the goal
         // state, so it is not an error.
         let _ = self.cmd_txs[shard].send(Cmd::Shutdown);
-        if let Some(h) = self.handles.get_mut(shard) {
-            // Join so the crash is fully materialized (the worker's
-            // command receiver is dropped) before the caller's next
-            // pass. JoinHandle::join consumes, so swap in a no-op thread.
-            let dead = std::mem::replace(h, std::thread::spawn(|| ()));
+        // Join so the crash is fully materialized (the worker's command
+        // receiver is dropped) before the caller's next pass.
+        if let Some(dead) = self.handles[shard].take() {
             let _ = dead.join();
         }
     }
@@ -206,6 +194,12 @@ impl ThreadedTpEngine {
         Ok(())
     }
 
+    /// Marks the fleet unusable after a reply the protocol rules out.
+    fn protocol_error(&mut self, what: &'static str) -> WorkerError {
+        self.poisoned = true;
+        WorkerError::Protocol(what)
+    }
+
     /// Receives one response, detecting a fleet-wide disconnect.
     fn recv_res(&mut self) -> Result<Res, WorkerError> {
         self.res_rx.recv().map_err(|_| {
@@ -214,31 +208,24 @@ impl ThreadedTpEngine {
         })
     }
 
-    /// Collects one tagged partial from every worker, summing into shard
-    /// order for determinism.
-    fn collect_partials(&mut self, tokens: usize, width: usize) -> Result<Matrix, WorkerError> {
+    /// Broadcasts one stage's input and collects every worker's tagged
+    /// partial into shard order, for determinism.
+    fn partials(&mut self, stage: Stage, input: Matrix) -> Result<Vec<Matrix>, WorkerError> {
+        let input = Arc::new(input);
+        self.broadcast(|| Cmd::Partial {
+            stage,
+            input: Arc::clone(&input),
+        })?;
         let n = self.cmd_txs.len();
         let mut by_shard: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             match self.recv_res()? {
                 Res::Partial(idx, m) => by_shard[idx] = Some(m),
-                _ => {
-                    self.poisoned = true;
-                    return Err(WorkerError::Protocol("expected partial"));
-                }
+                Res::Began(_) => return Err(self.protocol_error("expected partial")),
             }
         }
-        let mut acc = Matrix::zeros(tokens, width);
-        for m in by_shard {
-            let Some(m) = m else {
-                self.poisoned = true;
-                return Err(WorkerError::Protocol("duplicate shard partial"));
-            };
-            for (a, p) in acc.as_mut_slice().iter_mut().zip(m.as_slice()) {
-                *a += p;
-            }
-        }
-        Ok(acc)
+        let partials: Option<Vec<Matrix>> = by_shard.into_iter().collect();
+        partials.ok_or_else(|| self.protocol_error("duplicate shard partial"))
     }
 
     /// One tensor-parallel forward pass over the worker fleet, returning
@@ -261,14 +248,11 @@ impl ThreadedTpEngine {
         conv: u64,
         segments: &[SegmentInput],
     ) -> Result<Vec<f32>, WorkerError> {
-        assert!(!segments.is_empty());
         if self.poisoned {
             return Err(WorkerError::ShardDisconnected { shard: None });
         }
-        let shapes: Vec<(usize, usize)> = segments
-            .iter()
-            .map(|s| (s.start_pos, s.tokens.len()))
-            .collect();
+        let x = self.replicated.embed(segments.iter());
+        let shapes: Vec<_> = segments.iter().map(SegmentInput::shape).collect();
         self.broadcast(|| Cmd::BeginPass {
             conv,
             segments: shapes.clone(),
@@ -278,19 +262,12 @@ impl ThreadedTpEngine {
             match self.recv_res()? {
                 Res::Began(Err(e)) => begin_err = Some(e),
                 Res::Began(Ok(())) => {}
-                _ => {
-                    self.poisoned = true;
-                    return Err(WorkerError::Protocol("expected begin ack"));
-                }
+                Res::Partial(..) => return Err(self.protocol_error("expected begin ack")),
             }
         }
         if let Some(e) = begin_err {
             return Err(WorkerError::OutOfBlocks(e));
         }
-
-        let h = self.replicated.config().hidden_size;
-        let layers = self.replicated.config().num_layers;
-        let total_q: usize = segments.iter().map(|s| s.tokens.len()).sum();
         {
             use pensieve_obs::Recorder as _;
             if self.recorder.enabled() {
@@ -298,65 +275,15 @@ impl ThreadedTpEngine {
                     at: pensieve_model::SimTime::ZERO,
                     pass: self.pass_count,
                     conv,
-                    query_tokens: total_q,
+                    query_tokens: x.rows(),
                     shards: self.cmd_txs.len(),
                 });
             }
             self.pass_count += 1;
         }
-        let mut x = Matrix::zeros(total_q, h);
-        let mut row = 0;
-        for seg in segments {
-            for (j, &tok) in seg.tokens.iter().enumerate() {
-                x.row_mut(row)
-                    .copy_from_slice(&self.replicated.embed_token(tok, seg.start_pos + j));
-                row += 1;
-            }
-        }
-        for l in 0..layers {
-            let xn = Arc::new(self.replicated.norm1(l, &x));
-            self.broadcast(|| Cmd::AttnPartial {
-                layer: l,
-                xn: Arc::clone(&xn),
-            })?;
-            let acc = self.collect_partials(total_q, h)?;
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
-            let xn = Arc::new(self.replicated.norm2(l, &x));
-            self.broadcast(|| Cmd::MlpPartial {
-                layer: l,
-                xn: Arc::clone(&xn),
-            })?;
-            let acc = self.collect_partials(total_q, h)?;
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
-        }
-        let hidden = Arc::new(self.replicated.final_norm(x.row(total_q - 1)));
-        self.broadcast(|| Cmd::LmHead {
-            hidden: Arc::clone(&hidden),
-        })?;
-        let n = self.cmd_txs.len();
-        let mut slices: Vec<Option<Vec<f32>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match self.recv_res()? {
-                Res::Logits(idx, v) => slices[idx] = Some(v),
-                _ => {
-                    self.poisoned = true;
-                    return Err(WorkerError::Protocol("expected logits"));
-                }
-            }
-        }
-        let mut logits = Vec::with_capacity(self.replicated.config().vocab_size);
-        for s in slices {
-            let Some(s) = s else {
-                self.poisoned = true;
-                return Err(WorkerError::Protocol("duplicate shard logits"));
-            };
-            logits.extend(s);
-        }
-        Ok(logits)
+        let (replicated, last) = (Arc::clone(&self.replicated), x.rows() - 1);
+        let logits = replicated.forward(x, &[last], |stage, input| self.partials(stage, input))?;
+        Ok(logits.row(0).to_vec())
     }
 
     /// Serves one conversation turn with greedy decoding, like
@@ -382,39 +309,20 @@ impl ThreadedTpEngine {
         max_new: usize,
     ) -> Result<Vec<u32>, WorkerError> {
         assert!(!prompt.is_empty() && max_new > 0);
-        let start = self.contexts.get(&conv).copied().unwrap_or(0);
         // The previous turn's final token was emitted but never processed
         // (its KV is absent); prepend it, exactly like the "tail" the
-        // serving engine recomputes with each new prompt. Peek rather
-        // than remove: the tail is consumed only if the turn succeeds.
-        let mut input = self.tails.get(&conv).cloned().unwrap_or_default();
-        input.extend_from_slice(prompt);
-        let input_len = input.len();
-        let logits = self.forward_seq(
-            conv,
-            &[SegmentInput {
-                tokens: input,
-                start_pos: start,
-            }],
-        )?;
-        let mut next = argmax(&logits) as u32;
-        let mut generated = vec![next];
-        let mut pos = start + input_len;
-        for _ in 1..max_new {
-            let logits = self.forward_seq(
-                conv,
-                &[SegmentInput {
-                    tokens: vec![next],
-                    start_pos: pos,
-                }],
-            )?;
-            next = argmax(&logits) as u32;
-            generated.push(next);
-            pos += 1;
-        }
-        self.tails.remove(&conv);
-        self.contexts.insert(conv, pos);
-        self.tails.insert(conv, vec![next]);
+        // serving engine recomputes with each new prompt.
+        let (start_pos, tail) = match self.convs.get(&conv) {
+            Some(&(context, tail)) => (context, Some(tail)),
+            None => (0, None),
+        };
+        let tokens: Vec<u32> = tail.into_iter().chain(prompt.iter().copied()).collect();
+        let context = start_pos + tokens.len() + max_new - 1;
+        let prefill = vec![SegmentInput { tokens, start_pos }];
+        let generated = greedy_turn(prefill, max_new, |segments| {
+            self.forward_seq(conv, &segments)
+        })?;
+        self.convs.insert(conv, (context, generated[max_new - 1]));
         Ok(generated)
     }
 }
@@ -424,7 +332,7 @@ impl Drop for ThreadedTpEngine {
         for tx in &self.cmd_txs {
             let _ = tx.send(Cmd::Shutdown);
         }
-        for h in self.handles.drain(..) {
+        for h in self.handles.drain(..).flatten() {
             let _ = h.join();
         }
     }
@@ -435,9 +343,7 @@ fn worker_loop(idx: usize, shard: &mut ShardRunner, rx: &Receiver<Cmd>, res: &Se
     while let Ok(cmd) = rx.recv() {
         let reply = match cmd {
             Cmd::BeginPass { conv, segments } => Res::Began(shard.begin_pass(conv, &segments)),
-            Cmd::AttnPartial { layer, xn } => Res::Partial(idx, shard.attn_partial(layer, &xn)),
-            Cmd::MlpPartial { layer, xn } => Res::Partial(idx, shard.mlp_partial(layer, &xn)),
-            Cmd::LmHead { hidden } => Res::Logits(idx, shard.lm_head_partial(&hidden)),
+            Cmd::Partial { stage, input } => Res::Partial(idx, shard.partial(stage, &input)),
             Cmd::Shutdown => break,
         };
         if res.send(reply).is_err() {
@@ -449,6 +355,7 @@ fn worker_loop(idx: usize, shard: &mut ShardRunner, rx: &Receiver<Cmd>, res: &Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pensieve_kernels::ops::argmax;
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
         (0..len as u32)

@@ -1,19 +1,46 @@
-//! A tiny, fully-functional transformer running on the paged KV cache.
+//! The tiny, fully-functional transformer on the paged KV cache — stated
+//! once, for every way this workspace executes it.
 //!
 //! This is the workspace's correctness oracle: the serving engines in
-//! `pensieve-core` can execute real forward passes with it and assert that
+//! `pensieve-core` execute real forward passes with it and assert that
 //! *stateful* serving (reusing cached KV-tokens, swapping them out and in,
 //! recomputing dropped prefixes as sub-requests) produces the same logits
 //! as *stateless* recomputation from scratch — the end-to-end property the
-//! paper's design must preserve.
+//! paper's design must preserve. Both paper families are supported:
+//! OPT-style (learned positions, LayerNorm, ReLU MLP) and Llama-style
+//! (RoPE, RMSNorm, gated SiLU MLP, Grouped-Query Attention). Weights are
+//! random but deterministic per seed; biases are omitted (they exercise no
+//! additional kernel paths).
 //!
-//! The model supports both paper families: OPT-style (learned positions,
-//! LayerNorm, ReLU MLP) and Llama-style (RoPE, RMSNorm, gated SiLU MLP,
-//! Grouped-Query Attention). Weights are random but deterministic per
-//! seed; biases are omitted (they exercise no additional kernel paths).
+//! Who owns what:
+//!
+//! * [`ReplicatedWeights`] — the configuration, embeddings and norm
+//!   parameters: everything a tensor-parallel worker and its scheduler
+//!   hold unsliced. One copy behind an `Arc`, pointed to by the model,
+//!   by every shard cut from it and by every scheduler. It owns the one
+//!   layer loop, [`ReplicatedWeights::forward`]: pre-norm, residual add,
+//!   final norm and the reduction of each [`Stage`]'s partials (summed
+//!   for the two sub-layers, concatenated for the LM head), always in
+//!   shard order. A driver only says how a stage's partials are
+//!   obtained.
+//! * `Shard` — every layer's matrices at some width, an LM-head column
+//!   slice and a worker pool. It computes one stage's partial: the
+//!   attention sub-layer (QKV, RoPE, KV write, paged attention, output
+//!   projection), the MLP, or its slice of the logits. It owns neither
+//!   a KV cache nor block tables; the caller passes them, so a batch
+//!   over an engine's tables and a worker's single conversation run the
+//!   same code.
+//! * `Pass` — the pass prologue: query segments → the position and
+//!   `(block, slot)` of every query row and one attention sub-request
+//!   per segment, appending to or recomputing into the caller's table.
+//! * [`TinyModel`] — the replicated weights plus the one full-width
+//!   shard. [`TinyModel::forward`] is the one-shard driver;
+//!   [`crate::tp`] cuts narrower shards from it.
+
+use std::sync::Arc;
 
 use crossbeam::pool::Pool;
-use pensieve_model::{Activation, ModelConfig, Norm, PositionEmbedding};
+use pensieve_model::{Activation, ModelConfig, ModelFamily, Norm, PositionEmbedding};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,40 +50,318 @@ use crate::attention::{AttnConfig, AttnSeq};
 use crate::ops::{
     add_rows, apply_rope, layernorm, matmul, matmul_pool, matmul_ref, relu, rmsnorm, silu,
 };
-use crate::paged::{BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
+use crate::paged::{BlockId, BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
 use crate::tensor::Matrix;
 
 /// Maximum absolute position supported by the learned position table.
 const MAX_POSITIONS: usize = 4096;
 
-/// Weights of one transformer layer.
+/// One layer's matrices at some width: the whole layer in
+/// [`TinyModel`]'s shard, a head / FFN-column slice in a tensor-parallel
+/// one.
 pub(crate) struct LayerWeights {
     pub(crate) wq: Matrix,
     pub(crate) wk: Matrix,
     pub(crate) wv: Matrix,
     pub(crate) wo: Matrix,
-    pub(crate) norm1: Vec<f32>,
-    pub(crate) norm1_bias: Vec<f32>,
-    pub(crate) norm2: Vec<f32>,
-    pub(crate) norm2_bias: Vec<f32>,
     /// OPT: `[w_up, w_down]`. Llama: `[w_gate, w_up, w_down]`.
     pub(crate) mlp: Vec<Matrix>,
 }
 
-/// A deterministic random transformer over a [`ModelConfig`].
-pub struct TinyModel {
-    pub(crate) cfg: ModelConfig,
+/// `(weight, bias)` of one norm.
+type NormParams = (Vec<f32>, Vec<f32>);
+
+/// The replicated (non-sharded) weights every worker and the scheduler
+/// share: configuration, embeddings and norms.
+pub struct ReplicatedWeights {
+    cfg: ModelConfig,
+    embed: Matrix,
+    pos_embed: Option<Matrix>,
+    /// Per layer: the pre-attention norm, then the pre-MLP norm.
+    norms: Vec<[NormParams; 2]>,
+    final_norm: NormParams,
+}
+
+/// The three points of a pass where every shard contributes a partial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Layer `l`'s attention sub-layer. Input: the pre-normed hidden
+    /// rows; partial: `[rows, hidden]`, summed across shards.
+    Attn(usize),
+    /// Layer `l`'s MLP. Input and partial as for [`Stage::Attn`].
+    Mlp(usize),
+    /// The LM head. Input: the final-normed last row of every sequence;
+    /// partial: `[sequences, vocab / shards]`, concatenated column-wise.
+    LmHead,
+}
+
+impl ReplicatedWeights {
+    /// The model configuration.
+    #[must_use]
+    pub fn config(&self) -> &ModelConfig {
+        &self.cfg
+    }
+
+    fn normalize(&self, x: &mut [f32], (weight, bias): &NormParams) {
+        match self.cfg.norm {
+            Norm::LayerNorm => layernorm(x, weight, bias, 1e-5),
+            Norm::RmsNorm => rmsnorm(x, weight, 1e-5),
+        }
+    }
+
+    /// A copy of `x` with every row normalized.
+    fn normed(&self, x: &Matrix, norm: &NormParams) -> Matrix {
+        let mut out = x.clone();
+        for r in 0..out.rows() {
+            self.normalize(out.row_mut(r), norm);
+        }
+        out
+    }
+
+    fn embed_token(&self, token: u32, pos: usize, row: &mut [f32]) {
+        row.copy_from_slice(self.embed.row(token as usize));
+        if let Some(pe) = &self.pos_embed {
+            assert!(pos < MAX_POSITIONS, "position {pos} beyond table");
+            for (r, p) in row.iter_mut().zip(pe.row(pos)) {
+                *r += p;
+            }
+        }
+    }
+
+    /// Embeds every token of `segments` at its absolute position: one
+    /// hidden row per query token, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no tokens, or a position exceeds the
+    /// learned-position table.
+    #[must_use]
+    pub fn embed<'a>(&self, segments: impl Iterator<Item = &'a SegmentInput> + Clone) -> Matrix {
+        let rows: usize = segments.clone().map(|s| s.tokens.len()).sum();
+        assert!(rows > 0, "empty batch");
+        let mut x = Matrix::zeros(rows, self.cfg.hidden_size);
+        let tokens = segments.flat_map(|s| s.tokens.iter().zip(s.start_pos..));
+        for (r, (&tok, pos)) in tokens.enumerate() {
+            self.embed_token(tok, pos, x.row_mut(r));
+        }
+        x
+    }
+
+    /// The transformer: runs the embedded rows `x` through every layer
+    /// and returns the logits of `last_rows`, one row each.
+    ///
+    /// `partials(stage, input)` yields every shard's partial for that
+    /// stage **in shard order**; this loop does the rest — pre-norm, the
+    /// all-reduce sum and residual add of the two sub-layers, the final
+    /// norm and the all-gather of the vocabulary-sharded logits. One
+    /// shard yields one partial and the reductions are the identity.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `partials` returns.
+    pub fn forward<P: IntoIterator<Item = Matrix>, E>(
+        &self,
+        mut x: Matrix,
+        last_rows: &[usize],
+        mut partials: impl FnMut(Stage, Matrix) -> Result<P, E>,
+    ) -> Result<Matrix, E> {
+        for (l, norms) in self.norms.iter().enumerate() {
+            for (stage, norm) in [(Stage::Attn(l), &norms[0]), (Stage::Mlp(l), &norms[1])] {
+                let sum =
+                    partials(stage, self.normed(&x, norm))?
+                        .into_iter()
+                        .reduce(|mut acc, p| {
+                            add_rows(&mut acc, &p);
+                            acc
+                        });
+                if let Some(sum) = sum {
+                    add_rows(&mut x, &sum);
+                }
+            }
+        }
+        let mut hidden = Matrix::zeros(last_rows.len(), self.cfg.hidden_size);
+        for (i, &r) in last_rows.iter().enumerate() {
+            hidden.row_mut(i).copy_from_slice(x.row(r));
+            self.normalize(hidden.row_mut(i), &self.final_norm);
+        }
+        let mut logits = Matrix::zeros(last_rows.len(), self.cfg.vocab_size);
+        let mut col = 0;
+        for part in partials(Stage::LmHead, hidden)? {
+            for i in 0..part.rows() {
+                logits.row_mut(i)[col..col + part.cols()].copy_from_slice(part.row(i));
+            }
+            col += part.cols();
+        }
+        Ok(logits)
+    }
+}
+
+/// The MLP over `w` (a layer's `mlp` matrices at any width), with `mm`
+/// as the matrix product: pooled on the paged path, the scalar reference
+/// in [`TinyModel::forward_dense`].
+fn mlp(
+    activation: Activation,
+    w: &[Matrix],
+    xn: &Matrix,
+    mm: impl Fn(&Matrix, &Matrix) -> Matrix,
+) -> Matrix {
+    match activation {
+        Activation::Relu => {
+            let mut up = mm(xn, &w[0]);
+            for v in up.as_mut_slice() {
+                *v = relu(*v);
+            }
+            mm(&up, &w[1])
+        }
+        Activation::Silu => {
+            let mut gate = mm(xn, &w[0]);
+            let up = mm(xn, &w[1]);
+            for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                *g = silu(*g) * u;
+            }
+            mm(&gate, &w[2])
+        }
+    }
+}
+
+/// Where one pass's query rows live, in batch order: what the prologue
+/// [`Pass::push_seq`] works out once and every layer reuses.
+#[derive(Debug, Default)]
+pub(crate) struct Pass {
+    /// Absolute position of each query row.
+    positions: Vec<usize>,
+    /// `(block, slot)` each query row's K/V is written to.
+    slots: Vec<(BlockId, usize)>,
+    /// One attention sub-request per segment: `(sequence, q_start,
+    /// q_len, context_len)`.
+    segments: Vec<(usize, usize, usize, usize)>,
+    /// Last query row of each sequence.
+    pub(crate) last_rows: Vec<usize>,
+}
+
+impl Pass {
+    /// Adds one sequence's query `segments` (`(start_pos, len)` pairs):
+    /// slots for positions beyond `table`'s length are appended
+    /// (allocating blocks from `cache`); positions below it
+    /// (recomputation) are written in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OutOfBlocks`] if the pool cannot hold the new tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if segments are malformed (none, empty, overlapping,
+    /// descending) or a context block the pass will read is a hole.
+    pub(crate) fn push_seq(
+        &mut self,
+        segments: impl Iterator<Item = (usize, usize)>,
+        table: &mut BlockTable,
+        cache: &mut PagedKvCache,
+    ) -> Result<(), OutOfBlocks> {
+        let seq = self.last_rows.len();
+        let mut end = 0;
+        for (start, len) in segments {
+            assert!(len > 0, "empty segment");
+            assert!(start >= end, "segments overlap or descend");
+            end = start + len;
+            self.segments.push((seq, self.positions.len(), len, end));
+            for pos in start..end {
+                // Append new slots; reuse (recompute into) existing ones.
+                let slot = if pos < table.len() {
+                    table.position(pos)
+                } else {
+                    debug_assert_eq!(pos, table.len(), "gap before append");
+                    table.append_token(cache)?
+                };
+                self.positions.push(pos);
+                self.slots.push(slot);
+            }
+        }
+        assert!(end > 0, "sequence without segments");
+        // Every context block a kernel will read must be resident.
+        assert!(
+            table.is_resident(end),
+            "context has unfilled holes before forward"
+        );
+        self.last_rows.push(self.positions.len() - 1);
+        Ok(())
+    }
+}
+
+/// Every layer's matrices at one width, the matching LM-head columns and
+/// the pool their kernels run on. Shares the replicated weights it was
+/// cut beside.
+pub(crate) struct Shard {
+    pub(crate) rep: Arc<ReplicatedWeights>,
+    /// This shard's heads.
     pub(crate) attn: AttnConfig,
-    pub(crate) embed: Matrix,
-    pub(crate) pos_embed: Option<Matrix>,
     pub(crate) layers: Vec<LayerWeights>,
-    pub(crate) final_norm: Vec<f32>,
-    pub(crate) final_norm_bias: Vec<f32>,
+    /// `[hidden, vocab / shards]`.
     pub(crate) lm_head: Matrix,
-    /// Persistent worker pool for the batched kernels (serial pool =
-    /// fully serial). Results are bit-identical at every width; see
-    /// [`TinyModel::set_threads`].
-    pool: Pool,
+    /// Persistent worker pool for the batched kernels; width 1 runs them
+    /// inline.
+    pub(crate) pool: Pool,
+}
+
+impl Shard {
+    /// Installs the process-wide persistent pool of width `threads`
+    /// ([`Pool::global`], which clamps `0` to the inline width-1 pool).
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        self.pool = Pool::global(threads);
+    }
+
+    /// This shard's partial of `stage` over `input` (see [`Stage`]).
+    /// `tables[i]` is the block table of `pass`'s `i`-th sequence; the
+    /// attention stage writes the pass's K/V into `cache` and reads its
+    /// context from there.
+    pub(crate) fn partial(
+        &self,
+        stage: Stage,
+        input: &Matrix,
+        pass: &Pass,
+        cache: &mut PagedKvCache,
+        tables: &[&BlockTable],
+    ) -> Matrix {
+        let mm = |a: &Matrix, b: &Matrix| matmul_pool(a, b, &self.pool);
+        match stage {
+            Stage::Attn(l) => {
+                let (lw, attn) = (&self.layers[l], &self.attn);
+                let mut q = mm(input, &lw.wq);
+                let mut k = mm(input, &lw.wk);
+                let v = mm(input, &lw.wv);
+                if self.rep.cfg.position_embedding == PositionEmbedding::Rotary {
+                    for (r, &pos) in pass.positions.iter().enumerate() {
+                        apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, pos);
+                        apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, pos);
+                    }
+                }
+                for (r, &(b, s)) in pass.slots.iter().enumerate() {
+                    cache.write_token(l, b, s, k.row(r), v.row(r));
+                }
+                let seqs: Vec<AttnSeq<'_>> = pass
+                    .segments
+                    .iter()
+                    .map(|&(seq, q_start, q_len, context_len)| AttnSeq {
+                        q_start,
+                        q_len,
+                        context_len,
+                        table: tables[seq],
+                    })
+                    .collect();
+                let out = paged_multi_token_pool(attn, &q, &cache.layer(l), &seqs, &self.pool);
+                mm(&out, &lw.wo)
+            }
+            Stage::Mlp(l) => mlp(self.rep.cfg.activation, &self.layers[l].mlp, input, mm),
+            Stage::LmHead => matmul(input, &self.lm_head),
+        }
+    }
+}
+
+/// A deterministic random transformer over a [`ModelConfig`]: the
+/// replicated weights and one shard as wide as the model.
+pub struct TinyModel {
+    pub(crate) shard: Shard,
 }
 
 /// One contiguous run of query tokens at absolute positions
@@ -73,6 +378,14 @@ pub struct SegmentInput {
     pub start_pos: usize,
 }
 
+impl SegmentInput {
+    /// `(start_pos, len)`: all of a segment a KV-cache partition needs.
+    #[must_use]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.start_pos, self.tokens.len())
+    }
+}
+
 /// One request's input to a batched forward pass.
 #[derive(Debug)]
 pub struct SeqInput<'a> {
@@ -81,25 +394,6 @@ pub struct SeqInput<'a> {
     pub segments: Vec<SegmentInput>,
     /// The sequence's block table (mutated: slots are appended/written).
     pub table: &'a mut BlockTable,
-}
-
-impl SeqInput<'_> {
-    /// Context length after this forward pass: end of the last segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no segments.
-    #[must_use]
-    pub fn context_len(&self) -> usize {
-        // lint:allow(r1-panic): documented panic contract — callers must
-        // provide at least one segment.
-        let last = self.segments.last().expect("no segments");
-        last.start_pos + last.tokens.len()
-    }
-
-    fn total_query_tokens(&self) -> usize {
-        self.segments.iter().map(|s| s.tokens.len()).sum()
-    }
 }
 
 impl TinyModel {
@@ -127,13 +421,13 @@ impl TinyModel {
                     .collect(),
             )
         };
+        // The draw order below is the weights' identity: layers (MLP
+        // first), position table, embedding, LM head.
         let layers = (0..cfg.num_layers)
             .map(|_| {
                 let mlp = match cfg.family {
-                    pensieve_model::ModelFamily::Opt => {
-                        vec![mat(h, cfg.ffn_hidden), mat(cfg.ffn_hidden, h)]
-                    }
-                    pensieve_model::ModelFamily::Llama2 => vec![
+                    ModelFamily::Opt => vec![mat(h, cfg.ffn_hidden), mat(cfg.ffn_hidden, h)],
+                    ModelFamily::Llama2 => vec![
                         mat(h, cfg.ffn_hidden),
                         mat(h, cfg.ffn_hidden),
                         mat(cfg.ffn_hidden, h),
@@ -144,10 +438,6 @@ impl TinyModel {
                     wk: mat(h, kvw),
                     wv: mat(h, kvw),
                     wo: mat(h, h),
-                    norm1: vec![1.0; h],
-                    norm1_bias: vec![0.0; h],
-                    norm2: vec![1.0; h],
-                    norm2_bias: vec![0.0; h],
                     mlp,
                 }
             })
@@ -156,17 +446,22 @@ impl TinyModel {
             PositionEmbedding::Learned => Some(mat(MAX_POSITIONS, h)),
             PositionEmbedding::Rotary => None,
         };
-        TinyModel {
-            attn: AttnConfig::new(cfg.num_heads, cfg.num_kv_heads, cfg.head_dim),
+        let unit = || (vec![1.0; h], vec![0.0; h]);
+        let rep = ReplicatedWeights {
+            cfg: cfg.clone(),
             embed: mat(cfg.vocab_size, h),
             pos_embed,
-            final_norm: vec![1.0; h],
-            final_norm_bias: vec![0.0; h],
-            lm_head: mat(h, cfg.vocab_size),
+            norms: (0..cfg.num_layers).map(|_| [unit(), unit()]).collect(),
+            final_norm: unit(),
+        };
+        let shard = Shard {
+            rep: Arc::new(rep),
+            attn: AttnConfig::new(cfg.num_heads, cfg.num_kv_heads, cfg.head_dim),
             layers,
-            cfg: cfg.clone(),
+            lm_head: mat(h, cfg.vocab_size),
             pool: Pool::serial(),
-        }
+        };
+        TinyModel { shard }
     }
 
     /// Sets the number of worker threads used by the batched compute
@@ -179,57 +474,35 @@ impl TinyModel {
     /// partitions are disjoint output regions merged sequentially in a
     /// fixed order. `0` is clamped to `1`.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = if threads <= 1 {
-            Pool::serial()
-        } else {
-            Pool::global(threads)
-        };
+        self.shard.set_threads(threads);
     }
 
     /// Current worker-thread setting (see [`TinyModel::set_threads`]).
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.shard.pool.threads()
     }
 
     /// The worker pool backing the batched kernels.
     #[must_use]
     pub fn pool(&self) -> &Pool {
-        &self.pool
+        &self.shard.pool
     }
 
     /// The model configuration.
     #[must_use]
     pub fn config(&self) -> &ModelConfig {
-        &self.cfg
+        &self.shard.rep.cfg
     }
 
     /// KV storage geometry for a given block size.
     #[must_use]
     pub fn kv_layout(&self, block_size: usize) -> KvLayout {
         KvLayout {
-            num_kv_heads: self.cfg.num_kv_heads,
-            head_dim: self.cfg.head_dim,
+            num_kv_heads: self.config().num_kv_heads,
+            head_dim: self.config().head_dim,
             block_size,
         }
-    }
-
-    fn normalize(&self, x: &mut [f32], weight: &[f32], bias: &[f32]) {
-        match self.cfg.norm {
-            Norm::LayerNorm => layernorm(x, weight, bias, 1e-5),
-            Norm::RmsNorm => rmsnorm(x, weight, 1e-5),
-        }
-    }
-
-    fn embed_token(&self, token: u32, pos: usize) -> Vec<f32> {
-        let mut row = self.embed.row(token as usize).to_vec();
-        if let Some(pe) = &self.pos_embed {
-            assert!(pos < MAX_POSITIONS, "position {pos} beyond table");
-            for (r, p) in row.iter_mut().zip(pe.row(pos)) {
-                *r += p;
-            }
-        }
-        row
     }
 
     /// Batched forward pass over the paged KV cache.
@@ -254,128 +527,17 @@ impl TinyModel {
         cache: &mut PagedKvCache,
         batch: &mut [SeqInput<'_>],
     ) -> Result<Matrix, OutOfBlocks> {
-        let h = self.cfg.hidden_size;
-        let total_q: usize = batch.iter().map(SeqInput::total_query_tokens).sum();
-        assert!(total_q > 0, "empty batch");
-
-        // Per query row: absolute position; per sequence: row ranges.
-        let mut positions = Vec::with_capacity(total_q);
-        let mut x = Matrix::zeros(total_q, h);
-        let mut row = 0;
-        // (block, slot) of each query row, precomputed once.
-        let mut slots = Vec::with_capacity(total_q);
+        let rep = &self.shard.rep;
+        let x = rep.embed(batch.iter().flat_map(|seq| &seq.segments));
+        let mut pass = Pass::default();
         for seq in batch.iter_mut() {
-            assert!(!seq.segments.is_empty(), "sequence without segments");
-            let mut prev_end = 0;
-            let ctx = seq.context_len();
-            for (i, seg) in seq.segments.iter().enumerate() {
-                assert!(!seg.tokens.is_empty(), "empty segment");
-                assert!(
-                    i == 0 || seg.start_pos >= prev_end,
-                    "segments overlap or descend"
-                );
-                prev_end = seg.start_pos + seg.tokens.len();
-                for (j, &tok) in seg.tokens.iter().enumerate() {
-                    let pos = seg.start_pos + j;
-                    x.row_mut(row).copy_from_slice(&self.embed_token(tok, pos));
-                    positions.push(pos);
-                    // Append new slots; reuse (recompute into) existing ones.
-                    let slot = if pos < seq.table.len() {
-                        seq.table.position(pos)
-                    } else {
-                        debug_assert_eq!(pos, seq.table.len(), "gap before append");
-                        seq.table.append_token(cache)?
-                    };
-                    slots.push(slot);
-                    row += 1;
-                }
-            }
-            // Every context block a kernel will read must be resident.
-            assert!(
-                seq.table.is_resident(ctx),
-                "context has unfilled holes before forward"
-            );
+            let shapes = seq.segments.iter().map(SegmentInput::shape);
+            pass.push_seq(shapes, seq.table, cache)?;
         }
-
-        for (li, lw) in self.layers.iter().enumerate() {
-            // Pre-norm.
-            let mut xn = x.clone();
-            for r in 0..total_q {
-                self.normalize(xn.row_mut(r), &lw.norm1, &lw.norm1_bias);
-            }
-            let mut q = matmul_pool(&xn, &lw.wq, &self.pool);
-            let mut k = matmul_pool(&xn, &lw.wk, &self.pool);
-            let v = matmul_pool(&xn, &lw.wv, &self.pool);
-            if self.cfg.position_embedding == PositionEmbedding::Rotary {
-                for (r, &pos) in positions.iter().enumerate() {
-                    apply_rope(q.row_mut(r), self.cfg.num_heads, self.cfg.head_dim, pos);
-                    apply_rope(k.row_mut(r), self.cfg.num_kv_heads, self.cfg.head_dim, pos);
-                }
-            }
-            // Write this layer's K/V into the paged cache.
-            for (r, &(b, s)) in slots.iter().enumerate() {
-                cache.write_token(li, b, s, k.row(r), v.row(r));
-            }
-            // Attention over the paged cache, one AttnSeq per segment.
-            let layer_view = cache.layer(li);
-            let mut seqs = Vec::new();
-            let mut r0 = 0;
-            for seq in batch.iter() {
-                for seg in &seq.segments {
-                    seqs.push(AttnSeq {
-                        q_start: r0,
-                        q_len: seg.tokens.len(),
-                        context_len: seg.start_pos + seg.tokens.len(),
-                        table: seq.table,
-                    });
-                    r0 += seg.tokens.len();
-                }
-            }
-            let attn_out = paged_multi_token_pool(&self.attn, &q, &layer_view, &seqs, &self.pool);
-            let proj = matmul_pool(&attn_out, &lw.wo, &self.pool);
-            add_rows(&mut x, &proj);
-
-            // MLP with pre-norm.
-            let mut xn = x.clone();
-            for r in 0..total_q {
-                self.normalize(xn.row_mut(r), &lw.norm2, &lw.norm2_bias);
-            }
-            let mlp_out = self.mlp(&xn, lw);
-            add_rows(&mut x, &mlp_out);
-        }
-
-        // Logits for each sequence's last token.
-        let mut out = Matrix::zeros(batch.len(), self.cfg.vocab_size);
-        let mut r0 = 0;
-        for (i, seq) in batch.iter().enumerate() {
-            let last_row = r0 + seq.total_query_tokens() - 1;
-            let mut hrow = x.row(last_row).to_vec();
-            self.normalize(&mut hrow, &self.final_norm, &self.final_norm_bias);
-            let logits = matmul(&Matrix::from_vec(1, h, hrow), &self.lm_head);
-            out.row_mut(i).copy_from_slice(logits.row(0));
-            r0 += seq.total_query_tokens();
-        }
-        Ok(out)
-    }
-
-    fn mlp(&self, xn: &Matrix, lw: &LayerWeights) -> Matrix {
-        match self.cfg.activation {
-            Activation::Relu => {
-                let mut up = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                for v in up.as_mut_slice() {
-                    *v = relu(*v);
-                }
-                matmul_pool(&up, &lw.mlp[1], &self.pool)
-            }
-            Activation::Silu => {
-                let mut gate = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                let up = matmul_pool(xn, &lw.mlp[1], &self.pool);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g = silu(*g) * u;
-                }
-                matmul_pool(&gate, &lw.mlp[2], &self.pool)
-            }
-        }
+        let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
+        rep.forward(x, &pass.last_rows, |stage, input| {
+            Ok([self.shard.partial(stage, &input, &pass, cache, &tables)])
+        })
     }
 
     /// Stateless reference: processes `tokens` from scratch with dense,
@@ -392,62 +554,31 @@ impl TinyModel {
     #[must_use]
     pub fn forward_dense(&self, tokens: &[u32]) -> Vec<f32> {
         assert!(!tokens.is_empty());
-        let h = self.cfg.hidden_size;
+        let (rep, attn) = (&self.shard.rep, &self.shard.attn);
         let n = tokens.len();
-        let mut x = Matrix::zeros(n, h);
+        let mut x = Matrix::zeros(n, rep.cfg.hidden_size);
         for (r, &tok) in tokens.iter().enumerate() {
-            x.row_mut(r).copy_from_slice(&self.embed_token(tok, r));
+            rep.embed_token(tok, r, x.row_mut(r));
         }
-        for lw in &self.layers {
-            let mut xn = x.clone();
-            for r in 0..n {
-                self.normalize(xn.row_mut(r), &lw.norm1, &lw.norm1_bias);
-            }
+        for (lw, norms) in self.shard.layers.iter().zip(&rep.norms) {
+            let xn = rep.normed(&x, &norms[0]);
             let mut q = matmul_ref(&xn, &lw.wq);
             let mut k = matmul_ref(&xn, &lw.wk);
             let v = matmul_ref(&xn, &lw.wv);
-            if self.cfg.position_embedding == PositionEmbedding::Rotary {
+            if rep.cfg.position_embedding == PositionEmbedding::Rotary {
                 for r in 0..n {
-                    apply_rope(q.row_mut(r), self.cfg.num_heads, self.cfg.head_dim, r);
-                    apply_rope(k.row_mut(r), self.cfg.num_kv_heads, self.cfg.head_dim, r);
+                    apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, r);
+                    apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, r);
                 }
             }
-            let attn_out = naive_attention(&self.attn, &q, &k, &v);
-            let proj = matmul_ref(&attn_out, &lw.wo);
-            add_rows(&mut x, &proj);
-            let mut xn = x.clone();
-            for r in 0..n {
-                self.normalize(xn.row_mut(r), &lw.norm2, &lw.norm2_bias);
-            }
-            let mlp_out = self.mlp_ref(&xn, lw);
-            add_rows(&mut x, &mlp_out);
+            let attn_out = naive_attention(attn, &q, &k, &v);
+            add_rows(&mut x, &matmul_ref(&attn_out, &lw.wo));
+            let xn = rep.normed(&x, &norms[1]);
+            add_rows(&mut x, &mlp(rep.cfg.activation, &lw.mlp, &xn, matmul_ref));
         }
-        let mut hrow = x.row(n - 1).to_vec();
-        self.normalize(&mut hrow, &self.final_norm, &self.final_norm_bias);
-        matmul_ref(&Matrix::from_vec(1, h, hrow), &self.lm_head)
-            .row(0)
-            .to_vec()
-    }
-
-    /// Reference-kernel MLP used only by [`TinyModel::forward_dense`].
-    fn mlp_ref(&self, xn: &Matrix, lw: &LayerWeights) -> Matrix {
-        match self.cfg.activation {
-            Activation::Relu => {
-                let mut up = matmul_ref(xn, &lw.mlp[0]);
-                for v in up.as_mut_slice() {
-                    *v = relu(*v);
-                }
-                matmul_ref(&up, &lw.mlp[1])
-            }
-            Activation::Silu => {
-                let mut gate = matmul_ref(xn, &lw.mlp[0]);
-                let up = matmul_ref(xn, &lw.mlp[1]);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g = silu(*g) * u;
-                }
-                matmul_ref(&gate, &lw.mlp[2])
-            }
-        }
+        let mut hidden = Matrix::from_vec(1, rep.cfg.hidden_size, x.row(n - 1).to_vec());
+        rep.normalize(hidden.row_mut(0), &rep.final_norm);
+        matmul_ref(&hidden, &self.shard.lm_head).row(0).to_vec()
     }
 }
 

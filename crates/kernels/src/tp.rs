@@ -9,161 +9,63 @@
 //! and follows the same migration plan, so eviction decisions are
 //! worker-agnostic.
 //!
-//! This module implements that partitioning for [`TinyModel`]:
+//! The transformer itself is [`crate::model`]'s; this module only cuts it
+//! up and says who holds the pieces:
 //!
-//! * [`ShardRunner`] — one worker's state: its weight slices, its paged KV
-//!   pool, and its block tables. Exposes exactly the per-layer operations
-//!   a worker executes between all-reduces.
-//! * [`TpModel`] — a single-threaded orchestrator running all shards in
-//!   sequence with explicit all-reduce summation; used to validate that
-//!   sharded execution is numerically equivalent to the unsharded model.
+//! * [`TpModel::new`] is the one place weights are sliced: it cuts a
+//!   [`TinyModel`]'s full-width shard into `n` narrower ones that all
+//!   point to the model's [`ReplicatedWeights`] (shared, not copied).
+//! * [`ShardRunner`] — one worker: a weight shard plus the paged KV pool
+//!   and the per-conversation block tables it alone fills. It hands them
+//!   to the shard for each stage of the pass it last began.
+//! * [`TpModel`] — the single-threaded orchestrator and the serial
+//!   reference: it drives [`ReplicatedWeights::forward`] with every
+//!   runner's partial computed inline, in shard order, which is where
+//!   that loop reduces them.
 //!
 //! `pensieve-core`'s threaded engine drives the same [`ShardRunner`]s
 //! from real worker threads over channels (paper Figure 7).
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crossbeam::pool::Pool;
-use pensieve_model::{Activation, ModelConfig, Norm, PositionEmbedding};
 
-use crate::attention::multi::paged_multi_token_pool;
-use crate::attention::{AttnConfig, AttnSeq};
-use crate::model::{SegmentInput, TinyModel};
-use crate::ops::{apply_rope, layernorm, matmul, matmul_pool, relu, rmsnorm, silu};
+use crate::attention::AttnConfig;
+use crate::model::{LayerWeights, Pass, ReplicatedWeights, SegmentInput, Shard, Stage, TinyModel};
 use crate::paged::{BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
 use crate::tensor::Matrix;
 
-/// Copies columns `lo..hi` of `m` into a new matrix.
-fn slice_cols(m: &Matrix, lo: usize, hi: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), hi - lo);
+/// Copies columns `cols` of `m` into a new matrix.
+fn slice_cols(m: &Matrix, cols: Range<usize>) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), cols.len());
     for r in 0..m.rows() {
-        out.row_mut(r).copy_from_slice(&m.row(r)[lo..hi]);
+        out.row_mut(r).copy_from_slice(&m.row(r)[cols.clone()]);
     }
     out
 }
 
-/// Copies rows `lo..hi` of `m` into a new matrix.
-fn slice_rows(m: &Matrix, lo: usize, hi: usize) -> Matrix {
-    let mut out = Matrix::zeros(hi - lo, m.cols());
-    for r in lo..hi {
-        out.row_mut(r - lo).copy_from_slice(m.row(r));
+/// Copies rows `rows` of `m` into a new matrix.
+fn slice_rows(m: &Matrix, rows: Range<usize>) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), m.cols());
+    for (to, from) in rows.enumerate() {
+        out.row_mut(to).copy_from_slice(m.row(from));
     }
     out
 }
 
-/// One worker's slice of every layer's weights.
-struct ShardLayer {
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    /// Row-parallel output projection: `[heads_per_shard * d, hidden]`.
-    wo: Matrix,
-    /// Column-parallel MLP matrices and the row-parallel down projection.
-    mlp: Vec<Matrix>,
-}
-
-/// One layer's norm parameters: `(norm1, norm1_bias, norm2, norm2_bias)`.
-type LayerNorms = (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
-
-/// The replicated (non-sharded) weights every worker and the scheduler
-/// share: embeddings, norms, and the model configuration.
-pub struct ReplicatedWeights {
-    cfg: ModelConfig,
-    embed: Matrix,
-    pos_embed: Option<Matrix>,
-    norms: Vec<LayerNorms>,
-    final_norm: Vec<f32>,
-    final_norm_bias: Vec<f32>,
-}
-
-impl ReplicatedWeights {
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &ModelConfig {
-        &self.cfg
-    }
-
-    /// Embeds one token at an absolute position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position exceeds the learned-position table.
-    #[must_use]
-    pub fn embed_token(&self, token: u32, pos: usize) -> Vec<f32> {
-        let mut row = self.embed.row(token as usize).to_vec();
-        if let Some(pe) = &self.pos_embed {
-            for (r, p) in row.iter_mut().zip(pe.row(pos)) {
-                *r += p;
-            }
-        }
-        row
-    }
-
-    fn normalize(&self, x: &mut [f32], weight: &[f32], bias: &[f32]) {
-        match self.cfg.norm {
-            Norm::LayerNorm => layernorm(x, weight, bias, 1e-5),
-            Norm::RmsNorm => rmsnorm(x, weight, 1e-5),
-        }
-    }
-
-    /// Applies layer `l`'s pre-attention norm to every row of a copy.
-    #[must_use]
-    pub fn norm1(&self, l: usize, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        let (w, b, _, _) = &self.norms[l];
-        for r in 0..out.rows() {
-            self.normalize(out.row_mut(r), w, b);
-        }
-        out
-    }
-
-    /// Applies layer `l`'s pre-MLP norm to every row of a copy.
-    #[must_use]
-    pub fn norm2(&self, l: usize, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        let (_, _, w, b) = &self.norms[l];
-        for r in 0..out.rows() {
-            self.normalize(out.row_mut(r), w, b);
-        }
-        out
-    }
-
-    /// Applies the final norm to one hidden row.
-    #[must_use]
-    pub fn final_norm(&self, h: &[f32]) -> Vec<f32> {
-        let mut row = h.to_vec();
-        self.normalize(&mut row, &self.final_norm, &self.final_norm_bias);
-        row
-    }
-}
-
-/// One tensor-parallel worker: weight slices + its KV-cache partition.
+/// One tensor-parallel worker: a weight shard + its KV-cache partition.
 pub struct ShardRunner {
-    cfg: ModelConfig,
-    attn: AttnConfig,
-    layers: Vec<ShardLayer>,
-    /// Column slice of the LM head: `[hidden, vocab / num_shards]`.
-    lm_head: Matrix,
+    shard: Shard,
     cache: PagedKvCache,
     tables: HashMap<u64, BlockTable>,
-    /// Pass-local state: the (block, slot) of each query row, the query
-    /// positions, and the attention segments.
-    slots: Vec<(usize, usize)>,
-    positions: Vec<usize>,
+    /// The pass begun last, and the conversation it is over.
+    pass: Pass,
     pass_conv: u64,
-    pass_segments: Vec<(usize, usize)>,
-    /// Persistent worker pool for this shard's intra-operator math
-    /// (serial pool = serial).
-    pool: Pool,
 }
 
 impl ShardRunner {
-    /// This worker's query-head count.
-    #[must_use]
-    pub fn heads_per_shard(&self) -> usize {
-        self.attn.num_heads
-    }
-
     /// Sets the number of worker threads used *inside* this shard's
     /// operators (blocked GEMM row partitions and attention
     /// (sequence, KV-head) partitions).
@@ -172,11 +74,7 @@ impl ShardRunner {
     /// intra-shard threads split each shard's math. Results are
     /// bit-identical at every setting; `0` is clamped to `1`.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = if threads <= 1 {
-            Pool::serial()
-        } else {
-            Pool::global(threads)
-        };
+        self.shard.set_threads(threads);
     }
 
     /// Allocates KV slots for a pass over `conv` with the given query
@@ -200,109 +98,32 @@ impl ShardRunner {
             .tables
             .entry(conv)
             .or_insert_with(|| BlockTable::new(block_size));
-        self.slots.clear();
-        self.positions.clear();
-        for &(start, len) in segments {
-            assert!(len > 0, "empty segment");
-            for pos in start..start + len {
-                let slot = if pos < table.len() {
-                    table.position(pos)
-                } else {
-                    debug_assert_eq!(pos, table.len());
-                    table.append_token(&mut self.cache)?
-                };
-                self.slots.push(slot);
-                self.positions.push(pos);
-            }
-        }
+        self.pass = Pass::default();
         self.pass_conv = conv;
-        self.pass_segments = segments.to_vec();
-        Ok(())
+        self.pass
+            .push_seq(segments.iter().copied(), table, &mut self.cache)
     }
 
-    /// Computes this shard's attention partial for layer `l`: QKV over its
-    /// heads, KV-cache update, paged multi-token attention, and the
-    /// row-parallel output projection. The returned `[tokens, hidden]`
-    /// matrix is summed across shards by the caller (all-reduce).
+    /// This shard's partial of `stage` for the pass begun last: over its
+    /// heads and its KV partition for the attention sub-layer, its FFN
+    /// columns for the MLP, its vocabulary slice for the LM head. The
+    /// caller reduces the partials of all shards
+    /// ([`ReplicatedWeights::forward`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pass was begun.
     #[must_use]
-    pub fn attn_partial(&mut self, l: usize, xn: &Matrix) -> Matrix {
-        let lw = &self.layers[l];
-        let mut q = matmul_pool(xn, &lw.wq, &self.pool);
-        let mut k = matmul_pool(xn, &lw.wk, &self.pool);
-        let v = matmul_pool(xn, &lw.wv, &self.pool);
-        if self.cfg.position_embedding == PositionEmbedding::Rotary {
-            for r in 0..q.rows() {
-                apply_rope(
-                    q.row_mut(r),
-                    self.attn.num_heads,
-                    self.cfg.head_dim,
-                    self.positions[r],
-                );
-                apply_rope(
-                    k.row_mut(r),
-                    self.attn.num_kv_heads,
-                    self.cfg.head_dim,
-                    self.positions[r],
-                );
-            }
-        }
-        for (r, &(b, s)) in self.slots.iter().enumerate() {
-            self.cache.write_token(l, b, s, k.row(r), v.row(r));
-        }
+    pub fn partial(&mut self, stage: Stage, input: &Matrix) -> Matrix {
         let table = &self.tables[&self.pass_conv];
-        let mut seqs = Vec::new();
-        let mut q_start = 0;
-        for &(start, len) in &self.pass_segments {
-            seqs.push(AttnSeq {
-                q_start,
-                q_len: len,
-                context_len: start + len,
-                table,
-            });
-            q_start += len;
-        }
-        let attn_out =
-            paged_multi_token_pool(&self.attn, &q, &self.cache.layer(l), &seqs, &self.pool);
-        matmul_pool(&attn_out, &lw.wo, &self.pool)
-    }
-
-    /// Computes this shard's MLP partial for layer `l` (column-parallel up
-    /// / gate, row-parallel down). Summed across shards by the caller.
-    #[must_use]
-    pub fn mlp_partial(&self, l: usize, xn: &Matrix) -> Matrix {
-        let lw = &self.layers[l];
-        match self.cfg.activation {
-            Activation::Relu => {
-                let mut up = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                for v in up.as_mut_slice() {
-                    *v = relu(*v);
-                }
-                matmul_pool(&up, &lw.mlp[1], &self.pool)
-            }
-            Activation::Silu => {
-                let mut gate = matmul_pool(xn, &lw.mlp[0], &self.pool);
-                let up = matmul_pool(xn, &lw.mlp[1], &self.pool);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g = silu(*g) * u;
-                }
-                matmul_pool(&gate, &lw.mlp[2], &self.pool)
-            }
-        }
-    }
-
-    /// This shard's slice of the output logits (all-gathered by the
-    /// caller).
-    #[must_use]
-    pub fn lm_head_partial(&self, h: &[f32]) -> Vec<f32> {
-        matmul(&Matrix::from_vec(1, h.len(), h.to_vec()), &self.lm_head)
-            .row(0)
-            .to_vec()
+        self.shard
+            .partial(stage, input, &self.pass, &mut self.cache, &[table])
     }
 }
 
 /// Single-threaded tensor-parallel orchestrator over `n` shards.
 pub struct TpModel {
-    replicated: ReplicatedWeights,
+    replicated: Arc<ReplicatedWeights>,
     shards: Vec<ShardRunner>,
 }
 
@@ -321,7 +142,8 @@ impl TpModel {
         block_size: usize,
         blocks_per_shard: usize,
     ) -> Self {
-        let cfg = &model.cfg;
+        let full = &model.shard;
+        let cfg = full.rep.config();
         assert!(num_shards > 0);
         assert_eq!(cfg.num_heads % num_shards, 0, "heads must divide");
         assert_eq!(cfg.num_kv_heads % num_shards, 0, "kv heads must divide");
@@ -330,78 +152,56 @@ impl TpModel {
         let d = cfg.head_dim;
         let hpw = cfg.num_heads / num_shards;
         let kvpw = cfg.num_kv_heads / num_shards;
-        let fpw = cfg.ffn_hidden / num_shards;
-        let vpw = cfg.vocab_size / num_shards;
 
         let shards = (0..num_shards)
             .map(|w| {
-                let layers = model
+                // Worker `w`'s share of a dimension split `per` ways.
+                let share = |per: usize| w * per..(w + 1) * per;
+                let (q, kv) = (share(hpw * d), share(kvpw * d));
+                let ffn = share(cfg.ffn_hidden / num_shards);
+                let layers = full
                     .layers
                     .iter()
                     .map(|lw| {
-                        let mlp = match cfg.family {
-                            pensieve_model::ModelFamily::Opt => vec![
-                                slice_cols(&lw.mlp[0], w * fpw, (w + 1) * fpw),
-                                slice_rows(&lw.mlp[1], w * fpw, (w + 1) * fpw),
-                            ],
-                            pensieve_model::ModelFamily::Llama2 => vec![
-                                slice_cols(&lw.mlp[0], w * fpw, (w + 1) * fpw),
-                                slice_cols(&lw.mlp[1], w * fpw, (w + 1) * fpw),
-                                slice_rows(&lw.mlp[2], w * fpw, (w + 1) * fpw),
-                            ],
+                        // Column-parallel up (and gate); the last matrix
+                        // is the row-parallel down projection.
+                        let down = lw.mlp.len() - 1;
+                        let slice = |(i, m)| {
+                            let cut = if i < down { slice_cols } else { slice_rows };
+                            cut(m, ffn.clone())
                         };
-                        ShardLayer {
-                            wq: slice_cols(&lw.wq, w * hpw * d, (w + 1) * hpw * d),
-                            wk: slice_cols(&lw.wk, w * kvpw * d, (w + 1) * kvpw * d),
-                            wv: slice_cols(&lw.wv, w * kvpw * d, (w + 1) * kvpw * d),
-                            wo: slice_rows(&lw.wo, w * hpw * d, (w + 1) * hpw * d),
+                        let mlp = lw.mlp.iter().enumerate().map(slice).collect();
+                        LayerWeights {
+                            wq: slice_cols(&lw.wq, q.clone()),
+                            wk: slice_cols(&lw.wk, kv.clone()),
+                            wv: slice_cols(&lw.wv, kv.clone()),
+                            wo: slice_rows(&lw.wo, q.clone()),
                             mlp,
                         }
                     })
                     .collect();
+                let layout = KvLayout {
+                    num_kv_heads: kvpw,
+                    head_dim: d,
+                    block_size,
+                };
                 ShardRunner {
-                    cfg: cfg.clone(),
-                    attn: AttnConfig::new(hpw, kvpw, d),
-                    layers,
-                    lm_head: slice_cols(&model.lm_head, w * vpw, (w + 1) * vpw),
-                    cache: PagedKvCache::new(
-                        KvLayout {
-                            num_kv_heads: kvpw,
-                            head_dim: d,
-                            block_size,
-                        },
-                        cfg.num_layers,
-                        blocks_per_shard,
-                    ),
+                    shard: Shard {
+                        rep: Arc::clone(&full.rep),
+                        attn: AttnConfig::new(hpw, kvpw, d),
+                        layers,
+                        lm_head: slice_cols(&full.lm_head, share(cfg.vocab_size / num_shards)),
+                        pool: Pool::serial(),
+                    },
+                    cache: PagedKvCache::new(layout, cfg.num_layers, blocks_per_shard),
                     tables: HashMap::new(),
-                    slots: Vec::new(),
-                    positions: Vec::new(),
+                    pass: Pass::default(),
                     pass_conv: 0,
-                    pass_segments: Vec::new(),
-                    pool: Pool::serial(),
                 }
             })
             .collect();
         TpModel {
-            replicated: ReplicatedWeights {
-                cfg: cfg.clone(),
-                embed: model.embed.clone(),
-                pos_embed: model.pos_embed.clone(),
-                norms: model
-                    .layers
-                    .iter()
-                    .map(|lw| {
-                        (
-                            lw.norm1.clone(),
-                            lw.norm1_bias.clone(),
-                            lw.norm2.clone(),
-                            lw.norm2_bias.clone(),
-                        )
-                    })
-                    .collect(),
-                final_norm: model.final_norm.clone(),
-                final_norm_bias: model.final_norm_bias.clone(),
-            },
+            replicated: Arc::clone(&full.rep),
             shards,
         }
     }
@@ -423,7 +223,7 @@ impl TpModel {
     /// Splits the model into its replicated weights and shard runners, for
     /// drivers that move each shard onto its own worker thread.
     #[must_use]
-    pub fn into_parts(self) -> (ReplicatedWeights, Vec<ShardRunner>) {
+    pub fn into_parts(self) -> (Arc<ReplicatedWeights>, Vec<ShardRunner>) {
         (self.replicated, self.shards)
     }
 
@@ -443,59 +243,17 @@ impl TpModel {
         conv: u64,
         segments: &[SegmentInput],
     ) -> Result<Vec<f32>, OutOfBlocks> {
-        assert!(!segments.is_empty());
-        let rep = &self.replicated;
-        let h = rep.cfg.hidden_size;
-        let seg_shapes: Vec<(usize, usize)> = segments
-            .iter()
-            .map(|s| (s.start_pos, s.tokens.len()))
-            .collect();
+        let x = self.replicated.embed(segments.iter());
+        let shapes: Vec<_> = segments.iter().map(SegmentInput::shape).collect();
         for shard in &mut self.shards {
-            shard.begin_pass(conv, &seg_shapes)?;
+            shard.begin_pass(conv, &shapes)?;
         }
-        let total_q: usize = segments.iter().map(|s| s.tokens.len()).sum();
-        let mut x = Matrix::zeros(total_q, h);
-        let mut row = 0;
-        for seg in segments {
-            for (j, &tok) in seg.tokens.iter().enumerate() {
-                x.row_mut(row)
-                    .copy_from_slice(&rep.embed_token(tok, seg.start_pos + j));
-                row += 1;
-            }
-        }
-        for l in 0..rep.cfg.num_layers {
-            let xn = rep.norm1(l, &x);
-            // The first all-reduce: sum attention partials across shards.
-            let mut acc = Matrix::zeros(total_q, h);
-            for shard in &mut self.shards {
-                let partial = shard.attn_partial(l, &xn);
-                for (a, p) in acc.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                    *a += p;
-                }
-            }
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
-            let xn = rep.norm2(l, &x);
-            // The second all-reduce: sum MLP partials.
-            let mut acc = Matrix::zeros(total_q, h);
-            for shard in &self.shards {
-                let partial = shard.mlp_partial(l, &xn);
-                for (a, p) in acc.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                    *a += p;
-                }
-            }
-            for (xv, av) in x.as_mut_slice().iter_mut().zip(acc.as_slice()) {
-                *xv += av;
-            }
-        }
-        // All-gather the vocabulary-sharded logits of the last token.
-        let hrow = rep.final_norm(x.row(total_q - 1));
-        let mut logits = Vec::with_capacity(rep.cfg.vocab_size);
-        for shard in &self.shards {
-            logits.extend(shard.lm_head_partial(&hrow));
-        }
-        Ok(logits)
+        let (shards, last) = (&mut self.shards, x.rows() - 1);
+        let logits = self.replicated.forward(x, &[last], |stage, input| {
+            let partials = shards.iter_mut().map(|s| s.partial(stage, &input));
+            Ok(partials.collect::<Vec<_>>())
+        })?;
+        Ok(logits.row(0).to_vec())
     }
 }
 
@@ -503,6 +261,7 @@ impl TpModel {
 mod tests {
     use super::*;
     use crate::ops::argmax;
+    use pensieve_model::ModelConfig;
 
     fn max_diff(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
