@@ -46,12 +46,6 @@ impl Request {
     pub fn builder() -> RequestBuilder {
         RequestBuilder::default()
     }
-
-    /// Context length after this turn completes.
-    #[must_use]
-    pub fn final_context(&self) -> usize {
-        self.history_tokens + self.prompt_tokens + self.output_tokens
-    }
 }
 
 /// Why a [`RequestBuilder`] refused to produce a [`Request`].
@@ -269,19 +263,9 @@ mod tests {
             .unwrap();
         assert_eq!(r.id, RequestId(1));
         assert_eq!(r.conv, SessionId(2));
-        assert_eq!(r.final_context(), 35);
-    }
-
-    #[test]
-    fn final_context_sums_all_parts() {
-        let req = Request {
-            id: RequestId(1),
-            conv: SessionId(1),
-            arrival: SimTime::ZERO,
-            prompt_tokens: 30,
-            output_tokens: 200,
-            history_tokens: 500,
-        };
-        assert_eq!(req.final_context(), 730);
+        assert_eq!(
+            (r.history_tokens, r.prompt_tokens, r.output_tokens),
+            (20, 10, 5)
+        );
     }
 }

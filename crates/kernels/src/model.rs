@@ -83,7 +83,7 @@ pub struct ReplicatedWeights {
 }
 
 /// The three points of a pass where every shard contributes a partial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Stage {
     /// Layer `l`'s attention sub-layer. Input: the pre-normed hidden
     /// rows; partial: `[rows, hidden]`, summed across shards.
@@ -167,14 +167,13 @@ impl ReplicatedWeights {
     ) -> Result<Matrix, E> {
         for (l, norms) in self.norms.iter().enumerate() {
             for (stage, norm) in [(Stage::Attn(l), &norms[0]), (Stage::Mlp(l), &norms[1])] {
-                let sum =
-                    partials(stage, self.normed(&x, norm))?
-                        .into_iter()
-                        .reduce(|mut acc, p| {
-                            add_rows(&mut acc, &p);
-                            acc
-                        });
-                if let Some(sum) = sum {
+                // All-reduce: the partials summed in shard order, then
+                // the residual add.
+                let mut parts = partials(stage, self.normed(&x, norm))?.into_iter();
+                if let Some(mut sum) = parts.next() {
+                    for p in parts {
+                        add_rows(&mut sum, &p);
+                    }
                     add_rows(&mut x, &sum);
                 }
             }
@@ -184,6 +183,7 @@ impl ReplicatedWeights {
             hidden.row_mut(i).copy_from_slice(x.row(r));
             self.normalize(hidden.row_mut(i), &self.final_norm);
         }
+        // All-gather: the vocabulary slices side by side in shard order.
         let mut logits = Matrix::zeros(last_rows.len(), self.cfg.vocab_size);
         let mut col = 0;
         for part in partials(Stage::LmHead, hidden)? {
@@ -228,10 +228,9 @@ fn mlp(
 /// [`Pass::push_seq`] works out once and every layer reuses.
 #[derive(Debug, Default)]
 pub(crate) struct Pass {
-    /// Absolute position of each query row.
-    positions: Vec<usize>,
-    /// `(block, slot)` each query row's K/V is written to.
-    slots: Vec<(BlockId, usize)>,
+    /// Per query row: its absolute position and the `(block, slot)` its
+    /// K/V is written to.
+    rows: Vec<(usize, (BlockId, usize))>,
     /// One attention sub-request per segment: `(sequence, q_start,
     /// q_len, context_len)`.
     segments: Vec<(usize, usize, usize, usize)>,
@@ -265,7 +264,8 @@ impl Pass {
             assert!(len > 0, "empty segment");
             assert!(start >= end, "segments overlap or descend");
             end = start + len;
-            self.segments.push((seq, self.positions.len(), len, end));
+            self.segments.push((seq, self.rows.len(), len, end));
+            self.rows.reserve(len);
             for pos in start..end {
                 // Append new slots; reuse (recompute into) existing ones.
                 let slot = if pos < table.len() {
@@ -274,8 +274,7 @@ impl Pass {
                     debug_assert_eq!(pos, table.len(), "gap before append");
                     table.append_token(cache)?
                 };
-                self.positions.push(pos);
-                self.slots.push(slot);
+                self.rows.push((pos, slot));
             }
         }
         assert!(end > 0, "sequence without segments");
@@ -284,7 +283,7 @@ impl Pass {
             table.is_resident(end),
             "context has unfilled holes before forward"
         );
-        self.last_rows.push(self.positions.len() - 1);
+        self.last_rows.push(self.rows.len() - 1);
         Ok(())
     }
 }
@@ -331,12 +330,12 @@ impl Shard {
                 let mut k = mm(input, &lw.wk);
                 let v = mm(input, &lw.wv);
                 if self.rep.cfg.position_embedding == PositionEmbedding::Rotary {
-                    for (r, &pos) in pass.positions.iter().enumerate() {
+                    for (r, &(pos, _)) in pass.rows.iter().enumerate() {
                         apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, pos);
                         apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, pos);
                     }
                 }
-                for (r, &(b, s)) in pass.slots.iter().enumerate() {
+                for (r, &(_, (b, s))) in pass.rows.iter().enumerate() {
                     cache.write_token(l, b, s, k.row(r), v.row(r));
                 }
                 let seqs: Vec<AttnSeq<'_>> = pass

@@ -380,20 +380,6 @@ pub fn add_rows(a: &mut Matrix, b: &Matrix) {
     }
 }
 
-/// Adds `bias` element-wise to every row of `m`.
-///
-/// # Panics
-///
-/// Panics if `bias.len() != m.cols()`.
-pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
-    assert_eq!(bias.len(), m.cols());
-    for r in 0..m.rows() {
-        for (v, b) in m.row_mut(r).iter_mut().zip(bias) {
-            *v += b;
-        }
-    }
-}
-
 /// Index of the maximum element (greedy sampling); ties go to the lower
 /// index.
 ///
@@ -632,12 +618,5 @@ mod tests {
     fn argmax_first_max_wins() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[5.0]), 0);
-    }
-
-    #[test]
-    fn add_bias_applies_to_all_rows() {
-        let mut m = Matrix::zeros(2, 2);
-        add_bias(&mut m, &[1.0, 2.0]);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 1.0, 2.0]);
     }
 }

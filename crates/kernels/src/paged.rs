@@ -284,12 +284,6 @@ impl BlockTable {
         self.block_size
     }
 
-    /// Number of logical blocks (present or holes).
-    #[must_use]
-    pub fn num_logical_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Physical block backing logical block `i`.
     ///
     /// # Panics
@@ -404,14 +398,6 @@ impl BlockTable {
         }
         Ok(filled)
     }
-
-    /// Releases every resident block back to `pool` and clears the table.
-    pub fn release_all(&mut self, pool: &mut PagedKvCache) {
-        for b in self.blocks.drain(..).flatten() {
-            pool.release(b);
-        }
-        self.len = 0;
-    }
 }
 
 /// Gathers a sequence's paged K and V for one layer into contiguous
@@ -486,8 +472,7 @@ mod tests {
             assert_eq!((b, s), (i / 4, i % 4));
         }
         assert_eq!(table.len(), 9);
-        assert_eq!(table.num_logical_blocks(), 3);
-        assert_eq!(pool.num_free(), 1);
+        assert_eq!(pool.num_free(), 1, "three of the four blocks in use");
         assert_eq!(table.position(6), (1, 2));
     }
 
@@ -500,19 +485,6 @@ mod tests {
         }
         assert_eq!(table.append_token(&mut pool), Err(OutOfBlocks));
         assert_eq!(table.len(), 4, "failed append must not change length");
-    }
-
-    #[test]
-    fn release_all_returns_blocks() {
-        let mut pool = PagedKvCache::new(layout(), 1, 4);
-        let mut table = BlockTable::new(4);
-        for _ in 0..10 {
-            table.append_token(&mut pool).unwrap();
-        }
-        assert_eq!(pool.num_free(), 1);
-        table.release_all(&mut pool);
-        assert_eq!(pool.num_free(), 4);
-        assert!(table.is_empty());
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its backing vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Maximum absolute element-wise difference to another matrix.
     ///
     /// # Panics
@@ -150,7 +144,7 @@ mod tests {
     fn from_vec_roundtrip() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

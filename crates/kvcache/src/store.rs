@@ -185,12 +185,6 @@ impl TokenChunkStore {
         }
     }
 
-    /// Number of tracked conversations.
-    #[must_use]
-    pub fn num_conversations(&self) -> usize {
-        self.convs.len()
-    }
-
     /// Tokens physically stored: each shared chunk counted once, plus
     /// every conversation's private tail.
     #[must_use]
@@ -205,12 +199,6 @@ impl TokenChunkStore {
     #[must_use]
     pub fn logical_tokens(&self) -> usize {
         self.convs.keys().map(|&c| self.len(c)).sum()
-    }
-
-    /// Reference count of a stored chunk (0 if unknown).
-    #[must_use]
-    pub fn chunk_refs(&self, id: ChunkId) -> usize {
-        self.chunks.get(&id).map_or(0, |c| c.refs)
     }
 }
 
@@ -319,8 +307,6 @@ mod tests {
         // Two sealed chunks stored once each, two one-token tails.
         assert_eq!(s.physical_tokens(), 4 + 2);
         assert_eq!(s.logical_tokens(), 10);
-        let first = ChunkId::derive(ChunkId::ROOT, &[7, 8]);
-        assert_eq!(s.chunk_refs(first), 2);
     }
 
     #[test]
@@ -348,14 +334,19 @@ mod tests {
         let (p, f) = (SessionId(1), SessionId(2));
         s.append(p, &[1, 2, 3, 4]);
         s.fork(p, f).unwrap();
-        let first = ChunkId::derive(ChunkId::ROOT, &[1, 2]);
-        assert_eq!(s.chunk_refs(first), 2);
+        assert_eq!((s.physical_tokens(), s.logical_tokens()), (4, 8));
         s.remove(p);
-        assert_eq!(s.chunk_refs(first), 1, "survivor keeps the chunk alive");
+        assert_eq!(
+            (s.physical_tokens(), s.logical_tokens()),
+            (4, 4),
+            "the survivor keeps the chunks alive"
+        );
         assert_eq!(s.view(f).unwrap().to_vec(), vec![1, 2, 3, 4]);
         s.remove(f);
-        assert_eq!(s.chunk_refs(first), 0, "last release collects it");
-        assert_eq!(s.physical_tokens(), 0);
-        assert_eq!(s.num_conversations(), 0);
+        assert_eq!(
+            (s.physical_tokens(), s.logical_tokens()),
+            (0, 0),
+            "the last release collects them"
+        );
     }
 }

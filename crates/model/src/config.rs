@@ -241,18 +241,6 @@ impl ModelConfig {
         self.num_kv_heads * self.head_dim
     }
 
-    /// GQA group size: query heads per KV head.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_heads` is not a multiple of `num_kv_heads`; validated
-    /// configurations never trigger this.
-    #[must_use]
-    pub fn gqa_group_size(&self) -> usize {
-        assert_eq!(self.num_heads % self.num_kv_heads, 0);
-        self.num_heads / self.num_kv_heads
-    }
-
     /// Bytes to store one KV-token (K and V, across all layers).
     ///
     /// For OPT-13B in fp16 this is the paper's 0.78 MiB figure
@@ -359,9 +347,10 @@ mod tests {
     fn gqa_reduces_kv_footprint() {
         let opt = ModelConfig::opt_13b();
         let llama = ModelConfig::llama2_13b();
-        assert_eq!(llama.gqa_group_size(), 4);
+        assert_eq!(llama.num_heads / llama.num_kv_heads, 4);
         assert_eq!(opt.kv_bytes_per_token() / llama.kv_bytes_per_token(), 4);
-        assert_eq!(ModelConfig::llama2_70b().gqa_group_size(), 8);
+        let big = ModelConfig::llama2_70b();
+        assert_eq!(big.num_heads / big.num_kv_heads, 8);
     }
 
     /// §6.3: OPT-13B -> OPT-66B grows params >5x but KV size only 2.88x.

@@ -92,13 +92,14 @@ impl BatchShape {
 /// # Examples
 ///
 /// ```
-/// use pensieve_model::{CostModel, HardwareSpec, ModelConfig};
+/// use pensieve_model::{BatchShape, CostModel, HardwareSpec, ModelConfig, SeqShape};
 ///
 /// let cost = CostModel::new(ModelConfig::opt_13b(), HardwareSpec::azure_nc_a100(1));
+/// let prefill = |prompt, cached| {
+///     cost.batch_step_time(&BatchShape::new(vec![SeqShape::prefill(prompt, cached)]))
+/// };
 /// // Reusing a 4000-token cached history beats re-prefilling it.
-/// let stateless = cost.prefill_time(4050, 0);
-/// let stateful = cost.prefill_time(50, 4000);
-/// assert!(stateful < stateless);
+/// assert!(prefill(50, 4000) < prefill(4050, 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -231,17 +232,6 @@ impl CostModel {
         self.attention_layer_time(shape) * self.cfg.num_layers as f64
     }
 
-    /// Non-attention time for `tokens` batch tokens across all layers,
-    /// including per-layer overhead and the LM head for `sampled` tokens.
-    #[must_use]
-    pub fn non_attention_time(&self, tokens: usize, sampled: usize) -> SimDuration {
-        if tokens == 0 {
-            return SimDuration::ZERO;
-        }
-        let per_layer = self.non_attention_layer_time(tokens) + self.hw.gpu.layer_overhead;
-        per_layer * self.cfg.num_layers as f64 + self.lm_head_time(sampled)
-    }
-
     /// Time to compute output logits for `sampled` tokens.
     #[must_use]
     pub fn lm_head_time(&self, sampled: usize) -> SimDuration {
@@ -280,38 +270,6 @@ impl CostModel {
             self.non_attention_layer_time(tokens) + attn_per_layer + self.hw.gpu.layer_overhead;
         per_layer * self.cfg.num_layers as f64 + self.lm_head_time(batch.seqs.len())
     }
-
-    /// Convenience: full-prefill time for a prompt of `prompt_len` tokens
-    /// with `prior_context` tokens already cached.
-    #[must_use]
-    pub fn prefill_time(&self, prompt_len: usize, prior_context: usize) -> SimDuration {
-        self.batch_step_time(&BatchShape::new(vec![SeqShape::prefill(
-            prompt_len,
-            prior_context,
-        )]))
-    }
-
-    /// Convenience: one decode step for a batch of requests with the given
-    /// context lengths.
-    #[must_use]
-    pub fn decode_step_time(&self, context_lens: &[usize]) -> SimDuration {
-        self.batch_step_time(&BatchShape::new(
-            context_lens.iter().map(|&l| SeqShape::decode(l)).collect(),
-        ))
-    }
-
-    /// The paper's per-chunk recomputation cost `Cost(s, l) =
-    /// Cost_attention(s, l) + Cost_other(s)` (§4.3.1) for a chunk of `s`
-    /// tokens whose last token sits at context position `l`.
-    #[must_use]
-    pub fn chunk_recompute_cost(&self, chunk_len: usize, context_len: usize) -> SimDuration {
-        let attn = self.attention_time(SeqShape {
-            query_len: chunk_len,
-            context_len,
-        });
-        let other = self.non_attention_layer_time(chunk_len) * self.cfg.num_layers as f64;
-        attn + other
-    }
 }
 
 #[cfg(test)]
@@ -324,11 +282,16 @@ mod tests {
         CostModel::new(ModelConfig::opt_13b(), HardwareSpec::azure_nc_a100(1))
     }
 
+    /// One model invocation over `seqs`.
+    fn step(m: &CostModel, seqs: Vec<SeqShape>) -> SimDuration {
+        m.batch_step_time(&BatchShape::new(seqs))
+    }
+
     #[test]
     fn decode_step_is_weight_bound_for_small_batch() {
         let m = opt13b();
-        let t1 = m.decode_step_time(&[128]);
-        let t8 = m.decode_step_time(&[128; 8]);
+        let t1 = step(&m, vec![SeqShape::decode(128)]);
+        let t8 = step(&m, vec![SeqShape::decode(128); 8]);
         // Batching 8 decodes costs far less than 8x a single decode.
         assert!(t8.as_secs() < 2.0 * t1.as_secs(), "t1={t1} t8={t8}");
         // A single decode step of a 13B model on A100 is O(10ms).
@@ -338,8 +301,8 @@ mod tests {
     #[test]
     fn prefill_time_grows_with_prompt() {
         let m = opt13b();
-        let t256 = m.prefill_time(256, 0);
-        let t1024 = m.prefill_time(1024, 0);
+        let t256 = step(&m, vec![SeqShape::prefill(256, 0)]);
+        let t1024 = step(&m, vec![SeqShape::prefill(1024, 0)]);
         assert!(t1024.as_secs() > 2.0 * t256.as_secs());
         // 1K-token prefill of a 13B model is O(100ms).
         assert!(t1024.as_millis() > 30.0 && t1024.as_millis() < 500.0);
@@ -361,13 +324,19 @@ mod tests {
         assert!((ratio - 2.0).abs() < 0.25, "ratio {ratio}");
     }
 
-    /// §4.3.1: leading chunks are cheaper to recompute than trailing ones.
+    /// §4.3.1: leading chunks are cheaper to recompute than trailing
+    /// ones — `Cost(s, l)`'s attention term grows with the chunk's
+    /// context position `l`; its other term depends on `s` alone.
     #[test]
     fn leading_chunks_cheaper_to_recompute() {
         let m = opt13b();
-        let lead = m.chunk_recompute_cost(32, 64);
-        let trail = m.chunk_recompute_cost(32, 8192);
-        assert!(trail.as_secs() > lead.as_secs());
+        let chunk_at = |context_len| {
+            m.attention_time(SeqShape {
+                query_len: 32,
+                context_len,
+            })
+        };
+        assert!(chunk_at(8192) > chunk_at(64));
     }
 
     #[test]
@@ -375,8 +344,8 @@ mod tests {
         let m = opt13b();
         // New 50-token prompt with 4000 tokens of history: stateless systems
         // prefill 4050 tokens, Pensieve prefills 50 on top of cache.
-        let stateless = m.prefill_time(4050, 0);
-        let stateful = m.prefill_time(50, 4000);
+        let stateless = step(&m, vec![SeqShape::prefill(4050, 0)]);
+        let stateful = step(&m, vec![SeqShape::prefill(50, 4000)]);
         assert!(stateless.as_secs() > 5.0 * stateful.as_secs());
     }
 
@@ -398,8 +367,8 @@ mod tests {
         let cfg = ModelConfig::opt_66b();
         let m1 = CostModel::new(cfg.clone(), HardwareSpec::azure_nc_a100(1));
         let m4 = CostModel::new(cfg, HardwareSpec::azure_nc_a100(4));
-        let t1 = m1.prefill_time(1024, 0);
-        let t4 = m4.prefill_time(1024, 0);
+        let t1 = step(&m1, vec![SeqShape::prefill(1024, 0)]);
+        let t4 = step(&m4, vec![SeqShape::prefill(1024, 0)]);
         let speedup = t1 / t4;
         assert!(speedup > 2.0 && speedup < 4.0, "speedup {speedup}");
     }
@@ -408,7 +377,6 @@ mod tests {
     fn empty_batch_costs_nothing() {
         let m = opt13b();
         assert_eq!(m.batch_step_time(&BatchShape::default()), SimDuration::ZERO);
-        assert_eq!(m.non_attention_time(0, 0), SimDuration::ZERO);
         assert_eq!(m.lm_head_time(0), SimDuration::ZERO);
     }
 

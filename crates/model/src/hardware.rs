@@ -86,12 +86,6 @@ impl PcieSpec {
         }
     }
 
-    /// Time to move `bytes` in one direction with the link otherwise idle.
-    #[must_use]
-    pub fn transfer_time(&self, bytes: usize) -> SimDuration {
-        self.latency + SimDuration::from_secs(bytes as f64 / self.bandwidth)
-    }
-
     /// Effective bandwidth while the opposite direction is also streaming.
     #[must_use]
     pub fn duplex_bandwidth(&self) -> f64 {
@@ -187,18 +181,6 @@ mod tests {
         assert!(gpu.effective_flops() > 1e14);
         assert!(gpu.effective_flops() < gpu.peak_flops);
         assert!(gpu.effective_bandwidth() < gpu.mem_bandwidth);
-    }
-
-    #[test]
-    fn pcie_transfer_time_scales_linearly() {
-        let pcie = PcieSpec::gen4_x16();
-        let one = pcie.transfer_time(25_000_000);
-        let two = pcie.transfer_time(50_000_000);
-        // Twice the bytes is a bit less than twice the time (fixed latency).
-        assert!(two.as_secs() < 2.0 * one.as_secs());
-        assert!(two.as_secs() > 1.9 * one.as_secs());
-        // 25 GB takes about a second.
-        assert!((pcie.transfer_time(25_000_000_000).as_secs() - 1.0).abs() < 0.01);
     }
 
     /// §5: duplex transfers lose 18-20% in each direction.

@@ -137,24 +137,6 @@ impl ProfiledCostTable {
         }
     }
 
-    /// Builds a table from externally measured `(context, attention
-    /// seconds)` samples and a measured non-attention constant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProfileError`] from the interpolator.
-    pub fn from_measurements(
-        chunk_len: usize,
-        attention_samples: Vec<(usize, f64)>,
-        non_attention_const: SimDuration,
-    ) -> Result<Self, ProfileError> {
-        Ok(ProfiledCostTable {
-            chunk_len,
-            attention: InterpolatedCost::new(attention_samples)?,
-            non_attention_const,
-        })
-    }
-
     /// The chunk size this table was profiled for.
     #[must_use]
     pub fn chunk_len(&self) -> usize {
@@ -253,34 +235,19 @@ mod tests {
         assert!(beyond.as_secs() > 1.5 * at_max.as_secs());
     }
 
+    /// Measured samples are validated where they enter, by the
+    /// interpolator every table is built on.
     #[test]
     fn from_measurements_validates() {
+        let err = |samples| InterpolatedCost::new(samples).unwrap_err();
+        assert_eq!(err(vec![(64, 1.0)]), ProfileError::TooFewPoints);
+        assert_eq!(err(vec![(64, 1.0), (64, 2.0)]), ProfileError::Unsorted);
         assert_eq!(
-            ProfiledCostTable::from_measurements(32, vec![(64, 1.0)], SimDuration::ZERO)
-                .unwrap_err(),
-            ProfileError::TooFewPoints
-        );
-        assert_eq!(
-            ProfiledCostTable::from_measurements(32, vec![(64, 1.0), (64, 2.0)], SimDuration::ZERO)
-                .unwrap_err(),
-            ProfileError::Unsorted
-        );
-        assert_eq!(
-            ProfiledCostTable::from_measurements(
-                32,
-                vec![(64, 1.0), (128, f64::NAN)],
-                SimDuration::ZERO
-            )
-            .unwrap_err(),
+            err(vec![(64, 1.0), (128, f64::NAN)]),
             ProfileError::InvalidCost
         );
-        let ok = ProfiledCostTable::from_measurements(
-            32,
-            vec![(64, 1.0), (128, 2.0)],
-            SimDuration::from_millis(1.0),
-        )
-        .unwrap();
-        assert_eq!(ok.attention_cost(96).as_secs(), 1.5);
+        let ok = InterpolatedCost::new(vec![(64, 1.0), (128, 2.0)]).unwrap();
+        assert_eq!(ok.eval(96), 1.5);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! — compute slices overlapping host-to-device transfer slices — is
 //! visible directly on the timeline.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Map, Serialize, Value};
 
 use crate::event::{SwapDir, TraceEvent};
+use crate::report::SwapPairs;
 
 /// Chrome trace track (tid) for scheduler iterations / GPU compute.
 pub const TRACK_COMPUTE: u64 = 1;
@@ -196,10 +196,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
         ),
     ];
     let mut body = Vec::new();
-    // FIFO start queues per direction: every SwapStart/SwapEnd pair is
-    // recorded atomically at schedule time, so ends match starts in order.
-    let mut in_starts: VecDeque<(f64, u64)> = VecDeque::new();
-    let mut out_starts: VecDeque<(f64, u64)> = VecDeque::new();
+    let mut swaps = SwapPairs::default();
     for ev in events {
         match ev {
             TraceEvent::IterationStart {
@@ -236,21 +233,17 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     ]),
                 ));
             }
-            TraceEvent::SwapStart { at, dir, bytes } => match dir {
-                SwapDir::In => in_starts.push_back((us(*at), *bytes)),
-                SwapDir::Out => out_starts.push_back((us(*at), *bytes)),
-            },
-            TraceEvent::SwapEnd { at, dir, .. } => {
-                let (queue, name, track) = match dir {
-                    SwapDir::In => (&mut in_starts, "swap-in", TRACK_SWAP_IN),
-                    SwapDir::Out => (&mut out_starts, "swap-out", TRACK_SWAP_OUT),
-                };
-                if let Some((start_us, bytes)) = queue.pop_front() {
+            TraceEvent::SwapStart { .. } | TraceEvent::SwapEnd { .. } => {
+                if let Some((dir, start, end, bytes)) = swaps.feed(ev) {
+                    let (name, track) = match dir {
+                        SwapDir::In => ("swap-in", TRACK_SWAP_IN),
+                        SwapDir::Out => ("swap-out", TRACK_SWAP_OUT),
+                    };
                     body.push(slice(
                         name,
                         track,
-                        start_us,
-                        us(*at) - start_us,
+                        us(start),
+                        us(end) - us(start),
                         obj(&[("bytes", num(bytes as f64))]),
                     ));
                 }

@@ -8,151 +8,108 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// States each metric name once: expands to one `pub const` per row and
+/// `ALL`, the list of every row.
+macro_rules! metric_names {
+    ($( $(#[$meta:meta])* $name:ident = $wire:literal, )*) => {
+        $( $(#[$meta])* pub const $name: &str = $wire; )*
+
+        /// Every canonical metric name.
+        pub const ALL: &[&str] = &[$( $name ),*];
+    };
+}
+
 /// Canonical metric names recorded by the serving stack. The
 /// docs-coverage test asserts each appears in `docs/OBSERVABILITY.md`.
 pub mod names {
-    /// Counter: scheduler iterations executed.
-    pub const ITERATIONS_TOTAL: &str = "pensieve_iterations_total";
-    /// Counter: query tokens processed in prefill.
-    pub const PREFILL_TOKENS_TOTAL: &str = "pensieve_prefill_tokens_total";
-    /// Counter: decode steps executed.
-    pub const DECODE_TOKENS_TOTAL: &str = "pensieve_decode_tokens_total";
-    /// Counter: requests suspended mid-generation (§4.3.5).
-    pub const SUSPENSIONS_TOTAL: &str = "pensieve_suspensions_total";
-    /// Counter: swap-in DMA attempts retried after injected faults.
-    pub const SWAP_IN_RETRIES_TOTAL: &str = "pensieve_swap_in_retries_total";
-    /// Counter: restores that fell back to dropped-token recomputation.
-    pub const RECOMPUTE_FALLBACKS_TOTAL: &str = "pensieve_recompute_fallbacks_total";
-    /// Counter: transient GPU allocation faults absorbed by backpressure.
-    pub const GPU_ALLOC_FAULTS_TOTAL: &str = "pensieve_gpu_alloc_faults_total";
-    /// Counter: injected worker stalls absorbed as longer iterations.
-    pub const WORKER_STALLS_TOTAL: &str = "pensieve_worker_stalls_total";
-    /// Counter: CPU-tier chunks lost or corrupted by injected faults.
-    pub const CHUNK_FAULTS_TOTAL: &str = "pensieve_chunk_faults_total";
-    /// Counter: completed requests.
-    pub const REQUESTS_COMPLETED_TOTAL: &str = "pensieve_requests_completed_total";
-    /// Counter: history tokens served by the shared system prompt.
-    pub const SHARED_PREFIX_HIT_TOKENS_TOTAL: &str = "pensieve_shared_prefix_hit_tokens_total";
-    /// Gauge: requests in the running batch.
-    pub const RUNNING_REQUESTS: &str = "pensieve_running_requests";
-    /// Gauge: requests waiting for admission.
-    pub const WAITING_REQUESTS: &str = "pensieve_waiting_requests";
-    /// Gauge: GPU KV slots in use (resident + lazily-copied tokens).
-    pub const GPU_SLOTS_USED: &str = "pensieve_gpu_slots_used";
-    /// Gauge: CPU cache tokens in use.
-    pub const CPU_TOKENS_USED: &str = "pensieve_cpu_tokens_used";
-    /// Histogram: end-to-end iteration time (queue delay + compute +
-    /// stall), seconds.
-    pub const ITERATION_SECONDS: &str = "pensieve_iteration_seconds";
-    /// Histogram: query tokens per batched invocation.
-    pub const BATCH_QUERY_TOKENS: &str = "pensieve_batch_query_tokens";
-    /// Histogram: time to first token, seconds.
-    pub const TTFT_SECONDS: &str = "pensieve_ttft_seconds";
-    /// Counter: requests placed on a replica by the cluster router.
-    pub const ROUTED_REQUESTS_TOTAL: &str = "pensieve_routed_requests_total";
-    /// Counter: conversation migrations between replicas.
-    pub const MIGRATIONS_TOTAL: &str = "pensieve_migrations_total";
-    /// Counter: KV-tokens streamed to a migration target's CPU tier.
-    pub const MIGRATED_TOKENS_TOTAL: &str = "pensieve_migrated_tokens_total";
-    /// Counter: KV-tokens lost by the inter-node link during migration
-    /// (recomputed at the target).
-    pub const MIGRATION_LOST_TOKENS_TOTAL: &str = "pensieve_migration_lost_tokens_total";
-    /// Counter: fault-injected replica deaths handled by the router.
-    pub const REPLICA_FAILURES_TOTAL: &str = "pensieve_replica_failures_total";
-    /// Counter: KV-tokens replicated to a standby's CPU tier.
-    pub const REPLICATED_TOKENS_TOTAL: &str = "pensieve_replicated_tokens_total";
-    /// Counter: KV bytes put on the wire by replication flushes.
-    pub const STANDBY_BYTES_TOTAL: &str = "pensieve_standby_bytes_total";
-    /// Counter: standby promotions after a primary fail-stop.
-    pub const STANDBY_PROMOTIONS_TOTAL: &str = "pensieve_standby_promotions_total";
-    /// Counter: unreplicated-suffix tokens recomputed after promotion.
-    pub const RECOMPUTED_SUFFIX_TOKENS_TOTAL: &str = "pensieve_recomputed_suffix_tokens_total";
-    /// Gauge: largest per-session replication lag (tokens committed at
-    /// the primary but not yet replicated to its standby).
-    pub const REPLICATION_LAG_TOKENS: &str = "pensieve_replication_lag_tokens";
-    /// Histogram: crash-to-promotion latency, seconds.
-    pub const PROMOTION_LATENCY_SECONDS: &str = "pensieve_promotion_latency_seconds";
-    /// Counter: chunks lost in transit on the inter-node links
-    /// (migration and replication combined).
-    pub const LINK_LOST_CHUNKS_TOTAL: &str = "pensieve_link_lost_chunks_total";
-    /// Counter: bytes put on the wire by the inter-node links
-    /// (migration and replication combined, including lost chunks).
-    pub const LINK_STREAMED_BYTES_TOTAL: &str = "pensieve_link_streamed_bytes_total";
-    /// Counter: history tokens served by reading back from the SSD tier.
-    pub const SSD_HIT_TOKENS_TOTAL: &str = "pensieve_ssd_hit_tokens_total";
-    /// Counter: history tokens served by reading back from the cold tier.
-    pub const COLD_HIT_TOKENS_TOTAL: &str = "pensieve_cold_hit_tokens_total";
-    /// Counter: tokens demoted one storage tier down instead of dropped.
-    pub const DEMOTED_TOKENS_TOTAL: &str = "pensieve_demoted_tokens_total";
-    /// Counter: tokens rehydrated from cold-store session manifests.
-    pub const REHYDRATED_TOKENS_TOTAL: &str = "pensieve_rehydrated_tokens_total";
-    /// Counter: deep-tier reads that failed and fell back to recompute.
-    pub const COLD_READ_FAULTS_TOTAL: &str = "pensieve_cold_read_faults_total";
-    /// Counter: session manifests serialized to the cold store.
-    pub const MANIFESTS_PERSISTED_TOTAL: &str = "pensieve_manifests_persisted_total";
-    /// Counter: sessions rebuilt from cold-store manifests after a
-    /// restart or failover.
-    pub const SESSION_REHYDRATIONS_TOTAL: &str = "pensieve_session_rehydrations_total";
-    /// Gauge: SSD (tier-2) cache tokens in use.
-    pub const SSD_TOKENS_USED: &str = "pensieve_ssd_tokens_used";
-    /// Gauge: cold-store (tier-3) cache tokens in use.
-    pub const COLD_TOKENS_USED: &str = "pensieve_cold_tokens_used";
-    /// Counter: restore-plan tokens served from content-addressed shared
-    /// chunks (any tier) instead of a conversation's private chunks.
-    pub const SHARED_HIT_TOKENS_TOTAL: &str = "pensieve_shared_hit_tokens_total";
-    /// Gauge: resident KV tokens counted once per *sharer* — what the
-    /// cache would hold without cross-conversation deduplication.
-    pub const LOGICAL_RESIDENT_TOKENS: &str = "pensieve_logical_resident_kv_tokens";
-    /// Gauge: resident KV tokens counted once per *physical copy*; the
-    /// logical/physical ratio is the dedup factor.
-    pub const PHYSICAL_RESIDENT_TOKENS: &str = "pensieve_physical_resident_kv_tokens";
-
-    /// Every canonical metric name.
-    pub const ALL: &[&str] = &[
-        ITERATIONS_TOTAL,
-        PREFILL_TOKENS_TOTAL,
-        DECODE_TOKENS_TOTAL,
-        SUSPENSIONS_TOTAL,
-        SWAP_IN_RETRIES_TOTAL,
-        RECOMPUTE_FALLBACKS_TOTAL,
-        GPU_ALLOC_FAULTS_TOTAL,
-        WORKER_STALLS_TOTAL,
-        CHUNK_FAULTS_TOTAL,
-        REQUESTS_COMPLETED_TOTAL,
-        SHARED_PREFIX_HIT_TOKENS_TOTAL,
-        RUNNING_REQUESTS,
-        WAITING_REQUESTS,
-        GPU_SLOTS_USED,
-        CPU_TOKENS_USED,
-        ITERATION_SECONDS,
-        BATCH_QUERY_TOKENS,
-        TTFT_SECONDS,
-        ROUTED_REQUESTS_TOTAL,
-        MIGRATIONS_TOTAL,
-        MIGRATED_TOKENS_TOTAL,
-        MIGRATION_LOST_TOKENS_TOTAL,
-        REPLICA_FAILURES_TOTAL,
-        REPLICATED_TOKENS_TOTAL,
-        STANDBY_BYTES_TOTAL,
-        STANDBY_PROMOTIONS_TOTAL,
-        RECOMPUTED_SUFFIX_TOKENS_TOTAL,
-        REPLICATION_LAG_TOKENS,
-        PROMOTION_LATENCY_SECONDS,
-        LINK_LOST_CHUNKS_TOTAL,
-        LINK_STREAMED_BYTES_TOTAL,
-        SSD_HIT_TOKENS_TOTAL,
-        COLD_HIT_TOKENS_TOTAL,
-        DEMOTED_TOKENS_TOTAL,
-        REHYDRATED_TOKENS_TOTAL,
-        COLD_READ_FAULTS_TOTAL,
-        MANIFESTS_PERSISTED_TOTAL,
-        SESSION_REHYDRATIONS_TOTAL,
-        SSD_TOKENS_USED,
-        COLD_TOKENS_USED,
-        SHARED_HIT_TOKENS_TOTAL,
-        LOGICAL_RESIDENT_TOKENS,
-        PHYSICAL_RESIDENT_TOKENS,
-    ];
+    metric_names! {
+        /// Counter: scheduler iterations executed.
+        ITERATIONS_TOTAL = "pensieve_iterations_total",
+        /// Counter: query tokens processed in prefill.
+        PREFILL_TOKENS_TOTAL = "pensieve_prefill_tokens_total",
+        /// Counter: decode steps executed.
+        DECODE_TOKENS_TOTAL = "pensieve_decode_tokens_total",
+        /// Counter: requests suspended mid-generation (§4.3.5).
+        SUSPENSIONS_TOTAL = "pensieve_suspensions_total",
+        /// Counter: swap-in DMA attempts retried after injected faults.
+        SWAP_IN_RETRIES_TOTAL = "pensieve_swap_in_retries_total",
+        /// Counter: restores that fell back to dropped-token recomputation.
+        RECOMPUTE_FALLBACKS_TOTAL = "pensieve_recompute_fallbacks_total",
+        /// Counter: transient GPU allocation faults absorbed by backpressure.
+        GPU_ALLOC_FAULTS_TOTAL = "pensieve_gpu_alloc_faults_total",
+        /// Counter: injected worker stalls absorbed as longer iterations.
+        WORKER_STALLS_TOTAL = "pensieve_worker_stalls_total",
+        /// Counter: CPU-tier chunks lost or corrupted by injected faults.
+        CHUNK_FAULTS_TOTAL = "pensieve_chunk_faults_total",
+        /// Counter: completed requests.
+        REQUESTS_COMPLETED_TOTAL = "pensieve_requests_completed_total",
+        /// Counter: history tokens served by the shared system prompt.
+        SHARED_PREFIX_HIT_TOKENS_TOTAL = "pensieve_shared_prefix_hit_tokens_total",
+        /// Gauge: requests in the running batch.
+        RUNNING_REQUESTS = "pensieve_running_requests",
+        /// Gauge: requests waiting for admission.
+        WAITING_REQUESTS = "pensieve_waiting_requests",
+        /// Gauge: GPU KV slots in use (resident + lazily-copied tokens).
+        GPU_SLOTS_USED = "pensieve_gpu_slots_used",
+        /// Gauge: CPU cache tokens in use.
+        CPU_TOKENS_USED = "pensieve_cpu_tokens_used",
+        /// Histogram: end-to-end iteration time (queue delay + compute +
+        /// stall), seconds.
+        ITERATION_SECONDS = "pensieve_iteration_seconds",
+        /// Histogram: query tokens per batched invocation.
+        BATCH_QUERY_TOKENS = "pensieve_batch_query_tokens",
+        /// Histogram: time to first token, seconds.
+        TTFT_SECONDS = "pensieve_ttft_seconds",
+        /// Counter: requests placed on a replica by the cluster router.
+        ROUTED_REQUESTS_TOTAL = "pensieve_routed_requests_total",
+        /// Counter: conversation migrations between replicas.
+        MIGRATIONS_TOTAL = "pensieve_migrations_total",
+        /// Counter: KV-tokens streamed to a migration target's CPU tier.
+        MIGRATED_TOKENS_TOTAL = "pensieve_migrated_tokens_total",
+        /// Counter: KV-tokens lost by the inter-node link during migration
+        /// (recomputed at the target).
+        MIGRATION_LOST_TOKENS_TOTAL = "pensieve_migration_lost_tokens_total",
+        /// Counter: fault-injected replica deaths handled by the router.
+        REPLICA_FAILURES_TOTAL = "pensieve_replica_failures_total",
+        /// Counter: KV-tokens replicated to a standby's CPU tier.
+        REPLICATED_TOKENS_TOTAL = "pensieve_replicated_tokens_total",
+        /// Counter: KV bytes put on the wire by replication flushes.
+        STANDBY_BYTES_TOTAL = "pensieve_standby_bytes_total",
+        /// Counter: standby promotions after a primary fail-stop.
+        STANDBY_PROMOTIONS_TOTAL = "pensieve_standby_promotions_total",
+        /// Counter: unreplicated-suffix tokens recomputed after promotion.
+        RECOMPUTED_SUFFIX_TOKENS_TOTAL = "pensieve_recomputed_suffix_tokens_total",
+        /// Gauge: largest per-session replication lag (tokens committed at
+        /// the primary but not yet replicated to its standby).
+        REPLICATION_LAG_TOKENS = "pensieve_replication_lag_tokens",
+        /// Histogram: crash-to-promotion latency, seconds.
+        PROMOTION_LATENCY_SECONDS = "pensieve_promotion_latency_seconds",
+        /// Counter: chunks lost in transit on the inter-node links
+        /// (migration and replication combined).
+        LINK_LOST_CHUNKS_TOTAL = "pensieve_link_lost_chunks_total",
+        /// Counter: bytes put on the wire by the inter-node links
+        /// (migration and replication combined, including lost chunks).
+        LINK_STREAMED_BYTES_TOTAL = "pensieve_link_streamed_bytes_total",
+        /// Counter: history tokens served by reading back from the SSD tier.
+        SSD_HIT_TOKENS_TOTAL = "pensieve_ssd_hit_tokens_total",
+        /// Counter: history tokens served by reading back from the cold tier.
+        COLD_HIT_TOKENS_TOTAL = "pensieve_cold_hit_tokens_total",
+        /// Counter: tokens demoted one storage tier down instead of dropped.
+        DEMOTED_TOKENS_TOTAL = "pensieve_demoted_tokens_total",
+        /// Counter: tokens rehydrated from cold-store session manifests.
+        REHYDRATED_TOKENS_TOTAL = "pensieve_rehydrated_tokens_total",
+        /// Counter: deep-tier reads that failed and fell back to recompute.
+        COLD_READ_FAULTS_TOTAL = "pensieve_cold_read_faults_total",
+        /// Counter: session manifests serialized to the cold store.
+        MANIFESTS_PERSISTED_TOTAL = "pensieve_manifests_persisted_total",
+        /// Counter: sessions rebuilt from cold-store manifests after a
+        /// restart or failover.
+        SESSION_REHYDRATIONS_TOTAL = "pensieve_session_rehydrations_total",
+        /// Gauge: SSD (tier-2) cache tokens in use.
+        SSD_TOKENS_USED = "pensieve_ssd_tokens_used",
+        /// Gauge: cold-store (tier-3) cache tokens in use.
+        COLD_TOKENS_USED = "pensieve_cold_tokens_used",
+    }
 }
 
 /// Default bucket upper bounds for [`names::ITERATION_SECONDS`].

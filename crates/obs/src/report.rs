@@ -44,18 +44,6 @@ impl TurnAttribution {
     pub fn history_tokens(&self) -> usize {
         self.gpu_hit_tokens + self.revalidate_tokens + self.swap_in_tokens + self.recompute_tokens
     }
-
-    /// Fraction of history tokens that avoided recomputation
-    /// (GPU hit + revalidate + swap-in), or `None` with no history.
-    #[must_use]
-    pub fn saved_fraction(&self) -> Option<f64> {
-        let total = self.history_tokens();
-        if total == 0 {
-            return None;
-        }
-        let saved = total - self.recompute_tokens;
-        Some(saved as f64 / total as f64)
-    }
 }
 
 /// One standby promotion observed in the log: a session whose primary
@@ -176,6 +164,39 @@ fn overlap(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     acc
 }
 
+/// Pairs `SwapStart`/`SwapEnd` events FIFO per direction: each pair is
+/// recorded atomically at schedule time, so ends match starts in order.
+#[derive(Default)]
+pub(crate) struct SwapPairs {
+    in_starts: VecDeque<(SimTime, u64)>,
+    out_starts: VecDeque<(SimTime, u64)>,
+}
+
+impl SwapPairs {
+    fn starts(&mut self, dir: SwapDir) -> &mut VecDeque<(SimTime, u64)> {
+        match dir {
+            SwapDir::In => &mut self.in_starts,
+            SwapDir::Out => &mut self.out_starts,
+        }
+    }
+
+    /// Feeds one event, in log order. A `SwapEnd` that closes a pair
+    /// yields the finished DMA as `(dir, start, end, bytes)`.
+    pub(crate) fn feed(&mut self, ev: &TraceEvent) -> Option<(SwapDir, SimTime, SimTime, u64)> {
+        match ev {
+            TraceEvent::SwapStart { at, dir, bytes } => {
+                self.starts(*dir).push_back((*at, *bytes));
+                None
+            }
+            TraceEvent::SwapEnd { at, dir, .. } => {
+                let (start, bytes) = self.starts(*dir).pop_front()?;
+                Some((*dir, start, *at, bytes))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl TraceReport {
     /// Builds the report from an event log (any ordering; swap pairs are
     /// matched FIFO per direction, as they were recorded).
@@ -187,8 +208,7 @@ impl TraceReport {
         let mut compute_iv: Vec<(f64, f64)> = Vec::new();
         let mut in_iv: Vec<(f64, f64)> = Vec::new();
         let mut out_iv: Vec<(f64, f64)> = Vec::new();
-        let mut in_starts: VecDeque<(f64, u64)> = VecDeque::new();
-        let mut out_starts: VecDeque<(f64, u64)> = VecDeque::new();
+        let mut swaps = SwapPairs::default();
         for ev in events {
             let at = ev.at();
             first = Some(first.map_or(at, |f| if at < f { at } else { f }));
@@ -225,17 +245,13 @@ impl TraceReport {
                     recompute_tokens: *recompute_tokens,
                     shared_tokens: *shared_tokens,
                 }),
-                TraceEvent::SwapStart { at, dir, bytes } => match dir {
-                    SwapDir::In => in_starts.push_back((at.as_secs(), *bytes)),
-                    SwapDir::Out => out_starts.push_back((at.as_secs(), *bytes)),
-                },
-                TraceEvent::SwapEnd { at, dir, .. } => {
-                    let (starts, iv, bytes_acc) = match dir {
-                        SwapDir::In => (&mut in_starts, &mut in_iv, &mut report.swap_in_bytes),
-                        SwapDir::Out => (&mut out_starts, &mut out_iv, &mut report.swap_out_bytes),
-                    };
-                    if let Some((start, bytes)) = starts.pop_front() {
-                        iv.push((start, at.as_secs()));
+                TraceEvent::SwapStart { .. } | TraceEvent::SwapEnd { .. } => {
+                    if let Some((dir, start, end, bytes)) = swaps.feed(ev) {
+                        let (iv, bytes_acc) = match dir {
+                            SwapDir::In => (&mut in_iv, &mut report.swap_in_bytes),
+                            SwapDir::Out => (&mut out_iv, &mut report.swap_out_bytes),
+                        };
+                        iv.push((start.as_secs(), end.as_secs()));
                         *bytes_acc += bytes;
                     }
                 }
@@ -513,8 +529,7 @@ mod tests {
         let r = TraceReport::from_events(&events);
         assert_eq!(r.turns.len(), 1);
         assert_eq!(r.turns[0].history_tokens(), 100);
-        let saved = r.turns[0].saved_fraction().expect("has history");
-        assert!((saved - 0.9).abs() < 1e-12);
+        assert_eq!(r.turns[0].recompute_tokens, 10);
         assert_eq!(r.swap_in_bytes, 100);
         assert_eq!(r.swap_out_bytes, 50);
         // Swap-in [0,1] vs swap-out [0.5,1.5] overlap 0.5s.

@@ -64,12 +64,6 @@ impl GpuTimer {
         self
     }
 
-    /// The underlying cost model.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Execution time of one batched iteration (no transfers).
     #[must_use]
     pub fn batch_time(&self, batch: &BatchShape) -> SimDuration {
@@ -135,18 +129,6 @@ impl GpuTimer {
         }
         total
     }
-
-    /// The stall (extra latency beyond pure compute) a swap-in causes.
-    #[must_use]
-    pub fn swap_in_stall(
-        &self,
-        batch: &BatchShape,
-        swap_in_bytes: usize,
-        pcie_bandwidth: f64,
-    ) -> SimDuration {
-        self.batch_time_with_swap_in(batch, swap_in_bytes, pcie_bandwidth)
-            .saturating_sub(self.batch_time(batch))
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +147,7 @@ mod tests {
     fn batch_time_includes_overhead() {
         let t = timer();
         let batch = BatchShape::new(vec![SeqShape::decode(100)]);
-        let bare = t.cost_model().batch_step_time(&batch);
+        let bare = t.cost.batch_step_time(&batch);
         assert!(t.batch_time(&batch) > bare);
         assert_eq!(t.batch_time(&BatchShape::default()), SimDuration::ZERO);
     }
@@ -185,8 +167,10 @@ mod tests {
         let batch = BatchShape::new(vec![SeqShape::prefill(512, 1024)]);
         // 1024 tokens of history ~ 0.8 GB; at 25 GB/s spread over 40
         // layers, each slice transfers faster than a layer computes.
-        let stall = t.swap_in_stall(&batch, 800_000_000, 25e9);
         let compute = t.batch_time(&batch);
+        let stall = t
+            .batch_time_with_swap_in(&batch, 800_000_000, 25e9)
+            .saturating_sub(compute);
         assert!(
             stall.as_secs() < 0.15 * compute.as_secs(),
             "stall {stall} vs compute {compute}"
@@ -229,7 +213,6 @@ mod tests {
             t.batch_time_with_swap_in(&batch, 0, 25e9),
             t.batch_time(&batch)
         );
-        assert_eq!(t.swap_in_stall(&batch, 0, 25e9), SimDuration::ZERO);
     }
 
     /// Pipelining beats waiting for the full transfer before computing.

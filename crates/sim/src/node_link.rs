@@ -79,15 +79,6 @@ impl NodeLinkSpec {
             ..NodeLinkSpec::datacenter_25g()
         }
     }
-
-    /// The 25 Gb fabric with seeded partition windows.
-    #[must_use]
-    pub fn partitioned_25g(partition: PartitionSpec) -> Self {
-        NodeLinkSpec {
-            partition: Some(partition),
-            ..NodeLinkSpec::datacenter_25g()
-        }
-    }
 }
 
 /// A chunk lost in transit. The link time was consumed anyway; `completes`
@@ -339,11 +330,14 @@ mod tests {
 
     #[test]
     fn seeded_partitions_are_deterministic_and_fifo() {
-        let spec = NodeLinkSpec::partitioned_25g(PartitionSpec {
-            seed: 9,
-            mean_available: SimDuration::from_secs(0.01),
-            mean_outage: SimDuration::from_secs(0.005),
-        });
+        let spec = NodeLinkSpec {
+            partition: Some(PartitionSpec {
+                seed: 9,
+                mean_available: SimDuration::from_secs(0.01),
+                mean_outage: SimDuration::from_secs(0.005),
+            }),
+            ..NodeLinkSpec::datacenter_25g()
+        };
         let run = |spec: &NodeLinkSpec| {
             let mut l = NodeLink::new(spec.clone());
             (0..64)

@@ -263,18 +263,6 @@ impl PcieLink {
     pub fn busy_until(&self, dir: Direction) -> SimTime {
         self.lane(dir).busy_until()
     }
-
-    /// Total bytes transferred host-to-device so far.
-    #[must_use]
-    pub fn h2d_total_bytes(&self) -> u64 {
-        self.h2d.bytes()
-    }
-
-    /// Total bytes transferred device-to-host so far.
-    #[must_use]
-    pub fn d2h_total_bytes(&self) -> u64 {
-        self.d2h.bytes()
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +361,6 @@ mod tests {
             .try_schedule(t(0.0), Direction::HostToDevice, GB, None)
             .unwrap();
         assert_eq!(got, want);
-        assert_eq!(a.h2d_total_bytes(), b.h2d_total_bytes());
     }
 
     #[test]
@@ -408,15 +395,5 @@ mod tests {
         assert!((err.completes().as_secs() - 1.5).abs() < 0.01);
         assert_eq!(l.busy_until(Direction::HostToDevice), err.completes());
         assert_eq!(inj.counters().pcie_timeouts, 1);
-    }
-
-    #[test]
-    fn byte_counters_accumulate() {
-        let mut l = link(DuplexMode::PrioritizeRetrieval);
-        l.schedule(t(0.0), Direction::HostToDevice, 100);
-        l.schedule(t(0.0), Direction::HostToDevice, 200);
-        l.schedule(t(0.0), Direction::DeviceToHost, 50);
-        assert_eq!(l.h2d_total_bytes(), 300);
-        assert_eq!(l.d2h_total_bytes(), 50);
     }
 }

@@ -168,30 +168,6 @@ impl StorageDevice {
         }
         Ok((start, end))
     }
-
-    /// When the read queue becomes idle.
-    #[must_use]
-    pub fn read_busy_until(&self) -> SimTime {
-        self.reads.busy_until()
-    }
-
-    /// When the write queue becomes idle.
-    #[must_use]
-    pub fn write_busy_until(&self) -> SimTime {
-        self.writes.busy_until()
-    }
-
-    /// Total bytes read so far.
-    #[must_use]
-    pub fn read_total_bytes(&self) -> u64 {
-        self.reads.bytes()
-    }
-
-    /// Total bytes written so far.
-    #[must_use]
-    pub fn write_total_bytes(&self) -> u64 {
-        self.writes.bytes()
-    }
 }
 
 #[cfg(test)]
@@ -239,8 +215,8 @@ mod tests {
         let mut d = StorageDevice::new(StorageDeviceSpec::nvme());
         let (s, e) = d.schedule_read(t(1.0), 0);
         assert_eq!(s, e);
-        assert_eq!(d.read_busy_until(), SimTime::ZERO);
-        assert_eq!(d.read_total_bytes(), 0);
+        let (next, _) = d.schedule_read(t(0.0), 1);
+        assert_eq!(next, t(0.0), "a zero-byte read does not occupy the queue");
     }
 
     #[test]
@@ -250,7 +226,6 @@ mod tests {
         let want = a.schedule_read(t(0.0), GB);
         let got = b.try_read(t(0.0), GB, None).unwrap();
         assert_eq!(got, want);
-        assert_eq!(a.read_total_bytes(), b.read_total_bytes());
     }
 
     #[test]
@@ -264,7 +239,8 @@ mod tests {
         let (_, calm_end) = calm.schedule_read(t(0.0), GB);
         let (_, end) = d.try_read(t(0.0), GB, Some(&mut inj)).unwrap();
         assert!((end.as_secs() - calm_end.as_secs() - 0.5).abs() < 1e-9);
-        assert_eq!(d.read_busy_until(), end, "the stall holds the queue");
+        let (next, _) = d.schedule_read(t(0.0), 1);
+        assert_eq!(next, end, "the stall holds the queue");
         assert_eq!(inj.counters().cold_read_stalls, 1);
     }
 
@@ -276,17 +252,8 @@ mod tests {
         let mut d = StorageDevice::new(StorageDeviceSpec::nfs());
         let err = d.try_read(t(0.0), GB, Some(&mut inj)).unwrap_err();
         assert!(err.completes > t(0.0), "the failed read spent device time");
-        assert_eq!(d.read_busy_until(), err.completes);
+        let (next, _) = d.schedule_read(t(0.0), 1);
+        assert_eq!(next, err.completes);
         assert_eq!(inj.counters().cold_read_failures, 1);
-    }
-
-    #[test]
-    fn byte_counters_accumulate() {
-        let mut d = StorageDevice::new(StorageDeviceSpec::nvme());
-        d.schedule_read(t(0.0), 100);
-        d.schedule_read(t(0.0), 200);
-        d.schedule_write(t(0.0), 50);
-        assert_eq!(d.read_total_bytes(), 300);
-        assert_eq!(d.write_total_bytes(), 50);
     }
 }

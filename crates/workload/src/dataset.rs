@@ -34,22 +34,6 @@ impl Conversation {
             .map(|t| t.input_tokens + t.output_tokens)
             .sum()
     }
-
-    /// Forks the conversation at turn boundary `turn`: the returned
-    /// conversation shares turns `0..turn` verbatim (the history a
-    /// KV-sharing engine can serve from one physical copy via
-    /// `fork_session`) and then diverges with whatever turns the caller
-    /// appends. `None` when `turn` is 0 or past the end — a fork must
-    /// share at least one turn and must branch *within* the history.
-    #[must_use]
-    pub fn fork_at(&self, turn: usize) -> Option<Conversation> {
-        if turn == 0 || turn > self.turns.len() {
-            return None;
-        }
-        Some(Conversation {
-            turns: self.turns.get(..turn)?.to_vec(),
-        })
-    }
 }
 
 /// Statistical profile of a dataset (paper Table 2).
@@ -342,22 +326,6 @@ mod tests {
             "mean_output":20.0,"max_context":4096,"length_sigma":0.5}"#;
         let spec: DatasetSpec = serde_json::from_str(json).expect("legacy spec parses");
         assert_eq!(spec.preamble_tokens, 0);
-    }
-
-    #[test]
-    fn fork_shares_the_prefix_and_rejects_empty_forks() {
-        let conv = DatasetSpec::sharegpt()
-            .generate(1, 6)
-            .pop()
-            .expect("one conversation");
-        assert!(conv.fork_at(0).is_none(), "a fork must share history");
-        assert!(conv.fork_at(conv.turns.len() + 1).is_none());
-        if conv.turns.len() >= 2 {
-            let fork = conv.fork_at(1).expect("valid boundary");
-            assert_eq!(fork.turns, conv.turns[..1].to_vec());
-        }
-        let full = conv.fork_at(conv.turns.len()).expect("fork at end");
-        assert_eq!(full, conv);
     }
 
     /// ShareGPT has more turns than UltraChat — the property §6.2 uses to

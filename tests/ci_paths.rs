@@ -6,7 +6,8 @@
 //! `--test` target that `ci.yml` or a document hands to cargo must be a
 //! source file of the package the command names — for `pensieve-bench`,
 //! which is one binary, the subcommand after the bare `--` must be a row
-//! of its `COMMANDS` table.
+//! of its `COMMANDS` table — and every `scripts/*` path they name must be
+//! a file.
 
 use std::path::Path;
 
@@ -144,4 +145,21 @@ fn every_cargo_target_ci_and_the_documents_name_is_in_the_tree() {
         }
     }
     assert!(checked >= 50, "only {checked} cargo targets found");
+}
+
+#[test]
+fn every_script_ci_and_the_documents_name_is_in_the_tree() {
+    let mut checked = 0;
+    for doc in documents() {
+        let text = read(&doc);
+        let words = text.split(|c: char| c.is_whitespace() || "()'\"`".contains(c));
+        for path in words.map(bare).filter(|w| w.starts_with("scripts/")) {
+            assert!(
+                root().join(path).is_file(),
+                "{doc} names {path}, which is not in the tree"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "nothing names scripts/loc.sh any more");
 }
