@@ -8,9 +8,10 @@
 //! workload, arithmetic, table layout or report shape moves. `fig12` and
 //! `bench_kernels` print wall-clock and are pinned by shape instead.
 //!
-//! Release only: the 19 commands take ~13 s optimized and over ten
-//! minutes in a debug build, so `cargo test --workspace` lists these
-//! tests as ignored and CI runs
+//! Release only: the 19 commands take ~2 s optimized and still over ten
+//! minutes in a debug build (every cache mutator debug-asserts the
+//! O(resident) `check_invariants`), so `cargo test --workspace` lists
+//! these tests as ignored and CI runs
 //! `cargo test --release -p pensieve-bench --test golden`.
 //!
 //! On a mismatch the failure prints the replacement rows; paste them

@@ -206,6 +206,13 @@ pub struct SimServingEngine {
     /// Explicit references pinning the preamble chain for the engine's
     /// lifetime; given back to the cache on drop.
     shared_handles: Vec<pensieve_kvcache::ChunkHandle>,
+    /// Per-iteration scratch, cleared and refilled by `execute` and
+    /// `complete` so a scheduler tick allocates nothing for them: the
+    /// batch's prefill rows, its decode rows, and the requests that
+    /// finished this tick.
+    prefill_batch: BatchShape,
+    decode_batch: BatchShape,
+    finished: Vec<RequestState>,
 }
 
 impl Drop for SimServingEngine {
@@ -348,6 +355,9 @@ impl SimServingEngine {
             shared_chain: Vec::new(),
             shared_tokens: 0,
             shared_handles: Vec::new(),
+            prefill_batch: BatchShape::new(Vec::new()),
+            decode_batch: BatchShape::new(Vec::new()),
+            finished: Vec::new(),
         };
         // Register the deployment-wide system preamble as one
         // content-addressed chain and materialize it globally: every
@@ -1098,8 +1108,10 @@ impl SimServingEngine {
     /// Executes the iteration's model invocation(s) and advances the clock.
     fn execute(&mut self) {
         let chunk_cap = self.cfg.chunked_prefill.unwrap_or(usize::MAX);
-        let mut prefill_shapes = Vec::new();
-        let mut decode_shapes = Vec::new();
+        let prefill_shapes = &mut self.prefill_batch.seqs;
+        let decode_shapes = &mut self.decode_batch.seqs;
+        prefill_shapes.clear();
+        decode_shapes.clear();
         // Bytes still needing a link slot vs all bytes overlapping with
         // compute: fault-aware admission already scheduled its DMA (the
         // reserved delay), but those transfers still pipeline with the
@@ -1132,16 +1144,18 @@ impl SimServingEngine {
                 None => decode_shapes.push(SeqShape::decode(r.context_len)),
             }
         }
-        let prefill_query_tokens: usize = prefill_shapes.iter().map(|s| s.query_len).sum();
-        let batch_query_tokens = prefill_query_tokens + decode_shapes.len();
+        let prefill_seqs = prefill_shapes.len();
+        let decode_seqs = decode_shapes.len();
+        let prefill_query_tokens = self.prefill_batch.total_query_tokens();
+        let batch_query_tokens = prefill_query_tokens + decode_seqs;
         if self.recorder.enabled() {
             self.recorder.record(TraceEvent::BatchComposed {
                 at: self.now,
                 iteration: self.counters.iterations,
-                prefill_seqs: prefill_shapes.len(),
-                decode_seqs: decode_shapes.len(),
+                prefill_seqs,
+                decode_seqs,
                 prefill_tokens: prefill_query_tokens,
-                decode_tokens: decode_shapes.len(),
+                decode_tokens: decode_seqs,
             });
         }
         // Swap-ins contend on the link; queueing delay precedes compute.
@@ -1155,26 +1169,23 @@ impl SimServingEngine {
         };
         let queue_delay = queue_delay.max(reserved_delay);
         let duration = if self.cfg.unified_batching {
-            let mut all = prefill_shapes;
-            all.extend_from_slice(&decode_shapes);
-            self.gpu.batch_time_with_swap_in_at(
-                &BatchShape::new(all),
-                overlap_bytes,
-                self.pcie_bandwidth,
-                self.now,
-            )
+            // One batch: the prefill rows, then the decode rows.
+            let all = &mut self.prefill_batch;
+            all.seqs.extend_from_slice(&self.decode_batch.seqs);
+            self.gpu
+                .batch_time_with_swap_in_at(all, overlap_bytes, self.pcie_bandwidth, self.now)
         } else {
             let mut d = SimDuration::ZERO;
-            if !prefill_shapes.is_empty() {
+            if prefill_seqs > 0 {
                 d += self.gpu.batch_time_with_swap_in_at(
-                    &BatchShape::new(prefill_shapes),
+                    &self.prefill_batch,
                     overlap_bytes,
                     self.pcie_bandwidth,
                     self.now,
                 );
             }
-            if !decode_shapes.is_empty() {
-                d += self.gpu.batch_time(&BatchShape::new(decode_shapes));
+            if decode_seqs > 0 {
+                d += self.gpu.batch_time(&self.decode_batch);
             }
             d
         };
@@ -1209,7 +1220,7 @@ impl SimServingEngine {
     /// Emits tokens, records completions, releases finished requests.
     fn complete(&mut self) {
         let now = self.now;
-        let mut finished = Vec::new();
+        let mut finished = std::mem::take(&mut self.finished);
         for r in &mut self.running {
             match r.prefill {
                 Some(w) if w.done_tokens < w.query_tokens => {
@@ -1237,7 +1248,7 @@ impl SimServingEngine {
                 i += 1;
             }
         }
-        for r in finished {
+        for r in finished.drain(..) {
             let conv = r.req.conv;
             if self.cfg.stateful {
                 self.cache.unpin(conv);
@@ -1274,6 +1285,7 @@ impl SimServingEngine {
                 cached_history_tokens: r.cached_tokens,
             });
         }
+        self.finished = finished;
     }
 }
 

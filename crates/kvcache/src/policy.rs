@@ -38,6 +38,17 @@ pub trait EvictionPolicy: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Primary eviction key; **smaller scores are evicted sooner**.
+    ///
+    /// Contract: at a fixed `now`, non-decreasing along
+    /// [`EvictionPolicy::within_order`] within one conversation — as the
+    /// cache walks one conversation's chunks (one `last_active`, rising
+    /// `context_end` leading-first, falling trailing-first) the score
+    /// never goes down. The cache ranks a conversation by the first
+    /// chunk along that walk only, so a policy that broke this would see
+    /// chunks evicted out of its own order; debug builds assert it where
+    /// the walk advances. Constant scores (the LRU shapes) satisfy it
+    /// trivially; [`RetentionValuePolicy`] does because
+    /// [`ProfiledCostTable::chunk_cost`] never falls as context grows.
     fn score(&self, chunk: &ChunkState, last_active: SimTime, now: SimTime) -> f64;
 
     /// Eviction granularity; defaults to chunk-level.

@@ -37,25 +37,46 @@
 //!   eviction victim of either species resolves to `&mut ChunkState` in
 //!   `TieredKvCache::retier`, and the places the species really differ
 //!   are each decided once: how a candidate is scored
-//!   (`collect_candidates`), who is hurt if it is dropped (`evictable`),
+//!   (`candidate_queue`), who is hurt if it is dropped (`evictable`),
 //!   whether a GPU eviction leaves a lazy copy (`swap_out_until_for`),
 //!   and which trace event names the move (`record_move`).
 //! * **One occupancy table, one transition.** Resident tokens per
 //!   [`Tier`] live in `Occupancy`; every tier change of every chunk goes
 //!   through `Occupancy::retier`, and only `admit` (a chunk starts being
-//!   tracked) and `release` (it stops) write the table otherwise.
+//!   tracked) and `release` (it stops) write the table otherwise. A
+//!   private chunk's transition (`ConvEntry::retier`) carries three
+//!   things along on the same move: its conversation's *row* of the
+//!   table (so per-conversation totals are read, never recounted), the
+//!   *span* of indices the tier's chunks sit in, and — for unpinned
+//!   conversations — the conversation's *frontier* in the tier, kept per
+//!   tier in `Members`.
 //! * **One ladder.** The host side is `[Cpu, Ssd, Cold]`, each rung with
-//!   a capacity and a lazily-collected candidate queue:
-//!   `ensure_space(rung, ..)` makes room on a rung by handing its
-//!   lowest-value residents to `demote`, which places each on the first
-//!   rung below that has or can make room — recursing downward — and
-//!   otherwise drops it, or leaves it put when sharers still need it.
+//!   a capacity and a candidate queue built the first time a pass needs
+//!   the rung: `ensure_space(rung, ..)` makes room on a rung by handing
+//!   its lowest-value residents to `demote`, which places each on the
+//!   first rung below that has or can make room — recursing downward —
+//!   and otherwise drops it, or leaves it put when sharers still need
+//!   it.
+//! * **One queue shape.** At one `now` all chunks of a conversation share
+//!   their idle time, so within a conversation and a tier the eviction
+//!   order is the policy's walk along the chunks and only the first one
+//!   in the tier — the *frontier* — can be the next victim. A
+//!   `CandidateQueue` is therefore a heap of one frontier per unpinned
+//!   member conversation plus the evictable shared chunks; popping one
+//!   scores and pushes its successor. Drained, it is the sorted list of
+//!   every candidate, tie-breaks included (`collect_candidates`, the
+//!   full sort it replaced, is the test oracle); a pass costs the
+//!   tier's members plus its victims, and conversations with nothing in
+//!   the tier cost it nothing. The candidate *set* is fixed at first
+//!   need: a chunk landing on a rung after its queue was built waits
+//!   for the next pass.
 //!
 //! All quantities are in tokens; byte conversion and transfer timing are
 //! the simulator's job (`pensieve_sim::storage` models the deep-tier
 //! devices), physical KV bytes the functional engine's.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -327,34 +348,33 @@ enum Victim {
     Shared(ChunkId),
 }
 
-/// Resident tokens per [`Tier`] — the cache's one occupancy table.
-/// [`Tier::Dropped`] has a row too (tokens tracked but held nowhere), so
-/// every tier change is the same two-row move with no special case.
-/// Written only by [`Occupancy::retier`], [`Occupancy::admit`] and
-/// [`Occupancy::release`].
+/// One `T` per [`Tier`] — the shape of every per-tier table the cache
+/// keeps: resident tokens ([`Occupancy`]), which conversations hold them
+/// (`TieredKvCache::members`), and where in a conversation they sit
+/// (`ConvEntry::spans`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Occupancy {
-    gpu: usize,
-    gpu_copied: usize,
-    cpu: usize,
-    ssd: usize,
-    cold: usize,
-    dropped: usize,
+struct PerTier<T> {
+    gpu: T,
+    gpu_copied: T,
+    cpu: T,
+    ssd: T,
+    cold: T,
+    dropped: T,
 }
 
-impl Occupancy {
-    fn get(&self, tier: Tier) -> usize {
+impl<T> PerTier<T> {
+    fn get(&self, tier: Tier) -> &T {
         match tier {
-            Tier::Gpu => self.gpu,
-            Tier::GpuCopied => self.gpu_copied,
-            Tier::Cpu => self.cpu,
-            Tier::Ssd => self.ssd,
-            Tier::Cold => self.cold,
-            Tier::Dropped => self.dropped,
+            Tier::Gpu => &self.gpu,
+            Tier::GpuCopied => &self.gpu_copied,
+            Tier::Cpu => &self.cpu,
+            Tier::Ssd => &self.ssd,
+            Tier::Cold => &self.cold,
+            Tier::Dropped => &self.dropped,
         }
     }
 
-    fn get_mut(&mut self, tier: Tier) -> &mut usize {
+    fn get_mut(&mut self, tier: Tier) -> &mut T {
         match tier {
             Tier::Gpu => &mut self.gpu,
             Tier::GpuCopied => &mut self.gpu_copied,
@@ -364,9 +384,29 @@ impl Occupancy {
             Tier::Dropped => &mut self.dropped,
         }
     }
+}
 
+/// Every [`Tier`], for walking a [`PerTier`] table.
+const TIERS: [Tier; 6] = [
+    Tier::Gpu,
+    Tier::GpuCopied,
+    Tier::Cpu,
+    Tier::Ssd,
+    Tier::Cold,
+    Tier::Dropped,
+];
+
+/// Resident tokens per [`Tier`]. The cache's one occupancy table is an
+/// `Occupancy`, and so is each conversation's row of it (its private
+/// tokens). [`Tier::Dropped`] has a slot too (tokens tracked but held
+/// nowhere), so every tier change is the same two-slot move with no
+/// special case. Written only by [`Occupancy::retier`],
+/// [`Occupancy::admit`] and [`Occupancy::release`].
+type Occupancy = PerTier<usize>;
+
+impl Occupancy {
     /// The one tier transition: moves `chunk`'s tokens from its current
-    /// row to `to`'s and sets its tier. Returns the tier it left.
+    /// slot to `to`'s and sets its tier. Returns the tier it left.
     fn retier(&mut self, chunk: &mut ChunkState, to: Tier) -> Tier {
         let from = chunk.tier;
         *self.get_mut(from) -= chunk.tokens;
@@ -383,6 +423,65 @@ impl Occupancy {
     /// Forgets `tokens` that were tracked in `tier`.
     fn release(&mut self, tier: Tier, tokens: usize) {
         *self.get_mut(tier) -= tokens;
+    }
+}
+
+/// What an eviction pass needs to rank one conversation in one tier
+/// without looking the conversation up: its *frontier* there — the first
+/// private chunk in the tier along the policy's walk, the only one that
+/// can be the conversation's next victim — and the idle clock it is
+/// scored against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Frontier {
+    idx: usize,
+    chunk: ChunkState,
+    last_active: SimTime,
+}
+
+/// Per tier a pass can evict from, the unpinned conversations holding
+/// private tokens there, each with its [`Frontier`]: exactly the private
+/// candidates a queue over the tier starts from. Kept by the transitions
+/// that keep the rows ([`ConvEntry::enter`], [`ConvEntry::leave`]) and,
+/// for the pin and the idle clock, [`ConvEntry::sync_frontiers`].
+#[derive(Debug, Default, PartialEq)]
+struct Members {
+    tiers: PerTier<BTreeMap<SessionId, Frontier>>,
+    /// True if the policy walks a conversation's chunks from the back:
+    /// trailing-first at chunk granularity. A whole-conversation policy
+    /// takes every chunk anyway and walks forward.
+    descending: bool,
+}
+
+impl Members {
+    /// Nothing is evicted *from* a lazy copy or from nowhere, so those
+    /// two tiers keep no frontiers.
+    fn ranks(tier: Tier) -> bool {
+        !matches!(tier, Tier::GpuCopied | Tier::Dropped)
+    }
+}
+
+/// Bounds on where one tier's chunks sit in a conversation: every
+/// private chunk in the tier has its index in `lo..hi`. Exact when the
+/// first chunk enters, widened by every later entrant, and tightened
+/// where a frontier search has walked: while the conversation is
+/// unpinned the end a walk starts from *is* its frontier in the tier, so
+/// a chunk moving anywhere else touches no frontier, and the search for
+/// the next one starts beside the last.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    lo: usize,
+    hi: usize,
+}
+
+impl Span {
+    /// The end of the span a walk starts from — where the frontier is,
+    /// if the span is exact there.
+    fn front(self, descending: bool) -> Option<usize> {
+        if descending {
+            self.hi.checked_sub(1)
+        } else {
+            Some(self.lo)
+        }
     }
 }
 
@@ -403,11 +502,67 @@ struct Rung {
 /// (KV leaves the device over PCIe into host memory, nowhere else).
 const CPU_RUNG: usize = 0;
 
-/// Caller-held eviction-candidate snapshots, one per ladder rung. Each
-/// is collected lazily and at most once per eviction pass, then consumed
-/// from the front with entries re-validated at use — the same
-/// O(n log n)-per-pass discipline the two-tier drop queue used.
-type RungQueues = [Option<VecDeque<Victim>>; 3];
+/// One entry of a [`CandidateQueue`]: a victim and the score it was given
+/// at the pass's `now`. Ordered by `(score, victim)` — the eviction
+/// order. `total_cmp` keeps the order total even if a policy ever
+/// returned a NaN score (NaN sorts last instead of panicking), and agrees
+/// with `partial_cmp` on the finite scores every in-tree policy produces.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    score: f64,
+    victim: Victim,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let by_score = self.score.total_cmp(&other.score);
+        by_score.then_with(|| self.victim.cmp(&other.victim))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Candidate {}
+
+/// One tier's eviction candidates for one pass, in eviction order,
+/// without listing them: a k-way merge over conversations.
+///
+/// At one `now` every chunk of a conversation shares its idle time, so
+/// within a conversation and a tier the policy's order is its
+/// within-conversation walk (see [`EvictionPolicy::score`]) and only the
+/// first chunk along it — the conversation's *frontier* in the tier —
+/// can be the next victim. The heap holds one frontier per unpinned
+/// member conversation plus every evictable shared chunk;
+/// `TieredKvCache::next_candidate` pops the lowest and pushes the popped
+/// conversation's next chunk in the tier, so draining it yields exactly
+/// the sorted list of all candidates, tie-breaks included, at the cost
+/// of the candidates actually taken.
+///
+/// The candidate *set* is fixed when the queue is built (the first time
+/// the pass needs the tier): `entrants` lists the private chunks this
+/// pass has since landed on the tier, which the walk steps over until
+/// the next pass builds a fresh queue.
+#[derive(Debug)]
+struct CandidateQueue {
+    tier: Tier,
+    heap: BinaryHeap<Reverse<Candidate>>,
+    entrants: Vec<(SessionId, usize)>,
+}
+
+/// Caller-held candidate queues, one per ladder rung, each built lazily
+/// and at most once per eviction pass, then consumed from the front with
+/// entries re-validated at use.
+type RungQueues = [Option<CandidateQueue>; 3];
 
 /// One physical, content-addressed, reference-counted chunk shared
 /// across conversations. Shared chunks never enter [`Tier::GpuCopied`]:
@@ -473,6 +628,11 @@ struct ConvEntry {
     shared_tokens: usize,
     /// Conversation-private chunks, after the shared chain.
     chunks: Vec<ChunkState>,
+    /// Private tokens per tier: this conversation's row of the occupancy
+    /// table, so its totals are read, not recounted from `chunks`.
+    row: Occupancy,
+    /// Per tier, where in `chunks` that tier's chunks sit.
+    spans: PerTier<Span>,
     last_active: SimTime,
     pinned: bool,
     /// Already reported in the cache's `manifest_dirty` set: the hot
@@ -481,7 +641,8 @@ struct ConvEntry {
 }
 
 impl ConvEntry {
-    /// An unpinned entry not yet reported as manifest-dirty.
+    /// An unpinned entry not yet reported as manifest-dirty. Its row is
+    /// empty until the chunks are entered ([`TieredKvCache::track`]).
     fn new(
         shared: Vec<ChunkId>,
         shared_tokens: usize,
@@ -492,6 +653,8 @@ impl ConvEntry {
             shared,
             shared_tokens,
             chunks,
+            row: Occupancy::default(),
+            spans: PerTier::default(),
             last_active: now,
             pinned: false,
             manifest_dirty: false,
@@ -500,12 +663,145 @@ impl ConvEntry {
 
     /// Private (non-shared) tokens.
     fn private_tokens(&self) -> usize {
-        self.chunks.iter().map(|c| c.tokens).sum()
+        TIERS.iter().map(|&tier| *self.row.get(tier)).sum()
     }
 
     /// Logical context tokens: shared chain + private chunks.
     fn total_tokens(&self) -> usize {
         self.shared_tokens + self.private_tokens()
+    }
+
+    /// `tokens` of private chunk `idx` start being held in `tier`: the
+    /// row and the tier's span follow, and — if the chunk now leads the
+    /// walk there (or is the frontier itself, grown by an append) and the
+    /// conversation is unpinned — its frontier.
+    fn enter(
+        &mut self,
+        conv: SessionId,
+        tier: Tier,
+        idx: usize,
+        tokens: usize,
+        members: &mut Members,
+    ) {
+        let held = self.row.get_mut(tier);
+        let span = self.spans.get_mut(tier);
+        if *held == 0 {
+            *span = Span {
+                lo: idx,
+                hi: idx + 1,
+            };
+        }
+        let leads = if members.descending {
+            idx + 1 >= span.hi
+        } else {
+            idx <= span.lo
+        };
+        (span.lo, span.hi) = (span.lo.min(idx), span.hi.max(idx + 1));
+        *held += tokens;
+        if leads && !self.pinned {
+            self.seat_frontier(conv, tier, members);
+        }
+    }
+
+    /// `tokens` of private chunk `idx` stop being held in `tier` (the
+    /// chunk already says so); if it was the conversation's frontier
+    /// there, the next chunk along the walk takes over.
+    fn leave(
+        &mut self,
+        conv: SessionId,
+        tier: Tier,
+        idx: usize,
+        tokens: usize,
+        members: &mut Members,
+    ) {
+        *self.row.get_mut(tier) -= tokens;
+        let front = self.spans.get(tier).front(members.descending);
+        if front == Some(idx) && !self.pinned {
+            self.seat_frontier(conv, tier, members);
+        }
+    }
+
+    /// Records the conversation's frontier in `tier`, found by walking
+    /// the tier's span — or that it has none there: it is pinned, or the
+    /// walk finds nothing. A tier nothing is evicted from keeps none.
+    fn seat_frontier(&mut self, conv: SessionId, tier: Tier, members: &mut Members) {
+        if !Members::ranks(tier) {
+            return;
+        }
+        let Span { lo, hi } = *self.spans.get(tier);
+        let found = if self.pinned {
+            None
+        } else {
+            self.first_in(conv, tier, lo..hi, members.descending, &[])
+        };
+        let Some((idx, &chunk)) = found else {
+            members.tiers.get_mut(tier).remove(&conv);
+            return;
+        };
+        // Nothing in the tier lies before its frontier: the next search
+        // starts here.
+        *self.spans.get_mut(tier) = if members.descending {
+            Span { lo, hi: idx + 1 }
+        } else {
+            Span { lo: idx, hi }
+        };
+        let front = Frontier {
+            idx,
+            chunk,
+            last_active: self.last_active,
+        };
+        members.tiers.get_mut(tier).insert(conv, front);
+    }
+
+    /// Brings the conversation's frontiers in line with its pin and idle
+    /// clock after either changed: a pinned conversation has none.
+    fn sync_frontiers(&mut self, conv: SessionId, members: &mut Members) {
+        for tier in TIERS {
+            if *self.row.get(tier) > 0 {
+                self.seat_frontier(conv, tier, members);
+            }
+        }
+    }
+
+    /// The one tier transition of a *private* chunk: [`Occupancy::retier`]
+    /// on the cache's table, mirrored on this conversation's row, spans
+    /// and frontiers. An `idx` that is not a chunk moves nothing.
+    fn retier(
+        &mut self,
+        conv: SessionId,
+        idx: usize,
+        to: Tier,
+        occ: &mut Occupancy,
+        members: &mut Members,
+    ) {
+        let Some(chunk) = self.chunks.get_mut(idx) else {
+            return;
+        };
+        let tokens = chunk.tokens;
+        let from = occ.retier(chunk, to);
+        self.leave(conv, from, idx, tokens, members);
+        self.enter(conv, to, idx, tokens, members);
+    }
+
+    /// The first private chunk in `tier` along the policy's walk
+    /// (`descending`: from the back), among the indices in `within` and
+    /// stepping over `entrants` — the conversation's frontier there.
+    fn first_in(
+        &self,
+        conv: SessionId,
+        tier: Tier,
+        within: Range<usize>,
+        descending: bool,
+        entrants: &[(SessionId, usize)],
+    ) -> Option<(usize, &ChunkState)> {
+        let mut walk = within.filter_map(|i| Some((i, self.chunks.get(i)?)));
+        let wanted =
+            |&(i, c): &(usize, &ChunkState)| c.tier == tier && !entrants.contains(&(conv, i));
+        if descending {
+            walk.rev().find(wanted)
+        } else {
+            walk.find(wanted)
+        }
     }
 }
 
@@ -536,6 +832,9 @@ pub struct TieredKvCache {
     /// Resident tokens per tier. A [`Tier::GpuCopied`] token occupies a
     /// GPU slot *and* CPU space.
     occ: Occupancy,
+    /// Which unpinned conversations hold private tokens in each tier,
+    /// and their frontiers there.
+    members: Members,
     /// The host-side demotion ladder, top to bottom, with the
     /// capacities of `cfg`.
     ladder: [Rung; 3],
@@ -670,6 +969,11 @@ impl TieredKvCache {
             ],
             index: PrefixIndex::new(cfg.chunk_tokens),
             cfg,
+            members: Members {
+                tiers: PerTier::default(),
+                descending: policy.within_order() == WithinOrder::TrailingFirst
+                    && policy.granularity() == Granularity::Chunk,
+            },
             policy,
             convs: BTreeMap::new(),
             occ: Occupancy::default(),
@@ -743,7 +1047,7 @@ impl TieredKvCache {
         if tier == Tier::Cpu {
             self.cpu_used()
         } else {
-            self.occ.get(tier)
+            *self.occ.get(tier)
         }
     }
 
@@ -757,13 +1061,7 @@ impl TieredKvCache {
 
     /// Lazily-copied tokens belonging to `conv`.
     fn copied_tokens_of(&self, conv: SessionId) -> usize {
-        self.convs.get(&conv).map_or(0, |e| {
-            e.chunks
-                .iter()
-                .filter(|c| c.tier == Tier::GpuCopied)
-                .map(|c| c.tokens)
-                .sum()
-        })
+        self.convs.get(&conv).map_or(0, |e| e.row.gpu_copied)
     }
 
     /// GPU tokens effectively free for *new allocations of `conv`*:
@@ -839,6 +1137,7 @@ impl TieredKvCache {
             return;
         }
         e.pinned = pinned;
+        e.sync_frontiers(conv, &mut self.members);
         for id in &e.shared {
             if let Some(s) = self.shared.get_mut(id) {
                 if pinned {
@@ -854,6 +1153,7 @@ impl TieredKvCache {
     pub fn touch(&mut self, conv: SessionId, now: SimTime) {
         if let Some(e) = self.convs.get_mut(&conv) {
             e.last_active = now;
+            e.sync_frontiers(conv, &mut self.members);
             for id in &e.shared {
                 if let Some(s) = self.shared.get_mut(id) {
                     s.last_active = now;
@@ -904,16 +1204,22 @@ impl TieredKvCache {
         plan
     }
 
-    /// Brings one chunk onto the GPU, whichever tier it was in, counting
-    /// the two promotions that have their own statistic: a lazy copy
-    /// revalidated in place and a CPU chunk swapped in.
+    /// Brings one pooled (or not yet tracked) chunk onto the GPU,
+    /// whichever tier it was in.
     fn promote(occ: &mut Occupancy, stats: &mut CacheStats, chunk: &mut ChunkState) {
         if chunk.tier == Tier::Gpu {
             return; // The common case on the restore path: already there.
         }
-        match occ.retier(chunk, Tier::Gpu) {
-            Tier::GpuCopied => stats.revalidated_tokens += chunk.tokens as u64,
-            Tier::Cpu => stats.swapped_in_tokens += chunk.tokens as u64,
+        let from = occ.retier(chunk, Tier::Gpu);
+        Self::count_promotion(stats, from, chunk.tokens);
+    }
+
+    /// Counts the two promotions that have their own statistic: a lazy
+    /// copy revalidated in place and a CPU chunk swapped in.
+    fn count_promotion(stats: &mut CacheStats, from: Tier, tokens: usize) {
+        match from {
+            Tier::GpuCopied => stats.revalidated_tokens += tokens as u64,
+            Tier::Cpu => stats.swapped_in_tokens += tokens as u64,
             _ => {}
         }
     }
@@ -940,6 +1246,9 @@ impl TieredKvCache {
             });
         }
         self.reclaim_gpu_slots(needed, Some(conv));
+        // Pinned before its chunks move: a pinned conversation keeps no
+        // frontiers, so the promotions below maintain none.
+        self.set_pinned(conv, true);
         if let Some(e) = self.convs.get_mut(&conv) {
             // The shared chain first: one physical promotion serves
             // every sharer, and later sharers restore it as a free GPU
@@ -950,12 +1259,18 @@ impl TieredKvCache {
                     s.last_active = now;
                 }
             }
-            for c in &mut e.chunks {
-                Self::promote(&mut self.occ, &mut self.stats, c);
+            for i in 0..e.chunks.len() {
+                match e.chunks.get(i) {
+                    Some(c) if c.tier != Tier::Gpu => {
+                        Self::count_promotion(&mut self.stats, c.tier, c.tokens);
+                        e.retier(conv, i, Tier::Gpu, &mut self.occ, &mut self.members);
+                    }
+                    // The common case on the restore path: already there.
+                    _ => {}
+                }
             }
             e.last_active = now;
         }
-        self.set_pinned(conv, true);
         self.stats.gpu_hit_tokens += (plan.gpu_hit_tokens + plan.revalidate_tokens) as u64;
         self.stats.cpu_hit_tokens += plan.swap_in_tokens as u64;
         self.stats.ssd_hit_tokens += plan.ssd_read_tokens as u64;
@@ -1055,8 +1370,8 @@ impl TieredKvCache {
         let mut remaining = n;
         let mut pos = e.total_tokens();
         while remaining > 0 {
-            if let Some(last) = e.chunks.last_mut() {
-                if last.tokens < chunk_tokens {
+            let add = match e.chunks.last_mut() {
+                Some(last) if last.tokens < chunk_tokens => {
                     assert_eq!(
                         last.tier,
                         Tier::Gpu,
@@ -1065,21 +1380,26 @@ impl TieredKvCache {
                     let add = remaining.min(chunk_tokens - last.tokens);
                     last.tokens += add;
                     last.context_end += add;
-                    pos += add;
-                    remaining -= add;
-                    continue;
+                    add
                 }
-            }
-            let add = remaining.min(chunk_tokens);
-            e.chunks.push(ChunkState {
-                tier: Tier::Gpu,
-                tokens: add,
-                context_end: pos + add,
-            });
+                _ => {
+                    let add = remaining.min(chunk_tokens);
+                    e.chunks.push(ChunkState {
+                        tier: Tier::Gpu,
+                        tokens: add,
+                        context_end: pos + add,
+                    });
+                    add
+                }
+            };
+            e.enter(conv, Tier::Gpu, e.chunks.len() - 1, add, &mut self.members);
             pos += add;
             remaining -= add;
         }
         e.last_active = now;
+        if !e.pinned {
+            e.sync_frontiers(conv, &mut self.members);
+        }
         let committed = e.private_tokens();
         self.commit_log.insert(conv, committed);
         self.occ.admit(Tier::Gpu, n);
@@ -1117,25 +1437,36 @@ impl TieredKvCache {
         dirty.into_iter().collect()
     }
 
-    /// Starts tracking `entry` as `conv` and reports the new session in
-    /// the manifest change set.
+    /// Starts tracking `entry` as `conv` — entering its chunks (already
+    /// admitted to the occupancy table by the caller) into its row, spans
+    /// and memberships — and reports the new session in the manifest
+    /// change set.
     fn track(&mut self, conv: SessionId, mut entry: ConvEntry) {
+        for i in 0..entry.chunks.len() {
+            if let Some(&ChunkState { tier, tokens, .. }) = entry.chunks.get(i) {
+                entry.enter(conv, tier, i, tokens, &mut self.members);
+            }
+        }
         entry.manifest_dirty = true;
         self.manifest_dirty.insert(conv);
         self.convs.insert(conv, entry);
     }
 
-    /// Stops counting a departed conversation: its chain references and
-    /// its private chunks' occupancy. A shared chunk whose last sharer
-    /// departs stays pooled but becomes fully evictable.
-    fn forget(&mut self, entry: &ConvEntry) {
+    /// Stops counting a departed conversation: its chain references, its
+    /// private chunks' occupancy and its memberships. A shared chunk
+    /// whose last sharer departs stays pooled but becomes fully evictable.
+    fn forget(&mut self, conv: SessionId, entry: &ConvEntry) {
         for id in &entry.shared {
             if let Some(s) = self.shared.get_mut(id) {
                 s.refs = s.refs.saturating_sub(1);
             }
         }
-        for c in &entry.chunks {
-            self.occ.release(c.tier, c.tokens);
+        for tier in TIERS {
+            let held = *entry.row.get(tier);
+            if held > 0 {
+                self.occ.release(tier, held);
+                self.members.tiers.get_mut(tier).remove(&conv);
+            }
         }
     }
 
@@ -1180,18 +1511,15 @@ impl TieredKvCache {
         if free(self) >= trigger {
             return ops;
         }
-        // One candidate collection per pass: the GPU eviction order and
-        // (lazily) each ladder rung's demotion order are snapshots walked
-        // in sorted order, which keeps the pass O(n log n) instead of
-        // O(n^2).
-        let mut candidates = self.collect_candidates(Tier::Gpu, now);
-        if let Some(c) = for_conv {
-            candidates.retain(|&(v, _)| !matches!(v, Victim::Conv(conv, _) if conv == c));
-        }
+        // One candidate queue per tier per pass, each built the first time
+        // the pass needs it and consumed lazily: the pass pays for the
+        // frontiers it ranks and the victims it takes, not for what is
+        // resident.
+        let mut gpu = self.candidate_queue(Tier::Gpu, for_conv, now);
         let mut queues = RungQueues::default();
         let conversation_granularity = self.policy.granularity() == Granularity::Conversation;
         let mut active_conv: Option<SessionId> = None;
-        for (victim, _) in candidates {
+        while let Some(victim) = self.next_candidate(&mut gpu, now) {
             let finishing = conversation_granularity
                 && matches!(victim, Victim::Conv(conv, _) if Some(conv) == active_conv);
             // Conversation-granularity policies finish the conversation
@@ -1202,7 +1530,7 @@ impl TieredKvCache {
             if let Victim::Conv(conv, _) = victim {
                 active_conv = Some(conv);
             }
-            // Candidates were collected this pass, but the walk is total
+            // Candidates were queued this pass, but the walk is total
             // anyway: a stale entry is skipped, not a panic on the
             // eviction path.
             let Some((tokens, sharers)) = self.evictable(victim, Tier::Gpu) else {
@@ -1269,7 +1597,7 @@ impl TieredKvCache {
             let to = match tier {
                 // The CPU already holds a copy; just release the GPU slot.
                 Tier::GpuCopied => Tier::Cpu,
-                // Each chunk evicts against a fresh snapshot, so this
+                // Each chunk evicts against fresh queues, so this
                 // conversation's own just-moved chunks are candidates.
                 Tier::Gpu
                     if self.ensure_space(CPU_RUNG, tokens, now, &mut RungQueues::default()) =>
@@ -1305,7 +1633,7 @@ impl TieredKvCache {
         self.commit_log.remove(&conv);
         if let Some(e) = self.convs.remove(&conv) {
             self.manifest_dirty.insert(conv);
-            self.forget(&e);
+            self.forget(conv, &e);
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
     }
@@ -1329,7 +1657,7 @@ impl TieredKvCache {
         // Shared chunks travel by reference, never by bytes: the export
         // names their ids so the target can re-attach any it already
         // holds, and the local references are released.
-        self.forget(&e);
+        self.forget(session, &e);
         let shared = e
             .shared
             .iter()
@@ -1518,10 +1846,10 @@ impl TieredKvCache {
             .convs
             .get_mut(&conv)
             .ok_or(CacheError::UnknownConversation(conv))?;
-        let Some(c) = e.chunks.get_mut(chunk) else {
+        let Some(&ChunkState { tier, tokens, .. }) = e.chunks.get(chunk) else {
             return Err(CacheError::ChunkNotInCpuTier { conv, chunk });
         };
-        let without_copy = match c.tier {
+        let without_copy = match tier {
             Tier::Cpu => Tier::Dropped,
             // The GPU still holds the bytes; only the copy is gone. The
             // chunk's copied_fifo entry goes stale and is skipped at
@@ -1529,8 +1857,7 @@ impl TieredKvCache {
             Tier::GpuCopied => Tier::Gpu,
             _ => return Err(CacheError::ChunkNotInCpuTier { conv, chunk }),
         };
-        self.occ.retier(c, without_copy);
-        let tokens = c.tokens;
+        e.retier(conv, chunk, without_copy, &mut self.occ, &mut self.members);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(tokens)
     }
@@ -1570,17 +1897,20 @@ impl TieredKvCache {
             return 0;
         };
         let mut dropped = 0;
-        for (i, c) in e.chunks.iter_mut().enumerate() {
-            if !tiers.contains(&c.tier) {
+        for i in 0..e.chunks.len() {
+            let Some(&ChunkState { tier, tokens, .. }) = e.chunks.get(i) else {
+                continue;
+            };
+            if !tiers.contains(&tier) {
                 continue;
             }
-            self.occ.retier(c, Tier::Dropped);
-            dropped += c.tokens;
+            e.retier(conv, i, Tier::Dropped, &mut self.occ, &mut self.members);
+            dropped += tokens;
             self.recorder.record(TraceEvent::ChunkDropped {
                 at: now,
                 conv: conv.0,
                 chunk: i,
-                tokens: c.tokens,
+                tokens,
                 reason,
             });
         }
@@ -1643,19 +1973,22 @@ impl TieredKvCache {
     }
 
     /// Moves `victim`'s chunk to tier `to` through the one transition
-    /// ([`Occupancy::retier`]) — also the one place a victim of either
-    /// species resolves to its chunk record. A victim that no longer
-    /// resolves is left alone.
+    /// ([`Occupancy::retier`], under [`ConvEntry::retier`] for a private
+    /// chunk) — also the one place a victim of either species resolves
+    /// to its chunk record. A victim that no longer resolves is left
+    /// alone.
     fn retier(&mut self, victim: Victim, to: Tier) {
-        let chunk = match victim {
-            Victim::Conv(conv, idx) => self
-                .convs
-                .get_mut(&conv)
-                .and_then(|e| e.chunks.get_mut(idx)),
-            Victim::Shared(id) => self.shared.get_mut(&id).map(|s| &mut s.chunk),
-        };
-        if let Some(c) = chunk {
-            self.occ.retier(c, to);
+        match victim {
+            Victim::Conv(conv, idx) => {
+                if let Some(e) = self.convs.get_mut(&conv) {
+                    e.retier(conv, idx, to, &mut self.occ, &mut self.members);
+                }
+            }
+            Victim::Shared(id) => {
+                if let Some(s) = self.shared.get_mut(&id) {
+                    self.occ.retier(&mut s.chunk, to);
+                }
+            }
         }
     }
 
@@ -1665,7 +1998,7 @@ impl TieredKvCache {
     /// not global. `sharers` is who would lose the chunk if it were
     /// dropped: a shared chunk's reference count, and nobody for a
     /// private chunk (its owner is idle by definition). `None` means the
-    /// snapshot outlived the entry and it is skipped.
+    /// queue outlived the entry and it is skipped.
     fn evictable(&self, victim: Victim, tier: Tier) -> Option<(usize, usize)> {
         match victim {
             Victim::Conv(conv, idx) => {
@@ -1732,7 +2065,7 @@ impl TieredKvCache {
 
     /// Frees room for `tokens` on ladder rung `rung` by demoting
     /// policy-chosen residents further down (dropping them off the
-    /// bottom). The rung's candidate snapshot is taken at first need and
+    /// bottom). The rung's candidate queue is built at first need and
     /// kept in `queues` for the rest of the pass. Returns false if the
     /// rung does not exist, is disabled or smaller than the chunk, or
     /// runs out of candidates — the caller then looks further down, or
@@ -1751,16 +2084,11 @@ impl TieredKvCache {
             return false;
         }
         while self.used(tier) + tokens > capacity {
-            let Some(queue) = queues.get_mut(rung) else {
+            let Some(slot) = queues.get_mut(rung) else {
                 return false;
             };
-            let queue = queue.get_or_insert_with(|| {
-                self.collect_candidates(tier, now)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            });
-            let Some(victim) = queue.pop_front() else {
+            let queue = slot.get_or_insert_with(|| self.candidate_queue(tier, None, now));
+            let Some(victim) = self.next_candidate(queue, now) else {
                 return false;
             };
             self.demote(victim, rung, now, queues);
@@ -1790,6 +2118,12 @@ impl TieredKvCache {
             Some(rung) => {
                 self.retier(victim, rung.tier);
                 self.stats.demoted_tokens += tokens as u64;
+                // A rung whose queue this pass has already built does not
+                // see the newcomer until the next pass.
+                let built = queues.iter_mut().flatten().find(|q| q.tier == rung.tier);
+                if let (Some(queue), Victim::Conv(conv, idx)) = (built, victim) {
+                    queue.entrants.push((conv, idx));
+                }
             }
             None if sharers > 0 => return,
             None => {
@@ -1820,17 +2154,13 @@ impl TieredKvCache {
                 kept.push((conv, idx));
                 continue;
             }
-            let Some(c) = self
-                .convs
-                .get_mut(&conv)
-                .and_then(|e| e.chunks.get_mut(idx))
-            else {
+            let Some(e) = self.convs.get_mut(&conv) else {
                 continue; // Conversation removed; stale entry.
             };
-            if c.tier != Tier::GpuCopied {
+            if e.chunks.get(idx).is_none_or(|c| c.tier != Tier::GpuCopied) {
                 continue; // Revalidated/suspended since copying; stale.
             }
-            self.occ.retier(c, Tier::Cpu);
+            e.retier(conv, idx, Tier::Cpu, &mut self.occ, &mut self.members);
         }
         // Favored entries stay queued for future reclamation.
         for entry in kept.into_iter().rev() {
@@ -1838,10 +2168,12 @@ impl TieredKvCache {
         }
     }
 
-    /// All evictable chunks in `tier` — private chunks of unpinned
-    /// conversations plus shared chunks with no pinned sharer — sorted
-    /// ascending by (score, victim identity), with the policy's
-    /// within-conversation order applied to private chunk indices.
+    /// Builds `tier`'s candidate queue for one pass at `now`: the
+    /// frontier of every unpinned member conversation (`skip` excepted)
+    /// plus every evictable shared chunk in the tier — one score per
+    /// queued entry, nothing per chunk behind a frontier and nothing per
+    /// conversation with no token in the tier. The shared pool is walked
+    /// whole: it holds prefixes, not sessions.
     ///
     /// This is the one place the two species are *scored* differently: a
     /// private chunk by its conversation's idle time, a shared chunk by
@@ -1849,6 +2181,65 @@ impl TieredKvCache {
     /// count* — evicting it burns every sharer's restore, so its
     /// retention value `V = Cost(s, l)/T` scales with the number of
     /// conversations it serves.
+    fn candidate_queue(&self, tier: Tier, skip: Option<SessionId>, now: SimTime) -> CandidateQueue {
+        let fronts = self.members.tiers.get(tier);
+        let mut heap = Vec::with_capacity(fronts.len());
+        for (&conv, front) in fronts {
+            if Some(conv) != skip {
+                let score = self.policy.score(&front.chunk, front.last_active, now);
+                let victim = Victim::Conv(conv, front.idx);
+                heap.push(Reverse(Candidate { score, victim }));
+            }
+        }
+        for (&id, s) in &self.shared {
+            if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
+                continue;
+            }
+            let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
+            let victim = Victim::Shared(id);
+            heap.push(Reverse(Candidate { score, victim }));
+        }
+        CandidateQueue {
+            tier,
+            heap: BinaryHeap::from(heap),
+            entrants: Vec::new(),
+        }
+    }
+
+    /// Takes the next candidate off `queue` in eviction order; a private
+    /// chunk's place is taken by its conversation's next chunk in the
+    /// tier (newcomers of this pass stepped over), scored at the pass's
+    /// `now`. The caller re-validates the candidate at use.
+    fn next_candidate(&self, queue: &mut CandidateQueue, now: SimTime) -> Option<Victim> {
+        let Reverse(top) = queue.heap.pop()?;
+        if let Victim::Conv(conv, idx) = top.victim {
+            if let Some(e) = self.convs.get(&conv) {
+                let Span { lo, hi } = *e.spans.get(queue.tier);
+                let descending = self.members.descending;
+                let rest = if descending { lo..idx } else { idx + 1..hi };
+                let next = e.first_in(conv, queue.tier, rest, descending, &queue.entrants);
+                if let Some((next, c)) = next {
+                    let score = self.policy.score(c, e.last_active, now);
+                    debug_assert!(
+                        score.total_cmp(&top.score).is_ge(),
+                        "{} scores chunk {next} of {conv:?} below chunk {idx} before it",
+                        self.policy.name()
+                    );
+                    let victim = Victim::Conv(conv, next);
+                    queue.heap.push(Reverse(Candidate { score, victim }));
+                }
+            }
+        }
+        Some(top.victim)
+    }
+
+    /// The full sort [`CandidateQueue`] replaced, kept as the test
+    /// oracle: all evictable chunks in `tier` — private chunks of
+    /// unpinned conversations plus shared chunks with no pinned sharer —
+    /// scored one by one and sorted ascending by (score, victim
+    /// identity), with the policy's within-conversation order applied to
+    /// private chunk indices.
+    #[cfg(test)]
     fn collect_candidates(&self, tier: Tier, now: SimTime) -> Vec<(Victim, f64)> {
         let trailing = self.policy.within_order() == WithinOrder::TrailingFirst;
         let mut out: Vec<(Victim, f64)> = Vec::new();
@@ -1870,10 +2261,6 @@ impl TieredKvCache {
             let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
             out.push((Victim::Shared(id), score));
         }
-        // total_cmp gives a total order even if a policy ever returned a
-        // NaN score (NaN sorts last instead of panicking), and agrees
-        // with partial_cmp on the finite scores every in-tree policy
-        // produces.
         let conversation_granularity = self.policy.granularity() == Granularity::Conversation;
         out.sort_by(|a, b| {
             a.1.total_cmp(&b.1).then_with(|| match (a.0, b.0) {
@@ -2169,6 +2556,14 @@ impl TieredKvCache {
         let parent_pinned = e.pinned;
         let mut chain = std::mem::take(&mut e.shared);
         let private = std::mem::take(&mut e.chunks);
+        // The pool holds them from here on: the parent's row empties and
+        // its frontiers go (the occupancy table keeps counting the
+        // chunks where they are).
+        for tier in TIERS {
+            if std::mem::take(e.row.get_mut(tier)) > 0 {
+                self.members.tiers.get_mut(tier).remove(&parent);
+            }
+        }
         let inherited = chain.len();
         let mut context_end = e.shared_tokens;
         let mut prev = chain.last().copied().unwrap_or(ChunkId::ROOT);
@@ -2229,9 +2624,11 @@ impl TieredKvCache {
     }
 
     /// Recounts the cache's accounting from its chunk records and
-    /// compares: chunk positions, per-tier occupancy, shared refcounts
-    /// and pins, tier capacities, the manifest change set. Every mutating
-    /// method debug-asserts it; tests call it in release builds too.
+    /// compares: chunk positions, per-tier occupancy, every
+    /// conversation's row and spans, per-tier membership, shared
+    /// refcounts and pins, tier capacities, the manifest change set.
+    /// Every mutating method debug-asserts it; tests call it in release
+    /// builds too.
     ///
     /// # Errors
     ///
@@ -2246,6 +2643,7 @@ impl TieredKvCache {
             };
         }
         let mut occ = Occupancy::default();
+        let mut members: PerTier<usize> = PerTier::default();
         let mut chain_refs: BTreeMap<ChunkId, usize> = BTreeMap::new();
         let mut chain_pins: BTreeMap<ChunkId, usize> = BTreeMap::new();
         for (conv, e) in &self.convs {
@@ -2266,7 +2664,9 @@ impl TieredKvCache {
                 e.shared_tokens
             );
             let mut pos = e.shared_tokens;
-            for c in &e.chunks {
+            let mut row = Occupancy::default();
+            let mut fronts: PerTier<Option<Frontier>> = PerTier::default();
+            for (i, c) in e.chunks.iter().enumerate() {
                 ensure!(
                     c.tokens > 0 && c.tokens <= self.cfg.chunk_tokens,
                     "{conv:?}: chunk of {} tokens",
@@ -2280,6 +2680,47 @@ impl TieredKvCache {
                 );
                 pos += c.tokens;
                 occ.admit(c.tier, c.tokens);
+                row.admit(c.tier, c.tokens);
+                // The first chunk of the tier along the walk: the last
+                // one seen from the front if it runs backward.
+                let front = fronts.get_mut(c.tier);
+                if front.is_none() || self.members.descending {
+                    *front = Some(Frontier {
+                        idx: i,
+                        chunk: *c,
+                        last_active: e.last_active,
+                    });
+                }
+                let span = e.spans.get(c.tier);
+                ensure!(
+                    (span.lo..span.hi).contains(&i),
+                    "{conv:?}: chunk {i} in {:?} lies outside its span {span:?}",
+                    c.tier
+                );
+            }
+            ensure!(
+                row == e.row,
+                "{conv:?}: row drift: recounted {row:?}, held {:?}",
+                e.row
+            );
+            for tier in TIERS.into_iter().filter(|&tier| Members::ranks(tier)) {
+                // A pinned conversation keeps no frontiers.
+                let found = fronts.get(tier).filter(|_| !e.pinned);
+                let held = self.members.tiers.get(tier).get(conv);
+                ensure!(
+                    found.as_ref() == held,
+                    "{conv:?}: frontier drift in {tier:?}: found {found:?}, held {held:?}"
+                );
+                let Some(front) = found else {
+                    continue;
+                };
+                *members.get_mut(tier) += 1;
+                let span = e.spans.get(tier);
+                ensure!(
+                    span.front(self.members.descending) == Some(front.idx),
+                    "{conv:?}: frontier in {tier:?} is chunk {}, its span {span:?} starts elsewhere",
+                    front.idx
+                );
             }
             ensure!(
                 !e.manifest_dirty || self.manifest_dirty.contains(conv),
@@ -2316,6 +2757,14 @@ impl TieredKvCache {
             "occupancy drift: recounted {occ:?}, held {:?}",
             self.occ
         );
+        for tier in TIERS {
+            let held = self.members.tiers.get(tier).len();
+            ensure!(
+                held == *members.get(tier),
+                "membership drift in {tier:?}: {held} frontiers held for {} members",
+                members.get(tier)
+            );
+        }
         ensure!(
             self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens,
             "GPU over capacity: {} of {}",
@@ -2332,6 +2781,12 @@ impl TieredKvCache {
         Ok(())
     }
 }
+
+// Under `tests/` so the workspace linter scopes it as test code; a child
+// of this module so it can reach the queue and the state it is built from.
+#[cfg(test)]
+#[path = "tests/frontier.rs"]
+mod frontier_tests;
 
 #[cfg(test)]
 mod tests {
@@ -3036,9 +3491,9 @@ mod tests {
         );
     }
 
-    /// A rung's candidate snapshot is taken once per pass and entries
-    /// are re-validated at use: a session pinned since the snapshot is
-    /// skipped, not evicted.
+    /// A rung's candidate queue is built once per pass and entries are
+    /// re-validated at use: a session pinned since then is skipped, not
+    /// evicted.
     #[test]
     fn a_session_re_pinned_after_the_snapshot_is_skipped() {
         let mut cache = lru_cache(256, 64);
@@ -3051,7 +3506,7 @@ mod tests {
         }
         assert_eq!(cache.cpu_used(), 64);
         let mut queues = RungQueues::default();
-        // First need: the snapshot is [a.0, b.0]; the older a.0 goes.
+        // First need: the queue holds a.0 and b.0; the older a.0 goes.
         assert!(cache.ensure_space(CPU_RUNG, 32, t(4.0), &mut queues));
         cache.pin(b);
         // Same pass: b.0 is still queued but now pinned, so it is passed

@@ -209,14 +209,33 @@ mod tests {
         }
     }
 
+    /// Load-bearing for eviction: the cache manager ranks a conversation
+    /// by its leading chunk alone (`EvictionPolicy::score`'s contract in
+    /// `pensieve-kvcache`), which is only the retention-value order if
+    /// `Cost(l)` never falls — at every context, between and past the
+    /// profiled samples, for every table the repository builds.
     #[test]
     fn chunk_cost_monotone_in_context() {
-        let t = table();
-        let mut prev = SimDuration::ZERO;
-        for l in (6..15).map(|p| 1usize << p) {
-            let c = t.chunk_cost(l);
-            assert!(c >= prev, "not monotone at l={l}");
-            prev = c;
+        let mut models = ModelConfig::paper_models();
+        models.extend([ModelConfig::tiny_llama(), ModelConfig::tiny_opt()]);
+        for model in &models {
+            for gpus in [1, 2, 4] {
+                let cost = CostModel::new(model.clone(), HardwareSpec::azure_nc_a100(gpus));
+                for chunk in [16, 32, 64, 128] {
+                    let t = ProfiledCostTable::profile(&cost, chunk, 16384);
+                    let mut prev = SimDuration::ZERO;
+                    for l in 0..=70_000 {
+                        let c = t.chunk_cost(l);
+                        assert!(
+                            c >= prev,
+                            "{} on {gpus} GPUs, chunk {chunk}: Cost({l}) < Cost({})",
+                            model.name,
+                            l - 1
+                        );
+                        prev = c;
+                    }
+                }
+            }
         }
     }
 
