@@ -1,59 +1,70 @@
 //! A functional (real-math) serving engine for end-to-end validation.
 //!
 //! [`FunctionalEngine`] serves multi-turn conversations with the tiny
-//! transformer from `pensieve-kernels`, exercising every *data-path*
-//! mechanism of the paper for real: KV-tokens are retained across turns in
-//! the paged GPU pool, evicted block-by-block (leading end first, LRU
-//! across conversations) into a host-memory stash, swapped back in on
-//! return, and — when the stash overflows — dropped and later *recomputed*
-//! from raw tokens as a leading sub-request (paper Figure 8).
+//! transformer from `pensieve-kernels` and *executes* the paper's cache
+//! manager (§4.3) on real K/V bytes. A [`TieredKvCache`] it owns makes
+//! every decision — chunk-granular eviction in its policy's order, lazy
+//! GPU reclamation, demotion down the host ladder, dropping — and after
+//! each call the engine moves the bytes to match, one chunk per
+//! [`PagedKvCache`] block:
 //!
-//! Because every step does real arithmetic, the integration tests can
-//! assert the strongest property the design must preserve: **a stateful
-//! engine's output tokens are identical to stateless recomputation from
-//! scratch**, no matter how the cache shuffled the data in between.
+//! * a chunk the cache places on the GPU, resident or lazily copied, has
+//!   a pool block;
+//! * one on a host rung (CPU, SSD or cold) has checksummed bytes in one
+//!   host map, copied out when the cache reclaims its GPU slot — the
+//!   lazy copy, made at the last moment it can be;
+//! * a dropped one has neither, and the turn that restores it recomputes
+//!   it from the raw tokens in [`TokenChunkStore`] as a leading
+//!   sub-request (paper Figure 8).
+//!
+//! Host-memory faults route through the cache as the simulated engine's
+//! do. Because every step does real arithmetic, the tests can assert the
+//! strongest property the design must preserve: **a stateful engine's
+//! output tokens are identical to stateless recomputation from scratch**
+//! under every eviction policy and ladder — a chunk restored or
+//! recomputed at the wrong position would change the logits.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::fmt;
 
 use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::argmax;
-use pensieve_kernels::paged::{BlockId, BlockTable, OutOfBlocks, PagedKvCache};
-use pensieve_kvcache::{fnv1a, CacheError, SessionId, TokenChunkStore};
-use pensieve_model::ModelConfig;
+use pensieve_kernels::paged::{BlockTable, OutOfBlocks, PagedKvCache};
+use pensieve_kvcache::{
+    fnv1a, CacheConfig, CacheError, SessionId, Tier, TieredKvCache, TieredKvCacheBuilder,
+    TokenChunkStore,
+};
+use pensieve_model::{ModelConfig, SimTime};
 use pensieve_sim::{FaultCounters, FaultInjector, FaultKind};
 
-/// KV data of one evicted block, for all layers.
+/// KV data of one block held on a host rung.
 struct HostBlock {
-    /// Per layer: (K rows, V rows), each `block_size * kv_width` floats.
-    layers: Vec<(Vec<f32>, Vec<f32>)>,
-    /// FNV-1a over the f32 bit patterns, taken at swap-out. Verified on
-    /// swap-in so silent host-memory corruption downgrades to a recompute
-    /// instead of poisoning the KV state.
+    /// The block as [`PagedKvCache::read_block`] copied it out.
+    kv: Vec<f32>,
+    /// [`checksum`] of `kv`, taken when the bytes left the pool and
+    /// verified before the owner's restore, so silent host-memory
+    /// corruption downgrades to a recompute instead of poisoning the KV
+    /// state.
     checksum: u64,
 }
 
-/// FNV-1a over the bit patterns of every float in the block.
-fn kv_checksum(layers: &[(Vec<f32>, Vec<f32>)]) -> u64 {
-    let floats = layers.iter().flat_map(|(k, v)| k.iter().chain(v));
-    fnv1a(floats.flat_map(|x| x.to_bits().to_le_bytes()))
-}
-
-struct ConvState {
-    table: BlockTable,
-    /// Logical clock of last activity, for LRU eviction.
-    last_active: u64,
+/// FNV-1a over the bit patterns of every float.
+fn checksum(kv: &[f32]) -> u64 {
+    fnv1a(kv.iter().flat_map(|x| x.to_bits().to_le_bytes()))
 }
 
 /// Configuration of the functional engine's memory system.
 #[derive(Debug, Clone)]
 pub struct FunctionalConfig {
-    /// Tokens per KV block.
+    /// Tokens per KV block, and per cache chunk.
     pub block_size: usize,
     /// Physical GPU-pool blocks.
     pub pool_blocks: usize,
-    /// Host-stash capacity in blocks (0 disables the CPU tier).
+    /// CPU-tier capacity in blocks (0 disables the CPU tier: every
+    /// eviction drops).
     pub stash_blocks: usize,
-    /// Evict when free pool blocks fall below this count.
+    /// Ahead-of-time swap-out keeps this many pool blocks effectively
+    /// free (at most a quarter of the pool): the cache's swap watermark.
     pub free_watermark: usize,
 }
 
@@ -68,6 +79,19 @@ impl Default for FunctionalConfig {
     }
 }
 
+impl FunctionalConfig {
+    /// The cache this memory system executes: one chunk per block, the
+    /// pool and the stash as the GPU and CPU tiers.
+    fn cache_config(&self) -> CacheConfig {
+        let (bs, pool) = (self.block_size, self.pool_blocks);
+        CacheConfig {
+            swap_watermark: (self.free_watermark as f64 / pool as f64).min(0.25),
+            decode_reserve: 0.0,
+            ..CacheConfig::for_test(bs, pool * bs, self.stash_blocks * bs)
+        }
+    }
+}
+
 /// Greedy decoding of one turn, shared by every engine that serves one:
 /// a pass over `prefill` (whose last segment ends at the turn's context
 /// length), then one single-token pass per further token, each fed the
@@ -78,85 +102,92 @@ pub(crate) fn greedy_turn<E>(
     max_new: usize,
     mut forward: impl FnMut(Vec<SegmentInput>) -> Result<Vec<f32>, E>,
 ) -> Result<Vec<u32>, E> {
-    let mut pos = prefill.last().map_or(0, |s| s.start_pos + s.tokens.len());
-    let mut segments = prefill;
-    let mut generated = Vec::with_capacity(max_new);
-    loop {
-        let next = argmax(&forward(segments)?) as u32;
-        generated.push(next);
-        if generated.len() >= max_new {
-            return Ok(generated);
-        }
-        segments = vec![SegmentInput {
-            tokens: vec![next],
-            start_pos: pos,
-        }];
-        pos += 1;
+    let mut start_pos = prefill.last().map_or(0, |s| s.start_pos + s.tokens.len());
+    let mut generated = vec![argmax(&forward(prefill)?) as u32];
+    while generated.len() < max_new {
+        let tokens = generated[generated.len() - 1..].to_vec();
+        generated.push(argmax(&forward(vec![SegmentInput { tokens, start_pos }])?) as u32);
+        start_pos += 1;
     }
+    Ok(generated)
+}
+
+/// Unwraps a step the cache has made room for. Failing means the pool
+/// cannot hold one turn's working set: the panic `serve_turn` documents.
+fn fits<T: Default + fmt::Debug, E: fmt::Debug>(step: Result<T, E>) -> T {
+    assert!(step.is_ok(), "GPU pool too small: {step:?}");
+    step.unwrap_or_default()
 }
 
 /// The functional serving engine.
+///
+/// Sizing: the cache is charged whole blocks. A conversation that ends
+/// mid-block holds its whole trailing block and is charged for it (13
+/// tokens in 4-token blocks are 16 slots, charged 16), so the cache's
+/// GPU occupancy is exactly the pool's used blocks and any number of
+/// conversations may end mid-block. A turn fits when its conversation's
+/// context, prompt and `max_new` tokens, rounded up to whole blocks, fit
+/// in `pool_blocks`: everything else can be evicted.
 pub struct FunctionalEngine {
     model: TinyModel,
     pool: PagedKvCache,
-    cfg: FunctionalConfig,
-    convs: BTreeMap<SessionId, ConvState>,
-    /// Evicted block data keyed by (conversation, logical block index),
-    /// oldest first: overflow drops from the front.
-    stash: VecDeque<((SessionId, usize), HostBlock)>,
+    block_size: usize,
+    cache: TieredKvCache,
+    /// Each conversation's logical-to-physical map: block `i` holds
+    /// chunk `i`. The conversation being served holds its own.
+    tables: BTreeMap<SessionId, BlockTable>,
+    /// Bytes of every chunk the cache places on a host rung, keyed by
+    /// (conversation, chunk).
+    host: BTreeMap<(SessionId, usize), HostBlock>,
     store: TokenChunkStore,
-    clock: u64,
-    /// Counters: (swapped_out, swapped_in, dropped, recomputed) blocks.
-    swap_out_blocks: u64,
-    swap_in_blocks: u64,
-    dropped_blocks: u64,
-    recomputed_tokens: u64,
-    /// Optional deterministic fault source targeting the host stash.
+    /// Turns served: the cache's clock, one simulated second each.
+    turns: u64,
+    /// Optional deterministic fault source targeting the host tiers.
     faults: Option<FaultInjector>,
-    /// Stashed blocks destroyed by injected loss.
-    lost_blocks: u64,
-    /// Stashed blocks whose checksum failed on swap-in.
-    corrupt_blocks: u64,
 }
 
 impl FunctionalEngine {
-    /// Builds an engine with deterministic random weights.
+    /// Builds an engine with deterministic random weights, executing a
+    /// two-tier [`TieredKvCache`] under the builder's default policy.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` has a zero block size or pool.
     #[must_use]
     pub fn new(model_cfg: &ModelConfig, seed: u64, cfg: FunctionalConfig) -> Self {
+        let cache = TieredKvCache::builder(cfg.cache_config());
+        Self::with_cache(model_cfg, seed, cfg, cache)
+    }
+
+    /// [`FunctionalEngine::new`] executing the cache `cache` builds over
+    /// `cfg`'s capacities — another policy, or a deeper ladder.
+    pub(crate) fn with_cache(
+        model_cfg: &ModelConfig,
+        seed: u64,
+        cfg: FunctionalConfig,
+        cache: TieredKvCacheBuilder,
+    ) -> Self {
         assert!(cfg.block_size > 0 && cfg.pool_blocks > 0);
         let model = TinyModel::new_random(model_cfg, seed);
-        let pool = PagedKvCache::new(
-            model.kv_layout(cfg.block_size),
-            model_cfg.num_layers,
-            cfg.pool_blocks,
-        );
-        let store = TokenChunkStore::new(cfg.block_size);
+        let layout = model.kv_layout(cfg.block_size);
         FunctionalEngine {
+            pool: PagedKvCache::new(layout, model_cfg.num_layers, cfg.pool_blocks),
             model,
-            pool,
-            cfg,
-            convs: BTreeMap::new(),
-            stash: VecDeque::new(),
-            store,
-            clock: 0,
-            swap_out_blocks: 0,
-            swap_in_blocks: 0,
-            dropped_blocks: 0,
-            recomputed_tokens: 0,
+            block_size: cfg.block_size,
+            cache: cache.build(),
+            tables: BTreeMap::new(),
+            host: BTreeMap::new(),
+            store: TokenChunkStore::new(cfg.block_size),
+            turns: 0,
             faults: None,
-            lost_blocks: 0,
-            corrupt_blocks: 0,
         }
     }
 
-    /// Installs a deterministic fault injector. Each turn it may destroy a
-    /// stashed block (loss) or flip a bit in one (corruption, caught by
-    /// the checksum on swap-in); both downgrade to recomputation, so
-    /// outputs stay bit-identical to the fault-free run.
+    /// Installs a deterministic fault injector. Each turn it may destroy
+    /// a CPU-tier copy (loss) or flip a bit in held host bytes
+    /// (corruption, caught by the checksum before the owner's restore);
+    /// both downgrade to recomputation, so outputs stay bit-identical to
+    /// the fault-free run.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.faults = Some(faults);
     }
@@ -167,16 +198,14 @@ impl FunctionalEngine {
         self.faults.as_ref().map(FaultInjector::counters)
     }
 
-    /// Stashed blocks (destroyed by injected loss, rejected by checksum).
+    /// Blocks whose CPU-tier copy injected loss destroyed, and blocks
+    /// invalidated by a failed checksum (on a deep rung the cache drops
+    /// the conversation's deep blocks, as after a failed deep read).
     #[must_use]
     pub fn fault_activity(&self) -> (u64, u64) {
-        (self.lost_blocks, self.corrupt_blocks)
-    }
-
-    /// The underlying model (for building stateless references).
-    #[must_use]
-    pub fn model(&self) -> &TinyModel {
-        &self.model
+        let (s, bs) = (self.cache.stats(), self.block_size as u64);
+        let corrupt = s.corrupted_chunk_tokens + s.cold_read_fault_tokens;
+        (s.lost_chunk_tokens / bs, corrupt / bs)
     }
 
     /// Sets the number of worker threads used by the model's batched
@@ -191,10 +220,8 @@ impl FunctionalEngine {
     /// order from the store's shared chunk chain and private tail.
     #[must_use]
     pub fn history(&self, conv: SessionId) -> Vec<u32> {
-        self.store
-            .view(conv)
-            .map(|v| v.to_vec())
-            .unwrap_or_default()
+        let view = self.store.view(conv);
+        view.map(|v| v.to_vec()).unwrap_or_default()
     }
 
     /// Forks `parent` into a new conversation `child`. The raw-token
@@ -222,15 +249,16 @@ impl FunctionalEngine {
         (self.store.physical_tokens(), self.store.logical_tokens())
     }
 
-    /// Blocks swapped out / swapped in / dropped, and tokens recomputed.
+    /// Blocks swapped out (lazy copies included) / brought back from a
+    /// host rung / dropped, and tokens recomputed (whole blocks), as the
+    /// cache counted them.
     #[must_use]
     pub fn cache_activity(&self) -> (u64, u64, u64, u64) {
-        (
-            self.swap_out_blocks,
-            self.swap_in_blocks,
-            self.dropped_blocks,
-            self.recomputed_tokens,
-        )
+        let (s, bs) = (self.cache.stats(), self.block_size as u64);
+        let restored = s.swapped_in_tokens + s.ssd_hit_tokens + s.cold_hit_tokens;
+        let [out, restored, dropped] =
+            [s.swapped_out_tokens, restored, s.dropped_tokens].map(|t| t / bs);
+        (out, restored, dropped, s.recomputed_tokens)
     }
 
     /// Serves one conversation turn: processes `prompt` on top of the
@@ -243,117 +271,58 @@ impl FunctionalEngine {
     /// too small to hold a single turn's working set.
     pub fn serve_turn(&mut self, conv: SessionId, prompt: &[u32], max_new: usize) -> Vec<u32> {
         assert!(!prompt.is_empty() && max_new > 0);
-        self.clock += 1;
+        self.turns += 1;
+        let now = SimTime::from_secs(self.turns as f64);
         self.fault_tick();
-        // The turn holds its conversation's state by value: taken out of
-        // `convs` here and put back at the end, so eviction in between
-        // only ever sees other conversations.
-        let mut state = self.convs.remove(&conv).unwrap_or_else(|| ConvState {
-            table: BlockTable::new(self.cfg.block_size),
-            last_active: self.clock,
-        });
+        self.reject_corrupt(conv, now);
 
-        // --- Restore phase: swap in or schedule recompute for holes. ---
-        let cached_len = state.table.len();
-        let nb = cached_len.div_ceil(self.cfg.block_size);
-        let mut recompute_blocks = Vec::new();
-        for bi in 0..nb {
-            if state.table.get_block(bi).is_none() {
-                recompute_blocks.push(bi);
-            }
-        }
-        // Allocate backing for every hole (evicting others if needed).
-        self.make_room(recompute_blocks.len() + 2);
-        let mut recompute_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        for bi in recompute_blocks {
-            let filled = state
-                .table
-                .refill(&mut self.pool, bi..bi + 1)
-                // lint:allow(r1-panic): make_room reserved one block per
-                // hole plus slack; serve_turn documents panic semantics.
-                .expect("make_room reserved space");
-            let (_, phys) = filled[0];
-            let at = self.stash.iter().position(|(key, _)| *key == (conv, bi));
-            let stashed = at.and_then(|i| self.stash.remove(i)).and_then(|(_, hb)| {
-                if kv_checksum(&hb.layers) == hb.checksum {
-                    Some(hb)
-                } else {
-                    // Corrupted in host memory: discard and recompute.
-                    self.corrupt_blocks += 1;
-                    None
-                }
-            });
-            if let Some(hb) = stashed {
-                // Swap in: copy the stashed data back.
-                self.write_host_block(phys, &hb);
-                self.swap_in_blocks += 1;
-            } else {
-                // Dropped: recompute from raw tokens.
-                let start = bi * self.cfg.block_size;
-                let end = (start + self.cfg.block_size).min(cached_len);
-                match recompute_ranges.last_mut() {
-                    Some(r) if r.end == start => r.end = end,
-                    _ => recompute_ranges.push(start..end),
-                }
-                self.recomputed_tokens += (end - start) as u64;
+        // Restore: room for what the plan brings back, the plan, then a
+        // block for every chunk it brought onto the GPU — filled from the
+        // host map, or recomputed below if it was dropped.
+        self.make_room(conv, self.cache.plan_restore(conv).new_gpu_slots(), now);
+        let plan = fits(self.cache.commit_restore(conv, now));
+        self.release();
+        let bs = self.block_size;
+        let mut table = self.tables.remove(&conv).unwrap_or(BlockTable::new(bs));
+        let cached = table.len();
+        for (b, phys) in fits(table.refill(&mut self.pool, 0..cached.div_ceil(bs))) {
+            if let Some(bytes) = self.host.remove(&(conv, b)) {
+                self.pool.write_block(phys, &bytes.kv);
             }
         }
 
-        // --- Prefill: recompute segments + (history tail + prompt). ---
-        let hist_len = self.store.len(conv);
-        debug_assert!(cached_len <= hist_len || hist_len == 0);
+        // Prefill: the dropped ranges as leading sub-requests, then the
+        // raw history past the cached context (at least the previous
+        // turn's final token) and the prompt.
         self.store.append(conv, prompt);
-        let mut segments = Vec::new();
-        for r in &recompute_ranges {
-            segments.push(SegmentInput {
-                tokens: self
-                    .store
-                    .view(conv)
-                    .and_then(|v| v.slice(r.clone()))
-                    // lint:allow(r1-panic): recompute ranges are clipped
-                    // to cached_len <= hist_len above; serve_turn
-                    // documents its panic semantics.
-                    .expect("range clipped"),
+        let history = self.history(conv);
+        let recompute = plan.recompute_ranges().into_iter();
+        let segments = (recompute.map(|r| r.start..r.end.min(cached)))
+            .chain(std::iter::once(cached..history.len()))
+            .map(|r| SegmentInput {
                 start_pos: r.start,
-            });
-        }
-        // The tail covers raw history beyond the cached context (at least
-        // the previous turn's final token) plus the new prompt.
-        let tail: Vec<u32> = self
-            .store
-            .view(conv)
-            .and_then(|v| v.slice(cached_len..hist_len))
-            // lint:allow(r1-panic): cached_len <= hist_len is asserted
-            // above and predates this turn's append; serve_turn documents
-            // its panic semantics.
-            .expect("tail within history");
-        let mut last_seg: Vec<u32> = tail;
-        last_seg.extend_from_slice(prompt);
-        segments.push(SegmentInput {
-            tokens: last_seg,
-            start_pos: cached_len,
-        });
+                tokens: history[r].to_vec(),
+            })
+            .collect();
 
-        // --- Greedy decode. ---
-        // Room for the tokens the prefill will append (tail + prompt);
-        // decode growth makes room incrementally, two blocks per step.
-        let needed_blocks = (hist_len + prompt.len() - cached_len) / self.cfg.block_size + 2;
-        let mut room = needed_blocks.min(self.cfg.pool_blocks / 2);
-        let generated = greedy_turn(segments, max_new, |segments| {
-            self.make_room(std::mem::replace(&mut room, 2));
-            let mut batch = [SeqInput {
-                segments,
-                table: &mut state.table,
-            }];
-            let logits = self.model.forward(&mut self.pool, &mut batch)?;
+        // Decode: the cache is charged for each block a pass opens.
+        let generated = fits(greedy_turn(segments, max_new, |segments| {
+            let end = segments.last().map_or(0, |s| s.start_pos + s.tokens.len());
+            let tokens = (end.div_ceil(bs) - table.len().div_ceil(bs)) * bs;
+            if tokens > 0 {
+                self.make_room(conv, tokens, now);
+                fits(self.cache.append_tokens(conv, tokens, now));
+                self.release();
+            }
+            let table = &mut table;
+            let batch = &mut [SeqInput { segments, table }];
+            let logits = self.model.forward(&mut self.pool, batch)?;
             Ok::<_, OutOfBlocks>(logits.row(0).to_vec())
-        })
-        // lint:allow(r1-panic): make_room reserved each pass's working
-        // set; serve_turn documents panic semantics.
-        .expect("make_room reserved space");
+        }));
+        self.tables.insert(conv, table);
         self.store.append(conv, &generated);
-        state.last_active = self.clock;
-        self.convs.insert(conv, state);
+        self.cache.unpin(conv);
+        self.cache.touch(conv, now);
         generated
     }
 
@@ -362,131 +331,85 @@ impl FunctionalEngine {
     #[must_use]
     pub fn reference_decode(&self, context: &[u32], max_new: usize) -> Vec<u32> {
         let mut ctx = context.to_vec();
-        let mut out = Vec::new();
         for _ in 0..max_new {
-            let logits = self.model.forward_dense(&ctx);
-            let tok = argmax(&logits) as u32;
-            out.push(tok);
-            ctx.push(tok);
+            ctx.push(argmax(&self.model.forward_dense(&ctx)) as u32);
         }
-        out
+        ctx.split_off(context.len())
     }
 
-    /// Ensures at least `blocks` free pool blocks, evicting fully-filled
-    /// blocks of the conversations in `convs` — every one but the turn
-    /// being served — leading end first, least recently active
-    /// conversation first.
-    fn make_room(&mut self, blocks: usize) {
-        let target = blocks.max(self.cfg.free_watermark.min(self.cfg.pool_blocks / 4));
-        while self.pool.num_free() < target {
-            let Some((victim, bi, phys)) = self.pick_victim() else {
-                break;
-            };
-            self.evict_block(victim, bi, phys);
-        }
-        assert!(
-            self.pool.num_free() >= blocks,
-            "GPU pool too small: need {blocks} free of {}",
-            self.pool.num_blocks()
-        );
+    /// Has the cache make `tokens` GPU slots (at least the swap
+    /// watermark) effectively free for `conv`, and executes its
+    /// evictions.
+    fn make_room(&mut self, conv: SessionId, tokens: usize, now: SimTime) {
+        let target = tokens.max(self.cache.config().swap_trigger_tokens());
+        self.cache.swap_out_until_for(target, Some(conv), now);
+        self.release();
     }
 
-    /// The leading resident, fully-filled block of the least recently
-    /// active conversation that has one, with its physical block.
-    fn pick_victim(&self) -> Option<(SessionId, usize, BlockId)> {
-        self.convs
-            .iter()
-            .filter_map(|(&cid, st)| {
-                // Only fully-filled blocks are evictable.
-                let full_blocks = st.table.len() / self.cfg.block_size;
-                let (bi, phys) =
-                    (0..full_blocks).find_map(|bi| Some((bi, st.table.get_block(bi)?)))?;
-                Some((st.last_active, cid, bi, phys))
-            })
-            .min_by_key(|&(last_active, cid, ..)| (last_active, cid))
-            .map(|(_, cid, bi, phys)| (cid, bi, phys))
-    }
-
-    /// Copies resident block `bi` of `conv` (physical block `phys`) to
-    /// the stash, or drops it if the stash is full or disabled, and frees
-    /// its pool backing.
-    fn evict_block(&mut self, conv: SessionId, bi: usize, phys: BlockId) {
-        if self.cfg.stash_blocks > 0 {
-            if self.stash.len() >= self.cfg.stash_blocks {
-                // Drop the oldest stashed block entirely.
-                self.stash.pop_front();
-                self.dropped_blocks += 1;
-            }
-            let hb = self.read_host_block(phys);
-            self.stash.push_back(((conv, bi), hb));
-            self.swap_out_blocks += 1;
-        } else {
-            self.dropped_blocks += 1;
-        }
-        if let Some(state) = self.convs.get_mut(&conv) {
-            state.table.free_blocks(&mut self.pool, bi..bi + 1);
-        }
-    }
-
-    fn read_host_block(&self, phys: BlockId) -> HostBlock {
-        let bs = self.cfg.block_size;
-        let layers: Vec<(Vec<f32>, Vec<f32>)> = (0..self.pool.num_layers())
-            .map(|li| {
-                let view = self.pool.layer(li);
-                let mut k = Vec::new();
-                let mut v = Vec::new();
-                for slot in 0..bs {
-                    k.extend_from_slice(view.k_token(phys, slot));
-                    v.extend_from_slice(view.v_token(phys, slot));
+    /// Executes the cache's evictions on the bytes: a block whose chunk
+    /// the cache no longer places on the GPU is freed — copied out first
+    /// if the chunk went to a host rung — and a dropped chunk's host
+    /// bytes go. The conversation being served holds its own table and
+    /// is skipped: it is pinned, so nothing of it moves.
+    fn release(&mut self) {
+        let bs = self.block_size;
+        for (&conv, table) in &mut self.tables {
+            let plan = self.cache.plan_restore(conv);
+            for (range, tier) in plan.segments.into_iter().filter(|s| s.1 != Tier::Gpu) {
+                let blocks = range.start / bs..range.end.div_ceil(bs);
+                for b in blocks.clone() {
+                    if tier == Tier::Dropped {
+                        self.host.remove(&(conv, b));
+                    } else if let Some(phys) = table.get_block(b) {
+                        let kv = self.pool.read_block(phys);
+                        let checksum = checksum(&kv);
+                        self.host.insert((conv, b), HostBlock { kv, checksum });
+                    }
                 }
-                (k, v)
-            })
-            .collect();
-        let checksum = kv_checksum(&layers);
-        HostBlock { layers, checksum }
+                table.free_blocks(&mut self.pool, blocks);
+            }
+        }
     }
 
-    /// One fault opportunity per turn against the host stash: an injected
-    /// loss destroys a stashed block outright (discovered as a hole on the
-    /// conversation's return); an injected corruption flips one bit of a
-    /// stashed K row, which the swap-in checksum rejects. Both downgrade
-    /// to recomputation from raw tokens.
+    /// One fault opportunity per turn against the host tiers, routed
+    /// through the cache as the simulated engine's are: an injected loss
+    /// destroys a CPU-tier copy the cache lists (the chunk is dropped, or
+    /// keeps its GPU bytes if the copy was lazy); an injected corruption
+    /// flips a bit of some held host bytes, which the owner's checksum
+    /// check catches.
     fn fault_tick(&mut self) {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
-        if self.stash.is_empty() {
-            return;
+        let listing = self.cache.cpu_resident_chunks();
+        if !listing.is_empty() && f.roll(FaultKind::CpuChunkLoss) {
+            let (conv, chunk, _) = listing[f.pick(listing.len())];
+            if self.cache.mark_chunk_lost(conv, chunk).is_ok() {
+                self.host.remove(&(conv, chunk));
+            }
         }
-        if f.roll(FaultKind::CpuChunkLoss) {
-            self.stash.remove(f.pick(self.stash.len()));
-            self.lost_blocks += 1;
-        }
-        if !self.stash.is_empty() && f.roll(FaultKind::CpuChunkCorruption) {
-            let victim = self.stash.get_mut(f.pick(self.stash.len()));
-            let first_k = victim
-                .and_then(|(_, hb)| hb.layers.first_mut())
-                .and_then(|(k, _)| k.first_mut());
-            // Flip a mantissa bit in the first stored K value; the stale
+        if !self.host.is_empty() && f.roll(FaultKind::CpuChunkCorruption) {
+            let at = f.pick(self.host.len());
+            let victim = self.host.values_mut().nth(at);
+            // Flip a mantissa bit of the first stored value; the stale
             // checksum now disagrees with the data.
-            if let Some(x) = first_k {
+            if let Some(x) = victim.and_then(|b| b.kv.first_mut()) {
                 *x = f32::from_bits(x.to_bits() ^ 0x0000_0400);
             }
         }
     }
 
-    fn write_host_block(&mut self, phys: BlockId, hb: &HostBlock) {
-        let bs = self.cfg.block_size;
-        let tf = self.pool.layout().token_floats();
-        for (li, (k, v)) in hb.layers.iter().enumerate() {
-            for slot in 0..bs {
-                self.pool.write_token(
-                    li,
-                    phys,
-                    slot,
-                    &k[slot * tf..(slot + 1) * tf],
-                    &v[slot * tf..(slot + 1) * tf],
-                );
+    /// The checksum check before `conv`'s restore: held bytes that no
+    /// longer match are reported to the cache, whose plan then
+    /// recomputes them — a CPU copy as corrupt, a block demoted since as
+    /// a failed deep read (the cache drops the conversation's deep run).
+    fn reject_corrupt(&mut self, conv: SessionId, now: SimTime) {
+        let held = self.host.range((conv, 0)..=(conv, usize::MAX));
+        let bad = held.filter(|(_, b)| checksum(&b.kv) != b.checksum);
+        let bad: Vec<usize> = bad.map(|(&(_, chunk), _)| chunk).collect();
+        for chunk in bad {
+            if self.cache.mark_chunk_corrupt(conv, chunk).is_err() {
+                self.cache.drop_deep_chunks(conv, now);
             }
         }
     }
@@ -495,11 +418,159 @@ impl FunctionalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pensieve_kvcache::{
+        CachedAttentionPolicy, EvictionPolicy, LruPolicy, RetentionValuePolicy, TrailingEndPolicy,
+    };
+    use pensieve_model::{CostModel, HardwareSpec, ProfiledCostTable};
+    use pensieve_sim::FaultConfig;
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
         (0..len as u32)
             .map(|i| (seed * 31 + i * 7) % vocab)
             .collect()
+    }
+
+    /// Fault-stream seed: `PENSIEVE_FAULT_SEED` env var, default 1.
+    fn fault_seed() -> u64 {
+        std::env::var("PENSIEVE_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1)
+    }
+
+    /// The executor and the cache agree: a chunk has a pool block
+    /// exactly when the cache places it on the GPU (resident or lazily
+    /// copied), host bytes exactly when it places it on a host rung, and
+    /// neither pool nor host map holds anything else.
+    fn assert_agrees(e: &FunctionalEngine, cell: &str) {
+        assert_eq!(e.cache.check_invariants(), Ok(()), "{cell}");
+        let bs = e.block_size;
+        let (mut on_gpu, mut on_host) = (0, 0);
+        for conv in e.cache.sessions() {
+            let table = &e.tables[&conv];
+            for (range, tier) in e.cache.plan_restore(conv).segments {
+                for b in range.start / bs..range.end.div_ceil(bs) {
+                    let gpu = tier == Tier::Gpu;
+                    let host = matches!(tier, Tier::Cpu | Tier::Ssd | Tier::Cold);
+                    let at = format!("{cell}: {conv:?} chunk {b} in {tier:?}");
+                    assert_eq!(table.get_block(b).is_some(), gpu, "{at}: pool block");
+                    assert_eq!(e.host.contains_key(&(conv, b)), host, "{at}: host bytes");
+                    on_gpu += usize::from(gpu);
+                    on_host += usize::from(host);
+                }
+            }
+        }
+        let used = e.pool.num_blocks() - e.pool.num_free();
+        assert_eq!(used, on_gpu, "{cell}: pool blocks the cache does not place");
+        assert_eq!(
+            e.host.len(),
+            on_host,
+            "{cell}: host bytes the cache does not place"
+        );
+    }
+
+    /// The four eviction policies, fresh.
+    fn policies() -> Vec<Box<dyn EvictionPolicy>> {
+        let cost = CostModel::new(ModelConfig::tiny_llama(), HardwareSpec::azure_nc_a100(1));
+        vec![
+            Box::new(RetentionValuePolicy::new(ProfiledCostTable::profile(
+                &cost, 4, 4096,
+            ))),
+            Box::new(LruPolicy),
+            Box::new(CachedAttentionPolicy),
+            Box::new(TrailingEndPolicy),
+        ]
+    }
+
+    /// Every policy × {two-tier, deep} ladder × {clean, seeded faults}:
+    /// each turn equals stateless decoding, the bytes agree with the
+    /// cache's placement after every turn, and every cell swaps in and
+    /// recomputes — and, with faults, has faults bite.
+    #[test]
+    fn policy_ladder_fault_matrix_matches_stateless() {
+        let cfg = ModelConfig::tiny_llama();
+        let vocab = cfg.vocab_size as u32;
+        let mem = FunctionalConfig {
+            block_size: 4,
+            pool_blocks: 16,
+            stash_blocks: 12,
+            free_watermark: 2,
+        };
+        for p in 0..4 {
+            for deep in [false, true] {
+                for faulty in [false, true] {
+                    let policy = policies().swap_remove(p);
+                    let cell = format!("{} deep={deep} faulty={faulty}", policy.name());
+                    let builder = TieredKvCache::builder(mem.cache_config()).policy(policy);
+                    let builder = if deep {
+                        builder.deep_tiers(8, 8)
+                    } else {
+                        builder
+                    };
+                    let mut e = FunctionalEngine::with_cache(&cfg, 19, mem.clone(), builder);
+                    if faulty {
+                        e.set_fault_injector(FaultInjector::new(FaultConfig {
+                            cpu_chunk_loss: 0.5,
+                            cpu_chunk_corruption: 0.5,
+                            ..FaultConfig::disabled(fault_seed())
+                        }));
+                    }
+                    let mut transcripts = vec![Vec::new(); 3];
+                    for turn in 0..5u32 {
+                        for (c, t) in transcripts.iter_mut().enumerate() {
+                            let p = prompt(turn * 3 + c as u32, 6, vocab);
+                            let got = e.serve_turn(SessionId(c as u64), &p, 3);
+                            t.extend_from_slice(&p);
+                            let want = e.reference_decode(t, 3);
+                            assert_eq!(got, want, "{cell}: conv {c} turn {turn}");
+                            t.extend_from_slice(&got);
+                            assert_agrees(&e, &cell);
+                        }
+                    }
+                    let activity = e.cache_activity();
+                    let (_, swapped_in, _, recomputed) = activity;
+                    assert!(
+                        swapped_in > 0 && recomputed > 0,
+                        "{cell}: vacuous {activity:?}"
+                    );
+                    if faulty {
+                        assert_ne!(e.fault_activity(), (0, 0), "{cell}: no fault bit");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Block fragmentation is reconciled: the cache is charged whole
+    /// blocks, so conversations ending mid-block cannot strand the pool.
+    /// Ten conversations — more than the pool has blocks — each end
+    /// inside a block (6 tokens, then 13), and every one returns.
+    #[test]
+    fn mid_block_conversations_cannot_strand_the_pool() {
+        let cfg = ModelConfig::tiny_llama();
+        let mut e = FunctionalEngine::new(
+            &cfg,
+            20,
+            FunctionalConfig {
+                block_size: 4,
+                pool_blocks: 8,
+                stash_blocks: 64,
+                free_watermark: 0,
+            },
+        );
+        let mut transcripts = vec![Vec::new(); 10];
+        for round in 0..2u32 {
+            for (c, t) in transcripts.iter_mut().enumerate() {
+                let conv = SessionId(c as u64);
+                let p = prompt(100 + round * 10 + c as u32, 5, cfg.vocab_size as u32);
+                let got = e.serve_turn(conv, &p, 2);
+                t.extend_from_slice(&p);
+                assert_eq!(got, e.reference_decode(t, 2), "conv {c} round {round}");
+                t.extend_from_slice(&got);
+                assert_ne!(e.tables[&conv].len() % 4, 0, "conv {c} ends mid-block");
+                assert_agrees(&e, "fragmentation");
+            }
+        }
     }
 
     #[test]

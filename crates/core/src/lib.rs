@@ -12,9 +12,10 @@
 //!   comes from the cost model.
 //! * [`functional::FunctionalEngine`] — a scaled-down engine executing
 //!   *real* forward passes of the tiny transformer over the paged KV pool,
-//!   including actual swap-out to a host-memory stash, swap-in, dropping,
-//!   and sub-request recomputation. Its outputs are compared token-for-
-//!   token against stateless recomputation in the integration tests.
+//!   and executing the same `TieredKvCache` on real K/V bytes: lazy
+//!   swap-out to host memory, swap-in, demotion, dropping, and
+//!   sub-request recomputation. Its outputs are compared token-for-token
+//!   against stateless recomputation in the tests.
 
 pub mod backend;
 pub mod config;

@@ -326,4 +326,4 @@ const FUNCTIONAL_TOKENS: [u64; 2] = [0x7d5e_9360_70c1_0d30, 0x7d5e_9360_70c1_0d3
 /// `FunctionalEngine` `(swap_out, swap_in, dropped, recomputed, lost,
 /// corrupt)`: fault-free, seeded faults. Moves with any change in what
 /// the cache manager evicts, restores or drops.
-const FUNCTIONAL_ACTIVITY: [[u64; 6]; 2] = [[48, 16, 18, 28, 0, 0], [48, 13, 17, 40, 2, 2]];
+const FUNCTIONAL_ACTIVITY: [[u64; 6]; 2] = [[46, 14, 15, 16, 0, 0], [46, 11, 15, 28, 2, 1]];

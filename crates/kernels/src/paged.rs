@@ -147,6 +147,37 @@ impl PagedKvCache {
         self.v[layer][off..off + tf].copy_from_slice(v);
     }
 
+    /// Copies `block` out of every layer — each layer's K slab, then its
+    /// V slab — for a swap to host memory; [`PagedKvCache::write_block`]
+    /// puts it back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    #[must_use]
+    pub fn read_block(&self, block: BlockId) -> Vec<f32> {
+        let bf = self.layout.block_floats();
+        let slab = block * bf..(block + 1) * bf;
+        let slabs = self.k.iter().zip(&self.v).flat_map(|(k, v)| [k, v]);
+        slabs.flat_map(|s| &s[slab.clone()]).copied().collect()
+    }
+
+    /// Writes back into `block` what [`PagedKvCache::read_block`] copied
+    /// out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range or `data` is not one block of
+    /// every layer.
+    pub fn write_block(&mut self, block: BlockId, data: &[f32]) {
+        let bf = self.layout.block_floats();
+        assert_eq!(data.len(), 2 * bf * self.num_layers);
+        let slabs = self.k.iter_mut().zip(&mut self.v).flat_map(|(k, v)| [k, v]);
+        for (slab, src) in slabs.zip(data.chunks_exact(bf)) {
+            slab[block * bf..(block + 1) * bf].copy_from_slice(src);
+        }
+    }
+
     /// Read-only view of one layer's storage for the attention kernels.
     ///
     /// # Panics
@@ -461,6 +492,27 @@ mod tests {
         assert_eq!(view.v_head(b, 3, 0), &v[0..4]);
         // Other layer untouched.
         assert!(pool.layer(0).k_token(b, 3).iter().all(|&x| x == 0.0));
+    }
+
+    /// A block read out of one slot and written into another carries
+    /// every layer's K and V over, and nothing else.
+    #[test]
+    fn read_block_then_write_block_moves_every_layer() {
+        let mut pool = PagedKvCache::new(layout(), 2, 3);
+        let (a, b) = (pool.allocate().unwrap(), pool.allocate().unwrap());
+        for (l, s) in [(0, 0), (1, 2)] {
+            let k: Vec<f32> = (0..8).map(|i| (l * 100 + s * 10 + i) as f32).collect();
+            pool.write_token(l, a, s, &k, &k.iter().map(|x| -x).collect::<Vec<_>>());
+        }
+        let bytes = pool.read_block(a);
+        assert_eq!(bytes.len(), 2 * 2 * layout().block_floats());
+        pool.write_block(b, &bytes);
+        for l in 0..2 {
+            let view = pool.layer(l);
+            assert_eq!(view.k_block(b), view.k_block(a), "layer {l} K");
+            assert_eq!(view.v_block(b), view.v_block(a), "layer {l} V");
+        }
+        assert_eq!(pool.read_block(2), vec![0.0; bytes.len()], "untouched");
     }
 
     #[test]
