@@ -297,7 +297,8 @@ impl FunctionalEngine {
         self.store.append(conv, prompt);
         let history = self.history(conv);
         let recompute = plan.recompute_ranges().into_iter();
-        let segments = (recompute.map(|r| r.start..r.end.min(cached)))
+        let segments = recompute
+            .map(|r| r.start..r.end.min(cached))
             .chain(std::iter::once(cached..history.len()))
             .map(|r| SegmentInput {
                 start_pos: r.start,
@@ -674,7 +675,6 @@ mod tests {
 
     #[test]
     fn stash_faults_keep_outputs_bit_identical() {
-        use pensieve_sim::FaultConfig;
         let cfg = ModelConfig::tiny_llama();
         let small = FunctionalConfig {
             block_size: 4,
