@@ -51,6 +51,21 @@ pub trait EvictionPolicy: fmt::Debug + Send + Sync {
     /// [`ProfiledCostTable::chunk_cost`] never falls as context grows.
     fn score(&self, chunk: &ChunkState, last_active: SimTime, now: SimTime) -> f64;
 
+    /// A lower bound on [`EvictionPolicy::score`] of every chunk of a
+    /// conversation last active at `last_active`, at `now`.
+    ///
+    /// Contract: `score_floor(t, now) <= score(chunk, t, now)` for every
+    /// chunk, and non-decreasing in `t` at a fixed `now`. An eviction pass
+    /// visits conversations oldest first and stops ranking them once the
+    /// best candidate it holds scores strictly below the next one's floor,
+    /// so a tight floor makes a pass cost the conversations near the front
+    /// rather than every resident one. The default, `f64::NEG_INFINITY`,
+    /// bounds nothing: every pass ranks every member, which is always
+    /// exact.
+    fn score_floor(&self, _last_active: SimTime, _now: SimTime) -> f64 {
+        f64::NEG_INFINITY
+    }
+
     /// Eviction granularity; defaults to chunk-level.
     fn granularity(&self) -> Granularity {
         Granularity::Chunk
@@ -66,13 +81,22 @@ pub trait EvictionPolicy: fmt::Debug + Send + Sync {
 /// division by zero for a conversation touched at the current instant.
 const MIN_IDLE_SECS: f64 = 1e-3;
 
+/// The retention-value denominator `T`: seconds idle, clamped below at
+/// [`MIN_IDLE_SECS`]. Non-increasing in `last_active`.
+fn idle_secs(last_active: SimTime, now: SimTime) -> f64 {
+    now.saturating_duration_since(last_active)
+        .as_secs()
+        .max(MIN_IDLE_SECS)
+}
+
 /// Pensieve's retention-value policy: `V = Cost(l) / T` (§4.3.1).
 ///
 /// `Cost(l)` is the profiled chunk-recomputation cost at the chunk's
 /// context position and `T` the conversation's idle time; chunks that are
 /// cheap to recompute or long-inactive have low retention value and are
 /// evicted first. Because `Cost(l)` grows with `l`, leading chunks of a
-/// conversation naturally go before trailing ones.
+/// conversation naturally go before trailing ones — and `Cost(0) / T` is
+/// its score floor. `Cost` rises slowly with `l`, so the floor is tight.
 pub struct RetentionValuePolicy {
     cost: ProfiledCostTable,
 }
@@ -98,11 +122,13 @@ impl EvictionPolicy for RetentionValuePolicy {
     }
 
     fn score(&self, chunk: &ChunkState, last_active: SimTime, now: SimTime) -> f64 {
-        let idle = now
-            .saturating_duration_since(last_active)
-            .as_secs()
-            .max(MIN_IDLE_SECS);
-        self.cost.chunk_cost(chunk.context_end).as_secs() / idle
+        self.cost.chunk_cost(chunk.context_end).as_secs() / idle_secs(last_active, now)
+    }
+
+    /// `Cost(0) / T`: `Cost` never falls as `l` grows, and dividing by the
+    /// same `T` keeps the order; `T` falls as `last_active` rises.
+    fn score_floor(&self, last_active: SimTime, now: SimTime) -> f64 {
+        self.cost.chunk_cost(0).as_secs() / idle_secs(last_active, now)
     }
 }
 
@@ -120,6 +146,10 @@ impl EvictionPolicy for LruPolicy {
     fn score(&self, _chunk: &ChunkState, last_active: SimTime, _now: SimTime) -> f64 {
         last_active.as_secs()
     }
+
+    fn score_floor(&self, last_active: SimTime, _now: SimTime) -> f64 {
+        last_active.as_secs()
+    }
 }
 
 /// CachedAttention-style policy: LRU over *entire conversations*
@@ -133,6 +163,10 @@ impl EvictionPolicy for CachedAttentionPolicy {
     }
 
     fn score(&self, _chunk: &ChunkState, last_active: SimTime, _now: SimTime) -> f64 {
+        last_active.as_secs()
+    }
+
+    fn score_floor(&self, last_active: SimTime, _now: SimTime) -> f64 {
         last_active.as_secs()
     }
 
@@ -153,6 +187,10 @@ impl EvictionPolicy for TrailingEndPolicy {
     }
 
     fn score(&self, _chunk: &ChunkState, last_active: SimTime, _now: SimTime) -> f64 {
+        last_active.as_secs()
+    }
+
+    fn score_floor(&self, last_active: SimTime, _now: SimTime) -> f64 {
         last_active.as_secs()
     }
 
@@ -227,6 +265,52 @@ mod tests {
         let t = SimTime::from_secs(3.0);
         assert_eq!(p.score(&chunk(32), t, now), p.score(&chunk(9999), t, now));
         assert!(p.score(&chunk(32), SimTime::from_secs(1.0), now) < p.score(&chunk(32), t, now));
+    }
+
+    /// The [`EvictionPolicy::score_floor`] contract, for every in-tree
+    /// policy (retention value over two models): below the score of a
+    /// chunk at any position, and non-decreasing in `last_active` — idle
+    /// times under the clamp and `last_active` after `now` included.
+    #[test]
+    fn score_floor_bounds_every_chunk_and_rises_with_last_active() {
+        let llama = CostModel::new(ModelConfig::llama2_13b(), HardwareSpec::azure_nc_a100(1));
+        let llama = RetentionValuePolicy::new(ProfiledCostTable::profile(&llama, 32, 16384));
+        let policies: [Box<dyn EvictionPolicy>; 5] = [
+            Box::new(retention()),
+            Box::new(llama),
+            Box::new(LruPolicy),
+            Box::new(CachedAttentionPolicy),
+            Box::new(TrailingEndPolicy),
+        ];
+        // Seconds before `now`; negative means after it.
+        let ago = [
+            -5.0, -1e-6, 0.0, 1e-9, 1e-4, 9.99e-4, 1e-3, 1.001e-3, 0.25, 1.0, 59.0, 3600.0,
+        ];
+        for p in &policies {
+            for now in [0.0, 1e-3, 0.7, 100.0, 86_400.0] {
+                let now = SimTime::from_secs(now);
+                let mut times: Vec<SimTime> = ago
+                    .iter()
+                    .map(|&d| SimTime::from_secs((now.as_secs() - d).max(0.0)))
+                    .collect();
+                times.sort_by(SimTime::total_cmp);
+                for pair in times.windows(2) {
+                    let (a, b) = (p.score_floor(pair[0], now), p.score_floor(pair[1], now));
+                    assert!(a <= b, "{}: floor falls from {a} to {b}", p.name());
+                }
+                for t in times {
+                    let floor = p.score_floor(t, now);
+                    for context_end in 0..=70_000 {
+                        let score = p.score(&chunk(context_end), t, now);
+                        assert!(
+                            floor <= score,
+                            "{}: floor {floor} above {score} at l = {context_end}",
+                            p.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,13 @@
 //! * **First need.** A chunk that lands on a rung after the pass built
 //!   that rung's queue waits for the next pass
 //!   (`an_entrant_after_first_need_waits_for_the_next_pass`).
-//! * **Cost.** A pass scores the tier's members once, one successor per
-//!   candidate it pops, and the shared candidates — counted, not timed —
-//!   and conversations with nothing in the tier cost it nothing.
+//! * **Cost.** A pass scores the frontiers inside its floor band once,
+//!   one successor per candidate it pops, and the shared candidates —
+//!   counted, not timed; a tie class costs one member however large it
+//!   is, and conversations with nothing in the tier cost nothing.
+//! * **Pruning is invisible.** The same ops on two caches whose policies
+//!   differ only in `score_floor` — the real one, and the default that
+//!   visits every frontier — evict the same chunks in the same order.
 
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -58,13 +62,15 @@ fn cache(policy: Box<dyn EvictionPolicy>, (ssd, cold): (usize, usize)) -> Tiered
 
 /// `tier`'s queue at `now`, drained to exhaustion without evicting.
 fn drained(
-    cache: &TieredKvCache,
+    cache: &mut TieredKvCache,
     tier: Tier,
     skip: Option<SessionId>,
     now: SimTime,
 ) -> Vec<Victim> {
     let mut queue = cache.candidate_queue(tier, skip, now);
-    std::iter::from_fn(|| cache.next_candidate(&mut queue, now)).collect()
+    let all = std::iter::from_fn(|| cache.next_candidate(&mut queue, now)).collect();
+    cache.recycle([queue]);
+    all
 }
 
 /// The same list from the full sort.
@@ -78,7 +84,7 @@ fn sorted(cache: &TieredKvCache, tier: Tier, skip: Option<SessionId>, now: SimTi
 /// Queue and oracle agree on every tier, with and without an excluded
 /// conversation, now and after the retention curves have had time to
 /// cross; and the maintained state recounts.
-fn assert_queue_is_the_sort(cache: &TieredKvCache, secs: f64, what: &str) {
+fn assert_queue_is_the_sort(cache: &mut TieredKvCache, secs: f64, what: &str) {
     assert_eq!(cache.check_invariants(), Ok(()), "after {what}");
     for tier in EVICTED_FROM {
         for later in [0.0, 0.5, 300.0] {
@@ -101,6 +107,14 @@ fn appendable(cache: &TieredKvCache, conv: SessionId) -> bool {
     last.is_none_or(|c| c.tokens == CHUNK || c.tier == Tier::Gpu)
 }
 
+/// One applied op: its name, and what its eviction passes returned.
+#[derive(Debug, PartialEq)]
+struct Step {
+    what: &'static str,
+    swapped: Vec<SwapOutOp>,
+    suspended: usize,
+}
+
 /// Applies one generated op. Ops that cannot apply are typed errors or
 /// no-ops, as for any caller.
 fn apply(
@@ -108,10 +122,11 @@ fn apply(
     forked: &mut BTreeSet<SessionId>,
     (kind, session, amount): (u8, u64, usize),
     now: SimTime,
-) -> &'static str {
+) -> Step {
     let conv = SessionId(1 + session);
     let other = SessionId(1 + (session + 1 + amount as u64 % (SESSIONS - 1)) % SESSIONS);
-    match kind {
+    let (mut swapped, mut suspended) = (Vec::new(), 0);
+    let what = match kind {
         0..=3 => {
             // A turn: restore (evicting on the conversation's behalf if
             // the GPU is short), then the prompt.
@@ -119,12 +134,12 @@ fn apply(
                 cache.remove_conversation(conv);
             }
             if let Err(CacheError::OutOfGpu { needed, .. }) = cache.commit_restore(conv, now) {
-                cache.swap_out_until_for(needed, Some(conv), now);
+                swapped.extend(cache.swap_out_until_for(needed, Some(conv), now));
             }
             if cache.commit_restore(conv, now).is_ok()
                 && cache.append_tokens(conv, amount, now).is_err()
             {
-                cache.swap_out_until_for(amount, Some(conv), now);
+                swapped.extend(cache.swap_out_until_for(amount, Some(conv), now));
                 let _ = cache.append_tokens(conv, amount, now);
             }
             "turn"
@@ -138,7 +153,7 @@ fn apply(
         }
         5..=6 => {
             cache.unpin(conv);
-            cache.maybe_swap_out(now);
+            swapped = cache.maybe_swap_out(now);
             "unpin"
         }
         7 => {
@@ -150,12 +165,12 @@ fn apply(
             "touch"
         }
         9 => {
-            cache.suspend(conv, now);
+            suspended = cache.suspend(conv, now);
             "suspend"
         }
         10..=11 => {
             let for_conv = (amount % 3 > 0).then_some(conv);
-            cache.swap_out_until_for(amount * 5, for_conv, now);
+            swapped = cache.swap_out_until_for(amount * 5, for_conv, now);
             "swap_out_until_for"
         }
         12 => {
@@ -216,6 +231,11 @@ fn apply(
             }
             "host-memory fault"
         }
+    };
+    Step {
+        what,
+        swapped,
+        suspended,
     }
 }
 
@@ -236,11 +256,125 @@ proptest! {
                 for (op, step) in ops.iter().zip(&steps) {
                     // Steps of zero keep ties in play.
                     secs += f64::from(step.saturating_sub(500)) / 1000.0;
-                    let what = apply(&mut cache, &mut forked, *op, t(secs));
-                    assert_queue_is_the_sort(&cache, secs, what);
+                    let step = apply(&mut cache, &mut forked, *op, t(secs));
+                    assert_queue_is_the_sort(&mut cache, secs, step.what);
                 }
             }
         }
+    }
+
+    /// Pruning is invisible (module docs). In half the cases most steps
+    /// are zero, so whole populations share a clock.
+    #[test]
+    fn pruned_and_unpruned_passes_are_one(
+        ops in prop::collection::vec((0u8..21, 0u64..SESSIONS, 1usize..70), 20..120),
+        steps in prop::collection::vec(0u32..3000, 120..121),
+        zero_below in prop::sample::select(vec![500u32, 2500]),
+    ) {
+        for ladder in LADDERS {
+            for mut pair in twins(ladder, CacheConfig::for_test(CHUNK, 320, 160)) {
+                let mut forked = [BTreeSet::new(), BTreeSet::new()];
+                let mut secs = 0.0;
+                for (op, step) in ops.iter().zip(&steps) {
+                    secs += f64::from(step.saturating_sub(zero_below)) / 1000.0;
+                    let what = step_both(&mut pair, &mut forked, *op, t(secs));
+                    assert_same(&pair, what);
+                }
+            }
+        }
+    }
+}
+
+/// A cache and its trace.
+type Traced = (TieredKvCache, SharedRecorder);
+
+/// Each policy twice over `cfg` with `(ssd, cold)` deep tiers: as it is,
+/// and with the default `score_floor`, which visits every frontier.
+fn twins((ssd, cold): (usize, usize), cfg: CacheConfig) -> Vec<[Traced; 2]> {
+    let traced = |policy| {
+        let rec = SharedRecorder::new();
+        let cache = TieredKvCache::builder(cfg.clone())
+            .policy(policy)
+            .deep_tiers(ssd, cold)
+            .recorder(rec.clone())
+            .build();
+        (cache, rec)
+    };
+    let pairs = policies().into_iter().zip(policies());
+    pairs
+        .map(|(real, same)| [traced(real), traced(Probe::unpruned(same))])
+        .collect()
+}
+
+/// Applies `op` to both twins; asserts they returned and traced the same.
+fn step_both(
+    [(a, trace_a), (b, trace_b)]: &mut [Traced; 2],
+    [forked_a, forked_b]: &mut [BTreeSet<SessionId>; 2],
+    op: (u8, u64, usize),
+    now: SimTime,
+) -> &'static str {
+    let step = apply(a, forked_a, op, now);
+    let name = a.policy.name();
+    assert_eq!(step, apply(b, forked_b, op, now), "{name}");
+    let what = step.what;
+    assert_eq!(
+        trace_a.take_events(),
+        trace_b.take_events(),
+        "{name}: {what}"
+    );
+    what
+}
+
+/// Asserts the twins hold the same chunks in the same places, with the
+/// same maintained state.
+fn assert_same([(a, _), (b, _)]: &[Traced; 2], what: &str) {
+    let state = |c: &TieredKvCache| {
+        let convs = c.convs.iter();
+        let convs: Vec<_> = convs
+            .map(|(id, e)| (*id, e.chunks.clone(), e.spans))
+            .collect();
+        let shared: Vec<_> = c.shared.iter().map(|(id, s)| (*id, s.chunk)).collect();
+        (convs, shared, c.occ, c.stats.clone(), c.copied_fifo.clone())
+    };
+    let name = a.policy.name();
+    assert_eq!(state(a), state(b), "{name} after {what}");
+    assert!(
+        a.members == b.members,
+        "{name}: frontiers differ after {what}"
+    );
+}
+
+/// The differential at scale: 10 000 members on the deep ladder at five
+/// clocks, so tie classes run to thousands, and passes that demote
+/// through every rung. Too slow for debug builds.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only")]
+fn pruned_and_unpruned_passes_are_one_at_10k_members() {
+    const MEMBERS: u64 = 10_000;
+    // 40 tokens a session: 500 fit the GPU, 3 000 each host rung.
+    let cfg = CacheConfig::for_test(CHUNK, 500 * 40, 3_000 * 40);
+    for mut pair in twins((3_000 * 40, 3_000 * 40), cfg) {
+        let mut forked = [BTreeSet::new(), BTreeSet::new()];
+        for s in 0..MEMBERS {
+            let now = t((s % 5) as f64);
+            // A turn of 40 tokens, then the watermark pass.
+            step_both(&mut pair, &mut forked, (0, s, 40), now);
+            step_both(&mut pair, &mut forked, (5, s, 0), now);
+        }
+        assert_same(&pair, "setup");
+        let mut rng = proptest::TestRng::from_name("10k");
+        for turn in 0..2_000u64 {
+            let now = t(5.0 + (turn / 100) as f64);
+            let kind = (rng.next_u64() % 12) as u8;
+            let op = (
+                kind,
+                rng.next_u64() % MEMBERS,
+                1 + (rng.next_u64() % 69) as usize,
+            );
+            step_both(&mut pair, &mut forked, op, now);
+        }
+        assert_same(&pair, "turns");
+        assert_eq!(pair[0].0.check_invariants(), Ok(()));
     }
 }
 
@@ -294,14 +428,68 @@ fn an_entrant_after_first_need_waits_for_the_next_pass() {
     assert_eq!(tier_of(&cache, 2), Tier::Cold);
 }
 
-/// Counts `score` calls of the policy it wraps.
-#[derive(Debug)]
-struct Counting<P> {
-    inner: P,
-    calls: Arc<AtomicUsize>,
+/// An entrant may land on a conversation the rung's queue has not
+/// visited yet. That conversation's chunks already on the rung stay
+/// candidates of the pass: here c.0 must go on to the cold store to make
+/// room for c.2, pruned as unpruned.
+#[test]
+fn an_entrant_keeps_its_conversation_a_candidate_of_a_lazy_queue() {
+    let cfg = CacheConfig::for_test(32, 128, 64);
+    for mut pair in twins((64, 256), cfg) {
+        let (a, c, d) = (SessionId(1), SessionId(2), SessionId(3));
+        for (cache, _) in &mut pair {
+            // a (idle since 0) and c.0 (since 10) fill the SSD, c.1 and
+            // c.2 the CPU tier, d the GPU.
+            let import = |session, layout: &[Tier]| SessionExport {
+                session,
+                shared: Vec::new(),
+                chunks: layout.iter().copied().map(staged).collect(),
+            };
+            assert_eq!(
+                cache.import_session(import(a, &[Tier::Ssd]), t(0.0)),
+                Ok(32)
+            );
+            let layout = [Tier::Ssd, Tier::Cpu, Tier::Cpu];
+            assert_eq!(cache.import_session(import(c, &layout), t(10.0)), Ok(96));
+            cache.append_tokens(d, 128, t(5.0)).unwrap();
+            cache.unpin(d);
+            // Two GPU victims need the CPU tier twice. The first time c.1
+            // leaves for the SSD, whose queue stops in front of c — a.0
+            // ranks first — and a.0 makes room. The second time c.2
+            // follows, and the SSD has to give up c.0.
+            cache.swap_out_until(64, t(1000.0));
+            let tiers = cache.convs[&c].chunks.iter().map(|x| x.tier);
+            assert_eq!(
+                tiers.collect::<Vec<_>>(),
+                [Tier::Cold, Tier::Ssd, Tier::Ssd]
+            );
+        }
+        assert_same(&pair, "the pass");
+    }
 }
 
-impl<P: EvictionPolicy> EvictionPolicy for Counting<P> {
+/// Wraps a policy: counts its `score` calls, and keeps its
+/// `score_floor` or — `floor: false` — leaves the default, which makes
+/// every pass visit every frontier.
+#[derive(Debug)]
+struct Probe {
+    inner: Box<dyn EvictionPolicy>,
+    calls: Arc<AtomicUsize>,
+    floor: bool,
+}
+
+impl Probe {
+    fn unpruned(inner: Box<dyn EvictionPolicy>) -> Box<dyn EvictionPolicy> {
+        let calls = Arc::default();
+        Box::new(Probe {
+            inner,
+            calls,
+            floor: false,
+        })
+    }
+}
+
+impl EvictionPolicy for Probe {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -309,6 +497,14 @@ impl<P: EvictionPolicy> EvictionPolicy for Counting<P> {
     fn score(&self, chunk: &ChunkState, last_active: SimTime, now: SimTime) -> f64 {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.inner.score(chunk, last_active, now)
+    }
+
+    fn score_floor(&self, last_active: SimTime, now: SimTime) -> f64 {
+        if self.floor {
+            self.inner.score_floor(last_active, now)
+        } else {
+            f64::NEG_INFINITY
+        }
     }
 
     fn granularity(&self) -> Granularity {
@@ -320,23 +516,57 @@ impl<P: EvictionPolicy> EvictionPolicy for Counting<P> {
     }
 }
 
-/// `(score calls, victims)` of one GPU pass that frees `target_chunks`
-/// chunks' worth of slots (a whole-conversation policy takes more) from
-/// 200 sessions × 64 chunks on the GPU, one pooled shared chunk beside
-/// them, with `idle` more sessions resident only on the CPU tier.
+/// The GPU residents of [`gpu_pass`]: `sessions` × `chunks` 32-token
+/// chunks, session `s` last active at `t(s)` — or every one at `t(0)`,
+/// one tie class, when `tied` — beside one pooled shared chunk, with
+/// `idle` more sessions resident only on the CPU tier.
+#[derive(Debug, Clone, Copy)]
+struct Residents {
+    sessions: u64,
+    chunks: usize,
+    tied: bool,
+    idle: u64,
+}
+
+const SPREAD: Residents = Residents {
+    sessions: 200,
+    chunks: 64,
+    tied: false,
+    idle: 0,
+};
+
+/// What one [`gpu_pass`] cost.
+#[derive(Debug, PartialEq)]
+struct PassCost {
+    /// `score` calls.
+    calls: usize,
+    victims: usize,
+    /// Frontiers whose floor is at most the score of the candidate after
+    /// the last victim — the most the pass may visit.
+    band: usize,
+}
+
+/// One GPU pass over `residents` that frees `target_chunks` chunks' worth
+/// of slots (a whole-conversation policy takes more).
 fn gpu_pass(
     policy: impl EvictionPolicy + 'static,
     target_chunks: usize,
-    idle: u64,
-) -> (usize, usize) {
-    const SESSIONS: u64 = 200;
-    const TOKENS: usize = 64 * 32;
+    residents: Residents,
+) -> PassCost {
+    let Residents {
+        sessions,
+        chunks,
+        tied,
+        idle,
+    } = residents;
     let calls = Arc::new(AtomicUsize::new(0));
-    let policy = Counting {
-        inner: policy,
+    let policy = Probe {
+        inner: Box::new(policy),
         calls: Arc::clone(&calls),
+        floor: true,
     };
-    let gpu = SESSIONS as usize * TOKENS + 32;
+    let tokens = chunks * 32;
+    let gpu = sessions as usize * tokens + 32;
     let cfg = CacheConfig::for_test(32, gpu, 4 * gpu);
     let mut cache = TieredKvCache::builder(cfg).policy(Box::new(policy)).build();
     let shared = cache.register_shared(&synthetic_preamble(1, 32), t(0.0));
@@ -344,10 +574,9 @@ fn gpu_pass(
     cache.attach_shared(sharer, &shared, t(0.0)).unwrap();
     cache.commit_restore(sharer, t(0.0)).unwrap();
     cache.unpin(sharer);
-    for s in 0..SESSIONS {
-        cache
-            .append_tokens(SessionId(s), TOKENS, t(s as f64))
-            .unwrap();
+    for s in 0..sessions {
+        let at = if tied { 0.0 } else { s as f64 };
+        cache.append_tokens(SessionId(s), tokens, t(at)).unwrap();
         cache.unpin(SessionId(s));
     }
     for s in 0..idle {
@@ -359,40 +588,84 @@ fn gpu_pass(
         assert_eq!(cache.import_session(export, t(0.0)), Ok(32));
     }
     assert_eq!(cache.gpu_free_effective(), 0);
+    let now = t(1000.0);
+    let order = cache.collect_candidates(Tier::Gpu, now);
+    let floors: Vec<f64> = (cache.members.tiers.gpu.values())
+        .map(|f| cache.policy.score_floor(f.last_active, now))
+        .collect();
     calls.store(0, Ordering::Relaxed);
-    let ops = cache.swap_out_until(target_chunks * 32, t(1000.0));
-    (calls.load(Ordering::Relaxed), ops.len())
+    let victims = cache.swap_out_until(target_chunks * 32, now).len();
+    let after = order
+        .get(victims)
+        .map_or(f64::INFINITY, |&(_, score)| score);
+    PassCost {
+        calls: calls.load(Ordering::Relaxed),
+        victims,
+        band: floors.iter().filter(|&&floor| floor <= after).count(),
+    }
 }
 
-/// A pass costs its members and its victims — by count, no clock: one
-/// score per member conversation, one per successor of a popped
-/// candidate (at most one candidate more than it takes), one per shared
-/// candidate; and conversations with nothing in the tier cost nothing.
+fn retention() -> RetentionValuePolicy {
+    let cost = CostModel::new(ModelConfig::opt_13b(), HardwareSpec::azure_nc_a100(1));
+    RetentionValuePolicy::new(ProfiledCostTable::profile(&cost, 32, 16384))
+}
+
+/// A pass costs its floor band and its victims — by count, no clock: one
+/// score per frontier it visits, which are inside the band, one per
+/// successor of a popped candidate (at most one candidate more than it
+/// takes), one per shared candidate. A tie class costs the members the
+/// pass takes, not the members it has; conversations with nothing in
+/// the tier cost nothing.
 #[test]
 fn a_pass_scores_its_members_and_its_victims_only() {
-    let (members, shared) = (200, 1);
-    let retention = || {
-        let cost = CostModel::new(ModelConfig::opt_13b(), HardwareSpec::azure_nc_a100(1));
-        RetentionValuePolicy::new(ProfiledCostTable::profile(&cost, 32, 16384))
+    let shared = 1;
+    let tied = |sessions| Residents {
+        sessions,
+        chunks: 4,
+        tied: true,
+        ..SPREAD
     };
     for target in [1, 70] {
-        let passes = [
-            gpu_pass(retention(), target, 0),
-            gpu_pass(LruPolicy, target, 0),
-            gpu_pass(CachedAttentionPolicy, target, 0),
-            gpu_pass(TrailingEndPolicy, target, 0),
-        ];
-        for (calls, victims) in passes {
+        let passes = |residents| {
+            [
+                gpu_pass(retention(), target, residents),
+                gpu_pass(LruPolicy, target, residents),
+                gpu_pass(CachedAttentionPolicy, target, residents),
+                gpu_pass(TrailingEndPolicy, target, residents),
+            ]
+        };
+        for cost in passes(SPREAD) {
+            let PassCost {
+                calls,
+                victims,
+                band,
+            } = cost;
             assert!(victims >= target);
             assert!(
-                calls <= members + (victims + 1) + shared,
-                "{calls} scores for {victims} victims of {members} members"
+                calls <= band + (victims + 1) + shared,
+                "{calls} scores for {victims} victims in a band of {band}"
             );
+            // Even seventy victims come from the oldest few residents,
+            // and so does the band.
+            assert!(10 * band as u64 <= SPREAD.sessions, "band of {band}");
+        }
+        // A tie class is one head at a time: the first, then per pop a
+        // successor and the next head.
+        for (small, large) in passes(tied(200)).into_iter().zip(passes(tied(2000))) {
+            assert_eq!(small.calls, large.calls, "a tie class costs its size");
+            assert!(small.calls <= 1 + 2 * (small.victims + 1) + shared);
         }
     }
     assert_eq!(
-        gpu_pass(retention(), 70, 2000),
-        gpu_pass(retention(), 70, 0),
+        gpu_pass(
+            retention(),
+            70,
+            Residents {
+                idle: 2000,
+                ..SPREAD
+            }
+        ),
+        gpu_pass(retention(), 70, SPREAD),
         "idle CPU-only sessions moved the cost of a GPU pass"
     );
 }
@@ -451,4 +724,21 @@ fn check_invariants_names_row_span_and_frontier_drift() {
     let mut cache = build();
     entry(&mut cache, 2).pinned = true;
     says(&cache, "SessionId(2): frontier drift in Gpu: found None");
+
+    // The `last_active` index: an entry lost, one whose key went stale,
+    // one pointing at the wrong chunk.
+    let mut cache = build();
+    let index = &mut cache.members.by_idle.gpu;
+    let (&key, &idx) = index.iter().find(|(k, _)| k.conv == SessionId(2)).unwrap();
+    index.remove(&key);
+    says(&cache, "index drift in Gpu: 1 entries for 2 frontiers");
+    let stale = IdleKey {
+        last_active: t(9.0),
+        ..key
+    };
+    cache.members.by_idle.gpu.insert(stale, idx);
+    says(&cache, "SessionId(2): index drift in Gpu");
+    cache.members.by_idle.gpu.remove(&stale);
+    cache.members.by_idle.gpu.insert(key, idx + 1);
+    says(&cache, "SessionId(2): index drift in Gpu");
 }

@@ -61,24 +61,28 @@
 //!   their idle time, so within a conversation and a tier the eviction
 //!   order is the policy's walk along the chunks and only the first one
 //!   in the tier — the *frontier* — can be the next victim. A
-//!   `CandidateQueue` is therefore a heap of one frontier per unpinned
+//!   `CandidateQueue` is therefore a heap over one frontier per unpinned
 //!   member conversation plus the evictable shared chunks; popping one
-//!   scores and pushes its successor. Drained, it is the sorted list of
-//!   every candidate, tie-breaks included (`collect_candidates`, the
-//!   full sort it replaced, is the test oracle); a pass costs the
-//!   tier's members plus its victims, and conversations with nothing in
-//!   the tier cost it nothing. The candidate *set* is fixed at first
-//!   need: a chunk landing on a rung after its queue was built waits
-//!   for the next pass.
+//!   scores and pushes its successor. Frontiers enter the heap lazily,
+//!   oldest `last_active` first, only while the policy's score floor for
+//!   the next one does not exceed the heap's best, and a tie class
+//!   (same clock, same frontier chunk) enters one member at a time.
+//!   Drained, it is the sorted list of every candidate, tie-breaks
+//!   included (`collect_candidates`, the full sort it replaced, is the
+//!   test oracle); a pass costs the frontiers inside the floor band plus
+//!   its victims, and conversations with nothing in the tier cost it
+//!   nothing. The candidate *set* is fixed at first need: a chunk
+//!   landing on a rung after its queue was built waits for the next
+//!   pass.
 //!
 //! All quantities are in tokens; byte conversion and transfer timing are
 //! the simulator's job (`pensieve_sim::storage` models the deep-tier
 //! devices), physical KV bytes the functional engine's.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashSet, VecDeque};
 use std::fmt;
-use std::ops::Range;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pensieve_model::SimTime;
@@ -438,14 +442,78 @@ struct Frontier {
     last_active: SimTime,
 }
 
+/// A frontier's place in its tier's `last_active` index: oldest first,
+/// then by the frontier chunk, then by conversation. Entries that agree
+/// on everything but the conversation form a *tie class*: the policy is
+/// handed identical arguments for each, so they score bit for bit alike
+/// and rank among themselves by conversation — their index order.
+#[derive(Debug, Clone, Copy)]
+struct IdleKey {
+    last_active: SimTime,
+    chunk: ChunkState,
+    conv: SessionId,
+}
+
+impl IdleKey {
+    fn of(conv: SessionId, front: &Frontier) -> Self {
+        IdleKey {
+            last_active: front.last_active,
+            chunk: front.chunk,
+            conv,
+        }
+    }
+
+    /// The largest key of this key's tie class.
+    fn class_end(self) -> Self {
+        IdleKey {
+            conv: SessionId(u64::MAX),
+            ..self
+        }
+    }
+
+    fn same_class(&self, other: &IdleKey) -> bool {
+        self.class_end() == other.class_end()
+    }
+}
+
+impl Ord for IdleKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let (a, b) = (&self.chunk, &other.chunk);
+        self.last_active
+            .total_cmp(&other.last_active)
+            .then(a.context_end.cmp(&b.context_end))
+            .then(a.tokens.cmp(&b.tokens))
+            .then(self.conv.cmp(&other.conv))
+    }
+}
+
+impl PartialOrd for IdleKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for IdleKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for IdleKey {}
+
 /// Per tier a pass can evict from, the unpinned conversations holding
 /// private tokens there, each with its [`Frontier`]: exactly the private
 /// candidates a queue over the tier starts from. Kept by the transitions
 /// that keep the rows ([`ConvEntry::enter`], [`ConvEntry::leave`]) and,
-/// for the pin and the idle clock, [`ConvEntry::sync_frontiers`].
+/// for the pin and the idle clock, [`ConvEntry::sync_frontiers`] — all
+/// through [`Members::seat`] and [`Members::unseat`], which keep the
+/// frontiers twice: by conversation, and in the `last_active` order a
+/// queue visits them in.
 #[derive(Debug, Default, PartialEq)]
 struct Members {
     tiers: PerTier<BTreeMap<SessionId, Frontier>>,
+    /// The same frontiers keyed by [`IdleKey`], each with its chunk index.
+    by_idle: PerTier<BTreeMap<IdleKey, usize>>,
     /// True if the policy walks a conversation's chunks from the back:
     /// trailing-first at chunk granularity. A whole-conversation policy
     /// takes every chunk anyway and walks forward.
@@ -457,6 +525,26 @@ impl Members {
     /// two tiers keep no frontiers.
     fn ranks(tier: Tier) -> bool {
         !matches!(tier, Tier::GpuCopied | Tier::Dropped)
+    }
+
+    /// Records `front` as `conv`'s frontier in `tier`.
+    fn seat(&mut self, tier: Tier, conv: SessionId, front: Frontier) {
+        let old = self.tiers.get_mut(tier).insert(conv, front);
+        if old == Some(front) {
+            return;
+        }
+        let index = self.by_idle.get_mut(tier);
+        if let Some(old) = old {
+            index.remove(&IdleKey::of(conv, &old));
+        }
+        index.insert(IdleKey::of(conv, &front), front.idx);
+    }
+
+    /// Records that `conv` has no frontier in `tier`.
+    fn unseat(&mut self, tier: Tier, conv: SessionId) {
+        if let Some(old) = self.tiers.get_mut(tier).remove(&conv) {
+            self.by_idle.get_mut(tier).remove(&IdleKey::of(conv, &old));
+        }
     }
 }
 
@@ -511,6 +599,10 @@ const CPU_RUNG: usize = 0;
 struct Candidate {
     score: f64,
     victim: Victim,
+    /// Pushed from the `last_active` index as the first member of its tie
+    /// class the queue had not pushed, with more behind it: popping it
+    /// pushes the next one.
+    chains: bool,
 }
 
 impl Ord for Candidate {
@@ -535,28 +627,45 @@ impl PartialEq for Candidate {
 impl Eq for Candidate {}
 
 /// One tier's eviction candidates for one pass, in eviction order,
-/// without listing them: a k-way merge over conversations.
+/// without listing them: a k-way merge over conversations, fed lazily
+/// from the tier's `last_active` index.
 ///
 /// At one `now` every chunk of a conversation shares its idle time, so
 /// within a conversation and a tier the policy's order is its
 /// within-conversation walk (see [`EvictionPolicy::score`]) and only the
 /// first chunk along it — the conversation's *frontier* in the tier —
-/// can be the next victim. The heap holds one frontier per unpinned
-/// member conversation plus every evictable shared chunk;
-/// `TieredKvCache::next_candidate` pops the lowest and pushes the popped
-/// conversation's next chunk in the tier, so draining it yields exactly
-/// the sorted list of all candidates, tie-breaks included, at the cost
-/// of the candidates actually taken.
+/// can be the next victim. The heap holds the frontiers visited so far
+/// plus every evictable shared chunk; `TieredKvCache::next_candidate`
+/// pops the lowest and pushes the popped conversation's next chunk in
+/// the tier, so draining it yields exactly the sorted list of all
+/// candidates, tie-breaks included.
+///
+/// Frontiers are visited oldest first, and only while the heap's best
+/// score is at least the policy's [`EvictionPolicy::score_floor`] for
+/// the next one: past that point no unvisited frontier can rank first.
+/// The stop is strict because an equal score may hide a smaller victim.
+/// Of a tie class only the first member not yet pushed is visited; the
+/// next follows when it is popped. A pass costs the frontiers inside the
+/// floor band plus its victims.
 ///
 /// The candidate *set* is fixed when the queue is built (the first time
 /// the pass needs the tier): `entrants` lists the private chunks this
 /// pass has since landed on the tier, which the walk steps over until
-/// the next pass builds a fresh queue.
+/// the next pass builds a fresh queue. The buffers are reused from pass
+/// to pass (`TieredKvCache::candidate_queue`, `TieredKvCache::recycle`).
 #[derive(Debug)]
 struct CandidateQueue {
     tier: Tier,
     heap: BinaryHeap<Reverse<Candidate>>,
     entrants: Vec<(SessionId, usize)>,
+    /// Where the visit of the tier's index resumes — `Included` at the
+    /// entry it stopped in front of — or `None` once it has run off the
+    /// end. Entries behind it are visited, or belong to conversations in
+    /// `pushed`; so are entries the pass inserts behind it later.
+    resume: Option<Bound<IdleKey>>,
+    /// Conversations the queue has pushed a private candidate for, or
+    /// excluded: none is pushed from the index twice.
+    pushed: HashSet<SessionId>,
 }
 
 /// Caller-held candidate queues, one per ladder rung, each built lazily
@@ -735,7 +844,7 @@ impl ConvEntry {
             self.first_in(conv, tier, lo..hi, members.descending, &[])
         };
         let Some((idx, &chunk)) = found else {
-            members.tiers.get_mut(tier).remove(&conv);
+            members.unseat(tier, conv);
             return;
         };
         // Nothing in the tier lies before its frontier: the next search
@@ -750,7 +859,7 @@ impl ConvEntry {
             chunk,
             last_active: self.last_active,
         };
-        members.tiers.get_mut(tier).insert(conv, front);
+        members.seat(tier, conv, front);
     }
 
     /// Brings the conversation's frontiers in line with its pin and idle
@@ -835,6 +944,8 @@ pub struct TieredKvCache {
     /// Which unpinned conversations hold private tokens in each tier,
     /// and their frontiers there.
     members: Members,
+    /// Candidate queues of finished passes, kept for their buffers.
+    spare_queues: Vec<CandidateQueue>,
     /// The host-side demotion ladder, top to bottom, with the
     /// capacities of `cfg`.
     ladder: [Rung; 3],
@@ -970,10 +1081,11 @@ impl TieredKvCache {
             index: PrefixIndex::new(cfg.chunk_tokens),
             cfg,
             members: Members {
-                tiers: PerTier::default(),
                 descending: policy.within_order() == WithinOrder::TrailingFirst
                     && policy.granularity() == Granularity::Chunk,
+                ..Members::default()
             },
+            spare_queues: Vec::new(),
             policy,
             convs: BTreeMap::new(),
             occ: Occupancy::default(),
@@ -1465,7 +1577,7 @@ impl TieredKvCache {
             let held = *entry.row.get(tier);
             if held > 0 {
                 self.occ.release(tier, held);
-                self.members.tiers.get_mut(tier).remove(&conv);
+                self.members.unseat(tier, conv);
             }
         }
     }
@@ -1575,6 +1687,7 @@ impl TieredKvCache {
                 shared,
             });
         }
+        self.recycle(std::iter::once(gpu).chain(queues.into_iter().flatten()));
         debug_assert_eq!(self.check_invariants(), Ok(()));
         ops
     }
@@ -1597,18 +1710,20 @@ impl TieredKvCache {
             let to = match tier {
                 // The CPU already holds a copy; just release the GPU slot.
                 Tier::GpuCopied => Tier::Cpu,
-                // Each chunk evicts against fresh queues, so this
-                // conversation's own just-moved chunks are candidates.
-                Tier::Gpu
-                    if self.ensure_space(CPU_RUNG, tokens, now, &mut RungQueues::default()) =>
-                {
-                    self.stats.swapped_out_tokens += tokens as u64;
-                    transferred += tokens;
-                    Tier::Cpu
-                }
                 Tier::Gpu => {
-                    self.stats.dropped_tokens += tokens as u64;
-                    Tier::Dropped
+                    // Each chunk evicts against fresh queues, so this
+                    // conversation's own just-moved chunks are candidates.
+                    let mut queues = RungQueues::default();
+                    let copied = self.ensure_space(CPU_RUNG, tokens, now, &mut queues);
+                    self.recycle(queues.into_iter().flatten());
+                    if copied {
+                        self.stats.swapped_out_tokens += tokens as u64;
+                        transferred += tokens;
+                        Tier::Cpu
+                    } else {
+                        self.stats.dropped_tokens += tokens as u64;
+                        Tier::Dropped
+                    }
                 }
                 _ => continue,
             };
@@ -2122,7 +2237,7 @@ impl TieredKvCache {
                 // see the newcomer until the next pass.
                 let built = queues.iter_mut().flatten().find(|q| q.tier == rung.tier);
                 if let (Some(queue), Victim::Conv(conv, idx)) = (built, victim) {
-                    queue.entrants.push((conv, idx));
+                    self.step_over(queue, conv, idx, now);
                 }
             }
             None if sharers > 0 => return,
@@ -2168,12 +2283,13 @@ impl TieredKvCache {
         }
     }
 
-    /// Builds `tier`'s candidate queue for one pass at `now`: the
-    /// frontier of every unpinned member conversation (`skip` excepted)
-    /// plus every evictable shared chunk in the tier — one score per
-    /// queued entry, nothing per chunk behind a frontier and nothing per
-    /// conversation with no token in the tier. The shared pool is walked
-    /// whole: it holds prefixes, not sessions.
+    /// Builds `tier`'s candidate queue for one pass at `now`, in buffers
+    /// a finished pass gave back: every evictable shared chunk in the
+    /// tier, and — visited later, oldest first, only as far as the floor
+    /// requires — the frontier of every unpinned member conversation
+    /// (`skip` excepted). Nothing is paid per chunk behind a frontier or
+    /// per conversation with no token in the tier. The shared pool is
+    /// walked whole: it holds prefixes, not sessions.
     ///
     /// This is the one place the two species are *scored* differently: a
     /// private chunk by its conversation's idle time, a shared chunk by
@@ -2181,39 +2297,149 @@ impl TieredKvCache {
     /// count* — evicting it burns every sharer's restore, so its
     /// retention value `V = Cost(s, l)/T` scales with the number of
     /// conversations it serves.
-    fn candidate_queue(&self, tier: Tier, skip: Option<SessionId>, now: SimTime) -> CandidateQueue {
-        let fronts = self.members.tiers.get(tier);
-        let mut heap = Vec::with_capacity(fronts.len());
-        for (&conv, front) in fronts {
-            if Some(conv) != skip {
-                let score = self.policy.score(&front.chunk, front.last_active, now);
-                let victim = Victim::Conv(conv, front.idx);
-                heap.push(Reverse(Candidate { score, victim }));
-            }
-        }
+    fn candidate_queue(
+        &mut self,
+        tier: Tier,
+        skip: Option<SessionId>,
+        now: SimTime,
+    ) -> CandidateQueue {
+        let mut queue = self.spare_queues.pop().unwrap_or_else(|| CandidateQueue {
+            tier,
+            heap: BinaryHeap::new(),
+            entrants: Vec::new(),
+            resume: None,
+            pushed: HashSet::new(),
+        });
+        queue.tier = tier;
+        queue.heap.clear();
+        queue.entrants.clear();
+        queue.resume = Some(Bound::Unbounded);
+        queue.pushed.clear();
+        queue.pushed.extend(skip);
         for (&id, s) in &self.shared {
             if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
                 continue;
             }
             let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
-            let victim = Victim::Shared(id);
-            heap.push(Reverse(Candidate { score, victim }));
+            queue.heap.push(Reverse(Candidate {
+                score,
+                victim: Victim::Shared(id),
+                chains: false,
+            }));
         }
-        CandidateQueue {
-            tier,
-            heap: BinaryHeap::from(heap),
-            entrants: Vec::new(),
+        queue
+    }
+
+    /// Keeps the buffers of queues whose pass is over for the next one.
+    fn recycle(&mut self, queues: impl IntoIterator<Item = CandidateQueue>) {
+        self.spare_queues.extend(queues);
+    }
+
+    /// Visits `queue`'s tier index from where it left off until no
+    /// unvisited frontier can beat the heap's best: that score is
+    /// strictly below the next frontier's floor. Each visited
+    /// conversation not pushed yet is pushed as the head of its tie
+    /// class, and the visit skips the rest of the class.
+    fn scan(&self, queue: &mut CandidateQueue, now: SimTime) {
+        let stops = |queue: &CandidateQueue, key: &IdleKey| {
+            let below_floor = |Reverse(top): &Reverse<Candidate>| {
+                top.score < self.policy.score_floor(key.last_active, now)
+            };
+            queue.heap.peek().is_some_and(below_floor)
+        };
+        // Most pops stop in front of the same entry as the last one.
+        if let Some(Bound::Included(key)) = queue.resume {
+            if stops(queue, &key) {
+                return;
+            }
+        }
+        let index = self.members.by_idle.get(queue.tier);
+        'visit: while let Some(from) = queue.resume {
+            let mut entries = index.range((from, Bound::Unbounded)).peekable();
+            while let Some((&key, &idx)) = entries.next() {
+                if stops(queue, &key) {
+                    queue.resume = Some(Bound::Included(key));
+                    return;
+                }
+                queue.resume = Some(Bound::Excluded(key));
+                if !queue.pushed.insert(key.conv) {
+                    continue;
+                }
+                let chains = entries
+                    .peek()
+                    .is_some_and(|(next, _)| next.same_class(&key));
+                self.push_head(queue, key, idx, chains, now);
+                if chains {
+                    queue.resume = Some(Bound::Excluded(key.class_end()));
+                    continue 'visit;
+                }
+            }
+            queue.resume = None;
+        }
+    }
+
+    /// Pushes the frontier at index entry `key` (chunk `idx`) as the head
+    /// of its tie class, `chains` if members the queue has not pushed
+    /// follow it; the caller has entered its conversation in `pushed`.
+    fn push_head(
+        &self,
+        queue: &mut CandidateQueue,
+        key: IdleKey,
+        idx: usize,
+        chains: bool,
+        now: SimTime,
+    ) {
+        let score = self.policy.score(&key.chunk, key.last_active, now);
+        debug_assert!(
+            score
+                .total_cmp(&self.policy.score_floor(key.last_active, now))
+                .is_ge(),
+            "{} scores chunk {idx} of {:?} below its floor",
+            self.policy.name(),
+            key.conv
+        );
+        queue.heap.push(Reverse(Candidate {
+            score,
+            victim: Victim::Conv(key.conv, idx),
+            chains,
+        }));
+    }
+
+    /// Pushes the first member of `head`'s tie class after it that the
+    /// queue has not pushed yet, as the class's next head.
+    fn push_next_head(&self, queue: &mut CandidateQueue, head: IdleKey, now: SimTime) {
+        let index = self.members.by_idle.get(queue.tier);
+        let class = (Bound::Excluded(head), Bound::Included(head.class_end()));
+        let mut unpushed = index
+            .range(class)
+            .filter(|(k, _)| !queue.pushed.contains(&k.conv));
+        let next = unpushed.next().map(|(&key, &idx)| (key, idx));
+        let chains = unpushed.next().is_some();
+        if let Some((key, idx)) = next {
+            queue.pushed.insert(key.conv);
+            self.push_head(queue, key, idx, chains, now);
         }
     }
 
     /// Takes the next candidate off `queue` in eviction order; a private
     /// chunk's place is taken by its conversation's next chunk in the
     /// tier (newcomers of this pass stepped over), scored at the pass's
-    /// `now`. The caller re-validates the candidate at use.
+    /// `now`, and a class head's by the next member of its class. The
+    /// caller re-validates the candidate at use.
     fn next_candidate(&self, queue: &mut CandidateQueue, now: SimTime) -> Option<Victim> {
+        self.scan(queue, now);
         let Reverse(top) = queue.heap.pop()?;
         if let Victim::Conv(conv, idx) = top.victim {
             if let Some(e) = self.convs.get(&conv) {
+                if let Some(&chunk) = e.chunks.get(idx).filter(|_| top.chains) {
+                    let last_active = e.last_active;
+                    let head = IdleKey {
+                        last_active,
+                        chunk,
+                        conv,
+                    };
+                    self.push_next_head(queue, head, now);
+                }
                 let Span { lo, hi } = *e.spans.get(queue.tier);
                 let descending = self.members.descending;
                 let rest = if descending { lo..idx } else { idx + 1..hi };
@@ -2225,12 +2451,41 @@ impl TieredKvCache {
                         "{} scores chunk {next} of {conv:?} below chunk {idx} before it",
                         self.policy.name()
                     );
-                    let victim = Victim::Conv(conv, next);
-                    queue.heap.push(Reverse(Candidate { score, victim }));
+                    queue.heap.push(Reverse(Candidate {
+                        score,
+                        victim: Victim::Conv(conv, next),
+                        chains: false,
+                    }));
                 }
             }
         }
         Some(top.victim)
+    }
+
+    /// Private chunk `idx` of `conv` landed on `queue`'s tier after the
+    /// queue was built, so the pass steps over it. The landing may have
+    /// moved `conv`'s index entry, possibly behind the visit; if the
+    /// queue has no candidate of `conv` yet, the one it would have had —
+    /// the first chunk in the tier that is not an entrant — is pushed
+    /// now, and the entry is never needed.
+    fn step_over(&self, queue: &mut CandidateQueue, conv: SessionId, idx: usize, now: SimTime) {
+        queue.entrants.push((conv, idx));
+        if !queue.pushed.insert(conv) {
+            return;
+        }
+        let Some(e) = self.convs.get(&conv) else {
+            return;
+        };
+        let Span { lo, hi } = *e.spans.get(queue.tier);
+        let descending = self.members.descending;
+        let first = e.first_in(conv, queue.tier, lo..hi, descending, &queue.entrants);
+        if let Some((first, c)) = first {
+            queue.heap.push(Reverse(Candidate {
+                score: self.policy.score(c, e.last_active, now),
+                victim: Victim::Conv(conv, first),
+                chains: false,
+            }));
+        }
     }
 
     /// The full sort [`CandidateQueue`] replaced, kept as the test
@@ -2561,7 +2816,7 @@ impl TieredKvCache {
         // chunks where they are).
         for tier in TIERS {
             if std::mem::take(e.row.get_mut(tier)) > 0 {
-                self.members.tiers.get_mut(tier).remove(&parent);
+                self.members.unseat(tier, parent);
             }
         }
         let inherited = chain.len();
@@ -2758,12 +3013,30 @@ impl TieredKvCache {
             self.occ
         );
         for tier in TIERS {
-            let held = self.members.tiers.get(tier).len();
+            let fronts = self.members.tiers.get(tier);
             ensure!(
-                held == *members.get(tier),
-                "membership drift in {tier:?}: {held} frontiers held for {} members",
+                fronts.len() == *members.get(tier),
+                "membership drift in {tier:?}: {} frontiers held for {} members",
+                fronts.len(),
                 members.get(tier)
             );
+            // One entry per frontier, each keyed by it: keys are unique
+            // and name their conversation, so this is a bijection.
+            let index = self.members.by_idle.get(tier);
+            ensure!(
+                index.len() == fronts.len(),
+                "index drift in {tier:?}: {} entries for {} frontiers",
+                index.len(),
+                fronts.len()
+            );
+            for (key, &idx) in index {
+                let front = fronts.get(&key.conv);
+                ensure!(
+                    front.is_some_and(|f| IdleKey::of(key.conv, f) == *key && f.idx == idx),
+                    "{:?}: index drift in {tier:?}: entry {key:?} at chunk {idx}, frontier {front:?}",
+                    key.conv
+                );
+            }
         }
         ensure!(
             self.gpu_slots_used() <= self.cfg.gpu_capacity_tokens,
