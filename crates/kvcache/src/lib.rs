@@ -68,4 +68,4 @@ pub use tiered::{
     leaked_chunk_handles, CacheError, ChunkHandle, RequestPlan, SessionExport, SharedChunkRef,
     SwapOutOp, TieredKvCache, TieredKvCacheBuilder,
 };
-pub use types::{CacheConfig, ChunkId, ChunkRef, ChunkState, SessionId, Tier};
+pub use types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};

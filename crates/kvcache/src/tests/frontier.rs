@@ -20,11 +20,14 @@
 //!   differ only in `score_floor` — the real one, and the default that
 //!   visits every frontier — evict the same chunks in the same order.
 
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use super::ladder::CPU_RUNG;
+use super::occupancy::ConvEntry;
+use super::queue::{IdleKey, RungQueues};
 use super::*;
 use crate::policy::{CachedAttentionPolicy, RetentionValuePolicy, TrailingEndPolicy};
 use crate::prefix::synthetic_preamble;
@@ -590,8 +593,8 @@ fn gpu_pass(
     assert_eq!(cache.gpu_free_effective(), 0);
     let now = t(1000.0);
     let order = cache.collect_candidates(Tier::Gpu, now);
-    let floors: Vec<f64> = (cache.members.tiers.gpu.values())
-        .map(|f| cache.policy.score_floor(f.last_active, now))
+    let floors: Vec<f64> = (cache.members.by_idle.gpu.keys())
+        .map(|key| cache.policy.score_floor(key.last_active, now))
         .collect();
     calls.store(0, Ordering::Relaxed);
     let victims = cache.swap_out_until(target_chunks * 32, now).len();
@@ -671,7 +674,10 @@ fn a_pass_scores_its_members_and_its_victims_only() {
 }
 
 /// `check_invariants` recounts each piece of the maintained state from
-/// the chunk lists and names the one that drifted.
+/// the chunk lists and names the one that drifted: a row, a span, and the
+/// candidate index — an entry lost, a stale key, a wrong chunk index, an
+/// entry for a conversation with no tokens in the tier, and one for a
+/// pinned conversation.
 #[test]
 fn check_invariants_names_row_span_and_frontier_drift() {
     let build = || {
@@ -687,6 +693,12 @@ fn check_invariants_names_row_span_and_frontier_drift() {
     fn entry(cache: &mut TieredKvCache, s: u64) -> &mut ConvEntry {
         cache.convs.get_mut(&SessionId(s)).unwrap()
     }
+    /// Session `s`'s entry in the GPU index.
+    fn gpu_key(cache: &TieredKvCache, s: u64) -> (IdleKey, usize) {
+        let index = &cache.members.by_idle.gpu;
+        let found = index.iter().find(|(k, _)| k.conv == SessionId(s));
+        found.map(|(&key, &idx)| (key, idx)).unwrap()
+    }
     let says = |cache: &TieredKvCache, what: &str| {
         let err = cache.check_invariants().unwrap_err();
         assert!(err.contains(what), "{err:?} does not name {what:?}");
@@ -700,45 +712,41 @@ fn check_invariants_names_row_span_and_frontier_drift() {
     entry(&mut cache, 1).spans.cpu.hi = 1;
     says(&cache, "SessionId(1): chunk 1 in Cpu lies outside its span");
 
+    // An entry lost.
     let mut cache = build();
-    let front = cache.members.tiers.gpu.remove(&SessionId(3));
-    says(&cache, "SessionId(3): frontier drift in Gpu");
-    // Kept for a conversation that is gone.
-    cache.members.tiers.gpu.insert(SessionId(3), front.unwrap());
-    cache.members.tiers.gpu.insert(SessionId(9), front.unwrap());
-    says(
-        &cache,
-        "membership drift in Gpu: 3 frontiers held for 2 members",
-    );
+    let (key, idx) = gpu_key(&cache, 3);
+    cache.members.by_idle.gpu.remove(&key);
+    says(&cache, "SessionId(3): index drift in Gpu");
 
+    // A stale key: the clock it was seated at has moved.
     let mut cache = build();
-    cache.members.tiers.cpu.get_mut(&SessionId(1)).unwrap().idx = 1;
-    says(&cache, "SessionId(1): frontier drift in Cpu");
-
-    let mut cache = build();
-    let front = cache.members.tiers.gpu.get_mut(&SessionId(2)).unwrap();
-    front.last_active = t(9.0);
-    says(&cache, "SessionId(2): frontier drift in Gpu");
-
-    // A pinned conversation keeps no frontier.
-    let mut cache = build();
-    entry(&mut cache, 2).pinned = true;
-    says(&cache, "SessionId(2): frontier drift in Gpu: found None");
-
-    // The `last_active` index: an entry lost, one whose key went stale,
-    // one pointing at the wrong chunk.
-    let mut cache = build();
-    let index = &mut cache.members.by_idle.gpu;
-    let (&key, &idx) = index.iter().find(|(k, _)| k.conv == SessionId(2)).unwrap();
-    index.remove(&key);
-    says(&cache, "index drift in Gpu: 1 entries for 2 frontiers");
+    cache.members.by_idle.gpu.remove(&key);
     let stale = IdleKey {
         last_active: t(9.0),
         ..key
     };
     cache.members.by_idle.gpu.insert(stale, idx);
-    says(&cache, "SessionId(2): index drift in Gpu");
-    cache.members.by_idle.gpu.remove(&stale);
+    says(&cache, "SessionId(3): index drift in Gpu");
+
+    // A key at the wrong chunk.
+    let mut cache = build();
     cache.members.by_idle.gpu.insert(key, idx + 1);
+    says(&cache, "SessionId(3): index drift in Gpu");
+
+    // An entry for a conversation with no tokens in the tier: session 1
+    // is suspended, all of it on the CPU.
+    let mut cache = build();
+    cache.members.by_idle.gpu.insert(
+        IdleKey {
+            conv: SessionId(1),
+            ..key
+        },
+        idx,
+    );
+    says(&cache, "index drift in Gpu: 3 entries for 2 members");
+
+    // An entry for a pinned conversation.
+    let mut cache = build();
+    entry(&mut cache, 2).pinned = true;
     says(&cache, "SessionId(2): index drift in Gpu");
 }

@@ -81,15 +81,6 @@ pub struct ChunkState {
     pub context_end: usize,
 }
 
-/// Reference to a chunk: conversation plus chunk index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChunkRef {
-    /// Owning conversation.
-    pub conv: SessionId,
-    /// Zero-based chunk index within the conversation's context.
-    pub index: usize,
-}
-
 /// Capacity and policy parameters of the tiered cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {

@@ -149,7 +149,11 @@ fn caches_are_only_built_through_the_builder() {
     // recorder are wired in one validated place.
     let offenders = find_offenders(
         "TieredKvCache::new(",
-        &["crates/kvcache/src/tiered.rs", "tests/api_construction.rs"],
+        &[
+            "crates/kvcache/src/tiered.rs",
+            "crates/kvcache/src/tests/tiered.rs",
+            "tests/api_construction.rs",
+        ],
         false,
     );
     assert!(

@@ -6,8 +6,9 @@
 //! `--test` target that `ci.yml` or a document hands to cargo must be a
 //! source file of the package the command names — for `pensieve-bench`,
 //! which is one binary, the subcommand after the bare `--` must be a row
-//! of its `COMMANDS` table — and every `scripts/*` path they name must be
-//! a file.
+//! of its `COMMANDS` table — and every `scripts/*` path and every
+//! `<crate>/src/….rs` or `<crate>/tests/….rs` source they name must be a
+//! file.
 
 use std::path::Path;
 
@@ -162,4 +163,41 @@ fn every_script_ci_and_the_documents_name_is_in_the_tree() {
         }
     }
     assert!(checked > 0, "nothing names scripts/loc.sh any more");
+}
+
+/// `path` with its `{a,b,…}` group, if any, expanded into each
+/// alternative.
+fn expand(path: &str) -> Vec<String> {
+    let (Some(open), Some(close)) = (path.find('{'), path.find('}')) else {
+        return vec![path.to_owned()];
+    };
+    let (head, tail) = (&path[..open], &path[close + 1..]);
+    let alternatives = path[open + 1..close].split(',');
+    alternatives
+        .map(|alt| format!("{head}{alt}{tail}"))
+        .collect()
+}
+
+/// A document pointing at a source file names it by its path from the
+/// root, from `crates/` or from `shims/`; after a file is split or a
+/// test moves, every such pointer must still name a file.
+#[test]
+fn every_source_file_ci_and_the_documents_name_is_in_the_tree() {
+    let mut checked = 0;
+    for doc in documents() {
+        let text = read(&doc);
+        let words = text.split(|c: char| c.is_whitespace() || "()'\"`".contains(c));
+        let sources = words.map(bare).filter(|w| {
+            let in_crate = w.contains("/src/") || w.contains("/tests/");
+            in_crate && w.ends_with(".rs") && !w.contains(['*', '<', '…'])
+        });
+        for path in sources.flat_map(expand) {
+            let found = ["", "crates/", "shims/"]
+                .iter()
+                .any(|dir| root().join(format!("{dir}{path}")).is_file());
+            assert!(found, "{doc} names {path}, which is not in the tree");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 50, "only {checked} source paths found");
 }
