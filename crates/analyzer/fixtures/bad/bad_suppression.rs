@@ -3,23 +3,23 @@
 //! bare suppression does not silence the underlying finding.
 //! Never compiled — input for the analyzer's own test suite.
 
-pub fn bare(x: Option<u32>) -> u32 {
-    // lint:allow(r1-panic) //~ r4-suppression
-    x.unwrap() //~ r1-panic
+pub fn bare(pool: &Pool) -> Vec<f32> {
+    // lint:allow(r2-float-reduce) //~ r4-suppression
+    pool.map_partitions(|c| c.iter().sum::<f32>()) //~ r2-float-reduce
 }
 
-pub fn unknown_rule(x: Option<u32>) -> u32 {
+pub fn unknown_rule(pool: &Pool) -> Vec<f32> {
     // lint:allow(no-such-rule): reason given but rule is bogus //~ r4-suppression
-    x.unwrap() //~ r1-panic
+    pool.map_partitions(|c| c.iter().sum::<f32>()) //~ r2-float-reduce
 }
 
-pub fn empty_reason(x: Option<u32>) -> u32 {
-    // lint:allow(r1-panic):
+pub fn empty_reason(pool: &Pool) -> Vec<f32> {
+    // lint:allow(r2-float-reduce):
     //~^ r4-suppression
-    x.unwrap() //~ r1-panic
+    pool.map_partitions(|c| c.iter().sum::<f32>()) //~ r2-float-reduce
 }
 
 pub fn stale_waiver(x: u32) -> u32 {
-    // lint:allow(r1-panic): the unwrap this once covered was refactored away //~ r4-suppression
+    // lint:allow(r2-float-reduce): the reduction this once covered was refactored away //~ r4-suppression
     x + 1
 }

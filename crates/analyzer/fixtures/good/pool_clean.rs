@@ -1,9 +1,8 @@
 // analyzer-fixture: crates/kernels/src/pool_clean.rs
 //! A known-good file: pool dispatch done right — guards dropped before
 //! fan-out, partitions touching only their own item or closure-local
-//! state, results merged through the ordered return path, and all
-//! timing/randomness simulated. Never compiled — input for the
-//! analyzer's own test suite.
+//! state, and results merged through the ordered return path. Never
+//! compiled — input for the analyzer's own test suite.
 
 use std::sync::Mutex;
 
@@ -40,10 +39,4 @@ pub fn ordered_merge(pool: &Pool, rows: usize) -> Vec<u64> {
     // Each partition returns its own result; the pool's return order is
     // partition order, so the merge is deterministic by construction.
     pool.map_partitions(rows, |i| i as u64 * 2)
-}
-
-pub fn simulated_jitter(rng: &mut SplitMix64, now: SimTime) -> SimTime {
-    // Timing and randomness both come from the simulation: SimTime for
-    // clocks, a seeded SplitMix64 stream for jitter.
-    now + SimDuration::from_nanos(rng.next_u64() % 1_000)
 }

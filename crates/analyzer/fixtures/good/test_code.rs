@@ -1,5 +1,6 @@
 // analyzer-fixture: crates/core/src/test_code.rs
-//! A known-good file: panics and hash iteration confined to test code.
+//! A known-good file: float reductions and guards held across a pool
+//! dispatch, confined to test code.
 //! Never compiled — input for the analyzer's own test suite.
 
 pub fn shipping_code(x: Option<u32>) -> Option<u32> {
@@ -9,25 +10,20 @@ pub fn shipping_code(x: Option<u32>) -> Option<u32> {
 /// Doc examples are comments to the lexer; calls inside them are inert:
 ///
 /// ```
-/// let v = maybe().unwrap();
-/// pool[0].touch();
+/// let held = stats.lock();
+/// pool.map_partitions(|c| c.iter().sum::<f32>());
 /// ```
 pub fn documented() {}
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
-    fn panics_are_fine_in_tests() {
-        let m: HashMap<u32, u32> = HashMap::new();
-        for (k, v) in m.iter() {
-            assert!(k <= v);
-        }
-        let x: Option<u32> = Some(1);
-        assert_eq!(x.unwrap(), 1);
-        if false {
-            panic!("unreachable in practice");
-        }
+    fn reductions_and_held_guards_are_fine_in_tests() {
+        let pool = Pool::new(2);
+        let stats = Mutex::new(0u64);
+        let held = stats.lock();
+        let sums = pool.map_partitions(|c| c.iter().sum::<f32>());
+        assert_eq!(sums.len(), 2);
+        drop(held);
     }
 }

@@ -1,17 +1,19 @@
 //! `pensieve-analyzer`: a workspace invariant linter.
 //!
-//! The serving stack's correctness arguments lean on conventions the
-//! Rust compiler cannot enforce: panic-free swap-in/eviction paths
-//! (each layer's typed error instead), deterministic iteration order in
-//! the cache and scheduler (bit-identical replay and eviction-victim
-//! selection), a fixed lock-acquisition order, and threading routed
-//! through the sanctioned concurrency layers. This crate checks those
-//! conventions statically with a hand-rolled lexer — no external parser
-//! dependencies, consistent with the workspace's vendored-shims policy.
+//! The serving stack's correctness arguments lean on conventions neither
+//! the Rust compiler nor clippy can enforce: a fixed float-reduction
+//! order inside pool closures (bit-identical kernels), an acyclic
+//! lock-acquisition order, no lock guard held across a pool dispatch,
+//! and pool closures that share no mutable state. This crate checks
+//! those conventions statically with a hand-rolled lexer and a
+//! scope-tree pass — no external parser dependencies, consistent with
+//! the workspace's vendored-shims policy. Panic freedom, unchecked
+//! indexing, hash-order iteration, wall-clock reads and raw threading
+//! are clippy lints (docs/ANALYZER.md has the table).
 //!
-//! See DESIGN.md §8 for the rule catalogue (R1–R4), DESIGN.md §13 and
-//! docs/ANALYZER.md for the scope-tree pass behind the R5 concurrency
-//! rules, and `src/main.rs` for the CLI that CI runs in `--deny` mode.
+//! See DESIGN.md §8 and docs/ANALYZER.md for the rule catalogue,
+//! DESIGN.md §13 for the scope-tree pass, and `src/main.rs` for the CLI
+//! that CI runs in `--deny` mode.
 
 pub mod lexer;
 pub mod report;

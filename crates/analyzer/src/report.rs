@@ -65,8 +65,8 @@ pub fn to_json(report: &Report) -> String {
 ///
 /// ```json
 /// {
-///   "total": 19,
-///   "by_rule": { "r1-index": 1, "r1-panic": 18 },
+///   "total": 3,
+///   "by_rule": { "r2-float-reduce": 1, "r5-lock-across-pool": 2 },
 ///   "suppressions": [
 ///     {"rule": "...", "path": "...", "line": 7, "reason": "...",
 ///      "file_level": false, "fired": 1}
@@ -117,13 +117,13 @@ mod tests {
         let mut a = Analyzer::new();
         a.analyze_file(
             "crates/core/src/engine.rs",
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+            "fn f(p: &P) -> Vec<f32> { p.map_partitions(|c| c.iter().sum::<f32>()) }\n",
         );
         let report = a.finish();
         let text = render_text(&report);
-        assert!(text.contains("crates/core/src/engine.rs:1: [r1-panic]"));
+        assert!(text.contains("crates/core/src/engine.rs:1: [r2-float-reduce]"));
         let json = to_json(&report);
-        assert!(json.contains("\"rule\": \"r1-panic\""));
+        assert!(json.contains("\"rule\": \"r2-float-reduce\""));
         assert!(json.contains("\"files_scanned\": 1"));
     }
 
@@ -132,16 +132,16 @@ mod tests {
         let mut a = Analyzer::new();
         a.analyze_file(
             "crates/core/src/engine.rs",
-            "fn f(x: Option<u32>) -> u32 {\n\
-             // lint:allow(r1-panic): invariant proven by caller\n\
-             x.unwrap()\n\
+            "fn f(p: &P) -> Vec<f32> {\n\
+             // lint:allow(r2-float-reduce): invariant proven by caller\n\
+             p.map_partitions(|c| c.iter().sum::<f32>())\n\
              }\n",
         );
         let report = a.finish();
         assert!(report.violations.is_empty());
         let debt = suppression_report(&report);
         assert!(debt.contains("\"total\": 1"));
-        assert!(debt.contains("\"r1-panic\": 1"));
+        assert!(debt.contains("\"r2-float-reduce\": 1"));
         assert!(debt.contains("invariant proven by caller"));
         assert!(debt.contains("\"fired\": 1"));
     }

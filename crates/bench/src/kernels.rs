@@ -35,6 +35,10 @@ fn time_ms(mut f: impl FnMut()) -> f64 {
     f();
     (0..3)
         .map(|_| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "host-time microbenchmark: its timings never feed a simulated result"
+            )]
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64() * 1e3

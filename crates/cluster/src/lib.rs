@@ -45,6 +45,12 @@
 //! assert!(router.is_idle());
 //! ```
 
+// Lint levels: docs/ANALYZER.md has what each guards.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod policy;
 pub mod replication;
 pub mod router;

@@ -33,6 +33,8 @@
 //! [`Router`]: crate::Router
 //! [`ServingBackend::take_committed_kv`]: pensieve_core::ServingBackend::take_committed_kv
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use pensieve_kvcache::SessionId;

@@ -61,6 +61,8 @@
 //! them into its own recorder in replica-index order, so the merged
 //! event stream — and its hash — is identical at every pool width.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -470,9 +472,11 @@ impl<B: ServingBackend + Send> Router<B> {
     /// Direct access to replica `idx`'s backend (inspection in tests and
     /// benches; routing itself never bypasses the trait).
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "harness-only inspection accessor: a bad index must fail loudly"
+    )]
     pub fn replica(&self, idx: usize) -> &B {
-        // lint:allow(r1-index): harness-only inspection accessor; a bad
-        // index should fail the test loudly, not be masked with a default.
         &self.replicas[idx].backend
     }
 

@@ -370,14 +370,15 @@ impl SimServingEngine {
                 engine.cfg.shared_prefix_tokens,
             );
             let chain = engine.cache.register_shared(&preamble, SimTime::ZERO);
-            engine.shared_handles = engine
+            #[expect(
+                clippy::expect_used,
+                reason = "a shared prefix larger than the GPU cache is a configuration bug"
+            )]
+            let handles = engine
                 .cache
                 .materialize_global(&chain, SimTime::ZERO)
-                // lint:allow(r1-panic): a shared prefix larger than the
-                // GPU cache is a configuration bug, not a runtime
-                // condition — fail loudly at construction, not
-                // mid-serving.
                 .expect("shared prefix must fit in the GPU cache");
+            engine.shared_handles = handles;
             engine.shared_tokens = chain.len() * engine.cache.config().chunk_tokens;
             engine.shared_chain = chain;
         }

@@ -17,6 +17,12 @@
 //!   sub-request recomputation. Its outputs are compared token-for-token
 //!   against stateless recomputation in the tests.
 
+// Lint levels: docs/ANALYZER.md has what each guards.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod backend;
 pub mod config;
 pub mod engine;

@@ -123,9 +123,12 @@ impl ThreadedTpEngine {
             let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = channel();
             let res_tx = res_tx.clone();
             cmd_txs.push(tx);
-            handles.push(Some(std::thread::spawn(move || {
-                worker_loop(idx, &mut shard, &rx, &res_tx)
-            })));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the tensor-parallel worker fleet: one long-lived thread per shard"
+            )]
+            let handle = std::thread::spawn(move || worker_loop(idx, &mut shard, &rx, &res_tx));
+            handles.push(Some(handle));
         }
         ThreadedTpEngine {
             replicated,

@@ -16,6 +16,12 @@
 //! * [`attention`] — the five attention kernels.
 //! * [`model`] — the functional transformer (OPT-style and Llama-style).
 
+// Lint levels: docs/ANALYZER.md has what each guards.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod attention;
 pub mod model;
 pub mod ops;

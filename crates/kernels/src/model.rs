@@ -403,8 +403,10 @@ impl TinyModel {
     /// Panics if `cfg` is invalid.
     #[must_use]
     pub fn new_random(cfg: &ModelConfig, seed: u64) -> Self {
-        // lint:allow(r1-panic): construction-time config validation —
-        // documented panic contract, never on a serving path.
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time config validation, a documented panic contract"
+        )]
         cfg.validate().expect("invalid model config");
         let mut rng = StdRng::seed_from_u64(seed);
         let h = cfg.hidden_size;

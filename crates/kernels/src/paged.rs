@@ -322,10 +322,11 @@ impl BlockTable {
     /// Panics if `i` is out of range or the block is a hole — kernels must
     /// only run once every visible block is resident.
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: kernels only run once every visible block is resident"
+    )]
     pub fn block_at(&self, i: usize) -> BlockId {
-        // lint:allow(r1-panic): documented panic contract — kernels only
-        // run after residency is established; a hole here is memory-
-        // safety-adjacent corruption, not a recoverable condition.
         self.blocks[i].unwrap_or_else(|| panic!("logical block {i} is a hole"))
     }
 
@@ -374,8 +375,10 @@ impl BlockTable {
             self.blocks.push(Some(b));
         }
         let bi = self.len / self.block_size;
-        // lint:allow(r1-panic): the branch above just ensured the tail
-        // block exists; a hole at the tail is accounting corruption.
+        #[expect(
+            clippy::expect_used,
+            reason = "the branch above just ensured the tail block; a hole there is corruption"
+        )]
         let block = self.blocks[bi].expect("appending into a hole");
         let pos = (block, self.len % self.block_size);
         self.len += 1;

@@ -46,7 +46,12 @@
 //! The crate's entire API is re-exported here at the root — the module
 //! tree is private layout, not surface.
 
+// Lint levels: docs/ANALYZER.md has what each guards.
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![deny(clippy::indexing_slicing, clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 mod manifest;
 mod policy;

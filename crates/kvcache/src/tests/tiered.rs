@@ -1135,9 +1135,7 @@ fn manifest_dirty_covers_every_layout_change_and_no_tier_move() {
         }
         dirty
     };
-    let [a, b, c, d, e, _] = ids[..] else {
-        unreachable!()
-    };
+    let [a, b, c, d, e] = [1, 2, 3, 4, 5].map(SessionId);
     assert_eq!(
         step(&mut cache, &|k| k.append_tokens(a, 40, t(0.1)).unwrap()),
         vec![a]

@@ -40,6 +40,12 @@
 //! assert!(jsonl.contains("\"ev\":\"Suspended\""));
 //! ```
 
+// Lint levels: docs/ANALYZER.md has what each guards.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+#![deny(clippy::iter_over_hash_type)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod event;
 pub mod export;
 pub mod metrics;

@@ -16,6 +16,8 @@
 //! ([`FaultKind::ColdReadFailure`]) consumes the device time but delivers
 //! nothing — the caller falls back to dropped-chunk recomputation.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::fmt;
 
 use pensieve_model::{SimDuration, SimTime};

@@ -6,6 +6,8 @@
 //! workspace vendors an equivalent built on [`std::sync::Mutex`] +
 //! [`std::sync::Condvar`].
 
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 pub mod model;
 
 /// A **persistent** worker pool for data-parallel kernels.
@@ -35,6 +37,10 @@ pub mod model;
 /// is captured, the latch still counts down, and the panic resumes on the
 /// caller after the barrier). No borrow outlives the call.
 pub mod pool {
+    // The dispatch path: an out-of-bounds panic here poisons every
+    // caller. `model` (the test-time interleaving model) is not covered.
+    #![deny(clippy::indexing_slicing)]
+
     use std::any::Any;
     use std::collections::{BTreeMap, VecDeque};
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -8,7 +8,7 @@
 //! which is one binary, the subcommand after the bare `--` must be a row
 //! of its `COMMANDS` table — and every `scripts/*` path and every
 //! `<crate>/src/….rs` or `<crate>/tests/….rs` source they name must be a
-//! file.
+//! file. The clippy lint scopes CI relies on are pinned here too.
 
 use std::path::Path;
 
@@ -163,6 +163,73 @@ fn every_script_ci_and_the_documents_name_is_in_the_tree() {
         }
     }
     assert!(checked > 0, "nothing names scripts/loc.sh any more");
+}
+
+/// Every lint named in one of `rel`'s `#![deny(…)]` attributes.
+fn denied_lints(rel: &str) -> Vec<String> {
+    read(rel)
+        .split("#![deny(")
+        .skip(1)
+        .filter_map(|rest| rest.split_once(")]"))
+        .flat_map(|(list, _)| list.split(',').map(|l| l.trim().to_owned()))
+        .collect()
+}
+
+/// The clippy scopes that replaced the analyzer's path-scoped rules
+/// (docs/ANALYZER.md): a crate root that loses a deny, a hot-path file
+/// that loses `indexing_slicing` or a `clippy.toml` that loses a
+/// disallowed method would otherwise shrink a scope with no test failing.
+#[test]
+fn every_hot_path_scope_denies_its_clippy_lints() {
+    let panics = [
+        "clippy::unwrap_used",
+        "clippy::expect_used",
+        "clippy::panic",
+        "clippy::todo",
+        "clippy::unimplemented",
+        "clippy::unreachable",
+        "clippy::allow_attributes",
+        "clippy::allow_attributes_without_reason",
+    ];
+    let hash_ordered = ["core", "kvcache", "kernels", "obs", "cluster"];
+    for krate in ["core", "kvcache", "kernels", "sim", "obs", "cluster"] {
+        let root = format!("crates/{krate}/src/lib.rs");
+        let lints = denied_lints(&root);
+        let hash = hash_ordered
+            .contains(&krate)
+            .then_some("clippy::iter_over_hash_type");
+        for lint in panics.into_iter().chain(hash) {
+            assert!(
+                lints.iter().any(|l| l == lint),
+                "{root} does not deny {lint}"
+            );
+        }
+    }
+    for file in [
+        "crates/kvcache/src/lib.rs",
+        "crates/sim/src/storage.rs",
+        "crates/cluster/src/router.rs",
+        "crates/cluster/src/replication.rs",
+        "shims/crossbeam/src/lib.rs",
+    ] {
+        let lints = denied_lints(file);
+        assert!(
+            lints.iter().any(|l| l == "clippy::indexing_slicing"),
+            "{file} does not deny clippy::indexing_slicing"
+        );
+    }
+    let config = read("clippy.toml");
+    for method in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::spawn",
+        "std::thread::scope",
+    ] {
+        assert!(
+            config.contains(&format!("path = \"{method}\"")),
+            "clippy.toml does not disallow {method}"
+        );
+    }
 }
 
 /// `path` with its `{a,b,…}` group, if any, expanded into each
