@@ -45,7 +45,7 @@
 //! assert!(router.is_idle());
 //! ```
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
 #![deny(clippy::iter_over_hash_type)]

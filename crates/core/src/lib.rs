@@ -17,7 +17,7 @@
 //!   sub-request recomputation. Its outputs are compared token-for-token
 //!   against stateless recomputation in the tests.
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
 #![deny(clippy::iter_over_hash_type)]

@@ -16,7 +16,7 @@
 //! * [`attention`] — the five attention kernels.
 //! * [`model`] — the functional transformer (OPT-style and Llama-style).
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
 #![deny(clippy::iter_over_hash_type)]

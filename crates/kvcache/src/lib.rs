@@ -46,7 +46,7 @@
 //! The crate's entire API is re-exported here at the root — the module
 //! tree is private layout, not surface.
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]

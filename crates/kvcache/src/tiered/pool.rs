@@ -18,8 +18,11 @@ use crate::types::{ChunkId, ChunkState, SessionId, Tier};
 static LEAKED_HANDLES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of [`ChunkHandle`]s ever dropped without a matching
-/// [`TieredKvCache::release`]. Test harnesses assert this stays zero;
-/// the analyzer's leak lint points here.
+/// [`TieredKvCache::release`]. Three tests pin it to zero: the engine's
+/// `engine_teardown_releases_all_chunk_handles`, the op tape's
+/// `golden_digests_hold_and_the_tape_reaches_every_rung`
+/// (`kvcache/tests/tape.rs`) and `global_chunks_are_never_evicted`
+/// (`kvcache/src/tests/tiered.rs`).
 #[must_use]
 pub fn leaked_chunk_handles() -> u64 {
     LEAKED_HANDLES.load(Ordering::Relaxed)
@@ -58,7 +61,7 @@ pub(super) struct SharedChunk {
 /// cache owns the refcount, so the guard cannot decrement it on `Drop`.
 /// Dropping an unreleased handle is *leak-checked* instead: it
 /// increments the process-wide [`leaked_chunk_handles`] counter, which
-/// tests and the analyzer's leak lint pin to zero.
+/// the tests named there pin to zero.
 #[derive(Debug)]
 pub struct ChunkHandle {
     pub(super) id: ChunkId,

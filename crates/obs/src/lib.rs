@@ -16,9 +16,9 @@
 //!    timestamps are [`pensieve_model::SimTime`], registries are
 //!    `BTreeMap`s, exporters sort stably. The same run produces the
 //!    same bytes.
-//! 3. **No panics.** This crate is in the workspace analyzer's
-//!    panic-freedom scope; every fallible path degrades (drops an
-//!    event, returns an error) instead of unwinding mid-simulation.
+//! 3. **No panics.** The crate root denies clippy's panic lints; every
+//!    fallible path degrades (drops an event, returns an error) instead
+//!    of unwinding mid-simulation.
 //!
 //! Layering: `obs` sits *below* the cache/sim/engine crates (it depends
 //! only on `pensieve-model` and the serde shims), so any layer can
@@ -40,7 +40,7 @@
 //! assert!(jsonl.contains("\"ev\":\"Suspended\""));
 //! ```
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
 #![deny(clippy::iter_over_hash_type)]

@@ -9,6 +9,11 @@
 //! timing decisions, so enabling a trace cannot perturb simulated
 //! results.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shared event buffer, taken only through `SharedRecorder::lock` for a push, copy or drain"
+)]
+
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::TraceEvent;

@@ -22,7 +22,7 @@
 //!   and cold NFS/object store) below the CPU cache, with per-direction
 //!   FIFO busy horizons and seeded cold-read stall/failure faults.
 
-// Lint levels: docs/ANALYZER.md has what each guards.
+// Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]

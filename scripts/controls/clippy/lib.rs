@@ -1,5 +1,5 @@
-//! Known-bad: one site per clippy lint that replaced a token-pattern
-//! analyzer rule, plus a bare, a reasonless and a stale waiver. Every
+//! Known-bad: one site per lint, disallowed method and disallowed type
+//! in docs/LINTS.md, plus a bare, a reasonless and a stale waiver. Every
 //! one must be reported; `scripts/clippy_control.sh` fails otherwise.
 //! Never built by the workspace.
 
@@ -17,6 +17,7 @@
 )]
 
 use std::collections::HashMap;
+use std::sync::{Mutex, RwLock};
 use std::time::{Instant, SystemTime};
 
 pub fn unwrap(x: Option<u32>) -> u32 {
@@ -62,6 +63,10 @@ pub fn wall_clock() -> (Instant, SystemTime) {
 pub fn threads() {
     std::thread::spawn(|| {});
     std::thread::scope(|_| {});
+}
+
+pub fn locks(counter: &Mutex<u32>, config: &RwLock<u32>) -> bool {
+    counter.is_poisoned() || config.is_poisoned()
 }
 
 #[allow(dead_code, reason = "a bare allow, not an expect")]

@@ -40,6 +40,10 @@ pub mod pool {
     // The dispatch path: an out-of-bounds panic here poisons every
     // caller. `model` (the test-time interleaving model) is not covered.
     #![deny(clippy::indexing_slicing)]
+    #![expect(
+        clippy::disallowed_types,
+        reason = "the pool's queue, batch latches and width registry; every guard is taken through `lock` and no job runs while one is held"
+    )]
 
     use std::any::Any;
     use std::collections::{BTreeMap, VecDeque};

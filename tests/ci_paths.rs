@@ -8,7 +8,9 @@
 //! which is one binary, the subcommand after the bare `--` must be a row
 //! of its `COMMANDS` table — and every `scripts/*` path and every
 //! `<crate>/src/….rs` or `<crate>/tests/….rs` source they name must be a
-//! file. The clippy lint scopes CI relies on are pinned here too.
+//! file. The clippy lint scopes and waivers CI relies on are pinned here
+//! too, and nothing CI, a document or a script runs may name the retired
+//! workspace linter.
 
 use std::path::Path;
 
@@ -20,6 +22,26 @@ fn root() -> &'static Path {
 
 fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
+}
+
+/// Every file under the directory `rel`, recursively, by its path from
+/// the root.
+fn files_under(rel: &str) -> Vec<String> {
+    let mut files = Vec::new();
+    let mut dirs = vec![rel.to_owned()];
+    while let Some(dir) = dirs.pop() {
+        let entries = std::fs::read_dir(root().join(&dir));
+        for entry in entries.unwrap_or_else(|e| panic!("read {dir}: {e}")) {
+            let name = entry.expect("directory entry").file_name();
+            let path = format!("{dir}/{}", name.to_str().expect("utf-8 file name"));
+            if root().join(&path).is_dir() {
+                dirs.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    files
 }
 
 #[test]
@@ -73,14 +95,11 @@ fn documents() -> Vec<String> {
     ]
     .map(str::to_owned)
     .into();
-    let dir = std::fs::read_dir(root().join("docs")).expect("read docs/");
-    for entry in dir {
-        let name = entry.expect("docs/ entry").file_name();
-        let name = name.to_str().expect("utf-8 file name");
-        if name.ends_with(".md") {
-            docs.push(format!("docs/{name}"));
-        }
-    }
+    docs.extend(
+        files_under("docs")
+            .into_iter()
+            .filter(|f| f.ends_with(".md")),
+    );
     docs
 }
 
@@ -165,6 +184,23 @@ fn every_script_ci_and_the_documents_name_is_in_the_tree() {
     assert!(checked > 0, "nothing names scripts/loc.sh any more");
 }
 
+/// The workspace linter is retired (docs/LINTS.md, "Retired analyzer
+/// rules"): its crate, its package or its reference page named in CI, a
+/// document, a script or the lint config is a recipe that no longer
+/// works.
+#[test]
+fn nothing_names_the_retired_linter() {
+    let mut files = documents();
+    files.extend(files_under("scripts"));
+    files.extend(["clippy.toml", ".gitignore"].map(str::to_owned));
+    for file in files {
+        let text = read(&file);
+        for stale in ["crates/analyzer", "pensieve-analyzer", "docs/ANALYZER.md"] {
+            assert!(!text.contains(stale), "{file} names {stale}, which is gone");
+        }
+    }
+}
+
 /// Every lint named in one of `rel`'s `#![deny(…)]` attributes.
 fn denied_lints(rel: &str) -> Vec<String> {
     read(rel)
@@ -175,10 +211,11 @@ fn denied_lints(rel: &str) -> Vec<String> {
         .collect()
 }
 
-/// The clippy scopes that replaced the analyzer's path-scoped rules
-/// (docs/ANALYZER.md): a crate root that loses a deny, a hot-path file
-/// that loses `indexing_slicing` or a `clippy.toml` that loses a
-/// disallowed method would otherwise shrink a scope with no test failing.
+/// The clippy scopes the workspace's invariants rest on (docs/LINTS.md):
+/// a crate root that loses a deny, a hot-path file that loses
+/// `indexing_slicing`, a `clippy.toml` that loses a disallowed method or
+/// type, or a lock waived in a third module would otherwise shrink a
+/// scope with no test failing.
 #[test]
 fn every_hot_path_scope_denies_its_clippy_lints() {
     let panics = [
@@ -219,17 +256,53 @@ fn every_hot_path_scope_denies_its_clippy_lints() {
         );
     }
     let config = read("clippy.toml");
-    for method in [
-        "std::time::Instant::now",
-        "std::time::SystemTime::now",
-        "std::thread::spawn",
-        "std::thread::scope",
+    // The `[…]` list `key` is set to.
+    let list = |key: &str| {
+        let rest = config
+            .split_once(&format!("{key} = ["))
+            .map_or("", |(_, r)| r);
+        rest.split_once(']').map_or("", |(list, _)| list)
+    };
+    for (key, path) in [
+        ("disallowed-methods", "std::time::Instant::now"),
+        ("disallowed-methods", "std::time::SystemTime::now"),
+        ("disallowed-methods", "std::thread::spawn"),
+        ("disallowed-methods", "std::thread::scope"),
+        ("disallowed-types", "std::sync::Mutex"),
+        ("disallowed-types", "std::sync::RwLock"),
     ] {
         assert!(
-            config.contains(&format!("path = \"{method}\"")),
-            "clippy.toml does not disallow {method}"
+            list(key).contains(&format!("path = \"{path}\"")),
+            "clippy.toml's {key} does not list {path}"
         );
     }
+    // A lock is waived once, for the module that owns it; a comment-style
+    // waiver of the retired linter would look like a waiver and waive
+    // nothing. Both needles are built at run time so this file matches
+    // neither; the waiver is matched with whitespace removed, as rustfmt
+    // breaks it over lines.
+    let lock_waiver = format!("expect(clippy::{}", "disallowed_types");
+    let dead_waiver = ["lint", "allow"].join(":");
+    let mut lock_owners = Vec::new();
+    for dir in ["crates", "shims", "src", "tests", "examples"] {
+        for file in files_under(dir).into_iter().filter(|f| f.ends_with(".rs")) {
+            let text = read(&file);
+            assert!(
+                !text.contains(&dead_waiver),
+                "{file} has a `{dead_waiver}` comment, which nothing reads"
+            );
+            let squeezed: String = text.split_whitespace().collect();
+            if squeezed.contains(&lock_waiver) {
+                lock_owners.push(file);
+            }
+        }
+    }
+    lock_owners.sort_unstable();
+    assert_eq!(
+        lock_owners,
+        ["crates/obs/src/recorder.rs", "shims/crossbeam/src/lib.rs"],
+        "only the pool and the trace recorder may own a lock"
+    );
 }
 
 /// `path` with its `{a,b,…}` group, if any, expanded into each
