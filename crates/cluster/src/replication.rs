@@ -209,6 +209,19 @@ impl Replicator {
         Self::refresh_due(&mut self.due, threshold, conv, e);
     }
 
+    /// True when some session bound to `primary` is due a flush: what a
+    /// pump checks before asking [`Replicator::due_flushes`].
+    pub(crate) fn has_due(&self, primary: usize) -> bool {
+        let due = self.due.get(primary).is_some_and(|d| !d.is_empty());
+        #[cfg(test)]
+        assert_eq!(
+            due,
+            !self.due_flushes_scan(primary).is_empty(),
+            "due set drifted"
+        );
+        due
+    }
+
     /// Sessions bound to `primary` whose pending delta has reached the
     /// flush threshold, in deterministic (session id) order.
     pub(crate) fn due_flushes(&self, primary: usize) -> Vec<SessionId> {

@@ -134,6 +134,14 @@ struct Replica<B> {
     /// the only replicas whose manifests can have moved, so the only
     /// ones the barrier asks for changes.
     touched: bool,
+    /// Driven or submitted to since the last replication pump: the only
+    /// replicas whose commit log can be non-empty, so the only ones the
+    /// pump drains.
+    unpumped: bool,
+    /// Alive with a response ready to drain, as of the last call that
+    /// could produce one (`poll`, `run_until`); counted in
+    /// `Router::ready`.
+    ready: bool,
 }
 
 /// N replicas behind a placement policy; itself a [`ServingBackend`].
@@ -161,9 +169,13 @@ pub struct Router<B> {
     /// otherwise idle replica would never be reached. A min-heap: `poll`
     /// only ever needs the earliest one still ahead of the frontier.
     wakeups: BinaryHeap<Reverse<OrdTime>>,
-    /// Scratch for `poll`'s laggard-first replica order, kept so the
-    /// loop allocates nothing per iteration.
-    poll_order: Vec<(OrdTime, usize)>,
+    /// Every alive replica as `(clock, index)`, sorted: the laggard-first
+    /// order `poll` walks and whose head is the cluster clock. Only
+    /// `poll` and `run_until` move a clock, so only the replica just
+    /// polled is re-seated, and a window re-sorts the fleet.
+    clocks: Vec<(OrdTime, usize)>,
+    /// Alive replicas with `ready` set.
+    ready: usize,
     /// Responses salvaged from replicas that have since died.
     buffered: Vec<Response>,
     /// Requests that could not be placed because no replica is alive.
@@ -233,6 +245,8 @@ impl<B: ServingBackend + Send> Router<B> {
                     backend,
                     alive: true,
                     touched: false,
+                    unpumped: false,
+                    ready: false,
                 })
                 .collect(),
             policy,
@@ -243,7 +257,8 @@ impl<B: ServingBackend + Send> Router<B> {
             origin_arrivals: BTreeMap::new(),
             scheduled_failures: Vec::new(),
             wakeups: BinaryHeap::new(),
-            poll_order: Vec::new(),
+            clocks: Vec::new(),
+            ready: 0,
             buffered: Vec::new(),
             parked: Vec::new(),
             recorder: None,
@@ -270,6 +285,7 @@ impl<B: ServingBackend + Send> Router<B> {
             promotion_latency: Histogram::new(metrics::PROMOTION_LATENCY_SECONDS_BUCKETS),
         };
         router.manifest_faults = router.cfg.manifest_faults.clone().map(FaultInjector::new);
+        router.settle_all();
         router
     }
 
@@ -496,11 +512,60 @@ impl<B: ServingBackend + Send> Router<B> {
 
     /// Replica `idx`'s backend for a call that may move session layouts
     /// (stepping, state handoff); marks it for the next barrier's
-    /// manifest pass.
+    /// manifest pass and replication pump.
     fn drive(&mut self, idx: usize) -> Option<&mut B> {
         let r = self.replicas.get_mut(idx)?;
         r.touched = true;
+        r.unpumped = true;
         Some(&mut r.backend)
+    }
+
+    /// Re-reads replica `idx`'s clock and readiness after a `poll`:
+    /// re-seats its entry in `clocks` and updates `ready`.
+    fn settle(&mut self, idx: usize) {
+        let Some(r) = self.replicas.get_mut(idx) else {
+            return;
+        };
+        let ready = r.alive && r.backend.responses_ready();
+        self.ready = self.ready + usize::from(ready) - usize::from(r.ready);
+        r.ready = ready;
+        let key = (OrdTime(r.backend.now()), idx);
+        self.clocks.retain(|&(_, i)| i != idx);
+        if r.alive {
+            let at = self.clocks.partition_point(|&e| e < key);
+            self.clocks.insert(at, key);
+        }
+    }
+
+    /// [`Router::settle`] for the whole fleet, after a window moved every
+    /// alive clock (or a drain or failure cleared readiness).
+    fn settle_all(&mut self) {
+        self.clocks.clear();
+        self.ready = 0;
+        for (i, r) in self.replicas.iter_mut().enumerate() {
+            r.ready = r.alive && r.backend.responses_ready();
+            self.ready += usize::from(r.ready);
+            if r.alive {
+                self.clocks.push((OrdTime(r.backend.now()), i));
+            }
+        }
+        self.clocks.sort_unstable();
+    }
+
+    /// The maintained fleet view against a fresh walk: `clocks` is the
+    /// sorted `(clock, index)` of every alive replica and `ready` counts
+    /// the alive replicas with responses ready. Checked at every `poll`
+    /// iteration of every in-crate test.
+    #[cfg(test)]
+    fn check_fleet_view(&self) {
+        let mut fresh: Vec<(OrdTime, usize)> = self
+            .alive_backends()
+            .map(|(i, b)| (OrdTime(b.now()), i))
+            .collect();
+        fresh.sort_unstable();
+        assert_eq!(self.clocks, fresh, "laggard order drifted");
+        let ready = self.alive_backends().filter(|(_, b)| b.responses_ready());
+        assert_eq!(self.ready, ready.count(), "ready count drifted");
     }
 
     /// Queues `session` for the next barrier's manifest pass although no
@@ -553,6 +618,7 @@ impl<B: ServingBackend + Send> Router<B> {
         self.buffered.extend(victim.backend.drain_responses());
         let orphans = victim.backend.fail_stop();
         victim.alive = false;
+        self.settle(idx);
         self.manifest_resync = true;
         self.affinity.retain(|_, r| *r != idx);
         self.replica_failures += 1;
@@ -698,24 +764,35 @@ impl<B: ServingBackend + Send> Router<B> {
         }
     }
 
-    /// Drains every alive replica's commit log into the replicator and
-    /// flushes sessions whose pending delta reached the threshold (every
-    /// pending delta in sync mode). Called at each scheduling boundary so
-    /// replication keeps pace with generation; a pure bookkeeping step —
-    /// it never advances a replica clock.
+    /// Drains the commit log of every alive replica driven since the last
+    /// barrier into the replicator and flushes sessions whose pending
+    /// delta reached the threshold (every pending delta in sync mode).
+    /// Called at each scheduling boundary so replication keeps pace with
+    /// generation; a pure bookkeeping step — it never advances a replica
+    /// clock. A replica that was not driven has committed nothing, so it
+    /// is skipped unless a lost flush or a standby loss left it due.
     fn pump_replication(&mut self) {
         // Every scheduling boundary passes through here, so this is also
         // where the merged deterministic trace is stitched together.
         self.merge_replica_events();
         self.persist_manifests();
-        if self.replication.is_none() {
-            return;
-        }
         for i in 0..self.replicas.len() {
             let Some(primary) = self.replicas.get_mut(i) else {
                 break;
             };
+            let unpumped = std::mem::take(&mut primary.unpumped);
+            let Some(rep) = self.replication.as_ref() else {
+                continue;
+            };
             if !primary.alive {
+                continue;
+            }
+            if !unpumped && !rep.has_due(i) {
+                #[cfg(test)]
+                assert!(
+                    primary.backend.take_committed_kv().is_empty(),
+                    "replica {i} skipped with commits pending"
+                );
                 continue;
             }
             let commits = primary.backend.take_committed_kv();
@@ -731,6 +808,9 @@ impl<B: ServingBackend + Send> Router<B> {
             };
             for (conv, committed) in commits {
                 rep.observe(conv, i, standby, committed);
+            }
+            if !rep.has_due(i) {
+                continue;
             }
             for conv in rep.due_flushes(i) {
                 rep.flush(conv, now, bytes_per_token, 1, &self.recorder);
@@ -792,6 +872,7 @@ impl<B: ServingBackend + Send> Router<B> {
             cached_tokens: cached,
         });
         if let Some(rep) = self.replicas.get_mut(target) {
+            rep.unpumped = true;
             rep.backend.submit(req);
         }
     }
@@ -944,10 +1025,10 @@ impl<B: ServingBackend + Send> Router<B> {
     /// order: the manifest of its **owner** — the highest-index alive
     /// replica tracking it with a non-empty manifest, which is whose
     /// record a walk over every replica in index order leaves behind —
-    /// and only if the encoded bytes differ from the stored ones. Each
-    /// write rolls [`FaultKind::TornManifestWrite`] once; a torn record
-    /// is a strict prefix of the clean one, so it differs, and is
-    /// rewritten (healed) at the next barrier.
+    /// moved into the store, and only if the store does not already hold
+    /// a clean copy of it. Each write rolls
+    /// [`FaultKind::TornManifestWrite`] once; a torn record is no clean
+    /// copy, so it is rewritten (healed) at the next barrier.
     fn persist_manifests(&mut self) {
         if !self.cfg.manifest_persistence {
             return;
@@ -991,12 +1072,12 @@ impl<B: ServingBackend + Send> Router<B> {
             let Some((now, manifest)) = owner else {
                 continue; // tracked nowhere: the stored record stands
             };
-            let encoded = manifest.to_bytes();
-            if self.cold_store.bytes(conv) == Some(encoded.as_slice()) {
+            if self.cold_store.holds(&manifest) {
                 continue;
             }
             let torn = roll_torn(&mut self.manifest_faults);
-            let bytes = self.cold_store.put_bytes(conv, encoded, torn);
+            let tokens = manifest.total_tokens();
+            let bytes = self.cold_store.put(manifest, torn);
             self.manifests_persisted += 1;
             if torn {
                 self.torn_manifests += 1;
@@ -1005,7 +1086,7 @@ impl<B: ServingBackend + Send> Router<B> {
             self.recorder.record(TraceEvent::ManifestPersisted {
                 at: now,
                 conv: conv.0,
-                tokens: manifest.total_tokens(),
+                tokens,
                 bytes: bytes as u64,
                 torn,
             });
@@ -1052,7 +1133,7 @@ impl<B: ServingBackend + Send> Router<B> {
                     continue; // unchanged since the last barrier
                 }
                 let torn = tear(conv);
-                store.put(&manifest, torn);
+                store.put(manifest, torn);
                 writes += 1;
                 torn_writes += u64::from(torn);
             }
@@ -1205,6 +1286,7 @@ impl<B: ServingBackend + Send> Router<B> {
             self.pool.for_each_mut(&mut self.replicas, |_, r| {
                 if r.alive {
                     r.touched = true;
+                    r.unpumped = true;
                     r.backend.run_until(horizon);
                 }
             });
@@ -1212,10 +1294,12 @@ impl<B: ServingBackend + Send> Router<B> {
             for r in &mut self.replicas {
                 if r.alive {
                     r.touched = true;
+                    r.unpumped = true;
                     r.backend.run_until(horizon);
                 }
             }
         }
+        self.settle_all();
     }
 }
 
@@ -1243,6 +1327,8 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
     fn poll(&mut self, deadline: Option<SimTime>) -> bool {
         loop {
             self.apply_due_failures(None);
+            #[cfg(test)]
+            self.check_fleet_view();
             if self.responses_ready() {
                 return true;
             }
@@ -1266,23 +1352,23 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
                 (None, f) => f,
             };
             // Poll the laggard replica first: deterministic order, and the
-            // cluster clock (the minimum) advances as fast as possible.
-            let mut order = std::mem::take(&mut self.poll_order);
-            order.clear();
-            order.extend(self.alive_backends().map(|(i, b)| (OrdTime(b.now()), i)));
-            order.sort_unstable();
+            // cluster clock (the minimum) advances as fast as possible. A
+            // replica that does not progress has moved neither its clock
+            // nor its readiness, so only the one that did is re-seated.
             let mut progressed = false;
-            for &(before, i) in &order {
+            let mut next = 0;
+            while let Some(&(before, i)) = self.clocks.get(next) {
+                next += 1;
                 let Some(backend) = self.drive(i) else {
                     continue;
                 };
                 let ready = backend.poll(eff);
                 if ready || OrdTime(backend.now()) > before {
+                    self.settle(i);
                     progressed = true;
                     break;
                 }
             }
-            self.poll_order = order;
             if !progressed {
                 // Nothing due anywhere (and any due failures were applied
                 // at the top of the loop): with a deadline every alive
@@ -1298,7 +1384,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
     }
 
     fn responses_ready(&self) -> bool {
-        !self.buffered.is_empty() || self.alive_backends().any(|(_, b)| b.responses_ready())
+        !self.buffered.is_empty() || self.ready > 0
     }
 
     fn drain_responses(&mut self) -> Vec<Response> {
@@ -1317,6 +1403,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
                 continue;
             }
             let mut fresh = rep.backend.drain_responses();
+            rep.ready = false;
             let bytes_per_token = rep.backend.kv_bytes_per_token();
             if sync {
                 // Turn-commit barrier: the turn is not finished until its
@@ -1336,6 +1423,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
             }
             out.extend(fresh);
         }
+        self.ready = 0;
         let mut out: Vec<Response> = out.into_iter().map(|r| self.patch_arrival(r)).collect();
         out.sort_by_key(|r| (OrdTime(r.finish), r.id));
         out
@@ -1345,16 +1433,15 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
         // The cluster's frontier is the slowest alive replica: everything
         // before it is fully simulated. With no survivors, freeze at the
         // fastest clock ever reached.
-        let alive = self
-            .alive_backends()
-            .map(|(_, b)| b.now())
-            .min_by_key(|&t| OrdTime(t));
-        alive.unwrap_or_else(|| {
-            self.replicas
-                .iter()
-                .map(|r| r.backend.now())
-                .fold(SimTime::ZERO, SimTime::max)
-        })
+        self.clocks.first().map_or_else(
+            || {
+                self.replicas
+                    .iter()
+                    .map(|r| r.backend.now())
+                    .fold(SimTime::ZERO, SimTime::max)
+            },
+            |&(t, _)| t.0,
+        )
     }
 
     fn run_until(&mut self, t: SimTime) {
@@ -1470,6 +1557,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
         // than silently dropped. Pending injections and wakeups die with
         // the cluster.
         orphans.extend(std::mem::take(&mut self.parked));
+        self.settle_all();
         self.scheduled_failures.clear();
         self.wakeups.clear();
         self.affinity.clear();
@@ -1477,8 +1565,8 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
     }
 }
 
-// Under `tests/` so the workspace linter scopes it as test code; a
-// child of this module so it can read the router's private state.
+// A `cfg(test)` child of this module so it can read the router's
+// private state, and so clippy's test exemptions apply to it.
 #[cfg(test)]
 #[path = "tests/barrier.rs"]
 mod barrier_tests;

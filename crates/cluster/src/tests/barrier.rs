@@ -3,6 +3,11 @@
 //! (`Router::reference_walk`), a decorator that predates
 //! `take_manifest_dirty`, and write-count regressions.
 //!
+//! Every barrier of these runs also checks the replication pump: it
+//! drains the commit log of each replica it skipped and asserts it
+//! empty. Every `poll` iteration checks the maintained laggard order and
+//! ready count against a fresh sort and walk (`Router::check_fleet_view`).
+//!
 //! Two differentials run here. In every test build, production
 //! `persist_manifests` replays the reference walk over the pre-barrier
 //! store after *every* barrier and asserts byte equality (see the end of
@@ -446,4 +451,32 @@ fn legacy_decorator_gets_the_same_bytes_and_timelines() {
     let (bare, _) = run(fleet(4), 0.0, false, closed_loop);
     let (wrapped, _) = run(legacy(4), 0.0, false, closed_loop);
     assert_eq!(bare, wrapped, "closed loop");
+}
+
+/// One long turn stepped through short `run_until` windows with nothing
+/// submitted between them: only stepping drives the replica, yet every
+/// window's commits reach the replication pump (each barrier asserts no
+/// skipped replica had any) and every window's layout reaches the store.
+#[test]
+fn short_windows_pump_and_persist_without_submissions() {
+    let mut r = Router::new(fleet(2), RouterPolicy::CacheAware, cfg(0.0));
+    r.submit(req(1, 1, SimTime::ZERO, 256, 400, 0));
+    let conv = SessionId(1);
+    let (mut windows, mut flushing_windows) = (0, 0);
+    let mut replicated = 0;
+    while !r.is_idle() {
+        windows += 1;
+        r.run_until(SimTime::from_secs(0.05 * f64::from(windows)));
+        let owner = r.affinity.get(&conv).copied().expect("routed");
+        let live = r.replica(owner).session_manifest(conv).expect("tracked");
+        assert_eq!(r.cold_store.get(conv), Ok(live), "window {windows}");
+        flushing_windows += usize::from(r.replicated_tokens() > replicated);
+        replicated = r.replicated_tokens();
+    }
+    assert_eq!(r.drain_responses().len(), 1);
+    assert!(windows > 20, "the turn spans many windows: {windows}");
+    assert!(
+        flushing_windows > 2,
+        "flushes in {flushing_windows} windows"
+    );
 }

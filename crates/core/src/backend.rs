@@ -13,8 +13,10 @@
 //!   [`drain_responses`](ServingBackend::drain_responses).
 //! * **Clock** — [`now`](ServingBackend::now),
 //!   [`run_until`](ServingBackend::run_until). Simulated time only ever
-//!   moves forward; `poll(None)` must not advance the clock past the
-//!   present (see the fair-polling note on [`ServingBackend::poll`]).
+//!   moves forward, and only inside `poll` and `run_until`, which are
+//!   also the only calls that make a response ready; `poll(None)` must
+//!   not advance the clock past the present (see the fair-polling note
+//!   on [`ServingBackend::poll`]).
 //! * **Capacity and cache introspection** — queue depths, GPU/CPU
 //!   occupancy, per-session cached tokens, aggregate [`CacheStats`].
 //!   Everything a placement policy may read; all side-effect free.
@@ -127,7 +129,9 @@ pub trait ServingBackend {
     /// new total committed token count, in `SessionId` order. A
     /// replication stream consumes this to learn what delta to ship to a
     /// standby; backends with no commit tracking return nothing and are
-    /// simply not replicable.
+    /// simply not replicable. Commits land only inside `submit`, `poll`,
+    /// `run_until` and the state-handoff calls, so a caller need only
+    /// drain backends it just drove.
     fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)> {
         Vec::new()
     }

@@ -41,6 +41,12 @@ use crate::types::{ChunkId, SessionId};
 /// little-endian `u64`.
 const MAGIC: u64 = u64::from_le_bytes(*b"PNSVMAN2");
 
+/// Length of the wire record of a manifest with `chunks` entries: magic,
+/// session id, count, two words per entry, checksum.
+fn encoded_len(chunks: usize) -> usize {
+    8 * (4 + 2 * chunks)
+}
+
 /// FNV-1a over a byte stream — the repo-standard checksum and
 /// determinism pin (manifest trailers, chunk ids, host-block checksums,
 /// trace hashes).
@@ -108,7 +114,7 @@ impl SessionManifest {
     /// Serializes to the checksummed little-endian wire format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * (4 + 2 * self.chunks.len()));
+        let mut out = Vec::with_capacity(encoded_len(self.chunks.len()));
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&self.session.0.to_le_bytes());
         out.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
@@ -167,17 +173,21 @@ impl SessionManifest {
     }
 }
 
-/// Simulated tier-3 object store holding serialized session manifests.
+/// Simulated tier-3 object store holding session manifests.
 ///
 /// One instance outlives the engines that write to it — the cluster
 /// router owns it so a fail-stopped replica's sessions survive the
-/// replica — and a `BTreeMap` keeps iteration deterministic. Storage is
-/// byte-level on purpose: a torn write really does truncate the record,
-/// and the damage is only discovered at read time, like a real object
-/// store with a partial PUT.
+/// replica — and a `BTreeMap` keeps iteration deterministic. A record is
+/// the layout itself plus a torn flag, not its encoding: encoding is
+/// canonical, so a clean record is equal to another exactly when their
+/// [`SessionManifest::to_bytes`] are, and a torn write — which on a real
+/// object store leaves the first half of the bytes, a partial PUT —
+/// decodes as [`ManifestError::Torn`] and equals no clean record (the
+/// prefix's chunk-count field disagrees with its length). The damage is
+/// still only discovered at read time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColdObjectStore {
-    objects: BTreeMap<SessionId, Vec<u8>>,
+    objects: BTreeMap<SessionId, (SessionManifest, bool)>,
 }
 
 impl ColdObjectStore {
@@ -187,33 +197,29 @@ impl ColdObjectStore {
         Self::default()
     }
 
-    /// Writes a session's manifest, replacing any previous record.
-    /// A `torn` write stores only the first half of the bytes — the
-    /// record decodes as [`ManifestError::Torn`] until overwritten by a
-    /// later clean write. Returns the bytes stored.
-    pub fn put(&mut self, manifest: &SessionManifest, torn: bool) -> usize {
-        self.put_bytes(manifest.session, manifest.to_bytes(), torn)
-    }
-
-    /// [`ColdObjectStore::put`] for a record the caller already encoded
-    /// with [`SessionManifest::to_bytes`] (to compare it against
-    /// [`ColdObjectStore::bytes`] first, say).
-    pub fn put_bytes(&mut self, session: SessionId, mut bytes: Vec<u8>, torn: bool) -> usize {
+    /// Writes a session's manifest, replacing any previous record. A
+    /// `torn` write keeps only the first half of the wire record — it
+    /// reads back as [`ManifestError::Torn`] until overwritten by a
+    /// later clean write. Returns the bytes stored: the length of
+    /// [`SessionManifest::to_bytes`], halved for a torn write.
+    pub fn put(&mut self, manifest: SessionManifest, torn: bool) -> usize {
+        let encoded = encoded_len(manifest.chunks.len());
+        self.objects.insert(manifest.session, (manifest, torn));
         if torn {
-            bytes.truncate(bytes.len() / 2);
+            encoded / 2
+        } else {
+            encoded
         }
-        let stored = bytes.len();
-        self.objects.insert(session, bytes);
-        stored
     }
 
-    /// The raw stored record, torn or not; `None` if nothing is stored.
-    /// Encoding is canonical, so a clean record equals
-    /// [`SessionManifest::to_bytes`] of the manifest it decodes to, and a
-    /// torn one is a strict prefix of what was meant to be written.
+    /// True when the store holds a clean record equal to `manifest` —
+    /// the stored bytes equal [`SessionManifest::to_bytes`], so a write
+    /// would change nothing.
     #[must_use]
-    pub fn bytes(&self, session: SessionId) -> Option<&[u8]> {
-        self.objects.get(&session).map(Vec::as_slice)
+    pub fn holds(&self, manifest: &SessionManifest) -> bool {
+        self.objects
+            .get(&manifest.session)
+            .is_some_and(|(stored, torn)| !torn && stored == manifest)
     }
 
     /// Reads back a session's manifest.
@@ -221,11 +227,13 @@ impl ColdObjectStore {
     /// # Errors
     ///
     /// [`ManifestError::Missing`] if no record exists;
-    /// [`ManifestError::Torn`] if the stored record is truncated or
-    /// fails its checksum.
+    /// [`ManifestError::Torn`] if the stored record was torn.
     pub fn get(&self, session: SessionId) -> Result<SessionManifest, ManifestError> {
-        let bytes = self.objects.get(&session).ok_or(ManifestError::Missing)?;
-        SessionManifest::from_bytes(bytes)
+        match self.objects.get(&session) {
+            None => Err(ManifestError::Missing),
+            Some((_, true)) => Err(ManifestError::Torn),
+            Some((manifest, false)) => Ok(manifest.clone()),
+        }
     }
 
     /// Removes a session's record (e.g. when the conversation ends).
@@ -255,6 +263,7 @@ impl ColdObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn manifest(id: u64, chunks: &[usize]) -> SessionManifest {
         SessionManifest {
@@ -333,28 +342,191 @@ mod tests {
         let mut store = ColdObjectStore::new();
         let m = manifest(3, &[32, 8]);
         assert_eq!(store.get(m.session), Err(ManifestError::Missing));
-        let clean_len = store.put(&m, false);
+        assert!(!store.holds(&m));
+        let clean_len = store.put(m.clone(), false);
         assert_eq!(clean_len, m.to_bytes().len());
         assert_eq!(store.get(m.session).unwrap(), m);
+        assert!(store.holds(&m));
 
         // A torn overwrite loses the record until rewritten cleanly.
-        let torn_len = store.put(&m, true);
-        assert!(torn_len < clean_len);
+        let torn_len = store.put(m.clone(), true);
+        assert_eq!(torn_len, clean_len / 2);
         assert_eq!(store.get(m.session), Err(ManifestError::Torn));
-        store.put(&m, false);
+        assert!(!store.holds(&m), "a torn record is no clean copy");
+        store.put(m.clone(), false);
         assert_eq!(store.get(m.session).unwrap(), m);
-
-        // The raw view: a clean record is the canonical encoding, a torn
-        // one a strict prefix of it.
-        assert_eq!(store.bytes(m.session), Some(&m.to_bytes()[..]));
-        store.put_bytes(m.session, m.to_bytes(), true);
-        let torn = store.bytes(m.session).unwrap();
-        assert!(torn.len() < clean_len && m.to_bytes().starts_with(torn));
-        store.put(&m, false);
 
         assert_eq!(store.sessions(), vec![m.session]);
         assert_eq!(store.len(), 1);
         store.remove(m.session);
         assert!(store.is_empty());
+    }
+
+    /// The one length collision between a torn record and a clean one:
+    /// half of a two-chunk record is as long as a whole empty one. The
+    /// count fields differ, so the bytes do too, and neither store
+    /// mistakes one for the other.
+    #[test]
+    fn a_torn_record_never_equals_a_clean_one() {
+        let two = manifest(5, &[32, 32]);
+        let empty = manifest(5, &[]);
+        let torn = &two.to_bytes()[..two.to_bytes().len() / 2];
+        assert_eq!(torn.len(), empty.to_bytes().len());
+        assert_ne!(torn, &empty.to_bytes()[..]);
+        let mut store = ColdObjectStore::new();
+        store.put(two, true);
+        assert!(!store.holds(&empty));
+    }
+
+    /// `manifest` with a small id and token alphabet, so generated
+    /// layouts often coincide.
+    fn layout(session: u64, entries: &[(usize, usize)]) -> SessionManifest {
+        let ids = [
+            ChunkId::NONE,
+            ChunkId::derive_words(ChunkId::ROOT, &[1]),
+            ChunkId::derive_words(ChunkId::ROOT, &[2]),
+        ];
+        SessionManifest {
+            session: SessionId(session),
+            chunks: entries
+                .iter()
+                .map(|&(id, tokens)| ManifestChunk {
+                    id: ids.get(id).copied().unwrap_or(ChunkId::NONE),
+                    tokens: tokens * 16,
+                })
+                .collect(),
+        }
+    }
+
+    /// Asserts `bytes` decodes as torn or as the manifest that encodes to
+    /// exactly `bytes`, with a chunk `Vec` no longer than the record
+    /// allows.
+    fn torn_or_round_trip(bytes: &[u8]) {
+        match SessionManifest::from_bytes(bytes) {
+            Err(e) => assert_eq!(e, ManifestError::Torn),
+            Ok(m) => {
+                assert_eq!(m.to_bytes(), bytes, "a decoded record re-encodes to itself");
+                assert!(m.chunks.capacity() <= bytes.len() / 16);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The layout store against the byte store it replaced, op by
+        /// op: `put` (clean or torn) and `remove` over three sessions,
+        /// then `get` on every session and `holds` on a written and an
+        /// unrelated layout. The byte store keeps `to_bytes` (its first
+        /// half when torn) and answers with `from_bytes`, byte equality
+        /// and `len`.
+        #[test]
+        fn layout_store_answers_as_the_byte_store(
+            ops in prop::collection::vec(
+                (
+                    0u64..3,
+                    prop::collection::vec((0usize..3, 0usize..3), 0..4),
+                    0u8..2,
+                    0u8..4,
+                    prop::collection::vec((0usize..3, 0usize..3), 0..4),
+                ),
+                1..24,
+            ),
+        ) {
+            let mut store = ColdObjectStore::new();
+            let mut bytes: BTreeMap<SessionId, Vec<u8>> = BTreeMap::new();
+            for (session, entries, torn, action, other) in ops {
+                let m = layout(session, &entries);
+                let torn = torn == 1;
+                if action == 0 {
+                    store.remove(m.session);
+                    bytes.remove(&m.session);
+                } else {
+                    let mut encoded = m.to_bytes();
+                    if torn {
+                        encoded.truncate(encoded.len() / 2);
+                    }
+                    prop_assert_eq!(store.put(m.clone(), torn), encoded.len());
+                    bytes.insert(m.session, encoded);
+                }
+                for s in 0..3 {
+                    let s = SessionId(s);
+                    let expected = bytes
+                        .get(&s)
+                        .map_or(Err(ManifestError::Missing), |b| SessionManifest::from_bytes(b));
+                    prop_assert_eq!(store.get(s), expected);
+                }
+                for q in [m, layout(session, &other)] {
+                    let stored = bytes.get(&q.session).map(Vec::as_slice);
+                    prop_assert_eq!(store.holds(&q), stored == Some(&q.to_bytes()[..]));
+                }
+                prop_assert_eq!(store.len(), bytes.len());
+            }
+        }
+
+        /// Arbitrary bytes, and arbitrary bytes behind a valid magic and
+        /// a small count, decode as torn or round-trip exactly.
+        #[test]
+        fn arbitrary_bytes_decode_as_torn_or_round_trip(
+            raw in prop::collection::vec(0u16..256, 0..160),
+            count in 0u64..8,
+        ) {
+            let raw: Vec<u8> = raw.into_iter().map(|b| b.to_le_bytes()[0]).collect();
+            torn_or_round_trip(&raw);
+            let mut framed = MAGIC.to_le_bytes().to_vec();
+            framed.extend_from_slice(&7u64.to_le_bytes());
+            framed.extend_from_slice(&count.to_le_bytes());
+            framed.extend_from_slice(&raw);
+            torn_or_round_trip(&framed);
+        }
+
+        /// Every single-bit flip of a valid record is torn: a flip in
+        /// the body changes the FNV-1a sum (each step is a bijection of
+        /// the running hash), a flip in the trailer mismatches it.
+        #[test]
+        fn every_single_bit_flip_is_torn(
+            session in 0u64..3,
+            entries in prop::collection::vec((0usize..3, 0usize..3), 0..5),
+        ) {
+            let bytes = layout(session, &entries).to_bytes();
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                if let Some(b) = flipped.get_mut(bit / 8) {
+                    *b ^= 1 << (bit % 8);
+                }
+                prop_assert_eq!(SessionManifest::from_bytes(&flipped), Err(ManifestError::Torn));
+                torn_or_round_trip(&flipped);
+            }
+        }
+
+        /// A lying chunk-count field — with the checksum left stale or
+        /// recomputed to match — is torn, however large the lie: the
+        /// decoder never reserves for a count the record cannot hold.
+        #[test]
+        fn a_lying_chunk_count_is_torn(
+            session in 0u64..3,
+            entries in prop::collection::vec((0usize..3, 0usize..3), 0..5),
+        ) {
+            let bytes = layout(session, &entries).to_bytes();
+            let n = entries.len() as u64;
+            let body = bytes.len() - 8;
+            let lies = [
+                n + 1,
+                n.wrapping_sub(1),
+                bytes.len() as u64 / 16,
+                bytes.len() as u64 / 16 + 1,
+                1 << 32,
+                1 << 60,
+                u64::MAX,
+            ];
+            for lie in lies.into_iter().filter(|&l| l != n) {
+                let mut lying = bytes.clone();
+                lying[16..24].copy_from_slice(&lie.to_le_bytes());
+                prop_assert_eq!(SessionManifest::from_bytes(&lying), Err(ManifestError::Torn));
+                let sum = fnv1a(lying[..body].iter().copied());
+                lying[body..].copy_from_slice(&sum.to_le_bytes());
+                prop_assert_eq!(SessionManifest::from_bytes(&lying), Err(ManifestError::Torn));
+            }
+        }
     }
 }

@@ -802,8 +802,8 @@ impl TieredKvCache {
     }
 }
 
-// Under `tests/` so the workspace linter scopes them as test code;
-// children of this module so they can reach the state the cache keeps.
+// `cfg(test)` children of this module so they can reach the state the
+// cache keeps, and so clippy's test exemptions apply to them.
 #[cfg(test)]
 #[path = "tests/tiered.rs"]
 mod tests;

@@ -9,8 +9,8 @@
 //! of its `COMMANDS` table — and every `scripts/*` path and every
 //! `<crate>/src/….rs` or `<crate>/tests/….rs` source they name must be a
 //! file. The clippy lint scopes and waivers CI relies on are pinned here
-//! too, and nothing CI, a document or a script runs may name the retired
-//! workspace linter.
+//! too, and neither what CI, a document or a script runs nor a source
+//! file may name the retired workspace linter.
 
 use std::path::Path;
 
@@ -187,7 +187,8 @@ fn every_script_ci_and_the_documents_name_is_in_the_tree() {
 /// The workspace linter is retired (docs/LINTS.md, "Retired analyzer
 /// rules"): its crate, its package or its reference page named in CI, a
 /// document, a script or the lint config is a recipe that no longer
-/// works.
+/// works, and a source comment that says it scopes something describes
+/// a check nothing runs.
 #[test]
 fn nothing_names_the_retired_linter() {
     let mut files = documents();
@@ -198,6 +199,13 @@ fn nothing_names_the_retired_linter() {
         for stale in ["crates/analyzer", "pensieve-analyzer", "docs/ANALYZER.md"] {
             assert!(!text.contains(stale), "{file} names {stale}, which is gone");
         }
+    }
+    let sources = ["crates", "shims", "src"].into_iter().flat_map(files_under);
+    for file in sources.filter(|f| f.ends_with(".rs")) {
+        assert!(
+            !read(&file).contains("workspace linter"),
+            "{file} names the workspace linter, which is retired"
+        );
     }
 }
 
