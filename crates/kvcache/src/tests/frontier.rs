@@ -407,7 +407,7 @@ fn an_entrant_after_first_need_waits_for_the_next_pass() {
         chunks: layout.map(staged).to_vec(),
     };
     assert_eq!(cache.import_session(export, t(0.0)), Ok(128));
-    let tier_of = |cache: &TieredKvCache, idx: usize| cache.convs[&a].chunks[idx].tier;
+    let tier_of = |cache: &TieredKvCache, idx: usize| cache.convs.get(&a).unwrap().chunks[idx].tier;
 
     // One pass. Demoting the CPU chunk needs the SSD for the first time:
     // its queue is built (frontier a.0), a.0 goes on to the cold store,
@@ -461,7 +461,7 @@ fn an_entrant_keeps_its_conversation_a_candidate_of_a_lazy_queue() {
             // ranks first — and a.0 makes room. The second time c.2
             // follows, and the SSD has to give up c.0.
             cache.swap_out_until(64, t(1000.0));
-            let tiers = cache.convs[&c].chunks.iter().map(|x| x.tier);
+            let tiers = cache.convs.get(&c).unwrap().chunks.iter().map(|x| x.tier);
             assert_eq!(
                 tiers.collect::<Vec<_>>(),
                 [Tier::Cold, Tier::Ssd, Tier::Ssd]

@@ -2,6 +2,10 @@
 //! restore plans, the watermark and lazy copies, the ladder, handoff,
 //! faults and the shared pool.
 
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
 use super::ladder::CPU_RUNG;
 use super::queue::RungQueues;
 use super::*;
@@ -1231,4 +1235,118 @@ fn export_releases_and_import_reattaches_shared_chain() {
     let plan = dst.plan_restore(a);
     assert_eq!(plan.swap_in_tokens, 32);
     assert_eq!(plan.recompute_tokens, 64);
+}
+
+/// Private tokens of `conv` (0 if untracked) — what the commit log's
+/// drain reports for it.
+fn private_tokens(cache: &TieredKvCache, conv: SessionId) -> usize {
+    cache.convs.get(&conv).map_or(0, |e| e.private_tokens())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The lazily drained commit log against the eager one it replaced:
+    /// the model records `(session, private tokens)` at every successful
+    /// append and forgets a session where the old log did (removal,
+    /// export, a fork's parent). Tier moves, suspension, drops, host
+    /// faults, imports, rehydration and attaches in between; every drain
+    /// must return exactly the model, and every op keeps the flag and
+    /// the log in step (`check_invariants`).
+    #[test]
+    fn commit_drains_equal_the_eager_log(
+        ops in prop::collection::vec((0u8..14, 0u64..6, 1usize..80), 10..150),
+    ) {
+        let mut cache = deep_cache(320, 160, 128, 256);
+        let mut eager: BTreeMap<SessionId, usize> = BTreeMap::new();
+        let mut forked = BTreeSet::new();
+        for (step, &(kind, s, amount)) in ops.iter().enumerate() {
+            let now = t(step as f64);
+            let conv = SessionId(1 + s);
+            let other = SessionId(1 + (s + 1 + amount as u64 % 5) % 6);
+            let what = match kind {
+                0..=2 => {
+                    if cache.conversation_tokens(conv) > 200 {
+                        cache.remove_conversation(conv);
+                        eager.remove(&conv);
+                    }
+                    if let Err(CacheError::OutOfGpu { needed, .. }) = cache.commit_restore(conv, now) {
+                        cache.swap_out_until_for(needed, Some(conv), now);
+                    }
+                    if cache.commit_restore(conv, now).is_ok()
+                        && cache.append_tokens(conv, amount, now).is_ok()
+                    {
+                        eager.insert(conv, private_tokens(&cache, conv));
+                    }
+                    "turn"
+                }
+                3 => {
+                    cache.unpin(conv);
+                    cache.maybe_swap_out(now);
+                    "unpin"
+                }
+                4 => {
+                    cache.suspend(conv, now);
+                    "suspend"
+                }
+                5 => {
+                    cache.drop_cpu_chunks(conv, now);
+                    "drop_cpu_chunks"
+                }
+                6 => {
+                    let listing = cache.cpu_resident_chunks();
+                    if let Some(&(c, idx, _)) = listing.get(amount % listing.len().max(1)) {
+                        cache.mark_chunk_lost(c, idx).unwrap();
+                    }
+                    "mark_chunk_lost"
+                }
+                7 => {
+                    // A parent forks once (see the frontier differential).
+                    if !cache.contains(other)
+                        && forked.insert(conv)
+                        && cache.fork_session(conv, other, now).is_ok()
+                    {
+                        eager.remove(&conv);
+                    }
+                    "fork"
+                }
+                8 => {
+                    cache.remove_conversation(conv);
+                    eager.remove(&conv);
+                    "remove"
+                }
+                9 => {
+                    if let Some(mut export) = cache.export_session(conv) {
+                        eager.remove(&conv);
+                        export.mark_lost(amount % 3);
+                        cache.import_session(export, now).unwrap();
+                    }
+                    "export/import"
+                }
+                10 => {
+                    let manifest = cache.manifest_chunks(conv);
+                    cache.remove_conversation(conv);
+                    eager.remove(&conv);
+                    if !manifest.is_empty() {
+                        cache.rehydrate_session(conv, &manifest, now).unwrap();
+                    }
+                    "rehydrate"
+                }
+                11 => {
+                    let chain = cache.register_shared(&synthetic_preamble(s % 2, 64), now);
+                    let _ = cache.attach_shared(conv, &chain, now);
+                    "attach"
+                }
+                _ => {
+                    let expected: Vec<_> = std::mem::take(&mut eager).into_iter().collect();
+                    assert_eq!(cache.take_commits(), expected, "drain at step {step}");
+                    "drain"
+                }
+            };
+            assert_eq!(cache.check_invariants(), Ok(()), "after {what} at step {step}");
+        }
+        let expected: Vec<_> = eager.into_iter().collect();
+        assert_eq!(cache.take_commits(), expected, "final drain");
+        assert!(cache.take_commits().is_empty(), "a drain empties the log");
+    }
 }

@@ -78,6 +78,9 @@
 //! * **`handoff`** — a session leaving or entering this cache: export,
 //!   import, rehydration from a manifest, removal, the replication and
 //!   manifest change sets, and the host-memory fault APIs.
+//! * **`keyed`** — `KeyedMap`, the sessions' and the pool's map: hashed
+//!   lookups by id on the hot paths, walks in key order through an
+//!   ordered key set, never in hash order.
 //! * **`invariants`** — `check_invariants`, which recounts all of the
 //!   above from the chunk records.
 //!
@@ -87,12 +90,13 @@
 
 mod handoff;
 mod invariants;
+mod keyed;
 mod ladder;
 mod occupancy;
 mod pool;
 mod queue;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::ops::Range;
 
@@ -103,6 +107,7 @@ use crate::policy::{EvictionPolicy, Granularity, LruPolicy, WithinOrder};
 use crate::prefix::PrefixIndex;
 use crate::stats::CacheStats;
 use crate::types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};
+use keyed::KeyedMap;
 use ladder::Rung;
 use occupancy::{ConvEntry, Occupancy};
 use pool::SharedChunk;
@@ -292,7 +297,7 @@ enum Victim {
 pub struct TieredKvCache {
     cfg: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
-    convs: BTreeMap<SessionId, ConvEntry>,
+    convs: KeyedMap<SessionId, ConvEntry>,
     /// Resident tokens per tier. A [`Tier::GpuCopied`] token occupies a
     /// GPU slot *and* CPU space.
     occ: Occupancy,
@@ -309,20 +314,27 @@ pub struct TieredKvCache {
     /// suspended since).
     copied_fifo: VecDeque<(SessionId, usize)>,
     /// Commit log for KV replication: sessions whose committed *private*
-    /// context grew since the last [`TieredKvCache::take_commits`] drain,
-    /// mapped to their new private token count (shared chunks are
-    /// attached by id at the standby, never byte-streamed). Bounded by
-    /// the session count (one entry per session, overwritten on every
-    /// append).
-    commit_log: BTreeMap<SessionId, usize>,
+    /// context grew since the last [`TieredKvCache::take_commits`] drain
+    /// (shared chunks are attached by id at the standby, never
+    /// byte-streamed). A session enters once per drain, on its first
+    /// append, and its `ConvEntry::committed` flag spares later appends
+    /// the tree; the drain reads each one's private token count then.
+    /// Bounded by the session count.
+    commit_log: BTreeSet<SessionId>,
     /// Sessions whose manifest layout (chunk boundaries, shared chain,
     /// existence) may have changed since the last
     /// [`TieredKvCache::take_manifest_dirty`] drain. Tier moves never
     /// enter: a manifest records layout, not placement. Bounded by the
     /// distinct sessions touched since the last drain.
     manifest_dirty: BTreeSet<SessionId>,
-    /// Pool of content-addressed shared chunks, keyed by id.
-    shared: BTreeMap<ChunkId, SharedChunk>,
+    /// Pool of content-addressed shared chunks, keyed by id. It never
+    /// shrinks.
+    shared: KeyedMap<ChunkId, SharedChunk>,
+    /// The ids of the pooled chunks that are not global: the only ones
+    /// an eviction pass can take, and all it walks. A chunk enters when
+    /// it is pooled and leaves when `materialize_global` makes it global,
+    /// which is for good.
+    walkable: BTreeSet<ChunkId>,
     /// Radix index from token prefixes to shared chunk chains.
     index: PrefixIndex,
     stats: CacheStats,
@@ -417,12 +429,13 @@ impl TieredKvCache {
             },
             spare_queues: Vec::new(),
             policy,
-            convs: BTreeMap::new(),
+            convs: KeyedMap::default(),
             occ: Occupancy::default(),
             copied_fifo: VecDeque::new(),
-            commit_log: BTreeMap::new(),
+            commit_log: BTreeSet::new(),
             manifest_dirty: BTreeSet::new(),
-            shared: BTreeMap::new(),
+            shared: KeyedMap::default(),
+            walkable: BTreeSet::new(),
             stats: CacheStats::default(),
             recorder: None,
         }
@@ -735,13 +748,17 @@ impl TieredKvCache {
     ) -> Result<(), CacheError> {
         self.reclaim_gpu_slots(n, Some(conv))?;
         let chunk_tokens = self.cfg.chunk_tokens;
-        let e = self.convs.entry(conv).or_insert_with(|| ConvEntry {
+        let e = self.convs.get_or_insert_with(conv, || ConvEntry {
             pinned: true,
             ..ConvEntry::new(Vec::new(), 0, Vec::new(), now)
         });
         if !e.manifest_dirty {
             e.manifest_dirty = true;
             self.manifest_dirty.insert(conv);
+        }
+        if !e.committed {
+            e.committed = true;
+            self.commit_log.insert(conv);
         }
         // Growing the trailing chunk may grow a frontier, and the clock
         // moves every key.
@@ -777,8 +794,6 @@ impl TieredKvCache {
             }
             e.last_active = now;
         });
-        let committed = e.private_tokens();
-        self.commit_log.insert(conv, committed);
         self.occ.admit(Tier::Gpu, n);
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(())

@@ -106,13 +106,24 @@ impl TieredKvCache {
         out
     }
 
-    /// Drains the KV commit log: every session whose committed context
-    /// grew since the previous drain, with its new total token count, in
-    /// `SessionId` order. Replication streams consume this to learn what
-    /// delta to ship to the standby; without a consumer the log stays
-    /// bounded at one entry per live session.
+    /// Drains the KV commit log: every session whose committed private
+    /// context grew since the previous drain, with its *private* token
+    /// count (shared-chain tokens excluded), in `SessionId` order.
+    /// Replication streams consume this to learn what delta to ship to
+    /// the standby; without a consumer the log stays bounded at one entry
+    /// per live session.
     pub fn take_commits(&mut self) -> Vec<(SessionId, usize)> {
-        std::mem::take(&mut self.commit_log).into_iter().collect()
+        let log = std::mem::take(&mut self.commit_log);
+        let mut commits = Vec::with_capacity(log.len());
+        for conv in log {
+            // Every logged session is tracked: the paths that stop
+            // tracking one take it out of the log.
+            if let Some(e) = self.convs.get_mut(&conv) {
+                e.committed = false;
+                commits.push((conv, e.private_tokens()));
+            }
+        }
+        commits
     }
 
     /// Drains the manifest change set: every session whose
@@ -343,13 +354,13 @@ impl TieredKvCache {
     /// Every chunk with a CPU-tier copy ([`Tier::Cpu`] or
     /// [`Tier::GpuCopied`]), as `(conversation, chunk index, tokens)` in a
     /// deterministic `(conversation, index)` order. The fault injector
-    /// picks loss/corruption victims from this listing; `convs` is a
-    /// `BTreeMap`, so the walk is ordered by construction and no
+    /// picks loss/corruption victims from this listing; `convs` walks its
+    /// ordered key set, so the walk is ordered by construction and no
     /// post-sort is needed.
     #[must_use]
     pub fn cpu_resident_chunks(&self) -> Vec<(SessionId, usize, usize)> {
         let mut out: Vec<(SessionId, usize, usize)> = Vec::new();
-        for (&cid, e) in &self.convs {
+        for (&cid, e) in self.convs.iter() {
             for (i, c) in e.chunks.iter().enumerate() {
                 if matches!(c.tier, Tier::Cpu | Tier::GpuCopied) {
                     out.push((cid, i, c.tokens));

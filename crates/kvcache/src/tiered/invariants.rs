@@ -11,7 +11,8 @@ impl TieredKvCache {
     /// Recounts the cache's accounting from its chunk records and
     /// compares: chunk positions, per-tier occupancy, every
     /// conversation's row and spans, the candidate index, shared
-    /// refcounts and pins, tier capacities, the manifest change set.
+    /// refcounts and pins, tier capacities, the manifest change set and
+    /// commit log, and the keyed maps' and pool walk's key sets.
     /// Every mutating method debug-asserts it; tests call it in release
     /// builds too.
     ///
@@ -32,7 +33,8 @@ impl TieredKvCache {
         // Per pooled chunk: the chains holding it, and how many are pinned.
         let mut chains: BTreeMap<ChunkId, (usize, usize)> = BTreeMap::new();
         let descending = self.members.descending;
-        for (&conv, e) in &self.convs {
+        let mut committed = 0usize;
+        for (&conv, e) in self.convs.iter() {
             let mut chain_tokens = 0usize;
             for id in &e.shared {
                 let Some(s) = self.shared.get(id) else {
@@ -111,8 +113,35 @@ impl TieredKvCache {
                 !e.manifest_dirty || self.manifest_dirty.contains(&conv),
                 "{conv:?}: flagged session missing from the manifest change set"
             );
+            ensure!(
+                e.committed == self.commit_log.contains(&conv),
+                "{conv:?}: commit flag {} disagrees with the commit log",
+                e.committed
+            );
+            committed += usize::from(e.committed);
         }
-        for (id, s) in &self.shared {
+        // Every flagged session is logged: nothing else may be.
+        ensure!(
+            self.commit_log.len() == committed,
+            "commit log drift: {} sessions logged, {committed} flagged",
+            self.commit_log.len()
+        );
+        ensure!(
+            self.convs.is_consistent(),
+            "session map drift: its key set and its table disagree"
+        );
+        ensure!(
+            self.shared.is_consistent(),
+            "pool drift: its key set and its table disagree"
+        );
+        let walkable = self.shared.iter().filter(|(_, s)| !s.global);
+        ensure!(
+            walkable.map(|(id, _)| id).eq(&self.walkable),
+            "walkable pool drift: {} ids held, the pool has {} non-global chunks",
+            self.walkable.len(),
+            self.shared.values().filter(|s| !s.global).count()
+        );
+        for (id, s) in self.shared.iter() {
             ensure!(
                 s.chunk.tokens > 0 && s.chunk.tokens <= self.cfg.chunk_tokens,
                 "{id:?}: shared chunk of {} tokens",

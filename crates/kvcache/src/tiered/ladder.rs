@@ -442,11 +442,16 @@ impl TieredKvCache {
         needed: usize,
         favored: Option<SessionId>,
     ) -> Result<(), CacheError> {
+        // Strictly-free slots are also effectively free to anyone: when
+        // they cover the allocation there is nothing to check or reclaim.
+        if self.gpu_free_strict() >= needed {
+            return Ok(());
+        }
         let free = self.gpu_free_for(favored);
         if needed > free {
             return Err(CacheError::OutOfGpu { needed, free });
         }
-        if self.gpu_free_strict() >= needed || self.occ.gpu_copied == 0 {
+        if self.occ.gpu_copied == 0 {
             return Ok(());
         }
         let mut kept = Vec::new();

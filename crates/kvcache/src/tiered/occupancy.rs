@@ -131,11 +131,15 @@ pub(super) struct ConvEntry {
     /// Already reported in the cache's `manifest_dirty` set: the hot
     /// append path checks this flag instead of touching the tree.
     pub(super) manifest_dirty: bool,
+    /// In the cache's `commit_log`: set exactly while it is, so the hot
+    /// append path enters the log once per drain.
+    pub(super) committed: bool,
 }
 
 impl ConvEntry {
-    /// An unpinned entry not yet reported as manifest-dirty. Its row is
-    /// empty until the chunks are entered (`TieredKvCache::track`).
+    /// An unpinned entry neither reported as manifest-dirty nor in the
+    /// commit log. Its row is empty until the chunks are entered
+    /// (`TieredKvCache::track`).
     pub(super) fn new(
         shared: Vec<ChunkId>,
         shared_tokens: usize,
@@ -151,6 +155,7 @@ impl ConvEntry {
             last_active: now,
             pinned: false,
             manifest_dirty: false,
+            committed: false,
         }
     }
 

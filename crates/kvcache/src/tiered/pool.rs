@@ -103,7 +103,7 @@ impl TieredKvCache {
                 s.last_active = now;
             } else {
                 self.occ.admit(Tier::Dropped, chunk_tokens);
-                self.shared.insert(
+                self.pool(
                     *id,
                     SharedChunk {
                         chunk: ChunkState {
@@ -121,6 +121,13 @@ impl TieredKvCache {
             }
         }
         chain
+    }
+
+    /// Enters a new, non-global chunk into the pool and the walk of
+    /// eviction passes.
+    fn pool(&mut self, id: ChunkId, chunk: SharedChunk) {
+        self.walkable.insert(id);
+        self.shared.insert(id, chunk);
     }
 
     /// Longest registered chunk chain matching a prefix of `tokens` —
@@ -241,6 +248,7 @@ impl TieredKvCache {
             // A dropped chunk is computed once, here.
             Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
             s.global = true;
+            self.walkable.remove(id);
             s.refs += 1;
             s.external_refs += 1;
             s.last_active = now;
@@ -411,7 +419,7 @@ impl TieredKvCache {
                 // stale and is skipped at reclamation.
                 Self::promote(&mut self.occ, &mut self.stats, &mut chunk);
             }
-            self.shared.insert(
+            self.pool(
                 id,
                 SharedChunk {
                     chunk,
@@ -436,10 +444,11 @@ impl TieredKvCache {
             e.shared_tokens = context_end;
             e.last_active = now;
             e.manifest_dirty = true;
+            // The parent's committed private context is now shared; the
+            // replication stream ships shared state by id, not bytes.
+            e.committed = false;
         }
         self.manifest_dirty.insert(parent);
-        // The parent's committed private context is now shared; the
-        // replication stream ships shared state by id, not bytes.
         self.commit_log.remove(&parent);
         self.recorder.record(TraceEvent::SharedAttached {
             at: now,

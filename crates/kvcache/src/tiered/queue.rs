@@ -3,11 +3,12 @@
 //! drains from it.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Bound;
 
 use pensieve_model::SimTime;
 
+use super::keyed::FxHashSet;
 use super::occupancy::{PerTier, Span};
 use super::{TieredKvCache, Victim};
 use crate::types::{ChunkState, SessionId, Tier};
@@ -159,7 +160,7 @@ pub(super) struct CandidateQueue {
     resume: Option<Bound<IdleKey>>,
     /// Conversations the queue has pushed a private candidate for, or
     /// excluded: none is pushed from the index twice.
-    pushed: HashSet<SessionId>,
+    pushed: FxHashSet<SessionId>,
 }
 
 impl CandidateQueue {
@@ -184,8 +185,9 @@ impl TieredKvCache {
     /// tier, and — visited later, oldest first, only as far as the floor
     /// requires — the frontier of every unpinned member conversation
     /// (`skip` excepted). Nothing is paid per chunk behind a frontier or
-    /// per conversation with no token in the tier. The shared pool is
-    /// walked whole: it holds prefixes, not sessions.
+    /// per conversation with no token in the tier. The shared pool's
+    /// non-global chunks are walked whole: the pool holds prefixes, not
+    /// sessions, and a global chunk is never a candidate.
     ///
     /// This is the one place the two species are *scored* differently: a
     /// private chunk by its conversation's idle time, a shared chunk by
@@ -204,7 +206,7 @@ impl TieredKvCache {
             heap: BinaryHeap::new(),
             entrants: Vec::new(),
             resume: None,
-            pushed: HashSet::new(),
+            pushed: FxHashSet::default(),
         });
         queue.tier = tier;
         queue.heap.clear();
@@ -212,8 +214,11 @@ impl TieredKvCache {
         queue.resume = Some(Bound::Unbounded);
         queue.pushed.clear();
         queue.pushed.extend(skip);
-        for (&id, s) in &self.shared {
-            if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
+        for &id in &self.walkable {
+            let Some(s) = self.shared.get(&id) else {
+                continue; // Every walkable id is pooled; the walk stays total.
+            };
+            if s.chunk.tier != tier || s.pinned_refs > 0 {
                 continue;
             }
             let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
@@ -384,7 +389,7 @@ impl TieredKvCache {
         use crate::policy::{Granularity, WithinOrder};
         let trailing = self.policy.within_order() == WithinOrder::TrailingFirst;
         let mut out: Vec<(Victim, f64)> = Vec::new();
-        for (&cid, e) in &self.convs {
+        for (&cid, e) in self.convs.iter() {
             if e.pinned {
                 continue;
             }
@@ -395,7 +400,7 @@ impl TieredKvCache {
                 }
             }
         }
-        for (&id, s) in &self.shared {
+        for (&id, s) in self.shared.iter() {
             if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
                 continue;
             }
