@@ -17,6 +17,13 @@
 //!    swap-in transfers overlapped layer-by-layer (§4.3.3),
 //! 5. **completion** — finished requests leave the batch; stateful
 //!    configs keep their KV-tokens cached, stateless configs free them.
+//!
+//! Most ticks do nothing but steps 1 and 4 for a batch of decodes. The
+//! clock loop takes a stretch of such ticks as one *quiet run*
+//! (`SimServingEngine::quiet_run` states when a tick qualifies): each of
+//! its steps records a tick's trace events and moves the clock by the same
+//! arithmetic, and the run's slot growth goes to the cache, one append per
+//! request, when it ends.
 
 use std::collections::VecDeque;
 
@@ -108,6 +115,24 @@ enum Limit {
     Until(SimTime),
     /// As far as the queue goes.
     Drained,
+}
+
+/// Why a quiet run (see `SimServingEngine::quiet_run`) ended: what makes
+/// its next step a full scheduler tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunEnd {
+    /// A request reaches its output length and completes.
+    Finish,
+    /// An append would reclaim a lazy copy: the run's growth would exceed
+    /// the strictly-free GPU slots.
+    StrictFree,
+    /// The ahead-of-time swap-out would fire: the run's growth would take
+    /// effectively-free slots below the watermark.
+    Watermark,
+    /// The queue front is due and the batch has room for it.
+    Arrival,
+    /// The clock reached the caller's [`Limit::Until`] deadline.
+    Deadline,
 }
 
 /// Aggregate engine counters beyond per-request responses.
@@ -213,6 +238,9 @@ pub struct SimServingEngine {
     prefill_batch: BatchShape,
     decode_batch: BatchShape,
     finished: Vec<RequestState>,
+    /// The quiet-run differential's switch and record.
+    #[cfg(test)]
+    probe: quiet_run_tests::Probe,
 }
 
 impl Drop for SimServingEngine {
@@ -358,6 +386,8 @@ impl SimServingEngine {
             prefill_batch: BatchShape::new(Vec::new()),
             decode_batch: BatchShape::new(Vec::new()),
             finished: Vec::new(),
+            #[cfg(test)]
+            probe: quiet_run_tests::Probe::default(),
         };
         // Register the deployment-wide system preamble as one
         // content-addressed chain and materialize it globally: every
@@ -559,17 +589,130 @@ impl SimServingEngine {
                     }
                 }
             }
-            self.iteration();
+            if self.quiet_run(limit).is_none() {
+                self.iteration();
+            }
         }
     }
 
-    /// One scheduler clock tick: grow decodes, swap, admit, execute.
-    fn iteration(&mut self) {
+    /// Takes every step up to the first that is not *quiet* at once, and
+    /// says why it stopped there; `None` when the next step is not quiet.
+    ///
+    /// A quiet step is a tick whose only work is one decode token per
+    /// running request: no fault injector and no max-length reservation,
+    /// every running request decoding, none reaching its output length,
+    /// nothing admissible (the batch is full or the queue front arrives
+    /// after the clock), the growth within strictly-free GPU slots (no
+    /// append reclaims a lazy copy) and leaving effectively-free slots at
+    /// or above the swap watermark (no ahead-of-time pass fires), and the
+    /// clock short of `limit`'s deadline. Each step records the events
+    /// and observations [`SimServingEngine::iteration`] would and moves
+    /// the clock by the same arithmetic; only the per-row attention terms
+    /// are re-costed per step, the batch-invariant ones once per run.
+    ///
+    /// The cache's slot growth is applied when the run ends, as one
+    /// append per request stamped with the last step's clock. That leaves
+    /// the cache as the per-step appends would: running conversations
+    /// are pinned, so they sit in no eviction index; the commit log and
+    /// the manifest change set are sets; occupancy is a sum; `k`
+    /// one-token appends split chunks exactly like one `k`-token append;
+    /// and `last_active` takes the last append's clock.
+    fn quiet_run(&mut self, limit: Limit) -> Option<RunEnd> {
+        #[cfg(test)]
+        if self.probe.stepwise {
+            return None;
+        }
+        if self.faults.is_some()
+            || self.cfg.reserve_max_decode
+            || self.running.iter().any(|r| r.prefill.is_some())
+        {
+            return None;
+        }
+        // Step `j` (from 1) has grown the batch by `j * rows` slots. A
+        // running request has generated fewer tokens than its length, and
+        // a stateless engine runs no ahead-of-time pass.
+        let rows = self.running.len();
+        let quiet_left = |r: &RequestState| r.req.output_tokens.max(1) - r.generated - 1;
+        let strict = self.cache.gpu_free_strict().checked_div(rows)?;
+        let trigger = self.cache.config().swap_trigger_tokens() * usize::from(self.cfg.stateful);
+        let watermark = self.cache.gpu_free_effective().saturating_sub(trigger) / rows;
+        let (cap, mut end) = [
+            (self.running.iter().map(quiet_left).min()?, RunEnd::Finish),
+            (strict, RunEnd::StrictFree),
+            (watermark, RunEnd::Watermark),
+        ]
+        .into_iter()
+        .min_by_key(|&(steps, _)| steps)
+        .filter(|&(steps, _)| steps > 0)?;
+        let due = self.wait_queue.front().map(|r| r.req.arrival);
+        let due = due.filter(|_| rows < self.cfg.max_batch_requests);
+        let cost = self.gpu.cost();
+        let (non_attention, lm_head) =
+            (cost.non_attention_layer_time(rows), cost.lm_head_time(rows));
+        let (mut steps, mut last) = (0, self.now);
+        while steps < cap {
+            if due.is_some_and(|a| a <= self.now) {
+                end = RunEnd::Arrival;
+                break;
+            }
+            if matches!(limit, Limit::Until(t) if self.now >= t) {
+                end = RunEnd::Deadline;
+                break;
+            }
+            steps += 1;
+            last = self.now;
+            self.record_iteration_start();
+            self.record_batch(0, rows, 0);
+            let cost = self.gpu.cost();
+            let attention: SimDuration = self
+                .running
+                .iter()
+                .map(|r| cost.attention_layer_time(SeqShape::decode(r.context_len + steps)))
+                .sum();
+            let compute = cost.step_time(non_attention, attention, lm_head);
+            let compute = self.gpu.step_time(compute);
+            self.end_iteration(SimDuration::ZERO, compute, SimDuration::ZERO, rows);
+        }
+        if steps == 0 {
+            return None;
+        }
+        // The growth fits in strictly-free slots, so no append fails or
+        // reclaims a lazy copy.
+        debug_assert!(rows * steps <= self.cache.gpu_free_strict());
+        for r in &mut self.running {
+            r.context_len += steps;
+            r.generated += steps;
+            let grown = self.cache.append_tokens(r.req.conv, steps, last);
+            debug_assert!(grown.is_ok(), "quiet-run append failed: {grown:?}");
+        }
+        self.counters.decode_tokens += (rows * steps) as u64;
+        self.check_agreement();
+        #[cfg(test)]
+        self.probe.run_ends.push(end);
+        Some(end)
+    }
+
+    /// Debug builds: every decoding request's context has exactly its
+    /// KV slots in the cache; with max-length reservation, also the
+    /// slots reserved for the tokens it has yet to generate.
+    fn check_agreement(&self) {
+        let slots = |r: &RequestState| {
+            let reserved = r.req.output_tokens + 1 - r.generated;
+            r.context_len + usize::from(self.cfg.reserve_max_decode) * reserved
+        };
+        let mut decoding = self.running.iter().filter(|r| r.prefill.is_none());
+        debug_assert_eq!(
+            decoding
+                .find(|r| self.cache.conversation_tokens(r.req.conv) != slots(r))
+                .map(|r| r.req.conv),
+            None,
+            "engine and cache disagree on this conversation's context"
+        );
+    }
+
+    /// Records a [`TraceEvent::IterationStart`] for the coming tick.
+    fn record_iteration_start(&self) {
         if self.recorder.enabled() {
-            // Under injected faults a tick can admit nothing and retry;
-            // such ticks repeat the same iteration index (the counter
-            // only advances when a batch executes) and have no matching
-            // `BatchComposed`/`IterationEnd`.
             self.recorder.record(TraceEvent::IterationStart {
                 at: self.now,
                 iteration: self.counters.iterations,
@@ -577,6 +720,58 @@ impl SimServingEngine {
                 waiting: self.wait_queue.len(),
             });
         }
+    }
+
+    /// Records the [`TraceEvent::BatchComposed`] of the tick executing
+    /// now: `decode_seqs` decode rows of one query token each.
+    fn record_batch(&self, prefill_seqs: usize, decode_seqs: usize, prefill_tokens: usize) {
+        if self.recorder.enabled() {
+            self.recorder.record(TraceEvent::BatchComposed {
+                at: self.now,
+                iteration: self.counters.iterations,
+                prefill_seqs,
+                decode_seqs,
+                prefill_tokens,
+                decode_tokens: decode_seqs,
+            });
+        }
+    }
+
+    /// The end every executed tick shares: counts the iteration, charges
+    /// its time to the GPU, moves the clock past it, and records its end
+    /// and its histogram observations.
+    fn end_iteration(
+        &mut self,
+        queue_delay: SimDuration,
+        compute: SimDuration,
+        stall: SimDuration,
+        batch_query_tokens: usize,
+    ) {
+        let iteration = self.counters.iterations;
+        self.counters.iterations += 1;
+        self.counters.busy_time += compute + queue_delay + stall;
+        self.now += queue_delay + compute + stall;
+        if let Some(rec) = &self.recorder {
+            rec.record(TraceEvent::IterationEnd {
+                at: self.now,
+                iteration,
+                queue_delay,
+                compute,
+                stall,
+            });
+            self.iteration_seconds
+                .observe((queue_delay + compute + stall).as_secs());
+            self.batch_query_tokens.observe(batch_query_tokens as f64);
+        }
+    }
+
+    /// One scheduler clock tick: grow decodes, swap, admit, execute.
+    fn iteration(&mut self) {
+        // Under injected faults a tick can admit nothing and retry; such
+        // ticks repeat the same iteration index (the counter only
+        // advances when a batch executes) and have no matching
+        // `BatchComposed`/`IterationEnd`.
+        self.record_iteration_start();
         self.fault_tick();
         self.grow_decode_slots();
         self.ahead_of_time_swap();
@@ -602,6 +797,7 @@ impl SimServingEngine {
         self.empty_ticks = 0;
         self.execute();
         self.complete();
+        self.check_agreement();
     }
 
     /// Draws this tick's CPU-tier faults: loss or corruption of a chunk
@@ -1148,17 +1344,7 @@ impl SimServingEngine {
         let prefill_seqs = prefill_shapes.len();
         let decode_seqs = decode_shapes.len();
         let prefill_query_tokens = self.prefill_batch.total_query_tokens();
-        let batch_query_tokens = prefill_query_tokens + decode_seqs;
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent::BatchComposed {
-                at: self.now,
-                iteration: self.counters.iterations,
-                prefill_seqs,
-                decode_seqs,
-                prefill_tokens: prefill_query_tokens,
-                decode_tokens: decode_seqs,
-            });
-        }
+        self.record_batch(prefill_seqs, decode_seqs, prefill_query_tokens);
         // Swap-ins contend on the link; queueing delay precedes compute.
         let queue_delay = if swap_in_bytes > 0 {
             let (start, _) = self
@@ -1200,22 +1386,8 @@ impl SimServingEngine {
                 self.record_recovery(None, RecoveryKind::WorkerStall, 0);
             }
         }
-        let iteration = self.counters.iterations;
-        self.counters.iterations += 1;
-        self.counters.busy_time += duration + queue_delay + stall;
-        self.now += queue_delay + duration + stall;
-        if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::IterationEnd {
-                at: self.now,
-                iteration,
-                queue_delay,
-                compute: duration,
-                stall,
-            });
-            self.iteration_seconds
-                .observe((queue_delay + duration + stall).as_secs());
-            self.batch_query_tokens.observe(batch_query_tokens as f64);
-        }
+        let batch_query_tokens = prefill_query_tokens + decode_seqs;
+        self.end_iteration(queue_delay, duration, stall, batch_query_tokens);
     }
 
     /// Emits tokens, records completions, releases finished requests.
@@ -2149,3 +2321,9 @@ mod tests {
         assert_eq!(e.cache_stats().full_gpu_hits, 1);
     }
 }
+
+// A `cfg(test)` child of this module, so it can switch on the stepwise
+// twin and read why each run ended.
+#[cfg(test)]
+#[path = "tests/quiet_run.rs"]
+mod quiet_run_tests;

@@ -138,6 +138,56 @@ fn import_rejects_existing_session() {
     assert_eq!(b.conversation_tokens(c), 32);
 }
 
+/// An export whose counts no cache could track is refused before
+/// anything is attached, split or counted: a span of `usize::MAX` or
+/// `usize::MAX / 2` tokens (`usize::MAX / 2` sums fine but splits into
+/// more chunks than a list can hold), a shared-ref total that overflows,
+/// and a pooled chain plus a span that overflow together.
+#[test]
+fn import_rejects_sizes_past_usize() {
+    let mut dst = lru_cache(1000, 1000);
+    let chain = dst.register_shared(&synthetic_preamble(3, 64), t(0.0));
+    let c = SessionId(5);
+    let private = |tokens| SessionExport {
+        session: c,
+        shared: Vec::new(),
+        chunks: vec![ChunkState {
+            tier: Tier::Cpu,
+            tokens,
+            context_end: 0,
+        }],
+    };
+    let unknown = |tokens| SharedChunkRef {
+        id: ChunkId(u64::MAX),
+        tokens,
+    };
+    let exports = [
+        private(usize::MAX),
+        private(usize::MAX / 2),
+        SessionExport {
+            shared: vec![unknown(usize::MAX / 2 + 1), unknown(usize::MAX / 2 + 1)],
+            ..private(0)
+        },
+        SessionExport {
+            shared: vec![SharedChunkRef {
+                id: chain[0],
+                tokens: 32,
+            }],
+            ..private(usize::MAX - 1)
+        },
+    ];
+    for export in exports {
+        assert_eq!(
+            dst.import_session(export, t(1.0)),
+            Err(CacheError::ImportTooLarge(c))
+        );
+        assert!(!dst.contains(c));
+        assert_eq!(dst.shared_refs(chain[0]), 0, "nothing was attached");
+        assert_eq!(dst.stats().dropped_tokens, 0, "nothing was counted");
+        assert_eq!(dst.check_invariants(), Ok(()));
+    }
+}
+
 #[test]
 fn append_rejects_overflow() {
     let mut cache = lru_cache(64, 64);

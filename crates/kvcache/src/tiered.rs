@@ -161,6 +161,10 @@ pub enum CacheError {
     /// A shared chunk chain's context offsets do not line up — the ids
     /// are not consecutive chunks of one prefix.
     BrokenSharedChain(ChunkId),
+    /// An imported session's token counts sum past `usize::MAX`, or it
+    /// splits into more chunks than one conversation's chunk list can
+    /// hold; the cache is unchanged.
+    ImportTooLarge(SessionId),
 }
 
 impl fmt::Display for CacheError {
@@ -198,6 +202,9 @@ impl fmt::Display for CacheError {
                     f,
                     "shared chunk {id:?} breaks its chain's context continuity"
                 )
+            }
+            CacheError::ImportTooLarge(c) => {
+                write!(f, "imported session {c:?} is too large to track")
             }
         }
     }

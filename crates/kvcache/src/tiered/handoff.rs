@@ -236,7 +236,9 @@ impl TieredKvCache {
     /// # Errors
     ///
     /// Returns [`CacheError::SessionExists`] if the session is already
-    /// tracked here; the cache is unchanged.
+    /// tracked here, or [`CacheError::ImportTooLarge`] if its token
+    /// counts sum past `usize::MAX` or split into more chunks than a
+    /// chunk list can hold; the cache is unchanged.
     pub fn import_session(
         &mut self,
         export: SessionExport,
@@ -256,17 +258,29 @@ impl TieredKvCache {
             .map(|r| r.id)
             .take_while(|id| self.shared.contains_key(id))
             .collect();
-        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
         let unattached = refs.skip(chain.len()).map(|r| r.tokens);
-        self.stats.dropped_tokens += unattached.clone().sum::<usize>() as u64;
         let spans = unattached
+            .clone()
             .map(|tokens| (Tier::Dropped, tokens))
             .chain(export.chunks.iter().map(|c| (c.tier, c.tokens)));
         // Normalize to local chunk granularity: exports from a peer cache
         // are already chunk-sized (this is a no-op), but replication
         // deltas arrive as one chunk per flush and must be split to keep
-        // the eviction policy's unit of work intact.
-        let mut chunks = Vec::with_capacity(export.shared.len() + export.chunks.len());
+        // the eviction policy's unit of work intact. The sender's counts
+        // are sized before anything is attached or split: the context
+        // must end inside `usize`, and its chunks must fit one list.
+        let too_large = CacheError::ImportTooLarge(session);
+        let pooled = chain.iter().filter_map(|id| self.shared.get(id));
+        let mut total = pooled.map(|s| s.chunk.tokens).sum::<usize>();
+        let mut pieces = 0usize;
+        for (_, tokens) in spans.clone() {
+            total = total.checked_add(tokens).ok_or(too_large)?;
+            pieces += tokens.div_ceil(self.cfg.chunk_tokens);
+        }
+        let mut chunks = Vec::new();
+        chunks.try_reserve_exact(pieces).map_err(|_| too_large)?;
+        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
+        self.stats.dropped_tokens += unattached.sum::<usize>() as u64;
         let mut end = shared_tokens;
         for (named, mut remaining) in spans {
             while remaining > 0 {

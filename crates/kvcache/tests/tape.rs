@@ -193,6 +193,10 @@ impl Digest {
                 self.word(109);
                 self.word(id.0);
             }
+            CacheError::ImportTooLarge(conv) => {
+                self.word(110);
+                self.word(conv.0);
+            }
         }
     }
 

@@ -266,9 +266,27 @@ impl CostModel {
             .filter(|s| s.query_len > 0)
             .map(|&s| self.attention_layer_time(s))
             .sum();
-        let per_layer =
-            self.non_attention_layer_time(tokens) + attn_per_layer + self.hw.gpu.layer_overhead;
-        per_layer * self.cfg.num_layers as f64 + self.lm_head_time(batch.seqs.len())
+        self.step_time(
+            self.non_attention_layer_time(tokens),
+            attn_per_layer,
+            self.lm_head_time(batch.seqs.len()),
+        )
+    }
+
+    /// [`CostModel::batch_step_time`] from its parts: one layer's
+    /// non-attention time, the sum of one layer's per-row attention times
+    /// (in row order), and the LM head's time. A caller that re-costs a
+    /// batch whose token and row counts do not change computes the first
+    /// and last once and folds only the attention rows per step.
+    #[must_use]
+    pub fn step_time(
+        &self,
+        non_attention: SimDuration,
+        attention: SimDuration,
+        lm_head: SimDuration,
+    ) -> SimDuration {
+        let per_layer = non_attention + attention + self.hw.gpu.layer_overhead;
+        per_layer * self.cfg.num_layers as f64 + lm_head
     }
 }
 

@@ -64,13 +64,28 @@ impl GpuTimer {
         self
     }
 
+    /// The cost model the timer scales.
+    #[must_use]
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
+    }
+
     /// Execution time of one batched iteration (no transfers).
     #[must_use]
     pub fn batch_time(&self, batch: &BatchShape) -> SimDuration {
         if batch.is_empty() {
             return SimDuration::ZERO;
         }
-        self.cost.batch_step_time(batch) * self.compute_scale + self.iteration_overhead
+        self.step_time(self.cost.batch_step_time(batch))
+    }
+
+    /// Execution time of an iteration whose cost-model step time
+    /// ([`CostModel::step_time`]) is `step`: the runtime's compute scale
+    /// and per-iteration overhead applied, as [`GpuTimer::batch_time`]
+    /// applies them.
+    #[must_use]
+    pub fn step_time(&self, step: SimDuration) -> SimDuration {
+        step * self.compute_scale + self.iteration_overhead
     }
 
     /// Execution time of an iteration that must first swap in
