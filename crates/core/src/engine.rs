@@ -14,7 +14,9 @@
 //!    (GPU hits, revalidations, swap-ins, dropped-prefix recomputes),
 //! 4. **execution** — one unified invocation mixing prefill and decode
 //!    (§4.4.1), or two separate invocations for non-unified configs, with
-//!    swap-in transfers overlapped layer-by-layer (§4.3.3),
+//!    swap-in transfers overlapped layer-by-layer (§4.3.3); an attached
+//!    real executor (see [`crate::functional`]) also moves the tick's K/V
+//!    bytes and runs the batch as one real forward pass,
 //! 5. **completion** — finished requests leave the batch; stateful
 //!    configs keep their KV-tokens cached, stateless configs free them.
 //!
@@ -47,6 +49,7 @@ use pensieve_sim::{
 
 use crate::backend::ServingBackend;
 use crate::config::{EngineConfig, PolicyKind, SuspendPolicy};
+use crate::executor::Executor;
 use crate::request::{Request, Response};
 
 /// Seed of the deterministic synthetic token stream standing in for the
@@ -193,7 +196,6 @@ impl Default for RecoveryPolicy {
 /// The simulated-timing serving engine.
 pub struct SimServingEngine {
     cfg: EngineConfig,
-    model: ModelConfig,
     gpu: GpuTimer,
     link: PcieLink,
     cache: TieredKvCache,
@@ -360,7 +362,6 @@ impl SimServingEngine {
         let pcie_bandwidth = hardware.pcie.bandwidth;
         let mut engine = SimServingEngine {
             cfg,
-            model,
             gpu,
             link,
             cache: TieredKvCache::builder(cache_cfg).policy(policy).build(),
@@ -445,12 +446,6 @@ impl SimServingEngine {
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// The model being served.
-    #[must_use]
-    pub fn model(&self) -> &ModelConfig {
-        &self.model
     }
 
     /// Cache effectiveness statistics, by reference (the
@@ -551,7 +546,27 @@ impl SimServingEngine {
 
     /// Runs until every submitted request has completed.
     pub fn run_until_idle(&mut self) {
-        self.advance(Limit::Drained, false);
+        self.advance(Limit::Drained, false, None);
+    }
+
+    /// [`ServingBackend::submit`] for an engine whose ticks `x` carries
+    /// out: the request's prompt ids join its conversation's raw tokens.
+    pub(crate) fn submit_on(&mut self, req: Request, x: &mut Executor) {
+        x.store
+            .append(req.conv, req.prompt_ids.as_deref().unwrap_or_default());
+        self.submit(req);
+    }
+
+    /// Runs until `until` (see [`ServingBackend::run_until`]), or
+    /// until idle with none, with `x` carrying every tick out on real K/V
+    /// bytes. No quiet run is taken: each tick is one real forward pass.
+    pub(crate) fn run_on(&mut self, x: &mut Executor, until: Option<SimTime>) {
+        self.advance(until.map_or(Limit::Drained, Limit::Until), false, Some(x));
+    }
+
+    /// Installs a fault injector after construction.
+    pub(crate) fn set_fault_injector(&mut self, faults: FaultInjector) {
+        self.faults = Some(faults);
     }
 
     /// The clock loop behind [`ServingBackend::poll`],
@@ -559,13 +574,13 @@ impl SimServingEngine {
     /// [`SimServingEngine::run_until_idle`]: runs iterations while the
     /// batch has work, and while it is empty moves the clock to the
     /// queue front's arrival as far as `limit` allows. Stops at a ready
-    /// response if `stop_on_response` (returning true), once the clock
+    /// response if `on_response` (returning true), once the clock
     /// reaches an [`Limit::Until`] deadline (an iteration in flight at
     /// the deadline finishes; the clock may overshoot), or when nothing
     /// is left inside the limit.
-    fn advance(&mut self, limit: Limit, stop_on_response: bool) -> bool {
+    fn advance(&mut self, limit: Limit, on_response: bool, mut x: Option<&mut Executor>) -> bool {
         loop {
-            if stop_on_response && !self.responses.is_empty() {
+            if on_response && !self.responses.is_empty() {
                 return true;
             }
             if matches!(limit, Limit::Until(t) if self.now >= t) {
@@ -589,8 +604,8 @@ impl SimServingEngine {
                     }
                 }
             }
-            if self.quiet_run(limit).is_none() {
-                self.iteration();
+            if x.is_some() || self.quiet_run(limit).is_none() {
+                self.iteration(x.as_deref_mut());
             }
         }
     }
@@ -765,17 +780,18 @@ impl SimServingEngine {
         }
     }
 
-    /// One scheduler clock tick: grow decodes, swap, admit, execute.
-    fn iteration(&mut self) {
+    /// One scheduler clock tick: grow decodes, swap, admit, execute —
+    /// on real K/V bytes too when `x` is given.
+    fn iteration(&mut self, mut x: Option<&mut Executor>) {
         // Under injected faults a tick can admit nothing and retry; such
         // ticks repeat the same iteration index (the counter only
         // advances when a batch executes) and have no matching
         // `BatchComposed`/`IterationEnd`.
         self.record_iteration_start();
-        self.fault_tick();
-        self.grow_decode_slots();
+        self.fault_tick(x.as_deref_mut());
+        self.grow_decode_slots(x.is_some());
         self.ahead_of_time_swap();
-        self.admit();
+        self.admit(x.as_deref_mut());
         if self.running.is_empty() {
             // Fault-free admission always seats something when work is
             // due; only an injected fault (allocation failure whose
@@ -795,7 +811,7 @@ impl SimServingEngine {
             return;
         }
         self.empty_ticks = 0;
-        self.execute();
+        self.execute(x);
         self.complete();
         self.check_agreement();
     }
@@ -806,12 +822,17 @@ impl SimServingEngine {
     /// revert to plain GPU residency — either way the cache accounting
     /// stays exact and the request-visible recovery path is the existing
     /// Figure-5 restore machinery.
-    fn fault_tick(&mut self) {
+    fn fault_tick(&mut self, mut x: Option<&mut Executor>) {
         let Some(inj) = self.faults.as_mut() else {
             return;
         };
         for kind in [FaultKind::CpuChunkLoss, FaultKind::CpuChunkCorruption] {
             if !inj.roll(kind) {
+                continue;
+            }
+            if let (FaultKind::CpuChunkCorruption, Some(x)) = (kind, x.as_deref_mut()) {
+                // Real bytes: the checksum is the detector.
+                x.corrupt_host_bytes(inj);
                 continue;
             }
             let listing = self.cache.cpu_resident_chunks();
@@ -873,7 +894,9 @@ impl SimServingEngine {
 
     /// Appends one KV slot per decoding request, suspending
     /// newest-arrival requests if the GPU cannot hold the growth (§4.3.5).
-    fn grow_decode_slots(&mut self) {
+    /// `exact` (a real executor is attached) makes two suspension corners
+    /// exact that the cost model has always left one slot short.
+    fn grow_decode_slots(&mut self, exact: bool) {
         let mut i = 0;
         while i < self.running.len() {
             let r = &mut self.running[i];
@@ -897,12 +920,15 @@ impl SimServingEngine {
             if grown {
                 self.running[i].context_len += 1;
                 i += 1;
-            } else {
-                // Index `i` is looked at again afterwards: the batch
-                // shifted under it, or this request retries with the
-                // freed space.
-                self.suspend_for(i);
+            } else if self.suspend_for(i, exact) < i && exact {
+                // A real executor needs every decode row's slot: the
+                // growing request, shifted down by its victim's removal,
+                // retries. (The cost model lets it decode this tick
+                // without one, as it always has.)
+                i -= 1;
             }
+            // Otherwise index `i` is looked at again: the batch shifted
+            // under it, or this request retries with the freed space.
         }
     }
 
@@ -910,8 +936,8 @@ impl SimServingEngine {
     /// of `running[growing]`: the configured policy's choice among the
     /// other decoding requests (paper default: newest arrival first), or
     /// the growing request itself when it is the only one. The victim
-    /// goes back to the front of the wait queue.
-    fn suspend_for(&mut self, growing: usize) {
+    /// goes back to the front of the wait queue; returns its index.
+    fn suspend_for(&mut self, growing: usize, exact: bool) -> usize {
         let better = |cand: &RequestState, best: &RequestState| match self.cfg.suspend_policy {
             SuspendPolicy::NewestFirst => cand.req.arrival > best.req.arrival,
             SuspendPolicy::OldestFirst => cand.req.arrival < best.req.arrival,
@@ -926,7 +952,12 @@ impl SimServingEngine {
                 chosen = Some(j);
             }
         }
-        let r = self.running.remove(chosen.unwrap_or(growing));
+        let victim = chosen.unwrap_or(growing);
+        let mut r = self.running.remove(victim);
+        // A victim not yet grown this tick holds no slot for its last
+        // token: a real executor's resume computes it as context past
+        // what the cache tracks. (The cost model resumes without it.)
+        r.context_len += usize::from(exact && victim >= growing);
         let moved_tokens = self.cache.suspend(r.req.conv, self.now);
         let bytes = moved_tokens * self.kv_bytes_per_token_per_gpu;
         // The freed slots are only usable once the copy-out completes; we
@@ -936,6 +967,7 @@ impl SimServingEngine {
         self.now = self.now.max(end);
         self.counters.suspensions += 1;
         self.wait_queue.push_front(r);
+        victim
     }
 
     /// Watermark-triggered eviction; transfers are queued on the link but
@@ -956,8 +988,9 @@ impl SimServingEngine {
         }
     }
 
-    /// FCFS admission under the token budget and decode reserve.
-    fn admit(&mut self) {
+    /// FCFS admission under the token budget and decode reserve. A real
+    /// executor `x` first verifies the front's held host bytes.
+    fn admit(&mut self, mut x: Option<&mut Executor>) {
         let reserve = self.cache.config().decode_reserve_tokens();
         loop {
             if self.running.len() >= self.cfg.max_batch_requests {
@@ -970,7 +1003,10 @@ impl SimServingEngine {
                 return;
             }
             let conv = front.req.conv;
-            let mut cost = self.admission_cost(front);
+            if let Some(x) = x.as_deref_mut() {
+                x.verify(conv, &mut self.cache, self.now);
+            }
+            let mut cost = self.admission_cost(&self.wait_queue[0]);
             let batch_tokens = self.current_iteration_query_tokens();
             let has_prefill = self.running.iter().any(|r| r.prefill.is_some());
             // Budget: allow one oversized prefill per iteration when no
@@ -1302,8 +1338,9 @@ impl SimServingEngine {
         Ok(())
     }
 
-    /// Executes the iteration's model invocation(s) and advances the clock.
-    fn execute(&mut self) {
+    /// Executes the iteration's model invocation(s) — on `x` too, when
+    /// given — and advances the clock.
+    fn execute(&mut self, x: Option<&mut Executor>) {
         let chunk_cap = self.cfg.chunked_prefill.unwrap_or(usize::MAX);
         let prefill_shapes = &mut self.prefill_batch.seqs;
         let decode_shapes = &mut self.decode_batch.seqs;
@@ -1340,6 +1377,14 @@ impl SimServingEngine {
                 }
                 None => decode_shapes.push(SeqShape::decode(r.context_len)),
             }
+        }
+        if let Some(x) = x {
+            // A slice that leaves prefill work takes `chunk_cap` tokens;
+            // every other row runs to its last token and emits the next.
+            let mid = |w: &PrefillWork| w.done_tokens < w.query_tokens;
+            let row = |r: &RequestState| (r.req.conv, r.prefill.filter(mid).map(|_| chunk_cap));
+            let rows: Vec<_> = self.running.iter().map(row).collect();
+            x.execute(&self.cache, &rows);
         }
         let prefill_seqs = prefill_shapes.len();
         let decode_seqs = decode_shapes.len();
@@ -1495,7 +1540,7 @@ impl ServingBackend for SimServingEngine {
     /// busy-advancing one replica's clock to its next arrival would let
     /// it leap past its siblings.
     fn poll(&mut self, deadline: Option<SimTime>) -> bool {
-        self.advance(deadline.map_or(Limit::Present, Limit::Until), true)
+        self.advance(deadline.map_or(Limit::Present, Limit::Until), true, None)
     }
 
     fn responses_ready(&self) -> bool {
@@ -1514,7 +1559,7 @@ impl ServingBackend for SimServingEngine {
     /// at `t` finishes; the clock may overshoot) or all work completes;
     /// an engine with nothing due before `t` lands exactly on `t`.
     fn run_until(&mut self, t: SimTime) {
-        self.advance(Limit::Until(t), false);
+        self.advance(Limit::Until(t), false, None);
     }
 
     fn is_idle(&self) -> bool {
@@ -2327,3 +2372,11 @@ mod tests {
 #[cfg(test)]
 #[path = "tests/quiet_run.rs"]
 mod quiet_run_tests;
+
+#[cfg(test)]
+impl SimServingEngine {
+    /// The cache manager, for checks against what an executor holds.
+    pub(crate) fn cache(&self) -> &TieredKvCache {
+        &self.cache
+    }
+}

@@ -1,64 +1,48 @@
 //! A functional (real-math) serving engine for end-to-end validation.
 //!
-//! [`FunctionalEngine`] serves multi-turn conversations with the tiny
-//! transformer from `pensieve-kernels` and *executes* the paper's cache
-//! manager (§4.3) on real K/V bytes. A [`TieredKvCache`] it owns makes
-//! every decision — chunk-granular eviction in its policy's order, lazy
-//! GPU reclamation, demotion down the host ladder, dropping — and after
-//! each call the engine moves the bytes to match, one chunk per
-//! [`PagedKvCache`] block:
-//!
-//! * a chunk the cache places on the GPU, resident or lazily copied, has
-//!   a pool block;
-//! * one on a host rung (CPU, SSD or cold) has checksummed bytes in one
-//!   host map, copied out when the cache reclaims its GPU slot — the
-//!   lazy copy, made at the last moment it can be;
-//! * a dropped one has neither, and the turn that restores it recomputes
-//!   it from the raw tokens in [`TokenChunkStore`] as a leading
-//!   sub-request (paper Figure 8).
+//! [`FunctionalEngine`] is the iteration-level [`SimServingEngine`] with a
+//! real executor attached. The engine's scheduler admits, batches,
+//! suspends and resumes requests and its
+//! [`TieredKvCache`](pensieve_kvcache::TieredKvCache) makes every
+//! placement decision — chunk-granular eviction in its policy's order,
+//! lazy GPU reclamation, demotion down the host ladder, dropping — exactly
+//! as in simulation; the simulated clock still comes from the cost model.
+//! Each tick the executor moves the K/V bytes to match the cache, one
+//! chunk per paged block, and runs the whole batch — prefill rows with
+//! their dropped-range sub-requests, chunked-prefill slices and decode
+//! rows — through one
+//! [`TinyModel::forward`](pensieve_kernels::model::TinyModel::forward)
+//! call.
 //!
 //! Host-memory faults route through the cache as the simulated engine's
-//! do. Because every step does real arithmetic, the tests can assert the
-//! strongest property the design must preserve: **a stateful engine's
-//! output tokens are identical to stateless recomputation from scratch**
-//! under every eviction policy and ladder — a chunk restored or
-//! recomputed at the wrong position would change the logits.
+//! do, except that an injected corruption flips a bit of held host bytes
+//! and the checksum catches it before the owner's restore. Because every
+//! step does real arithmetic, the tests can assert the strongest property
+//! the design must preserve: **a stateful engine's output tokens are
+//! identical to stateless recomputation from scratch** under every
+//! eviction policy, ladder, batch mix and suspension — a chunk restored
+//! or recomputed at the wrong position would change the logits.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::argmax;
-use pensieve_kernels::paged::{BlockTable, OutOfBlocks, PagedKvCache};
-use pensieve_kvcache::{
-    fnv1a, CacheConfig, CacheError, SessionId, Tier, TieredKvCache, TieredKvCacheBuilder,
-    TokenChunkStore,
-};
-use pensieve_model::{ModelConfig, SimTime};
-use pensieve_sim::{FaultCounters, FaultInjector, FaultKind};
+use pensieve_kvcache::{CacheError, SessionId};
+use pensieve_model::{HardwareSpec, ModelConfig};
+use pensieve_sim::{FaultCounters, FaultInjector};
 
-/// KV data of one block held on a host rung.
-struct HostBlock {
-    /// The block as [`PagedKvCache::read_block`] copied it out.
-    kv: Vec<f32>,
-    /// [`checksum`] of `kv`, taken when the bytes left the pool and
-    /// verified before the owner's restore, so silent host-memory
-    /// corruption downgrades to a recompute instead of poisoning the KV
-    /// state.
-    checksum: u64,
-}
-
-/// FNV-1a over the bit patterns of every float.
-fn checksum(kv: &[f32]) -> u64 {
-    fnv1a(kv.iter().flat_map(|x| x.to_bits().to_le_bytes()))
-}
+use crate::backend::ServingBackend;
+use crate::config::{EngineConfig, PolicyKind};
+use crate::engine::SimServingEngine;
+use crate::executor::Executor;
+use crate::request::{Request, RequestId};
 
 /// Configuration of the functional engine's memory system.
 #[derive(Debug, Clone)]
 pub struct FunctionalConfig {
     /// Tokens per KV block, and per cache chunk.
     pub block_size: usize,
-    /// Physical GPU-pool blocks.
+    /// GPU KV budget in blocks: the cache may place `pool_blocks *
+    /// block_size` tokens on the GPU. The cache charges tokens while a
+    /// block holds one chunk, so the pool holds at most one more block
+    /// per conversation, for its partial trailing chunk.
     pub pool_blocks: usize,
     /// CPU-tier capacity in blocks (0 disables the CPU tier: every
     /// eviction drops).
@@ -79,149 +63,93 @@ impl Default for FunctionalConfig {
     }
 }
 
-impl FunctionalConfig {
-    /// The cache this memory system executes: one chunk per block, the
-    /// pool and the stash as the GPU and CPU tiers.
-    fn cache_config(&self) -> CacheConfig {
-        let (bs, pool) = (self.block_size, self.pool_blocks);
-        CacheConfig {
-            swap_watermark: (self.free_watermark as f64 / pool as f64).min(0.25),
-            decode_reserve: 0.0,
-            ..CacheConfig::for_test(bs, pool * bs, self.stash_blocks * bs)
-        }
-    }
-}
-
-/// Greedy decoding of one turn, shared by every engine that serves one:
-/// a pass over `prefill` (whose last segment ends at the turn's context
-/// length), then one single-token pass per further token, each fed the
-/// previous pass's argmax at the next position. `forward` returns the
-/// logits of the pass's last token.
-pub(crate) fn greedy_turn<E>(
-    prefill: Vec<SegmentInput>,
-    max_new: usize,
-    mut forward: impl FnMut(Vec<SegmentInput>) -> Result<Vec<f32>, E>,
-) -> Result<Vec<u32>, E> {
-    let mut start_pos = prefill.last().map_or(0, |s| s.start_pos + s.tokens.len());
-    let mut generated = vec![argmax(&forward(prefill)?) as u32];
-    while generated.len() < max_new {
-        let tokens = generated[generated.len() - 1..].to_vec();
-        generated.push(argmax(&forward(vec![SegmentInput { tokens, start_pos }])?) as u32);
-        start_pos += 1;
-    }
-    Ok(generated)
-}
-
-/// Unwraps a step the cache has made room for. Failing means the pool
-/// cannot hold one turn's working set: the panic `serve_turn` documents.
-fn fits<T: Default + fmt::Debug, E: fmt::Debug>(step: Result<T, E>) -> T {
-    assert!(step.is_ok(), "GPU pool too small: {step:?}");
-    step.unwrap_or_default()
-}
-
-/// The functional serving engine.
-///
-/// Sizing: the cache is charged whole blocks. A conversation that ends
-/// mid-block holds its whole trailing block and is charged for it (13
-/// tokens in 4-token blocks are 16 slots, charged 16), so the cache's
-/// GPU occupancy is exactly the pool's used blocks and any number of
-/// conversations may end mid-block. A turn fits when its conversation's
-/// context, prompt and `max_new` tokens, rounded up to whole blocks, fit
-/// in `pool_blocks`: everything else can be evicted.
+/// The functional serving engine: a [`SimServingEngine`] whose ticks its
+/// executor carries out on real K/V bytes.
 pub struct FunctionalEngine {
-    model: TinyModel,
-    pool: PagedKvCache,
-    block_size: usize,
-    cache: TieredKvCache,
-    /// Each conversation's logical-to-physical map: block `i` holds
-    /// chunk `i`. The conversation being served holds its own.
-    tables: BTreeMap<SessionId, BlockTable>,
-    /// Bytes of every chunk the cache places on a host rung, keyed by
-    /// (conversation, chunk).
-    host: BTreeMap<(SessionId, usize), HostBlock>,
-    store: TokenChunkStore,
-    /// Turns served: the cache's clock, one simulated second each.
+    engine: SimServingEngine,
+    exec: Executor,
+    /// Turns submitted: the last request id.
     turns: u64,
-    /// Optional deterministic fault source targeting the host tiers.
-    faults: Option<FaultInjector>,
 }
 
 impl FunctionalEngine {
     /// Builds an engine with deterministic random weights, executing a
-    /// two-tier [`TieredKvCache`] under the builder's default policy.
+    /// two-tier cache under LRU eviction.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` has a zero block size or pool.
     #[must_use]
     pub fn new(model_cfg: &ModelConfig, seed: u64, cfg: FunctionalConfig) -> Self {
-        let cache = TieredKvCache::builder(cfg.cache_config());
-        Self::with_cache(model_cfg, seed, cfg, cache)
+        Self::with_engine(model_cfg, seed, &cfg, |e| e)
     }
 
-    /// [`FunctionalEngine::new`] executing the cache `cache` builds over
-    /// `cfg`'s capacities — another policy, or a deeper ladder.
-    pub(crate) fn with_cache(
+    /// [`FunctionalEngine::new`] with its engine behaviour — Pensieve with
+    /// LRU eviction, one chunk per block, the watermark as a fraction of
+    /// the pool and no decode reserve — passed through `tweak`: another
+    /// policy, a deeper ladder, chunked prefill.
+    pub(crate) fn with_engine(
         model_cfg: &ModelConfig,
         seed: u64,
-        cfg: FunctionalConfig,
-        cache: TieredKvCacheBuilder,
+        cfg: &FunctionalConfig,
+        tweak: impl FnOnce(EngineConfig) -> EngineConfig,
     ) -> Self {
         assert!(cfg.block_size > 0 && cfg.pool_blocks > 0);
-        let model = TinyModel::new_random(model_cfg, seed);
-        let layout = model.kv_layout(cfg.block_size);
+        let engine = tweak(EngineConfig {
+            policy: PolicyKind::Lru,
+            chunk_tokens: cfg.block_size,
+            swap_watermark: (cfg.free_watermark as f64 / cfg.pool_blocks as f64).min(0.25),
+            decode_reserve: 0.0,
+            ..EngineConfig::pensieve()
+        });
+        let block_bytes = model_cfg.kv_bytes_per_token() * cfg.block_size;
+        let mut hw = HardwareSpec::azure_nc_a100(1);
+        hw.gpu_kv_budget_bytes = block_bytes * cfg.pool_blocks;
+        hw.cpu_cache_bytes_per_gpu = block_bytes * cfg.stash_blocks;
         FunctionalEngine {
-            pool: PagedKvCache::new(layout, model_cfg.num_layers, cfg.pool_blocks),
-            model,
-            block_size: cfg.block_size,
-            cache: cache.build(),
-            tables: BTreeMap::new(),
-            host: BTreeMap::new(),
-            store: TokenChunkStore::new(cfg.block_size),
+            engine: SimServingEngine::builder(engine, model_cfg.clone(), hw).build(),
+            exec: Executor::new(model_cfg, seed, cfg),
             turns: 0,
-            faults: None,
         }
     }
 
-    /// Installs a deterministic fault injector. Each turn it may destroy
+    /// Installs a deterministic fault injector. Each tick it may destroy
     /// a CPU-tier copy (loss) or flip a bit in held host bytes
     /// (corruption, caught by the checksum before the owner's restore);
     /// both downgrade to recomputation, so outputs stay bit-identical to
     /// the fault-free run.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
-        self.faults = Some(faults);
+        self.engine.set_fault_injector(faults);
     }
 
     /// Faults injected so far, if an injector is installed.
     #[must_use]
     pub fn fault_counters(&self) -> Option<&FaultCounters> {
-        self.faults.as_ref().map(FaultInjector::counters)
+        self.engine.fault_counters()
     }
 
-    /// Blocks whose CPU-tier copy injected loss destroyed, and blocks
-    /// invalidated by a failed checksum (on a deep rung the cache drops
-    /// the conversation's deep blocks, as after a failed deep read).
+    /// CPU-tier copies injected loss destroyed, and held host blocks
+    /// whose checksum failed before a restore (on a deep rung the cache
+    /// then drops the conversation's deep blocks, as after a failed deep
+    /// read).
     #[must_use]
     pub fn fault_activity(&self) -> (u64, u64) {
-        let (s, bs) = (self.cache.stats(), self.block_size as u64);
-        let corrupt = s.corrupted_chunk_tokens + s.cold_read_fault_tokens;
-        (s.lost_chunk_tokens / bs, corrupt / bs)
+        (self.engine.counters().chunk_faults, self.exec.corrupt)
     }
 
     /// Sets the number of worker threads used by the model's batched
     /// compute kernels (see
-    /// [`TinyModel::set_threads`]). Served tokens are bit-identical at
+    /// [`TinyModel::set_threads`](pensieve_kernels::model::TinyModel::set_threads)). Served tokens are bit-identical at
     /// every setting, so this is purely a latency knob.
     pub fn set_compute_threads(&mut self, threads: usize) {
-        self.model.set_threads(threads);
+        self.exec.model.set_threads(threads);
     }
 
     /// Full raw history of a conversation, composed back into logical
     /// order from the store's shared chunk chain and private tail.
     #[must_use]
     pub fn history(&self, conv: SessionId) -> Vec<u32> {
-        let view = self.store.view(conv);
-        view.map(|v| v.to_vec()).unwrap_or_default()
+        self.exec.history(conv)
     }
 
     /// Forks `parent` into a new conversation `child`. The raw-token
@@ -239,92 +167,61 @@ impl FunctionalEngine {
         parent: SessionId,
         child: SessionId,
     ) -> Result<(), CacheError> {
-        self.store.fork(parent, child)
+        self.exec.store.fork(parent, child)
     }
 
     /// `(physical, logical)` raw-token counts in the chunked store; the
     /// ratio is the store's dedup factor across forked conversations.
     #[must_use]
     pub fn store_dedup(&self) -> (usize, usize) {
-        (self.store.physical_tokens(), self.store.logical_tokens())
+        let store = &self.exec.store;
+        (store.physical_tokens(), store.logical_tokens())
     }
 
-    /// Blocks swapped out (lazy copies included) / brought back from a
-    /// host rung / dropped, and tokens recomputed (whole blocks), as the
-    /// cache counted them.
+    /// Blocks' worth of tokens swapped out (lazy copies included) /
+    /// brought back from a host rung / dropped, rounded down, and tokens
+    /// recomputed, as the cache counted them.
     #[must_use]
     pub fn cache_activity(&self) -> (u64, u64, u64, u64) {
-        let (s, bs) = (self.cache.stats(), self.block_size as u64);
-        let restored = s.swapped_in_tokens + s.ssd_hit_tokens + s.cold_hit_tokens;
-        let [out, restored, dropped] =
-            [s.swapped_out_tokens, restored, s.dropped_tokens].map(|t| t / bs);
-        (out, restored, dropped, s.recomputed_tokens)
+        let s = self.engine.cache_stats();
+        let bs = self.engine.config().chunk_tokens as u64;
+        let inn = s.swapped_in_tokens + s.ssd_hit_tokens + s.cold_hit_tokens;
+        let [out, inn, dropped] = [s.swapped_out_tokens, inn, s.dropped_tokens].map(|t| t / bs);
+        (out, inn, dropped, s.recomputed_tokens)
     }
 
-    /// Serves one conversation turn: processes `prompt` on top of the
-    /// conversation's cached context and greedily decodes `max_new`
-    /// tokens. Returns the generated tokens.
+    /// Serves one conversation turn: submits `prompt` on top of the
+    /// conversation's history, runs the engine until it is idle, and
+    /// returns the `max_new` tokens it greedily decoded.
     ///
     /// # Panics
     ///
     /// Panics if `prompt` is empty, `max_new` is zero, or the GPU pool is
     /// too small to hold a single turn's working set.
     pub fn serve_turn(&mut self, conv: SessionId, prompt: &[u32], max_new: usize) -> Vec<u32> {
+        self.submit(conv, prompt, max_new);
+        self.engine.run_on(&mut self.exec, None);
+        self.engine.drain_responses();
+        let mut history = self.history(conv);
+        history.split_off(history.len().saturating_sub(max_new))
+    }
+
+    /// Submits one turn at the engine's clock, its prompt ids as the
+    /// request's payload.
+    fn submit(&mut self, conv: SessionId, prompt: &[u32], max_new: usize) {
         assert!(!prompt.is_empty() && max_new > 0);
         self.turns += 1;
-        let now = SimTime::from_secs(self.turns as f64);
-        self.fault_tick();
-        self.reject_corrupt(conv, now);
-
-        // Restore: room for what the plan brings back, the plan, then a
-        // block for every chunk it brought onto the GPU — filled from the
-        // host map, or recomputed below if it was dropped.
-        self.make_room(conv, self.cache.plan_restore(conv).new_gpu_slots(), now);
-        let plan = fits(self.cache.commit_restore(conv, now));
-        self.release();
-        let bs = self.block_size;
-        let mut table = self.tables.remove(&conv).unwrap_or(BlockTable::new(bs));
-        let cached = table.len();
-        for (b, phys) in fits(table.refill(&mut self.pool, 0..cached.div_ceil(bs))) {
-            if let Some(bytes) = self.host.remove(&(conv, b)) {
-                self.pool.write_block(phys, &bytes.kv);
-            }
-        }
-
-        // Prefill: the dropped ranges as leading sub-requests, then the
-        // raw history past the cached context (at least the previous
-        // turn's final token) and the prompt.
-        self.store.append(conv, prompt);
-        let history = self.history(conv);
-        let recompute = plan.recompute_ranges().into_iter();
-        let segments = recompute
-            .map(|r| r.start..r.end.min(cached))
-            .chain(std::iter::once(cached..history.len()))
-            .map(|r| SegmentInput {
-                start_pos: r.start,
-                tokens: history[r].to_vec(),
-            })
-            .collect();
-
-        // Decode: the cache is charged for each block a pass opens.
-        let generated = fits(greedy_turn(segments, max_new, |segments| {
-            let end = segments.last().map_or(0, |s| s.start_pos + s.tokens.len());
-            let tokens = (end.div_ceil(bs) - table.len().div_ceil(bs)) * bs;
-            if tokens > 0 {
-                self.make_room(conv, tokens, now);
-                fits(self.cache.append_tokens(conv, tokens, now));
-                self.release();
-            }
-            let table = &mut table;
-            let batch = &mut [SeqInput { segments, table }];
-            let logits = self.model.forward(&mut self.pool, batch)?;
-            Ok::<_, OutOfBlocks>(logits.row(0).to_vec())
-        }));
-        self.tables.insert(conv, table);
-        self.store.append(conv, &generated);
-        self.cache.unpin(conv);
-        self.cache.touch(conv, now);
-        generated
+        let req = Request::builder()
+            .id(RequestId(self.turns))
+            .session(conv)
+            .arrival(self.engine.now())
+            .prompt_ids(prompt.to_vec())
+            .output_tokens(max_new)
+            .history_tokens(self.exec.store.len(conv))
+            .build();
+        // The builder refuses only an empty prompt, asserted above.
+        let Ok(req) = req else { return };
+        self.engine.submit_on(req, &mut self.exec);
     }
 
     /// Stateless reference: greedy decode of `max_new` tokens after
@@ -333,96 +230,17 @@ impl FunctionalEngine {
     pub fn reference_decode(&self, context: &[u32], max_new: usize) -> Vec<u32> {
         let mut ctx = context.to_vec();
         for _ in 0..max_new {
-            ctx.push(argmax(&self.model.forward_dense(&ctx)) as u32);
+            ctx.push(argmax(&self.exec.model.forward_dense(&ctx)) as u32);
         }
         ctx.split_off(context.len())
-    }
-
-    /// Has the cache make `tokens` GPU slots (at least the swap
-    /// watermark) effectively free for `conv`, and executes its
-    /// evictions.
-    fn make_room(&mut self, conv: SessionId, tokens: usize, now: SimTime) {
-        let target = tokens.max(self.cache.config().swap_trigger_tokens());
-        self.cache.swap_out_until_for(target, Some(conv), now);
-        self.release();
-    }
-
-    /// Executes the cache's evictions on the bytes: a block whose chunk
-    /// the cache no longer places on the GPU is freed — copied out first
-    /// if the chunk went to a host rung — and a dropped chunk's host
-    /// bytes go. The conversation being served holds its own table and
-    /// is skipped: it is pinned, so nothing of it moves.
-    fn release(&mut self) {
-        let bs = self.block_size;
-        for (&conv, table) in &mut self.tables {
-            let plan = self.cache.plan_restore(conv);
-            for (range, tier) in plan.segments.into_iter().filter(|s| s.1 != Tier::Gpu) {
-                let blocks = range.start / bs..range.end.div_ceil(bs);
-                for b in blocks.clone() {
-                    if tier == Tier::Dropped {
-                        self.host.remove(&(conv, b));
-                    } else if let Some(phys) = table.get_block(b) {
-                        let kv = self.pool.read_block(phys);
-                        let checksum = checksum(&kv);
-                        self.host.insert((conv, b), HostBlock { kv, checksum });
-                    }
-                }
-                table.free_blocks(&mut self.pool, blocks);
-            }
-        }
-    }
-
-    /// One fault opportunity per turn against the host tiers, routed
-    /// through the cache as the simulated engine's are: an injected loss
-    /// destroys a CPU-tier copy the cache lists (the chunk is dropped, or
-    /// keeps its GPU bytes if the copy was lazy); an injected corruption
-    /// flips a bit of some held host bytes, which the owner's checksum
-    /// check catches.
-    fn fault_tick(&mut self) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        let listing = self.cache.cpu_resident_chunks();
-        if !listing.is_empty() && f.roll(FaultKind::CpuChunkLoss) {
-            let (conv, chunk, _) = listing[f.pick(listing.len())];
-            if self.cache.mark_chunk_lost(conv, chunk).is_ok() {
-                self.host.remove(&(conv, chunk));
-            }
-        }
-        if !self.host.is_empty() && f.roll(FaultKind::CpuChunkCorruption) {
-            let at = f.pick(self.host.len());
-            let victim = self.host.values_mut().nth(at);
-            // Flip a mantissa bit of the first stored value; the stale
-            // checksum now disagrees with the data.
-            if let Some(x) = victim.and_then(|b| b.kv.first_mut()) {
-                *x = f32::from_bits(x.to_bits() ^ 0x0000_0400);
-            }
-        }
-    }
-
-    /// The checksum check before `conv`'s restore: held bytes that no
-    /// longer match are reported to the cache, whose plan then
-    /// recomputes them — a CPU copy as corrupt, a block demoted since as
-    /// a failed deep read (the cache drops the conversation's deep run).
-    fn reject_corrupt(&mut self, conv: SessionId, now: SimTime) {
-        let held = self.host.range((conv, 0)..=(conv, usize::MAX));
-        let bad = held.filter(|(_, b)| checksum(&b.kv) != b.checksum);
-        let bad: Vec<usize> = bad.map(|(&(_, chunk), _)| chunk).collect();
-        for chunk in bad {
-            if self.cache.mark_chunk_corrupt(conv, chunk).is_err() {
-                self.cache.drop_deep_chunks(conv, now);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pensieve_kvcache::{
-        CachedAttentionPolicy, EvictionPolicy, LruPolicy, RetentionValuePolicy, TrailingEndPolicy,
-    };
-    use pensieve_model::{CostModel, HardwareSpec, ProfiledCostTable};
+    use crate::config::SuspendPolicy;
+    use pensieve_model::SimDuration;
     use pensieve_sim::FaultConfig;
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
@@ -439,76 +257,106 @@ mod tests {
             .unwrap_or(1)
     }
 
-    /// The executor and the cache agree: a chunk has a pool block
-    /// exactly when the cache places it on the GPU (resident or lazily
-    /// copied), host bytes exactly when it places it on a host rung, and
-    /// neither pool nor host map holds anything else.
-    fn assert_agrees(e: &FunctionalEngine, cell: &str) {
-        assert_eq!(e.cache.check_invariants(), Ok(()), "{cell}");
-        let bs = e.block_size;
-        let (mut on_gpu, mut on_host) = (0, 0);
-        for conv in e.cache.sessions() {
-            let table = &e.tables[&conv];
-            for (range, tier) in e.cache.plan_restore(conv).segments {
-                for b in range.start / bs..range.end.div_ceil(bs) {
-                    let gpu = tier == Tier::Gpu;
-                    let host = matches!(tier, Tier::Cpu | Tier::Ssd | Tier::Cold);
-                    let at = format!("{cell}: {conv:?} chunk {b} in {tier:?}");
-                    assert_eq!(table.get_block(b).is_some(), gpu, "{at}: pool block");
-                    assert_eq!(e.host.contains_key(&(conv, b)), host, "{at}: host bytes");
-                    on_gpu += usize::from(gpu);
-                    on_host += usize::from(host);
-                }
+    /// What [`serve_checked`] saw: each turn's tokens, in schedule
+    /// order; the most requests one tick started with; and the loss rolls
+    /// that fired while the cache listed a CPU copy to destroy.
+    struct Served {
+        tokens: Vec<Vec<u32>>,
+        widest: usize,
+        listed_losses: u64,
+    }
+
+    /// Serves `schedule`'s turns, `max_new` tokens each, at most `width`
+    /// at a time: the first unserved turn whose conversation is idle goes
+    /// next, so `width` 1 serves the schedule in order and one per
+    /// conversation runs each conversation as its own closed loop. The
+    /// engine runs one tick at a time; after each the bytes are checked
+    /// against the cache, and every finished turn against stateless
+    /// decoding of its conversation's full history.
+    fn serve_checked(
+        e: &mut FunctionalEngine,
+        schedule: &[(SessionId, Vec<u32>)],
+        max_new: usize,
+        width: usize,
+        cell: &str,
+    ) -> Served {
+        let losses = |e: &FunctionalEngine| e.fault_counters().map_or(0, |c| c.cpu_chunk_losses);
+        let mut served = Served {
+            tokens: vec![Vec::new(); schedule.len()],
+            widest: 0,
+            listed_losses: 0,
+        };
+        let mut pending: Vec<usize> = (0..schedule.len()).collect();
+        let mut in_flight = std::collections::BTreeMap::new();
+        while !pending.is_empty() || !in_flight.is_empty() {
+            while in_flight.len() < width {
+                let idle = |t: &usize| !in_flight.contains_key(&schedule[*t].0);
+                let Some(at) = pending.iter().position(idle) else {
+                    break;
+                };
+                let t = pending.remove(at);
+                let (conv, p) = &schedule[t];
+                in_flight.insert(*conv, t);
+                e.submit(*conv, p, max_new);
+            }
+            served.widest = served.widest.max(e.engine.running_requests());
+            let listed = !e.engine.cache().cpu_resident_chunks().is_empty();
+            let before = losses(e);
+            let tick = e.engine.now() + SimDuration::from_micros(1.0);
+            e.engine.run_on(&mut e.exec, Some(tick));
+            served.listed_losses += if listed { losses(e) - before } else { 0 };
+            e.exec.assert_agrees(e.engine.cache(), cell);
+            for r in e.engine.drain_responses() {
+                let t = in_flight.remove(&r.conv).unwrap();
+                let history = e.history(r.conv);
+                let (context, got) = history.split_at(history.len() - max_new);
+                let want = e.reference_decode(context, max_new);
+                assert_eq!(got, want, "{cell}: {:?} turn {t}", r.conv);
+                served.tokens[t] = want;
             }
         }
-        let used = e.pool.num_blocks() - e.pool.num_free();
-        assert_eq!(used, on_gpu, "{cell}: pool blocks the cache does not place");
-        assert_eq!(
-            e.host.len(),
-            on_host,
-            "{cell}: host bytes the cache does not place"
-        );
+        served
     }
 
-    /// The four eviction policies, fresh.
-    fn policies() -> Vec<Box<dyn EvictionPolicy>> {
-        let cost = CostModel::new(ModelConfig::tiny_llama(), HardwareSpec::azure_nc_a100(1));
-        vec![
-            Box::new(RetentionValuePolicy::new(ProfiledCostTable::profile(
-                &cost, 4, 4096,
-            ))),
-            Box::new(LruPolicy),
-            Box::new(CachedAttentionPolicy),
-            Box::new(TrailingEndPolicy),
-        ]
+    /// `turns` rounds of one turn per conversation, `len`-token prompts.
+    fn round_robin(convs: u32, turns: u32, len: usize) -> Vec<(SessionId, Vec<u32>)> {
+        let turn = |t: u32| {
+            (0..convs).map(move |c| (SessionId(c.into()), prompt(t * convs + c, len, 128)))
+        };
+        (0..turns).flat_map(turn).collect()
     }
 
-    /// Every policy × {two-tier, deep} ladder × {clean, seeded faults}:
-    /// each turn equals stateless decoding, the bytes agree with the
-    /// cache's placement after every turn, and every cell swaps in and
-    /// recomputes — and, with faults, has faults bite.
+    /// Every policy × {two-tier, deep} ladder × {clean, seeded faults},
+    /// with three conversations served one turn at a time and then all
+    /// three in flight, each as its own closed loop, so forward passes
+    /// carry several rows: each turn equals stateless decoding, the bytes
+    /// agree with the cache's placement after every tick, and every cell
+    /// swaps in and recomputes — and, with faults, has faults bite.
     #[test]
     fn policy_ladder_fault_matrix_matches_stateless() {
         let cfg = ModelConfig::tiny_llama();
-        let vocab = cfg.vocab_size as u32;
         let mem = FunctionalConfig {
             block_size: 4,
             pool_blocks: 16,
             stash_blocks: 12,
             free_watermark: 2,
         };
-        for p in 0..4 {
-            for deep in [false, true] {
-                for faulty in [false, true] {
-                    let policy = policies().swap_remove(p);
-                    let cell = format!("{} deep={deep} faulty={faulty}", policy.name());
-                    let builder = TieredKvCache::builder(mem.cache_config()).policy(policy);
-                    let builder = if deep {
-                        builder.deep_tiers(8, 8)
-                    } else {
-                        builder
-                    };
-                    let mut e = FunctionalEngine::with_cache(&cfg, 19, mem.clone(), builder);
+        let policies = [
+            PolicyKind::RetentionValue,
+            PolicyKind::Lru,
+            PolicyKind::WholeConversation,
+            PolicyKind::TrailingEnd,
+        ];
+        for policy in policies {
+            for deep in [0, 8] {
+                for (faulty, width) in [(false, 1), (true, 1), (false, 3), (true, 3)] {
+                    let cell = format!("{policy:?} deep={deep} faulty={faulty} width={width}");
+                    let mut e = FunctionalEngine::with_engine(&cfg, 19, &mem, |e| EngineConfig {
+                        policy,
+                        ssd_capacity_tokens: deep,
+                        cold_capacity_tokens: deep,
+                        ..e
+                    });
                     if faulty {
                         e.set_fault_injector(FaultInjector::new(FaultConfig {
                             cpu_chunk_loss: 0.5,
@@ -516,18 +364,8 @@ mod tests {
                             ..FaultConfig::disabled(fault_seed())
                         }));
                     }
-                    let mut transcripts = vec![Vec::new(); 3];
-                    for turn in 0..5u32 {
-                        for (c, t) in transcripts.iter_mut().enumerate() {
-                            let p = prompt(turn * 3 + c as u32, 6, vocab);
-                            let got = e.serve_turn(SessionId(c as u64), &p, 3);
-                            t.extend_from_slice(&p);
-                            let want = e.reference_decode(t, 3);
-                            assert_eq!(got, want, "{cell}: conv {c} turn {turn}");
-                            t.extend_from_slice(&got);
-                            assert_agrees(&e, &cell);
-                        }
-                    }
+                    let served = serve_checked(&mut e, &round_robin(3, 5, 6), 3, width, &cell);
+                    assert_eq!(served.widest, width, "{cell}: rows per forward pass");
                     let activity = e.cache_activity();
                     let (_, swapped_in, _, recomputed) = activity;
                     assert!(
@@ -542,10 +380,63 @@ mod tests {
         }
     }
 
-    /// Block fragmentation is reconciled: the cache is charged whole
-    /// blocks, so conversations ending mid-block cannot strand the pool.
-    /// Ten conversations — more than the pool has blocks — each end
-    /// inside a block (6 tokens, then 13), and every one returns.
+    /// Decode growth outruns the pool: requests are suspended, their
+    /// blocks leave the pool, and they resume — under each suspension
+    /// policy — with every token equal to stateless decoding. Five
+    /// conversations in flight suspend victims both before the growing
+    /// row (already grown this tick, some into a chunk no tick has
+    /// written yet) and after it (not yet grown).
+    #[test]
+    fn suspended_requests_resume_exactly() {
+        let cfg = ModelConfig::tiny_llama();
+        let mem = FunctionalConfig {
+            block_size: 4,
+            pool_blocks: 11,
+            stash_blocks: 64,
+            free_watermark: 0,
+        };
+        for policy in [
+            SuspendPolicy::NewestFirst,
+            SuspendPolicy::OldestFirst,
+            SuspendPolicy::LargestContext,
+        ] {
+            let cell = format!("{policy:?}");
+            let mut e = FunctionalEngine::with_engine(&cfg, 21, &mem, |e| EngineConfig {
+                suspend_policy: policy,
+                ..e
+            });
+            serve_checked(&mut e, &round_robin(5, 2, 4), 10, 5, &cell);
+            let c = e.engine.counters();
+            assert!(c.suspensions > 0, "{cell}: nothing was suspended");
+        }
+    }
+
+    /// Chunked prefill: prompts longer than the slice run over several
+    /// ticks beside other rows' decodes, dropped ranges included, and
+    /// every turn still equals stateless decoding.
+    #[test]
+    fn chunked_prefill_matches_stateless() {
+        let cfg = ModelConfig::tiny_llama();
+        let mem = FunctionalConfig {
+            block_size: 4,
+            pool_blocks: 24,
+            stash_blocks: 4,
+            free_watermark: 2,
+        };
+        let mut e = FunctionalEngine::with_engine(&cfg, 22, &mem, |e| EngineConfig {
+            chunked_prefill: Some(5),
+            ..e
+        });
+        serve_checked(&mut e, &round_robin(3, 4, 13), 4, 3, "chunked");
+        let (_, _, dropped, recomputed) = e.cache_activity();
+        assert!(dropped > 0 && recomputed > 0, "nothing was recomputed");
+    }
+
+    /// Block fragmentation is reconciled: conversations ending mid-block
+    /// hold one block more than the cache charges them, and that block
+    /// never strands the pool. Ten conversations — more than the pool
+    /// has blocks — each end inside a block (6 tokens, then 13), and
+    /// every one returns.
     #[test]
     fn mid_block_conversations_cannot_strand_the_pool() {
         let cfg = ModelConfig::tiny_llama();
@@ -568,8 +459,8 @@ mod tests {
                 t.extend_from_slice(&p);
                 assert_eq!(got, e.reference_decode(t, 2), "conv {c} round {round}");
                 t.extend_from_slice(&got);
-                assert_ne!(e.tables[&conv].len() % 4, 0, "conv {c} ends mid-block");
-                assert_agrees(&e, "fragmentation");
+                assert_ne!(e.exec.computed(conv) % 4, 0, "conv {c} ends mid-block");
+                e.exec.assert_agrees(e.engine.cache(), "fragmentation");
             }
         }
     }
@@ -632,6 +523,13 @@ mod tests {
             assert_eq!(gb, e.reference_decode(&full_b, 4), "conv b turn {turn}");
             full_b.extend_from_slice(&gb);
         }
+        // A returns to chunks B's third turn reclaimed. (A's third turn
+        // fills the pool exactly, 29 + 19 tokens, so the chunks of B it
+        // copies ahead of time keep their slots until B is back.)
+        let pa = prompt(13, 6, cfg.vocab_size as u32);
+        let ga = e.serve_turn(a, &pa, 4);
+        full_a.extend_from_slice(&pa);
+        assert_eq!(ga, e.reference_decode(&full_a, 4), "conv a returns");
         let (out, inn, _, _) = e.cache_activity();
         assert!(out > 0, "pool pressure must have caused eviction");
         assert!(inn > 0, "returning conversations must have swapped in");
@@ -691,19 +589,23 @@ mod tests {
         fc.cpu_chunk_corruption = 0.7;
         faulty.set_fault_injector(FaultInjector::new(fc));
         let (a, b) = (SessionId(1), SessionId(2));
-        for turn in 0..4 {
-            for &conv in &[a, b] {
-                let p = prompt(60 + turn * 2 + conv.0 as u32, 6, cfg.vocab_size as u32);
-                let want = clean.serve_turn(conv, &p, 4);
-                let got = faulty.serve_turn(conv, &p, 4);
-                assert_eq!(got, want, "conv {} turn {turn}", conv.0);
-            }
+        let schedule: Vec<_> = (0..4)
+            .flat_map(|turn| {
+                [a, b].map(|conv| {
+                    let p = prompt(60 + turn * 2 + conv.0 as u32, 6, cfg.vocab_size as u32);
+                    (conv, p)
+                })
+            })
+            .collect();
+        let served = serve_checked(&mut faulty, &schedule, 4, 1, "faulty");
+        for ((conv, p), got) in schedule.iter().zip(&served.tokens) {
+            assert_eq!(*got, clean.serve_turn(*conv, p, 4), "conv {}", conv.0);
         }
         let (lost, corrupt) = faulty.fault_activity();
         assert!(lost > 0, "injected losses must have destroyed stash blocks");
         assert!(corrupt > 0, "checksum must have caught a corrupted block");
-        let ctrs = faulty.fault_counters().expect("injector installed");
-        assert_eq!(ctrs.cpu_chunk_losses, lost);
+        // Every loss roll that found a listed CPU copy destroyed one.
+        assert_eq!(served.listed_losses, lost);
         let (_, _, _, recomputed) = faulty.cache_activity();
         assert!(recomputed > 0, "faults must have forced recomputation");
         assert_eq!(clean.fault_activity(), (0, 0));

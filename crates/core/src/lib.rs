@@ -1,6 +1,6 @@
 //! Pensieve's stateful LLM serving engine and the paper's baselines.
 //!
-//! Two engines live here:
+//! One scheduler lives here, with two ways to carry out its batches:
 //!
 //! * [`engine::SimServingEngine`] — the full iteration-level serving system
 //!   running against simulated device timing. One configurable
@@ -8,14 +8,15 @@
 //!   Pensieve, Pensieve (GPU cache only), Pensieve without unified
 //!   scheduling, vLLM, and TensorRT-LLM (see [`config::EngineConfig`]'s
 //!   presets). The scheduler, cache manager, eviction, suspension, and
-//!   dropped-token recomputation logic are all real; only `duration_of`
-//!   comes from the cost model.
-//! * [`functional::FunctionalEngine`] — a scaled-down engine executing
-//!   *real* forward passes of the tiny transformer over the paged KV pool,
-//!   and executing the same `TieredKvCache` on real K/V bytes: lazy
-//!   swap-out to host memory, swap-in, demotion, dropping, and
-//!   sub-request recomputation. Its outputs are compared token-for-token
-//!   against stateless recomputation in the tests.
+//!   dropped-token recomputation logic are all real; each batch's
+//!   duration comes from the cost model.
+//! * [`functional::FunctionalEngine`] — the same engine with a real
+//!   executor attached, scaled down: each tick it carries the
+//!   `TieredKvCache`'s decisions out on real K/V bytes (lazy swap-out to
+//!   host memory, swap-in, demotion, dropping) and runs the batch as one
+//!   *real* forward pass of the tiny transformer over the paged KV pool.
+//!   Its outputs are compared token-for-token against stateless
+//!   recomputation in the tests.
 
 // Lint levels: docs/LINTS.md has what each guards.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -27,6 +28,7 @@ pub mod backend;
 pub mod config;
 pub mod engine;
 pub mod error;
+mod executor;
 pub mod functional;
 pub mod request;
 pub mod workers;

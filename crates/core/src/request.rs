@@ -12,7 +12,8 @@ pub struct RequestId(pub u64);
 /// One conversation turn submitted to a serving engine.
 ///
 /// Token *counts* describe the turn; the simulation engines never look at
-/// token values. `history_tokens` is the cumulative context length before
+/// token values, and only an engine running a real model reads
+/// `prompt_ids`. `history_tokens` is the cumulative context length before
 /// this turn — a stateless engine must re-prefill it, a stateful engine
 /// hopes to find it cached.
 ///
@@ -36,6 +37,9 @@ pub struct Request {
     /// Conversation context length before this turn (all previous prompts
     /// and responses).
     pub history_tokens: usize,
+    /// The prompt's token ids, for an engine that runs a real model; the
+    /// simulated engines need only `prompt_tokens`.
+    pub prompt_ids: Option<Vec<u32>>,
 }
 
 impl Request {
@@ -86,6 +90,7 @@ pub struct RequestBuilder {
     prompt_tokens: usize,
     output_tokens: usize,
     history_tokens: usize,
+    prompt_ids: Option<Vec<u32>>,
 }
 
 impl RequestBuilder {
@@ -114,6 +119,13 @@ impl RequestBuilder {
     #[must_use]
     pub fn prompt_tokens(mut self, tokens: usize) -> Self {
         self.prompt_tokens = tokens;
+        self
+    }
+
+    /// Sets the prompt's token ids, and `prompt_tokens` to their count.
+    #[must_use]
+    pub fn prompt_ids(mut self, ids: Vec<u32>) -> Self {
+        (self.prompt_tokens, self.prompt_ids) = (ids.len(), Some(ids));
         self
     }
 
@@ -152,6 +164,7 @@ impl RequestBuilder {
             prompt_tokens: self.prompt_tokens,
             output_tokens: self.output_tokens,
             history_tokens: self.history_tokens,
+            prompt_ids: self.prompt_ids,
         })
     }
 }

@@ -22,13 +22,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use pensieve_kernels::model::{ReplicatedWeights, SegmentInput, Stage, TinyModel};
+use pensieve_kernels::ops::argmax;
 use pensieve_kernels::paged::OutOfBlocks;
 use pensieve_kernels::tp::{ShardRunner, TpModel};
 use pensieve_kernels::Matrix;
 use pensieve_model::ModelConfig;
 
 use crate::error::WorkerError;
-use crate::functional::greedy_turn;
 
 /// Scheduler-to-worker commands.
 enum Cmd {
@@ -315,17 +315,21 @@ impl ThreadedTpEngine {
         // The previous turn's final token was emitted but never processed
         // (its KV is absent); prepend it, exactly like the "tail" the
         // serving engine recomputes with each new prompt.
-        let (start_pos, tail) = match self.convs.get(&conv) {
+        let (mut start_pos, tail) = match self.convs.get(&conv) {
             Some(&(context, tail)) => (context, Some(tail)),
             None => (0, None),
         };
-        let tokens: Vec<u32> = tail.into_iter().chain(prompt.iter().copied()).collect();
-        let context = start_pos + tokens.len() + max_new - 1;
-        let prefill = vec![SegmentInput { tokens, start_pos }];
-        let generated = greedy_turn(prefill, max_new, |segments| {
-            self.forward_seq(conv, &segments)
-        })?;
-        self.convs.insert(conv, (context, generated[max_new - 1]));
+        let mut tokens: Vec<u32> = tail.into_iter().chain(prompt.iter().copied()).collect();
+        // Greedy decoding: the prefill pass, then one single-token pass
+        // per further token, each fed the previous pass's argmax.
+        let mut generated = Vec::with_capacity(max_new);
+        while generated.len() < max_new {
+            let segment = SegmentInput { tokens, start_pos };
+            start_pos += segment.tokens.len();
+            generated.push(argmax(&self.forward_seq(conv, &[segment])?) as u32);
+            tokens = generated[generated.len() - 1..].to_vec();
+        }
+        self.convs.insert(conv, (start_pos, generated[max_new - 1]));
         Ok(generated)
     }
 }
@@ -358,7 +362,6 @@ fn worker_loop(idx: usize, shard: &mut ShardRunner, rx: &Receiver<Cmd>, res: &Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pensieve_kernels::ops::argmax;
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
         (0..len as u32)

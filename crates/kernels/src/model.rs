@@ -484,12 +484,6 @@ impl TinyModel {
         self.shard.pool.threads()
     }
 
-    /// The worker pool backing the batched kernels.
-    #[must_use]
-    pub fn pool(&self) -> &Pool {
-        &self.shard.pool
-    }
-
     /// The model configuration.
     #[must_use]
     pub fn config(&self) -> &ModelConfig {

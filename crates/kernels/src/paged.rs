@@ -64,9 +64,15 @@ pub struct PagedKvCache {
     layout: KvLayout,
     num_layers: usize,
     num_blocks: usize,
-    /// Per layer: K then V, each `[num_blocks * block_floats]`.
+    /// Blocks handed out at least once, in ascending id order. The slabs
+    /// hold exactly these, so a pool's memory is the most blocks it has
+    /// held at once, not its capacity.
+    touched: usize,
+    /// Per layer: K then V, each `[touched * block_floats]`.
     k: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
+    /// Released blocks, handed out again (last released first) before
+    /// untouched ones.
     free: Vec<BlockId>,
 }
 
@@ -74,16 +80,14 @@ impl PagedKvCache {
     /// Creates a pool of `num_blocks` blocks for `num_layers` layers.
     #[must_use]
     pub fn new(layout: KvLayout, num_layers: usize, num_blocks: usize) -> Self {
-        let per_layer = num_blocks * layout.block_floats();
         PagedKvCache {
             layout,
             num_layers,
             num_blocks,
-            k: (0..num_layers).map(|_| vec![0.0; per_layer]).collect(),
-            v: (0..num_layers).map(|_| vec![0.0; per_layer]).collect(),
-            // Reversed so blocks are handed out in ascending order, which
-            // makes tests deterministic without affecting correctness.
-            free: (0..num_blocks).rev().collect(),
+            touched: 0,
+            k: vec![Vec::new(); num_layers],
+            v: vec![Vec::new(); num_layers],
+            free: Vec::new(),
         }
     }
 
@@ -102,21 +106,23 @@ impl PagedKvCache {
     /// Number of currently free blocks.
     #[must_use]
     pub fn num_free(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.num_blocks - self.touched
     }
 
-    /// Number of layers.
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.num_layers
-    }
-
-    /// Allocates one block.
+    /// Allocates one block: the last one released, else the lowest
+    /// untouched one (zeroed).
     ///
     /// # Errors
     ///
     /// Returns [`OutOfBlocks`] if the pool is exhausted.
     pub fn allocate(&mut self) -> Result<BlockId, OutOfBlocks> {
+        if self.free.is_empty() && self.touched < self.num_blocks {
+            for slab in self.k.iter_mut().chain(&mut self.v) {
+                slab.resize(slab.len() + self.layout.block_floats(), 0.0);
+            }
+            self.free.push(self.touched);
+            self.touched += 1;
+        }
         self.free.pop().ok_or(OutOfBlocks)
     }
 
@@ -126,7 +132,7 @@ impl PagedKvCache {
     ///
     /// Panics in debug builds if the id is out of range or already free.
     pub fn release(&mut self, id: BlockId) {
-        debug_assert!(id < self.num_blocks);
+        debug_assert!(id < self.touched);
         debug_assert!(!self.free.contains(&id), "double free of block {id}");
         self.free.push(id);
     }
@@ -309,12 +315,6 @@ impl BlockTable {
         self.len == 0
     }
 
-    /// Block size in tokens.
-    #[must_use]
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
     /// Physical block backing logical block `i`.
     ///
     /// # Panics
@@ -387,13 +387,9 @@ impl BlockTable {
 
     /// Frees the physical backing of logical blocks `range`, leaving holes.
     ///
-    /// Already-freed blocks in the range are skipped. Returns the freed
-    /// physical block ids (e.g. so a caller can first copy them to a CPU
-    /// tier).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the logical block count.
+    /// Already-freed blocks in the range, and indices past the table's
+    /// last block, are skipped. Returns the freed physical block ids (e.g.
+    /// so a caller can first copy them to a CPU tier).
     pub fn free_blocks(
         &mut self,
         pool: &mut PagedKvCache,
@@ -401,7 +397,7 @@ impl BlockTable {
     ) -> Vec<BlockId> {
         let mut freed = Vec::new();
         for i in range {
-            if let Some(b) = self.blocks[i].take() {
+            if let Some(b) = self.blocks.get_mut(i).and_then(Option::take) {
                 pool.release(b);
                 freed.push(b);
             }
@@ -411,7 +407,9 @@ impl BlockTable {
 
     /// Allocates fresh physical blocks for every hole in `range`, returning
     /// `(logical_index, physical_block)` pairs for the caller to fill
-    /// (swap-in copy or recomputation).
+    /// (swap-in copy or recomputation). A range past the table's last
+    /// block reserves blocks ahead of its tokens: later appends write
+    /// into them instead of allocating.
     ///
     /// # Errors
     ///
@@ -422,6 +420,7 @@ impl BlockTable {
         pool: &mut PagedKvCache,
         range: std::ops::Range<usize>,
     ) -> Result<Vec<(usize, BlockId)>, OutOfBlocks> {
+        self.blocks.resize(self.blocks.len().max(range.end), None);
         let mut filled = Vec::new();
         for i in range {
             if self.blocks[i].is_none() {
@@ -515,7 +514,8 @@ mod tests {
             assert_eq!(view.k_block(b), view.k_block(a), "layer {l} K");
             assert_eq!(view.v_block(b), view.v_block(a), "layer {l} V");
         }
-        assert_eq!(pool.read_block(2), vec![0.0; bytes.len()], "untouched");
+        let fresh = pool.allocate().unwrap();
+        assert_eq!(pool.read_block(fresh), vec![0.0; bytes.len()], "untouched");
     }
 
     #[test]

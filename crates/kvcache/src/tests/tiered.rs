@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use super::ladder::CPU_RUNG;
 use super::queue::RungQueues;
 use super::*;
-use crate::manifest::ManifestChunk;
+use crate::manifest::{ManifestChunk, SessionManifest};
 use crate::policy::{CachedAttentionPolicy, LruPolicy, TrailingEndPolicy};
 use crate::prefix::synthetic_preamble;
 
@@ -142,7 +142,9 @@ fn import_rejects_existing_session() {
 /// anything is attached, split or counted: a span of `usize::MAX` or
 /// `usize::MAX / 2` tokens (`usize::MAX / 2` sums fine but splits into
 /// more chunks than a list can hold), a shared-ref total that overflows,
-/// and a pooled chain plus a span that overflow together.
+/// and a pooled chain plus a span that overflow together. A
+/// checksum-valid manifest whose two entries overflow is refused by
+/// rehydration the same way.
 #[test]
 fn import_rejects_sizes_past_usize() {
     let mut dst = lru_cache(1000, 1000);
@@ -186,6 +188,23 @@ fn import_rejects_sizes_past_usize() {
         assert_eq!(dst.stats().dropped_tokens, 0, "nothing was counted");
         assert_eq!(dst.check_invariants(), Ok(()));
     }
+    let entry = ManifestChunk {
+        id: ChunkId::NONE,
+        tokens: usize::MAX / 2 + 1,
+    };
+    let bytes = SessionManifest {
+        session: c,
+        chunks: vec![entry; 2],
+    }
+    .to_bytes();
+    let manifest = SessionManifest::from_bytes(&bytes).expect("checksum-valid record");
+    assert_eq!(
+        dst.rehydrate_session(c, &manifest.chunks, t(1.0)),
+        Err(CacheError::ImportTooLarge(c))
+    );
+    assert!(!dst.contains(c));
+    assert_eq!(dst.stats().rehydrated_tokens, 0, "nothing was counted");
+    assert_eq!(dst.check_invariants(), Ok(()));
 }
 
 #[test]
@@ -316,7 +335,6 @@ fn restore_plan_splits_figure5_segments() {
     assert_eq!(plan.segments.len(), 2);
     assert_eq!(plan.segments[0], (0..64, Tier::Dropped));
     assert_eq!(plan.segments[1], (64..128, Tier::Cpu));
-    assert_eq!(plan.recompute_ranges(), vec![0..64]);
     assert!(!plan.is_full_gpu_hit());
     assert_eq!(plan.new_gpu_slots(), 128);
 }

@@ -253,16 +253,6 @@ impl RequestPlan {
         self.ssd_read_tokens + self.cold_read_tokens
     }
 
-    /// Token ranges that must be recomputed, in ascending order.
-    #[must_use]
-    pub fn recompute_ranges(&self) -> Vec<Range<usize>> {
-        self.segments
-            .iter()
-            .filter(|(_, t)| *t == Tier::Dropped)
-            .map(|(r, _)| r.clone())
-            .collect()
-    }
-
     /// True if the whole context was GPU-resident (or empty).
     #[must_use]
     pub fn is_full_gpu_hit(&self) -> bool {

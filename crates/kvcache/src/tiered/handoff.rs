@@ -245,9 +245,6 @@ impl TieredKvCache {
         now: SimTime,
     ) -> Result<usize, CacheError> {
         let session = export.session;
-        if self.convs.contains_key(&session) {
-            return Err(CacheError::SessionExists(session));
-        }
         // Re-attach the leading run of shared chunks this cache already
         // pools (bytes never travel for shared state — only ids do). The
         // first unknown id breaks prefix continuity, so it and everything
@@ -263,51 +260,8 @@ impl TieredKvCache {
             .clone()
             .map(|tokens| (Tier::Dropped, tokens))
             .chain(export.chunks.iter().map(|c| (c.tier, c.tokens)));
-        // Normalize to local chunk granularity: exports from a peer cache
-        // are already chunk-sized (this is a no-op), but replication
-        // deltas arrive as one chunk per flush and must be split to keep
-        // the eviction policy's unit of work intact. The sender's counts
-        // are sized before anything is attached or split: the context
-        // must end inside `usize`, and its chunks must fit one list.
-        let too_large = CacheError::ImportTooLarge(session);
-        let pooled = chain.iter().filter_map(|id| self.shared.get(id));
-        let mut total = pooled.map(|s| s.chunk.tokens).sum::<usize>();
-        let mut pieces = 0usize;
-        for (_, tokens) in spans.clone() {
-            total = total.checked_add(tokens).ok_or(too_large)?;
-            pieces += tokens.div_ceil(self.cfg.chunk_tokens);
-        }
-        let mut chunks = Vec::new();
-        chunks.try_reserve_exact(pieces).map_err(|_| too_large)?;
-        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
-        self.stats.dropped_tokens += unattached.sum::<usize>() as u64;
-        let mut end = shared_tokens;
-        for (named, mut remaining) in spans {
-            while remaining > 0 {
-                let tokens = remaining.min(self.cfg.chunk_tokens);
-                remaining -= tokens;
-                end += tokens;
-                // No room in the named tier — or no host tier at all:
-                // exports are CPU-staged, so a stray GPU-tier chunk
-                // carries no transferable bytes — means dropped.
-                let mut tier = named;
-                if tier != Tier::Dropped && !self.has_room(tier, tokens) {
-                    tier = Tier::Dropped;
-                    self.stats.dropped_tokens += tokens as u64;
-                }
-                if tier != Tier::Dropped {
-                    admitted += tokens;
-                }
-                self.occ.admit(tier, tokens);
-                chunks.push(ChunkState {
-                    tier,
-                    tokens,
-                    context_end: end,
-                });
-            }
-        }
-        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
-        debug_assert_eq!(self.check_invariants(), Ok(()));
+        let (admitted, no_room) = self.install(session, &chain, spans, now)?;
+        self.stats.dropped_tokens += (unattached.sum::<usize>() + no_room) as u64;
         Ok(admitted)
     }
 
@@ -324,16 +278,14 @@ impl TieredKvCache {
     /// # Errors
     ///
     /// Returns [`CacheError::SessionExists`] if the session is already
-    /// tracked here; the cache is unchanged.
+    /// tracked here, or [`CacheError::ImportTooLarge`] on the counts
+    /// [`TieredKvCache::import_session`] refuses; the cache is unchanged.
     pub fn rehydrate_session(
         &mut self,
         session: SessionId,
         manifest: &[ManifestChunk],
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        if self.convs.contains_key(&session) {
-            return Err(CacheError::SessionExists(session));
-        }
         // Defensive: a manifest never records empty chunks.
         let entries = manifest.iter().filter(|m| m.tokens > 0);
         let chain: Vec<ChunkId> = entries
@@ -341,28 +293,74 @@ impl TieredKvCache {
             .map(|m| m.id)
             .take_while(|id| *id != ChunkId::NONE && self.shared.contains_key(id))
             .collect();
-        let (shared_tokens, mut admitted) = self.attach_chain(session, &chain, now);
-        let mut chunks = Vec::with_capacity(manifest.len() - chain.len());
-        let mut end = shared_tokens;
-        for m in entries.skip(chain.len()) {
-            end += m.tokens;
-            let tier = if self.has_room(Tier::Cold, m.tokens) {
-                admitted += m.tokens;
-                Tier::Cold
-            } else {
-                Tier::Dropped
-            };
-            self.occ.admit(tier, m.tokens);
-            chunks.push(ChunkState {
-                tier,
-                tokens: m.tokens,
-                context_end: end,
-            });
-        }
-        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
+        let spans = entries.skip(chain.len()).map(|m| (Tier::Cold, m.tokens));
+        let (admitted, _) = self.install(session, &chain, spans, now)?;
         self.stats.rehydrated_tokens += admitted as u64;
-        debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(admitted)
+    }
+
+    /// The one way a session enters this cache from outside: attaches
+    /// `chain`, then admits `spans` of `(tier, tokens)` in context order,
+    /// each split to local chunk granularity (peer exports and manifests
+    /// are already chunk-sized, so this is a no-op for them; replication
+    /// deltas arrive as one span per flush). A chunk whose named tier has
+    /// no room — or that names no host tier at all: a stray GPU-tier
+    /// chunk carries no transferable bytes — is dropped. Imports never
+    /// evict existing residents. Only the spans' tiers and token counts
+    /// are trusted: every context offset is re-derived from the running
+    /// position. Returns the tokens admitted to resident tiers (the
+    /// chain's included) and those dropped for lack of room.
+    ///
+    /// A session already tracked here, then the counts, are checked before
+    /// anything is attached or split: the context must end inside
+    /// `usize`, and its chunks must fit one list.
+    fn install(
+        &mut self,
+        session: SessionId,
+        chain: &[ChunkId],
+        spans: impl Iterator<Item = (Tier, usize)> + Clone,
+        now: SimTime,
+    ) -> Result<(usize, usize), CacheError> {
+        if self.convs.contains_key(&session) {
+            return Err(CacheError::SessionExists(session));
+        }
+        let too_large = CacheError::ImportTooLarge(session);
+        let pooled = chain.iter().filter_map(|id| self.shared.get(id));
+        let mut total = pooled.map(|s| s.chunk.tokens).sum::<usize>();
+        let mut pieces = 0usize;
+        for (_, tokens) in spans.clone() {
+            total = total.checked_add(tokens).ok_or(too_large)?;
+            pieces += tokens.div_ceil(self.cfg.chunk_tokens);
+        }
+        let mut chunks = Vec::new();
+        chunks.try_reserve_exact(pieces).map_err(|_| too_large)?;
+        let (shared_tokens, mut admitted) = self.attach_chain(session, chain, now);
+        let (mut end, mut no_room) = (shared_tokens, 0);
+        for (named, mut remaining) in spans {
+            while remaining > 0 {
+                let tokens = remaining.min(self.cfg.chunk_tokens);
+                remaining -= tokens;
+                end += tokens;
+                let mut tier = named;
+                if tier != Tier::Dropped && !self.has_room(tier, tokens) {
+                    tier = Tier::Dropped;
+                    no_room += tokens;
+                }
+                if tier != Tier::Dropped {
+                    admitted += tokens;
+                }
+                self.occ.admit(tier, tokens);
+                chunks.push(ChunkState {
+                    tier,
+                    tokens,
+                    context_end: end,
+                });
+            }
+        }
+        let chain = chain.to_vec();
+        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        Ok((admitted, no_room))
     }
 
     /// Every chunk with a CPU-tier copy ([`Tier::Cpu`] or

@@ -83,12 +83,6 @@ impl InterpolatedCost {
         let t = (x as f64 - x0 as f64) / (x1 as f64 - x0 as f64);
         y0 + t * (y1 - y0)
     }
-
-    /// The profiled sample points.
-    #[must_use]
-    pub fn points(&self) -> &[(usize, f64)] {
-        &self.points
-    }
 }
 
 /// Profiled recomputation-cost table for fixed-size chunks.
@@ -98,7 +92,6 @@ impl InterpolatedCost {
 /// non-attention cost of the chunk.
 #[derive(Debug, Clone)]
 pub struct ProfiledCostTable {
-    chunk_len: usize,
     attention: InterpolatedCost,
     non_attention_const: SimDuration,
 }
@@ -131,16 +124,9 @@ impl ProfiledCostTable {
         let non_attention_const =
             cost.non_attention_layer_time(chunk_len) * cost.config().num_layers as f64;
         ProfiledCostTable {
-            chunk_len,
             attention,
             non_attention_const,
         }
-    }
-
-    /// The chunk size this table was profiled for.
-    #[must_use]
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
     }
 
     /// Interpolated attention cost for a chunk at context length `l`.

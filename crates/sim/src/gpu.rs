@@ -94,13 +94,17 @@ impl GpuTimer {
     /// Models the paper's scheme: the transfer is split evenly across
     /// layers and issued ahead of each layer's attention kernel; layer `i`
     /// can only start attending once its slice has arrived. Returns the
-    /// total iteration time including any stall.
+    /// total iteration time including any stall. When a recorder is
+    /// attached and a transfer actually overlapped compute, also emits a
+    /// [`TraceEvent::PipelinedSwapIn`] timestamped `now`, the iteration
+    /// start; the returned duration is the same either way.
     #[must_use]
-    pub fn batch_time_with_swap_in(
+    pub fn batch_time_with_swap_in_at(
         &self,
         batch: &BatchShape,
         swap_in_bytes: usize,
         pcie_bandwidth: f64,
+        now: SimTime,
     ) -> SimDuration {
         let compute = self.batch_time(batch);
         if swap_in_bytes == 0 || batch.is_empty() {
@@ -112,33 +116,16 @@ impl GpuTimer {
             SimDuration::from_secs(swap_in_bytes as f64 / pcie_bandwidth / layers as f64);
         // Layer i's slice finishes transferring at (i+1) * t_x; layer i's
         // compute starts at max(prev finish, slice arrival).
-        let mut finish = SimDuration::ZERO;
+        let mut total = SimDuration::ZERO;
         for i in 0..layers {
             let arrival = per_layer_transfer * (i + 1) as f64;
-            finish = finish.max(arrival) + per_layer_compute;
+            total = total.max(arrival) + per_layer_compute;
         }
-        finish
-    }
-
-    /// [`GpuTimer::batch_time_with_swap_in`] that also emits a
-    /// [`TraceEvent::PipelinedSwapIn`] (timestamped `now`, the iteration
-    /// start) when a recorder is attached and a transfer actually
-    /// overlapped compute. The returned duration is identical to the
-    /// unrecorded variant.
-    #[must_use]
-    pub fn batch_time_with_swap_in_at(
-        &self,
-        batch: &BatchShape,
-        swap_in_bytes: usize,
-        pcie_bandwidth: f64,
-        now: SimTime,
-    ) -> SimDuration {
-        let total = self.batch_time_with_swap_in(batch, swap_in_bytes, pcie_bandwidth);
-        if self.recorder.enabled() && swap_in_bytes > 0 && !batch.is_empty() {
+        if self.recorder.enabled() {
             self.recorder.record(TraceEvent::PipelinedSwapIn {
                 at: now,
                 bytes: swap_in_bytes as u64,
-                compute: self.batch_time(batch),
+                compute,
                 total,
             });
         }
@@ -184,7 +171,7 @@ mod tests {
         // layers, each slice transfers faster than a layer computes.
         let compute = t.batch_time(&batch);
         let stall = t
-            .batch_time_with_swap_in(&batch, 800_000_000, 25e9)
+            .batch_time_with_swap_in_at(&batch, 800_000_000, 25e9, SimTime::ZERO)
             .saturating_sub(compute);
         assert!(
             stall.as_secs() < 0.15 * compute.as_secs(),
@@ -198,7 +185,7 @@ mod tests {
         let t = timer();
         let batch = BatchShape::new(vec![SeqShape::decode(64)]);
         let bytes = 10_000_000_000usize; // 10 GB over a tiny decode step.
-        let total = t.batch_time_with_swap_in(&batch, bytes, 25e9);
+        let total = t.batch_time_with_swap_in_at(&batch, bytes, 25e9, SimTime::ZERO);
         let transfer = SimDuration::from_secs(bytes as f64 / 25e9);
         assert!(total >= transfer);
         assert!(total.as_secs() < transfer.as_secs() * 1.2);
@@ -215,8 +202,8 @@ mod tests {
         assert!(t4.batch_time(&batch) < t1.batch_time(&batch));
         // Per-GPU swap bytes shrink with sharding, so the pipelined total
         // shrinks too.
-        let b1 = t1.batch_time_with_swap_in(&batch, 2_000_000_000, 25e9);
-        let b4 = t4.batch_time_with_swap_in(&batch, 500_000_000, 25e9);
+        let b1 = t1.batch_time_with_swap_in_at(&batch, 2_000_000_000, 25e9, SimTime::ZERO);
+        let b4 = t4.batch_time_with_swap_in_at(&batch, 500_000_000, 25e9, SimTime::ZERO);
         assert!(b4 < b1);
     }
 
@@ -225,7 +212,7 @@ mod tests {
         let t = timer();
         let batch = BatchShape::new(vec![SeqShape::decode(100)]);
         assert_eq!(
-            t.batch_time_with_swap_in(&batch, 0, 25e9),
+            t.batch_time_with_swap_in_at(&batch, 0, 25e9, SimTime::ZERO),
             t.batch_time(&batch)
         );
     }
@@ -236,7 +223,7 @@ mod tests {
         let t = timer();
         let batch = BatchShape::new(vec![SeqShape::prefill(128, 2048)]);
         let bytes = 1_600_000_000usize;
-        let pipelined = t.batch_time_with_swap_in(&batch, bytes, 25e9);
+        let pipelined = t.batch_time_with_swap_in_at(&batch, bytes, 25e9, SimTime::ZERO);
         let serial = t.batch_time(&batch) + SimDuration::from_secs(bytes as f64 / 25e9);
         assert!(pipelined < serial);
     }

@@ -8,6 +8,7 @@ use pensieve_kernels::attention::multi::{
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::naive::naive_attention;
 use pensieve_kernels::attention::single::paged_single_token_batch;
+use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::{matmul, matmul_pool, matmul_ref};
 use pensieve_kernels::paged::gather_contiguous;
 use pensieve_kernels::{AttnConfig, AttnSeq, BlockTable, KvLayout, Matrix, PagedKvCache, Pool};
@@ -158,6 +159,59 @@ proptest! {
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &seqs), &reference);
         let workers = Pool::global(threads);
         prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &seqs, &workers), &reference);
+    }
+
+    /// Batch invariance: a row's logits do not depend on which rows share
+    /// its forward pass. Each sequence has a computed context; one mixed
+    /// batch then runs decode rows (one query token), prefill rows
+    /// (several) and rows led by a dropped-range sub-request, and every
+    /// row's logits equal, bit for bit, that row forwarded alone over an
+    /// identical cache. This is what lets a real executor batch any rows.
+    #[test]
+    fn batched_rows_bit_identical_to_solo_rows(
+        seed in 0u64..1000,
+        rows in prop::collection::vec((2usize..24, 1usize..6, 0usize..2), 1..5),
+        threads in 1usize..3,
+    ) {
+        let cfg = ModelConfig::tiny_llama();
+        let mut model = TinyModel::new_random(&cfg, seed);
+        model.set_threads(threads);
+        let tok = |i: usize, j: usize| ((seed as usize + i * 31 + j * 7) % cfg.vocab_size) as u32;
+        let seg = |i: usize, span: std::ops::Range<usize>| SegmentInput {
+            start_pos: span.start,
+            tokens: span.map(|j| tok(i, j)).collect(),
+        };
+        // Each row's query: a recompute of positions 0..2 if `sub` is 1,
+        // then `q` new tokens after its context.
+        let query = |i: usize, (ctx, q, sub): (usize, usize, usize)| {
+            let lead = (sub == 1).then(|| seg(i, 0..2));
+            lead.into_iter().chain([seg(i, ctx..ctx + q)]).collect::<Vec<_>>()
+        };
+        // A pool holding every row's context, each computed alone.
+        let contexts = || {
+            let mut pool = PagedKvCache::new(model.kv_layout(4), cfg.num_layers, 256);
+            let mut tables = vec![BlockTable::new(4); rows.len()];
+            for (i, (table, &(ctx, ..))) in tables.iter_mut().zip(&rows).enumerate() {
+                let prefill = SeqInput { segments: vec![seg(i, 0..ctx)], table };
+                model.forward(&mut pool, &mut [prefill]).unwrap();
+            }
+            (pool, tables)
+        };
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let (mut pool, mut tables) = contexts();
+        let mut batch: Vec<SeqInput> = tables
+            .iter_mut()
+            .enumerate()
+            .map(|(i, table)| SeqInput { segments: query(i, rows[i]), table })
+            .collect();
+        let batched = model.forward(&mut pool, &mut batch).unwrap();
+        let (mut pool, mut tables) = contexts();
+        for (i, table) in tables.iter_mut().enumerate() {
+            let solo = SeqInput { segments: query(i, rows[i]), table };
+            let alone = model.forward(&mut pool, &mut [solo]).unwrap();
+            prop_assert_eq!(bits(batched.row(i)), bits(alone.row(0)), "row {}", i);
+        }
     }
 
     /// Causality: perturbing KV beyond a query row's visible range never
