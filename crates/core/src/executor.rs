@@ -29,15 +29,21 @@ use std::collections::BTreeMap;
 use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::ops::argmax;
 use pensieve_kernels::paged::{BlockTable, PagedKvCache};
-use pensieve_kvcache::{fnv1a, SessionId, Tier, TieredKvCache, TokenChunkStore};
+use pensieve_kvcache::{SessionId, Tier, TieredKvCache, TokenChunkStore};
 use pensieve_model::{ModelConfig, SimTime};
 use pensieve_sim::FaultInjector;
 
 use crate::functional::FunctionalConfig;
 
-/// FNV-1a over the bit patterns of every float.
+/// FNV-1a's 64-bit step over the bit pattern of every float, one 32-bit
+/// word per step instead of one byte. Each step is a bijection of the
+/// running sum for a fixed word and of the word for a fixed sum, so
+/// changing any one word, a single flipped bit included, always changes
+/// the result.
 fn checksum(kv: &[f32]) -> u64 {
-    fnv1a(kv.iter().flat_map(|x| x.to_bits().to_le_bytes()))
+    kv.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// The model, the paged pool, the host map and the raw-token store.

@@ -142,11 +142,84 @@ impl AttnSeq<'_> {
     }
 }
 
+/// Arguments are clamped to `[EXP_LO, EXP_HI]` before the reduction, so
+/// every `n` fits the exponent field: `n` is `-127` at `EXP_LO`, whose
+/// `2^n` bits are those of `+0.0`, and `128` at `EXP_HI`, whose are
+/// `+inf`'s.
+const EXP_LO: f32 = -88.0;
+/// See [`EXP_LO`].
+const EXP_HI: f32 = 89.0;
+/// `1.5 * 2^23`: adding it rounds to an integer (to nearest, ties even)
+/// and leaves that integer in the low mantissa bits.
+const EXP_ROUND: f32 = 12_582_912.0;
+/// `ln 2` split in two (Cody and Waite). The high part, `0.693_359_375`,
+/// has 9 significant bits, so `n * EXP_LN2_HI` is exact for every `n` the
+/// reduction makes.
+const EXP_LN2_HI: f32 = 0.693_359_4;
+/// `ln 2 - EXP_LN2_HI`.
+const EXP_LN2_LO: f32 = -2.121_944_4e-4;
+/// `Q` in `e^r = 1 + r + r^2 Q(r)`, highest power first: a degree-4
+/// Chebyshev fit on `|r| <= ln 2 / 2`, so the polynomial has degree 6.
+const EXP_Q: [f32; 5] = [
+    0.001_392_617_6,
+    0.008_363_173,
+    0.041_666_556,
+    0.166_665_78,
+    0.5,
+];
+
+/// The fused kernels' `e^x`: range reduction `x = n ln 2 + r` plus a
+/// degree-6 polynomial in `r`, scaled by `2^n` through the exponent bits.
+///
+/// Exactly `+0.0` below the cutoff `-87.683_12`, where the reduction's
+/// `n` would fall under `-126` (and at `-inf`); exactly `1.0` at `±0.0`;
+/// within 1.05 ulp of the true value from the cutoff to `0` and
+/// non-decreasing there (both measured over every `f32` in that range;
+/// the tests check a dense sweep);
+/// `+inf` from about 88.4 (libm: 88.7); NaN stays NaN. It has no
+/// branch and no call, so [`exp_lanes`] runs it at SIMD width with the
+/// same bits; libm's `expf` is a call per score. Every fused kernel and
+/// its scalar reference fold through this one function, while the dense
+/// oracles (`naive_attention`, `ops::softmax_row`) keep libm.
+#[inline(always)]
+#[must_use]
+pub(crate) fn exp(x: f32) -> f32 {
+    // Selects on the argument, not the result, so nothing is branched on.
+    let x = if x < EXP_LO { EXP_LO } else { x };
+    let x = if x > EXP_HI { EXP_HI } else { x };
+    let t = x * std::f32::consts::LOG2_E + EXP_ROUND;
+    let n = t - EXP_ROUND;
+    let r = x - n * EXP_LN2_HI - n * EXP_LN2_LO;
+    let [q4, q3, q2, q1, q0] = EXP_Q;
+    let q = (((q4 * r + q3) * r + q2) * r + q1) * r + q0;
+    let p = (q * (r * r) + r) + 1.0;
+    // `t`'s bits are `0x4b40_0000 + n`; adding the bias and shifting the
+    // sum into the exponent field drops the high bits: the bits of `2^n`.
+    p * f32::from_bits(t.to_bits().wrapping_add(127) << 23)
+}
+
+/// [`exp`] of every lane: the same operations per lane, so the same bits.
+/// Always inlined: called out of line, the lanes would go through memory.
+#[inline(always)]
+#[must_use]
+pub(crate) fn exp_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
+    let mut y = [0.0; L];
+    for (y, &x) in y.iter_mut().zip(&x) {
+        *y = exp(x);
+    }
+    y
+}
+
 /// Numerical state of one query row's online softmax.
 ///
-/// Used by the fused kernels to process the context in a single streaming
-/// pass without materializing the attention-score matrix (the paper fuses
-/// causal masking into the kernel for the same reason).
+/// Used by the scalar fused kernels to process the context in a single
+/// streaming pass without materializing the attention-score matrix (the
+/// paper fuses causal masking into the kernel for the same reason). Its
+/// [`update`](Self::update) defines the bits of every fused kernel: per
+/// score, a rescale by `exp(m - score)` only when the score raises the
+/// running max, then `p = exp(score - m)` added to the sum and `p * v`
+/// to each accumulator, with the crate's [`exp`]. The lane fold of
+/// [`multi`] runs these operations on eight (or four) states at once.
 #[derive(Debug, Clone)]
 pub(crate) struct OnlineSoftmax {
     /// Running maximum of the scores seen so far.
@@ -166,22 +239,19 @@ impl OnlineSoftmax {
         }
     }
 
-    /// Folds one (score, value-row) pair into the state.
+    /// Folds one (score, value-row) pair into the state. The first score
+    /// rescales by `exp(-inf) = 0`, which is a no-op on the zero state.
     #[inline]
     pub(crate) fn update(&mut self, score: f32, v: &[f32]) {
         if score > self.m {
-            let corr = if self.m == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (self.m - score).exp()
-            };
+            let corr = exp(self.m - score);
             self.s *= corr;
             for a in self.acc.iter_mut() {
                 *a *= corr;
             }
             self.m = score;
         }
-        let p = (score - self.m).exp();
+        let p = exp(score - self.m);
         self.s += p;
         for (a, &vv) in self.acc.iter_mut().zip(v) {
             *a += p * vv;
@@ -241,6 +311,76 @@ mod tests {
         assert_eq!(seq.visible(2), 10);
         assert_eq!(seq.visible(1), 9);
         assert_eq!(seq.visible(0), 8);
+    }
+
+    /// The smallest argument whose [`exp`] is not `+0.0`.
+    const EXP_CUTOFF: f32 = -87.683_12;
+
+    /// `2^20 + 1` evenly spaced arguments over `[-104, 0]`, ascending:
+    /// the softmax domain and past the cutoff.
+    fn sweep() -> impl Iterator<Item = f32> {
+        const N: u32 = 1 << 20;
+        (0..=N).map(|i| (-104.0 + 104.0 * f64::from(i) / f64::from(N)) as f32)
+    }
+
+    /// Runs `xs` through [`exp_lanes`] `L` at a time (the tail padded).
+    fn lanes<const L: usize>(xs: &[f32]) -> Vec<f32> {
+        xs.chunks(L)
+            .flat_map(|c| {
+                let mut x = [0.0f32; L];
+                x[..c.len()].copy_from_slice(c);
+                exp_lanes(x)[..c.len()].to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exp_lanes_match_scalar_bitwise() {
+        let mut xs: Vec<f32> = sweep().collect();
+        xs.extend([0.0, -0.0, f32::NEG_INFINITY, 0.5, 1.0, 10.0, 88.3, 100.0]);
+        let scalar: Vec<u32> = xs.iter().map(|&x| exp(x).to_bits()).collect();
+        for got in [lanes::<8>(&xs), lanes::<4>(&xs)] {
+            let got: Vec<u32> = got.iter().map(|y| y.to_bits()).collect();
+            assert!(got == scalar, "a lane differs from the scalar form");
+        }
+    }
+
+    #[test]
+    fn exp_is_exact_at_zero_and_zero_below_cutoff() {
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        let below = f32::from_bits(EXP_CUTOFF.to_bits() + 1);
+        for x in [below, -87.7, -100.0, -1e30, f32::MIN, f32::NEG_INFINITY] {
+            assert_eq!(exp(x).to_bits(), 0, "exp({x}) must be +0.0");
+        }
+        assert!(
+            exp(EXP_CUTOFF) > 0.0,
+            "the cutoff is the last nonzero result"
+        );
+    }
+
+    #[test]
+    fn exp_never_decreases() {
+        let mut prev = 0.0f32;
+        for x in sweep() {
+            let y = exp(x);
+            assert!(y >= prev, "exp({x}) = {y} fell below {prev}");
+            prev = y;
+        }
+    }
+
+    /// The error bound measured over every `f32` in `[EXP_CUTOFF, 0]`
+    /// (1.049 ulp, libm: 0.502), checked here on the sweep.
+    #[test]
+    fn exp_error_within_ulp_bound() {
+        const MAX_ULP: f64 = 1.05;
+        for x in sweep().filter(|&x| x >= EXP_CUTOFF) {
+            let exact = f64::from(x).exp();
+            let rounded = exact as f32;
+            let ulp = f64::from(f32::from_bits(rounded.to_bits() + 1) - rounded);
+            let err = (f64::from(exp(x)) - exact).abs() / ulp;
+            assert!(err <= MAX_ULP, "exp({x}) is {err} ulp off");
+        }
     }
 
     #[test]

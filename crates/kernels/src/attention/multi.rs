@@ -14,8 +14,22 @@
 //! tokens is the CPU analogue of the data-reuse / tiling opportunity the
 //! extra query dimension gives the GPU kernel; the multi-round straw-man
 //! ([`super::multiround`]) forfeits it by re-walking the context per token.
+//! Here the reuse is also the SIMD width: a KV head's (query row, grouped
+//! head) pairs are *lanes*, and each K/V row folds into 8 lanes at once
+//! (4 when the head has at most 4, as a decode row does) through one
+//! scorer call and one lane-wide `exp`.
+//!
+//! Two things define the output bits. Per lane, the op order of
+//! `OnlineSoftmax::update`: scores in ascending context position, each
+//! in [`dot`]'s order; a rescale by `exp(m - score)` only when the score
+//! raises the running max; then `p = exp(score - m)` into the sum and
+//! `p * v` into each accumulator. And the crate's own `exp`, which every
+//! fused kernel and its scalar reference share, so [`paged_multi_token`]
+//! equals [`paged_multi_token_ref`] bit for bit.
 
-use super::{dot, AttnConfig, AttnSeq, OnlineSoftmax};
+use std::array;
+
+use super::{dot, exp, exp_lanes, AttnConfig, AttnSeq, OnlineSoftmax};
 use crate::ops::dot_lanes;
 use crate::paged::KvLayerView;
 use crate::tensor::Matrix;
@@ -204,16 +218,36 @@ pub fn paged_multi_token_pool_ungated(
 ///
 /// This is the blocked inner kernel: the context is streamed **once**,
 /// each KV block read as a contiguous `[block_size, kv_width]` slab whose
-/// every row serves all KV heads before the walk moves on (the reference
-/// and the old per-KV-head partitioning re-walk the paged context per
-/// head, multiplying DRAM traffic by `num_kv_heads`). Per slot and KV
-/// head, one loaded K row scores all visible (query row, grouped head)
-/// pairs at SIMD width via [`dot_lanes`] over a per-KV-head transposed
-/// query pack. Each softmax state still receives its scores one per
-/// visible position in ascending-`t` order with [`dot`]'s exact
-/// accumulation order, so outputs are bit-identical to the scalar
-/// reference.
+/// every row serves all KV heads before the walk moves on. A KV head's
+/// `q_len * group` (query row, grouped head) pairs are lanes in chunks of
+/// 8, or of 4 when the head has at most 4 lanes; each chunk's [`Tile`]
+/// holds its transposed query pack and its softmax states as lane arrays.
+/// Per slot and KV head, [`fold`] scores each chunk that sees the slot
+/// with [`dot_lanes`] and folds the K/V row into its lanes. Each lane
+/// receives its scores in ascending-`t` order, each computed in [`dot`]'s
+/// order and folded with `OnlineSoftmax::update`'s operations, so
+/// outputs are bit-identical to the scalar reference.
 fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnSeq<'_>) -> Matrix {
+    if seq.q_len * cfg.group_size() <= 4 {
+        attend_lanes::<4>(cfg, q, layer, seq)
+    } else {
+        attend_lanes::<8>(cfg, q, layer, seq)
+    }
+}
+
+/// One chunk of `L` lanes, as rows of lane arrays: `0..d` the transposed
+/// query pack (`[i][l]` is element `i` of lane `l`'s query), `d..2d` the
+/// accumulators (`[i][l]` is lane `l`'s output element `i`), then the
+/// running max and the running sum.
+type Tile<const L: usize> = [[f32; L]];
+
+/// [`attend_seq`] at lane width `L`.
+fn attend_lanes<const L: usize>(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seq: &AttnSeq<'_>,
+) -> Matrix {
     let d = cfg.head_dim;
     let tf = layer.layout().token_floats();
     let block_size = layer.layout().block_size;
@@ -222,31 +256,27 @@ fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnS
     // Context position of query row j is offset + j.
     let offset = seq.context_len - seq.q_len;
 
-    // Per-KV-head transposed query packs — `qt[kvh][i*np + j*group + g]`
-    // is element `i` of query row `j`, head `kvh*group + g`. Lanes are
-    // ordered by j then g so a causal lower bound on j is a suffix of the
-    // lane range, and padded to the SIMD chunk width (pad lanes hold zero
-    // queries and their scores are never read). The transposed layout
-    // lets [`dot_lanes`] score every pair against one loaded K row at
-    // SIMD width while each lane keeps [`dot`]'s accumulation order.
-    let n = seq.q_len * group;
-    let np = n.next_multiple_of(crate::ops::SCORE_LANES);
-    let mut qt = vec![0.0f32; cfg.num_kv_heads * d * np];
+    // Lane `j*group + g` of KV head `kvh` is query row j, head
+    // `kvh*group + g`: ordered by j, so the lanes that see a position are
+    // a suffix. The last chunk's pad lanes hold zero queries; they fold
+    // like any lane and are never read.
+    let chunks = (seq.q_len * group).div_ceil(L);
+    let rows = 2 * d + 2;
+    let mut tiles = vec![[0.0f32; L]; cfg.num_kv_heads * chunks * rows];
+    for tile in tiles.chunks_exact_mut(rows) {
+        tile[2 * d] = [f32::NEG_INFINITY; L];
+    }
+    // (first row of the lane's tile, its index in the chunk)
+    let lane = |kvh: usize, n: usize| ((kvh * chunks + n / L) * rows, n % L);
     for j in 0..seq.q_len {
         let qrow = q.row(seq.q_start + j);
         for h in 0..cfg.num_heads {
-            let (kvh, g) = (h / group, h % group);
-            let pack = &mut qt[kvh * d * np..(kvh + 1) * d * np];
+            let (base, l) = lane(h / group, j * group + h % group);
             for (i, &v) in qrow[h * d..(h + 1) * d].iter().enumerate() {
-                pack[i * np + j * group + g] = v;
+                tiles[base + i][l] = v;
             }
         }
     }
-    // States for lane `j*group + g` of each KV head, KV-head-major.
-    let mut states: Vec<OnlineSoftmax> = (0..cfg.num_kv_heads * n)
-        .map(|_| OnlineSoftmax::new(d))
-        .collect();
-    let mut scores = vec![0.0f32; np];
 
     for bi in 0..num_blocks {
         let b = seq.table.block_at(bi);
@@ -255,20 +285,18 @@ fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnS
         let t0 = bi * block_size;
         let slots = block_size.min(seq.context_len - t0);
         for slot in 0..slots {
-            let t = t0 + slot;
-            // Lanes that see position t: offset + j >= t. All n lanes are
-            // scored (the masked prefix is a few lanes on the last `q_len`
-            // positions only); masked lanes are never folded into a state.
-            let lo = t.saturating_sub(offset) * group;
+            // The first lane that sees position t: the least j with
+            // offset + j >= t.
+            let lo = (t0 + slot).saturating_sub(offset) * group;
             let ktoken = &kslab[slot * tf..(slot + 1) * tf];
             let vtoken = &vslab[slot * tf..(slot + 1) * tf];
             for kvh in 0..cfg.num_kv_heads {
                 let krow = &ktoken[kvh * d..(kvh + 1) * d];
                 let vrow = &vtoken[kvh * d..(kvh + 1) * d];
-                dot_lanes(krow, &qt[kvh * d * np..(kvh + 1) * d * np], &mut scores);
-                let head_states = &mut states[kvh * n..(kvh + 1) * n];
-                for (state, &s) in head_states[lo..].iter_mut().zip(&scores[lo..]) {
-                    state.update(s * cfg.scale, vrow);
+                for c in lo / L..chunks {
+                    let base = (kvh * chunks + c) * rows;
+                    let first = lo.saturating_sub(c * L);
+                    fold(&mut tiles[base..base + rows], krow, vrow, cfg.scale, first);
                 }
             }
         }
@@ -278,11 +306,94 @@ fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnS
     for j in 0..seq.q_len {
         let orow = local.row_mut(j);
         for h in 0..cfg.num_heads {
-            let (kvh, g) = (h / group, h % group);
-            states[kvh * n + j * group + g].finish(&mut orow[h * d..(h + 1) * d]);
+            let (base, l) = lane(h / group, j * group + h % group);
+            // `OnlineSoftmax::finish`'s operations.
+            let inv = 1.0 / tiles[base + 2 * d + 1][l];
+            for (o, acc) in orow[h * d..(h + 1) * d].iter_mut().zip(&tiles[base + d..]) {
+                *o = acc[l] * inv;
+            }
         }
     }
     local
+}
+
+/// Folds one K/V row into lanes `first..L` of a chunk: each lane gets
+/// `OnlineSoftmax::update`'s operations on its state. With every lane
+/// visible the scores, maxima and `exp`s run across all lanes at once;
+/// the rescale by `exp(m - m_new)`, which is exactly `1` for a lane whose
+/// max did not grow, runs only when some lane's did, fused with the
+/// accumulation (`a * corr + p * v` rounds as the reference's two passes
+/// do). Lanes on the causal edge (`first > 0`) fold one at a time.
+#[inline]
+fn fold<const L: usize>(tile: &mut Tile<L>, krow: &[f32], vrow: &[f32], scale: f32, first: usize) {
+    let d = krow.len();
+    let (qt, states) = tile.split_at_mut(d);
+    let (acc, ms) = states.split_at_mut(d);
+    // A tile has `2 * d + 2` rows: `ms` is the max row and the sum row.
+    let [m, s] = ms else {
+        return;
+    };
+    let raw = dot_lanes(krow, qt);
+    let sc: [f32; L] = array::from_fn(|l| raw[l] * scale);
+    if first > 0 {
+        for l in first..L {
+            if sc[l] > m[l] {
+                let corr = exp(m[l] - sc[l]);
+                s[l] *= corr;
+                for a in acc.iter_mut() {
+                    a[l] *= corr;
+                }
+                m[l] = sc[l];
+            }
+            let p = exp(sc[l] - m[l]);
+            s[l] += p;
+            for (a, &v) in acc.iter_mut().zip(vrow) {
+                a[l] += p * v;
+            }
+        }
+        return;
+    }
+    let m_new: [f32; L] = array::from_fn(|l| if sc[l] > m[l] { sc[l] } else { m[l] });
+    let p = exp_lanes::<L>(array::from_fn(|l| sc[l] - m_new[l]));
+    if m_new == *m {
+        for l in 0..L {
+            s[l] += p[l];
+        }
+        for_rows(acc, vrow, |a, v| {
+            for l in 0..L {
+                a[l] += p[l] * v;
+            }
+        });
+    } else {
+        let corr = exp_lanes::<L>(array::from_fn(|l| m[l] - m_new[l]));
+        for l in 0..L {
+            s[l] = s[l] * corr[l] + p[l];
+        }
+        for_rows(acc, vrow, |a, v| {
+            for l in 0..L {
+                a[l] = a[l] * corr[l] + p[l] * v;
+            }
+        });
+        *m = m_new;
+    }
+}
+
+/// Runs `f` on every accumulator row with its V element. Rows go in
+/// blocks of four, so the loop the compiler sees has four rows' lanes as
+/// its body and vectorizes each row across its lanes, instead of taking
+/// one lane of four rows per vector with shuffles.
+#[inline(always)]
+fn for_rows<const L: usize>(acc: &mut [[f32; L]], vrow: &[f32], f: impl Fn(&mut [f32; L], f32)) {
+    let (blocks, rest) = acc.as_chunks_mut::<4>();
+    let (vblocks, vrest) = vrow.as_chunks::<4>();
+    for (rows, vs) in blocks.iter_mut().zip(vblocks) {
+        for (a, &v) in rows.iter_mut().zip(vs) {
+            f(a, v);
+        }
+    }
+    for (a, &v) in rest.iter_mut().zip(vrest) {
+        f(a, v);
+    }
 }
 
 /// Writes one partition-local result into its band of output rows.

@@ -72,44 +72,32 @@ pub fn dot4(k: &[f32], q0: &[f32], q1: &[f32], q2: &[f32], q3: &[f32]) -> [f32; 
     s
 }
 
-/// Lane width of [`dot_lanes`]: accumulators for one chunk live in a
-/// fixed-size array the compiler keeps in two 4-wide (or one 8-wide) SIMD
-/// registers across the whole inner-product loop.
-pub const SCORE_LANES: usize = 8;
-
-/// Scores one K row against `n` query vectors packed **transposed**,
-/// writing `scores[j] = dot(q_j, k)` bit-for-bit.
+/// Scores one K row against `L` query vectors packed **transposed**,
+/// returning `dot(q_l, k)` bit-for-bit in lane `l`.
 ///
-/// `qt` holds the queries column-major: `qt[i * n + j]` is element `i` of
-/// query `j`, with `n` padded to a multiple of [`SCORE_LANES`] (pad lanes
-/// read zeros and produce garbage scores the caller ignores). Each
-/// `scores[j]` accumulates `qt[i*n+j] * k[i]` with `i` ascending — the
-/// exact operand values and order of [`dot`] (f32 multiplication is
-/// commutative bit-for-bit) — but the lanes of a chunk are independent,
-/// contiguous, and register-resident, so the compiler vectorizes across
-/// queries instead of serializing one latency-bound chain. This is the
-/// widest inner product available to the attention kernels: one K-row load
-/// scores every visible (query row, grouped head) pair at SIMD width.
+/// `qt[i][l]` is element `i` of query `l`. Each lane accumulates
+/// `qt[i][l] * k[i]` with `i` ascending — the exact operand values and
+/// order of [`dot`] (f32 multiplication is commutative bit-for-bit) — but
+/// the lanes are independent, contiguous and register-resident, so the
+/// compiler vectorizes across queries instead of serializing one
+/// latency-bound chain. This is the attention lane fold's scorer: one
+/// K-row load scores a chunk of (query row, grouped head) lanes at SIMD
+/// width.
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `scores.len()` is not a positive multiple of
-/// [`SCORE_LANES`] or `qt.len() != k.len() * scores.len()`.
+/// Panics in debug builds if `qt` and `k` differ in length.
 #[inline]
-pub fn dot_lanes(k: &[f32], qt: &[f32], scores: &mut [f32]) {
-    let n = scores.len();
-    debug_assert!(n > 0 && n.is_multiple_of(SCORE_LANES));
-    debug_assert_eq!(qt.len(), k.len() * n);
-    for j0 in (0..n).step_by(SCORE_LANES) {
-        let mut acc = [0.0f32; SCORE_LANES];
-        for (i, &kv) in k.iter().enumerate() {
-            let row = &qt[i * n + j0..i * n + j0 + SCORE_LANES];
-            for (a, &qv) in acc.iter_mut().zip(row) {
-                *a += qv * kv;
-            }
+#[must_use]
+pub fn dot_lanes<const L: usize>(k: &[f32], qt: &[[f32; L]]) -> [f32; L] {
+    debug_assert_eq!(qt.len(), k.len());
+    let mut acc = [0.0f32; L];
+    for (row, &kv) in qt.iter().zip(k) {
+        for (a, &qv) in acc.iter_mut().zip(row) {
+            *a += qv * kv;
         }
-        scores[j0..j0 + SCORE_LANES].copy_from_slice(&acc);
     }
+    acc
 }
 
 /// `C = A * B` where `A` is `[m, k]` and `B` is `[k, n]` — the scalar
@@ -512,21 +500,27 @@ mod tests {
 
     #[test]
     fn dot_lanes_matches_dot_bitwise() {
-        // 11 real queries padded to 16 lanes, over a 67-dim inner product.
-        let k = lcg_matrix(3, 1, 67);
-        let q = lcg_matrix(4, 11, 67);
-        let n = 11usize.next_multiple_of(SCORE_LANES);
-        let mut qt = vec![0.0f32; 67 * n];
-        for j in 0..11 {
-            for (i, &v) in q.row(j).iter().enumerate() {
-                qt[i * n + j] = v;
+        // 11 real queries in chunks of 8 and of 4 (the last padded), over
+        // a 67-dim inner product.
+        fn check<const L: usize>(k: &[f32], q: &Matrix) {
+            let rows: Vec<usize> = (0..q.rows()).collect();
+            for chunk in rows.chunks(L) {
+                let mut qt = vec![[0.0f32; L]; k.len()];
+                for (l, &j) in chunk.iter().enumerate() {
+                    for (i, &v) in q.row(j).iter().enumerate() {
+                        qt[i][l] = v;
+                    }
+                }
+                let scores = dot_lanes(k, &qt);
+                for (&s, &j) in scores.iter().zip(chunk) {
+                    assert_eq!(s.to_bits(), dot(q.row(j), k).to_bits());
+                }
             }
         }
-        let mut scores = vec![f32::NAN; n];
-        dot_lanes(k.row(0), &qt, &mut scores);
-        for (j, &sv) in scores.iter().take(11).enumerate() {
-            assert_eq!(sv.to_bits(), dot(q.row(j), k.row(0)).to_bits());
-        }
+        let k = lcg_matrix(3, 1, 67);
+        let q = lcg_matrix(4, 11, 67);
+        check::<8>(k.row(0), &q);
+        check::<4>(k.row(0), &q);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use pensieve_core::{FunctionalConfig, FunctionalEngine};
 use pensieve_kernels::attention::contiguous::fused_contiguous;
 use pensieve_kernels::attention::multi::{
-    paged_multi_token, paged_multi_token_pool, paged_multi_token_ref,
+    paged_multi_token, paged_multi_token_pool, paged_multi_token_pool_ungated,
+    paged_multi_token_ref,
 };
 use pensieve_kernels::attention::multiround::multi_round_single_token;
 use pensieve_kernels::attention::naive::naive_attention;
@@ -108,20 +109,25 @@ proptest! {
 
     /// The blocked and data-parallel attention kernels reproduce the
     /// scalar reference **bit-for-bit** across random shapes, GQA ratios,
-    /// block sizes, and thread counts; decode batches (`q_len == 1`) also
-    /// cover the batched single-token fast path.
+    /// head dims, block sizes, and thread counts; decode batches
+    /// (`q_len == 1`) also cover the batched single-token fast path. The
+    /// lane kernel folds a KV head's `q_len * group` lanes in chunks of 8
+    /// (4 when there are at most 4): the head splits put that count below,
+    /// at and across both widths, and the head dims cover whole and
+    /// partial four-row blocks of its accumulators.
     #[test]
     fn blocked_and_parallel_attention_bit_identical(
         seed in 0u64..1000,
         q_len in 1usize..12,
         extra_ctx in 0usize..40,
-        head_split in 0usize..4,
+        head_split in 0usize..6,
+        d in prop::sample::select(vec![4usize, 6, 8, 16, 64]),
         block in prop::sample::select(vec![2usize, 4, 8, 16]),
         threads in 2usize..4,
     ) {
-        let (heads, kv_heads) = [(4, 4), (4, 2), (8, 1), (6, 3)][head_split];
+        let (heads, kv_heads) = [(4, 4), (4, 2), (8, 1), (6, 3), (8, 8), (6, 2)][head_split];
         let ctx = q_len + extra_ctx;
-        let (cfg, pool, table, q) = build_case(seed, q_len, ctx, heads, kv_heads, 8, block);
+        let (cfg, pool, table, q) = build_case(seed, q_len, ctx, heads, kv_heads, d, block);
         let layer = pool.layer(0);
         let seq = AttnSeq { q_start: 0, q_len, context_len: ctx, table: &table };
 
@@ -129,6 +135,10 @@ proptest! {
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &[seq]), &reference);
         let workers = Pool::global(threads);
         prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &[seq], &workers), &reference);
+        prop_assert_eq!(
+            &paged_multi_token_pool_ungated(&cfg, &q, &layer, &[seq], &workers),
+            &reference
+        );
         if q_len == 1 {
             prop_assert_eq!(&paged_single_token_batch(&cfg, &q, &layer, &[seq]), &reference);
         }
@@ -137,21 +147,29 @@ proptest! {
     /// §4.3.4 dropped-token recomputation layout: two sub-requests sharing
     /// one block table with different context lengths stay bit-identical
     /// to the scalar reference under the blocked and parallel kernels.
+    /// The dropped range sits after `kept` history tokens, so its causal
+    /// edge (the first lane that sees position `t` is
+    /// `(t - kept) * group`) cuts through lane chunks of 8 at every group
+    /// size drawn, 3 included.
     #[test]
     fn subrequest_attention_bit_identical(
         seed in 0u64..1000,
-        dropped in 1usize..8,
+        kept in 0usize..6,
+        dropped in 1usize..12,
         prompt in 1usize..8,
         gap in 0usize..24,
+        head_split in 0usize..4,
         threads in 2usize..4,
     ) {
         // Context layout: [kept history][dropped tokens][gap][prompt].
-        let ctx = dropped + gap + prompt + 3;
-        let (cfg, pool, table, q) = build_case(seed, dropped + prompt, ctx, 4, 2, 8, 4);
+        let ctx = kept + dropped + gap + prompt;
+        let (heads, kv_heads) = [(4, 2), (6, 2), (8, 1), (8, 8)][head_split];
+        let (cfg, pool, table, q) =
+            build_case(seed, dropped + prompt, ctx, heads, kv_heads, 8, 4);
         let layer = pool.layer(0);
         let seqs = [
             // Recomputed dropped tokens, mid-context.
-            AttnSeq { q_start: 0, q_len: dropped, context_len: dropped + 3, table: &table },
+            AttnSeq { q_start: 0, q_len: dropped, context_len: kept + dropped, table: &table },
             // The new prompt chunk at the end of the same table.
             AttnSeq { q_start: dropped, q_len: prompt, context_len: ctx, table: &table },
         ];
@@ -159,6 +177,10 @@ proptest! {
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &seqs), &reference);
         let workers = Pool::global(threads);
         prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &seqs, &workers), &reference);
+        prop_assert_eq!(
+            &paged_multi_token_pool_ungated(&cfg, &q, &layer, &seqs, &workers),
+            &reference
+        );
     }
 
     /// Batch invariance: a row's logits do not depend on which rows share
