@@ -222,18 +222,18 @@ const SCENARIOS: [Scenario; 8] = [
 /// One digest per [`DRIVES`] entry, per scenario.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 3]; 8] = [
-    [0xefb1332e45db4cd4, 0x184bdca368d707f0, 0xe38c3cacf711d4e6], // overflow/newest-first
-    [0xfdefec830f13843a, 0x3e31ee01f65064d6, 0xae24ef9015ded130], // overflow/oldest-first
-    [0x260fffdb840e3ea5, 0xc99669e367d7121b, 0xc9abc6481a297d69], // overflow/largest-context
-    [0xd279402a53d1c8e4, 0x79a561b126c57a44, 0x3b191665bd5608b3], // overflow/stateless-vllm
-    [0xe5fb1260b1158106, 0x8aa2cbe146333a2f, 0x0885607c2434010f], // chunked-prefill/overflow
-    [0xbc2ebe093653093b, 0x6e47aa2fd254c43c, 0x4d8268c61be8b3d6], // orca/reservation
-    [0xd3a405999d63cfa8, 0xc8614df8ef98c1c3, 0x6fd99fdc40ead1e7], // shared-prefix/overflow
-    [0xd925f6c6504a9fda, 0x3452d1916a0dd259, 0xe7802edf12330e4e], // deep-tiers/chaos
+    [0x5667cbc575004459, 0x46b31b4571c227b2, 0x095d0a2a93c066ba], // overflow/newest-first
+    [0x74afbb3870b01ceb, 0xbbf7221bc0732d47, 0x75b823e2f4a21c0c], // overflow/oldest-first
+    [0xc61fae3d2ae88906, 0x2cade8b6b82daa59, 0x2fe0f33679ca8529], // overflow/largest-context
+    [0x7bda3df127d281ac, 0x9fa65278d3117ec8, 0xb5e6b8d46fb1c3b7], // overflow/stateless-vllm
+    [0x00a5ed69d31a7a71, 0x0d816a75deda720f, 0xe4507df0dcad1b8b], // chunked-prefill/overflow
+    [0xfd869862d63eddb8, 0x8e463bd1113d40d0, 0x1fa17565545c3b0a], // orca/reservation
+    [0xcb283b8330164ebf, 0xccc898ea4281176d, 0x401591498e9e297b], // shared-prefix/overflow
+    [0x3309dc91e0311515, 0x6eccf241ed824fea, 0x1d70bb1bf5e11dce], // deep-tiers/chaos
 ];
 
 /// Digest of `handoff_with_a_suspended_request_queued`.
-const HANDOFF_GOLDEN: u64 = 0x30c8_a198_ffd7_9e1f;
+const HANDOFF_GOLDEN: u64 = 0x29f8_e685_ce54_b91f;
 
 /// SplitMix64, inlined so the scenarios do not move if the workspace's
 /// `rand` stand-in ever does.
@@ -303,8 +303,7 @@ impl Digest {
     }
 
     /// The introspection and replication surface between two slices.
-    /// Draining the commit log and the manifest change set here does not
-    /// feed back into the engine.
+    /// Draining the commit log here does not feed back into the engine.
     fn engine(&mut self, e: &mut SimServingEngine, convs: usize) {
         self.time(e.now());
         for n in [
@@ -328,9 +327,6 @@ impl Digest {
         for (conv, tokens) in e.take_committed_kv() {
             self.word(conv.0);
             self.n(tokens);
-        }
-        for conv in e.take_manifest_dirty() {
-            self.word(conv.0);
         }
     }
 

