@@ -534,8 +534,10 @@ impl SimServingEngine {
     /// # Errors
     ///
     /// Returns [`pensieve_kvcache::CacheError::UnknownConversation`] if
-    /// `parent` is not cached here or
-    /// [`pensieve_kvcache::CacheError::SessionExists`] if `child` is.
+    /// `parent` is not cached here,
+    /// [`pensieve_kvcache::CacheError::SessionExists`] if `child` is, or
+    /// [`pensieve_kvcache::CacheError::ChunkAlreadyPooled`] if a lineage
+    /// id of the fork is already pooled.
     pub fn fork_session(
         &mut self,
         parent: SessionId,

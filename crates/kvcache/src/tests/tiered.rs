@@ -1160,6 +1160,42 @@ fn fork_shares_parent_history_without_copying() {
     ));
 }
 
+/// Fork ids chain over (parent, position, length), and the pool keeps a
+/// chunk after its sharers leave: a parent forked, removed and re-created
+/// with the same shape derives the same ids again. The second fork must
+/// refuse with a typed error instead of overwriting the pooled chunks.
+#[test]
+fn refork_of_a_recreated_parent_leaves_the_pool_alone() {
+    let mut cache = lru_cache(4096, 4096);
+    let (parent, child, again) = (SessionId(1), SessionId(2), SessionId(3));
+    cache.append_tokens(parent, 48, t(0.0)).unwrap();
+    cache.unpin(parent);
+    cache.fork_session(parent, child, t(1.0)).unwrap();
+    cache.remove_conversation(parent);
+    cache.append_tokens(parent, 48, t(2.0)).unwrap();
+    cache.unpin(parent);
+    let observe = |c: &TieredKvCache| {
+        (
+            c.manifest_chunks(parent),
+            c.manifest_chunks(child),
+            c.physical_resident_tokens(),
+            c.logical_resident_tokens(),
+            c.gpu_slots_used(),
+            c.stats().clone(),
+        )
+    };
+    let before = observe(&cache);
+    let pooled = cache.manifest_chunks(child)[0].id;
+    assert_eq!(
+        cache.fork_session(parent, again, t(3.0)),
+        Err(CacheError::ChunkAlreadyPooled(pooled))
+    );
+    assert_eq!(observe(&cache), before, "a refused fork mutates nothing");
+    assert!(!cache.contains(again));
+    assert_eq!(cache.shared_refs(pooled), 1, "the child keeps its count");
+    assert_eq!(cache.check_invariants(), Ok(()));
+}
+
 #[test]
 fn manifest_round_trips_shared_chain_through_rehydrate() {
     let mut cache = deep_cache(4096, 64, 64, 256);

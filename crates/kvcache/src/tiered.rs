@@ -165,6 +165,9 @@ pub enum CacheError {
     /// splits into more chunks than one conversation's chunk list can
     /// hold; the cache is unchanged.
     ImportTooLarge(SessionId),
+    /// A fork would promote a private chunk under a lineage id the pool
+    /// already holds; the cache is unchanged.
+    ChunkAlreadyPooled(ChunkId),
 }
 
 impl fmt::Display for CacheError {
@@ -205,6 +208,9 @@ impl fmt::Display for CacheError {
             }
             CacheError::ImportTooLarge(c) => {
                 write!(f, "imported session {c:?} is too large to track")
+            }
+            CacheError::ChunkAlreadyPooled(id) => {
+                write!(f, "fork lineage id {id:?} is already pooled")
             }
         }
     }

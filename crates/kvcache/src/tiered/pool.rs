@@ -378,21 +378,43 @@ impl TieredKvCache {
     /// # Errors
     ///
     /// Returns [`CacheError::UnknownConversation`] if `parent` is not
-    /// tracked or [`CacheError::SessionExists`] if `child` is. The cache
-    /// is unchanged on error.
+    /// tracked, [`CacheError::SessionExists`] if `child` is, or
+    /// [`CacheError::ChunkAlreadyPooled`] if a lineage id is already in
+    /// the pool (the parent's session id was forked before, removed and
+    /// re-created with the same shape). The cache is unchanged on error.
     pub fn fork_session(
         &mut self,
         parent: SessionId,
         child: SessionId,
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        let child_exists = self.convs.contains_key(&child);
+        let Some(e) = self.convs.get(&parent) else {
+            return Err(CacheError::UnknownConversation(parent));
+        };
+        if self.convs.contains_key(&child) {
+            return Err(CacheError::SessionExists(child));
+        }
+        // Each private chunk is promoted under a lineage-derived id: the
+        // timing model tracks token *counts*, so identity chains over
+        // (parent, position, length) exactly as content ids chain over
+        // token bytes — deterministic across replicas and reruns. Every
+        // id is derived before anything moves, because the pool keeps a
+        // chunk after its sharers leave: a re-created parent of the same
+        // shape derives the same ids again.
+        let inherited = e.shared.len();
+        let mut prev = e.shared.last().copied().unwrap_or(ChunkId::ROOT);
+        let mut ids = Vec::with_capacity(e.chunks.len());
+        for (i, chunk) in e.chunks.iter().enumerate() {
+            let words = [parent.0, (inherited + i) as u64, chunk.tokens as u64];
+            prev = ChunkId::derive_words(prev, &words);
+            if self.shared.contains_key(&prev) {
+                return Err(CacheError::ChunkAlreadyPooled(prev));
+            }
+            ids.push(prev);
+        }
         let Some(e) = self.convs.get_mut(&parent) else {
             return Err(CacheError::UnknownConversation(parent));
         };
-        if child_exists {
-            return Err(CacheError::SessionExists(child));
-        }
         let parent_pinned = e.pinned;
         // The pool holds them from here on: the parent's row empties and
         // its keys go (the occupancy table keeps counting the chunks
@@ -401,18 +423,9 @@ impl TieredKvCache {
             e.row = Occupancy::default();
             (std::mem::take(&mut e.shared), std::mem::take(&mut e.chunks))
         });
-        let inherited = chain.len();
         let mut context_end = e.shared_tokens;
-        let mut prev = chain.last().copied().unwrap_or(ChunkId::ROOT);
-        // Promote each private chunk under a lineage-derived id: the
-        // timing model tracks token *counts*, so identity chains over
-        // (parent, position, length) exactly as content ids chain over
-        // token bytes — deterministic across replicas and reruns.
-        for (i, mut chunk) in private.into_iter().enumerate() {
-            let words = [parent.0, (inherited + i) as u64, chunk.tokens as u64];
-            let id = ChunkId::derive_words(prev, &words);
+        for (mut chunk, id) in private.into_iter().zip(ids) {
             context_end += chunk.tokens;
-            prev = id;
             if chunk.tier == Tier::GpuCopied {
                 // Revalidate the lazy copy: keep the GPU slot, drop the
                 // CPU-side copy. The chunk's copied_fifo entry goes

@@ -65,17 +65,17 @@ const CONFIGS: [(&str, Policy, usize, usize); 11] = [
 /// Digests captured on the pre-refactor `tiered.rs`, `[config][seed]`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 11] = [
-    [0xc261c659ae36596b, 0x9d589e2cb2c924b7, 0x2eb14388f4486588, 0xab7874711bcc9898], // retention/two-tier
-    [0x30609f0ae18dc2a3, 0xe2befb19b7be6545, 0xe5004a06f290580e, 0xa088299e56fcf551], // retention/deep
-    [0x1871297161e9d24b, 0xeb0d7eaa9ca09502, 0xb9d047bb33eeb5f6, 0xf21c4ad32e8f5206], // lru/two-tier
-    [0x08dd0b25bcb47afe, 0x48d34e0a6575ccc3, 0xac7885c6d88af281, 0x8a173f8c7b05c2a2], // lru/deep
-    [0xf8b99b35326678cd, 0xabc37972f33362a1, 0x31fca3567d95d429, 0xfab6fe5c2b36e033], // cached-attention/two-tier
-    [0x7dcc64522856e755, 0x4a3a043297ff3190, 0x9d1cc59f7b8155dd, 0x8c079af428cd8e81], // cached-attention/deep
-    [0x9465d4d78f20ef4d, 0x9605984408dd4a27, 0x34c58313d17db24a, 0x922bb950f668559e], // trailing-end/two-tier
-    [0x01735eba886a1a2a, 0xa6f4c2c3aeb6f240, 0x376508e0dc6b22e9, 0x4ab9087c1317622d], // trailing-end/deep
-    [0x08fd765092c4e35b, 0x65953ba9fa50b624, 0x0f4593b53755c8d6, 0xab2c6a5595aa26ab], // retention/cold-only
-    [0x0859cd2f67885f52, 0x0cfdaca0e5c938d4, 0x26525ef95e9ff793, 0xd1a872c561780e2e], // retention/ssd-only
-    [0xa93cd644d88c5750, 0xbef150e7689b7f60, 0x1a931158d0bdae78, 0x4e3485a2620087d3], // lru/ssd-under-a-chunk
+    [0x5599ca6f4215f63a, 0x76f50ecf91ed8a70, 0x7cd7994f770b07db, 0xe0f61ced8158626e], // retention/two-tier
+    [0x499b99ef4eb66edd, 0xe6dbde109ccae298, 0x088d8c22e78956e1, 0x413bda5e81467637], // retention/deep
+    [0x3bcf49e468244b3e, 0x37231991ae298328, 0x639835fb7d08cf7e, 0x76e10cc1b2fa533a], // lru/two-tier
+    [0x1cc75f54248e9790, 0x29f49e6d3ec1807b, 0xc116e5b56c009c28, 0x5acab8957a10ab98], // lru/deep
+    [0x964ded8f8a58ec40, 0x6577bf1bb9edcc27, 0x5623a17570f24244, 0x43c12fbb41314514], // cached-attention/two-tier
+    [0x8fb55faa99242509, 0xef6e3e0d849956e9, 0x74b760983427ee3f, 0x1d7a835054cdad9c], // cached-attention/deep
+    [0x18fdf8a7cc25953a, 0x58265e3c201d9ab2, 0x7037474d20f41132, 0xfb28322278776b25], // trailing-end/two-tier
+    [0xcf373da8187479f3, 0xf87bd9653a524e03, 0x2bd7ca0c98c2236a, 0x86108fbc6224a893], // trailing-end/deep
+    [0x23eaa302b2eb92b5, 0xb346a626d0fcf98a, 0x93444613df3470e8, 0x4a949417670f95a6], // retention/cold-only
+    [0xc54c3d34376a2498, 0xc5d0d2fafab2105e, 0xe0ed1b702b53a97d, 0x0d374692ee364919], // retention/ssd-only
+    [0x42b80f8dc7bfc5c5, 0x56fdfa38e49d19b0, 0xc16ea6ecb23f9f52, 0x611fced3945771fc], // lru/ssd-under-a-chunk
 ];
 
 #[derive(Clone, Copy)]
@@ -195,6 +195,10 @@ impl Digest {
             CacheError::ImportTooLarge(conv) => {
                 self.word(110);
                 self.word(conv.0);
+            }
+            CacheError::ChunkAlreadyPooled(id) => {
+                self.word(111);
+                self.word(id.0);
             }
         }
     }
@@ -420,34 +424,6 @@ impl Tape {
         side.chains.push(chain);
     }
 
-    /// True if forking `parent` would promote a private chunk under a
-    /// lineage id the pool already holds. Fork ids chain over (parent id,
-    /// position, length), so a session id that was forked, removed and
-    /// re-created with the same shape derives the same ids again, and
-    /// `fork_session` then overwrites the pooled chunk and its accounting
-    /// (a defect that predates this tape and is recorded in CHANGES.md).
-    /// The tape steps around it: a golden tape cannot pin a debug panic.
-    fn fork_would_alias(&mut self, k: usize, parent: SessionId) -> bool {
-        let cache = &mut self.sides[k].cache;
-        let manifest = cache.manifest_chunks(parent);
-        let chain_len = manifest
-            .iter()
-            .take_while(|m| m.id != ChunkId::NONE)
-            .count();
-        let mut prev = manifest[..chain_len].last().map_or(ChunkId::ROOT, |m| m.id);
-        let mut alias = false;
-        for (i, m) in manifest[chain_len..].iter().enumerate() {
-            prev =
-                ChunkId::derive_words(prev, &[parent.0, (chain_len + i) as u64, m.tokens as u64]);
-            // `acquire` is the one public probe for "is this id pooled".
-            if let Ok(handle) = cache.acquire(prev) {
-                alias = true;
-                cache.release(handle).expect("just acquired");
-            }
-        }
-        alias
-    }
-
     /// Restores `conv` and appends a prompt, evicting on its behalf when
     /// the GPU is short — the engine's admission sequence.
     fn turn(&mut self, k: usize, conv: SessionId) {
@@ -611,13 +587,9 @@ impl Tape {
             }
             85..=87 => {
                 let child = self.session();
-                if self.fork_would_alias(k, conv) {
-                    self.d.word(0);
-                } else {
-                    let r = self.sides[k].cache.fork_session(conv, child, now);
-                    self.d.tokens(&r);
-                    self.touched.push((k, child));
-                }
+                let r = self.sides[k].cache.fork_session(conv, child, now);
+                self.d.tokens(&r);
+                self.touched.push((k, child));
             }
             88 => {
                 let side = &mut self.sides[k];
