@@ -130,14 +130,10 @@ impl Default for RouterConfig {
 struct Replica<B> {
     backend: B,
     alive: bool,
-    /// Driven (stepped, or handed session state) since the last barrier:
-    /// the only replicas whose manifests can have moved, so the only
-    /// ones the barrier asks for changes.
-    touched: bool,
-    /// Driven or submitted to since the last replication pump: the only
-    /// replicas whose commit log can be non-empty, so the only ones the
-    /// pump drains.
-    unpumped: bool,
+    /// Driven (stepped, submitted to, or handed session state) since the
+    /// last barrier: the only replicas whose commit log can be non-empty,
+    /// so the only ones the barrier drains.
+    driven: bool,
     /// Alive with a response ready to drain, as of the last call that
     /// could produce one (`poll`, `run_until`); counted in
     /// `Router::ready`.
@@ -195,8 +191,9 @@ pub struct Router<B> {
     /// Seeded torn-write roll source for manifest persistence.
     manifest_faults: Option<FaultInjector>,
     /// Sessions the next barrier must re-evaluate although no replica
-    /// reports them changed: their last write tore, their record was
-    /// removed, or the router itself exported them from a replica.
+    /// committed to them: their last write tore, their record was
+    /// removed, or the router itself handed them to or took them from a
+    /// replica (export, import, rehydration).
     manifest_recheck: BTreeSet<SessionId>,
     /// A replica fail-stopped since the last barrier: owners may have
     /// changed with no manifest moving, so the next barrier re-evaluates
@@ -244,8 +241,7 @@ impl<B: ServingBackend + Send> Router<B> {
                 .map(|backend| Replica {
                     backend,
                     alive: true,
-                    touched: false,
-                    unpumped: false,
+                    driven: false,
                     ready: false,
                 })
                 .collect(),
@@ -510,13 +506,11 @@ impl<B: ServingBackend + Send> Router<B> {
             .map(|(i, r)| (i, &r.backend))
     }
 
-    /// Replica `idx`'s backend for a call that may move session layouts
-    /// (stepping, state handoff); marks it for the next barrier's
-    /// manifest pass and replication pump.
+    /// Replica `idx`'s backend for a call that may commit KV (stepping,
+    /// state handoff); marks it for the next barrier's drain.
     fn drive(&mut self, idx: usize) -> Option<&mut B> {
         let r = self.replicas.get_mut(idx)?;
-        r.touched = true;
-        r.unpumped = true;
+        r.driven = true;
         Some(&mut r.backend)
     }
 
@@ -569,7 +563,7 @@ impl<B: ServingBackend + Send> Router<B> {
     }
 
     /// Queues `session` for the next barrier's manifest pass although no
-    /// replica may report it changed.
+    /// replica may have committed to it.
     fn recheck_manifest(&mut self, session: SessionId) {
         if self.cfg.manifest_persistence {
             self.manifest_recheck.insert(session);
@@ -711,6 +705,8 @@ impl<B: ServingBackend + Send> Router<B> {
                     chunks,
                     shared: Vec::new(),
                 };
+                // The fail-stop's resync has the next barrier look at
+                // every session, this one included.
                 let admitted = self.drive(standby).map_or(0, |b| b.import_session(export));
                 if admitted > 0 {
                     self.affinity.insert(conv, standby);
@@ -764,38 +760,52 @@ impl<B: ServingBackend + Send> Router<B> {
         }
     }
 
-    /// Drains the commit log of every alive replica driven since the last
-    /// barrier into the replicator and flushes sessions whose pending
-    /// delta reached the threshold (every pending delta in sync mode).
-    /// Called at each scheduling boundary so replication keeps pace with
-    /// generation; a pure bookkeeping step — it never advances a replica
-    /// clock. A replica that was not driven has committed nothing, so it
-    /// is skipped unless a lost flush or a standby loss left it due.
+    /// The barrier, at each scheduling boundary: drains the commit log of
+    /// every alive replica driven since the last barrier, once, and hands
+    /// the drained commits first to manifest persistence and then to the
+    /// replicator, which flushes sessions whose pending delta reached the
+    /// threshold (every pending delta in sync mode). Called often enough
+    /// that replication keeps pace with generation; a pure bookkeeping
+    /// step — it never advances a replica clock. A replica that was not
+    /// driven has committed nothing, so it is not drained; a lost flush or
+    /// a standby loss can still leave it due.
     fn pump_replication(&mut self) {
         // Every scheduling boundary passes through here, so this is also
         // where the merged deterministic trace is stitched together.
         self.merge_replica_events();
-        self.persist_manifests();
-        for i in 0..self.replicas.len() {
-            let Some(primary) = self.replicas.get_mut(i) else {
-                break;
-            };
-            let unpumped = std::mem::take(&mut primary.unpumped);
-            let Some(rep) = self.replication.as_ref() else {
-                continue;
-            };
-            if !primary.alive {
-                continue;
-            }
-            if !unpumped && !rep.has_due(i) {
+        let drains = self.cfg.manifest_persistence || self.replication.is_some();
+        let commits: Vec<_> = self
+            .replicas
+            .iter_mut()
+            .map(|r| {
+                let driven = std::mem::take(&mut r.driven);
+                if !(drains && r.alive) {
+                    return Vec::new();
+                }
+                if driven {
+                    return r.backend.take_committed_kv();
+                }
+                // Test builds drain a skipped replica anyway, to prove it
+                // had committed nothing.
                 #[cfg(test)]
                 assert!(
-                    primary.backend.take_committed_kv().is_empty(),
-                    "replica {i} skipped with commits pending"
+                    r.backend.take_committed_kv().is_empty(),
+                    "a skipped replica had commits pending"
                 );
+                Vec::new()
+            })
+            .collect();
+        self.persist_manifests(&commits);
+        for (i, commits) in commits.into_iter().enumerate() {
+            let Some(rep) = self.replication.as_ref() else {
+                return;
+            };
+            let Some(primary) = self.replicas.get(i) else {
+                break;
+            };
+            if !primary.alive || (commits.is_empty() && !rep.has_due(i)) {
                 continue;
             }
-            let commits = primary.backend.take_committed_kv();
             let now = primary.backend.now();
             let bytes_per_token = primary.backend.kv_bytes_per_token();
             // With no second replica alive there is nobody to stand by:
@@ -872,7 +882,7 @@ impl<B: ServingBackend + Send> Router<B> {
             cached_tokens: cached,
         });
         if let Some(rep) = self.replicas.get_mut(target) {
-            rep.unpumped = true;
+            rep.driven = true;
             rep.backend.submit(req);
         }
     }
@@ -959,8 +969,8 @@ impl<B: ServingBackend + Send> Router<B> {
         let source = self.drive(from)?;
         let mut export = source.export_session(session)?;
         let bytes_per_token = source.kv_bytes_per_token() as u64;
-        // A lower-index copy may now speak for the session; a backend
-        // without change tracking cannot report what left it.
+        // Another copy may now speak for the session, and the target's
+        // import below commits nothing: the session is rechecked.
         self.recheck_manifest(session);
         let total_bytes: u64 = export
             .chunks
@@ -1017,19 +1027,22 @@ impl<B: ServingBackend + Send> Router<B> {
     /// the barrier path (it never advances a replica clock), doing work
     /// proportional to what changed rather than to what exists.
     ///
-    /// Only replicas driven since the last barrier are asked
-    /// ([`ServingBackend::take_manifest_dirty`]); to their answers the
-    /// barrier adds the sessions whose last write tore or whose record
-    /// was removed, and, once after a fail-stop, everything tracked
-    /// anywhere. Each such session gets at most one write, in session-id
-    /// order: the manifest of its **owner** — the highest-index alive
-    /// replica tracking it with a non-empty manifest, which is whose
-    /// record a walk over every replica in index order leaves behind —
-    /// moved into the store, and only if the store does not already hold
-    /// a clean copy of it. Each write rolls
+    /// The sessions looked at are those in `commits`, the commit logs
+    /// the barrier drained from the replicas it drove
+    /// ([`ServingBackend::take_committed_kv`]: a layout grows only by
+    /// committing), plus the rechecks the router queued itself: sessions
+    /// it handed to or took from a replica (migration, import, export,
+    /// rehydration), whose last write tore or whose record was removed,
+    /// and, once after a fail-stop, everything tracked anywhere (a
+    /// promotion's import among it). Each such session gets at most one
+    /// write, in session-id order: the manifest of its **owner** — the
+    /// highest-index alive replica tracking it with a non-empty
+    /// manifest, which is whose record a walk over every replica in
+    /// index order leaves behind — moved into the store, and only if the
+    /// store does not already hold a clean copy of it. Each write rolls
     /// [`FaultKind::TornManifestWrite`] once; a torn record is no clean
     /// copy, so it is rewritten (healed) at the next barrier.
-    fn persist_manifests(&mut self) {
+    fn persist_manifests(&mut self, commits: &[Vec<(SessionId, usize)>]) {
         if !self.cfg.manifest_persistence {
             return;
         }
@@ -1046,17 +1059,10 @@ impl<B: ServingBackend + Send> Router<B> {
         let mut shadow = self.cold_store.clone();
 
         let mut changed = std::mem::take(&mut self.manifest_recheck);
-        let resync = std::mem::take(&mut self.manifest_resync);
-        for r in &mut self.replicas {
-            let touched = std::mem::take(&mut r.touched);
-            if !r.alive {
-                continue;
-            }
-            if resync {
+        changed.extend(commits.iter().flatten().map(|&(conv, _)| conv));
+        if std::mem::take(&mut self.manifest_resync) {
+            for r in self.replicas.iter().filter(|r| r.alive) {
                 changed.extend(r.backend.manifest_sessions());
-            }
-            if touched {
-                changed.extend(r.backend.take_manifest_dirty());
             }
         }
         for conv in changed {
@@ -1200,6 +1206,8 @@ impl<B: ServingBackend + Send> Router<B> {
         let admitted = self
             .drive(target)
             .map_or(0, |b| b.rehydrate_session(&capped));
+        // Even a refusal may leave the target tracking the session.
+        self.recheck_manifest(conv);
         if admitted == 0 {
             return None;
         }
@@ -1285,16 +1293,14 @@ impl<B: ServingBackend + Send> Router<B> {
         if self.pool.threads() > 1 && self.replica_recorders.is_some() {
             self.pool.for_each_mut(&mut self.replicas, |_, r| {
                 if r.alive {
-                    r.touched = true;
-                    r.unpumped = true;
+                    r.driven = true;
                     r.backend.run_until(horizon);
                 }
             });
         } else {
             for r in &mut self.replicas {
                 if r.alive {
-                    r.touched = true;
-                    r.unpumped = true;
+                    r.driven = true;
                     r.backend.run_until(horizon);
                 }
             }
@@ -1539,6 +1545,7 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
         };
         let session = export.session;
         let admitted = self.drive(target).map_or(0, |b| b.import_session(export));
+        self.recheck_manifest(session);
         self.affinity.insert(session, target);
         admitted
     }
@@ -1562,6 +1569,26 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
         self.wakeups.clear();
         self.affinity.clear();
         orphans
+    }
+
+    // A router is not itself replicable: its barriers drain the
+    // replicas' commit logs and persist their manifests, so it has no
+    // log, manifest or rehydration of its own to offer a caller.
+
+    fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)> {
+        Vec::new()
+    }
+
+    fn manifest_sessions(&self) -> Vec<SessionId> {
+        Vec::new()
+    }
+
+    fn session_manifest(&self, _session: SessionId) -> Option<SessionManifest> {
+        None
+    }
+
+    fn rehydrate_session(&mut self, _manifest: &SessionManifest) -> usize {
+        0
     }
 }
 

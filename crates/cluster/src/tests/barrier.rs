@@ -1,11 +1,10 @@
 //! Change-driven barrier tests: the production `persist_manifests`
-//! against the parent's walk-everything algorithm
-//! (`Router::reference_walk`), a decorator that predates
-//! `take_manifest_dirty`, and write-count regressions.
+//! against the walk-everything algorithm (`Router::reference_walk`),
+//! a forwarding decorator, the handoffs that reach the store without a
+//! commit, and write-count regressions.
 //!
-//! Every barrier of these runs also checks the replication pump: it
-//! drains the commit log of each replica it skipped and asserts it
-//! empty. Every `poll` iteration checks the maintained laggard order and
+//! Every barrier of these runs also checks the commit-log drain: it
+//! drains the log of each replica it skipped and asserts it empty. Every `poll` iteration checks the maintained laggard order and
 //! ready count against a fresh sort and walk (`Router::check_fleet_view`).
 //!
 //! Two differentials run here. In every test build, production
@@ -64,10 +63,8 @@ fn cfg(torn: f64) -> RouterConfig {
     }
 }
 
-/// A forwarding decorator that implements exactly the `ServingBackend`
-/// methods that existed before `take_manifest_dirty` — the shape of
-/// `benchmark/src/traced.rs` — and so inherits the default
-/// ("everything may have changed").
+/// A decorator that forwards every `ServingBackend` method — the shape of
+/// `benchmark/src/traced.rs`.
 struct Legacy<B>(B);
 
 impl<B: ServingBackend> ServingBackend for Legacy<B> {
@@ -432,9 +429,9 @@ fn writes_per_routed_request_stay_bounded() {
     assert!(ratio(&old) > 10.0 * ratio(&new), "old: {:.1}", ratio(&old));
 }
 
-/// Replicas wrapped in a decorator that predates `take_manifest_dirty`
-/// (so every driven replica reports everything it tracks): same bytes,
-/// same timelines as the bare engines.
+/// Replicas wrapped in a forwarding decorator: the barrier reads the same
+/// commit logs through it, so the same bytes, write counts and
+/// timelines as the bare engines.
 #[test]
 fn legacy_decorator_gets_the_same_bytes_and_timelines() {
     let legacy = |n| fleet(n).into_iter().map(Legacy).collect::<Vec<_>>();
@@ -445,7 +442,7 @@ fn legacy_decorator_gets_the_same_bytes_and_timelines() {
         assert_eq!(
             bare_router.manifests_persisted(),
             wrapped_router.manifests_persisted(),
-            "a superset of the changes writes exactly the changes"
+            "the decorator writes exactly what the bare fleet writes"
         );
     }
     let (bare, _) = run(fleet(4), 0.0, false, closed_loop);
@@ -479,4 +476,107 @@ fn short_windows_pump_and_persist_without_submissions() {
         flushing_windows > 2,
         "flushes in {flushing_windows} windows"
     );
+}
+
+/// The record the barrier must leave for `conv`: its owner's manifest,
+/// the highest-index alive replica tracking it with a non-empty one.
+fn owner_manifest(r: &Router<SimServingEngine>, conv: SessionId) -> SessionManifest {
+    r.alive_backends()
+        .filter_map(|(_, b)| b.session_manifest(conv))
+        .filter(|m| m.total_tokens() > 0)
+        .last()
+        .expect("some replica tracks the session")
+}
+
+/// Drains every alive replica's commit log and asserts it empty: the
+/// handoff just made committed nothing for the barrier to find.
+fn assert_nothing_committed(r: &mut Router<SimServingEngine>) {
+    for rep in r.replicas.iter_mut().filter(|rep| rep.alive) {
+        assert!(rep.backend.take_committed_kv().is_empty());
+    }
+}
+
+/// Serves one turn of `conv` to completion in short windows, so the
+/// replication stream flushes its prefill and leaves the tail of its
+/// decode pending, and returns the session's record.
+fn persisted_turn(r: &mut Router<SimServingEngine>, conv: u64, prompt: usize) -> SessionManifest {
+    r.submit(req(conv, conv, r.now(), prompt, 20, 0));
+    while !r.is_idle() {
+        r.run_until(r.now() + SimDuration::from_secs(0.05));
+    }
+    assert_eq!(r.drain_responses().len(), 1);
+    r.cold_store
+        .get(SessionId(conv))
+        .expect("the turn is persisted")
+}
+
+/// Runs one barrier: a short window in which nothing is due.
+fn barrier(r: &mut Router<SimServingEngine>) {
+    r.run_until(r.now() + SimDuration::from_secs(0.5));
+}
+
+/// Three handoffs commit nothing, so no commit log reports them: a
+/// `Router::import_session`, a rehydration and a standby promotion. Each
+/// still reaches the cold store at the very next barrier, with nothing
+/// appended to the session in between.
+#[test]
+fn handoffs_reach_the_store_at_the_next_barrier() {
+    // An import the router places itself.
+    let mut r = Router::new(fleet(3), RouterPolicy::CacheAware, cfg(0.0));
+    let conv = SessionId(9);
+    let chunk = |tokens, context_end| ChunkState {
+        tier: Tier::Cpu,
+        tokens,
+        context_end,
+    };
+    let export = SessionExport {
+        session: conv,
+        chunks: vec![chunk(32, 32), chunk(20, 52)],
+        shared: Vec::new(),
+    };
+    assert_eq!(r.import_session(export), 52);
+    assert_nothing_committed(&mut r);
+    barrier(&mut r);
+    assert_eq!(
+        r.cold_store.get(conv),
+        Ok(owner_manifest(&r, conv)),
+        "import"
+    );
+
+    // A rehydration onto a survivor, capped below the record so that its
+    // layout is new.
+    let mut r = Router::new(fleet(3), RouterPolicy::CacheAware, cfg(0.0));
+    let conv = SessionId(1);
+    let stored = persisted_turn(&mut r, 1, 512);
+    assert!(r.export_session(conv).is_some());
+    barrier(&mut r);
+    assert_eq!(
+        r.cold_store.get(conv),
+        Ok(stored.clone()),
+        "the record stands"
+    );
+    let later = r.now() + SimDuration::from_secs(50.0);
+    r.submit(req(2, 1, later, 32, 8, 300));
+    assert_eq!(r.rehydrations(), 1);
+    assert_nothing_committed(&mut r);
+    barrier(&mut r);
+    let live = owner_manifest(&r, conv);
+    assert_eq!(live.total_tokens(), 300, "the turn has not started");
+    assert_ne!(live, stored);
+    assert_eq!(r.cold_store.get(conv), Ok(live), "rehydration");
+
+    // A promotion: the primary fails while idle with part of the session
+    // unreplicated, so the standby's layout is shorter than the record.
+    let mut r = Router::new(fleet(3), RouterPolicy::CacheAware, cfg(0.0));
+    let conv = SessionId(3);
+    let stored = persisted_turn(&mut r, 3, 100);
+    let primary = r.affinity[&conv];
+    let at = r.now() + SimDuration::from_secs(0.1);
+    r.fail_replica_at(primary, at);
+    r.run_until(at);
+    assert_eq!(r.promotions(), 1);
+    let live = owner_manifest(&r, conv);
+    assert_eq!(live.total_tokens() as u64, r.replicated_tokens());
+    assert!(live.total_tokens() < stored.total_tokens());
+    assert_eq!(r.cold_store.get(conv), Ok(live), "promotion");
 }

@@ -24,7 +24,13 @@
 //!   [`import_session`](ServingBackend::import_session),
 //!   [`fail_stop`](ServingBackend::fail_stop): the migration and
 //!   fault-recovery primitives (DéjàVu-style KV streaming, with
-//!   Pensieve's dropped-token recomputation as the fallback).
+//!   Pensieve's dropped-token recomputation as the fallback); and
+//!   [`take_committed_kv`](ServingBackend::take_committed_kv),
+//!   [`manifest_sessions`](ServingBackend::manifest_sessions),
+//!   [`session_manifest`](ServingBackend::session_manifest),
+//!   [`rehydrate_session`](ServingBackend::rehydrate_session), which
+//!   replication and manifest persistence read. None has a default, so a
+//!   decorator that forgets to forward one does not compile.
 //!
 //! The trait states the contract; each implementation's bodies, and the
 //! documentation of what is particular to it, live in its
@@ -126,53 +132,28 @@ pub trait ServingBackend {
 
     /// Drains the backend's KV commit log: sessions whose committed
     /// (cache-resident) context grew since the last drain, each with its
-    /// new total committed token count, in `SessionId` order. A
-    /// replication stream consumes this to learn what delta to ship to a
-    /// standby; backends with no commit tracking return nothing and are
-    /// simply not replicable. Commits land only inside `submit`, `poll`,
-    /// `run_until` and the state-handoff calls, so a caller need only
-    /// drain backends it just drove.
-    fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)> {
-        Vec::new()
-    }
+    /// new total committed token count, in `SessionId` order. It is the
+    /// one change feed a cluster reads: a replication stream learns what
+    /// delta to ship to a standby, and manifest persistence which
+    /// sessions' layouts grew. A backend with no commit tracking returns
+    /// nothing and is not replicable. Commits land only inside `submit`,
+    /// `poll`, `run_until` and the state-handoff calls, so a caller need
+    /// only drain backends it just drove.
+    fn take_committed_kv(&mut self) -> Vec<(SessionId, usize)>;
 
     /// Sessions whose cache state is eligible for cold-tier manifest
-    /// persistence, in ascending id order. Backends without manifest
-    /// support return nothing and their sessions are simply not
-    /// rehydratable across restarts.
-    fn manifest_sessions(&self) -> Vec<SessionId> {
-        Vec::new()
-    }
-
-    /// Drains the sessions whose [`session_manifest`] may have changed
-    /// since the last drain — grown, imported, rehydrated, forked, or
-    /// gone from this backend — in ascending id order. A superset is
-    /// always legal, so the default reports everything: a backend (or a
-    /// decorator written before this method existed) that does not track
-    /// changes stays correct and merely costs its caller a full walk.
-    /// The default cannot name sessions that *left*; a caller that
-    /// removes one itself ([`export_session`]) must account for that.
-    /// Layouts move only inside `poll`, `run_until` and the state-handoff
-    /// calls, so a caller need only drain backends it just drove.
-    ///
-    /// [`session_manifest`]: ServingBackend::session_manifest
-    /// [`export_session`]: ServingBackend::export_session
-    fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
-        self.manifest_sessions()
-    }
+    /// persistence, in ascending id order; empty for a backend without
+    /// manifest support.
+    fn manifest_sessions(&self) -> Vec<SessionId>;
 
     /// Builds a cold-tier manifest of `session`'s chunk layout for
     /// persistence, or `None` when the backend does not track the
     /// session (or does not support manifests).
-    fn session_manifest(&self, _session: SessionId) -> Option<SessionManifest> {
-        None
-    }
+    fn session_manifest(&self, session: SessionId) -> Option<SessionManifest>;
 
     /// Rebuilds a session from a persisted manifest (chunks re-admitted
     /// at the cold tier, up to capacity); returns the tokens admitted.
-    /// Backends without manifest support refuse with 0 and the session
+    /// A backend without manifest support refuses with 0 and the session
     /// recomputes instead.
-    fn rehydrate_session(&mut self, _manifest: &SessionManifest) -> usize {
-        0
-    }
+    fn rehydrate_session(&mut self, manifest: &SessionManifest) -> usize;
 }

@@ -230,9 +230,6 @@ pub struct SimServingEngine {
     /// Tokens the chain covers (whole chunks of `shared_prefix_tokens`;
     /// a partial trailing chunk is recomputed per conversation).
     shared_tokens: usize,
-    /// Explicit references pinning the preamble chain for the engine's
-    /// lifetime; given back to the cache on drop.
-    shared_handles: Vec<pensieve_kvcache::ChunkHandle>,
     /// Per-iteration scratch, cleared and refilled by `execute` and
     /// `complete` so a scheduler tick allocates nothing for them: the
     /// batch's prefill rows, its decode rows, and the requests that
@@ -243,17 +240,6 @@ pub struct SimServingEngine {
     /// The quiet-run differential's switch and record.
     #[cfg(test)]
     probe: quiet_run_tests::Probe,
-}
-
-impl Drop for SimServingEngine {
-    fn drop(&mut self) {
-        // The engine owns both the cache and the global-preamble handles,
-        // so its teardown is the matching release — anything else would
-        // trip the handle leak check.
-        for h in std::mem::take(&mut self.shared_handles) {
-            let _ = self.cache.release(h);
-        }
-    }
 }
 
 /// Builder for [`SimServingEngine`] — the only way to construct one.
@@ -383,7 +369,6 @@ impl SimServingEngine {
             ttft_seconds: Histogram::new(metrics::TTFT_SECONDS_BUCKETS),
             shared_chain: Vec::new(),
             shared_tokens: 0,
-            shared_handles: Vec::new(),
             prefill_batch: BatchShape::new(Vec::new()),
             decode_batch: BatchShape::new(Vec::new()),
             finished: Vec::new(),
@@ -405,11 +390,10 @@ impl SimServingEngine {
                 clippy::expect_used,
                 reason = "a shared prefix larger than the GPU cache is a configuration bug"
             )]
-            let handles = engine
+            engine
                 .cache
                 .materialize_global(&chain, SimTime::ZERO)
                 .expect("shared prefix must fit in the GPU cache");
-            engine.shared_handles = handles;
             engine.shared_tokens = chain.len() * engine.cache.config().chunk_tokens;
             engine.shared_chain = chain;
         }
@@ -630,10 +614,10 @@ impl SimServingEngine {
     /// The cache's slot growth is applied when the run ends, as one
     /// append per request stamped with the last step's clock. That leaves
     /// the cache as the per-step appends would: running conversations
-    /// are pinned, so they sit in no eviction index; the commit log and
-    /// the manifest change set are sets; occupancy is a sum; `k`
-    /// one-token appends split chunks exactly like one `k`-token append;
-    /// and `last_active` takes the last append's clock.
+    /// are pinned, so they sit in no eviction index; the commit log is a
+    /// set; occupancy is a sum; `k` one-token appends split chunks
+    /// exactly like one `k`-token append; and `last_active` takes the
+    /// last append's clock.
     fn quiet_run(&mut self, limit: Limit) -> Option<RunEnd> {
         #[cfg(test)]
         if self.probe.stepwise {
@@ -1661,13 +1645,6 @@ impl ServingBackend for SimServingEngine {
         self.cache.sessions()
     }
 
-    /// Drains the sessions whose manifest layout may have changed since
-    /// the last drain (removed sessions included), in ascending id
-    /// order; see [`pensieve_kvcache::TieredKvCache::take_manifest_dirty`].
-    fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
-        self.cache.take_manifest_dirty()
-    }
-
     /// Builds a cold-tier manifest of `session`'s chunk layout — the
     /// shared chain's content-addressed ids followed by private chunks
     /// (see [`pensieve_kvcache::SessionManifest`]) — or `None` when this
@@ -1994,31 +1971,6 @@ mod tests {
         assert_eq!(
             t3.prefill_tokens + t3.cached_history_tokens,
             shared + 450 + 30
-        );
-    }
-
-    /// Every `ChunkHandle` the engine acquires for the global preamble
-    /// chain is released on drop: the process-wide leak counter stays at
-    /// zero after an engine that materialized (and served) the shared
-    /// chain is torn down.
-    #[test]
-    fn engine_teardown_releases_all_chunk_handles() {
-        let shared = 512usize;
-        {
-            let mut e = SimServingEngine::builder(
-                EngineConfig::pensieve_shared_prefix(shared),
-                ModelConfig::opt_13b(),
-                small_hw(),
-            )
-            .build();
-            e.submit(req(1, 1, 0.0, 40, 10, shared));
-            e.run_until_idle();
-            assert_eq!(e.drain_responses().len(), 1);
-        } // engine drops here, releasing its preamble handles
-        assert_eq!(
-            pensieve_kvcache::leaked_chunk_handles(),
-            0,
-            "engine drop must release every global-preamble ChunkHandle"
         );
     }
 

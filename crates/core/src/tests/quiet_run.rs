@@ -2,10 +2,10 @@
 //! engine preset are driven through an engine that takes quiet steps as
 //! runs and through its `stepwise` twin, which takes every step as a full
 //! `iteration`. The two must agree on everything observable: responses,
-//! counters, cache statistics and invariants, what the replication and
-//! manifest change sets drain between slices, the metrics dump, and every
-//! trace event. Across the scenarios, each reason a run can end must end
-//! one, so no clause of the run's predicate goes untested.
+//! counters, cache statistics and invariants, what the commit log drains
+//! between slices, the metrics dump, and every trace event. Across the
+//! scenarios, each reason a run can end must end one, so no clause of the
+//! run's predicate goes untested.
 
 use pensieve_obs::SharedRecorder;
 use pensieve_sim::FaultConfig;
@@ -143,8 +143,6 @@ struct Slice {
     clock: u64,
     /// The drained commit log.
     commits: Vec<(SessionId, usize)>,
-    /// The drained manifest change set.
-    dirty: Vec<SessionId>,
     /// GPU and CPU occupancy, batch and queue sizes.
     sizes: [usize; 4],
     invariants: Result<(), String>,
@@ -253,7 +251,6 @@ fn run(sc: &Scenario, drive: Drive, stepwise: bool) -> (Outcome, Vec<RunEnd>) {
         slices.push(Slice {
             clock: e.now().as_secs().to_bits(),
             commits: e.take_committed_kv(),
-            dirty: e.take_manifest_dirty(),
             sizes: [
                 e.cache.gpu_slots_used(),
                 e.cache.cpu_used(),

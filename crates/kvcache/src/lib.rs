@@ -33,7 +33,8 @@
 //!   content-addressed, reference-counted chunks ([`ChunkId`]) behind a
 //!   radix prefix index ([`PrefixIndex`]); N conversations attach to
 //!   one physical copy, and eviction weighs a chunk by its sharer
-//!   count. Explicit references travel as [`ChunkHandle`] guards.
+//!   count. A chain materialized *global* (the deployment's preamble)
+//!   stays GPU-resident for the cache's lifetime.
 //! * **Request plans** — a returning conversation's context splits into
 //!   the paper's Figure-5 segments, generalized across the hierarchy:
 //!   dropped prefix (recompute), cold/SSD middle (device read), CPU
@@ -70,7 +71,7 @@ pub use prefix::{synthetic_preamble, PrefixIndex};
 pub use stats::CacheStats;
 pub use store::{SessionView, TokenChunkStore};
 pub use tiered::{
-    leaked_chunk_handles, CacheError, ChunkHandle, RequestPlan, SessionExport, SharedChunkRef,
-    SwapOutOp, TieredKvCache, TieredKvCacheBuilder,
+    CacheError, RequestPlan, SessionExport, SharedChunkRef, SwapOutOp, TieredKvCache,
+    TieredKvCacheBuilder,
 };
 pub use types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};

@@ -70,14 +70,15 @@
 //!   in `swap_out_until_for`, which trace event names the move in
 //!   `record_move`.
 //! * **`pool`** — content-addressed shared chunks: registration, attach,
-//!   global materialization, handles and forking. A pooled chunk embeds
+//!   global materialization and forking. A pooled chunk embeds
 //!   the same [`ChunkState`] a private chunk is, so an eviction victim of
 //!   either species resolves to one record; the species differ in how
 //!   they are scored (`candidate_queue`) and who is hurt by a drop
 //!   (`evictable`).
 //! * **`handoff`** — a session leaving or entering this cache: export,
-//!   import, rehydration from a manifest, removal, the replication and
-//!   manifest change sets, and the host-memory fault APIs.
+//!   import, rehydration from a manifest, removal, the commit log that
+//!   replication and manifest persistence drain, and the host-memory
+//!   fault APIs.
 //! * **`keyed`** — `KeyedMap`, the sessions' and the pool's map: hashed
 //!   lookups by id on the hot paths, walks in key order through an
 //!   ordered key set, never in hash order.
@@ -115,7 +116,6 @@ use queue::{CandidateQueue, Members};
 
 pub use handoff::{SessionExport, SharedChunkRef};
 pub use ladder::SwapOutOp;
-pub use pool::{leaked_chunk_handles, ChunkHandle};
 
 /// Error from cache operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,12 +152,6 @@ pub enum CacheError {
     /// A shared-chunk operation addressed a chunk id the cache does not
     /// hold.
     UnknownChunk(ChunkId),
-    /// A shared chunk's reference count would overflow — acquisitions
-    /// are unbalanced by a full `u32::MAX` of missing releases.
-    RefCountOverflow(ChunkId),
-    /// A release was issued against a shared chunk with no outstanding
-    /// matching acquire — a double release.
-    RefCountUnderflow(ChunkId),
     /// A shared chunk chain's context offsets do not line up — the ids
     /// are not consecutive chunks of one prefix.
     BrokenSharedChain(ChunkId),
@@ -193,12 +187,6 @@ impl fmt::Display for CacheError {
             }
             CacheError::UnknownChunk(id) => {
                 write!(f, "unknown shared chunk {id:?}")
-            }
-            CacheError::RefCountOverflow(id) => {
-                write!(f, "reference count overflow on shared chunk {id:?}")
-            }
-            CacheError::RefCountUnderflow(id) => {
-                write!(f, "release without matching acquire on shared chunk {id:?}")
             }
             CacheError::BrokenSharedChain(id) => {
                 write!(
@@ -316,20 +304,15 @@ pub struct TieredKvCache {
     /// Entries are validated at pop (a chunk may have been revalidated or
     /// suspended since).
     copied_fifo: VecDeque<(SessionId, usize)>,
-    /// Commit log for KV replication: sessions whose committed *private*
-    /// context grew since the last [`TieredKvCache::take_commits`] drain
+    /// Commit log for KV replication and manifest persistence: sessions
+    /// whose committed *private* context grew since the last
+    /// [`TieredKvCache::take_commits`] drain
     /// (shared chunks are attached by id at the standby, never
     /// byte-streamed). A session enters once per drain, on its first
     /// append, and its `ConvEntry::committed` flag spares later appends
     /// the tree; the drain reads each one's private token count then.
     /// Bounded by the session count.
     commit_log: BTreeSet<SessionId>,
-    /// Sessions whose manifest layout (chunk boundaries, shared chain,
-    /// existence) may have changed since the last
-    /// [`TieredKvCache::take_manifest_dirty`] drain. Tier moves never
-    /// enter: a manifest records layout, not placement. Bounded by the
-    /// distinct sessions touched since the last drain.
-    manifest_dirty: BTreeSet<SessionId>,
     /// Pool of content-addressed shared chunks, keyed by id. It never
     /// shrinks.
     shared: KeyedMap<ChunkId, SharedChunk>,
@@ -436,7 +419,6 @@ impl TieredKvCache {
             occ: Occupancy::default(),
             copied_fifo: VecDeque::new(),
             commit_log: BTreeSet::new(),
-            manifest_dirty: BTreeSet::new(),
             shared: KeyedMap::default(),
             walkable: BTreeSet::new(),
             stats: CacheStats::default(),
@@ -755,10 +737,6 @@ impl TieredKvCache {
             pinned: true,
             ..ConvEntry::new(Vec::new(), 0, Vec::new(), now)
         });
-        if !e.manifest_dirty {
-            e.manifest_dirty = true;
-            self.manifest_dirty.insert(conv);
-        }
         if !e.committed {
             e.committed = true;
             self.commit_log.insert(conv);
@@ -802,10 +780,9 @@ impl TieredKvCache {
         Ok(())
     }
 
-    /// Starts tracking `entry` as `conv` — entering its chunks (already
+    /// Starts tracking `entry` as `conv`, entering its chunks (already
     /// admitted to the occupancy table by the caller) into its row, spans
-    /// and the candidate index — and reports the new session in the
-    /// manifest change set.
+    /// and the candidate index.
     fn track(&mut self, conv: SessionId, mut entry: ConvEntry) {
         entry.rekey(conv, &mut self.members, |e| {
             for i in 0..e.chunks.len() {
@@ -814,8 +791,6 @@ impl TieredKvCache {
                 }
             }
         });
-        entry.manifest_dirty = true;
-        self.manifest_dirty.insert(conv);
         self.convs.insert(conv, entry);
     }
 }

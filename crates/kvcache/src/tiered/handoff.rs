@@ -1,5 +1,5 @@
 //! A session leaving or entering this cache: export to and import from a
-//! peer, rehydration from a persisted manifest, removal, the change sets
+//! peer, rehydration from a persisted manifest, removal, the commit log
 //! replication and manifest persistence drain, and the host-memory fault
 //! APIs that turn lost or corrupt copies into recompute obligations.
 
@@ -110,8 +110,9 @@ impl TieredKvCache {
     /// context grew since the previous drain, with its *private* token
     /// count (shared-chain tokens excluded), in `SessionId` order.
     /// Replication streams consume this to learn what delta to ship to
-    /// the standby; without a consumer the log stays bounded at one entry
-    /// per live session.
+    /// the standby, and manifest persistence to learn whose layout grew;
+    /// without a consumer the log stays bounded at one entry per live
+    /// session.
     pub fn take_commits(&mut self) -> Vec<(SessionId, usize)> {
         let log = std::mem::take(&mut self.commit_log);
         let mut commits = Vec::with_capacity(log.len());
@@ -124,26 +125,6 @@ impl TieredKvCache {
             }
         }
         commits
-    }
-
-    /// Drains the manifest change set: every session whose
-    /// [`TieredKvCache::manifest_chunks`] layout may have changed since
-    /// the previous drain — appended to, imported, rehydrated, attached,
-    /// forked, or removed (exported sessions included, so a consumer can
-    /// notice that another copy now speaks for the session) — in
-    /// `SessionId` order. A superset of the real changes: a session may
-    /// be reported with an unchanged layout, never the reverse. Tier
-    /// moves are not changes. Manifest persistence consumes this to
-    /// re-encode only what moved; without a consumer the set stays
-    /// bounded at one entry per distinct session.
-    pub fn take_manifest_dirty(&mut self) -> Vec<SessionId> {
-        let dirty = std::mem::take(&mut self.manifest_dirty);
-        for conv in &dirty {
-            if let Some(e) = self.convs.get_mut(conv) {
-                e.manifest_dirty = false;
-            }
-        }
-        dirty.into_iter().collect()
     }
 
     /// Stops counting a departed conversation: its chain references, its
@@ -170,7 +151,6 @@ impl TieredKvCache {
         self.set_pinned(conv, false);
         self.commit_log.remove(&conv);
         if let Some(e) = self.convs.remove(&conv) {
-            self.manifest_dirty.insert(conv);
             self.forget(conv, &e);
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -191,7 +171,6 @@ impl TieredKvCache {
         }
         self.commit_log.remove(&session);
         let e = self.convs.remove(&session)?;
-        self.manifest_dirty.insert(session);
         // Shared chunks travel by reference, never by bytes: the export
         // names their ids so the target can re-attach any it already
         // holds, and the local references are released.

@@ -11,8 +11,8 @@ impl TieredKvCache {
     /// Recounts the cache's accounting from its chunk records and
     /// compares: chunk positions, per-tier occupancy, every
     /// conversation's row and spans, the candidate index, shared
-    /// refcounts and pins, tier capacities, the manifest change set and
-    /// commit log, and the keyed maps' and pool walk's key sets.
+    /// refcounts and pins, tier capacities, the commit log, and the
+    /// keyed maps' and pool walk's key sets.
     /// Every mutating method debug-asserts it; tests call it in release
     /// builds too.
     ///
@@ -110,10 +110,6 @@ impl TieredKvCache {
                 );
             }
             ensure!(
-                !e.manifest_dirty || self.manifest_dirty.contains(&conv),
-                "{conv:?}: flagged session missing from the manifest change set"
-            );
-            ensure!(
                 e.committed == self.commit_log.contains(&conv),
                 "{conv:?}: commit flag {} disagrees with the commit log",
                 e.committed
@@ -154,10 +150,9 @@ impl TieredKvCache {
             occ.admit(s.chunk.tier, s.chunk.tokens);
             let (from_chains, pins) = chains.get(id).copied().unwrap_or_default();
             ensure!(
-                s.refs == from_chains + s.external_refs,
-                "{id:?}: shared refcount drift: {} refs, {from_chains} chains + {} handles",
-                s.refs,
-                s.external_refs
+                s.refs == from_chains,
+                "{id:?}: shared refcount drift: {} refs, {from_chains} chains",
+                s.refs
             );
             ensure!(
                 s.pinned_refs == pins,

@@ -128,9 +128,6 @@ pub(super) struct ConvEntry {
     pub(super) spans: PerTier<Span>,
     pub(super) last_active: SimTime,
     pub(super) pinned: bool,
-    /// Already reported in the cache's `manifest_dirty` set: the hot
-    /// append path checks this flag instead of touching the tree.
-    pub(super) manifest_dirty: bool,
     /// In the cache's `commit_log`: set exactly while it is, so the hot
     /// append path enters the log once per drain.
     pub(super) committed: bool,
@@ -154,7 +151,6 @@ impl ConvEntry {
             spans: PerTier::default(),
             last_active: now,
             pinned: false,
-            manifest_dirty: false,
             committed: false,
         }
     }

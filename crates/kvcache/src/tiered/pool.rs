@@ -1,9 +1,6 @@
 //! The shared pool: content-addressed, reference-counted chunks shared
 //! across conversations — registration and discovery, attach, global
-//! materialization, explicit handles, and forking a session's history
-//! into the pool.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! materialization, and forking a session's history into the pool.
 
 use pensieve_model::SimTime;
 use pensieve_obs::{Recorder as _, TraceEvent};
@@ -11,22 +8,6 @@ use pensieve_obs::{Recorder as _, TraceEvent};
 use super::occupancy::{ConvEntry, Occupancy};
 use super::{CacheError, TieredKvCache};
 use crate::types::{ChunkId, ChunkState, SessionId, Tier};
-
-/// Handles dropped without being released through
-/// [`TieredKvCache::release`] — the leak-check counterpart of the
-/// refcount errors. Global across caches (handles are just ids).
-static LEAKED_HANDLES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`ChunkHandle`]s ever dropped without a matching
-/// [`TieredKvCache::release`]. Three tests pin it to zero: the engine's
-/// `engine_teardown_releases_all_chunk_handles`, the op tape's
-/// `golden_digests_hold_and_the_tape_reaches_every_rung`
-/// (`kvcache/tests/tape.rs`) and `global_chunks_are_never_evicted`
-/// (`kvcache/src/tests/tiered.rs`).
-#[must_use]
-pub fn leaked_chunk_handles() -> u64 {
-    LEAKED_HANDLES.load(Ordering::Relaxed)
-}
 
 /// One physical, content-addressed, reference-counted chunk shared
 /// across conversations. Shared chunks never enter [`Tier::GpuCopied`]:
@@ -38,12 +19,8 @@ pub(super) struct SharedChunk {
     /// Tier, tokens and context offset — the same record a private
     /// chunk is (`context_end` is the position within its chain).
     pub(super) chunk: ChunkState,
-    /// Total references: chain memberships across conversations plus
-    /// outstanding [`ChunkHandle`]s.
+    /// References: chain memberships across conversations.
     pub(super) refs: usize,
-    /// Outstanding explicitly-acquired [`ChunkHandle`]s (a subset of
-    /// `refs`), tracked separately so releases can be validated.
-    pub(super) external_refs: usize,
     /// References held by *pinned* (running-batch) conversations; a
     /// chunk with any is exempt from eviction.
     pub(super) pinned_refs: usize,
@@ -52,36 +29,6 @@ pub(super) struct SharedChunk {
     pub(super) global: bool,
     /// Last time any sharer touched the chunk.
     pub(super) last_active: SimTime,
-}
-
-/// RAII guard for an explicit shared-chunk reference, returned by
-/// [`TieredKvCache::acquire`] and [`TieredKvCache::materialize_global`].
-///
-/// The guard must be given back via [`TieredKvCache::release`] — the
-/// cache owns the refcount, so the guard cannot decrement it on `Drop`.
-/// Dropping an unreleased handle is *leak-checked* instead: it
-/// increments the process-wide [`leaked_chunk_handles`] counter, which
-/// the tests named there pin to zero.
-#[derive(Debug)]
-pub struct ChunkHandle {
-    pub(super) id: ChunkId,
-    pub(super) armed: bool,
-}
-
-impl ChunkHandle {
-    /// The referenced chunk's content-addressed id.
-    #[must_use]
-    pub fn id(&self) -> ChunkId {
-        self.id
-    }
-}
-
-impl Drop for ChunkHandle {
-    fn drop(&mut self) {
-        if self.armed {
-            LEAKED_HANDLES.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 impl TieredKvCache {
@@ -112,7 +59,6 @@ impl TieredKvCache {
                             context_end: end,
                         },
                         refs: 0,
-                        external_refs: 0,
                         pinned_refs: 0,
                         global: false,
                         last_active: now,
@@ -212,14 +158,11 @@ impl TieredKvCache {
 
     /// Promotes a registered chain to permanent GPU residency — the
     /// deployment-wide tool preamble every request shares. Global chunks
-    /// are exempt from eviction; the returned handles hold the explicit
-    /// references and must eventually go back through
-    /// [`TieredKvCache::release`].
+    /// are exempt from eviction for the cache's lifetime.
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::UnknownChunk`] for an unregistered id,
-    /// [`CacheError::RefCountOverflow`] on a saturated chunk, or
+    /// Returns [`CacheError::UnknownChunk`] for an unregistered id or
     /// [`CacheError::OutOfGpu`] when the non-resident part of the chain
     /// exceeds effectively-free GPU space. The cache is unchanged on
     /// error.
@@ -227,20 +170,16 @@ impl TieredKvCache {
         &mut self,
         chain: &[ChunkId],
         now: SimTime,
-    ) -> Result<Vec<ChunkHandle>, CacheError> {
+    ) -> Result<(), CacheError> {
         // Validate everything up front so a failure mutates nothing.
         let mut needed = 0usize;
         for id in chain {
             let s = self.shared.get(id).ok_or(CacheError::UnknownChunk(*id))?;
-            if s.refs.checked_add(1).is_none() || s.external_refs.checked_add(1).is_none() {
-                return Err(CacheError::RefCountOverflow(*id));
-            }
             if s.chunk.tier != Tier::Gpu {
                 needed += s.chunk.tokens;
             }
         }
         self.reclaim_gpu_slots(needed, None)?;
-        let mut handles = Vec::with_capacity(chain.len());
         for id in chain {
             let Some(s) = self.shared.get_mut(id) else {
                 continue; // Validated above; the walk stays total.
@@ -249,72 +188,14 @@ impl TieredKvCache {
             Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
             s.global = true;
             self.walkable.remove(id);
-            s.refs += 1;
-            s.external_refs += 1;
             s.last_active = now;
-            handles.push(ChunkHandle {
-                id: *id,
-                armed: true,
-            });
         }
         debug_assert_eq!(self.check_invariants(), Ok(()));
-        Ok(handles)
-    }
-
-    /// Takes an explicit reference on a pooled shared chunk, keeping it
-    /// alive independent of any conversation (e.g. while a migration is
-    /// in flight). Pair with [`TieredKvCache::release`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownChunk`] for an unregistered id or
-    /// [`CacheError::RefCountOverflow`] on a saturated chunk.
-    pub fn acquire(&mut self, id: ChunkId) -> Result<ChunkHandle, CacheError> {
-        let s = self
-            .shared
-            .get_mut(&id)
-            .ok_or(CacheError::UnknownChunk(id))?;
-        let refs = s
-            .refs
-            .checked_add(1)
-            .ok_or(CacheError::RefCountOverflow(id))?;
-        let external = s
-            .external_refs
-            .checked_add(1)
-            .ok_or(CacheError::RefCountOverflow(id))?;
-        s.refs = refs;
-        s.external_refs = external;
-        Ok(ChunkHandle { id, armed: true })
-    }
-
-    /// Gives back an explicit reference taken by
-    /// [`TieredKvCache::acquire`] or
-    /// [`TieredKvCache::materialize_global`]. Consumes the handle either
-    /// way; a handle dropped *without* coming here counts in
-    /// [`leaked_chunk_handles`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownChunk`] if the pool no longer knows
-    /// the id, or [`CacheError::RefCountUnderflow`] when no matching
-    /// acquire is outstanding (a double release through forged handles).
-    pub fn release(&mut self, mut handle: ChunkHandle) -> Result<(), CacheError> {
-        handle.armed = false;
-        let id = handle.id;
-        let s = self
-            .shared
-            .get_mut(&id)
-            .ok_or(CacheError::UnknownChunk(id))?;
-        if s.external_refs == 0 || s.refs == 0 {
-            return Err(CacheError::RefCountUnderflow(id));
-        }
-        s.external_refs -= 1;
-        s.refs -= 1;
         Ok(())
     }
 
     /// Outstanding references on a pooled shared chunk (0 if unknown):
-    /// chain memberships plus explicit handles.
+    /// its chain memberships.
     #[must_use]
     pub fn shared_refs(&self, id: ChunkId) -> usize {
         self.shared.get(&id).map_or(0, |s| s.refs)
@@ -437,7 +318,6 @@ impl TieredKvCache {
                 SharedChunk {
                     chunk,
                     refs: 2,
-                    external_refs: 0,
                     pinned_refs: usize::from(parent_pinned),
                     global: false,
                     last_active: now,
@@ -456,12 +336,10 @@ impl TieredKvCache {
             e.shared.clone_from(&chain);
             e.shared_tokens = context_end;
             e.last_active = now;
-            e.manifest_dirty = true;
             // The parent's committed private context is now shared; the
             // replication stream ships shared state by id, not bytes.
             e.committed = false;
         }
-        self.manifest_dirty.insert(parent);
         self.commit_log.remove(&parent);
         self.recorder.record(TraceEvent::SharedAttached {
             at: now,

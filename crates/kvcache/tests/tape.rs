@@ -180,14 +180,6 @@ impl Digest {
                 self.word(106);
                 self.word(id.0);
             }
-            CacheError::RefCountOverflow(id) => {
-                self.word(107);
-                self.word(id.0);
-            }
-            CacheError::RefCountUnderflow(id) => {
-                self.word(108);
-                self.word(id.0);
-            }
             CacheError::BrokenSharedChain(id) => {
                 self.word(109);
                 self.word(id.0);
@@ -595,7 +587,7 @@ impl Tape {
                 let side = &mut self.sides[k];
                 if !side.has_global {
                     let chain = side.chains[conv.0 as usize % side.chains.len()].clone();
-                    match side.cache.materialize_global(&chain, now).map(drop) {
+                    match side.cache.materialize_global(&chain, now) {
                         Ok(()) => {
                             self.d.n(chain.len());
                             side.has_global = true;
