@@ -198,16 +198,17 @@ pub(crate) fn exp(x: f32) -> f32 {
     p * f32::from_bits(t.to_bits().wrapping_add(127) << 23)
 }
 
-/// [`exp`] of every lane: the same operations per lane, so the same bits.
-/// Always inlined: called out of line, the lanes would go through memory.
+/// [`exp`] of every lane of every row: the same operations per lane, so
+/// the same bits. One loop over all rows' lanes, so the vectorizer packs
+/// lanes of one row, not one lane of each row. Always inlined: called out
+/// of line, the lanes would go through memory.
 #[inline(always)]
 #[must_use]
-pub(crate) fn exp_lanes<const L: usize>(x: [f32; L]) -> [f32; L] {
-    let mut y = [0.0; L];
-    for (y, &x) in y.iter_mut().zip(&x) {
-        *y = exp(x);
+pub(crate) fn exp_lanes<const L: usize, const K: usize>(mut x: [[f32; L]; K]) -> [[f32; L]; K] {
+    for y in x.as_flattened_mut() {
+        *y = exp(*y);
     }
-    y
+    x
 }
 
 /// Numerical state of one query row's online softmax.
@@ -329,7 +330,8 @@ mod tests {
             .flat_map(|c| {
                 let mut x = [0.0f32; L];
                 x[..c.len()].copy_from_slice(c);
-                exp_lanes(x)[..c.len()].to_vec()
+                let [y] = exp_lanes([x]);
+                y[..c.len()].to_vec()
             })
             .collect()
     }

@@ -15,17 +15,20 @@
 //! extra query dimension gives the GPU kernel; the multi-round straw-man
 //! ([`super::multiround`]) forfeits it by re-walking the context per token.
 //! Here the reuse is also the SIMD width: a KV head's (query row, grouped
-//! head) pairs are *lanes*, and each K/V row folds into 8 lanes at once
-//! (4 when the head has at most 4, as a decode row does) through one
-//! scorer call and one lane-wide `exp`.
+//! head) pairs are *lanes*, and K/V rows fold into 8 lanes at once (4
+//! when the head has at most 4, as a decode row does), four positions at
+//! a time where every lane of a chunk sees all four.
 //!
 //! Two things define the output bits. Per lane, the op order of
 //! `OnlineSoftmax::update`: scores in ascending context position, each
 //! in [`dot`]'s order; a rescale by `exp(m - score)` only when the score
 //! raises the running max; then `p = exp(score - m)` into the sum and
 //! `p * v` into each accumulator. And the crate's own `exp`, which every
-//! fused kernel and its scalar reference share, so [`paged_multi_token`]
-//! equals [`paged_multi_token_ref`] bit for bit.
+//! fused kernel and its scalar reference share. A group of four positions
+//! computes its scores, running maxima and `exp`s independently, but
+//! folds them into the sums and accumulators position by position in
+//! ascending order, so [`paged_multi_token`] equals
+//! [`paged_multi_token_ref`] bit for bit.
 
 use std::array;
 
@@ -217,16 +220,18 @@ pub fn paged_multi_token_pool_ungated(
 /// partition-local matrix.
 ///
 /// This is the blocked inner kernel: the context is streamed **once**,
-/// each KV block read as a contiguous `[block_size, kv_width]` slab whose
-/// every row serves all KV heads before the walk moves on. A KV head's
+/// each KV block read as a contiguous `[block_size, kv_width]` slab that
+/// serves every KV head before the walk moves on. A KV head's
 /// `q_len * group` (query row, grouped head) pairs are lanes in chunks of
 /// 8, or of 4 when the head has at most 4 lanes; each chunk's [`Tile`]
 /// holds its transposed query pack and its softmax states as lane arrays.
-/// Per slot and KV head, [`fold`] scores each chunk that sees the slot
-/// with [`dot_lanes`] and folds the K/V row into its lanes. Each lane
-/// receives its scores in ascending-`t` order, each computed in [`dot`]'s
-/// order and folded with `OnlineSoftmax::update`'s operations, so
-/// outputs are bit-identical to the scalar reference.
+/// Per block, KV head and chunk, the slots that every lane of the chunk
+/// sees (a prefix of the block) go four at a time through [`fold_group`];
+/// the one to three left over, then the slots on the chunk's causal edge,
+/// go one at a time through [`fold`]. Each lane still receives its scores
+/// in ascending-`t` order, each computed in [`dot`]'s order and folded
+/// with `OnlineSoftmax::update`'s operations, so outputs are
+/// bit-identical to the scalar reference.
 fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnSeq<'_>) -> Matrix {
     if seq.q_len * cfg.group_size() <= 4 {
         attend_lanes::<4>(cfg, q, layer, seq)
@@ -242,10 +247,10 @@ fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnS
 type Tile<const L: usize> = [[f32; L]];
 
 /// [`attend_seq`] at lane width `L`.
-fn attend_lanes<const L: usize>(
+fn attend_lanes<'a, const L: usize>(
     cfg: &AttnConfig,
     q: &Matrix,
-    layer: &KvLayerView<'_>,
+    layer: &KvLayerView<'a>,
     seq: &AttnSeq<'_>,
 ) -> Matrix {
     let d = cfg.head_dim;
@@ -280,23 +285,30 @@ fn attend_lanes<const L: usize>(
 
     for bi in 0..num_blocks {
         let b = seq.table.block_at(bi);
-        let kslab = layer.k_block(b);
-        let vslab = layer.v_block(b);
+        let (kslab, vslab) = (layer.k_block(b), layer.v_block(b));
         let t0 = bi * block_size;
         let slots = block_size.min(seq.context_len - t0);
-        for slot in 0..slots {
-            // The first lane that sees position t: the least j with
-            // offset + j >= t.
-            let lo = (t0 + slot).saturating_sub(offset) * group;
-            let ktoken = &kslab[slot * tf..(slot + 1) * tf];
-            let vtoken = &vslab[slot * tf..(slot + 1) * tf];
-            for kvh in 0..cfg.num_kv_heads {
-                let krow = &ktoken[kvh * d..(kvh + 1) * d];
-                let vrow = &vtoken[kvh * d..(kvh + 1) * d];
-                for c in lo / L..chunks {
-                    let base = (kvh * chunks + c) * rows;
-                    let first = lo.saturating_sub(c * L);
-                    fold(&mut tiles[base..base + rows], krow, vrow, cfg.scale, first);
+        // The first lane that sees the block's slot: the least j with
+        // offset + j >= t0 + slot.
+        let lo = |slot: usize| (t0 + slot).saturating_sub(offset) * group;
+        for kvh in 0..cfg.num_kv_heads {
+            let row = |slab: &'a [f32], slot: usize| &slab[slot * tf + kvh * d..][..d];
+            for c in lo(0) / L..chunks {
+                let base = (kvh * chunks + c) * rows;
+                let tile = &mut tiles[base..base + rows];
+                // Every lane of the chunk sees the slots before `full`: its
+                // first lane is query row c*L/group.
+                let full = (offset + c * L / group + 1).saturating_sub(t0).min(slots);
+                for s in (0..full - full % 4).step_by(4) {
+                    let four = |slab| array::from_fn(|k| row(slab, s + k));
+                    fold_group(tile, four(kslab), four(vslab), cfg.scale);
+                }
+                for slot in full - full % 4..slots {
+                    let first = lo(slot).saturating_sub(c * L);
+                    if first >= L {
+                        break;
+                    }
+                    fold(tile, row(kslab, slot), row(vslab, slot), cfg.scale, first);
                 }
             }
         }
@@ -317,13 +329,80 @@ fn attend_lanes<const L: usize>(
     local
 }
 
-/// Folds one K/V row into lanes `first..L` of a chunk: each lane gets
-/// `OnlineSoftmax::update`'s operations on its state. With every lane
-/// visible the scores, maxima and `exp`s run across all lanes at once;
-/// the rescale by `exp(m - m_new)`, which is exactly `1` for a lane whose
-/// max did not grow, runs only when some lane's did, fused with the
-/// accumulation (`a * corr + p * v` rounds as the reference's two passes
-/// do). Lanes on the causal edge (`first > 0`) fold one at a time.
+/// Folds the K/V rows of four ascending positions that every lane of a
+/// chunk sees, with `OnlineSoftmax::update`'s operations per lane and
+/// position. The four scores, the running max after each position (a
+/// prefix over the group) and the four `p = exp(score - m)` do not depend
+/// on each other; the rescales `exp(m_prev - m)` run only when some
+/// lane's max grew in the group. Then the sum and the accumulators take
+/// the positions in ascending order, `a * corr + p * v` rounding as the
+/// reference's two passes do. A rescale of a max that did not grow is
+/// exactly `1` and leaves the bits alone, so without growth it is
+/// skipped.
+#[inline]
+fn fold_group<const L: usize>(
+    tile: &mut Tile<L>,
+    krows: [&[f32]; 4],
+    vrows: [&[f32]; 4],
+    scale: f32,
+) {
+    let d = krows[0].len();
+    let (qt, states) = tile.split_at_mut(d);
+    let (acc, ms) = states.split_at_mut(d);
+    let [m, s] = ms else {
+        return;
+    };
+    let sc = dot_lanes(krows, qt).map(|raw| raw.map(|x| x * scale));
+    // `mx[k]`: the running max once position k is in.
+    let mut mx = [*m; 4];
+    let mut prev = *m;
+    for (mk, sk) in mx.iter_mut().zip(&sc) {
+        prev = array::from_fn(|l| if sk[l] > prev[l] { sk[l] } else { prev[l] });
+        *mk = prev;
+    }
+    let p: [[f32; L]; 4] = exp_lanes(array::from_fn(|k| array::from_fn(|l| sc[k][l] - mx[k][l])));
+    if any_grew(m, &mx[3]) {
+        let corr: [[f32; L]; 4] = exp_lanes(array::from_fn(|k| {
+            let before = if k == 0 { &*m } else { &mx[k - 1] };
+            array::from_fn(|l| before[l] - mx[k][l])
+        }));
+        for (c, p) in corr.iter().zip(&p) {
+            for l in 0..L {
+                s[l] = s[l] * c[l] + p[l];
+            }
+        }
+        for_rows(acc, vrows, |a, v| {
+            for k in 0..4 {
+                for l in 0..L {
+                    a[l] = a[l] * corr[k][l] + p[k][l] * v[k];
+                }
+            }
+        });
+        *m = mx[3];
+    } else {
+        for p in &p {
+            for l in 0..L {
+                s[l] += p[l];
+            }
+        }
+        for_rows(acc, vrows, |a, v| {
+            for k in 0..4 {
+                for l in 0..L {
+                    a[l] += p[k][l] * v[k];
+                }
+            }
+        });
+    }
+}
+
+/// Folds one K/V row into lanes `first..L` of a chunk, each lane with
+/// `OnlineSoftmax::update`'s operations: the one to three positions after
+/// a block's last group, and the positions the chunk's causal edge cuts.
+/// With every lane visible the scores, maxima and `exp`s run across all
+/// lanes at once, and the rescale by `exp(m - m_new)`, exactly `1` for a
+/// lane whose max did not grow, runs only when some lane's did, fused
+/// with the accumulation. Lanes on the causal edge (`first > 0`) fold one
+/// at a time.
 #[inline]
 fn fold<const L: usize>(tile: &mut Tile<L>, krow: &[f32], vrow: &[f32], scale: f32, first: usize) {
     let d = krow.len();
@@ -333,7 +412,7 @@ fn fold<const L: usize>(tile: &mut Tile<L>, krow: &[f32], vrow: &[f32], scale: f
     let [m, s] = ms else {
         return;
     };
-    let raw = dot_lanes(krow, qt);
+    let [raw] = dot_lanes([krow], qt);
     let sc: [f32; L] = array::from_fn(|l| raw[l] * scale);
     if first > 0 {
         for l in first..L {
@@ -354,45 +433,57 @@ fn fold<const L: usize>(tile: &mut Tile<L>, krow: &[f32], vrow: &[f32], scale: f
         return;
     }
     let m_new: [f32; L] = array::from_fn(|l| if sc[l] > m[l] { sc[l] } else { m[l] });
-    let p = exp_lanes::<L>(array::from_fn(|l| sc[l] - m_new[l]));
-    if m_new == *m {
-        for l in 0..L {
-            s[l] += p[l];
-        }
-        for_rows(acc, vrow, |a, v| {
-            for l in 0..L {
-                a[l] += p[l] * v;
-            }
-        });
-    } else {
-        let corr = exp_lanes::<L>(array::from_fn(|l| m[l] - m_new[l]));
+    let [p] = exp_lanes::<L, 1>([array::from_fn(|l| sc[l] - m_new[l])]);
+    if any_grew(m, &m_new) {
+        let [corr] = exp_lanes::<L, 1>([array::from_fn(|l| m[l] - m_new[l])]);
         for l in 0..L {
             s[l] = s[l] * corr[l] + p[l];
         }
-        for_rows(acc, vrow, |a, v| {
+        for_rows(acc, [vrow], |a, [v]| {
             for l in 0..L {
                 a[l] = a[l] * corr[l] + p[l] * v;
             }
         });
         *m = m_new;
+    } else {
+        for l in 0..L {
+            s[l] += p[l];
+        }
+        for_rows(acc, [vrow], |a, [v]| {
+            for l in 0..L {
+                a[l] += p[l] * v;
+            }
+        });
     }
 }
 
-/// Runs `f` on every accumulator row with its V element. Rows go in
-/// blocks of four, so the loop the compiler sees has four rows' lanes as
-/// its body and vectorizes each row across its lanes, instead of taking
-/// one lane of four rows per vector with shuffles.
+/// Whether any lane's max moved from `m` to `m_new`: one test over the
+/// lanes' compares, with no branch per lane.
 #[inline(always)]
-fn for_rows<const L: usize>(acc: &mut [[f32; L]], vrow: &[f32], f: impl Fn(&mut [f32; L], f32)) {
-    let (blocks, rest) = acc.as_chunks_mut::<4>();
-    let (vblocks, vrest) = vrow.as_chunks::<4>();
-    for (rows, vs) in blocks.iter_mut().zip(vblocks) {
-        for (a, &v) in rows.iter_mut().zip(vs) {
-            f(a, v);
+fn any_grew<const L: usize>(m: &[f32; L], m_new: &[f32; L]) -> bool {
+    m.iter()
+        .zip(m_new)
+        .fold(false, |any, (a, b)| any | (a != b))
+}
+
+/// Runs `f` on every accumulator row with its element of each V row, in
+/// blocks of 8 rows then the rest: a head dim of 8 unrolls fully, and
+/// each row's body vectorizes across its lanes, not across rows.
+#[inline(always)]
+fn for_rows<const L: usize, const K: usize>(
+    acc: &mut [[f32; L]],
+    vrows: [&[f32]; K],
+    f: impl Fn(&mut [f32; L], [f32; K]),
+) {
+    let (blocks, rest) = acc.as_chunks_mut::<8>();
+    let vcols = vrows.map(|v| v.as_chunks::<8>());
+    for (b, rows) in blocks.iter_mut().enumerate() {
+        for (r, a) in rows.iter_mut().enumerate() {
+            f(a, vcols.map(|(vb, _)| vb[b][r]));
         }
     }
-    for (a, &v) in rest.iter_mut().zip(vrest) {
-        f(a, v);
+    for (r, a) in rest.iter_mut().enumerate() {
+        f(a, vcols.map(|(_, vr)| vr[r]));
     }
 }
 
@@ -875,6 +966,57 @@ mod tests {
                 let workers = crossbeam::pool::Pool::global(threads);
                 let par = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &seqs, &workers);
                 assert_eq!(par, reference, "par({threads}) != ref h={heads}/{kv_heads}");
+            }
+        }
+    }
+
+    /// Scores that rise with position raise every lane's max at every
+    /// slot, so every group takes the rescale path, at every slot of it;
+    /// scores that fall raise it only at the first slot, so every later
+    /// group skips it. Both run a decode row (one 4-lane chunk per KV
+    /// head) and a 9-row prefill (8-lane chunks, each with a causal
+    /// edge), over blocks of 16 whose last is cut to 13 slots, so groups,
+    /// leftovers and edges all occur; each must equal the reference.
+    #[test]
+    fn monotone_scores_match_ref() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let cfg = AttnConfig::new(8, 2, 8);
+        let layout = KvLayout {
+            num_kv_heads: 2,
+            head_dim: 8,
+            block_size: 16,
+        };
+        let ctx = 45;
+        // Positive queries: q . k grows with the keys' common factor.
+        let q = Matrix::from_vec(
+            9,
+            cfg.q_width(),
+            (0..9 * cfg.q_width())
+                .map(|_| rng.random_range(0.5..1.0))
+                .collect(),
+        );
+        for rising in [true, false] {
+            let mut pool = PagedKvCache::new(layout, 1, 4);
+            let mut table = BlockTable::new(16);
+            for t in 0..ctx {
+                let step = if rising { t } else { ctx - t } as f32;
+                let k = vec![0.05 * step; cfg.kv_width()];
+                let v: Vec<f32> = (0..cfg.kv_width())
+                    .map(|_| rng.random_range(-1.0..1.0))
+                    .collect();
+                let (b, slot) = table.append_token(&mut pool).unwrap();
+                pool.write_token(0, b, slot, &k, &v);
+            }
+            for q_len in [1, 9] {
+                let seq = AttnSeq {
+                    q_start: 0,
+                    q_len,
+                    context_len: ctx,
+                    table: &table,
+                };
+                let reference = paged_multi_token_ref(&cfg, &q, &pool.layer(0), &[seq]);
+                let got = paged_multi_token(&cfg, &q, &pool.layer(0), &[seq]);
+                assert_eq!(got, reference, "rising {rising}, q_len {q_len}");
             }
         }
     }

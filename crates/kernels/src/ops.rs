@@ -72,30 +72,47 @@ pub fn dot4(k: &[f32], q0: &[f32], q1: &[f32], q2: &[f32], q3: &[f32]) -> [f32; 
     s
 }
 
-/// Scores one K row against `L` query vectors packed **transposed**,
-/// returning `dot(q_l, k)` bit-for-bit in lane `l`.
+/// Scores `K` K rows against `L` query vectors packed **transposed**,
+/// returning `dot(q_l, krows[k])` bit-for-bit in lane `l` of row `k`.
 ///
 /// `qt[i][l]` is element `i` of query `l`. Each lane accumulates
 /// `qt[i][l] * k[i]` with `i` ascending — the exact operand values and
 /// order of [`dot`] (f32 multiplication is commutative bit-for-bit) — but
 /// the lanes are independent, contiguous and register-resident, so the
 /// compiler vectorizes across queries instead of serializing one
-/// latency-bound chain. This is the attention lane fold's scorer: one
-/// K-row load scores a chunk of (query row, grouped head) lanes at SIMD
-/// width.
+/// latency-bound chain, and the `K` rows' sums are independent of each
+/// other. Each query row is loaded once for all `K` K rows. Rows go in
+/// blocks of 8 then the rest, so a head dim of 8 unrolls fully. The paged
+/// attention kernel's lane folds score with it (`attention::multi`).
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `qt` and `k` differ in length.
-#[inline]
+/// Panics if a K row is shorter than `qt`; debug builds also if one is
+/// longer.
+#[inline(always)]
 #[must_use]
-pub fn dot_lanes<const L: usize>(k: &[f32], qt: &[[f32; L]]) -> [f32; L] {
-    debug_assert_eq!(qt.len(), k.len());
-    let mut acc = [0.0f32; L];
-    for (row, &kv) in qt.iter().zip(k) {
-        for (a, &qv) in acc.iter_mut().zip(row) {
-            *a += qv * kv;
+pub fn dot_lanes<const L: usize, const K: usize>(
+    krows: [&[f32]; K],
+    qt: &[[f32; L]],
+) -> [[f32; L]; K] {
+    debug_assert!(krows.iter().all(|k| k.len() == qt.len()));
+    let mut acc = [[0.0f32; L]; K];
+    let mut add = |q: &[f32; L], kv: [f32; K]| {
+        for (a, kv) in acc.iter_mut().zip(kv) {
+            for l in 0..L {
+                a[l] += q[l] * kv;
+            }
         }
+    };
+    let (blocks, rest) = qt.as_chunks::<8>();
+    let kcols = krows.map(|k| k.as_chunks::<8>());
+    for (b, qs) in blocks.iter().enumerate() {
+        for (r, q) in qs.iter().enumerate() {
+            add(q, kcols.map(|(kb, _)| kb[b][r]));
+        }
+    }
+    for (r, q) in rest.iter().enumerate() {
+        add(q, kcols.map(|(_, kr)| kr[r]));
     }
     acc
 }
@@ -500,27 +517,32 @@ mod tests {
 
     #[test]
     fn dot_lanes_matches_dot_bitwise() {
-        // 11 real queries in chunks of 8 and of 4 (the last padded), over
-        // a 67-dim inner product.
-        fn check<const L: usize>(k: &[f32], q: &Matrix) {
+        // 11 real queries in chunks of 8 and of 4 (the last padded)
+        // against one K row and four, over a 67-dim inner product: eight
+        // whole blocks of 8 rows and a remainder of 3.
+        fn check<const L: usize, const K: usize>(k: &Matrix, q: &Matrix) {
             let rows: Vec<usize> = (0..q.rows()).collect();
             for chunk in rows.chunks(L) {
-                let mut qt = vec![[0.0f32; L]; k.len()];
+                let mut qt = vec![[0.0f32; L]; k.cols()];
                 for (l, &j) in chunk.iter().enumerate() {
                     for (i, &v) in q.row(j).iter().enumerate() {
                         qt[i][l] = v;
                     }
                 }
-                let scores = dot_lanes(k, &qt);
-                for (&s, &j) in scores.iter().zip(chunk) {
-                    assert_eq!(s.to_bits(), dot(q.row(j), k).to_bits());
+                let scores = dot_lanes::<L, K>(std::array::from_fn(|r| k.row(r)), &qt);
+                for (r, lanes) in scores.iter().enumerate() {
+                    for (&s, &j) in lanes.iter().zip(chunk) {
+                        assert_eq!(s.to_bits(), dot(q.row(j), k.row(r)).to_bits());
+                    }
                 }
             }
         }
-        let k = lcg_matrix(3, 1, 67);
+        let k = lcg_matrix(3, 4, 67);
         let q = lcg_matrix(4, 11, 67);
-        check::<8>(k.row(0), &q);
-        check::<4>(k.row(0), &q);
+        check::<8, 1>(&k, &q);
+        check::<4, 1>(&k, &q);
+        check::<8, 4>(&k, &q);
+        check::<4, 4>(&k, &q);
     }
 
     #[test]

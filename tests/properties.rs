@@ -113,16 +113,18 @@ proptest! {
     /// (`q_len == 1`) also cover the batched single-token fast path. The
     /// lane kernel folds a KV head's `q_len * group` lanes in chunks of 8
     /// (4 when there are at most 4): the head splits put that count below,
-    /// at and across both widths, and the head dims cover whole and
-    /// partial four-row blocks of its accumulators.
+    /// at and across both widths. Positions every lane of a chunk sees
+    /// fold four at a time within a KV block: block sizes 3 and 5 cut
+    /// those groups short, and the head dims cover whole and partial
+    /// blocks of 8 head-dim rows.
     #[test]
     fn blocked_and_parallel_attention_bit_identical(
         seed in 0u64..1000,
         q_len in 1usize..12,
         extra_ctx in 0usize..40,
         head_split in 0usize..6,
-        d in prop::sample::select(vec![4usize, 6, 8, 16, 64]),
-        block in prop::sample::select(vec![2usize, 4, 8, 16]),
+        d in prop::sample::select(vec![4usize, 6, 8, 12, 16, 20, 64]),
+        block in prop::sample::select(vec![2usize, 3, 4, 5, 8, 16]),
         threads in 2usize..4,
     ) {
         let (heads, kv_heads) = [(4, 4), (4, 2), (8, 1), (6, 3), (8, 8), (6, 2)][head_split];
