@@ -153,10 +153,15 @@ impl Executor {
                 // in place, with the same bits.
                 todo.push(end - 1);
             }
-            let history = self.history(conv);
-            let segments = todo.chunk_by(|a, b| a + 1 == *b).map(|run| SegmentInput {
-                tokens: run.iter().map(|&p| history[p]).collect(),
-                start_pos: run[0],
+            let view = self.store.view(conv);
+            let segments = todo.chunk_by(|a, b| a + 1 == *b).map(|run| {
+                let span = run[0]..run[0] + run.len();
+                let tokens = view.as_ref().ok().and_then(|v| v.slice(span).ok());
+                assert!(tokens.is_some(), "{conv:?}: a row runs past its tokens");
+                SegmentInput {
+                    tokens: tokens.unwrap_or_default(),
+                    start_pos: run[0],
+                }
             });
             batch.push((conv, table, segments.collect(), limit.is_none()));
         }

@@ -202,8 +202,10 @@ impl FunctionalEngine {
         self.submit(conv, prompt, max_new);
         self.engine.run_on(&mut self.exec, None);
         self.engine.drain_responses();
-        let mut history = self.history(conv);
-        history.split_off(history.len().saturating_sub(max_new))
+        let store = &self.exec.store;
+        let (len, view) = (store.len(conv), store.view(conv));
+        let tail = view.and_then(|v| v.slice(len.saturating_sub(max_new)..len));
+        tail.unwrap_or_default()
     }
 
     /// Submits one turn at the engine's clock, its prompt ids as the

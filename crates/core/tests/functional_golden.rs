@@ -19,6 +19,12 @@
 //! `FUNCTIONAL_TOKENS` did not: they digest argmax tokens, and no logit
 //! moved far enough to change which token wins.
 //!
+//! Every pin held, in debug and release, when the last layer was
+//! narrowed to each sequence's last row (its queries, attention, output
+//! projection, MLP, final norm and LM head; every row's K/V is still
+//! written): each row's bits are fixed by its own operations' order, not
+//! by which rows share a call.
+//!
 //! Only public API is used. A failing test prints the constant that
 //! would replace its pin — paste it only for an *intended* change in
 //! arithmetic or eviction behaviour.

@@ -22,20 +22,34 @@
 //!   final norm and the reduction of each [`Stage`]'s partials (summed
 //!   for the two sub-layers, concatenated for the LM head), always in
 //!   shard order. A driver only says how a stage's partials are
-//!   obtained.
+//!   obtained. It also narrows the pass: once the last layer's attention
+//!   input is normed, the residual stream keeps only each sequence's
+//!   last row, the one whose logits are read.
 //! * `Shard` — every layer's matrices at some width, an LM-head column
 //!   slice and a worker pool. It computes one stage's partial: the
 //!   attention sub-layer (QKV, RoPE, KV write, paged attention, output
-//!   projection), the MLP, or its slice of the logits. It owns neither
-//!   a KV cache nor block tables; the caller passes them, so a batch
-//!   over an engine's tables and a worker's single conversation run the
-//!   same code.
+//!   projection), the MLP, or its slice of the logits. In the last
+//!   layer the attention sub-layer still projects and writes every
+//!   row's K/V, but its queries, attention and output projection cover
+//!   each sequence's last row only. It owns neither a KV cache nor
+//!   block tables; the caller passes them, so a batch over an engine's
+//!   tables and a worker's single conversation run the same code.
 //! * `Pass` — the pass prologue: query segments → the position and
-//!   `(block, slot)` of every query row and one attention sub-request
-//!   per segment, appending to or recomputing into the caller's table.
+//!   `(block, slot)` of every query row, one attention sub-request per
+//!   segment, and the last layer's one sub-request per sequence (its
+//!   last row over its whole context), appending to or recomputing into
+//!   the caller's table.
 //! * [`TinyModel`] — the replicated weights plus the one full-width
 //!   shard. [`TinyModel::forward`] is the one-shard driver;
 //!   [`crate::tp`] cuts narrower shards from it.
+//!
+//! The narrowing saves the last layer's share of the per-row work of
+//! every row that is not a sequence's last: about half of a prefill
+//! row's attention and projections on the two-layer tiny models, about
+//! 1/40 on the 40-layer Llama-2-13B. Each row's bits are fixed by its
+//! own operations' order (ascending `p` in a matmul, the per-lane
+//! online-softmax order in attention), not by which rows share a call,
+//! so the logits and every K/V byte are those of the unnarrowed pass.
 
 use std::sync::Arc;
 
@@ -86,9 +100,13 @@ pub struct ReplicatedWeights {
 #[derive(Debug, Clone, Copy)]
 pub enum Stage {
     /// Layer `l`'s attention sub-layer. Input: the pre-normed hidden
-    /// rows; partial: `[rows, hidden]`, summed across shards.
+    /// rows; partial: `[rows, hidden]`, summed across shards. In the last
+    /// layer the input is still every row, whose K/V the stage writes,
+    /// but the partial is `[sequences, hidden]`: the output of each
+    /// sequence's last row only, the one row whose logits are read.
     Attn(usize),
-    /// Layer `l`'s MLP. Input and partial as for [`Stage::Attn`].
+    /// Layer `l`'s MLP. Input and partial as for [`Stage::Attn`]: every
+    /// row before the last layer, one row per sequence in it.
     Mlp(usize),
     /// The LM head. Input: the final-normed last row of every sequence;
     /// partial: `[sequences, vocab / shards]`, concatenated column-wise.
@@ -156,6 +174,14 @@ impl ReplicatedWeights {
     /// norm and the all-gather of the vocabulary-sharded logits. One
     /// shard yields one partial and the reductions are the identity.
     ///
+    /// Once the last layer's attention input is normed, the residual
+    /// stream keeps only `last_rows`: that stage still gets every row,
+    /// since it writes every row's K/V, but its partial, the last MLP,
+    /// the final norm and the LM head are `[last_rows, _]`. Nothing reads
+    /// another row past the last K/V write, and each kept row's bits do
+    /// not depend on which rows share its matrices. A pass whose every
+    /// row is a sequence's last (all decode rows) has nothing to drop.
+    ///
     /// # Errors
     ///
     /// Whatever `partials` returns.
@@ -165,11 +191,17 @@ impl ReplicatedWeights {
         last_rows: &[usize],
         mut partials: impl FnMut(Stage, Matrix) -> Result<P, E>,
     ) -> Result<Matrix, E> {
+        // The layer to narrow in, unless every row is a sequence's last.
+        let last = (x.rows() > last_rows.len()).then(|| self.norms.len() - 1);
         for (l, norms) in self.norms.iter().enumerate() {
             for (stage, norm) in [(Stage::Attn(l), &norms[0]), (Stage::Mlp(l), &norms[1])] {
+                let input = self.normed(&x, norm);
+                if matches!(stage, Stage::Attn(l) if Some(l) == last) {
+                    x = gather_rows(&x, last_rows);
+                }
                 // All-reduce: the partials summed in shard order, then
                 // the residual add.
-                let mut parts = partials(stage, self.normed(&x, norm))?.into_iter();
+                let mut parts = partials(stage, input)?.into_iter();
                 if let Some(mut sum) = parts.next() {
                     for p in parts {
                         add_rows(&mut sum, &p);
@@ -178,9 +210,9 @@ impl ReplicatedWeights {
                 }
             }
         }
-        let mut hidden = Matrix::zeros(last_rows.len(), self.cfg.hidden_size);
-        for (i, &r) in last_rows.iter().enumerate() {
-            hidden.row_mut(i).copy_from_slice(x.row(r));
+        // `x` now holds `last_rows` alone, narrowed or already so.
+        let mut hidden = x;
+        for i in 0..hidden.rows() {
             self.normalize(hidden.row_mut(i), &self.final_norm);
         }
         // All-gather: the vocabulary slices side by side in shard order.
@@ -194,6 +226,15 @@ impl ReplicatedWeights {
         }
         Ok(logits)
     }
+}
+
+/// A copy of rows `rows` of `m`, in that order.
+fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), m.cols());
+    for (to, &from) in rows.iter().enumerate() {
+        out.row_mut(to).copy_from_slice(m.row(from));
+    }
+    out
 }
 
 /// The MLP over `w` (a layer's `mlp` matrices at any width), with `mm`
@@ -234,6 +275,10 @@ pub(crate) struct Pass {
     /// One attention sub-request per segment: `(sequence, q_start,
     /// q_len, context_len)`.
     segments: Vec<(usize, usize, usize, usize)>,
+    /// The last layer's sub-requests, as for `segments`: one per
+    /// sequence, for its last row alone (`q_start` the sequence's index,
+    /// `q_len` 1) over its whole context.
+    last_segments: Vec<(usize, usize, usize, usize)>,
     /// Last query row of each sequence.
     pub(crate) last_rows: Vec<usize>,
 }
@@ -283,6 +328,7 @@ impl Pass {
             table.is_resident(end),
             "context has unfilled holes before forward"
         );
+        self.last_segments.push((seq, seq, 1, end));
         self.last_rows.push(self.rows.len() - 1);
         Ok(())
     }
@@ -313,7 +359,9 @@ impl Shard {
     /// This shard's partial of `stage` over `input` (see [`Stage`]).
     /// `tables[i]` is the block table of `pass`'s `i`-th sequence; the
     /// attention stage writes the pass's K/V into `cache` and reads its
-    /// context from there.
+    /// context from there. In the last layer it writes every row's K/V
+    /// but projects queries, attends and projects out for each
+    /// sequence's last row only.
     pub(crate) fn partial(
         &self,
         stage: Stage,
@@ -326,20 +374,32 @@ impl Shard {
         match stage {
             Stage::Attn(l) => {
                 let (lw, attn) = (&self.layers[l], &self.attn);
-                let mut q = mm(input, &lw.wq);
+                let rope = self.rep.cfg.position_embedding == PositionEmbedding::Rotary;
                 let mut k = mm(input, &lw.wk);
                 let v = mm(input, &lw.wv);
-                if self.rep.cfg.position_embedding == PositionEmbedding::Rotary {
-                    for (r, &(pos, _)) in pass.rows.iter().enumerate() {
-                        apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, pos);
+                for (r, &(pos, (b, s))) in pass.rows.iter().enumerate() {
+                    if rope {
                         apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, pos);
                     }
-                }
-                for (r, &(_, (b, s))) in pass.rows.iter().enumerate() {
                     cache.write_token(l, b, s, k.row(r), v.row(r));
                 }
-                let seqs: Vec<AttnSeq<'_>> = pass
-                    .segments
+                // The last layer's queries: each sequence's last row, as
+                // `ReplicatedWeights::forward` narrows.
+                let narrow = l + 1 == self.layers.len() && input.rows() > pass.last_rows.len();
+                let (mut q, segments) = if narrow {
+                    let last = gather_rows(input, &pass.last_rows);
+                    (mm(&last, &lw.wq), &pass.last_segments)
+                } else {
+                    (mm(input, &lw.wq), &pass.segments)
+                };
+                if rope {
+                    for r in 0..q.rows() {
+                        let row = if narrow { pass.last_rows[r] } else { r };
+                        let pos = pass.rows[row].0;
+                        apply_rope(q.row_mut(r), attn.num_heads, attn.head_dim, pos);
+                    }
+                }
+                let seqs: Vec<AttnSeq<'_>> = segments
                     .iter()
                     .map(|&(seq, q_start, q_len, context_len)| AttnSeq {
                         q_start,
@@ -806,6 +866,110 @@ mod tests {
         let base = run(1);
         for threads in [2usize, 3, 4] {
             assert_eq!(run(threads), base, "threads={threads}");
+        }
+    }
+
+    /// What a case runs before the pass it compares.
+    type Setup<'a> = dyn Fn(&TinyModel, &mut PagedKvCache, &mut [BlockTable]) + 'a;
+
+    /// Each sequence's last logits and its K/V in every layer, block by
+    /// block, as bits, after `setup` and then its query `segments`: in one
+    /// pass if `pruned`, otherwise one row per pass, which narrows nothing
+    /// since each row is its pass's last.
+    fn run_pass(
+        cfg: &ModelConfig,
+        setup: &Setup<'_>,
+        queries: &[Vec<SegmentInput>],
+        pruned: bool,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let model = TinyModel::new_random(cfg, 11);
+        let mut cache = PagedKvCache::new(model.kv_layout(4), cfg.num_layers, 64);
+        let mut tables = vec![BlockTable::new(4); queries.len()];
+        setup(&model, &mut cache, &mut tables);
+        let logits = if pruned {
+            let mut batch: Vec<SeqInput<'_>> = (tables.iter_mut().zip(queries))
+                .map(|(table, q)| SeqInput {
+                    segments: q.clone(),
+                    table,
+                })
+                .collect();
+            let out = model.forward(&mut cache, &mut batch).unwrap();
+            (0..queries.len()).map(|i| bits(out.row(i))).collect()
+        } else {
+            let mut logits = Vec::new();
+            for (table, q) in tables.iter_mut().zip(queries) {
+                let mut last = Vec::new();
+                for s in q {
+                    for (&tok, pos) in s.tokens.iter().zip(s.start_pos..) {
+                        let row = SeqInput {
+                            segments: vec![SegmentInput {
+                                tokens: vec![tok],
+                                start_pos: pos,
+                            }],
+                            table: &mut *table,
+                        };
+                        let out = model.forward(&mut cache, &mut [row]).unwrap();
+                        last = bits(out.row(0));
+                    }
+                }
+                logits.push(last);
+            }
+            logits
+        };
+        let kv = tables.iter().map(|t| {
+            let blocks = (0..t.len().div_ceil(4)).map(|b| cache.read_block(t.block_at(b)));
+            bits(&blocks.flatten().collect::<Vec<_>>())
+        });
+        (logits, kv.collect())
+    }
+
+    /// A pass narrows its last layer to each sequence's last row, yet
+    /// leaves exactly the K/V bytes and logits of unnarrowed work: a
+    /// prefill, a prefill led by a recomputed dropped prefix (paper
+    /// Figure 8), and a decode-and-prefill batch of two sequences, on
+    /// both families.
+    #[test]
+    fn pruned_pass_leaves_unpruned_kv_and_logits() {
+        let tok = |i: usize, pos: usize| ((i * 37 + pos * 11 + 5) % 128) as u32;
+        let seg = |i: usize, span: std::ops::Range<usize>| SegmentInput {
+            start_pos: span.start,
+            tokens: span.map(|pos| tok(i, pos)).collect(),
+        };
+        let prefill = |model: &TinyModel, cache: &mut PagedKvCache, table: &mut BlockTable, len| {
+            let segments = vec![seg(0, 0..len)];
+            let row = SeqInput { segments, table };
+            model.forward(cache, &mut [row]).unwrap();
+        };
+        let none = |_: &TinyModel, _: &mut PagedKvCache, _: &mut [BlockTable]| {};
+        let dropped = |model: &TinyModel, cache: &mut PagedKvCache, t: &mut [BlockTable]| {
+            prefill(model, cache, &mut t[0], 16);
+            t[0].free_blocks(cache, 0..2);
+            t[0].refill(cache, 0..2).unwrap();
+        };
+        let decoding = |model: &TinyModel, cache: &mut PagedKvCache, t: &mut [BlockTable]| {
+            prefill(model, cache, &mut t[0], 5);
+        };
+        let cases: [(&str, &Setup<'_>, _); 3] = [
+            ("prefill", &none, vec![vec![seg(0, 0..11)]]),
+            (
+                "recompute",
+                &dropped,
+                vec![vec![seg(0, 0..8), seg(0, 16..19)]],
+            ),
+            (
+                "two sequences",
+                &decoding,
+                vec![vec![seg(0, 5..8)], vec![seg(1, 0..6)]],
+            ),
+        ];
+        for cfg in [ModelConfig::tiny_llama(), ModelConfig::tiny_opt()] {
+            for (name, setup, queries) in &cases {
+                let pruned = run_pass(&cfg, *setup, queries, true);
+                let unpruned = run_pass(&cfg, *setup, queries, false);
+                assert!(pruned.1 == unpruned.1, "{} {name}: K/V bytes", cfg.name);
+                assert!(pruned.0 == unpruned.0, "{} {name}: logits", cfg.name);
+            }
         }
     }
 

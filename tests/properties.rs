@@ -191,13 +191,15 @@ proptest! {
     /// (several) and rows led by a dropped-range sub-request, and every
     /// row's logits equal, bit for bit, that row forwarded alone over an
     /// identical cache. This is what lets a real executor batch any rows.
+    /// Both families are drawn, so the last layer's narrowed queries are
+    /// checked with RoPE (Llama) and with learned positions (OPT).
     #[test]
     fn batched_rows_bit_identical_to_solo_rows(
         seed in 0u64..1000,
         rows in prop::collection::vec((2usize..24, 1usize..6, 0usize..2), 1..5),
         threads in 1usize..3,
+        cfg in prop::sample::select(vec![ModelConfig::tiny_llama(), ModelConfig::tiny_opt()]),
     ) {
-        let cfg = ModelConfig::tiny_llama();
         let mut model = TinyModel::new_random(&cfg, seed);
         model.set_threads(threads);
         let tok = |i: usize, j: usize| ((seed as usize + i * 31 + j * 7) % cfg.vocab_size) as u32;
