@@ -222,10 +222,10 @@ pub fn run_point(spec: &PointSpec, duration: f64) -> SweepPoint {
     }
 }
 
-/// Maps `f` over `0..n` on the process-wide persistent pool
-/// (`PENSIEVE_THREADS` wide), preserving index order in the output.
+/// Maps `f` over `0..n` on a pool `PENSIEVE_THREADS` wide, preserving
+/// index order in the output.
 pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    Pool::global(sweep_threads().min(n.max(1))).map_partitions(n, f)
+    Pool::new(sweep_threads().min(n.max(1))).map_partitions(n, f)
 }
 
 /// Runs many points in parallel (deterministic per point), preserving

@@ -120,7 +120,7 @@ pub const COMMANDS: &[Command] = &[
     Command::new("memory_timeline", "§4.3.2", "GPU/CPU tier occupancy over time", &[], Run(studies::memory_timeline)),
     Command::new("bench_cluster", "ext.", "4-replica routing policies + replica-failover suite (DESIGN §10)", &[], Run(cluster::bench_cluster)),
     Command::new("bench_tiers", "ext.", "deep-tier (SSD/cold) idle-time sweep, hit-token-rate gate (docs/STORAGE.md)", cli::GATE_FLAGS, Run(tiers::bench_tiers)),
-    Command::new("bench_sharing", "ext.", "cross-conversation KV sharing, dedup-ratio gate (DESIGN §14)", cli::GATE_FLAGS, Run(sharing::bench_sharing)),
+    Command::new("bench_sharing", "ext.", "cross-conversation KV sharing, dedup-ratio gate (DESIGN §13)", cli::GATE_FLAGS, Run(sharing::bench_sharing)),
     Command::new("bench_kernels", "§4.4", "blocked attention/GEMM kernels vs straw-men, ratio-regression gate (wall clock)", cli::GATE_FLAGS, Run(kernels::bench_kernels)),
     Command::new("serve_sim", "§6", "serve one configuration; --trace-out / --metrics-out (docs/OBSERVABILITY.md)", serve_sim::FLAGS, Run(serve_sim::serve_sim)),
     Command { operand: Some("trace.jsonl"), ..Command::new("trace_report", "ext.", "validate a serve_sim trace and attribute cache hits per turn", cli::HELP_FLAGS, Run(serve_sim::trace_report)) },

@@ -4,7 +4,7 @@
 //! An agentic fleet of K conversations all open with the same
 //! 2,048-token preamble. A per-conversation cache stores the preamble's
 //! KV once *per agent*; the content-addressed cache
-//! (`DESIGN.md` §14) stores it once and attaches every agent to
+//! (`DESIGN.md` §13) stores it once and attaches every agent to
 //! the same refcounted chunk chain. This experiment measures, at
 //! K ∈ {1, 8, 64} sharers:
 //!

@@ -53,7 +53,7 @@
 //! perform cross-replica work — replication pumping, standby promotion,
 //! failure injection. Because those are already the *only* interactions
 //! between replicas, partitioning the per-window loop across a
-//! persistent worker [`Pool`] (see [`Router::pool`]) cannot change any
+//! fork/join [`Pool`] (see [`Router::pool`]) cannot change any
 //! replica's state: each replica's simulation inside a window depends
 //! only on its own inputs. Traces stay deterministic by giving each
 //! replica its own [`SharedRecorder`]
@@ -294,10 +294,10 @@ impl<B: ServingBackend + Send> Router<B> {
         self
     }
 
-    /// Installs a persistent worker [`Pool`] for windowed replica
-    /// stepping (see the [module docs](self)). With a serial pool — the
-    /// default — replicas step sequentially; wider pools partition them
-    /// across the parked workers. Results are bit-identical either way.
+    /// Installs a fork/join [`Pool`] for windowed replica stepping (see
+    /// the [module docs](self)). With a serial pool — the default —
+    /// replicas step sequentially; wider pools partition them across
+    /// scoped threads. Results are bit-identical either way.
     ///
     /// Parallel stepping additionally requires
     /// [`Router::replica_recorders`]: replicas sharing one recorder

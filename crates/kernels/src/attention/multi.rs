@@ -146,8 +146,7 @@ pub fn attn_work_units(cfg: &AttnConfig, seqs: &[AttnSeq<'_>]) -> u64 {
 }
 
 /// [`paged_multi_token`] with its per-sequence partitions fanned out over
-/// a persistent [`Pool`] — the model layers pass one handle so every
-/// kernel call in an engine shares one set of parked workers.
+/// a [`Pool`] — the model layers pass the width their owner installed.
 ///
 /// Each partition is one (sub-)request: a disjoint band of output rows,
 /// computed independently into a partition-local buffer by the same
@@ -649,10 +648,10 @@ mod tests {
             })
             .collect();
         let pool = crossbeam::pool::Pool::new(4);
-        let before = pool.stats().tasks_total;
+        let before = pool.tasks_total();
         let got = paged_multi_token_pool(&cfg, &q, &kv.layer(0), &seqs, &pool);
         assert_eq!(
-            pool.stats().tasks_total,
+            pool.tasks_total(),
             before,
             "a sub-threshold batch must bypass pool dispatch entirely"
         );
@@ -963,7 +962,7 @@ mod tests {
             let blocked = paged_multi_token(&cfg, &q, &pool.layer(0), &seqs);
             assert_eq!(blocked, reference, "blocked != ref h={heads}/{kv_heads}");
             for threads in [1usize, 2, 3, 4] {
-                let workers = crossbeam::pool::Pool::global(threads);
+                let workers = crossbeam::pool::Pool::new(threads);
                 let par = paged_multi_token_pool(&cfg, &q, &pool.layer(0), &seqs, &workers);
                 assert_eq!(par, reference, "par({threads}) != ref h={heads}/{kv_heads}");
             }

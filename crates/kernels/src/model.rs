@@ -344,16 +344,16 @@ pub(crate) struct Shard {
     pub(crate) layers: Vec<LayerWeights>,
     /// `[hidden, vocab / shards]`.
     pub(crate) lm_head: Matrix,
-    /// Persistent worker pool for the batched kernels; width 1 runs them
+    /// Fork/join pool for the batched kernels; width 1 runs them
     /// inline.
     pub(crate) pool: Pool,
 }
 
 impl Shard {
-    /// Installs the process-wide persistent pool of width `threads`
-    /// ([`Pool::global`], which clamps `0` to the inline width-1 pool).
+    /// Installs a pool of width `threads` ([`Pool::new`], which clamps
+    /// `0` to the inline width-1 pool).
     pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::global(threads);
+        self.pool = Pool::new(threads);
     }
 
     /// This shard's partial of `stage` over `input` (see [`Stage`]).
@@ -527,9 +527,8 @@ impl TinyModel {
 
     /// Sets the number of worker threads used by the batched compute
     /// kernels ([`matmul_pool`] row partitions, [`paged_multi_token_pool`]
-    /// sequence partitions) by installing the process-wide persistent
-    /// pool of that width ([`Pool::global`]) — workers are parked between
-    /// calls, never respawned.
+    /// sequence partitions) by installing a pool of that width
+    /// ([`Pool::new`]; each fan-out forks scoped threads and joins them).
     ///
     /// Forward-pass results are **bit-identical** at every thread count:
     /// partitions are disjoint output regions merged sequentially in a

@@ -4,7 +4,7 @@
 //! **bit-identical** to the scalar reference [`matmul_ref`] (same
 //! per-element accumulation order, only the iteration schedule and memory
 //! layout change). [`matmul_pool`] additionally fans the row dimension out
-//! over a persistent worker pool; rows are disjoint output partitions, so
+//! over a fork/join pool; rows are disjoint output partitions, so
 //! it too is bit-identical. The remaining operators are straightforward
 //! scalar implementations — they are not on the critical path.
 
@@ -167,9 +167,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     matmul_rows(a, b, 0, a.rows())
 }
 
-/// `C = A * B` with the row dimension fanned out over a persistent
-/// [`Pool`] — the model layers pass one handle so every kernel call in an
-/// engine shares one set of parked workers.
+/// `C = A * B` with the row dimension fanned out over a [`Pool`] —
+/// the model layers pass the width their owner installed.
 ///
 /// Rows of `C` are disjoint output partitions computed independently by
 /// the blocked kernel and copied back in partition order, so the result is
@@ -469,7 +468,7 @@ mod tests {
         let b = lcg_matrix(11, 96, 140);
         let want = matmul_ref(&a, &b);
         for threads in [1usize, 2, 3, 4, 8] {
-            let pool = crossbeam::pool::Pool::global(threads);
+            let pool = crossbeam::pool::Pool::new(threads);
             assert_eq!(matmul_pool(&a, &b, &pool), want, "threads={threads}");
         }
     }
@@ -484,10 +483,10 @@ mod tests {
         // 8 rows x 32 x 32: volume 8192 < GEMM_MIN_VOLUME per partition.
         let a = lcg_matrix(5, 8, 32);
         let b = lcg_matrix(6, 32, 32);
-        let before = pool.stats().tasks_total;
+        let before = pool.tasks_total();
         let got = matmul_pool(&a, &b, &pool);
         assert_eq!(
-            pool.stats().tasks_total,
+            pool.tasks_total(),
             before,
             "sub-threshold product must not pay pool dispatch"
         );
@@ -495,10 +494,10 @@ mod tests {
         // Bench prefill projection shape: clears the threshold, fans out.
         let a = lcg_matrix(7, 256, 512);
         let b = lcg_matrix(8, 512, 512);
-        let before = pool.stats().tasks_total;
+        let before = pool.tasks_total();
         let got = matmul_pool(&a, &b, &pool);
         assert!(
-            pool.stats().tasks_total > before,
+            pool.tasks_total() > before,
             "prefill-shaped product must use the pool"
         );
         assert_eq!(got, matmul(&a, &b), "parallel path is bit-identical");

@@ -2,7 +2,7 @@
 //! below the paper's GPU + CPU pair with simulated SSD and cold
 //! object-store tiers (see `docs/STORAGE.md` at the repository root)
 //! and *across* conversations with content-addressed shared chunks
-//! (`DESIGN.md` §14).
+//! (`DESIGN.md` §13).
 //!
 //! This crate implements the paper's cache manager at the *decision* level:
 //! which chunks live where, what gets evicted when, and what a returning

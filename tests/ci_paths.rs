@@ -222,7 +222,7 @@ fn denied_lints(rel: &str) -> Vec<String> {
 /// The clippy scopes the workspace's invariants rest on (docs/LINTS.md):
 /// a crate root that loses a deny, a hot-path file that loses
 /// `indexing_slicing`, a `clippy.toml` that loses a disallowed method or
-/// type, or a lock waived in a third module would otherwise shrink a
+/// type, or a lock waived in a second module would otherwise shrink a
 /// scope with no test failing.
 #[test]
 fn every_hot_path_scope_denies_its_clippy_lints() {
@@ -308,8 +308,71 @@ fn every_hot_path_scope_denies_its_clippy_lints() {
     lock_owners.sort_unstable();
     assert_eq!(
         lock_owners,
-        ["crates/obs/src/recorder.rs", "shims/crossbeam/src/lib.rs"],
-        "only the pool and the trace recorder may own a lock"
+        ["crates/obs/src/recorder.rs"],
+        "only the trace recorder may own a lock"
+    );
+}
+
+/// The workspace has no `unsafe`, and `forbid` keeps it so: unlike
+/// `deny`, no crate, module or item below it can allow it back.
+#[test]
+fn every_manifest_forbids_unsafe_code() {
+    let mut manifests = vec!["Cargo.toml".to_owned()];
+    for dir in ["crates", "shims"] {
+        let files = files_under(dir).into_iter();
+        manifests.extend(files.filter(|f| f.ends_with("/Cargo.toml")));
+    }
+    let mut forbidding = Vec::new();
+    for manifest in manifests {
+        for line in read(&manifest).lines() {
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            if key.trim() == "unsafe_code" {
+                assert_eq!(
+                    value.trim(),
+                    "\"forbid\"",
+                    "{manifest} sets unsafe_code to something other than forbid"
+                );
+                forbidding.push(manifest.clone());
+            }
+        }
+    }
+    assert!(
+        forbidding.iter().any(|m| m == "Cargo.toml"),
+        "the workspace lint table no longer forbids unsafe_code"
+    );
+}
+
+/// CI's waiver budget is pinned to the current count, as its step says:
+/// a removed `#[expect]` lowers it, so a later one cannot take the freed
+/// slot unreviewed. The needles are built at run time so this file
+/// matches neither.
+#[test]
+fn the_waiver_budget_is_the_waiver_count() {
+    let ci = read(".github/workflows/ci.yml");
+    let (_, step) = ci
+        .split_once("name: Waiver ledger + budget gate")
+        .expect("ci.yml has the waiver budget step");
+    let budget: usize = step
+        .split_once("-le ")
+        .and_then(|(_, rest)| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .expect("the waiver step compares the count with `-le N`");
+    let needles = ["#", "#!"].map(|head| format!("{head}[{}(", "expect"));
+    let mut count = 0;
+    for dir in ["crates", "shims", "src", "tests", "examples"] {
+        for file in files_under(dir).into_iter().filter(|f| f.ends_with(".rs")) {
+            let text = read(&file);
+            let waivers = text
+                .lines()
+                .filter(|l| needles.iter().any(|n| l.contains(n)));
+            count += waivers.count();
+        }
+    }
+    assert_eq!(
+        budget, count,
+        "ci.yml budgets {budget} waivers, the tree has {count}"
     );
 }
 

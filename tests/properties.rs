@@ -104,7 +104,7 @@ proptest! {
             k, n, (0..k * n).map(|_| rng.random_range(-1.0..1.0)).collect());
         let reference = matmul_ref(&a, &b);
         prop_assert_eq!(&matmul(&a, &b), &reference);
-        prop_assert_eq!(&matmul_pool(&a, &b, &Pool::global(threads)), &reference);
+        prop_assert_eq!(&matmul_pool(&a, &b, &Pool::new(threads)), &reference);
     }
 
     /// The blocked and data-parallel attention kernels reproduce the
@@ -135,7 +135,7 @@ proptest! {
 
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &[seq]);
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &[seq]), &reference);
-        let workers = Pool::global(threads);
+        let workers = Pool::new(threads);
         prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &[seq], &workers), &reference);
         prop_assert_eq!(
             &paged_multi_token_pool_ungated(&cfg, &q, &layer, &[seq], &workers),
@@ -177,7 +177,7 @@ proptest! {
         ];
         let reference = paged_multi_token_ref(&cfg, &q, &layer, &seqs);
         prop_assert_eq!(&paged_multi_token(&cfg, &q, &layer, &seqs), &reference);
-        let workers = Pool::global(threads);
+        let workers = Pool::new(threads);
         prop_assert_eq!(&paged_multi_token_pool(&cfg, &q, &layer, &seqs, &workers), &reference);
         prop_assert_eq!(
             &paged_multi_token_pool_ungated(&cfg, &q, &layer, &seqs, &workers),
