@@ -57,7 +57,7 @@ const PINS: &[Pin] = &[
     Pin { name: "table2", args: &[], stdout: 0x5c3e_1ae5_14fd_c5c5, files: &[("results/table2.json", 0x0dd7_3b64_1be9_8381)] },
     Pin { name: "memory_timeline", args: &[], stdout: 0x188a_794b_edc4_354e, files: &[("results/memory_timeline.json", 0x26f1_8a9a_adba_fb31)] },
     Pin { name: "pcie_duplex", args: &[], stdout: 0x624b_57a0_e3ad_b005, files: &[("results/pcie_duplex.json", 0x2f07_7fcd_8d70_9652)] },
-    Pin { name: "bench_tiers", args: &["--smoke", "--out", "tiers.json"], stdout: 0x0ba4_af6f_fe5f_a1d9, files: &[("tiers.json", 0xf290_4111_d466_9f66)] },
+    Pin { name: "bench_tiers", args: &["--smoke", "--out", "tiers.json"], stdout: 0x3e68_0433_a781_c9b5, files: &[("tiers.json", 0x3e59_f4ab_d62c_05eb)] },
     Pin { name: "bench_sharing", args: &["--smoke", "--out", "sharing.json"], stdout: 0xb4c5_4c4d_152a_f573, files: &[("sharing.json", 0xb96a_da90_9a19_cbef)] },
 ];
 

@@ -222,14 +222,14 @@ const SCENARIOS: [Scenario; 8] = [
 /// One digest per [`DRIVES`] entry, per scenario.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 3]; 8] = [
-    [0x5667cbc575004459, 0x46b31b4571c227b2, 0x095d0a2a93c066ba], // overflow/newest-first
-    [0x74afbb3870b01ceb, 0xbbf7221bc0732d47, 0x75b823e2f4a21c0c], // overflow/oldest-first
-    [0xc61fae3d2ae88906, 0x2cade8b6b82daa59, 0x2fe0f33679ca8529], // overflow/largest-context
+    [0x87698739bf347adc, 0x25884cd4c5c70893, 0x1aa04b3b58fb8b59], // overflow/newest-first
+    [0x94a60046f718375f, 0xa48d89d80ad4c470, 0x8590409af7966989], // overflow/oldest-first
+    [0x26ef932639aae1c0, 0x4feaa72c8265014d, 0x2b470dea97522a1e], // overflow/largest-context
     [0x7bda3df127d281ac, 0x9fa65278d3117ec8, 0xb5e6b8d46fb1c3b7], // overflow/stateless-vllm
-    [0x00a5ed69d31a7a71, 0x0d816a75deda720f, 0xe4507df0dcad1b8b], // chunked-prefill/overflow
+    [0x060f5773f7b2454e, 0xbd267b50a4c072d2, 0xa575598056cf6626], // chunked-prefill/overflow
     [0xfd869862d63eddb8, 0x8e463bd1113d40d0, 0x1fa17565545c3b0a], // orca/reservation
-    [0xcb283b8330164ebf, 0xccc898ea4281176d, 0x401591498e9e297b], // shared-prefix/overflow
-    [0x3309dc91e0311515, 0x6eccf241ed824fea, 0x1d70bb1bf5e11dce], // deep-tiers/chaos
+    [0x8d01bf425b9c630a, 0x426b05afb46df54b, 0x802703e231671452], // shared-prefix/overflow
+    [0x8add939fb81684aa, 0x1269d46d47782714, 0x02721be8abc58f7b], // deep-tiers/chaos
 ];
 
 /// Digest of `handoff_with_a_suspended_request_queued`.

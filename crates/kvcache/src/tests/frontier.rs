@@ -413,21 +413,21 @@ fn an_entrant_after_first_need_waits_for_the_next_pass() {
     // its queue is built (frontier a.0), a.0 goes on to the cold store,
     // and a.2 lands on the SSD — after first need.
     let mut queues = RungQueues::default();
-    cache.demote(Victim::Conv(a, 2), CPU_RUNG, t(1.0), &mut queues);
+    cache.demote(Victim::Conv(a, 2), CPU_RUNG, None, t(1.0), &mut queues);
     assert_eq!(
         [0, 1, 2, 3].map(|i| tier_of(&cache, i)),
         [Tier::Cold, Tier::Ssd, Tier::Ssd, Tier::Ssd]
     );
     // Same pass, emptying the SSD: the walk a.1 → a.3 steps over a.2,
     // and the rung runs out of candidates with a.2 still on it.
-    assert!(!cache.ensure_space(1, 96, t(1.0), &mut queues));
+    assert!(!cache.ensure_space(1, 96, None, t(1.0), &mut queues));
     assert_eq!(
         [0, 1, 2, 3].map(|i| tier_of(&cache, i)),
         [Tier::Cold, Tier::Cold, Tier::Ssd, Tier::Cold]
     );
     assert_eq!(cache.check_invariants(), Ok(()));
     // The next pass takes it.
-    assert!(cache.ensure_space(1, 96, t(1.0), &mut RungQueues::default()));
+    assert!(cache.ensure_space(1, 96, None, t(1.0), &mut RungQueues::default()));
     assert_eq!(tier_of(&cache, 2), Tier::Cold);
 }
 

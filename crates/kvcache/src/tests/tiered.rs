@@ -632,6 +632,78 @@ fn eviction_cascades_down_the_tier_hierarchy() {
     assert_eq!(cache.stats().dropped_tokens, 32);
 }
 
+/// A ladder one 32-token chunk deep on the GPU and the CPU and `deep`
+/// tokens deep below: one chunk per `(session, tier)` of `staged`
+/// imported oldest first, then an idle conversation, `SessionId(2)`,
+/// filling the GPU.
+fn one_chunk_ladder(deep: usize, staged: &[(SessionId, Tier)]) -> TieredKvCache {
+    let mut cache = deep_cache(32, 32, deep, deep);
+    for (i, &(session, tier)) in staged.iter().enumerate() {
+        let chunk = ChunkState {
+            tier,
+            tokens: 32,
+            context_end: 0,
+        };
+        let export = SessionExport {
+            session,
+            shared: Vec::new(),
+            chunks: vec![chunk],
+        };
+        assert_eq!(cache.import_session(export, t(i as f64)), Ok(32));
+    }
+    cache.append_tokens(SessionId(2), 32, t(10.0)).unwrap();
+    cache.unpin(SessionId(2));
+    cache
+}
+
+/// The tier `session`'s first chunk sits on.
+fn first_tier(cache: &TieredKvCache, session: SessionId) -> Tier {
+    cache.plan_restore(session).segments[0].1
+}
+
+/// An admission's eviction pass never makes CPU room out of the admitted
+/// conversation's own CPU chunk, the oldest there: the GPU victim is
+/// dropped instead, and the chunk is still swapped in.
+#[test]
+fn admission_keeps_its_own_cpu_chunks() {
+    let a = SessionId(1);
+    let mut cache = one_chunk_ladder(0, &[(a, Tier::Cpu)]);
+    let ops = cache.swap_out_until_for(32, Some(a), t(11.0));
+    assert_eq!(ops.len(), 1);
+    assert!(ops[0].dropped && ops[0].conv == SessionId(2));
+    assert_eq!(cache.plan_restore(a).swap_in_tokens, 32);
+    // Made for anyone, the same room costs the oldest chunk.
+    let mut cache = one_chunk_ladder(0, &[(a, Tier::Cpu)]);
+    cache.swap_out_until(32, t(11.0));
+    assert_eq!(first_tier(&cache, a), Tier::Dropped);
+}
+
+/// ...nor SSD room, demoting a CPU victim, out of its SSD chunk: the
+/// victim goes on to the cold store.
+#[test]
+fn admission_keeps_its_own_ssd_chunks() {
+    let (a, c) = (SessionId(1), SessionId(3));
+    let mut cache = one_chunk_ladder(32, &[(a, Tier::Ssd), (c, Tier::Cpu)]);
+    cache.swap_out_until_for(32, Some(a), t(11.0));
+    assert_eq!(first_tier(&cache, a), Tier::Ssd);
+    assert_eq!(first_tier(&cache, c), Tier::Cold);
+    assert_eq!(cache.check_invariants(), Ok(()));
+}
+
+/// ...nor cold room, demoting an SSD victim, out of its cold chunk: that
+/// victim is dropped instead.
+#[test]
+fn admission_keeps_its_own_cold_chunks() {
+    let (a, c, d) = (SessionId(1), SessionId(3), SessionId(4));
+    let staged = [(a, Tier::Cold), (d, Tier::Ssd), (c, Tier::Cpu)];
+    let mut cache = one_chunk_ladder(32, &staged);
+    cache.swap_out_until_for(32, Some(a), t(11.0));
+    assert_eq!(first_tier(&cache, a), Tier::Cold);
+    assert_eq!(first_tier(&cache, d), Tier::Dropped);
+    assert_eq!(first_tier(&cache, c), Tier::Ssd);
+    assert_eq!(cache.check_invariants(), Ok(()));
+}
+
 /// Eviction-family events in recording order, rendered compactly:
 /// `E` GPU eviction of a private chunk, `D` demotion, `X` drop,
 /// `S` any move of a shared chunk (labelled by `names`).
@@ -794,16 +866,16 @@ fn a_session_re_pinned_after_the_snapshot_is_skipped() {
     assert_eq!(cache.cpu_used(), 64);
     let mut queues = RungQueues::default();
     // First need: the queue holds a.0 and b.0; the older a.0 goes.
-    assert!(cache.ensure_space(CPU_RUNG, 32, t(4.0), &mut queues));
+    assert!(cache.ensure_space(CPU_RUNG, 32, None, t(4.0), &mut queues));
     cache.pin(b);
     // Same pass: b.0 is still queued but now pinned, so it is passed
     // over and the rung runs out of candidates.
-    assert!(!cache.ensure_space(CPU_RUNG, 64, t(4.0), &mut queues));
+    assert!(!cache.ensure_space(CPU_RUNG, 64, None, t(4.0), &mut queues));
     assert_eq!(moves(&rec, &[]), ["X 1.0 cpu-pressure"]);
     assert_eq!(cache.plan_restore(b).swap_in_tokens, 32);
     // Unpinned again, a fresh pass may take it.
     cache.unpin(b);
-    assert!(cache.ensure_space(CPU_RUNG, 64, t(5.0), &mut RungQueues::default()));
+    assert!(cache.ensure_space(CPU_RUNG, 64, None, t(5.0), &mut RungQueues::default()));
     assert_eq!(
         moves(&rec, &[]),
         ["X 1.0 cpu-pressure", "X 2.0 cpu-pressure"]

@@ -160,7 +160,7 @@ impl TieredKvCache {
             // Make CPU room and copy; if impossible, drop the chunk —
             // unless sharers still need it, in which case it stays
             // resident rather than burn them all.
-            let copied = self.ensure_space(CPU_RUNG, tokens, now, &mut queues);
+            let copied = self.ensure_space(CPU_RUNG, tokens, for_conv, now, &mut queues);
             if !copied && sharers > 0 {
                 continue;
             }
@@ -223,7 +223,7 @@ impl TieredKvCache {
                     // Each chunk evicts against fresh queues, so this
                     // conversation's own just-moved chunks are candidates.
                     let mut queues = RungQueues::default();
-                    let copied = self.ensure_space(CPU_RUNG, tokens, now, &mut queues);
+                    let copied = self.ensure_space(CPU_RUNG, tokens, None, now, &mut queues);
                     self.recycle(queues.into_iter().flatten());
                     if copied {
                         self.stats.swapped_out_tokens += tokens as u64;
@@ -341,14 +341,16 @@ impl TieredKvCache {
     /// Frees room for `tokens` on ladder rung `rung` by demoting
     /// policy-chosen residents further down (dropping them off the
     /// bottom). The rung's candidate queue is built at first need and
-    /// kept in `queues` for the rest of the pass. Returns false if the
-    /// rung does not exist, is disabled or smaller than the chunk, or
-    /// runs out of candidates — the caller then looks further down, or
-    /// drops instead.
+    /// kept in `queues` for the rest of the pass; it never offers a chunk
+    /// of `skip`, the conversation the pass makes room for, whose chunks
+    /// it is about to restore. Returns false if the rung does not exist,
+    /// is disabled or smaller than the chunk, or runs out of candidates —
+    /// the caller then looks further down, or drops instead.
     pub(super) fn ensure_space(
         &mut self,
         rung: usize,
         tokens: usize,
+        skip: Option<SessionId>,
         now: SimTime,
         queues: &mut RungQueues,
     ) -> bool {
@@ -362,11 +364,11 @@ impl TieredKvCache {
             let Some(slot) = queues.get_mut(rung) else {
                 return false;
             };
-            let queue = slot.get_or_insert_with(|| self.candidate_queue(tier, None, now));
+            let queue = slot.get_or_insert_with(|| self.candidate_queue(tier, skip, now));
             let Some(victim) = self.next_candidate(queue, now) else {
                 return false;
             };
-            self.demote(victim, rung, now, queues);
+            self.demote(victim, rung, skip, now, queues);
         }
         true
     }
@@ -374,13 +376,14 @@ impl TieredKvCache {
     /// Moves one candidate off ladder rung `from`: onto the first rung
     /// below that has (or can make) room, else — with nowhere to go —
     /// dropped if nobody shares it and left in place if somebody does
-    /// (dropping would burn every sharer). Deeper victims are displaced,
-    /// and their events recorded, before this one moves. A stale
-    /// candidate is a no-op.
+    /// (dropping would burn every sharer). Deeper victims, never chunks
+    /// of `skip`, are displaced, and their events recorded, before this
+    /// one moves. A stale candidate is a no-op.
     pub(super) fn demote(
         &mut self,
         victim: Victim,
         from: usize,
+        skip: Option<SessionId>,
         now: SimTime,
         queues: &mut RungQueues,
     ) {
@@ -393,7 +396,7 @@ impl TieredKvCache {
         // Find room *before* touching the victim, so a failed placement
         // leaves it exactly where it was.
         let landing = (from + 1..self.ladder.len())
-            .find(|&rung| self.ensure_space(rung, tokens, now, queues))
+            .find(|&rung| self.ensure_space(rung, tokens, skip, now, queues))
             .and_then(|rung| self.ladder.get(rung).copied());
         match landing {
             Some(rung) => {

@@ -65,17 +65,17 @@ const CONFIGS: [(&str, Policy, usize, usize); 11] = [
 /// Digests captured on the pre-refactor `tiered.rs`, `[config][seed]`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 11] = [
-    [0x5599ca6f4215f63a, 0x76f50ecf91ed8a70, 0x7cd7994f770b07db, 0xe0f61ced8158626e], // retention/two-tier
-    [0x499b99ef4eb66edd, 0xe6dbde109ccae298, 0x088d8c22e78956e1, 0x413bda5e81467637], // retention/deep
-    [0x3bcf49e468244b3e, 0x37231991ae298328, 0x639835fb7d08cf7e, 0x76e10cc1b2fa533a], // lru/two-tier
-    [0x1cc75f54248e9790, 0x29f49e6d3ec1807b, 0xc116e5b56c009c28, 0x5acab8957a10ab98], // lru/deep
-    [0x964ded8f8a58ec40, 0x6577bf1bb9edcc27, 0x5623a17570f24244, 0x43c12fbb41314514], // cached-attention/two-tier
-    [0x8fb55faa99242509, 0xef6e3e0d849956e9, 0x74b760983427ee3f, 0x1d7a835054cdad9c], // cached-attention/deep
-    [0x18fdf8a7cc25953a, 0x58265e3c201d9ab2, 0x7037474d20f41132, 0xfb28322278776b25], // trailing-end/two-tier
-    [0xcf373da8187479f3, 0xf87bd9653a524e03, 0x2bd7ca0c98c2236a, 0x86108fbc6224a893], // trailing-end/deep
-    [0x23eaa302b2eb92b5, 0xb346a626d0fcf98a, 0x93444613df3470e8, 0x4a949417670f95a6], // retention/cold-only
-    [0xc54c3d34376a2498, 0xc5d0d2fafab2105e, 0xe0ed1b702b53a97d, 0x0d374692ee364919], // retention/ssd-only
-    [0x42b80f8dc7bfc5c5, 0x56fdfa38e49d19b0, 0xc16ea6ecb23f9f52, 0x611fced3945771fc], // lru/ssd-under-a-chunk
+    [0xcbf564f0da9343ab, 0x08c80052eb163ec9, 0xa553fdb37d765751, 0xd26ed7862bfbcb31], // retention/two-tier
+    [0xc5747df9675a390d, 0x64c739fb24253ba6, 0xab400417f71ffe8e, 0xba889031b01896ba], // retention/deep
+    [0xcc87bb1e965dd7a4, 0x2249fac4e5c5862d, 0xd572b5dd474c49fd, 0xd3eb955914b4ee5d], // lru/two-tier
+    [0xecf18dc0dcb5106a, 0x58b8cd895b3b0966, 0x49700f98781f7d57, 0x28cd6a48e1489970], // lru/deep
+    [0x92ed4591ef7c4dc9, 0x9539263f27d61076, 0xbeb309c9d203be8d, 0xab2dec6c74192660], // cached-attention/two-tier
+    [0x182de0c1086334a2, 0x720dc7bc71a0344c, 0x3ea807a1e03aa452, 0xfe4c62b1371b47a3], // cached-attention/deep
+    [0xd3373f50454d9f6b, 0x63a9f3016ec0bf4d, 0x035084aa7c3f9626, 0xc69b35123be1591d], // trailing-end/two-tier
+    [0xeafefdb75d42690b, 0x37b159c1431a0a8b, 0x44fd95aae8c1f04b, 0xbb0b0a61876058c7], // trailing-end/deep
+    [0x224650726c1ea9f7, 0x0ee981e0d8b838bf, 0x6b775f29e5323938, 0xc758185c69e86cdf], // retention/cold-only
+    [0xe104450fc89b0e65, 0xb65fec8706c346bb, 0x7a22abe9bb97c024, 0x53ffae260fe3ec81], // retention/ssd-only
+    [0xf27c2b16a26e8d35, 0xf793988ad87297a8, 0x1974e77bc7c799dd, 0x6ba35808237e4970], // lru/ssd-under-a-chunk
 ];
 
 #[derive(Clone, Copy)]
