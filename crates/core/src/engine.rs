@@ -29,6 +29,7 @@
 
 use std::collections::VecDeque;
 
+use pensieve_kernels::model::{PagedModel, TinyModel};
 use pensieve_kvcache::{
     CacheConfig, CacheStats, CachedAttentionPolicy, EvictionPolicy, LruPolicy, RequestPlan,
     RetentionValuePolicy, SessionExport, SessionId, SessionManifest, TieredKvCache,
@@ -58,6 +59,12 @@ use crate::request::{Request, Response};
 /// content-addressed chunk chain, so manifests and migrations re-attach
 /// it by id.
 const SHARED_PREAMBLE_SEED: u64 = 0x50_45_4e_53; // "PENS"
+
+/// The executor a tick is carried out on, if any.
+type Exec<'a, M> = Option<&'a mut Executor<M>>;
+
+/// The simulated path: no executor.
+const SIM: Exec<'static, TinyModel> = None;
 
 /// One request's lifecycle state — the record both the wait queue and the
 /// running batch hold. A suspended request (§4.3.5) is this record back
@@ -532,12 +539,12 @@ impl SimServingEngine {
 
     /// Runs until every submitted request has completed.
     pub fn run_until_idle(&mut self) {
-        self.advance(Limit::Drained, false, None);
+        self.advance(Limit::Drained, false, SIM);
     }
 
     /// [`ServingBackend::submit`] for an engine whose ticks `x` carries
     /// out: the request's prompt ids join its conversation's raw tokens.
-    pub(crate) fn submit_on(&mut self, req: Request, x: &mut Executor) {
+    pub(crate) fn submit_on<M: PagedModel>(&mut self, req: Request, x: &mut Executor<M>) {
         x.store
             .append(req.conv, req.prompt_ids.as_deref().unwrap_or_default());
         self.submit(req);
@@ -546,7 +553,7 @@ impl SimServingEngine {
     /// Runs until `until` (see [`ServingBackend::run_until`]), or
     /// until idle with none, with `x` carrying every tick out on real K/V
     /// bytes. No quiet run is taken: each tick is one real forward pass.
-    pub(crate) fn run_on(&mut self, x: &mut Executor, until: Option<SimTime>) {
+    pub(crate) fn run_on<M: PagedModel>(&mut self, x: &mut Executor<M>, until: Option<SimTime>) {
         self.advance(until.map_or(Limit::Drained, Limit::Until), false, Some(x));
     }
 
@@ -564,7 +571,7 @@ impl SimServingEngine {
     /// reaches an [`Limit::Until`] deadline (an iteration in flight at
     /// the deadline finishes; the clock may overshoot), or when nothing
     /// is left inside the limit.
-    fn advance(&mut self, limit: Limit, on_response: bool, mut x: Option<&mut Executor>) -> bool {
+    fn advance<M: PagedModel>(&mut self, limit: Limit, on_response: bool, mut x: Exec<M>) -> bool {
         loop {
             if on_response && !self.responses.is_empty() {
                 return true;
@@ -768,7 +775,7 @@ impl SimServingEngine {
 
     /// One scheduler clock tick: grow decodes, swap, admit, execute —
     /// on real K/V bytes too when `x` is given.
-    fn iteration(&mut self, mut x: Option<&mut Executor>) {
+    fn iteration<M: PagedModel>(&mut self, mut x: Exec<M>) {
         // Under injected faults a tick can admit nothing and retry; such
         // ticks repeat the same iteration index (the counter only
         // advances when a batch executes) and have no matching
@@ -808,7 +815,7 @@ impl SimServingEngine {
     /// revert to plain GPU residency — either way the cache accounting
     /// stays exact and the request-visible recovery path is the existing
     /// Figure-5 restore machinery.
-    fn fault_tick(&mut self, mut x: Option<&mut Executor>) {
+    fn fault_tick<M: PagedModel>(&mut self, mut x: Exec<M>) {
         let Some(inj) = self.faults.as_mut() else {
             return;
         };
@@ -976,7 +983,7 @@ impl SimServingEngine {
 
     /// FCFS admission under the token budget and decode reserve. A real
     /// executor `x` first verifies the front's held host bytes.
-    fn admit(&mut self, mut x: Option<&mut Executor>) {
+    fn admit<M: PagedModel>(&mut self, mut x: Exec<M>) {
         let reserve = self.cache.config().decode_reserve_tokens();
         loop {
             if self.running.len() >= self.cfg.max_batch_requests {
@@ -1326,7 +1333,7 @@ impl SimServingEngine {
 
     /// Executes the iteration's model invocation(s) — on `x` too, when
     /// given — and advances the clock.
-    fn execute(&mut self, x: Option<&mut Executor>) {
+    fn execute<M: PagedModel>(&mut self, x: Exec<M>) {
         let chunk_cap = self.cfg.chunked_prefill.unwrap_or(usize::MAX);
         let prefill_shapes = &mut self.prefill_batch.seqs;
         let decode_shapes = &mut self.decode_batch.seqs;
@@ -1526,7 +1533,7 @@ impl ServingBackend for SimServingEngine {
     /// busy-advancing one replica's clock to its next arrival would let
     /// it leap past its siblings.
     fn poll(&mut self, deadline: Option<SimTime>) -> bool {
-        self.advance(deadline.map_or(Limit::Present, Limit::Until), true, None)
+        self.advance(deadline.map_or(Limit::Present, Limit::Until), true, SIM)
     }
 
     fn responses_ready(&self) -> bool {
@@ -1545,7 +1552,7 @@ impl ServingBackend for SimServingEngine {
     /// at `t` finishes; the clock may overshoot) or all work completes;
     /// an engine with nothing due before `t` lands exactly on `t`.
     fn run_until(&mut self, t: SimTime) {
-        self.advance(Limit::Until(t), false, None);
+        self.advance(Limit::Until(t), false, SIM);
     }
 
     fn is_idle(&self) -> bool {

@@ -1,36 +1,38 @@
 //! The real executor: [`SimServingEngine`](crate::SimServingEngine)
 //! borrows one for every tick it runs through `run_on` and carries the
-//! tick out on real K/V bytes (see [`crate::functional`]).
+//! tick out on real K/V bytes (see [`crate::functional`]), whatever the
+//! model's shard count ([`PagedModel`]).
 //!
 //! Each tick it first moves the K/V bytes to match the tick's cache calls,
-//! one chunk per [`PagedKvCache`] block:
+//! one chunk per block:
 //!
 //! * a chunk the cache places on the GPU, resident or lazily copied, has
-//!   a pool block;
-//! * one on a host rung (CPU, SSD or cold) has checksummed bytes in one
-//!   host map, copied out when the cache reclaims its GPU slot — the
-//!   lazy copy, made at the last moment it can be;
+//!   a block, numbered once for every shard by the executor's pool;
+//! * one on a host rung (CPU, SSD or cold) has checksummed full-width
+//!   bytes in one host map, copied out when the cache reclaims its GPU
+//!   slot — the lazy copy, made at the last moment it can be;
 //! * a dropped one has neither, and the row that restores it recomputes
 //!   it from the raw tokens in [`TokenChunkStore`] as a leading
 //!   sub-request (paper Figure 8).
 //!
 //! Then the whole batch — prefill rows with their dropped-range
 //! sub-requests, chunked-prefill slices and decode rows — runs through
-//! one [`TinyModel::forward`] call, and every row that reaches its
-//! conversation's last token appends the argmax to the store. A chunk
-//! that leaves the GPU before any tick wrote it (a request suspended in
-//! the tick its growth opened the chunk) goes to the host map as a block
-//! of zeros. A tick that runs no batch (possible only under injected
-//! faults) moves no bytes; the next batch's sync catches up, and the
-//! bytes it copies out are untouched meanwhile.
+//! one forward pass, and every row that reaches its conversation's last
+//! token appends the argmax to the store. A chunk that leaves the GPU
+//! before any tick wrote it (a request suspended in the tick its growth
+//! opened the chunk) goes to the host map as a block of zeros. A tick
+//! that runs no batch (possible only under injected faults) moves no
+//! bytes; the next batch's sync catches up, and the bytes it copies out
+//! are untouched meanwhile. Once the model fails (a worker of the
+//! threaded fleet died) the executor does nothing more.
 
 use std::collections::BTreeMap;
 
-use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
+use pensieve_kernels::model::{PagedModel, SegmentInput, SeqInput};
 use pensieve_kernels::ops::argmax;
 use pensieve_kernels::paged::{BlockTable, PagedKvCache};
 use pensieve_kvcache::{SessionId, Tier, TieredKvCache, TokenChunkStore};
-use pensieve_model::{ModelConfig, SimTime};
+use pensieve_model::SimTime;
 use pensieve_sim::FaultInjector;
 
 use crate::functional::FunctionalConfig;
@@ -46,9 +48,11 @@ fn checksum(kv: &[f32]) -> u64 {
     })
 }
 
-/// The model, the paged pool, the host map and the raw-token store.
-pub(crate) struct Executor {
-    pub(crate) model: TinyModel,
+/// The model, its blocks, the host map and the raw-token store.
+pub(crate) struct Executor<M: PagedModel> {
+    pub(crate) model: M,
+    /// Numbers the blocks of every table — and, for the whole model,
+    /// stores them.
     pool: PagedKvCache,
     /// Each conversation's logical-to-physical map: block `i` holds
     /// chunk `i`.
@@ -67,17 +71,16 @@ pub(crate) struct Executor {
     pub(crate) corrupt: u64,
 }
 
-impl Executor {
-    /// An executor with `seed`'s deterministic random weights for `cfg`'s
-    /// memory system. Its pool may hold one block per slot of the GPU
-    /// budget — every GPU chunk holds at least one slot the cache charges,
-    /// so no allocation the cache granted fails — and costs memory only
-    /// for the blocks it has used.
-    pub(crate) fn new(model_cfg: &ModelConfig, seed: u64, cfg: &FunctionalConfig) -> Self {
-        let (bs, model) = (cfg.block_size, TinyModel::new_random(model_cfg, seed));
-        let slots = cfg.pool_blocks * bs;
+impl<M: PagedModel> Executor<M> {
+    /// An executor running `model` on `cfg`'s memory system. It may use
+    /// one block per slot of the GPU budget — every GPU chunk holds at
+    /// least one slot the cache charges, so no allocation the cache
+    /// granted fails — and a pool costs memory only for the blocks it
+    /// has used.
+    pub(crate) fn new(model: M, cfg: &FunctionalConfig) -> Self {
+        let bs = cfg.block_size;
         Executor {
-            pool: PagedKvCache::new(model.kv_layout(bs), model_cfg.num_layers, slots),
+            pool: model.pool(bs, cfg.pool_blocks * bs),
             model,
             tables: BTreeMap::new(),
             host: BTreeMap::new(),
@@ -96,7 +99,8 @@ impl Executor {
     /// host rung and otherwise recomputed or written by its next rows.
     fn sync(&mut self, cache: &TieredKvCache, running: impl Iterator<Item = SessionId>) {
         let bs = self.pool.layout().block_size;
-        let zeros = 2 * self.pool.layout().block_floats() * self.model.config().num_layers;
+        let cfg = self.model.config();
+        let zeros = 2 * bs * cfg.kv_hidden() * cfg.num_layers;
         for (&conv, table) in &mut self.tables {
             let plan = cache.plan_restore(conv);
             for (range, tier) in plan.segments.into_iter().filter(|s| s.1 != Tier::Gpu) {
@@ -105,7 +109,7 @@ impl Executor {
                     if tier == Tier::Dropped {
                         self.host.remove(&(conv, b));
                     } else if let Some(phys) = table.get_block(b) {
-                        let kv = self.pool.read_block(phys);
+                        let kv = self.model.read_block(&self.pool, phys);
                         self.host.insert((conv, b), (checksum(&kv), kv));
                     } else if b * bs >= table.len() {
                         let kv = vec![0.0; zeros];
@@ -123,7 +127,7 @@ impl Executor {
             let stale = self.stale.entry(conv).or_default();
             for (b, phys) in filled.into_iter().flatten() {
                 match self.host.remove(&(conv, b)) {
-                    Some((_, kv)) => self.pool.write_block(phys, &kv),
+                    Some((_, kv)) => self.model.write_block(&mut self.pool, phys, &kv),
                     None => stale.extend(b * bs..table.len().min((b + 1) * bs)),
                 }
             }
@@ -138,6 +142,9 @@ impl Executor {
     /// its stale positions first, as leading sub-requests, then the
     /// positions past its table.
     pub(crate) fn execute(&mut self, cache: &TieredKvCache, rows: &[(SessionId, Option<usize>)]) {
+        if !self.model.alive() {
+            return;
+        }
         self.sync(cache, rows.iter().map(|&(conv, _)| conv));
         let mut batch = Vec::with_capacity(rows.len());
         for &(conv, limit) in rows {
@@ -172,11 +179,12 @@ impl Executor {
                 table,
             })
             .collect();
-        let logits = self.model.forward(&mut self.pool, &mut seqs);
-        assert!(logits.is_ok(), "a row outgrew its cache charge");
+        let logits = self.model.run(&mut self.pool, &mut seqs);
+        let ran = logits.is_some() || !self.model.alive();
+        assert!(ran, "a row outgrew its cache charge");
         for (i, (conv, table, _, emits)) in batch.into_iter().enumerate() {
             self.tables.insert(conv, table);
-            if let (true, Ok(logits)) = (emits, &logits) {
+            if let (true, Some(logits)) = (emits, &logits) {
                 self.store.append(conv, &[argmax(logits.row(i)) as u32]);
             }
         }
@@ -218,7 +226,24 @@ impl Executor {
 }
 
 #[cfg(test)]
-impl Executor {
+impl<M: PagedModel> Executor<M> {
+    /// A mutation: copies one held chunk's host bytes, checksum and all,
+    /// over another held chunk of the same conversation, which is then
+    /// restored with the wrong K/V. (Trading the two would not do:
+    /// attention sums over its context in any order, so K/V pairs that
+    /// swap places leave later rows' logits as they were.) False if no
+    /// conversation holds two chunks.
+    pub(crate) fn misplace_held_chunk(&mut self) -> bool {
+        let keys = self.host.keys().zip(self.host.keys().skip(1));
+        let Some((a, b)) = keys.map(|(a, b)| (*a, *b)).find(|(a, b)| a.0 == b.0) else {
+            return false;
+        };
+        if let Some(held) = self.host.get(&b).cloned() {
+            self.host.insert(a, held);
+        }
+        true
+    }
+
     /// Positions of `conv` whose K/V the pool holds or held.
     pub(crate) fn computed(&self, conv: SessionId) -> usize {
         self.tables.get(&conv).map_or(0, BlockTable::len)

@@ -10,9 +10,10 @@
 //! Each tick the executor moves the K/V bytes to match the cache, one
 //! chunk per paged block, and runs the whole batch — prefill rows with
 //! their dropped-range sub-requests, chunked-prefill slices and decode
-//! rows — through one
-//! [`TinyModel::forward`](pensieve_kernels::model::TinyModel::forward)
-//! call.
+//! rows — through one forward pass of its model: by default the whole
+//! [`TinyModel`] on one pool, or a tensor-parallel form of it
+//! ([`PagedModel`]) whose shards each store their KV-head slice of
+//! every block.
 //!
 //! Host-memory faults route through the cache as the simulated engine's
 //! do, except that an injected corruption flips a bit of held host bytes
@@ -23,6 +24,7 @@
 //! eviction policy, ladder, batch mix and suspension — a chunk restored
 //! or recomputed at the wrong position would change the logits.
 
+use pensieve_kernels::model::{PagedModel, TinyModel};
 use pensieve_kernels::ops::argmax;
 use pensieve_kvcache::{CacheError, SessionId};
 use pensieve_model::{HardwareSpec, ModelConfig};
@@ -64,10 +66,10 @@ impl Default for FunctionalConfig {
 }
 
 /// The functional serving engine: a [`SimServingEngine`] whose ticks its
-/// executor carries out on real K/V bytes.
-pub struct FunctionalEngine {
+/// executor carries out on real K/V bytes, with model `M`.
+pub struct FunctionalEngine<M: PagedModel = TinyModel> {
     engine: SimServingEngine,
-    exec: Executor,
+    pub(crate) exec: Executor<M>,
     /// Turns submitted: the last request id.
     turns: u64,
 }
@@ -81,16 +83,36 @@ impl FunctionalEngine {
     /// Panics if `cfg` has a zero block size or pool.
     #[must_use]
     pub fn new(model_cfg: &ModelConfig, seed: u64, cfg: FunctionalConfig) -> Self {
-        Self::with_engine(model_cfg, seed, &cfg, |e| e)
+        Self::with_engine(TinyModel::new_random(model_cfg, seed), &cfg, |e| e)
     }
 
-    /// [`FunctionalEngine::new`] with its engine behaviour — Pensieve with
-    /// LRU eviction, one chunk per block, the watermark as a fraction of
-    /// the pool and no decode reserve — passed through `tweak`: another
-    /// policy, a deeper ladder, chunked prefill.
+    /// Sets the number of worker threads used by the model's batched
+    /// compute kernels (see [`TinyModel::set_threads`]). Served tokens
+    /// are bit-identical at every setting, so this is purely a latency
+    /// knob.
+    pub fn set_compute_threads(&mut self, threads: usize) {
+        self.exec.model.set_threads(threads);
+    }
+
+    /// Stateless reference: greedy decode of `max_new` tokens after
+    /// `context`, recomputing everything from scratch each step.
+    #[must_use]
+    pub fn reference_decode(&self, context: &[u32], max_new: usize) -> Vec<u32> {
+        greedy_dense(&self.exec.model, context, max_new)
+    }
+}
+
+impl<M: PagedModel> FunctionalEngine<M> {
+    /// An engine executing on `model`, with its engine behaviour —
+    /// Pensieve with LRU eviction, one chunk per block, the watermark as
+    /// a fraction of the pool and no decode reserve — passed through
+    /// `tweak`: another policy, a deeper ladder, chunked prefill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has a zero block size or pool.
     pub(crate) fn with_engine(
-        model_cfg: &ModelConfig,
-        seed: u64,
+        model: M,
         cfg: &FunctionalConfig,
         tweak: impl FnOnce(EngineConfig) -> EngineConfig,
     ) -> Self {
@@ -102,13 +124,14 @@ impl FunctionalEngine {
             decode_reserve: 0.0,
             ..EngineConfig::pensieve()
         });
+        let model_cfg = model.config().clone();
         let block_bytes = model_cfg.kv_bytes_per_token() * cfg.block_size;
         let mut hw = HardwareSpec::azure_nc_a100(1);
         hw.gpu_kv_budget_bytes = block_bytes * cfg.pool_blocks;
         hw.cpu_cache_bytes_per_gpu = block_bytes * cfg.stash_blocks;
         FunctionalEngine {
-            engine: SimServingEngine::builder(engine, model_cfg.clone(), hw).build(),
-            exec: Executor::new(model_cfg, seed, cfg),
+            engine: SimServingEngine::builder(engine, model_cfg, hw).build(),
+            exec: Executor::new(model, cfg),
             turns: 0,
         }
     }
@@ -135,14 +158,6 @@ impl FunctionalEngine {
     #[must_use]
     pub fn fault_activity(&self) -> (u64, u64) {
         (self.engine.counters().chunk_faults, self.exec.corrupt)
-    }
-
-    /// Sets the number of worker threads used by the model's batched
-    /// compute kernels (see
-    /// [`TinyModel::set_threads`](pensieve_kernels::model::TinyModel::set_threads)). Served tokens are bit-identical at
-    /// every setting, so this is purely a latency knob.
-    pub fn set_compute_threads(&mut self, threads: usize) {
-        self.exec.model.set_threads(threads);
     }
 
     /// Full raw history of a conversation, composed back into logical
@@ -225,23 +240,25 @@ impl FunctionalEngine {
         let Ok(req) = req else { return };
         self.engine.submit_on(req, &mut self.exec);
     }
+}
 
-    /// Stateless reference: greedy decode of `max_new` tokens after
-    /// `context`, recomputing everything from scratch each step.
-    #[must_use]
-    pub fn reference_decode(&self, context: &[u32], max_new: usize) -> Vec<u32> {
-        let mut ctx = context.to_vec();
-        for _ in 0..max_new {
-            ctx.push(argmax(&self.exec.model.forward_dense(&ctx)) as u32);
-        }
-        ctx.split_off(context.len())
+/// Stateless greedy decoding on `model`: `max_new` tokens after
+/// `context`, each recomputed from scratch by
+/// [`TinyModel::forward_dense`].
+pub(crate) fn greedy_dense(model: &TinyModel, context: &[u32], max_new: usize) -> Vec<u32> {
+    let mut ctx = context.to_vec();
+    for _ in 0..max_new {
+        ctx.push(argmax(&model.forward_dense(&ctx)) as u32);
     }
+    ctx.split_off(context.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SuspendPolicy;
+    use crate::workers::ShardFleet;
+    use pensieve_kernels::tp::TpModel;
     use pensieve_model::SimDuration;
     use pensieve_sim::FaultConfig;
 
@@ -260,12 +277,14 @@ mod tests {
     }
 
     /// What [`serve_checked`] saw: each turn's tokens, in schedule
-    /// order; the most requests one tick started with; and the loss rolls
-    /// that fired while the cache listed a CPU copy to destroy.
+    /// order; the most requests one tick started with; the loss rolls
+    /// that fired while the cache listed a CPU copy to destroy; and the
+    /// turns that differ from stateless decoding.
     struct Served {
         tokens: Vec<Vec<u32>>,
         widest: usize,
         listed_losses: u64,
+        wrong: usize,
     }
 
     /// Serves `schedule`'s turns, `max_new` tokens each, at most `width`
@@ -274,20 +293,26 @@ mod tests {
     /// conversation runs each conversation as its own closed loop. The
     /// engine runs one tick at a time; after each the bytes are checked
     /// against the cache, and every finished turn against stateless
-    /// decoding of its conversation's full history.
-    fn serve_checked(
-        e: &mut FunctionalEngine,
+    /// decoding of its conversation's full history on `reference`. With
+    /// `misplace`, the first time a conversation holds two chunks' host
+    /// bytes the first chunk's are replaced by the second's
+    /// ([`Executor::misplace_held_chunk`]), and turns that differ are
+    /// counted instead of failing the test.
+    fn serve_checked<M: PagedModel>(
+        e: &mut FunctionalEngine<M>,
+        reference: &TinyModel,
         schedule: &[(SessionId, Vec<u32>)],
-        max_new: usize,
-        width: usize,
+        (max_new, width, misplace): (usize, usize, bool),
         cell: &str,
     ) -> Served {
-        let losses = |e: &FunctionalEngine| e.fault_counters().map_or(0, |c| c.cpu_chunk_losses);
+        let losses = |e: &FunctionalEngine<M>| e.fault_counters().map_or(0, |c| c.cpu_chunk_losses);
         let mut served = Served {
             tokens: vec![Vec::new(); schedule.len()],
             widest: 0,
             listed_losses: 0,
+            wrong: 0,
         };
+        let mut misplaced = !misplace;
         let mut pending: Vec<usize> = (0..schedule.len()).collect();
         let mut in_flight = std::collections::BTreeMap::new();
         while !pending.is_empty() || !in_flight.is_empty() {
@@ -308,15 +333,21 @@ mod tests {
             e.engine.run_on(&mut e.exec, Some(tick));
             served.listed_losses += if listed { losses(e) - before } else { 0 };
             e.exec.assert_agrees(e.engine.cache(), cell);
+            misplaced = misplaced || e.exec.misplace_held_chunk();
             for r in e.engine.drain_responses() {
                 let t = in_flight.remove(&r.conv).unwrap();
                 let history = e.history(r.conv);
                 let (context, got) = history.split_at(history.len() - max_new);
-                let want = e.reference_decode(context, max_new);
-                assert_eq!(got, want, "{cell}: {:?} turn {t}", r.conv);
+                let want = greedy_dense(reference, context, max_new);
+                if misplace {
+                    served.wrong += usize::from(got != want);
+                } else {
+                    assert_eq!(got, want, "{cell}: {:?} turn {t}", r.conv);
+                }
                 served.tokens[t] = want;
             }
         }
+        assert!(misplaced, "{cell}: no conversation held two chunks");
         served
     }
 
@@ -328,58 +359,111 @@ mod tests {
         (0..turns).flat_map(turn).collect()
     }
 
-    /// Every policy × {two-tier, deep} ladder × {clean, seeded faults},
-    /// with three conversations served one turn at a time and then all
-    /// three in flight, each as its own closed loop, so forward passes
-    /// carry several rows: each turn equals stateless decoding, the bytes
-    /// agree with the cache's placement after every tick, and every cell
-    /// swaps in and recomputes — and, with faults, has faults bite.
+    /// The memory system of the policy × ladder × fault matrix: small
+    /// enough that every cell swaps in and recomputes.
+    const MATRIX_MEM: FunctionalConfig = FunctionalConfig {
+        block_size: 4,
+        pool_blocks: 16,
+        stash_blocks: 12,
+        free_watermark: 2,
+    };
+
+    /// One cell of the matrix on `model`: three conversations served one
+    /// turn at a time (`width` 1) or all three in flight, each as its own
+    /// closed loop, so forward passes carry several rows. Each turn
+    /// equals stateless decoding, the bytes agree with the cache's
+    /// placement after every tick, and the cell swaps in and recomputes
+    /// — and, with faults, has faults bite.
+    fn matrix_cell<M: PagedModel>(
+        (model, form): (M, &str),
+        reference: &TinyModel,
+        (policy, deep, faulty, width): (PolicyKind, usize, bool, usize),
+    ) {
+        let cell = format!("{form} {policy:?} deep={deep} faulty={faulty} width={width}");
+        let mut e = FunctionalEngine::with_engine(model, &MATRIX_MEM, |e| EngineConfig {
+            policy,
+            ssd_capacity_tokens: deep,
+            cold_capacity_tokens: deep,
+            ..e
+        });
+        if faulty {
+            e.set_fault_injector(FaultInjector::new(FaultConfig {
+                cpu_chunk_loss: 0.5,
+                cpu_chunk_corruption: 0.5,
+                ..FaultConfig::disabled(fault_seed())
+            }));
+        }
+        let schedule = round_robin(3, 5, 6);
+        let served = serve_checked(&mut e, reference, &schedule, (3, width, false), &cell);
+        assert_eq!(served.widest, width, "{cell}: rows per forward pass");
+        let activity = e.cache_activity();
+        let (_, swapped_in, _, recomputed) = activity;
+        assert!(
+            swapped_in > 0 && recomputed > 0,
+            "{cell}: vacuous {activity:?}"
+        );
+        if faulty {
+            assert_ne!(e.fault_activity(), (0, 0), "{cell}: no fault bit");
+        }
+    }
+
+    /// Every policy × {two-tier, deep} ladder × {clean, seeded faults} ×
+    /// {one turn at a time, three in flight} on the whole model and on
+    /// two threaded shards, and one cell on four OPT shards, serial and
+    /// threaded: see [`matrix_cell`].
     #[test]
     fn policy_ladder_fault_matrix_matches_stateless() {
         let cfg = ModelConfig::tiny_llama();
-        let mem = FunctionalConfig {
-            block_size: 4,
-            pool_blocks: 16,
-            stash_blocks: 12,
-            free_watermark: 2,
-        };
         let policies = [
             PolicyKind::RetentionValue,
             PolicyKind::Lru,
             PolicyKind::WholeConversation,
             PolicyKind::TrailingEnd,
         ];
+        let reference = TinyModel::new_random(&cfg, 19);
         for policy in policies {
             for deep in [0, 8] {
                 for (faulty, width) in [(false, 1), (true, 1), (false, 3), (true, 3)] {
-                    let cell = format!("{policy:?} deep={deep} faulty={faulty} width={width}");
-                    let mut e = FunctionalEngine::with_engine(&cfg, 19, &mem, |e| EngineConfig {
-                        policy,
-                        ssd_capacity_tokens: deep,
-                        cold_capacity_tokens: deep,
-                        ..e
-                    });
-                    if faulty {
-                        e.set_fault_injector(FaultInjector::new(FaultConfig {
-                            cpu_chunk_loss: 0.5,
-                            cpu_chunk_corruption: 0.5,
-                            ..FaultConfig::disabled(fault_seed())
-                        }));
-                    }
-                    let served = serve_checked(&mut e, &round_robin(3, 5, 6), 3, width, &cell);
-                    assert_eq!(served.widest, width, "{cell}: rows per forward pass");
-                    let activity = e.cache_activity();
-                    let (_, swapped_in, _, recomputed) = activity;
-                    assert!(
-                        swapped_in > 0 && recomputed > 0,
-                        "{cell}: vacuous {activity:?}"
-                    );
-                    if faulty {
-                        assert_ne!(e.fault_activity(), (0, 0), "{cell}: no fault bit");
-                    }
+                    let cell = (policy, deep, faulty, width);
+                    let whole = TinyModel::new_random(&cfg, 19);
+                    matrix_cell((whole, "whole"), &reference, cell);
+                    let fleet = ShardFleet::new(&reference, 2, 4);
+                    matrix_cell((fleet, "2 threaded shards"), &reference, cell);
                 }
             }
         }
+        let opt = TinyModel::new_random(&ModelConfig::tiny_opt(), 19);
+        let cell = (PolicyKind::RetentionValue, 8, true, 3);
+        matrix_cell(
+            (TpModel::new(&opt, 4, 4), "opt, 4 serial shards"),
+            &opt,
+            cell,
+        );
+        matrix_cell(
+            (ShardFleet::new(&opt, 4, 4), "opt, 4 threaded shards"),
+            &opt,
+            cell,
+        );
+    }
+
+    /// The stateless-equality check cannot pass vacuously: one held
+    /// chunk's host bytes restored into another chunk's block — a chunk
+    /// restored at the wrong position — make some turn differ, on the
+    /// whole model and on two threaded shards.
+    #[test]
+    fn a_misplaced_restore_fails_the_stateless_check() {
+        let cfg = ModelConfig::tiny_llama();
+        let reference = TinyModel::new_random(&cfg, 19);
+        fn wrong_turns<M: PagedModel>(model: M, reference: &TinyModel) -> usize {
+            let mut e = FunctionalEngine::with_engine(model, &MATRIX_MEM, |e| e);
+            let schedule = round_robin(3, 5, 6);
+            serve_checked(&mut e, reference, &schedule, (3, 1, true), "misplaced").wrong
+        }
+        assert_ne!(wrong_turns(TinyModel::new_random(&cfg, 19), &reference), 0);
+        assert_ne!(
+            wrong_turns(ShardFleet::new(&reference, 2, 4), &reference),
+            0
+        );
     }
 
     /// Decode growth outruns the pool: requests are suspended, their
@@ -403,11 +487,19 @@ mod tests {
             SuspendPolicy::LargestContext,
         ] {
             let cell = format!("{policy:?}");
-            let mut e = FunctionalEngine::with_engine(&cfg, 21, &mem, |e| EngineConfig {
+            let model = TinyModel::new_random(&cfg, 21);
+            let mut e = FunctionalEngine::with_engine(model, &mem, |e| EngineConfig {
                 suspend_policy: policy,
                 ..e
             });
-            serve_checked(&mut e, &round_robin(5, 2, 4), 10, 5, &cell);
+            let reference = TinyModel::new_random(&cfg, 21);
+            serve_checked(
+                &mut e,
+                &reference,
+                &round_robin(5, 2, 4),
+                (10, 5, false),
+                &cell,
+            );
             let c = e.engine.counters();
             assert!(c.suspensions > 0, "{cell}: nothing was suspended");
         }
@@ -425,11 +517,19 @@ mod tests {
             stash_blocks: 4,
             free_watermark: 2,
         };
-        let mut e = FunctionalEngine::with_engine(&cfg, 22, &mem, |e| EngineConfig {
+        let model = TinyModel::new_random(&cfg, 22);
+        let mut e = FunctionalEngine::with_engine(model, &mem, |e| EngineConfig {
             chunked_prefill: Some(5),
             ..e
         });
-        serve_checked(&mut e, &round_robin(3, 4, 13), 4, 3, "chunked");
+        let reference = TinyModel::new_random(&cfg, 22);
+        serve_checked(
+            &mut e,
+            &reference,
+            &round_robin(3, 4, 13),
+            (4, 3, false),
+            "chunked",
+        );
         let (_, _, dropped, recomputed) = e.cache_activity();
         assert!(dropped > 0 && recomputed > 0, "nothing was recomputed");
     }
@@ -599,7 +699,8 @@ mod tests {
                 })
             })
             .collect();
-        let served = serve_checked(&mut faulty, &schedule, 4, 1, "faulty");
+        let reference = TinyModel::new_random(&cfg, 17);
+        let served = serve_checked(&mut faulty, &reference, &schedule, (4, 1, false), "faulty");
         for ((conv, p), got) in schedule.iter().zip(&served.tokens) {
             assert_eq!(*got, clean.serve_turn(*conv, p, 4), "conv {}", conv.0);
         }

@@ -39,4 +39,4 @@ pub use engine::{EngineBuilder, EngineCounters, RecoveryPolicy, SimServingEngine
 pub use error::WorkerError;
 pub use functional::{FunctionalConfig, FunctionalEngine};
 pub use request::{Request, RequestBuildError, RequestBuilder, RequestId, Response};
-pub use workers::ThreadedTpEngine;
+pub use workers::{ShardFleet, ThreadedTpEngine};

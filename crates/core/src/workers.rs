@@ -3,124 +3,81 @@
 //!
 //! Pensieve's architecture is a single scheduler plus one worker per GPU;
 //! each worker owns its model partition and its slice of the KV cache and
-//! executes the scheduler's plan. [`ThreadedTpEngine`] reproduces that
-//! structure with real threads. Each worker thread owns a [`ShardRunner`]
-//! — a weight shard, the paged KV pool and the block tables only it
-//! fills — and answers commands over `std::sync::mpsc` channels. The
-//! scheduler owns the conversations' bookkeeping and a pointer to the
-//! [`ReplicatedWeights`] the shards share, and drives the same layer
-//! loop as the unsharded model, [`ReplicatedWeights::forward`]: per
-//! [`Stage`] it broadcasts the stage's input, collects one tagged partial
-//! per worker into shard order, and the loop reduces them there.
+//! executes the scheduler's plan. [`ShardFleet`] reproduces that
+//! structure with real threads, as a [`PagedModel`] the functional
+//! engine's executor drives like any other. Each worker thread owns a
+//! [`ShardRunner`] — a weight shard and its KV-head slice of every block
+//! — and answers commands over `std::sync::mpsc` channels. Each tick the
+//! executor's byte moves reach every worker as reads and writes of its
+//! slice of a block; then, per [`Stage`] of [`ReplicatedWeights::forward`],
+//! the fleet broadcasts the stage's input with the tick's batch (one pass
+//! prologue and the tables it reads, shared, not copied, between workers)
+//! and collects one tagged partial per worker into shard order, where
+//! that loop reduces them.
 //!
+//! Block ids, tables and every scheduling decision stay with the one
+//! scheduler: [`ThreadedTpEngine`] is the functional engine over a fleet.
 //! Shard order is fixed, so results are deterministic and bit-identical
 //! to the single-threaded [`TpModel`].
 
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pensieve_kernels::model::{ReplicatedWeights, SegmentInput, Stage, TinyModel};
-use pensieve_kernels::ops::argmax;
-use pensieve_kernels::paged::OutOfBlocks;
-use pensieve_kernels::tp::{ShardRunner, TpModel};
+use pensieve_kernels::model::{PagedModel, Pass, ReplicatedWeights, SeqInput, Stage, TinyModel};
+use pensieve_kernels::paged::{BlockId, BlockTable, PagedKvCache};
+use pensieve_kernels::tp::{gather_block, ShardRunner, TpModel};
 use pensieve_kernels::Matrix;
+use pensieve_kvcache::SessionId;
 use pensieve_model::ModelConfig;
 
 use crate::error::WorkerError;
+use crate::functional::{FunctionalConfig, FunctionalEngine};
+
+/// The batch of one tick: its pass prologue and its sequences' tables.
+type Batch = Arc<(Pass, Vec<BlockTable>)>;
 
 /// Scheduler-to-worker commands.
 enum Cmd {
-    BeginPass {
-        conv: u64,
-        segments: Vec<(usize, usize)>,
-    },
-    Partial {
-        stage: Stage,
-        input: Arc<Matrix>,
-    },
+    /// Reply with this worker's slice of a block.
+    Read(BlockId),
+    /// Store this worker's slice of a block's full-width bytes.
+    Write(BlockId, Arc<Vec<f32>>),
+    /// Reply with this worker's partial of a stage of the batch.
+    Partial(Stage, Arc<Matrix>, Batch),
     Shutdown,
 }
 
-/// Worker-to-scheduler responses.
-enum Res {
-    Began(Result<(), OutOfBlocks>),
-    /// Tagged with the worker's shard index.
-    Partial(usize, Matrix),
-}
-
-/// A multi-worker tensor-parallel serving engine over real threads.
-pub struct ThreadedTpEngine {
+/// A [`TpModel`]'s shards on worker threads, one each. Dropping the
+/// fleet closes its command channels, and each worker then exits.
+pub struct ShardFleet {
     replicated: Arc<ReplicatedWeights>,
     cmd_txs: Vec<Sender<Cmd>>,
-    res_rx: Receiver<Res>,
+    res_rx: Receiver<(usize, Matrix)>,
     /// `None` once joined ([`ThreadedTpEngine::kill_shard`]).
     handles: Vec<Option<JoinHandle<()>>>,
-    /// Per conversation: its context length and its not-yet-processed
-    /// final token from the previous turn (scheduler-side bookkeeping).
-    convs: HashMap<u64, (usize, u32)>,
-    /// Fail-stop flag: set on the first detected shard failure. A fleet
-    /// with a dead shard can never complete an all-reduce, and replies
-    /// from the surviving shards may still sit in `res_rx`; poisoning
-    /// makes every later call fail fast with a typed error instead of
-    /// hanging or consuming stale partials.
-    poisoned: bool,
-    /// Passive trace sink; `None` (the default) records nothing. The
-    /// functional engine has no simulated clock, so its `TpPass` events
-    /// carry a logical pass counter instead of a timestamp.
-    recorder: Option<pensieve_obs::SharedRecorder>,
-    /// Forward passes issued, for `TpPass` event numbering.
-    pass_count: u64,
+    /// The first failure detected. A fleet with a dead shard can never
+    /// complete an all-reduce, and replies from the surviving shards may
+    /// still sit in `res_rx`, so a failed fleet does nothing more.
+    failed: Option<WorkerError>,
 }
 
-impl ThreadedTpEngine {
-    /// Shards `model` across `num_shards` worker threads.
+impl ShardFleet {
+    /// Shards `model` across `num_shards` worker threads, each storing its
+    /// KV-head slice of every block of `block_size` tokens.
     ///
     /// # Panics
     ///
     /// Panics under the same divisibility conditions as
     /// [`TpModel::new`].
     #[must_use]
-    pub fn new(
-        model: &TinyModel,
-        num_shards: usize,
-        block_size: usize,
-        blocks_per_shard: usize,
-    ) -> Self {
-        Self::with_intra_threads(model, num_shards, block_size, blocks_per_shard, 1)
-    }
-
-    /// Like [`ThreadedTpEngine::new`], but each worker additionally fans
-    /// its own per-layer shard math (blocked GEMM row partitions,
-    /// attention (sequence, KV-head) partitions) out over `intra_threads`
-    /// scoped threads.
-    ///
-    /// The two axes compose: `num_shards` splits the model Megatron-style,
-    /// `intra_threads` splits each shard's operators. Results are
-    /// bit-identical at every combination — partials are accumulated in
-    /// fixed shard order and intra-operator partitions are merged in fixed
-    /// partition order.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same divisibility conditions as [`TpModel::new`].
-    #[must_use]
-    pub fn with_intra_threads(
-        model: &TinyModel,
-        num_shards: usize,
-        block_size: usize,
-        blocks_per_shard: usize,
-        intra_threads: usize,
-    ) -> Self {
-        let (replicated, shards) =
-            TpModel::new(model, num_shards, block_size, blocks_per_shard).into_parts();
+    pub fn new(model: &TinyModel, num_shards: usize, block_size: usize) -> Self {
+        let (replicated, shards) = TpModel::new(model, num_shards, block_size).into_parts();
         let (res_tx, res_rx) = channel();
         let mut cmd_txs = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for (idx, mut shard) in shards.into_iter().enumerate() {
-            shard.set_threads(intra_threads);
-            let (tx, rx): (Sender<Cmd>, Receiver<Cmd>) = channel();
+            let (tx, rx) = channel();
             let res_tx = res_tx.clone();
             cmd_txs.push(tx);
             #[expect(
@@ -130,177 +87,176 @@ impl ThreadedTpEngine {
             let handle = std::thread::spawn(move || worker_loop(idx, &mut shard, &rx, &res_tx));
             handles.push(Some(handle));
         }
-        ThreadedTpEngine {
+        ShardFleet {
             replicated,
             cmd_txs,
             res_rx,
             handles,
-            convs: HashMap::new(),
-            poisoned: false,
-            recorder: None,
-            pass_count: 0,
+            failed: None,
         }
     }
 
-    /// Attaches a trace recorder; each forward pass then records a
-    /// `TpPass` event. Recording is passive and does not change results.
-    pub fn set_recorder(&mut self, recorder: Option<pensieve_obs::SharedRecorder>) {
-        self.recorder = recorder;
+    /// Sends `make()` to every shard, detecting a dead shard at the send
+    /// side. Fails at once if the fleet already has.
+    fn broadcast(&mut self, mut make: impl FnMut() -> Cmd) -> Result<(), WorkerError> {
+        if let Some(err) = self.failed {
+            return Err(err);
+        }
+        let dead = self.cmd_txs.iter().position(|tx| tx.send(make()).is_err());
+        let err = dead.map(|i| WorkerError::ShardDisconnected { shard: Some(i) });
+        err.map_or(Ok(()), |err| Err(*self.failed.insert(err)))
+    }
+
+    /// Sends `make()` to every shard and collects every reply — its slice
+    /// of a block, or its partial of a stage — in shard order.
+    fn ask(&mut self, make: impl FnMut() -> Cmd) -> Result<Vec<Matrix>, WorkerError> {
+        self.broadcast(make)?;
+        let mut by_shard: Vec<Option<Matrix>> = self.cmd_txs.iter().map(|_| None).collect();
+        for _ in 0..by_shard.len() {
+            let Ok((idx, reply)) = self.res_rx.recv() else {
+                let err = WorkerError::ShardDisconnected { shard: None };
+                return Err(*self.failed.insert(err));
+            };
+            by_shard[idx] = Some(reply);
+        }
+        Ok(by_shard.into_iter().flatten().collect())
+    }
+}
+
+impl PagedModel for ShardFleet {
+    fn config(&self) -> &ModelConfig {
+        self.replicated.config()
+    }
+
+    fn pool(&self, block_size: usize, num_blocks: usize) -> PagedKvCache {
+        PagedKvCache::numbering(block_size, num_blocks)
+    }
+
+    fn read_block(&mut self, _: &PagedKvCache, block: BlockId) -> Vec<f32> {
+        let slices = self.ask(|| Cmd::Read(block));
+        slices.map_or_else(|_| Vec::new(), gather_block)
+    }
+
+    fn write_block(&mut self, _: &mut PagedKvCache, block: BlockId, kv: &[f32]) {
+        let kv = Arc::new(kv.to_vec());
+        // A failure is recorded in the fleet; the next call reports it.
+        let _ = self.broadcast(|| Cmd::Write(block, Arc::clone(&kv)));
+    }
+
+    fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
+        let segments = batch.iter().flat_map(|seq| &seq.segments);
+        let x = self.replicated.embed(segments);
+        let pass = Pass::new(batch, pool).ok()?;
+        let tables = batch.iter().map(|seq| seq.table.clone()).collect();
+        let batch: Batch = Arc::new((pass, tables));
+        let replicated = Arc::clone(&self.replicated);
+        let logits = replicated.forward(x, &batch.0.last_rows, |stage, input| {
+            let input = Arc::new(input);
+            self.ask(|| Cmd::Partial(stage, Arc::clone(&input), Arc::clone(&batch)))
+        });
+        logits.ok()
+    }
+
+    fn alive(&self) -> bool {
+        self.failed.is_none()
+    }
+}
+
+/// The worker loop: executes scheduler commands against its shard.
+fn worker_loop(
+    idx: usize,
+    shard: &mut ShardRunner,
+    rx: &Receiver<Cmd>,
+    res: &Sender<(usize, Matrix)>,
+) {
+    while let Ok(cmd) = rx.recv() {
+        let reply = match cmd {
+            Cmd::Read(block) => shard.read_block(block),
+            Cmd::Write(block, kv) => {
+                shard.write_block(block, &kv);
+                continue;
+            }
+            Cmd::Partial(stage, input, batch) => {
+                let tables: Vec<&BlockTable> = batch.1.iter().collect();
+                shard.partial(stage, &input, &batch.0, &tables)
+            }
+            Cmd::Shutdown => break,
+        };
+        if res.send((idx, reply)).is_err() {
+            break; // Scheduler gone; exit quietly.
+        }
+    }
+}
+
+/// A tensor-parallel serving engine over real threads: the functional
+/// engine's one scheduler and cache manager, whose every tick a
+/// [`ShardFleet`] carries out.
+pub struct ThreadedTpEngine {
+    engine: FunctionalEngine<ShardFleet>,
+}
+
+impl ThreadedTpEngine {
+    /// Shards `model` across `num_shards` worker threads, under `cfg`'s
+    /// memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same divisibility conditions as
+    /// [`TpModel::new`], and if `cfg` has a zero block size or pool.
+    #[must_use]
+    pub fn new(model: &TinyModel, num_shards: usize, cfg: FunctionalConfig) -> Self {
+        let fleet = ShardFleet::new(model, num_shards, cfg.block_size);
+        ThreadedTpEngine {
+            engine: FunctionalEngine::with_engine(fleet, &cfg, |e| e),
+        }
     }
 
     /// Number of worker threads.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.cmd_txs.len()
-    }
-
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &ModelConfig {
-        self.replicated.config()
+        self.engine.exec.model.cmd_txs.len()
     }
 
     /// True if a shard failure has been detected; every subsequent call
     /// returns [`WorkerError::ShardDisconnected`] immediately.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.engine.exec.model.failed.is_some()
     }
 
     /// Test/chaos hook: shuts down one worker shard as if its process
-    /// crashed. The next forward pass detects the dead shard via channel
-    /// disconnect and fails with a typed error instead of hanging.
+    /// crashed. The fleet's next command detects the dead shard via
+    /// channel disconnect and fails with a typed error instead of
+    /// hanging.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     pub fn kill_shard(&mut self, shard: usize) {
+        let fleet = &mut self.engine.exec.model;
         // A send error here means the shard is already gone — the goal
         // state, so it is not an error.
-        let _ = self.cmd_txs[shard].send(Cmd::Shutdown);
+        let _ = fleet.cmd_txs[shard].send(Cmd::Shutdown);
         // Join so the crash is fully materialized (the worker's command
-        // receiver is dropped) before the caller's next pass.
-        if let Some(dead) = self.handles[shard].take() {
+        // receiver is dropped) before the next command.
+        if let Some(dead) = fleet.handles[shard].take() {
             let _ = dead.join();
         }
     }
 
-    /// Sends one command to every shard, detecting dead shards at the
-    /// send side.
-    fn broadcast(&mut self, mut make: impl FnMut() -> Cmd) -> Result<(), WorkerError> {
-        for (i, tx) in self.cmd_txs.iter().enumerate() {
-            if tx.send(make()).is_err() {
-                self.poisoned = true;
-                return Err(WorkerError::ShardDisconnected { shard: Some(i) });
-            }
-        }
-        Ok(())
-    }
-
-    /// Marks the fleet unusable after a reply the protocol rules out.
-    fn protocol_error(&mut self, what: &'static str) -> WorkerError {
-        self.poisoned = true;
-        WorkerError::Protocol(what)
-    }
-
-    /// Receives one response, detecting a fleet-wide disconnect.
-    fn recv_res(&mut self) -> Result<Res, WorkerError> {
-        self.res_rx.recv().map_err(|_| {
-            self.poisoned = true;
-            WorkerError::ShardDisconnected { shard: None }
-        })
-    }
-
-    /// Broadcasts one stage's input and collects every worker's tagged
-    /// partial into shard order, for determinism.
-    fn partials(&mut self, stage: Stage, input: Matrix) -> Result<Vec<Matrix>, WorkerError> {
-        let input = Arc::new(input);
-        self.broadcast(|| Cmd::Partial {
-            stage,
-            input: Arc::clone(&input),
-        })?;
-        let n = self.cmd_txs.len();
-        let mut by_shard: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match self.recv_res()? {
-                Res::Partial(idx, m) => by_shard[idx] = Some(m),
-                Res::Began(_) => return Err(self.protocol_error("expected partial")),
-            }
-        }
-        let partials: Option<Vec<Matrix>> = by_shard.into_iter().collect();
-        partials.ok_or_else(|| self.protocol_error("duplicate shard partial"))
-    }
-
-    /// One tensor-parallel forward pass over the worker fleet, returning
-    /// the last token's logits. Segment semantics match
-    /// [`TinyModel::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerError::OutOfBlocks`] if any worker's KV pool is
-    /// exhausted, and [`WorkerError::ShardDisconnected`] if a worker
-    /// thread died (detected via channel disconnect — the pass fails with
-    /// a typed error instead of hanging on the dead shard's reply). After
-    /// a disconnect the engine is poisoned: all later calls fail fast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty.
-    pub fn forward_seq(
-        &mut self,
-        conv: u64,
-        segments: &[SegmentInput],
-    ) -> Result<Vec<f32>, WorkerError> {
-        if self.poisoned {
-            return Err(WorkerError::ShardDisconnected { shard: None });
-        }
-        let x = self.replicated.embed(segments.iter());
-        let shapes: Vec<_> = segments.iter().map(SegmentInput::shape).collect();
-        self.broadcast(|| Cmd::BeginPass {
-            conv,
-            segments: shapes.clone(),
-        })?;
-        let mut begin_err: Option<OutOfBlocks> = None;
-        for _ in 0..self.cmd_txs.len() {
-            match self.recv_res()? {
-                Res::Began(Err(e)) => begin_err = Some(e),
-                Res::Began(Ok(())) => {}
-                Res::Partial(..) => return Err(self.protocol_error("expected begin ack")),
-            }
-        }
-        if let Some(e) = begin_err {
-            return Err(WorkerError::OutOfBlocks(e));
-        }
-        {
-            use pensieve_obs::Recorder as _;
-            if self.recorder.enabled() {
-                self.recorder.record(pensieve_obs::TraceEvent::TpPass {
-                    at: pensieve_model::SimTime::ZERO,
-                    pass: self.pass_count,
-                    conv,
-                    query_tokens: x.rows(),
-                    shards: self.cmd_txs.len(),
-                });
-            }
-            self.pass_count += 1;
-        }
-        let (replicated, last) = (Arc::clone(&self.replicated), x.rows() - 1);
-        let logits = replicated.forward(x, &[last], |stage, input| self.partials(stage, input))?;
-        Ok(logits.row(0).to_vec())
+    /// The cache's activity: see [`FunctionalEngine::cache_activity`].
+    #[must_use]
+    pub fn cache_activity(&self) -> (u64, u64, u64, u64) {
+        self.engine.cache_activity()
     }
 
     /// Serves one conversation turn with greedy decoding, like
-    /// [`FunctionalEngine::serve_turn`](crate::functional::FunctionalEngine::serve_turn)
-    /// but across the worker fleet.
+    /// [`FunctionalEngine::serve_turn`] but across the worker fleet.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkerError::OutOfBlocks`] when a worker pool is
-    /// exhausted (the threaded engine does not implement eviction; size
-    /// the pools for the workload) and
-    /// [`WorkerError::ShardDisconnected`] when a worker thread died.
-    /// The conversation's scheduler-side bookkeeping is only updated on
-    /// success, so a failed turn does not corrupt later ones.
+    /// Returns [`WorkerError::ShardDisconnected`] when a worker thread
+    /// died: at once, and on every later call.
     ///
     /// # Panics
     ///
@@ -311,57 +267,19 @@ impl ThreadedTpEngine {
         prompt: &[u32],
         max_new: usize,
     ) -> Result<Vec<u32>, WorkerError> {
-        assert!(!prompt.is_empty() && max_new > 0);
-        // The previous turn's final token was emitted but never processed
-        // (its KV is absent); prepend it, exactly like the "tail" the
-        // serving engine recomputes with each new prompt.
-        let (mut start_pos, tail) = match self.convs.get(&conv) {
-            Some(&(context, tail)) => (context, Some(tail)),
-            None => (0, None),
-        };
-        let mut tokens: Vec<u32> = tail.into_iter().chain(prompt.iter().copied()).collect();
-        // Greedy decoding: the prefill pass, then one single-token pass
-        // per further token, each fed the previous pass's argmax.
-        let mut generated = Vec::with_capacity(max_new);
-        while generated.len() < max_new {
-            let segment = SegmentInput { tokens, start_pos };
-            start_pos += segment.tokens.len();
-            generated.push(argmax(&self.forward_seq(conv, &[segment])?) as u32);
-            tokens = generated[generated.len() - 1..].to_vec();
+        if let Some(err) = self.engine.exec.model.failed {
+            return Err(err);
         }
-        self.convs.insert(conv, (start_pos, generated[max_new - 1]));
-        Ok(generated)
-    }
-}
-
-impl Drop for ThreadedTpEngine {
-    fn drop(&mut self) {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        for h in self.handles.drain(..).flatten() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The worker loop: executes scheduler commands against its shard.
-fn worker_loop(idx: usize, shard: &mut ShardRunner, rx: &Receiver<Cmd>, res: &Sender<Res>) {
-    while let Ok(cmd) = rx.recv() {
-        let reply = match cmd {
-            Cmd::BeginPass { conv, segments } => Res::Began(shard.begin_pass(conv, &segments)),
-            Cmd::Partial { stage, input } => Res::Partial(idx, shard.partial(stage, &input)),
-            Cmd::Shutdown => break,
-        };
-        if res.send(reply).is_err() {
-            break; // Scheduler gone; exit quietly.
-        }
+        let out = self.engine.serve_turn(SessionId(conv), prompt, max_new);
+        self.engine.exec.model.failed.map_or(Ok(out), Err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functional::greedy_dense;
+    use pensieve_kernels::model::SegmentInput;
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
         (0..len as u32)
@@ -375,23 +293,14 @@ mod tests {
     fn threaded_tp_matches_dense_reference() {
         let cfg = ModelConfig::tiny_llama();
         let model = TinyModel::new_random(&cfg, 91);
-        let mut engine = ThreadedTpEngine::new(&model, 2, 4, 128);
+        let mut engine = ThreadedTpEngine::new(&model, 2, FunctionalConfig::default());
         assert_eq!(engine.num_shards(), 2);
         let mut full: Vec<u32> = Vec::new();
         for turn in 0..3u32 {
             let p = prompt(turn, 6, cfg.vocab_size as u32);
             let got = engine.serve_turn(1, &p, 4).unwrap();
             full.extend_from_slice(&p);
-            // Stateless reference decode on the original model.
-            let mut ctx = full.clone();
-            let mut expect = Vec::new();
-            for _ in 0..4 {
-                let logits = model.forward_dense(&ctx);
-                let t = argmax(&logits) as u32;
-                expect.push(t);
-                ctx.push(t);
-            }
-            assert_eq!(got, expect, "turn {turn}");
+            assert_eq!(got, greedy_dense(&model, &full, 4), "turn {turn}");
             full.extend_from_slice(&got);
         }
     }
@@ -401,65 +310,42 @@ mod tests {
     fn four_workers_interleaved_conversations() {
         let cfg = ModelConfig::tiny_opt();
         let model = TinyModel::new_random(&cfg, 92);
-        let mut engine = ThreadedTpEngine::new(&model, 4, 4, 128);
+        let mut engine = ThreadedTpEngine::new(&model, 4, FunctionalConfig::default());
         let vocab = cfg.vocab_size as u32;
-        let mut transcripts: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut transcripts = [Vec::new(), Vec::new()];
         for round in 0..2u32 {
-            for conv in 1..=2u64 {
+            for (conv, t) in (1..=2u64).zip(&mut transcripts) {
                 let p = prompt(round * 2 + conv as u32, 5, vocab);
                 let got = engine.serve_turn(conv, &p, 3).unwrap();
-                let t = transcripts.entry(conv).or_default();
                 t.extend_from_slice(&p);
-                let mut ctx = t.clone();
-                let mut expect = Vec::new();
-                for _ in 0..3 {
-                    let logits = model.forward_dense(&ctx);
-                    let tok = argmax(&logits) as u32;
-                    expect.push(tok);
-                    ctx.push(tok);
-                }
-                assert_eq!(got, expect, "conv {conv} round {round}");
+                assert_eq!(got, greedy_dense(&model, t, 3), "conv {conv} round {round}");
                 t.extend_from_slice(&got);
             }
         }
     }
 
-    /// The threaded engine is bit-identical to the single-threaded TP
+    /// The threaded fleet is bit-identical to the single-threaded TP
     /// orchestrator (fixed-order all-reduce).
     #[test]
     fn threaded_matches_single_threaded_tp() {
         let cfg = ModelConfig::tiny_llama();
         let model = TinyModel::new_random(&cfg, 93);
-        let mut threaded = ThreadedTpEngine::new(&model, 2, 4, 64);
-        let mut single = TpModel::new(&model, 2, 4, 64);
         let p = prompt(9, 7, cfg.vocab_size as u32);
-        let seg = SegmentInput {
-            tokens: p,
-            start_pos: 0,
-        };
-        let a = threaded.forward_seq(5, std::slice::from_ref(&seg)).unwrap();
-        let b = single.forward_seq(5, &[seg]).unwrap();
-        assert_eq!(a, b, "fixed-order all-reduce must be bit-identical");
-    }
-
-    /// Intra-shard data parallelism (scoped worker pool inside each shard)
-    /// must not change a single bit of the logits either.
-    #[test]
-    fn intra_threads_bit_identical() {
-        let cfg = ModelConfig::tiny_llama();
-        let model = TinyModel::new_random(&cfg, 96);
-        let p = prompt(4, 9, cfg.vocab_size as u32);
-        let seg = SegmentInput {
-            tokens: p,
-            start_pos: 0,
-        };
-        let mut serial = ThreadedTpEngine::new(&model, 2, 4, 64);
-        let base = serial.forward_seq(5, std::slice::from_ref(&seg)).unwrap();
-        for intra in [2usize, 4] {
-            let mut engine = ThreadedTpEngine::with_intra_threads(&model, 2, 4, 64, intra);
-            let got = engine.forward_seq(5, std::slice::from_ref(&seg)).unwrap();
-            assert_eq!(got, base, "intra_threads={intra}");
+        fn run(m: &mut impl PagedModel, tokens: Vec<u32>) -> Matrix {
+            let (mut pool, mut table) = (m.pool(4, 64), BlockTable::new(4));
+            let segments = vec![SegmentInput {
+                tokens,
+                start_pos: 0,
+            }];
+            let seq = SeqInput {
+                segments,
+                table: &mut table,
+            };
+            m.run(&mut pool, &mut [seq]).unwrap()
         }
+        let a = run(&mut ShardFleet::new(&model, 2, 4), p.clone());
+        let b = run(&mut TpModel::new(&model, 2, 4), p);
+        assert_eq!(a, b, "fixed-order all-reduce must be bit-identical");
     }
 
     /// A dead worker shard surfaces as a typed error, never a hang, and
@@ -468,7 +354,7 @@ mod tests {
     fn dead_shard_yields_typed_error_not_hang() {
         let cfg = ModelConfig::tiny_llama();
         let model = TinyModel::new_random(&cfg, 94);
-        let mut engine = ThreadedTpEngine::new(&model, 2, 4, 64);
+        let mut engine = ThreadedTpEngine::new(&model, 2, FunctionalConfig::default());
         // A healthy turn first.
         let p = prompt(3, 5, cfg.vocab_size as u32);
         engine.serve_turn(1, &p, 2).unwrap();
@@ -476,40 +362,9 @@ mod tests {
         // Crash shard 1, then try again.
         engine.kill_shard(1);
         let err = engine.serve_turn(1, &p, 2).unwrap_err();
-        assert!(
-            matches!(err, WorkerError::ShardDisconnected { .. }),
-            "got {err}"
-        );
+        assert_eq!(err, WorkerError::ShardDisconnected { shard: Some(1) });
         assert!(engine.is_poisoned());
         // Every later call fails fast with the same typed error.
-        let err2 = engine
-            .forward_seq(
-                1,
-                &[SegmentInput {
-                    tokens: vec![0],
-                    start_pos: 0,
-                }],
-            )
-            .unwrap_err();
-        assert_eq!(err2, WorkerError::ShardDisconnected { shard: None });
-    }
-
-    /// Exhausting the paged pool is a typed, non-poisoning error.
-    #[test]
-    fn pool_exhaustion_is_typed_and_recoverable() {
-        let cfg = ModelConfig::tiny_llama();
-        let model = TinyModel::new_random(&cfg, 95);
-        // Tiny pool: 4 blocks of 4 tokens per shard.
-        let mut engine = ThreadedTpEngine::new(&model, 2, 4, 4);
-        let p = prompt(1, 64, cfg.vocab_size as u32);
-        let err = engine.serve_turn(1, &p, 1).unwrap_err();
-        assert!(matches!(err, WorkerError::OutOfBlocks(_)), "got {err}");
-        // The fleet is not poisoned: the workers are alive and later
-        // calls keep returning typed errors instead of hanging (the
-        // failed pass's blocks stay installed, so the pool stays full).
-        assert!(!engine.is_poisoned());
-        let small = prompt(2, 3, cfg.vocab_size as u32);
-        let err = engine.serve_turn(2, &small, 1).unwrap_err();
-        assert!(matches!(err, WorkerError::OutOfBlocks(_)), "got {err}");
+        assert_eq!(engine.serve_turn(2, &p, 2).unwrap_err(), err);
     }
 }

@@ -1,7 +1,8 @@
 //! Golden pins for the real-arithmetic path: the tiny transformer
 //! ([`TinyModel`]), its tensor-parallel forms ([`TpModel`],
-//! [`ThreadedTpEngine`]) and the [`FunctionalEngine`] that swaps, drops
-//! and recomputes real KV bytes around it.
+//! [`ShardFleet`], and [`ThreadedTpEngine`] serving on the fleet) and
+//! the [`FunctionalEngine`] that swaps, drops and recomputes real KV
+//! bytes around it.
 //!
 //! The repo's other functional tests compare these with
 //! `forward_dense` to 1e-3 or with each other token by token; none of
@@ -30,8 +31,8 @@
 //! arithmetic or eviction behaviour.
 
 use pensieve_core::functional::{FunctionalConfig, FunctionalEngine};
-use pensieve_core::workers::ThreadedTpEngine;
-use pensieve_kernels::model::{SegmentInput, SeqInput, TinyModel};
+use pensieve_core::workers::{ShardFleet, ThreadedTpEngine};
+use pensieve_kernels::model::{PagedModel, SegmentInput, SeqInput, TinyModel};
 use pensieve_kernels::tp::TpModel;
 use pensieve_kernels::{BlockTable, PagedKvCache};
 use pensieve_kvcache::{fnv1a, SessionId};
@@ -171,11 +172,17 @@ fn tp_passes() -> [Vec<SegmentInput>; 3] {
     ]
 }
 
-fn tp_model_digest(model: &TinyModel, shards: usize) -> u64 {
-    let mut tp = TpModel::new(model, shards, BLOCK, 64);
+/// The logits of [`tp_passes`] on `model`, one conversation's table.
+fn tp_digest(mut model: impl PagedModel) -> u64 {
+    let (mut pool, mut table) = (model.pool(BLOCK, 64), BlockTable::new(BLOCK));
     let mut words = Vec::new();
-    for pass in tp_passes() {
-        words.extend(bits(&tp.forward_seq(1, &pass).expect("pool sized")));
+    for segments in tp_passes() {
+        let seq = SeqInput {
+            segments,
+            table: &mut table,
+        };
+        let logits = model.run(&mut pool, &mut [seq]).expect("healthy");
+        words.extend(bits(logits.row(0)));
     }
     digest(words)
 }
@@ -186,18 +193,23 @@ fn tp_model_digest(model: &TinyModel, shards: usize) -> u64 {
 fn one_shard_tp_equals_tiny_model() {
     for cfg in [ModelConfig::tiny_llama(), ModelConfig::tiny_opt()] {
         let model = TinyModel::new_random(&cfg, 42);
-        let mut tp = TpModel::new(&model, 1, BLOCK, 64);
+        let mut tp = TpModel::new(&model, 1, BLOCK);
+        let (mut ids, mut tp_table) = (tp.pool(BLOCK, 64), BlockTable::new(BLOCK));
         let mut cache = PagedKvCache::new(model.kv_layout(BLOCK), cfg.num_layers, 64);
         let mut table = BlockTable::new(BLOCK);
         for (i, pass) in tp_passes().into_iter().enumerate() {
-            let sharded = tp.forward_seq(1, &pass).expect("pool sized");
+            let mut batch = [SeqInput {
+                segments: pass.clone(),
+                table: &mut tp_table,
+            }];
+            let sharded = tp.run(&mut ids, &mut batch).expect("pool sized");
             let mut batch = [SeqInput {
                 segments: pass,
                 table: &mut table,
             }];
             let whole = model.forward(&mut cache, &mut batch).expect("pool sized");
             assert!(
-                bits(&sharded).eq(bits(whole.row(0))),
+                bits(sharded.row(0)).eq(bits(whole.row(0))),
                 "{} pass {i}: one shard differs from the unsharded model",
                 cfg.name
             );
@@ -205,14 +217,9 @@ fn one_shard_tp_equals_tiny_model() {
     }
 }
 
-/// Logits of the golden passes, then the tokens of three served turns
-/// on a second conversation.
-fn threaded_digest(model: &TinyModel, shards: usize, intra_threads: usize) -> (u64, u64) {
-    let mut engine = ThreadedTpEngine::with_intra_threads(model, shards, BLOCK, 64, intra_threads);
-    let mut words = Vec::new();
-    for pass in tp_passes() {
-        words.extend(bits(&engine.forward_seq(1, &pass).expect("healthy fleet")));
-    }
+/// The tokens of three turns served on the threaded fleet.
+fn served_digest(model: &TinyModel, shards: usize) -> u64 {
+    let mut engine = ThreadedTpEngine::new(model, shards, FunctionalConfig::default());
     let mut served = Vec::new();
     for turn in 0..3 {
         let out = engine
@@ -220,33 +227,29 @@ fn threaded_digest(model: &TinyModel, shards: usize, intra_threads: usize) -> (u
             .expect("healthy fleet");
         served.extend(out.into_iter().map(u64::from));
     }
-    (digest(words), digest(served))
+    digest(served)
 }
 
-/// (b) `TpModel` at 1 and 2 shards (llama) and 4 (opt); the threaded
-/// fleet at the same shard counts and at `intra_threads` 1 and 2. The
-/// threaded fleet's logits must equal the serial orchestrator's at the
-/// same shard count, so they share its pin.
+/// (b) `TpModel` at 1 and 2 shards (llama) and 4 (opt), and the threaded
+/// fleet at 2 and 4, whose logits must equal the serial orchestrator's
+/// at the same shard count, so they share its pin; then the tokens the
+/// engine serves on the fleet.
 #[test]
 fn tensor_parallel_logits_and_tokens_are_pinned() {
     let llama = TinyModel::new_random(&ModelConfig::tiny_llama(), 42);
     let opt = TinyModel::new_random(&ModelConfig::tiny_opt(), 42);
     let tp = [
-        tp_model_digest(&llama, 1),
-        tp_model_digest(&llama, 2),
-        tp_model_digest(&opt, 4),
+        tp_digest(TpModel::new(&llama, 1, BLOCK)),
+        tp_digest(TpModel::new(&llama, 2, BLOCK)),
+        tp_digest(TpModel::new(&opt, 4, BLOCK)),
     ];
     check("TP_GOLDEN", tp, TP_GOLDEN);
-    let (logits, served_llama) = threaded_digest(&llama, 2, 1);
-    assert_eq!(logits, tp[1], "threaded llama x2 differs from TpModel");
-    assert_eq!(
-        threaded_digest(&llama, 2, 2),
-        (logits, served_llama),
-        "intra_threads changed a bit"
-    );
-    let (logits, served_opt) = threaded_digest(&opt, 4, 1);
-    assert_eq!(logits, tp[2], "threaded opt x4 differs from TpModel");
-    check("SERVED_GOLDEN", [served_llama, served_opt], SERVED_GOLDEN);
+    let threaded = tp_digest(ShardFleet::new(&llama, 2, BLOCK));
+    assert_eq!(threaded, tp[1], "threaded llama x2 differs from TpModel");
+    let threaded = tp_digest(ShardFleet::new(&opt, 4, BLOCK));
+    assert_eq!(threaded, tp[2], "threaded opt x4 differs from TpModel");
+    let served = [served_digest(&llama, 2), served_digest(&opt, 4)];
+    check("SERVED_GOLDEN", served, SERVED_GOLDEN);
 }
 
 /// (c) The functional engine on a pool and stash small enough that

@@ -32,13 +32,17 @@
 //!   layer the attention sub-layer still projects and writes every
 //!   row's K/V, but its queries, attention and output projection cover
 //!   each sequence's last row only. It owns neither a KV cache nor
-//!   block tables; the caller passes them, so a batch over an engine's
-//!   tables and a worker's single conversation run the same code.
-//! * `Pass` — the pass prologue: query segments → the position and
+//!   block tables; the caller passes them, so the whole model's pool and
+//!   a worker's slice of every block run the same code.
+//! * [`Pass`] — the pass prologue: query segments → the position and
 //!   `(block, slot)` of every query row, one attention sub-request per
 //!   segment, and the last layer's one sub-request per sequence (its
 //!   last row over its whole context), appending to or recomputing into
-//!   the caller's table.
+//!   the caller's tables with blocks from the caller's pool — worked out
+//!   once per pass, for every shard.
+//! * [`PagedModel`] — what a serving executor runs a tick on: the whole
+//!   model on one pool, or a tensor-parallel form whose shards each store
+//!   their KV-head slice of every block the executor's pool numbers.
 //! * [`TinyModel`] — the replicated weights plus the one full-width
 //!   shard. [`TinyModel::forward`] is the one-shard driver;
 //!   [`crate::tp`] cuts narrower shards from it.
@@ -266,12 +270,13 @@ fn mlp(
 }
 
 /// Where one pass's query rows live, in batch order: what the prologue
-/// [`Pass::push_seq`] works out once and every layer reuses.
+/// [`Pass::new`] works out once and every layer — of every shard —
+/// reuses.
 #[derive(Debug, Default)]
-pub(crate) struct Pass {
+pub struct Pass {
     /// Per query row: its absolute position and the `(block, slot)` its
     /// K/V is written to.
-    rows: Vec<(usize, (BlockId, usize))>,
+    pub(crate) rows: Vec<(usize, (BlockId, usize))>,
     /// One attention sub-request per segment: `(sequence, q_start,
     /// q_len, context_len)`.
     segments: Vec<(usize, usize, usize, usize)>,
@@ -279,29 +284,40 @@ pub(crate) struct Pass {
     /// sequence, for its last row alone (`q_start` the sequence's index,
     /// `q_len` 1) over its whole context.
     last_segments: Vec<(usize, usize, usize, usize)>,
-    /// Last query row of each sequence.
-    pub(crate) last_rows: Vec<usize>,
+    /// Last query row of each sequence: the rows whose logits are read.
+    pub last_rows: Vec<usize>,
 }
 
 impl Pass {
-    /// Adds one sequence's query `segments` (`(start_pos, len)` pairs):
-    /// slots for positions beyond `table`'s length are appended
-    /// (allocating blocks from `cache`); positions below it
-    /// (recomputation) are written in place.
+    /// The prologue of a pass over `batch`: for every sequence, slots for
+    /// query positions beyond its table's length are appended (allocating
+    /// blocks from `pool`); positions below it (recomputation) are
+    /// written in place.
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfBlocks`] if the pool cannot hold the new tokens.
+    /// Returns [`OutOfBlocks`] if `pool` cannot hold the new tokens.
     ///
     /// # Panics
     ///
     /// Panics if segments are malformed (none, empty, overlapping,
     /// descending) or a context block the pass will read is a hole.
-    pub(crate) fn push_seq(
+    pub fn new(batch: &mut [SeqInput<'_>], pool: &mut PagedKvCache) -> Result<Self, OutOfBlocks> {
+        let mut pass = Pass::default();
+        for seq in batch.iter_mut() {
+            let shapes = seq.segments.iter().map(SegmentInput::shape);
+            pass.push_seq(shapes, seq.table, pool)?;
+        }
+        Ok(pass)
+    }
+
+    /// Adds one sequence's query `segments` (`(start_pos, len)` pairs)
+    /// over `table`, as [`Pass::new`] does for each.
+    fn push_seq(
         &mut self,
         segments: impl Iterator<Item = (usize, usize)>,
         table: &mut BlockTable,
-        cache: &mut PagedKvCache,
+        pool: &mut PagedKvCache,
     ) -> Result<(), OutOfBlocks> {
         let seq = self.last_rows.len();
         let mut end = 0;
@@ -317,7 +333,7 @@ impl Pass {
                     table.position(pos)
                 } else {
                     debug_assert_eq!(pos, table.len(), "gap before append");
-                    table.append_token(cache)?
+                    table.append_token(pool)?
                 };
                 self.rows.push((pos, slot));
             }
@@ -350,12 +366,6 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Installs a pool of width `threads` ([`Pool::new`], which clamps
-    /// `0` to the inline width-1 pool).
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::new(threads);
-    }
-
     /// This shard's partial of `stage` over `input` (see [`Stage`]).
     /// `tables[i]` is the block table of `pass`'s `i`-th sequence; the
     /// attention stage writes the pass's K/V into `cache` and reads its
@@ -534,19 +544,7 @@ impl TinyModel {
     /// partitions are disjoint output regions merged sequentially in a
     /// fixed order. `0` is clamped to `1`.
     pub fn set_threads(&mut self, threads: usize) {
-        self.shard.set_threads(threads);
-    }
-
-    /// Current worker-thread setting (see [`TinyModel::set_threads`]).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.shard.pool.threads()
-    }
-
-    /// The model configuration.
-    #[must_use]
-    pub fn config(&self) -> &ModelConfig {
-        &self.shard.rep.cfg
+        self.shard.pool = Pool::new(threads);
     }
 
     /// KV storage geometry for a given block size.
@@ -583,11 +581,7 @@ impl TinyModel {
     ) -> Result<Matrix, OutOfBlocks> {
         let rep = &self.shard.rep;
         let x = rep.embed(batch.iter().flat_map(|seq| &seq.segments));
-        let mut pass = Pass::default();
-        for seq in batch.iter_mut() {
-            let shapes = seq.segments.iter().map(SegmentInput::shape);
-            pass.push_seq(shapes, seq.table, cache)?;
-        }
+        let pass = Pass::new(batch, cache)?;
         let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
         rep.forward(x, &pass.last_rows, |stage, input| {
             Ok([self.shard.partial(stage, &input, &pass, cache, &tables)])
@@ -633,6 +627,63 @@ impl TinyModel {
         let mut hidden = Matrix::from_vec(1, rep.cfg.hidden_size, x.row(n - 1).to_vec());
         rep.normalize(hidden.row_mut(0), &rep.final_norm);
         matmul_ref(&hidden, &self.shard.lm_head).row(0).to_vec()
+    }
+}
+
+/// A model a serving executor runs ticks on: a pool that numbers the
+/// blocks of every conversation's table, a block's bytes at full width,
+/// and one batched forward pass. [`TinyModel`] stores every block in that
+/// pool; a tensor-parallel form ([`crate::tp::TpModel`], or a threaded
+/// fleet of its shards) gets a pool with no layers, which only numbers
+/// blocks, and stores each shard's KV-head slice of a block under its id.
+pub trait PagedModel {
+    /// The model configuration.
+    fn config(&self) -> &ModelConfig;
+
+    /// A pool of `num_blocks` blocks of `block_size` tokens.
+    fn pool(&self, block_size: usize, num_blocks: usize) -> PagedKvCache;
+
+    /// `block`'s bytes, laid out as [`PagedKvCache::read_block`] lays out
+    /// a block of the whole model: by default, the pool's.
+    fn read_block(&mut self, pool: &PagedKvCache, block: BlockId) -> Vec<f32> {
+        pool.read_block(block)
+    }
+
+    /// Writes back what [`PagedModel::read_block`] read.
+    fn write_block(&mut self, pool: &mut PagedKvCache, block: BlockId, kv: &[f32]) {
+        pool.write_block(block, kv);
+    }
+
+    /// One batched forward pass, with blocks from `pool`: the logits of
+    /// each sequence's last token, or `None` if `pool` cannot hold a
+    /// row's new tokens or the model has failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`TinyModel::forward`] does.
+    fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix>;
+
+    /// False once the model has failed: nothing it computes can be used.
+    fn alive(&self) -> bool {
+        true
+    }
+}
+
+impl PagedModel for TinyModel {
+    fn config(&self) -> &ModelConfig {
+        &self.shard.rep.cfg
+    }
+
+    fn pool(&self, block_size: usize, num_blocks: usize) -> PagedKvCache {
+        PagedKvCache::new(
+            self.kv_layout(block_size),
+            self.shard.layers.len(),
+            num_blocks,
+        )
+    }
+
+    fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
+        self.forward(pool, batch).ok()
     }
 }
 

@@ -91,6 +91,19 @@ impl PagedKvCache {
         }
     }
 
+    /// A pool of `num_blocks` blocks with no layers: it stores nothing
+    /// and only numbers blocks, for tensor-parallel shards that each
+    /// store their slice of every block under the id ([`Self::cover`]).
+    #[must_use]
+    pub fn numbering(block_size: usize, num_blocks: usize) -> Self {
+        let layout = KvLayout {
+            num_kv_heads: 0,
+            head_dim: 0,
+            block_size,
+        };
+        PagedKvCache::new(layout, 0, num_blocks)
+    }
+
     /// The storage geometry.
     #[must_use]
     pub fn layout(&self) -> KvLayout {
@@ -124,6 +137,19 @@ impl PagedKvCache {
             self.touched += 1;
         }
         self.free.pop().ok_or(OutOfBlocks)
+    }
+
+    /// Gives every block up to `block` storage, zeroed, as if handed out:
+    /// for a pool that stores blocks another pool numbers
+    /// ([`Self::numbering`]).
+    pub fn cover(&mut self, block: BlockId) {
+        if block >= self.touched {
+            self.touched = block + 1;
+            let floats = self.touched * self.layout.block_floats();
+            for slab in self.k.iter_mut().chain(&mut self.v) {
+                slab.resize(floats, 0.0);
+            }
+        }
     }
 
     /// Returns a block to the pool.

@@ -15,27 +15,35 @@
 //! * [`TpModel::new`] is the one place weights are sliced: it cuts a
 //!   [`TinyModel`]'s full-width shard into `n` narrower ones that all
 //!   point to the model's [`ReplicatedWeights`] (shared, not copied).
-//! * [`ShardRunner`] — one worker: a weight shard plus the paged KV pool
-//!   and the per-conversation block tables it alone fills. It hands them
-//!   to the shard for each stage of the pass it last began.
+//! * [`ShardRunner`] — one worker: a weight shard plus its KV-head slice
+//!   of every block. Block ids and tables are its scheduler's: one id
+//!   space for every shard, each storing its slice under the id, and a
+//!   pass prologue ([`Pass`]) worked out once for all of them.
 //! * [`TpModel`] — the single-threaded orchestrator and the serial
 //!   reference: it drives [`ReplicatedWeights::forward`] with every
 //!   runner's partial computed inline, in shard order, which is where
 //!   that loop reduces them.
 //!
-//! `pensieve-core`'s threaded engine drives the same [`ShardRunner`]s
+//! Host copies of a block are full width whatever the shard count:
+//! [`gather_block`] joins the shards' slices of a block into the bytes
+//! [`PagedKvCache::read_block`] lays out for the whole model, and
+//! [`ShardRunner::write_block`] takes its slice back out of them.
+//!
+//! `pensieve-core`'s threaded fleet drives the same [`ShardRunner`]s
 //! from real worker threads over channels (paper Figure 7).
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 use crossbeam::pool::Pool;
 
 use crate::attention::AttnConfig;
-use crate::model::{LayerWeights, Pass, ReplicatedWeights, SegmentInput, Shard, Stage, TinyModel};
-use crate::paged::{BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
+use crate::model::{
+    LayerWeights, PagedModel, Pass, ReplicatedWeights, SeqInput, Shard, Stage, TinyModel,
+};
+use crate::paged::{BlockId, BlockTable, KvLayout, PagedKvCache};
 use crate::tensor::Matrix;
+use pensieve_model::ModelConfig;
 
 /// Copies columns `cols` of `m` into a new matrix.
 fn slice_cols(m: &Matrix, cols: Range<usize>) -> Matrix {
@@ -55,69 +63,66 @@ fn slice_rows(m: &Matrix, rows: Range<usize>) -> Matrix {
     out
 }
 
-/// One tensor-parallel worker: a weight shard + its KV-cache partition.
+/// Joins the shards' slices of one block, in shard order, into its
+/// full-width bytes: every `(layer, K or V, slot)` row of the block is
+/// the shards' rows side by side.
+#[must_use]
+pub fn gather_block(slices: impl IntoIterator<Item = Matrix>) -> Vec<f32> {
+    let slices: Vec<Matrix> = slices.into_iter().collect();
+    let rows = slices.first().map_or(0, Matrix::rows);
+    let row = |r| slices.iter().flat_map(move |s| s.row(r));
+    (0..rows).flat_map(row).copied().collect()
+}
+
+/// One tensor-parallel worker: a weight shard and its KV-head slice of
+/// every block the scheduler numbers.
 pub struct ShardRunner {
     shard: Shard,
     cache: PagedKvCache,
-    tables: HashMap<u64, BlockTable>,
-    /// The pass begun last, and the conversation it is over.
-    pass: Pass,
-    pass_conv: u64,
+    /// This shard's index, and the shard count.
+    index: usize,
+    of: usize,
 }
 
 impl ShardRunner {
-    /// Sets the number of worker threads used *inside* this shard's
-    /// operators (blocked GEMM row partitions and attention
-    /// (sequence, KV-head) partitions).
-    ///
-    /// Orthogonal to tensor-parallel sharding: shards split the model,
-    /// intra-shard threads split each shard's math. Results are
-    /// bit-identical at every setting; `0` is clamped to `1`.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.shard.set_threads(threads);
-    }
-
-    /// Allocates KV slots for a pass over `conv` with the given query
-    /// `segments` (`(start_pos, len)` pairs, ascending; the last ends at
-    /// the sequence's new context length).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfBlocks`] if this shard's pool is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if segments are malformed or required blocks are holes.
-    pub fn begin_pass(
-        &mut self,
-        conv: u64,
-        segments: &[(usize, usize)],
-    ) -> Result<(), OutOfBlocks> {
-        let block_size = self.cache.layout().block_size;
-        let table = self
-            .tables
-            .entry(conv)
-            .or_insert_with(|| BlockTable::new(block_size));
-        self.pass = Pass::default();
-        self.pass_conv = conv;
-        self.pass
-            .push_seq(segments.iter().copied(), table, &mut self.cache)
-    }
-
-    /// This shard's partial of `stage` for the pass begun last: over its
-    /// heads and its KV partition for the attention sub-layer, its FFN
-    /// columns for the MLP, its vocabulary slice for the LM head. The
-    /// caller reduces the partials of all shards
-    /// ([`ReplicatedWeights::forward`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no pass was begun.
+    /// This shard's partial of `stage` for `pass`, whose `i`-th sequence
+    /// has block table `tables[i]`: over its heads and its KV slice for
+    /// the attention sub-layer, its FFN columns for the MLP, its
+    /// vocabulary slice for the LM head. The caller reduces the partials
+    /// of all shards ([`ReplicatedWeights::forward`]).
     #[must_use]
-    pub fn partial(&mut self, stage: Stage, input: &Matrix) -> Matrix {
-        let table = &self.tables[&self.pass_conv];
+    pub fn partial(
+        &mut self,
+        stage: Stage,
+        input: &Matrix,
+        pass: &Pass,
+        tables: &[&BlockTable],
+    ) -> Matrix {
+        if let Some(block) = pass.rows.iter().map(|&(_, (block, _))| block).max() {
+            self.cache.cover(block);
+        }
         self.shard
-            .partial(stage, input, &self.pass, &mut self.cache, &[table])
+            .partial(stage, input, pass, &mut self.cache, tables)
+    }
+
+    /// This shard's slice of `block`: one row per row of the bytes
+    /// [`PagedKvCache::read_block`] lays out for a whole block.
+    #[must_use]
+    pub fn read_block(&mut self, block: BlockId) -> Matrix {
+        self.cache.cover(block);
+        let width = self.cache.layout().token_floats();
+        let kv = self.cache.read_block(block);
+        Matrix::from_vec(kv.len() / width, width, kv)
+    }
+
+    /// Stores this shard's slice of `full`, the full-width bytes of
+    /// `block`: the inverse of [`gather_block`].
+    pub fn write_block(&mut self, block: BlockId, full: &[f32]) {
+        let width = self.cache.layout().token_floats();
+        let rows = full.chunks_exact(width).skip(self.index).step_by(self.of);
+        self.cache.cover(block);
+        self.cache
+            .write_block(block, &rows.flatten().copied().collect::<Vec<_>>());
     }
 }
 
@@ -128,20 +133,15 @@ pub struct TpModel {
 }
 
 impl TpModel {
-    /// Shards `model` across `num_shards` workers, each with its own paged
-    /// KV pool of `blocks_per_shard` blocks of `block_size` tokens.
+    /// Shards `model` across `num_shards` workers, each storing its
+    /// KV-head slice of every block of `block_size` tokens.
     ///
     /// # Panics
     ///
     /// Panics if heads, KV heads, FFN width, or vocabulary are not
     /// divisible by `num_shards`.
     #[must_use]
-    pub fn new(
-        model: &TinyModel,
-        num_shards: usize,
-        block_size: usize,
-        blocks_per_shard: usize,
-    ) -> Self {
+    pub fn new(model: &TinyModel, num_shards: usize, block_size: usize) -> Self {
         let full = &model.shard;
         let cfg = full.rep.config();
         assert!(num_shards > 0);
@@ -193,10 +193,10 @@ impl TpModel {
                         lm_head: slice_cols(&full.lm_head, share(cfg.vocab_size / num_shards)),
                         pool: Pool::serial(),
                     },
-                    cache: PagedKvCache::new(layout, cfg.num_layers, blocks_per_shard),
-                    tables: HashMap::new(),
-                    pass: Pass::default(),
-                    pass_conv: 0,
+                    // Its ids are the scheduler's: it only stores blocks.
+                    cache: PagedKvCache::new(layout, cfg.num_layers, 0),
+                    index: w,
+                    of: num_shards,
                 }
             })
             .collect();
@@ -206,60 +206,55 @@ impl TpModel {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Sets the intra-shard worker thread count on every shard (see
-    /// [`ShardRunner::set_threads`]). Bit-identical at every setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        for shard in &mut self.shards {
-            shard.set_threads(threads);
-        }
-    }
-
     /// Splits the model into its replicated weights and shard runners, for
     /// drivers that move each shard onto its own worker thread.
     #[must_use]
     pub fn into_parts(self) -> (Arc<ReplicatedWeights>, Vec<ShardRunner>) {
         (self.replicated, self.shards)
     }
+}
 
-    /// One tensor-parallel forward pass for a single sequence, returning
-    /// the last token's logits. Segment semantics match
-    /// [`TinyModel::forward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OutOfBlocks`] if any shard's pool is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty or malformed.
-    pub fn forward_seq(
-        &mut self,
-        conv: u64,
-        segments: &[SegmentInput],
-    ) -> Result<Vec<f32>, OutOfBlocks> {
-        let x = self.replicated.embed(segments.iter());
-        let shapes: Vec<_> = segments.iter().map(SegmentInput::shape).collect();
+/// [`TinyModel`]'s forward pass with each block's K/V stored across the
+/// shards under the id the pool numbers it by.
+impl PagedModel for TpModel {
+    fn config(&self) -> &ModelConfig {
+        self.replicated.config()
+    }
+
+    fn pool(&self, block_size: usize, num_blocks: usize) -> PagedKvCache {
+        PagedKvCache::numbering(block_size, num_blocks)
+    }
+
+    fn read_block(&mut self, _: &PagedKvCache, block: BlockId) -> Vec<f32> {
+        gather_block(self.shards.iter_mut().map(|s| s.read_block(block)))
+    }
+
+    fn write_block(&mut self, _: &mut PagedKvCache, block: BlockId, kv: &[f32]) {
         for shard in &mut self.shards {
-            shard.begin_pass(conv, &shapes)?;
+            shard.write_block(block, kv);
         }
-        let (shards, last) = (&mut self.shards, x.rows() - 1);
-        let logits = self.replicated.forward(x, &[last], |stage, input| {
-            let partials = shards.iter_mut().map(|s| s.partial(stage, &input));
-            Ok(partials.collect::<Vec<_>>())
-        })?;
-        Ok(logits.row(0).to_vec())
+    }
+
+    fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
+        let segments = batch.iter().flat_map(|seq| &seq.segments);
+        let x = self.replicated.embed(segments);
+        let pass = Pass::new(batch, pool).ok()?;
+        let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
+        let shards = &mut self.shards;
+        let logits = self.replicated.forward(x, &pass.last_rows, |stage, input| {
+            let partials = shards
+                .iter_mut()
+                .map(|s| s.partial(stage, &input, &pass, &tables));
+            Ok::<_, ()>(partials.collect::<Vec<_>>())
+        });
+        logits.ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::SegmentInput;
     use crate::ops::argmax;
     use pensieve_model::ModelConfig;
 
@@ -270,19 +265,25 @@ mod tests {
             .fold(0.0, f32::max)
     }
 
+    /// One pass over `table`'s sequence: the last token's logits.
+    fn pass(
+        tp: &mut TpModel,
+        ids: &mut PagedKvCache,
+        table: &mut BlockTable,
+        tokens: Vec<u32>,
+        start_pos: usize,
+    ) -> Vec<f32> {
+        let segments = vec![SegmentInput { tokens, start_pos }];
+        let logits = tp.run(ids, &mut [SeqInput { segments, table }]);
+        logits.unwrap().row(0).to_vec()
+    }
+
     fn check_tp_matches_dense(cfg: &ModelConfig, shards: usize) {
         let model = TinyModel::new_random(cfg, 55);
-        let mut tp = TpModel::new(&model, shards, 4, 64);
+        let mut tp = TpModel::new(&model, shards, 4);
+        let (mut ids, mut table) = (PagedKvCache::numbering(4, 64), BlockTable::new(4));
         let prompt: Vec<u32> = vec![9, 27, 4, 81, 33, 2];
-        let logits = tp
-            .forward_seq(
-                1,
-                &[SegmentInput {
-                    tokens: prompt.clone(),
-                    start_pos: 0,
-                }],
-            )
-            .unwrap();
+        let logits = pass(&mut tp, &mut ids, &mut table, prompt.clone(), 0);
         let dense = model.forward_dense(&prompt);
         assert!(
             max_diff(&logits, &dense) < 1e-3,
@@ -292,15 +293,7 @@ mod tests {
         );
         // Decode continues from the sharded caches.
         let tok = argmax(&logits) as u32;
-        let logits2 = tp
-            .forward_seq(
-                1,
-                &[SegmentInput {
-                    tokens: vec![tok],
-                    start_pos: prompt.len(),
-                }],
-            )
-            .unwrap();
+        let logits2 = pass(&mut tp, &mut ids, &mut table, vec![tok], prompt.len());
         let mut full = prompt;
         full.push(tok);
         let dense2 = model.forward_dense(&full);
@@ -322,28 +315,42 @@ mod tests {
         check_tp_matches_dense(&ModelConfig::tiny_llama(), 1);
     }
 
-    /// Each shard stores only its KV-head slice: pool usage shrinks with
-    /// the shard count while results stay exact (the property that lets
-    /// Pensieve shard its cache with the model, §4.4.2).
+    /// Each shard stores only its KV-head slice of every block, under the
+    /// scheduler's one id (the property that lets Pensieve shard its
+    /// cache with the model, §4.4.2), and the slices gather into exactly
+    /// the bytes the unsharded model's pool holds for the block.
     #[test]
     fn kv_partition_splits_storage() {
         let cfg = ModelConfig::tiny_llama();
         let model = TinyModel::new_random(&cfg, 56);
-        let mut tp = TpModel::new(&model, 2, 4, 64);
+        let mut tp = TpModel::new(&model, 2, 4);
+        let (mut ids, mut table) = (PagedKvCache::numbering(4, 64), BlockTable::new(4));
         let prompt: Vec<u32> = (0..10).collect();
-        tp.forward_seq(
-            7,
-            &[SegmentInput {
-                tokens: prompt,
-                start_pos: 0,
-            }],
-        )
-        .unwrap();
+        pass(&mut tp, &mut ids, &mut table, prompt.clone(), 0);
+        // 10 tokens at block size 4: 3 ids, each a 1-head slice per shard.
+        assert_eq!(ids.num_free(), 61);
         for shard in &tp.shards {
-            // 10 tokens at block size 4 -> 3 blocks per shard, regardless
-            // of shard count (each block holds kv_heads/n heads).
-            assert_eq!(shard.cache.num_blocks() - shard.cache.num_free(), 3);
             assert_eq!(shard.cache.layout().num_kv_heads, 1);
+        }
+        let mut pool = PagedKvCache::new(model.kv_layout(4), cfg.num_layers, 64);
+        let mut whole = BlockTable::new(4);
+        let segments = vec![SegmentInput {
+            tokens: prompt,
+            start_pos: 0,
+        }];
+        let batch = SeqInput {
+            segments,
+            table: &mut whole,
+        };
+        model.forward(&mut pool, &mut [batch]).unwrap();
+        for b in 0..3 {
+            let (full, id) = (pool.read_block(whole.block_at(b)), table.block_at(b));
+            assert!(
+                max_diff(&full, &tp.read_block(&ids, id)) < 1e-5,
+                "block {b}"
+            );
+            tp.write_block(&mut ids, id, &full);
+            assert_eq!(tp.read_block(&ids, id), full, "block {b} round trip");
         }
     }
 
@@ -352,6 +359,6 @@ mod tests {
     fn rejects_indivisible_kv_heads() {
         let cfg = ModelConfig::tiny_llama(); // 2 KV heads.
         let model = TinyModel::new_random(&cfg, 57);
-        let _ = TpModel::new(&model, 4, 4, 16);
+        let _ = TpModel::new(&model, 4, 4);
     }
 }

@@ -448,9 +448,11 @@ trace_events! {
             /// Total time including the transfer stall.
             total: SimDuration,
         },
-        /// One forward pass of the threaded tensor-parallel engine. The
-        /// threaded engine has no simulated clock, so `at` is always zero and
-        /// `pass` provides the logical ordering.
+        /// One forward pass of the threaded tensor-parallel engine, `at`
+        /// always zero and `pass` providing the logical ordering. Nothing
+        /// records it now (the engine's own recorder traces the fleet's
+        /// ticks); the variant stays for the encodings pinned under
+        /// `tests/golden`.
         TpPass {
             /// Always [`SimTime::ZERO`] (no simulated clock in real-thread
             /// execution).

@@ -9,6 +9,7 @@
 //! The fault seed defaults to 1 and can be overridden with the
 //! `PENSIEVE_FAULT_SEED` environment variable; CI sweeps several seeds.
 
+use pensieve_core::functional::FunctionalConfig;
 use pensieve_core::workers::ThreadedTpEngine;
 use pensieve_core::{EngineConfig, RecoveryPolicy, SimServingEngine, WorkerError};
 use pensieve_kernels::model::TinyModel;
@@ -137,7 +138,7 @@ fn chaos_closed_loop_completes_with_identical_outputs() {
 /// downgrade to recomputation, and generated tokens stay bit-identical.
 #[test]
 fn functional_engine_outputs_bit_identical_under_faults() {
-    use pensieve_core::functional::{FunctionalConfig, FunctionalEngine};
+    use pensieve_core::functional::FunctionalEngine;
     use pensieve_kvcache::SessionId;
 
     let cfg = ModelConfig::tiny_llama();
@@ -184,7 +185,7 @@ fn functional_engine_outputs_bit_identical_under_faults() {
 fn dead_worker_shard_fails_typed_and_fast() {
     let cfg = ModelConfig::tiny_llama();
     let model = TinyModel::new_random(&cfg, 7);
-    let mut engine = ThreadedTpEngine::new(&model, 2, 4, 256);
+    let mut engine = ThreadedTpEngine::new(&model, 2, FunctionalConfig::default());
     let prompt: Vec<u32> = (0..6).collect();
     engine
         .serve_turn(1, &prompt, 3)
