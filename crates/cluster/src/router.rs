@@ -663,10 +663,7 @@ impl<B: ServingBackend + Send> Router<B> {
         if failover.is_empty() {
             return promoted;
         }
-        // An in-flight turn's partial output may already be committed and
-        // replicated; the orphan restarts that turn from its original
-        // history, so cap the import there to keep the standby's cache
-        // consistent with what the retried request expects.
+        // An orphan's import is capped at its history (`capped_layout`).
         let caps: BTreeMap<SessionId, usize> =
             orphans.iter().map(|r| (r.conv, r.history_tokens)).collect();
         for (conv, state) in failover {
@@ -678,21 +675,19 @@ impl<B: ServingBackend + Send> Router<B> {
             }
             let cap = caps.get(&conv).copied().unwrap_or(usize::MAX);
             let mut ready = t;
-            let mut pos = 0usize;
             let mut chunks = Vec::new();
-            for &(tokens, usable_at) in &state.chunks {
-                if pos >= cap {
-                    break;
-                }
-                let take = tokens.min(cap - pos);
-                pos += take;
+            let sizes = state.chunks.iter().map(|&(tokens, _)| tokens);
+            for ((tokens, context_end), &(_, usable_at)) in
+                capped_layout(sizes, cap).zip(&state.chunks)
+            {
                 chunks.push(ChunkState {
                     tier: Tier::Cpu,
-                    tokens: take,
-                    context_end: pos,
+                    tokens,
+                    context_end,
                 });
                 ready = ready.max(usable_at);
             }
+            let replicated_tokens = chunks.last().map_or(0, |c| c.context_end);
             let lag = state.committed.saturating_sub(state.replicated);
             if !chunks.is_empty() {
                 // Replicated deltas carry *private* committed tokens only;
@@ -720,7 +715,7 @@ impl<B: ServingBackend + Send> Router<B> {
                 conv: conv.0,
                 from: failed,
                 to: standby,
-                replicated_tokens: pos,
+                replicated_tokens,
                 lag_tokens: lag,
                 latency,
             });
@@ -1174,30 +1169,22 @@ impl<B: ServingBackend + Send> Router<B> {
                 return None;
             }
         };
-        // Cap at the orphan's history: a partially committed turn
-        // restarts from its original context, the same rule standby
-        // promotion applies to replicated chunks.
-        let mut chunks = Vec::new();
-        let mut pos = 0usize;
-        for m in &manifest.chunks {
-            if pos >= cap {
-                break;
-            }
-            let take = m.tokens.min(cap - pos);
-            pos += take;
-            // A truncated shared chunk cannot re-attach by id (attaching
-            // would bring the whole chunk back); demote it to a private
-            // cold entry of the capped size instead.
-            let id = if take == m.tokens {
+        // A truncated shared chunk cannot re-attach by id (attaching
+        // would bring the whole chunk back); it becomes a private cold
+        // entry of the capped size instead.
+        let sizes = manifest.chunks.iter().map(|m| m.tokens);
+        let chunks = capped_layout(sizes, cap).zip(&manifest.chunks);
+        let chunks = chunks.map(|((tokens, _), m)| {
+            let id = if tokens == m.tokens {
                 m.id
             } else {
                 ChunkId::NONE
             };
-            chunks.push(ManifestChunk { id, tokens: take });
-        }
+            ManifestChunk { id, tokens }
+        });
         let capped = SessionManifest {
             session: conv,
-            chunks,
+            chunks: chunks.collect(),
         };
         if capped.total_tokens() == 0 {
             return None;
@@ -1592,6 +1579,53 @@ impl<B: ServingBackend + Send> ServingBackend for Router<B> {
     }
 }
 
+/// Caps a session's layout, given as chunk sizes, at `cap` tokens of
+/// history — the one rule failover applies to an orphan's session,
+/// whether promoted from a standby or rehydrated from its manifest: the
+/// orphan's partially committed turn restarts from its original
+/// context. Yields each kept chunk's kept tokens and end position; the
+/// chunk straddling `cap` is cut and every later one dropped.
+fn capped_layout(
+    sizes: impl IntoIterator<Item = usize>,
+    cap: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    sizes.into_iter().scan(0usize, move |pos, tokens| {
+        (*pos < cap).then(|| {
+            let take = tokens.min(cap - *pos);
+            *pos += take;
+            (take, *pos)
+        })
+    })
+}
+
+/// One manifest write's torn-write roll; never torn without an injector.
+fn roll_torn(faults: &mut Option<FaultInjector>) -> bool {
+    faults
+        .as_mut()
+        .is_some_and(|f| f.roll(FaultKind::TornManifestWrite))
+}
+
+/// Total order over [`SimTime`] for sort keys (simulated times are always
+/// finite; NaN cannot arise from the engines).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OrdTime(SimTime);
+
+impl Eq for OrdTime {}
+
+impl PartialOrd for OrdTime {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrdTime {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0
+            .partial_cmp(&other.0)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+}
+
 // A `cfg(test)` child of this module so it can read the router's
 // private state, and so clippy's test exemptions apply to it.
 #[cfg(test)]
@@ -1827,33 +1861,5 @@ mod tests {
             "parked requests are owed to the caller, not dropped"
         );
         assert_eq!(r.parked_requests(), 0);
-    }
-}
-
-/// One manifest write's torn-write roll; never torn without an injector.
-fn roll_torn(faults: &mut Option<FaultInjector>) -> bool {
-    faults
-        .as_mut()
-        .is_some_and(|f| f.roll(FaultKind::TornManifestWrite))
-}
-
-/// Total order over [`SimTime`] for sort keys (simulated times are always
-/// finite; NaN cannot arise from the engines).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdTime(SimTime);
-
-impl Eq for OrdTime {}
-
-impl PartialOrd for OrdTime {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdTime {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
     }
 }

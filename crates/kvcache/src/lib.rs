@@ -30,10 +30,11 @@
 //!   tokens kept in a persistent store ([`TokenChunkStore`]).
 //! * **Cross-conversation sharing** — a common prefix (tool preamble,
 //!   RAG document, forked history) registers once as a chain of
-//!   content-addressed, reference-counted chunks ([`ChunkId`]) behind a
-//!   radix prefix index ([`PrefixIndex`]); N conversations attach to
-//!   one physical copy, and eviction weighs a chunk by its sharer
-//!   count. A chain materialized *global* (the deployment's preamble)
+//!   content-addressed, reference-counted chunks ([`ChunkId`], each
+//!   derived from its parent's id and its tokens); N conversations
+//!   attach to one physical copy by id, and eviction weighs a chunk by
+//!   its sharer count. [`PrefixIndex`] is a standalone radix index from
+//!   token prefixes to such chains. A chain materialized *global* (the deployment's preamble)
 //!   stays GPU-resident for the cache's lifetime.
 //! * **Request plans** — a returning conversation's context splits into
 //!   the paper's Figure-5 segments, generalized across the hierarchy:

@@ -57,9 +57,8 @@ fn policies() -> Vec<Box<dyn EvictionPolicy>> {
 }
 
 fn cache(policy: Box<dyn EvictionPolicy>, (ssd, cold): (usize, usize)) -> TieredKvCache {
-    TieredKvCache::builder(CacheConfig::for_test(CHUNK, 320, 160))
+    TieredKvCache::builder(CacheConfig::for_test(CHUNK, 320, 160).with_deep_tiers(ssd, cold))
         .policy(policy)
-        .deep_tiers(ssd, cold)
         .build()
 }
 
@@ -296,11 +295,10 @@ type Traced = (TieredKvCache, SharedRecorder);
 fn twins((ssd, cold): (usize, usize), cfg: CacheConfig) -> Vec<[Traced; 2]> {
     let traced = |policy| {
         let rec = SharedRecorder::new();
-        let cache = TieredKvCache::builder(cfg.clone())
+        let mut cache = TieredKvCache::builder(cfg.clone().with_deep_tiers(ssd, cold))
             .policy(policy)
-            .deep_tiers(ssd, cold)
-            .recorder(rec.clone())
             .build();
+        cache.set_recorder(Some(rec.clone()));
         (cache, rec)
     };
     let pairs = policies().into_iter().zip(policies());

@@ -1070,7 +1070,11 @@ fn attach_shares_one_physical_copy_across_sharers() {
     let preamble = synthetic_preamble(1, 96); // 3 chunks of 32
     let chain = cache.register_shared(&preamble, t(0.0));
     assert_eq!(chain.len(), 3);
-    assert_eq!(cache.lookup_shared(&preamble), chain);
+    assert_eq!(
+        cache.register_shared(&preamble, t(0.0)),
+        chain,
+        "idempotent"
+    );
     for i in 0..4u64 {
         let conv = SessionId(i + 1);
         assert_eq!(cache.attach_shared(conv, &chain, t(0.1)).unwrap(), 96);

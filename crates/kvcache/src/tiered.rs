@@ -105,7 +105,6 @@ use pensieve_model::SimTime;
 use pensieve_obs::{Recorder as _, SharedRecorder, StorageTier, TraceEvent};
 
 use crate::policy::{EvictionPolicy, Granularity, LruPolicy, WithinOrder};
-use crate::prefix::PrefixIndex;
 use crate::stats::CacheStats;
 use crate::types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};
 use keyed::KeyedMap;
@@ -321,8 +320,6 @@ pub struct TieredKvCache {
     /// it is pooled and leaves when `materialize_global` makes it global,
     /// which is for good.
     walkable: BTreeSet<ChunkId>,
-    /// Radix index from token prefixes to shared chunk chains.
-    index: PrefixIndex,
     stats: CacheStats,
     /// Passive trace sink; `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
@@ -335,15 +332,13 @@ pub struct TieredKvCache {
 /// ```
 /// use pensieve_kvcache::{CacheConfig, TieredKvCache};
 ///
-/// let cache = TieredKvCache::builder(CacheConfig::for_test(32, 2048, 8192))
-///     .deep_tiers(16_384, 65_536)
-///     .build();
+/// let cfg = CacheConfig::for_test(32, 2048, 8192).with_deep_tiers(16_384, 65_536);
+/// let cache = TieredKvCache::builder(cfg).build();
 /// assert_eq!(cache.config().ssd_capacity_tokens, 16_384);
 /// ```
 pub struct TieredKvCacheBuilder {
     cfg: CacheConfig,
     policy: Box<dyn EvictionPolicy>,
-    recorder: Option<SharedRecorder>,
 }
 
 impl TieredKvCacheBuilder {
@@ -354,28 +349,10 @@ impl TieredKvCacheBuilder {
         self
     }
 
-    /// Enables the SSD (tier-2) and cold (tier-3) capacities, in tokens;
-    /// `0` leaves the corresponding tier off. Shorthand for
-    /// [`CacheConfig::with_deep_tiers`] on the builder's config.
-    #[must_use]
-    pub fn deep_tiers(mut self, ssd: usize, cold: usize) -> Self {
-        self.cfg = self.cfg.with_deep_tiers(ssd, cold);
-        self
-    }
-
-    /// Attaches a passive trace recorder from the start.
-    #[must_use]
-    pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Builds the cache.
     #[must_use]
     pub fn build(self) -> TieredKvCache {
-        let mut cache = TieredKvCache::new(self.cfg, self.policy);
-        cache.recorder = self.recorder;
-        cache
+        TieredKvCache::new(self.cfg, self.policy)
     }
 }
 
@@ -396,7 +373,6 @@ impl TieredKvCache {
         TieredKvCacheBuilder {
             cfg,
             policy: Box::new(LruPolicy),
-            recorder: None,
         }
     }
 
@@ -406,7 +382,6 @@ impl TieredKvCache {
     fn new(cfg: CacheConfig, policy: Box<dyn EvictionPolicy>) -> Self {
         TieredKvCache {
             ladder: Rung::ladder(&cfg),
-            index: PrefixIndex::new(cfg.chunk_tokens),
             cfg,
             members: Members {
                 descending: policy.within_order() == WithinOrder::TrailingFirst

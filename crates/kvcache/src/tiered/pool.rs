@@ -41,17 +41,18 @@ impl TieredKvCache {
     /// [`TieredKvCache::materialize_global`]. Registering the same
     /// prefix twice is idempotent.
     pub fn register_shared(&mut self, tokens: &[u32], now: SimTime) -> Vec<ChunkId> {
-        let chain = self.index.insert(tokens);
-        let chunk_tokens = self.index.chunk_tokens();
-        let mut end = 0usize;
-        for id in &chain {
-            end += chunk_tokens;
-            if let Some(s) = self.shared.get_mut(id) {
+        let chunk_tokens = self.cfg.chunk_tokens.max(1);
+        let mut chain: Vec<ChunkId> = Vec::new();
+        for chunk in tokens.chunks_exact(chunk_tokens) {
+            let id = ChunkId::derive(chain.last().copied().unwrap_or(ChunkId::ROOT), chunk);
+            chain.push(id);
+            let end = chain.len() * chunk_tokens;
+            if let Some(s) = self.shared.get_mut(&id) {
                 s.last_active = now;
             } else {
                 self.occ.admit(Tier::Dropped, chunk_tokens);
                 self.pool(
-                    *id,
+                    id,
                     SharedChunk {
                         chunk: ChunkState {
                             tier: Tier::Dropped,
@@ -76,18 +77,9 @@ impl TieredKvCache {
         self.shared.insert(id, chunk);
     }
 
-    /// Longest registered chunk chain matching a prefix of `tokens` —
-    /// the discovery half of sharing. Token bytes are compared at every
-    /// hop, so a hash collision shortens the match instead of sharing
-    /// the wrong KV.
-    #[must_use]
-    pub fn lookup_shared(&self, tokens: &[u32]) -> Vec<ChunkId> {
-        self.index.longest_match(tokens)
-    }
-
     /// Starts a new conversation whose context begins with the shared
     /// chunk chain `chain` (typically from
-    /// [`TieredKvCache::lookup_shared`]): every chunk's reference count
+    /// [`TieredKvCache::register_shared`]): every chunk's reference count
     /// rises by one and no KV bytes are duplicated. Private tokens
     /// appended later sit after the chain. Returns the logical tokens
     /// covered by the chain.

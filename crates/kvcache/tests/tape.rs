@@ -359,15 +359,16 @@ struct Tape {
 
 impl Tape {
     fn new(policy: Policy, ssd: usize, cold: usize, seed: u64, rec: &SharedRecorder) -> Self {
-        let side = || Side {
-            cache: TieredKvCache::builder(CacheConfig::for_test(CHUNK, GPU, CPU))
-                .policy(policy.build())
-                .deep_tiers(ssd, cold)
-                .recorder(rec.clone())
-                .build(),
-            running: BTreeSet::new(),
-            chains: Vec::new(),
-            has_global: false,
+        let side = || {
+            let cfg = CacheConfig::for_test(CHUNK, GPU, CPU).with_deep_tiers(ssd, cold);
+            let mut cache = TieredKvCache::builder(cfg).policy(policy.build()).build();
+            cache.set_recorder(Some(rec.clone()));
+            Side {
+                cache,
+                running: BTreeSet::new(),
+                chains: Vec::new(),
+                has_global: false,
+            }
         };
         let mut tape = Tape {
             rng: Rng(seed),
@@ -407,12 +408,13 @@ impl Tape {
         for id in &chain {
             self.d.word(id.0);
         }
-        // Discovery: the registered prefix followed by unrelated tokens
-        // still matches the whole chain.
-        let mut probe = tokens;
-        probe.extend([7, 7, 7]);
-        let found = side.cache.lookup_shared(&probe);
-        self.d.n(found.len());
+        // Registering again, with a trailing partial chunk, is
+        // idempotent: the same chain, nothing new pooled.
+        let mut again = tokens;
+        again.extend([7, 7, 7]);
+        let again = side.cache.register_shared(&again, now);
+        assert_eq!(again, chain, "re-registration moved the chain");
+        self.d.n(again.len());
         side.chains.push(chain);
     }
 

@@ -448,24 +448,6 @@ trace_events! {
             /// Total time including the transfer stall.
             total: SimDuration,
         },
-        /// One forward pass of the threaded tensor-parallel engine, `at`
-        /// always zero and `pass` providing the logical ordering. Nothing
-        /// records it now (the engine's own recorder traces the fleet's
-        /// ticks); the variant stays for the encodings pinned under
-        /// `tests/golden`.
-        TpPass {
-            /// Always [`SimTime::ZERO`] (no simulated clock in real-thread
-            /// execution).
-            at: SimTime,
-            /// Monotonic pass counter.
-            pass: u64,
-            /// Conversation served.
-            conv: u64,
-            /// Query tokens in the pass.
-            query_tokens: usize,
-            /// Worker shards that participated.
-            shards: usize,
-        },
         /// A cluster router placed a request on a replica.
         Routed {
             /// Routing decision time (the request's arrival at the router).
@@ -749,13 +731,6 @@ pub fn sample_events() -> Vec<TraceEvent> {
             bytes: 1 << 20,
             compute: SimDuration::from_millis(48.0),
             total: SimDuration::from_millis(50.0),
-        },
-        TraceEvent::TpPass {
-            at: SimTime::ZERO,
-            pass: 11,
-            conv: 4,
-            query_tokens: 16,
-            shards: 2,
         },
         TraceEvent::Routed {
             at: t,

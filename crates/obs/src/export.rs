@@ -331,7 +331,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
             | TraceEvent::TierReadCommitted { .. }
             | TraceEvent::ChunkDemoted { .. }
             | TraceEvent::PipelinedSwapIn { .. }
-            | TraceEvent::TpPass { .. }
             | TraceEvent::Routed { .. }
             | TraceEvent::MigrationStart { .. }
             | TraceEvent::MigrationEnd { .. }

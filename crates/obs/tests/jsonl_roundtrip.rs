@@ -145,21 +145,14 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             compute: dur(1),
             total: dur(2),
         },
-        17 => TraceEvent::TpPass {
-            at,
-            pass: u(0),
-            conv: u(1),
-            query_tokens: n(2),
-            shards: n(3) % 8 + 1,
-        },
-        18 => TraceEvent::Routed {
+        17 => TraceEvent::Routed {
             at,
             request: u(0),
             conv: u(1),
             replica: n(2),
             cached_tokens: n(3),
         },
-        19 => TraceEvent::MigrationStart {
+        18 => TraceEvent::MigrationStart {
             at,
             conv: u(0),
             from: n(1),
@@ -167,19 +160,19 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             chunks: n(3),
             bytes: u(4),
         },
-        20 => TraceEvent::MigrationEnd {
+        19 => TraceEvent::MigrationEnd {
             at,
             conv: u(0),
             to: n(1),
             streamed_tokens: n(2),
             lost_tokens: n(3),
         },
-        21 => TraceEvent::ReplicaFailed {
+        20 => TraceEvent::ReplicaFailed {
             at,
             replica: n(0),
             requeued: n(1),
         },
-        22 => TraceEvent::ReplicationFlush {
+        21 => TraceEvent::ReplicationFlush {
             at,
             conv: u(0),
             from: n(1),
@@ -188,7 +181,7 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             bytes: u(4),
             lost: flag(5),
         },
-        23 => TraceEvent::StandbyPromoted {
+        22 => TraceEvent::StandbyPromoted {
             at,
             conv: u(0),
             from: n(1),
@@ -197,24 +190,24 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             lag_tokens: n(4),
             latency: dur(5),
         },
-        24 => TraceEvent::LinkPartitioned {
+        23 => TraceEvent::LinkPartitioned {
             at,
             until: SimTime::from_secs(t * 1.5),
         },
-        25 => TraceEvent::ManifestPersisted {
+        24 => TraceEvent::ManifestPersisted {
             at,
             conv: u(0),
             tokens: n(1),
             bytes: u(2),
             torn: flag(3),
         },
-        26 => TraceEvent::SessionRehydrated {
+        25 => TraceEvent::SessionRehydrated {
             at,
             conv: u(0),
             tokens: n(1),
             replica: n(2),
         },
-        27 => TraceEvent::SharedAttached {
+        26 => TraceEvent::SharedAttached {
             at,
             conv: u(0),
             tokens: n(1),

@@ -3,7 +3,7 @@
 //! Real deployments of a two-tier KV cache see partial failures the paper
 //! does not model: DMA engines abort or time out, host memory holding
 //! swapped-out KV chunks gets reclaimed or corrupted, slot allocators
-//! transiently fail, and tensor-parallel workers stall or crash. The
+//! transiently fail, and tensor-parallel workers stall. The
 //! [`FaultInjector`] draws those events from a seeded SplitMix64 stream so
 //! that an entire chaos run is reproducible from a single `u64` seed: the
 //! same seed yields the same fault schedule, which lets the integration
@@ -43,9 +43,6 @@ pub enum FaultKind {
     /// A tensor-parallel worker shard stalls for a bounded time; the
     /// iteration completes late.
     WorkerStall,
-    /// A tensor-parallel worker shard dies; detected via channel
-    /// disconnect and surfaced as a typed error.
-    WorkerCrash,
     /// A deep-tier (SSD/cold) read stalls: the data arrives, but late by
     /// the configured penalty (device GC pause, congested NFS server).
     ColdReadStall,
@@ -67,7 +64,6 @@ impl fmt::Display for FaultKind {
             FaultKind::CpuChunkCorruption => "cpu-chunk-corruption",
             FaultKind::GpuAllocFailure => "gpu-alloc-failure",
             FaultKind::WorkerStall => "worker-stall",
-            FaultKind::WorkerCrash => "worker-crash",
             FaultKind::ColdReadStall => "cold-read-stall",
             FaultKind::ColdReadFailure => "cold-read-failure",
             FaultKind::TornManifestWrite => "torn-manifest-write",
@@ -93,9 +89,6 @@ pub struct FaultConfig {
     pub gpu_alloc_failure: f64,
     /// Probability that a worker shard stalls during an iteration.
     pub worker_stall: f64,
-    /// Probability that a worker shard crashes (functional engines only;
-    /// the timing engine treats crashes as stalls).
-    pub worker_crash: f64,
     /// Probability that a deep-tier read stalls (delivers late).
     pub cold_read_stall: f64,
     /// Probability that a deep-tier read fails (delivers nothing).
@@ -122,7 +115,6 @@ impl FaultConfig {
             cpu_chunk_corruption: 0.0,
             gpu_alloc_failure: 0.0,
             worker_stall: 0.0,
-            worker_crash: 0.0,
             cold_read_stall: 0.0,
             cold_read_failure: 0.0,
             torn_manifest_write: 0.0,
@@ -143,7 +135,6 @@ impl FaultConfig {
             cpu_chunk_corruption: 0.05,
             gpu_alloc_failure: 0.05,
             worker_stall: 0.05,
-            worker_crash: 0.0,
             ..FaultConfig::disabled(seed)
         }
     }
@@ -164,8 +155,6 @@ pub struct FaultCounters {
     pub gpu_alloc_failures: u64,
     /// Worker stalls injected.
     pub worker_stalls: u64,
-    /// Worker crashes injected.
-    pub worker_crashes: u64,
     /// Deep-tier read stalls injected.
     pub cold_read_stalls: u64,
     /// Deep-tier read failures injected.
@@ -184,7 +173,6 @@ impl FaultCounters {
             + self.cpu_chunk_corruptions
             + self.gpu_alloc_failures
             + self.worker_stalls
-            + self.worker_crashes
             + self.cold_read_stalls
             + self.cold_read_failures
             + self.torn_manifest_writes
@@ -239,7 +227,6 @@ impl FaultInjector {
             FaultKind::CpuChunkCorruption => self.cfg.cpu_chunk_corruption,
             FaultKind::GpuAllocFailure => self.cfg.gpu_alloc_failure,
             FaultKind::WorkerStall => self.cfg.worker_stall,
-            FaultKind::WorkerCrash => self.cfg.worker_crash,
             FaultKind::ColdReadStall => self.cfg.cold_read_stall,
             FaultKind::ColdReadFailure => self.cfg.cold_read_failure,
             FaultKind::TornManifestWrite => self.cfg.torn_manifest_write,
@@ -254,7 +241,6 @@ impl FaultInjector {
                 FaultKind::CpuChunkCorruption => c.cpu_chunk_corruptions += 1,
                 FaultKind::GpuAllocFailure => c.gpu_alloc_failures += 1,
                 FaultKind::WorkerStall => c.worker_stalls += 1,
-                FaultKind::WorkerCrash => c.worker_crashes += 1,
                 FaultKind::ColdReadStall => c.cold_read_stalls += 1,
                 FaultKind::ColdReadFailure => c.cold_read_failures += 1,
                 FaultKind::TornManifestWrite => c.torn_manifest_writes += 1,
@@ -426,7 +412,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultConfig::disabled(3));
         for _ in 0..1000 {
             assert!(!inj.roll(FaultKind::CpuChunkLoss));
-            assert!(!inj.roll(FaultKind::WorkerCrash));
+            assert!(!inj.roll(FaultKind::TornManifestWrite));
         }
         assert_eq!(inj.counters().total(), 0);
     }

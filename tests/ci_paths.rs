@@ -10,7 +10,10 @@
 //! `<crate>/src/….rs` or `<crate>/tests/….rs` source they name must be a
 //! file. The clippy lint scopes and waivers CI relies on are pinned here
 //! too, and neither what CI, a document or a script runs nor a source
-//! file may name the retired workspace linter.
+//! file may name the retired workspace linter. Scans of the shipped
+//! source keep production code above each file's first test item, where
+//! `scripts/loc.sh` stops counting, and keep every trace event and fault
+//! kind produced somewhere.
 
 use std::path::Path;
 
@@ -411,4 +414,146 @@ fn every_source_file_ci_and_the_documents_name_is_in_the_tree() {
         }
     }
     assert!(checked >= 50, "only {checked} source paths found");
+}
+
+/// Byte offset of `text`'s first column-0 `#[cfg(test)]`, where
+/// `scripts/loc.sh` stops counting: what comes after compiles into tests
+/// only, so the test below enforces it.
+fn test_start(text: &str) -> usize {
+    let mut offset = 0;
+    for line in text.split_inclusive('\n') {
+        if line.starts_with("#[cfg(test)]") {
+            return offset;
+        }
+        offset += line.len();
+    }
+    text.len()
+}
+
+/// `scripts/loc.sh` counts each file up to its first column-0
+/// `#[cfg(test)]`, so a production item placed after it would ship
+/// uncounted: past that line, every item must carry `#[cfg(test)]`.
+#[test]
+fn only_test_items_follow_a_files_first_test_item() {
+    let sources = ["crates", "shims"].into_iter().flat_map(files_under);
+    for file in sources.filter(|f| f.ends_with(".rs") && f.contains("/src/")) {
+        let text = read(&file);
+        let mut gated = false;
+        for line in text[test_start(&text)..].lines() {
+            if line.starts_with("#[cfg(test)]") {
+                gated = true;
+            } else if line.starts_with(char::is_alphabetic) {
+                assert!(
+                    gated,
+                    "{file}: `{line}` follows the file's first #[cfg(test)] item \
+                     but compiles outside tests; move it above"
+                );
+                gated = false;
+            }
+        }
+    }
+}
+
+/// The shipped source of every crate but `except`, shim and the facade:
+/// each file outside a `tests/` directory, up to its first test item.
+fn shipped_sources(except: &str) -> Vec<(String, String)> {
+    let files = ["crates", "shims", "src"].into_iter().flat_map(files_under);
+    files
+        .filter(|f| f.ends_with(".rs") && !f.contains("/tests/") && !f.starts_with(except))
+        .filter(|f| f.starts_with("src/") || f.contains("/src/"))
+        .map(|f| {
+            let text = read(&f);
+            let shipped = text[..test_start(&text)].to_owned();
+            (f, shipped)
+        })
+        .collect()
+}
+
+/// The variant names of `enum_name` as declared in `rel`.
+fn enum_variants(rel: &str, enum_name: &str) -> Vec<String> {
+    let text = read(rel);
+    let (_, body) = text
+        .split_once(&format!("pub enum {enum_name} {{"))
+        .unwrap_or_else(|| panic!("{rel} declares no {enum_name}"));
+    let body = body.split_once("\n}").map_or(body, |(b, _)| b);
+    body.lines()
+        .map(str::trim)
+        .filter(|l| !l.starts_with("//") && !l.starts_with('#'))
+        .filter_map(|l| l.strip_suffix(','))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Every trace event is recorded by the serving stack: a variant that
+/// nothing outside `crates/obs` constructs pins an encoding and a
+/// documentation row with no behaviour behind them. A construction is
+/// `TraceEvent::Name { … }` whose braces hold no `..` and that is not a
+/// pattern (followed by `=>`, `|`, `=` or `if`).
+#[test]
+fn every_trace_event_has_a_producer() {
+    let sources = shipped_sources("crates/obs/");
+    let constructed = |name: &str| {
+        let needle = format!("TraceEvent::{name}");
+        sources.iter().any(|(_, text)| {
+            text.match_indices(&needle).any(|(at, _)| {
+                let rest = &text[at + needle.len()..];
+                let Some(body) = rest.trim_start().strip_prefix('{') else {
+                    return false;
+                };
+                let Some(close) = body.find('}') else {
+                    return false;
+                };
+                let after = body[close + 1..].trim_start();
+                let pattern = ["=>", "|", "=", "if "].iter().any(|p| after.starts_with(p));
+                !body[..close].contains("..") && !pattern
+            })
+        })
+    };
+    let orphans: Vec<&str> = pensieve_obs::event::VARIANTS
+        .iter()
+        .copied()
+        .filter(|v| !constructed(v))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "trace events nothing outside crates/obs records: {orphans:?}"
+    );
+}
+
+/// Every fault kind is rolled somewhere: a kind no component polls is a
+/// rate, a counter and a name that inject nothing. A roll's argument is
+/// either `FaultKind::Name` or the variable of a `for kind in [...]`
+/// loop over kinds.
+#[test]
+fn every_fault_kind_is_rolled() {
+    let faults = "crates/sim/src/faults.rs";
+    let mut rolled = Vec::new();
+    for (_, text) in shipped_sources(faults) {
+        for (at, _) in text.match_indices(".roll(") {
+            let arg = &text[at + ".roll(".len()..];
+            let arg = arg.split(')').next().unwrap_or_default().trim();
+            let list = if arg.starts_with("FaultKind::") {
+                arg
+            } else {
+                // `for kind in [FaultKind::A, FaultKind::B] { … roll(kind) … }`
+                let head = format!("for {arg} in [");
+                let list = text[..at]
+                    .rsplit_once(&head)
+                    .and_then(|(_, l)| l.split_once(']'));
+                list.map_or("", |(l, _)| l)
+            };
+            let kinds = list
+                .split(',')
+                .map(|k| k.trim().trim_start_matches("FaultKind::"));
+            rolled.extend(kinds.map(str::to_owned));
+        }
+    }
+    let unrolled: Vec<String> = enum_variants(faults, "FaultKind")
+        .into_iter()
+        .filter(|k| !rolled.contains(k))
+        .collect();
+    assert!(
+        unrolled.is_empty(),
+        "fault kinds nothing outside {faults} rolls: {unrolled:?}"
+    );
 }
