@@ -782,7 +782,7 @@ impl SimServingEngine {
         // `BatchComposed`/`IterationEnd`.
         self.record_iteration_start();
         self.fault_tick(x.as_deref_mut());
-        self.grow_decode_slots(x.is_some());
+        self.grow_decode_slots();
         self.ahead_of_time_swap();
         self.admit(x.as_deref_mut());
         if self.running.is_empty() {
@@ -887,9 +887,9 @@ impl SimServingEngine {
 
     /// Appends one KV slot per decoding request, suspending
     /// newest-arrival requests if the GPU cannot hold the growth (§4.3.5).
-    /// `exact` (a real executor is attached) makes two suspension corners
-    /// exact that the cost model has always left one slot short.
-    fn grow_decode_slots(&mut self, exact: bool) {
+    /// Every request that decodes this tick ends it holding a slot for
+    /// each token of its context.
+    fn grow_decode_slots(&mut self) {
         let mut i = 0;
         while i < self.running.len() {
             let r = &mut self.running[i];
@@ -913,11 +913,9 @@ impl SimServingEngine {
             if grown {
                 self.running[i].context_len += 1;
                 i += 1;
-            } else if self.suspend_for(i, exact) < i && exact {
-                // A real executor needs every decode row's slot: the
-                // growing request, shifted down by its victim's removal,
-                // retries. (The cost model lets it decode this tick
-                // without one, as it always has.)
+            } else if self.suspend_for(i) < i {
+                // The growing request, shifted down by its victim's
+                // removal, retries with the freed space.
                 i -= 1;
             }
             // Otherwise index `i` is looked at again: the batch shifted
@@ -930,7 +928,7 @@ impl SimServingEngine {
     /// other decoding requests (paper default: newest arrival first), or
     /// the growing request itself when it is the only one. The victim
     /// goes back to the front of the wait queue; returns its index.
-    fn suspend_for(&mut self, growing: usize, exact: bool) -> usize {
+    fn suspend_for(&mut self, growing: usize) -> usize {
         let better = |cand: &RequestState, best: &RequestState| match self.cfg.suspend_policy {
             SuspendPolicy::NewestFirst => cand.req.arrival > best.req.arrival,
             SuspendPolicy::OldestFirst => cand.req.arrival < best.req.arrival,
@@ -948,9 +946,9 @@ impl SimServingEngine {
         let victim = chosen.unwrap_or(growing);
         let mut r = self.running.remove(victim);
         // A victim not yet grown this tick holds no slot for its last
-        // token: a real executor's resume computes it as context past
-        // what the cache tracks. (The cost model resumes without it.)
-        r.context_len += usize::from(exact && victim >= growing);
+        // token: its resume computes it as context past what the cache
+        // tracks.
+        r.context_len += usize::from(victim >= growing);
         let moved_tokens = self.cache.suspend(r.req.conv, self.now);
         let bytes = moved_tokens * self.kv_bytes_per_token_per_gpu;
         // The freed slots are only usable once the copy-out completes; we

@@ -222,14 +222,14 @@ const SCENARIOS: [Scenario; 8] = [
 /// One digest per [`DRIVES`] entry, per scenario.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 3]; 8] = [
-    [0x87698739bf347adc, 0x25884cd4c5c70893, 0x1aa04b3b58fb8b59], // overflow/newest-first
-    [0x94a60046f718375f, 0xa48d89d80ad4c470, 0x8590409af7966989], // overflow/oldest-first
-    [0x26ef932639aae1c0, 0x4feaa72c8265014d, 0x2b470dea97522a1e], // overflow/largest-context
-    [0x7bda3df127d281ac, 0x9fa65278d3117ec8, 0xb5e6b8d46fb1c3b7], // overflow/stateless-vllm
-    [0x060f5773f7b2454e, 0xbd267b50a4c072d2, 0xa575598056cf6626], // chunked-prefill/overflow
+    [0x9374b5a8638bd395, 0x3036969059ec1d2a, 0x3f0da8b8a364f2a7], // overflow/newest-first
+    [0x4c21d2f36028654f, 0x09c2e5feda17bb2c, 0x2638dce35b860299], // overflow/oldest-first
+    [0xd047aaef96a06161, 0x4f1f2cf3a2001123, 0x581ced3f54b7088e], // overflow/largest-context
+    [0x2cf21cf85daef888, 0xcd5b589c500f07d0, 0xb2ab6ae444d24ed9], // overflow/stateless-vllm
+    [0x1d3de12bd77ee323, 0xdfaf60e6ad3bae4b, 0x39be22d1f80edc51], // chunked-prefill/overflow
     [0xfd869862d63eddb8, 0x8e463bd1113d40d0, 0x1fa17565545c3b0a], // orca/reservation
-    [0x8d01bf425b9c630a, 0x426b05afb46df54b, 0x802703e231671452], // shared-prefix/overflow
-    [0x8add939fb81684aa, 0x1269d46d47782714, 0x02721be8abc58f7b], // deep-tiers/chaos
+    [0x865ef875b1c0e225, 0xb9afa1bfdebfb03f, 0x1f74c3f3996aa101], // shared-prefix/overflow
+    [0x975de09074fcb2d6, 0xe32bf43f5d1752ab, 0x2229bd7084fa0a06], // deep-tiers/chaos
 ];
 
 /// Digest of `handoff_with_a_suspended_request_queued`.
