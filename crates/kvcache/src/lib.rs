@@ -34,8 +34,8 @@
 //!   derived from its parent's id and its tokens); N conversations
 //!   attach to one physical copy by id, and eviction weighs a chunk by
 //!   its sharer count. [`PrefixIndex`] is a standalone radix index from
-//!   token prefixes to such chains. A chain materialized *global* (the deployment's preamble)
-//!   stays GPU-resident for the cache's lifetime.
+//!   token prefixes to such chains. A chain materialized *global* (the
+//!   deployment's preamble) stays GPU-resident for the cache's lifetime.
 //! * **Request plans** — a returning conversation's context splits into
 //!   the paper's Figure-5 segments, generalized across the hierarchy:
 //!   dropped prefix (recompute), cold/SSD middle (device read), CPU

@@ -456,15 +456,14 @@ fn only_test_items_follow_a_files_first_test_item() {
 
 /// The shipped source of every crate but `except`, shim and the facade:
 /// each file outside a `tests/` directory, up to its first test item.
-fn shipped_sources(except: &str) -> Vec<(String, String)> {
+fn shipped_sources(except: &str) -> Vec<String> {
     let files = ["crates", "shims", "src"].into_iter().flat_map(files_under);
     files
         .filter(|f| f.ends_with(".rs") && !f.contains("/tests/") && !f.starts_with(except))
         .filter(|f| f.starts_with("src/") || f.contains("/src/"))
         .map(|f| {
             let text = read(&f);
-            let shipped = text[..test_start(&text)].to_owned();
-            (f, shipped)
+            text[..test_start(&text)].to_owned()
         })
         .collect()
 }
@@ -494,7 +493,7 @@ fn every_trace_event_has_a_producer() {
     let sources = shipped_sources("crates/obs/");
     let constructed = |name: &str| {
         let needle = format!("TraceEvent::{name}");
-        sources.iter().any(|(_, text)| {
+        sources.iter().any(|text| {
             text.match_indices(&needle).any(|(at, _)| {
                 let rest = &text[at + needle.len()..];
                 let Some(body) = rest.trim_start().strip_prefix('{') else {
@@ -528,7 +527,7 @@ fn every_trace_event_has_a_producer() {
 fn every_fault_kind_is_rolled() {
     let faults = "crates/sim/src/faults.rs";
     let mut rolled = Vec::new();
-    for (_, text) in shipped_sources(faults) {
+    for text in shipped_sources(faults) {
         for (at, _) in text.match_indices(".roll(") {
             let arg = &text[at + ".roll(".len()..];
             let arg = arg.split(')').next().unwrap_or_default().trim();
