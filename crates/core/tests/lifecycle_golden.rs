@@ -10,7 +10,7 @@
 //! `src/engine.rs` were unified, so they pin that rewrite (and any later
 //! one) to the bit: which request is suspended, what its re-admission
 //! costs, where the clock lands under each entry point, every counter,
-//! every trace byte. Each scenario asserts that the path it exists for
+//! every trace event. Each scenario asserts that the path it exists for
 //! was actually taken, so a retuned budget cannot silently turn the pin
 //! into a no-op.
 //!
@@ -26,7 +26,7 @@ use pensieve_core::{
 };
 use pensieve_kvcache::{CacheStats, SessionId};
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{to_jsonl, RecoveryKind, SharedRecorder, TraceEvent};
+use pensieve_obs::{to_jsonl, RecoveryKind, SharedRecorder, SwapDir, TraceEvent};
 use pensieve_sim::{FaultConfig, FaultInjector};
 
 /// Width of one `poll(Some(t))` / `run_until(t)` slice.
@@ -222,14 +222,14 @@ const SCENARIOS: [Scenario; 8] = [
 /// One digest per [`DRIVES`] entry, per scenario.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 3]; 8] = [
-    [0x9374b5a8638bd395, 0x3036969059ec1d2a, 0x3f0da8b8a364f2a7], // overflow/newest-first
-    [0x4c21d2f36028654f, 0x09c2e5feda17bb2c, 0x2638dce35b860299], // overflow/oldest-first
-    [0xd047aaef96a06161, 0x4f1f2cf3a2001123, 0x581ced3f54b7088e], // overflow/largest-context
-    [0x2cf21cf85daef888, 0xcd5b589c500f07d0, 0xb2ab6ae444d24ed9], // overflow/stateless-vllm
-    [0x1d3de12bd77ee323, 0xdfaf60e6ad3bae4b, 0x39be22d1f80edc51], // chunked-prefill/overflow
-    [0xfd869862d63eddb8, 0x8e463bd1113d40d0, 0x1fa17565545c3b0a], // orca/reservation
-    [0x865ef875b1c0e225, 0xb9afa1bfdebfb03f, 0x1f74c3f3996aa101], // shared-prefix/overflow
-    [0x975de09074fcb2d6, 0xe32bf43f5d1752ab, 0x2229bd7084fa0a06], // deep-tiers/chaos
+    [0xa929204b8df89cc1, 0xf72ca8514952fe44, 0x3ef84af0f1d30ce0], // overflow/newest-first
+    [0xc0f737cd724f09c4, 0x2e55c7e146ca0a25, 0x9cdbc04580c3fcae], // overflow/oldest-first
+    [0x9721077951ae422a, 0xa92fab4d56bde7ae, 0x458b01b0689312dc], // overflow/largest-context
+    [0xaae5aa3706f73b44, 0x93f4e26d16ae9f3e, 0x2dbff40848b05373], // overflow/stateless-vllm
+    [0xd944bff1cb47616b, 0x5aaac2bd5cf81c97, 0x73fb00fea5610601], // chunked-prefill/overflow
+    [0xc068f4894fdb8fb1, 0x0525c950187a27c1, 0xbe19e457f2941631], // orca/reservation
+    [0x83ba68fc4055aeb9, 0xc1252772d5ada655, 0x17546f2c9c8f796b], // shared-prefix/overflow
+    [0x66f9c29e1fd9b26a, 0xd11ce4e1b29450cc, 0x17d40d0191025cac], // deep-tiers/chaos
 ];
 
 /// Digest of `handoff_with_a_suspended_request_queued`.
@@ -279,6 +279,63 @@ impl Digest {
 
     fn time(&mut self, t: SimTime) {
         self.word(t.as_secs().to_bits());
+    }
+
+    fn duration(&mut self, d: SimDuration) {
+        self.word(d.as_secs().to_bits());
+    }
+
+    /// The event stream, one record per fact: a tick as the fields of
+    /// its one interval record, in order, where the tick's end was
+    /// recorded; a DMA likewise; every other event as its JSONL line.
+    fn events(&mut self, events: &[TraceEvent]) {
+        let mut tick = None;
+        let mut batch = None;
+        let mut swap = None;
+        for ev in events {
+            match ev {
+                TraceEvent::IterationStart {
+                    at,
+                    running,
+                    waiting,
+                    ..
+                } => tick = Some((*at, *running, *waiting)),
+                TraceEvent::BatchComposed {
+                    prefill_seqs,
+                    decode_seqs,
+                    prefill_tokens,
+                    ..
+                } => batch = Some((*prefill_seqs, *decode_seqs, *prefill_tokens)),
+                TraceEvent::IterationEnd {
+                    at: end,
+                    iteration,
+                    queue_delay,
+                    compute,
+                    stall,
+                } => {
+                    let (at, running, waiting) = tick.take().expect("a tick starts");
+                    let (prefill_seqs, decode_seqs, prefill_tokens) =
+                        batch.take().expect("a tick runs a batch");
+                    self.time(at);
+                    self.time(*end);
+                    self.word(*iteration);
+                    for n in [running, waiting, prefill_seqs, decode_seqs, prefill_tokens] {
+                        self.n(n);
+                    }
+                    for d in [queue_delay, compute, stall] {
+                        self.duration(*d);
+                    }
+                }
+                TraceEvent::SwapStart { at, .. } => swap = Some(*at),
+                TraceEvent::SwapEnd { at: end, dir, bytes } => {
+                    self.time(swap.take().expect("a DMA starts"));
+                    self.time(*end);
+                    self.word(u64::from(*dir == SwapDir::Out));
+                    self.word(*bytes);
+                }
+                _ => self.bytes(to_jsonl(std::slice::from_ref(ev)).as_bytes()),
+            }
+        }
     }
 
     fn response(&mut self, r: &Response) {
@@ -604,7 +661,7 @@ fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<Tra
     d.n(e.logical_resident_tokens());
     d.n(e.physical_resident_tokens());
     let events = rec.events();
-    d.bytes(to_jsonl(&events).as_bytes());
+    d.events(&events);
     d.bytes(e.metrics().prometheus().as_bytes());
     (d.0, counters, stats, events)
 }
