@@ -973,14 +973,6 @@ impl<B: ServingBackend + Send> Router<B> {
             .filter(|c| c.tier != Tier::Dropped)
             .map(|c| c.tokens as u64 * bytes_per_token)
             .sum();
-        self.recorder.record(TraceEvent::MigrationStart {
-            at,
-            conv: session.0,
-            from,
-            to,
-            chunks: export.chunks.len(),
-            bytes: total_bytes,
-        });
         let mut transfer_end = at;
         let mut lost_tokens = 0usize;
         for i in 0..export.chunks.len() {
@@ -1002,10 +994,14 @@ impl<B: ServingBackend + Send> Router<B> {
             }
         }
         let streamed = export.streamable_tokens();
-        self.recorder.record(TraceEvent::MigrationEnd {
-            at: transfer_end,
+        self.recorder.record(TraceEvent::Migration {
+            at,
+            end: transfer_end,
             conv: session.0,
+            from,
             to,
+            chunks: export.chunks.len(),
+            bytes: total_bytes,
             streamed_tokens: streamed,
             lost_tokens,
         });

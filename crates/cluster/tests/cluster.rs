@@ -9,7 +9,7 @@ use pensieve_core::{
 };
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::SharedRecorder;
+use pensieve_obs::{SharedRecorder, TraceEvent};
 use pensieve_sim::NodeLinkSpec;
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::{DatasetSpec, DriverConfig};
@@ -196,7 +196,8 @@ fn fleet_metrics_sum_the_replicas() {
     let fleet = (0..2)
         .map(|_| engine_builder().recorder(rec.clone()).build())
         .collect();
-    let mut r = Router::new(fleet, RouterPolicy::RoundRobin, RouterConfig::default()).recorder(rec);
+    let mut r =
+        Router::new(fleet, RouterPolicy::RoundRobin, RouterConfig::default()).recorder(rec.clone());
     r.fail_replica_at(1, SimTime::from_secs(20.0));
     let convs = DatasetSpec::sharegpt().generate(8, 6);
     let result = run_closed_loop(
@@ -218,6 +219,13 @@ fn fleet_metrics_sum_the_replicas() {
         m.counter("pensieve_iterations_total"),
         iterations.iter().sum::<u64>()
     );
+    // One `Iteration` event per executed tick, in the fleet's shared trace.
+    let traced = rec
+        .events()
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::Iteration { .. }))
+        .count();
+    assert_eq!(m.counter("pensieve_iterations_total"), traced as u64);
     assert_eq!(
         m.counter("pensieve_requests_completed_total"),
         result.responses.len() as u64

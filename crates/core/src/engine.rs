@@ -669,8 +669,7 @@ impl SimServingEngine {
             }
             steps += 1;
             last = self.now;
-            self.record_iteration_start();
-            self.record_batch(0, rows, 0);
+            let start = (self.now, rows, self.wait_queue.len());
             let cost = self.gpu.cost();
             let attention: SimDuration = self
                 .running
@@ -679,7 +678,8 @@ impl SimServingEngine {
                 .sum();
             let compute = cost.step_time(non_attention, attention, lm_head);
             let compute = self.gpu.step_time(compute);
-            self.end_iteration(SimDuration::ZERO, compute, SimDuration::ZERO, rows);
+            let batch = (0, rows, 0);
+            self.end_iteration(start, batch, SimDuration::ZERO, compute, SimDuration::ZERO);
         }
         if steps == 0 {
             return None;
@@ -718,57 +718,41 @@ impl SimServingEngine {
         );
     }
 
-    /// Records a [`TraceEvent::IterationStart`] for the coming tick.
-    fn record_iteration_start(&self) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent::IterationStart {
-                at: self.now,
-                iteration: self.counters.iterations,
-                running: self.running.len(),
-                waiting: self.wait_queue.len(),
-            });
-        }
-    }
-
-    /// Records the [`TraceEvent::BatchComposed`] of the tick executing
-    /// now: `decode_seqs` decode rows of one query token each.
-    fn record_batch(&self, prefill_seqs: usize, decode_seqs: usize, prefill_tokens: usize) {
-        if self.recorder.enabled() {
-            self.recorder.record(TraceEvent::BatchComposed {
-                at: self.now,
-                iteration: self.counters.iterations,
-                prefill_seqs,
-                decode_seqs,
-                prefill_tokens,
-                decode_tokens: decode_seqs,
-            });
-        }
-    }
-
     /// The end every executed tick shares: counts the iteration, charges
-    /// its time to the GPU, moves the clock past it, and records its end
-    /// and its histogram observations.
+    /// its time to the GPU, moves the clock past it, and records its
+    /// [`TraceEvent::Iteration`] and histogram observations. `start` is
+    /// the clock, running and waiting counts at the tick's start; `batch`
+    /// its prefill rows, decode rows (one query token each) and prefill
+    /// query tokens.
     fn end_iteration(
         &mut self,
+        (at, running, waiting): (SimTime, usize, usize),
+        (prefill_seqs, decode_seqs, prefill_tokens): (usize, usize, usize),
         queue_delay: SimDuration,
         compute: SimDuration,
         stall: SimDuration,
-        batch_query_tokens: usize,
     ) {
         let iteration = self.counters.iterations;
         self.counters.iterations += 1;
         self.counters.busy_time += compute + queue_delay + stall;
         self.now += queue_delay + compute + stall;
         if let Some(rec) = &self.recorder {
-            rec.record(TraceEvent::IterationEnd {
-                at: self.now,
+            rec.record(TraceEvent::Iteration {
+                at,
+                end: self.now,
                 iteration,
+                running,
+                waiting,
+                prefill_seqs,
+                decode_seqs,
+                prefill_tokens,
                 queue_delay,
                 compute,
                 stall,
             });
             self.iteration_seconds
                 .observe((queue_delay + compute + stall).as_secs());
+            let batch_query_tokens = prefill_tokens + decode_seqs;
             self.batch_query_tokens.observe(batch_query_tokens as f64);
         }
     }
@@ -777,10 +761,9 @@ impl SimServingEngine {
     /// on real K/V bytes too when `x` is given.
     fn iteration<M: PagedModel>(&mut self, mut x: Exec<M>) {
         // Under injected faults a tick can admit nothing and retry; such
-        // ticks repeat the same iteration index (the counter only
-        // advances when a batch executes) and have no matching
-        // `BatchComposed`/`IterationEnd`.
-        self.record_iteration_start();
+        // a tick records no event, and its retry takes the same iteration
+        // index (the counter only advances when a batch executes).
+        let start = (self.now, self.running.len(), self.wait_queue.len());
         self.fault_tick(x.as_deref_mut());
         self.grow_decode_slots();
         self.ahead_of_time_swap();
@@ -804,7 +787,7 @@ impl SimServingEngine {
             return;
         }
         self.empty_ticks = 0;
-        self.execute(x);
+        self.execute(x, start);
         self.complete();
         self.check_agreement();
     }
@@ -1330,8 +1313,9 @@ impl SimServingEngine {
     }
 
     /// Executes the iteration's model invocation(s) — on `x` too, when
-    /// given — and advances the clock.
-    fn execute<M: PagedModel>(&mut self, x: Exec<M>) {
+    /// given — and advances the clock past the tick that began at `start`
+    /// (see [`SimServingEngine::end_iteration`]).
+    fn execute<M: PagedModel>(&mut self, x: Exec<M>, start: (SimTime, usize, usize)) {
         let chunk_cap = self.cfg.chunked_prefill.unwrap_or(usize::MAX);
         let prefill_shapes = &mut self.prefill_batch.seqs;
         let decode_shapes = &mut self.decode_batch.seqs;
@@ -1379,8 +1363,11 @@ impl SimServingEngine {
         }
         let prefill_seqs = prefill_shapes.len();
         let decode_seqs = decode_shapes.len();
-        let prefill_query_tokens = self.prefill_batch.total_query_tokens();
-        self.record_batch(prefill_seqs, decode_seqs, prefill_query_tokens);
+        let batch = (
+            prefill_seqs,
+            decode_seqs,
+            self.prefill_batch.total_query_tokens(),
+        );
         // Swap-ins contend on the link; queueing delay precedes compute.
         let queue_delay = if swap_in_bytes > 0 {
             let (start, _) = self
@@ -1422,8 +1409,7 @@ impl SimServingEngine {
                 self.record_recovery(None, RecoveryKind::WorkerStall, 0);
             }
         }
-        let batch_query_tokens = prefill_query_tokens + decode_seqs;
-        self.end_iteration(queue_delay, duration, stall, batch_query_tokens);
+        self.end_iteration(start, batch, queue_delay, duration, stall);
     }
 
     /// Emits tokens, records completions, releases finished requests.

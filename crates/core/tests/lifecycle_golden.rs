@@ -286,49 +286,41 @@ impl Digest {
     }
 
     /// The event stream, one record per fact: a tick as the fields of
-    /// its one interval record, in order, where the tick's end was
-    /// recorded; a DMA likewise; every other event as its JSONL line.
+    /// its [`TraceEvent::Iteration`], in order; a DMA likewise; every
+    /// other event as its JSONL line.
     fn events(&mut self, events: &[TraceEvent]) {
-        let mut tick = None;
-        let mut batch = None;
-        let mut swap = None;
         for ev in events {
             match ev {
-                TraceEvent::IterationStart {
+                TraceEvent::Iteration {
                     at,
+                    end,
+                    iteration,
                     running,
                     waiting,
-                    ..
-                } => tick = Some((*at, *running, *waiting)),
-                TraceEvent::BatchComposed {
                     prefill_seqs,
                     decode_seqs,
                     prefill_tokens,
-                    ..
-                } => batch = Some((*prefill_seqs, *decode_seqs, *prefill_tokens)),
-                TraceEvent::IterationEnd {
-                    at: end,
-                    iteration,
                     queue_delay,
                     compute,
                     stall,
                 } => {
-                    let (at, running, waiting) = tick.take().expect("a tick starts");
-                    let (prefill_seqs, decode_seqs, prefill_tokens) =
-                        batch.take().expect("a tick runs a batch");
-                    self.time(at);
+                    self.time(*at);
                     self.time(*end);
                     self.word(*iteration);
                     for n in [running, waiting, prefill_seqs, decode_seqs, prefill_tokens] {
-                        self.n(n);
+                        self.n(*n);
                     }
                     for d in [queue_delay, compute, stall] {
                         self.duration(*d);
                     }
                 }
-                TraceEvent::SwapStart { at, .. } => swap = Some(*at),
-                TraceEvent::SwapEnd { at: end, dir, bytes } => {
-                    self.time(swap.take().expect("a DMA starts"));
+                TraceEvent::Swap {
+                    at,
+                    end,
+                    dir,
+                    bytes,
+                } => {
+                    self.time(*at);
                     self.time(*end);
                     self.word(u64::from(*dir == SwapDir::Out));
                     self.word(*bytes);
@@ -688,7 +680,7 @@ fn check_coverage(
         assert!((sc.cfg)().reserve_max_decode);
         assert_eq!(c.suspensions, 0, "reserved decodes never overflow — {at}");
         let queued_behind_a_batch = events.iter().any(|ev| {
-            matches!(ev, TraceEvent::IterationStart { running, waiting, .. }
+            matches!(ev, TraceEvent::Iteration { running, waiting, .. }
                 if *running > 0 && *waiting > 0)
         });
         assert!(queued_behind_a_batch, "reservation never queued — {at}");

@@ -218,39 +218,26 @@ trace_events! {
     /// See `docs/OBSERVABILITY.md` for the full reference of every variant's
     /// meaning and wire format.
     pub enum TraceEvent {
-        /// A scheduler iteration began (before admission).
-        IterationStart {
-            /// Simulated time at the start of the tick.
+        /// A scheduler tick that ran a batch, recorded once the clock has
+        /// advanced past it: the queue at its start, the batch's
+        /// prefill/decode split, and what the tick's time was spent on.
+        Iteration {
+            /// Simulated time at the start of the tick (before admission).
             at: SimTime,
+            /// Simulated time after the clock advanced (the tick's end).
+            end: SimTime,
             /// Zero-based iteration index.
             iteration: u64,
             /// Requests in the running batch at tick start.
             running: usize,
             /// Requests waiting for admission at tick start.
             waiting: usize,
-        },
-        /// The iteration's batch was composed (after admission), with its
-        /// prefill/generation split.
-        BatchComposed {
-            /// Simulated time (still the tick start; compute has not run).
-            at: SimTime,
-            /// Zero-based iteration index.
-            iteration: u64,
             /// Sequences doing prefill work this iteration.
             prefill_seqs: usize,
             /// Sequences doing single-token decode this iteration.
             decode_seqs: usize,
             /// Query tokens of prefill work in this iteration's invocation.
             prefill_tokens: usize,
-            /// Query tokens of decode work (one per decode sequence).
-            decode_tokens: usize,
-        },
-        /// The iteration's model invocation completed and the clock advanced.
-        IterationEnd {
-            /// Simulated time after the clock advanced (= end of the tick).
-            at: SimTime,
-            /// Zero-based iteration index.
-            iteration: u64,
             /// Link queueing delay that preceded compute.
             queue_delay: SimDuration,
             /// Model compute time, including any pipelined swap-in stall.
@@ -288,21 +275,14 @@ trace_events! {
             /// Dropped history tokens recomputed from raw text.
             recompute_tokens: usize,
         },
-        /// A swap DMA was placed on the PCIe link (chunk swap-in/out start).
-        /// Under fault injection a failed DMA still records its start/end
-        /// pair: the aborted transfer occupied the link for its full duration.
-        SwapStart {
+        /// A swap DMA on the PCIe link (chunk swap-in or swap-out). Under
+        /// fault injection a failed DMA is recorded too: the aborted
+        /// transfer occupied the link for its full duration.
+        Swap {
             /// When the transfer starts moving bytes (after FIFO queueing).
             at: SimTime,
-            /// Transfer direction.
-            dir: SwapDir,
-            /// Bytes transferred.
-            bytes: u64,
-        },
-        /// A swap DMA completed (chunk swap-in/out end).
-        SwapEnd {
             /// Completion time.
-            at: SimTime,
+            end: SimTime,
             /// Transfer direction.
             dir: SwapDir,
             /// Bytes transferred.
@@ -461,11 +441,14 @@ trace_events! {
             /// KV-tokens of the conversation already cached at that replica.
             cached_tokens: usize,
         },
-        /// A conversation migration began: its KV chunks stream from the
-        /// source replica to the target over the inter-node link.
-        MigrationStart {
+        /// A conversation migration: its KV chunks streamed from the source
+        /// replica to the target over the inter-node link; lost tokens fall
+        /// back to Pensieve's dropped-token recomputation at the target.
+        Migration {
             /// When the handoff was initiated.
             at: SimTime,
+            /// When the last chunk landed (or was detected lost).
+            end: SimTime,
             /// Conversation id.
             conv: u64,
             /// Source replica index.
@@ -476,16 +459,6 @@ trace_events! {
             chunks: usize,
             /// Total KV bytes to stream.
             bytes: u64,
-        },
-        /// A conversation migration finished; lost tokens fall back to
-        /// Pensieve's dropped-token recomputation at the target.
-        MigrationEnd {
-            /// When the last chunk landed (or was detected lost).
-            at: SimTime,
-            /// Conversation id.
-            conv: u64,
-            /// Target replica index.
-            to: usize,
             /// Tokens delivered to the target's CPU tier.
             streamed_tokens: usize,
             /// Tokens lost in transit (recomputed at the target).
@@ -617,23 +590,15 @@ trace_events! {
 pub fn sample_events() -> Vec<TraceEvent> {
     let t = SimTime::from_secs(1.25);
     vec![
-        TraceEvent::IterationStart {
+        TraceEvent::Iteration {
             at: t,
+            end: SimTime::from_secs(1.30),
             iteration: 3,
             running: 2,
             waiting: 1,
-        },
-        TraceEvent::BatchComposed {
-            at: t,
-            iteration: 3,
             prefill_seqs: 1,
             decode_seqs: 2,
             prefill_tokens: 128,
-            decode_tokens: 2,
-        },
-        TraceEvent::IterationEnd {
-            at: SimTime::from_secs(1.30),
-            iteration: 3,
             queue_delay: SimDuration::from_millis(1.0),
             compute: SimDuration::from_millis(48.0),
             stall: SimDuration::ZERO,
@@ -652,13 +617,9 @@ pub fn sample_events() -> Vec<TraceEvent> {
             swap_in_tokens: 64,
             recompute_tokens: 32,
         },
-        TraceEvent::SwapStart {
+        TraceEvent::Swap {
             at: t,
-            dir: SwapDir::In,
-            bytes: 1 << 20,
-        },
-        TraceEvent::SwapEnd {
-            at: SimTime::from_secs(1.26),
+            end: SimTime::from_secs(1.26),
             dir: SwapDir::In,
             bytes: 1 << 20,
         },
@@ -739,18 +700,14 @@ pub fn sample_events() -> Vec<TraceEvent> {
             replica: 2,
             cached_tokens: 192,
         },
-        TraceEvent::MigrationStart {
+        TraceEvent::Migration {
             at: t,
+            end: SimTime::from_secs(1.5),
             conv: 4,
             from: 2,
             to: 0,
             chunks: 6,
             bytes: 3 << 20,
-        },
-        TraceEvent::MigrationEnd {
-            at: SimTime::from_secs(1.5),
-            conv: 4,
-            to: 0,
             streamed_tokens: 160,
             lost_tokens: 32,
         },

@@ -16,7 +16,6 @@ use std::fmt;
 use serde::{Deserialize, Map, Serialize, Value};
 
 use crate::event::{SwapDir, TraceEvent};
-use crate::report::SwapPairs;
 
 /// Chrome trace track (tid) for scheduler iterations / GPU compute.
 pub const TRACK_COMPUTE: u64 = 1;
@@ -166,9 +165,9 @@ fn ts_of(v: &Value) -> f64 {
 ///
 /// Tracks: [`TRACK_COMPUTE`] carries iteration slices plus admission,
 /// suspension, completion and fault-recovery instants; [`TRACK_SWAP_IN`]
-/// and [`TRACK_SWAP_OUT`] carry one slice per swap DMA (paired
-/// `SwapStart`/`SwapEnd` FIFO per direction) plus eviction/drop instants.
-/// A `requests` counter series tracks running/waiting batch occupancy.
+/// and [`TRACK_SWAP_OUT`] carry one slice per swap DMA plus eviction/drop
+/// instants. A `requests` counter series tracks running/waiting batch
+/// occupancy at each tick's start.
 /// Output ordering is deterministic: metadata first, then slices stably
 /// sorted by timestamp (insertion order breaks ties).
 #[must_use]
@@ -196,34 +195,32 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
         ),
     ];
     let mut body = Vec::new();
-    let mut swaps = SwapPairs::default();
     for ev in events {
         match ev {
-            TraceEvent::IterationStart {
+            TraceEvent::Iteration {
                 at,
+                end,
+                iteration,
                 running,
                 waiting,
-                ..
-            } => body.push(counter(
-                "requests",
-                us(*at),
-                obj(&[
-                    ("running", num(*running as f64)),
-                    ("waiting", num(*waiting as f64)),
-                ]),
-            )),
-            TraceEvent::IterationEnd {
-                at,
-                iteration,
                 queue_delay,
                 compute,
                 stall,
+                ..
             } => {
+                body.push(counter(
+                    "requests",
+                    us(*at),
+                    obj(&[
+                        ("running", num(*running as f64)),
+                        ("waiting", num(*waiting as f64)),
+                    ]),
+                ));
                 let dur = *queue_delay + *compute + *stall;
                 body.push(slice(
                     "iteration",
                     TRACK_COMPUTE,
-                    us(*at) - dur.as_micros(),
+                    us(*end) - dur.as_micros(),
                     dur.as_micros(),
                     obj(&[
                         ("iteration", num(*iteration as f64)),
@@ -233,20 +230,23 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     ]),
                 ));
             }
-            TraceEvent::SwapStart { .. } | TraceEvent::SwapEnd { .. } => {
-                if let Some((dir, start, end, bytes)) = swaps.feed(ev) {
-                    let (name, track) = match dir {
-                        SwapDir::In => ("swap-in", TRACK_SWAP_IN),
-                        SwapDir::Out => ("swap-out", TRACK_SWAP_OUT),
-                    };
-                    body.push(slice(
-                        name,
-                        track,
-                        us(start),
-                        us(end) - us(start),
-                        obj(&[("bytes", num(bytes as f64))]),
-                    ));
-                }
+            TraceEvent::Swap {
+                at,
+                end,
+                dir,
+                bytes,
+            } => {
+                let (name, track) = match dir {
+                    SwapDir::In => ("swap-in", TRACK_SWAP_IN),
+                    SwapDir::Out => ("swap-out", TRACK_SWAP_OUT),
+                };
+                body.push(slice(
+                    name,
+                    track,
+                    us(*at),
+                    us(*end) - us(*at),
+                    obj(&[("bytes", num(*bytes as f64))]),
+                ));
             }
             TraceEvent::Admitted {
                 at,
@@ -324,16 +324,14 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
                     ("output_tokens", num(*output_tokens as f64)),
                 ]),
             )),
-            TraceEvent::BatchComposed { .. }
-            | TraceEvent::Revalidated { .. }
+            TraceEvent::Revalidated { .. }
             | TraceEvent::SwapInCommitted { .. }
             | TraceEvent::RecomputeCommitted { .. }
             | TraceEvent::TierReadCommitted { .. }
             | TraceEvent::ChunkDemoted { .. }
             | TraceEvent::PipelinedSwapIn { .. }
             | TraceEvent::Routed { .. }
-            | TraceEvent::MigrationStart { .. }
-            | TraceEvent::MigrationEnd { .. }
+            | TraceEvent::Migration { .. }
             | TraceEvent::ReplicaFailed { .. }
             | TraceEvent::ReplicationFlush { .. }
             | TraceEvent::StandbyPromoted { .. }
@@ -372,11 +370,11 @@ mod tests {
     #[test]
     fn jsonl_round_trips_in_order() {
         let events = vec![
-            TraceEvent::IterationStart {
+            TraceEvent::Swap {
                 at: t(0.0),
-                iteration: 0,
-                running: 0,
-                waiting: 1,
+                end: t(0.25),
+                dir: SwapDir::Out,
+                bytes: 64,
             },
             TraceEvent::Suspended {
                 at: t(0.5),
@@ -401,21 +399,23 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_pairs_swaps_and_slices_iterations() {
+    fn chrome_trace_slices_swaps_and_iterations() {
         let events = vec![
-            TraceEvent::SwapStart {
+            TraceEvent::Swap {
                 at: t(0.1),
+                end: t(0.3),
                 dir: SwapDir::In,
                 bytes: 1000,
             },
-            TraceEvent::SwapEnd {
-                at: t(0.3),
-                dir: SwapDir::In,
-                bytes: 1000,
-            },
-            TraceEvent::IterationEnd {
-                at: t(0.4),
+            TraceEvent::Iteration {
+                at: t(0.2),
+                end: t(0.4),
                 iteration: 0,
+                running: 0,
+                waiting: 1,
+                prefill_seqs: 1,
+                decode_seqs: 0,
+                prefill_tokens: 16,
                 queue_delay: SimDuration::ZERO,
                 compute: SimDuration::from_secs(0.2),
                 stall: SimDuration::ZERO,
@@ -426,8 +426,8 @@ mod tests {
             .get("traceEvents")
             .and_then(Value::as_array)
             .expect("traceEvents array");
-        // 4 metadata + 1 swap slice + 1 iteration slice.
-        assert_eq!(list.len(), 6);
+        // 4 metadata + 1 swap slice + 1 counter sample + 1 iteration slice.
+        assert_eq!(list.len(), 7);
         let swap = list
             .iter()
             .find(|e| e.get("name").and_then(Value::as_str) == Some("swap-in"))
@@ -446,11 +446,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_string_is_deterministic() {
-        let events = vec![TraceEvent::IterationStart {
+        let events = vec![TraceEvent::Suspended {
             at: t(0.0),
-            iteration: 0,
-            running: 1,
-            waiting: 0,
+            conv: 1,
+            tokens: 32,
         }];
         assert_eq!(chrome_trace_string(&events), chrome_trace_string(&events));
     }

@@ -8,7 +8,7 @@
 //! directions and GPU compute actually overlap?" (the §4.2 duplex and
 //! §4.3.3 pipelining claims).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use pensieve_model::{SimDuration, SimTime};
@@ -164,42 +164,8 @@ fn overlap(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
     acc
 }
 
-/// Pairs `SwapStart`/`SwapEnd` events FIFO per direction: each pair is
-/// recorded atomically at schedule time, so ends match starts in order.
-#[derive(Default)]
-pub(crate) struct SwapPairs {
-    in_starts: VecDeque<(SimTime, u64)>,
-    out_starts: VecDeque<(SimTime, u64)>,
-}
-
-impl SwapPairs {
-    fn starts(&mut self, dir: SwapDir) -> &mut VecDeque<(SimTime, u64)> {
-        match dir {
-            SwapDir::In => &mut self.in_starts,
-            SwapDir::Out => &mut self.out_starts,
-        }
-    }
-
-    /// Feeds one event, in log order. A `SwapEnd` that closes a pair
-    /// yields the finished DMA as `(dir, start, end, bytes)`.
-    pub(crate) fn feed(&mut self, ev: &TraceEvent) -> Option<(SwapDir, SimTime, SimTime, u64)> {
-        match ev {
-            TraceEvent::SwapStart { at, dir, bytes } => {
-                self.starts(*dir).push_back((*at, *bytes));
-                None
-            }
-            TraceEvent::SwapEnd { at, dir, .. } => {
-                let (start, bytes) = self.starts(*dir).pop_front()?;
-                Some((*dir, start, *at, bytes))
-            }
-            _ => None,
-        }
-    }
-}
-
 impl TraceReport {
-    /// Builds the report from an event log (any ordering; swap pairs are
-    /// matched FIFO per direction, as they were recorded).
+    /// Builds the report from an event log, in any order.
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut report = Self::default();
@@ -208,20 +174,23 @@ impl TraceReport {
         let mut compute_iv: Vec<(f64, f64)> = Vec::new();
         let mut in_iv: Vec<(f64, f64)> = Vec::new();
         let mut out_iv: Vec<(f64, f64)> = Vec::new();
-        let mut swaps = SwapPairs::default();
         for ev in events {
             let at = ev.at();
+            let end = match ev {
+                TraceEvent::Iteration { end, .. }
+                | TraceEvent::Swap { end, .. }
+                | TraceEvent::Migration { end, .. } => *end,
+                _ => at,
+            };
             first = Some(first.map_or(at, |f| if at < f { at } else { f }));
-            last = Some(last.map_or(at, |l| if at > l { at } else { l }));
+            last = Some(last.map_or(end, |l| if end > l { end } else { l }));
             match ev {
-                TraceEvent::IterationEnd {
-                    at, compute, stall, ..
-                } => {
+                TraceEvent::Iteration { compute, stall, .. } => {
                     report.iterations += 1;
                     // Time advances queue_delay, then compute, then stall:
-                    // compute occupies [at - stall - compute, at - stall].
-                    let end = at.as_secs() - stall.as_secs();
-                    compute_iv.push((end - compute.as_secs(), end));
+                    // compute occupies [end - stall - compute, end - stall].
+                    let done = end.as_secs() - stall.as_secs();
+                    compute_iv.push((done - compute.as_secs(), done));
                 }
                 TraceEvent::Admitted {
                     request,
@@ -245,15 +214,13 @@ impl TraceReport {
                     recompute_tokens: *recompute_tokens,
                     shared_tokens: *shared_tokens,
                 }),
-                TraceEvent::SwapStart { .. } | TraceEvent::SwapEnd { .. } => {
-                    if let Some((dir, start, end, bytes)) = swaps.feed(ev) {
-                        let (iv, bytes_acc) = match dir {
-                            SwapDir::In => (&mut in_iv, &mut report.swap_in_bytes),
-                            SwapDir::Out => (&mut out_iv, &mut report.swap_out_bytes),
-                        };
-                        iv.push((start.as_secs(), end.as_secs()));
-                        *bytes_acc += bytes;
-                    }
+                TraceEvent::Swap { dir, bytes, .. } => {
+                    let (iv, bytes_acc) = match dir {
+                        SwapDir::In => (&mut in_iv, &mut report.swap_in_bytes),
+                        SwapDir::Out => (&mut out_iv, &mut report.swap_out_bytes),
+                    };
+                    iv.push((at.as_secs(), end.as_secs()));
+                    *bytes_acc += bytes;
                 }
                 TraceEvent::Suspended { .. } => report.suspensions += 1,
                 TraceEvent::FaultRecovery { .. } => report.fault_recoveries += 1,
@@ -498,29 +465,27 @@ mod tests {
                 swap_in_tokens: 20,
                 recompute_tokens: 10,
             },
-            TraceEvent::SwapStart {
+            TraceEvent::Swap {
                 at: t(0.0),
+                end: t(1.0),
                 dir: SwapDir::In,
                 bytes: 100,
             },
-            TraceEvent::SwapEnd {
-                at: t(1.0),
-                dir: SwapDir::In,
-                bytes: 100,
-            },
-            TraceEvent::SwapStart {
+            TraceEvent::Swap {
                 at: t(0.5),
+                end: t(1.5),
                 dir: SwapDir::Out,
                 bytes: 50,
             },
-            TraceEvent::SwapEnd {
-                at: t(1.5),
-                dir: SwapDir::Out,
-                bytes: 50,
-            },
-            TraceEvent::IterationEnd {
-                at: t(1.0),
+            TraceEvent::Iteration {
+                at: t(0.0),
+                end: t(1.0),
                 iteration: 0,
+                running: 0,
+                waiting: 1,
+                prefill_seqs: 1,
+                decode_seqs: 0,
+                prefill_tokens: 10,
                 queue_delay: SimDuration::from_secs(0.2),
                 compute: SimDuration::from_secs(0.8),
                 stall: SimDuration::ZERO,
@@ -536,6 +501,8 @@ mod tests {
         assert!((r.duplex_overlap.as_secs() - 0.5).abs() < 1e-9);
         // Compute [0.2,1.0] vs swap-in [0,1] overlap 0.8s.
         assert!((r.compute_swap_in_overlap.as_secs() - 0.8).abs() < 1e-9);
+        // The span runs to the last interval's end.
+        assert!((r.span.as_secs() - 1.5).abs() < 1e-9);
         let text = r.render();
         assert!(text.contains("gpu-hit 60 (60.0%)"), "{text}");
         assert!(text.contains("duplex overlap 0.500s"), "{text}");

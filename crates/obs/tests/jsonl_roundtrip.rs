@@ -26,28 +26,20 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
         all[(word % all.len() as u64) as usize]
     }
     match variant % VARIANTS.len() {
-        0 => TraceEvent::IterationStart {
+        0 => TraceEvent::Iteration {
             at,
+            end: SimTime::from_secs(t * 1.5),
             iteration: u(0),
             running: n(1),
             waiting: n(2),
-        },
-        1 => TraceEvent::BatchComposed {
-            at,
-            iteration: u(0),
-            prefill_seqs: n(1),
-            decode_seqs: n(2),
-            prefill_tokens: n(3),
-            decode_tokens: n(4),
-        },
-        2 => TraceEvent::IterationEnd {
-            at,
-            iteration: u(0),
+            prefill_seqs: n(3),
+            decode_seqs: n(4),
+            prefill_tokens: n(5),
             queue_delay: dur(1),
             compute: dur(2),
             stall: dur(3),
         },
-        3 => TraceEvent::Admitted {
+        1 => TraceEvent::Admitted {
             at,
             iteration: u(0),
             request: u(1),
@@ -61,31 +53,27 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             swap_in_tokens: n(2),
             recompute_tokens: n(4),
         },
-        4 => TraceEvent::SwapStart {
+        2 => TraceEvent::Swap {
             at,
+            end: SimTime::from_secs(t * 1.5),
             dir: pick(SwapDir::ALL, w[0]),
             bytes: u(1),
         },
-        5 => TraceEvent::SwapEnd {
-            at,
-            dir: pick(SwapDir::ALL, w[0]),
-            bytes: u(1),
-        },
-        6 => TraceEvent::ChunkEvicted {
+        3 => TraceEvent::ChunkEvicted {
             at,
             conv: u(0),
             chunk: n(1),
             tokens: n(2),
             dropped: flag(3),
         },
-        7 => TraceEvent::ChunkDropped {
+        4 => TraceEvent::ChunkDropped {
             at,
             conv: u(0),
             chunk: n(1),
             tokens: n(2),
             reason: pick(DropReason::ALL, w[3]),
         },
-        8 => TraceEvent::ChunkDemoted {
+        5 => TraceEvent::ChunkDemoted {
             at,
             conv: u(0),
             chunk: n(1),
@@ -93,33 +81,33 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             from: pick(StorageTier::ALL, w[3]),
             to: pick(StorageTier::ALL, w[4]),
         },
-        9 => TraceEvent::Revalidated {
+        6 => TraceEvent::Revalidated {
             at,
             conv: u(0),
             tokens: n(1),
         },
-        10 => TraceEvent::SwapInCommitted {
+        7 => TraceEvent::SwapInCommitted {
             at,
             conv: u(0),
             tokens: n(1),
         },
-        11 => TraceEvent::RecomputeCommitted {
+        8 => TraceEvent::RecomputeCommitted {
             at,
             conv: u(0),
             tokens: n(1),
         },
-        12 => TraceEvent::TierReadCommitted {
+        9 => TraceEvent::TierReadCommitted {
             at,
             conv: u(0),
             tokens: n(1),
             tier: pick(StorageTier::ALL, w[2]),
         },
-        13 => TraceEvent::Suspended {
+        10 => TraceEvent::Suspended {
             at,
             conv: u(0),
             tokens: n(1),
         },
-        14 => TraceEvent::FaultRecovery {
+        11 => TraceEvent::FaultRecovery {
             at,
             conv: if w[0].is_multiple_of(3) {
                 None
@@ -129,7 +117,7 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             kind: pick(RecoveryKind::ALL, w[2]),
             tokens: n(3),
         },
-        15 => TraceEvent::RequestCompleted {
+        12 => TraceEvent::RequestCompleted {
             at,
             request: u(0),
             conv: u(1),
@@ -139,40 +127,36 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             prefill_tokens: n(3),
             cached_tokens: n(4),
         },
-        16 => TraceEvent::PipelinedSwapIn {
+        13 => TraceEvent::PipelinedSwapIn {
             at,
             bytes: u(0),
             compute: dur(1),
             total: dur(2),
         },
-        17 => TraceEvent::Routed {
+        14 => TraceEvent::Routed {
             at,
             request: u(0),
             conv: u(1),
             replica: n(2),
             cached_tokens: n(3),
         },
-        18 => TraceEvent::MigrationStart {
+        15 => TraceEvent::Migration {
             at,
+            end: SimTime::from_secs(t * 1.5),
             conv: u(0),
             from: n(1),
             to: n(2),
             chunks: n(3),
             bytes: u(4),
+            streamed_tokens: n(5),
+            lost_tokens: n(0),
         },
-        19 => TraceEvent::MigrationEnd {
-            at,
-            conv: u(0),
-            to: n(1),
-            streamed_tokens: n(2),
-            lost_tokens: n(3),
-        },
-        20 => TraceEvent::ReplicaFailed {
+        16 => TraceEvent::ReplicaFailed {
             at,
             replica: n(0),
             requeued: n(1),
         },
-        21 => TraceEvent::ReplicationFlush {
+        17 => TraceEvent::ReplicationFlush {
             at,
             conv: u(0),
             from: n(1),
@@ -181,7 +165,7 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             bytes: u(4),
             lost: flag(5),
         },
-        22 => TraceEvent::StandbyPromoted {
+        18 => TraceEvent::StandbyPromoted {
             at,
             conv: u(0),
             from: n(1),
@@ -190,24 +174,24 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             lag_tokens: n(4),
             latency: dur(5),
         },
-        23 => TraceEvent::LinkPartitioned {
+        19 => TraceEvent::LinkPartitioned {
             at,
             until: SimTime::from_secs(t * 1.5),
         },
-        24 => TraceEvent::ManifestPersisted {
+        20 => TraceEvent::ManifestPersisted {
             at,
             conv: u(0),
             tokens: n(1),
             bytes: u(2),
             torn: flag(3),
         },
-        25 => TraceEvent::SessionRehydrated {
+        21 => TraceEvent::SessionRehydrated {
             at,
             conv: u(0),
             tokens: n(1),
             replica: n(2),
         },
-        26 => TraceEvent::SharedAttached {
+        22 => TraceEvent::SharedAttached {
             at,
             conv: u(0),
             tokens: n(1),

@@ -15,8 +15,7 @@ fn negative_and_non_finite_times_are_errors_naming_the_field() {
         assert_eq!(err.line, 2, "{err}");
         assert!(err.message.contains("\"at\""), "{err}");
     }
-    let line = "{\"ev\":\"IterationEnd\",\"at\":1,\"iteration\":0,\
-                \"queue_delay\":0,\"compute\":-0.5,\"stall\":0}";
+    let line = "{\"ev\":\"PipelinedSwapIn\",\"at\":1,\"bytes\":0,\"compute\":-0.5,\"total\":0}";
     let err = parse_jsonl(line).expect_err("invalid duration");
     assert!(err.message.contains("\"compute\""), "{err}");
     let line = "{\"ev\":\"LinkPartitioned\",\"at\":1,\"until\":-2}";

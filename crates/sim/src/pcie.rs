@@ -193,13 +193,9 @@ impl PcieLink {
                 Direction::HostToDevice => SwapDir::In,
                 Direction::DeviceToHost => SwapDir::Out,
             };
-            self.recorder.record(TraceEvent::SwapStart {
+            self.recorder.record(TraceEvent::Swap {
                 at: start,
-                dir: wire_dir,
-                bytes: bytes as u64,
-            });
-            self.recorder.record(TraceEvent::SwapEnd {
-                at: end,
+                end,
                 dir: wire_dir,
                 bytes: bytes as u64,
             });
