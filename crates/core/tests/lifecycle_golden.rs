@@ -281,10 +281,6 @@ impl Digest {
         self.word(t.as_secs().to_bits());
     }
 
-    fn duration(&mut self, d: SimDuration) {
-        self.word(d.as_secs().to_bits());
-    }
-
     /// The event stream, one record per fact: a tick as the fields of
     /// its [`TraceEvent::Iteration`], in order; a DMA likewise; every
     /// other event as its JSONL line.
@@ -311,7 +307,7 @@ impl Digest {
                         self.n(*n);
                     }
                     for d in [queue_delay, compute, stall] {
-                        self.duration(*d);
+                        self.word(d.as_secs().to_bits());
                     }
                 }
                 TraceEvent::Swap {

@@ -1,10 +1,11 @@
 //! The [`Recorder`] trait and its implementations.
 //!
 //! Instrumented components (`core::engine`, `kvcache::tiered`,
-//! `sim::pcie`, `sim::gpu`, `core::workers`) hold an
-//! `Option<SharedRecorder>`: `None` is the compiled-away no-op path — a
-//! `None` check and nothing else on the hot path, no event construction,
-//! no allocation — and `Some` appends to a buffer shared with the driver.
+//! `sim::pcie`, `sim::gpu` and `cluster::router`, whose replicator
+//! records through it) hold an `Option<SharedRecorder>`: `None` is the
+//! compiled-away no-op path — a `None` check and nothing else on the hot
+//! path, no event construction, no allocation — and `Some` appends to a
+//! buffer shared with the driver.
 //! Recording is strictly passive: it never feeds back into scheduling or
 //! timing decisions, so enabling a trace cannot perturb simulated
 //! results.
@@ -26,18 +27,6 @@ pub trait Recorder {
 
     /// Records one event.
     fn record(&self, ev: TraceEvent);
-}
-
-/// The no-op recorder: drops everything, reports disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: TraceEvent) {}
 }
 
 /// A cloneable recorder sharing one event buffer.
@@ -120,13 +109,6 @@ mod tests {
             conv: 1,
             tokens: 32,
         }
-    }
-
-    #[test]
-    fn null_recorder_is_disabled() {
-        let r = NullRecorder;
-        assert!(!r.enabled());
-        r.record(ev(0.0));
     }
 
     #[test]

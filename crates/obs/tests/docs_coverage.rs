@@ -1,7 +1,8 @@
 //! Keeps `docs/OBSERVABILITY.md` in sync with the code: every trace
 //! event variant, every field of every variant, every wire-enum value
-//! and every canonical metric name must be documented. Adding one
-//! without documenting it fails this test.
+//! and every canonical metric name must be documented, and every row of
+//! the event and metric tables must name a live one. Adding one without
+//! documenting it, or deleting one and leaving its row, fails this test.
 
 use pensieve_obs::event::VARIANTS;
 use pensieve_obs::metrics::names;
@@ -85,5 +86,34 @@ fn every_metric_is_documented() {
     assert!(
         missing.is_empty(),
         "docs/OBSERVABILITY.md is missing metrics: {missing:?}"
+    );
+}
+
+/// The reverse direction: every row of an event table names a live
+/// variant and every row of a metric table a live metric, so a row left
+/// behind by a deleted or renamed one fails too.
+#[test]
+fn every_table_row_names_a_live_event_or_metric() {
+    let doc = doc_text();
+    let mut live: Option<&[&str]> = None;
+    let mut stale = Vec::new();
+    for line in doc.lines() {
+        if line.starts_with("| Event |") {
+            live = Some(VARIANTS);
+        } else if line.starts_with("| Name |") {
+            live = Some(names::ALL);
+        } else if !line.starts_with('|') {
+            live = None;
+        }
+        let row = line.strip_prefix("| `").and_then(|r| r.split_once("` |"));
+        if let (Some(live), Some((name, _))) = (live, row) {
+            if !live.contains(&name) {
+                stale.push(name);
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "docs/OBSERVABILITY.md has table rows for no live event or metric: {stale:?}"
     );
 }
