@@ -27,8 +27,8 @@
 //!   recomputation — failover and migration share one code path.
 //!
 //! Everything is deterministic: the per-source links derive their loss
-//! and partition seeds from the configured link seed and the replica
-//! index, so a fleet-wide run has a stable trace hash.
+//! seeds from the configured link seed and the replica index, so a
+//! fleet-wide run has a stable trace hash.
 //!
 //! [`Router`]: crate::Router
 //! [`ServingBackend::take_committed_kv`]: pensieve_core::ServingBackend::take_committed_kv
@@ -126,9 +126,6 @@ impl Replicator {
                 let stride = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 let mut spec = cfg.link.clone();
                 spec.seed = spec.seed.wrapping_add(stride);
-                if let Some(p) = &mut spec.partition {
-                    p.seed = p.seed.wrapping_add(stride);
-                }
                 NodeLink::new(spec)
             })
             .collect();

@@ -83,6 +83,11 @@ use pensieve_sim::{
 use crate::policy::RouterPolicy;
 use crate::replication::{ReplicationConfig, ReplicationMode, Replicator};
 
+/// Cache-aware score penalty, in hit-tokens, per request of queue depth
+/// above the cluster minimum: placement prefers the affine replica until
+/// its backlog costs more than the cache hit saves.
+const IMBALANCE_PENALTY_TOKENS: i64 = 256;
+
 /// Tuning knobs for the router.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
@@ -90,10 +95,6 @@ pub struct RouterConfig {
     /// saturated and the cache-aware policy considers migrating the
     /// conversation instead of queueing behind the backlog.
     pub saturation_depth: usize,
-    /// Cache-aware score penalty, in hit-tokens, per request of queue
-    /// depth above the cluster minimum: placement prefers the affine
-    /// replica until its backlog costs more than the cache hit saves.
-    pub imbalance_penalty_tokens: usize,
     /// Shape of the inter-node link migrations stream over.
     pub link: NodeLinkSpec,
     /// Standby KV replication knobs (default: disabled, so existing
@@ -116,7 +117,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             saturation_depth: 4,
-            imbalance_penalty_tokens: 256,
             link: NodeLinkSpec::datacenter_25g(),
             replication: ReplicationConfig::default(),
             manifest_persistence: false,
@@ -906,7 +906,7 @@ impl<B: ServingBackend + Send> Router<B> {
                     .map(|(i, b)| {
                         let cached = b.cached_tokens(req.conv) as i64;
                         let excess = (b.queue_depth() - min_depth) as i64;
-                        let score = cached - excess * self.cfg.imbalance_penalty_tokens as i64;
+                        let score = cached - excess * IMBALANCE_PENALTY_TOKENS;
                         (score, i)
                     })
                     .fold(None, |best: Option<(i64, usize)>, cand| match best {

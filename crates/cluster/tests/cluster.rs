@@ -3,14 +3,14 @@
 
 use std::collections::BTreeMap;
 
-use pensieve_cluster::{Router, RouterConfig, RouterPolicy};
+use pensieve_cluster::{ReplicationConfig, ReplicationMode, Router, RouterConfig, RouterPolicy};
 use pensieve_core::{
     EngineBuilder, EngineConfig, Request, RequestId, Response, ServingBackend, SimServingEngine,
 };
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
 use pensieve_obs::{SharedRecorder, TraceEvent};
-use pensieve_sim::NodeLinkSpec;
+use pensieve_sim::{ClusterFaultKind, FaultSchedule, NodeLinkSpec};
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::{DatasetSpec, DriverConfig};
 use proptest::prelude::*;
@@ -236,5 +236,114 @@ fn fleet_metrics_sum_the_replicas() {
     assert_eq!(
         m.counter("pensieve_routed_requests_total"),
         r.metrics().counter("pensieve_routed_requests_total")
+    );
+}
+
+/// A `ClusterFaultKind::LinkPartition` applied through
+/// `Router::apply_fault_schedule` — the fabric's one outage model —
+/// records one `LinkPartitioned` and holds back every transfer that
+/// wants to start inside its window: a migration's first chunk and a
+/// replication flush both start at the window's end, on their separate
+/// links, while a transfer's own duration is unchanged.
+#[test]
+fn a_scheduled_partition_defers_migration_and_replication_to_its_end() {
+    // One partition opening within the first second and lasting
+    // 10 000–30 000 s: the whole script below wants the links inside it.
+    let schedule = FaultSchedule::generate(
+        7,
+        2,
+        SimDuration::from_secs(1.0),
+        0,
+        1,
+        SimDuration::from_secs(20_000.0),
+    );
+    let [fault] = schedule.events() else {
+        panic!("one scheduled partition expected: {schedule:?}")
+    };
+    let ClusterFaultKind::LinkPartition { duration } = fault.kind else {
+        panic!("not a partition: {fault:?}")
+    };
+    let until = fault.at + duration;
+    // Long histories keep the affine replica the cache-aware choice even
+    // when saturated, so the burst migrates instead of re-routing cold.
+    let turns: Vec<(usize, usize, usize)> = (0..6).map(|i| (1000 + 32 * i, 40 + i, 40)).collect();
+    let run = |partitioned: bool| {
+        let cfg = RouterConfig {
+            saturation_depth: 2,
+            replication: ReplicationConfig {
+                mode: ReplicationMode::Async,
+                flush_threshold_tokens: 16,
+                ..ReplicationConfig::default()
+            },
+            ..RouterConfig::default()
+        };
+        let rec = SharedRecorder::new();
+        let mut r = cluster(2, RouterPolicy::CacheAware, cfg).recorder(rec.clone());
+        if partitioned {
+            r.apply_fault_schedule(&schedule);
+        }
+        let served = run_script(&mut r, &turns);
+        (served, rec.events())
+    };
+    let (calm_served, calm) = run(false);
+    let (served, events) = run(true);
+    assert_eq!(served, calm_served, "a partition changes when, not what");
+
+    let partitions: Vec<_> = events
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::LinkPartitioned { .. }))
+        .collect();
+    assert_eq!(
+        partitions,
+        [&TraceEvent::LinkPartitioned {
+            at: fault.at,
+            until
+        }]
+    );
+
+    // Migration: the first one's chunks stream from the window's end for
+    // as long as they took on a calm link.
+    let first_migration = |events: &[TraceEvent]| {
+        events.iter().find_map(|ev| match *ev {
+            TraceEvent::Migration { at, end, conv, .. } => Some((at, end, conv)),
+            _ => None,
+        })
+    };
+    let (calm_at, calm_end, calm_conv) = first_migration(&calm).expect("the burst migrates");
+    let (at, end, conv) = first_migration(&events).expect("the burst migrates");
+    assert!(
+        at < until && calm_at < until,
+        "the migration wants the link in the window"
+    );
+    assert_eq!(conv, calm_conv);
+    assert!(
+        end > until,
+        "migration landed at {end} inside the window ending {until}"
+    );
+    let streamed = end.duration_since(until).as_secs();
+    let calm_streamed = calm_end.duration_since(calm_at).as_secs();
+    assert!(
+        (streamed - calm_streamed).abs() < 1e-9,
+        "first chunk must start at the window's end: {streamed} s after it vs {calm_streamed} s calm"
+    );
+
+    // Replication: every flush lands after the window, and the first
+    // one starts exactly at its end.
+    let link = NodeLinkSpec::datacenter_25g();
+    let flushes: Vec<(SimTime, u64)> = events
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::ReplicationFlush { at, bytes, .. } => Some((at, bytes)),
+            _ => None,
+        })
+        .collect();
+    assert!(!flushes.is_empty(), "the script replicates");
+    assert!(flushes.iter().all(|&(at, _)| at > until));
+    let (first, bytes) = flushes[0];
+    let wire = link.latency + SimDuration::from_secs(bytes as f64 / link.bandwidth);
+    assert_eq!(
+        first,
+        until + wire,
+        "first flush must start at the window's end"
     );
 }

@@ -52,8 +52,6 @@ pub struct EngineConfig {
     pub compute_scale: f64,
     /// Fixed per-iteration scheduling/launch overhead.
     pub iteration_overhead: SimDuration,
-    /// Maximum total query tokens per batch iteration.
-    pub max_batch_tokens: usize,
     /// Maximum requests decoding concurrently.
     pub max_batch_requests: usize,
     /// Eviction chunk size in tokens (paper: 32; ablated in the benches).
@@ -103,7 +101,6 @@ impl EngineConfig {
             policy: PolicyKind::RetentionValue,
             compute_scale: 1.0,
             iteration_overhead: SimDuration::from_micros(300.0),
-            max_batch_tokens: 4096,
             max_batch_requests: 256,
             chunk_tokens: 32,
             swap_watermark: 0.25,
@@ -198,19 +195,7 @@ impl EngineConfig {
             cpu_cache: false,
             unified_batching: false,
             policy: PolicyKind::Lru,
-            compute_scale: 1.0,
-            iteration_overhead: SimDuration::from_micros(300.0),
-            max_batch_tokens: 4096,
-            max_batch_requests: 256,
-            chunk_tokens: 32,
-            swap_watermark: 0.25,
-            decode_reserve: 0.10,
-            shared_prefix_tokens: 0,
-            reserve_max_decode: false,
-            suspend_policy: SuspendPolicy::NewestFirst,
-            chunked_prefill: None,
-            ssd_capacity_tokens: 0,
-            cold_capacity_tokens: 0,
+            ..Self::pensieve()
         }
     }
 

@@ -178,27 +178,19 @@ pub struct EngineCounters {
     pub cold_read_faults: u64,
 }
 
-/// Retry/backoff parameters for recovering from transient swap-in faults.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Retries after the first failed swap-in DMA before falling back to
-    /// dropped-token recomputation.
-    pub max_swap_in_retries: u32,
-    /// Backoff before the first retry.
-    pub retry_backoff_base: SimDuration,
-    /// Multiplier applied to the backoff after every failed retry.
-    pub retry_backoff_factor: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_swap_in_retries: 3,
-            retry_backoff_base: SimDuration::from_micros(200.0),
-            retry_backoff_factor: 2.0,
-        }
-    }
-}
+/// Maximum total query tokens per batch iteration; one oversized prefill
+/// may exceed it when no other prefill was admitted.
+const MAX_BATCH_TOKENS: usize = 4096;
+/// Retries after the first failed swap-in DMA before falling back to
+/// dropped-token recomputation.
+const MAX_SWAP_IN_RETRIES: u32 = 3;
+/// Backoff before the first swap-in retry (and after a fault-emptied
+/// tick), in microseconds.
+const RETRY_BACKOFF_BASE_US: f64 = 200.0;
+/// Multiplier applied to the backoff after every failed retry.
+const RETRY_BACKOFF_FACTOR: f64 = 2.0;
+/// Duration of one injected worker stall, in seconds.
+const WORKER_STALL_SECS: f64 = 5e-3;
 
 /// The simulated-timing serving engine.
 pub struct SimServingEngine {
@@ -214,7 +206,6 @@ pub struct SimServingEngine {
     kv_bytes_per_token_per_gpu: usize,
     pcie_bandwidth: f64,
     faults: Option<FaultInjector>,
-    recovery: RecoveryPolicy,
     /// Tier-2 simulated NVMe device serving SSD-tier chunk reads.
     ssd_dev: StorageDevice,
     /// Tier-3 simulated NFS/object-store device serving cold-tier reads.
@@ -252,16 +243,15 @@ pub struct SimServingEngine {
 /// Builder for [`SimServingEngine`] — the only way to construct one.
 ///
 /// Collapses the former `with_*`/`set_*` injection-setter pairs into one
-/// construction path: fault injection, recovery tuning and trace
-/// recording are all decided before the engine exists, so no call site
-/// can half-configure a live engine.
+/// construction path: fault injection and trace recording are both
+/// decided before the engine exists, so no call site can half-configure
+/// a live engine.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     cfg: EngineConfig,
     model: ModelConfig,
     hardware: HardwareSpec,
     faults: Option<FaultInjector>,
-    recovery: RecoveryPolicy,
     recorder: Option<SharedRecorder>,
 }
 
@@ -272,13 +262,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn fault_injector(mut self, inj: FaultInjector) -> Self {
         self.faults = Some(inj);
-        self
-    }
-
-    /// Overrides the swap-in retry/backoff parameters.
-    #[must_use]
-    pub fn recovery_policy(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -299,7 +282,6 @@ impl EngineBuilder {
     pub fn build(self) -> SimServingEngine {
         let mut engine = SimServingEngine::new(self.cfg, self.model, self.hardware);
         engine.faults = self.faults;
-        engine.recovery = self.recovery;
         if let Some(recorder) = self.recorder {
             engine.attach_recorder(recorder);
         }
@@ -317,7 +299,6 @@ impl SimServingEngine {
             model,
             hardware,
             faults: None,
-            recovery: RecoveryPolicy::default(),
             recorder: None,
         }
     }
@@ -366,7 +347,6 @@ impl SimServingEngine {
             kv_bytes_per_token_per_gpu,
             pcie_bandwidth,
             faults: None,
-            recovery: RecoveryPolicy::default(),
             ssd_dev: StorageDevice::new(StorageDeviceSpec::nvme()),
             cold_dev: StorageDevice::new(StorageDeviceSpec::nfs()),
             empty_ticks: 0,
@@ -515,26 +495,6 @@ impl SimServingEngine {
     #[must_use]
     pub fn physical_resident_tokens(&self) -> usize {
         self.cache.physical_resident_tokens()
-    }
-
-    /// Forks `child` from `parent` (agentic tree-of-thought branching):
-    /// the parent's context is promoted into shared chunks both
-    /// conversations reference, with no KV bytes copied. See
-    /// [`pensieve_kvcache::TieredKvCache::fork_session`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`pensieve_kvcache::CacheError::UnknownConversation`] if
-    /// `parent` is not cached here,
-    /// [`pensieve_kvcache::CacheError::SessionExists`] if `child` is, or
-    /// [`pensieve_kvcache::CacheError::ChunkAlreadyPooled`] if a lineage
-    /// id of the fork is already pooled.
-    pub fn fork_session(
-        &mut self,
-        parent: SessionId,
-        child: SessionId,
-    ) -> Result<usize, pensieve_kvcache::CacheError> {
-        self.cache.fork_session(parent, child, self.now)
     }
 
     /// Runs until every submitted request has completed.
@@ -783,7 +743,7 @@ impl SimServingEngine {
                 "admission livelock: the queue front cannot be seated \
                  (context larger than the GPU KV budget?)"
             );
-            self.now += self.recovery.retry_backoff_base;
+            self.now += SimDuration::from_micros(RETRY_BACKOFF_BASE_US);
             return;
         }
         self.empty_ticks = 0;
@@ -985,7 +945,7 @@ impl SimServingEngine {
             let has_prefill = self.running.iter().any(|r| r.prefill.is_some());
             // Budget: allow one oversized prefill per iteration when no
             // other prefill was admitted.
-            if batch_tokens + cost.query_tokens > self.cfg.max_batch_tokens
+            if batch_tokens + cost.query_tokens > MAX_BATCH_TOKENS
                 && (has_prefill || batch_tokens > self.running.len())
             {
                 return;
@@ -1128,12 +1088,12 @@ impl SimServingEngine {
     ///
     /// # Errors
     ///
-    /// `Err(())` when `RecoveryPolicy::max_swap_in_retries` is exhausted;
+    /// `Err(())` when `MAX_SWAP_IN_RETRIES` retries are exhausted;
     /// the caller falls back to dropped-token recomputation.
     fn swap_in_with_retries(&mut self, swap_in_tokens: usize) -> Result<SimDuration, ()> {
         let bytes = swap_in_tokens * self.kv_bytes_per_token_per_gpu;
-        let mut backoff = self.recovery.retry_backoff_base;
-        for _attempt in 0..=self.recovery.max_swap_in_retries {
+        let mut backoff = SimDuration::from_micros(RETRY_BACKOFF_BASE_US);
+        for _attempt in 0..=MAX_SWAP_IN_RETRIES {
             match self.link.try_schedule(
                 self.now,
                 Direction::HostToDevice,
@@ -1146,7 +1106,7 @@ impl SimServingEngine {
                     // The aborted DMA held the link until its failure was
                     // detected; the retry is issued after backoff.
                     self.now = self.now.max(e.completes()) + backoff;
-                    backoff = backoff * self.recovery.retry_backoff_factor;
+                    backoff = backoff * RETRY_BACKOFF_FACTOR;
                     self.record_recovery(None, RecoveryKind::SwapInRetry, swap_in_tokens);
                 }
             }
@@ -1405,7 +1365,7 @@ impl SimServingEngine {
         if let Some(f) = self.faults.as_mut() {
             if f.roll(FaultKind::WorkerStall) {
                 self.counters.worker_stalls += 1;
-                stall = f.config().stall_duration;
+                stall = SimDuration::from_secs(WORKER_STALL_SECS);
                 self.record_recovery(None, RecoveryKind::WorkerStall, 0);
             }
         }
@@ -1650,12 +1610,11 @@ impl ServingBackend for SimServingEngine {
 
     /// Rebuilds a session from a persisted manifest after this replica
     /// took over for a failed one: shared chain ids this replica still
-    /// pools (the global preamble always, fork chains when warm)
-    /// re-attach for free, and the rest is re-admitted at the cold tier
-    /// (up to capacity; the remainder recomputes) and served as cold
-    /// reads on the session's next restore. Returns the tokens recovered
-    /// without recomputation; a session already tracked here yields 0
-    /// unchanged.
+    /// pools (the global preamble) re-attach for free, and the rest is
+    /// re-admitted at the cold tier (up to capacity; the remainder
+    /// recomputes) and served as cold reads on the session's next
+    /// restore. Returns the tokens recovered without recomputation; a
+    /// session already tracked here yields 0 unchanged.
     fn rehydrate_session(&mut self, manifest: &SessionManifest) -> usize {
         self.cache
             .rehydrate_session(manifest.session, &manifest.chunks, self.now)

@@ -35,7 +35,7 @@ pub mod workers;
 
 pub use backend::ServingBackend;
 pub use config::EngineConfig;
-pub use engine::{EngineBuilder, EngineCounters, RecoveryPolicy, SimServingEngine};
+pub use engine::{EngineBuilder, EngineCounters, SimServingEngine};
 pub use error::WorkerError;
 pub use functional::{FunctionalConfig, FunctionalEngine};
 pub use request::{Request, RequestBuildError, RequestBuilder, RequestId, Response};

@@ -29,7 +29,7 @@
 //!   the default) is a chunk dropped and later recomputed from raw
 //!   tokens kept in a persistent store ([`TokenChunkStore`]).
 //! * **Cross-conversation sharing** — a common prefix (tool preamble,
-//!   RAG document, forked history) registers once as a chain of
+//!   RAG document) registers once as a chain of
 //!   content-addressed, reference-counted chunks ([`ChunkId`], each
 //!   derived from its parent's id and its tokens); N conversations
 //!   attach to one physical copy by id, and eviction weighs a chunk by

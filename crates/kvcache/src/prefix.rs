@@ -2,10 +2,10 @@
 //! chains.
 //!
 //! The index is the discovery side of cross-conversation KV sharing: a
-//! registered prefix (tool preamble, RAG document, forked history) is
-//! split into whole chunks, each chunk's [`ChunkId`] derived from its
-//! tokens plus its prefix hash, and the chain stored as a path in a
-//! radix tree keyed by chunk id. A new conversation's history is matched
+//! registered prefix (tool preamble, RAG document) is split into whole
+//! chunks, each chunk's [`ChunkId`] derived from its tokens plus its
+//! prefix hash, and the chain stored as a path in a radix tree keyed by
+//! chunk id. A new conversation's history is matched
 //! chunk-by-chunk from the root; the longest matching path is the chain
 //! of physical chunks it can share instead of recomputing.
 //!

@@ -121,12 +121,10 @@ struct Step {
 /// no-ops, as for any caller.
 fn apply(
     cache: &mut TieredKvCache,
-    forked: &mut BTreeSet<SessionId>,
     (kind, session, amount): (u8, u64, usize),
     now: SimTime,
 ) -> Step {
     let conv = SessionId(1 + session);
-    let other = SessionId(1 + (session + 1 + amount as u64 % (SESSIONS - 1)) % SESSIONS);
     let (mut swapped, mut suspended) = (Vec::new(), 0);
     let what = match kind {
         0..=3 => {
@@ -196,16 +194,7 @@ fn apply(
             let _ = cache.rehydrate_session(conv, &manifest, now);
             "rehydrate"
         }
-        14 => {
-            // A parent forks once: forking a re-created session again
-            // re-derives pooled ids (a recorded defect the tape steps
-            // around too).
-            if !cache.contains(other) && forked.insert(conv) {
-                let _ = cache.fork_session(conv, other, now);
-            }
-            "fork"
-        }
-        15 => {
+        14..=15 => {
             let chain = cache.register_shared(&synthetic_preamble(session % 2, 32 + CHUNK), now);
             let _ = cache.attach_shared(conv, &chain, now);
             "attach"
@@ -253,12 +242,11 @@ proptest! {
         for ladder in LADDERS {
             for policy in policies() {
                 let mut cache = cache(policy, ladder);
-                let mut forked = BTreeSet::new();
                 let mut secs = 0.0;
                 for (op, step) in ops.iter().zip(&steps) {
                     // Steps of zero keep ties in play.
                     secs += f64::from(step.saturating_sub(500)) / 1000.0;
-                    let step = apply(&mut cache, &mut forked, *op, t(secs));
+                    let step = apply(&mut cache, *op, t(secs));
                     assert_queue_is_the_sort(&mut cache, secs, step.what);
                 }
             }
@@ -275,11 +263,10 @@ proptest! {
     ) {
         for ladder in LADDERS {
             for mut pair in twins(ladder, CacheConfig::for_test(CHUNK, 320, 160)) {
-                let mut forked = [BTreeSet::new(), BTreeSet::new()];
                 let mut secs = 0.0;
                 for (op, step) in ops.iter().zip(&steps) {
                     secs += f64::from(step.saturating_sub(zero_below)) / 1000.0;
-                    let what = step_both(&mut pair, &mut forked, *op, t(secs));
+                    let what = step_both(&mut pair, *op, t(secs));
                     assert_same(&pair, what);
                 }
             }
@@ -310,13 +297,12 @@ fn twins((ssd, cold): (usize, usize), cfg: CacheConfig) -> Vec<[Traced; 2]> {
 /// Applies `op` to both twins; asserts they returned and traced the same.
 fn step_both(
     [(a, trace_a), (b, trace_b)]: &mut [Traced; 2],
-    [forked_a, forked_b]: &mut [BTreeSet<SessionId>; 2],
     op: (u8, u64, usize),
     now: SimTime,
 ) -> &'static str {
-    let step = apply(a, forked_a, op, now);
+    let step = apply(a, op, now);
     let name = a.policy.name();
-    assert_eq!(step, apply(b, forked_b, op, now), "{name}");
+    assert_eq!(step, apply(b, op, now), "{name}");
     let what = step.what;
     assert_eq!(
         trace_a.take_events(),
@@ -355,12 +341,11 @@ fn pruned_and_unpruned_passes_are_one_at_10k_members() {
     // 40 tokens a session: 500 fit the GPU, 3 000 each host rung.
     let cfg = CacheConfig::for_test(CHUNK, 500 * 40, 3_000 * 40);
     for mut pair in twins((3_000 * 40, 3_000 * 40), cfg) {
-        let mut forked = [BTreeSet::new(), BTreeSet::new()];
         for s in 0..MEMBERS {
             let now = t((s % 5) as f64);
             // A turn of 40 tokens, then the watermark pass.
-            step_both(&mut pair, &mut forked, (0, s, 40), now);
-            step_both(&mut pair, &mut forked, (5, s, 0), now);
+            step_both(&mut pair, (0, s, 40), now);
+            step_both(&mut pair, (5, s, 0), now);
         }
         assert_same(&pair, "setup");
         let mut rng = proptest::TestRng::from_name("10k");
@@ -372,7 +357,7 @@ fn pruned_and_unpruned_passes_are_one_at_10k_members() {
                 rng.next_u64() % MEMBERS,
                 1 + (rng.next_u64() % 69) as usize,
             );
-            step_both(&mut pair, &mut forked, op, now);
+            step_both(&mut pair, op, now);
         }
         assert_same(&pair, "turns");
         assert_eq!(pair[0].0.check_invariants(), Ok(()));

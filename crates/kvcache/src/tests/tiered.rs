@@ -1175,75 +1175,6 @@ fn global_chunks_are_never_evicted() {
 }
 
 #[test]
-fn fork_shares_parent_history_without_copying() {
-    let mut cache = lru_cache(4096, 4096);
-    let (parent, child) = (SessionId(1), SessionId(2));
-    cache.append_tokens(parent, 96, t(0.0)).unwrap();
-    cache.unpin(parent);
-    let before_physical = cache.physical_resident_tokens();
-    assert_eq!(cache.fork_session(parent, child, t(1.0)).unwrap(), 96);
-    // No bytes copied: physical stays put, logical doubles.
-    assert_eq!(cache.physical_resident_tokens(), before_physical);
-    assert_eq!(cache.logical_resident_tokens(), 2 * before_physical);
-    assert_eq!(cache.conversation_tokens(parent), 96);
-    assert_eq!(cache.conversation_tokens(child), 96);
-    // Both continue independently from the same point.
-    cache.commit_restore(parent, t(2.0)).unwrap();
-    cache.append_tokens(parent, 32, t(2.1)).unwrap();
-    cache.unpin(parent);
-    cache.commit_restore(child, t(3.0)).unwrap();
-    cache.append_tokens(child, 16, t(3.1)).unwrap();
-    cache.unpin(child);
-    assert_eq!(cache.conversation_tokens(parent), 128);
-    assert_eq!(cache.conversation_tokens(child), 112);
-    // Fork errors are typed and non-mutating.
-    assert!(matches!(
-        cache.fork_session(SessionId(9), SessionId(10), t(4.0)),
-        Err(CacheError::UnknownConversation(_))
-    ));
-    assert!(matches!(
-        cache.fork_session(parent, child, t(4.0)),
-        Err(CacheError::SessionExists(_))
-    ));
-}
-
-/// Fork ids chain over (parent, position, length), and the pool keeps a
-/// chunk after its sharers leave: a parent forked, removed and re-created
-/// with the same shape derives the same ids again. The second fork must
-/// refuse with a typed error instead of overwriting the pooled chunks.
-#[test]
-fn refork_of_a_recreated_parent_leaves_the_pool_alone() {
-    let mut cache = lru_cache(4096, 4096);
-    let (parent, child, again) = (SessionId(1), SessionId(2), SessionId(3));
-    cache.append_tokens(parent, 48, t(0.0)).unwrap();
-    cache.unpin(parent);
-    cache.fork_session(parent, child, t(1.0)).unwrap();
-    cache.remove_conversation(parent);
-    cache.append_tokens(parent, 48, t(2.0)).unwrap();
-    cache.unpin(parent);
-    let observe = |c: &TieredKvCache| {
-        (
-            c.manifest_chunks(parent),
-            c.manifest_chunks(child),
-            c.physical_resident_tokens(),
-            c.logical_resident_tokens(),
-            c.gpu_slots_used(),
-            c.stats().clone(),
-        )
-    };
-    let before = observe(&cache);
-    let pooled = cache.manifest_chunks(child)[0].id;
-    assert_eq!(
-        cache.fork_session(parent, again, t(3.0)),
-        Err(CacheError::ChunkAlreadyPooled(pooled))
-    );
-    assert_eq!(observe(&cache), before, "a refused fork mutates nothing");
-    assert!(!cache.contains(again));
-    assert_eq!(cache.shared_refs(pooled), 1, "the child keeps its count");
-    assert_eq!(cache.check_invariants(), Ok(()));
-}
-
-#[test]
 fn manifest_round_trips_shared_chain_through_rehydrate() {
     let mut cache = deep_cache(4096, 64, 64, 256);
     let chain = cache.register_shared(&synthetic_preamble(8, 64), t(0.0));
@@ -1305,7 +1236,7 @@ proptest! {
     /// The lazily drained commit log against the eager one it replaced:
     /// the model records `(session, private tokens)` at every successful
     /// append and forgets a session where the old log did (removal,
-    /// export, a fork's parent). Tier moves, suspension, drops, host
+    /// export). Tier moves, suspension, drops, host
     /// faults, imports, rehydration and attaches in between; every drain
     /// must return exactly the model, and every op keeps the flag and
     /// the log in step (`check_invariants`).
@@ -1315,11 +1246,9 @@ proptest! {
     ) {
         let mut cache = deep_cache(320, 160, 128, 256);
         let mut eager: BTreeMap<SessionId, usize> = BTreeMap::new();
-        let mut forked = BTreeSet::new();
         for (step, &(kind, s, amount)) in ops.iter().enumerate() {
             let now = t(step as f64);
             let conv = SessionId(1 + s);
-            let other = SessionId(1 + (s + 1 + amount as u64 % 5) % 6);
             let what = match kind {
                 0..=2 => {
                     if cache.conversation_tokens(conv) > 200 {
@@ -1356,16 +1285,6 @@ proptest! {
                     }
                     "mark_chunk_lost"
                 }
-                7 => {
-                    // A parent forks once (see the frontier differential).
-                    if !cache.contains(other)
-                        && forked.insert(conv)
-                        && cache.fork_session(conv, other, now).is_ok()
-                    {
-                        eager.remove(&conv);
-                    }
-                    "fork"
-                }
                 8 => {
                     cache.remove_conversation(conv);
                     eager.remove(&conv);
@@ -1388,7 +1307,7 @@ proptest! {
                     }
                     "rehydrate"
                 }
-                11 => {
+                7 | 11 => {
                     let chain = cache.register_shared(&synthetic_preamble(s % 2, 64), now);
                     let _ = cache.attach_shared(conv, &chain, now);
                     "attach"

@@ -69,8 +69,8 @@
 //!   are its callers; whether an eviction leaves a lazy copy is decided
 //!   in `swap_out_until_for`, which trace event names the move in
 //!   `record_move`.
-//! * **`pool`** — content-addressed shared chunks: registration, attach,
-//!   global materialization and forking. A pooled chunk embeds
+//! * **`pool`** — content-addressed shared chunks: registration, attach and
+//!   global materialization. A pooled chunk embeds
 //!   the same [`ChunkState`] a private chunk is, so an eviction victim of
 //!   either species resolves to one record; the species differ in how
 //!   they are scored (`candidate_queue`) and who is hurt by a drop
@@ -158,9 +158,6 @@ pub enum CacheError {
     /// splits into more chunks than one conversation's chunk list can
     /// hold; the cache is unchanged.
     ImportTooLarge(SessionId),
-    /// A fork would promote a private chunk under a lineage id the pool
-    /// already holds; the cache is unchanged.
-    ChunkAlreadyPooled(ChunkId),
 }
 
 impl fmt::Display for CacheError {
@@ -195,9 +192,6 @@ impl fmt::Display for CacheError {
             }
             CacheError::ImportTooLarge(c) => {
                 write!(f, "imported session {c:?} is too large to track")
-            }
-            CacheError::ChunkAlreadyPooled(id) => {
-                write!(f, "fork lineage id {id:?} is already pooled")
             }
         }
     }

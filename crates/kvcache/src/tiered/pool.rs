@@ -1,11 +1,11 @@
 //! The shared pool: content-addressed, reference-counted chunks shared
-//! across conversations — registration and discovery, attach, global
-//! materialization, and forking a session's history into the pool.
+//! across conversations — registration and discovery, attach and global
+//! materialization.
 
 use pensieve_model::SimTime;
 use pensieve_obs::{Recorder as _, TraceEvent};
 
-use super::occupancy::{ConvEntry, Occupancy};
+use super::occupancy::ConvEntry;
 use super::{CacheError, TieredKvCache};
 use crate::types::{ChunkId, ChunkState, SessionId, Tier};
 
@@ -238,109 +238,5 @@ impl TieredKvCache {
             .filter(|c| c.tier != Tier::Dropped)
             .map(|c| c.tokens)
             .sum()
-    }
-
-    /// Forks `child` from `parent`, sharing the parent's entire current
-    /// context instead of copying it. The parent's private chunks are
-    /// *promoted* into the shared pool (their physical placement is
-    /// untouched; lazy GPU copies revalidate, since shared chunks never
-    /// stay [`Tier::GpuCopied`]) under lineage-derived ids, and both
-    /// conversations continue from the same chain with refcount 2 per
-    /// chunk. Returns the logical tokens now shared.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::UnknownConversation`] if `parent` is not
-    /// tracked, [`CacheError::SessionExists`] if `child` is, or
-    /// [`CacheError::ChunkAlreadyPooled`] if a lineage id is already in
-    /// the pool (the parent's session id was forked before, removed and
-    /// re-created with the same shape). The cache is unchanged on error.
-    pub fn fork_session(
-        &mut self,
-        parent: SessionId,
-        child: SessionId,
-        now: SimTime,
-    ) -> Result<usize, CacheError> {
-        let Some(e) = self.convs.get(&parent) else {
-            return Err(CacheError::UnknownConversation(parent));
-        };
-        if self.convs.contains_key(&child) {
-            return Err(CacheError::SessionExists(child));
-        }
-        // Each private chunk is promoted under a lineage-derived id: the
-        // timing model tracks token *counts*, so identity chains over
-        // (parent, position, length) exactly as content ids chain over
-        // token bytes — deterministic across replicas and reruns. Every
-        // id is derived before anything moves, because the pool keeps a
-        // chunk after its sharers leave: a re-created parent of the same
-        // shape derives the same ids again.
-        let inherited = e.shared.len();
-        let mut prev = e.shared.last().copied().unwrap_or(ChunkId::ROOT);
-        let mut ids = Vec::with_capacity(e.chunks.len());
-        for (i, chunk) in e.chunks.iter().enumerate() {
-            let words = [parent.0, (inherited + i) as u64, chunk.tokens as u64];
-            prev = ChunkId::derive_words(prev, &words);
-            if self.shared.contains_key(&prev) {
-                return Err(CacheError::ChunkAlreadyPooled(prev));
-            }
-            ids.push(prev);
-        }
-        let Some(e) = self.convs.get_mut(&parent) else {
-            return Err(CacheError::UnknownConversation(parent));
-        };
-        let parent_pinned = e.pinned;
-        // The pool holds them from here on: the parent's row empties and
-        // its keys go (the occupancy table keeps counting the chunks
-        // where they are).
-        let (mut chain, private) = e.rekey(parent, &mut self.members, |e| {
-            e.row = Occupancy::default();
-            (std::mem::take(&mut e.shared), std::mem::take(&mut e.chunks))
-        });
-        let mut context_end = e.shared_tokens;
-        for (mut chunk, id) in private.into_iter().zip(ids) {
-            context_end += chunk.tokens;
-            if chunk.tier == Tier::GpuCopied {
-                // Revalidate the lazy copy: keep the GPU slot, drop the
-                // CPU-side copy. The chunk's copied_fifo entry goes
-                // stale and is skipped at reclamation.
-                Self::promote(&mut self.occ, &mut self.stats, &mut chunk);
-            }
-            self.pool(
-                id,
-                SharedChunk {
-                    chunk,
-                    refs: 2,
-                    pinned_refs: usize::from(parent_pinned),
-                    global: false,
-                    last_active: now,
-                },
-            );
-            chain.push(id);
-        }
-        // Pre-existing chain chunks gain the child as one more sharer.
-        for id in chain.iter().take(inherited) {
-            if let Some(s) = self.shared.get_mut(id) {
-                s.refs += 1;
-                s.last_active = now;
-            }
-        }
-        if let Some(e) = self.convs.get_mut(&parent) {
-            e.shared.clone_from(&chain);
-            e.shared_tokens = context_end;
-            e.last_active = now;
-            // The parent's committed private context is now shared; the
-            // replication stream ships shared state by id, not bytes.
-            e.committed = false;
-        }
-        self.commit_log.remove(&parent);
-        self.recorder.record(TraceEvent::SharedAttached {
-            at: now,
-            conv: child.0,
-            tokens: context_end,
-            chunks: chain.len(),
-        });
-        self.track(child, ConvEntry::new(chain, context_end, Vec::new(), now));
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        Ok(context_end)
     }
 }

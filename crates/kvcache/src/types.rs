@@ -40,8 +40,7 @@ impl ChunkId {
     }
 
     /// Derives an id from arbitrary `u64` words instead of token ids —
-    /// used for lineage hashing where real tokens are not tracked (the
-    /// timing-model cache stores counts, not contents).
+    /// for synthetic chains that have no real tokens behind them.
     #[must_use]
     pub fn derive_words(parent: ChunkId, words: &[u64]) -> ChunkId {
         let words = std::iter::once(parent.0).chain(words.iter().copied());

@@ -188,10 +188,6 @@ impl Digest {
                 self.word(110);
                 self.word(conv.0);
             }
-            CacheError::ChunkAlreadyPooled(id) => {
-                self.word(111);
-                self.word(id.0);
-            }
         }
     }
 

@@ -550,9 +550,9 @@ trace_events! {
             replica: usize,
         },
         /// A conversation attached to a content-addressed shared chunk chain
-        /// (tool preamble, RAG document, or forked history): its leading
-        /// context is now served by refcounted chunks shared with every other
-        /// sharer instead of a private copy.
+        /// (tool preamble, RAG document): its leading context is now served
+        /// by refcounted chunks shared with every other sharer instead of a
+        /// private copy.
         SharedAttached {
             /// Attach time (first admission of the conversation).
             at: SimTime,

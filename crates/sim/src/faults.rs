@@ -72,7 +72,8 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Per-fault-kind probabilities (per opportunity) and penalty parameters.
+/// Per-fault-kind probabilities (per opportunity). What a fault costs
+/// is fixed by the component it hits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the deterministic fault stream.
@@ -95,12 +96,6 @@ pub struct FaultConfig {
     pub cold_read_failure: f64,
     /// Probability that a cold-tier manifest write is torn.
     pub torn_manifest_write: f64,
-    /// Extra wall-clock consumed before a timed-out transfer is detected.
-    pub timeout_penalty: SimDuration,
-    /// Duration of one worker stall.
-    pub stall_duration: SimDuration,
-    /// Extra delivery delay of one stalled deep-tier read.
-    pub cold_stall_penalty: SimDuration,
 }
 
 impl FaultConfig {
@@ -118,9 +113,6 @@ impl FaultConfig {
             cold_read_stall: 0.0,
             cold_read_failure: 0.0,
             torn_manifest_write: 0.0,
-            timeout_penalty: SimDuration::from_secs(10e-3),
-            stall_duration: SimDuration::from_secs(5e-3),
-            cold_stall_penalty: SimDuration::from_secs(20e-3),
         }
     }
 

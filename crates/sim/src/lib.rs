@@ -17,7 +17,8 @@
 //! * [`node_link::NodeLink`] — the inter-node fabric over which a cluster
 //!   router streams KV chunks during conversation migration and
 //!   replication, with seeded per-chunk loss feeding the
-//!   recompute-fallback path and optional seeded partition windows.
+//!   recompute-fallback path and forced outage windows (the
+//!   [`faults::ClusterFaultKind::LinkPartition`] fault).
 //! * [`storage::StorageDevice`] — deep-storage tiers (simulated NVMe SSD
 //!   and cold NFS/object store) below the CPU cache, with per-direction
 //!   FIFO busy horizons and seeded cold-read stall/failure faults.
@@ -40,6 +41,6 @@ pub use faults::{
     ScheduledFault,
 };
 pub use gpu::GpuTimer;
-pub use node_link::{ChunkLost, NodeLink, NodeLinkSpec, PartitionSpec};
+pub use node_link::{ChunkLost, NodeLink, NodeLinkSpec};
 pub use pcie::{Direction, DuplexMode, PcieLink, TransferError};
 pub use storage::{StorageDevice, StorageDeviceSpec, StorageReadError};

@@ -22,25 +22,6 @@ use pensieve_model::{SimDuration, SimTime};
 use crate::lane::Lane;
 use crate::rng::SplitMix64;
 
-/// Seeded link-partition model: the fabric alternates between available
-/// stretches and outage windows, both drawn from a SplitMix64 stream
-/// dedicated to partitions (distinct from the loss stream, so enabling
-/// partitions does not perturb which chunks are lost).
-///
-/// Window lengths are the configured means scaled by independent uniform
-/// factors in `[0.5, 1.5)`. An outage only defers transfer *starts*: a
-/// chunk already on the wire when a window opens completes normally —
-/// the FIFO busy horizon is preserved, starts stay monotonic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSpec {
-    /// Seed for the partition-window stream.
-    pub seed: u64,
-    /// Mean length of an available stretch between outages.
-    pub mean_available: SimDuration,
-    /// Mean length of one outage window.
-    pub mean_outage: SimDuration,
-}
-
 /// Shape of the simulated inter-node link.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeLinkSpec {
@@ -52,8 +33,6 @@ pub struct NodeLinkSpec {
     pub loss_per_chunk: f64,
     /// Seed for the loss stream.
     pub seed: u64,
-    /// Optional seeded unavailability windows (transient partitions).
-    pub partition: Option<PartitionSpec>,
 }
 
 impl NodeLinkSpec {
@@ -65,7 +44,6 @@ impl NodeLinkSpec {
             latency: SimDuration::from_micros(50.0),
             loss_per_chunk: 0.0,
             seed: 0,
-            partition: None,
         }
     }
 
@@ -106,16 +84,8 @@ pub struct NodeLink {
     lane: Lane,
     /// Stream of loss rolls.
     loss_rng: SplitMix64,
-    /// Stream of partition windows (independent of losses).
-    partition_rng: SplitMix64,
-    /// End of the last seeded partition window generated so far; windows
-    /// are generated lazily, forward-only — sound because transfer starts
-    /// are monotonic (the busy horizon never moves backward).
-    window_frontier: SimTime,
-    /// The next seeded outage window, once generated and not yet passed.
-    next_window: Option<(SimTime, SimTime)>,
-    /// Externally scheduled outages (chaos faults), sorted by start.
-    forced_outages: Vec<(SimTime, SimTime)>,
+    /// Scheduled outages (chaos faults), sorted by start.
+    outages: Vec<(SimTime, SimTime)>,
     lost_chunks: u64,
 }
 
@@ -123,21 +93,12 @@ impl NodeLink {
     /// Creates a link from a spec.
     #[must_use]
     pub fn new(spec: NodeLinkSpec) -> Self {
-        // The partition stream uses its own pre-mix constant so the same
-        // seed value drives decorrelated loss and partition schedules.
         let loss_rng = SplitMix64::new(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let partition_seed = spec
-            .partition
-            .as_ref()
-            .map_or(0, |p| p.seed ^ 0xC2B2_AE3D_27D4_EB4F);
         NodeLink {
             spec,
             lane: Lane::default(),
             loss_rng,
-            partition_rng: SplitMix64::new(partition_seed),
-            window_frontier: SimTime::ZERO,
-            next_window: None,
-            forced_outages: Vec::new(),
+            outages: Vec::new(),
             lost_chunks: 0,
         }
     }
@@ -148,65 +109,28 @@ impl NodeLink {
         &self.spec
     }
 
-    /// Uniform factor in `[0.5, 1.5)` from the partition stream.
-    fn next_pfactor(&mut self) -> f64 {
-        0.5 + self.partition_rng.next_f64()
-    }
-
     /// Schedules a forced outage window `[start, end)` — a chaos-injected
-    /// partition, independent of the seeded windows. Transfers starting
-    /// inside the window are deferred to `end`; a transfer already on the
-    /// wire is unaffected.
+    /// partition. Transfers starting inside the window are deferred to
+    /// `end`; a transfer already on the wire is unaffected.
     pub fn add_outage(&mut self, start: SimTime, end: SimTime) {
         if end <= start {
             return;
         }
-        self.forced_outages.push((start, end));
-        self.forced_outages
+        self.outages.push((start, end));
+        self.outages
             .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     }
 
-    /// Defers `t` past every outage window (seeded and forced) that
-    /// contains it, repeating until `t` lands in an available stretch.
-    /// Seeded windows are generated lazily ahead of `t`; the generator
-    /// only moves forward, which is sound because transfer starts are
-    /// monotonic.
-    fn defer_past_outages(&mut self, mut t: SimTime) -> SimTime {
+    /// Defers `t` past every outage window that contains it, repeating
+    /// until `t` lands in an available stretch.
+    fn defer_past_outages(&self, mut t: SimTime) -> SimTime {
         loop {
             let before = t;
-            // Forced windows are sorted by start, so one ordered pass
-            // also resolves chained windows that begin after a deferral.
-            for &(s, e) in &self.forced_outages {
+            // Windows are sorted by start, so one ordered pass also
+            // resolves chained windows that begin after a deferral.
+            for &(s, e) in &self.outages {
                 if s <= t && t < e {
                     t = e;
-                }
-            }
-            if let Some(p) = self.spec.partition.clone() {
-                loop {
-                    let (ws, we) = match self.next_window {
-                        Some(w) => w,
-                        None => {
-                            let gap = p.mean_available * self.next_pfactor();
-                            let dur = p.mean_outage * self.next_pfactor();
-                            let ws = self.window_frontier + gap;
-                            let we = ws + dur;
-                            self.window_frontier = we;
-                            self.next_window = Some((ws, we));
-                            (ws, we)
-                        }
-                    };
-                    if we <= t {
-                        // Window fully in the past: consume and generate
-                        // the next one.
-                        self.next_window = None;
-                        continue;
-                    }
-                    if ws <= t {
-                        t = we;
-                        self.next_window = None;
-                        continue;
-                    }
-                    break; // next window is strictly in the future
                 }
             }
             if t == before {
@@ -326,55 +250,6 @@ mod tests {
         l2.add_outage(t(1.0), t(3.0));
         let (s3, _) = l2.stream_chunk(t(0.5), 1024).unwrap();
         assert_eq!(s3, t(3.0));
-    }
-
-    #[test]
-    fn seeded_partitions_are_deterministic_and_fifo() {
-        let spec = NodeLinkSpec {
-            partition: Some(PartitionSpec {
-                seed: 9,
-                mean_available: SimDuration::from_secs(0.01),
-                mean_outage: SimDuration::from_secs(0.005),
-            }),
-            ..NodeLinkSpec::datacenter_25g()
-        };
-        let run = |spec: &NodeLinkSpec| {
-            let mut l = NodeLink::new(spec.clone());
-            (0..64)
-                .map(|i| l.stream_chunk(t(i as f64 * 0.01), 1 << 20).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let a = run(&spec);
-        assert_eq!(a, run(&spec), "same seed, same schedule");
-        for w in a.windows(2) {
-            assert!(w[1].0 >= w[0].1, "starts stay FIFO behind the horizon");
-        }
-        let calm = run(&NodeLinkSpec::datacenter_25g());
-        assert!(
-            a.iter().zip(&calm).any(|(p, c)| p.0 > c.0),
-            "some start must be deferred by a partition window"
-        );
-        let mut other = spec.clone();
-        other.partition.as_mut().unwrap().seed = 10;
-        assert_ne!(a, run(&other), "different partition seeds diverge");
-    }
-
-    #[test]
-    fn partition_stream_does_not_perturb_loss_schedule() {
-        let losses = |partition: Option<PartitionSpec>| {
-            let mut spec = NodeLinkSpec::lossy_25g(0.3, 7);
-            spec.partition = partition;
-            let mut l = NodeLink::new(spec);
-            (0..64)
-                .map(|_| l.stream_chunk(t(0.0), 1024).is_err())
-                .collect::<Vec<_>>()
-        };
-        let with = losses(Some(PartitionSpec {
-            seed: 7,
-            mean_available: SimDuration::from_secs(0.001),
-            mean_outage: SimDuration::from_secs(0.001),
-        }));
-        assert_eq!(losses(None), with, "partitions must not change losses");
     }
 
     #[test]

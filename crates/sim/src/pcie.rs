@@ -20,11 +20,15 @@
 
 use std::fmt;
 
-use pensieve_model::{PcieSpec, SimTime};
+use pensieve_model::{PcieSpec, SimDuration, SimTime};
 use pensieve_obs::{Recorder as _, SharedRecorder, SwapDir, TraceEvent};
 
 use crate::faults::{FaultInjector, FaultKind};
 use crate::lane::Lane;
+
+/// Extra time a timed-out transfer holds its direction before the
+/// watchdog detects it, in seconds.
+const TIMEOUT_PENALTY_SECS: f64 = 10e-3;
 
 /// Typed failure of a scheduled transfer.
 ///
@@ -231,7 +235,7 @@ impl PcieLink {
         }
         let timed_out = faults.roll(FaultKind::PcieTimeout);
         let failed = !timed_out && faults.roll(FaultKind::PcieTransferFailure);
-        let penalty = faults.config().timeout_penalty;
+        let penalty = SimDuration::from_secs(TIMEOUT_PENALTY_SECS);
         let (start, end) = self.schedule(now, dir, bytes);
         if timed_out {
             // The hung DMA holds its direction busy until the watchdog
@@ -264,7 +268,6 @@ impl PcieLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pensieve_model::SimDuration;
 
     fn link(mode: DuplexMode) -> PcieLink {
         PcieLink::new(PcieSpec::gen4_x16(), mode)
@@ -381,14 +384,16 @@ mod tests {
         use crate::faults::{FaultConfig, FaultInjector};
         let mut cfg = FaultConfig::disabled(2);
         cfg.pcie_timeout = 1.0;
-        cfg.timeout_penalty = SimDuration::from_secs(0.5);
         let mut inj = FaultInjector::new(cfg);
+        let mut calm = link(DuplexMode::PrioritizeRetrieval);
+        let (_, calm_end) = calm.schedule(t(0.0), Direction::HostToDevice, 25 * GB);
         let mut l = link(DuplexMode::PrioritizeRetrieval);
         let err = l
             .try_schedule(t(0.0), Direction::HostToDevice, 25 * GB, Some(&mut inj))
             .unwrap_err();
         assert!(matches!(err, TransferError::TimedOut { .. }));
-        assert!((err.completes().as_secs() - 1.5).abs() < 0.01);
+        let penalty = SimDuration::from_secs(TIMEOUT_PENALTY_SECS);
+        assert_eq!(err.completes(), calm_end + penalty);
         assert_eq!(l.busy_until(Direction::HostToDevice), err.completes());
         assert_eq!(inj.counters().pcie_timeouts, 1);
     }

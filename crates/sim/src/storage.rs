@@ -25,6 +25,9 @@ use pensieve_model::{SimDuration, SimTime};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::lane::Lane;
 
+/// Extra delivery delay of one stalled deep-tier read, in seconds.
+const COLD_STALL_PENALTY_SECS: f64 = 20e-3;
+
 /// Shape of one storage tier: access latencies and sustained bandwidths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StorageDeviceSpec {
@@ -154,7 +157,7 @@ impl StorageDevice {
         }
         let stalled = faults.roll(FaultKind::ColdReadStall);
         let failed = faults.roll(FaultKind::ColdReadFailure);
-        let penalty = faults.config().cold_stall_penalty;
+        let penalty = SimDuration::from_secs(COLD_STALL_PENALTY_SECS);
         let (start, mut end) = self.schedule_read(now, bytes);
         if stalled {
             // A degraded device (GC pause, congested NFS server) delivers
@@ -234,13 +237,13 @@ mod tests {
     fn stalled_read_delivers_late() {
         let mut cfg = FaultConfig::disabled(1);
         cfg.cold_read_stall = 1.0;
-        cfg.cold_stall_penalty = SimDuration::from_secs(0.5);
         let mut inj = FaultInjector::new(cfg);
         let mut calm = StorageDevice::new(StorageDeviceSpec::nfs());
         let mut d = StorageDevice::new(StorageDeviceSpec::nfs());
         let (_, calm_end) = calm.schedule_read(t(0.0), GB);
         let (_, end) = d.try_read(t(0.0), GB, Some(&mut inj)).unwrap();
-        assert!((end.as_secs() - calm_end.as_secs() - 0.5).abs() < 1e-9);
+        let late = end.as_secs() - calm_end.as_secs();
+        assert!((late - COLD_STALL_PENALTY_SECS).abs() < 1e-9);
         let (next, _) = d.schedule_read(t(0.0), 1);
         assert_eq!(next, end, "the stall holds the queue");
         assert_eq!(inj.counters().cold_read_stalls, 1);

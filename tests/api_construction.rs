@@ -193,3 +193,19 @@ fn engine_level_setter_pairs_stay_deleted() {
         );
     }
 }
+
+#[test]
+fn test_only_capabilities_stay_deleted() {
+    // The timing cache's KV fork, the seeded link-partition windows and
+    // the swap-in retry override were reached only by tests; the
+    // functional engine's `fork_conversation` is the one fork, and
+    // `ClusterFaultKind::LinkPartition` the one link outage.
+    for needle in ["fork_session(", ".recovery_policy(", "PartitionSpec"] {
+        let offenders = find_offenders(needle, &["tests/api_construction.rs"], false);
+        assert!(
+            offenders.is_empty(),
+            "`{needle}` found — it was deleted as test-only surface:\n  {}",
+            offenders.join("\n  ")
+        );
+    }
+}

@@ -11,9 +11,9 @@
 
 use pensieve_core::functional::FunctionalConfig;
 use pensieve_core::workers::ThreadedTpEngine;
-use pensieve_core::{EngineConfig, RecoveryPolicy, SimServingEngine, WorkerError};
+use pensieve_core::{EngineConfig, SimServingEngine, WorkerError};
 use pensieve_kernels::model::TinyModel;
-use pensieve_model::{HardwareSpec, ModelConfig, SimDuration};
+use pensieve_model::{HardwareSpec, ModelConfig};
 use pensieve_sim::{FaultConfig, FaultInjector};
 use pensieve_workload::dataset::DatasetSpec;
 use pensieve_workload::driver::{run_closed_loop, DriverConfig};
@@ -83,11 +83,7 @@ fn chaos_closed_loop_completes_with_identical_outputs() {
             EngineConfig::pensieve(),
             model.clone(),
             tight_hw(&model, &convs),
-        )
-        .recovery_policy(RecoveryPolicy {
-            max_swap_in_retries: 2,
-            ..RecoveryPolicy::default()
-        });
+        );
         if let Some(f) = faults {
             builder = builder.fault_injector(f);
         }
@@ -222,7 +218,6 @@ fn worker_stalls_only_cost_time() {
     let run = |stall: f64| {
         let mut fc = FaultConfig::disabled(fault_seed());
         fc.worker_stall = stall;
-        fc.stall_duration = SimDuration::from_secs(20e-3);
         let mut e = SimServingEngine::builder(
             EngineConfig::pensieve(),
             model.clone(),
@@ -280,10 +275,6 @@ fn aggressive_fault_seed_sweep_never_panics() {
             model.clone(),
             tight_hw(&model, &convs),
         )
-        .recovery_policy(RecoveryPolicy {
-            max_swap_in_retries: 1,
-            ..RecoveryPolicy::default()
-        })
         .fault_injector(FaultInjector::new(fc))
         .build();
         let result = run_closed_loop(&mut e, &convs, &driver);
