@@ -15,6 +15,17 @@
 //!   it from the raw tokens in [`TokenChunkStore`] as a leading
 //!   sub-request (paper Figure 8).
 //!
+//! The sync's walk scales with what moved: it re-plans only the
+//! conversations whose [`TieredKvCache::placement_stamp`] is past the
+//! [`TieredKvCache::placement_clock`] it read at its last sync, and
+//! refills blocks for the tick's running ones; every other conversation
+//! costs one stamp lookup. The invariant that makes the skip exact: the
+//! cache stamps a conversation from its one move clock whenever one of
+//! its chunks, or of its shared chain, changes tier, so an unstamped
+//! conversation's plan differs from the one the last sync carried out
+//! only by GPU tokens appended to its tail, which move no byte. Test
+//! builds re-plan every conversation after each sync and assert it.
+//!
 //! Then the whole batch — prefill rows with their dropped-range
 //! sub-requests, chunked-prefill slices and decode rows — runs through
 //! one forward pass, and every row that reaches its conversation's last
@@ -26,6 +37,7 @@
 //! are untouched meanwhile. Once the model fails (a worker of the
 //! threaded fleet died) the executor does nothing more.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use pensieve_kernels::model::{PagedModel, SegmentInput, SeqInput};
@@ -37,15 +49,43 @@ use pensieve_sim::FaultInjector;
 
 use crate::functional::FunctionalConfig;
 
-/// FNV-1a's 64-bit step over the bit pattern of every float, one 32-bit
-/// word per step instead of one byte. Each step is a bijection of the
-/// running sum for a fixed word and of the word for a fixed sum, so
-/// changing any one word, a single flipped bit included, always changes
-/// the result.
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+/// One FNV-1a step over a 32-bit word instead of a byte. For a fixed
+/// word it is a bijection of the running sum (xor, then a multiply by an
+/// odd constant), and for a fixed sum a bijection of the word.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// Lanes of [`checksum`].
+const LANES: usize = 8;
+
+/// FNV-1a over the bit pattern of every float, in [`LANES`] independent
+/// lanes: word `i` goes into lane `i % LANES` (a length that is not a
+/// multiple of the lane count leaves the last lanes a word short), and
+/// then the lanes' sums go, in lane order, through the same step from
+/// the basis.
+/// The lanes have no data dependence on each other, so they overlap in
+/// the pipeline instead of serializing one multiply chain. Changing any
+/// one word, a single flipped bit included, always changes the result:
+/// it changes its lane's sum, since every later step of that lane is a
+/// bijection of the sum; the other lanes' sums are as they were, and the
+/// final fold is a bijection of each lane's sum for the others fixed.
 fn checksum(kv: &[f32]) -> u64 {
-    kv.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
-        (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
-    })
+    let (groups, rest) = kv.as_chunks::<LANES>();
+    let mut lanes = [FNV_BASIS; LANES];
+    for group in groups {
+        for (h, x) in lanes.iter_mut().zip(group) {
+            *h = fnv(*h, u64::from(x.to_bits()));
+        }
+    }
+    for (h, x) in lanes.iter_mut().zip(rest) {
+        *h = fnv(*h, u64::from(x.to_bits()));
+    }
+    lanes.into_iter().fold(FNV_BASIS, fnv)
 }
 
 /// The model, its blocks, the host map and the raw-token store.
@@ -69,6 +109,36 @@ pub(crate) struct Executor<M: PagedModel> {
     pub(crate) store: TokenChunkStore,
     /// Held host blocks whose checksum failed before a restore.
     pub(crate) corrupt: u64,
+    /// The cache's move clock at the last sync: a conversation stamped
+    /// no later has nothing to move.
+    synced: u64,
+    /// Host-map buffers whose bytes went back to the pool or were
+    /// dropped, for the next copy-out.
+    spare: Spare,
+}
+
+/// Host buffers [`Spare`] keeps: a few ticks' churn. Keeping every freed
+/// one instead held 1.4 MB more at the peak on the benchmark's
+/// `functional_chat`, memory the allocator would otherwise reuse.
+const SPARE_BUFFERS: usize = 32;
+
+/// Freed host-map buffers, at most [`SPARE_BUFFERS`], reused by the
+/// next copy-outs.
+#[derive(Default)]
+struct Spare(Vec<Vec<f32>>);
+
+impl Spare {
+    /// A buffer to copy a block into: a kept one, or a new one.
+    fn take(&mut self) -> Vec<f32> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keeps `kv`'s buffer, or frees it if enough are kept.
+    fn put(&mut self, kv: Vec<f32>) {
+        if self.0.len() < SPARE_BUFFERS {
+            self.0.push(kv);
+        }
+    }
 }
 
 impl<M: PagedModel> Executor<M> {
@@ -87,13 +157,18 @@ impl<M: PagedModel> Executor<M> {
             stale: BTreeMap::new(),
             store: TokenChunkStore::new(bs),
             corrupt: 0,
+            synced: 0,
+            spare: Spare::default(),
         }
     }
 
     /// Moves the bytes to match the cache. A block whose chunk the cache
     /// no longer places on the GPU is freed — copied out first if the
     /// chunk went to a host rung, where an unwritten chunk with no block
-    /// is zeros — and a dropped chunk's host bytes go.
+    /// is zeros — and a dropped chunk's host bytes go. Only conversations
+    /// the cache stamped since the last sync are re-planned: anyone else's
+    /// plan differs from the one the last sync carried out by GPU tokens
+    /// appended to its tail at most, which move no byte.
     /// Then every running conversation gets a block for each of its
     /// chunks, filled from the host map if the chunk came back from a
     /// host rung and otherwise recomputed or written by its next rows.
@@ -102,23 +177,37 @@ impl<M: PagedModel> Executor<M> {
         let cfg = self.model.config();
         let zeros = 2 * bs * cfg.kv_hidden() * cfg.num_layers;
         for (&conv, table) in &mut self.tables {
+            if cache.placement_stamp(conv) <= self.synced {
+                continue;
+            }
             let plan = cache.plan_restore(conv);
             for (range, tier) in plan.segments.into_iter().filter(|s| s.1 != Tier::Gpu) {
                 let blocks = range.start / bs..range.end.div_ceil(bs);
                 for b in blocks.clone() {
                     if tier == Tier::Dropped {
-                        self.host.remove(&(conv, b));
+                        if let Some((_, kv)) = self.host.remove(&(conv, b)) {
+                            self.spare.put(kv);
+                        }
                     } else if let Some(phys) = table.get_block(b) {
-                        let kv = self.model.read_block(&self.pool, phys);
-                        self.host.insert((conv, b), (checksum(&kv), kv));
+                        let mut kv = self.spare.take();
+                        self.model.read_block(&self.pool, phys, &mut kv);
+                        let old = self.host.insert((conv, b), (checksum(&kv), kv));
+                        if let Some((_, kv)) = old {
+                            self.spare.put(kv);
+                        }
                     } else if b * bs >= table.len() {
-                        let kv = vec![0.0; zeros];
-                        self.host.entry((conv, b)).or_insert((checksum(&kv), kv));
+                        if let Entry::Vacant(slot) = self.host.entry((conv, b)) {
+                            let mut kv = self.spare.take();
+                            kv.clear();
+                            kv.resize(zeros, 0.0);
+                            slot.insert((checksum(&kv), kv));
+                        }
                     }
                 }
                 table.free_blocks(&mut self.pool, blocks);
             }
         }
+        self.synced = cache.placement_clock();
         for conv in running {
             let table = self.tables.entry(conv).or_insert(BlockTable::new(bs));
             let blocks = 0..cache.conversation_tokens(conv).div_ceil(bs);
@@ -127,11 +216,16 @@ impl<M: PagedModel> Executor<M> {
             let stale = self.stale.entry(conv).or_default();
             for (b, phys) in filled.into_iter().flatten() {
                 match self.host.remove(&(conv, b)) {
-                    Some((_, kv)) => self.model.write_block(&mut self.pool, phys, &kv),
+                    Some((_, kv)) => {
+                        self.model.write_block(&mut self.pool, phys, &kv);
+                        self.spare.put(kv);
+                    }
                     None => stale.extend(b * bs..table.len().min((b + 1) * bs)),
                 }
             }
         }
+        #[cfg(test)]
+        self.assert_synced(cache);
     }
 
     /// Carries one tick out: moves the bytes to match the cache, then runs
@@ -206,7 +300,9 @@ impl<M: PagedModel> Executor<M> {
         let bad = held.filter(|(_, (sum, kv))| checksum(kv) != *sum);
         let bad: Vec<usize> = bad.map(|(&(_, chunk), _)| chunk).collect();
         for chunk in bad {
-            self.host.remove(&(conv, chunk));
+            if let Some((_, kv)) = self.host.remove(&(conv, chunk)) {
+                self.spare.put(kv);
+            }
             self.corrupt += 1;
             if cache.mark_chunk_corrupt(conv, chunk).is_err() {
                 cache.drop_deep_chunks(conv, now);
@@ -242,6 +338,37 @@ impl<M: PagedModel> Executor<M> {
             self.host.insert(a, held);
         }
         true
+    }
+
+    /// The differential check of a skipped sync, after every sync of
+    /// every in-crate test: re-plans every conversation with a table —
+    /// those the stamps let the sync skip among them — and asserts that
+    /// a sync walking all of them would move no byte. Every block of a
+    /// chunk off the GPU is already free, a dropped chunk holds no host
+    /// bytes, and one on a host rung holds them unless its positions
+    /// were computed and will be recomputed from the store.
+    fn assert_synced(&self, cache: &TieredKvCache) {
+        let bs = self.pool.layout().block_size;
+        for (&conv, table) in &self.tables {
+            let plan = cache.plan_restore(conv);
+            for (range, tier) in plan.segments.into_iter().filter(|s| s.1 != Tier::Gpu) {
+                for b in range.start / bs..range.end.div_ceil(bs) {
+                    let held = self.host.contains_key(&(conv, b));
+                    let settled = table.get_block(b).is_none()
+                        && match tier {
+                            Tier::Dropped => !held,
+                            _ => held || b * bs < table.len(),
+                        };
+                    let stamp = cache.placement_stamp(conv);
+                    assert!(
+                        settled,
+                        "{conv:?} chunk {b} in {tier:?}: stamp {stamp}, synced at {} \
+                         — a skipped sync would have moved bytes",
+                        self.synced
+                    );
+                }
+            }
+        }
     }
 
     /// Positions of `conv` whose K/V the pool holds or held.
@@ -282,5 +409,35 @@ impl<M: PagedModel> Executor<M> {
         );
         let held = self.host.len();
         assert_eq!(held, on_host, "{cell}: host bytes the cache does not place");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::checksum;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Flipping any one bit of any word of a block changes its
+        /// checksum, at lengths that fill the lanes and lengths that
+        /// leave some short.
+        #[test]
+        fn every_single_bit_flip_changes_the_checksum(
+            words in prop::collection::vec(0u32..u32::MAX, 1..70),
+        ) {
+            let mut kv: Vec<f32> = words.iter().map(|&w| f32::from_bits(w)).collect();
+            let sum = checksum(&kv);
+            for i in 0..kv.len() {
+                for bit in 0..32 {
+                    let word = kv[i].to_bits();
+                    kv[i] = f32::from_bits(word ^ (1 << bit));
+                    prop_assert!(checksum(&kv) != sum, "len {} word {i} bit {bit}", kv.len());
+                    kv[i] = f32::from_bits(word);
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use pensieve_kernels::model::{PagedModel, Pass, ReplicatedWeights, SeqInput, Stage, TinyModel};
+use pensieve_kernels::model::{
+    PagedModel, Pass, ReplicatedWeights, SeqInput, Stage, Stream, TinyModel,
+};
 use pensieve_kernels::paged::{BlockId, BlockTable, PagedKvCache};
 use pensieve_kernels::tp::{gather_block, ShardRunner, TpModel};
 use pensieve_kernels::Matrix;
@@ -60,6 +62,8 @@ pub struct ShardFleet {
     /// complete an all-reduce, and replies from the surviving shards may
     /// still sit in `res_rx`, so a failed fleet does nothing more.
     failed: Option<WorkerError>,
+    /// The layer loop's buffers, reused from pass to pass.
+    stream: Stream,
 }
 
 impl ShardFleet {
@@ -93,6 +97,7 @@ impl ShardFleet {
             res_rx,
             handles,
             failed: None,
+            stream: Stream::default(),
         }
     }
 
@@ -132,9 +137,9 @@ impl PagedModel for ShardFleet {
         PagedKvCache::numbering(block_size, num_blocks)
     }
 
-    fn read_block(&mut self, _: &PagedKvCache, block: BlockId) -> Vec<f32> {
+    fn read_block(&mut self, _: &PagedKvCache, block: BlockId, out: &mut Vec<f32>) {
         let slices = self.ask(|| Cmd::Read(block));
-        slices.map_or_else(|_| Vec::new(), gather_block)
+        *out = slices.map_or_else(|_| Vec::new(), gather_block);
     }
 
     fn write_block(&mut self, _: &mut PagedKvCache, block: BlockId, kv: &[f32]) {
@@ -145,15 +150,22 @@ impl PagedModel for ShardFleet {
 
     fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
         let segments = batch.iter().flat_map(|seq| &seq.segments);
-        let x = self.replicated.embed(segments);
+        let mut stream = std::mem::take(&mut self.stream);
+        self.replicated.embed(segments, &mut stream);
         let pass = Pass::new(batch, pool).ok()?;
         let tables = batch.iter().map(|seq| seq.table.clone()).collect();
         let batch: Batch = Arc::new((pass, tables));
         let replicated = Arc::clone(&self.replicated);
-        let logits = replicated.forward(x, &batch.0.last_rows, |stage, input| {
-            let input = Arc::new(input);
-            self.ask(|| Cmd::Partial(stage, Arc::clone(&input), Arc::clone(&batch)))
+        let logits = replicated.forward(&mut stream, &batch.0.last_rows, |stage, input, parts| {
+            let input = Arc::new(input.clone());
+            let partials =
+                self.ask(|| Cmd::Partial(stage, Arc::clone(&input), Arc::clone(&batch)))?;
+            for part in &partials {
+                parts.push(part);
+            }
+            Ok::<_, WorkerError>(())
         });
+        self.stream = stream;
         logits.ok()
     }
 
@@ -178,7 +190,7 @@ fn worker_loop(
             }
             Cmd::Partial(stage, input, batch) => {
                 let tables: Vec<&BlockTable> = batch.1.iter().collect();
-                shard.partial(stage, &input, &batch.0, &tables)
+                shard.partial(stage, &input, &batch.0, &tables).clone()
             }
             Cmd::Shutdown => break,
         };

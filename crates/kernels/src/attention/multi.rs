@@ -91,13 +91,31 @@ pub fn paged_multi_token(
     layer: &KvLayerView<'_>,
     seqs: &[AttnSeq<'_>],
 ) -> Matrix {
-    check_batch(cfg, q, seqs);
-    let mut out = Matrix::zeros(q.rows(), cfg.q_width());
-    for seq in seqs {
-        let local = attend_seq(cfg, q, layer, seq);
-        merge_seq(seq, &local, &mut out);
-    }
+    let mut out = Matrix::default();
+    paged_multi_token_into(cfg, q, layer, seqs, &mut Vec::new(), &mut out);
     out
+}
+
+/// [`paged_multi_token`] into `out`, which takes the output's shape,
+/// with the kernel's lane tiles in `tiles`: both buffers are reused.
+///
+/// # Panics
+///
+/// Same conditions as [`paged_multi_token`].
+pub(crate) fn paged_multi_token_into(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seqs: &[AttnSeq<'_>],
+    tiles: &mut Vec<f32>,
+    out: &mut Matrix,
+) {
+    check_batch(cfg, q, seqs);
+    out.zero(q.rows(), cfg.q_width());
+    for seq in seqs {
+        let band = seq.q_start * cfg.q_width()..(seq.q_start + seq.q_len) * cfg.q_width();
+        attend_seq(cfg, q, layer, seq, tiles, &mut out.as_mut_slice()[band]);
+    }
 }
 
 /// Scalar reference for [`paged_multi_token`]: per-token `dot` calls, no
@@ -176,14 +194,35 @@ pub fn paged_multi_token_pool(
     seqs: &[AttnSeq<'_>],
     pool: &crossbeam::pool::Pool,
 ) -> Matrix {
+    let mut out = Matrix::default();
+    paged_multi_token_pool_into(cfg, q, layer, seqs, pool, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`paged_multi_token_pool`] into `out`, reusing `out` and, on the
+/// serial path, `tiles` as [`paged_multi_token_into`] does.
+///
+/// # Panics
+///
+/// Same conditions as [`paged_multi_token`].
+pub(crate) fn paged_multi_token_pool_into(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seqs: &[AttnSeq<'_>],
+    pool: &crossbeam::pool::Pool,
+    tiles: &mut Vec<f32>,
+    out: &mut Matrix,
+) {
     let threads = pool.threads();
     if threads <= 1
         || seqs.is_empty()
         || attn_work_units(cfg, seqs) / (threads as u64) < ATTN_MIN_PART_UNITS
     {
-        return paged_multi_token(cfg, q, layer, seqs);
+        paged_multi_token_into(cfg, q, layer, seqs, tiles, out);
+    } else {
+        *out = paged_multi_token_pool_ungated(cfg, q, layer, seqs, pool);
     }
-    paged_multi_token_pool_ungated(cfg, q, layer, seqs, pool)
 }
 
 /// [`paged_multi_token_pool`] without the work-size gate: always fans
@@ -206,7 +245,12 @@ pub fn paged_multi_token_pool_ungated(
     pool: &crossbeam::pool::Pool,
 ) -> Matrix {
     check_batch(cfg, q, seqs);
-    let locals = pool.map_partitions(seqs.len(), |si| attend_seq(cfg, q, layer, &seqs[si]));
+    let locals = pool.map_partitions(seqs.len(), |si| {
+        let seq = &seqs[si];
+        let mut local = Matrix::zeros(seq.q_len, cfg.q_width());
+        attend_seq(cfg, q, layer, seq, &mut Vec::new(), local.as_mut_slice());
+        local
+    });
     let mut out = Matrix::zeros(q.rows(), cfg.q_width());
     for (si, local) in locals.iter().enumerate() {
         merge_seq(&seqs[si], local, &mut out);
@@ -215,8 +259,8 @@ pub fn paged_multi_token_pool_ungated(
 }
 
 /// Computes one sequence partition: the attention output of `seq`'s query
-/// rows across **all** heads, returned as a `[q_len, q_width]`
-/// partition-local matrix.
+/// rows across **all** heads, written to `out`, its `[q_len, q_width]`
+/// band of rows, with the lane tiles in `tiles`.
 ///
 /// This is the blocked inner kernel: the context is streamed **once**,
 /// each KV block read as a contiguous `[block_size, kv_width]` slab that
@@ -231,11 +275,18 @@ pub fn paged_multi_token_pool_ungated(
 /// in ascending-`t` order, each computed in [`dot`]'s order and folded
 /// with `OnlineSoftmax::update`'s operations, so outputs are
 /// bit-identical to the scalar reference.
-fn attend_seq(cfg: &AttnConfig, q: &Matrix, layer: &KvLayerView<'_>, seq: &AttnSeq<'_>) -> Matrix {
+fn attend_seq(
+    cfg: &AttnConfig,
+    q: &Matrix,
+    layer: &KvLayerView<'_>,
+    seq: &AttnSeq<'_>,
+    tiles: &mut Vec<f32>,
+    out: &mut [f32],
+) {
     if seq.q_len * cfg.group_size() <= 4 {
-        attend_lanes::<4>(cfg, q, layer, seq)
+        attend_lanes::<4>(cfg, q, layer, seq, tiles, out);
     } else {
-        attend_lanes::<8>(cfg, q, layer, seq)
+        attend_lanes::<8>(cfg, q, layer, seq, tiles, out);
     }
 }
 
@@ -251,7 +302,9 @@ fn attend_lanes<'a, const L: usize>(
     q: &Matrix,
     layer: &KvLayerView<'a>,
     seq: &AttnSeq<'_>,
-) -> Matrix {
+    buf: &mut Vec<f32>,
+    out: &mut [f32],
+) {
     let d = cfg.head_dim;
     let tf = layer.layout().token_floats();
     let block_size = layer.layout().block_size;
@@ -266,7 +319,9 @@ fn attend_lanes<'a, const L: usize>(
     // like any lane and are never read.
     let chunks = (seq.q_len * group).div_ceil(L);
     let rows = 2 * d + 2;
-    let mut tiles = vec![[0.0f32; L]; cfg.num_kv_heads * chunks * rows];
+    buf.clear();
+    buf.resize(cfg.num_kv_heads * chunks * rows * L, 0.0);
+    let (tiles, _) = buf.as_chunks_mut::<L>();
     for tile in tiles.chunks_exact_mut(rows) {
         tile[2 * d] = [f32::NEG_INFINITY; L];
     }
@@ -313,9 +368,7 @@ fn attend_lanes<'a, const L: usize>(
         }
     }
 
-    let mut local = Matrix::zeros(seq.q_len, cfg.q_width());
-    for j in 0..seq.q_len {
-        let orow = local.row_mut(j);
+    for (j, orow) in out.chunks_exact_mut(cfg.q_width()).enumerate() {
         for h in 0..cfg.num_heads {
             let (base, l) = lane(h / group, j * group + h % group);
             // `OnlineSoftmax::finish`'s operations.
@@ -325,7 +378,6 @@ fn attend_lanes<'a, const L: usize>(
             }
         }
     }
-    local
 }
 
 /// Folds the K/V rows of four ascending positions that every lane of a

@@ -62,11 +62,11 @@ use pensieve_model::{Activation, ModelConfig, ModelFamily, Norm, PositionEmbeddi
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::attention::multi::paged_multi_token_pool;
+use crate::attention::multi::paged_multi_token_pool_into;
 use crate::attention::naive::naive_attention;
 use crate::attention::{AttnConfig, AttnSeq};
 use crate::ops::{
-    add_rows, apply_rope, layernorm, matmul, matmul_pool, matmul_ref, relu, rmsnorm, silu,
+    add_rows, apply_rope, layernorm, matmul_into, matmul_pool_into, matmul_ref, relu, rmsnorm, silu,
 };
 use crate::paged::{BlockId, BlockTable, KvLayout, OutOfBlocks, PagedKvCache};
 use crate::tensor::Matrix;
@@ -131,13 +131,12 @@ impl ReplicatedWeights {
         }
     }
 
-    /// A copy of `x` with every row normalized.
-    fn normed(&self, x: &Matrix, norm: &NormParams) -> Matrix {
-        let mut out = x.clone();
+    /// `out` made a copy of `x` with every row normalized.
+    fn normed(&self, x: &Matrix, norm: &NormParams, out: &mut Matrix) {
+        out.copy_from(x);
         for r in 0..out.rows() {
             self.normalize(out.row_mut(r), norm);
         }
-        out
     }
 
     fn embed_token(&self, token: u32, pos: usize, row: &mut [f32]) {
@@ -150,33 +149,38 @@ impl ReplicatedWeights {
         }
     }
 
-    /// Embeds every token of `segments` at its absolute position: one
-    /// hidden row per query token, in order.
+    /// Starts `stream` on every token of `segments` embedded at its
+    /// absolute position: one hidden row per query token, in order.
     ///
     /// # Panics
     ///
     /// Panics if there are no tokens, or a position exceeds the
     /// learned-position table.
-    #[must_use]
-    pub fn embed<'a>(&self, segments: impl Iterator<Item = &'a SegmentInput> + Clone) -> Matrix {
+    pub fn embed<'a>(
+        &self,
+        segments: impl Iterator<Item = &'a SegmentInput> + Clone,
+        stream: &mut Stream,
+    ) {
         let rows: usize = segments.clone().map(|s| s.tokens.len()).sum();
         assert!(rows > 0, "empty batch");
-        let mut x = Matrix::zeros(rows, self.cfg.hidden_size);
+        let x = &mut stream.x;
+        x.zero(rows, self.cfg.hidden_size);
         let tokens = segments.flat_map(|s| s.tokens.iter().zip(s.start_pos..));
         for (r, (&tok, pos)) in tokens.enumerate() {
             self.embed_token(tok, pos, x.row_mut(r));
         }
-        x
     }
 
-    /// The transformer: runs the embedded rows `x` through every layer
-    /// and returns the logits of `last_rows`, one row each.
+    /// The transformer: runs the rows [`ReplicatedWeights::embed`] put
+    /// in `stream` through every layer and returns the logits of
+    /// `last_rows`, one row each.
     ///
-    /// `partials(stage, input)` yields every shard's partial for that
-    /// stage **in shard order**; this loop does the rest — pre-norm, the
-    /// all-reduce sum and residual add of the two sub-layers, the final
-    /// norm and the all-gather of the vocabulary-sharded logits. One
-    /// shard yields one partial and the reductions are the identity.
+    /// `partials(stage, input, parts)` pushes every shard's partial for
+    /// that stage into `parts` **in shard order**; [`Partials`] and this
+    /// loop do the rest — pre-norm, the all-reduce sum and residual add of
+    /// the two sub-layers, the final norm and the all-gather of the
+    /// vocabulary-sharded logits. One shard pushes one partial and the
+    /// reductions are copies.
     ///
     /// Once the last layer's attention input is normed, the residual
     /// stream keeps only `last_rows`: that stage still gets every row,
@@ -189,82 +193,121 @@ impl ReplicatedWeights {
     /// # Errors
     ///
     /// Whatever `partials` returns.
-    pub fn forward<P: IntoIterator<Item = Matrix>, E>(
+    pub fn forward<E>(
         &self,
-        mut x: Matrix,
+        stream: &mut Stream,
         last_rows: &[usize],
-        mut partials: impl FnMut(Stage, Matrix) -> Result<P, E>,
+        mut partials: impl FnMut(Stage, &Matrix, &mut Partials<'_>) -> Result<(), E>,
     ) -> Result<Matrix, E> {
+        let Stream { x, input, sum } = stream;
         // The layer to narrow in, unless every row is a sequence's last.
         let last = (x.rows() > last_rows.len()).then(|| self.norms.len() - 1);
         for (l, norms) in self.norms.iter().enumerate() {
             for (stage, norm) in [(Stage::Attn(l), &norms[0]), (Stage::Mlp(l), &norms[1])] {
-                let input = self.normed(&x, norm);
+                self.normed(x, norm, input);
                 if matches!(stage, Stage::Attn(l) if Some(l) == last) {
-                    x = gather_rows(&x, last_rows);
+                    x.keep_rows(last_rows);
                 }
                 // All-reduce: the partials summed in shard order, then
                 // the residual add.
-                let mut parts = partials(stage, input)?.into_iter();
-                if let Some(mut sum) = parts.next() {
-                    for p in parts {
-                        add_rows(&mut sum, &p);
-                    }
-                    add_rows(&mut x, &sum);
+                let mut parts = Partials::new(sum, None);
+                partials(stage, input, &mut parts)?;
+                if parts.pushed > 0 {
+                    add_rows(x, sum);
                 }
             }
         }
         // `x` now holds `last_rows` alone, narrowed or already so.
-        let mut hidden = x;
-        for i in 0..hidden.rows() {
-            self.normalize(hidden.row_mut(i), &self.final_norm);
+        for i in 0..x.rows() {
+            self.normalize(x.row_mut(i), &self.final_norm);
         }
         // All-gather: the vocabulary slices side by side in shard order.
         let mut logits = Matrix::zeros(last_rows.len(), self.cfg.vocab_size);
-        let mut col = 0;
-        for part in partials(Stage::LmHead, hidden)? {
-            for i in 0..part.rows() {
-                logits.row_mut(i)[col..col + part.cols()].copy_from_slice(part.row(i));
-            }
-            col += part.cols();
-        }
+        partials(Stage::LmHead, x, &mut Partials::new(&mut logits, Some(0)))?;
         Ok(logits)
     }
 }
 
-/// A copy of rows `rows` of `m`, in that order.
-fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), m.cols());
+/// The buffers a pass's layer loop ([`ReplicatedWeights::forward`])
+/// reuses from pass to pass: the residual stream, each stage's normed
+/// input and its reduced partial.
+#[derive(Debug, Default)]
+pub struct Stream {
+    x: Matrix,
+    input: Matrix,
+    sum: Matrix,
+}
+
+/// Where one stage's partials go, pushed in shard order: summed for the
+/// two sub-layers (the all-reduce), side by side for the LM head (the
+/// all-gather).
+#[derive(Debug)]
+pub struct Partials<'a> {
+    out: &'a mut Matrix,
+    /// `Some(col)` when gathering: the column the next slice starts at.
+    gather: Option<usize>,
+    pushed: usize,
+}
+
+impl<'a> Partials<'a> {
+    fn new(out: &'a mut Matrix, gather: Option<usize>) -> Self {
+        Partials {
+            out,
+            gather,
+            pushed: 0,
+        }
+    }
+
+    /// Takes the next shard's partial.
+    pub fn push(&mut self, part: &Matrix) {
+        match &mut self.gather {
+            Some(col) => {
+                for i in 0..part.rows() {
+                    self.out.row_mut(i)[*col..*col + part.cols()].copy_from_slice(part.row(i));
+                }
+                *col += part.cols();
+            }
+            None if self.pushed == 0 => self.out.copy_from(part),
+            None => add_rows(self.out, part),
+        }
+        self.pushed += 1;
+    }
+}
+
+/// A copy of rows `rows` of `m`, in that order, in `out`.
+fn gather_rows(m: &Matrix, rows: &[usize], out: &mut Matrix) {
+    out.zero(rows.len(), m.cols());
     for (to, &from) in rows.iter().enumerate() {
         out.row_mut(to).copy_from_slice(m.row(from));
     }
-    out
 }
 
-/// The MLP over `w` (a layer's `mlp` matrices at any width), with `mm`
+/// The MLP over `w` (a layer's `mlp` matrices at any width) into
+/// `out`, with its up (and gate) projections in `up` and `gate` and `mm`
 /// as the matrix product: pooled on the paged path, the scalar reference
 /// in [`TinyModel::forward_dense`].
 fn mlp(
     activation: Activation,
     w: &[Matrix],
     xn: &Matrix,
-    mm: impl Fn(&Matrix, &Matrix) -> Matrix,
-) -> Matrix {
+    [gate, up, out]: [&mut Matrix; 3],
+    mm: impl Fn(&Matrix, &Matrix, &mut Matrix),
+) {
     match activation {
         Activation::Relu => {
-            let mut up = mm(xn, &w[0]);
+            mm(xn, &w[0], up);
             for v in up.as_mut_slice() {
                 *v = relu(*v);
             }
-            mm(&up, &w[1])
+            mm(up, &w[1], out);
         }
         Activation::Silu => {
-            let mut gate = mm(xn, &w[0]);
-            let up = mm(xn, &w[1]);
+            mm(xn, &w[0], gate);
+            mm(xn, &w[1], up);
             for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
                 *g = silu(*g) * u;
             }
-            mm(&gate, &w[2])
+            mm(gate, &w[2], out);
         }
     }
 }
@@ -304,11 +347,33 @@ impl Pass {
     /// descending) or a context block the pass will read is a hole.
     pub fn new(batch: &mut [SeqInput<'_>], pool: &mut PagedKvCache) -> Result<Self, OutOfBlocks> {
         let mut pass = Pass::default();
+        pass.fill(batch, pool)?;
+        Ok(pass)
+    }
+
+    /// [`Pass::new`] in place, reusing this pass's buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pass::new`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Pass::new`].
+    pub(crate) fn fill(
+        &mut self,
+        batch: &mut [SeqInput<'_>],
+        pool: &mut PagedKvCache,
+    ) -> Result<(), OutOfBlocks> {
+        self.rows.clear();
+        self.segments.clear();
+        self.last_segments.clear();
+        self.last_rows.clear();
         for seq in batch.iter_mut() {
             let shapes = seq.segments.iter().map(SegmentInput::shape);
-            pass.push_seq(shapes, seq.table, pool)?;
+            self.push_seq(shapes, seq.table, pool)?;
         }
-        Ok(pass)
+        Ok(())
     }
 
     /// Adds one sequence's query `segments` (`(start_pos, len)` pairs)
@@ -365,28 +430,47 @@ pub(crate) struct Shard {
     pub(crate) pool: Pool,
 }
 
+/// The buffers one shard's partials reuse from pass to pass: the
+/// attention sub-layer's Q/K/V, narrowed rows, lane tiles and output,
+/// the MLP's gate and up projections, and the partial itself.
+#[derive(Debug, Default)]
+pub(crate) struct ShardScratch {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// The last layer's narrowed input rows.
+    last: Matrix,
+    tiles: Vec<f32>,
+    attn: Matrix,
+    gate: Matrix,
+    up: Matrix,
+    out: Matrix,
+}
+
 impl Shard {
-    /// This shard's partial of `stage` over `input` (see [`Stage`]).
-    /// `tables[i]` is the block table of `pass`'s `i`-th sequence; the
-    /// attention stage writes the pass's K/V into `cache` and reads its
-    /// context from there. In the last layer it writes every row's K/V
-    /// but projects queries, attends and projects out for each
-    /// sequence's last row only.
-    pub(crate) fn partial(
+    /// This shard's partial of `stage` over `input` (see [`Stage`]),
+    /// computed in `buf`. `tables[i]` is the block table of `pass`'s
+    /// `i`-th sequence; the attention stage writes the pass's K/V into
+    /// `cache` and reads its context from there. In the last layer it
+    /// writes every row's K/V but projects queries, attends and projects
+    /// out for each sequence's last row only.
+    pub(crate) fn partial<'s>(
         &self,
         stage: Stage,
         input: &Matrix,
         pass: &Pass,
         cache: &mut PagedKvCache,
         tables: &[&BlockTable],
-    ) -> Matrix {
-        let mm = |a: &Matrix, b: &Matrix| matmul_pool(a, b, &self.pool);
+        buf: &'s mut ShardScratch,
+    ) -> &'s Matrix {
+        let mm = |a: &Matrix, b: &Matrix, c: &mut Matrix| matmul_pool_into(a, b, &self.pool, c);
         match stage {
             Stage::Attn(l) => {
                 let (lw, attn) = (&self.layers[l], &self.attn);
                 let rope = self.rep.cfg.position_embedding == PositionEmbedding::Rotary;
-                let mut k = mm(input, &lw.wk);
-                let v = mm(input, &lw.wv);
+                let (q, k, v) = (&mut buf.q, &mut buf.k, &mut buf.v);
+                mm(input, &lw.wk, k);
+                mm(input, &lw.wv, v);
                 for (r, &(pos, (b, s))) in pass.rows.iter().enumerate() {
                     if rope {
                         apply_rope(k.row_mut(r), attn.num_kv_heads, attn.head_dim, pos);
@@ -396,11 +480,13 @@ impl Shard {
                 // The last layer's queries: each sequence's last row, as
                 // `ReplicatedWeights::forward` narrows.
                 let narrow = l + 1 == self.layers.len() && input.rows() > pass.last_rows.len();
-                let (mut q, segments) = if narrow {
-                    let last = gather_rows(input, &pass.last_rows);
-                    (mm(&last, &lw.wq), &pass.last_segments)
+                let segments = if narrow {
+                    gather_rows(input, &pass.last_rows, &mut buf.last);
+                    mm(&buf.last, &lw.wq, q);
+                    &pass.last_segments
                 } else {
-                    (mm(input, &lw.wq), &pass.segments)
+                    mm(input, &lw.wq, q);
+                    &pass.segments
                 };
                 if rope {
                     for r in 0..q.rows() {
@@ -418,12 +504,19 @@ impl Shard {
                         table: tables[seq],
                     })
                     .collect();
-                let out = paged_multi_token_pool(attn, &q, &cache.layer(l), &seqs, &self.pool);
-                mm(&out, &lw.wo)
+                let (layer, tiles) = (cache.layer(l), &mut buf.tiles);
+                let attended = &mut buf.attn;
+                paged_multi_token_pool_into(attn, q, &layer, &seqs, &self.pool, tiles, attended);
+                mm(attended, &lw.wo, &mut buf.out);
             }
-            Stage::Mlp(l) => mlp(self.rep.cfg.activation, &self.layers[l].mlp, input, mm),
-            Stage::LmHead => matmul(input, &self.lm_head),
+            Stage::Mlp(l) => {
+                let w = &self.layers[l].mlp;
+                let bufs = [&mut buf.gate, &mut buf.up, &mut buf.out];
+                mlp(self.rep.cfg.activation, w, input, bufs, mm);
+            }
+            Stage::LmHead => matmul_into(input, &self.lm_head, &mut buf.out),
         }
+        &buf.out
     }
 }
 
@@ -431,6 +524,17 @@ impl Shard {
 /// replicated weights and one shard as wide as the model.
 pub struct TinyModel {
     pub(crate) shard: Shard,
+    /// What [`PagedModel::run`]'s passes reuse.
+    scratch: Scratch,
+}
+
+/// Everything a one-shard pass reuses from pass to pass: the prologue,
+/// the layer loop's buffers and the shard's.
+#[derive(Debug, Default)]
+struct Scratch {
+    pass: Pass,
+    stream: Stream,
+    shard: ShardScratch,
 }
 
 /// One contiguous run of query tokens at absolute positions
@@ -532,11 +636,15 @@ impl TinyModel {
             lm_head: mat(h, cfg.vocab_size),
             pool: Pool::serial(),
         };
-        TinyModel { shard }
+        TinyModel {
+            shard,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Sets the number of worker threads used by the batched compute
-    /// kernels ([`matmul_pool`] row partitions, [`paged_multi_token_pool`]
+    /// kernels ([`crate::ops::matmul_pool`] row partitions,
+    /// [`crate::attention::multi::paged_multi_token_pool`]
     /// sequence partitions) by installing a pool of that width
     /// ([`Pool::new`]; each fan-out forks scoped threads and joins them).
     ///
@@ -579,13 +687,7 @@ impl TinyModel {
         cache: &mut PagedKvCache,
         batch: &mut [SeqInput<'_>],
     ) -> Result<Matrix, OutOfBlocks> {
-        let rep = &self.shard.rep;
-        let x = rep.embed(batch.iter().flat_map(|seq| &seq.segments));
-        let pass = Pass::new(batch, cache)?;
-        let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
-        rep.forward(x, &pass.last_rows, |stage, input| {
-            Ok([self.shard.partial(stage, &input, &pass, cache, &tables)])
-        })
+        forward_in(&self.shard, &mut Scratch::default(), cache, batch)
     }
 
     /// Stateless reference: processes `tokens` from scratch with dense,
@@ -608,8 +710,10 @@ impl TinyModel {
         for (r, &tok) in tokens.iter().enumerate() {
             rep.embed_token(tok, r, x.row_mut(r));
         }
+        let mut xn = Matrix::default();
+        let mut mlp_out: [Matrix; 3] = Default::default();
         for (lw, norms) in self.shard.layers.iter().zip(&rep.norms) {
-            let xn = rep.normed(&x, &norms[0]);
+            rep.normed(&x, &norms[0], &mut xn);
             let mut q = matmul_ref(&xn, &lw.wq);
             let mut k = matmul_ref(&xn, &lw.wk);
             let v = matmul_ref(&xn, &lw.wv);
@@ -621,8 +725,11 @@ impl TinyModel {
             }
             let attn_out = naive_attention(attn, &q, &k, &v);
             add_rows(&mut x, &matmul_ref(&attn_out, &lw.wo));
-            let xn = rep.normed(&x, &norms[1]);
-            add_rows(&mut x, &mlp(rep.cfg.activation, &lw.mlp, &xn, matmul_ref));
+            rep.normed(&x, &norms[1], &mut xn);
+            let [gate, up, out] = &mut mlp_out;
+            let mm = |a: &Matrix, b: &Matrix, c: &mut Matrix| *c = matmul_ref(a, b);
+            mlp(rep.cfg.activation, &lw.mlp, &xn, [gate, up, out], mm);
+            add_rows(&mut x, out);
         }
         let mut hidden = Matrix::from_vec(1, rep.cfg.hidden_size, x.row(n - 1).to_vec());
         rep.normalize(hidden.row_mut(0), &rep.final_norm);
@@ -643,10 +750,11 @@ pub trait PagedModel {
     /// A pool of `num_blocks` blocks of `block_size` tokens.
     fn pool(&self, block_size: usize, num_blocks: usize) -> PagedKvCache;
 
-    /// `block`'s bytes, laid out as [`PagedKvCache::read_block`] lays out
-    /// a block of the whole model: by default, the pool's.
-    fn read_block(&mut self, pool: &PagedKvCache, block: BlockId) -> Vec<f32> {
-        pool.read_block(block)
+    /// `block`'s bytes into `out`, replacing its contents, laid out as
+    /// [`PagedKvCache::read_block`] lays out a block of the whole model:
+    /// by default, the pool's.
+    fn read_block(&mut self, pool: &PagedKvCache, block: BlockId, out: &mut Vec<f32>) {
+        pool.read_block_into(block, out);
     }
 
     /// Writes back what [`PagedModel::read_block`] read.
@@ -683,8 +791,33 @@ impl PagedModel for TinyModel {
     }
 
     fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
-        self.forward(pool, batch).ok()
+        forward_in(&self.shard, &mut self.scratch, pool, batch).ok()
     }
+}
+
+/// [`TinyModel::forward`] on `shard`, with every temporary in `scratch`.
+fn forward_in(
+    shard: &Shard,
+    scratch: &mut Scratch,
+    cache: &mut PagedKvCache,
+    batch: &mut [SeqInput<'_>],
+) -> Result<Matrix, OutOfBlocks> {
+    let (rep, pass) = (&shard.rep, &mut scratch.pass);
+    rep.embed(
+        batch.iter().flat_map(|seq| &seq.segments),
+        &mut scratch.stream,
+    );
+    pass.fill(batch, cache)?;
+    let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
+    rep.forward(
+        &mut scratch.stream,
+        &pass.last_rows,
+        |stage, input, parts| {
+            let buf = &mut scratch.shard;
+            parts.push(shard.partial(stage, input, pass, cache, &tables, buf));
+            Ok(())
+        },
+    )
 }
 
 #[cfg(test)]

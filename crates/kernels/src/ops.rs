@@ -25,8 +25,11 @@ const GEMM_NC: usize = 128;
 /// the `C` row.
 const GEMM_PU: usize = 4;
 /// Below this `m * k * n` volume the packing overhead outweighs the cache
-/// blocking; the (bit-identical) scalar reference is used instead.
+/// blocking; the register-tiled small-product path is used instead.
 const GEMM_MIN_VOLUME: usize = 16 * 1024;
+/// Output columns per register tile of the small-product path: 16
+/// accumulators stay in registers across the whole inner dimension.
+const GEMM_NR: usize = 16;
 
 /// Scalar dot product, accumulating left to right.
 ///
@@ -160,11 +163,64 @@ pub fn matmul_ref(a: &Matrix, b: &Matrix) -> Matrix {
 /// Panics if the inner dimensions disagree.
 #[must_use]
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::default();
+    matmul_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul`] into `c`, which takes the product's shape and whose buffer
+/// is reused. Products under `GEMM_MIN_VOLUME` — every decode row's —
+/// go through the register-tiled small-product path, bit-identical to
+/// [`matmul_ref`], the rest through the blocked kernel.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions disagree.
+pub(crate) fn matmul_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    if a.rows() * a.cols() * b.cols() < GEMM_MIN_VOLUME {
-        return matmul_ref(a, b);
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    c.zero(m, n);
+    if m * k * n < GEMM_MIN_VOLUME {
+        matmul_small(a, b, c);
+    } else {
+        matmul_rows(a, b, 0, c.as_mut_slice());
     }
-    matmul_rows(a, b, 0, a.rows())
+}
+
+/// The small-product path: each row of `C` in tiles of `GEMM_NR`
+/// columns, each tile's accumulators held in registers while `p` runs
+/// over the whole inner dimension in ascending order — [`matmul_ref`]'s
+/// order, from the same `0.0`, so the tile is bit-identical to it — and
+/// stored once. The reference instead loads and stores the `C` row once
+/// per `p`. A row's last `n % GEMM_NR` columns take a narrower tile.
+fn matmul_small(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    let n = b.cols();
+    let tiles = n / GEMM_NR;
+    for i in 0..a.rows() {
+        let arow = a.row(i);
+        let crow = c.row_mut(i);
+        let (full, rest) = crow.as_chunks_mut::<GEMM_NR>();
+        for (t, out) in full.iter_mut().enumerate() {
+            let mut acc = [0.0f32; GEMM_NR];
+            for (p, &av) in arow.iter().enumerate() {
+                let (btiles, _) = b.row(p).as_chunks::<GEMM_NR>();
+                for (acc, &bv) in acc.iter_mut().zip(&btiles[t]) {
+                    *acc += av * bv;
+                }
+            }
+            *out = acc;
+        }
+        if !rest.is_empty() {
+            let mut acc = [0.0f32; GEMM_NR];
+            let acc = &mut acc[..rest.len()];
+            for (p, &av) in arow.iter().enumerate() {
+                for (acc, &bv) in acc.iter_mut().zip(&b.row(p)[tiles * GEMM_NR..]) {
+                    *acc += av * bv;
+                }
+            }
+            rest.copy_from_slice(acc);
+        }
+    }
 }
 
 /// `C = A * B` with the row dimension fanned out over a [`Pool`] —
@@ -188,16 +244,32 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// Panics if the inner dimensions disagree.
 #[must_use]
 pub fn matmul_pool(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
+    let mut c = Matrix::default();
+    matmul_pool_into(a, b, pool, &mut c);
+    c
+}
+
+/// [`matmul_pool`] into `c`, whose buffer the serial path reuses as
+/// [`matmul_into`] does.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions disagree.
+pub(crate) fn matmul_pool_into(
+    a: &Matrix,
+    b: &Matrix,
+    pool: &crossbeam::pool::Pool,
+    c: &mut Matrix,
+) {
     let threads = pool.threads();
-    let m = a.rows();
     let volume = a.rows() * a.cols() * b.cols();
     // Splitting tiny products across threads costs more than it saves:
     // require a full GEMM_MIN_VOLUME of work *per partition*.
-    if threads <= 1 || m < 2 * threads || volume / threads < GEMM_MIN_VOLUME {
-        return matmul(a, b);
+    if threads <= 1 || a.rows() < 2 * threads || volume / threads < GEMM_MIN_VOLUME {
+        matmul_into(a, b, c);
+    } else {
+        *c = matmul_pool_ungated(a, b, pool);
     }
-    matmul_pool_ungated(a, b, pool)
 }
 
 /// [`matmul_pool`] without the work-size gate: always fans the row
@@ -221,11 +293,11 @@ pub fn matmul_pool_ungated(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool)
     let chunks = pool.map_partitions(parts, |t| {
         let lo = t * per;
         let hi = m.min(lo + per);
-        if lo < hi {
-            Some(matmul_rows(a, b, lo, hi))
-        } else {
-            None
-        }
+        (lo < hi).then(|| {
+            let mut c = Matrix::zeros(hi - lo, b.cols());
+            matmul_rows(a, b, lo, c.as_mut_slice());
+            c
+        })
     });
     let mut c = Matrix::zeros(m, b.cols());
     // Sequential per-partition accumulation: copy results back in fixed
@@ -240,12 +312,12 @@ pub fn matmul_pool_ungated(a: &Matrix, b: &Matrix, pool: &crossbeam::pool::Pool)
     c
 }
 
-/// Blocked GEMM over rows `lo..hi` of `A`, returning a `[hi - lo, n]`
-/// matrix. Shared by [`matmul`] and the per-thread partitions of
-/// [`matmul_pool`].
-fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
-    let (m, k, n) = (hi - lo, a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
+/// Blocked GEMM over rows `lo..` of `A`, accumulating into `c`, a
+/// zeroed row-major `[rows, n]` band: as many rows as `c` holds. Shared
+/// by [`matmul`] and the per-thread partitions of [`matmul_pool`].
+fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, c: &mut [f32]) {
+    let (k, n) = (a.cols(), b.cols());
+    let m = c.len() / n.max(1);
     let mut panel = vec![0.0f32; GEMM_KC * GEMM_NC];
     for jt in (0..n).step_by(GEMM_NC) {
         let jw = GEMM_NC.min(n - jt);
@@ -257,7 +329,7 @@ fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
             }
             for i in 0..m {
                 let arow = a.row(lo + i);
-                let crow = &mut c.row_mut(i)[jt..jt + jw];
+                let crow = &mut c[i * n + jt..i * n + jt + jw];
                 let mut p = 0;
                 while p + GEMM_PU <= pw {
                     let (a0, a1, a2, a3) = (
@@ -292,7 +364,6 @@ fn matmul_rows(a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
             }
         }
     }
-    c
 }
 
 /// In-place numerically-stable softmax over a single row.
@@ -404,6 +475,8 @@ pub fn argmax(logits: &[f32]) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -459,6 +532,31 @@ mod tests {
                 matmul_ref(&a, &b),
                 "blocked != ref for {m}x{k}x{n}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The register-tiled small-product path equals the reference
+        /// bit for bit: one to three rows, inner dimensions up to 200,
+        /// and widths below, at and above the tile, ragged ones and the
+        /// tiny models' 16, 64, 128 and 172.
+        #[test]
+        fn small_products_match_the_reference_bitwise(
+            m in 1usize..4,
+            k in 1usize..201,
+            n in prop::sample::select(vec![1usize, 7, 15, 16, 17, 31, 32, 40, 64, 100, 128, 172]),
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = lcg_matrix(seed, m, k);
+            let b = lcg_matrix(seed ^ 0x9e37_79b9, k, n);
+            let want = matmul_ref(&a, &b);
+            let mut got = Matrix::zeros(m, n);
+            matmul_small(&a, &b, &mut got);
+            let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{}x{}x{}", m, k, n);
+            prop_assert_eq!(bits(&matmul(&a, &b)), bits(&want), "{}x{}x{}", m, k, n);
         }
     }
 

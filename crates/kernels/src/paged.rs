@@ -188,10 +188,25 @@ impl PagedKvCache {
     /// Panics if `block` is out of range.
     #[must_use]
     pub fn read_block(&self, block: BlockId) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.read_block_into(block, &mut out);
+        out
+    }
+
+    /// [`PagedKvCache::read_block`] into `out`, whose contents it
+    /// replaces and whose buffer it reuses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub(crate) fn read_block_into(&self, block: BlockId, out: &mut Vec<f32>) {
         let bf = self.layout.block_floats();
         let slab = block * bf..(block + 1) * bf;
         let slabs = self.k.iter().zip(&self.v).flat_map(|(k, v)| [k, v]);
-        slabs.flat_map(|s| &s[slab.clone()]).copied().collect()
+        out.clear();
+        for s in slabs {
+            out.extend_from_slice(&s[slab.clone()]);
+        }
     }
 
     /// Writes back into `block` what [`PagedKvCache::read_block`] copied

@@ -7,8 +7,8 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Dense row-major `f32` matrix.
-#[derive(Debug, Clone, PartialEq)]
+/// Dense row-major `f32` matrix. The default is empty, `0 x 0`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -35,6 +35,37 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Matrix { rows, cols, data }
+    }
+
+    /// Makes this a zero-filled `rows x cols` matrix, reusing its buffer.
+    pub(crate) fn zero(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
+    /// Makes this a copy of `other`, reusing its buffer.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+        (self.rows, self.cols) = (other.rows, other.cols);
+    }
+
+    /// Keeps rows `keep` (ascending) in that order and drops the rest,
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is not ascending or names a row out of range.
+    pub(crate) fn keep_rows(&mut self, keep: &[usize]) {
+        let cols = self.cols;
+        for (to, &from) in keep.iter().enumerate() {
+            assert!(from >= to && from < self.rows, "rows to keep out of order");
+            self.data
+                .copy_within(from * cols..(from + 1) * cols, to * cols);
+        }
+        self.rows = keep.len();
+        self.data.truncate(self.rows * cols);
     }
 
     /// Number of rows.

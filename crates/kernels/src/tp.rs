@@ -39,7 +39,8 @@ use crossbeam::pool::Pool;
 
 use crate::attention::AttnConfig;
 use crate::model::{
-    LayerWeights, PagedModel, Pass, ReplicatedWeights, SeqInput, Shard, Stage, TinyModel,
+    LayerWeights, PagedModel, Pass, ReplicatedWeights, SeqInput, Shard, ShardScratch, Stage,
+    Stream, TinyModel,
 };
 use crate::paged::{BlockId, BlockTable, KvLayout, PagedKvCache};
 use crate::tensor::Matrix;
@@ -79,6 +80,8 @@ pub fn gather_block(slices: impl IntoIterator<Item = Matrix>) -> Vec<f32> {
 pub struct ShardRunner {
     shard: Shard,
     cache: PagedKvCache,
+    /// What its partials reuse from pass to pass.
+    scratch: ShardScratch,
     /// This shard's index, and the shard count.
     index: usize,
     of: usize,
@@ -89,7 +92,8 @@ impl ShardRunner {
     /// has block table `tables[i]`: over its heads and its KV slice for
     /// the attention sub-layer, its FFN columns for the MLP, its
     /// vocabulary slice for the LM head. The caller reduces the partials
-    /// of all shards ([`ReplicatedWeights::forward`]).
+    /// of all shards ([`ReplicatedWeights::forward`]). The partial lives
+    /// in the runner's scratch until its next one.
     #[must_use]
     pub fn partial(
         &mut self,
@@ -97,12 +101,13 @@ impl ShardRunner {
         input: &Matrix,
         pass: &Pass,
         tables: &[&BlockTable],
-    ) -> Matrix {
+    ) -> &Matrix {
         if let Some(block) = pass.rows.iter().map(|&(_, (block, _))| block).max() {
             self.cache.cover(block);
         }
+        let (cache, scratch) = (&mut self.cache, &mut self.scratch);
         self.shard
-            .partial(stage, input, pass, &mut self.cache, tables)
+            .partial(stage, input, pass, cache, tables, scratch)
     }
 
     /// This shard's slice of `block`: one row per row of the bytes
@@ -130,6 +135,9 @@ impl ShardRunner {
 pub struct TpModel {
     replicated: Arc<ReplicatedWeights>,
     shards: Vec<ShardRunner>,
+    /// The pass prologue and layer loop's buffers, reused.
+    pass: Pass,
+    stream: Stream,
 }
 
 impl TpModel {
@@ -195,6 +203,7 @@ impl TpModel {
                     },
                     // Its ids are the scheduler's: it only stores blocks.
                     cache: PagedKvCache::new(layout, cfg.num_layers, 0),
+                    scratch: ShardScratch::default(),
                     index: w,
                     of: num_shards,
                 }
@@ -203,6 +212,8 @@ impl TpModel {
         TpModel {
             replicated: Arc::clone(&full.rep),
             shards,
+            pass: Pass::default(),
+            stream: Stream::default(),
         }
     }
 
@@ -225,8 +236,8 @@ impl PagedModel for TpModel {
         PagedKvCache::numbering(block_size, num_blocks)
     }
 
-    fn read_block(&mut self, _: &PagedKvCache, block: BlockId) -> Vec<f32> {
-        gather_block(self.shards.iter_mut().map(|s| s.read_block(block)))
+    fn read_block(&mut self, _: &PagedKvCache, block: BlockId, out: &mut Vec<f32>) {
+        *out = gather_block(self.shards.iter_mut().map(|s| s.read_block(block)));
     }
 
     fn write_block(&mut self, _: &mut PagedKvCache, block: BlockId, kv: &[f32]) {
@@ -236,16 +247,20 @@ impl PagedModel for TpModel {
     }
 
     fn run(&mut self, pool: &mut PagedKvCache, batch: &mut [SeqInput<'_>]) -> Option<Matrix> {
-        let segments = batch.iter().flat_map(|seq| &seq.segments);
-        let x = self.replicated.embed(segments);
-        let pass = Pass::new(batch, pool).ok()?;
+        let TpModel {
+            replicated,
+            shards,
+            pass,
+            stream,
+        } = self;
+        replicated.embed(batch.iter().flat_map(|seq| &seq.segments), stream);
+        pass.fill(batch, pool).ok()?;
         let tables: Vec<&BlockTable> = batch.iter().map(|seq| &*seq.table).collect();
-        let shards = &mut self.shards;
-        let logits = self.replicated.forward(x, &pass.last_rows, |stage, input| {
-            let partials = shards
-                .iter_mut()
-                .map(|s| s.partial(stage, &input, &pass, &tables));
-            Ok::<_, ()>(partials.collect::<Vec<_>>())
+        let logits = replicated.forward(stream, &pass.last_rows, |stage, input, parts| {
+            for shard in shards.iter_mut() {
+                parts.push(shard.partial(stage, input, pass, &tables));
+            }
+            Ok::<_, ()>(())
         });
         logits.ok()
     }
@@ -343,14 +358,19 @@ mod tests {
             table: &mut whole,
         };
         model.forward(&mut pool, &mut [batch]).unwrap();
+        let read = |tp: &mut TpModel, ids: &PagedKvCache, id| {
+            let mut out = Vec::new();
+            tp.read_block(ids, id, &mut out);
+            out
+        };
         for b in 0..3 {
             let (full, id) = (pool.read_block(whole.block_at(b)), table.block_at(b));
             assert!(
-                max_diff(&full, &tp.read_block(&ids, id)) < 1e-5,
+                max_diff(&full, &read(&mut tp, &ids, id)) < 1e-5,
                 "block {b}"
             );
             tp.write_block(&mut ids, id, &full);
-            assert_eq!(tp.read_block(&ids, id), full, "block {b} round trip");
+            assert_eq!(read(&mut tp, &ids, id), full, "block {b} round trip");
         }
     }
 

@@ -1142,6 +1142,47 @@ fn shared_chunk_survives_eviction_while_referenced() {
 }
 
 #[test]
+fn placement_stamps_follow_moves_and_reach_every_sharer() {
+    let mut cache = lru_cache(128, 256);
+    let chain = cache.register_shared(&synthetic_preamble(6, 32), t(0.0));
+    let (a, b, c) = (SessionId(1), SessionId(2), SessionId(3));
+    cache.attach_shared(a, &chain, t(0.1)).unwrap();
+    cache.attach_shared(b, &chain, t(0.1)).unwrap();
+    let attached = cache.placement_clock();
+    assert!(cache.placement_stamp(a) > 0 && cache.placement_stamp(b) <= attached);
+    assert_eq!(cache.placement_stamp(SessionId(9)), 0);
+    // Promoting the shared chunk for `a` moves `b`'s placement too.
+    cache.commit_restore(a, t(0.2)).unwrap();
+    assert!(cache.placement_stamp(b) > attached);
+    // Appends only grow the GPU tail: no stamp.
+    let before = cache.placement_stamp(a);
+    cache.append_tokens(a, 40, t(0.3)).unwrap();
+    assert_eq!(cache.placement_stamp(a), before);
+    cache.append_tokens(c, 32, t(0.4)).unwrap();
+    let (seen, c_before) = (cache.placement_clock(), cache.placement_stamp(c));
+    cache.commit_restore(b, t(0.5)).unwrap();
+    assert_eq!(
+        cache.placement_stamp(b),
+        cache.placement_stamp(a),
+        "no move"
+    );
+    // Evicting everything idle: each moved conversation is stamped past
+    // `seen`, the shared chunk's sharers included, and `c` alone too.
+    for conv in [a, b, c] {
+        cache.unpin(conv);
+    }
+    cache.swap_out_until(128, t(1.0));
+    // `b` holds no private chunk: only its chain moved.
+    assert_eq!(cache.plan_restore(b).swap_in_tokens, 32);
+    for conv in [a, b, c] {
+        assert!(cache.placement_stamp(conv) > seen, "{conv:?} unstamped");
+        assert!(cache.placement_stamp(conv) <= cache.placement_clock());
+    }
+    assert!(cache.placement_stamp(c) > c_before);
+    assert_eq!(cache.check_invariants(), Ok(()));
+}
+
+#[test]
 fn last_release_makes_shared_chunk_droppable() {
     let mut cache = lru_cache(64, 0); // no CPU tier: eviction = drop
     let chain = cache.register_shared(&synthetic_preamble(4, 32), t(0.0));

@@ -40,7 +40,11 @@
 //!   `ConvEntry::retier`, which carries its conversation's *row* of the
 //!   table (per-conversation totals are read, never recounted), the
 //!   *span* of indices each tier's chunks sit in, and the conversation's
-//!   keys in the candidate index along on the same move.
+//!   keys in the candidate index along on the same move. Both species'
+//!   transitions (`ConvEntry::retier`, `SharedChunk::retier`) also stamp
+//!   the move from one cache-wide clock, which is how a byte mirror
+//!   finds the conversations whose placement changed
+//!   ([`TieredKvCache::placement_stamp`]).
 //! * **`queue`** — which chunk goes next. At one `now` all chunks of a
 //!   conversation share their idle time, so within a conversation and a
 //!   tier the eviction order is the policy's walk along the chunks and
@@ -109,7 +113,7 @@ use crate::stats::CacheStats;
 use crate::types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};
 use keyed::KeyedMap;
 use ladder::Rung;
-use occupancy::{ConvEntry, Occupancy};
+use occupancy::{tick, ConvEntry, Occupancy, Stamp};
 use pool::SharedChunk;
 use queue::{CandidateQueue, Members};
 
@@ -285,6 +289,10 @@ pub struct TieredKvCache {
     /// Resident tokens per tier. A [`Tier::GpuCopied`] token occupies a
     /// GPU slot *and* CPU space.
     occ: Occupancy,
+    /// The move clock: ticks once per chunk that changes tier and once
+    /// per conversation that starts being tracked; see
+    /// [`TieredKvCache::placement_stamp`].
+    moves: Stamp,
     /// Per tier, the frontiers of the unpinned conversations holding
     /// private tokens there, in `last_active` order.
     members: Members,
@@ -386,6 +394,7 @@ impl TieredKvCache {
             policy,
             convs: KeyedMap::default(),
             occ: Occupancy::default(),
+            moves: 0,
             copied_fifo: VecDeque::new(),
             commit_log: BTreeSet::new(),
             shared: KeyedMap::default(),
@@ -465,6 +474,31 @@ impl TieredKvCache {
     #[must_use]
     pub fn conversation_tokens(&self, conv: SessionId) -> usize {
         self.convs.get(&conv).map_or(0, ConvEntry::total_tokens)
+    }
+
+    /// The move clock's current value: every [`placement_stamp`] so far
+    /// is at most this.
+    ///
+    /// [`placement_stamp`]: TieredKvCache::placement_stamp
+    #[must_use]
+    pub fn placement_clock(&self) -> u64 {
+        self.moves
+    }
+
+    /// When `conv`'s placement last changed, on the cache's move clock:
+    /// the tick of the latest move of one of its chunks, shared chain
+    /// included, or of its start of tracking (0 if unknown). Appends do
+    /// not stamp: they only add GPU tokens at the tail. So a caller that
+    /// mirrors placements and read the clock at `t` has nothing to redo
+    /// for a conversation whose stamp is still at most `t` — its
+    /// [`plan_restore`](TieredKvCache::plan_restore) differs since then
+    /// only by GPU tokens appended to its tail.
+    #[must_use]
+    pub fn placement_stamp(&self, conv: SessionId) -> u64 {
+        self.convs.get(&conv).map_or(0, |e| {
+            let chain = e.shared.iter().filter_map(|id| self.shared.get(id));
+            chain.map(|s| s.moved).fold(e.moved, u64::max)
+        })
     }
 
     /// All tracked conversations, in ascending id order.
@@ -566,14 +600,18 @@ impl TieredKvCache {
         plan
     }
 
-    /// Brings one pooled (or not yet tracked) chunk onto the GPU,
-    /// whichever tier it was in.
-    fn promote(occ: &mut Occupancy, stats: &mut CacheStats, chunk: &mut ChunkState) {
-        if chunk.tier == Tier::Gpu {
+    /// Brings one pooled chunk onto the GPU, whichever tier it was in.
+    fn promote(
+        occ: &mut Occupancy,
+        clock: &mut Stamp,
+        stats: &mut CacheStats,
+        s: &mut SharedChunk,
+    ) {
+        if s.chunk.tier == Tier::Gpu {
             return; // The common case on the restore path: already there.
         }
-        let from = occ.retier(chunk, Tier::Gpu);
-        Self::count_promotion(stats, from, chunk.tokens);
+        let from = s.retier(Tier::Gpu, occ, clock);
+        Self::count_promotion(stats, from, s.chunk.tokens);
     }
 
     /// Counts the two promotions that have their own statistic: a lazy
@@ -610,7 +648,7 @@ impl TieredKvCache {
             // hit.
             for id in &e.shared {
                 if let Some(s) = self.shared.get_mut(id) {
-                    Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
+                    Self::promote(&mut self.occ, &mut self.moves, &mut self.stats, s);
                     s.last_active = now;
                 }
             }
@@ -618,7 +656,14 @@ impl TieredKvCache {
                 match e.chunks.get(i) {
                     Some(c) if c.tier != Tier::Gpu => {
                         Self::count_promotion(&mut self.stats, c.tier, c.tokens);
-                        e.retier(conv, i, Tier::Gpu, &mut self.occ, &mut self.members);
+                        e.retier(
+                            conv,
+                            i,
+                            Tier::Gpu,
+                            &mut self.occ,
+                            &mut self.moves,
+                            &mut self.members,
+                        );
                     }
                     // The common case on the restore path: already there.
                     _ => {}
@@ -704,6 +749,7 @@ impl TieredKvCache {
         let chunk_tokens = self.cfg.chunk_tokens;
         let e = self.convs.get_or_insert_with(conv, || ConvEntry {
             pinned: true,
+            moved: tick(&mut self.moves),
             ..ConvEntry::new(Vec::new(), 0, Vec::new(), now)
         });
         if !e.committed {
@@ -753,6 +799,7 @@ impl TieredKvCache {
     /// admitted to the occupancy table by the caller) into its row, spans
     /// and the candidate index.
     fn track(&mut self, conv: SessionId, mut entry: ConvEntry) {
+        entry.moved = tick(&mut self.moves);
         entry.rekey(conv, &mut self.members, |e| {
             for i in 0..e.chunks.len() {
                 if let Some(&ChunkState { tier, tokens, .. }) = e.chunks.get(i) {

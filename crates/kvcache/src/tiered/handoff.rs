@@ -413,7 +413,14 @@ impl TieredKvCache {
             Tier::GpuCopied => Tier::Gpu,
             _ => return Err(CacheError::ChunkNotInCpuTier { conv, chunk }),
         };
-        e.retier(conv, chunk, without_copy, &mut self.occ, &mut self.members);
+        e.retier(
+            conv,
+            chunk,
+            without_copy,
+            &mut self.occ,
+            &mut self.moves,
+            &mut self.members,
+        );
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok(tokens)
     }
@@ -460,7 +467,14 @@ impl TieredKvCache {
             if !tiers.contains(&tier) {
                 continue;
             }
-            e.retier(conv, i, Tier::Dropped, &mut self.occ, &mut self.members);
+            e.retier(
+                conv,
+                i,
+                Tier::Dropped,
+                &mut self.occ,
+                &mut self.moves,
+                &mut self.members,
+            );
             dropped += tokens;
             self.recorder.record(TraceEvent::ChunkDropped {
                 at: now,

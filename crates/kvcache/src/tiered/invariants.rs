@@ -10,9 +10,9 @@ use crate::types::{ChunkId, ChunkState, Tier};
 impl TieredKvCache {
     /// Recounts the cache's accounting from its chunk records and
     /// compares: chunk positions, per-tier occupancy, every
-    /// conversation's row and spans, the candidate index, shared
-    /// refcounts and pins, tier capacities, the commit log, and the
-    /// keyed maps' and pool walk's key sets.
+    /// conversation's row and spans, placement stamps, the candidate
+    /// index, shared refcounts and pins, tier capacities, the commit
+    /// log, and the keyed maps' and pool walk's key sets.
     /// Every mutating method debug-asserts it; tests call it in release
     /// builds too.
     ///
@@ -45,6 +45,12 @@ impl TieredKvCache {
                 *refs += 1;
                 *pins += usize::from(e.pinned);
             }
+            ensure!(
+                e.moved > 0 && e.moved <= self.moves,
+                "{conv:?}: stamp {} off the move clock {}",
+                e.moved,
+                self.moves
+            );
             ensure!(
                 chain_tokens == e.shared_tokens,
                 "{conv:?}: shared_tokens drift: chain holds {chain_tokens}, entry says {}",
@@ -146,6 +152,12 @@ impl TieredKvCache {
             ensure!(
                 s.chunk.tier != Tier::GpuCopied,
                 "{id:?}: shared chunk holds a lazy copy"
+            );
+            ensure!(
+                s.moved <= self.moves,
+                "{id:?}: stamp {} past the move clock {}",
+                s.moved,
+                self.moves
             );
             occ.admit(s.chunk.tier, s.chunk.tokens);
             let (from_chains, pins) = chains.get(id).copied().unwrap_or_default();

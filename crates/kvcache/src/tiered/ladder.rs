@@ -247,21 +247,27 @@ impl TieredKvCache {
         transferred
     }
 
-    /// Moves `victim`'s chunk to tier `to` through the one transition
-    /// (`Occupancy::retier`, under `ConvEntry::retier` for a private
-    /// chunk) — also the one place a victim of either species resolves
-    /// to its chunk record. A victim that no longer resolves is left
-    /// alone.
+    /// Moves `victim`'s chunk to tier `to` through its species' one
+    /// transition (`ConvEntry::retier` or `SharedChunk::retier`) — also
+    /// the one place a victim of either species resolves to its chunk
+    /// record. A victim that no longer resolves is left alone.
     fn retier(&mut self, victim: Victim, to: Tier) {
         match victim {
             Victim::Conv(conv, idx) => {
                 if let Some(e) = self.convs.get_mut(&conv) {
-                    e.retier(conv, idx, to, &mut self.occ, &mut self.members);
+                    e.retier(
+                        conv,
+                        idx,
+                        to,
+                        &mut self.occ,
+                        &mut self.moves,
+                        &mut self.members,
+                    );
                 }
             }
             Victim::Shared(id) => {
                 if let Some(s) = self.shared.get_mut(&id) {
-                    self.occ.retier(&mut s.chunk, to);
+                    s.retier(to, &mut self.occ, &mut self.moves);
                 }
             }
         }
@@ -472,7 +478,14 @@ impl TieredKvCache {
             if e.chunks.get(idx).is_none_or(|c| c.tier != Tier::GpuCopied) {
                 continue; // Revalidated/suspended since copying; stale.
             }
-            e.retier(conv, idx, Tier::Cpu, &mut self.occ, &mut self.members);
+            e.retier(
+                conv,
+                idx,
+                Tier::Cpu,
+                &mut self.occ,
+                &mut self.moves,
+                &mut self.members,
+            );
         }
         // Favored entries stay queued for future reclamation.
         for entry in kept.into_iter().rev() {

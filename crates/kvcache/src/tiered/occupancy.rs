@@ -1,7 +1,7 @@
 //! Where tokens are held: the per-tier occupancy table, each
 //! conversation's row of it and the spans its tiers' chunks sit in, and
 //! the one tier transition that keeps them — and the conversation's keys
-//! in the candidate index — in step.
+//! in the candidate index and its placement stamp — in step.
 
 use std::ops::Range;
 
@@ -131,6 +131,20 @@ pub(super) struct ConvEntry {
     /// In the cache's `commit_log`: set exactly while it is, so the hot
     /// append path enters the log once per drain.
     pub(super) committed: bool,
+    /// The cache's move clock at this conversation's last private chunk
+    /// move, or when it started being tracked (see [`Stamp`]).
+    pub(super) moved: Stamp,
+}
+
+/// The cache-wide move clock: one tick per chunk that changes tier,
+/// taken inside the one transition of each species (`ConvEntry::retier`,
+/// `SharedChunk::retier`), so no move can leave its chunk unstamped.
+pub(super) type Stamp = u64;
+
+/// The next tick of `clock`.
+pub(super) fn tick(clock: &mut Stamp) -> Stamp {
+    *clock += 1;
+    *clock
 }
 
 impl ConvEntry {
@@ -152,6 +166,7 @@ impl ConvEntry {
             last_active: now,
             pinned: false,
             committed: false,
+            moved: 0,
         }
     }
 
@@ -263,14 +278,16 @@ impl ConvEntry {
 
     /// The one tier transition of a *private* chunk: [`Occupancy::retier`]
     /// on the cache's table, mirrored on this conversation's row and
-    /// spans, and its keys in the two tiers rekeyed where the chunk is or
-    /// becomes the frontier. An `idx` that is not a chunk moves nothing.
+    /// spans, its keys in the two tiers rekeyed where the chunk is or
+    /// becomes the frontier, and the conversation stamped from `clock`.
+    /// An `idx` that is not a chunk moves nothing.
     pub(super) fn retier(
         &mut self,
         conv: SessionId,
         idx: usize,
         to: Tier,
         occ: &mut Occupancy,
+        clock: &mut Stamp,
         members: &mut Members,
     ) {
         let Some(chunk) = self.chunks.get(idx).copied() else {
@@ -288,6 +305,7 @@ impl ConvEntry {
         if let Some(chunk) = self.chunks.get_mut(idx) {
             occ.retier(chunk, to);
         }
+        self.moved = tick(clock);
         *self.row.get_mut(from) -= tokens;
         self.enter(to, idx, tokens);
         for (tier, _) in rekeyed.into_iter().filter(|&(_, moves)| moves) {

@@ -5,7 +5,7 @@
 use pensieve_model::SimTime;
 use pensieve_obs::{Recorder as _, TraceEvent};
 
-use super::occupancy::ConvEntry;
+use super::occupancy::{tick, ConvEntry, Occupancy, Stamp};
 use super::{CacheError, TieredKvCache};
 use crate::types::{ChunkId, ChunkState, SessionId, Tier};
 
@@ -29,6 +29,20 @@ pub(super) struct SharedChunk {
     pub(super) global: bool,
     /// Last time any sharer touched the chunk.
     pub(super) last_active: SimTime,
+    /// The cache's move clock at the chunk's last move. It stamps every
+    /// sharer at once: a conversation's placement stamp is the newest of
+    /// its own and its chain's.
+    pub(super) moved: Stamp,
+}
+
+impl SharedChunk {
+    /// The one tier transition of a shared chunk: [`Occupancy::retier`]
+    /// on the cache's table, and the chunk — with it every sharer —
+    /// stamped from `clock`. Returns the tier it left.
+    pub(super) fn retier(&mut self, to: Tier, occ: &mut Occupancy, clock: &mut Stamp) -> Tier {
+        self.moved = tick(clock);
+        occ.retier(&mut self.chunk, to)
+    }
 }
 
 impl TieredKvCache {
@@ -63,6 +77,7 @@ impl TieredKvCache {
                         pinned_refs: 0,
                         global: false,
                         last_active: now,
+                        moved: 0,
                     },
                 );
             }
@@ -177,7 +192,7 @@ impl TieredKvCache {
                 continue; // Validated above; the walk stays total.
             };
             // A dropped chunk is computed once, here.
-            Self::promote(&mut self.occ, &mut self.stats, &mut s.chunk);
+            Self::promote(&mut self.occ, &mut self.moves, &mut self.stats, s);
             s.global = true;
             self.walkable.remove(id);
             s.last_active = now;
