@@ -3,16 +3,16 @@
 //! everything observable after every op into an FNV-1a digest, and
 //! compares the digest with a committed constant.
 //!
-//! The constants were captured *before* the tier ladder and the chunk
-//! record in `src/tiered.rs` were unified, so they pin that refactor (and
-//! any later one) to the bit: candidate order, snapshot reuse, which
-//! rung a victim lands on, the order of trace events, every counter.
-//! Capacities are a few chunks per tier, so every rung overflows, and
-//! the shared pool is under the same pressure — non-global shared chunks
-//! are moved GPU→CPU, demoted down the ladder and dropped once
-//! unreferenced, which no benchmark workload does. Both caches'
-//! accounting invariants (`check_invariants`) are checked after every
-//! op, in release builds too, so the tape doubles as an accounting soak.
+//! The constants pin every refactor of `src/tiered.rs` to the bit:
+//! candidate order, snapshot reuse, which rung a victim lands on, the
+//! order of trace events, every counter. Capacities are a few chunks per
+//! tier, so every rung overflows. Each cache pins one global preamble at
+//! construction, as the serving engine does, and conversations attach to
+//! it; in some configurations the two caches pin different preambles, so
+//! a migration or a rehydration either re-attaches the chain by id or
+//! imports a foreign one as dropped spans. Both caches' accounting
+//! invariants (`check_invariants`) are checked after every op, in
+//! release builds too, so the tape doubles as an accounting soak.
 //!
 //! Only the crate's public API is used. A failing run prints the table
 //! that would replace `GOLDEN` — paste it only for an *intended*
@@ -41,9 +41,17 @@ const CONTEXT_CAP: usize = 200;
 const BATCH: usize = 3;
 const OPS: usize = 3000;
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
-/// Shareable preambles as `(identity, tokens)`; 40 leaves a partial
-/// trailing chunk that registration must ignore.
-const PREAMBLES: [(u64, usize); 4] = [(1, 32), (2, 48), (3, 40), (4, 64)];
+/// The two caches' global preambles as `(identity, tokens)`, one pair
+/// per configuration in turn: the same chain on both sides, one side's
+/// chain a prefix of the other's (an import re-attaches part of it), two
+/// foreign chains (40 leaves a partial trailing chunk that is not
+/// pinned), and one side with no preamble at all.
+const PREAMBLES: [[(u64, usize); 2]; 4] = [
+    [(1, 48), (1, 48)],
+    [(2, 64), (2, 32)],
+    [(3, 40), (4, 64)],
+    [(5, 64), (5, 0)],
+];
 
 /// `(name, policy, ssd tokens, cold tokens)`. The first eight are the
 /// policy × depth matrix; the last three leave one rung disabled or
@@ -62,20 +70,20 @@ const CONFIGS: [(&str, Policy, usize, usize); 11] = [
     ("lru/ssd-under-a-chunk", Policy::Lru, 8, 96),
 ];
 
-/// Digests captured on the pre-refactor `tiered.rs`, `[config][seed]`.
+/// Committed digests, `[config][seed]`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 11] = [
-    [0x863ad948fd3a8df3, 0x7f09d5199710fecc, 0xfab72130bc43a9a6, 0xc957f292636b28fd], // retention/two-tier
-    [0xe3042cbb827ff73a, 0x0a09414d2e2b4bd3, 0xbb30f729d6b95c68, 0xc16166379c417716], // retention/deep
-    [0x7b3485e766c15465, 0x491a30b584d70090, 0xdca89ebadeda84df, 0xa2480110ef363ddf], // lru/two-tier
-    [0x08f65a5d24d41c42, 0x93b1b3e27d9a6b28, 0x5e5d39a369d5786c, 0xb5631549dab33c94], // lru/deep
-    [0x47512bdf9f75bfa6, 0x742819873429b6a2, 0x3774ae79c3b43d9e, 0x321ed3d5ba608c45], // cached-attention/two-tier
-    [0xe8619682d1cd66c4, 0x747d58eba576529a, 0xa03cf57db6cb6fb3, 0x42c78df826f91bba], // cached-attention/deep
-    [0xb6b0a5753de12d1e, 0xd328b019b819cf5c, 0x7d19193cbb9e5de4, 0xebc304141c1fa9ea], // trailing-end/two-tier
-    [0x79bac091a20b92cc, 0xfa6f07c1ef650508, 0xc6c8b67179654b4d, 0x3732207fcdc70ab4], // trailing-end/deep
-    [0xdbb9d35d3296d33f, 0xf1467a2d056cf034, 0x61205979abd48ffe, 0x488516ad9638853e], // retention/cold-only
-    [0x7ab30a6ee1e3a35f, 0xf48158048f532579, 0xdc41c699cd707fee, 0xeadfc128ebda75e3], // retention/ssd-only
-    [0x10c9c1b46f7573c0, 0xe6d06511c297319f, 0xed215e001d01df60, 0x43001e445a9f0756], // lru/ssd-under-a-chunk
+    [0x483cbf4418795a60, 0xa722533735cc669c, 0x18c71a730f5935d3, 0x226cb6220a1b0da6], // retention/two-tier
+    [0x75015275507e0a0d, 0x01cc3232a9e87c4b, 0xf40951638b1d177a, 0x9b30601ea46a1217], // retention/deep
+    [0xf88e97247627a8a2, 0x1d48072a058a6161, 0xe67556108ce593df, 0x3c2d216edd7b2e90], // lru/two-tier
+    [0xb727b0bb8bc83fa1, 0xfcdc79f26ff827fc, 0x2b8d8df54d17cc90, 0xb786798dae60573b], // lru/deep
+    [0x5ced9d19bfbaef8d, 0x96a8f1ef1babcf4c, 0xaadc3fe9ed280c8c, 0xd88dd899b65b0b35], // cached-attention/two-tier
+    [0x84bd2a4bf4a20bc7, 0x20ed9a98f95f1890, 0x7acf565ffd71862f, 0xc4228bf7ecb30b46], // cached-attention/deep
+    [0x0e09937771a4c74a, 0x9246b8c953a7d1d9, 0x7232f8b2266dd914, 0xa642cfaa7dec4746], // trailing-end/two-tier
+    [0xea823db08cff7866, 0x75952c98a3cbc331, 0x3a330c5b707b6431, 0x6785a5186c1e8fce], // trailing-end/deep
+    [0x1f47a7d97654028a, 0xca87d154b0817890, 0x89222549f3d9c9ea, 0x42ceb3357fd8c47f], // retention/cold-only
+    [0x51d6d64f8f1b7c4f, 0xd65e54cad0ee822b, 0x6ce000be1e2d747a, 0xf535551b3483b457], // retention/ssd-only
+    [0xe5ceb34c2dee8c5b, 0x0e9c5f30235a7b74, 0xa67ff159816fcee9, 0xfdae39780657b872], // lru/ssd-under-a-chunk
 ];
 
 #[derive(Clone, Copy)]
@@ -208,7 +216,6 @@ impl Digest {
             self.n(op.chunk);
             self.n(op.tokens);
             self.word(u64::from(op.dropped));
-            self.word(op.shared.map_or(0, |id| id.0));
         }
     }
 
@@ -336,9 +343,8 @@ struct Side {
     /// unpinned, suspended, removed or exported since: the only ones it
     /// is legal to append to without restoring first.
     running: BTreeSet<SessionId>,
-    /// Chains returned by `register_shared`, in registration order.
-    chains: Vec<Vec<ChunkId>>,
-    has_global: bool,
+    /// The global preamble chain pinned at construction.
+    chain: Vec<ChunkId>,
 }
 
 struct Tape {
@@ -351,39 +357,52 @@ struct Tape {
     turns_ok: usize,
     /// The last op's dice roll (which op ran), for the trace.
     last_roll: u64,
+    /// Imports and rehydrations that re-attached some of a session's
+    /// chain ids, and those that kept some as dropped spans.
+    reattached: usize,
+    foreign: usize,
 }
 
 impl Tape {
-    fn new(policy: Policy, ssd: usize, cold: usize, seed: u64, rec: &SharedRecorder) -> Self {
-        let side = || {
+    fn new(
+        policy: Policy,
+        (ssd, cold): (usize, usize),
+        preambles: [(u64, usize); 2],
+        seed: u64,
+        rec: &SharedRecorder,
+    ) -> Self {
+        let mut d = Digest(0xcbf2_9ce4_8422_2325);
+        let sides = preambles.map(|(identity, len)| {
             let cfg = CacheConfig::for_test(CHUNK, GPU, CPU).with_deep_tiers(ssd, cold);
             let mut cache = TieredKvCache::builder(cfg).policy(policy.build()).build();
             cache.set_recorder(Some(rec.clone()));
+            // The engine's shape: one preamble, pinned before any session.
+            let tokens = synthetic_preamble(identity, len);
+            let chain = cache.register_shared(&tokens, SimTime::ZERO);
+            cache
+                .materialize_global(&chain, SimTime::ZERO)
+                .expect("the preamble fits the GPU");
+            d.n(chain.len());
+            for id in &chain {
+                d.word(id.0);
+            }
             Side {
                 cache,
                 running: BTreeSet::new(),
-                chains: Vec::new(),
-                has_global: false,
+                chain,
             }
-        };
-        let mut tape = Tape {
+        });
+        Tape {
             rng: Rng(seed),
-            d: Digest(0xcbf2_9ce4_8422_2325),
+            d,
             secs: 0.0,
-            sides: [side(), side()],
+            sides,
             touched: Vec::new(),
             turns_ok: 0,
             last_roll: 0,
-        };
-        // Both caches know the first two preambles, so migrations can
-        // re-attach by id; later registrations are one-sided, so some
-        // cannot.
-        for k in 0..2 {
-            for p in 0..2 {
-                tape.register(k, p);
-            }
+            reattached: 0,
+            foreign: 0,
         }
-        tape
     }
 
     fn now(&self) -> SimTime {
@@ -394,24 +413,12 @@ impl Tape {
         SessionId(1 + self.rng.below(SESSIONS))
     }
 
-    fn register(&mut self, k: usize, preamble: usize) {
-        let (identity, len) = PREAMBLES[preamble];
-        let tokens = synthetic_preamble(identity, len);
-        let now = self.now();
-        let side = &mut self.sides[k];
-        let chain = side.cache.register_shared(&tokens, now);
-        self.d.n(chain.len());
-        for id in &chain {
-            self.d.word(id.0);
-        }
-        // Registering again, with a trailing partial chunk, is
-        // idempotent: the same chain, nothing new pooled.
-        let mut again = tokens;
-        again.extend([7, 7, 7]);
-        let again = side.cache.register_shared(&again, now);
-        assert_eq!(again, chain, "re-registration moved the chain");
-        self.d.n(again.len());
-        side.chains.push(chain);
+    /// Counts how an import or rehydration of `conv` into side `k` that
+    /// named `named` chain tokens treated them.
+    fn count_import(&mut self, k: usize, conv: SessionId, named: usize) {
+        let attached = self.sides[k].cache.global_shared_tokens(conv);
+        self.reattached += usize::from(attached > 0);
+        self.foreign += usize::from(named > attached);
     }
 
     /// Restores `conv` and appends a prompt, evicting on its behalf when
@@ -462,7 +469,7 @@ impl Tape {
         let k = usize::from(self.rng.one_in(4));
         let conv = self.session();
         self.touched.push((k, conv));
-        let roll = self.rng.below(92);
+        let roll = self.rng.below(89);
         self.d.word(roll);
         self.last_roll = roll;
         match roll {
@@ -535,8 +542,12 @@ impl Tape {
                         }
                         self.d.n(export.streamable_tokens());
                         self.d.n(export.dropped_tokens());
+                        let named = export.shared.iter().map(|r| r.tokens).sum();
                         let r = self.sides[1 - k].cache.import_session(export, now);
                         self.d.tokens(&r);
+                        if r.is_ok() {
+                            self.count_import(1 - k, conv, named);
+                        }
                         self.touched.push((1 - k, conv));
                     }
                 }
@@ -555,40 +566,19 @@ impl Tape {
                     .cache
                     .rehydrate_session(conv, &manifest, now);
                 self.d.tokens(&r);
+                if r.is_ok() {
+                    let chained = manifest.iter().filter(|m| m.id != ChunkId::NONE);
+                    self.count_import(target, conv, chained.map(|m| m.tokens).sum());
+                }
                 self.touched.push((target, conv));
             }
-            78..=79 => {
-                let p = self.rng.below(PREAMBLES.len() as u64) as usize;
-                self.register(k, p);
-            }
-            80..=84 => {
-                // Attach to a whole chain, a prefix of one, a reversed
-                // (broken) one, or one holding an unregistered id.
-                let chains = &self.sides[k].chains;
-                let mut chain = chains[self.rng.below(chains.len() as u64) as usize].clone();
-                match self.rng.below(8) {
-                    0 => chain.reverse(),
-                    1 => chain.truncate(1),
-                    2 => chain.push(ChunkId(0xDEAD_BEEF)),
-                    _ => {}
-                }
-                let r = self.sides[k].cache.attach_shared(conv, &chain, now);
+            78..=82 => {
+                // A conversation new to the cache attaches the preamble.
+                let side = &mut self.sides[k];
+                let r = side.cache.attach_shared(conv, &side.chain, now);
                 self.d.tokens(&r);
             }
-            85 => {
-                let side = &mut self.sides[k];
-                if !side.has_global {
-                    let chain = side.chains[conv.0 as usize % side.chains.len()].clone();
-                    match side.cache.materialize_global(&chain, now) {
-                        Ok(()) => {
-                            self.d.n(chain.len());
-                            side.has_global = true;
-                        }
-                        Err(e) => self.d.err(&e),
-                    }
-                }
-            }
-            86..=88 => {
+            83..=85 => {
                 // Host-memory fault on a listed CPU copy, or on a chunk
                 // picked blind.
                 let listing = self.sides[k].cache.cpu_resident_chunks();
@@ -607,11 +597,11 @@ impl Tape {
                 self.d.tokens(&r);
                 self.touched.push((k, c));
             }
-            89 => {
+            86 => {
                 let n = self.sides[k].cache.drop_cpu_chunks(conv, now);
                 self.d.n(n);
             }
-            90 => {
+            87 => {
                 let n = self.sides[k].cache.drop_deep_chunks(conv, now);
                 self.d.n(n);
             }
@@ -656,21 +646,25 @@ struct Coverage {
     cpu_pressure_drops: usize,
     cold_pressure_drops: usize,
     private_demotions: usize,
-    private_demoted_tokens: u64,
-    shared_moved: usize,
-    shared_dropped: usize,
-    demoted_tokens: u64,
     deep_reads: usize,
     revalidations: usize,
     shared_attaches: usize,
+    reattached: usize,
+    foreign: usize,
 }
 
 /// Runs one tape. With `trace`, prints the running digest after every op
 /// and the event stream at the end, so that two builds can be diffed
 /// down to the first op — or the first event — that diverges.
-fn run(policy: Policy, ssd: usize, cold: usize, seed: u64, trace: bool) -> (u64, Coverage) {
+fn run(
+    policy: Policy,
+    deep: (usize, usize),
+    preambles: [(u64, usize); 2],
+    seed: u64,
+    trace: bool,
+) -> (u64, Coverage) {
     let rec = SharedRecorder::new();
-    let mut tape = Tape::new(policy, ssd, cold, seed, &rec);
+    let mut tape = Tape::new(policy, deep, preambles, seed, &rec);
     for op in 0..OPS {
         tape.step();
         if trace {
@@ -682,11 +676,8 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64, trace: bool) -> (u64,
     let events = rec.events();
     let mut cov = Coverage {
         turns_ok: tape.turns_ok,
-        demoted_tokens: tape
-            .sides
-            .iter()
-            .map(|s| s.cache.stats().demoted_tokens)
-            .sum(),
+        reattached: tape.reattached,
+        foreign: tape.foreign,
         ..Coverage::default()
     };
     for ev in &events {
@@ -701,12 +692,7 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64, trace: bool) -> (u64,
                 reason: DropReason::ColdPressure,
                 ..
             } => cov.cold_pressure_drops += 1,
-            TraceEvent::ChunkDemoted { tokens, .. } => {
-                cov.private_demotions += 1;
-                cov.private_demoted_tokens += tokens as u64;
-            }
-            TraceEvent::SharedChunkEvicted { dropped: false, .. } => cov.shared_moved += 1,
-            TraceEvent::SharedChunkEvicted { dropped: true, .. } => cov.shared_dropped += 1,
+            TraceEvent::ChunkDemoted { .. } => cov.private_demotions += 1,
             TraceEvent::TierReadCommitted { .. } => cov.deep_reads += 1,
             TraceEvent::Revalidated { .. } => cov.revalidations += 1,
             TraceEvent::SharedAttached { .. } => cov.shared_attaches += 1,
@@ -730,10 +716,11 @@ fn run(policy: Policy, ssd: usize, cold: usize, seed: u64, trace: bool) -> (u64,
 fn golden_digests_hold_and_the_tape_reaches_every_rung() {
     let mut table = String::new();
     let mut drifted = false;
-    for (&(name, policy, ssd, cold), golden) in CONFIGS.iter().zip(&GOLDEN) {
+    for (i, (&(name, policy, ssd, cold), golden)) in CONFIGS.iter().zip(&GOLDEN).enumerate() {
+        let preambles = PREAMBLES[i % PREAMBLES.len()];
         let mut cells = Vec::new();
         for (&seed, &expected) in SEEDS.iter().zip(golden) {
-            let (digest, cov) = run(policy, ssd, cold, seed, false);
+            let (digest, cov) = run(policy, (ssd, cold), preambles, seed, false);
             drifted |= digest != expected;
             cells.push(format!("{digest:#018x}"));
             let at = format!("{name} seed {seed}: {cov:?}");
@@ -744,14 +731,17 @@ fn golden_digests_hold_and_the_tape_reaches_every_rung() {
                 "CPU tier never wedged — {at}"
             );
             assert!(cov.shared_attaches > 0, "{at}");
-            assert!(cov.shared_moved > 0, "no shared chunk was moved — {at}");
-            assert!(cov.shared_dropped > 0, "no shared chunk was dropped — {at}");
+            // Whole chunks of the two preambles: do they share ids, and
+            // do they differ?
+            let [a, b] = preambles.map(|(identity, len)| (identity, len / CHUNK));
+            if a.0 == b.0 && a.1.min(b.1) > 0 {
+                assert!(cov.reattached > 0, "no import re-attached its chain — {at}");
+            }
+            if a != b {
+                assert!(cov.foreign > 0, "no import dropped foreign ids — {at}");
+            }
             if ssd >= CHUNK || cold >= CHUNK {
                 assert!(cov.private_demotions > 0 && cov.deep_reads > 0, "{at}");
-                assert!(
-                    cov.demoted_tokens > cov.private_demoted_tokens,
-                    "no shared chunk was demoted down the ladder — {at}"
-                );
                 assert!(cov.cold_pressure_drops > 0, "bottom never full — {at}");
             } else {
                 assert!(cov.cpu_pressure_drops > 0, "CPU tier never full — {at}");
@@ -769,9 +759,10 @@ fn golden_digests_hold_and_the_tape_reaches_every_rung() {
 /// The same seed must reproduce itself, and a different one must not.
 #[test]
 fn the_tape_is_deterministic_and_seed_sensitive() {
-    let (a, _) = run(Policy::Lru, 128, 96, 9, false);
-    let (b, _) = run(Policy::Lru, 128, 96, 9, false);
-    let (c, _) = run(Policy::Lru, 128, 96, 10, false);
+    let preambles = PREAMBLES[2];
+    let (a, _) = run(Policy::Lru, (128, 96), preambles, 9, false);
+    let (b, _) = run(Policy::Lru, (128, 96), preambles, 9, false);
+    let (c, _) = run(Policy::Lru, (128, 96), preambles, 10, false);
     assert_eq!(a, b);
     assert_ne!(a, c);
 }
@@ -782,10 +773,16 @@ fn the_tape_is_deterministic_and_seed_sensitive() {
 #[test]
 #[ignore = "diagnostic output for diffing two builds"]
 fn print_per_op_digests() {
-    for &(name, policy, ssd, cold) in &CONFIGS {
+    for (i, &(name, policy, ssd, cold)) in CONFIGS.iter().enumerate() {
         for seed in SEEDS {
             println!("== {name} seed {seed}");
-            run(policy, ssd, cold, seed, true);
+            run(
+                policy,
+                (ssd, cold),
+                PREAMBLES[i % PREAMBLES.len()],
+                seed,
+                true,
+            );
         }
     }
 }
