@@ -1,21 +1,34 @@
 //! Shape checks: the paper's qualitative claims, asserted on what the
 //! experiment commands write rather than pinned by digest, so a change
 //! that keeps the shape may move the numbers. Each test cites the
-//! `EXPERIMENTS.md` row it checks. These rows come from the cost model
-//! alone and run in well under a second, in debug builds too.
+//! `EXPERIMENTS.md` row it checks. The cost-model rows (fig3, fig4) run
+//! in well under a second, in debug builds too; the serving sweeps
+//! (fig13, fig15) take about half a second optimized at the horizon
+//! their rows state and are release only, like `golden.rs`, because
+//! every cache mutator debug-asserts its accounting.
 
 use std::path::Path;
 use std::process::Command;
 
 use serde_json::Value;
 
-/// Runs `name` in a fresh scratch directory and returns the rows of the
-/// `results/<name>.json` it writes.
+/// Runs `name` at its default horizon in a fresh scratch directory and
+/// returns the rows of the `results/<name>.json` it writes.
 fn rows(name: &str) -> Vec<Value> {
+    rows_at(name, None)
+}
+
+/// [`rows`], with `PENSIEVE_DURATION` set to `horizon` seconds if given.
+fn rows_at(name: &str, horizon: Option<&str>) -> Vec<Value> {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("shapes-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_pensieve-bench"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pensieve-bench"));
+    cmd.env_remove("PENSIEVE_DURATION");
+    if let Some(secs) = horizon {
+        cmd.env("PENSIEVE_DURATION", secs);
+    }
+    let out = cmd
         .arg(name)
         .current_dir(&dir)
         .output()
@@ -37,6 +50,33 @@ fn num(row: &Value, key: &str) -> f64 {
     row.get(key)
         .and_then(Value::as_f64)
         .unwrap_or_else(|| panic!("no number {key:?} in {row:?}"))
+}
+
+/// A serving row's system name.
+fn system(row: &Value) -> &str {
+    row.get("system")
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("no system in {row:?}"))
+}
+
+/// A serving row's `summary` number `key`.
+fn summary(row: &Value, key: &str) -> f64 {
+    let summary = row.get("summary");
+    num(
+        summary.unwrap_or_else(|| panic!("no summary in {row:?}")),
+        key,
+    )
+}
+
+/// The `(request_rate, row)` pairs of `system`, in rate order.
+fn by_rate<'a>(rows: &'a [Value], name: &str) -> Vec<(f64, &'a Value)> {
+    let mut of: Vec<(f64, &Value)> = rows
+        .iter()
+        .filter(|r| system(r) == name)
+        .map(|r| (num(r, "request_rate"), r))
+        .collect();
+    of.sort_by(|a, b| a.0.total_cmp(&b.0));
+    of
 }
 
 /// EXPERIMENTS.md, "Figure 3 — prefill vs generation cost": prefill that
@@ -83,6 +123,54 @@ fn fig4_attention_grows_linearly_in_context() {
         assert!(
             (1.8..=2.2).contains(&ratio),
             "context {c0} -> {c1} multiplies attention by {ratio:.3}"
+        );
+    }
+}
+
+/// EXPERIMENTS.md, "Figure 13 — unified vs separate scheduling": at its
+/// default 400 s horizon unified batching has strictly lower p90
+/// normalized latency and lower mean TTFT than separate prefill and
+/// generation phases at every one of the six rates.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: a serving sweep")]
+fn fig13_unified_scheduling_beats_separate_at_every_rate() {
+    let rows = rows("fig13");
+    let unified = by_rate(&rows, "Pensieve");
+    let separate = by_rate(&rows, "Pensieve (separate phases)");
+    assert_eq!(unified.len(), 6, "six rates: {unified:?}");
+    let rates = |of: &[(f64, &Value)]| of.iter().map(|p| p.0).collect::<Vec<_>>();
+    assert_eq!(rates(&unified), rates(&separate));
+    for ((rate, u), (_, s)) in unified.into_iter().zip(separate) {
+        for key in ["p90_normalized", "mean_ttft"] {
+            assert!(
+                summary(u, key) < summary(s, key),
+                "rate {rate}: unified {key} {} is not below separate {}",
+                summary(u, key),
+                summary(s, key)
+            );
+        }
+    }
+}
+
+/// EXPERIMENTS.md, "Figure 15 — think-time sweep": at the 400 s horizon
+/// the row states, vLLM with 600 s think time sits well above Pensieve
+/// with the same think time at every rate — 22–36 % higher p90
+/// normalized latency when measured, checked here as 20–40 %.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: a serving sweep")]
+fn fig15_vllm_sits_above_pensieve_at_600s_think_time() {
+    let rows = rows_at("fig15", Some("400"));
+    let vllm = by_rate(&rows, "vLLM (think 600s)");
+    let pensieve = by_rate(&rows, "Pensieve (think 600s)");
+    assert_eq!(vllm.len(), 5, "five rates: {vllm:?}");
+    assert_eq!(vllm.len(), pensieve.len());
+    for ((rate, v), (other, p)) in vllm.into_iter().zip(pensieve) {
+        assert_eq!(rate, other, "the same rates");
+        let gap = summary(v, "p90_normalized") / summary(p, "p90_normalized") - 1.0;
+        assert!(
+            (0.20..=0.40).contains(&gap),
+            "rate {rate}: vLLM p90 is {:.1} % above Pensieve",
+            100.0 * gap
         );
     }
 }

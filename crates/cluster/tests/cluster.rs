@@ -10,7 +10,7 @@ use pensieve_core::{
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
 use pensieve_obs::{SharedRecorder, TraceEvent};
-use pensieve_sim::{ClusterFaultKind, FaultSchedule, NodeLinkSpec};
+use pensieve_sim::{ClusterFaultKind, FaultSchedule, NodeLink, NodeLinkSpec};
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::{DatasetSpec, DriverConfig};
 use proptest::prelude::*;
@@ -329,7 +329,6 @@ fn a_scheduled_partition_defers_migration_and_replication_to_its_end() {
 
     // Replication: every flush lands after the window, and the first
     // one starts exactly at its end.
-    let link = NodeLinkSpec::datacenter_25g();
     let flushes: Vec<(SimTime, u64)> = events
         .iter()
         .filter_map(|ev| match *ev {
@@ -340,10 +339,8 @@ fn a_scheduled_partition_defers_migration_and_replication_to_its_end() {
     assert!(!flushes.is_empty(), "the script replicates");
     assert!(flushes.iter().all(|&(at, _)| at > until));
     let (first, bytes) = flushes[0];
-    let wire = link.latency + SimDuration::from_secs(bytes as f64 / link.bandwidth);
-    assert_eq!(
-        first,
-        until + wire,
-        "first flush must start at the window's end"
-    );
+    // The same bytes on an idle link from the window's end.
+    let mut link = NodeLink::new(NodeLinkSpec::datacenter_25g());
+    let (_, landed) = link.stream_chunk(until, bytes as usize).unwrap();
+    assert_eq!(first, landed, "first flush must start at the window's end");
 }

@@ -222,12 +222,6 @@ pub struct SimServingEngine {
     iteration_seconds: Histogram,
     batch_query_tokens: Histogram,
     ttft_seconds: Histogram,
-    /// Content-addressed chain of the globally shared system preamble;
-    /// empty when stateless or `shared_prefix_tokens == 0`.
-    shared_chain: Vec<pensieve_kvcache::ChunkId>,
-    /// Tokens the chain covers (whole chunks of `shared_prefix_tokens`;
-    /// a partial trailing chunk is recomputed per conversation).
-    shared_tokens: usize,
     /// Per-iteration scratch, cleared and refilled by `execute` and
     /// `complete` so a scheduler tick allocates nothing for them: the
     /// batch's prefill rows, its decode rows, and the requests that
@@ -354,35 +348,30 @@ impl SimServingEngine {
             iteration_seconds: Histogram::new(metrics::ITERATION_SECONDS_BUCKETS),
             batch_query_tokens: Histogram::new(metrics::BATCH_QUERY_TOKENS_BUCKETS),
             ttft_seconds: Histogram::new(metrics::TTFT_SECONDS_BUCKETS),
-            shared_chain: Vec::new(),
-            shared_tokens: 0,
             prefill_batch: BatchShape::new(Vec::new()),
             decode_batch: BatchShape::new(Vec::new()),
             finished: Vec::new(),
             #[cfg(test)]
             probe: quiet_run_tests::Probe::default(),
         };
-        // Register the deployment-wide system preamble as one
-        // content-addressed chain and materialize it globally: every
-        // conversation attaches to the same physical chunks, and its
-        // memory cost is honest — the chain occupies GPU slots for the
-        // engine's lifetime.
+        // Pin the deployment-wide system preamble as the cache's one
+        // content-addressed chain: every conversation attaches to the same
+        // physical chunks, and its memory cost is honest — the chain
+        // occupies GPU slots for the engine's lifetime. Its whole chunks
+        // only: a partial trailing chunk is recomputed per conversation.
         if engine.cfg.stateful && engine.cfg.shared_prefix_tokens > 0 {
             let preamble = pensieve_kvcache::synthetic_preamble(
                 SHARED_PREAMBLE_SEED,
                 engine.cfg.shared_prefix_tokens,
             );
-            let chain = engine.cache.register_shared(&preamble, SimTime::ZERO);
             #[expect(
                 clippy::expect_used,
                 reason = "a shared prefix larger than the GPU cache is a configuration bug"
             )]
             engine
                 .cache
-                .materialize_global(&chain, SimTime::ZERO)
+                .pin_preamble(&preamble)
                 .expect("shared prefix must fit in the GPU cache");
-            engine.shared_tokens = chain.len() * engine.cache.config().chunk_tokens;
-            engine.shared_chain = chain;
         }
         engine
     }
@@ -404,13 +393,14 @@ impl SimServingEngine {
     }
 
     /// True when `conv`'s next admission should first attach the global
-    /// preamble chain: the conversation is new to the cache and its
-    /// history actually starts with the preamble.
+    /// preamble chain: the engine pins one, the conversation is new to
+    /// the cache, and its history is at least the chain's length. No
+    /// token is checked: like the drivers that size `history` to include
+    /// the preamble, a simulated engine takes every conversation's
+    /// leading history to be the preamble.
     fn should_attach_shared(&self, conv: SessionId, history: usize) -> bool {
-        self.cfg.stateful
-            && !self.shared_chain.is_empty()
-            && !self.cache.contains(conv)
-            && history >= self.shared_tokens
+        let preamble = self.cache.preamble_tokens();
+        preamble > 0 && !self.cache.contains(conv) && history >= preamble
     }
 
     /// The engine configuration.
@@ -1142,7 +1132,7 @@ impl SimServingEngine {
         if fresh && !self.cfg.stateful {
             tracked = 0;
         } else if fresh && self.should_attach_shared(conv, r.req.history_tokens) {
-            tracked += self.shared_tokens;
+            tracked += self.cache.preamble_tokens();
         }
         // Context beyond what the cache tracks (e.g. the final token of
         // the previous turn) is recomputed, with the prompt if this is
@@ -1201,11 +1191,9 @@ impl SimServingEngine {
         // committed, so the chain's chunks restore as shared hits instead
         // of being recomputed into private slots.
         if fresh && self.should_attach_shared(conv, r.req.history_tokens) {
-            let chain = self.shared_chain.clone();
-            // Cannot fail: the chain was validated at construction and
-            // the conversation is untracked; if it somehow does, the
-            // request simply recomputes its preamble privately.
-            let _ = self.cache.attach_shared(conv, &chain, self.now);
+            // Cannot fail: the conversation is untracked; if it somehow
+            // does, the request simply recomputes its preamble privately.
+            let _ = self.cache.attach_preamble(conv, self.now);
         }
         let plan = match self.cache.commit_restore(conv, self.now) {
             Ok(plan) => plan,

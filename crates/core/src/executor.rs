@@ -21,7 +21,7 @@
 //! refills blocks for the tick's running ones; every other conversation
 //! costs one stamp lookup. The invariant that makes the skip exact: the
 //! cache stamps a conversation from its one move clock whenever one of
-//! its chunks, or of its shared chain, changes tier, so an unstamped
+//! its chunks changes tier, so an unstamped
 //! conversation's plan differs from the one the last sync carried out
 //! only by GPU tokens appended to its tail, which move no byte. Test
 //! builds re-plan every conversation after each sync and assert it.

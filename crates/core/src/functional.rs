@@ -110,7 +110,11 @@ impl<M: PagedModel> FunctionalEngine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` has a zero block size or pool.
+    /// Panics if `cfg` has a zero block size or pool, or if `tweak` sets
+    /// a shared prefix: the real path runs no global preamble. Its
+    /// executor would hold the chain once per sharer while the cache
+    /// charges it once, and the engine attaches it by history length
+    /// alone, which real tokens need not match.
     pub(crate) fn with_engine(
         model: M,
         cfg: &FunctionalConfig,
@@ -124,6 +128,7 @@ impl<M: PagedModel> FunctionalEngine<M> {
             decode_reserve: 0.0,
             ..EngineConfig::pensieve()
         });
+        assert_eq!(engine.shared_prefix_tokens, 0, "no global preamble");
         let model_cfg = model.config().clone();
         let block_bytes = model_cfg.kv_bytes_per_token() * cfg.block_size;
         let mut hw = HardwareSpec::azure_nc_a100(1);
@@ -532,44 +537,6 @@ mod tests {
         );
         let (_, _, dropped, recomputed) = e.cache_activity();
         assert!(dropped > 0 && recomputed > 0, "nothing was recomputed");
-    }
-
-    /// A shared prefix: the engine holds a global preamble chain, which a
-    /// conversation new to the cache attaches when its history already
-    /// covers it — here, a branch forked from a served conversation. Its
-    /// restore plans begin with the chain's segment and its blocks count
-    /// from it, while private chunks around it, its own and the other
-    /// conversations', swap out, return and are recomputed, and every
-    /// turn still equals stateless decoding. The chain is global, so it
-    /// never moves itself; the cache's own tests stamp a moved chain's
-    /// sharers. One branch only: the executor holds a copy of the chain
-    /// per sharer, which the cache charges once, so a second sharer's
-    /// copy would break `assert_agrees`' budget bound.
-    #[test]
-    fn shared_prefix_conversations_match_stateless() {
-        let cfg = ModelConfig::tiny_llama();
-        let model = TinyModel::new_random(&cfg, 23);
-        let mut e = FunctionalEngine::with_engine(model, &MATRIX_MEM, |e| EngineConfig {
-            shared_prefix_tokens: 8,
-            ..e
-        });
-        let reference = TinyModel::new_random(&cfg, 23);
-        let cell = "shared prefix";
-        serve_checked(
-            &mut e,
-            &reference,
-            &round_robin(3, 2, 6),
-            (3, 3, false),
-            cell,
-        );
-        e.fork_conversation(SessionId(0), SessionId(3)).unwrap();
-        let schedule = round_robin(4, 3, 5);
-        serve_checked(&mut e, &reference, &schedule[1..], (3, 3, false), cell);
-        // Each of the branch's three turns restores the chain.
-        let hits = e.engine.counters().shared_prefix_hits;
-        assert_eq!(hits, 3 * 8, "{cell}: chain restores");
-        let (_, swapped_in, _, recomputed) = e.cache_activity();
-        assert!(swapped_in > 0 && recomputed > 0, "{cell}: vacuous");
     }
 
     /// Block fragmentation is reconciled: conversations ending mid-block

@@ -1,8 +1,8 @@
 //! Multi-tier KV-token cache management for Pensieve (§4.3), extended
 //! below the paper's GPU + CPU pair with simulated SSD and cold
 //! object-store tiers (see `docs/STORAGE.md` at the repository root)
-//! and *across* conversations with content-addressed shared chunks
-//! (`DESIGN.md` §13).
+//! and *across* conversations with one content-addressed global
+//! preamble (`DESIGN.md` §13).
 //!
 //! This crate implements the paper's cache manager at the *decision* level:
 //! which chunks live where, what gets evicted when, and what a returning
@@ -28,21 +28,22 @@
 //!   only when the bottom tier is full (or the deep tiers are disabled,
 //!   the default) is a chunk dropped and later recomputed from raw
 //!   tokens kept in a persistent store ([`TokenChunkStore`]).
-//! * **Cross-conversation sharing** — a common prefix (tool preamble,
-//!   RAG document) registers once as a chain of
-//!   content-addressed, reference-counted chunks ([`ChunkId`], each
-//!   derived from its parent's id and its tokens); N conversations
-//!   attach to one physical copy by id, and eviction weighs a chunk by
-//!   its sharer count. [`PrefixIndex`] is a standalone radix index from
-//!   token prefixes to such chains. A chain materialized *global* (the
-//!   deployment's preamble) stays GPU-resident for the cache's lifetime.
+//! * **Cross-conversation sharing** — the deployment's preamble (tool
+//!   instructions, system prompt) is pinned once as a chain of
+//!   content-addressed chunks ([`ChunkId`], each derived from its
+//!   parent's id and its tokens): GPU-resident for the cache's lifetime,
+//!   charged once, and never an eviction candidate. N conversations
+//!   attach to the one physical copy, and exports and manifests name it
+//!   by id, so a peer pinning the same preamble re-attaches it.
+//!   [`PrefixIndex`] is a standalone radix index from token prefixes to
+//!   such chains.
 //! * **Request plans** — a returning conversation's context splits into
 //!   the paper's Figure-5 segments, generalized across the hierarchy:
 //!   dropped prefix (recompute), cold/SSD middle (device read), CPU
 //!   middle (swap in), GPU tail (hit), new prompt (compute).
-//! * **Manifests** — each session's chunk layout (shared chain ids
+//! * **Manifests** — each session's chunk layout (preamble chain ids
 //!   included) can be persisted to the cold tier ([`ColdObjectStore`])
-//!   so a restarted replica rehydrates the session as shared re-attach
+//!   so a restarted replica rehydrates the session as preamble re-attach
 //!   plus cold-tier reads instead of recomputing its whole history.
 //!
 //! The crate's entire API is re-exported here at the root — the module

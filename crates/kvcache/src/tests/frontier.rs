@@ -12,9 +12,8 @@
 //! * **First need.** A chunk that lands on a rung after the pass built
 //!   that rung's queue waits for the next pass
 //!   (`an_entrant_after_first_need_waits_for_the_next_pass`).
-//! * **Cost.** A pass scores the frontiers inside its floor band once,
-//!   one successor per candidate it pops, and the shared candidates —
-//!   counted, not timed; a tie class costs one member however large it
+//! * **Cost.** A pass scores the frontiers inside its floor band once
+//!   and one successor per candidate it pops — counted, not timed; a tie class costs one member however large it
 //!   is, and conversations with nothing in the tier cost nothing.
 //! * **Pruning is invisible.** The same ops on two caches whose policies
 //!   differ only in `score_floor` — the real one, and the default that
@@ -57,9 +56,20 @@ fn policies() -> Vec<Box<dyn EvictionPolicy>> {
 }
 
 fn cache(policy: Box<dyn EvictionPolicy>, (ssd, cold): (usize, usize)) -> TieredKvCache {
-    TieredKvCache::builder(CacheConfig::for_test(CHUNK, 320, 160).with_deep_tiers(ssd, cold))
-        .policy(policy)
-        .build()
+    let mut cache =
+        TieredKvCache::builder(CacheConfig::for_test(CHUNK, 320, 160).with_deep_tiers(ssd, cold))
+            .policy(policy)
+            .build();
+    pin(&mut cache);
+    cache
+}
+
+/// Pins a three-chunk preamble, as the serving engine does, for the
+/// generated ops' attaches.
+fn pin(cache: &mut TieredKvCache) {
+    cache
+        .pin_preamble(&synthetic_preamble(1, 3 * CHUNK))
+        .unwrap();
 }
 
 /// `tier`'s queue at `now`, drained to exhaustion without evicting.
@@ -69,7 +79,7 @@ fn drained(
     skip: Option<SessionId>,
     now: SimTime,
 ) -> Vec<Victim> {
-    let mut queue = cache.candidate_queue(tier, skip, now);
+    let mut queue = cache.candidate_queue(tier, skip);
     let all = std::iter::from_fn(|| cache.next_candidate(&mut queue, now)).collect();
     cache.recycle([queue]);
     all
@@ -79,7 +89,7 @@ fn drained(
 fn sorted(cache: &TieredKvCache, tier: Tier, skip: Option<SessionId>, now: SimTime) -> Vec<Victim> {
     let all = cache.collect_candidates(tier, now).into_iter();
     all.map(|(victim, _)| victim)
-        .filter(|v| !matches!(*v, Victim::Conv(conv, _) if Some(conv) == skip))
+        .filter(|&Victim(conv, _)| Some(conv) != skip)
         .collect()
 }
 
@@ -195,8 +205,7 @@ fn apply(
             "rehydrate"
         }
         14..=15 => {
-            let chain = cache.register_shared(&synthetic_preamble(session % 2, 32 + CHUNK), now);
-            let _ = cache.attach_shared(conv, &chain, now);
+            let _ = cache.attach_preamble(conv, now);
             "attach"
         }
         16 => {
@@ -263,6 +272,9 @@ proptest! {
     ) {
         for ladder in LADDERS {
             for mut pair in twins(ladder, CacheConfig::for_test(CHUNK, 320, 160)) {
+                for (cache, _) in &mut pair {
+                    pin(cache);
+                }
                 let mut secs = 0.0;
                 for (op, step) in ops.iter().zip(&steps) {
                     secs += f64::from(step.saturating_sub(zero_below)) / 1000.0;
@@ -320,8 +332,7 @@ fn assert_same([(a, _), (b, _)]: &[Traced; 2], what: &str) {
         let convs: Vec<_> = convs
             .map(|(id, e)| (*id, e.chunks.clone(), e.spans))
             .collect();
-        let shared: Vec<_> = c.shared.iter().map(|(id, s)| (*id, s.chunk)).collect();
-        (convs, shared, c.occ, c.stats.clone(), c.copied_fifo.clone())
+        (convs, c.occ, c.stats.clone(), c.copied_fifo.clone())
     };
     let name = a.policy.name();
     assert_eq!(state(a), state(b), "{name} after {what}");
@@ -396,7 +407,7 @@ fn an_entrant_after_first_need_waits_for_the_next_pass() {
     // its queue is built (frontier a.0), a.0 goes on to the cold store,
     // and a.2 lands on the SSD — after first need.
     let mut queues = RungQueues::default();
-    cache.demote(Victim::Conv(a, 2), CPU_RUNG, None, t(1.0), &mut queues);
+    cache.demote(Victim(a, 2), CPU_RUNG, None, t(1.0), &mut queues);
     assert_eq!(
         [0, 1, 2, 3].map(|i| tier_of(&cache, i)),
         [Tier::Cold, Tier::Ssd, Tier::Ssd, Tier::Ssd]
@@ -504,7 +515,7 @@ impl EvictionPolicy for Probe {
 
 /// The GPU residents of [`gpu_pass`]: `sessions` × `chunks` 32-token
 /// chunks, session `s` last active at `t(s)` — or every one at `t(0)`,
-/// one tie class, when `tied` — beside one pooled shared chunk, with
+/// one tie class, when `tied` — beside a one-chunk pinned preamble, with
 /// `idle` more sessions resident only on the CPU tier.
 #[derive(Debug, Clone, Copy)]
 struct Residents {
@@ -555,9 +566,9 @@ fn gpu_pass(
     let gpu = sessions as usize * tokens + 32;
     let cfg = CacheConfig::for_test(32, gpu, 4 * gpu);
     let mut cache = TieredKvCache::builder(cfg).policy(Box::new(policy)).build();
-    let shared = cache.register_shared(&synthetic_preamble(1, 32), t(0.0));
+    cache.pin_preamble(&synthetic_preamble(1, 32)).unwrap();
     let sharer = SessionId(1_000_000);
-    cache.attach_shared(sharer, &shared, t(0.0)).unwrap();
+    cache.attach_preamble(sharer, t(0.0)).unwrap();
     cache.commit_restore(sharer, t(0.0)).unwrap();
     cache.unpin(sharer);
     for s in 0..sessions {
@@ -599,12 +610,11 @@ fn retention() -> RetentionValuePolicy {
 /// A pass costs its floor band and its victims — by count, no clock: one
 /// score per frontier it visits, which are inside the band, one per
 /// successor of a popped candidate (at most one candidate more than it
-/// takes), one per shared candidate. A tie class costs the members the
+/// takes). A tie class costs the members the
 /// pass takes, not the members it has; conversations with nothing in
 /// the tier cost nothing.
 #[test]
 fn a_pass_scores_its_members_and_its_victims_only() {
-    let shared = 1;
     let tied = |sessions| Residents {
         sessions,
         chunks: 4,
@@ -628,7 +638,7 @@ fn a_pass_scores_its_members_and_its_victims_only() {
             } = cost;
             assert!(victims >= target);
             assert!(
-                calls <= band + (victims + 1) + shared,
+                calls <= band + (victims + 1),
                 "{calls} scores for {victims} victims in a band of {band}"
             );
             // Even seventy victims come from the oldest few residents,
@@ -639,7 +649,7 @@ fn a_pass_scores_its_members_and_its_victims_only() {
         // successor and the next head.
         for (small, large) in passes(tied(200)).into_iter().zip(passes(tied(2000))) {
             assert_eq!(small.calls, large.calls, "a tie class costs its size");
-            assert!(small.calls <= 1 + 2 * (small.victims + 1) + shared);
+            assert!(small.calls <= 1 + 2 * (small.victims + 1));
         }
     }
     assert_eq!(

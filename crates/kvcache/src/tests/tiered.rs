@@ -1,6 +1,6 @@
 //! The cache's behaviour through its own API, one scenario per test:
 //! restore plans, the watermark and lazy copies, the ladder, handoff,
-//! faults and the shared pool.
+//! faults and the global preamble.
 
 use std::collections::BTreeMap;
 
@@ -142,13 +142,13 @@ fn import_rejects_existing_session() {
 /// anything is attached, split or counted: a span of `usize::MAX` or
 /// `usize::MAX / 2` tokens (`usize::MAX / 2` sums fine but splits into
 /// more chunks than a list can hold), a shared-ref total that overflows,
-/// and a pooled chain plus a span that overflow together. A
+/// and a re-attached preamble chunk plus a span that overflow together. A
 /// checksum-valid manifest whose two entries overflow is refused by
 /// rehydration the same way.
 #[test]
 fn import_rejects_sizes_past_usize() {
     let mut dst = lru_cache(1000, 1000);
-    let chain = dst.register_shared(&synthetic_preamble(3, 64), t(0.0));
+    let chain = dst.pin_preamble(&synthetic_preamble(3, 64)).unwrap();
     let c = SessionId(5);
     let private = |tokens| SessionExport {
         session: c,
@@ -183,8 +183,7 @@ fn import_rejects_sizes_past_usize() {
             dst.import_session(export, t(1.0)),
             Err(CacheError::ImportTooLarge(c))
         );
-        assert!(!dst.contains(c));
-        assert_eq!(dst.shared_refs(chain[0]), 0, "nothing was attached");
+        assert!(!dst.contains(c), "nothing was attached");
         assert_eq!(dst.stats().dropped_tokens, 0, "nothing was counted");
         assert_eq!(dst.check_invariants(), Ok(()));
     }
@@ -705,15 +704,8 @@ fn admission_keeps_its_own_cold_chunks() {
 }
 
 /// Eviction-family events in recording order, rendered compactly:
-/// `E` GPU eviction of a private chunk, `D` demotion, `X` drop,
-/// `S` any move of a shared chunk (labelled by `names`).
-fn moves(rec: &SharedRecorder, names: &[(ChunkId, &str)]) -> Vec<String> {
-    let name = |id: u64| {
-        names
-            .iter()
-            .find(|(c, _)| c.0 == id)
-            .map_or("?", |(_, n)| *n)
-    };
+/// `E` GPU eviction, `D` demotion, `X` drop.
+fn moves(rec: &SharedRecorder) -> Vec<String> {
     rec.events()
         .iter()
         .filter_map(|ev| match *ev {
@@ -743,111 +735,9 @@ fn moves(rec: &SharedRecorder, names: &[(ChunkId, &str)]) -> Vec<String> {
                 reason,
                 ..
             } => Some(format!("X {conv}.{chunk} {}", reason.as_str())),
-            TraceEvent::SharedChunkEvicted {
-                chunk,
-                refs,
-                dropped,
-                ..
-            } => Some(format!(
-                "S {} refs={refs} {}",
-                name(chunk),
-                if dropped { "dropped" } else { "moved" }
-            )),
             _ => None,
         })
         .collect()
-}
-
-/// Shared chunks ride the same ladder as private ones: pressure
-/// pushes a *referenced* chunk `Cpu → Ssd → Cold` and keeps it at
-/// the bottom (its sharer outweighs the incomer), while an
-/// *unreferenced* one beside it falls off. Deeper victims' events
-/// precede the victim that displaced them.
-#[test]
-fn shared_chunks_ride_the_ladder_and_only_unreferenced_ones_fall_off() {
-    let mut cache = deep_cache(128, 32, 32, 64);
-    let rec = SharedRecorder::new();
-    cache.set_recorder(Some(rec.clone()));
-    let kept = cache.register_shared(&synthetic_preamble(1, 32), t(0.0))[0];
-    let orphan = cache.register_shared(&synthetic_preamble(2, 32), t(0.0))[0];
-    let names = [(kept, "kept"), (orphan, "orphan")];
-    let (a, x) = (SessionId(1), SessionId(9));
-    cache.attach_shared(a, &[kept], t(1.0)).unwrap();
-    cache.commit_restore(a, t(1.0)).unwrap();
-    cache.unpin(a);
-    cache.attach_shared(x, &[orphan], t(2.0)).unwrap();
-    cache.commit_restore(x, t(2.0)).unwrap();
-    cache.remove_conversation(x);
-    assert_eq!(cache.shared_refs(kept), 1);
-    assert_eq!(cache.shared_refs(orphan), 0);
-
-    // Emptying the GPU moves both to the one-chunk CPU tier: the
-    // older `kept` first, then pushed on to SSD by `orphan`.
-    let ops = cache.swap_out_until(128, t(3.0));
-    assert_eq!(ops.len(), 2);
-    assert!(ops.iter().all(|op| op.shared.is_some() && !op.dropped));
-    // Three private chunks arrive one by one and push the rest down.
-    for (i, s) in [SessionId(2), SessionId(3), SessionId(4)]
-        .into_iter()
-        .enumerate()
-    {
-        cache.append_tokens(s, 32, t(4.0 + 2.0 * i as f64)).unwrap();
-        cache.suspend(s, t(5.0 + 2.0 * i as f64));
-    }
-    assert_eq!(
-        moves(&rec, &names),
-        [
-            // swap_out_until: kept GPU→CPU, then CPU→SSD for orphan.
-            "S kept refs=1 moved",
-            "S kept refs=1 moved",
-            "S orphan refs=0 moved",
-            // Session 2 suspends: kept SSD→cold, orphan CPU→SSD.
-            "S kept refs=1 moved",
-            "S orphan refs=0 moved",
-            // Session 3 suspends: orphan SSD→cold beside kept.
-            "S orphan refs=0 moved",
-            "D 2.0 cpu>ssd",
-            // Session 4 suspends with the cold tier full: `kept`
-            // sorts first but is referenced, so it stays; `orphan`
-            // is dropped to admit session 2's chunk.
-            "S orphan refs=0 dropped",
-            "D 2.0 ssd>cold",
-            "D 3.0 cpu>ssd",
-        ]
-    );
-    assert_eq!(
-        cache.plan_restore(a).cold_read_tokens,
-        32,
-        "kept at the bottom"
-    );
-    assert_eq!(cache.plan_restore(a).shared_hit_tokens, 32);
-    assert_eq!(cache.cold_used(), 64);
-    assert_eq!(cache.stats().dropped_tokens, 32);
-    // kept ×2, orphan ×2, and the three private demotions.
-    assert_eq!(cache.stats().demoted_tokens, 7 * 32);
-}
-
-/// Equal scores tie-break private before shared.
-#[test]
-fn equal_scores_evict_the_private_chunk_before_the_shared_one() {
-    let mut cache = lru_cache(128, 128);
-    let rec = SharedRecorder::new();
-    cache.set_recorder(Some(rec.clone()));
-    let shared = cache.register_shared(&synthetic_preamble(1, 32), t(0.0))[0];
-    let a = SessionId(1);
-    cache.attach_shared(a, &[shared], t(5.0)).unwrap();
-    cache.commit_restore(a, t(5.0)).unwrap();
-    cache.append_tokens(a, 32, t(5.0)).unwrap();
-    cache.unpin(a);
-    // LRU scores: the private chunk 5.0, the shared one 5.0 × 1 ref.
-    let ops = cache.swap_out_until(96, t(6.0));
-    assert_eq!(ops.len(), 1);
-    assert_eq!((ops[0].conv, ops[0].chunk, ops[0].shared), (a, 0, None));
-    cache.swap_out_until(128, t(6.0));
-    assert_eq!(
-        moves(&rec, &[(shared, "shared")]),
-        ["E 1.0 copied", "S shared refs=1 moved"]
-    );
 }
 
 /// A rung's candidate queue is built once per pass and entries are
@@ -871,40 +761,41 @@ fn a_session_re_pinned_after_the_snapshot_is_skipped() {
     // Same pass: b.0 is still queued but now pinned, so it is passed
     // over and the rung runs out of candidates.
     assert!(!cache.ensure_space(CPU_RUNG, 64, None, t(4.0), &mut queues));
-    assert_eq!(moves(&rec, &[]), ["X 1.0 cpu-pressure"]);
+    assert_eq!(moves(&rec), ["X 1.0 cpu-pressure"]);
     assert_eq!(cache.plan_restore(b).swap_in_tokens, 32);
     // Unpinned again, a fresh pass may take it.
     cache.unpin(b);
     assert!(cache.ensure_space(CPU_RUNG, 64, None, t(5.0), &mut RungQueues::default()));
-    assert_eq!(
-        moves(&rec, &[]),
-        ["X 1.0 cpu-pressure", "X 2.0 cpu-pressure"]
-    );
+    assert_eq!(moves(&rec), ["X 1.0 cpu-pressure", "X 2.0 cpu-pressure"]);
 }
 
 /// A hand-built export is outside input. Offsets that do not add up
-/// and shared-ref sizes that disagree with this cache's pool must
+/// and shared-ref sizes that disagree with this cache's preamble must
 /// import to a consistent layout — debug builds check the accounting
-/// invariants inside `import_session` — and never panic or wrap.
+/// invariants inside `import_session` — and never panic or wrap. The
+/// refs stop matching the preamble partway: the leading match
+/// re-attaches, and everything from the first foreign id on, its own
+/// chain ids included, imports as dropped spans.
 #[test]
 fn hostile_export_imports_to_a_consistent_layout() {
     let mut cache = lru_cache(1024, 1024);
-    let chain = cache.register_shared(&synthetic_preamble(1, 64), t(0.0));
+    let chain = cache.pin_preamble(&synthetic_preamble(1, 64)).unwrap();
     let s = SessionId(1);
     let export = SessionExport {
         session: s,
         shared: vec![
-            // Pooled here (32 tokens), but the sender says 7.
+            // The preamble's first chunk (32 tokens), but the sender
+            // says 7.
             SharedChunkRef {
                 id: chain[0],
                 tokens: 7,
             },
-            // Unknown here, and larger than a chunk.
+            // Foreign here, and larger than a chunk.
             SharedChunkRef {
                 id: ChunkId(42),
                 tokens: 40,
             },
-            // Pooled, but behind the break: not re-attachable.
+            // The preamble's, but behind the break: not re-attachable.
             SharedChunkRef {
                 id: chain[1],
                 tokens: 32,
@@ -929,18 +820,18 @@ fn hostile_export_imports_to_a_consistent_layout() {
             },
         ],
     };
-    assert_eq!(cache.import_session(export, t(1.0)).unwrap(), 48);
-    assert_eq!(cache.shared_refs(chain[0]), 1);
-    assert_eq!(cache.shared_refs(chain[1]), 0);
-    // The re-attached chunk by the pool's size (never materialized,
-    // so it recomputes), the unattached spans split to chunk size
-    // and dropped, the CPU bytes admitted, the stray GPU chunk
-    // dropped — positions running with no gap.
+    // The re-attached chunk by this cache's size, and the CPU bytes.
+    assert_eq!(cache.import_session(export, t(1.0)).unwrap(), 32 + 48);
+    assert_eq!(cache.global_shared_tokens(s), 32);
+    // The unattached spans split to chunk size and dropped, the CPU
+    // bytes admitted, the stray GPU chunk dropped — positions running
+    // with no gap.
     assert_eq!(cache.conversation_tokens(s), 32 + 72 + 48 + 8);
     assert_eq!(
         cache.plan_restore(s).segments,
         vec![
-            (0..104, Tier::Dropped),
+            (0..32, Tier::Gpu),
+            (32..104, Tier::Dropped),
             (104..152, Tier::Cpu),
             (152..160, Tier::Dropped)
         ]
@@ -1062,165 +953,192 @@ fn deep_tiers_round_trip_through_export_import() {
     assert_eq!(dst.plan_restore(a).swap_in_tokens, 32);
 }
 
-// ---- Cross-conversation shared chunks ----
+// ---- The global preamble ----
 
 #[test]
 fn attach_shares_one_physical_copy_across_sharers() {
     let mut cache = lru_cache(4096, 4096);
-    let preamble = synthetic_preamble(1, 96); // 3 chunks of 32
-    let chain = cache.register_shared(&preamble, t(0.0));
-    assert_eq!(chain.len(), 3);
-    assert_eq!(
-        cache.register_shared(&preamble, t(0.0)),
-        chain,
-        "idempotent"
-    );
+    let chain = cache.pin_preamble(&synthetic_preamble(1, 96)).unwrap();
+    assert_eq!(chain.len(), 3, "3 chunks of 32");
+    assert_eq!(cache.gpu_slots_used(), 96, "charged once, when pinned");
     for i in 0..4u64 {
         let conv = SessionId(i + 1);
-        assert_eq!(cache.attach_shared(conv, &chain, t(0.1)).unwrap(), 96);
+        assert_eq!(cache.attach_preamble(conv, t(0.1)).unwrap(), 96);
         cache.commit_restore(conv, t(0.2)).unwrap();
         cache.append_tokens(conv, 32, t(0.3)).unwrap();
         cache.unpin(conv);
     }
-    // First restore computes the chain once; later ones hit it.
-    assert_eq!(cache.stats().shared_hit_tokens, 3 * 96);
-    for id in &chain {
-        assert_eq!(cache.shared_refs(*id), 4);
-    }
+    // Every restore hits the resident chain; nothing is recomputed.
+    assert_eq!(cache.stats().shared_hit_tokens, 4 * 96);
+    assert_eq!(cache.stats().recomputed_tokens, 0);
     // One chain + four private turns, not four chains.
+    assert_eq!(cache.gpu_slots_used(), 96 + 4 * 32);
     assert_eq!(cache.physical_resident_tokens(), 96 + 4 * 32);
     assert_eq!(cache.logical_resident_tokens(), 4 * 96 + 4 * 32);
-    // Positions: private context starts after the shared chain.
+    // Positions: private context starts after the chain, which
+    // manifests name by id.
     assert_eq!(cache.conversation_tokens(SessionId(1)), 128);
+    let ids: Vec<ChunkId> = cache
+        .manifest_chunks(SessionId(1))
+        .iter()
+        .map(|m| m.id)
+        .collect();
+    assert_eq!(ids, [chain[0], chain[1], chain[2], ChunkId::NONE]);
 }
 
 #[test]
 fn attach_validates_chain_and_session() {
-    let mut cache = lru_cache(1024, 1024);
-    let chain = cache.register_shared(&synthetic_preamble(2, 64), t(0.0));
-    cache.attach_shared(SessionId(1), &chain, t(0.1)).unwrap();
-    assert!(matches!(
-        cache.attach_shared(SessionId(1), &chain, t(0.2)),
-        Err(CacheError::SessionExists(s)) if s == SessionId(1)
-    ));
-    assert!(matches!(
-        cache.attach_shared(SessionId(2), &[ChunkId(42)], t(0.3)),
-        Err(CacheError::UnknownChunk(id)) if id == ChunkId(42)
-    ));
-    // Out-of-order ids break context continuity.
-    let reversed: Vec<ChunkId> = chain.iter().rev().copied().collect();
-    assert!(matches!(
-        cache.attach_shared(SessionId(2), &reversed, t(0.4)),
-        Err(CacheError::BrokenSharedChain(_))
-    ));
-    assert!(
-        !cache.contains(SessionId(2)),
-        "failed attach mutates nothing"
+    // Without a preamble an attach starts an empty conversation.
+    let mut bare = lru_cache(64, 64);
+    assert_eq!(bare.attach_preamble(SessionId(1), t(0.0)), Ok(0));
+    assert_eq!(bare.conversation_tokens(SessionId(1)), 0);
+    // A chain past the GPU is refused and mutates nothing.
+    let too_long = bare.pin_preamble(&synthetic_preamble(2, 96));
+    assert_eq!(
+        too_long,
+        Err(CacheError::OutOfGpu {
+            needed: 96,
+            free: 64
+        })
     );
+    assert_eq!(bare.gpu_slots_used(), 0);
+    // Whole chunks only, pinned once.
+    let mut cache = lru_cache(1024, 1024);
+    let chain = cache.pin_preamble(&synthetic_preamble(2, 80)).unwrap();
+    assert_eq!(chain.len(), 2, "the partial trailing chunk is not pinned");
+    let again = cache.pin_preamble(&synthetic_preamble(3, 64));
+    assert_eq!(again, Err(CacheError::PreamblePinned));
+    assert_eq!(cache.gpu_slots_used(), 64);
+    // The same tokens derive the same ids on any cache.
+    let mut peer = lru_cache(1024, 1024);
+    assert_eq!(
+        peer.pin_preamble(&synthetic_preamble(2, 64)).unwrap(),
+        chain
+    );
+    // A tracked session is refused.
+    assert_eq!(cache.attach_preamble(SessionId(1), t(0.1)), Ok(64));
+    assert_eq!(
+        cache.attach_preamble(SessionId(1), t(0.2)),
+        Err(CacheError::SessionExists(SessionId(1)))
+    );
+    assert_eq!(cache.check_invariants(), Ok(()));
 }
 
 #[test]
 fn shared_chunk_survives_eviction_while_referenced() {
-    // GPU fits the shared chunk plus one private chunk; CPU has room.
+    // GPU fits the preamble plus one private chunk; CPU has room.
     let mut cache = lru_cache(64, 256);
-    let chain = cache.register_shared(&synthetic_preamble(3, 32), t(0.0));
+    cache.pin_preamble(&synthetic_preamble(3, 32)).unwrap();
     let (a, b) = (SessionId(1), SessionId(2));
-    cache.attach_shared(a, &chain, t(0.1)).unwrap();
+    cache.attach_preamble(a, t(0.1)).unwrap();
     cache.commit_restore(a, t(0.2)).unwrap();
     cache.append_tokens(a, 32, t(0.3)).unwrap();
     cache.unpin(a);
-    // Forcing full free space must evict, but the shared chunk moves
-    // to CPU (its sharer still references it) instead of dropping.
-    cache.swap_out_until(64, t(1.0));
-    assert_eq!(cache.stats().dropped_tokens, 0);
-    let plan = cache.plan_restore(a);
-    assert_eq!(plan.recompute_tokens, 0);
-    // A second sharer attaching later still finds the chunk.
-    cache.attach_shared(b, &chain, t(2.0)).unwrap();
-    assert_eq!(cache.shared_refs(chain[0]), 2);
-    assert!(cache.plan_restore(b).shared_hit_tokens > 0);
+    // Forcing full free space takes a's private chunk and nothing else.
+    let ops = cache.swap_out_until(64, t(1.0));
+    assert_eq!(
+        ops,
+        [SwapOutOp {
+            conv: a,
+            chunk: 0,
+            tokens: 32,
+            dropped: false
+        }]
+    );
+    assert_eq!(cache.plan_restore(a).segments, [(0..64, Tier::Gpu)]);
+    // With its sharer gone the same pressure still leaves it, and a
+    // later sharer finds it resident.
+    cache.remove_conversation(a);
+    assert!(cache.swap_out_until(64, t(2.0)).is_empty());
+    assert_eq!(cache.gpu_slots_used(), 32);
+    cache.attach_preamble(b, t(3.0)).unwrap();
+    let plan = cache.plan_restore(b);
+    assert_eq!((plan.gpu_hit_tokens, plan.shared_hit_tokens), (32, 32));
 }
 
 #[test]
-fn placement_stamps_follow_moves_and_reach_every_sharer() {
+fn placement_stamps_follow_private_moves() {
     let mut cache = lru_cache(128, 256);
-    let chain = cache.register_shared(&synthetic_preamble(6, 32), t(0.0));
+    cache.pin_preamble(&synthetic_preamble(6, 32)).unwrap();
     let (a, b, c) = (SessionId(1), SessionId(2), SessionId(3));
-    cache.attach_shared(a, &chain, t(0.1)).unwrap();
-    cache.attach_shared(b, &chain, t(0.1)).unwrap();
+    cache.attach_preamble(a, t(0.1)).unwrap();
+    cache.attach_preamble(b, t(0.1)).unwrap();
     let attached = cache.placement_clock();
     assert!(cache.placement_stamp(a) > 0 && cache.placement_stamp(b) <= attached);
     assert_eq!(cache.placement_stamp(SessionId(9)), 0);
-    // Promoting the shared chunk for `a` moves `b`'s placement too.
+    // Restoring the preamble moves nothing.
     cache.commit_restore(a, t(0.2)).unwrap();
-    assert!(cache.placement_stamp(b) > attached);
+    assert_eq!(cache.placement_clock(), attached);
     // Appends only grow the GPU tail: no stamp.
     let before = cache.placement_stamp(a);
     cache.append_tokens(a, 40, t(0.3)).unwrap();
     assert_eq!(cache.placement_stamp(a), before);
     cache.append_tokens(c, 32, t(0.4)).unwrap();
-    let (seen, c_before) = (cache.placement_clock(), cache.placement_stamp(c));
+    let seen = cache.placement_clock();
+    let b_before = cache.placement_stamp(b);
     cache.commit_restore(b, t(0.5)).unwrap();
-    assert_eq!(
-        cache.placement_stamp(b),
-        cache.placement_stamp(a),
-        "no move"
-    );
-    // Evicting everything idle: each moved conversation is stamped past
-    // `seen`, the shared chunk's sharers included, and `c` alone too.
+    // Evicting everything idle: each conversation whose private chunks
+    // moved is stamped past `seen`; `b` holds the preamble only.
     for conv in [a, b, c] {
         cache.unpin(conv);
     }
     cache.swap_out_until(128, t(1.0));
-    // `b` holds no private chunk: only its chain moved.
-    assert_eq!(cache.plan_restore(b).swap_in_tokens, 32);
-    for conv in [a, b, c] {
+    for conv in [a, c] {
         assert!(cache.placement_stamp(conv) > seen, "{conv:?} unstamped");
         assert!(cache.placement_stamp(conv) <= cache.placement_clock());
     }
-    assert!(cache.placement_stamp(c) > c_before);
+    assert_eq!(cache.placement_stamp(b), b_before);
+    assert_eq!(cache.plan_restore(b).segments, [(0..32, Tier::Gpu)]);
     assert_eq!(cache.check_invariants(), Ok(()));
 }
 
-#[test]
-fn last_release_makes_shared_chunk_droppable() {
-    let mut cache = lru_cache(64, 0); // no CPU tier: eviction = drop
-    let chain = cache.register_shared(&synthetic_preamble(4, 32), t(0.0));
-    let a = SessionId(1);
-    cache.attach_shared(a, &chain, t(0.1)).unwrap();
-    cache.commit_restore(a, t(0.2)).unwrap();
-    cache.unpin(a);
-    // Referenced with nowhere to go: eviction keeps it resident.
-    cache.swap_out_until(64, t(1.0));
-    assert_eq!(cache.gpu_slots_used(), 32);
-    // Last sharer leaves; now the same pressure drops it.
-    cache.remove_conversation(a);
-    assert_eq!(cache.shared_refs(chain[0]), 0);
-    cache.swap_out_until(64, t(2.0));
-    assert_eq!(cache.gpu_slots_used(), 0);
-    assert_eq!(cache.stats().dropped_tokens, 32);
-    // Identity survives the drop: a new attach recomputes, not errors.
-    let b = SessionId(2);
-    cache.attach_shared(b, &chain, t(3.0)).unwrap();
-    assert_eq!(cache.plan_restore(b).recompute_tokens, 32);
-}
-
+/// The preamble is never a candidate on any rung: with every tier
+/// full, passes that empty the GPU and then each ladder rung in turn
+/// take private chunks only, and every sharer still restores the whole
+/// chain as a GPU hit.
 #[test]
 fn global_chunks_are_never_evicted() {
-    let mut cache = lru_cache(96, 0);
-    let chain = cache.register_shared(&synthetic_preamble(5, 32), t(0.0));
-    cache.materialize_global(&chain, t(0.0)).unwrap();
-    assert_eq!(cache.gpu_slots_used(), 32);
-    cache.swap_out_until(96, t(1.0));
-    assert_eq!(cache.gpu_slots_used(), 32, "global chunk stays resident");
+    let mut cache = deep_cache(128, 32, 32, 32);
+    cache.pin_preamble(&synthetic_preamble(5, 64)).unwrap();
+    let sessions = [1, 2, 3, 4, 5, 6].map(SessionId);
+    for (i, &s) in sessions.iter().enumerate() {
+        let at = t(i as f64);
+        if i % 2 == 0 {
+            cache.attach_preamble(s, at).unwrap();
+            cache.commit_restore(s, at).unwrap();
+        }
+        cache.append_tokens(s, 32, at).unwrap();
+        cache.suspend(s, at);
+    }
+    assert!(cache.stats().dropped_tokens > 0, "the bottom overflowed");
+    let now = t(10.0);
+    let gpu = cache.swap_out_until(128, now);
+    assert!(gpu.iter().all(|op| sessions.contains(&op.conv)));
+    for (rung, capacity) in [(0, 32), (1, 32), (2, 32)] {
+        let mut queues = RungQueues::default();
+        cache.ensure_space(rung, capacity, None, now, &mut queues);
+        cache.recycle(queues.into_iter().flatten());
+        assert_eq!(cache.gpu_slots_used(), 64, "after emptying rung {rung}");
+    }
+    for s in [sessions[0], sessions[2], sessions[4]] {
+        let plan = cache.plan_restore(s);
+        assert_eq!(plan.segments.first(), Some(&(0..64, Tier::Gpu)));
+        assert_eq!(plan.shared_hit_tokens, 64);
+    }
+    assert_eq!(cache.check_invariants(), Ok(()));
 }
 
+/// A manifest names the preamble by id. Rehydrated on a cache that pins
+/// the same preamble it re-attaches; on one whose preamble it stops
+/// matching partway, or a foreign one, the rest installs cold like the
+/// private entries.
 #[test]
 fn manifest_round_trips_shared_chain_through_rehydrate() {
+    let preamble = synthetic_preamble(8, 64);
     let mut cache = deep_cache(4096, 64, 64, 256);
-    let chain = cache.register_shared(&synthetic_preamble(8, 64), t(0.0));
+    let chain = cache.pin_preamble(&preamble).unwrap();
     let a = SessionId(1);
-    cache.attach_shared(a, &chain, t(0.1)).unwrap();
+    cache.attach_preamble(a, t(0.1)).unwrap();
     cache.commit_restore(a, t(0.2)).unwrap();
     cache.append_tokens(a, 32, t(0.3)).unwrap();
     cache.unpin(a);
@@ -1229,40 +1147,67 @@ fn manifest_round_trips_shared_chain_through_rehydrate() {
     assert_eq!(manifest[0].id, chain[0]);
     assert_eq!(manifest[2].id, ChunkId::NONE);
     cache.remove_conversation(a);
-    // Rehydration re-attaches the chain (still pooled) and installs
-    // the private tail cold.
-    let got = cache.rehydrate_session(a, &manifest, t(1.0)).unwrap();
-    assert_eq!(got, 96, "64 shared re-attached + 32 cold-admitted");
-    assert_eq!(cache.shared_refs(chain[0]), 1);
-    assert_eq!(cache.conversation_tokens(a), 96);
-    assert_eq!(cache.plan_restore(a).recompute_tokens, 0);
+    // `(peer preamble, re-attached, cold)`; the cache itself first.
+    let peers: [(Option<Vec<u32>>, usize, usize); 4] = [
+        (None, 64, 32),
+        (Some(preamble.clone()), 64, 32),
+        (Some(synthetic_preamble(8, 32)), 32, 64),
+        (Some(synthetic_preamble(7, 64)), 0, 96),
+    ];
+    for (pinned, attached, cold) in peers {
+        let mut peer = deep_cache(4096, 64, 64, 256);
+        let target = match &pinned {
+            None => &mut cache,
+            Some(tokens) => {
+                peer.pin_preamble(tokens).unwrap();
+                &mut peer
+            }
+        };
+        let got = target.rehydrate_session(a, &manifest, t(1.0)).unwrap();
+        assert_eq!(got, 96, "{attached} re-attached + {cold} cold-admitted");
+        assert_eq!(target.global_shared_tokens(a), attached);
+        assert_eq!(target.cold_used(), cold);
+        assert_eq!(target.conversation_tokens(a), 96);
+        assert_eq!(target.plan_restore(a).recompute_tokens, 0);
+    }
 }
 
+/// An export names the preamble by id and releases nothing but private
+/// space. The target re-attaches the ids that are its own preamble —
+/// all of them, a leading part, or none — and keeps the rest as dropped
+/// spans, while the private tail transfers as bytes.
 #[test]
 fn export_releases_and_import_reattaches_shared_chain() {
-    let mut src = lru_cache(4096, 4096);
-    let mut dst = lru_cache(4096, 4096);
     let preamble = synthetic_preamble(9, 64);
-    let chain = src.register_shared(&preamble, t(0.0));
-    // The destination knows the same preamble (content addressing
-    // derives identical ids).
-    assert_eq!(dst.register_shared(&preamble, t(0.0)), chain);
+    let mut src = lru_cache(4096, 4096);
+    src.pin_preamble(&preamble).unwrap();
     let a = SessionId(1);
-    src.attach_shared(a, &chain, t(0.1)).unwrap();
+    src.attach_preamble(a, t(0.1)).unwrap();
     src.commit_restore(a, t(0.2)).unwrap();
     src.append_tokens(a, 32, t(0.3)).unwrap();
     src.unpin(a);
     let export = src.export_session(a).unwrap();
-    assert_eq!(src.shared_refs(chain[0]), 0, "export releases the ref");
+    assert!(!src.contains(a));
+    assert_eq!(src.gpu_slots_used(), 64, "the preamble stays");
     assert_eq!(export.shared.len(), 2);
-    dst.import_session(export, t(1.0)).unwrap();
-    assert_eq!(dst.shared_refs(chain[0]), 1);
-    assert_eq!(dst.conversation_tokens(a), 96);
-    // The chain was never materialized at dst, so it recomputes once
-    // — but the private tail transferred as bytes.
-    let plan = dst.plan_restore(a);
-    assert_eq!(plan.swap_in_tokens, 32);
-    assert_eq!(plan.recompute_tokens, 64);
+    // `(target preamble, re-attached, dropped)`.
+    let targets = [
+        (preamble, 64, 0),
+        (synthetic_preamble(9, 32), 32, 32),
+        (synthetic_preamble(10, 64), 0, 64),
+    ];
+    for (pinned, attached, dropped) in targets {
+        let mut dst = lru_cache(4096, 4096);
+        dst.pin_preamble(&pinned).unwrap();
+        dst.import_session(export.clone(), t(1.0)).unwrap();
+        assert_eq!(dst.global_shared_tokens(a), attached);
+        assert_eq!(dst.conversation_tokens(a), 96);
+        let plan = dst.plan_restore(a);
+        assert_eq!(plan.gpu_hit_tokens, attached);
+        assert_eq!(plan.recompute_tokens, dropped);
+        assert_eq!(plan.swap_in_tokens, 32);
+        assert_eq!(dst.stats().dropped_tokens, dropped as u64);
+    }
 }
 
 /// Private tokens of `conv` (0 if untracked) — what the commit log's
@@ -1286,6 +1231,7 @@ proptest! {
         ops in prop::collection::vec((0u8..14, 0u64..6, 1usize..80), 10..150),
     ) {
         let mut cache = deep_cache(320, 160, 128, 256);
+        cache.pin_preamble(&synthetic_preamble(1, 64)).unwrap();
         let mut eager: BTreeMap<SessionId, usize> = BTreeMap::new();
         for (step, &(kind, s, amount)) in ops.iter().enumerate() {
             let now = t(step as f64);
@@ -1349,8 +1295,7 @@ proptest! {
                     "rehydrate"
                 }
                 7 | 11 => {
-                    let chain = cache.register_shared(&synthetic_preamble(s % 2, 64), now);
-                    let _ = cache.attach_shared(conv, &chain, now);
+                    let _ = cache.attach_preamble(conv, now);
                     "attach"
                 }
                 _ => {

@@ -40,10 +40,9 @@
 //!   `ConvEntry::retier`, which carries its conversation's *row* of the
 //!   table (per-conversation totals are read, never recounted), the
 //!   *span* of indices each tier's chunks sit in, and the conversation's
-//!   keys in the candidate index along on the same move. Both species'
-//!   transitions (`ConvEntry::retier`, `SharedChunk::retier`) also stamp
-//!   the move from one cache-wide clock, which is how a byte mirror
-//!   finds the conversations whose placement changed
+//!   keys in the candidate index along on the same move. The transition
+//!   also stamps the move from one cache-wide clock, which is how a byte
+//!   mirror finds the conversations whose placement changed
 //!   ([`TieredKvCache::placement_stamp`]).
 //! * **`queue`** — which chunk goes next. At one `now` all chunks of a
 //!   conversation share their idle time, so within a conversation and a
@@ -54,8 +53,8 @@
 //!   conversation's entry (its clock and the chunk at its span's leading
 //!   end), so every path that moves a key's inputs withdraws the key
 //!   first and seats it after (`ConvEntry::rekey`). A `CandidateQueue`
-//!   is a heap over the frontiers it has visited plus the evictable
-//!   shared chunks; popping one scores and pushes its successor, and
+//!   is a heap over the frontiers it has visited; popping one scores and
+//!   pushes its successor, and
 //!   frontiers enter oldest first, only while the policy's score floor
 //!   for the next one does not exceed the heap's best, a tie class (same
 //!   clock, same frontier chunk) one member at a time. Drained, it is the
@@ -68,24 +67,21 @@
 //!   first time a pass needs it: `ensure_space(rung, ..)` makes room by
 //!   handing the rung's lowest-value residents to `demote`, which places
 //!   each on the first rung below that has or can make room — recursing
-//!   downward — and otherwise drops it, or leaves it put when sharers
-//!   still need it. GPU swap-out, suspension and lazy-copy reclamation
-//!   are its callers; whether an eviction leaves a lazy copy is decided
-//!   in `swap_out_until_for`, which trace event names the move in
-//!   `record_move`.
-//! * **`pool`** — content-addressed shared chunks: registration, attach and
-//!   global materialization. A pooled chunk embeds
-//!   the same [`ChunkState`] a private chunk is, so an eviction victim of
-//!   either species resolves to one record; the species differ in how
-//!   they are scored (`candidate_queue`) and who is hurt by a drop
-//!   (`evictable`).
+//!   downward — and otherwise drops it. GPU swap-out, suspension and
+//!   lazy-copy reclamation are its callers; whether an eviction leaves a
+//!   lazy copy is decided in `swap_out_until_for`, which trace event
+//!   names the move in `record_move`.
+//! * **`pool`** — the global preamble: the one chain of
+//!   content-addressed chunks shared across conversations, pinned once
+//!   on the GPU and attached by id. It never moves, so every eviction
+//!   path handles private chunks only.
 //! * **`handoff`** — a session leaving or entering this cache: export,
 //!   import, rehydration from a manifest, removal, the commit log that
 //!   replication and manifest persistence drain, and the host-memory
 //!   fault APIs.
-//! * **`keyed`** — `KeyedMap`, the sessions' and the pool's map: hashed
-//!   lookups by id on the hot paths, walks in key order through an
-//!   ordered key set, never in hash order.
+//! * **`keyed`** — `KeyedMap`, the sessions' map: hashed lookups by id
+//!   on the hot paths, walks in key order through an ordered key set,
+//!   never in hash order.
 //! * **`invariants`** — `check_invariants`, which recounts all of the
 //!   above from the chunk records.
 //!
@@ -114,7 +110,6 @@ use crate::types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};
 use keyed::KeyedMap;
 use ladder::Rung;
 use occupancy::{tick, ConvEntry, Occupancy, Stamp};
-use pool::SharedChunk;
 use queue::{CandidateQueue, Members};
 
 pub use handoff::{SessionExport, SharedChunkRef};
@@ -152,12 +147,12 @@ pub enum CacheError {
         /// Stored history length.
         len: usize,
     },
-    /// A shared-chunk operation addressed a chunk id the cache does not
+    /// A chunk-chain operation addressed a chunk id the store does not
     /// hold.
     UnknownChunk(ChunkId),
-    /// A shared chunk chain's context offsets do not line up — the ids
-    /// are not consecutive chunks of one prefix.
-    BrokenSharedChain(ChunkId),
+    /// The cache already pins a global preamble; it pins one for its
+    /// lifetime.
+    PreamblePinned,
     /// An imported session's token counts sum past `usize::MAX`, or it
     /// splits into more chunks than one conversation's chunk list can
     /// hold; the cache is unchanged.
@@ -188,11 +183,8 @@ impl fmt::Display for CacheError {
             CacheError::UnknownChunk(id) => {
                 write!(f, "unknown shared chunk {id:?}")
             }
-            CacheError::BrokenSharedChain(id) => {
-                write!(
-                    f,
-                    "shared chunk {id:?} breaks its chain's context continuity"
-                )
+            CacheError::PreamblePinned => {
+                write!(f, "the cache already pins a global preamble")
             }
             CacheError::ImportTooLarge(c) => {
                 write!(f, "imported session {c:?} is too large to track")
@@ -220,9 +212,8 @@ pub struct RequestPlan {
     pub cold_read_tokens: usize,
     /// Dropped tokens to recompute from raw text.
     pub recompute_tokens: usize,
-    /// Of all the tokens above, how many were served from the
-    /// conversation's *shared* chunk chain (any resident tier) — the
-    /// cross-conversation sharing win, also counted in
+    /// Of the GPU hits above, how many were served from the global
+    /// preamble — the cross-conversation sharing win, also counted in
     /// [`CacheStats::shared_hit_tokens`] at commit.
     pub shared_hit_tokens: usize,
     /// Token ranges, in context order, with the tier they were found in.
@@ -251,16 +242,11 @@ impl RequestPlan {
     }
 }
 
-/// One eviction victim: a conversation-private chunk or a shared chunk.
-/// The derived order (`Conv` before `Shared`, then by id) is the
-/// deterministic tie-break among equal policy scores.
+/// One eviction victim: private chunk `.1` of conversation `.0`. The
+/// derived order (by conversation, then by index) is the deterministic
+/// tie-break among equal policy scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Victim {
-    /// Private chunk `index` of a conversation.
-    Conv(SessionId, usize),
-    /// A content-addressed shared chunk.
-    Shared(ChunkId),
-}
+struct Victim(SessionId, usize);
 
 /// The tiered cache manager.
 ///
@@ -314,14 +300,10 @@ pub struct TieredKvCache {
     /// the tree; the drain reads each one's private token count then.
     /// Bounded by the session count.
     commit_log: BTreeSet<SessionId>,
-    /// Pool of content-addressed shared chunks, keyed by id. It never
-    /// shrinks.
-    shared: KeyedMap<ChunkId, SharedChunk>,
-    /// The ids of the pooled chunks that are not global: the only ones
-    /// an eviction pass can take, and all it walks. A chunk enters when
-    /// it is pooled and leaves when `materialize_global` makes it global,
-    /// which is for good.
-    walkable: BTreeSet<ChunkId>,
+    /// The global preamble's chain, empty until
+    /// [`TieredKvCache::pin_preamble`]: whole chunks, GPU-resident for
+    /// the cache's lifetime and charged once in `occ`.
+    preamble: Vec<ChunkId>,
     stats: CacheStats,
     /// Passive trace sink; `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
@@ -397,8 +379,7 @@ impl TieredKvCache {
             moves: 0,
             copied_fifo: VecDeque::new(),
             commit_log: BTreeSet::new(),
-            shared: KeyedMap::default(),
-            walkable: BTreeSet::new(),
+            preamble: Vec::new(),
             stats: CacheStats::default(),
             recorder: None,
         }
@@ -486,8 +467,9 @@ impl TieredKvCache {
     }
 
     /// When `conv`'s placement last changed, on the cache's move clock:
-    /// the tick of the latest move of one of its chunks, shared chain
-    /// included, or of its start of tracking (0 if unknown). Appends do
+    /// the tick of the latest move of one of its private chunks (the
+    /// preamble never moves), or of its start of tracking (0 if
+    /// unknown). Appends do
     /// not stamp: they only add GPU tokens at the tail. So a caller that
     /// mirrors placements and read the clock at `t` has nothing to redo
     /// for a conversation whose stamp is still at most `t` — its
@@ -495,10 +477,7 @@ impl TieredKvCache {
     /// only by GPU tokens appended to its tail.
     #[must_use]
     pub fn placement_stamp(&self, conv: SessionId) -> u64 {
-        self.convs.get(&conv).map_or(0, |e| {
-            let chain = e.shared.iter().filter_map(|id| self.shared.get(id));
-            chain.map(|s| s.moved).fold(e.moved, u64::max)
-        })
+        self.convs.get(&conv).map_or(0, |e| e.moved)
     }
 
     /// All tracked conversations, in ascending id order.
@@ -524,55 +503,37 @@ impl TieredKvCache {
         self.set_pinned(conv, false);
     }
 
-    /// Central pin transition: keeps each shared chunk's pinned-sharer
-    /// refcount consistent by adjusting it exactly once per state change.
+    /// The one pin transition.
     fn set_pinned(&mut self, conv: SessionId, pinned: bool) {
-        let Some(e) = self.convs.get_mut(&conv) else {
-            return;
-        };
-        if e.pinned == pinned {
-            return;
-        }
-        // A pinned conversation is in no index.
-        e.rekey(conv, &mut self.members, |e| e.pinned = pinned);
-        for id in &e.shared {
-            if let Some(s) = self.shared.get_mut(id) {
-                if pinned {
-                    s.pinned_refs += 1;
-                } else {
-                    s.pinned_refs = s.pinned_refs.saturating_sub(1);
-                }
-            }
+        if let Some(e) = self.convs.get_mut(&conv).filter(|e| e.pinned != pinned) {
+            // A pinned conversation is in no index.
+            e.rekey(conv, &mut self.members, |e| e.pinned = pinned);
         }
     }
 
-    /// Updates a conversation's last-active time (shared chain included).
+    /// Updates a conversation's last-active time.
     pub fn touch(&mut self, conv: SessionId, now: SimTime) {
         if let Some(e) = self.convs.get_mut(&conv) {
             e.rekey(conv, &mut self.members, |e| e.last_active = now);
-            for id in &e.shared {
-                if let Some(s) = self.shared.get_mut(id) {
-                    s.last_active = now;
-                }
-            }
         }
     }
 
     /// Computes the Figure-5 restore plan for `conv` without mutating
-    /// anything: the shared chain first (in chain order), then the
-    /// private chunks. Unknown conversations yield an empty plan.
+    /// anything: its share of the preamble first (always a GPU hit), then
+    /// the private chunks. Unknown conversations yield an empty plan.
     #[must_use]
     pub fn plan_restore(&self, conv: SessionId) -> RequestPlan {
         let Some(e) = self.convs.get(&conv) else {
             return RequestPlan::default();
         };
         let mut plan = RequestPlan::default();
-        let mut pos = 0;
-        let chain = e.shared.iter().filter_map(|id| self.shared.get(id));
-        let chunks = chain
-            .map(|s| (s.chunk, true))
-            .chain(e.chunks.iter().map(|c| (*c, false)));
-        for (c, is_shared) in chunks {
+        let mut pos = e.shared_tokens;
+        if pos > 0 {
+            plan.gpu_hit_tokens = pos;
+            plan.shared_hit_tokens = pos;
+            plan.segments.push((0..pos, Tier::Gpu));
+        }
+        for c in &e.chunks {
             let range = pos..pos + c.tokens;
             match c.tier {
                 Tier::Gpu => plan.gpu_hit_tokens += c.tokens,
@@ -581,9 +542,6 @@ impl TieredKvCache {
                 Tier::Ssd => plan.ssd_read_tokens += c.tokens,
                 Tier::Cold => plan.cold_read_tokens += c.tokens,
                 Tier::Dropped => plan.recompute_tokens += c.tokens,
-            }
-            if is_shared && c.tier != Tier::Dropped {
-                plan.shared_hit_tokens += c.tokens;
             }
             // Merge adjacent ranges of the same effective segment kind
             // (GPU and GpuCopied both count as resident hits).
@@ -598,20 +556,6 @@ impl TieredKvCache {
             pos += c.tokens;
         }
         plan
-    }
-
-    /// Brings one pooled chunk onto the GPU, whichever tier it was in.
-    fn promote(
-        occ: &mut Occupancy,
-        clock: &mut Stamp,
-        stats: &mut CacheStats,
-        s: &mut SharedChunk,
-    ) {
-        if s.chunk.tier == Tier::Gpu {
-            return; // The common case on the restore path: already there.
-        }
-        let from = s.retier(Tier::Gpu, occ, clock);
-        Self::count_promotion(stats, from, s.chunk.tokens);
     }
 
     /// Counts the two promotions that have their own statistic: a lazy
@@ -643,15 +587,6 @@ impl TieredKvCache {
         // index, so neither the promotions nor the clock below rekey it.
         self.set_pinned(conv, true);
         if let Some(e) = self.convs.get_mut(&conv) {
-            // The shared chain first: one physical promotion serves
-            // every sharer, and later sharers restore it as a free GPU
-            // hit.
-            for id in &e.shared {
-                if let Some(s) = self.shared.get_mut(id) {
-                    Self::promote(&mut self.occ, &mut self.moves, &mut self.stats, s);
-                    s.last_active = now;
-                }
-            }
             for i in 0..e.chunks.len() {
                 match e.chunks.get(i) {
                     Some(c) if c.tier != Tier::Gpu => {
@@ -750,7 +685,7 @@ impl TieredKvCache {
         let e = self.convs.get_or_insert_with(conv, || ConvEntry {
             pinned: true,
             moved: tick(&mut self.moves),
-            ..ConvEntry::new(Vec::new(), 0, Vec::new(), now)
+            ..ConvEntry::new(0, Vec::new(), now)
         });
         if !e.committed {
             e.committed = true;

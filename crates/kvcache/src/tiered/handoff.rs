@@ -25,10 +25,10 @@ use crate::types::{ChunkId, ChunkState, SessionId, Tier};
 pub struct SessionExport {
     /// The exported session.
     pub session: SessionId,
-    /// The session's leading shared chunk chain, *by reference*: shared
-    /// chunks are content-addressed, so migration ships their ids, and
-    /// the target re-attaches any chunk it already holds instead of
-    /// streaming bytes. Ids the target does not hold become recompute
+    /// The session's share of the sender's global preamble, *by
+    /// reference*: its chunks are content-addressed, so migration ships
+    /// their ids, and the target re-attaches the leading ids that are its
+    /// own preamble instead of streaming bytes. The rest become recompute
     /// obligations.
     pub shared: Vec<SharedChunkRef>,
     /// Private chunk states in context order (after the shared chain).
@@ -83,7 +83,7 @@ impl SessionExport {
 
 impl TieredKvCache {
     /// Per-chunk manifest entries of `conv` in context order, regardless
-    /// of tier (a dropped chunk still shapes the layout): the shared
+    /// of tier (a dropped chunk still shapes the layout): the preamble
     /// chain's content-addressed ids first, then private chunks as
     /// [`ChunkId::NONE`]. Empty for unknown conversations. This is what
     /// a cold-tier manifest records.
@@ -92,18 +92,13 @@ impl TieredKvCache {
         let Some(e) = self.convs.get(&conv) else {
             return Vec::new();
         };
-        let mut out = Vec::with_capacity(e.shared.len() + e.chunks.len());
-        for id in &e.shared {
-            let tokens = self.shared.get(id).map_or(0, |s| s.chunk.tokens);
-            out.push(ManifestChunk { id: *id, tokens });
-        }
-        for c in &e.chunks {
-            out.push(ManifestChunk {
-                id: ChunkId::NONE,
-                tokens: c.tokens,
-            });
-        }
-        out
+        let tokens = self.cfg.chunk_tokens;
+        let chain = self.attached(e).iter().map(|&id| (id, tokens));
+        let private = e.chunks.iter().map(|c| (ChunkId::NONE, c.tokens));
+        let entries = chain.chain(private);
+        entries
+            .map(|(id, tokens)| ManifestChunk { id, tokens })
+            .collect()
     }
 
     /// Drains the KV commit log: every session whose committed private
@@ -127,26 +122,23 @@ impl TieredKvCache {
         commits
     }
 
-    /// Stops counting a departed conversation: its chain references, its
-    /// private chunks' occupancy and its index keys. A shared chunk
-    /// whose last sharer departs stays pooled but becomes fully evictable.
+    /// The preamble chunks `e` is attached to.
+    fn attached(&self, e: &ConvEntry) -> &[ChunkId] {
+        let chunks = e.shared_tokens.checked_div(self.cfg.chunk_tokens);
+        let chunks = chunks.unwrap_or_default();
+        self.preamble.get(..chunks).unwrap_or_default()
+    }
+
+    /// Stops counting a departed conversation: its private chunks'
+    /// occupancy and its index keys. The preamble stays put.
     fn forget(&mut self, conv: SessionId, entry: &ConvEntry) {
-        for id in &entry.shared {
-            if let Some(s) = self.shared.get_mut(id) {
-                s.refs = s.refs.saturating_sub(1);
-            }
-        }
         for tier in TIERS {
             entry.withdraw(conv, tier, &mut self.members);
             self.occ.release(tier, *entry.row.get(tier));
         }
     }
 
-    /// Removes a conversation and frees all its private space, releasing
-    /// its shared-chain references. A shared chunk whose last reference
-    /// is released here stays in the pool (still resident, still
-    /// indexed) but becomes fully evictable and falls out of the
-    /// hierarchy under pressure.
+    /// Removes a conversation and frees all its private space.
     pub fn remove_conversation(&mut self, conv: SessionId) {
         self.set_pinned(conv, false);
         self.commit_log.remove(&conv);
@@ -171,18 +163,12 @@ impl TieredKvCache {
         }
         self.commit_log.remove(&session);
         let e = self.convs.remove(&session)?;
-        // Shared chunks travel by reference, never by bytes: the export
-        // names their ids so the target can re-attach any it already
-        // holds, and the local references are released.
+        // The preamble travels by reference, never by bytes: the export
+        // names its ids so the target can re-attach those it pins.
         self.forget(session, &e);
-        let shared = e
-            .shared
-            .iter()
-            .map(|&id| SharedChunkRef {
-                id,
-                tokens: self.shared.get(&id).map_or(0, |s| s.chunk.tokens),
-            })
-            .collect();
+        let tokens = self.cfg.chunk_tokens;
+        let shared = self.attached(&e).iter();
+        let shared = shared.map(|&id| SharedChunkRef { id, tokens }).collect();
         let mut chunks = e.chunks;
         for c in &mut chunks {
             if c.tier != Tier::Dropped {
@@ -208,9 +194,8 @@ impl TieredKvCache {
     /// residents — a migrated-in conversation has no claim over the
     /// target's warm cache. Only the snapshot's tiers and token counts
     /// are trusted: every context offset is re-derived from the running
-    /// position, and re-attached shared chunks are sized by this cache's
-    /// pool, not by the sender. Returns the tokens admitted to resident
-    /// tiers.
+    /// position, and re-attached preamble chunks are sized by this cache,
+    /// not by the sender. Returns the tokens admitted to resident tiers.
     ///
     /// # Errors
     ///
@@ -224,30 +209,26 @@ impl TieredKvCache {
         now: SimTime,
     ) -> Result<usize, CacheError> {
         let session = export.session;
-        // Re-attach the leading run of shared chunks this cache already
-        // pools (bytes never travel for shared state — only ids do). The
-        // first unknown id breaks prefix continuity, so it and everything
-        // after it lead the private chain as dropped spans.
+        // Re-attach the leading ids that are this cache's preamble (bytes
+        // never travel for shared state — only ids do). The first foreign
+        // id breaks prefix continuity, so it and everything after it lead
+        // the private chain as dropped spans.
         let refs = export.shared.iter().filter(|r| r.tokens > 0);
-        let chain: Vec<ChunkId> = refs
-            .clone()
-            .map(|r| r.id)
-            .take_while(|id| self.shared.contains_key(id))
-            .collect();
-        let unattached = refs.skip(chain.len()).map(|r| r.tokens);
+        let chain = self.preamble_run(refs.clone().map(|r| r.id));
+        let unattached = refs.skip(chain).map(|r| r.tokens);
         let spans = unattached
             .clone()
             .map(|tokens| (Tier::Dropped, tokens))
             .chain(export.chunks.iter().map(|c| (c.tier, c.tokens)));
-        let (admitted, no_room) = self.install(session, &chain, spans, now)?;
+        let (admitted, no_room) = self.install(session, chain, spans, now)?;
         self.stats.dropped_tokens += (unattached.sum::<usize>() + no_room) as u64;
         Ok(admitted)
     }
 
     /// Rebuilds a session's chunk layout from a persisted manifest after
     /// a restart. The leading run of manifest entries whose
-    /// content-addressed ids are still pooled here re-attach as shared
-    /// references (no bytes move); the remainder installs at
+    /// content-addressed ids are this cache's preamble re-attach to it
+    /// (no bytes move); the remainder installs at
     /// [`Tier::Cold`] while cold capacity allows, never evicting existing
     /// residents, and past that as [`Tier::Dropped`] recompute
     /// obligations. Returns the tokens recovered without recomputation
@@ -267,19 +248,16 @@ impl TieredKvCache {
     ) -> Result<usize, CacheError> {
         // Defensive: a manifest never records empty chunks.
         let entries = manifest.iter().filter(|m| m.tokens > 0);
-        let chain: Vec<ChunkId> = entries
-            .clone()
-            .map(|m| m.id)
-            .take_while(|id| *id != ChunkId::NONE && self.shared.contains_key(id))
-            .collect();
-        let spans = entries.skip(chain.len()).map(|m| (Tier::Cold, m.tokens));
-        let (admitted, _) = self.install(session, &chain, spans, now)?;
+        let chain = self.preamble_run(entries.clone().map(|m| m.id));
+        let spans = entries.skip(chain).map(|m| (Tier::Cold, m.tokens));
+        let (admitted, _) = self.install(session, chain, spans, now)?;
         self.stats.rehydrated_tokens += admitted as u64;
         Ok(admitted)
     }
 
-    /// The one way a session enters this cache from outside: attaches
-    /// `chain`, then admits `spans` of `(tier, tokens)` in context order,
+    /// The one way a session enters this cache from outside: attaches the
+    /// first `chain` preamble chunks, then admits `spans` of
+    /// `(tier, tokens)` in context order,
     /// each split to local chunk granularity (peer exports and manifests
     /// are already chunk-sized, so this is a no-op for them; replication
     /// deltas arrive as one span per flush). A chunk whose named tier has
@@ -296,7 +274,7 @@ impl TieredKvCache {
     fn install(
         &mut self,
         session: SessionId,
-        chain: &[ChunkId],
+        chain: usize,
         spans: impl Iterator<Item = (Tier, usize)> + Clone,
         now: SimTime,
     ) -> Result<(usize, usize), CacheError> {
@@ -304,8 +282,7 @@ impl TieredKvCache {
             return Err(CacheError::SessionExists(session));
         }
         let too_large = CacheError::ImportTooLarge(session);
-        let pooled = chain.iter().filter_map(|id| self.shared.get(id));
-        let mut total = pooled.map(|s| s.chunk.tokens).sum::<usize>();
+        let mut total = chain * self.cfg.chunk_tokens;
         let mut pieces = 0usize;
         for (_, tokens) in spans.clone() {
             total = total.checked_add(tokens).ok_or(too_large)?;
@@ -313,8 +290,8 @@ impl TieredKvCache {
         }
         let mut chunks = Vec::new();
         chunks.try_reserve_exact(pieces).map_err(|_| too_large)?;
-        let (shared_tokens, mut admitted) = self.attach_chain(session, chain, now);
-        let (mut end, mut no_room) = (shared_tokens, 0);
+        let shared_tokens = self.attach_chain(session, chain, now);
+        let (mut end, mut admitted, mut no_room) = (shared_tokens, shared_tokens, 0);
         for (named, mut remaining) in spans {
             while remaining > 0 {
                 let tokens = remaining.min(self.cfg.chunk_tokens);
@@ -336,8 +313,7 @@ impl TieredKvCache {
                 });
             }
         }
-        let chain = chain.to_vec();
-        self.track(session, ConvEntry::new(chain, shared_tokens, chunks, now));
+        self.track(session, ConvEntry::new(shared_tokens, chunks, now));
         debug_assert_eq!(self.check_invariants(), Ok(()));
         Ok((admitted, no_room))
     }

@@ -1,18 +1,16 @@
 //! The cache's accounting recounted from its chunk records.
 
-use std::collections::BTreeMap;
-
 use super::occupancy::{Occupancy, PerTier, TIERS};
 use super::queue::Members;
 use super::TieredKvCache;
-use crate::types::{ChunkId, ChunkState, Tier};
+use crate::types::{ChunkState, Tier};
 
 impl TieredKvCache {
     /// Recounts the cache's accounting from its chunk records and
-    /// compares: chunk positions, per-tier occupancy, every
-    /// conversation's row and spans, placement stamps, the candidate
-    /// index, shared refcounts and pins, tier capacities, the commit
-    /// log, and the keyed maps' and pool walk's key sets.
+    /// compares: chunk positions, per-tier occupancy (the preamble's
+    /// GPU slots included), every conversation's row, spans and share of
+    /// the preamble, placement stamps, the candidate index, tier
+    /// capacities, the commit log, and the session map's key set.
     /// Every mutating method debug-asserts it; tests call it in release
     /// builds too.
     ///
@@ -29,22 +27,11 @@ impl TieredKvCache {
             };
         }
         let mut occ = Occupancy::default();
+        occ.admit(Tier::Gpu, self.preamble_tokens());
         let mut members: PerTier<usize> = PerTier::default();
-        // Per pooled chunk: the chains holding it, and how many are pinned.
-        let mut chains: BTreeMap<ChunkId, (usize, usize)> = BTreeMap::new();
         let descending = self.members.descending;
         let mut committed = 0usize;
         for (&conv, e) in self.convs.iter() {
-            let mut chain_tokens = 0usize;
-            for id in &e.shared {
-                let Some(s) = self.shared.get(id) else {
-                    return Err(format!("{conv:?}: chain id {id:?} missing from pool"));
-                };
-                chain_tokens += s.chunk.tokens;
-                let (refs, pins) = chains.entry(*id).or_default();
-                *refs += 1;
-                *pins += usize::from(e.pinned);
-            }
             ensure!(
                 e.moved > 0 && e.moved <= self.moves,
                 "{conv:?}: stamp {} off the move clock {}",
@@ -52,9 +39,11 @@ impl TieredKvCache {
                 self.moves
             );
             ensure!(
-                chain_tokens == e.shared_tokens,
-                "{conv:?}: shared_tokens drift: chain holds {chain_tokens}, entry says {}",
-                e.shared_tokens
+                e.shared_tokens.checked_rem(self.cfg.chunk_tokens) == Some(0)
+                    && e.shared_tokens <= self.preamble_tokens(),
+                "{conv:?}: shared_tokens drift: {} against a preamble of {}",
+                e.shared_tokens,
+                self.preamble_tokens()
             );
             let mut pos = e.shared_tokens;
             let mut row = Occupancy::default();
@@ -132,46 +121,6 @@ impl TieredKvCache {
             self.convs.is_consistent(),
             "session map drift: its key set and its table disagree"
         );
-        ensure!(
-            self.shared.is_consistent(),
-            "pool drift: its key set and its table disagree"
-        );
-        let walkable = self.shared.iter().filter(|(_, s)| !s.global);
-        ensure!(
-            walkable.map(|(id, _)| id).eq(&self.walkable),
-            "walkable pool drift: {} ids held, the pool has {} non-global chunks",
-            self.walkable.len(),
-            self.shared.values().filter(|s| !s.global).count()
-        );
-        for (id, s) in self.shared.iter() {
-            ensure!(
-                s.chunk.tokens > 0 && s.chunk.tokens <= self.cfg.chunk_tokens,
-                "{id:?}: shared chunk of {} tokens",
-                s.chunk.tokens
-            );
-            ensure!(
-                s.chunk.tier != Tier::GpuCopied,
-                "{id:?}: shared chunk holds a lazy copy"
-            );
-            ensure!(
-                s.moved <= self.moves,
-                "{id:?}: stamp {} past the move clock {}",
-                s.moved,
-                self.moves
-            );
-            occ.admit(s.chunk.tier, s.chunk.tokens);
-            let (from_chains, pins) = chains.get(id).copied().unwrap_or_default();
-            ensure!(
-                s.refs == from_chains,
-                "{id:?}: shared refcount drift: {} refs, {from_chains} chains",
-                s.refs
-            );
-            ensure!(
-                s.pinned_refs == pins,
-                "{id:?}: shared pinned-ref drift: {} held, {pins} pinned chains",
-                s.pinned_refs
-            );
-        }
         ensure!(
             occ == self.occ,
             "occupancy drift: recounted {occ:?}, held {:?}",

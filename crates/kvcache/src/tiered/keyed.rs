@@ -13,8 +13,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A fixed, seedless multiply-rotate hasher for integer ids (the
-/// rustc/Firefox "Fx" hash). The cache's keys are session counters and
-/// content-derived chunk ids, which need no flooding resistance; a fixed
+/// rustc/Firefox "Fx" hash). The cache's keys are session counters,
+/// which need no flooding resistance; a fixed
 /// hasher also keeps every run's lookups the same work.
 #[derive(Default)]
 pub(super) struct FxHasher {

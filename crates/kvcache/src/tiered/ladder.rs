@@ -8,24 +8,20 @@ use pensieve_obs::{DropReason, Recorder as _, StorageTier, TraceEvent};
 use super::queue::RungQueues;
 use super::{CacheError, TieredKvCache, Victim};
 use crate::policy::Granularity;
-use crate::types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};
+use crate::types::{CacheConfig, ChunkState, SessionId, Tier};
 
 /// One chunk chosen for ahead-of-time swap-out (GPU -> CPU copy), or for
 /// direct dropping when the CPU tier cannot hold it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapOutOp {
-    /// Owning conversation. Meaningless (zero) when `shared` is set — a
-    /// shared chunk has sharers, not an owner.
+    /// Owning conversation.
     pub conv: SessionId,
-    /// Chunk index within the conversation. Meaningless (zero) when
-    /// `shared` is set.
+    /// Chunk index within the conversation's private chunks.
     pub chunk: usize,
     /// Tokens to copy.
     pub tokens: usize,
     /// True if the chunk was dropped instead of copied (no CPU space).
     pub dropped: bool,
-    /// Set when the evicted chunk is a content-addressed shared chunk.
-    pub shared: Option<ChunkId>,
 }
 
 /// One rung of the host-side demotion ladder `[Cpu, Ssd, Cold]`.
@@ -36,8 +32,7 @@ pub(super) struct Rung {
     obs: StorageTier,
     /// Capacity in tokens; `0` disables the rung.
     pub(super) capacity: usize,
-    /// Why a private chunk evicted from this rung with no room below is
-    /// dropped.
+    /// Why a chunk evicted from this rung with no room below is dropped.
     drop_reason: DropReason,
 }
 
@@ -136,64 +131,45 @@ impl TieredKvCache {
         // the pass needs it and consumed lazily: the pass pays for the
         // frontiers it ranks and the victims it takes, not for what is
         // resident.
-        let mut gpu = self.candidate_queue(Tier::Gpu, for_conv, now);
+        let mut gpu = self.candidate_queue(Tier::Gpu, for_conv);
         let mut queues = RungQueues::default();
         let conversation_granularity = self.policy.granularity() == Granularity::Conversation;
         let mut active_conv: Option<SessionId> = None;
         while let Some(victim) = self.next_candidate(&mut gpu, now) {
-            let finishing = conversation_granularity
-                && matches!(victim, Victim::Conv(conv, _) if Some(conv) == active_conv);
+            let Victim(conv, chunk) = victim;
+            let finishing = conversation_granularity && Some(conv) == active_conv;
             // Conversation-granularity policies finish the conversation
             // they started evicting before honoring the watermark.
             if self.gpu_free_for(for_conv) >= target_free && !finishing {
                 break;
             }
-            if let Victim::Conv(conv, _) = victim {
-                active_conv = Some(conv);
-            }
+            active_conv = Some(conv);
             // Candidates were queued this pass, but the walk is total
             // anyway: a stale entry is skipped, not a panic on the
             // eviction path.
-            let Some((tokens, sharers)) = self.evictable(victim, Tier::Gpu) else {
+            let Some(tokens) = self.evictable(victim, Tier::Gpu) else {
                 continue;
             };
-            // Make CPU room and copy; if impossible, drop the chunk —
-            // unless sharers still need it, in which case it stays
-            // resident rather than burn them all.
+            // Make CPU room and copy; if impossible, drop the chunk. A
+            // copied chunk keeps its GPU slot until someone needs it:
+            // its conversation may be back first.
             let copied = self.ensure_space(CPU_RUNG, tokens, for_conv, now, &mut queues);
-            if !copied && sharers > 0 {
-                continue;
-            }
-            // The species' lazy-copy rule: a private chunk keeps its GPU
-            // slot until someone needs it (its conversation may be back
-            // first); a shared chunk has no owner to bet on and moves.
-            let to = match victim {
-                _ if !copied => Tier::Dropped,
-                Victim::Conv(conv, chunk) => {
-                    self.copied_fifo.push_back((conv, chunk));
-                    Tier::GpuCopied
-                }
-                Victim::Shared(_) => Tier::Cpu,
-            };
-            self.retier(victim, to);
             let landed = if copied {
+                self.copied_fifo.push_back((conv, chunk));
+                self.retier(victim, Tier::GpuCopied);
                 self.stats.swapped_out_tokens += tokens as u64;
                 self.ladder.first().copied()
             } else {
+                self.retier(victim, Tier::Dropped);
                 self.stats.dropped_tokens += tokens as u64;
                 None
             };
-            self.record_move(victim, tokens, sharers, None, landed, now);
-            let (conv, chunk, shared) = match victim {
-                Victim::Conv(conv, chunk) => (conv, chunk, None),
-                Victim::Shared(id) => (SessionId(0), 0, Some(id)),
-            };
+            self.record_move(victim, tokens, None, landed, now);
             ops.push(SwapOutOp {
                 conv,
                 chunk,
                 tokens,
                 dropped: !copied,
-                shared,
             });
         }
         self.recycle(std::iter::once(gpu).chain(queues.into_iter().flatten()));
@@ -236,7 +212,7 @@ impl TieredKvCache {
                 }
                 _ => continue,
             };
-            self.retier(Victim::Conv(conv, i), to);
+            self.retier(Victim(conv, i), to);
         }
         self.recorder.record(TraceEvent::Suspended {
             at: now,
@@ -247,52 +223,29 @@ impl TieredKvCache {
         transferred
     }
 
-    /// Moves `victim`'s chunk to tier `to` through its species' one
-    /// transition (`ConvEntry::retier` or `SharedChunk::retier`) — also
-    /// the one place a victim of either species resolves to its chunk
-    /// record. A victim that no longer resolves is left alone.
-    fn retier(&mut self, victim: Victim, to: Tier) {
-        match victim {
-            Victim::Conv(conv, idx) => {
-                if let Some(e) = self.convs.get_mut(&conv) {
-                    e.retier(
-                        conv,
-                        idx,
-                        to,
-                        &mut self.occ,
-                        &mut self.moves,
-                        &mut self.members,
-                    );
-                }
-            }
-            Victim::Shared(id) => {
-                if let Some(s) = self.shared.get_mut(&id) {
-                    s.retier(to, &mut self.occ, &mut self.moves);
-                }
-            }
+    /// Moves `victim`'s chunk to tier `to` through `ConvEntry::retier` —
+    /// also the one place a victim resolves to its chunk record. A victim
+    /// that no longer resolves is left alone.
+    fn retier(&mut self, Victim(conv, idx): Victim, to: Tier) {
+        if let Some(e) = self.convs.get_mut(&conv) {
+            e.retier(
+                conv,
+                idx,
+                to,
+                &mut self.occ,
+                &mut self.moves,
+                &mut self.members,
+            );
         }
     }
 
-    /// Re-validates a candidate at use: `Some((tokens, sharers))` if
-    /// `victim` is still in `tier` and still evictable — its
-    /// conversation unpinned, or for a shared chunk no pinned sharer and
-    /// not global. `sharers` is who would lose the chunk if it were
-    /// dropped: a shared chunk's reference count, and nobody for a
-    /// private chunk (its owner is idle by definition). `None` means the
+    /// Re-validates a candidate at use: its tokens if `victim` is still
+    /// in `tier` and its conversation still unpinned. `None` means the
     /// queue outlived the entry and it is skipped.
-    fn evictable(&self, victim: Victim, tier: Tier) -> Option<(usize, usize)> {
-        match victim {
-            Victim::Conv(conv, idx) => {
-                let e = self.convs.get(&conv)?;
-                let c = e.chunks.get(idx)?;
-                (!e.pinned && c.tier == tier).then_some((c.tokens, 0))
-            }
-            Victim::Shared(id) => {
-                let s = self.shared.get(&id)?;
-                (s.chunk.tier == tier && s.pinned_refs == 0 && !s.global)
-                    .then_some((s.chunk.tokens, s.refs))
-            }
-        }
+    fn evictable(&self, Victim(conv, idx): Victim, tier: Tier) -> Option<usize> {
+        let e = self.convs.get(&conv)?;
+        let c = e.chunks.get(idx)?;
+        (!e.pinned && c.tier == tier).then_some(c.tokens)
     }
 
     /// Names one eviction move in the trace — the one place the event
@@ -300,9 +253,8 @@ impl TieredKvCache {
     /// `to` the rung landed on (`None`: dropped).
     fn record_move(
         &self,
-        victim: Victim,
+        Victim(conv, chunk): Victim,
         tokens: usize,
-        sharers: usize,
         from: Option<Rung>,
         to: Option<Rung>,
         now: SimTime,
@@ -310,23 +262,15 @@ impl TieredKvCache {
         if !self.recorder.enabled() {
             return;
         }
-        let dropped = to.is_none();
-        self.recorder.record(match (victim, from, to) {
-            (Victim::Shared(id), _, _) => TraceEvent::SharedChunkEvicted {
-                at: now,
-                chunk: id.0,
-                tokens,
-                refs: sharers,
-                dropped,
-            },
-            (Victim::Conv(conv, chunk), None, _) => TraceEvent::ChunkEvicted {
+        self.recorder.record(match (from, to) {
+            (None, _) => TraceEvent::ChunkEvicted {
                 at: now,
                 conv: conv.0,
                 chunk,
                 tokens,
-                dropped,
+                dropped: to.is_none(),
             },
-            (Victim::Conv(conv, chunk), Some(from), Some(to)) => TraceEvent::ChunkDemoted {
+            (Some(from), Some(to)) => TraceEvent::ChunkDemoted {
                 at: now,
                 conv: conv.0,
                 chunk,
@@ -334,7 +278,7 @@ impl TieredKvCache {
                 from: from.obs,
                 to: to.obs,
             },
-            (Victim::Conv(conv, chunk), Some(from), None) => TraceEvent::ChunkDropped {
+            (Some(from), None) => TraceEvent::ChunkDropped {
                 at: now,
                 conv: conv.0,
                 chunk,
@@ -370,7 +314,7 @@ impl TieredKvCache {
             let Some(slot) = queues.get_mut(rung) else {
                 return false;
             };
-            let queue = slot.get_or_insert_with(|| self.candidate_queue(tier, skip, now));
+            let queue = slot.get_or_insert_with(|| self.candidate_queue(tier, skip));
             let Some(victim) = self.next_candidate(queue, now) else {
                 return false;
             };
@@ -381,10 +325,9 @@ impl TieredKvCache {
 
     /// Moves one candidate off ladder rung `from`: onto the first rung
     /// below that has (or can make) room, else — with nowhere to go —
-    /// dropped if nobody shares it and left in place if somebody does
-    /// (dropping would burn every sharer). Deeper victims, never chunks
-    /// of `skip`, are displaced, and their events recorded, before this
-    /// one moves. A stale candidate is a no-op.
+    /// dropped. Deeper victims, never chunks of `skip`, are displaced,
+    /// and their events recorded, before this one moves. A stale
+    /// candidate is a no-op.
     pub(super) fn demote(
         &mut self,
         victim: Victim,
@@ -396,7 +339,7 @@ impl TieredKvCache {
         let Some(source) = self.ladder.get(from).copied() else {
             return;
         };
-        let Some((tokens, sharers)) = self.evictable(victim, source.tier) else {
+        let Some(tokens) = self.evictable(victim, source.tier) else {
             return;
         };
         // Find room *before* touching the victim, so a failed placement
@@ -411,17 +354,16 @@ impl TieredKvCache {
                 // A rung whose queue this pass has already built does not
                 // see the newcomer until the next pass.
                 let built = queues.iter_mut().flatten().find(|q| q.tier == rung.tier);
-                if let (Some(queue), Victim::Conv(conv, idx)) = (built, victim) {
-                    self.step_over(queue, conv, idx, now);
+                if let Some(queue) = built {
+                    self.step_over(queue, victim, now);
                 }
             }
-            None if sharers > 0 => return,
             None => {
                 self.retier(victim, Tier::Dropped);
                 self.stats.dropped_tokens += tokens as u64;
             }
         }
-        self.record_move(victim, tokens, sharers, Some(source), landing, now);
+        self.record_move(victim, tokens, Some(source), landing, now);
     }
 
     /// GPU slots effectively free for new allocations of `conv` — or of

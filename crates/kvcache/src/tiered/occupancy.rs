@@ -8,7 +8,7 @@ use std::ops::Range;
 use pensieve_model::SimTime;
 
 use super::queue::{IdleKey, Members};
-use crate::types::{ChunkId, ChunkState, SessionId, Tier};
+use crate::types::{ChunkState, SessionId, Tier};
 
 /// One `T` per [`Tier`] — the shape of every per-tier table the cache
 /// keeps: resident tokens ([`Occupancy`]), the frontiers a pass ranks
@@ -115,9 +115,9 @@ impl Span {
 
 #[derive(Debug)]
 pub(super) struct ConvEntry {
-    /// Leading shared chunk chain (ids into the cache's shared pool).
-    pub(super) shared: Vec<ChunkId>,
-    /// Tokens covered by `shared`; private chunk positions start here.
+    /// Tokens of the leading global preamble chunks the conversation is
+    /// attached to (a whole number of chunks); private chunk positions
+    /// start here.
     pub(super) shared_tokens: usize,
     /// Conversation-private chunks, after the shared chain.
     pub(super) chunks: Vec<ChunkState>,
@@ -137,8 +137,8 @@ pub(super) struct ConvEntry {
 }
 
 /// The cache-wide move clock: one tick per chunk that changes tier,
-/// taken inside the one transition of each species (`ConvEntry::retier`,
-/// `SharedChunk::retier`), so no move can leave its chunk unstamped.
+/// taken inside the one transition (`ConvEntry::retier`), so no move can
+/// leave its chunk unstamped.
 pub(super) type Stamp = u64;
 
 /// The next tick of `clock`.
@@ -151,14 +151,8 @@ impl ConvEntry {
     /// An unpinned entry neither reported as manifest-dirty nor in the
     /// commit log. Its row is empty until the chunks are entered
     /// (`TieredKvCache::track`).
-    pub(super) fn new(
-        shared: Vec<ChunkId>,
-        shared_tokens: usize,
-        chunks: Vec<ChunkState>,
-        now: SimTime,
-    ) -> Self {
+    pub(super) fn new(shared_tokens: usize, chunks: Vec<ChunkState>, now: SimTime) -> Self {
         ConvEntry {
-            shared,
             shared_tokens,
             chunks,
             row: Occupancy::default(),
@@ -276,7 +270,7 @@ impl ConvEntry {
         out
     }
 
-    /// The one tier transition of a *private* chunk: [`Occupancy::retier`]
+    /// The one tier transition of a chunk: [`Occupancy::retier`]
     /// on the cache's table, mirrored on this conversation's row and
     /// spans, its keys in the two tiers rekeyed where the chunk is or
     /// becomes the frontier, and the conversation stamped from `clock`.

@@ -64,8 +64,8 @@ impl Eq for IdleKey {}
 /// holding private tokens there: its *frontier* — the first private chunk
 /// in the tier along the policy's walk, the only one that can be the
 /// conversation's next victim — keyed by [`IdleKey`], with its chunk
-/// index. Exactly the private candidates a queue over the tier starts
-/// from, in the order it visits them. Nothing here is a copy: each key is
+/// index. Exactly the candidates a queue over the tier starts from, in
+/// the order it visits them. Nothing here is a copy: each key is
 /// derived from its conversation's entry, and written only by
 /// `ConvEntry::rekey` and `ConvEntry::retier`.
 #[derive(Debug, Default, PartialEq)]
@@ -129,9 +129,9 @@ impl Eq for Candidate {}
 /// within a conversation and a tier the policy's order is its
 /// within-conversation walk (see `EvictionPolicy::score`) and only the
 /// first chunk along it — the conversation's *frontier* in the tier —
-/// can be the next victim. The heap holds the frontiers visited so far
-/// plus every evictable shared chunk; `TieredKvCache::next_candidate`
-/// pops the lowest and pushes the popped conversation's next chunk in
+/// can be the next victim. The heap holds the frontiers visited so far;
+/// `TieredKvCache::next_candidate` pops the lowest and pushes the popped
+/// conversation's next chunk in
 /// the tier, so draining it yields exactly the sorted list of all
 /// candidates, tie-breaks included.
 ///
@@ -144,8 +144,8 @@ impl Eq for Candidate {}
 /// floor band plus its victims.
 ///
 /// The candidate *set* is fixed when the queue is built (the first time
-/// the pass needs the tier): `entrants` lists the private chunks this
-/// pass has since landed on the tier, which the walk steps over until
+/// the pass needs the tier): `entrants` lists the chunks this pass has
+/// since landed on the tier, which the walk steps over until
 /// the next pass builds a fresh queue. The buffers are reused from pass
 /// to pass (`TieredKvCache::candidate_queue`, `TieredKvCache::recycle`).
 #[derive(Debug)]
@@ -158,8 +158,8 @@ pub(super) struct CandidateQueue {
     /// end. Entries behind it are visited, or belong to conversations in
     /// `pushed`; so are entries the pass inserts behind it later.
     resume: Option<Bound<IdleKey>>,
-    /// Conversations the queue has pushed a private candidate for, or
-    /// excluded: none is pushed from the index twice.
+    /// Conversations the queue has pushed a candidate for, or excluded:
+    /// none is pushed from the index twice.
     pushed: FxHashSet<SessionId>,
 }
 
@@ -180,26 +180,16 @@ impl CandidateQueue {
 pub(super) type RungQueues = [Option<CandidateQueue>; 3];
 
 impl TieredKvCache {
-    /// Builds `tier`'s candidate queue for one pass at `now`, in buffers
-    /// a finished pass gave back: every evictable shared chunk in the
-    /// tier, and — visited later, oldest first, only as far as the floor
-    /// requires — the frontier of every unpinned member conversation
-    /// (`skip` excepted). Nothing is paid per chunk behind a frontier or
-    /// per conversation with no token in the tier. The shared pool's
-    /// non-global chunks are walked whole: the pool holds prefixes, not
-    /// sessions, and a global chunk is never a candidate.
-    ///
-    /// This is the one place the two species are *scored* differently: a
-    /// private chunk by its conversation's idle time, a shared chunk by
-    /// its own, and a shared chunk's score is *multiplied by its sharer
-    /// count* — evicting it burns every sharer's restore, so its
-    /// retention value `V = Cost(s, l)/T` scales with the number of
-    /// conversations it serves.
+    /// Builds `tier`'s candidate queue for one pass, in buffers
+    /// a finished pass gave back: the frontier of every unpinned member
+    /// conversation (`skip` excepted), visited later, oldest first, only
+    /// as far as the floor requires. Nothing is paid per chunk behind a
+    /// frontier or per conversation with no token in the tier; the global
+    /// preamble is no conversation's chunk and never a candidate.
     pub(super) fn candidate_queue(
         &mut self,
         tier: Tier,
         skip: Option<SessionId>,
-        now: SimTime,
     ) -> CandidateQueue {
         let mut queue = self.spare_queues.pop().unwrap_or_else(|| CandidateQueue {
             tier,
@@ -214,16 +204,6 @@ impl TieredKvCache {
         queue.resume = Some(Bound::Unbounded);
         queue.pushed.clear();
         queue.pushed.extend(skip);
-        for &id in &self.walkable {
-            let Some(s) = self.shared.get(&id) else {
-                continue; // Every walkable id is pooled; the walk stays total.
-            };
-            if s.chunk.tier != tier || s.pinned_refs > 0 {
-                continue;
-            }
-            let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
-            queue.push(score, Victim::Shared(id), false);
-        }
         queue
     }
 
@@ -295,7 +275,7 @@ impl TieredKvCache {
             self.policy.name(),
             key.conv
         );
-        queue.push(score, Victim::Conv(key.conv, idx), chains);
+        queue.push(score, Victim(key.conv, idx), chains);
     }
 
     /// Pushes the first member of `head`'s tie class after it that the
@@ -314,11 +294,11 @@ impl TieredKvCache {
         }
     }
 
-    /// Takes the next candidate off `queue` in eviction order; a private
-    /// chunk's place is taken by its conversation's next chunk in the
-    /// tier (newcomers of this pass stepped over), scored at the pass's
-    /// `now`, and a class head's by the next member of its class. The
-    /// caller re-validates the candidate at use.
+    /// Takes the next candidate off `queue` in eviction order; its place
+    /// is taken by its conversation's next chunk in the tier (newcomers
+    /// of this pass stepped over), scored at the pass's `now`, and a
+    /// class head's by the next member of its class. The caller
+    /// re-validates the candidate at use.
     pub(super) fn next_candidate(
         &self,
         queue: &mut CandidateQueue,
@@ -326,31 +306,30 @@ impl TieredKvCache {
     ) -> Option<Victim> {
         self.scan(queue, now);
         let Reverse(top) = queue.heap.pop()?;
-        if let Victim::Conv(conv, idx) = top.victim {
-            if let Some(e) = self.convs.get(&conv) {
-                if let Some(&chunk) = e.chunks.get(idx).filter(|_| top.chains) {
-                    self.push_next_head(queue, e.idle_key(conv, chunk), now);
-                }
-                let Span { lo, hi } = *e.spans.get(queue.tier);
-                let descending = self.members.descending;
-                let rest = if descending { lo..idx } else { idx + 1..hi };
-                let next = e.first_in(conv, queue.tier, rest, descending, &queue.entrants);
-                if let Some((next, c)) = next {
-                    let score = self.policy.score(c, e.last_active, now);
-                    debug_assert!(
-                        score.total_cmp(&top.score).is_ge(),
-                        "{} scores chunk {next} of {conv:?} below chunk {idx} before it",
-                        self.policy.name()
-                    );
-                    queue.push(score, Victim::Conv(conv, next), false);
-                }
+        let Victim(conv, idx) = top.victim;
+        if let Some(e) = self.convs.get(&conv) {
+            if let Some(&chunk) = e.chunks.get(idx).filter(|_| top.chains) {
+                self.push_next_head(queue, e.idle_key(conv, chunk), now);
+            }
+            let Span { lo, hi } = *e.spans.get(queue.tier);
+            let descending = self.members.descending;
+            let rest = if descending { lo..idx } else { idx + 1..hi };
+            let next = e.first_in(conv, queue.tier, rest, descending, &queue.entrants);
+            if let Some((next, c)) = next {
+                let score = self.policy.score(c, e.last_active, now);
+                debug_assert!(
+                    score.total_cmp(&top.score).is_ge(),
+                    "{} scores chunk {next} of {conv:?} below chunk {idx} before it",
+                    self.policy.name()
+                );
+                queue.push(score, Victim(conv, next), false);
             }
         }
         Some(top.victim)
     }
 
-    /// Private chunk `idx` of `conv` landed on `queue`'s tier after the
-    /// queue was built, so the pass steps over it. The landing may have
+    /// Chunk `idx` of `conv` landed on `queue`'s tier after the queue was
+    /// built, so the pass steps over it. The landing may have
     /// moved `conv`'s index entry, possibly behind the visit; if the
     /// queue has no candidate of `conv` yet, the one it would have had —
     /// the first chunk in the tier that is not an entrant — is pushed
@@ -358,8 +337,7 @@ impl TieredKvCache {
     pub(super) fn step_over(
         &self,
         queue: &mut CandidateQueue,
-        conv: SessionId,
-        idx: usize,
+        Victim(conv, idx): Victim,
         now: SimTime,
     ) {
         queue.entrants.push((conv, idx));
@@ -374,16 +352,15 @@ impl TieredKvCache {
         let first = e.first_in(conv, queue.tier, lo..hi, descending, &queue.entrants);
         if let Some((first, c)) = first {
             let score = self.policy.score(c, e.last_active, now);
-            queue.push(score, Victim::Conv(conv, first), false);
+            queue.push(score, Victim(conv, first), false);
         }
     }
 
     /// The full sort [`CandidateQueue`] replaced, kept as the test
-    /// oracle: all evictable chunks in `tier` — private chunks of
-    /// unpinned conversations plus shared chunks with no pinned sharer —
-    /// scored one by one and sorted ascending by (score, victim
-    /// identity), with the policy's within-conversation order applied to
-    /// private chunk indices.
+    /// oracle: all evictable chunks in `tier` — the chunks of unpinned
+    /// conversations — scored one by one and sorted ascending by (score,
+    /// victim identity), with the policy's within-conversation order
+    /// applied to chunk indices.
     #[cfg(test)]
     pub(super) fn collect_candidates(&self, tier: Tier, now: SimTime) -> Vec<(Victim, f64)> {
         use crate::policy::{Granularity, WithinOrder};
@@ -396,29 +373,19 @@ impl TieredKvCache {
             for (i, c) in e.chunks.iter().enumerate() {
                 if c.tier == tier {
                     let score = self.policy.score(c, e.last_active, now);
-                    out.push((Victim::Conv(cid, i), score));
+                    out.push((Victim(cid, i), score));
                 }
             }
-        }
-        for (&id, s) in self.shared.iter() {
-            if s.chunk.tier != tier || s.global || s.pinned_refs > 0 {
-                continue;
-            }
-            let score = self.policy.score(&s.chunk, s.last_active, now) * s.refs.max(1) as f64;
-            out.push((Victim::Shared(id), score));
         }
         let conversation_granularity = self.policy.granularity() == Granularity::Conversation;
-        out.sort_by(|a, b| {
-            a.1.total_cmp(&b.1).then_with(|| match (a.0, b.0) {
-                (Victim::Conv(c1, i1), Victim::Conv(c2, i2)) => {
-                    c1.cmp(&c2).then(if trailing && !conversation_granularity {
-                        i2.cmp(&i1)
-                    } else {
-                        i1.cmp(&i2)
-                    })
-                }
-                _ => a.0.cmp(&b.0),
-            })
+        out.sort_by(|(Victim(c1, i1), s1), (Victim(c2, i2), s2)| {
+            s1.total_cmp(s2)
+                .then(c1.cmp(c2))
+                .then(if trailing && !conversation_granularity {
+                    i2.cmp(i1)
+                } else {
+                    i1.cmp(i2)
+                })
         });
         out
     }

@@ -188,10 +188,7 @@ impl Digest {
                 self.word(106);
                 self.word(id.0);
             }
-            CacheError::BrokenSharedChain(id) => {
-                self.word(109);
-                self.word(id.0);
-            }
+            CacheError::PreamblePinned => self.word(109),
             CacheError::ImportTooLarge(conv) => {
                 self.word(110);
                 self.word(conv.0);
@@ -343,8 +340,6 @@ struct Side {
     /// unpinned, suspended, removed or exported since: the only ones it
     /// is legal to append to without restoring first.
     running: BTreeSet<SessionId>,
-    /// The global preamble chain pinned at construction.
-    chain: Vec<ChunkId>,
 }
 
 struct Tape {
@@ -378,9 +373,8 @@ impl Tape {
             cache.set_recorder(Some(rec.clone()));
             // The engine's shape: one preamble, pinned before any session.
             let tokens = synthetic_preamble(identity, len);
-            let chain = cache.register_shared(&tokens, SimTime::ZERO);
-            cache
-                .materialize_global(&chain, SimTime::ZERO)
+            let chain = cache
+                .pin_preamble(&tokens)
                 .expect("the preamble fits the GPU");
             d.n(chain.len());
             for id in &chain {
@@ -389,7 +383,6 @@ impl Tape {
             Side {
                 cache,
                 running: BTreeSet::new(),
-                chain,
             }
         });
         Tape {
@@ -574,8 +567,7 @@ impl Tape {
             }
             78..=82 => {
                 // A conversation new to the cache attaches the preamble.
-                let side = &mut self.sides[k];
-                let r = side.cache.attach_shared(conv, &side.chain, now);
+                let r = self.sides[k].cache.attach_preamble(conv, now);
                 self.d.tokens(&r);
             }
             83..=85 => {

@@ -549,10 +549,10 @@ trace_events! {
             /// The rehydrating replica's index.
             replica: usize,
         },
-        /// A conversation attached to a content-addressed shared chunk chain
-        /// (tool preamble, RAG document): its leading context is now served
-        /// by refcounted chunks shared with every other sharer instead of a
-        /// private copy.
+        /// A conversation attached to the cache's global preamble, a
+        /// content-addressed chunk chain: its leading context is now served
+        /// by chunks shared with every other sharer instead of a private
+        /// copy.
         SharedAttached {
             /// Attach time (first admission of the conversation).
             at: SimTime,
@@ -562,22 +562,6 @@ trace_events! {
             tokens: usize,
             /// Chunks in the attached chain.
             chunks: usize,
-        },
-        /// The eviction pass moved a content-addressed shared chunk down the
-        /// hierarchy (`dropped = false`) or discarded it because its last
-        /// reference had been released (`dropped = true`). Shared chunks are
-        /// identified by their content hash, not an owning conversation.
-        SharedChunkEvicted {
-            /// Eviction time.
-            at: SimTime,
-            /// The chunk's content-addressed id.
-            chunk: u64,
-            /// Tokens in the chunk.
-            tokens: usize,
-            /// Conversations still referencing the chunk at eviction time.
-            refs: usize,
-            /// True if dropped instead of demoted one tier down.
-            dropped: bool,
         },
     }
 }
@@ -756,13 +740,6 @@ pub fn sample_events() -> Vec<TraceEvent> {
             conv: 5,
             tokens: 1536,
             chunks: 48,
-        },
-        TraceEvent::SharedChunkEvicted {
-            at: SimTime::from_secs(1.8),
-            chunk: 0x9e37_79b9,
-            tokens: 32,
-            refs: 3,
-            dropped: false,
         },
     ]
 }

@@ -338,8 +338,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
             | TraceEvent::LinkPartitioned { .. }
             | TraceEvent::ManifestPersisted { .. }
             | TraceEvent::SessionRehydrated { .. }
-            | TraceEvent::SharedAttached { .. }
-            | TraceEvent::SharedChunkEvicted { .. } => {}
+            | TraceEvent::SharedAttached { .. } => {}
         }
     }
     // Stable sort: equal timestamps keep recording order.

@@ -191,18 +191,11 @@ fn arbitrary_event(variant: usize, w: &[u64; 6], t: f64) -> TraceEvent {
             tokens: n(1),
             replica: n(2),
         },
-        22 => TraceEvent::SharedAttached {
+        _ => TraceEvent::SharedAttached {
             at,
             conv: u(0),
             tokens: n(1),
             chunks: n(2),
-        },
-        _ => TraceEvent::SharedChunkEvicted {
-            at,
-            chunk: u(0),
-            tokens: n(1),
-            refs: n(2),
-            dropped: flag(3),
         },
     }
 }

@@ -22,13 +22,15 @@ use pensieve_model::{SimDuration, SimTime};
 use crate::lane::Lane;
 use crate::rng::SplitMix64;
 
-/// Shape of the simulated inter-node link.
+/// Sustained bandwidth of the 25 Gb Ethernet fabric, bytes/second.
+const BANDWIDTH: f64 = 3.125e9;
+/// Per-chunk setup latency (RTT + framing), microseconds.
+const LATENCY_US: f64 = 50.0;
+
+/// Shape of the simulated inter-node link: a 25 Gb Ethernet fabric
+/// (~3.125 GB/s, 50 µs setup per chunk) and its loss stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeLinkSpec {
-    /// Sustained bandwidth in bytes/second.
-    pub bandwidth: f64,
-    /// Per-chunk setup latency (RTT + framing).
-    pub latency: SimDuration,
     /// Probability that any one streamed chunk is lost in transit.
     pub loss_per_chunk: f64,
     /// Seed for the loss stream.
@@ -36,25 +38,22 @@ pub struct NodeLinkSpec {
 }
 
 impl NodeLinkSpec {
-    /// A lossless 25 Gb Ethernet fabric (~3.125 GB/s, 50 µs setup).
+    /// The lossless fabric.
     #[must_use]
     pub fn datacenter_25g() -> Self {
         NodeLinkSpec {
-            bandwidth: 3.125e9,
-            latency: SimDuration::from_micros(50.0),
             loss_per_chunk: 0.0,
             seed: 0,
         }
     }
 
-    /// The 25 Gb fabric with a per-chunk loss probability, for exercising
-    /// the recompute-fallback path.
+    /// The fabric with a per-chunk loss probability, for exercising the
+    /// recompute-fallback path.
     #[must_use]
     pub fn lossy_25g(loss_per_chunk: f64, seed: u64) -> Self {
         NodeLinkSpec {
             loss_per_chunk,
             seed,
-            ..NodeLinkSpec::datacenter_25g()
         }
     }
 }
@@ -158,9 +157,8 @@ impl NodeLink {
             return Ok((now, now));
         }
         let earliest = self.defer_past_outages(self.lane.free_from(now));
-        let (start, end) =
-            self.lane
-                .schedule(earliest, bytes, self.spec.latency, self.spec.bandwidth);
+        let latency = SimDuration::from_micros(LATENCY_US);
+        let (start, end) = self.lane.schedule(earliest, bytes, latency, BANDWIDTH);
         // One roll per chunk, fired or not, so the loss schedule is a pure
         // function of the seed and the chunk count.
         let lost = self.loss_rng.next_f64() < self.spec.loss_per_chunk;

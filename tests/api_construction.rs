@@ -196,11 +196,23 @@ fn engine_level_setter_pairs_stay_deleted() {
 
 #[test]
 fn test_only_capabilities_stay_deleted() {
-    // The timing cache's KV fork, the seeded link-partition windows and
-    // the swap-in retry override were reached only by tests; the
-    // functional engine's `fork_conversation` is the one fork, and
-    // `ClusterFaultKind::LinkPartition` the one link outage.
-    for needle in ["fork_session(", ".recovery_policy(", "PartitionSpec"] {
+    // The timing cache's KV fork, the seeded link-partition windows, the
+    // swap-in retry override and the mobile shared-chunk lifecycle
+    // (registration, global materialization, eviction and its trace
+    // event, pinned-sharer counts) were reached only by tests; the
+    // functional engine's `fork_conversation` is the one fork,
+    // `ClusterFaultKind::LinkPartition` the one link outage, and the
+    // cache's pinned global preamble its one shared state.
+    let needles = [
+        "fork_session(",
+        ".recovery_policy(",
+        "PartitionSpec",
+        "register_shared(",
+        "materialize_global(",
+        "SharedChunkEvicted",
+        "pinned_refs",
+    ];
+    for needle in needles {
         let offenders = find_offenders(needle, &["tests/api_construction.rs"], false);
         assert!(
             offenders.is_empty(),
