@@ -73,7 +73,6 @@ pub use prefix::{synthetic_preamble, PrefixIndex};
 pub use stats::CacheStats;
 pub use store::{SessionView, TokenChunkStore};
 pub use tiered::{
-    CacheError, RequestPlan, SessionExport, SharedChunkRef, SwapOutOp, TieredKvCache,
-    TieredKvCacheBuilder,
+    CacheError, RequestPlan, SessionExport, SwapOutOp, TieredKvCache, TieredKvCacheBuilder,
 };
 pub use types::{CacheConfig, ChunkId, ChunkState, SessionId, Tier};

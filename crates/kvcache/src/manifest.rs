@@ -57,8 +57,9 @@ pub fn fnv1a(data: impl IntoIterator<Item = u8>) -> u64 {
     })
 }
 
-/// One chunk entry in a persisted manifest: its shared identity (or
-/// [`ChunkId::NONE`] for a private chunk) and its token count.
+/// One chunk entry in a persisted manifest, or in an export's shared
+/// chain: its shared identity (or [`ChunkId::NONE`] for a private chunk)
+/// and its token count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestChunk {
     /// Content-addressed id, [`ChunkId::NONE`] if conversation-private.

@@ -159,7 +159,7 @@ fn import_rejects_sizes_past_usize() {
             context_end: 0,
         }],
     };
-    let unknown = |tokens| SharedChunkRef {
+    let unknown = |tokens| ManifestChunk {
         id: ChunkId(u64::MAX),
         tokens,
     };
@@ -171,7 +171,7 @@ fn import_rejects_sizes_past_usize() {
             ..private(0)
         },
         SessionExport {
-            shared: vec![SharedChunkRef {
+            shared: vec![ManifestChunk {
                 id: chain[0],
                 tokens: 32,
             }],
@@ -786,17 +786,17 @@ fn hostile_export_imports_to_a_consistent_layout() {
         shared: vec![
             // The preamble's first chunk (32 tokens), but the sender
             // says 7.
-            SharedChunkRef {
+            ManifestChunk {
                 id: chain[0],
                 tokens: 7,
             },
             // Foreign here, and larger than a chunk.
-            SharedChunkRef {
+            ManifestChunk {
                 id: ChunkId(42),
                 tokens: 40,
             },
             // The preamble's, but behind the break: not re-attachable.
-            SharedChunkRef {
+            ManifestChunk {
                 id: chain[1],
                 tokens: 32,
             },

@@ -112,7 +112,7 @@ use ladder::Rung;
 use occupancy::{tick, ConvEntry, Occupancy, Stamp};
 use queue::{CandidateQueue, Members};
 
-pub use handoff::{SessionExport, SharedChunkRef};
+pub use handoff::SessionExport;
 pub use ladder::SwapOutOp;
 
 /// Error from cache operations.

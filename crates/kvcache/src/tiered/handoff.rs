@@ -29,21 +29,10 @@ pub struct SessionExport {
     /// reference*: its chunks are content-addressed, so migration ships
     /// their ids, and the target re-attaches the leading ids that are its
     /// own preamble instead of streaming bytes. The rest become recompute
-    /// obligations.
-    pub shared: Vec<SharedChunkRef>,
+    /// obligations sized by each entry's token count.
+    pub shared: Vec<ManifestChunk>,
     /// Private chunk states in context order (after the shared chain).
     pub chunks: Vec<ChunkState>,
-}
-
-/// One entry of a [`SessionExport`]'s shared chain: the chunk's
-/// content-addressed identity plus its token count (so a target that
-/// does not hold the chunk knows the size of the recompute obligation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedChunkRef {
-    /// Content-addressed id.
-    pub id: ChunkId,
-    /// Tokens in the chunk.
-    pub tokens: usize,
 }
 
 impl SessionExport {
@@ -168,7 +157,7 @@ impl TieredKvCache {
         self.forget(session, &e);
         let tokens = self.cfg.chunk_tokens;
         let shared = self.attached(&e).iter();
-        let shared = shared.map(|&id| SharedChunkRef { id, tokens }).collect();
+        let shared = shared.map(|&id| ManifestChunk { id, tokens }).collect();
         let mut chunks = e.chunks;
         for c in &mut chunks {
             if c.tier != Tier::Dropped {

@@ -202,7 +202,8 @@ fn test_only_capabilities_stay_deleted() {
     // event, pinned-sharer counts) were reached only by tests; the
     // functional engine's `fork_conversation` is the one fork,
     // `ClusterFaultKind::LinkPartition` the one link outage, and the
-    // cache's pinned global preamble its one shared state.
+    // cache's pinned global preamble its one shared state. An export's
+    // shared chain is `ManifestChunk`s, as a manifest's entries are.
     let needles = [
         "fork_session(",
         ".recovery_policy(",
@@ -211,6 +212,7 @@ fn test_only_capabilities_stay_deleted() {
         "materialize_global(",
         "SharedChunkEvicted",
         "pinned_refs",
+        "SharedChunkRef",
     ];
     for needle in needles {
         let offenders = find_offenders(needle, &["tests/api_construction.rs"], false);
