@@ -1130,8 +1130,10 @@ fn global_chunks_are_never_evicted() {
 
 /// A manifest names the preamble by id. Rehydrated on a cache that pins
 /// the same preamble it re-attaches; on one whose preamble it stops
-/// matching partway, or a foreign one, the rest installs cold like the
-/// private entries.
+/// matching partway, or a foreign one, the chain entries past the match
+/// become dropped spans, as an import's do (chain bytes are never
+/// persisted, so a cold read could serve nothing), and only the private
+/// entry installs cold.
 #[test]
 fn manifest_round_trips_shared_chain_through_rehydrate() {
     let preamble = synthetic_preamble(8, 64);
@@ -1147,14 +1149,14 @@ fn manifest_round_trips_shared_chain_through_rehydrate() {
     assert_eq!(manifest[0].id, chain[0]);
     assert_eq!(manifest[2].id, ChunkId::NONE);
     cache.remove_conversation(a);
-    // `(peer preamble, re-attached, cold)`; the cache itself first.
+    // `(peer preamble, re-attached, dropped)`; the cache itself first.
     let peers: [(Option<Vec<u32>>, usize, usize); 4] = [
-        (None, 64, 32),
-        (Some(preamble.clone()), 64, 32),
-        (Some(synthetic_preamble(8, 32)), 32, 64),
-        (Some(synthetic_preamble(7, 64)), 0, 96),
+        (None, 64, 0),
+        (Some(preamble.clone()), 64, 0),
+        (Some(synthetic_preamble(8, 32)), 32, 32),
+        (Some(synthetic_preamble(7, 64)), 0, 64),
     ];
-    for (pinned, attached, cold) in peers {
+    for (pinned, attached, dropped) in peers {
         let mut peer = deep_cache(4096, 64, 64, 256);
         let target = match &pinned {
             None => &mut cache,
@@ -1164,11 +1166,13 @@ fn manifest_round_trips_shared_chain_through_rehydrate() {
             }
         };
         let got = target.rehydrate_session(a, &manifest, t(1.0)).unwrap();
-        assert_eq!(got, 96, "{attached} re-attached + {cold} cold-admitted");
+        assert_eq!(got, attached + 32, "re-attached + the cold private chunk");
         assert_eq!(target.global_shared_tokens(a), attached);
-        assert_eq!(target.cold_used(), cold);
+        assert_eq!(target.cold_used(), 32);
         assert_eq!(target.conversation_tokens(a), 96);
-        assert_eq!(target.plan_restore(a).recompute_tokens, 0);
+        assert_eq!(target.plan_restore(a).recompute_tokens, dropped);
+        assert_eq!(target.stats().dropped_tokens, dropped as u64);
+        assert_eq!(target.stats().rehydrated_tokens, got as u64);
     }
 }
 

@@ -197,31 +197,27 @@ impl TieredKvCache {
         export: SessionExport,
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        let session = export.session;
-        // Re-attach the leading ids that are this cache's preamble (bytes
-        // never travel for shared state — only ids do). The first foreign
-        // id breaks prefix continuity, so it and everything after it lead
-        // the private chain as dropped spans.
-        let refs = export.shared.iter().filter(|r| r.tokens > 0);
-        let chain = self.preamble_run(refs.clone().map(|r| r.id));
-        let unattached = refs.skip(chain).map(|r| r.tokens);
-        let spans = unattached
-            .clone()
-            .map(|tokens| (Tier::Dropped, tokens))
-            .chain(export.chunks.iter().map(|c| (c.tier, c.tokens)));
-        let (admitted, no_room) = self.install(session, chain, spans, now)?;
-        self.stats.dropped_tokens += (unattached.sum::<usize>() + no_room) as u64;
+        let shared = export
+            .shared
+            .iter()
+            .map(|m| (Some(m.id), Tier::Dropped, m.tokens));
+        let private = export.chunks.iter().map(|c| (None, c.tier, c.tokens));
+        let (chain, spans, unattached) = self.arrival(shared.chain(private));
+        let (admitted, no_room) = self.install(export.session, chain, spans, now)?;
+        self.stats.dropped_tokens += (unattached + no_room) as u64;
         Ok(admitted)
     }
 
     /// Rebuilds a session's chunk layout from a persisted manifest after
     /// a restart. The leading run of manifest entries whose
     /// content-addressed ids are this cache's preamble re-attach to it
-    /// (no bytes move); the remainder installs at
-    /// [`Tier::Cold`] while cold capacity allows, never evicting existing
-    /// residents, and past that as [`Tier::Dropped`] recompute
-    /// obligations. Returns the tokens recovered without recomputation
-    /// (re-attached plus cold-admitted), counted in
+    /// (no bytes move); later entries that name a chain id become
+    /// dropped spans, as in [`TieredKvCache::import_session`]. Private
+    /// entries install at [`Tier::Cold`] while cold capacity allows,
+    /// never evicting existing residents, and past that as
+    /// [`Tier::Dropped`] recompute obligations. Returns the tokens
+    /// recovered without recomputation (re-attached plus cold-admitted),
+    /// counted in
     /// [`CacheStats::rehydrated_tokens`](crate::CacheStats::rehydrated_tokens).
     ///
     /// # Errors
@@ -235,13 +231,45 @@ impl TieredKvCache {
         manifest: &[ManifestChunk],
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        // Defensive: a manifest never records empty chunks.
-        let entries = manifest.iter().filter(|m| m.tokens > 0);
-        let chain = self.preamble_run(entries.clone().map(|m| m.id));
-        let spans = entries.skip(chain).map(|m| (Tier::Cold, m.tokens));
+        let entries = manifest.iter().map(|m| {
+            let shared = (m.id != ChunkId::NONE).then_some(m.id);
+            (shared, Tier::Cold, m.tokens)
+        });
+        let (chain, spans, unattached) = self.arrival(entries);
         let (admitted, _) = self.install(session, chain, spans, now)?;
+        self.stats.dropped_tokens += unattached as u64;
         self.stats.rehydrated_tokens += admitted as u64;
         Ok(admitted)
+    }
+
+    /// The one rule for a session arriving from outside, as `entries` of
+    /// `(chain id, tier, tokens)` in context order (`None` for a private
+    /// chunk): the leading run of ids that are this cache's preamble
+    /// re-attaches, and every later entry that names a chain id becomes
+    /// a dropped span. Shared state travels by id only — its bytes are
+    /// never streamed nor persisted — so nothing could serve them; the
+    /// first foreign id breaks prefix continuity. Private entries keep
+    /// their tier. Returns the run's length, the spans after it and the
+    /// tokens of the chain entries dropped. Empty entries are skipped.
+    fn arrival<I>(&self, entries: I) -> (usize, impl Iterator<Item = (Tier, usize)> + Clone, usize)
+    where
+        I: Iterator<Item = (Option<ChunkId>, Tier, usize)> + Clone,
+    {
+        let entries = entries.filter(|&(_, _, tokens)| tokens > 0);
+        let ids = entries
+            .clone()
+            .map(|(id, _, _)| id.unwrap_or(ChunkId::NONE));
+        let chain = self.preamble_run(ids);
+        let rest = entries.skip(chain);
+        // Saturating: counts past `usize` are refused by `install` before
+        // this total is used.
+        let unattached = rest.clone().filter(|(id, _, _)| id.is_some());
+        let unattached = unattached.fold(0usize, |sum, (_, _, tokens)| sum.saturating_add(tokens));
+        let spans = rest.map(|(id, tier, tokens)| match id {
+            Some(_) => (Tier::Dropped, tokens),
+            None => (tier, tokens),
+        });
+        (chain, spans, unattached)
     }
 
     /// The one way a session enters this cache from outside: attaches the

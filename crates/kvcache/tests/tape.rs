@@ -74,16 +74,16 @@ const CONFIGS: [(&str, Policy, usize, usize); 11] = [
 #[rustfmt::skip]
 const GOLDEN: [[u64; 4]; 11] = [
     [0x483cbf4418795a60, 0xa722533735cc669c, 0x18c71a730f5935d3, 0x226cb6220a1b0da6], // retention/two-tier
-    [0x75015275507e0a0d, 0x01cc3232a9e87c4b, 0xf40951638b1d177a, 0x9b30601ea46a1217], // retention/deep
-    [0xf88e97247627a8a2, 0x1d48072a058a6161, 0xe67556108ce593df, 0x3c2d216edd7b2e90], // lru/two-tier
-    [0xb727b0bb8bc83fa1, 0xfcdc79f26ff827fc, 0x2b8d8df54d17cc90, 0xb786798dae60573b], // lru/deep
+    [0x78237416e643ffb0, 0xf396dd140ce826bc, 0x5b5da56f78fa1cbb, 0x779035b9f931c048], // retention/deep
+    [0xcb5dad9510ecd679, 0xe54eb286404c5ac6, 0x1a5ba054b4e6ade7, 0x1c2ef5e98372a1d4], // lru/two-tier
+    [0x11590a3e527605ac, 0x0011172f0f0fc780, 0xa2c681e57bbb06a4, 0x328123c9bb4d41b0], // lru/deep
     [0x5ced9d19bfbaef8d, 0x96a8f1ef1babcf4c, 0xaadc3fe9ed280c8c, 0xd88dd899b65b0b35], // cached-attention/two-tier
-    [0x84bd2a4bf4a20bc7, 0x20ed9a98f95f1890, 0x7acf565ffd71862f, 0xc4228bf7ecb30b46], // cached-attention/deep
-    [0x0e09937771a4c74a, 0x9246b8c953a7d1d9, 0x7232f8b2266dd914, 0xa642cfaa7dec4746], // trailing-end/two-tier
-    [0xea823db08cff7866, 0x75952c98a3cbc331, 0x3a330c5b707b6431, 0x6785a5186c1e8fce], // trailing-end/deep
+    [0x1a7e3587f229f117, 0xdbda603bbfa81d1e, 0x64d6c012c35973e9, 0x61e5ef7ec5625854], // cached-attention/deep
+    [0x18d239f747af0e55, 0x14af9fa0f0ab70c7, 0x777c219373421a60, 0xe77813111bbb1777], // trailing-end/two-tier
+    [0x6d8a988e3af928c8, 0x49f16075faf42b9a, 0x57951ca7fe9bc447, 0x0488a1dc86c79267], // trailing-end/deep
     [0x1f47a7d97654028a, 0xca87d154b0817890, 0x89222549f3d9c9ea, 0x42ceb3357fd8c47f], // retention/cold-only
-    [0x51d6d64f8f1b7c4f, 0xd65e54cad0ee822b, 0x6ce000be1e2d747a, 0xf535551b3483b457], // retention/ssd-only
-    [0xe5ceb34c2dee8c5b, 0x0e9c5f30235a7b74, 0xa67ff159816fcee9, 0xfdae39780657b872], // lru/ssd-under-a-chunk
+    [0x62db0b9153617707, 0x52e9f876fb1dc318, 0xdae897925ec8ecfd, 0x9881a204877b8472], // retention/ssd-only
+    [0xee31a3dee2691d22, 0xfe20ae0d82b47d82, 0x3f98cd5599ce28b8, 0x796486025a904210], // lru/ssd-under-a-chunk
 ];
 
 #[derive(Clone, Copy)]
