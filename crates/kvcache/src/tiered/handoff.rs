@@ -200,8 +200,9 @@ impl TieredKvCache {
         let shared = export
             .shared
             .iter()
-            .map(|m| (Some(m.id), Tier::Dropped, m.tokens));
-        let private = export.chunks.iter().map(|c| (None, c.tier, c.tokens));
+            .map(|m| (m.id, Tier::Dropped, m.tokens));
+        let private = export.chunks.iter();
+        let private = private.map(|c| (ChunkId::NONE, c.tier, c.tokens));
         let (chain, spans, unattached) = self.arrival(shared.chain(private));
         let (admitted, no_room) = self.install(export.session, chain, spans, now)?;
         self.stats.dropped_tokens += (unattached + no_room) as u64;
@@ -231,10 +232,7 @@ impl TieredKvCache {
         manifest: &[ManifestChunk],
         now: SimTime,
     ) -> Result<usize, CacheError> {
-        let entries = manifest.iter().map(|m| {
-            let shared = (m.id != ChunkId::NONE).then_some(m.id);
-            (shared, Tier::Cold, m.tokens)
-        });
+        let entries = manifest.iter().map(|m| (m.id, Tier::Cold, m.tokens));
         let (chain, spans, unattached) = self.arrival(entries);
         let (admitted, _) = self.install(session, chain, spans, now)?;
         self.stats.dropped_tokens += unattached as u64;
@@ -243,31 +241,29 @@ impl TieredKvCache {
     }
 
     /// The one rule for a session arriving from outside, as `entries` of
-    /// `(chain id, tier, tokens)` in context order (`None` for a private
-    /// chunk): the leading run of ids that are this cache's preamble
-    /// re-attaches, and every later entry that names a chain id becomes
-    /// a dropped span. Shared state travels by id only — its bytes are
-    /// never streamed nor persisted — so nothing could serve them; the
-    /// first foreign id breaks prefix continuity. Private entries keep
+    /// `(chain id, tier, tokens)` in context order ([`ChunkId::NONE`] for
+    /// a private chunk): the leading run of ids that are this cache's
+    /// preamble re-attaches, and every later entry that names a chain id
+    /// becomes a dropped span. Shared state travels by id only — its
+    /// bytes are never streamed nor persisted — so nothing could serve
+    /// them; the first foreign id breaks prefix continuity. Private entries keep
     /// their tier. Returns the run's length, the spans after it and the
     /// tokens of the chain entries dropped. Empty entries are skipped.
     fn arrival<I>(&self, entries: I) -> (usize, impl Iterator<Item = (Tier, usize)> + Clone, usize)
     where
-        I: Iterator<Item = (Option<ChunkId>, Tier, usize)> + Clone,
+        I: Iterator<Item = (ChunkId, Tier, usize)> + Clone,
     {
         let entries = entries.filter(|&(_, _, tokens)| tokens > 0);
-        let ids = entries
-            .clone()
-            .map(|(id, _, _)| id.unwrap_or(ChunkId::NONE));
-        let chain = self.preamble_run(ids);
+        let chain = self.preamble_run(entries.clone().map(|(id, ..)| id));
         let rest = entries.skip(chain);
+        let shared = |id: ChunkId| id != ChunkId::NONE;
         // Saturating: counts past `usize` are refused by `install` before
         // this total is used.
-        let unattached = rest.clone().filter(|(id, _, _)| id.is_some());
-        let unattached = unattached.fold(0usize, |sum, (_, _, tokens)| sum.saturating_add(tokens));
-        let spans = rest.map(|(id, tier, tokens)| match id {
-            Some(_) => (Tier::Dropped, tokens),
-            None => (tier, tokens),
+        let unattached = rest.clone().filter(|&(id, ..)| shared(id));
+        let unattached = unattached.fold(0usize, |sum, (.., tokens)| sum.saturating_add(tokens));
+        let spans = rest.map(move |(id, tier, tokens)| {
+            let tier = if shared(id) { Tier::Dropped } else { tier };
+            (tier, tokens)
         });
         (chain, spans, unattached)
     }
