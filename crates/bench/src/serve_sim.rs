@@ -159,10 +159,10 @@ pub(crate) fn serve_sim(args: &Args) -> Result<(), String> {
 
     // No recorder unless an output was requested, keeping the run
     // allocation-free on the trace path. The metrics dump needs one too:
-    // the histograms are collected only while tracing.
+    // its histograms and completed-request count are read from the trace.
     let (trace_out, metrics_out) = (args.get("--trace-out"), args.get("--metrics-out"));
     let recorder = (trace_out.is_some() || metrics_out.is_some()).then(SharedRecorder::new);
-    let ((summary, hit_rate), label, metrics) = if replicas > 1 {
+    let ((summary, hit_rate), label, mut metrics) = if replicas > 1 {
         let mut cluster = cluster_for(&spec, replicas, router, recorder.clone());
         let label = format!("{} x{replicas} ({router})", spec.engine.name);
         let served = serve(&mut cluster, &convs, &driver);
@@ -177,13 +177,14 @@ pub(crate) fn serve_sim(args: &Args) -> Result<(), String> {
         (served, spec.engine.name.clone(), engine.metrics())
     };
 
-    if let (Some(rec), Some(path)) = (&recorder, trace_out) {
-        let events = rec.take_events();
+    let events = recorder.map(|rec| rec.take_events()).unwrap_or_default();
+    if let Some(path) = trace_out {
         std::fs::write(path, to_jsonl(&events))
             .map_err(|e| format!("cannot write trace {path}: {e}"))?;
         println!("wrote {} trace events to {path}", events.len());
     }
     if let Some(path) = metrics_out {
+        TraceReport::from_events(&events).write_metrics(&mut metrics);
         std::fs::write(path, metrics.prometheus())
             .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
         println!("wrote metrics dump to {path}");

@@ -74,7 +74,7 @@ use pensieve_kvcache::{
 };
 use pensieve_model::{SimDuration, SimTime};
 use pensieve_obs::{
-    metrics, Histogram, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent,
+    metrics, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent,
 };
 use pensieve_sim::{
     ClusterFaultKind, FaultConfig, FaultInjector, FaultKind, FaultSchedule, NodeLink, NodeLinkSpec,
@@ -214,9 +214,6 @@ pub struct Router<B> {
     torn_manifests: u64,
     rehydrations: u64,
     rehydrated_tokens: u64,
-    /// Crash-to-promotion latencies, observed where `StandbyPromoted` is
-    /// recorded (so only with a recorder attached).
-    promotion_latency: Histogram,
 }
 
 impl<B: ServingBackend + Send> Router<B> {
@@ -278,7 +275,6 @@ impl<B: ServingBackend + Send> Router<B> {
             torn_manifests: 0,
             rehydrations: 0,
             rehydrated_tokens: 0,
-            promotion_latency: Histogram::new(metrics::PROMOTION_LATENCY_SECONDS_BUCKETS),
         };
         router.manifest_faults = router.cfg.manifest_faults.clone().map(FaultInjector::new);
         router.settle_all();
@@ -719,9 +715,6 @@ impl<B: ServingBackend + Send> Router<B> {
                 lag_tokens: lag,
                 latency,
             });
-            if self.recorder.enabled() {
-                self.promotion_latency.observe(latency.as_secs());
-            }
             promoted.insert(conv, (standby, ready));
         }
         promoted
@@ -1206,12 +1199,12 @@ impl<B: ServingBackend + Send> Router<B> {
         Some(target)
     }
 
-    /// Every counter, gauge and histogram the router itself owns, under
-    /// its canonical name, as of this call; the replicas' own metrics are
+    /// Every counter and gauge the router itself owns, under its
+    /// canonical name, as of this call; the replicas' own metrics are
     /// not included (see [`Router::fleet_metrics`]). Replication and
-    /// manifest metrics appear only when that mechanism is configured,
-    /// and the promotion-latency histogram only with a recorder attached
-    /// (it is collected where `StandbyPromoted` is recorded).
+    /// manifest metrics appear only when that mechanism is configured.
+    /// The promotion-latency distribution is read from the trace's
+    /// `StandbyPromoted` events, as the engine's distributions are.
     #[must_use]
     pub fn metrics(&self) -> MetricsRegistry {
         use metrics::names;
@@ -1240,12 +1233,6 @@ impl<B: ServingBackend + Send> Router<B> {
                 names::REPLICATION_LAG_TOKENS,
                 rep.max_pending_tokens() as f64,
             );
-            if self.recorder.enabled() {
-                m.histogram_set(
-                    names::PROMOTION_LATENCY_SECONDS,
-                    self.promotion_latency.clone(),
-                );
-            }
         }
         m.counter_set(names::LINK_LOST_CHUNKS_TOTAL, lost_chunks);
         m.counter_set(names::LINK_STREAMED_BYTES_TOTAL, streamed_bytes);

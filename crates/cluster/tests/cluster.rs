@@ -9,7 +9,7 @@ use pensieve_core::{
 };
 use pensieve_kvcache::SessionId;
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{SharedRecorder, TraceEvent};
+use pensieve_obs::{SharedRecorder, TraceEvent, TraceReport};
 use pensieve_sim::{ClusterFaultKind, FaultSchedule, NodeLink, NodeLinkSpec};
 use pensieve_workload::driver::run_closed_loop;
 use pensieve_workload::{DatasetSpec, DriverConfig};
@@ -189,7 +189,8 @@ fn driver_survives_replica_failure() {
 /// One recorder shared by the whole fleet, as `serve_sim --replicas`
 /// wires it. The fleet dump sums what each replica owns — a dead one's
 /// work included — and adds the router's own counters; a registry the
-/// replicas all wrote into kept only the largest.
+/// replicas all wrote into kept only the largest. The distributions
+/// come from the shared trace, one observation per event.
 #[test]
 fn fleet_metrics_sum_the_replicas() {
     let rec = SharedRecorder::new();
@@ -220,18 +221,16 @@ fn fleet_metrics_sum_the_replicas() {
         iterations.iter().sum::<u64>()
     );
     // One `Iteration` event per executed tick, in the fleet's shared trace.
-    let traced = rec
-        .events()
-        .iter()
-        .filter(|ev| matches!(ev, TraceEvent::Iteration { .. }))
-        .count();
-    assert_eq!(m.counter("pensieve_iterations_total"), traced as u64);
+    let report = TraceReport::from_events(&rec.events());
+    assert_eq!(m.counter("pensieve_iterations_total"), report.iterations);
     assert_eq!(
-        m.counter("pensieve_requests_completed_total"),
-        result.responses.len() as u64
+        report.histograms["pensieve_iteration_seconds"].count(),
+        report.iterations
     );
-    let ttft = m.histogram("pensieve_ttft_seconds").expect("traced fleet");
+    assert_eq!(report.requests_completed, result.responses.len() as u64);
+    let ttft = &report.histograms["pensieve_ttft_seconds"];
     assert_eq!(ttft.count(), result.responses.len() as u64);
+    assert!(!m.prometheus().contains("histogram"), "owners keep none");
     assert_eq!(m.counter("pensieve_replica_failures_total"), 1);
     assert_eq!(
         m.counter("pensieve_routed_requests_total"),

@@ -40,8 +40,7 @@ use pensieve_model::{
     SimTime,
 };
 use pensieve_obs::{
-    metrics, DropReason, Histogram, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder,
-    TraceEvent,
+    metrics, DropReason, MetricsRegistry, Recorder as _, RecoveryKind, SharedRecorder, TraceEvent,
 };
 use pensieve_sim::{
     Direction, DuplexMode, FaultCounters, FaultInjector, FaultKind, GpuTimer, PcieLink,
@@ -216,12 +215,6 @@ pub struct SimServingEngine {
     /// Passive trace sink shared with the cache, link and GPU timer;
     /// `None` (the default) records nothing.
     recorder: Option<SharedRecorder>,
-    /// Distributions of a traced run, observed where the matching trace
-    /// event is recorded (so an engine without a recorder does no work
-    /// for them) and reported by [`SimServingEngine::metrics`].
-    iteration_seconds: Histogram,
-    batch_query_tokens: Histogram,
-    ttft_seconds: Histogram,
     /// Per-iteration scratch, cleared and refilled by `execute` and
     /// `complete` so a scheduler tick allocates nothing for them: the
     /// batch's prefill rows, its decode rows, and the requests that
@@ -260,9 +253,10 @@ impl EngineBuilder {
     }
 
     /// Attaches a trace recorder, cloned into the cache, the PCIe link
-    /// and the GPU timer so every layer records into one buffer; a
-    /// traced engine also collects the histograms
-    /// [`SimServingEngine::metrics`] reports. Recording is strictly
+    /// and the GPU timer so every layer records into one buffer. The
+    /// distributions (iteration time, batch size, TTFT) are read from
+    /// that trace, not kept by the engine: [`SimServingEngine::metrics`]
+    /// reports the same with or without it. Recording is strictly
     /// passive: simulated clocks, schedules and responses are
     /// bit-identical with or without it.
     #[must_use]
@@ -345,9 +339,6 @@ impl SimServingEngine {
             cold_dev: StorageDevice::new(StorageDeviceSpec::nfs()),
             empty_ticks: 0,
             recorder: None,
-            iteration_seconds: Histogram::new(metrics::ITERATION_SECONDS_BUCKETS),
-            batch_query_tokens: Histogram::new(metrics::BATCH_QUERY_TOKENS_BUCKETS),
-            ttft_seconds: Histogram::new(metrics::TTFT_SECONDS_BUCKETS),
             prefill_batch: BatchShape::new(Vec::new()),
             decode_batch: BatchShape::new(Vec::new()),
             finished: Vec::new(),
@@ -422,10 +413,11 @@ impl SimServingEngine {
         &self.counters
     }
 
-    /// Every counter, gauge and histogram this engine owns, under its
-    /// canonical name, as of this call. The three histograms and the
-    /// completed-request count are collected only while a recorder is
-    /// attached and are left out otherwise.
+    /// Every counter and gauge this engine owns, under its canonical
+    /// name, as of this call; the same whether or not it is traced. The
+    /// distributions and the completed-request count are read from a
+    /// trace: see
+    /// [`TraceReport::write_metrics`](pensieve_obs::TraceReport::write_metrics).
     #[must_use]
     pub fn metrics(&self) -> MetricsRegistry {
         use metrics::names;
@@ -453,13 +445,6 @@ impl SimServingEngine {
         m.gauge_set(names::CPU_TOKENS_USED, self.cache.cpu_used() as f64);
         m.gauge_set(names::SSD_TOKENS_USED, self.cache.ssd_used() as f64);
         m.gauge_set(names::COLD_TOKENS_USED, self.cache.cold_used() as f64);
-        if self.recorder.enabled() {
-            // One TTFT observation per completed request.
-            m.counter_set(names::REQUESTS_COMPLETED_TOTAL, self.ttft_seconds.count());
-            m.histogram_set(names::ITERATION_SECONDS, self.iteration_seconds.clone());
-            m.histogram_set(names::BATCH_QUERY_TOKENS, self.batch_query_tokens.clone());
-            m.histogram_set(names::TTFT_SECONDS, self.ttft_seconds.clone());
-        }
         m
     }
 
@@ -670,7 +655,7 @@ impl SimServingEngine {
 
     /// The end every executed tick shares: counts the iteration, charges
     /// its time to the GPU, moves the clock past it, and records its
-    /// [`TraceEvent::Iteration`] and histogram observations. `start` is
+    /// [`TraceEvent::Iteration`]. `start` is
     /// the clock, running and waiting counts at the tick's start; `batch`
     /// its prefill rows, decode rows (one query token each) and prefill
     /// query tokens.
@@ -700,10 +685,6 @@ impl SimServingEngine {
                 compute,
                 stall,
             });
-            self.iteration_seconds
-                .observe((queue_delay + compute + stall).as_secs());
-            let batch_query_tokens = prefill_tokens + decode_seqs;
-            self.batch_query_tokens.observe(batch_query_tokens as f64);
         }
     }
 
@@ -1411,11 +1392,6 @@ impl SimServingEngine {
                     prefill_tokens: r.prefill_tokens,
                     cached_tokens: r.cached_tokens,
                 });
-                self.ttft_seconds.observe(
-                    first_token
-                        .saturating_duration_since(r.req.arrival)
-                        .as_secs(),
-                );
             }
             self.responses.push(Response {
                 id: r.req.id,

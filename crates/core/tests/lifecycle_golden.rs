@@ -26,7 +26,7 @@ use pensieve_core::{
 };
 use pensieve_kvcache::{CacheStats, SessionId};
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
-use pensieve_obs::{to_jsonl, RecoveryKind, SharedRecorder, SwapDir, TraceEvent};
+use pensieve_obs::{to_jsonl, RecoveryKind, SharedRecorder, SwapDir, TraceEvent, TraceReport};
 use pensieve_sim::{FaultConfig, FaultInjector};
 
 /// Width of one `poll(Some(t))` / `run_until(t)` slice.
@@ -561,12 +561,15 @@ impl Client {
     }
 }
 
-fn build_engine(sc: &Scenario, rec: &SharedRecorder) -> SimServingEngine {
+fn build_engine(sc: &Scenario, rec: Option<&SharedRecorder>) -> SimServingEngine {
     let model = ModelConfig::opt_13b();
     let mut hw = HardwareSpec::azure_nc_a100(1);
     hw.gpu_kv_budget_bytes = sc.gpu_tokens * model.kv_bytes_per_token();
     hw.cpu_cache_bytes_per_gpu = sc.cpu_tokens * model.kv_bytes_per_token();
-    let mut b = SimServingEngine::builder((sc.cfg)(), model, hw).recorder(rec.clone());
+    let mut b = SimServingEngine::builder((sc.cfg)(), model, hw);
+    if let Some(rec) = rec {
+        b = b.recorder(rec.clone());
+    }
     if let Some(seed) = sc.fault_seed {
         b = b.fault_injector(FaultInjector::new(FaultConfig {
             pcie_failure: 0.5,
@@ -584,7 +587,7 @@ fn build_engine(sc: &Scenario, rec: &SharedRecorder) -> SimServingEngine {
 /// counters and cache statistics, and the event stream.
 fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<TraceEvent>) {
     let rec = SharedRecorder::new();
-    let mut e = build_engine(sc, &rec);
+    let mut e = build_engine(sc, Some(&rec));
     let mut client = Client::new(sc);
     let mut t = SimTime::ZERO;
     let mut slice = 0u32;
@@ -650,7 +653,11 @@ fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<Tra
     d.n(e.physical_resident_tokens());
     let events = rec.events();
     d.events(&events);
-    d.bytes(e.metrics().prometheus().as_bytes());
+    // The engine's counters and gauges, with the distributions its
+    // trace builds written in: the dump `serve_sim --metrics-out` makes.
+    let mut metrics = e.metrics();
+    TraceReport::from_events(&events).write_metrics(&mut metrics);
+    d.bytes(metrics.prometheus().as_bytes());
     (d.0, counters, stats, events)
 }
 
@@ -747,6 +754,39 @@ fn golden_digests_hold_and_every_scenario_takes_its_path() {
     );
 }
 
+/// Tracing is passive and the engine keeps no second copy of what it
+/// traces: in every scenario a traced and an untraced engine report the
+/// same metrics, counters and gauges only. The distributions and the
+/// completed-request count are the trace's.
+#[test]
+fn metrics_are_the_same_with_or_without_a_recorder() {
+    for sc in &SCENARIOS {
+        let serve = |rec: Option<&SharedRecorder>| {
+            let mut e = build_engine(sc, rec);
+            let mut client = Client::new(sc);
+            let mut t = SimTime::ZERO;
+            while !(client.pending.is_empty() && e.is_idle() && !e.responses_ready()) {
+                t += SimDuration::from_secs(SLICE);
+                client.submit_due(&mut e, Some(t));
+                e.run_until(t);
+                client.collect(&mut e);
+            }
+            e.metrics()
+        };
+        let rec = SharedRecorder::new();
+        let traced = serve(Some(&rec));
+        assert_eq!(traced, serve(None), "{}", sc.name);
+        assert!(!traced.prometheus().contains("histogram"), "{}", sc.name);
+        let report = TraceReport::from_events(&rec.events());
+        let completed = report.histograms["pensieve_ttft_seconds"].count();
+        assert_eq!(completed, (sc.convs * sc.turns) as u64, "{}", sc.name);
+        let mut dump = traced;
+        report.write_metrics(&mut dump);
+        let count = dump.counter("pensieve_requests_completed_total");
+        assert_eq!(count, completed, "{}", sc.name);
+    }
+}
+
 /// State handoff while a suspended request waits in the queue: exports
 /// are refused for every in-flight session (running, queued, suspended)
 /// and granted for the rest, then a fail-stop orphans the queue — the
@@ -756,7 +796,7 @@ fn golden_digests_hold_and_every_scenario_takes_its_path() {
 fn handoff_with_a_suspended_request_queued() {
     let sc = &SCENARIOS[0];
     let rec = SharedRecorder::new();
-    let mut e = build_engine(sc, &rec);
+    let mut e = build_engine(sc, Some(&rec));
     let mut client = Client::new(sc);
     let mut t = SimTime::ZERO;
     let suspended_waiting = |e: &SimServingEngine| {

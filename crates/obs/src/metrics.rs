@@ -167,19 +167,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Adds `other`'s observations to this histogram's. Does nothing
-    /// unless both have the same bounds.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.bounds != other.bounds {
-            return;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.total += other.total;
-    }
-
     /// Total observations.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -214,9 +201,11 @@ impl Histogram {
     }
 }
 
-/// A metrics snapshot: counters, gauges and histograms by name, as their
-/// owner read them at one instant (`SimServingEngine::metrics`,
-/// `Router::metrics`). Nothing holds a registry across a run.
+/// A metrics snapshot by name: counters and gauges as their owner read
+/// them at one instant (`SimServingEngine::metrics`, `Router::metrics`),
+/// and histograms as a trace's events build them
+/// ([`TraceReport::write_metrics`](crate::TraceReport::write_metrics)).
+/// Nothing holds a registry across a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -253,36 +242,21 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Sets the named histogram to its owner's current one.
+    /// Sets the named histogram.
     pub fn histogram_set(&mut self, name: &str, h: Histogram) {
         self.histograms.insert(name.to_owned(), h);
     }
 
-    /// The named histogram, if one was written.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Adds `other` into `self`, name by name: counters, gauges and
-    /// histograms all sum, which is what a fleet total over replicas
-    /// that each own their metrics means. A histogram whose bounds
-    /// differ from the one already held under its name cannot be summed
-    /// and is left out.
+    /// Adds `other`'s counters and gauges into `self`, name by name,
+    /// which is what a fleet total over replicas that each own their
+    /// metrics means. Owners hold no histograms: a fleet's come from its
+    /// one merged trace.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
         }
         for (name, v) in &other.gauges {
             *self.gauges.entry(name.clone()).or_insert(0.0) += v;
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
         }
     }
 
@@ -319,32 +293,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_sums_counters_gauges_and_same_bounds_histograms() {
-        let replica = |iterations, running, ttft| {
+    fn merge_sums_counters_and_gauges() {
+        let replica = |iterations, running| {
             let mut r = MetricsRegistry::new();
             r.counter_set("c", iterations);
             r.gauge_set("g", running);
-            let mut h = Histogram::new(&[1.0, 2.0]);
-            h.observe(ttft);
-            r.histogram_set("h", h);
             r
         };
         let mut fleet = MetricsRegistry::new();
         fleet.counter_set("router_only", 7);
-        fleet.merge(&replica(5, 2.0, 0.5));
-        fleet.merge(&replica(3, 1.0, 9.0));
+        fleet.merge(&replica(5, 2.0));
+        fleet.merge(&replica(3, 1.0));
         assert_eq!(fleet.counter("c"), 8);
         assert_eq!(fleet.counter("router_only"), 7);
         assert_eq!(fleet.gauge("g"), Some(3.0));
-        let h = fleet.histogram("h").unwrap();
-        assert_eq!(h.cumulative(), vec![1, 1, 2]);
-        assert!((h.sum() - 9.5).abs() < 1e-12);
-
-        // Different bounds cannot be summed: the held histogram stands.
-        let mut odd = MetricsRegistry::new();
-        odd.histogram_set("h", Histogram::new(&[4.0]));
-        fleet.merge(&odd);
-        assert_eq!(fleet.histogram("h").unwrap().cumulative(), vec![1, 1, 2]);
     }
 
     #[test]

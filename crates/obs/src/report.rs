@@ -6,7 +6,10 @@
 //! (GPU hit / revalidated / swapped in / recomputed — the §3 cache
 //! effectiveness split, cf. Figure 14) and "how much did the two PCIe
 //! directions and GPU compute actually overlap?" (the §4.2 duplex and
-//! §4.3.3 pipelining claims).
+//! §4.3.3 pipelining claims). It is also where the serving stack's
+//! distributions live: the iteration-time, batch-size, TTFT and
+//! promotion-latency histograms are built from the events, never kept by
+//! the engine or router a second time ([`TraceReport::write_metrics`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,6 +17,10 @@ use std::fmt::Write as _;
 use pensieve_model::{SimDuration, SimTime};
 
 use crate::event::{SwapDir, TraceEvent};
+use crate::metrics::{
+    names, Histogram, MetricsRegistry, BATCH_QUERY_TOKENS_BUCKETS, ITERATION_SECONDS_BUCKETS,
+    PROMOTION_LATENCY_SECONDS_BUCKETS, TTFT_SECONDS_BUCKETS,
+};
 
 /// Cache-source attribution for one admitted turn.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +131,14 @@ pub struct TraceReport {
     pub rehydrations: u64,
     /// Tokens admitted back into caches by rehydration.
     pub rehydrated_tokens: u64,
+    /// The trace's distributions by canonical metric name, one
+    /// observation per event, in the log's order: each `Iteration`'s
+    /// end-to-end time ([`names::ITERATION_SECONDS`]) and query tokens
+    /// ([`names::BATCH_QUERY_TOKENS`]), each `RequestCompleted`'s time to
+    /// first token ([`names::TTFT_SECONDS`]) and each `StandbyPromoted`'s
+    /// latency ([`names::PROMOTION_LATENCY_SECONDS`]). A histogram is
+    /// present once the log holds one of its events.
+    pub histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Sums, merges and intersects `(start, end)` second intervals.
@@ -165,7 +180,9 @@ fn overlap(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
 }
 
 impl TraceReport {
-    /// Builds the report from an event log, in any order.
+    /// Builds the report from an event log, in any order. The
+    /// histograms observe their events in the log's order, so their sums
+    /// are exact for a log recorded in that order.
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut report = Self::default();
@@ -185,8 +202,23 @@ impl TraceReport {
             first = Some(first.map_or(at, |f| if at < f { at } else { f }));
             last = Some(last.map_or(end, |l| if end > l { end } else { l }));
             match ev {
-                TraceEvent::Iteration { compute, stall, .. } => {
+                TraceEvent::Iteration {
+                    prefill_tokens,
+                    decode_seqs,
+                    queue_delay,
+                    compute,
+                    stall,
+                    ..
+                } => {
                     report.iterations += 1;
+                    let took = (*queue_delay + *compute + *stall).as_secs();
+                    report.observe(names::ITERATION_SECONDS, ITERATION_SECONDS_BUCKETS, took);
+                    let tokens = (prefill_tokens + decode_seqs) as f64;
+                    report.observe(
+                        names::BATCH_QUERY_TOKENS,
+                        BATCH_QUERY_TOKENS_BUCKETS,
+                        tokens,
+                    );
                     // Time advances queue_delay, then compute, then stall:
                     // compute occupies [end - stall - compute, end - stall].
                     let done = end.as_secs() - stall.as_secs();
@@ -224,7 +256,15 @@ impl TraceReport {
                 }
                 TraceEvent::Suspended { .. } => report.suspensions += 1,
                 TraceEvent::FaultRecovery { .. } => report.fault_recoveries += 1,
-                TraceEvent::RequestCompleted { .. } => report.requests_completed += 1,
+                TraceEvent::RequestCompleted {
+                    arrival,
+                    first_token,
+                    ..
+                } => {
+                    report.requests_completed += 1;
+                    let ttft = first_token.saturating_duration_since(*arrival).as_secs();
+                    report.observe(names::TTFT_SECONDS, TTFT_SECONDS_BUCKETS, ttft);
+                }
                 TraceEvent::ReplicaFailed { .. } => report.replica_failures += 1,
                 TraceEvent::ReplicationFlush {
                     tokens,
@@ -248,15 +288,19 @@ impl TraceReport {
                     replicated_tokens,
                     lag_tokens,
                     latency,
-                } => report.promotions.push(PromotionRow {
-                    conv: *conv,
-                    from: *from,
-                    to: *to,
-                    at: *at,
-                    replicated_tokens: *replicated_tokens,
-                    lag_tokens: *lag_tokens,
-                    latency: *latency,
-                }),
+                } => {
+                    report.promotions.push(PromotionRow {
+                        conv: *conv,
+                        from: *from,
+                        to: *to,
+                        at: *at,
+                        replicated_tokens: *replicated_tokens,
+                        lag_tokens: *lag_tokens,
+                        latency: *latency,
+                    });
+                    let name = names::PROMOTION_LATENCY_SECONDS;
+                    report.observe(name, PROMOTION_LATENCY_SECONDS_BUCKETS, latency.as_secs());
+                }
                 TraceEvent::ChunkDemoted {
                     tokens, from, to, ..
                 } => {
@@ -294,6 +338,24 @@ impl TraceReport {
         report.duplex_overlap = SimDuration::from_secs(overlap(&in_iv, &out_iv));
         report.compute_swap_in_overlap = SimDuration::from_secs(overlap(&compute_iv, &in_iv));
         report
+    }
+
+    /// Adds `v` to the histogram `name`, created with `bounds` at its
+    /// first observation.
+    fn observe(&mut self, name: &'static str, bounds: &[f64], v: f64) {
+        let h = self.histograms.entry(name);
+        h.or_insert_with(|| Histogram::new(bounds)).observe(v);
+    }
+
+    /// Writes what only the trace knows into `m`: the completed-request
+    /// count, and each histogram whose events the log holds. The
+    /// engine's and router's registries hold counters and gauges only,
+    /// so a traced run's full dump is theirs plus this.
+    pub fn write_metrics(&self, m: &mut MetricsRegistry) {
+        m.counter_set(names::REQUESTS_COMPLETED_TOTAL, self.requests_completed);
+        for (name, h) in &self.histograms {
+            m.histogram_set(name, h.clone());
+        }
     }
 
     /// Token totals across all turns:

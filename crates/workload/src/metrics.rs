@@ -6,8 +6,9 @@
 //! `fig10`/`fig11` rate sweeps, the `fig15` think-time sweep, and the
 //! interactive `serve_sim` subcommand (all under
 //! `cargo run --release -p pensieve-bench -- <name>`; measured results
-//! in `EXPERIMENTS.md`). Distribution-level TTFT lives in the
-//! `pensieve_ttft_seconds` histogram recorded alongside a trace — see
+//! in `EXPERIMENTS.md`). Distribution-level TTFT is the
+//! `pensieve_ttft_seconds` histogram, built from a trace's
+//! `RequestCompleted` events by `TraceReport` — see
 //! `docs/OBSERVABILITY.md`.
 
 use pensieve_core::Response;

@@ -222,4 +222,16 @@ fn test_only_capabilities_stay_deleted() {
             offenders.join("\n  ")
         );
     }
+    // The engine and router keep counters and gauges only: every
+    // histogram is built from a trace by the trace view in `crates/obs`.
+    let setters = find_offenders("histogram_set(", &["tests/api_construction.rs"], false);
+    let setters: Vec<_> = setters
+        .into_iter()
+        .filter(|at| !at.starts_with("crates/obs/"))
+        .collect();
+    assert!(
+        setters.is_empty(),
+        "`histogram_set(` found outside crates/obs — owners keep no histograms:\n  {}",
+        setters.join("\n  ")
+    );
 }
