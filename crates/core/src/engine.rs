@@ -655,10 +655,9 @@ impl SimServingEngine {
 
     /// The end every executed tick shares: counts the iteration, charges
     /// its time to the GPU, moves the clock past it, and records its
-    /// [`TraceEvent::Iteration`]. `start` is
-    /// the clock, running and waiting counts at the tick's start; `batch`
-    /// its prefill rows, decode rows (one query token each) and prefill
-    /// query tokens.
+    /// [`TraceEvent::Iteration`]. `start` is the clock, running and
+    /// waiting counts at the tick's start; `batch` its prefill rows,
+    /// decode rows (one query token each) and prefill query tokens.
     fn end_iteration(
         &mut self,
         (at, running, waiting): (SimTime, usize, usize),
