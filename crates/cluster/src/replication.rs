@@ -113,8 +113,6 @@ pub(crate) struct Replicator {
     /// due with no new commit.
     due: Vec<BTreeSet<SessionId>>,
     replicated_tokens: u64,
-    standby_bytes: u64,
-    lost_flushes: u64,
 }
 
 impl Replicator {
@@ -135,8 +133,6 @@ impl Replicator {
             sessions: BTreeMap::new(),
             due: vec![BTreeSet::new(); replicas],
             replicated_tokens: 0,
-            standby_bytes: 0,
-            lost_flushes: 0,
         }
     }
 
@@ -273,7 +269,6 @@ impl Replicator {
                     s.replicated += pending;
                     Self::refresh_due(&mut self.due, threshold, conv, s);
                     self.replicated_tokens += pending as u64;
-                    self.standby_bytes += bytes as u64;
                     rec.record(TraceEvent::ReplicationFlush {
                         at: end,
                         conv: conv.0,
@@ -288,8 +283,6 @@ impl Replicator {
                 Err(lost) => {
                     // Wire time was spent but nothing landed; the delta
                     // stays pending for the retry (here or next pump).
-                    self.lost_flushes += 1;
-                    self.standby_bytes += bytes as u64;
                     rec.record(TraceEvent::ReplicationFlush {
                         at: lost.completes,
                         conv: conv.0,
@@ -348,16 +341,6 @@ impl Replicator {
     /// KV tokens delivered to standbys so far.
     pub(crate) fn replicated_tokens(&self) -> u64 {
         self.replicated_tokens
-    }
-
-    /// Bytes put on replication wires so far (delivered or lost).
-    pub(crate) fn standby_bytes(&self) -> u64 {
-        self.standby_bytes
-    }
-
-    /// Flush attempts lost in transit so far.
-    pub(crate) fn lost_flushes(&self) -> u64 {
-        self.lost_flushes
     }
 
     /// Chunks lost across every replication link.

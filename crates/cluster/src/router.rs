@@ -211,7 +211,6 @@ pub struct Router<B> {
     promotions: u64,
     recomputed_suffix_tokens: u64,
     manifests_persisted: u64,
-    torn_manifests: u64,
     rehydrations: u64,
     rehydrated_tokens: u64,
 }
@@ -272,7 +271,6 @@ impl<B: ServingBackend + Send> Router<B> {
             promotions: 0,
             recomputed_suffix_tokens: 0,
             manifests_persisted: 0,
-            torn_manifests: 0,
             rehydrations: 0,
             rehydrated_tokens: 0,
         };
@@ -395,20 +393,13 @@ impl<B: ServingBackend + Send> Router<B> {
             .map_or(0, Replicator::replicated_tokens)
     }
 
-    /// Bytes put on replication wires so far (delivered or lost).
+    /// Bytes put on replication wires so far (delivered or lost): what
+    /// the replication links streamed, as flushes are all they carry.
     #[must_use]
     pub fn standby_bytes(&self) -> u64 {
         self.replication
             .as_ref()
-            .map_or(0, Replicator::standby_bytes)
-    }
-
-    /// Replication flush attempts lost in transit so far.
-    #[must_use]
-    pub fn replication_lost_flushes(&self) -> u64 {
-        self.replication
-            .as_ref()
-            .map_or(0, Replicator::lost_flushes)
+            .map_or(0, Replicator::link_streamed_bytes)
     }
 
     /// Unreplicated-suffix tokens that fell back to recomputation at
@@ -424,10 +415,13 @@ impl<B: ServingBackend + Send> Router<B> {
         self.manifests_persisted
     }
 
-    /// Manifest writes torn mid-write by fault injection so far.
+    /// Manifest writes torn mid-write by fault injection so far: the
+    /// manifest injector's count of fired torn writes.
     #[must_use]
     pub fn torn_manifests(&self) -> u64 {
-        self.torn_manifests
+        self.manifest_faults
+            .as_ref()
+            .map_or(0, |f| f.counters().get(FaultKind::TornManifestWrite))
     }
 
     /// Sessions rebuilt from cold-store manifests after failures so far.
@@ -1033,10 +1027,8 @@ impl<B: ServingBackend + Send> Router<B> {
         #[cfg(test)]
         if self.reference_walk_only {
             let faults = &mut self.manifest_faults;
-            let (writes, torn) =
+            self.manifests_persisted +=
                 Self::reference_walk(&self.replicas, &mut self.cold_store, |_| roll_torn(faults));
-            self.manifests_persisted += writes;
-            self.torn_manifests += torn;
             return;
         }
         #[cfg(test)]
@@ -1070,7 +1062,6 @@ impl<B: ServingBackend + Send> Router<B> {
             let bytes = self.cold_store.put(manifest, torn);
             self.manifests_persisted += 1;
             if torn {
-                self.torn_manifests += 1;
                 self.manifest_recheck.insert(conv);
             }
             self.recorder.record(TraceEvent::ManifestPersisted {
@@ -1102,15 +1093,15 @@ impl<B: ServingBackend + Send> Router<B> {
     /// stored record to compare, and rewrite on any difference — so a
     /// session tracked by two replicas with diverging layouts is
     /// rewritten by both at every barrier, the last (highest-index)
-    /// writer winning. `tear` decides each write's fate. Returns
-    /// `(writes, torn writes)`.
+    /// writer winning. `tear` decides each write's fate. Returns the
+    /// number of writes.
     #[cfg(test)]
     fn reference_walk(
         replicas: &[Replica<B>],
         store: &mut ColdObjectStore,
         mut tear: impl FnMut(SessionId) -> bool,
-    ) -> (u64, u64) {
-        let (mut writes, mut torn_writes) = (0, 0);
+    ) -> u64 {
+        let mut writes = 0;
         for rep in replicas.iter().filter(|r| r.alive) {
             for conv in rep.backend.manifest_sessions() {
                 let Some(manifest) = rep.backend.session_manifest(conv) else {
@@ -1122,13 +1113,11 @@ impl<B: ServingBackend + Send> Router<B> {
                 if store.get(conv).is_ok_and(|m| m == manifest) {
                     continue; // unchanged since the last barrier
                 }
-                let torn = tear(conv);
-                store.put(manifest, torn);
+                store.put(manifest, tear(conv));
                 writes += 1;
-                torn_writes += u64::from(torn);
             }
         }
-        (writes, torn_writes)
+        writes
     }
 
     /// Attempts to rebuild an orphaned session from its cold-store
@@ -1223,7 +1212,7 @@ impl<B: ServingBackend + Send> Router<B> {
             lost_chunks += rep.link_lost_chunks();
             streamed_bytes += rep.link_streamed_bytes();
             m.counter_set(names::REPLICATED_TOKENS_TOTAL, rep.replicated_tokens());
-            m.counter_set(names::STANDBY_BYTES_TOTAL, rep.standby_bytes());
+            m.counter_set(names::STANDBY_BYTES_TOTAL, rep.link_streamed_bytes());
             m.counter_set(names::STANDBY_PROMOTIONS_TOTAL, self.promotions);
             m.counter_set(
                 names::RECOMPUTED_SUFFIX_TOKENS_TOTAL,

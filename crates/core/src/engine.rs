@@ -144,7 +144,10 @@ enum RunEnd {
     Deadline,
 }
 
-/// Aggregate engine counters beyond per-request responses.
+/// Aggregate engine counters beyond per-request responses. Faults fired
+/// are counted by the injector, by kind
+/// ([`SimServingEngine::fault_counters`]); the fault counters here count
+/// recovery outcomes that no fired-fault count equals.
 #[derive(Debug, Clone, Default)]
 pub struct EngineCounters {
     /// Batched model invocations executed.
@@ -159,17 +162,9 @@ pub struct EngineCounters {
     pub shared_prefix_hits: u64,
     /// Accumulated busy time of the GPU.
     pub busy_time: SimDuration,
-    /// Swap-in DMA attempts that failed or timed out and were retried
-    /// (fault injection only).
-    pub swap_in_retries: u64,
     /// Restores whose swap-in retries were exhausted, falling back to
     /// dropping the CPU chunks and recomputing them from raw tokens.
     pub recompute_fallbacks: u64,
-    /// Transient GPU slot-allocation failures absorbed by eviction
-    /// backpressure.
-    pub gpu_alloc_faults: u64,
-    /// Injected worker stalls absorbed as longer iterations.
-    pub worker_stalls: u64,
     /// CPU-tier chunks lost or corrupted by injected host-memory faults.
     pub chunk_faults: u64,
     /// Deep-tier (SSD/cold) reads that failed, dropping the session's
@@ -421,7 +416,9 @@ impl SimServingEngine {
     #[must_use]
     pub fn metrics(&self) -> MetricsRegistry {
         use metrics::names;
+        use FaultKind::{GpuAllocFailure, PcieTimeout, PcieTransferFailure, WorkerStall};
         let c = &self.counters;
+        let fired = self.fault_counters().copied().unwrap_or_default();
         let stats = self.cache.stats();
         let mut m = MetricsRegistry::new();
         m.counter_set(names::ITERATIONS_TOTAL, c.iterations);
@@ -429,10 +426,13 @@ impl SimServingEngine {
         m.counter_set(names::DECODE_TOKENS_TOTAL, c.decode_tokens);
         m.counter_set(names::SUSPENSIONS_TOTAL, c.suspensions);
         m.counter_set(names::SHARED_PREFIX_HIT_TOKENS_TOTAL, c.shared_prefix_hits);
-        m.counter_set(names::SWAP_IN_RETRIES_TOTAL, c.swap_in_retries);
+        // Each failed swap-in attempt is one fired PCIe fault.
+        let retries = fired.get(PcieTransferFailure) + fired.get(PcieTimeout);
+        m.counter_set(names::SWAP_IN_RETRIES_TOTAL, retries);
         m.counter_set(names::RECOMPUTE_FALLBACKS_TOTAL, c.recompute_fallbacks);
-        m.counter_set(names::GPU_ALLOC_FAULTS_TOTAL, c.gpu_alloc_faults);
-        m.counter_set(names::WORKER_STALLS_TOTAL, c.worker_stalls);
+        let (alloc_faults, stalls) = (fired.get(GpuAllocFailure), fired.get(WorkerStall));
+        m.counter_set(names::GPU_ALLOC_FAULTS_TOTAL, alloc_faults);
+        m.counter_set(names::WORKER_STALLS_TOTAL, stalls);
         m.counter_set(names::CHUNK_FAULTS_TOTAL, c.chunk_faults);
         m.counter_set(names::COLD_READ_FAULTS_TOTAL, c.cold_read_faults);
         m.counter_set(names::SSD_HIT_TOKENS_TOTAL, stats.ssd_hit_tokens);
@@ -792,7 +792,6 @@ impl SimServingEngine {
             .as_mut()
             .is_some_and(|f| f.roll(FaultKind::GpuAllocFailure));
         if fired {
-            self.counters.gpu_alloc_faults += 1;
             self.record_recovery(Some(conv), RecoveryKind::GpuAllocFault, tokens);
         }
         fired
@@ -1072,7 +1071,6 @@ impl SimServingEngine {
             ) {
                 Ok((start, _end)) => return Ok(start.duration_since(self.now)),
                 Err(e) => {
-                    self.counters.swap_in_retries += 1;
                     // The aborted DMA held the link until its failure was
                     // detected; the retry is issued after backoff.
                     self.now = self.now.max(e.completes()) + backoff;
@@ -1332,7 +1330,6 @@ impl SimServingEngine {
         let mut stall = SimDuration::ZERO;
         if let Some(f) = self.faults.as_mut() {
             if f.roll(FaultKind::WorkerStall) {
-                self.counters.worker_stalls += 1;
                 stall = SimDuration::from_secs(WORKER_STALL_SECS);
                 self.record_recovery(None, RecoveryKind::WorkerStall, 0);
             }
@@ -2164,24 +2161,27 @@ mod tests {
                     .map(|r| (r.id, r.output_tokens, r.prefill_tokens))
                     .collect::<Vec<_>>(),
                 e.counters().clone(),
+                e.fault_counters().copied(),
             )
         };
-        let (clean, clean_counters) = run(None);
+        let (clean, clean_counters, clean_fired) = run(None);
         let mut chaos_cfg = FaultConfig::chaos(42);
         // Crank PCIe failures so swap-in retries certainly occur.
         chaos_cfg.pcie_failure = 0.6;
-        let (faulty, counters) = run(Some(FaultInjector::new(chaos_cfg)));
+        let (faulty, counters, fired) = run(Some(FaultInjector::new(chaos_cfg)));
+        let fired = fired.unwrap();
         assert_eq!(faulty.len(), 4, "every request completes under faults");
         for (id, out, _prefill) in &faulty {
             let (cid, cout, _) = clean.iter().find(|(c, _, _)| c == id).unwrap();
             assert_eq!(id, cid);
             assert_eq!(out, cout, "output token counts must match fault-free");
         }
+        let retries = fired.get(FaultKind::PcieTransferFailure) + fired.get(FaultKind::PcieTimeout);
         assert!(
-            counters.swap_in_retries > 0 || counters.chunk_faults > 0,
-            "chaos config must exercise at least one recovery path: {counters:?}"
+            retries > 0 || counters.chunk_faults > 0,
+            "chaos config must exercise at least one recovery path: {counters:?} {fired:?}"
         );
-        assert_eq!(clean_counters.swap_in_retries, 0);
+        assert_eq!(clean_fired, None, "a fault-free engine fires nothing");
         assert_eq!(clean_counters.chunk_faults, 0);
     }
 
@@ -2213,7 +2213,8 @@ mod tests {
             assert!(r.output_tokens > 0);
         }
         // If any swap-in was needed it must have fallen back.
-        if e.counters().swap_in_retries > 0 {
+        let fired = e.fault_counters().unwrap();
+        if fired.get(FaultKind::PcieTransferFailure) > 0 {
             assert!(e.counters().recompute_fallbacks > 0);
             assert!(e.cache_stats().swap_in_fault_tokens > 0);
         }

@@ -265,7 +265,7 @@ mod tests {
     use crate::workers::ShardFleet;
     use pensieve_kernels::tp::TpModel;
     use pensieve_model::SimDuration;
-    use pensieve_sim::FaultConfig;
+    use pensieve_sim::{FaultConfig, FaultKind};
 
     fn prompt(seed: u32, len: usize, vocab: u32) -> Vec<u32> {
         (0..len as u32)
@@ -310,7 +310,10 @@ mod tests {
         (max_new, width, misplace): (usize, usize, bool),
         cell: &str,
     ) -> Served {
-        let losses = |e: &FunctionalEngine<M>| e.fault_counters().map_or(0, |c| c.cpu_chunk_losses);
+        let losses = |e: &FunctionalEngine<M>| {
+            e.fault_counters()
+                .map_or(0, |c| c.get(FaultKind::CpuChunkLoss))
+        };
         let mut served = Served {
             tokens: vec![Vec::new(); schedule.len()],
             widest: 0,

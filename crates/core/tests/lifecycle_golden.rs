@@ -27,7 +27,7 @@ use pensieve_core::{
 use pensieve_kvcache::{CacheStats, SessionId};
 use pensieve_model::{HardwareSpec, ModelConfig, SimDuration, SimTime};
 use pensieve_obs::{to_jsonl, RecoveryKind, SharedRecorder, SwapDir, TraceEvent, TraceReport};
-use pensieve_sim::{FaultConfig, FaultInjector};
+use pensieve_sim::{FaultConfig, FaultCounters, FaultInjector, FaultKind};
 
 /// Width of one `poll(Some(t))` / `run_until(t)` slice.
 const SLICE: f64 = 0.25;
@@ -375,8 +375,10 @@ impl Digest {
         }
     }
 
-    // Destructured without `..`, so a new field cannot be left out.
-    fn counters(&mut self, c: &EngineCounters) {
+    // Destructured without `..`, so a new field cannot be left out. The
+    // injector's fired counts (swap-in retries, allocation faults, worker
+    // stalls) fold in among the engine's at the positions the digests fix.
+    fn counters(&mut self, c: &EngineCounters, fired: &FaultCounters) {
         let EngineCounters {
             iterations,
             suspensions,
@@ -384,27 +386,24 @@ impl Digest {
             decode_tokens,
             shared_prefix_hits,
             busy_time,
-            swap_in_retries,
             recompute_fallbacks,
-            gpu_alloc_faults,
-            worker_stalls,
             chunk_faults,
             cold_read_faults,
-        } = c;
+        } = *c;
         for w in [
             iterations,
             suspensions,
             prefill_tokens,
             decode_tokens,
             shared_prefix_hits,
-            swap_in_retries,
+            swap_in_retries(fired),
             recompute_fallbacks,
-            gpu_alloc_faults,
-            worker_stalls,
+            fired.get(FaultKind::GpuAllocFailure),
+            fired.get(FaultKind::WorkerStall),
             chunk_faults,
             cold_read_faults,
         ] {
-            self.word(*w);
+            self.word(w);
         }
         self.word(busy_time.as_secs().to_bits());
     }
@@ -585,7 +584,16 @@ fn build_engine(sc: &Scenario, rec: Option<&SharedRecorder>) -> SimServingEngine
 
 /// Runs one scenario under one drive; returns the digest, the engine's
 /// counters and cache statistics, and the event stream.
-fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<TraceEvent>) {
+fn run(
+    sc: &Scenario,
+    drive: Drive,
+) -> (
+    u64,
+    EngineCounters,
+    FaultCounters,
+    CacheStats,
+    Vec<TraceEvent>,
+) {
     let rec = SharedRecorder::new();
     let mut e = build_engine(sc, Some(&rec));
     let mut client = Client::new(sc);
@@ -646,8 +654,9 @@ fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<Tra
         d.response(r);
     }
     let counters = e.counters().clone();
+    let fired = e.fault_counters().copied().unwrap_or_default();
     let stats = e.cache_stats().clone();
-    d.counters(&counters);
+    d.counters(&counters, &fired);
     d.cache_stats(&stats);
     d.n(e.logical_resident_tokens());
     d.n(e.physical_resident_tokens());
@@ -658,13 +667,19 @@ fn run(sc: &Scenario, drive: Drive) -> (u64, EngineCounters, CacheStats, Vec<Tra
     let mut metrics = e.metrics();
     TraceReport::from_events(&events).write_metrics(&mut metrics);
     d.bytes(metrics.prometheus().as_bytes());
-    (d.0, counters, stats, events)
+    (d.0, counters, fired, stats, events)
+}
+
+/// Failed swap-in attempts: each is one fired PCIe fault.
+fn swap_in_retries(fired: &FaultCounters) -> u64 {
+    fired.get(FaultKind::PcieTransferFailure) + fired.get(FaultKind::PcieTimeout)
 }
 
 /// Asserts the run took the path its scenario exists to pin.
 fn check_coverage(
     sc: &Scenario,
     c: &EngineCounters,
+    fired: &FaultCounters,
     s: &CacheStats,
     events: &[TraceEvent],
     at: &str,
@@ -715,19 +730,22 @@ fn check_coverage(
                 s.ssd_hit_tokens + s.cold_hit_tokens > 0,
                 "no deep read — {at}"
             );
-            assert!(c.gpu_alloc_faults > 0 && c.worker_stalls > 0, "{at}");
-            assert!(c.swap_in_retries > 0 && c.chunk_faults > 0, "{at}");
+            let alloc_faults = fired.get(FaultKind::GpuAllocFailure);
+            let stalls = fired.get(FaultKind::WorkerStall);
+            assert!(alloc_faults > 0 && stalls > 0, "{at}");
+            assert!(swap_in_retries(fired) > 0 && c.chunk_faults > 0, "{at}");
             assert!(c.cold_read_faults > 0, "no failed deep read — {at}");
             assert_eq!(
                 recoveries(RecoveryKind::GpuAllocFault) as u64,
-                c.gpu_alloc_faults,
+                alloc_faults,
                 "{at}"
             );
             assert_eq!(
                 recoveries(RecoveryKind::SwapInRetry) as u64,
-                c.swap_in_retries,
+                swap_in_retries(fired),
                 "{at}"
             );
+            assert_eq!(recoveries(RecoveryKind::WorkerStall) as u64, stalls, "{at}");
         }
     }
 }
@@ -739,11 +757,11 @@ fn golden_digests_hold_and_every_scenario_takes_its_path() {
     for (sc, golden) in SCENARIOS.iter().zip(&GOLDEN) {
         let mut cells = Vec::new();
         for (&drive, &expected) in DRIVES.iter().zip(golden) {
-            let (digest, counters, stats, events) = run(sc, drive);
+            let (digest, counters, fired, stats, events) = run(sc, drive);
             drifted |= digest != expected;
             cells.push(format!("{digest:#018x}"));
-            let at = format!("{} under {drive:?}: {counters:?}", sc.name);
-            check_coverage(sc, &counters, &stats, &events, &at);
+            let at = format!("{} under {drive:?}: {counters:?} {fired:?}", sc.name);
+            check_coverage(sc, &counters, &fired, &stats, &events, &at);
         }
         table += &format!("    [{}], // {}\n", cells.join(", "), sc.name);
     }

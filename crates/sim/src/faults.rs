@@ -16,8 +16,6 @@
 //! manager for CPU-tier chunk loss, the engine for allocation faults and
 //! worker stalls) and implements its own recovery.
 
-use std::fmt;
-
 use pensieve_model::{SimDuration, SimTime};
 
 use crate::rng::SplitMix64;
@@ -53,23 +51,6 @@ pub enum FaultKind {
     /// truncated manifest fails its checksum on read and the session
     /// rehydration falls back to recomputation.
     TornManifestWrite,
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FaultKind::PcieTransferFailure => "pcie-transfer-failure",
-            FaultKind::PcieTimeout => "pcie-timeout",
-            FaultKind::CpuChunkLoss => "cpu-chunk-loss",
-            FaultKind::CpuChunkCorruption => "cpu-chunk-corruption",
-            FaultKind::GpuAllocFailure => "gpu-alloc-failure",
-            FaultKind::WorkerStall => "worker-stall",
-            FaultKind::ColdReadStall => "cold-read-stall",
-            FaultKind::ColdReadFailure => "cold-read-failure",
-            FaultKind::TornManifestWrite => "torn-manifest-write",
-        };
-        f.write_str(s)
-    }
 }
 
 /// Per-fault-kind probabilities (per opportunity). What a fault costs
@@ -132,42 +113,24 @@ impl FaultConfig {
     }
 }
 
-/// Counts of injected faults, by kind.
+/// Number of [`FaultKind`]s: the last variant's index plus one.
+const KINDS: usize = FaultKind::TornManifestWrite as usize + 1;
+
+/// Counts of injected faults, one per [`FaultKind`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// PCIe transfers aborted.
-    pub pcie_failures: u64,
-    /// PCIe transfers timed out.
-    pub pcie_timeouts: u64,
-    /// CPU-tier chunks lost.
-    pub cpu_chunk_losses: u64,
-    /// CPU-tier chunks corrupted.
-    pub cpu_chunk_corruptions: u64,
-    /// GPU slot allocations failed.
-    pub gpu_alloc_failures: u64,
-    /// Worker stalls injected.
-    pub worker_stalls: u64,
-    /// Deep-tier read stalls injected.
-    pub cold_read_stalls: u64,
-    /// Deep-tier read failures injected.
-    pub cold_read_failures: u64,
-    /// Torn cold-tier manifest writes injected.
-    pub torn_manifest_writes: u64,
-}
+pub struct FaultCounters([u64; KINDS]);
 
 impl FaultCounters {
+    /// Faults of `kind` injected so far.
+    #[must_use]
+    pub fn get(&self, kind: FaultKind) -> u64 {
+        self.0[kind as usize]
+    }
+
     /// Total faults injected across all kinds.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.pcie_failures
-            + self.pcie_timeouts
-            + self.cpu_chunk_losses
-            + self.cpu_chunk_corruptions
-            + self.gpu_alloc_failures
-            + self.worker_stalls
-            + self.cold_read_stalls
-            + self.cold_read_failures
-            + self.torn_manifest_writes
+        self.0.iter().sum()
     }
 }
 
@@ -197,12 +160,6 @@ impl FaultInjector {
         }
     }
 
-    /// The configuration this injector draws from.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Faults injected so far.
     #[must_use]
     pub fn counters(&self) -> &FaultCounters {
@@ -225,18 +182,7 @@ impl FaultInjector {
         };
         let fired = self.rng.next_f64() < p;
         if fired {
-            let c = &mut self.counters;
-            match kind {
-                FaultKind::PcieTransferFailure => c.pcie_failures += 1,
-                FaultKind::PcieTimeout => c.pcie_timeouts += 1,
-                FaultKind::CpuChunkLoss => c.cpu_chunk_losses += 1,
-                FaultKind::CpuChunkCorruption => c.cpu_chunk_corruptions += 1,
-                FaultKind::GpuAllocFailure => c.gpu_alloc_failures += 1,
-                FaultKind::WorkerStall => c.worker_stalls += 1,
-                FaultKind::ColdReadStall => c.cold_read_stalls += 1,
-                FaultKind::ColdReadFailure => c.cold_read_failures += 1,
-                FaultKind::TornManifestWrite => c.torn_manifest_writes += 1,
-            }
+            self.counters.0[kind as usize] += 1;
         }
         fired
     }
@@ -409,6 +355,49 @@ mod tests {
         assert_eq!(inj.counters().total(), 0);
     }
 
+    /// Each kind's rate drives that kind's rolls alone, and a fired
+    /// roll counts under that kind alone.
+    #[test]
+    fn each_kind_fires_and_counts_alone() {
+        use FaultKind::*;
+        let kinds: [FaultKind; KINDS] = [
+            PcieTransferFailure,
+            PcieTimeout,
+            CpuChunkLoss,
+            CpuChunkCorruption,
+            GpuAllocFailure,
+            WorkerStall,
+            ColdReadStall,
+            ColdReadFailure,
+            TornManifestWrite,
+        ];
+        for kind in kinds {
+            let mut cfg = FaultConfig::disabled(9);
+            let rate = match kind {
+                PcieTransferFailure => &mut cfg.pcie_failure,
+                PcieTimeout => &mut cfg.pcie_timeout,
+                CpuChunkLoss => &mut cfg.cpu_chunk_loss,
+                CpuChunkCorruption => &mut cfg.cpu_chunk_corruption,
+                GpuAllocFailure => &mut cfg.gpu_alloc_failure,
+                WorkerStall => &mut cfg.worker_stall,
+                ColdReadStall => &mut cfg.cold_read_stall,
+                ColdReadFailure => &mut cfg.cold_read_failure,
+                TornManifestWrite => &mut cfg.torn_manifest_write,
+            };
+            *rate = 1.0;
+            let mut inj = FaultInjector::new(cfg);
+            for other in kinds {
+                assert_eq!(inj.roll(other), other == kind, "{kind:?} rolled {other:?}");
+            }
+            let counters = inj.counters();
+            for other in kinds {
+                let want = u64::from(other == kind);
+                assert_eq!(counters.get(other), want, "{kind:?} counted {other:?}");
+            }
+            assert_eq!(counters.total(), 1, "{kind:?}");
+        }
+    }
+
     #[test]
     fn fire_rate_tracks_probability() {
         let mut cfg = FaultConfig::disabled(11);
@@ -419,7 +408,10 @@ mod tests {
             .count();
         let rate = fired as f64 / 20_000.0;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
-        assert_eq!(inj.counters().pcie_failures, fired as u64);
+        assert_eq!(
+            inj.counters().get(FaultKind::PcieTransferFailure),
+            fired as u64
+        );
     }
 
     #[test]

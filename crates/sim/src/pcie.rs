@@ -376,7 +376,7 @@ mod tests {
         // The aborted DMA still held the link for its full duration.
         assert!((l.busy_until(Direction::HostToDevice).as_secs() - 1.0).abs() < 0.01);
         assert_eq!(err.completes(), l.busy_until(Direction::HostToDevice));
-        assert_eq!(inj.counters().pcie_failures, 1);
+        assert_eq!(inj.counters().get(FaultKind::PcieTransferFailure), 1);
     }
 
     #[test]
@@ -395,6 +395,6 @@ mod tests {
         let penalty = SimDuration::from_secs(TIMEOUT_PENALTY_SECS);
         assert_eq!(err.completes(), calm_end + penalty);
         assert_eq!(l.busy_until(Direction::HostToDevice), err.completes());
-        assert_eq!(inj.counters().pcie_timeouts, 1);
+        assert_eq!(inj.counters().get(FaultKind::PcieTimeout), 1);
     }
 }

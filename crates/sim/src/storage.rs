@@ -246,7 +246,7 @@ mod tests {
         assert!((late - COLD_STALL_PENALTY_SECS).abs() < 1e-9);
         let (next, _) = d.schedule_read(t(0.0), 1);
         assert_eq!(next, end, "the stall holds the queue");
-        assert_eq!(inj.counters().cold_read_stalls, 1);
+        assert_eq!(inj.counters().get(FaultKind::ColdReadStall), 1);
     }
 
     #[test]
@@ -259,6 +259,6 @@ mod tests {
         assert!(err.completes > t(0.0), "the failed read spent device time");
         let (next, _) = d.schedule_read(t(0.0), 1);
         assert_eq!(next, err.completes);
-        assert_eq!(inj.counters().cold_read_failures, 1);
+        assert_eq!(inj.counters().get(FaultKind::ColdReadFailure), 1);
     }
 }

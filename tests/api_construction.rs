@@ -235,3 +235,39 @@ fn test_only_capabilities_stay_deleted() {
         setters.join("\n  ")
     );
 }
+
+#[test]
+fn second_copies_of_fault_counts_stay_deleted() {
+    // The fault injector counts the faults it fires, by kind, and each
+    // replication link what it streams and loses; the engine, replicator
+    // and router read those holders instead of keeping copies. Each
+    // needle is a field declaration or an increment of a deleted copy,
+    // searched under its path prefix ("" is everywhere): the trace
+    // view's `TraceReport::torn_manifests` and the failover bench row's
+    // `standby_bytes` are fields of the same names but hold no copy.
+    let needles = [
+        ("swap_in_retries: u64", ""),
+        ("swap_in_retries += ", ""),
+        ("gpu_alloc_faults: u64", ""),
+        ("gpu_alloc_faults += ", ""),
+        ("worker_stalls: u64", ""),
+        ("worker_stalls += ", ""),
+        ("standby_bytes: u64", "crates/cluster/"),
+        ("standby_bytes += ", ""),
+        ("lost_flushes: u64", ""),
+        ("lost_flushes += ", ""),
+        ("torn_manifests: u64", "crates/cluster/"),
+        ("self.torn_manifests += ", ""),
+    ];
+    let mut offenders = Vec::new();
+    for (needle, under) in needles {
+        let found = find_offenders(needle, &["tests/api_construction.rs"], false);
+        let found = found.into_iter().filter(|at| at.starts_with(under));
+        offenders.extend(found.map(|at| format!("`{needle}` at {at}")));
+    }
+    assert!(
+        offenders.is_empty(),
+        "second copies of counts the fault injector or a replication link holds:\n  {}",
+        offenders.join("\n  ")
+    );
+}
