@@ -3,12 +3,14 @@
 //! that keeps the shape may move the numbers. Each test cites the
 //! `EXPERIMENTS.md` row it checks. The cost-model rows (fig3, fig4) run
 //! in well under a second, in debug builds too; the serving sweeps
-//! (fig13, fig15) take about half a second optimized at the horizon
-//! their rows state and are release only, like `golden.rs`, because
-//! every cache mutator debug-asserts its accounting.
+//! (fig10 and fig11 about four seconds together, fig13 and fig15 about
+//! half a second each, optimized, at the horizon their rows state) are
+//! release only, like `golden.rs`, because every cache mutator
+//! debug-asserts its accounting.
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::OnceLock;
 
 use serde_json::Value;
 
@@ -171,6 +173,114 @@ fn fig15_vllm_sits_above_pensieve_at_600s_think_time() {
             (0.20..=0.40).contains(&gap),
             "rate {rate}: vLLM p90 is {:.1} % above Pensieve",
             100.0 * gap
+        );
+    }
+}
+
+/// One model × dataset cell of fig10 or fig11, with the p90 normalized
+/// latency cut the paper reads its throughput at.
+struct Cell {
+    name: String,
+    cut: f64,
+    rows: Vec<Value>,
+}
+
+impl Cell {
+    /// `system`'s best throughput among its points with p90 at or under
+    /// the cut, 0 if none: what `sweeps.rs`'s `max_throughput` prints.
+    fn best(&self, system: &str) -> f64 {
+        by_rate(&self.rows, system)
+            .into_iter()
+            .filter(|(_, r)| summary(r, "p90_normalized") <= self.cut)
+            .map(|(_, r)| summary(r, "throughput_rps"))
+            .fold(0.0, f64::max)
+    }
+}
+
+/// The six serving cells at their default horizon, run once per test
+/// process: fig10's four at 120 ms/token, then fig11's OPT-66B at
+/// 200 ms/token and Llama 2-70B at 400 ms/token, the cuts its
+/// epilogue uses.
+fn serving_cells() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let mut cells: Vec<Cell> = Vec::new();
+        for fig in ["fig10", "fig11"] {
+            for row in rows(fig) {
+                let field = |key| row.get(key).and_then(Value::as_str).unwrap_or_default();
+                let name = format!("{fig} {} on {}", field("model"), field("dataset"));
+                let cut = match (fig, field("model")) {
+                    ("fig10", _) => 0.120,
+                    (_, "OPT-66B") => 0.200,
+                    _ => 0.400,
+                };
+                match cells.iter_mut().find(|c| c.name == name) {
+                    Some(cell) => cell.rows.push(row),
+                    None => cells.push(Cell {
+                        name,
+                        cut,
+                        rows: vec![row],
+                    }),
+                }
+            }
+        }
+        assert_eq!(cells.len(), 6, "six model × dataset cells");
+        cells
+    })
+}
+
+/// EXPERIMENTS.md, "Figure 10" and "Figure 11": Pensieve sustains the
+/// highest throughput at the paper's latency cut in all six model ×
+/// dataset cells, above Pensieve (GPU cache), vLLM and TensorRT-LLM.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: serving sweeps")]
+fn fig10_fig11_pensieve_has_the_highest_throughput_at_the_cut() {
+    for cell in serving_cells() {
+        let pensieve = cell.best("Pensieve");
+        for other in ["Pensieve (GPU cache)", "vLLM", "TensorRT-LLM"] {
+            assert!(
+                pensieve > cell.best(other),
+                "{}: Pensieve {pensieve:.2} req/s is not above {other} {:.2}",
+                cell.name,
+                cell.best(other)
+            );
+        }
+    }
+}
+
+/// EXPERIMENTS.md, "Figure 10" and "Figure 11": TensorRT-LLM (the
+/// compiled runtime) beats vLLM in throughput at the cut in all six
+/// cells.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: serving sweeps")]
+fn fig10_fig11_tensorrt_llm_beats_vllm_at_the_cut() {
+    for cell in serving_cells() {
+        let (trt, vllm) = (cell.best("TensorRT-LLM"), cell.best("vLLM"));
+        assert!(
+            trt > vllm,
+            "{}: TensorRT-LLM {trt:.2} req/s is not above vLLM {vllm:.2}",
+            cell.name
+        );
+    }
+}
+
+/// EXPERIMENTS.md, "Figure 10": Pensieve's gain over vLLM at the cut is
+/// larger for Llama 2-13B than for OPT-13B on both datasets (GQA caches
+/// four times the tokens per GB).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: serving sweeps")]
+fn fig10_gains_are_larger_on_llama_than_on_opt() {
+    let gain = |model: &str, dataset: &str| {
+        let name = format!("fig10 {model} on {dataset}");
+        let cell = serving_cells().iter().find(|c| c.name == name);
+        let cell = cell.unwrap_or_else(|| panic!("no cell {name}"));
+        cell.best("Pensieve") / cell.best("vLLM")
+    };
+    for dataset in ["ShareGPT", "UltraChat"] {
+        let (llama, opt) = (gain("Llama 2-13B", dataset), gain("OPT-13B", dataset));
+        assert!(
+            llama > opt,
+            "{dataset}: Pensieve/vLLM is {llama:.2}x on Llama 2-13B, {opt:.2}x on OPT-13B"
         );
     }
 }
